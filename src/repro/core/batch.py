@@ -25,16 +25,33 @@ outputs feed straight into the handle-based communicators
 one issued axis collective, whose :class:`~repro.dist.comm.PendingCollective`
 the engine waits where the next kernel consumes the result.
 
+On the uniform (divisible) path a collective's result comes back as a
+:class:`~repro.dist.padded.ReplicatedStack`: the ``(Gz, Gx, Gy, m, n)`` rank
+cube with extent 1 along every axis the value is identical on (H after the
+X-all-reduce, Q after the Y-all-reduce, W / F after the Z-all-gather — see
+``repro.dist.comm``).  The ``stack_*`` helpers never expand it: they view a
+flat partner into the cube and let numpy broadcast over the extent-1 axes,
+so :func:`stack_map` / :func:`stack_mul` (ReLU, its mask, the chain-rule
+product) run once per group, :func:`stack_matmul` is one broadcasting
+``np.matmul`` in which each rank's GEMM reads the shared operand in place,
+and :meth:`BlockDiagSpmm.apply_stacked` points every rank's block of the
+block CSR at its group's single dense block.  The only materialisation
+points are :func:`stack_data` (the optimizer's flat gradients, checkpoints)
+and a uniform operand meeting a padded one; persisted state (weights,
+features, labels, masks, Adam moments) is flat throughout and is accepted
+by every helper as is.
+
 When sharding is quasi-equal (a dimension does not divide its grid axis),
 the engine's stacks become :class:`~repro.dist.padded.PaddedStack` — ragged
-shards zero-padded to a common extent with per-rank valid masks.  The
-``stack_*`` helpers here make the layer code agnostic to the stack kind:
-:func:`stack_matmul` runs one ``np.matmul`` per exact-shape group (so the
-floating-point association order matches the per-rank reference bitwise,
-never summing over pad entries), :meth:`BlockDiagSpmm.apply_padded` drives
-one block-diagonal SpMM whose blocks sit at padded offsets (pad rows carry
-no nonzeros, so they contribute nothing), and :func:`concat_stack_rows`
-reassembles blocked-aggregation outputs from valid rows only.
+shards zero-padded to a common extent with per-rank valid masks, flat along
+the ranks.  The ``stack_*`` helpers make the layer code agnostic to the
+stack kind: :func:`stack_matmul` runs one ``np.matmul`` per exact-shape
+group (so the floating-point association order matches the per-rank
+reference bitwise, never summing over pad entries),
+:meth:`BlockDiagSpmm.apply_padded` drives one block-diagonal SpMM whose
+blocks sit at padded offsets (pad rows carry no nonzeros, so they
+contribute nothing), and :func:`concat_stack_rows` reassembles
+blocked-aggregation outputs from valid rows only.
 
 All outputs preserve the input dtype, so the engine's ``compute_dtype``
 (float32 for benchmarks, float64 for validation) flows through untouched.
@@ -47,13 +64,14 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.dist.padded import PaddedStack, stack_shards
+from repro.dist.padded import PaddedStack, ReplicatedStack, stack_shards
 from repro.sparse.ops import spmm
 
 __all__ = [
     "batched_matmul",
     "BlockDiagSpmm",
     "PaddedStack",
+    "ReplicatedStack",
     "stack_shards",
     "shard_views",
     "stack_data",
@@ -66,60 +84,106 @@ __all__ = [
 
 
 def shard_views(stacked) -> list[np.ndarray]:
-    """Per-rank views into a stack of any kind (ndarray / PaddedStack /
-    list): the engine's rank-indexed accessors."""
-    if isinstance(stacked, PaddedStack):
+    """Per-rank views into a stack of any kind (ndarray / ReplicatedStack /
+    PaddedStack / list): the engine's rank-indexed accessors."""
+    if isinstance(stacked, (PaddedStack, ReplicatedStack)):
         return stacked.views()
     return list(stacked)
 
 
 def stack_data(stacked) -> np.ndarray:
-    """The raw ndarray behind a stack of either kind.
+    """The flat ``(world, ...)`` ndarray behind a stack of any kind — what
+    persisted state and the optimizer hold.  A replicated stack is
+    materialised here (one copy; a view when nothing is replicated).
 
     Padded pads are zero and their gradients stay zero, so handing the raw
     array to elementwise consumers (the optimizer, mask products) is safe.
     """
-    return stacked.data if isinstance(stacked, PaddedStack) else stacked
+    return stacked.data if isinstance(stacked, PaddedStack) else _flat(stacked)
+
+
+def _flat(stacked):
+    """A uniform stack as a flat ndarray (padded stacks pass through)."""
+    return stacked.flat() if isinstance(stacked, ReplicatedStack) else stacked
+
+
+def _cube_pair(a, b):
+    """``(grid, a_cube, b_cube)`` when either uniform operand is a
+    :class:`ReplicatedStack` (a flat partner is viewed into the cube, no
+    copy), so the caller's numpy op broadcasts over the extent-1 replica
+    axes and runs once per group; ``None`` when both are flat."""
+    if isinstance(a, ReplicatedStack):
+        grid = a.grid
+    elif isinstance(b, ReplicatedStack):
+        grid = b.grid
+    else:
+        return None
+    return grid, ReplicatedStack.cube_of(a, grid), ReplicatedStack.cube_of(b, grid)
 
 
 def stack_transpose(stacked):
-    """Per-rank transpose of a stacked operand (a view, either kind)."""
-    if isinstance(stacked, PaddedStack):
+    """Per-rank transpose of a stacked operand (a view, any kind)."""
+    if isinstance(stacked, (PaddedStack, ReplicatedStack)):
         return stacked.transpose()
     return stacked.transpose(0, 2, 1)
 
 
 def stack_map(fn: Callable[[np.ndarray], np.ndarray], stacked):
-    """Apply an elementwise kernel to a stack of either kind.
+    """Apply an elementwise kernel to a stack of any kind.
 
-    Pad entries of a :class:`PaddedStack` are zero, so any kernel with
-    ``fn(0) == 0`` (ReLU, its gradient mask, scaling) leaves them inert."""
+    A :class:`ReplicatedStack` is mapped on its cube — once per group, not
+    once per replica.  Pad entries of a :class:`PaddedStack` are zero, so
+    any kernel with ``fn(0) == 0`` (ReLU, its gradient mask, scaling)
+    leaves them inert."""
     if isinstance(stacked, PaddedStack):
         return stacked.with_data(fn(stacked.data))
+    if isinstance(stacked, ReplicatedStack):
+        return ReplicatedStack(fn(stacked.cube), stacked.grid)
     return fn(stacked)
 
 
 def stack_mul(a, b):
-    """Elementwise product of two stacked operands of matching geometry."""
-    bd = b.data if isinstance(b, PaddedStack) else b
+    """Elementwise product of two stacked operands of matching geometry.
+
+    Replicated operands multiply in cube layout: the product is replicated
+    along the axes *both* are, and computed once per group there."""
     if isinstance(a, PaddedStack):
-        return a.with_data(a.data * bd)
-    return a * bd
+        return a.with_data(a.data * stack_data(b))
+    if isinstance(b, PaddedStack):
+        return stack_data(a) * b.data
+    pair = _cube_pair(a, b)
+    if pair is None:
+        return a * b
+    grid, ac, bc = pair
+    return ReplicatedStack(ac * bc, grid)
 
 
 def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
     """Per-rank ``op(a[r]) @ op(b[r])`` over stacked operands.
 
-    Plain ndarrays take the single ``np.matmul`` fast path.  PaddedStack
+    Uniform operands take the single ``np.matmul`` fast path; with a
+    :class:`ReplicatedStack` on either side it is a *broadcasting* matmul
+    over the ``(z, x, y)`` cube axes — H (extent 1 along X) times the
+    gathered W (extent 1 along Z) yields the full cube without either
+    operand ever being copied per rank, and every rank's GEMM sees exactly
+    the operands (values, inner strides, transposition) it would have seen
+    in a flat stack, so BLAS rounds identically.  PaddedStack
     operands are multiplied one exact-shape group at a time (quasi-equal
     sharding yields only a handful of groups), writing into a zero-padded
     output — the same grouping :func:`batched_matmul` applies to per-rank
     lists, so results are bitwise identical to the reference engine.
     """
     if not isinstance(a, PaddedStack) and not isinstance(b, PaddedStack):
-        aa = a.transpose(0, 2, 1) if ta else a
-        bb = b.transpose(0, 2, 1) if tb else b
-        return np.matmul(aa, bb)
+        pair = _cube_pair(a, b)
+        if pair is None:
+            aa = a.transpose(0, 2, 1) if ta else a
+            bb = b.transpose(0, 2, 1) if tb else b
+            return np.matmul(aa, bb)
+        grid, aa, bb = pair
+        return ReplicatedStack(
+            np.matmul(aa.swapaxes(-1, -2) if ta else aa, bb.swapaxes(-1, -2) if tb else bb), grid
+        )
+    a, b = _flat(a), _flat(b)  # a uniform partner of a padded stack goes flat
     ap = a if isinstance(a, PaddedStack) else PaddedStack(a, np.full(a.shape[0], a.shape[1]))
     bp = b if isinstance(b, PaddedStack) else PaddedStack(b, np.full(b.shape[0], b.shape[1]))
     if ta:
@@ -157,6 +221,14 @@ def concat_stack_rows(parts: Sequence):
     engine's ``np.concatenate`` over each rank's block results."""
     if all(isinstance(p, np.ndarray) for p in parts):
         return np.concatenate(parts, axis=1)
+    if all(isinstance(p, (np.ndarray, ReplicatedStack)) for p in parts):
+        grid = next(p.grid for p in parts if isinstance(p, ReplicatedStack))
+        cubes = [ReplicatedStack.cube_of(p, grid) for p in parts]
+        # blocks of one aggregation share their replication; a mix would
+        # concatenate at the widest extents
+        lead = np.broadcast_shapes(*(c.shape[:3] for c in cubes))
+        cubes = [np.broadcast_to(c, lead + c.shape[3:]) for c in cubes]
+        return ReplicatedStack(np.concatenate(cubes, axis=3), grid)
     padded = [p if isinstance(p, PaddedStack) else PaddedStack.from_shards(list(p)) for p in parts]
     world = padded[0].world
     rows = np.sum([p.rows for p in padded], axis=0)
@@ -219,6 +291,8 @@ class BlockDiagSpmm:
         self.uniform = len({s.shape for s in shards}) == 1
         #: f-shape signature -> list of (rank_idx, block-diag CSR, row splits)
         self._plans: dict[tuple, list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]] = {}
+        #: (grid, operand cube extents) -> block CSR of the uniform stacked path
+        self._stacked_plans: dict[tuple, sp.csr_matrix] = {}
         #: padded-operand signature -> (padded block-diag CSR, max rows, out rows)
         self._padded_plans: dict[tuple, tuple[sp.csr_matrix, int, np.ndarray]] = {}
 
@@ -249,19 +323,56 @@ class BlockDiagSpmm:
                 out[r] = block
         return out  # type: ignore[return-value]
 
-    def apply_stacked(self, f_stacked: np.ndarray) -> np.ndarray:
-        """Uniform fast path: ``(world, k, c)`` in, ``(world, m, c)`` out.
+    def _stacked_plan(self, grid, lead) -> sp.csr_matrix:
+        """The uniform path's block CSR: rank ``r``'s shard in row block
+        ``r`` and in the column block of the operand copy it reads — its own
+        for a flat operand (``lead is None``: the plain block diagonal), its
+        replica group's for a :class:`ReplicatedStack` whose cube has leading
+        extents ``lead``.  Ranks of one group then share one dense block, so
+        a gathered F or reduced dH is multiplied without ever being copied
+        per rank.  Each CSR row keeps its shard's nonzeros in their order,
+        hence every output row accumulates exactly as in ``apply()``.
+        """
+        key = (grid, lead)
+        bd = self._stacked_plans.get(key)
+        if bd is None:
+            ranks = np.arange(self.world)
+            if lead is not None:
+                coords = np.unravel_index(ranks, grid)
+                ranks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
+            m, k = self.shards[0].shape
+            nnz_before = np.cumsum([0] + [s.nnz for s in self.shards[:-1]])
+            bd = sp.csr_matrix(
+                (
+                    np.concatenate([s.data for s in self.shards]),
+                    np.concatenate([s.indices + b * k for s, b in zip(self.shards, ranks)]),
+                    np.concatenate(
+                        [[0]] + [s.indptr[1:] + np.int64(off) for s, off in zip(self.shards, nnz_before)]
+                    ),
+                ),
+                shape=(self.world * m, (int(ranks.max()) + 1) * k),
+            )
+            self._stacked_plans[key] = bd
+        return bd
 
-        One reshape + one SpMM for the whole grid; requires every A shard to
-        have the same shape (unequal rows would make the output reshape
-        silently interleave ranks, so this raises instead).
+    def apply_stacked(self, f_stacked) -> np.ndarray:
+        """Uniform fast path: ``(world, k, c)`` in — flat or replicated —
+        ``(world, m, c)`` out (flat: every rank's product is its own).
+
+        One SpMM for the whole grid; requires every A shard to have the same
+        shape (unequal rows would make the output reshape silently
+        interleave ranks, so this raises instead).
         """
         if not self.uniform:
             raise ValueError("apply_stacked requires uniform shard shapes; use apply()")
-        world, k, c = f_stacked.shape
-        ranks, bd, _ = self._plan(((k, c),) * world)[0]
-        h = spmm(bd, f_stacked.reshape(world * k, c))
-        return h.reshape(world, -1, c)
+        c = f_stacked.shape[2]
+        if isinstance(f_stacked, ReplicatedStack):
+            bd = self._stacked_plan(f_stacked.grid, f_stacked.cube.shape[:3])
+            dense = f_stacked.cube.reshape(-1, c)
+        else:
+            bd = self._stacked_plan(None, None)
+            dense = f_stacked.reshape(-1, c)
+        return spmm(bd, dense).reshape(self.world, -1, c)
 
     def apply_padded(self, f: PaddedStack) -> PaddedStack:
         """Ragged fast path: one SpMM over a padded block-diagonal plan.
@@ -310,6 +421,6 @@ class BlockDiagSpmm:
             return self.apply_padded(f)
         if not self.uniform:
             return self.apply_padded(
-                PaddedStack(f, np.full(f.shape[0], f.shape[1], dtype=np.int64))
+                PaddedStack(_flat(f), np.full(f.shape[0], f.shape[1], dtype=np.int64))
             )
         return self.apply_stacked(f)

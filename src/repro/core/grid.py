@@ -171,7 +171,9 @@ class PlexusGrid:
         self._group_of: dict[Axis, list[ProcessGroup]] = {}
         for axis in Axis:
             self._build_axis_groups(axis)
-        cube = (config.gz, config.gx, config.gy)
+        #: the rank cube ``(Gz, Gx, Gy)`` the stacked tensors are laid out on
+        #: (rank id = ``z*Gx*Gy + x*Gy + y``)
+        self.cube = cube = (config.gz, config.gx, config.gy)
         self._axis_comms = {
             axis: AxisComm(
                 store=cluster.store,

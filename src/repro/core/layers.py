@@ -31,17 +31,32 @@ Two execution engines share this class (selected by the model):
   :meth:`~repro.core.batch.BlockDiagSpmm.apply`), which is value-identical
   to a plain per-rank loop.
 * ``"batched"`` — the rank-batched fast path: per-rank operands live as one
-  stacked ``(world, m, n)`` tensor, the three GEMMs of Algorithms 1-2 run
-  as single ``np.matmul`` batched calls (one per exact-shape group), the
-  SpMMs as one block-diagonal CSR product
-  (:class:`repro.core.batch.BlockDiagSpmm` — per aggregation row block when
-  blocking is on), and the collectives as cube-reshaped axis reductions
-  (the stacked methods of :class:`~repro.dist.comm.AxisCommunicator`).
-  Uniform (divisible) sharding uses plain ndarray stacks; quasi-equal
-  sharding uses zero-padded :class:`~repro.core.batch.PaddedStack` stacks
+  stacked tensor, the three GEMMs of Algorithms 1-2 run as single
+  ``np.matmul`` batched calls (one per exact-shape group), the SpMMs as one
+  block CSR product (:class:`repro.core.batch.BlockDiagSpmm` — per
+  aggregation row block when blocking is on), and the collectives as
+  keepdims reductions over the rank cube (the stacked methods of
+  :class:`~repro.dist.comm.AxisCommunicator`).  Every configuration is
+  eligible; numerics are bitwise identical to the per-rank engine in
+  float64, clocks included.
+
+  Uniform (divisible) sharding never stores a replica: every collective
+  returns a :class:`~repro.core.batch.ReplicatedStack` (extent 1 along the
+  cube axes the value is shared on), and the next step broadcasts over it.
+  In Algorithm 1 the gathered F has extent 1 along the z-role axis (the
+  SpMM's block CSR points the group's ranks at the one block), H after the
+  X-all-reduce along x, the gathered W along z, so ``Q = H @ W`` is a
+  broadcasting matmul yielding the full cube; Q after the Y-all-reduce has
+  extent 1 along y, and so does ``relu(Q)`` — which *is* the next layer's F,
+  whose z-role is this layer's y.  Algorithm 2 mirrors it: dQ (y) and H (x)
+  broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
+  the X-all-reduce (x) feeds the A^T product like F did; dF after the
+  Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
+  features and gradients handed to the optimizer are flat ``(world, m, n)``.
+  Quasi-equal sharding uses zero-padded
+  :class:`~repro.core.batch.PaddedStack` stacks (flat along the ranks)
   whose valid-extent masks keep pad rows out of the math, the gathers and
-  the byte accounting.  Every configuration is eligible; numerics are
-  bitwise identical to the per-rank engine in float64, clocks included.
+  the byte accounting.
 
 Kernel times are *precomputed* per rank at construction (shard shapes never
 change across epochs), so the hot loop advances all clocks per step with a
@@ -76,6 +91,7 @@ import scipy.sparse as sp
 from repro.core.batch import (
     BlockDiagSpmm,
     PaddedStack,
+    ReplicatedStack,
     batched_matmul,
     concat_stack_rows,
     shard_views,
@@ -103,17 +119,18 @@ class LayerCache:
     """Per-rank forward activations kept for the backward pass.
 
     Each field is indexable by rank: a list of 2D arrays on the per-rank
-    engine, a stacked ``(world, m, n)`` tensor (plain for uniform sharding,
-    :class:`~repro.core.batch.PaddedStack` for quasi-equal) on the batched
-    engine.
+    engine; on the batched engine a stack —
+    :class:`~repro.core.batch.ReplicatedStack` for uniform sharding (``f``
+    held once per Z group, ``h`` once per X group, ``q`` once per Y group),
+    :class:`~repro.core.batch.PaddedStack` for quasi-equal.
     """
 
     #: gathered input features F (full local block), per rank
-    f: list[np.ndarray] | np.ndarray | PaddedStack
+    f: list[np.ndarray] | ReplicatedStack | PaddedStack
     #: aggregation output H after the X-all-reduce, per rank
-    h: list[np.ndarray] | np.ndarray | PaddedStack
+    h: list[np.ndarray] | ReplicatedStack | PaddedStack
     #: pre-activation Q after the Y-all-reduce, per rank
-    q: list[np.ndarray] | np.ndarray | PaddedStack
+    q: list[np.ndarray] | ReplicatedStack | PaddedStack
 
 
 class PlexusLayer:

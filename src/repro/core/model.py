@@ -9,10 +9,12 @@ is step-for-step comparable with :class:`repro.nn.serial.SerialGCN`
 (the Fig. 7 validation).
 
 The model owns the **engine selection**: the rank-batched engine (stacked
-``(world, m, n)`` tensors, batched GEMMs/SpMMs, cube-reshaped axis
-collectives, one stacked optimizer) is universal — every configuration is
-eligible.  Uniform (divisible) sharding uses plain ndarray stacks; ragged
-quasi-equal sharding uses zero-padded
+tensors, batched GEMMs/SpMMs, whole-axis collectives over the rank cube,
+one stacked optimizer) is universal — every configuration is eligible.
+Uniform (divisible) sharding keeps its persisted state as flat
+``(world, m, n)`` ndarrays and its activations as
+:class:`~repro.core.batch.ReplicatedStack` (one copy per group of ranks
+that share the value); ragged quasi-equal sharding uses zero-padded
 :class:`~repro.core.batch.PaddedStack` stacks whose valid-extent masks keep
 pad rows out of the math, the gathers and the byte accounting; blocked
 aggregation runs per-block stacked SpMM plans; SpMM noise draws are
@@ -275,8 +277,8 @@ class PlexusGCN:
     def forward(self):
         """Forward through all layers; returns per-rank logits and caches.
 
-        Logits are a list of 2D arrays on the per-rank engine, a stacked
-        ``(world, rows, classes)`` tensor on the batched engine — both
+        Logits are a list of 2D arrays on the per-rank engine, a stack of
+        logical shape ``(world, rows, classes)`` on the batched engine — both
         indexable by rank.  With ``overlap=True`` the next layer's W
         all-gather is issued as each layer completes (the Sec. 5.2-style
         prefetch) and waited inside that layer where the GEMM consumes it;

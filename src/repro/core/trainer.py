@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import PaddedStack, stack_data
+from repro.core.batch import PaddedStack, ReplicatedStack, stack_data
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
@@ -49,7 +49,7 @@ def distributed_masked_ce(
     """
     if isinstance(logits, PaddedStack):
         return _masked_ce_padded(model, logits)
-    if isinstance(logits, np.ndarray) and logits.ndim == 3:
+    if isinstance(logits, ReplicatedStack) or (isinstance(logits, np.ndarray) and logits.ndim == 3):
         return _masked_ce_batched(model, logits)
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
@@ -108,56 +108,68 @@ def distributed_masked_ce(
     return loss, d_logits
 
 
-def _masked_ce_batched(model: PlexusGCN, logits: np.ndarray) -> tuple[float, np.ndarray]:
-    """Rank-vectorized masked cross-entropy over stacked logits.
+def _masked_ce_batched(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack]:
+    """Rank-vectorized masked cross-entropy over uniform stacked logits.
 
     Every per-rank loop of the reference implementation becomes one
-    reduction over a leading rank axis; the class-axis and row-axis
-    collectives run as single cube-reshaped reductions covering all groups
-    at once.  Gradient values are elementwise-identical to the reference
-    (mask products against exact 0/1, same exp/log pipeline).
+    reduction over the rank cube, and the class-axis and row-axis
+    collectives run as single keepdims reductions covering all groups at
+    once.  The whole pipeline works in cube layout on what the logits hold:
+    the last layer's Y-all-reduce leaves them replicated along its y-role,
+    the class-axis reductions then along the x-role too, so the softmax
+    statistics, the masked sums and the gradient are computed once per
+    group of identical ranks (labels, masks and class offsets are constant
+    along those axes and are cut to match).  Flat ``(world, rows, classes)``
+    logits are viewed into the cube and take the same path.  Gradient
+    values are elementwise-identical to the reference (mask products against
+    exact 0/1, same exp/log pipeline).
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
     comm_x = grid.comm(roles.x)
     comm_z = grid.comm(roles.z)
-    labels, masks = model.label_stack, model.mask_stack
-    c = logits.shape[2]
+    stack = ReplicatedStack.of(logits, grid.cube)
+    cube = stack.cube  # (z, x, y, rows, classes), extent 1 where replicated
+    c = cube.shape[-1]
     if c == 0:
         raise ValueError("batched loss requires at least one class column per rank")
 
+    def reduce(comm, values, **kw) -> ReplicatedStack:
+        return comm.all_reduce(ReplicatedStack(values, stack.grid), **kw).wait()
+
     # 1) log-softmax statistics along the class (x-role) axis
-    row_max = comm_x.all_reduce(logits.max(axis=2), op="max", phase="loss_max").wait()
-    sum_exp = comm_x.all_reduce(
-        np.exp(logits - row_max[:, :, None]).sum(axis=2), phase="loss_sumexp"
-    ).wait()
+    row_max = reduce(comm_x, cube.max(axis=-1), op="max", phase="loss_max").cube
+    sum_exp = reduce(
+        comm_x, np.exp(cube - row_max[..., None]).sum(axis=-1), phase="loss_sumexp"
+    ).cube
 
     # 2) gather each masked node's own-label logit from the owning class shard
-    local_idx = labels - model.class_start[:, None]
+    masks = stack.like(model.mask_stack)
+    local_idx = stack.like(model.label_stack) - stack.like(model.class_start)[..., None]
     owned = masks & (local_idx >= 0) & (local_idx < c)
-    gather_idx = np.clip(local_idx, 0, c - 1)[:, :, None]
-    z_local = np.where(owned, np.take_along_axis(logits, gather_idx, axis=2)[:, :, 0], 0.0)
-    z_label = comm_x.all_reduce(z_local, phase="loss_zlabel").wait()
+    gather_idx = np.clip(local_idx, 0, c - 1)[..., None]
+    z_local = np.where(owned, np.take_along_axis(cube, gather_idx, axis=-1)[..., 0], 0.0)
+    z_label = reduce(comm_x, z_local, phase="loss_zlabel")
 
     # 3) masked sum + count along the row (z-role) axis
-    nll = row_max + np.log(sum_exp) - z_label
-    packed = np.empty((grid.world_size, 2), dtype=np.float64)
-    packed[:, 0] = np.where(masks, nll, 0.0).sum(axis=1)
-    packed[:, 1] = masks.sum(axis=1)
-    totals = comm_z.all_reduce(packed, phase="loss_total").wait()
-    total_nll, total_cnt = totals[0, 0], totals[0, 1]
+    nll = row_max + np.log(sum_exp) - z_label.cube
+    nll_masks = z_label.like(model.mask_stack)
+    packed = np.empty(nll.shape[:3] + (2,), dtype=np.float64)
+    packed[..., 0] = np.where(nll_masks, nll, 0.0).sum(axis=-1)
+    packed[..., 1] = nll_masks.sum(axis=-1)
+    total_nll, total_cnt = reduce(comm_z, packed, phase="loss_total")[0]
     if total_cnt == 0:
         raise ValueError("empty train mask")
     loss = float(total_nll / total_cnt)
 
     # 4) gradient shards: (softmax - onehot)/count on masked rows
     log_s = np.log(sum_exp)
-    probs = np.exp(logits - row_max[:, :, None] - log_s[:, :, None])
-    g = probs * masks[:, :, None]
-    vals = np.take_along_axis(g, gather_idx, axis=2) - owned[:, :, None]
-    np.put_along_axis(g, gather_idx, vals.astype(g.dtype, copy=False), axis=2)
+    probs = np.exp(cube - row_max[..., None] - log_s[..., None])
+    g = probs * masks[..., None]
+    vals = np.take_along_axis(g, gather_idx, axis=-1) - owned[..., None]
+    np.put_along_axis(g, gather_idx, vals.astype(g.dtype, copy=False), axis=-1)
     g /= total_cnt
-    return loss, g
+    return loss, ReplicatedStack(g, stack.grid)
 
 
 def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, PaddedStack]:
@@ -213,8 +225,7 @@ def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, Pad
     for v, idx in row_groups:
         packed[idx, 0] = masked_nll[idx, :v].sum(axis=1)
         packed[idx, 1] = msk[idx, :v].sum(axis=1)
-    totals = comm_z.all_reduce(packed, phase="loss_total").wait()
-    total_nll, total_cnt = totals[0, 0], totals[0, 1]
+    total_nll, total_cnt = comm_z.all_reduce(packed, phase="loss_total").wait()[0]
     if total_cnt == 0:
         raise ValueError("empty train mask")
     loss = float(total_nll / total_cnt)

@@ -250,18 +250,18 @@ def all_to_all(
     return communicator(group).all_to_all(chunks, phase=phase).wait()
 
 
-def axis_all_reduce(
-    comm: AxisComm, stacked: np.ndarray, op: str = "sum", phase: str = "all_reduce"
-) -> np.ndarray:
-    """Deprecated eager shim for ``axis_communicator(comm).all_reduce(...)``."""
+def axis_all_reduce(comm: AxisComm, stacked, op: str = "sum", phase: str = "all_reduce"):
+    """Deprecated eager shim for ``axis_communicator(comm).all_reduce(...)``
+    (same operands, same stack-typed result)."""
     _warn_deprecated("axis_all_reduce", "repro.dist.comm.axis_communicator(comm).all_reduce")
     from repro.dist.comm import axis_communicator
 
     return axis_communicator(comm).all_reduce(stacked, op=op, phase=phase).wait()
 
 
-def axis_all_gather(comm: AxisComm, stacked: np.ndarray, phase: str = "all_gather") -> np.ndarray:
-    """Deprecated eager shim for ``axis_communicator(comm).all_gather(...)``."""
+def axis_all_gather(comm: AxisComm, stacked, phase: str = "all_gather"):
+    """Deprecated eager shim for ``axis_communicator(comm).all_gather(...)``
+    (same operands, same stack-typed result)."""
     _warn_deprecated("axis_all_gather", "repro.dist.comm.axis_communicator(comm).all_gather")
     from repro.dist.comm import axis_communicator
 
@@ -269,9 +269,10 @@ def axis_all_gather(comm: AxisComm, stacked: np.ndarray, phase: str = "all_gathe
 
 
 def axis_reduce_scatter(
-    comm: AxisComm, stacked: np.ndarray, op: str = "sum", phase: str = "reduce_scatter"
-) -> np.ndarray:
-    """Deprecated eager shim for ``axis_communicator(comm).reduce_scatter(...)``."""
+    comm: AxisComm, stacked, op: str = "sum", phase: str = "reduce_scatter"
+):
+    """Deprecated eager shim for ``axis_communicator(comm).reduce_scatter(...)``
+    (same operands, same stack-typed result)."""
     _warn_deprecated("axis_reduce_scatter", "repro.dist.comm.axis_communicator(comm).reduce_scatter")
     from repro.dist.comm import axis_communicator
 

@@ -38,6 +38,24 @@ waited stays in ``ClockStore.outstanding`` where
 ``VirtualCluster.check_outstanding`` (called by the trainer at epoch end)
 reports it.
 
+What a stacked (whole-axis) collective hands back is the **replicated
+form**: a collective's result is by definition the same on every member of
+a group, so the uniform path returns it once per group — a
+:class:`~repro.dist.padded.ReplicatedStack`, the ``(Gz, Gx, Gy, m, n)`` cube
+with extent 1 along every axis the value is identical on — instead of
+writing G copies into a ``(world, m, n)`` array.  After Algorithm 1's
+X-all-reduce H has extent 1 along X, after the Y-all-reduce Q has extent 1
+along Y, the Z-gathered W and F have extent 1 along Z; Algorithm 2's dH and
+dF likewise; the loss's per-row statistics end up with extent 1 along two
+axes and its total along all three.  Operands are accepted flat (viewed
+into the cube for free — all persisted state is flat) or replicated, axes
+an operand is already replicated on stay extent 1 through the collective,
+and nothing is materialised here: consumers that need per-rank memory
+(``np.asarray``, ``ReplicatedStack.flat``) do it at the point of use.  The
+simulated cost is unaffected — durations always bill one rank's shard
+bytes, whatever the number of copies held — and results are read-only,
+since one element stands for G ranks.
+
 Two orthogonal extensions ride on the same issue machinery:
 
 * **Padded quasi-equal stacks** — the stacked ``AxisCommunicator`` methods
@@ -49,7 +67,8 @@ Two orthogonal extensions ride on the same issue machinery:
   computed from the per-group *valid* bytes — so data, clocks and phase
   totals stay bitwise identical to the group-wise ``map_*`` path on the
   exact shards.  Durations become keepdims arrays over the off-axis cube
-  (one entry per group) instead of a scalar.
+  (one entry per group) instead of a scalar.  Padded stacks keep the flat
+  per-rank layout (their pads differ per rank, there is nothing to share).
 * **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
   set, each link tracks its in-flight completion times and an issue on a
   saturated link blocks: the issuing group's clocks are lifted to the time
@@ -78,7 +97,7 @@ from repro.dist.collectives import (
     ring_reduce_scatter_time,
 )
 from repro.dist.group import ProcessGroup
-from repro.dist.padded import PaddedStack
+from repro.dist.padded import PaddedStack, ReplicatedStack
 from repro.sparse.partition import block_slices
 
 __all__ = [
@@ -87,6 +106,7 @@ __all__ = [
     "GroupCommunicator",
     "AxisCommunicator",
     "PaddedStack",
+    "ReplicatedStack",
     "communicator",
     "axis_communicator",
     "stacked_all_reduce_data",
@@ -376,64 +396,88 @@ def _ready(phase: str, result) -> PendingCollective:
 # ---------------------------------------------------------------------------
 # stacked collective data math (pure: no clocks, no links)
 #
-# These compute the *data* transformation of one whole-axis collective on a
-# full ``(world, *shard)`` stack, and are what the in-process
-# :class:`AxisCommunicator` executes.  The multi-process shared-memory
-# transport (``repro.runtime.shm``) mirrors this math with local-slice
-# variants (same full-cube operand, same reduction order, only the local
-# ranks' result rows materialized); ``tests/test_runtime_multiproc.py``
-# pins the two bitwise-equal — change them in lockstep.
+# The *data* transformation of one whole-axis collective over the
+# ``(Gz, Gx, Gy)`` rank cube.  The operand is a flat ``(world, *shard)``
+# ndarray (viewed into the cube for free) or a ReplicatedStack; the result
+# is always a ReplicatedStack, because a collective's output is by
+# definition shared within each group:
+#
+# * all-reduce  -> ``reduce(axis, keepdims=True)``: extent 1 along ``axis``,
+#   nothing is broadcast back to the G members;
+# * all-gather  -> one copy that fuses the group axis into the row axis,
+#   again extent 1 along ``axis``;
+# * reduce-scatter -> a strided *view* of the reduction (row block ``j``
+#   belongs to the member at coordinate ``j``), full extent along ``axis``.
+#
+# Axes the operand was already replicated on stay extent 1, so a chain such
+# as the loss's X-reduce then Z-reduce shrinks to one value per cube.  The
+# reduction itself runs over the same elements in the same order as a
+# per-group loop over flat shards (an operand replicated along ``axis``
+# itself is expanded first for exactly that reason), which keeps results
+# bitwise equal to the group-wise ``map_*`` path.
+#
+# Both the in-process :class:`AxisCommunicator` and the worker-crossing
+# transports (``repro.runtime.shm`` / ``net``) call these same three
+# functions — the transports on the full-Z operand they exchanged, cutting
+# the result to their local z-planes — so there is no second copy of the
+# math to keep in step; ``tests/test_replicated_stacks.py`` pins them
+# against a plain per-group reference loop and
+# ``tests/test_runtime_multiproc.py`` pins multiproc == inproc end to end.
 # ---------------------------------------------------------------------------
 
 
+def _operand_cube(cube_shape: tuple[int, ...], axis: int, stacked) -> np.ndarray:
+    """The operand in cube layout with the group axis at full extent."""
+    cube = ReplicatedStack.cube_of(stacked, cube_shape)
+    if cube.shape[axis] != cube_shape[axis]:
+        # replicated along the collective's own axis: give every member its
+        # copy, so the reduction adds G values in member order like the
+        # per-group loop does
+        shape = list(cube.shape)
+        shape[axis] = cube_shape[axis]
+        cube = np.ascontiguousarray(np.broadcast_to(cube, shape))
+    return cube
+
+
 def stacked_all_reduce_data(
-    cube_shape: tuple[int, ...], axis: int, stacked: np.ndarray, op: str = "sum"
-) -> np.ndarray:
-    """All-reduce within every group along cube ``axis``; returns the full
-    ``(world, *shard)`` result (every member holds its group's reduction)."""
-    tail = stacked.shape[1:]
-    cube = stacked.reshape(cube_shape + tail)
-    reduced = _REDUCERS[op](cube, axis=axis)
-    out = np.empty(cube_shape + tail, dtype=stacked.dtype)
-    out[...] = reduced[(slice(None),) * axis + (None,)]
-    return out.reshape(stacked.shape)
+    cube_shape: tuple[int, ...], axis: int, stacked, op: str = "sum"
+) -> ReplicatedStack:
+    """All-reduce within every group along cube ``axis``: each group's
+    reduction, held once (extent 1 along ``axis``)."""
+    cube = _operand_cube(cube_shape, axis, stacked)
+    return ReplicatedStack(_REDUCERS[op](cube, axis=axis, keepdims=True), cube_shape)
 
 
-def stacked_all_gather_data(
-    cube_shape: tuple[int, ...], axis: int, stacked: np.ndarray
-) -> np.ndarray:
-    """All-gather along cube ``axis``: every member of a group receives the
-    group's shards concatenated (in member order) along data axis 0."""
+def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, stacked) -> ReplicatedStack:
+    """All-gather along cube ``axis``: each group's shards concatenated (in
+    member order) along data axis 0, held once (extent 1 along ``axis``)."""
     g = cube_shape[axis]
-    m, tail = stacked.shape[1], stacked.shape[2:]
-    cube = stacked.reshape(cube_shape + (m,) + tail)
-    # bring the group axis adjacent to the row axis, fuse, broadcast back
-    moved = _moved(cube, axis, 2)
-    o0, o1 = moved.shape[0], moved.shape[1]
-    gathered = moved.reshape(o0, o1, g * m, *tail)
-    out = np.empty(cube_shape + (g * m,) + tail, dtype=stacked.dtype)
-    _moved(out, axis, 2)[...] = gathered[:, :, None]
-    return out.reshape((stacked.shape[0], g * m) + tail)
+    # group axis next to the row axis, then one copy fuses the two
+    moved = _moved(_operand_cube(cube_shape, axis, stacked), axis, 2)
+    o0, o1, _, m = moved.shape[:4]
+    tail = moved.shape[4:]
+    out = np.empty((o0, o1, g * m) + tail, dtype=moved.dtype)
+    out.reshape((o0, o1, g, m) + tail)[...] = moved
+    lead = [o0, o1]
+    lead.insert(axis, 1)
+    return ReplicatedStack(out.reshape((*lead, g * m) + tail), cube_shape)
 
 
 def stacked_reduce_scatter_data(
-    cube_shape: tuple[int, ...], axis: int, stacked: np.ndarray, op: str = "sum"
-) -> np.ndarray:
+    cube_shape: tuple[int, ...], axis: int, stacked, op: str = "sum"
+) -> ReplicatedStack:
     """Reduce within every group along cube ``axis``, then scatter row
     blocks of the result: the member at group coordinate ``j`` gets block
-    ``j``.  Requires the row extent to divide the group size evenly."""
+    ``j`` (a view of the reduction).  Requires the row extent to divide the
+    group size evenly."""
     g = cube_shape[axis]
-    m, tail = stacked.shape[1], stacked.shape[2:]
+    cube = _operand_cube(cube_shape, axis, stacked)
+    m = cube.shape[3]
     if m % g != 0:
         raise ValueError(f"row extent {m} does not divide into {g} blocks")
-    cube = stacked.reshape(cube_shape + (m,) + tail)
     reduced = _REDUCERS[op](cube, axis=axis)
-    mb = m // g
-    o0, o1 = reduced.shape[0], reduced.shape[1]
-    blocks = reduced.reshape(o0, o1, g, mb, *tail)
-    out = np.empty(cube_shape + (mb,) + tail, dtype=stacked.dtype)
-    _moved(out, axis, 2)[...] = blocks
-    return out.reshape((stacked.shape[0], mb) + tail)
+    blocks = reduced.reshape(reduced.shape[:2] + (g, m // g) + reduced.shape[3:])
+    return ReplicatedStack(_moved(blocks, 2, axis), cube_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +650,10 @@ class AxisCommunicator:
     """Handle-based collectives over every process group along one grid axis.
 
     The stacked methods (``all_reduce`` & co on a ``(world, *shard)``
-    operand) execute all groups of the axis as one cube-reshaped reduction —
-    the rank-batched engine's fast path; the ``map_*`` methods issue one
+    operand, flat or :class:`ReplicatedStack`) execute all groups of the
+    axis as one keepdims reduction over the rank cube and return the result
+    once per group — the rank-batched engine's fast path; the ``map_*``
+    methods issue one
     group-wise collective per process group over a per-rank list — the
     reference engine's path — and return a :class:`PendingMap`.  Both share
     one per-group link reservation, so in-flight operations on one axis
@@ -952,8 +998,9 @@ class AxisCommunicator:
         if d.size == 1:
             return _ready("comm:" + phase, stacked)
         plan = self._padded_plan("all_reduce", stacked)
+        # pads differ per rank, so a padded stack stays flat along the ranks
         result = PaddedStack(
-            stacked_all_reduce_data(d.cube, d.axis, stacked.data, op),
+            stacked_all_reduce_data(d.cube, d.axis, stacked.data, op).flat(),
             stacked.rows,
             stacked.cols,
         )
@@ -992,8 +1039,12 @@ class AxisCommunicator:
         return self._issue(plan["duration"], phase, result)
 
     # -- stacked collectives (rank-batched fast path) ------------------------
+    # Uniform operands (flat ndarray or ReplicatedStack) come back as a
+    # ReplicatedStack — see the "stacked collective data math" block.  The
+    # duration always bills one rank's shard (``nbytes / world`` of the
+    # logical stack), however few copies of it the operand stores.
     def all_reduce(
-        self, stacked: np.ndarray | PaddedStack, op: str = "sum", phase: str = "all_reduce"
+        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "all_reduce"
     ) -> PendingCollective:
         """All-reduce ``stacked[(world, *shard)]`` within every axis group.
 
@@ -1009,13 +1060,13 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, stacked)
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
         result = stacked_all_reduce_data(d.cube, d.axis, stacked, op)
-        t = ring_all_reduce_time(stacked[0].nbytes, g, d.bandwidth, d.latency)
+        t = ring_all_reduce_time(stacked.nbytes // d.world, g, d.bandwidth, d.latency)
         return self._issue(t, phase, result)
 
     def all_gather(
-        self, stacked: np.ndarray | PaddedStack, phase: str = "all_gather"
+        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, phase: str = "all_gather"
     ) -> PendingCollective:
         """All-gather along the shard row axis: every member of a group
         receives the group's shards concatenated (in member order) along
@@ -1029,19 +1080,20 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, stacked)
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
         result = stacked_all_gather_data(d.cube, d.axis, stacked)
-        t = ring_all_gather_time(g * stacked[0].nbytes, g, d.bandwidth, d.latency)
+        t = ring_all_gather_time(g * (stacked.nbytes // d.world), g, d.bandwidth, d.latency)
         return self._issue(t, phase, result)
 
     def reduce_scatter(
-        self, stacked: np.ndarray | PaddedStack, op: str = "sum", phase: str = "reduce_scatter"
+        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "reduce_scatter"
     ) -> PendingCollective:
         """Reduce within every axis group, then scatter row blocks of the
         result along data axis 0: the member at coordinate ``j`` gets block
-        ``j``.  A plain ndarray requires the row extent to divide evenly; a
-        :class:`PaddedStack` scatters quasi-equal blocks of each group's
-        valid rows (the result stack is padded to the largest block)."""
+        ``j``.  A uniform operand requires the row extent to divide evenly,
+        else it is wrapped as a fully-valid :class:`PaddedStack`, which
+        scatters quasi-equal blocks of each group's valid rows (the result
+        stack is padded to the largest block)."""
         if isinstance(stacked, PaddedStack):
             self._check_stacked(stacked.data)
             _check_op(op)
@@ -1051,15 +1103,15 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, stacked)
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
         m = stacked.shape[1]
         if m % g != 0:
             # quasi-equal scatter: wrap as a fully-valid padded stack so the
             # result carries the ragged block-row mask
-            wrapped = PaddedStack(stacked, np.full(stacked.shape[0], m, dtype=np.int64))
+            wrapped = PaddedStack(np.asarray(stacked), np.full(d.world, m, dtype=np.int64))
             return self._padded_reduce_scatter(wrapped, op, phase)
         result = stacked_reduce_scatter_data(d.cube, d.axis, stacked, op)
-        t = ring_reduce_scatter_time(stacked[0].nbytes, g, d.bandwidth, d.latency)
+        t = ring_reduce_scatter_time(stacked.nbytes // d.world, g, d.bandwidth, d.latency)
         return self._issue(t, phase, result)
 
     # -- group-wise collectives over per-rank lists --------------------------

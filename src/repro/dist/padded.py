@@ -1,27 +1,44 @@
-"""Padded quasi-equal stacks: ragged per-rank shards as one dense tensor.
+"""Stack types of the rank-batched engine: one tensor per logical matrix.
 
-Quasi-equal block sharding (``repro.sparse.partition.block_slices``) gives
-every rank a shard whose extents differ by at most one row/column from its
-neighbours' whenever a dimension does not divide the grid.  The rank-batched
-execution engine wants *one* ``(world, ...)`` tensor per logical matrix, so
-:class:`PaddedStack` stores the ragged shards zero-padded to the maximum
-extent, together with per-rank ``rows``/``cols`` valid-extent vectors — the
-mask the collectives and kernels use to keep the computation bitwise
-identical to the per-rank reference:
+The engine wants *one* array per logical matrix of Algorithms 1-2, covering
+every rank of the ``(Gz, Gx, Gy)`` cube.  Persisted state (weights, input
+features, labels, masks, optimizer moments, checkpoints) is a flat
+``(world, m, n)`` ndarray.  Two wrappers cover what a flat array cannot:
 
-* **pad entries are never part of the math** — reductions, sums and GEMMs
-  run on exact-extent slices grouped by shape (a handful of groups under
-  quasi-equal sharding), so the floating-point association order matches a
-  per-rank loop bit for bit;
-* **pad rows are sliced off before gathers land** — the padded collectives
-  in :mod:`repro.dist.comm` assemble gather/scatter results from valid rows
-  only, via index plans cached per shape signature;
-* **pad bytes are never billed** — collective durations are computed from
-  the per-group *valid* shard bytes, so the simulated clocks agree with the
-  per-rank engine's exactly.
+* :class:`ReplicatedStack` — a *uniform* stack in cube layout
+  ``(Gz, Gx, Gy, m, n)`` that keeps extent 1 along every cube axis its value
+  is identical on.  Every all-reduce and all-gather of Algorithms 1-2
+  leaves the G members of a group holding the same tensor (H after the
+  X-reduce, Q after the Y-reduce, W and F after the Z-gather); the
+  collectives return that tensor once per group instead of writing G
+  copies, and the elementwise / GEMM / loss stages downstream broadcast
+  over the extent-1 axes, so they too run once per group.  A consumer that
+  needs a contiguous per-rank operand calls :meth:`ReplicatedStack.flat`
+  (or ``np.asarray``) at the point of use.  The buffer is read-only: one
+  element stands for G ranks, so an in-place write raises instead of
+  silently updating all of them.
+* :class:`PaddedStack` — *ragged* quasi-equal shards
+  (``repro.sparse.partition.block_slices`` leaves extents differing by at
+  most one row/column whenever a dimension does not divide the grid)
+  zero-padded to the maximum extent, with per-rank ``rows``/``cols``
+  valid-extent vectors — the mask the collectives and kernels use to keep
+  the computation bitwise identical to the per-rank reference:
 
-Pad entries are kept at (signed) zero so elementwise stages (ReLU, masks,
-optimizer updates with zero pad gradients) leave them inert.
+  * **pad entries are never part of the math** — reductions, sums and GEMMs
+    run on exact-extent slices grouped by shape (a handful of groups under
+    quasi-equal sharding), so the floating-point association order matches
+    a per-rank loop bit for bit;
+  * **pad rows are sliced off before gathers land** — the padded
+    collectives in :mod:`repro.dist.comm` assemble gather/scatter results
+    from valid rows only, via index plans cached per shape signature;
+  * **pad bytes are never billed** — collective durations are computed from
+    the per-group *valid* shard bytes, so the simulated clocks agree with
+    the per-rank engine's exactly.
+
+  Pad entries are kept at (signed) zero so elementwise stages (ReLU, masks,
+  optimizer updates with zero pad gradients) leave them inert.  Padded
+  stacks stay flat along the rank axis: their pads differ per rank, so
+  there is nothing to share.
 """
 
 from __future__ import annotations
@@ -30,7 +47,132 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["PaddedStack", "stack_shards"]
+__all__ = ["PaddedStack", "ReplicatedStack", "stack_shards"]
+
+
+class ReplicatedStack:
+    """A uniform per-rank stack stored once per group of identical ranks.
+
+    ``cube`` has shape ``(z, x, y, *shard)`` where each of ``z, x, y`` is
+    either the matching extent of ``grid = (Gz, Gx, Gy)`` or 1 — the value
+    is the same for every rank along an extent-1 axis.  Logically the stack
+    is ``(world, *shard)`` (``shape`` / ``nbytes`` / ``len`` / ``stack[r]``
+    answer for that form, rank id = ``z*Gx*Gy + x*Gy + y``), so code written
+    against a flat stack or a list of per-rank arrays reads it unchanged.
+    """
+
+    __slots__ = ("cube", "grid")
+
+    def __init__(self, cube: np.ndarray, grid: tuple[int, int, int]) -> None:
+        lead = cube.shape[:3]
+        if lead != grid and (
+            len(lead) < 3
+            or lead[0] not in (1, grid[0])
+            or lead[1] not in (1, grid[1])
+            or lead[2] not in (1, grid[2])
+        ):
+            raise ValueError(f"cube shape {cube.shape} does not fit the rank grid {grid}")
+        if cube.flags.writeable:
+            cube = cube.view()
+            cube.flags.writeable = False
+        self.cube = cube
+        self.grid = grid
+
+    @staticmethod
+    def cube_of(stacked, grid: tuple[int, int, int]) -> np.ndarray:
+        """A uniform stack's data in cube layout: a flat ``(world, *shard)``
+        ndarray is viewed (no copy, full extents), a replicated stack hands
+        out its cube — it must be laid out for the same ``grid``."""
+        if isinstance(stacked, ReplicatedStack):
+            if stacked.grid != grid:
+                raise ValueError(f"stack laid out for grid {stacked.grid}, expected {grid}")
+            return stacked.cube
+        return stacked.reshape(grid + stacked.shape[1:])
+
+    @classmethod
+    def of(cls, stacked, grid: tuple[int, int, int]) -> "ReplicatedStack":
+        """``stacked`` as a replicated stack over ``grid`` (see :meth:`cube_of`;
+        a replicated stack passes through)."""
+        if isinstance(stacked, cls) and stacked.grid == grid:
+            return stacked
+        return cls(cls.cube_of(stacked, grid), grid)
+
+    # -- the logical (world, *shard) form ------------------------------------
+    @property
+    def world(self) -> int:
+        return self.grid[0] * self.grid[1] * self.grid[2]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.world,) + self.cube.shape[3:]
+
+    @property
+    def ndim(self) -> int:
+        return self.cube.ndim - 2
+
+    @property
+    def dtype(self):
+        return self.cube.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the logical stack — ``world`` shards, replicas counted
+        (what the collective cost models and the byte counters bill)."""
+        return self.world * self.cube[0, 0, 0].nbytes
+
+    def __len__(self) -> int:
+        return self.world
+
+    def view(self, r: int) -> np.ndarray:
+        """Rank ``r``'s shard (a read-only view into the shared buffer)."""
+        if not 0 <= r < self.world:
+            raise IndexError(f"rank {r} out of range for world {self.world}")
+        _, gx, gy = self.grid
+        z, rem = divmod(r, gx * gy)
+        ez, ex, ey = self.cube.shape[:3]
+        return self.cube[z % ez, (rem // gy) % ex, (rem % gy) % ey]
+
+    __getitem__ = view
+
+    def views(self) -> list[np.ndarray]:
+        full = np.broadcast_to(self.cube, self.grid + self.cube.shape[3:])  # stride-0
+        return [full[idx] for idx in np.ndindex(*self.grid)]
+
+    def __iter__(self):
+        return iter(self.views())
+
+    def flat(self) -> np.ndarray:
+        """The flat ``(world, *shard)`` ndarray: a view when nothing is
+        replicated and the cube is contiguous, otherwise one copy — the
+        materialisation point for consumers that need per-rank memory."""
+        cube = self.cube
+        if cube.shape[:3] != self.grid:
+            full = np.empty(self.grid + cube.shape[3:], dtype=cube.dtype)
+            full[...] = cube
+            cube = full
+        return cube.reshape((-1,) + cube.shape[3:])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.flat()
+        if dtype is not None and out.dtype != dtype:
+            return out.astype(dtype)
+        return out.copy() if copy else out
+
+    # -- derived stacks ------------------------------------------------------
+    def transpose(self) -> "ReplicatedStack":
+        """Per-rank transpose of matrix shards (a view)."""
+        return ReplicatedStack(self.cube.swapaxes(-1, -2), self.grid)
+
+    def like(self, flat: np.ndarray) -> np.ndarray:
+        """A flat persisted stack that is constant along this stack's
+        replicated axes (labels, masks, class offsets), viewed in the cube
+        and cut to the same extents — so it broadcasts against ``cube``
+        without touching the replicas."""
+        full = flat.reshape(self.grid + flat.shape[1:])
+        return full[tuple(slice(0, e) for e in self.cube.shape[:3])]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ReplicatedStack(cube={self.cube.shape}, grid={self.grid})"
 
 
 class PaddedStack:

@@ -52,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import stack_data
+from repro.core.batch import ReplicatedStack, stack_data
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -104,11 +104,12 @@ def _capture_pending(handle) -> dict | None:
             "only a single primitive PendingCollective can be checkpointed "
             "in flight (the cross-epoch F prefetch)"
         )
-    return {
-        "phase": handle.phase,
-        "record": record,
-        "result": getattr(handle, "_result", None),
-    }
+    result = getattr(handle, "_result", None)
+    if isinstance(result, ReplicatedStack):
+        # flat on disk like all persisted state (in memory a gathered F is
+        # held once per Z group); every consumer accepts the flat form back
+        result = result.flat()
+    return {"phase": handle.phase, "record": record, "result": result}
 
 
 def model_state(model) -> dict:

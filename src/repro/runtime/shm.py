@@ -57,14 +57,15 @@ from repro.dist.collectives import (
     ring_reduce_scatter_time,
 )
 from repro.dist.comm import (
-    _REDUCERS,
     PendingCollective,
     _check_op,
-    _moved,
     _ready,
     _slot_free_time,
+    stacked_all_gather_data,
+    stacked_all_reduce_data,
+    stacked_reduce_scatter_data,
 )
-from repro.dist.padded import PaddedStack
+from repro.dist.padded import PaddedStack, ReplicatedStack
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 from repro.errors import (
@@ -468,9 +469,12 @@ class ShmAxisCommunicator:
     prefetch schedules) work unchanged.
 
     At issue, the workers rendezvous once: local clock slices and operand
-    slices are exchanged, and every worker computes the identical full-cube
-    result (the ``_local_*`` variants below mirror the in-process
-    ``stacked_*_data`` math bitwise) and the identical schedule.  Link
+    z-planes are exchanged, and every worker computes the identical
+    full-cube result — with the same ``stacked_*_data`` functions the
+    in-process communicator runs, then cut to its own z-planes — and the
+    identical schedule.  Results come back as
+    :class:`~repro.dist.padded.ReplicatedStack`s over the local cube, and a
+    replicated operand posts only its unique bytes.  Link
     busy-until state and bounded in-flight queues are *replicated* per
     worker under ``("shmz", gi)`` keys in the local :class:`ClockStore` —
     deterministic inputs keep every replica bitwise consistent, and storing
@@ -515,6 +519,12 @@ class ShmAxisCommunicator:
     transport_label = "shared-memory"
 
     def _check(self, stacked) -> np.ndarray:
+        """The operand as this worker's ``(lz, x, y, *shard)`` cube — exactly
+        what is posted to the bus.  A flat local stack is viewed; a
+        replicated stack posts its cube as is, so axes it is replicated on
+        (X/Y, identically on every worker) cross the bus once, not G times;
+        only replication along the local z-planes is expanded, because the
+        peers concatenate the posted planes into the full-Z operand."""
         if isinstance(stacked, PaddedStack):
             raise UnsupportedWorkload(
                 f"padded (quasi-equal) stacks over the multiproc "
@@ -522,21 +532,36 @@ class ShmAxisCommunicator:
                 "multiproc backend requires divisible (uniform) sharding — "
                 "use backend='inproc'"
             )
-        stacked = np.asarray(stacked)
-        if stacked.shape[0] != self.hi - self.lo:
-            raise ValueError(
-                f"stacked operand has leading extent {stacked.shape[0]}, "
-                f"expected local world {self.hi - self.lo}"
-            )
-        return stacked
+        if not isinstance(stacked, ReplicatedStack):
+            stacked = np.asarray(stacked)
+            if stacked.shape[0] != self.hi - self.lo:
+                raise ValueError(
+                    f"stacked operand has leading extent {stacked.shape[0]}, "
+                    f"expected local world {self.hi - self.lo}"
+                )
+        cube = ReplicatedStack.cube_of(stacked, self.local_cube)
+        if cube.shape[0] != self.local_cube[0]:
+            cube = np.broadcast_to(cube, self.local_cube[:1] + cube.shape[1:])
+        return cube
 
-    def _post(self, stacked: np.ndarray, full_phase: str) -> tuple[np.ndarray, np.ndarray]:
+    def _post(self, cube: np.ndarray, full_phase: str) -> tuple[np.ndarray, ReplicatedStack]:
+        """Rendezvous: every worker's clocks and z-planes, in rank order."""
         store = self.store
         if self.issue_overhead_s:
             store.clocks += self.issue_overhead_s
             store.record_all(full_phase, self.issue_overhead_s)
-        clocks, full = self.bus.exchange_concat([store.clocks, stacked])
-        return clocks, full
+        clocks, full = self.bus.exchange_concat([store.clocks, cube])
+        return clocks, ReplicatedStack(full, self.cube)
+
+    def _local(self, result: ReplicatedStack) -> ReplicatedStack:
+        """A full-cube collective result cut to this worker's z-planes (a
+        result shared along Z — extent 1 — is shared along the local planes
+        too)."""
+        cube = result.cube
+        if cube.shape[0] != 1:
+            plane = self.cube[1] * self.cube[2]
+            cube = cube[self.lo // plane : self.hi // plane]
+        return ReplicatedStack(cube, self.local_cube)
 
     def _key(self, gi: int) -> tuple:
         return ("shmz", gi)
@@ -600,76 +625,41 @@ class ShmAxisCommunicator:
         record = ("cube", self.local_cube, begin, end, duration)
         return PendingCollective(full_phase, result, store, record)
 
-    # -- local-slice data math -------------------------------------------------
-    # These mirror the pure ``stacked_*_data`` helpers of ``repro.dist.comm``
-    # but materialize only the *local* ranks' rows of the result — the
-    # group reductions still run over the identical full-cube operand in the
-    # identical order, so every value is bitwise the in-process one; what is
-    # skipped is the (world/local)-fold redundant result copy.
-
-    def _local_all_reduce(self, full: np.ndarray, op: str) -> np.ndarray:
-        tail = full.shape[1:]
-        cube = full.reshape(self.cube + tail)
-        reduced = _REDUCERS[op](cube, axis=0)  # (gx, gy) + tail
-        out = np.empty((self.local_cube[0],) + reduced.shape, dtype=full.dtype)
-        out[...] = reduced[None]
-        return out.reshape((self.hi - self.lo,) + tail)
-
-    def _local_all_gather(self, full: np.ndarray) -> np.ndarray:
-        g = self.cube[0]
-        m, tail = full.shape[1], full.shape[2:]
-        cube = full.reshape(self.cube + (m,) + tail)
-        moved = _moved(cube, 0, 2)  # (gx, gy, Gz, m) + tail
-        gathered = moved.reshape(self.cube[1], self.cube[2], g * m, *tail)
-        out = np.empty((self.local_cube[0],) + gathered.shape, dtype=full.dtype)
-        out[...] = gathered[None]
-        return out.reshape((self.hi - self.lo, g * m) + tail)
-
-    def _local_reduce_scatter(self, full: np.ndarray, op: str) -> np.ndarray:
-        g = self.cube[0]
-        m, tail = full.shape[1], full.shape[2:]
-        if m % g != 0:
-            raise ValueError(f"row extent {m} does not divide into {g} blocks")
-        cube = full.reshape(self.cube + (m,) + tail)
-        reduced = _REDUCERS[op](cube, axis=0)  # (gx, gy, m) + tail
-        mb = m // g
-        blocks = reduced.reshape(self.cube[1], self.cube[2], g, mb, *tail)
-        z0 = self.lo // (self.cube[1] * self.cube[2])
-        z1 = self.hi // (self.cube[1] * self.cube[2])
-        sel = np.moveaxis(blocks, 2, 0)[z0:z1]  # (lz, gx, gy, mb) + tail
-        return np.ascontiguousarray(sel).reshape((self.hi - self.lo, mb) + tail)
-
     # -- stacked collectives ---------------------------------------------------
+    # The data math is ``repro.dist.comm``'s ``stacked_*_data`` on the
+    # exchanged full-Z operand (axis 0) — the same functions the in-process
+    # communicator runs, hence bitwise the same values — and the duration
+    # bills one rank's shard whatever the operand's replication.
     def all_reduce(self, stacked, op: str = "sum", phase: str = "all_reduce"):
-        stacked = self._check(stacked)
+        cube = self._check(stacked)
         _check_op(op)
         if self.size == 1:
-            return _ready("comm:" + phase, stacked)
-        full_clocks, full = self._post(stacked, "comm:" + phase)
-        result = self._local_all_reduce(full, op)
-        t = ring_all_reduce_time(stacked[0].nbytes, self.size, self.bandwidth, self.latency)
+            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
+        full_clocks, full = self._post(cube, "comm:" + phase)
+        result = self._local(stacked_all_reduce_data(self.cube, 0, full, op))
+        t = ring_all_reduce_time(cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency)
         return self._issue(full_clocks, t, phase, result)
 
     def all_gather(self, stacked, phase: str = "all_gather"):
-        stacked = self._check(stacked)
+        cube = self._check(stacked)
         if self.size == 1:
-            return _ready("comm:" + phase, stacked)
-        full_clocks, full = self._post(stacked, "comm:" + phase)
-        result = self._local_all_gather(full)
+            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
+        full_clocks, full = self._post(cube, "comm:" + phase)
+        result = self._local(stacked_all_gather_data(self.cube, 0, full))
         t = ring_all_gather_time(
-            self.size * stacked[0].nbytes, self.size, self.bandwidth, self.latency
+            self.size * cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency
         )
         return self._issue(full_clocks, t, phase, result)
 
     def reduce_scatter(self, stacked, op: str = "sum", phase: str = "reduce_scatter"):
-        stacked = self._check(stacked)
+        cube = self._check(stacked)
         _check_op(op)
         if self.size == 1:
-            return _ready("comm:" + phase, stacked)
-        full_clocks, full = self._post(stacked, "comm:" + phase)
-        result = self._local_reduce_scatter(full, op)
+            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
+        full_clocks, full = self._post(cube, "comm:" + phase)
+        result = self._local(stacked_reduce_scatter_data(self.cube, 0, full, op))
         t = ring_reduce_scatter_time(
-            stacked[0].nbytes, self.size, self.bandwidth, self.latency
+            cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency
         )
         return self._issue(full_clocks, t, phase, result)
 

@@ -134,7 +134,9 @@ class WorkerGrid:
         self.world_size = cluster.hi - cluster.lo
         self._coords = _grid_coords(config.gx, config.gy, config.gz)[cluster.lo : cluster.hi]
         local_z = self.world_size // plane
-        self._local_cube = (local_z, config.gx, config.gy)
+        #: the *local* rank cube (this worker's z-planes) the model's stacked
+        #: tensors are laid out on — ``PlexusGrid.cube`` of the slice
+        self.cube = (local_z, config.gx, config.gy)
         machine = cluster.machine
         self._groups: dict[Axis, list[ProcessGroup]] = {}
         self._group_of: dict[Axis, list[ProcessGroup]] = {}
@@ -143,7 +145,7 @@ class WorkerGrid:
         self._axis_comms = {
             axis: AxisComm(
                 store=cluster.store,
-                cube=self._local_cube,
+                cube=self.cube,
                 axis=(1, 2)[axis == Axis.Y],
                 size=config.size(axis),
                 bandwidth=self._groups[axis][0].bandwidth,

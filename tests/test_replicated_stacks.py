@@ -1,0 +1,334 @@
+"""Replica-free stacks: the uniform batched path's ``ReplicatedStack`` form.
+
+Every all-reduce / all-gather of Algorithms 1-2 leaves a group's members
+holding the same tensor; the stacked collectives return it once per group
+(extent 1 along the shared cube axes) and the ``stack_*`` helpers, the
+block-diagonal SpMM and the batched loss broadcast over those axes.  Pinned
+here:
+
+* every collective x axis x op x operand form (flat, replicated along any
+  subset of the cube axes — the collective's own included) equals a plain
+  per-group loop over flat shards bitwise, bills the flat operand's
+  duration, and hands out read-only results;
+* the helpers that consume replicated stacks equal their flat-stack results
+  bitwise;
+* after a forward pass the cached activations own ``world / G`` shards of
+  memory, while everything persisted (weights, checkpoints, the in-flight
+  prefetch inventory) stays flat ``(world, m, n)`` and resumes across
+  backends.
+"""
+
+from __future__ import annotations
+
+import itertools
+import pickle
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import GridConfig, PlexusOptions
+from repro.core.batch import (
+    BlockDiagSpmm,
+    ReplicatedStack,
+    concat_stack_rows,
+    shard_views,
+    stack_data,
+    stack_map,
+    stack_matmul,
+    stack_mul,
+    stack_transpose,
+)
+from repro.core.grid import Axis, PlexusGrid
+from repro.core.trainer import distributed_masked_ce
+from repro.dist import LAPTOP, VirtualCluster
+from repro.graph.features import degree_labels, random_split_masks, synth_features
+from repro.graph.generators import rmat_graph
+from repro.nn.functional import relu
+from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
+from repro.runtime import checkpoint as ckpt
+from repro.sparse.ops import gcn_normalize
+
+GRIDS = [GridConfig(8, 1, 1), GridConfig(2, 1, 4), GridConfig(1, 1, 8), GridConfig(2, 3, 2)]
+#: every subset of the cube axes (z, x, y) an operand can be replicated along
+REPLICATIONS = [
+    frozenset(c) for n in range(4) for c in itertools.combinations(range(3), n)
+]
+COLLECTIVES = [
+    ("all_reduce", "sum"),
+    ("all_reduce", "max"),
+    ("all_gather", None),
+    ("reduce_scatter", "sum"),
+    ("reduce_scatter", "max"),
+]
+
+
+def _grid(cfg: GridConfig) -> PlexusGrid:
+    return PlexusGrid(VirtualCluster(cfg.total, LAPTOP), cfg)
+
+
+def _operand(rng, grid: PlexusGrid, replicated: frozenset, tail: tuple, dtype):
+    """A stack that is constant along ``replicated`` cube axes: its
+    replicated form and the flat ``(world, *tail)`` array it stands for."""
+    lead = tuple(1 if a in replicated else e for a, e in enumerate(grid.cube))
+    cube = rng.standard_normal(lead + tail).astype(dtype)
+    flat = np.broadcast_to(cube, grid.cube + tail).reshape((-1,) + tail).copy()
+    return ReplicatedStack(cube, grid.cube), flat
+
+
+def _reference(grid: PlexusGrid, axis: Axis, kind: str, op, flat: np.ndarray) -> list[np.ndarray]:
+    """The collective as a plain loop over process groups of flat shards."""
+    reducer = {"sum": np.add.reduce, "max": np.maximum.reduce}.get(op)
+    out: list = [None] * grid.world_size
+    for group in grid.groups(axis):
+        ranks = [m.rank for m in group.members]
+        shards = np.stack([flat[r] for r in ranks])
+        if kind == "all_reduce":
+            results = [reducer(shards, axis=0)] * len(ranks)
+        elif kind == "all_gather":
+            results = [np.concatenate(list(shards), axis=0)] * len(ranks)
+        else:
+            results = np.split(reducer(shards, axis=0), len(ranks), axis=0)
+        for r, res in zip(ranks, results):
+            out[r] = res
+    return out
+
+
+def _issue(grid: PlexusGrid, axis: Axis, kind: str, op, operand):
+    comm = grid.comm(axis)
+    if kind == "all_gather":
+        return comm.all_gather(operand)
+    return getattr(comm, kind)(operand, op=op)
+
+
+class TestCollectivesMatchGroupLoop:
+    @pytest.mark.parametrize("cfg", GRIDS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("kind,op", COLLECTIVES)
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        cols=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_every_axis_and_operand_form(self, cfg, kind, op, seed, cols, dtype):
+        rng = np.random.default_rng(seed)
+        for axis in Axis:
+            g = cfg.size(axis)
+            rows = g * int(rng.integers(1, 3)) if kind == "reduce_scatter" else int(rng.integers(1, 4))
+            tail = (rows, cols) if cols else (rows,)
+            for replicated in REPLICATIONS:
+                grid = _grid(cfg)
+                stack, flat = _operand(rng, grid, replicated, tail, dtype)
+                expected = _reference(grid, axis, kind, op, flat)
+                result = _issue(grid, axis, kind, op, stack).wait()
+                assert isinstance(result, ReplicatedStack)
+                assert result.shape == (cfg.total,) + expected[0].shape
+                got = np.asarray(result)
+                views = shard_views(result)
+                for r in range(cfg.total):
+                    assert np.array_equal(got[r], expected[r]), (axis, replicated, r)
+                    assert np.array_equal(views[r], expected[r]), (axis, replicated, r)
+                    assert np.array_equal(result[r], expected[r])
+                # the same operand handed over flat: same values, same bill
+                flat_grid = _grid(cfg)
+                flat_result = _issue(flat_grid, axis, kind, op, flat).wait()
+                assert np.array_equal(np.asarray(flat_result), got)
+                assert np.array_equal(
+                    flat_grid.cluster.store.clocks, grid.cluster.store.clocks
+                )
+                assert result.nbytes == got.nbytes
+                for res in (result, flat_result):
+                    self._assert_read_only(res)
+
+    @staticmethod
+    def _assert_read_only(result: ReplicatedStack) -> None:
+        with pytest.raises(ValueError, match="read-only"):
+            result.cube[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            shard_views(result)[0][...] = 0
+        with pytest.raises(TypeError):
+            result[0] = 0  # one element may stand for G ranks: no item assignment
+        flat = np.asarray(result)
+        assert not flat.flags.writeable or not np.shares_memory(flat, result.cube)
+
+    def test_results_hold_one_copy_per_group(self):
+        cfg = GridConfig(4, 4, 4)
+        grid = _grid(cfg)
+        flat = np.random.default_rng(0).standard_normal((64, 8, 6))
+        reduced = grid.comm(Axis.X).all_reduce(flat).wait()
+        assert reduced.cube.shape == (4, 1, 4, 8, 6)  # cube order is (z, x, y)
+        gathered = grid.comm(Axis.Z).all_gather(reduced).wait()
+        assert gathered.cube.shape == (1, 1, 4, 32, 6)  # stays replicated along X
+        scattered = grid.comm(Axis.Y).reduce_scatter(gathered).wait()
+        assert scattered.cube.shape == (1, 1, 4, 8, 6)
+        assert scattered.cube.base is not None  # a view of the reduction
+
+    def test_grid_mismatch_and_bad_cube_are_rejected(self):
+        grid = _grid(GridConfig(2, 2, 2))
+        other = ReplicatedStack(np.zeros((1, 4, 2, 3)), (1, 4, 2))
+        with pytest.raises(ValueError, match="grid"):
+            grid.comm(Axis.X).all_reduce(other)
+        with pytest.raises(ValueError, match="does not fit"):
+            ReplicatedStack(np.zeros((2, 3, 2, 4)), (2, 2, 2))
+
+
+class TestHelpersMatchFlatStacks:
+    CFG = GridConfig(2, 3, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rep_a=st.sampled_from(REPLICATIONS),
+        rep_b=st.sampled_from(REPLICATIONS),
+        ta=st.booleans(),
+        tb=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_stack_matmul_broadcasts_bitwise(self, seed, rep_a, rep_b, ta, tb, dtype):
+        rng = np.random.default_rng(seed)
+        grid = _grid(self.CFG)
+        m, k, n = (int(v) for v in rng.integers(1, 9, size=3))
+        a, a_flat = _operand(rng, grid, rep_a, (k, m) if ta else (m, k), dtype)
+        b, b_flat = _operand(rng, grid, rep_b, (n, k) if tb else (k, n), dtype)
+        expected = stack_matmul(a_flat, b_flat, ta=ta, tb=tb)
+        for left, right in ((a, b), (a, b_flat), (a_flat, b)):
+            out = stack_matmul(left, right, ta=ta, tb=tb)
+            assert np.array_equal(np.asarray(out), expected)
+        # replicated along an axis only where both operands are
+        lead = stack_matmul(a, b, ta=ta, tb=tb).cube.shape[:3]
+        assert lead == tuple(
+            1 if i in rep_a & rep_b else e for i, e in enumerate(grid.cube)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        rep_a=st.sampled_from(REPLICATIONS),
+        rep_b=st.sampled_from(REPLICATIONS),
+    )
+    def test_elementwise_helpers(self, seed, rep_a, rep_b):
+        rng = np.random.default_rng(seed)
+        grid = _grid(self.CFG)
+        a, a_flat = _operand(rng, grid, rep_a, (4, 3), np.float32)
+        b, b_flat = _operand(rng, grid, rep_b, (4, 3), np.float32)
+        assert np.array_equal(np.asarray(stack_mul(a, b)), a_flat * b_flat)
+        assert np.array_equal(np.asarray(stack_mul(a_flat, b)), a_flat * b_flat)
+        assert np.array_equal(np.asarray(stack_map(relu, a)), relu(a_flat))
+        assert stack_map(relu, a).cube.shape == a.cube.shape  # once per group
+        assert np.array_equal(np.asarray(stack_transpose(a)), a_flat.transpose(0, 2, 1))
+        assert np.array_equal(stack_data(a), a_flat)
+        joined = concat_stack_rows([a, b, a_flat])
+        assert np.array_equal(
+            np.asarray(joined), np.concatenate([a_flat, b_flat, a_flat], axis=1)
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**16), rep=st.sampled_from(REPLICATIONS))
+    def test_block_diag_spmm_shares_replicated_operand(self, seed, rep):
+        rng = np.random.default_rng(seed)
+        grid = _grid(self.CFG)
+        shards = [
+            sp.random(5, 7, density=0.4, random_state=int(rng.integers(2**31)), format="csr")
+            for _ in range(grid.world_size)
+        ]
+        f, f_flat = _operand(rng, grid, rep, (7, 3), np.float64)
+        plan = BlockDiagSpmm(shards)
+        per_rank = plan.apply(list(f_flat))
+        for operand in (f, f_flat):
+            out = plan.apply_batched(operand)
+            assert out.shape == (grid.world_size, 5, 3)
+            for r in range(grid.world_size):
+                assert np.array_equal(out[r], per_rank[r])
+
+
+def _spec(cfg: GridConfig, n: int, dims: list[int], **opts) -> WorkloadSpec:
+    a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=1))
+    mask, _, _ = random_split_masks(n, seed=4)
+    return WorkloadSpec(
+        config=cfg,
+        layer_dims=list(dims),
+        workers=2,
+        machine=LAPTOP,
+        options=PlexusOptions(seed=0, **opts),
+        adjacency=a,
+        features=synth_features(n, dims[0], seed=2),
+        labels=degree_labels(a, dims[-1], seed=3),
+        train_mask=mask,
+    )
+
+
+def _owned_nbytes(a: np.ndarray) -> int:
+    """Bytes of the buffer ``a`` ultimately views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+class TestEngineHoldsOneCopyPerGroup:
+    CFG = GridConfig(4, 4, 4)
+    DIMS = [32, 32, 16]
+
+    def test_forward_caches_own_world_over_g_shards(self):
+        model = build_trainer(_spec(self.CFG, 128, self.DIMS), backend="inproc").model
+        assert model.uniform
+        logits, caches = model.forward()
+        for layer, cache in zip(model.layers, caches):
+            gx = self.CFG.size(layer.roles.x)
+            gy = self.CFG.size(layer.roles.y)
+            gz = self.CFG.size(layer.roles.z)
+            for stack, g in ((cache.h, gx), (cache.q, gy)):
+                assert isinstance(stack, ReplicatedStack)
+                assert _owned_nbytes(stack.cube) * g == stack.nbytes
+            w_local = model.grid.comm(layer.roles.z).all_gather(layer.w_stack).wait()
+            assert _owned_nbytes(w_local.cube) * gz == w_local.nbytes
+            # persisted state stays a flat, writable (world, m, n) ndarray
+            assert isinstance(layer.w_stack, np.ndarray) and layer.w_stack.flags.writeable
+            assert layer.w_stack.shape[0] == self.CFG.total
+        assert _owned_nbytes(caches[0].f.cube) * self.CFG.gz == caches[0].f.nbytes
+        assert isinstance(logits, ReplicatedStack)
+
+    def test_flat_logits_take_the_same_loss_path(self):
+        model = build_trainer(_spec(self.CFG, 128, self.DIMS), backend="inproc").model
+        logits, _ = model.forward()
+        loss, grad = distributed_masked_ce(model, logits)
+        flat_loss, flat_grad = distributed_masked_ce(model, np.asarray(logits))
+        assert loss == flat_loss
+        assert np.array_equal(np.asarray(grad), np.asarray(flat_grad))
+
+    def test_checkpoints_stay_flat_and_resume_across_backends(self, tmp_path):
+        """The on-disk layout is the flat ``(world, m, n)`` one: weights,
+        Adam moments and an in-flight prefetch's gathered result; an eager
+        checkpoint written in-process boots a 2-worker pool bitwise."""
+        cfg, dims, epochs = GridConfig(2, 2, 2), [16, 16, 8], 4
+        # overlap: the cross-epoch F prefetch (replicated along Z in memory)
+        saver = build_trainer(_spec(cfg, 48, dims, overlap=True), backend="inproc")
+        saver.train(2)
+        assert isinstance(saver.model._f0_pending._result, ReplicatedStack)
+        path = saver.save_checkpoint(tmp_path / "overlap", epoch=2)
+        with open(path / ckpt.worker_file_name(0, cfg.total), "rb") as fh:
+            state = pickle.load(fh)
+        pending = state["pending_f0"]["result"]
+        assert type(pending) is np.ndarray and pending.shape[0] == cfg.total
+        for name, w in state["weights"].items():
+            assert type(w) is np.ndarray and w.shape[0] == cfg.total, name
+            assert state["adam"]["m"][name].shape == w.shape
+        first = saver.train(2).losses
+        saver.load_checkpoint(path)  # verbatim rewind, flat prefetch result
+        assert saver.train(2).losses == first
+
+        # eager: inproc round trip, then inproc -> multiproc
+        spec = _spec(cfg, 48, dims)
+        losses = build_trainer(spec, backend="inproc").train(epochs).losses
+        saver = build_trainer(spec, backend="inproc")
+        saver.train(2)
+        path = saver.save_checkpoint(tmp_path / "eager", epoch=2)
+        resumed = build_trainer(spec, backend="inproc")
+        resumed.load_checkpoint(path)
+        assert resumed.train(epochs - 2).losses == losses[2:]
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path / "eager", checkpoint_every=1
+        ) as pool:
+            assert pool.epochs_done == 2
+            assert pool.train(epochs - 2).losses == losses[2:]
