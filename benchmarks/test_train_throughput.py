@@ -20,17 +20,14 @@ Five floor-gated runs:
   back-to-back in the same process.
 * ``blocked`` — ``aggregation_blocks=4`` drives the per-block stacked
   SpMM plans.  Floor: likewise 2x its measured per-rank baseline.
-* ``multiproc`` — the shared-memory multi-process runtime
-  (``repro.runtime``): a compute-heavy X4Y4Z4 workload split across 2
-  worker processes.  Floor: **1.5x the single-process wall-clock** measured
-  back-to-back — enforced only on hosts with enough cores for the workers
-  to run in parallel (waived, with the reason recorded, elsewhere); the
-  backends must agree bitwise on the losses either way.
+* ``tracing`` — the telemetry layer enabled vs dormant on a compute-heavy
+  workload.  Floor: 95 % of the untraced rate.
 
 The indivisible/blocked runs are the acceptance gates for the universal
 batched engine (no configuration may fall back to — or fail to beat — the
-per-rank loop); the multiproc run is the acceptance gate for the
-process-sharded runtime.
+per-rank loop).  The process-sharded runtime is not measured here: its
+enforced comparison is ``mp2_dense1536`` against ``dense1536`` in
+``bench/`` (same workload, differing only by backend), run on every PR.
 
 Run standalone with ``python benchmarks/test_train_throughput.py [--quick]``
 (CI uses ``--quick``): only that entry point writes ``BENCH_train.json`` at
@@ -42,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -71,16 +67,10 @@ MIN_EPOCHS_PER_SEC = 2.0 * BASELINE_EPOCHS_PER_SEC
 #: acceptance ratio for the universal-engine runs: batched must at least
 #: double its per-rank oracle measured in the same process
 UNIVERSAL_SPEEDUP_FLOOR = 2.0
-#: multiproc run: a compute-heavy workload (the hidden-dim GEMMs dominate
-#: the Z-axis shm traffic) on the same X4Y4Z4 grid, split over 2 workers
-MULTIPROC_WORKERS = 2
-N_NODES_MP = 1536
-LAYER_DIMS_MP = [192, 192, 192, 48]
-#: the multiproc run must beat this multiple of the single-process
-#: wall-clock measured back-to-back — enforced only where the workers can
-#: actually run in parallel (see MULTIPROC_MIN_CPUS)
-MULTIPROC_SPEEDUP_FLOOR = 1.5
-MULTIPROC_MIN_CPUS = 2 * MULTIPROC_WORKERS
+#: tracing run: a compute-heavy workload (the hidden-dim GEMMs dominate)
+#: on the same X4Y4Z4 grid
+N_NODES_HEAVY = 1536
+LAYER_DIMS_HEAVY = [192, 192, 192, 48]
 #: the telemetry layer (repro.obs) may cost at most this throughput
 #: fraction with tracing *enabled*; disabled it must be unmeasurable (the
 #: untraced side of the pair runs with the instrumentation dormant)
@@ -196,75 +186,6 @@ def _measure_universal_run(
     }
 
 
-def _measure_multiproc_run(min_seconds: float, min_epochs: int) -> dict:
-    """The 2-worker shared-memory runtime vs the single-process engine.
-
-    Both sides run the same compute-heavy X4Y4Z4 workload; the floor is
-    ``MULTIPROC_SPEEDUP_FLOOR`` x the single-process epoch rate measured
-    back-to-back.  The floor is enforced only when the host has at least
-    ``MULTIPROC_MIN_CPUS`` cores — on a starved box the workers time-slice
-    one core and the ratio is meaningless (the run is still recorded, and
-    losses must stay bitwise identical either way).
-    """
-    from repro.runtime import MultiprocTrainer, WorkloadSpec
-    from repro.runtime import build_trainer as build_runtime_trainer
-
-    a = gcn_normalize(rmat_graph(N_NODES_MP, avg_degree=8, seed=1))
-    features = synth_features(N_NODES_MP, LAYER_DIMS_MP[0], seed=2, dtype=np.float32)
-    labels = degree_labels(a, LAYER_DIMS_MP[-1], seed=3)
-    train_mask, _, _ = random_split_masks(N_NODES_MP, seed=4)
-    spec = WorkloadSpec(
-        config=CONFIG,
-        layer_dims=LAYER_DIMS_MP,
-        workers=MULTIPROC_WORKERS,
-        machine=PERLMUTTER,
-        options=PlexusOptions(seed=0, compute_dtype=np.float32),
-        adjacency=a,
-        features=features,
-        labels=labels,
-        train_mask=train_mask,
-    )
-    inproc = build_runtime_trainer(spec, backend="inproc")
-    eps_in, _, _, result_in = _measure(inproc, min_seconds, min_epochs)
-    with MultiprocTrainer(spec, timeout=300.0) as mpt:
-        mpt.train(3)  # warm-up: worker caches, allocator, transport
-        mpt.reset()
-        eps_mp = 0.0
-        epochs = 0
-        start = time.perf_counter()
-        while True:
-            t0 = time.perf_counter()
-            result = mpt.train(min_epochs)
-            eps_mp = max(eps_mp, min_epochs / (time.perf_counter() - t0))
-            epochs += min_epochs
-            if time.perf_counter() - start >= min_seconds:
-                break
-        # backend parity probe: identical simulated numerics, bit for bit
-        probe_in = build_runtime_trainer(spec, backend="inproc").train(3).losses
-        with MultiprocTrainer(spec, timeout=300.0) as probe:
-            probe_mp = probe.train(3).losses
-    if probe_in != probe_mp:
-        raise RuntimeError("multiproc: backends diverged — parity broken")
-    cpus = os.cpu_count() or 1
-    enforced = cpus >= MULTIPROC_MIN_CPUS
-    floor = MULTIPROC_SPEEDUP_FLOOR * eps_in
-    return {
-        "workers": MULTIPROC_WORKERS,
-        "nodes": N_NODES_MP,
-        "layer_dims": LAYER_DIMS_MP,
-        "epochs_measured": epochs,
-        "epochs_per_sec": round(eps_mp, 2),
-        "singleproc_epochs_per_sec": round(eps_in, 2),
-        "speedup_over_singleproc": round(eps_mp / eps_in, 2),
-        "floor_epochs_per_sec": round(floor, 2),
-        "floor_enforced": enforced,
-        "floor_waived_reason": None if enforced else (
-            f"host has {cpus} CPU(s); the floor needs >= {MULTIPROC_MIN_CPUS}"
-        ),
-        "final_loss": round(float(result.losses[-1]), 6),
-    }
-
-
 def _measure_tracing_run(min_seconds: float, min_epochs: int) -> dict:
     """Telemetry overhead: traced vs untraced, measured back-to-back.
 
@@ -279,11 +200,11 @@ def _measure_tracing_run(min_seconds: float, min_epochs: int) -> dict:
 
     # tracing cost is per *event* (a fixed ~160 appends/epoch at this
     # grid), so the overhead fraction is only meaningful against an epoch
-    # with realistic compute weight — use the multiproc workload (~40x
-    # heavier than the microbenchmark toy), measured in 5-epoch chunks
+    # with realistic compute weight — use the heavy workload (~40x the
+    # microbenchmark toy), measured in 5-epoch chunks
     def _build():
         return build_trainer(
-            nodes=N_NODES_MP, layer_dims=LAYER_DIMS_MP, expect_uniform=True
+            nodes=N_NODES_HEAVY, layer_dims=LAYER_DIMS_HEAVY, expect_uniform=True
         )
 
     chunk = 5
@@ -342,9 +263,6 @@ def measure_throughput(min_seconds: float = 0.5, min_epochs: int = 50) -> dict:
                 "blocked", min_seconds, min_epochs,
                 aggregation_blocks=4, expect_uniform=True,
             ),
-            # the workload is ~40x heavier per epoch than the others, so it
-            # measures in chunks of 5 epochs regardless of min_epochs
-            "multiproc": _measure_multiproc_run(min_seconds, 5),
             "tracing": _measure_tracing_run(min_seconds, min_epochs),
         },
     }
@@ -355,16 +273,11 @@ def write_report(report: dict, path: Path = _BENCH_PATH) -> None:
 
 
 def _check_floors(report: dict) -> list[str]:
-    """Every run carries its own floor; return the names that miss it.
-
-    A run may waive its floor (``floor_enforced: false`` with a recorded
-    reason) — the multiproc run does so on hosts with too few cores for the
-    workers to actually run in parallel."""
+    """Every run carries its own floor; return the names that miss it."""
     return [
         name
         for name, run in report["runs"].items()
-        if run.get("floor_enforced", True)
-        and run["epochs_per_sec"] < run["floor_epochs_per_sec"]
+        if run["epochs_per_sec"] < run["floor_epochs_per_sec"]
     ]
 
 

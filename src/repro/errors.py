@@ -85,8 +85,8 @@ class WorkerFailed(PlexusRuntimeError):
 
 
 class BarrierTimeout(PlexusRuntimeError):
-    """A rendezvous barrier broke or a worker stopped heartbeating: a peer
-    died mid-collective, timed out, or wedged."""
+    """A rendezvous wait outlasted its deadline or a worker stopped
+    heartbeating: a peer died mid-collective, timed out, or wedged."""
 
 
 class RendezvousDesync(PlexusRuntimeError):

@@ -5,9 +5,11 @@ processes, each owning a contiguous z-slice of the rank cube, with a real
 zero-copy shared-memory tensor transport underneath the existing
 :class:`~repro.dist.comm.PendingCollective` handle API:
 
-* :mod:`repro.runtime.shm` — per-worker mailbox segments, the two-phase
-  rendezvous, and :class:`~repro.runtime.shm.ShmAxisCommunicator` (the
-  worker-crossing Z axis's communicator).
+* :mod:`repro.runtime.shm` — per-worker double-buffered mailbox segments,
+  the single-rendezvous exchange (publish the slot's sequence word last,
+  wait on every peer's), and
+  :class:`~repro.runtime.shm.ShmAxisCommunicator` (the worker-crossing Z
+  axis's communicator).
 * :mod:`repro.runtime.worker` — the slice-local cluster/grid/model and the
   spawned-process command loop.
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`

@@ -5,10 +5,13 @@ names exactly where in the execution a failure fires — which worker, which
 epoch, which rendezvous within that epoch, and at which of the runtime's
 three injection points:
 
-* ``"pre_barrier"``  — after the worker posts its mailbox payload, before
-  it arrives at barrier A (peers are left waiting at the rendezvous);
-* ``"mid_collective"`` — between barrier A and barrier B (peers may be
-  mid-read of this worker's mailbox);
+* ``"pre_barrier"``  — after the worker has written its frame (payload,
+  record table, CRC) into its mailbox slot, before it publishes the slot's
+  sequence word: the frame is still invisible to the peers, which are left
+  waiting at the rendezvous;
+* ``"mid_collective"`` — after the worker has observed every peer's
+  published frame, before it copies them out (its own frame is published;
+  peers may be mid-read of it);
 * ``"post_epoch"``  — right after an epoch's accounting closes (the
   checkpoint-consistent boundary).
 
@@ -18,15 +21,16 @@ Actions:
   report; what a preempted spot instance looks like);
 * ``"raise"``   — raise an exception inside the worker (exercises the
   traceback-threading path of the supervisor);
-* ``"delay"``   — sleep ``delay_s`` before proceeding (a late barrier
+* ``"delay"``   — sleep ``delay_s`` before proceeding (a late rendezvous
   arrival; simulated clocks are wall-time independent, so results must
   stay bitwise identical);
 * ``"hang"``    — sleep effectively forever (a wedged worker; only the
   supervisor's heartbeat staleness check can catch it before the bus
-  barrier timeout);
-* ``"corrupt"`` — flip one byte of the worker's freshly posted mailbox
-  payload (valid at ``pre_barrier`` only: the payload exists and no peer
-  has read it yet).  Every reader's CRC32 check then raises
+  rendezvous timeout);
+* ``"corrupt"`` — flip one byte of the worker's freshly written payload —
+  the current mailbox slot, or its overflow segment (valid at
+  ``pre_barrier`` only: the payload exists and is not yet published).
+  Every peer's CRC32 check then raises
   :class:`~repro.errors.PayloadCorruption` instead of consuming garbage.
 
 Network actions (``transport="tcp"`` only; armed at ``pre_barrier``, the
@@ -105,7 +109,7 @@ class FaultPlan:
         if self.action == "corrupt" and self.point != "pre_barrier":
             raise ValueError(
                 "corrupt faults fire at 'pre_barrier' only: the payload is "
-                "posted and no peer has read it yet"
+                "written and not yet published to the peers"
             )
         if self.action in NETWORK_ACTIONS and self.point != "pre_barrier":
             raise ValueError(

@@ -50,6 +50,7 @@ import shutil
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
@@ -95,6 +96,9 @@ logger = get_logger(__name__)
 
 #: default per-worker mailbox size; payloads beyond it take the overflow path
 DEFAULT_MAILBOX_BYTES = 8 << 20
+
+#: the BLAS/OpenMP pool-size variables a numerical library reads at import
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: failures the respawn-and-replay policy treats as transient
 _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)
@@ -152,6 +156,28 @@ class WorkloadSpec:
             self.faults = (self.faults,)
         else:
             self.faults = tuple(self.faults or ())
+
+
+@contextmanager
+def _worker_thread_env(local_workers: int):
+    """The environment worker processes are spawned under: each worker's
+    BLAS/OpenMP pool gets its share of the host's cores.
+
+    Unpinned, every worker imports numpy with a pool of ``cpu_count``
+    threads, so W workers run W x C threads on C cores and the pool is
+    slower than one process.  A variable the user already set wins; the
+    launcher's own environment is restored on exit (spawned children
+    capture ``os.environ`` at ``start()``).
+    """
+    share = str(max(1, (os.cpu_count() or 1) // max(1, local_workers)))
+    added = [v for v in _THREAD_VARS if v not in os.environ]
+    for v in added:
+        os.environ[v] = share
+    try:
+        yield
+    finally:
+        for v in added:
+            del os.environ[v]
 
 
 def is_uniform_workload(config: GridConfig, n: int, layer_dims: list[int]) -> bool:
@@ -367,24 +393,23 @@ class MultiprocTrainer:
             session=new_session_id(),
             n_workers=self.workers,
             capacity=self._mailbox_bytes,
-            barrier_a=ctx.Barrier(self.workers),
-            barrier_b=ctx.Barrier(self.workers),
             timeout=self.timeout,
         )
         self._session = self._bus_handle.session
         self._bus = ShmBus(self._bus_handle)  # creator endpoint: owns unlink
-        for w in range(self.workers):
-            parent, child = ctx.Pipe()
-            p = ctx.Process(
-                target=worker_main,
-                args=(w, self._bus_handle, spec, child, restore),
-                name=f"plexus-runtime-worker-{w}",
-                daemon=True,
-            )
-            p.start()
-            child.close()
-            self._procs.append(p)
-            self._conns.append(parent)
+        with _worker_thread_env(self.workers):
+            for w in range(self.workers):
+                parent, child = ctx.Pipe()
+                p = ctx.Process(
+                    target=worker_main,
+                    args=(w, self._bus_handle, spec, child, restore),
+                    name=f"plexus-runtime-worker-{w}",
+                    daemon=True,
+                )
+                p.start()
+                child.close()
+                self._procs.append(p)
+                self._conns.append(parent)
 
     def _spawn_tcp(self, ctx, spec: WorkloadSpec, restore) -> None:
         """Rendezvous-based pool formation (the multi-host path).
@@ -404,15 +429,16 @@ class MultiprocTrainer:
         self._listener = RendezvousListener(host, port, authkey=self._authkey)
         self._session = self._listener.session
         n_local = self.workers - self.remote_workers
-        for w in range(n_local):
-            p = ctx.Process(
-                target=worker_main_tcp,
-                args=(w, self._listener.host, self._listener.port, self._authkey),
-                name=f"plexus-runtime-worker-{w}",
-                daemon=True,
-            )
-            p.start()
-            self._procs.append(p)
+        with _worker_thread_env(n_local):
+            for w in range(n_local):
+                p = ctx.Process(
+                    target=worker_main_tcp,
+                    args=(w, self._listener.host, self._listener.port, self._authkey),
+                    name=f"plexus-runtime-worker-{w}",
+                    daemon=True,
+                )
+                p.start()
+                self._procs.append(p)
         local_procs = {w: self._procs[w] for w in range(n_local)}
         try:
             conns = self._listener.gather(
@@ -1016,8 +1042,9 @@ def host_workers(
             )
             for i in range(workers)
         ]
-        for p in procs:
-            p.start()
+        with _worker_thread_env(workers):
+            for p in procs:
+                p.start()
         for p in procs:
             p.join()
         served += 1

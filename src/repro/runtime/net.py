@@ -18,9 +18,10 @@ Wire protocol — small, inspectable, and hardened:
   Every DATA frame carries a CRC32 over its payload, verified on receipt —
   a corrupted frame raises :class:`~repro.errors.PayloadCorruption` naming
   the sender instead of propagating garbage numerics.
-* **Exchange** is the same two-phase rendezvous as shm, expressed per peer
-  pair: for each pair the lower rank sends DATA then receives, then ACKs
-  flow both ways — phase A (every peer's payload arrived) and phase B
+* **Exchange** is a two-phase rendezvous per peer pair (shm needs only
+  one phase: its double-buffered mailboxes make slot reuse safe without a
+  receipt): for each pair the lower rank sends DATA then receives, then
+  ACKs flow both ways — phase A (every peer's payload arrived) and phase B
   (every peer confirmed receipt, so both sides may advance) — with pairs
   processed in a single global order (sorted by ``(max_rank, min_rank)``),
   which makes the schedule deadlock-free.  The per-frame sequence number

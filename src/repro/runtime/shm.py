@@ -2,16 +2,42 @@
 
 Workers of one :mod:`repro.runtime` session exchange tensors through
 POSIX shared memory (``multiprocessing.shared_memory``): every worker owns
-one fixed *mailbox* segment all peers can read, plus per-message overflow
-segments for payloads larger than the mailbox.  A rendezvous is two barrier
-phases around raw-byte traffic:
+one *mailbox* segment all peers can read, plus per-message overflow
+segments for payloads larger than a mailbox slot.  A mailbox holds **two
+slots**, used alternately by message-sequence parity, and an exchange is a
+single rendezvous around raw-byte traffic:
 
-1. each worker packs its arrays into its mailbox (a direct ``np.copyto``
-   into the mapped buffer — no pickling),
-2. barrier A — every mailbox is complete,
-3. each worker assembles the full-cube operand by copying straight out of
-   every peer's mapped buffer (``np.concatenate`` over zero-copy views),
-4. barrier B — everyone has read; mailboxes may be overwritten again.
+1. *post* — the worker packs its arrays into slot ``seq mod 2`` of its own
+   mailbox (a direct ``np.copyto`` into the mapped buffer — no pickling),
+   writes the record table and the CRC32 of the payload, and **publishes
+   the slot's 8-byte sequence word last**;
+2. *wait* — it polls every peer's sequence word for ``seq`` (a bounded
+   spin, then ``os.sched_yield()``, then short sleeps, all under the bus
+   ``timeout`` deadline);
+3. *copy-out* — it verifies every peer frame's CRC32 and assembles the
+   full-cube operand from its own arrays (used directly: a worker never
+   re-reads or re-checksums its own frame) and zero-copy views of the
+   peers' mapped slots (``np.concatenate``);
+4. *release* — it unmaps the peers' overflow segments it attached and
+   retires (unlinks) its own overflow segment of message ``seq - 1``.
+
+No second rendezvous is needed because slot reuse is safe by construction:
+a worker overwrites slot ``s mod 2`` only after finishing exchange
+``s - 1``, which required seeing every peer's post of ``s - 1``, which each
+peer makes only after it finished reading ``s - 2`` — the previous tenant
+of that slot.  Overflow segments follow the same two-generation lifetime
+(the same argument, one message later, lets step 4 of exchange ``s`` drop
+the segment of ``s - 1``); a worker's *last* overflow segment, which no
+later exchange vouches for, is left to the launcher's ``unlink`` sweep.
+
+Memory-ordering assumption: the payload, record-table and CRC stores
+precede the sequence-word store in program order, and a reader loads the
+sequence word before the payload; x86-TSO keeps both orders, and the
+aligned 8-byte sequence word is stored and loaded whole.  On a weaker
+memory model a reader could observe the sequence word before the payload
+it announces — the CRC32 check of every peer frame precedes its copy-out,
+so such a torn read raises :class:`~repro.errors.PayloadCorruption` rather
+than corrupting numerics.
 
 On top of the bus, :class:`ShmAxisCommunicator` implements the existing
 :class:`~repro.dist.comm.PendingCollective` handle API for the one grid
@@ -40,13 +66,13 @@ from __future__ import annotations
 
 import os
 import struct
+import time
 import uuid
 import zlib
 from bisect import insort
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
-from threading import BrokenBarrierError
 
 import numpy as np
 
@@ -88,7 +114,7 @@ __all__ = [
 #: every segment of every session starts with this (the orphan sweep key)
 SHM_PREFIX = "plexus-rt-"
 
-# mailbox layout: fixed header, then 64-byte-aligned payloads
+# slot layout (two per mailbox): fixed header, then 64-byte-aligned payloads
 _MAX_ARRAYS = 8
 _MAX_NDIM = 6
 _SEQ_OFF = 0
@@ -100,6 +126,14 @@ _REC_SIZE = 80  # 16s dtype + u64 ndim + 6*u64 shape + u64 reserved
 _ALIGN = 64
 #: first payload byte: the header rounded up so every payload stays aligned
 _PAYLOAD_OFF = (_REC_OFF + _MAX_ARRAYS * _REC_SIZE + _ALIGN - 1) // _ALIGN * _ALIGN
+
+# waiting for a peer's sequence word: spin (peers usually arrive within a
+# few hundred microseconds), then yield the core, then sleep with doubling
+# back-off — a wedged or dead peer costs the survivors next to no CPU
+_SPIN_S = 200e-6
+_YIELD_S = 2e-3
+_SLEEP_MIN_S = 50e-6
+_SLEEP_MAX_S = 1e-3
 
 
 def new_session_id() -> str:
@@ -191,9 +225,7 @@ class BusHandle:
 
     session: str
     n_workers: int
-    capacity: int
-    barrier_a: object  # multiprocessing.Barrier (inheritable at spawn)
-    barrier_b: object
+    capacity: int  # bytes per mailbox slot (header + inline payload)
     timeout: float
 
     def mailbox_name(self, worker: int) -> str:
@@ -208,9 +240,9 @@ class ShmBus:
     its id and uses :meth:`exchange_concat` for rendezvous traffic.
 
     Every frame header carries a CRC32 of the posted payload arrays, and
-    every read verifies it — torn or corrupted shared memory raises
-    :class:`~repro.errors.PayloadCorruption` at read time instead of
-    propagating garbage numerics.  An optional
+    every read of a peer's frame verifies it — torn or corrupted shared
+    memory raises :class:`~repro.errors.PayloadCorruption` at read time
+    instead of propagating garbage numerics.  An optional
     :class:`~repro.runtime.faults.FaultInjector` hooks the rendezvous at
     its named points (chaos testing).
     """
@@ -226,13 +258,15 @@ class ShmBus:
         self.faults = faults
         self._seq = 0
         self._closed = False
-        self._my_overflow: SharedMemory | None = None
+        #: this worker's overflow segment per slot (two generations alive)
+        self._my_overflow: list[SharedMemory | None] = [None, None]
         create = worker_id is None
+        stride = _align(handle.capacity)
         self._mailboxes: list[SharedMemory] = []
         try:
             for w in range(handle.n_workers):
                 shm = SharedMemory(
-                    name=handle.mailbox_name(w), create=create, size=handle.capacity
+                    name=handle.mailbox_name(w), create=create, size=2 * stride
                 )
                 self._mailboxes.append(shm)
         except BaseException:
@@ -247,24 +281,25 @@ class ShmBus:
                 except OSError:
                     pass
             raise
+        #: per worker, its two slots and their sequence words (one aligned
+        #: native u64 each: stored and loaded whole)
+        self._slots = [
+            [box.buf[k * stride : (k + 1) * stride] for k in (0, 1)]
+            for box in self._mailboxes
+        ]
+        self._seq_words = [
+            [slot[_SEQ_OFF : _SEQ_OFF + 8].cast("Q") for slot in slots]
+            for slots in self._slots
+        ]
 
     # -- rendezvous ----------------------------------------------------------
-    def _wait(self, barrier) -> None:
-        try:
-            barrier.wait(self.handle.timeout)
-        except BrokenBarrierError:
-            raise BarrierTimeout(
-                "shared-memory rendezvous broken: a peer worker died or "
-                f"timed out at message seq {self._seq} (worker {self.worker_id})",
-                worker_id=self.worker_id,
-                last_seq=self._seq,
-            ) from None
-
     def _post(self, arrays: list[np.ndarray]) -> None:
+        """Write this worker's frame — payload, record table, CRC — into
+        slot ``seq mod 2``; everything but the sequence word."""
         if len(arrays) > _MAX_ARRAYS:
             raise ValueError(f"at most {_MAX_ARRAYS} arrays per message")
-        box = self._mailboxes[self.worker_id]
-        buf = box.buf
+        slot = self._seq & 1
+        buf = self._slots[self.worker_id][slot]
         offsets = []
         off = _PAYLOAD_OFF
         for a in arrays:
@@ -273,21 +308,15 @@ class ShmBus:
             offsets.append(off)
             off = _align(off + a.nbytes)
         total = off
-        if self._my_overflow is not None:
-            # previous message's overflow: every peer read it before the
-            # last barrier B, so it is safe to drop now
-            self._my_overflow.close()
-            self._my_overflow.unlink()
-            self._my_overflow = None
         if total <= self.handle.capacity:
             ovf_name = b""
             payload = buf
         else:
             name = f"{self.handle.session}-o{self.worker_id}-{self._seq}"
-            self._my_overflow = SharedMemory(name=name, create=True, size=total)
+            ovf = self._my_overflow[slot] = SharedMemory(name=name, create=True, size=total)
             ovf_name = name.encode()
-            payload = self._my_overflow.buf
-        struct.pack_into("<QQ", buf, _SEQ_OFF, self._seq, len(arrays))
+            payload = ovf.buf
+        struct.pack_into("<Q", buf, _COUNT_OFF, len(arrays))
         struct.pack_into("64s", buf, _OVF_OFF, ovf_name)
         # checksum incrementally over each contiguous array copy — the
         # alignment gaps between payloads hold stale bytes from earlier
@@ -307,15 +336,68 @@ class ShmBus:
             _metrics.count("frames_sent")
             _metrics.count("bytes_sent", total - _PAYLOAD_OFF)
 
-    def _read_views(self, worker: int) -> tuple[list[np.ndarray], SharedMemory | None]:
-        """Zero-copy views of ``worker``'s message (+ attached overflow)."""
-        buf = self._mailboxes[worker].buf
-        seq, count, posted_crc = struct.unpack_from("<QQQ", buf, _SEQ_OFF)
-        if seq != self._seq:
+    def _await_peers(self) -> None:
+        """Block until every peer has published message ``seq``."""
+        seq = self._seq
+        slot = seq & 1
+        pending = [
+            (w, words[slot])
+            for w, words in enumerate(self._seq_words)
+            if w != self.worker_id
+        ]
+        start = time.monotonic()
+        sleep_s = _SLEEP_MIN_S
+        while True:
+            waiting = []
+            for w, word in pending:
+                at = word[0]
+                if at > seq:
+                    raise RendezvousDesync(
+                        f"shared-memory rendezvous out of sync: worker {w} is at "
+                        f"message {at}, expected {seq} — the SPMD collective "
+                        "order diverged between workers",
+                        worker_id=w,
+                    )
+                if at != seq:
+                    waiting.append((w, word))
+            if not waiting:
+                return
+            pending = waiting
+            waited = time.monotonic() - start
+            if waited < _SPIN_S:
+                continue
+            if waited < _YIELD_S:
+                os.sched_yield()
+                continue
+            if waited > self.handle.timeout:
+                lagging = ", ".join(
+                    f"worker {w} is at message "
+                    f"{max(word[0] for word in self._seq_words[w])}, expected {seq}"
+                    for w, _ in pending
+                )
+                raise BarrierTimeout(
+                    "shared-memory rendezvous timed out after "
+                    f"{self.handle.timeout:g}s: {lagging} — a peer worker died "
+                    f"or wedged (worker {self.worker_id} waiting)",
+                    worker_id=self.worker_id,
+                    last_seq=seq,
+                )
+            time.sleep(sleep_s)
+            sleep_s = min(2 * sleep_s, _SLEEP_MAX_S)
+
+    def _read_views(
+        self, worker: int, count: int
+    ) -> tuple[list[np.ndarray], SharedMemory | None]:
+        """CRC-verified zero-copy views of peer ``worker``'s published
+        message (+ its attached overflow segment)."""
+        seq = self._seq
+        buf = self._slots[worker][seq & 1]
+        posted_count, posted_crc = struct.unpack_from("<QQ", buf, _COUNT_OFF)
+        if posted_count != count:
             raise RendezvousDesync(
-                f"shared-memory rendezvous out of sync: worker {worker} is at "
-                f"message {seq}, expected {self._seq} — the SPMD collective "
-                "order diverged between workers",
+                f"shared-memory rendezvous out of sync: worker {worker} posted "
+                f"{posted_count} arrays in message {seq}, expected {count} — the "
+                "SPMD collective order diverged between workers",
                 worker_id=worker,
             )
         (raw_name,) = struct.unpack_from("64s", buf, _OVF_OFF)
@@ -369,15 +451,22 @@ class ShmBus:
         self._post(arrays)
         if self.faults is not None:
             self.faults.fire("pre_barrier", self)
+        # publish last: a peer that sees the word sees the whole frame
+        self._seq_words[self.worker_id][self._seq & 1][0] = self._seq
+        # the two span names predate the single rendezvous and stay: trace
+        # consumers sum them as the wait and bracket an exchange with them
         with _trace.span("shm.barrier_a", seq=self._seq):
-            self._wait(self.handle.barrier_a)
+            self._await_peers()
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
         per_worker = []
         attached = []
         views = None
         for w in range(self.handle.n_workers):
-            views, ovf = self._read_views(w)
+            if w == self.worker_id:  # own frame: never re-read, never re-checksummed
+                per_worker.append(arrays)
+                continue
+            views, ovf = self._read_views(w, len(arrays))
             per_worker.append(views)
             if ovf is not None:
                 attached.append(ovf)
@@ -385,16 +474,23 @@ class ShmBus:
             np.concatenate([pv[k] for pv in per_worker], axis=0)
             for k in range(len(arrays))
         ]
-        # drop every zero-copy view before unmapping: an ndarray still
-        # referencing the buffer would make close() raise BufferError
-        del views, per_worker
-        for ovf in attached:  # copied out above; release the mapping
-            try:
-                ovf.close()
-            except BufferError:  # pragma: no cover - GC-timing backstop
-                pass
         with _trace.span("shm.barrier_b", seq=self._seq):
-            self._wait(self.handle.barrier_b)
+            # drop every zero-copy view before unmapping: an ndarray still
+            # referencing the buffer would make close() raise BufferError
+            del views, per_worker
+            for ovf in attached:  # copied out above; release the mapping
+                try:
+                    ovf.close()
+                except BufferError:  # pragma: no cover - GC-timing backstop
+                    pass
+            # every peer published this message, so every peer finished
+            # reading the previous one: its overflow segment can go
+            previous = (self._seq - 1) & 1
+            ovf = self._my_overflow[previous]
+            if ovf is not None:
+                self._my_overflow[previous] = None
+                ovf.close()
+                ovf.unlink()
         if self.faults is not None:
             self.faults.exchange_done()
         return out
@@ -407,15 +503,13 @@ class ShmBus:
         )
 
     def corrupt_own_payload(self) -> None:
-        """Flip one byte of this worker's freshly posted payload (the
-        fault-injection harness's ``"corrupt"`` action; fires after
-        :meth:`_post`, before barrier A, so every reader's CRC32 check —
-        including this worker's own — trips)."""
-        payload = (
-            self._my_overflow.buf
-            if self._my_overflow is not None
-            else self._mailboxes[self.worker_id].buf
-        )
+        """Flip one byte of this worker's freshly written payload — the
+        current slot, or its overflow segment (the fault-injection
+        harness's ``"corrupt"`` action; fires after :meth:`_post`, before
+        the sequence word is published, so every peer's CRC32 check trips)."""
+        slot = self._seq & 1
+        ovf = self._my_overflow[slot]
+        payload = ovf.buf if ovf is not None else self._slots[self.worker_id][slot]
         payload[_PAYLOAD_OFF] ^= 0xFF
 
     # -- lifecycle -----------------------------------------------------------
@@ -424,24 +518,30 @@ class ShmBus:
         if self._closed:
             return
         self._closed = True
-        if self._my_overflow is not None:
+        # only unmapped, not unlinked: with a single rendezvous a peer may
+        # not have attached this worker's last frame yet — the launcher's
+        # unlink() sweeps the session's overflow segments
+        segments = [ovf for ovf in self._my_overflow if ovf is not None]
+        self._my_overflow = [None, None]
+        # sub-views first: a mapping with live exports refuses to close
+        for per_worker in (*self._seq_words, *self._slots):
+            for view in per_worker:
+                try:
+                    view.release()
+                except BufferError:
+                    pass
+        for segment in (*segments, *self._mailboxes):
             try:
-                self._my_overflow.close()
-                self._my_overflow.unlink()
-            except (OSError, BufferError):
-                pass
-            self._my_overflow = None
-        for shm in self._mailboxes:
-            try:
-                shm.close()
+                segment.close()
             except (OSError, BufferError):
                 pass
 
     def unlink(self) -> None:
         """Destroy the session's segments (launcher only; idempotent).
 
-        Also sweeps any overflow segments of the session that a crashed
-        worker left behind.
+        Also sweeps the session's overflow segments: each worker's last
+        one (left for peers still reading it) and any a crashed worker
+        left behind.
         """
         self.close()
         for shm in self._mailboxes:

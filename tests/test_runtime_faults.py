@@ -135,7 +135,7 @@ class TestDetection:
         t0 = time.monotonic()
         with pytest.raises(BarrierTimeout, match="heartbeat") as ei:
             with MultiprocTrainer(
-                _spec(faults=(plan,)), timeout=120, heartbeat_timeout=5.0
+                _spec(faults=(plan,)), timeout=120, heartbeat_timeout=1.5
             ) as mpt:
                 mpt.train(3)
         elapsed = time.monotonic() - t0
@@ -152,7 +152,7 @@ class TestDetection:
         t0 = time.monotonic()
         with pytest.raises(BarrierTimeout, match="heartbeat") as ei:
             with MultiprocTrainer(
-                _spec(faults=(plan,), overlap=True), timeout=120, heartbeat_timeout=5.0
+                _spec(faults=(plan,), overlap=True), timeout=120, heartbeat_timeout=1.5
             ) as mpt:
                 mpt.train(3)
         elapsed = time.monotonic() - t0

@@ -19,6 +19,7 @@ configurations, eager and overlap schedules alike.  Also covered:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,29 @@ class TestRuntimeSemantics:
             st = mpt.state()
             assert st["clocks"].max() == 0.0
             assert not st["by_phase"]
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/environ").exists(), reason="needs Linux /proc"
+    )
+    def test_workers_spawn_with_their_share_of_blas_threads(self, monkeypatch):
+        """W workers on C cores start with ``C // W`` BLAS/OpenMP threads
+        each (not ``C`` each: W x C threads on C cores) unless the user
+        pinned a variable, and the launcher's own environment is restored."""
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+        def spawned_env(pid: int) -> dict:
+            raw = Path(f"/proc/{pid}/environ").read_bytes().decode()
+            return dict(kv.split("=", 1) for kv in raw.split("\0") if "=" in kv)
+
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")  # the user's choice wins
+        share = str(max(1, (os.cpu_count() or 1) // 2))
+        with MultiprocTrainer(_spec(GridConfig(2, 2, 2), workers=2), timeout=60) as mpt:
+            for proc in mpt._procs:
+                env = spawned_env(proc.pid)
+                assert [env.get(n) for n in names] == [share, share, "3"]
+        assert [os.environ.get(n) for n in names] == [None, None, "3"]
 
     def test_evaluate_not_supported(self):
         from repro.errors import UnsupportedWorkload
