@@ -86,8 +86,6 @@ class PlexusOptions:
     #: wait — deep overlap schedules lose exactly the overlap a real NIC's
     #: bounded queue would deny them.
     max_inflight: int | None = None
-    #: deprecated alias for ``compute_dtype`` (kept for older call sites)
-    dtype: type | None = None
 
     def __post_init__(self) -> None:
         if self.aggregation_blocks < 1:
@@ -99,9 +97,4 @@ class PlexusOptions:
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 (or None for unbounded)")
         if self.compute_dtype is None:
-            self.compute_dtype = np.float64 if self.dtype is None else self.dtype
-        elif self.dtype is not None and self.dtype is not self.compute_dtype:
-            raise ValueError(
-                "pass either compute_dtype or the deprecated dtype alias, not both"
-            )
-        self.dtype = self.compute_dtype
+            self.compute_dtype = np.float64

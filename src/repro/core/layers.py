@@ -58,6 +58,28 @@ Two execution engines share this class (selected by the model):
   whose valid-extent masks keep pad rows out of the math, the gathers and
   the byte accounting.
 
+  **Frozen means computed once.**  With ``trainable_features=False`` (the
+  default) Algorithm 1 lines 3-5 of layer 0 have the same operands every
+  epoch, and nobody reads Algorithm 2's layer-0 ``dH``.  The batched engine
+  runs them in full exactly once: the first forward keeps the gathered F0
+  and ``H0 = all-reduce_X(A @ F0)``, the first backward multiplies
+  ``dQ W^T`` a last time, and both record the scheduled duration of each
+  collective (:attr:`~repro.dist.comm.PendingCollective.duration`).  Every
+  later pass *replays*: the F0 all-gather (the cross-epoch prefetch and
+  ``evaluate()`` included), each (per-block) SpMM charge with its noise
+  draw, each X-all-reduce, the ``comp:gemm_dh`` charge and the dH
+  all-reduce are issued and waited as before — through
+  :meth:`~repro.dist.comm.AxisCommunicator.issue`, which schedules a
+  collective of known duration without an operand — so clocks, link
+  reservations, in-flight queues, phase totals and trace events stay
+  bitwise what they were, while no SpMM, GEMM, gather copy or reduction
+  runs for them.  What is held is read-only (``PlexusGCN`` makes the F0
+  shards read-only too: an in-place edit raises rather than training on a
+  stale H0), replays are counted (``frozen_agg_replays`` in the metrics
+  registry), trainable features memoise nothing, and the per-rank engine
+  deliberately keeps recomputing everything: the batched == per-rank
+  bitwise suites are therefore the independent check of the replay.
+
 Kernel times are *precomputed* per rank at construction (shard shapes never
 change across epochs), so the hot loop advances all clocks per step with a
 single vectorized call instead of ``world_size`` scalar ones.
@@ -108,6 +130,7 @@ from repro.gpu.gemm import GemmMode, gemm_time
 from repro.gpu.spmm import spmm_time_batch
 from repro.nn.functional import relu
 from repro.obs import trace as _trace
+from repro.obs.metrics import registry as _metrics
 from repro.sparse.ops import spmm
 from repro.sparse.partition import block_slices, csr_block
 
@@ -131,6 +154,30 @@ class LayerCache:
     h: list[np.ndarray] | ReplicatedStack | PaddedStack
     #: pre-activation Q after the Y-all-reduce, per rank
     q: list[np.ndarray] | ReplicatedStack | PaddedStack
+
+
+#: ``_FrozenAggregation.dh_duration`` before the first backward (``None``
+#: is a recorded value: the no-cost handle of a size-1 axis)
+_UNRECORDED = object()
+
+
+@dataclass
+class _FrozenAggregation:
+    """What a frozen layer 0 keeps of its first pass (batched engine): the
+    aggregation's operand and result, and the scheduled duration of every
+    collective that is re-issued without its operand afterwards."""
+
+    #: the gathered F0 — what a replayed (pre)fetch handle hands back, so a
+    #: checkpointed in-flight prefetch still carries its data
+    f: ReplicatedStack | PaddedStack
+    #: H0 = all-reduce_X(A @ F), read-only
+    h: ReplicatedStack | PaddedStack
+    #: duration of the F0 all-gather
+    f_duration: Any
+    #: duration of each aggregation block's X-all-reduce
+    h_durations: list
+    #: duration of the backward dH all-reduce
+    dh_duration: Any = _UNRECORDED
 
 
 class PlexusLayer:
@@ -236,6 +283,15 @@ class PlexusLayer:
                 for r in range(world)
             ]
         self._precompute_kernel_times()
+        #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
+        #: steps — one for the whole shard, or one per row block (Sec. 5.2)
+        if aggregation_blocks == 1:
+            self._agg_steps = [(self._t_spmm_fwd, self._nnz_a, self._bd_a)]
+        else:
+            self._agg_steps = list(zip(self._t_spmm_blocks, self._block_nnz, self._bd_blocks))
+        #: set by the first batched forward of a layer 0 with frozen input
+        #: features; every later pass replays it (see the module docstring)
+        self._frozen: _FrozenAggregation | None = None
 
     # -- kernel-time precomputation --------------------------------------------
     def _precompute_kernel_times(self) -> None:
@@ -302,9 +358,14 @@ class PlexusLayer:
         The forward pass issues and waits it in place by default; with
         ``overlap=True`` the model driver calls this at the end of the
         previous epoch's backward pass (cross-epoch prefetch), so the
-        gather rides behind the backward tail and the epoch barrier.
+        gather rides behind the backward tail and the epoch barrier.  Once
+        a frozen layer holds its first forward's gathered F0, the
+        collective is re-issued without the operand and hands that back.
         """
         comm_z = self.grid.comm(self.roles.z)
+        frozen = self._frozen
+        if frozen is not None:
+            return comm_z.issue(frozen.f_duration, phase="all_gather_f", result=frozen.f)
         if self.engine == "batched":
             return comm_z.all_gather(f_in, phase="all_gather_f")
         return comm_z.map_all_gather(f_in, axis=0, phase="all_gather_f")
@@ -362,22 +423,29 @@ class PlexusLayer:
         return f_out, LayerCache(f=f, h=h, q=q)
 
     def _forward_batched(self, f_in, w_pending=None, f_pending=None) -> tuple[Any, LayerCache]:
-        grid, roles = self.grid, self.roles
-        comm_x, comm_y = grid.comm(roles.x), grid.comm(roles.y)
+        comm_y = self.grid.comm(self.roles.y)
+        frozen = self._frozen
+        f = f_in
         if self.is_first:
             if f_pending is None:
                 f_pending = self.issue_f_gather(f_in)
             f = f_pending.wait()
-        else:
-            f = f_in
         if self.overlap and w_pending is None:
             w_pending = self.issue_w_gather()
-        if self.aggregation_blocks == 1:
-            self._advance_spmm(self._t_spmm_fwd, self._nnz_a, "comp:spmm_fwd")
-            h_partial = self._bd_a.apply_batched(f)
-            h = comm_x.all_reduce(h_partial, phase="all_reduce_h").wait()
+        if frozen is not None:
+            self._aggregation_steps(None, replay=frozen.h_durations)
+            h = frozen.h
+            if _trace.enabled:
+                _metrics.count("frozen_agg_replays")
         else:
-            h = self._blocked_aggregation_batched(f)
+            parts, handles = self._aggregation_steps(f)
+            h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
+            if self.is_first and not self.trainable_features:
+                if isinstance(h, PaddedStack):  # held across epochs from here on
+                    h.data.setflags(write=False)  # (a ReplicatedStack already is)
+                self._frozen = _FrozenAggregation(
+                    f, h, f_pending.duration, [handle.duration for handle in handles]
+                )
         if w_pending is None:
             w_pending = self.issue_w_gather()
         w_local = w_pending.wait()
@@ -387,25 +455,31 @@ class PlexusLayer:
         f_out = q if self.is_last else stack_map(relu, q)
         return f_out, LayerCache(f=f, h=h, q=q)
 
-    def _blocked_aggregation_batched(self, f):
-        """Sec. 5.2 blocked aggregation on the batched engine: one stacked
-        block-diagonal SpMM per row block (the per-block plans built at
-        construction), with the same eager/overlap all-reduce schedule as
-        the per-rank loop — overlap keeps each block's reduce in flight
-        behind the next block's SpMM and joins after the last block."""
+    def _aggregation_steps(self, f, replay: list | None = None) -> tuple[list, list]:
+        """Lines 4-5 on the batched engine: one stacked block-diagonal SpMM
+        and one X-all-reduce per aggregation step, eager or — with overlap —
+        each reduce in flight behind the next block's SpMM, joined after the
+        last block (the schedule of :meth:`_blocked_aggregation`).  Returns
+        the reduced row blocks of H and their waited handles.
+
+        With ``replay`` (the handles' durations, recorded by an earlier
+        call) the same charges and collectives are issued without computing
+        anything: the blocks come back ``None``, the caller holds H."""
         comm_x = self.grid.comm(self.roles.x)
-        pending: list[PendingCollective] = []
-        blocks_out = []
-        for b in range(self.aggregation_blocks):
-            self._advance_spmm(self._t_spmm_blocks[b], self._block_nnz[b], "comp:spmm_fwd")
-            partial = self._bd_blocks[b].apply_batched(f)
-            handle = comm_x.all_reduce(partial, phase="all_reduce_h")
-            if self.overlap:
-                pending.append(handle)
+        handles: list[PendingCollective] = []
+        parts = []
+        for b, (times, nnz, plan) in enumerate(self._agg_steps):
+            self._advance_spmm(times, nnz, "comp:spmm_fwd")
+            if replay is None:
+                handle = comm_x.all_reduce(plan.apply_batched(f), phase="all_reduce_h")
             else:
-                blocks_out.append(handle.wait())
-        blocks_out.extend(h.wait() for h in pending)
-        return concat_stack_rows(blocks_out)
+                handle = comm_x.issue(replay[b], phase="all_reduce_h")
+            handles.append(handle)
+            if not self.overlap:
+                parts.append(handle.wait())
+        if self.overlap:
+            parts = [handle.wait() for handle in handles]
+        return parts, handles
 
     def _blocked_aggregation(self, f: list[np.ndarray]) -> list[np.ndarray]:
         """Sec. 5.2: per row-block SpMM + all-reduce, concatenated at the end.
@@ -526,8 +600,16 @@ class PlexusLayer:
         if post_w_hook is not None:
             post_w_hook()
         self.cluster.advance_all(self._t_gemm_dh, "comp:gemm_dh")
-        dh_partial = stack_matmul(dq, w_local, tb=True)
-        dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
+        frozen = self._frozen
+        if frozen is not None and frozen.dh_duration is not _UNRECORDED:
+            # nobody reads a frozen layer 0's dH: charged above, reduced
+            # on the timeline, never multiplied
+            dh_pending = comm_x.issue(frozen.dh_duration, phase="all_reduce_dh")
+        else:
+            dh_partial = stack_matmul(dq, w_local, tb=True)
+            dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
+            if frozen is not None:
+                frozen.dh_duration = dh_pending.duration
         if self.is_first and not self.trainable_features:
             dh_pending.wait()
             return None, dw

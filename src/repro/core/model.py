@@ -178,6 +178,10 @@ class PlexusGCN:
                     for r in range(self.grid.world_size)
                 ]
             )
+            if not opts.trainable_features:
+                # frozen is enforced: layer 0 aggregates these once and
+                # replays the result, so an in-place edit must raise
+                stack_data(self.f0_stack).setflags(write=False)
             self.f0_shards = shard_views(self.f0_stack)
         else:
             self.f0_stack = None

@@ -33,6 +33,18 @@ in between — bitwise identical (clocks *and* phase totals) to the
 pre-handle collectives, which is what the deprecated free-function shims
 in ``repro.dist.collectives`` do.
 
+The timeline needs only a collective's *duration*, never its operand: the
+data transformation and the Eq. 4.5 byte count happen before the schedule
+and feed it one number (per group).  A handle exposes that number
+(:attr:`PendingCollective.duration`), and
+:meth:`AxisCommunicator.issue` takes it back — *issue a collective whose
+duration is known and whose result the caller already holds, or nobody
+reads*.  Issue and wait run exactly as above (launch overhead, ready time,
+in-flight slots, link reservation, trace events, completion charge); only
+the data math is skipped.  The rank-batched engine re-issues a frozen
+layer 0's collectives this way from the second epoch on
+(``repro.core.layers``).
+
 Misuse is loud: waiting a handle twice raises, and a handle that is never
 waited stays in ``ClockStore.outstanding`` where
 ``VirtualCluster.check_outstanding`` (called by the trainer at epoch end)
@@ -266,6 +278,15 @@ class PendingCollective:
     @property
     def waited(self) -> bool:
         return self._waited
+
+    @property
+    def duration(self):
+        """The scheduled transfer time: a scalar, a keepdims array over the
+        off-axis cube (padded stacks: one entry per group), or ``None`` for
+        the no-cost handle of a size-1 group.  Feeding it back to
+        :meth:`AxisCommunicator.issue` re-issues the same collective
+        without its operand."""
+        return None if self._record is None else self._record[4]
 
     @property
     def live(self) -> bool:
@@ -672,7 +693,7 @@ class AxisCommunicator:
         "_group_link_keys",
         "_group_trace_keys",
         "_axis_trace_keys",
-        "_ordered_group_comms",
+        "_group_positions",
         "_padded_plans",
     )
 
@@ -697,9 +718,10 @@ class AxisCommunicator:
         #: first traced issue, invalidated when groups re-attach
         self._group_trace_keys: tuple | None = None
         self._axis_trace_keys: tuple | None = None
-        #: group communicators in keepdims-ravel order (the bounded-issue
-        #: path walks them sequentially, mirroring the map_* schedule)
-        self._ordered_group_comms: list[GroupCommunicator] | None = None
+        #: keepdims-ravel position of each entry of ``group_comms`` (the
+        #: bounded-issue path walks the groups sequentially in ``group_comms``
+        #: order, the order of the map_* schedule)
+        self._group_positions: list[int] | None = None
         if groups:
             self.attach_groups(groups)
 
@@ -729,19 +751,20 @@ class AxisCommunicator:
         gz, gx, gy = d.cube
         keep = list(d.cube)
         keep[d.axis] = 1
-        ordered: list[tuple[int, GroupCommunicator]] = []
+        positions: list[int] = []
         for gc in self.group_comms:
             m0 = gc.group.members[0]
             i0 = getattr(m0, "_i", m0.rank)
             coords = [i0 // (gx * gy), (i0 // gy) % gx, i0 % gy]
             coords[d.axis] = 0
-            pos = (coords[0] * keep[1] + coords[1]) * keep[2] + coords[2]
-            ordered.append((pos, gc))
-        ordered.sort(key=lambda t: t[0])
-        if [p for p, _ in ordered] != list(range(len(ordered))):
+            positions.append((coords[0] * keep[1] + coords[1]) * keep[2] + coords[2])
+        if sorted(positions) != list(range(len(positions))):
             raise ValueError("groups do not tile the axis's off-axis cube")
-        self._ordered_group_comms = [gc for _, gc in ordered]
-        self._group_link_keys = [gc._link_key for gc in self._ordered_group_comms]
+        self._group_positions = positions
+        keys = [0] * len(positions)
+        for pos, gc in zip(positions, self.group_comms):
+            keys[pos] = gc._link_key
+        self._group_link_keys = keys
         self._group_trace_keys = None
 
     # -- issue machinery -----------------------------------------------------
@@ -813,17 +836,33 @@ class AxisCommunicator:
         record = ("cube", d.cube, begin, end, duration)
         return PendingCollective(full_phase, result, store, record)
 
+    def issue(self, duration, phase: str, result=None) -> PendingCollective:
+        """Issue a collective whose duration is known and whose result the
+        caller already holds (or nobody reads).
+
+        ``duration`` is what an earlier handle of the same collective
+        reported (:attr:`PendingCollective.duration`).  The timeline cannot
+        tell the difference: launch overhead, group-ready time, in-flight
+        slots, link reservation, trace events and the charge at ``wait()``
+        are those of the operand-carrying methods — only the data
+        transformation and the byte count behind the duration are skipped.
+        ``wait()`` returns ``result``.
+        """
+        if duration is None:  # size-1 axis: the collective never cost anything
+            return _ready("comm:" + phase, result)
+        return self._issue(duration, phase, result)
+
     def _issue_bounded(
         self, store: ClockStore, ready: np.ndarray, duration, phase: str, limit: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Schedule the axis's groups one at a time under the in-flight bound.
 
-        Mirrors the group-wise ``map_*`` schedule bitwise: each group in
-        keepdims-ravel order acquires its queue slots, reserves its link,
-        and registers its completion before the next group issues.  The
-        sequencing matters under the node-level NIC bound — sibling groups
-        of one axis can share a node's queue, so an earlier group's issue
-        may saturate a later group's.
+        Mirrors the group-wise ``map_*`` schedule bitwise: each group, in
+        ``group_comms`` order like ``_map``, acquires its queue slots,
+        reserves its link, and registers its completion before the next
+        group issues.  The sequencing matters under the node-level NIC
+        bound — sibling groups of one axis can share a node's queue, so an
+        earlier group's issue may saturate a later group's.
         """
         rf = ready.ravel()
         # duration is a scalar (uniform stacks) or a keepdims cube array
@@ -832,7 +871,7 @@ class AxisCommunicator:
         begin = np.empty(rf.shape)
         end = np.empty(rf.shape)
         links = store.links
-        for gi, gc in enumerate(self._ordered_group_comms):
+        for gi, gc in zip(self._group_positions, self.group_comms):
             r = _wait_for_link_slot(
                 store, gc._queue_keys, gc.group.member_idx, float(rf[gi]), phase, limit
             )

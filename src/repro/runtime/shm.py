@@ -47,7 +47,16 @@ every worker deterministically computes the *same* full-cube schedule
 (group-ready times, link reservations, Eq. 4.5 durations) and the same
 collective result via the pure stacked-data helpers of
 ``repro.dist.comm`` — and the returned handle charges only the local
-ranks' completion at ``wait()``.  Because every worker runs the same SPMD
+ranks' completion at ``wait()``.  A collective re-issued with a known
+duration (:meth:`ShmAxisCommunicator.issue`, the twin of
+``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still
+rendezvouses, because the schedule needs every worker's clocks, but the
+exchange is **clocks only**: one frame per worker as before, one array in
+it, no operand planes on the bus.  Which form a collective takes is a
+function of the forwards run since the model was built, never of anything
+worker-local — every recovery respawns the whole pool — so all workers
+post the same array count at the same message (a mismatch is a
+:class:`~repro.errors.RendezvousDesync`).  Because every worker runs the same SPMD
 program order, collectives rendezvous in identical sequence (a per-message
 sequence number makes desync loud), overlap schedules included: handles
 can stay in flight across local compute exactly as in-process.
@@ -644,13 +653,18 @@ class ShmAxisCommunicator:
             cube = np.broadcast_to(cube, self.local_cube[:1] + cube.shape[1:])
         return cube
 
-    def _post(self, cube: np.ndarray, full_phase: str) -> tuple[np.ndarray, ReplicatedStack]:
-        """Rendezvous: every worker's clocks and z-planes, in rank order."""
+    def _rendezvous(self, full_phase: str, *planes: np.ndarray) -> list[np.ndarray]:
+        """Charge the launch overhead, then exchange the local clock slice
+        (and any operand ``planes``) with every worker, in rank order."""
         store = self.store
         if self.issue_overhead_s:
             store.clocks += self.issue_overhead_s
             store.record_all(full_phase, self.issue_overhead_s)
-        clocks, full = self.bus.exchange_concat([store.clocks, cube])
+        return self.bus.exchange_concat([store.clocks, *planes])
+
+    def _post(self, cube: np.ndarray, full_phase: str) -> tuple[np.ndarray, ReplicatedStack]:
+        """Rendezvous: every worker's clocks and z-planes, in rank order."""
+        clocks, full = self._rendezvous(full_phase, cube)
         return clocks, ReplicatedStack(full, self.cube)
 
     def _local(self, result: ReplicatedStack) -> ReplicatedStack:
@@ -724,6 +738,17 @@ class ShmAxisCommunicator:
             )
         record = ("cube", self.local_cube, begin, end, duration)
         return PendingCollective(full_phase, result, store, record)
+
+    def issue(self, duration, phase: str, result=None):
+        """Twin of :meth:`repro.dist.comm.AxisCommunicator.issue`: a
+        collective of known duration whose result the caller holds.  The
+        schedule still needs every worker's clocks, so the rendezvous
+        happens — one frame per worker as for any collective — but it
+        carries the clock slice only, no operand planes."""
+        if duration is None:
+            return _ready("comm:" + phase, result)
+        (full_clocks,) = self._rendezvous("comm:" + phase)
+        return self._issue(full_clocks, duration, phase, result)
 
     # -- stacked collectives ---------------------------------------------------
     # The data math is ``repro.dist.comm``'s ``stacked_*_data`` on the
