@@ -25,10 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.dist import collectives as _collectives
 from repro.dist.cluster import VirtualCluster
 from repro.dist.collectives import AxisComm
-from repro.dist.comm import AxisCommunicator, axis_communicator
+from repro.dist.comm import AxisCommunicator
 from repro.dist.group import ProcessGroup, axis_bandwidth
 
 __all__ = ["Axis", "GridConfig", "AxisRoles", "axis_roles", "PlexusGrid", "map_collective"]
@@ -243,7 +242,7 @@ class PlexusGrid:
         """
         comm = self._comms.get(axis)
         if comm is None:
-            comm = self._comms[axis] = axis_communicator(
+            comm = self._comms[axis] = AxisCommunicator(
                 self._axis_comms[axis],
                 self._groups[axis],
                 issue_overhead_s=self.cluster.machine.issue_overhead_s,
@@ -259,18 +258,13 @@ class PlexusGrid:
         return self.config.total
 
 
-#: collective names map_collective routes through the communicator API;
-#: the legacy free functions are matched by identity (never by name, so a
-#: user callable that happens to be called ``all_reduce`` is still invoked)
+#: collective names map_collective routes through the communicator API
+#: (matched as strings only, so a user callable that happens to be called
+#: ``all_reduce`` is still invoked)
 _MAPPABLE = {
     "all_reduce": "map_all_reduce",
     "all_gather": "map_all_gather",
     "reduce_scatter": "map_reduce_scatter",
-}
-_LEGACY_MAPPABLE = {
-    _collectives.all_reduce: "map_all_reduce",
-    _collectives.all_gather: "map_all_gather",
-    _collectives.reduce_scatter: "map_reduce_scatter",
 }
 
 
@@ -283,11 +277,9 @@ def map_collective(grid: PlexusGrid, along: Axis, per_rank: list, collective, **
     ``axis``) pass through to the collective.
 
     ``collective`` may be a name (``"all_reduce"``, ``"all_gather"``,
-    ``"reduce_scatter"``) or a callable; names — and, matched by identity,
-    the legacy free functions of ``repro.dist.collectives`` — run eagerly
-    through the communicator API
-    (``grid.comm(along).map_<name>(per_rank, ...).wait()``), while any other
-    callable falls back to one call per process group.
+    ``"reduce_scatter"``) or a callable; names run eagerly through the
+    communicator API (``grid.comm(along).map_<name>(per_rank, ...).wait()``),
+    while a callable gets one call per process group.
     """
     if len(per_rank) != grid.world_size:
         raise ValueError("per_rank must have one entry per rank")
@@ -295,9 +287,6 @@ def map_collective(grid: PlexusGrid, along: Axis, per_rank: list, collective, **
         method = _MAPPABLE.get(collective)
         if method is None:
             raise ValueError(f"unknown collective {collective!r} (known: {sorted(_MAPPABLE)})")
-    else:
-        method = _LEGACY_MAPPABLE.get(collective)
-    if method is not None:
         return getattr(grid.comm(along), method)(per_rank, **kwargs).wait()
     out: list = [None] * grid.world_size
     for group in grid.groups(along):

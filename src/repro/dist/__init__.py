@@ -13,9 +13,8 @@ along the axis as one cube-reshaped reduction over a stacked
 ``(world, ...)`` operand — the execution engine's fast path).  Their
 methods return :class:`PendingCollective` handles, charging issue cost
 immediately and completion cost at ``.wait()``, so compute charged between
-issue and wait hides communication on the simulated timeline.  The old
-eager free functions (``all_reduce`` / ``axis_all_reduce`` & co) remain as
-deprecated shims that issue and wait in one call.
+issue and wait hides communication on the simulated timeline; the eager
+schedule is ``.wait()`` right after the issue.
 """
 
 from repro.dist.topology import (
@@ -29,16 +28,8 @@ from repro.dist.cluster import ClockStore, Timeline, TimelineBreakdown, VirtualC
 from repro.dist.group import ProcessGroup, axis_bandwidth
 from repro.dist.collectives import (
     AxisComm,
-    all_gather,
-    axis_all_gather,
-    axis_all_reduce,
-    axis_reduce_scatter,
-    all_reduce,
-    all_to_all,
     all_to_all_time,
-    broadcast,
     broadcast_time,
-    reduce_scatter,
     ring_all_gather_time,
     ring_all_reduce_time,
     ring_reduce_scatter_time,
@@ -48,7 +39,6 @@ from repro.dist.comm import (
     GroupCommunicator,
     PendingCollective,
     PendingMap,
-    axis_communicator,
     communicator,
 )
 from repro.dist.padded import PaddedStack, stack_shards
@@ -60,7 +50,6 @@ __all__ = [
     "PendingMap",
     "PaddedStack",
     "stack_shards",
-    "axis_communicator",
     "communicator",
     "MachineSpec",
     "PERLMUTTER",
@@ -74,15 +63,7 @@ __all__ = [
     "VirtualRank",
     "ProcessGroup",
     "axis_bandwidth",
-    "all_reduce",
-    "all_gather",
-    "reduce_scatter",
-    "broadcast",
-    "all_to_all",
     "AxisComm",
-    "axis_all_reduce",
-    "axis_all_gather",
-    "axis_reduce_scatter",
     "ring_all_reduce_time",
     "ring_all_gather_time",
     "ring_reduce_scatter_time",

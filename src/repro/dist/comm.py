@@ -1,10 +1,9 @@
 """Nonblocking communicators: handle-based collectives on the simulated timeline.
 
-This module is the collective surface of the simulator.  Instead of the
-eager free functions of ``repro.dist.collectives`` (which charged the full
-Eq. 4.5 cost the moment they were called), callers obtain a *communicator*
-— :class:`GroupCommunicator` for one process group, :class:`AxisCommunicator`
-for every group along a grid axis (``PlexusGrid.comm(axis)``) — whose
+This module is the collective surface of the simulator.  Callers obtain a
+*communicator* — :class:`GroupCommunicator` for one process group,
+:class:`AxisCommunicator` for every group along a grid axis
+(``PlexusGrid.comm(axis)``) — whose
 ``all_reduce / all_gather / reduce_scatter / broadcast / all_to_all``
 methods mirror ``torch.distributed``'s ``async_op=True`` contract: they
 return a :class:`PendingCollective` immediately and charge the *completion*
@@ -29,9 +28,19 @@ Timeline semantics of one issued collective:
   whose clock already passed ``end`` pays nothing.
 
 Eager behavior is the degenerate schedule ``issue(); wait()`` with nothing
-in between — bitwise identical (clocks *and* phase totals) to the
-pre-handle collectives, which is what the deprecated free-function shims
-in ``repro.dist.collectives`` do.
+in between — bitwise identical (clocks *and* phase totals) to charging the
+full Eq. 4.5 cost the moment the collective is called.
+
+The timeline lives in **one schedule kernel**, :func:`_schedule`: (per-group
+ready times, per-group slot — link key, in-flight queue keys, member index
+into the local store — duration scalar-or-per-group, phase) → (begin, end).
+It does the slot wait, the ``begin = max(ready, link)`` reservation, the
+in-flight enqueue, the ``SimSink`` link events and the ``issue`` instant,
+and every path calls it: a :class:`GroupCommunicator` is one slot, an
+:class:`AxisCommunicator` is its groups' slots, and the worker-crossing Z
+axis of ``repro.runtime`` is the *same* :class:`AxisCommunicator` whose
+clocks and operand planes come through a byte mover (a transport bus's
+``exchange_concat``) instead of from the local store.
 
 The timeline needs only a collective's *duration*, never its operand: the
 data transformation and the Eq. 4.5 byte count happen before the schedule
@@ -93,12 +102,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right, insort
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro.dist.cluster import ClockStore
-from repro.errors import CollectiveMisuse
+from repro.errors import CollectiveMisuse, UnsupportedWorkload
 from repro.obs import trace as _trace
 from repro.dist.collectives import (
     AxisComm,
@@ -120,7 +128,6 @@ __all__ = [
     "PaddedStack",
     "ReplicatedStack",
     "communicator",
-    "axis_communicator",
     "stacked_all_reduce_data",
     "stacked_all_gather_data",
     "stacked_reduce_scatter_data",
@@ -175,62 +182,109 @@ def _queue_keys_for(group: ProcessGroup, link_key) -> tuple:
     return (link_key,)
 
 
-def _slot_free_time(store: ClockStore, keys, ready: float, limit: int) -> float:
-    """Earliest time every queue in ``keys`` has a free in-flight slot.
+class _Slots:
+    """Where the transfers of a set of groups land on the timeline.
 
-    Prunes ops completed by ``ready``; if any queue still holds ``limit``
-    in-flight ops, the issue must wait until its ``limit``-th-newest entry
-    completes — across all keys, the max of those times.  Entries completed
-    by the returned time are pruned from every queue.  Returns ``ready``
-    unchanged when no queue is saturated.
+    Per group — in keepdims-ravel order of the axis's off-axis cube, or the
+    one entry of a lone process group — its ``ClockStore.links`` key, the
+    in-flight queue keys one of its collectives occupies (see
+    :func:`_queue_keys_for`), and its members' index into the local
+    ``store.clocks``.  ``order`` is the sequence a bounded issue walks the
+    groups in (the order of the ``map_*`` schedule).
     """
-    t = ready
-    blocked = False
-    for key in keys:
-        q = store.link_queues.get(key)
-        if not q:
-            continue
-        del q[: bisect_right(q, t)]
-        if len(q) >= limit:
-            t = max(t, q[len(q) - limit])
-            blocked = True
-    if not blocked:
-        return ready
-    for key in keys:
-        q = store.link_queues.get(key)
-        if q:
-            del q[: bisect_right(q, t)]
-    return t
+
+    __slots__ = ("links", "queues", "members", "order", "trace")
+
+    def __init__(self, links, queues, members, order=None) -> None:
+        self.links = tuple(links)
+        self.queues = tuple(queues)
+        self.members = tuple(members)
+        self.order = tuple(range(len(self.links)) if order is None else order)
+        #: the ``SimSink`` names of the links (memoized: keys repeat every issue)
+        self.trace = tuple(k if isinstance(k, tuple) else ("link", k) for k in self.links)
 
 
-def _enqueue_inflight(store: ClockStore, keys, end: float) -> None:
-    """Register one in-flight completion time on every queue in ``keys``.
+def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> tuple:
+    """Reserve one transfer per group of ``slots``: the schedule kernel.
 
-    Queues stay sorted: node-level (NIC) queues collect completion times
-    from *different* links, which need not arrive in ascending order.
+    Every collective of every communicator is put on the timeline here and
+    nowhere else.  ``ready`` holds the groups' ready times (each group's
+    maximum member clock; any shape that ravels to the slot order, 0-d for a
+    lone group) and ``duration`` is a scalar or an array of that shape.
+    Each group's transfer runs on its link from
+    ``begin = max(ready, link busy-until)`` to ``end = begin + duration``;
+    returns ``(begin, end)`` shaped like ``ready``.
+
+    Unbounded queues (``store.max_inflight is None``) make the groups
+    independent, so all of them are reserved at once.  Under a bound the
+    groups go one at a time in ``slots.order``: each acquires its queue
+    slots, reserves its link, and registers its completion before the next
+    group issues.  The sequencing matters under the node-level NIC bound —
+    sibling groups of one axis can share a node's queue, so an earlier
+    group's issue may saturate a later group's.  A saturated group blocks:
+    its members are lifted to the time a slot frees on every one of its
+    queues (charged to ``phase``), which becomes its ready time.  Transfers
+    themselves still serialize via the ``links`` busy-until reservation —
+    saturation only delays the *issue*.
     """
-    for key in keys:
-        insort(store.link_queues.setdefault(key, []), end)
-
-
-def _wait_for_link_slot(
-    store: ClockStore, keys, idx, ready: float, phase: str, limit: int
-) -> float:
-    """Block the issuing group until its queues have a free in-flight slot.
-
-    ``keys`` are the group's queue keys (per-link for intra-node groups,
-    one per touched node's NIC otherwise — see :func:`_queue_keys_for`).
-    When saturated, the members in ``idx`` are lifted to the time a slot
-    frees on every queue (charged to ``phase``), which becomes the new
-    group-ready time.  Transfers themselves still serialize via the
-    ``links`` busy-until reservation — saturation only delays the *issue*.
-    """
-    t_free = _slot_free_time(store, keys, ready, limit)
-    if t_free <= ready:
-        return ready
-    store.record_idx(idx, phase, t_free - store.clocks[idx])
-    store.clocks[idx] = t_free
-    return t_free
+    links = store.links
+    limit = store.max_inflight
+    sink = store.trace
+    if limit is None:
+        link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(ready.shape)
+        begin = np.maximum(ready, link)
+        end = begin + duration
+        for k, v in zip(slots.links, end.ravel()):
+            links[k] = float(v)
+        if sink is not None:
+            # begin/end are fresh per issue and never written in place (the
+            # pending record aliases them the same way)
+            sink.link_batch(slots.trace, phase, begin.ravel(), end.ravel())
+    else:
+        queues = store.link_queues
+        shape = ready.shape
+        rf = ready.ravel()
+        # duration is a scalar (uniform stacks) or a keepdims cube array
+        # (padded stacks): align it with ready's keepdims shape first
+        dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), shape).ravel()
+        begin = np.empty(rf.shape)
+        end = np.empty(rf.shape)
+        for gi in slots.order:
+            key, keys, idx = slots.links[gi], slots.queues[gi], slots.members[gi]
+            r = t = float(rf[gi])
+            # earliest time every queue has a free slot: ops completed by
+            # ``t`` are pruned; a queue still holding ``limit`` in-flight ops
+            # frees one when its ``limit``-th-newest entry completes
+            for k in keys:
+                q = queues.get(k)
+                if q:
+                    del q[: bisect_right(q, t)]
+                    if len(q) >= limit:
+                        t = max(t, q[len(q) - limit])
+            if t > r:
+                for k in keys:
+                    q = queues.get(k)
+                    if q:
+                        del q[: bisect_right(q, t)]
+                store.record_idx(idx, phase, t - store.clocks[idx])
+                store.clocks[idx] = t
+            link = links.get(key, 0.0)
+            b = t if link <= t else link
+            e = b + float(dur[gi])
+            links[key] = e
+            if sink is not None:
+                sink.link(slots.trace[gi], phase, b, e)
+            # queues stay sorted: node-level (NIC) queues collect completion
+            # times from *different* links, which need not arrive ascending
+            for k in keys:
+                insort(queues.setdefault(k, []), e)
+            begin[gi] = b
+            end[gi] = e
+        begin = begin.reshape(shape)[()]
+        end = end.reshape(shape)[()]
+    if _trace.enabled:
+        _trace.instant("issue", phase=phase)
+    return begin, end
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +302,12 @@ class PendingCollective:
     reported by ``VirtualCluster.check_outstanding`` at epoch end.
 
     The handle carries one charge record (``None`` for the free singleton
-    case), of one of three kinds:
+    case), of one of two kinds:
 
     * ``("idx", idx, begin, end, duration)`` — members are ``clocks[idx]``
-      of the shared store (the vectorized fast path),
+      of the shared store (one process group),
     * ``("cube", cube_shape, begin, end, duration)`` — every axis group at
-      once; ``begin``/``end`` are keepdims arrays over the off-axis cube,
-    * ``("members", members, begin, end, duration)`` — scalar fallback for
-      duck-typed ranks that share no :class:`ClockStore`.
+      once; ``begin``/``end`` are keepdims arrays over the off-axis cube.
     """
 
     __slots__ = ("phase", "_store", "_record", "_result", "_waited")
@@ -344,7 +396,7 @@ class PendingCollective:
                 )
                 store.clocks[idx] = np.maximum(c, end)
             store.record_idx(idx, phase, charge)
-        elif kind == "cube":
+        else:  # "cube"
             _, cube_shape, begin, end, duration = record
             store = self._store
             cube = store.clocks.reshape(cube_shape)
@@ -354,14 +406,6 @@ class PendingCollective:
             lifted = np.maximum(cube, end)
             cube[...] = lifted
             store.record_all(phase, charge.ravel())
-        else:  # "members": scalar fallback, one advance per duck-typed rank
-            _, members, begin, end, duration = record
-            for m in members:
-                c = m.clock
-                if c <= begin:
-                    m.advance((begin - c) + duration, phase)
-                else:
-                    m.advance(max(end - c, 0.0), phase)
 
 
 class PendingMap:
@@ -437,11 +481,11 @@ def _ready(phase: str, result) -> PendingCollective:
 # itself is expanded first for exactly that reason), which keeps results
 # bitwise equal to the group-wise ``map_*`` path.
 #
-# Both the in-process :class:`AxisCommunicator` and the worker-crossing
-# transports (``repro.runtime.shm`` / ``net``) call these same three
-# functions — the transports on the full-Z operand they exchanged, cutting
-# the result to their local z-planes — so there is no second copy of the
-# math to keep in step; ``tests/test_replicated_stacks.py`` pins them
+# An :class:`AxisCommunicator` behind a byte mover (the worker-crossing Z
+# axis of ``repro.runtime``) calls these same three functions — on the
+# full-Z operand it exchanged, cutting the result to its local z-planes —
+# so there is no second copy of the math to keep in step;
+# ``tests/test_replicated_stacks.py`` pins them
 # against a plain per-group reference loop and
 # ``tests/test_runtime_multiproc.py`` pins multiproc == inproc end to end.
 # ---------------------------------------------------------------------------
@@ -523,17 +567,19 @@ class GroupCommunicator:
     reservation.
     """
 
-    __slots__ = ("group", "issue_overhead_s", "_link_key", "_queue_keys", "_ranks")
+    __slots__ = ("group", "issue_overhead_s", "_slots", "_ranks")
 
     def __init__(self, group: ProcessGroup, issue_overhead_s: float | None = None) -> None:
         self.group = group
         if issue_overhead_s is None:
             issue_overhead_s = group.machine.issue_overhead_s
         self.issue_overhead_s = float(issue_overhead_s)
-        self._link_key = next(_LINK_KEYS)
-        #: in-flight queue keys (node-level NIC queues for inter-node
-        #: groups, the private link key otherwise)
-        self._queue_keys = _queue_keys_for(group, self._link_key)
+        link_key = next(_LINK_KEYS)
+        #: the group's one schedule slot (in-flight queue keys: node-level
+        #: NIC queues for inter-node groups, the private link key otherwise)
+        self._slots = _Slots(
+            (link_key,), (_queue_keys_for(group, link_key),), (group.member_idx,)
+        )
         self._ranks = [m.rank for m in group.members]  # shard order, cached
 
     # -- issue machinery -----------------------------------------------------
@@ -541,42 +587,14 @@ class GroupCommunicator:
         group = self.group
         full_phase = "comm:" + phase
         store, idx = group.store, group.member_idx
-        if store is not None:
-            clocks = store.clocks[idx]
-            if self.issue_overhead_s:
-                store.clocks[idx] = clocks + self.issue_overhead_s
-                store.record_idx(idx, full_phase, self.issue_overhead_s)
-                clocks = store.clocks[idx]
-            ready = clocks.max()
-            limit = store.max_inflight
-            if limit is not None:
-                ready = _wait_for_link_slot(store, self._queue_keys, idx, ready, full_phase, limit)
-            link = store.links.get(self._link_key)
-            begin = ready if (link is None or link <= ready) else link
-            end = begin + duration
-            store.links[self._link_key] = end
-            if store.trace is not None:
-                store.trace.link(("link", self._link_key), full_phase, float(begin), float(end))
-            if _trace.enabled:
-                _trace.instant("issue", phase=full_phase)
-            if limit is not None:
-                _enqueue_inflight(store, self._queue_keys, float(end))
-            record = ("idx", idx, begin, end, duration)
-            return PendingCollective(full_phase, result, store, record)
-        # Storeless fallback (duck-typed members sharing no ClockStore):
-        # scheduling is eager-equivalent — no link state persists (there is
-        # no store to reset/snapshot it with), so in-flight ops on such a
-        # group do not serialize, and the handle is not registered for
-        # dropped-handle detection.  Store-backed groups (every grid group)
-        # get both guarantees.
-        members = group.members
+        clocks = store.clocks[idx]
         if self.issue_overhead_s:
-            for m in members:
-                m.advance(self.issue_overhead_s, full_phase)
-        begin = max(m.clock for m in members)
-        end = begin + duration
-        record = ("members", members, begin, end, duration)
-        return PendingCollective(full_phase, result, None, record)
+            store.clocks[idx] = clocks + self.issue_overhead_s
+            store.record_idx(idx, full_phase, self.issue_overhead_s)
+            clocks = store.clocks[idx]
+        begin, end = _schedule(store, self._slots, clocks.max(), duration, full_phase)
+        record = ("idx", idx, begin, end, duration)
+        return PendingCollective(full_phase, result, store, record)
 
     # -- collectives ---------------------------------------------------------
     def all_reduce(
@@ -678,163 +696,156 @@ class AxisCommunicator:
     group-wise collective per process group over a per-rank list — the
     reference engine's path — and return a :class:`PendingMap`.  Both share
     one per-group link reservation, so in-flight operations on one axis
-    queue behind each other.  Obtain via ``PlexusGrid.comm(axis)`` (or
-    :func:`axis_communicator` from a raw :class:`AxisComm` descriptor);
+    queue behind each other.  Obtain via ``PlexusGrid.comm(axis)``;
     like :class:`GroupCommunicator`, a launch cost can be enabled by
     setting ``issue_overhead_s`` on the cached instance (default 0 keeps
     eager numerics bitwise unchanged).
+
+    The worker-crossing (Z) axis of the multi-process runtime is this same
+    class behind a *byte mover*: ``exchange`` (a transport bus's
+    ``exchange_concat``) rendezvouses the workers once per collective — one
+    frame each, carrying the local clock slice and the operand's local
+    z-planes ``[z0, z0 + local planes)`` — so every worker
+    deterministically computes the *same* full-cube schedule (group-ready
+    times, link reservations, Eq. 4.5 durations) and the same collective
+    result, and the returned handle charges only the local ranks'
+    completion at ``wait()``.  A replicated operand posts only its unique
+    bytes, and a collective re-issued with a known duration
+    (:meth:`issue`) still rendezvouses, because the schedule needs every
+    worker's clocks, but the exchange is **clocks only**.  Link busy-until
+    state and bounded in-flight queues are *replicated* per worker under
+    ``("shmz", gi)`` keys in the local :class:`ClockStore` — deterministic
+    inputs keep every replica bitwise consistent, and storing them in the
+    store means ``reset``/``snapshot`` handle them exactly like in-process
+    link state.  Restrictions (enforced loudly): padded quasi-equal stacks
+    and the ``map_*`` per-rank-list path do not cross the byte mover (a
+    worker's pad extent and member list are local), and ``max_inflight``
+    composes only with intra-node Z groups — the per-NIC node queue of an
+    inter-node Z group would be shared with worker-local links, which a
+    replicated queue cannot express (``repro.runtime.launch`` refuses that
+    combination before spawning).
     """
 
     __slots__ = (
         "descriptor",
         "group_comms",
         "issue_overhead_s",
-        "_link_key",
-        "_group_link_keys",
-        "_group_trace_keys",
-        "_axis_trace_keys",
-        "_group_positions",
+        "_slots",
+        "_cube",
+        "_exchange",
+        "_z0",
         "_padded_plans",
     )
 
     def __init__(
         self,
         descriptor: AxisComm,
-        groups: Sequence[ProcessGroup] | None = None,
+        groups: Sequence[ProcessGroup] = (),
         issue_overhead_s: float = 0.0,
+        exchange=None,
+        z0: int = 0,
     ) -> None:
-        self.descriptor = descriptor
-        self.group_comms: list[GroupCommunicator] = []
+        self.descriptor = d = descriptor
         self.issue_overhead_s = float(issue_overhead_s)
-        self._link_key = next(_LINK_KEYS)
         #: (kind, PaddedStack.signature()) -> cached padded-collective plan
         self._padded_plans: dict[tuple, dict] = {}
-        #: per-group link keys in keepdims-ravel order; once groups are
-        #: attached, the stacked path reads/writes THESE (the same entries
-        #: the map_* path uses), so stacked and group-wise operations on
-        #: one axis serialize against each other
-        self._group_link_keys: list[int] | None = None
-        #: memoized key tuples for SimSink.link_batch — rebuilt lazily on
-        #: first traced issue, invalidated when groups re-attach
-        self._group_trace_keys: tuple | None = None
-        self._axis_trace_keys: tuple | None = None
-        #: keepdims-ravel position of each entry of ``group_comms`` (the
-        #: bounded-issue path walks the groups sequentially in ``group_comms``
-        #: order, the order of the map_* schedule)
-        self._group_positions: list[int] | None = None
-        if groups:
-            self.attach_groups(groups)
-
-    @property
-    def store(self) -> ClockStore:
-        return self.descriptor.store
-
-    @property
-    def size(self) -> int:
-        return self.descriptor.size
-
-    @property
-    def world(self) -> int:
-        return self.descriptor.world
-
-    def attach_groups(self, groups: Sequence[ProcessGroup]) -> None:
-        """Late-bind the axis's process groups (enables the ``map_*`` path
-        and unifies stacked/group-wise link occupancy)."""
-        if self.group_comms:
-            return
+        self._exchange = exchange
+        self._z0 = z0
+        gx, gy = d.cube[1:]
+        #: the rank cube of the local store: all of ``d.cube`` in-process,
+        #: this worker's whole z-planes behind a byte mover
+        self._cube = (d.store.world // (gx * gy), gx, gy)
         self.group_comms = [communicator(g) for g in groups]
+        if exchange is not None:
+            # a Z group's members stride whole planes: local plane offset gi
+            if d.axis != 0 or groups:
+                raise ValueError("a byte mover carries the group-less leading (Z) axis only")
+            keys = [("shmz", gi) for gi in range(gx * gy)]
+            self._slots = _Slots(
+                keys, [(k,) for k in keys], [slice(gi, None, gx * gy) for gi in range(gx * gy)]
+            )
+            return
         # position of each group's slot in the keepdims link cube: unfold a
         # member's *store index* (== its rank on a whole-cluster store, its
         # local index on a worker-sliced store) into (z, x, y), zero the
         # reduced axis, ravel the rest
-        d = self.descriptor
-        gz, gx, gy = d.cube
         keep = list(d.cube)
         keep[d.axis] = 1
         positions: list[int] = []
         for gc in self.group_comms:
-            m0 = gc.group.members[0]
-            i0 = getattr(m0, "_i", m0.rank)
+            i0 = gc.group.members[0]._i
             coords = [i0 // (gx * gy), (i0 // gy) % gx, i0 % gy]
             coords[d.axis] = 0
             positions.append((coords[0] * keep[1] + coords[1]) * keep[2] + coords[2])
-        if sorted(positions) != list(range(len(positions))):
+        if sorted(positions) != list(range(keep[0] * keep[1] * keep[2])):
             raise ValueError("groups do not tile the axis's off-axis cube")
-        self._group_positions = positions
-        keys = [0] * len(positions)
+        # the same per-group slots the map_* path reserves, so stacked and
+        # group-wise operations on one axis serialize on its physical links
+        # (a bounded issue walks them in ``group_comms`` order, like ``_map``)
+        by_pos: list = [None] * len(positions)
         for pos, gc in zip(positions, self.group_comms):
-            keys[pos] = gc._link_key
-        self._group_link_keys = keys
-        self._group_trace_keys = None
+            by_pos[pos] = gc._slots
+        self._slots = _Slots(
+            [sl.links[0] for sl in by_pos],
+            [sl.queues[0] for sl in by_pos],
+            [sl.members[0] for sl in by_pos],
+            order=positions,
+        )
 
     # -- issue machinery -----------------------------------------------------
-    def _issue(self, duration, phase: str, result) -> PendingCollective:
+    def _gather(self, full_phase: str, stacked=None) -> tuple:
+        """Charge the launch overhead, then every member's clock and (when
+        given) the operand at full axis extent: the local store's and the
+        operand itself in-process; behind a byte mover one rendezvous with
+        every worker, in rank order.  The operand is posted as this
+        worker's ``(lz, x, y, *shard)`` cube: a flat local stack is viewed;
+        a replicated stack posts its cube as is, so axes it is replicated on
+        (X/Y, identically on every worker) cross the bus once, not G times;
+        only replication along the local z-planes is expanded, because the
+        peers concatenate the posted planes into the full-Z operand."""
+        d = self.descriptor
+        store = d.store
+        if self.issue_overhead_s:
+            store.clocks += self.issue_overhead_s
+            store.record_all(full_phase, self.issue_overhead_s)
+        if self._exchange is None:
+            return store.clocks, stacked
+        if stacked is None:
+            return self._exchange([store.clocks])[0], None
+        cube = ReplicatedStack.cube_of(stacked, self._cube)
+        if cube.shape[0] != self._cube[0]:
+            cube = np.broadcast_to(cube, self._cube[:1] + cube.shape[1:])
+        clocks, full = self._exchange([store.clocks, cube])
+        return clocks, ReplicatedStack(full, d.cube)
+
+    def _cut(self, result: ReplicatedStack) -> ReplicatedStack:
+        """A full-cube collective result cut to the local z-planes (a
+        result shared along Z — extent 1 — is shared along the local planes
+        too)."""
+        if self._exchange is None:
+            return result
+        cube = result.cube
+        if cube.shape[0] != 1:
+            cube = cube[self._z0 : self._z0 + self._cube[0]]
+        return ReplicatedStack(cube, self._cube)
+
+    def _issue(self, duration, phase: str, result, clocks=None) -> PendingCollective:
         """Schedule one collective per axis group.
 
         ``duration`` is a scalar (uniform stacks: every group moves the same
         bytes) or a keepdims array over the off-axis cube (padded stacks:
         per-group valid bytes differ under quasi-equal sharding).
+        ``clocks`` are the members' clocks when the caller already gathered
+        them with its operand (:meth:`_gather`).
         """
         d = self.descriptor
-        store = d.store
-        links = store.links
         full_phase = "comm:" + phase
-        cube = store.clocks.reshape(d.cube)
-        if self.issue_overhead_s:
-            cube += self.issue_overhead_s
-            store.record_all(full_phase, self.issue_overhead_s)
-        ready = np.maximum.reduce(cube, axis=d.axis, keepdims=True)
-        keys = self._group_link_keys
-        limit = store.max_inflight
-        if keys is not None:
-            if limit is not None:
-                begin, end = self._issue_bounded(store, ready, duration, full_phase, limit)
-            else:
-                # the same per-group entries the map_* path reserves, so the
-                # two paths serialize on one axis's physical links
-                link = np.asarray([links.get(k, 0.0) for k in keys]).reshape(ready.shape)
-                begin = np.maximum(ready, link)
-                end = begin + duration
-                for k, v in zip(keys, end.ravel()):
-                    links[k] = float(v)
-                if store.trace is not None:
-                    tk = self._group_trace_keys
-                    if tk is None:
-                        tk = self._group_trace_keys = tuple(("link", k) for k in keys)
-                    # begin/end are fresh per issue and never written in
-                    # place (the pending record aliases them the same way)
-                    store.trace.link_batch(
-                        tk, full_phase, begin.ravel(), end.ravel()
-                    )
-        else:  # detached descriptor (no groups known): axis-level reservation
-            if limit is not None:
-                # synthetic per-group queue keys so the bound holds here too
-                # (no group membership -> no node info: per-link semantics)
-                dkeys = [(self._link_key, gi) for gi in range(ready.size)]
-                ready = self._wait_for_slots(store, dkeys, ready, cube, full_phase, limit)
-            link = links.get(self._link_key)
-            begin = ready if link is None else np.maximum(ready, link)
-            end = begin + duration
-            links[self._link_key] = end
-            if store.trace is not None:
-                tk = self._axis_trace_keys
-                if tk is None or len(tk) != ready.size:
-                    tk = self._axis_trace_keys = tuple(
-                        ("axis", self._link_key, gi) for gi in range(ready.size)
-                    )
-                store.trace.link_batch(
-                    tk,
-                    full_phase,
-                    np.broadcast_to(begin, ready.shape).ravel(),
-                    np.broadcast_to(end, ready.shape).ravel(),
-                )
-            if limit is not None:
-                for k, v in zip(dkeys, np.broadcast_to(end, ready.shape).ravel()):
-                    insort(store.link_queues.setdefault(k, []), float(v))
-        if _trace.enabled:
-            _trace.instant("issue", phase=full_phase)
-        record = ("cube", d.cube, begin, end, duration)
-        return PendingCollective(full_phase, result, store, record)
+        if clocks is None:
+            clocks, _ = self._gather(full_phase)
+        ready = np.maximum.reduce(clocks.reshape(d.cube), axis=d.axis, keepdims=True)
+        begin, end = _schedule(d.store, self._slots, ready, duration, full_phase)
+        record = ("cube", self._cube, begin, end, duration)
+        return PendingCollective(full_phase, result, d.store, record)
 
     def issue(self, duration, phase: str, result=None) -> PendingCollective:
         """Issue a collective whose duration is known and whose result the
@@ -852,68 +863,11 @@ class AxisCommunicator:
             return _ready("comm:" + phase, result)
         return self._issue(duration, phase, result)
 
-    def _issue_bounded(
-        self, store: ClockStore, ready: np.ndarray, duration, phase: str, limit: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule the axis's groups one at a time under the in-flight bound.
-
-        Mirrors the group-wise ``map_*`` schedule bitwise: each group, in
-        ``group_comms`` order like ``_map``, acquires its queue slots,
-        reserves its link, and registers its completion before the next
-        group issues.  The sequencing matters under the node-level NIC
-        bound — sibling groups of one axis can share a node's queue, so an
-        earlier group's issue may saturate a later group's.
-        """
-        rf = ready.ravel()
-        # duration is a scalar (uniform stacks) or a keepdims cube array
-        # (padded stacks): align it with ready's keepdims shape first
-        dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), ready.shape).ravel()
-        begin = np.empty(rf.shape)
-        end = np.empty(rf.shape)
-        links = store.links
-        for gi, gc in zip(self._group_positions, self.group_comms):
-            r = _wait_for_link_slot(
-                store, gc._queue_keys, gc.group.member_idx, float(rf[gi]), phase, limit
-            )
-            link = links.get(gc._link_key, 0.0)
-            b = r if link <= r else link
-            e = b + float(dur[gi])
-            links[gc._link_key] = e
-            if store.trace is not None:
-                store.trace.link(("link", gc._link_key), phase, b, e)
-            _enqueue_inflight(store, gc._queue_keys, float(e))
-            begin[gi] = b
-            end[gi] = e
-        return begin.reshape(ready.shape), end.reshape(ready.shape)
-
-    def _wait_for_slots(
-        self, store: ClockStore, keys, ready: np.ndarray, cube: np.ndarray, phase: str, limit: int
-    ) -> np.ndarray:
-        """Bounded-queue issue for every group at once (detached path).
-
-        Mirrors :func:`_wait_for_link_slot` per single-key group: members of
-        saturated groups are lifted to the time their link frees a slot
-        (charged to ``phase``); other groups' clocks are untouched (zeros
-        recorded).
-        """
-        rf = ready.ravel()
-        t_free = np.asarray(
-            [_slot_free_time(store, (k,), float(r), limit) for k, r in zip(keys, rf)]
-        )
-        if np.all(t_free <= rf):
-            return ready
-        tf = t_free.reshape(ready.shape)
-        lift = tf > ready
-        wait = np.where(lift, tf - cube, 0.0)
-        np.copyto(cube, np.broadcast_to(tf, cube.shape), where=lift)
-        store.record_all(phase, wait.ravel())
-        return np.maximum(ready, tf)
-
     def _check_stacked(self, stacked: np.ndarray) -> None:
-        if stacked.shape[0] != self.descriptor.world:
+        if stacked.shape[0] != self.descriptor.store.world:
             raise ValueError(
                 f"stacked operand has leading extent {stacked.shape[0]}, "
-                f"expected world={self.descriptor.world}"
+                f"expected world={self.descriptor.store.world}"
             )
 
     # -- padded (quasi-equal) stack support ----------------------------------
@@ -964,6 +918,13 @@ class AxisCommunicator:
         return rows_tab, ranks_tab, cols_rep
 
     def _padded_plan(self, kind: str, stacked: PaddedStack) -> dict:
+        if self._exchange is not None:
+            raise UnsupportedWorkload(
+                "padded (quasi-equal) stacks do not cross the multiproc "
+                "transport (a worker's pad extent is local); the multiproc "
+                "backend requires divisible (uniform) sharding — use "
+                "backend='inproc'"
+            )
         key = (kind, stacked.signature())
         plan = self._padded_plans.get(key)
         if plan is not None:
@@ -1099,10 +1060,11 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
-        result = stacked_all_reduce_data(d.cube, d.axis, stacked, op)
-        t = ring_all_reduce_time(stacked.nbytes // d.world, g, d.bandwidth, d.latency)
-        return self._issue(t, phase, result)
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
+        t = ring_all_reduce_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
+        clocks, full = self._gather("comm:" + phase, stacked)
+        result = self._cut(stacked_all_reduce_data(d.cube, d.axis, full, op))
+        return self._issue(t, phase, result, clocks)
 
     def all_gather(
         self, stacked: np.ndarray | ReplicatedStack | PaddedStack, phase: str = "all_gather"
@@ -1119,10 +1081,11 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
-        result = stacked_all_gather_data(d.cube, d.axis, stacked)
-        t = ring_all_gather_time(g * (stacked.nbytes // d.world), g, d.bandwidth, d.latency)
-        return self._issue(t, phase, result)
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
+        t = ring_all_gather_time(g * (stacked.nbytes // d.store.world), g, d.bandwidth, d.latency)
+        clocks, full = self._gather("comm:" + phase, stacked)
+        result = self._cut(stacked_all_gather_data(d.cube, d.axis, full))
+        return self._issue(t, phase, result, clocks)
 
     def reduce_scatter(
         self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "reduce_scatter"
@@ -1142,23 +1105,25 @@ class AxisCommunicator:
         d = self.descriptor
         g = d.size
         if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, d.cube))
+            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
         m = stacked.shape[1]
         if m % g != 0:
             # quasi-equal scatter: wrap as a fully-valid padded stack so the
             # result carries the ragged block-row mask
             wrapped = PaddedStack(np.asarray(stacked), np.full(d.world, m, dtype=np.int64))
             return self._padded_reduce_scatter(wrapped, op, phase)
-        result = stacked_reduce_scatter_data(d.cube, d.axis, stacked, op)
-        t = ring_reduce_scatter_time(stacked.nbytes // d.world, g, d.bandwidth, d.latency)
-        return self._issue(t, phase, result)
+        t = ring_reduce_scatter_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
+        clocks, full = self._gather("comm:" + phase, stacked)
+        result = self._cut(stacked_reduce_scatter_data(d.cube, d.axis, full, op))
+        return self._issue(t, phase, result, clocks)
 
     # -- group-wise collectives over per-rank lists --------------------------
     def _map(self, method: str, per_rank: Sequence, phase: str, **kwargs) -> PendingMap:
-        if not self.group_comms:
-            raise ValueError(
-                "this AxisCommunicator has no process groups attached; "
-                "obtain it via PlexusGrid.comm(axis) for the map_* path"
+        if self._exchange is not None:
+            raise UnsupportedWorkload(
+                "per-rank-list (map_*) collectives do not cross the multiproc "
+                "transport; the multiproc backend runs the batched engine "
+                "only — use backend='inproc' for the per-rank oracle"
             )
         if len(per_rank) != self.descriptor.world:
             raise ValueError("per_rank must have one entry per rank")
@@ -1189,7 +1154,7 @@ class AxisCommunicator:
 
 
 # ---------------------------------------------------------------------------
-# caches
+# cache
 # ---------------------------------------------------------------------------
 
 
@@ -1202,36 +1167,4 @@ def communicator(group: ProcessGroup) -> GroupCommunicator:
     comm = group._comm
     if comm is None:
         comm = group._comm = GroupCommunicator(group)
-    return comm
-
-
-#: AxisComm descriptor -> communicator; two PlexusGrids over the same
-#: cluster and configuration share link state (their descriptors compare
-#: equal), and entries die with the grids that hold the descriptors.
-_AXIS_COMMS: "WeakKeyDictionary[AxisComm, AxisCommunicator]" = WeakKeyDictionary()
-
-
-def axis_communicator(
-    descriptor: AxisComm,
-    groups: Sequence[ProcessGroup] | None = None,
-    issue_overhead_s: float | None = None,
-) -> AxisCommunicator:
-    """The (cached) communicator of a whole grid axis.
-
-    ``issue_overhead_s`` sets the launch cost when given
-    (``PlexusGrid.comm`` threads the machine's calibrated constant here).
-    A cached instance adopts it only while still at the 0.0 default, so a
-    first touch through an overhead-less path (e.g. a deprecated ``axis_*``
-    shim) cannot pin a calibrated machine's axis to zero launch cost — but
-    an explicit nonzero override set on the instance is never clobbered.
-    """
-    comm = _AXIS_COMMS.get(descriptor)
-    if comm is None:
-        comm = _AXIS_COMMS[descriptor] = AxisCommunicator(
-            descriptor, issue_overhead_s=issue_overhead_s or 0.0
-        )
-    elif issue_overhead_s and comm.issue_overhead_s == 0.0:
-        comm.issue_overhead_s = float(issue_overhead_s)
-    if groups is not None:
-        comm.attach_groups(groups)
     return comm

@@ -87,27 +87,22 @@ class ProcessGroup:
         self.latency = machine.latency if latency is None else float(latency)
         self.name = name
         self._index = {rank: i for i, rank in enumerate(ids)}
-        # Vectorized-charge fast path: when every member views the same
-        # ClockStore (the common case: all ranks of one VirtualCluster) the
-        # collectives sync/advance the whole group with a few array ops on
-        # ``store.clocks[member_idx]`` instead of per-member calls.  Grid-axis
+        # Vectorized charges: every member views the same ClockStore (all
+        # ranks of one VirtualCluster), so the collectives sync/advance the
+        # whole group with a few array ops on ``store.clocks[member_idx]``
+        # instead of per-member calls.  Grid-axis
         # groups are arithmetic progressions of rank ids (stride 1 for Y, Gy
         # for X, Gx*Gy for Z), so ``member_idx`` is a basic slice whenever
         # possible — strided views beat fancy indexing on small groups.
-        # Duck-typed members without a store (anything exposing only the
-        # public rank/clock/advance protocol) keep the scalar fallback.
-        stores = {id(getattr(m, "_store", None)) for m in members}
-        if len(stores) == 1 and getattr(members[0], "_store", None) is not None:
-            self.store = members[0]._store
-            pos = [m._i for m in members]
-            step = pos[1] - pos[0] if len(pos) > 1 else 1
-            if step > 0 and all(b - a == step for a, b in zip(pos, pos[1:])):
-                self.member_idx: slice | np.ndarray = slice(pos[0], pos[-1] + 1, step)
-            else:
-                self.member_idx = np.asarray(pos, dtype=np.intp)
-        else:  # heterogeneous members: collectives fall back to the scalar path
-            self.store = None
-            self.member_idx = None
+        self.store = members[0]._store
+        if any(m._store is not self.store for m in members):
+            raise ValueError("process group members must share one ClockStore")
+        pos = [m._i for m in members]
+        step = pos[1] - pos[0] if len(pos) > 1 else 1
+        if step > 0 and all(b - a == step for a, b in zip(pos, pos[1:])):
+            self.member_idx: slice | np.ndarray = slice(pos[0], pos[-1] + 1, step)
+        else:
+            self.member_idx = np.asarray(pos, dtype=np.intp)
         # lazily-built GroupCommunicator (see repro.dist.comm.communicator)
         self._comm = None
 

@@ -157,9 +157,9 @@ class SimSink:
     are IEEE float64, so replaying the events with the same numpy
     accumulation reproduces the store's phase buckets bit for bit.
 
-    Link reservations arrive through :meth:`link` from the communicator
-    ``_issue`` sites — the only places ``store.links[key]`` is written —
-    as ``(key, phase, begin, end)`` occupancy windows in simulated
+    Link reservations arrive through :meth:`link` from the schedule
+    kernel (``repro.dist.comm._schedule``) — the only place
+    ``store.links[key]`` is written — as ``(key, phase, begin, end)`` occupancy windows in simulated
     seconds, which become the link-occupancy track of the exported trace.
     """
 

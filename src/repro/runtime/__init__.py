@@ -5,12 +5,12 @@ processes, each owning a contiguous z-slice of the rank cube, with a real
 zero-copy shared-memory tensor transport underneath the existing
 :class:`~repro.dist.comm.PendingCollective` handle API:
 
-* :mod:`repro.runtime.shm` — per-worker double-buffered mailbox segments,
-  the single-rendezvous exchange (publish the slot's sequence word last,
-  wait on every peer's), and
-  :class:`~repro.runtime.shm.ShmAxisCommunicator` (the worker-crossing Z
-  axis's communicator).
-* :mod:`repro.runtime.worker` — the slice-local cluster/grid/model and the
+* :mod:`repro.runtime.shm` — per-worker double-buffered mailbox segments
+  and the single-rendezvous exchange (publish the slot's sequence word
+  last, wait on every peer's): a byte mover that knows no schedule.
+* :mod:`repro.runtime.worker` — the slice-local cluster/grid/model (the
+  worker-crossing Z axis is an ordinary
+  :class:`~repro.dist.comm.AxisCommunicator` fed through the bus) and the
   spawned-process command loop.
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`
   (the ``backend="multiproc"`` trainer, with supervision and
@@ -45,13 +45,13 @@ from repro.runtime.launch import (
     host_workers,
     is_uniform_workload,
 )
-from repro.runtime.net import TcpAxisCommunicator, TcpBus, TcpConfig
+from repro.runtime.net import TcpBus, TcpConfig
 from repro.runtime.rendezvous import (
     RendezvousListener,
     cleanup_stale_rendezvous,
     connect_rendezvous,
 )
-from repro.runtime.shm import ShmAxisCommunicator, ShmBus, cleanup_orphans
+from repro.runtime.shm import ShmBus, cleanup_orphans
 from repro.runtime.worker import WorkerCluster, WorkerGrid, worker_slice
 
 __all__ = [
@@ -64,10 +64,8 @@ __all__ = [
     "FaultInjector",
     "latest_checkpoint",
     "prune_checkpoints",
-    "ShmAxisCommunicator",
     "ShmBus",
     "cleanup_orphans",
-    "TcpAxisCommunicator",
     "TcpBus",
     "TcpConfig",
     "RendezvousListener",

@@ -28,7 +28,8 @@ Two restore policies:
 * **verbatim** — for a respawned worker of the *same* layout: a fresh
   process replays the identical SPMD construction order, so the saved
   integer link keys of :data:`~repro.dist.comm._LINK_KEYS` (and the
-  stable ``("shmz", gi)`` keys) mean the same links, and link state plus
+  stable ``("shmz", gi)`` keys of the worker-crossing Z axis's
+  ``AxisCommunicator`` slots) mean the same links, and link state plus
   the pending handle restore exactly.  This is what the launcher's
   respawn-and-replay uses, and it is bitwise for eager *and* overlap
   schedules.

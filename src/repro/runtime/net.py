@@ -2,11 +2,10 @@
 
 Drop-in peer of :mod:`repro.runtime.shm` behind the same bus surface:
 :class:`TcpBus` exposes ``exchange_concat`` exactly like
-:class:`~repro.runtime.shm.ShmBus`, and :class:`TcpAxisCommunicator` *is*
-the shared-memory communicator's schedule/data math over the socket bus —
-so the :class:`~repro.runtime.worker.WorkerGrid` Z-axis seam, the epoch
-barrier, and every collective call site work unchanged, and results over
-loopback are bitwise identical to shm and inproc.
+:class:`~repro.runtime.shm.ShmBus` — a byte mover that knows no schedule —
+so the :class:`~repro.runtime.worker.WorkerGrid` Z-axis communicator, the
+epoch barrier, and every collective call site work unchanged, and results
+over loopback are bitwise identical to shm and inproc.
 
 Wire protocol — small, inspectable, and hardened:
 
@@ -77,9 +76,8 @@ from repro.errors import (
 )
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
-from repro.runtime.shm import ShmAxisCommunicator
 
-__all__ = ["TcpConfig", "TcpBus", "TcpAxisCommunicator", "peer_listener"]
+__all__ = ["TcpConfig", "TcpBus", "peer_listener"]
 
 _MAGIC = b"PXF1"
 _HDR = struct.Struct("<4sBBxxQI")  # magic, kind, count, seq, crc32
@@ -486,9 +484,6 @@ class TcpBus:
     shared-memory bus.
     """
 
-    #: the Z-axis communicator class the WorkerGrid builds over this bus
-    axis_comm_cls: type | None = None  # set below, after the class exists
-
     def __init__(
         self,
         listener: socket.socket,
@@ -642,19 +637,3 @@ class TcpBus:
 
     def unlink(self) -> None:  # the ShmBus surface: nothing persistent to unlink
         self.close()
-
-
-class TcpAxisCommunicator(ShmAxisCommunicator):
-    """The worker-crossing (Z) axis over the TCP fabric.
-
-    The schedule/data math is byte-for-byte the shared-memory
-    communicator's — both transports exchange the same clock and operand
-    slices and compute the identical full-cube result — so loopback TCP is
-    bitwise identical to shm, which is bitwise identical to inproc.  Only
-    the bus underneath differs.
-    """
-
-    transport_label = "tcp"
-
-
-TcpBus.axis_comm_cls = TcpAxisCommunicator

@@ -39,27 +39,24 @@ it announces — the CRC32 check of every peer frame precedes its copy-out,
 so such a torn read raises :class:`~repro.errors.PayloadCorruption` rather
 than corrupting numerics.
 
-On top of the bus, :class:`ShmAxisCommunicator` implements the existing
-:class:`~repro.dist.comm.PendingCollective` handle API for the one grid
-axis that crosses worker boundaries (the cube's leading Z axis): ``issue``
-rendezvouses — the workers exchange their clock slices and operand slices,
-every worker deterministically computes the *same* full-cube schedule
-(group-ready times, link reservations, Eq. 4.5 durations) and the same
-collective result via the pure stacked-data helpers of
-``repro.dist.comm`` — and the returned handle charges only the local
-ranks' completion at ``wait()``.  A collective re-issued with a known
-duration (:meth:`ShmAxisCommunicator.issue`, the twin of
-``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still
-rendezvouses, because the schedule needs every worker's clocks, but the
-exchange is **clocks only**: one frame per worker as before, one array in
-it, no operand planes on the bus.  Which form a collective takes is a
-function of the forwards run since the model was built, never of anything
-worker-local — every recovery respawns the whole pool — so all workers
-post the same array count at the same message (a mismatch is a
-:class:`~repro.errors.RendezvousDesync`).  Because every worker runs the same SPMD
-program order, collectives rendezvous in identical sequence (a per-message
-sequence number makes desync loud), overlap schedules included: handles
-can stay in flight across local compute exactly as in-process.
+The bus moves bytes and knows no schedule: :meth:`ShmBus.exchange_concat`
+is the byte mover behind the one grid axis that crosses worker boundaries
+(the cube's leading Z axis), whose communicator is the ordinary
+:class:`~repro.dist.AxisCommunicator` built by
+:class:`~repro.runtime.worker.WorkerGrid` — at issue the workers exchange
+their clock slices and operand slices through it, one frame per worker
+per collective.  A collective re-issued with a known duration
+(``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still
+rendezvouses, but the exchange is **clocks only**: one frame per worker as
+before, one array in it, no operand planes on the bus.  Which form a
+collective takes is a function of the forwards run since the model was
+built, never of anything worker-local — every recovery respawns the whole
+pool — so all workers post the same array count at the same message (a
+mismatch is a :class:`~repro.errors.RendezvousDesync`).  Because every
+worker runs the same SPMD program order, collectives rendezvous in
+identical sequence (a per-message sequence number makes desync loud),
+overlap schedules included: handles can stay in flight across local
+compute exactly as in-process.
 
 Cleanup discipline: the launcher (segment creator) owns ``unlink``; workers
 only ``close``.  Spawned workers share the launcher's stdlib resource
@@ -78,29 +75,12 @@ import struct
 import time
 import uuid
 import zlib
-from bisect import insort
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
 import numpy as np
 
-from repro.dist.cluster import ClockStore
-from repro.dist.collectives import (
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
-from repro.dist.comm import (
-    PendingCollective,
-    _check_op,
-    _ready,
-    _slot_free_time,
-    stacked_all_gather_data,
-    stacked_all_reduce_data,
-    stacked_reduce_scatter_data,
-)
-from repro.dist.padded import PaddedStack, ReplicatedStack
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 from repro.errors import (
@@ -115,7 +95,6 @@ __all__ = [
     "SHM_PREFIX",
     "BusHandle",
     "ShmBus",
-    "ShmAxisCommunicator",
     "new_session_id",
     "cleanup_orphans",
 ]
@@ -559,249 +538,3 @@ class ShmBus:
             except OSError:
                 pass
         cleanup_orphans(self.handle.session, include_live=True)
-
-
-# ---------------------------------------------------------------------------
-# the cross-worker axis communicator
-# ---------------------------------------------------------------------------
-
-
-class ShmAxisCommunicator:
-    """Handle-based collectives over the worker-crossing (Z) grid axis.
-
-    Drop-in for the stacked surface of
-    :class:`~repro.dist.comm.AxisCommunicator`: ``all_reduce`` /
-    ``all_gather`` / ``reduce_scatter`` on the worker's local
-    ``(local_world, *shard)`` stack return a
-    :class:`~repro.dist.comm.PendingCollective` whose completion charge hits
-    only the local ranks — so ``grid.comm(axis)`` call sites (layers, loss,
-    prefetch schedules) work unchanged.
-
-    At issue, the workers rendezvous once: local clock slices and operand
-    z-planes are exchanged, and every worker computes the identical
-    full-cube result — with the same ``stacked_*_data`` functions the
-    in-process communicator runs, then cut to its own z-planes — and the
-    identical schedule.  Results come back as
-    :class:`~repro.dist.padded.ReplicatedStack`s over the local cube, and a
-    replicated operand posts only its unique bytes.  Link
-    busy-until state and bounded in-flight queues are *replicated* per
-    worker under ``("shmz", gi)`` keys in the local :class:`ClockStore` —
-    deterministic inputs keep every replica bitwise consistent, and storing
-    them in the store means ``reset``/``snapshot`` handle them exactly like
-    in-process link state.
-
-    Restrictions (enforced loudly): padded quasi-equal stacks and the
-    ``map_*`` per-rank-list path are not supported — the multiproc backend
-    requires uniform sharding and the batched engine — and ``max_inflight``
-    composes only with intra-node Z groups (the per-NIC node queue of an
-    inter-node Z group would be shared with worker-local links, which a
-    replicated queue cannot express).
-    """
-
-    def __init__(
-        self,
-        bus: ShmBus,
-        store: ClockStore,
-        cube: tuple[int, int, int],
-        lo: int,
-        hi: int,
-        bandwidth: float,
-        latency: float,
-        issue_overhead_s: float = 0.0,
-        internode: bool = False,
-    ) -> None:
-        self.bus = bus
-        self.store = store
-        self.cube = cube
-        self.size = cube[0]
-        self.world = cube[0] * cube[1] * cube[2]
-        self.lo, self.hi = lo, hi
-        self.local_cube = ((hi - lo) // (cube[1] * cube[2]), cube[1], cube[2])
-        self.bandwidth = bandwidth
-        self.latency = latency
-        self.issue_overhead_s = float(issue_overhead_s)
-        self._internode = internode
-        self._n_groups = cube[1] * cube[2]
-
-    # -- rendezvous + schedule -------------------------------------------------
-    #: names the transport in error messages (subclasses override)
-    transport_label = "shared-memory"
-
-    def _check(self, stacked) -> np.ndarray:
-        """The operand as this worker's ``(lz, x, y, *shard)`` cube — exactly
-        what is posted to the bus.  A flat local stack is viewed; a
-        replicated stack posts its cube as is, so axes it is replicated on
-        (X/Y, identically on every worker) cross the bus once, not G times;
-        only replication along the local z-planes is expanded, because the
-        peers concatenate the posted planes into the full-Z operand."""
-        if isinstance(stacked, PaddedStack):
-            raise UnsupportedWorkload(
-                f"padded (quasi-equal) stacks over the multiproc "
-                f"{self.transport_label} transport are not supported; the "
-                "multiproc backend requires divisible (uniform) sharding — "
-                "use backend='inproc'"
-            )
-        if not isinstance(stacked, ReplicatedStack):
-            stacked = np.asarray(stacked)
-            if stacked.shape[0] != self.hi - self.lo:
-                raise ValueError(
-                    f"stacked operand has leading extent {stacked.shape[0]}, "
-                    f"expected local world {self.hi - self.lo}"
-                )
-        cube = ReplicatedStack.cube_of(stacked, self.local_cube)
-        if cube.shape[0] != self.local_cube[0]:
-            cube = np.broadcast_to(cube, self.local_cube[:1] + cube.shape[1:])
-        return cube
-
-    def _rendezvous(self, full_phase: str, *planes: np.ndarray) -> list[np.ndarray]:
-        """Charge the launch overhead, then exchange the local clock slice
-        (and any operand ``planes``) with every worker, in rank order."""
-        store = self.store
-        if self.issue_overhead_s:
-            store.clocks += self.issue_overhead_s
-            store.record_all(full_phase, self.issue_overhead_s)
-        return self.bus.exchange_concat([store.clocks, *planes])
-
-    def _post(self, cube: np.ndarray, full_phase: str) -> tuple[np.ndarray, ReplicatedStack]:
-        """Rendezvous: every worker's clocks and z-planes, in rank order."""
-        clocks, full = self._rendezvous(full_phase, cube)
-        return clocks, ReplicatedStack(full, self.cube)
-
-    def _local(self, result: ReplicatedStack) -> ReplicatedStack:
-        """A full-cube collective result cut to this worker's z-planes (a
-        result shared along Z — extent 1 — is shared along the local planes
-        too)."""
-        cube = result.cube
-        if cube.shape[0] != 1:
-            plane = self.cube[1] * self.cube[2]
-            cube = cube[self.lo // plane : self.hi // plane]
-        return ReplicatedStack(cube, self.local_cube)
-
-    def _key(self, gi: int) -> tuple:
-        return ("shmz", gi)
-
-    def _acquire_slots(self, ready: np.ndarray, phase: str, limit: int) -> np.ndarray:
-        """Replicated bounded-queue issue, one (intra-node) Z group each."""
-        if self._internode:
-            raise UnsupportedWorkload(
-                "max_inflight with inter-node Z-axis groups is not supported "
-                "on the multiproc backend (the shared per-NIC node queue "
-                "would span worker boundaries); use backend='inproc'"
-            )
-        store = self.store
-        rf = ready.ravel()
-        t_free = np.asarray(
-            [
-                _slot_free_time(store, (self._key(gi),), float(r), limit)
-                for gi, r in enumerate(rf)
-            ]
-        )
-        if np.all(t_free <= rf):
-            return ready
-        tf = t_free.reshape(ready.shape)
-        lift = tf > ready
-        local = store.clocks.reshape(self.local_cube)
-        wait = np.where(lift, tf - local, 0.0)
-        np.copyto(local, np.broadcast_to(tf, local.shape), where=lift)
-        store.record_all(phase, wait.ravel())
-        return np.maximum(ready, tf)
-
-    def _issue(self, full_clocks: np.ndarray, duration: float, phase: str, result):
-        store = self.store
-        full_phase = "comm:" + phase
-        cube = full_clocks.reshape(self.cube)
-        ready = np.maximum.reduce(cube, axis=0, keepdims=True)
-        limit = store.max_inflight
-        if limit is not None:
-            ready = self._acquire_slots(ready, full_phase, limit)
-        links = store.links
-        link = np.asarray(
-            [links.get(self._key(gi), 0.0) for gi in range(self._n_groups)]
-        ).reshape(ready.shape)
-        begin = np.maximum(ready, link)
-        end = begin + duration
-        for gi, v in enumerate(end.ravel()):
-            links[self._key(gi)] = float(v)
-            if limit is not None:
-                insort(store.link_queues.setdefault(self._key(gi), []), float(v))
-        if store.trace is not None:
-            tk = getattr(self, "_trace_keys", None)
-            if tk is None:
-                tk = self._trace_keys = tuple(
-                    self._key(gi) for gi in range(self._n_groups)
-                )
-            store.trace.link_batch(
-                tk,
-                full_phase,
-                np.broadcast_to(begin, ready.shape).ravel(),
-                end.ravel(),
-            )
-        record = ("cube", self.local_cube, begin, end, duration)
-        return PendingCollective(full_phase, result, store, record)
-
-    def issue(self, duration, phase: str, result=None):
-        """Twin of :meth:`repro.dist.comm.AxisCommunicator.issue`: a
-        collective of known duration whose result the caller holds.  The
-        schedule still needs every worker's clocks, so the rendezvous
-        happens — one frame per worker as for any collective — but it
-        carries the clock slice only, no operand planes."""
-        if duration is None:
-            return _ready("comm:" + phase, result)
-        (full_clocks,) = self._rendezvous("comm:" + phase)
-        return self._issue(full_clocks, duration, phase, result)
-
-    # -- stacked collectives ---------------------------------------------------
-    # The data math is ``repro.dist.comm``'s ``stacked_*_data`` on the
-    # exchanged full-Z operand (axis 0) — the same functions the in-process
-    # communicator runs, hence bitwise the same values — and the duration
-    # bills one rank's shard whatever the operand's replication.
-    def all_reduce(self, stacked, op: str = "sum", phase: str = "all_reduce"):
-        cube = self._check(stacked)
-        _check_op(op)
-        if self.size == 1:
-            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
-        full_clocks, full = self._post(cube, "comm:" + phase)
-        result = self._local(stacked_all_reduce_data(self.cube, 0, full, op))
-        t = ring_all_reduce_time(cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency)
-        return self._issue(full_clocks, t, phase, result)
-
-    def all_gather(self, stacked, phase: str = "all_gather"):
-        cube = self._check(stacked)
-        if self.size == 1:
-            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
-        full_clocks, full = self._post(cube, "comm:" + phase)
-        result = self._local(stacked_all_gather_data(self.cube, 0, full))
-        t = ring_all_gather_time(
-            self.size * cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency
-        )
-        return self._issue(full_clocks, t, phase, result)
-
-    def reduce_scatter(self, stacked, op: str = "sum", phase: str = "reduce_scatter"):
-        cube = self._check(stacked)
-        _check_op(op)
-        if self.size == 1:
-            return _ready("comm:" + phase, ReplicatedStack(cube, self.local_cube))
-        full_clocks, full = self._post(cube, "comm:" + phase)
-        result = self._local(stacked_reduce_scatter_data(self.cube, 0, full, op))
-        t = ring_reduce_scatter_time(
-            cube[0, 0, 0].nbytes, self.size, self.bandwidth, self.latency
-        )
-        return self._issue(full_clocks, t, phase, result)
-
-    # -- unsupported surfaces --------------------------------------------------
-    def _no_map(self, *_a, **_k):
-        raise UnsupportedWorkload(
-            f"per-rank-list (map_*) collectives are not available over the "
-            f"multiproc {self.transport_label} transport; the multiproc "
-            "backend runs the batched engine only — use backend='inproc' "
-            "for the per-rank oracle"
-        )
-
-    map_all_reduce = _no_map
-    map_all_gather = _no_map
-    map_reduce_scatter = _no_map
-
-
-#: the Z-axis communicator class the WorkerGrid builds over this bus (the
-#: transport seam: every bus class carries its matching communicator)
-ShmBus.axis_comm_cls = ShmAxisCommunicator

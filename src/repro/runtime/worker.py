@@ -12,8 +12,9 @@ process group is worker-local and only Z-axis collectives cross workers:
 * :class:`WorkerGrid` — the grid seam handed to :class:`PlexusGCN`: it
   exposes the ``PlexusGrid`` surface (``world_size``, ``coord``,
   ``comm(axis)``) for the local slice, building real in-process
-  communicators for the X and Y axes and routing ``comm(Z)`` through the
-  shared-memory :class:`~repro.runtime.shm.ShmAxisCommunicator`.  Every
+  communicators for the X and Y axes and the same
+  :class:`~repro.dist.comm.AxisCommunicator` for ``comm(Z)``, fed through
+  the transport bus's ``exchange_concat`` byte mover.  Every
   ``range(grid.world_size)`` loop in the model then builds local shards
   only, and every collective call site works unchanged.
 * :func:`worker_main` — the spawned process entry point: builds data
@@ -34,7 +35,6 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +56,7 @@ from repro.obs.log import set_worker as _set_log_worker
 from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import build_injector
-from repro.runtime.shm import BusHandle, ShmAxisCommunicator, ShmBus
+from repro.runtime.shm import BusHandle, ShmBus
 from repro.sparse.partition import block_slices
 
 __all__ = ["WorkerCluster", "WorkerGrid", "worker_slice", "worker_main", "worker_main_tcp"]
@@ -153,26 +153,24 @@ class WorkerGrid:
             )
             for axis in (Axis.X, Axis.Y)
         }
-        self._comms: dict[Axis, Any] = {}
-        # the worker-crossing axis: a Z group's members stride whole planes
-        z_internode = config.gz > 1 and any(
-            not machine.group_is_intra_node([z * plane + off for z in range(config.gz)])
-            for off in range(plane)
-        )
-        # the transport seam: each bus class names its Z-axis communicator
-        # (ShmBus -> ShmAxisCommunicator, TcpBus -> TcpAxisCommunicator)
-        comm_cls = getattr(bus, "axis_comm_cls", None) or ShmAxisCommunicator
-        self._comms[Axis.Z] = comm_cls(
-            bus=bus,
+        # the worker-crossing axis: the full-cube Z descriptor over the
+        # local store, its clocks and operand planes moved by the bus
+        z_comm = AxisComm(
             store=cluster.store,
             cube=(config.gz, config.gx, config.gy),
-            lo=cluster.lo,
-            hi=cluster.hi,
+            axis=0,
+            size=config.gz,
             bandwidth=axis_bandwidth(machine, config.gz, config.inner_size(Axis.Z)),
             latency=machine.latency,
-            issue_overhead_s=machine.issue_overhead_s,
-            internode=z_internode,
         )
+        self._comms: dict[Axis, AxisCommunicator] = {
+            Axis.Z: AxisCommunicator(
+                z_comm,
+                issue_overhead_s=machine.issue_overhead_s,
+                exchange=bus.exchange_concat,
+                z0=cluster.lo // plane,
+            )
+        }
 
     # -- rank mapping (local index -> global coordinates) ----------------------
     def coords(self, rank: int) -> tuple[int, int, int]:

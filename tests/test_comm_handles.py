@@ -2,23 +2,20 @@
 
 Covers the ``repro.dist.comm`` contract:
 
-* eager equivalence — issue-then-wait matches the deprecated free functions
-  bitwise (data, clocks, phase totals), and results are fixed at issue time
-  so wait-order permutations cannot change them;
+* eager equivalence — results are fixed at issue time, so wait-order
+  permutations cannot change them (data, clocks, phase totals);
 * misuse is loud — double ``wait()`` raises, and a dropped (never-waited)
   handle is detected at epoch end;
-* deprecation — each legacy free function warns exactly once;
 * overlap semantics — ``overlap=True`` strictly reduces simulated comm time
   on blocked-aggregation and batched configurations while losses, weights
   and comp time stay bitwise identical (only the clocks change).
 """
 
-import warnings
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.dist.collectives as collectives
 from repro.core import Axis, GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
 from repro.dist import (
     LAPTOP,
@@ -226,94 +223,6 @@ class TestWaitOrderInvariance:
                 assert np.array_equal(res, ref)
 
 
-class TestDeprecationShims:
-    def test_each_free_function_warns_exactly_once(self, rng):
-        cluster = VirtualCluster(4, PERLMUTTER)
-        group = _group(cluster, range(2))
-        from repro.core.grid import PlexusGrid
-
-        grid = PlexusGrid(cluster, GridConfig(2, 2, 1))
-        axis_desc = grid.axis_comm(Axis.X)
-        shards = [rng.standard_normal((4, 4)) for _ in range(2)]
-        stacked = rng.standard_normal((4, 4, 4))
-        calls = {
-            "all_reduce": lambda: collectives.all_reduce(group, shards),
-            "all_gather": lambda: collectives.all_gather(group, shards),
-            "reduce_scatter": lambda: collectives.reduce_scatter(group, shards),
-            "broadcast": lambda: collectives.broadcast(group, shards[0]),
-            "all_to_all": lambda: collectives.all_to_all(
-                group, [[shards[0], shards[1]], [shards[1], shards[0]]]
-            ),
-            "axis_all_reduce": lambda: collectives.axis_all_reduce(axis_desc, stacked),
-            "axis_all_gather": lambda: collectives.axis_all_gather(axis_desc, stacked),
-            "axis_reduce_scatter": lambda: collectives.axis_reduce_scatter(axis_desc, stacked),
-        }
-        for name, call in calls.items():
-            collectives._DEPRECATED_WARNED.discard(name)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-                call()  # second call must stay silent
-            deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, name
-            assert name in str(deprecations[0].message)
-
-    def test_shim_matches_communicator_bitwise(self, rng):
-        shards = [rng.standard_normal((6, 3)) for _ in range(4)]
-
-        cluster1 = VirtualCluster(4, LAPTOP)
-        out1 = collectives.all_reduce(_group(cluster1, range(4)), shards)
-        cluster2 = VirtualCluster(4, LAPTOP)
-        out2 = communicator(_group(cluster2, range(4))).all_reduce(shards).wait()
-        assert np.array_equal(out1[0], out2[0])
-        assert np.array_equal(cluster1.clocks, cluster2.clocks)
-
-    def test_axis_shims_forward_padded_stacks(self, rng):
-        """Regression: the deprecated ``axis_*`` shims still work on padded
-        quasi-equal stacks — they forward the operand to the communicator
-        path unchanged and keep their warn-once behavior."""
-        from repro.core.grid import PlexusGrid
-
-        cfg = GridConfig(2, 1, 2)
-        # ragged rows keyed by the off-X coords (equal within each X group)
-        shards = [
-            rng.standard_normal((3 + (r // 2) % 2, 2)) for r in range(cfg.total)
-        ]
-        padded = PaddedStack.from_shards(shards)
-
-        cluster1 = VirtualCluster(cfg.total, PERLMUTTER)
-        grid1 = PlexusGrid(cluster1, cfg)
-        collectives._DEPRECATED_WARNED.discard("axis_all_reduce")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out1 = collectives.axis_all_reduce(grid1.axis_comm(Axis.X), padded)
-            collectives.axis_all_reduce(grid1.axis_comm(Axis.X), padded)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-        cluster2 = VirtualCluster(cfg.total, PERLMUTTER)
-        grid2 = PlexusGrid(cluster2, cfg)
-        ref = grid2.comm(Axis.X).map_all_reduce(shards).wait()
-        assert isinstance(out1, PaddedStack)
-        for r in range(cfg.total):
-            assert np.array_equal(out1[r], ref[r])
-
-    def test_axis_gather_scatter_shims_forward_padded(self, rng):
-        from repro.core.grid import PlexusGrid
-
-        cfg = GridConfig(1, 2, 2)
-        shards = [rng.standard_normal((2 + r % 2, 3)) for r in range(cfg.total)]
-        padded = PaddedStack.from_shards(shards)
-        cluster = VirtualCluster(cfg.total, PERLMUTTER)
-        grid = PlexusGrid(cluster, cfg)
-        gathered = collectives.axis_all_gather(grid.axis_comm(Axis.Z), padded)
-        cluster2 = VirtualCluster(cfg.total, PERLMUTTER)
-        grid2 = PlexusGrid(cluster2, cfg)
-        ref = grid2.comm(Axis.Z).map_all_gather(shards, axis=0).wait()
-        for r in range(cfg.total):
-            assert np.array_equal(gathered[r], ref[r])
-
-
 class TestBoundedInflight:
     """``max_inflight`` bounds the queue depth per link: issuing on a
     saturated link blocks (charges wait) until a slot frees."""
@@ -373,29 +282,6 @@ class TestBoundedInflight:
             return cluster.max_clock()
 
         assert run(1) > run(None)
-
-    def test_detached_axis_communicator_enforces_limit(self, rng):
-        """The bound also holds on a detached (group-less) axis communicator
-        — the path the deprecated ``axis_*`` shims take."""
-        from repro.core.grid import PlexusGrid
-        from repro.dist.comm import axis_communicator
-
-        cfg = GridConfig(2, 2, 1)
-
-        def issue_clock(limit):
-            cluster = VirtualCluster(cfg.total, PERLMUTTER)
-            cluster.store.max_inflight = limit
-            grid = PlexusGrid(cluster, cfg)
-            comm = axis_communicator(grid.axis_comm(Axis.X))
-            stacked = rng.standard_normal((cfg.total, 512, 64))
-            handles = [comm.all_reduce(stacked) for _ in range(3)]
-            clock = cluster.max_clock()
-            for h in handles:
-                h.wait()
-            return clock
-
-        assert issue_clock(None) == 0.0
-        assert issue_clock(1) > 0.0
 
     def test_engine_parity_with_limit(self):
         """Both engines enforce the same bound: losses and clocks bitwise."""
@@ -731,3 +617,78 @@ class TestOverlapSchedules:
         assert overlapped.losses == eager.losses
         assert (sum(e.comm_time for e in overlapped.epochs)
                 < sum(e.comm_time for e in eager.epochs))
+
+
+class TestScheduleKernel:
+    """``repro.dist.comm._schedule`` is the one place a collective meets the
+    timeline; every communicator is a set of its slots."""
+
+    @staticmethod
+    def _slots(n_groups, members, shared_nic, order):
+        from repro.dist.comm import _Slots
+
+        if shared_nic:  # inter-node groups: one slot on each touched node's NIC
+            queues = [(("nic", gi % 2), ("nic", 2)) for gi in range(n_groups)]
+        else:  # intra-node groups: the private link key
+            queues = [(gi,) for gi in range(n_groups)]
+        idx = [slice(gi * members, (gi + 1) * members) for gi in range(n_groups)]
+        one = [_Slots((gi,), (queues[gi],), (idx[gi],)) for gi in range(n_groups)]
+        return _Slots(range(n_groups), queues, idx, order=order), one
+
+    @given(
+        n_groups=st.integers(1, 6),
+        limit=st.sampled_from([None, 1, 2]),
+        per_group=st.booleans(),
+        shared_nic=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_one_call_equals_sequential_one_group_calls(
+        self, n_groups, limit, per_group, shared_nic, seed
+    ):
+        from repro.dist.cluster import ClockStore
+        from repro.dist.comm import _schedule
+
+        rng = np.random.default_rng(seed)
+        members = 2
+        order = rng.permutation(n_groups).tolist()
+        slots, one = self._slots(n_groups, members, shared_nic, order)
+        stores = [ClockStore(n_groups * members) for _ in range(2)]
+        for store in stores:
+            store.max_inflight = limit
+        for _ in range(4):  # later rounds meet busy links and filled queues
+            advance = rng.uniform(0.0, 2.0, n_groups * members)
+            dur = rng.uniform(0.1, 3.0, n_groups) if per_group else float(rng.uniform(0.1, 3.0))
+            for store in stores:
+                store.clocks += advance
+            whole, split = stores
+            ready = whole.clocks.reshape(n_groups, members).max(axis=1)
+            begin, end = _schedule(whole, slots, ready, dur, "comm:p")
+            for gi in order:
+                r = split.clocks[one[gi].members[0]].max()
+                b, e = _schedule(split, one[gi], r, dur[gi] if per_group else dur, "comm:p")
+                assert (b, e) == (begin[gi], end[gi])
+            assert whole.links == split.links
+            assert whole.link_queues == split.link_queues
+            assert np.array_equal(whole.clocks, split.clocks)
+            assert whole.by_phase.keys() == split.by_phase.keys()
+            for ph, vec in whole.by_phase.items():
+                assert np.array_equal(vec, split.by_phase[ph])
+
+    def test_runtime_imports_no_private_dist_names(self):
+        """The transports are byte movers: nothing under ``repro/runtime``
+        reaches into ``repro.dist``'s underscore-prefixed helpers."""
+        import ast
+        from pathlib import Path
+
+        import repro.runtime
+
+        offenders = []
+        for path in sorted(Path(repro.runtime.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.dist"):
+                    offenders += [
+                        f"{path.name}: {node.module}.{a.name}"
+                        for a in node.names if a.name.startswith("_")
+                    ]
+        assert offenders == []

@@ -14,7 +14,7 @@ from repro.core import (
     factor_triples,
     map_collective,
 )
-from repro.dist import PERLMUTTER, VirtualCluster, all_reduce
+from repro.dist import PERLMUTTER, VirtualCluster, communicator
 
 
 class TestGridConfig:
@@ -166,7 +166,7 @@ class TestMapCollective:
         cluster = VirtualCluster(4, PERLMUTTER)
         grid = PlexusGrid(cluster, cfg)
         per_rank = [np.array([float(r)]) for r in range(4)]
-        out = map_collective(grid, Axis.Y, per_rank, all_reduce)
+        out = map_collective(grid, Axis.Y, per_rank, "all_reduce")
         # Y-groups are {0,1} and {2,3}
         assert out[0][0] == 1.0 and out[1][0] == 1.0
         assert out[2][0] == 5.0 and out[3][0] == 5.0
@@ -175,15 +175,18 @@ class TestMapCollective:
         cfg = GridConfig(2, 1, 1)
         grid = PlexusGrid(VirtualCluster(2, PERLMUTTER), cfg)
         with pytest.raises(ValueError):
-            map_collective(grid, Axis.X, [np.zeros(1)], all_reduce)
+            map_collective(grid, Axis.X, [np.zeros(1)], "all_reduce")
 
-    def test_string_kind_matches_legacy_function(self):
+    def test_string_kind_matches_groupwise_callable(self):
         cfg = GridConfig(2, 2, 1)
         per_rank = [np.array([float(r)]) for r in range(4)]
         grid1 = PlexusGrid(VirtualCluster(4, PERLMUTTER), cfg)
         out1 = map_collective(grid1, Axis.Y, per_rank, "all_reduce")
         grid2 = PlexusGrid(VirtualCluster(4, PERLMUTTER), cfg)
-        out2 = map_collective(grid2, Axis.Y, per_rank, all_reduce)
+        out2 = map_collective(
+            grid2, Axis.Y, per_rank,
+            lambda group, shards: communicator(group).all_reduce(shards).wait(),
+        )
         for a, b in zip(out1, out2):
             assert np.array_equal(a, b)
         assert np.array_equal(grid1.cluster.clocks, grid2.cluster.clocks)
@@ -195,7 +198,7 @@ class TestMapCollective:
 
     def test_custom_callable_is_invoked_not_name_matched(self):
         """A user callable that happens to be named like a built-in must run
-        itself (legacy functions are matched by identity, never by name)."""
+        itself (only string names route through the communicator API)."""
         cfg = GridConfig(2, 1, 1)
         grid = PlexusGrid(VirtualCluster(2, PERLMUTTER), cfg)
         calls = []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist import LAPTOP, ProcessGroup, VirtualCluster, all_gather, all_reduce, reduce_scatter
+from repro.dist import LAPTOP, ProcessGroup, VirtualCluster, communicator
 from repro.sparse import block_slices
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +33,7 @@ class TestCollectiveProperties:
     def test_all_reduce_sum_matches_dense_reference(self, shape, gsize, seed):
         rng = np.random.default_rng(seed)
         shards = [rng.standard_normal(shape) for _ in range(gsize)]
-        out = all_reduce(_world_group(gsize), shards)
+        out = communicator(_world_group(gsize)).all_reduce(shards).wait()
         expected = np.stack(shards).sum(axis=0)
         for o in out:
             np.testing.assert_allclose(o, expected, atol=1e-12)
@@ -43,7 +43,7 @@ class TestCollectiveProperties:
     def test_all_reduce_max_matches_dense_reference(self, shape, gsize, seed):
         rng = np.random.default_rng(seed)
         shards = [rng.standard_normal(shape) for _ in range(gsize)]
-        out = all_reduce(_world_group(gsize), shards, op="max")
+        out = communicator(_world_group(gsize)).all_reduce(shards, op="max").wait()
         np.testing.assert_array_equal(out[0], np.stack(shards).max(axis=0))
 
     @given(
@@ -59,9 +59,9 @@ class TestCollectiveProperties:
         rng = np.random.default_rng(seed)
         group = _world_group(gsize)
         shards = [rng.standard_normal((rows, cols)) for _ in range(gsize)]
-        scattered = reduce_scatter(group, shards, axis=axis)
-        regathered = all_gather(group, scattered, axis=axis)
-        expected = all_reduce(group, shards)
+        scattered = communicator(group).reduce_scatter(shards, axis=axis).wait()
+        regathered = communicator(group).all_gather(scattered, axis=axis).wait()
+        expected = communicator(group).all_reduce(shards).wait()
         np.testing.assert_allclose(regathered[0], expected[0], atol=1e-12)
 
     @given(
@@ -75,7 +75,7 @@ class TestCollectiveProperties:
         rng = np.random.default_rng(seed)
         group = _world_group(gsize)
         shards = [rng.standard_normal((rows, cols)) for _ in range(gsize)]
-        scattered = reduce_scatter(group, shards, axis=0)
+        scattered = communicator(group).reduce_scatter(shards, axis=0).wait()
         dense = np.stack(shards).sum(axis=0)
         for out, sl in zip(scattered, block_slices(rows, gsize)):
             np.testing.assert_allclose(out, dense[sl], atol=1e-12)
@@ -86,7 +86,7 @@ class TestCollectiveProperties:
         rng = np.random.default_rng(seed)
         group = _world_group(gsize)
         shards = [rng.standard_normal((int(rng.integers(0, 5)) + 1, 3)) for _ in range(gsize)]
-        gathered = all_gather(group, shards, axis=0)
+        gathered = communicator(group).all_gather(shards, axis=0).wait()
         np.testing.assert_allclose(gathered[0], np.concatenate(shards, axis=0))
 
 

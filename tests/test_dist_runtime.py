@@ -10,11 +10,7 @@ from repro.dist import (
     PERLMUTTER,
     ProcessGroup,
     VirtualCluster,
-    all_gather,
-    all_reduce,
-    all_to_all,
-    broadcast,
-    reduce_scatter,
+    communicator,
     ring_all_gather_time,
     ring_all_reduce_time,
     ring_reduce_scatter_time,
@@ -124,6 +120,11 @@ class TestProcessGroup:
         with pytest.raises(ValueError):
             ProcessGroup(members=[], machine=cluster8.machine, bandwidth=1e9)
 
+    def test_members_of_different_stores_rejected(self, cluster8):
+        other = VirtualCluster(8, cluster8.machine)
+        with pytest.raises(ValueError, match="share one ClockStore"):
+            ProcessGroup(members=[cluster8[0], other[1]], machine=cluster8.machine, bandwidth=1e9)
+
     def test_index_of(self, cluster8):
         g = _group(cluster8, [3, 5, 7])
         assert g.index_of(cluster8[5]) == 1
@@ -140,8 +141,8 @@ class TestProcessGroup:
         cluster8[2].advance(1.0, "comp:x")
         cluster8[3].advance(1.0, "comp:x")
         shard = np.ones((4, 4))
-        all_reduce(arith, [shard] * 3, phase="p")
-        all_reduce(ragged, [shard] * 3, phase="p")
+        communicator(arith).all_reduce([shard] * 3, phase="p").wait()
+        communicator(ragged).all_reduce([shard] * 3, phase="p").wait()
         # both groups: stragglers lifted to 1.0 plus the same transfer time
         t = ring_all_reduce_time(shard.nbytes, 3, arith.bandwidth, arith.latency)
         for r in (0, 4):
@@ -194,70 +195,70 @@ class TestCollectiveSemantics:
     def test_all_reduce_sum(self, cluster8):
         g = _group(cluster8, [0, 1, 2])
         shards = [np.full((2, 2), float(i)) for i in range(3)]
-        out = all_reduce(g, shards)
+        out = communicator(g).all_reduce(shards).wait()
         for o in out:
             np.testing.assert_array_equal(o, np.full((2, 2), 3.0))
 
     def test_all_reduce_max(self, cluster8):
         g = _group(cluster8, [0, 1])
-        out = all_reduce(g, [np.array([1.0, 5.0]), np.array([3.0, 2.0])], op="max")
+        out = communicator(g).all_reduce([np.array([1.0, 5.0]), np.array([3.0, 2.0])], op="max").wait()
         np.testing.assert_array_equal(out[0], [3.0, 5.0])
 
     def test_all_reduce_bad_op(self, cluster8):
         g = _group(cluster8, [0, 1])
         with pytest.raises(ValueError):
-            all_reduce(g, [np.zeros(1), np.zeros(1)], op="min")
+            communicator(g).all_reduce([np.zeros(1), np.zeros(1)], op="min").wait()
 
     def test_all_reduce_shape_mismatch(self, cluster8):
         g = _group(cluster8, [0, 1])
         with pytest.raises(ValueError):
-            all_reduce(g, [np.zeros(1), np.zeros(2)])
+            communicator(g).all_reduce([np.zeros(1), np.zeros(2)]).wait()
 
     def test_all_reduce_wrong_count(self, cluster8):
         g = _group(cluster8, [0, 1])
         with pytest.raises(ValueError):
-            all_reduce(g, [np.zeros(1)])
+            communicator(g).all_reduce([np.zeros(1)]).wait()
 
     def test_all_gather_order(self, cluster8):
         g = _group(cluster8, [0, 1, 2])
         shards = [np.full((1, 2), float(i)) for i in range(3)]
-        out = all_gather(g, shards, axis=0)
+        out = communicator(g).all_gather(shards, axis=0).wait()
         np.testing.assert_array_equal(out[0][:, 0], [0.0, 1.0, 2.0])
 
     def test_all_gather_unequal_shards(self, cluster8):
         g = _group(cluster8, [0, 1])
-        out = all_gather(g, [np.zeros((2, 3)), np.zeros((1, 3))], axis=0)
+        out = communicator(g).all_gather([np.zeros((2, 3)), np.zeros((1, 3))], axis=0).wait()
         assert out[0].shape == (3, 3)
 
     def test_reduce_scatter_inverse_of_gather(self, cluster8, rng):
         g = _group(cluster8, [0, 1, 2])
         # reduce_scatter of identical copies recovers each shard scaled by G
         full = rng.standard_normal((7, 4))
-        out = reduce_scatter(g, [full.copy() for _ in range(3)], axis=0)
+        out = communicator(g).reduce_scatter([full.copy() for _ in range(3)], axis=0).wait()
         gathered = np.concatenate(out, axis=0)
         np.testing.assert_allclose(gathered, 3 * full)
 
     def test_reduce_scatter_axis1(self, cluster8, rng):
         g = _group(cluster8, [0, 1])
         full = rng.standard_normal((4, 5))
-        out = reduce_scatter(g, [full.copy(), full.copy()], axis=1)
+        out = communicator(g).reduce_scatter([full.copy(), full.copy()], axis=1).wait()
         assert out[0].shape == (4, 3)
         assert out[1].shape == (4, 2)
 
     def test_broadcast(self, cluster8):
         g = _group(cluster8, [0, 1, 2])
-        out = broadcast(g, np.array([9.0]), root=1)
+        out = communicator(g).broadcast(np.array([9.0]), root=1).wait()
         assert all(o[0] == 9.0 for o in out)
 
     def test_broadcast_invalid_root(self, cluster8):
         g = _group(cluster8, [0, 1])
         with pytest.raises(ValueError):
-            broadcast(g, np.zeros(1), root=5)
+            communicator(g).broadcast(np.zeros(1), root=5).wait()
 
     def test_all_to_all_is_transpose(self, cluster8):
         g = _group(cluster8, [0, 1, 2])
         chunks = [[np.array([float(10 * i + j)]) for j in range(3)] for i in range(3)]
-        out = all_to_all(g, chunks)
+        out = communicator(g).all_to_all(chunks).wait()
         # received[j][i] == chunks[i][j]
         for i in range(3):
             for j in range(3):
@@ -278,17 +279,17 @@ class TestCollectiveSemantics:
 
         full = rng.standard_normal((rows, cols))
         shards = [full[s] for s in block_slices(rows, gsize)]
-        gathered = all_gather(g, shards, axis=0)
+        gathered = communicator(g).all_gather(shards, axis=0).wait()
         np.testing.assert_allclose(gathered[0], full)
 
     def test_collective_advances_clocks_equally(self, cluster8):
         g = _group(cluster8, [0, 1], bandwidth=1e6)
-        all_reduce(g, [np.zeros(1000), np.zeros(1000)])
+        communicator(g).all_reduce([np.zeros(1000), np.zeros(1000)]).wait()
         assert cluster8[0].clock == cluster8[1].clock > 0
 
     def test_straggler_wait_attributed_to_comm(self, cluster8):
         cluster8[0].advance(5.0, "comp:x")
         g = _group(cluster8, [0, 1])
-        all_reduce(g, [np.zeros(4), np.zeros(4)])
+        communicator(g).all_reduce([np.zeros(4), np.zeros(4)]).wait()
         # rank 1 waited 5 s for rank 0 inside the collective
         assert cluster8[1].timeline.total("comm:") >= 5.0

@@ -316,3 +316,39 @@ class TestEndToEnd:
         bad = tmp_path / "nothing-here"
         bad.mkdir()
         assert main(["trace", "validate", str(bad)]) == 1
+
+
+class TestMultiprocIssueInstants:
+    def test_worker_trace_marks_z_axis_issues(self, tmp_path):
+        """Z-axis collectives cross workers through the same schedule kernel
+        as X/Y, so a worker's trace marks their issue too.  One layer, so
+        the only W gather rides the Z axis; traced == untraced bitwise."""
+        from repro.runtime import MultiprocTrainer, WorkloadSpec
+
+        dims = [16, 8]
+        a, feats, labels, mask = _dataset(dims=dims)
+        spec = WorkloadSpec(
+            config=CFG, layer_dims=dims, workers=2, machine=LAPTOP,
+            options=PlexusOptions(seed=0), adjacency=a, features=feats,
+            labels=labels, train_mask=mask,
+        )
+        with MultiprocTrainer(spec, timeout=60) as plain:
+            r_plain = plain.train(2)
+            s_plain = plain.state()
+        out = tmp_path / "tr"
+        with MultiprocTrainer(spec, timeout=60, trace_dir=out) as traced:
+            r_traced = traced.train(2)
+            s_traced = traced.state()
+        assert r_plain.losses == r_traced.losses
+        assert np.array_equal(s_plain["clocks"], s_traced["clocks"])
+        for ph, vec in s_plain["by_phase"].items():
+            assert np.array_equal(vec, s_traced["by_phase"][ph]), ph
+        for name, w in s_plain["weights"].items():
+            assert np.array_equal(w, s_traced["weights"][name]), name
+        events = [json.loads(l) for l in (out / "events.jsonl").read_text().splitlines()]
+        for worker in ("worker 0", "worker 1"):
+            assert any(
+                e["process"] == worker and e["ph"] == "i" and e["name"] == "issue"
+                and e["args"].get("phase") == "comm:all_gather_w"
+                for e in events
+            ), worker

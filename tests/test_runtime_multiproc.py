@@ -223,6 +223,27 @@ class TestRuntimeSemantics:
         with pytest.raises(ValueError, match="backend"):
             build_trainer(_spec(GridConfig(2, 2, 2), 2), backend="gpu")
 
+    def test_inter_node_bounded_queue_refused_before_spawn(self, monkeypatch):
+        """``max_inflight`` with inter-node Z groups (PERLMUTTER: 4 GPUs per
+        node, the Z stride of X2Y2 spans nodes) is a typed refusal in the
+        launcher — no worker process is ever started."""
+        from dataclasses import replace
+
+        from repro.dist import PERLMUTTER
+        from repro.errors import UnsupportedWorkload
+
+        spawned = []
+        monkeypatch.setattr(
+            MultiprocTrainer, "_spawn_pool", lambda self, *a, **k: spawned.append(a)
+        )
+        spec = replace(_spec(GridConfig(2, 2, 2), 2, max_inflight=1), machine=PERLMUTTER)
+        with pytest.raises(UnsupportedWorkload, match="inter-node Z-axis"):
+            MultiprocTrainer(spec, timeout=60)
+        assert spawned == []
+        # the same bound on intra-node Z groups is accepted
+        MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, max_inflight=1), timeout=60).close()
+        assert len(spawned) == 1
+
     def test_train_plexus_backend_seam(self):
         """The one-call entry point routes through the runtime: same losses
         from both backends on the same explicit configuration."""
