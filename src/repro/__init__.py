@@ -249,6 +249,7 @@ def _write_inproc_trace(trace_dir: str, cluster, epochs: int) -> None:
         collector.add_sim("inproc", sim, links)
     for ph, bucket in cluster.store.by_phase.items():
         _metrics.gauge("sim_phase:" + ph, float(bucket.sum()))
+    _metrics.gauge_rusage()
     collector.add_metrics("inproc", epochs, _metrics.snapshot())
     _metrics.clear()
     out = Path(trace_dir)

@@ -40,7 +40,8 @@ and every path calls it: a :class:`GroupCommunicator` is one slot, an
 :class:`AxisCommunicator` is its groups' slots, and the worker-crossing Z
 axis of ``repro.runtime`` is the *same* :class:`AxisCommunicator` whose
 clocks and operand planes come through a byte mover (a transport bus's
-``exchange_concat``) instead of from the local store.
+``exchange``: per posted array every worker's part, the peers' zero-copy
+and valid until the next exchange) instead of from the local store.
 
 The timeline needs only a collective's *duration*, never its operand: the
 data transformation and the Eq. 4.5 byte count happen before the schedule
@@ -133,15 +134,15 @@ __all__ = [
     "stacked_reduce_scatter_data",
 ]
 
-_REDUCERS = {"sum": np.add.reduce, "max": np.maximum.reduce}
+_UFUNCS = {"sum": np.add, "max": np.maximum}
 
 #: unique link keys into ``ClockStore.links`` (one per communicator)
 _LINK_KEYS = itertools.count()
 
 
 def _check_op(op: str) -> None:
-    if op not in _REDUCERS:
-        raise ValueError(f"unsupported op {op!r} (supported: {sorted(_REDUCERS)})")
+    if op not in _UFUNCS:
+        raise ValueError(f"unsupported op {op!r} (supported: {sorted(_UFUNCS)})")
 
 
 def _check_shard_count(group: ProcessGroup, shards: Sequence) -> None:
@@ -482,17 +483,30 @@ def _ready(phase: str, result) -> PendingCollective:
 # bitwise equal to the group-wise ``map_*`` path.
 #
 # An :class:`AxisCommunicator` behind a byte mover (the worker-crossing Z
-# axis of ``repro.runtime``) calls these same three functions — on the
-# full-Z operand it exchanged, cutting the result to its local z-planes —
-# so there is no second copy of the math to keep in step;
-# ``tests/test_replicated_stacks.py`` pins them
-# against a plain per-group reference loop and
-# ``tests/test_runtime_multiproc.py`` pins multiproc == inproc end to end.
+# axis of ``repro.runtime``) calls these same three functions — no second
+# copy of the math.  There the full-Z operand arrives as a *sequence of
+# leading-axis chunks*, one ``(planes, x, y, *shard)`` array per worker in
+# rank order (the peers' are read-only views of their mapped mailboxes), and
+# is consumed in place: reductions accumulate plane by plane in z order (the
+# element-wise order ``reduce(axis=0)`` uses), the gather writes each chunk
+# at its offset of the one output; the in-process operand is the one-chunk
+# case of the same code.  One rule keeps every shape bitwise: one-element
+# planes make the full reduction a contiguous 1-D one, which numpy sums
+# pairwise, so such chunks are concatenated and reduced as one.  Results
+# never alias a chunk (it dies at the mover's next exchange).
+# ``tests/test_replicated_stacks.py`` pins all of this against a per-group
+# reference loop; ``tests/test_runtime_multiproc.py`` pins multiproc ==
+# inproc end to end.
 # ---------------------------------------------------------------------------
 
 
-def _operand_cube(cube_shape: tuple[int, ...], axis: int, stacked) -> np.ndarray:
-    """The operand in cube layout with the group axis at full extent."""
+def _operand_chunks(cube_shape: tuple[int, ...], axis: int, stacked) -> Sequence[np.ndarray]:
+    """The operand in cube layout with the group axis at full extent, as the
+    chunks to consume in order (one, unless a byte mover delivered it)."""
+    if isinstance(stacked, (list, tuple)):  # leading-axis chunks: ``axis`` is 0
+        if stacked[0][0].size == 1:  # one-element planes: numpy's pairwise order
+            return (np.concatenate(stacked),)
+        return stacked
     cube = ReplicatedStack.cube_of(stacked, cube_shape)
     if cube.shape[axis] != cube_shape[axis]:
         # replicated along the collective's own axis: give every member its
@@ -501,7 +515,7 @@ def _operand_cube(cube_shape: tuple[int, ...], axis: int, stacked) -> np.ndarray
         shape = list(cube.shape)
         shape[axis] = cube_shape[axis]
         cube = np.ascontiguousarray(np.broadcast_to(cube, shape))
-    return cube
+    return (cube,)
 
 
 def stacked_all_reduce_data(
@@ -509,20 +523,30 @@ def stacked_all_reduce_data(
 ) -> ReplicatedStack:
     """All-reduce within every group along cube ``axis``: each group's
     reduction, held once (extent 1 along ``axis``)."""
-    cube = _operand_cube(cube_shape, axis, stacked)
-    return ReplicatedStack(_REDUCERS[op](cube, axis=axis, keepdims=True), cube_shape)
+    ufunc = _UFUNCS[op]
+    first, *rest = _operand_chunks(cube_shape, axis, stacked)
+    reduced = ufunc.reduce(first, axis=axis, keepdims=True)
+    for chunk in rest:
+        for plane in chunk:
+            ufunc(reduced[0], plane, out=reduced[0])
+    return ReplicatedStack(reduced, cube_shape)
 
 
 def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, stacked) -> ReplicatedStack:
     """All-gather along cube ``axis``: each group's shards concatenated (in
     member order) along data axis 0, held once (extent 1 along ``axis``)."""
     g = cube_shape[axis]
+    first, *rest = _operand_chunks(cube_shape, axis, stacked)
     # group axis next to the row axis, then one copy fuses the two
-    moved = _moved(_operand_cube(cube_shape, axis, stacked), axis, 2)
-    o0, o1, _, m = moved.shape[:4]
+    moved = _moved(first, axis, 2)
+    o0, o1, done, m = moved.shape[:4]
     tail = moved.shape[4:]
     out = np.empty((o0, o1, g * m) + tail, dtype=moved.dtype)
-    out.reshape((o0, o1, g, m) + tail)[...] = moved
+    fused = out.reshape((o0, o1, g, m) + tail)
+    fused[:, :, :done] = moved
+    for chunk in rest:
+        fused[:, :, done : done + len(chunk)] = _moved(chunk, 0, 2)
+        done += len(chunk)
     lead = [o0, o1]
     lead.insert(axis, 1)
     return ReplicatedStack(out.reshape((*lead, g * m) + tail), cube_shape)
@@ -536,11 +560,15 @@ def stacked_reduce_scatter_data(
     ``j`` (a view of the reduction).  Requires the row extent to divide the
     group size evenly."""
     g = cube_shape[axis]
-    cube = _operand_cube(cube_shape, axis, stacked)
-    m = cube.shape[3]
+    ufunc = _UFUNCS[op]
+    first, *rest = _operand_chunks(cube_shape, axis, stacked)
+    m = first.shape[3]
     if m % g != 0:
         raise ValueError(f"row extent {m} does not divide into {g} blocks")
-    reduced = _REDUCERS[op](cube, axis=axis)
+    reduced = ufunc.reduce(first, axis=axis)
+    for chunk in rest:
+        for plane in chunk:
+            ufunc(reduced, plane, out=reduced)
     blocks = reduced.reshape(reduced.shape[:2] + (g, m // g) + reduced.shape[3:])
     return ReplicatedStack(_moved(blocks, 2, axis), cube_shape)
 
@@ -608,7 +636,7 @@ class GroupCommunicator:
         g = group.size
         if g == 1:
             return _ready("comm:" + phase, [shards[0]])
-        reduced = _REDUCERS[op](_stack_equal_shards(shards), axis=0)
+        reduced = _UFUNCS[op].reduce(_stack_equal_shards(shards), axis=0)
         t = ring_all_reduce_time(reduced.nbytes, g, group.bandwidth, group.latency)
         return self._issue(t, phase, [reduced] * g)
 
@@ -642,7 +670,7 @@ class GroupCommunicator:
         g = group.size
         if g == 1:
             return _ready("comm:" + phase, [shards[0]])
-        reduced = _REDUCERS[op](_stack_equal_shards(shards), axis=0)
+        reduced = _UFUNCS[op].reduce(_stack_equal_shards(shards), axis=0)
         if not -reduced.ndim <= axis < reduced.ndim:
             raise ValueError(f"axis {axis} out of range for {reduced.ndim}-d shards")
         if axis < 0:
@@ -702,13 +730,14 @@ class AxisCommunicator:
     eager numerics bitwise unchanged).
 
     The worker-crossing (Z) axis of the multi-process runtime is this same
-    class behind a *byte mover*: ``exchange`` (a transport bus's
-    ``exchange_concat``) rendezvouses the workers once per collective — one
-    frame each, carrying the local clock slice and the operand's local
-    z-planes ``[z0, z0 + local planes)`` — so every worker
-    deterministically computes the *same* full-cube schedule (group-ready
-    times, link reservations, Eq. 4.5 durations) and the same collective
-    result, and the returned handle charges only the local ranks'
+    class behind a *byte mover*: ``exchange`` (a transport bus's method of
+    that name) rendezvouses the workers once per collective — one frame
+    each, carrying the local clock slice and the operand's local z-planes
+    ``[z0, z0 + local planes)`` — and hands back every worker's parts in
+    rank order, so every worker deterministically computes the *same*
+    full-cube schedule (group-ready times, link reservations, Eq. 4.5
+    durations) and the same collective result straight out of the peers'
+    planes, and the returned handle charges only the local ranks'
     completion at ``wait()``.  A replicated operand posts only its unique
     bytes, and a collective re-issued with a known duration
     (:meth:`issue`) still rendezvouses, because the schedule needs every
@@ -802,7 +831,8 @@ class AxisCommunicator:
         a replicated stack posts its cube as is, so axes it is replicated on
         (X/Y, identically on every worker) cross the bus once, not G times;
         only replication along the local z-planes is expanded, because the
-        peers concatenate the posted planes into the full-Z operand."""
+        posted planes *are* the full-Z operand: they come back as its
+        leading-axis chunks, valid until the next exchange."""
         d = self.descriptor
         store = d.store
         if self.issue_overhead_s:
@@ -811,12 +841,12 @@ class AxisCommunicator:
         if self._exchange is None:
             return store.clocks, stacked
         if stacked is None:
-            return self._exchange([store.clocks])[0], None
+            return np.concatenate(self._exchange([store.clocks])[0]), None
         cube = ReplicatedStack.cube_of(stacked, self._cube)
         if cube.shape[0] != self._cube[0]:
             cube = np.broadcast_to(cube, self._cube[:1] + cube.shape[1:])
-        clocks, full = self._exchange([store.clocks, cube])
-        return clocks, ReplicatedStack(full, d.cube)
+        clocks, planes = self._exchange([store.clocks, cube])
+        return np.concatenate(clocks), planes
 
     def _cut(self, result: ReplicatedStack) -> ReplicatedStack:
         """A full-cube collective result cut to the local z-planes (a
@@ -1029,7 +1059,7 @@ class AxisCommunicator:
         data = stacked.data
         tail = data.shape[2:]
         cube = data.reshape(d.cube + data.shape[1:])
-        reduced = _REDUCERS[op](cube, axis=d.axis)
+        reduced = _UFUNCS[op].reduce(cube, axis=d.axis)
         rflat = reduced.reshape((-1,) + tail)
         out = np.zeros((d.world * plan["max_out"],) + tail, dtype=data.dtype)
         out[plan["dst_idx"]] = rflat[plan["src_idx"]]

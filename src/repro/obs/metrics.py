@@ -16,13 +16,19 @@ Metric kinds:
 * **counters** — monotone accumulators (``frames_sent``, ``bytes_sent``,
   ``crc_failures``, ``reconnects``, ``epochs_done`` ...);
 * **gauges** — last-written values (``heartbeat_age_s``,
-  ``epochs_per_sec`` ...);
+  ``epochs_per_sec``, the ``getrusage`` readings ``minor_faults`` /
+  ``major_faults`` / ``max_rss_kb`` ...);
 * **histograms** — streaming ``count/sum/min/max`` summaries
   (``exchange_wall_s`` ...) — enough for the summary CLI without storing
   samples.
 """
 
 from __future__ import annotations
+
+try:  # Unix only; elsewhere the process gauges are simply absent
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None
 
 __all__ = ["MetricsRegistry", "registry"]
 
@@ -42,6 +48,16 @@ class MetricsRegistry:
 
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
+
+    def gauge_rusage(self) -> None:
+        """Refresh this process's ``minor_faults`` / ``major_faults`` /
+        ``max_rss_kb`` gauges (``getrusage``, cumulative since process
+        start); called before every exported snapshot."""
+        if resource is not None:
+            ru = resource.getrusage(resource.RUSAGE_SELF)
+            self.gauges["minor_faults"] = float(ru.ru_minflt)
+            self.gauges["major_faults"] = float(ru.ru_majflt)
+            self.gauges["max_rss_kb"] = float(ru.ru_maxrss)
 
     def observe(self, name: str, value: float) -> None:
         h = self.hists.get(name)

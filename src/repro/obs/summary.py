@@ -53,7 +53,7 @@ def summarize_trace_dir(trace_dir) -> str:
                 f"/ {max(ranks) * 1e3:9.3f} ms"
             )
 
-    rows = _final_metrics_rows(root / "metrics.jsonl")
+    first_rows, rows = _metrics_rows(root / "metrics.jsonl")
     if rows:
         sections.append("final counters per process:")
         for process in sorted(rows):
@@ -64,26 +64,52 @@ def summarize_trace_dir(trace_dir) -> str:
             ) or "(none)"
             sections.append(f"  {process} (epoch {row.get('epoch')}): {rendered}")
 
+    faults = [
+        _faults_line(process, first_rows[process], rows[process])
+        for process in sorted(rows)
+        if "minor_faults" in (rows[process].get("gauges") or {})
+    ]
+    if faults:
+        sections.append("page faults per process (getrusage; a steady-state epoch should take ~0):")
+        sections.extend(faults)
+
     liveness = summary.get("liveness") or []
     if liveness:
         sections.append(format_liveness(liveness))
     return "\n".join(sections)
 
 
-def _final_metrics_rows(path: Path) -> dict:
-    """The last snapshot per process (counters are cumulative)."""
-    rows: dict[str, dict] = {}
+def _faults_line(process: str, first: dict, last: dict) -> str:
+    """One process's fault gauges, per epoch between its first and last
+    snapshot (no epoch apart: from process start, set-up included)."""
+    g0, e0 = first.get("gauges") or {}, first.get("epoch", 0)
+    g1, e1 = last["gauges"], last.get("epoch", 0)
+    if e1 <= e0:
+        g0, e0 = {}, 0
+    rate = (g1["minor_faults"] - g0.get("minor_faults", 0.0)) / max(1, e1 - e0)
+    return (
+        f"  {process}: minor_faults={rate:.1f} per epoch over epochs {e0 + 1}-{e1}, major_faults="
+        f"{_fmt_num(g1.get('major_faults', 0.0))}, max_rss_kb={_fmt_num(g1.get('max_rss_kb', 0.0))}"
+    )
+
+
+def _metrics_rows(path: Path) -> tuple[dict, dict]:
+    """The first and the last snapshot per process (counters and the
+    ``getrusage`` gauges are cumulative)."""
+    first: dict[str, dict] = {}
+    last: dict[str, dict] = {}
     if not path.exists():
-        return rows
+        return first, last
     for line in path.read_text().splitlines():
         try:
             row = json.loads(line)
         except json.JSONDecodeError:
             continue
         process = row.get("process", "?")
-        if process not in rows or row.get("epoch", -1) >= rows[process].get("epoch", -1):
-            rows[process] = row
-    return rows
+        first.setdefault(process, row)
+        if row.get("epoch", -1) >= last.get(process, row).get("epoch", -1):
+            last[process] = row
+    return first, last
 
 
 def _load_json(path: Path):

@@ -7,7 +7,8 @@ zero-copy shared-memory tensor transport underneath the existing
 
 * :mod:`repro.runtime.shm` — per-worker double-buffered mailbox segments
   and the single-rendezvous exchange (publish the slot's sequence word
-  last, wait on every peer's): a byte mover that knows no schedule.
+  last, wait on every peer's, hand out verified read-only views of their
+  frames): a byte mover that knows no schedule and copies nothing out.
 * :mod:`repro.runtime.worker` — the slice-local cluster/grid/model (the
   worker-crossing Z axis is an ordinary
   :class:`~repro.dist.comm.AxisCommunicator` fed through the bus) and the

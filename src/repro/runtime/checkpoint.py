@@ -180,12 +180,18 @@ def _links_quiescent(state: dict) -> bool:
     return True
 
 
-def _rebuild_pending(captured: dict, store):
+def _rebuild_pending(captured: dict, model):
+    """The in-flight layer-0 F gather.  Its uniform result is flat on disk;
+    cut it back to one copy per Z group — the form the collective returned
+    and the one a frozen layer 0 then keeps for the model's life."""
     from repro.dist.comm import PendingCollective
 
-    return PendingCollective(
-        captured["phase"], captured["result"], store, captured["record"]
-    )
+    result = captured["result"]
+    if isinstance(result, np.ndarray):
+        axis = model.grid.comm(model.layers[0].roles.z).descriptor.axis
+        cube = ReplicatedStack.cube_of(result, model.grid.cube)
+        result = ReplicatedStack(cube.take([0], axis=axis), model.grid.cube)
+    return PendingCollective(captured["phase"], result, model.cluster.store, captured["record"])
 
 
 def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
@@ -270,7 +276,7 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         )
         store.link_queues.update({k: list(v) for k, v in state["link_queues"].items()})
         if state["pending_f0"] is not None:
-            model._f0_pending = _rebuild_pending(state["pending_f0"], store)
+            model._f0_pending = _rebuild_pending(state["pending_f0"], model)
     if state["noise_rng"] is not None:
         model.options.noise._rng.bit_generator.state = state["noise_rng"]
 

@@ -100,6 +100,11 @@ DEFAULT_MAILBOX_BYTES = 8 << 20
 #: the BLAS/OpenMP pool-size variables a numerical library reads at import
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+#: glibc malloc for the workers: temporaries up to 32 MiB (glibc's maximum)
+#: stay on the heap, and the heap keeps 256 MiB of slack.  Never the trim
+#: threshold alone: that freezes the mmap threshold at its 128 KiB default
+_ALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "268435456"}
+
 #: failures the respawn-and-replay policy treats as transient
 _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)
 
@@ -159,20 +164,26 @@ class WorkloadSpec:
 
 
 @contextmanager
-def _worker_thread_env(local_workers: int):
+def _worker_env(local_workers: int):
     """The environment worker processes are spawned under: each worker's
-    BLAS/OpenMP pool gets its share of the host's cores.
+    BLAS/OpenMP pool gets its share of the host's cores, and glibc's
+    allocator is pinned (:data:`_ALLOC_VARS`).
 
     Unpinned, every worker imports numpy with a pool of ``cpu_count``
     threads, so W workers run W x C threads on C cores and the pool is
-    slower than one process.  A variable the user already set wins; the
-    launcher's own environment is restored on exit (spawned children
-    capture ``os.environ`` at ``start()``).
+    slower than one process; and glibc's *dynamic* mmap/trim thresholds
+    follow the largest temporary a process frees, so a worker maps and
+    unmaps its per-epoch temporaries — thousands of minor page faults per
+    epoch where the requirement (the ``minor_faults`` gauge) is ≈0.  A
+    variable the user already set wins; the launcher's own environment is
+    restored on exit (spawned children capture ``os.environ`` at
+    ``start()``).
     """
     share = str(max(1, (os.cpu_count() or 1) // max(1, local_workers)))
-    added = [v for v in _THREAD_VARS if v not in os.environ]
+    wanted = {**dict.fromkeys(_THREAD_VARS, share), **_ALLOC_VARS}
+    added = [v for v in wanted if v not in os.environ]
     for v in added:
-        os.environ[v] = share
+        os.environ[v] = wanted[v]
     try:
         yield
     finally:
@@ -408,7 +419,7 @@ class MultiprocTrainer:
         )
         self._session = self._bus_handle.session
         self._bus = ShmBus(self._bus_handle)  # creator endpoint: owns unlink
-        with _worker_thread_env(self.workers):
+        with _worker_env(self.workers):
             for w in range(self.workers):
                 parent, child = ctx.Pipe()
                 p = ctx.Process(
@@ -440,7 +451,7 @@ class MultiprocTrainer:
         self._listener = RendezvousListener(host, port, authkey=self._authkey)
         self._session = self._listener.session
         n_local = self.workers - self.remote_workers
-        with _worker_thread_env(n_local):
+        with _worker_env(n_local):
             for w in range(n_local):
                 p = ctx.Process(
                     target=worker_main_tcp,
@@ -583,6 +594,7 @@ class MultiprocTrainer:
         self._collector.add_wall("launcher", _trace.drain())
         _metrics.gauge("epochs_done", float(self._epochs_done))
         _metrics.gauge("restarts_used", float(self._restarts_used))
+        _metrics.gauge_rusage()
         self._collector.add_metrics("launcher", self._epochs_done, _metrics.snapshot())
         rows = self._liveness_rows() if hasattr(self, "_last_beat") else None
         try:
@@ -1053,7 +1065,7 @@ def host_workers(
             )
             for i in range(workers)
         ]
-        with _worker_thread_env(workers):
+        with _worker_env(workers):
             for p in procs:
                 p.start()
         for p in procs:

@@ -1,8 +1,9 @@
 """TCP tensor transport for the multi-process runtime (the multi-host fabric).
 
 Drop-in peer of :mod:`repro.runtime.shm` behind the same bus surface:
-:class:`TcpBus` exposes ``exchange_concat`` exactly like
-:class:`~repro.runtime.shm.ShmBus` — a byte mover that knows no schedule —
+:class:`TcpBus` exposes ``exchange`` exactly like
+:class:`~repro.runtime.shm.ShmBus` — a byte mover that knows no schedule
+and hands back the workers' parts uncopied (here the receive buffers) —
 so the :class:`~repro.runtime.worker.WorkerGrid` Z-axis communicator, the
 epoch barrier, and every collective call site work unchanged, and results
 over loopback are bitwise identical to shm and inproc.
@@ -478,10 +479,9 @@ class TcpBus:
     socket (opened before the hello so its port could be advertised) plus
     every peer's ``(host, port)``.  Construction wires the full mesh —
     dialing every lower rank, accepting every higher rank — and
-    :meth:`exchange_concat` then runs the two-phase pair rendezvous with
-    each peer, returning, per posted slot, the workers' arrays
-    concatenated in worker (= rank) order, bitwise identical to the
-    shared-memory bus.
+    :meth:`exchange` then runs the two-phase pair rendezvous with each
+    peer, returning, per posted slot, the workers' arrays in worker
+    (= rank) order, bitwise identical to the shared-memory bus.
     """
 
     def __init__(
@@ -571,9 +571,10 @@ class TcpBus:
             peer_link.adopted = (sock, peer_sync)
 
     # -- rendezvous ------------------------------------------------------------
-    def exchange_concat(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    def exchange(self, arrays: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
         """Rendezvous with every peer; returns, per posted slot, the workers'
-        arrays concatenated along axis 0 in worker (= rank) order."""
+        arrays in worker (= rank) order — the peers' as received (private
+        buffers: unlike shm's mapped views they outlive the next exchange)."""
         if self._closed:
             raise CollectiveMisuse("the tcp bus endpoint is closed")
         arrays = [np.ascontiguousarray(a) for a in arrays]
@@ -592,13 +593,9 @@ class TcpBus:
                 )
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
-        out = [
-            np.concatenate([per_worker[w][k] for w in sorted(per_worker)], axis=0)
-            for k in range(len(arrays))
-        ]
         if self.faults is not None:
             self.faults.exchange_done()
-        return out
+        return list(zip(*(per_worker[w] for w in sorted(per_worker))))
 
     # -- fault hooks -----------------------------------------------------------
     def inject_network_fault(self, plan) -> None:

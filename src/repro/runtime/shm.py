@@ -9,37 +9,51 @@ single rendezvous around raw-byte traffic:
 
 1. *post* — the worker packs its arrays into slot ``seq mod 2`` of its own
    mailbox (a direct ``np.copyto`` into the mapped buffer — no pickling),
-   writes the record table and the CRC32 of the payload, and **publishes
-   the slot's 8-byte sequence word last**;
+   writes the record table and the checksum of the payload, and
+   **publishes the slot's 8-byte sequence word last**;
 2. *wait* — it polls every peer's sequence word for ``seq`` (a bounded
    spin, then ``os.sched_yield()``, then short sleeps, all under the bus
    ``timeout`` deadline);
-3. *copy-out* — it verifies every peer frame's CRC32 and assembles the
-   full-cube operand from its own arrays (used directly: a worker never
-   re-reads or re-checksums its own frame) and zero-copy views of the
-   peers' mapped slots (``np.concatenate``);
-4. *release* — it unmaps the peers' overflow segments it attached and
-   retires (unlinks) its own overflow segment of message ``seq - 1``.
+3. *consume in place* — it verifies every peer frame's checksum and hands
+   back, per posted array, the workers' parts in rank order: its own
+   arrays as given (a worker never re-reads or re-checksums its own frame)
+   and **read-only zero-copy views** of the peers' mapped slots or overflow
+   segments.  Nothing is copied out: the caller (``dist/comm.py``'s data
+   math) reduces or gathers straight from the mapped planes;
+4. *release* — the views stay valid until the worker's **next**
+   ``exchange()``, which first unmaps the peer overflow segments the
+   previous message attached; its own overflow segment of message
+   ``seq - 1`` is retired (unlinked) once message ``seq`` is complete.
 
-No second rendezvous is needed because slot reuse is safe by construction:
-a worker overwrites slot ``s mod 2`` only after finishing exchange
-``s - 1``, which required seeing every peer's post of ``s - 1``, which each
-peer makes only after it finished reading ``s - 2`` — the previous tenant
-of that slot.  Overflow segments follow the same two-generation lifetime
-(the same argument, one message later, lets step 4 of exchange ``s`` drop
+No second rendezvous is needed because reuse is safe by construction: a
+peer posts message ``s + 1`` only from its next ``exchange()``, i.e. after
+it stopped reading message ``s``.  So a worker that overwrites slot
+``s mod 2`` — after finishing exchange ``s - 1``, which required seeing
+every peer's post of ``s - 1`` — knows every peer is done with ``s - 2``,
+the previous tenant of that slot.  Overflow segments follow the same
+two-generation lifetime (seeing every peer's post of ``s`` lets step 4 drop
 the segment of ``s - 1``); a worker's *last* overflow segment, which no
 later exchange vouches for, is left to the launcher's ``unlink`` sweep.
 
-Memory-ordering assumption: the payload, record-table and CRC stores
+The checksum is a 64-bit **word sum**: each array's bytes added up as
+native ``uint64`` words modulo 2**64 (``np.add.reduce`` — memory speed,
+where CRC32 cost more than the copy it guarded) plus its up-to-7 tail
+bytes.  Changing any one byte or word changes the sum, so a flipped byte
+(the ``corrupt`` fault), a stale or half-written frame and a random
+corruption (probability ``1 - 2**-64``) are caught; words swapped in place
+or changes that cancel are not — neither a torn read nor a bad page makes
+those.  (tcp keeps CRC32: a wire is a different threat model.)
+
+Memory-ordering assumption: the payload, record-table and checksum stores
 precede the sequence-word store in program order, and a reader loads the
 sequence word before the payload; x86-TSO keeps both orders, and the
 aligned 8-byte sequence word is stored and loaded whole.  On a weaker
 memory model a reader could observe the sequence word before the payload
-it announces — the CRC32 check of every peer frame precedes its copy-out,
-so such a torn read raises :class:`~repro.errors.PayloadCorruption` rather
-than corrupting numerics.
+it announces — the checksum of every peer frame is verified before its
+views are handed out, so such a torn read raises
+:class:`~repro.errors.PayloadCorruption` rather than corrupting numerics.
 
-The bus moves bytes and knows no schedule: :meth:`ShmBus.exchange_concat`
+The bus moves bytes and knows no schedule: :meth:`ShmBus.exchange`
 is the byte mover behind the one grid axis that crosses worker boundaries
 (the cube's leading Z axis), whose communicator is the ordinary
 :class:`~repro.dist.AxisCommunicator` built by
@@ -74,7 +88,6 @@ import os
 import struct
 import time
 import uuid
-import zlib
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
@@ -107,11 +120,12 @@ _MAX_ARRAYS = 8
 _MAX_NDIM = 6
 _SEQ_OFF = 0
 _COUNT_OFF = 8
-_CRC_OFF = 16  # u64 slot holding the CRC32 of the payload arrays, in order
+_CRC_OFF = 16  # u64 slot holding the word sum of the payload arrays, in order
 _OVF_OFF = 24  # 64-byte ascii overflow-segment name ("" = inline payload)
 _REC_OFF = 88
 _REC_SIZE = 80  # 16s dtype + u64 ndim + 6*u64 shape + u64 reserved
 _ALIGN = 64
+_U64 = (1 << 64) - 1
 #: first payload byte: the header rounded up so every payload stays aligned
 _PAYLOAD_OFF = (_REC_OFF + _MAX_ARRAYS * _REC_SIZE + _ALIGN - 1) // _ALIGN * _ALIGN
 
@@ -158,6 +172,15 @@ def _pid_alive(pid: int) -> bool:
 
 def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _word_sum(payload, offset: int, nbytes: int) -> int:
+    """Sum of ``payload[offset : offset + nbytes]`` as native ``uint64``
+    words plus the up-to-7 tail bytes (an ``_ALIGN``-ed offset keeps the
+    word view aligned); callers add and compare modulo 2**64."""
+    words = np.frombuffer(payload, dtype=np.uint64, count=nbytes >> 3, offset=offset)
+    tail = payload[offset + (nbytes & ~7) : offset + nbytes]
+    return int(np.add.reduce(words)) + int.from_bytes(tail, "little")
 
 
 def cleanup_orphans(prefix: str = SHM_PREFIX, include_live: bool = False) -> list[str]:
@@ -225,12 +248,12 @@ class ShmBus:
 
     The launcher constructs with ``worker_id=None`` to *create* the
     mailboxes (and later :meth:`unlink` them); each worker attaches with
-    its id and uses :meth:`exchange_concat` for rendezvous traffic.
+    its id and uses :meth:`exchange` for rendezvous traffic.
 
-    Every frame header carries a CRC32 of the posted payload arrays, and
-    every read of a peer's frame verifies it — torn or corrupted shared
-    memory raises :class:`~repro.errors.PayloadCorruption` at read time
-    instead of propagating garbage numerics.  An optional
+    Every frame header carries a 64-bit word sum of the posted payload
+    arrays, and every read of a peer's frame verifies it — torn or
+    corrupted shared memory raises :class:`~repro.errors.PayloadCorruption`
+    at read time instead of propagating garbage numerics.  An optional
     :class:`~repro.runtime.faults.FaultInjector` hooks the rendezvous at
     its named points (chaos testing).
     """
@@ -248,6 +271,8 @@ class ShmBus:
         self._closed = False
         #: this worker's overflow segment per slot (two generations alive)
         self._my_overflow: list[SharedMemory | None] = [None, None]
+        #: peer overflow segments the last exchange's views live in
+        self._attached: list[SharedMemory] = []
         create = worker_id is None
         stride = _align(handle.capacity)
         self._mailboxes: list[SharedMemory] = []
@@ -282,8 +307,8 @@ class ShmBus:
 
     # -- rendezvous ----------------------------------------------------------
     def _post(self, arrays: list[np.ndarray]) -> None:
-        """Write this worker's frame — payload, record table, CRC — into
-        slot ``seq mod 2``; everything but the sequence word."""
+        """Write this worker's frame — payload, record table, checksum —
+        into slot ``seq mod 2``; everything but the sequence word."""
         if len(arrays) > _MAX_ARRAYS:
             raise ValueError(f"at most {_MAX_ARRAYS} arrays per message")
         slot = self._seq & 1
@@ -306,10 +331,9 @@ class ShmBus:
             payload = ovf.buf
         struct.pack_into("<Q", buf, _COUNT_OFF, len(arrays))
         struct.pack_into("64s", buf, _OVF_OFF, ovf_name)
-        # checksum incrementally over each contiguous array copy — the
-        # alignment gaps between payloads hold stale bytes from earlier
-        # messages and must stay outside the CRC
-        crc = 0
+        # checksum each contiguous array copy — the alignment gaps between
+        # payloads hold stale bytes from earlier messages and stay outside
+        check = 0
         for i, (a, o) in enumerate(zip(arrays, offsets)):
             rec = _REC_OFF + i * _REC_SIZE
             shape = list(a.shape) + [0] * (_MAX_NDIM - a.ndim)
@@ -318,8 +342,8 @@ class ShmBus:
             )
             dst = np.frombuffer(payload, dtype=a.dtype, count=a.size, offset=o)
             np.copyto(dst.reshape(a.shape), a, casting="no")
-            crc = zlib.crc32(dst, crc)
-        struct.pack_into("<Q", buf, _CRC_OFF, crc)
+            check += _word_sum(payload, o, a.nbytes)
+        struct.pack_into("<Q", buf, _CRC_OFF, check & _U64)
         if _trace.enabled:
             _metrics.count("frames_sent")
             _metrics.count("bytes_sent", total - _PAYLOAD_OFF)
@@ -373,14 +397,12 @@ class ShmBus:
             time.sleep(sleep_s)
             sleep_s = min(2 * sleep_s, _SLEEP_MAX_S)
 
-    def _read_views(
-        self, worker: int, count: int
-    ) -> tuple[list[np.ndarray], SharedMemory | None]:
-        """CRC-verified zero-copy views of peer ``worker``'s published
-        message (+ its attached overflow segment)."""
+    def _read_views(self, worker: int, count: int) -> list[np.ndarray]:
+        """Checksum-verified, read-only zero-copy views of peer ``worker``'s
+        published message (its overflow segment stays attached for them)."""
         seq = self._seq
         buf = self._slots[worker][seq & 1]
-        posted_count, posted_crc = struct.unpack_from("<QQ", buf, _COUNT_OFF)
+        posted_count, posted_check = struct.unpack_from("<QQ", buf, _COUNT_OFF)
         if posted_count != count:
             raise RendezvousDesync(
                 f"shared-memory rendezvous out of sync: worker {worker} posted "
@@ -390,13 +412,12 @@ class ShmBus:
             )
         (raw_name,) = struct.unpack_from("64s", buf, _OVF_OFF)
         ovf_name = raw_name.rstrip(b"\0").decode()
-        ovf = None
         payload = buf
         if ovf_name:
-            ovf = SharedMemory(name=ovf_name)
-            payload = ovf.buf
+            self._attached.append(SharedMemory(name=ovf_name))
+            payload = self._attached[-1].buf
         views = []
-        crc = 0
+        check = 0
         off = _PAYLOAD_OFF
         for i in range(count):
             rec = _REC_OFF + i * _REC_SIZE
@@ -404,37 +425,43 @@ class ShmBus:
             shape = tuple(rest[:ndim])
             dtype = np.dtype(dt_raw.rstrip(b"\0").decode())
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            v = np.frombuffer(payload, dtype=dtype, count=size, offset=off)
-            crc = zlib.crc32(v, crc)
-            views.append(v.reshape(shape))
-            off = _align(off + size * dtype.itemsize)
-        if crc != posted_crc:
-            views.clear()  # release the buffer views before unmapping
+            v = np.frombuffer(payload, dtype=dtype, count=size, offset=off).reshape(shape)
+            v.flags.writeable = False
+            views.append(v)
+            check += _word_sum(payload, off, v.nbytes)
+            off = _align(off + v.nbytes)
+        if (check & _U64) != posted_check:
+            views.clear()  # a traceback must not pin the mapping open
             v = None
-            if ovf is not None:
-                try:
-                    ovf.close()
-                except BufferError:  # pragma: no cover - GC-timing backstop
-                    pass
             if _trace.enabled:
                 _trace.instant("crc_failure", worker=worker, seq=seq, transport="shm")
                 _metrics.count("crc_failures")
             raise PayloadCorruption(
-                f"shared-memory payload from worker {worker} failed its CRC32 "
-                f"check (message {seq}: posted {posted_crc:#010x}, read "
-                f"{crc:#010x}) — the mailbox bytes were corrupted in flight",
+                f"shared-memory payload from worker {worker} failed its checksum "
+                f"(message {seq}: posted word sum {posted_check:#018x}, read "
+                f"{check & _U64:#018x}) — the mailbox bytes were corrupted in flight",
                 worker_id=worker,
             )
         if _trace.enabled:
             _metrics.count("frames_received")
-        return views, ovf
+        return views
 
-    def exchange_concat(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    def exchange(self, arrays: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
         """Rendezvous with every peer; returns, per posted slot, the workers'
-        arrays concatenated along axis 0 in worker (= rank) order."""
+        arrays in worker (= rank) order: this worker's as given, the peers'
+        as read-only views of their mapped frames, **valid until the next
+        ``exchange()`` on this bus** — consume or copy them before that."""
         if self.worker_id is None:
             raise CollectiveMisuse("the launcher endpoint does not exchange")
         arrays = [np.ascontiguousarray(a) for a in arrays]
+        # the caller is back, so it is done with the previous message's
+        # views: unmap the peer overflow segments they lived in
+        for ovf in self._attached:
+            try:
+                ovf.close()
+            except BufferError:  # a view outlived its exchange; unmapped when it dies
+                pass
+        self._attached.clear()
         self._seq += 1
         self._post(arrays)
         if self.faults is not None:
@@ -447,30 +474,11 @@ class ShmBus:
             self._await_peers()
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
-        per_worker = []
-        attached = []
-        views = None
-        for w in range(self.handle.n_workers):
-            if w == self.worker_id:  # own frame: never re-read, never re-checksummed
-                per_worker.append(arrays)
-                continue
-            views, ovf = self._read_views(w, len(arrays))
-            per_worker.append(views)
-            if ovf is not None:
-                attached.append(ovf)
-        out = [
-            np.concatenate([pv[k] for pv in per_worker], axis=0)
-            for k in range(len(arrays))
+        per_worker = [
+            arrays if w == self.worker_id else self._read_views(w, len(arrays))
+            for w in range(self.handle.n_workers)
         ]
         with _trace.span("shm.barrier_b", seq=self._seq):
-            # drop every zero-copy view before unmapping: an ndarray still
-            # referencing the buffer would make close() raise BufferError
-            del views, per_worker
-            for ovf in attached:  # copied out above; release the mapping
-                try:
-                    ovf.close()
-                except BufferError:  # pragma: no cover - GC-timing backstop
-                    pass
             # every peer published this message, so every peer finished
             # reading the previous one: its overflow segment can go
             previous = (self._seq - 1) & 1
@@ -481,7 +489,7 @@ class ShmBus:
                 ovf.unlink()
         if self.faults is not None:
             self.faults.exchange_done()
-        return out
+        return list(zip(*per_worker))
 
     def inject_network_fault(self, plan) -> None:
         raise UnsupportedWorkload(
@@ -490,15 +498,16 @@ class ShmBus:
             "(actions 'die'/'raise'/'delay'/'hang'/'corrupt' work on both)"
         )
 
-    def corrupt_own_payload(self) -> None:
-        """Flip one byte of this worker's freshly written payload — the
-        current slot, or its overflow segment (the fault-injection
-        harness's ``"corrupt"`` action; fires after :meth:`_post`, before
-        the sequence word is published, so every peer's CRC32 check trips)."""
+    def corrupt_own_payload(self, offset: int = 0) -> None:
+        """Flip payload byte ``offset`` of this worker's freshly written
+        frame — the current slot, or its overflow segment (the
+        fault-injection harness's ``"corrupt"`` action; fires after
+        :meth:`_post`, before the sequence word is published, so every
+        peer's checksum trips)."""
         slot = self._seq & 1
         ovf = self._my_overflow[slot]
         payload = ovf.buf if ovf is not None else self._slots[self.worker_id][slot]
-        payload[_PAYLOAD_OFF] ^= 0xFF
+        payload[_PAYLOAD_OFF + offset] ^= 0xFF
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -509,8 +518,9 @@ class ShmBus:
         # only unmapped, not unlinked: with a single rendezvous a peer may
         # not have attached this worker's last frame yet — the launcher's
         # unlink() sweeps the session's overflow segments
-        segments = [ovf for ovf in self._my_overflow if ovf is not None]
+        segments = [ovf for ovf in (*self._my_overflow, *self._attached) if ovf is not None]
         self._my_overflow = [None, None]
+        self._attached = []
         # sub-views first: a mapping with live exports refuses to close
         for per_worker in (*self._seq_words, *self._slots):
             for view in per_worker:

@@ -14,7 +14,7 @@ process group is worker-local and only Z-axis collectives cross workers:
   ``comm(axis)``) for the local slice, building real in-process
   communicators for the X and Y axes and the same
   :class:`~repro.dist.comm.AxisCommunicator` for ``comm(Z)``, fed through
-  the transport bus's ``exchange_concat`` byte mover.  Every
+  the transport bus's ``exchange`` byte mover.  Every
   ``range(grid.world_size)`` loop in the model then builds local shards
   only, and every collective call site works unchanged.
 * :func:`worker_main` — the spawned process entry point: builds data
@@ -104,10 +104,10 @@ class WorkerCluster(VirtualCluster):
             return super().barrier(phase)
         t0 = time.monotonic() if _trace.enabled else 0.0
         with _trace.span("barrier.exchange", phase=phase):
-            (full,) = self._bus.exchange_concat([self.store.clocks])
+            (parts,) = self._bus.exchange([self.store.clocks])
         if _trace.enabled:
             _metrics.observe("barrier_wait_s", time.monotonic() - t0)
-        t = full.max()
+        t = np.concatenate(parts).max()
         clocks = self.store.clocks
         waits = t - clocks
         clocks[:] = t
@@ -167,7 +167,7 @@ class WorkerGrid:
             Axis.Z: AxisCommunicator(
                 z_comm,
                 issue_overhead_s=machine.issue_overhead_s,
-                exchange=bus.exchange_concat,
+                exchange=bus.exchange,
                 z0=cluster.lo // plane,
             )
         }
@@ -436,6 +436,7 @@ def _drain_trace_payload(ctx: WorkerContext | None, epochs_done: int) -> dict:
         lo = ctx.cluster.lo
         world = ctx.cluster.hi - ctx.cluster.lo
     _metrics.gauge("last_epoch", epochs_done)
+    _metrics.gauge_rusage()
     return {
         "events": _trace.drain(),
         "metrics": _metrics.snapshot(),

@@ -10,6 +10,9 @@ here:
   subset of the cube axes — the collective's own included) equals a plain
   per-group loop over flat shards bitwise, bills the flat operand's
   duration, and hands out read-only results;
+* a full-Z operand delivered as leading-axis chunks (what a transport bus
+  hands the worker-crossing Z axis) gives the one-chunk result bitwise,
+  whatever the split, and results never alias a chunk;
 * the helpers that consume replicated stacks equal their flat-stack results
   bitwise;
 * after a forward pass the cached activations own ``world / G`` shards of
@@ -26,7 +29,7 @@ import pickle
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import GridConfig, PlexusOptions
@@ -43,7 +46,7 @@ from repro.core.batch import (
 )
 from repro.core.grid import Axis, PlexusGrid
 from repro.core.trainer import distributed_masked_ce
-from repro.dist import LAPTOP, VirtualCluster
+from repro.dist import LAPTOP, VirtualCluster, comm
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.nn.functional import relu
@@ -172,6 +175,60 @@ class TestCollectivesMatchGroupLoop:
             grid.comm(Axis.X).all_reduce(other)
         with pytest.raises(ValueError, match="does not fit"):
             ReplicatedStack(np.zeros((2, 3, 2, 4)), (2, 2, 2))
+
+
+@st.composite
+def _chunked_operands(draw):
+    """(Gz, cut points splitting the planes into 1-4 chunks, shard extents,
+    dtype, replicated-along-X, replicated-along-Y, seed)."""
+    gz = draw(st.sampled_from([2, 3, 4, 8]))
+    cuts = sorted(draw(st.sets(st.integers(1, gz - 1), max_size=3)))
+    shard = draw(st.sampled_from([(1,), (1, 1), (5, 3), (2,), (4, 1), (1, 7)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return gz, cuts, shard, dtype, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+class TestChunkedOperandMatchesOneChunk:
+    """Behind a byte mover the full-Z operand arrives as one chunk of planes
+    per worker and is reduced / gathered in place, plane by plane in z
+    order.  That must equal the one-chunk call on ``np.concatenate(chunks)``
+    bit for bit.  The hazard: ``np.add.reduce(axis=0)`` adds sequentially
+    per element only while a plane holds more than one element; a
+    scalar-per-rank operand ``(Gz, 1, 1, 1)`` is a contiguous 1-D reduction,
+    which numpy sums pairwise.  **The rule: chunks whose planes hold one
+    element are concatenated and reduced as one; all others stream.**"""
+
+    GX, GY = 2, 3
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_chunked_operands())
+    # the hazard itself, on every run: one scalar per rank, 8 planes, 2-4 chunks
+    @example(case=(8, [4], (1,), np.float32, True, True, 0))
+    @example(case=(8, [4], (1, 1), np.float64, True, True, 1))
+    @example(case=(8, [1, 2, 5], (1,), np.float64, True, True, 2))
+    @example(case=(8, [3, 6], (1, 1), np.float32, True, True, 3))
+    @example(case=(8, [2, 4, 6], (1,), np.float32, True, True, 4))
+    def test_every_split_shape_dtype_and_op(self, case):
+        gz, cuts, shard, dtype, rep_x, rep_y, seed = case
+        rng = np.random.default_rng(seed)
+        cube_shape = (gz, self.GX, self.GY)
+        lead = (gz, 1 if rep_x else self.GX, 1 if rep_y else self.GY)
+        for kind, op in COLLECTIVES:
+            # reduce-scatter needs Gz | rows; magnitudes spread so that the
+            # order of additions shows in the last bits
+            tail = (shard[0] * gz,) + shard[1:] if kind == "reduce_scatter" else shard
+            full = rng.standard_normal(lead + tail) * 10.0 ** rng.integers(-3, 4, size=lead + tail)
+            chunks = [c.copy() for c in np.split(full.astype(dtype), cuts)]
+            fn = getattr(comm, f"stacked_{kind}_data")
+            args = () if op is None else (op,)
+            whole = fn(cube_shape, 0, ReplicatedStack(np.concatenate(chunks), cube_shape), *args)
+            for operand in (chunks, tuple(chunks)):
+                streamed = fn(cube_shape, 0, operand, *args)
+                assert streamed.cube.shape == whole.cube.shape
+                assert streamed.cube.dtype == whole.cube.dtype == dtype
+                assert np.array_equal(streamed.cube, whole.cube), (kind, op, case)
+                assert not any(np.shares_memory(streamed.cube, c) for c in chunks)
+                assert not streamed.cube.flags.writeable
 
 
 class TestHelpersMatchFlatStacks:
@@ -317,6 +374,15 @@ class TestEngineHoldsOneCopyPerGroup:
         first = saver.train(2).losses
         saver.load_checkpoint(path)  # verbatim rewind, flat prefetch result
         assert saver.train(2).losses == first
+        # a fresh model gets the prefetched F0 back cut to one copy per Z
+        # group: its frozen layer-0 memo owns what the uninterrupted run's
+        # does (not Gz times that), and the next epochs are bitwise equal
+        fresh = build_trainer(_spec(cfg, 48, dims, overlap=True), backend="inproc")
+        fresh.load_checkpoint(path)
+        assert fresh.train(2).losses == first
+        memo, ref = fresh.model.layers[0]._frozen.f, saver.model.layers[0]._frozen.f
+        assert memo.cube.shape == ref.cube.shape
+        assert _owned_nbytes(memo.cube) == _owned_nbytes(ref.cube) == ref.nbytes // cfg.gz
 
         # eager: inproc round trip, then inproc -> multiproc
         spec = _spec(cfg, 48, dims)

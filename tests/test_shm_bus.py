@@ -2,23 +2,28 @@
 exchange over double-buffered sequence-word mailboxes.
 
 Three real worker processes (more than this host's cores) hammer
-``ShmBus.exchange_concat`` with payloads that encode ``(worker, seq)``:
+``ShmBus.exchange`` with payloads that encode ``(worker, seq)``:
 
 * **no torn or stale slot** — with seeded random delays before each post
-  and before each copy-out, every worker receives exactly the expected
-  concatenation on every one of hundreds of back-to-back exchanges, across
-  frames that alternate between the inline slot and overflow segments, and
-  no segment outlives the pool;
+  and before each read of the returned peer views, every worker finds
+  exactly the expected parts on every one of hundreds of back-to-back
+  exchanges, across frames that alternate between the inline slot and
+  overflow segments: the views are read-only windows into the peers'
+  mapped frames (zero-copy, asserted) and stay valid until the next
+  ``exchange()``; no overflow segment is older than two messages while the
+  pool runs, and none outlives it;
 * **typed, bounded failure** — a peer that never posts yields
   :class:`~repro.errors.BarrierTimeout` naming it (and the message it last
   published) within ``timeout``, the survivors asleep rather than spinning;
   a newer sequence than expected yields
   :class:`~repro.errors.RendezvousDesync`; a flipped byte in a peer's slot
-  yields :class:`~repro.errors.PayloadCorruption`.
+  — any byte of any array — yields
+  :class:`~repro.errors.PayloadCorruption`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import random
 import time
@@ -26,7 +31,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import BarrierTimeout, PayloadCorruption
+from repro.runtime import shm
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 
@@ -50,8 +59,7 @@ def _payload(worker: int, seq: int) -> list[np.ndarray]:
 
 class _Jitter:
     """Duck-typed fault hook: a seeded random pause between observing the
-    peers' frames and copying them out (the window a premature slot reuse
-    would tear)."""
+    peers' frames and handing out views of them."""
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
@@ -64,6 +72,14 @@ class _Jitter:
         pass
 
 
+def _mapped(bus: ShmBus, worker: int) -> list[np.ndarray]:
+    """Byte windows onto every mapping ``bus`` holds of ``worker``'s frames."""
+    maps = [bus._mailboxes[worker].buf] + [
+        o.buf for o in bus._attached if f"-o{worker}-" in o.name
+    ]
+    return [np.frombuffer(m, dtype=np.uint8) for m in maps]
+
+
 def _stress_worker(worker: int, handle: BusHandle, conn) -> None:
     rng = random.Random(1000 + worker)
     bus = ShmBus(handle, worker_id=worker, faults=_Jitter(rng))
@@ -72,13 +88,28 @@ def _stress_worker(worker: int, handle: BusHandle, conn) -> None:
         for seq in range(1, EXCHANGES + 1):
             if rng.random() < 0.5:
                 time.sleep(rng.uniform(0.0, 4e-4))
-            got = bus.exchange_concat(_payload(worker, seq))
-            want = [
-                np.concatenate([_payload(w, seq)[k] for w in range(handle.n_workers)])
-                for k in range(2)
-            ]
-            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
-                bad.append(seq)
+            mine = _payload(worker, seq)
+            got = bus.exchange(mine)
+            # the window in which a premature slot reuse or segment release
+            # would show: the views are read *after* this pause, while fast
+            # peers are already blocked in their next exchange
+            if rng.random() < 0.5:
+                time.sleep(rng.uniform(0.0, 4e-4))
+            for k, parts in enumerate(got):
+                for w, part in enumerate(parts):
+                    ok = np.array_equal(part, _payload(w, seq)[k])
+                    if w == worker:
+                        ok = ok and part is mine[k]
+                    else:  # read-only, and a window into the peer's mapped frame
+                        ok = ok and not part.flags.writeable
+                        ok = ok and any(np.shares_memory(part, m) for m in _mapped(bus, w))
+                    if not ok:
+                        bad.append((seq, k, w))
+            if worker == 0:  # overflow segments live at most two messages
+                for name in _session_segments(handle.session):
+                    if "-o" in name and int(name.rsplit("-", 1)[1]) < seq - 1:
+                        bad.append((seq, "stale segment", name))
+            del got, parts, part
         conn.send(("done", bad))
     except BaseException as exc:  # reported, not swallowed: the test asserts on it
         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -95,13 +126,13 @@ def _failing_worker(worker: int, handle: BusHandle, conn, silent: int, skew: int
     try:
         if worker == skew:
             bus._seq += 2
-        bus.exchange_concat(_payload(worker, 1))
+        bus.exchange(_payload(worker, 1))
         if worker == silent:
             time.sleep(2.5 * handle.timeout)
             conn.send(("silent", None))
             return
         t0, c0 = time.monotonic(), time.process_time()
-        bus.exchange_concat(_payload(worker, 2))
+        bus.exchange(_payload(worker, 2))
         conn.send(("done", None))
     except BaseException as exc:
         conn.send(
@@ -128,7 +159,7 @@ def _corrupting_worker(worker: int, handle: BusHandle, conn, rows: int) -> None:
     bus = ShmBus(handle, worker_id=worker, faults=faults)
     try:
         for seq in (1, 2):
-            bus.exchange_concat([np.full((rows,), float(worker + seq))])
+            bus.exchange([np.full((rows,), float(worker + seq))])
         conn.send(("done", None))
     except BaseException as exc:
         conn.send((type(exc).__name__, {"worker_id": getattr(exc, "worker_id", None)}))
@@ -227,3 +258,69 @@ def test_flipped_byte_in_a_peer_slot_is_payload_corruption(rows):
     assert reports[2] == ("PayloadCorruption", {"worker_id": 1})
     # the corrupter never reads its own frame, so its exchange completes
     assert reports[1] == ("done", None)
+
+
+class _FlipByte:
+    """Duck-typed fault hook: flip one payload byte of the frame just
+    written, before its sequence word is published."""
+
+    def __init__(self, offset: int) -> None:
+        self.offset = offset
+
+    def fire(self, point: str, bus=None) -> None:
+        if point == "pre_barrier":
+            bus.corrupt_own_payload(self.offset)
+
+    def exchange_done(self) -> None:
+        pass
+
+
+_DTYPES = [np.uint8, np.int16, np.float32, np.float64, np.complex128]
+
+
+@needs_dev_shm
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    arrays=st.lists(
+        st.tuples(st.sampled_from(_DTYPES), st.integers(0, 41)), min_size=1, max_size=4
+    ),
+    data=st.data(),
+)
+def test_any_flipped_payload_byte_is_payload_corruption(arrays, data):
+    """Whatever the array count, dtypes and sizes (empty arrays and byte
+    counts that are no multiple of 8 included, inline and overflow), one
+    flipped byte anywhere in any array trips the reader's word-sum check."""
+    rng = np.random.default_rng(len(arrays))
+    posted = [
+        rng.integers(0, 256, size=n * np.dtype(dt).itemsize, dtype=np.uint8).view(dt)
+        for dt, n in arrays
+    ]
+    # byte positions the checksum covers: each array at its aligned offset
+    covered, off = [], 0
+    for a in posted:
+        covered.extend(range(off, off + a.nbytes))
+        off = shm._align(off + a.nbytes)
+    # every draw before the first segment exists: a draw may abort the example
+    capacity = data.draw(st.sampled_from([shm._PAYLOAD_OFF + 64, 1 << 16]), label="capacity")
+    hook = _FlipByte(data.draw(st.sampled_from(covered), label="byte")) if covered else None
+    handle = BusHandle(session=new_session_id(), n_workers=2, capacity=capacity, timeout=5.0)
+    launcher = ShmBus(handle)
+    reader = ShmBus(handle, worker_id=0)
+    # the writer posts and publishes, then gives up on its (absent) peer at once
+    writer = ShmBus(dataclasses.replace(handle, timeout=0.0), worker_id=1, faults=hook)
+    try:
+        with pytest.raises(BarrierTimeout):
+            writer.exchange(posted)
+        if covered:
+            with pytest.raises(PayloadCorruption) as err:
+                reader.exchange(posted)
+            assert err.value.worker_id == 1
+        else:  # nothing but empty arrays: nothing to flip, the frame verifies
+            got = reader.exchange(posted)
+            assert all(p[1].size == 0 for p in got)
+            del got  # views pin the mapping: drop them before close()
+    finally:
+        writer.close()
+        reader.close()
+        launcher.unlink()
+    assert _session_segments(handle.session) == []
