@@ -5,7 +5,7 @@
 aggregation, dense-GEMM tuning).
 """
 
-from repro.core.grid import Axis, AxisRoles, GridConfig, PlexusGrid, axis_roles, map_collective
+from repro.core.grid import Axis, AxisRoles, GridConfig, PlexusGrid, axis_roles
 from repro.core.sharding import LayerSharding
 from repro.core.permutation import PermutationScheme, build_scheme, permute_graph
 from repro.core.configs import PlexusOptions, classify_config, factor_triples
@@ -34,7 +34,6 @@ __all__ = [
     "GridConfig",
     "PlexusGrid",
     "axis_roles",
-    "map_collective",
     "LayerSharding",
     "PermutationScheme",
     "build_scheme",

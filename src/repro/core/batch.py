@@ -1,4 +1,4 @@
-"""Rank-batched tensor utilities: the execution engine's data layer.
+"""Rank-batched tensor utilities: the data layer of ``repro.core``.
 
 The driver simulates every rank of the grid in one process, so a "parallel"
 step of Algorithms 1-2 is really ``world_size`` small dense/sparse products.
@@ -17,13 +17,15 @@ its 1.5D/2D/3D algorithms as operations on stacked partitions:
   ``A_bd @ vstack(F)`` call.  CSR row accumulation order is unchanged, so
   results are bitwise-identical to the per-rank products.
 
-Both engines use these: the batched engine through the single-stack fast
-paths (``apply_stacked``, one uniform bucket), the per-rank reference loop
-through the grouped paths that tolerate quasi-equal shapes.  The stacked
+The layers run on the stacked forms below (:func:`stack_matmul`,
+:meth:`BlockDiagSpmm.apply_batched`); the list forms — :func:`batched_matmul`
+and :meth:`BlockDiagSpmm.apply`, which tolerate quasi-equal shapes by
+grouping — are what the per-rank reference (``tests/oracle.py``) multiplies
+with, so both sides hand BLAS the same operand layouts.  The stacked
 outputs feed straight into the handle-based communicators
 (``PlexusGrid.comm(axis)``): a ``(world, m, n)`` product is the operand of
 one issued axis collective, whose :class:`~repro.dist.comm.PendingCollective`
-the engine waits where the next kernel consumes the result.
+is waited where the next kernel consumes the result.
 
 On the uniform (divisible) path a collective's result comes back as a
 :class:`~repro.dist.padded.ReplicatedStack`: the ``(Gz, Gx, Gy, m, n)`` rank
@@ -42,18 +44,18 @@ features, labels, masks, Adam moments) is flat throughout and is accepted
 by every helper as is.
 
 When sharding is quasi-equal (a dimension does not divide its grid axis),
-the engine's stacks become :class:`~repro.dist.padded.PaddedStack` — ragged
+the stacks become :class:`~repro.dist.padded.PaddedStack` — ragged
 shards zero-padded to a common extent with per-rank valid masks, flat along
 the ranks.  The ``stack_*`` helpers make the layer code agnostic to the
 stack kind: :func:`stack_matmul` runs one ``np.matmul`` per exact-shape
-group (so the floating-point association order matches the per-rank
-reference bitwise, never summing over pad entries),
+group (so the floating-point association order matches a per-rank loop
+bitwise, never summing over pad entries),
 :meth:`BlockDiagSpmm.apply_padded` drives one block-diagonal SpMM whose
 blocks sit at padded offsets (pad rows carry no nonzeros, so they
 contribute nothing), and :func:`concat_stack_rows` reassembles
 blocked-aggregation outputs from valid rows only.
 
-All outputs preserve the input dtype, so the engine's ``compute_dtype``
+All outputs preserve the input dtype, so the model's ``compute_dtype``
 (float32 for benchmarks, float64 for validation) flows through untouched.
 """
 
@@ -85,7 +87,7 @@ __all__ = [
 
 def shard_views(stacked) -> list[np.ndarray]:
     """Per-rank views into a stack of any kind (ndarray / ReplicatedStack /
-    PaddedStack / list): the engine's rank-indexed accessors."""
+    PaddedStack / list): the model's rank-indexed accessors."""
     if isinstance(stacked, (PaddedStack, ReplicatedStack)):
         return stacked.views()
     return list(stacked)
@@ -171,7 +173,7 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
     operands are multiplied one exact-shape group at a time (quasi-equal
     sharding yields only a handful of groups), writing into a zero-padded
     output — the same grouping :func:`batched_matmul` applies to per-rank
-    lists, so results are bitwise identical to the reference engine.
+    lists, so results are bitwise identical to it.
     """
     if not isinstance(a, PaddedStack) and not isinstance(b, PaddedStack):
         pair = _cube_pair(a, b)
@@ -205,8 +207,7 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
     for (mm, kk, nn), ranks in buckets.items():
         # np.stack of the exact-extent views, exactly like batched_matmul:
         # it preserves each operand's (possibly transposed) memory layout,
-        # so BLAS takes the same kernel and rounds identically to the
-        # per-rank engine
+        # so BLAS takes the same kernel and rounds identically to it
         prod = np.matmul(
             np.stack([ap.data[r, :mm, :kk] for r in ranks]),
             np.stack([bp.data[r, :kk, :nn] for r in ranks]),
@@ -217,8 +218,8 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
 
 def concat_stack_rows(parts: Sequence):
     """Concatenate stacks along the shard-row axis (blocked aggregation's
-    reassembly step).  Pure copying — bitwise identical to the per-rank
-    engine's ``np.concatenate`` over each rank's block results."""
+    reassembly step).  Pure copying — bitwise identical to
+    ``np.concatenate`` over each rank's block results."""
     if all(isinstance(p, np.ndarray) for p in parts):
         return np.concatenate(parts, axis=1)
     if all(isinstance(p, (np.ndarray, ReplicatedStack)) for p in parts):

@@ -55,19 +55,12 @@ class PlexusOptions:
     lr: float = 1e-2
     seed: int = 0
     noise: SpmmNoise | None = None
-    #: dtype of every tensor the engine computes with.  float64 (the
+    #: dtype of every tensor the model computes with.  float64 (the
     #: default, resolved from None) is the validation mode that matches the
     #: serial reference to Fig. 7 tolerance; float32 halves
     #: memory/bandwidth and is the benchmark mode.  Threaded through the
     #: model, layers, collectives and feature synthesis.
     compute_dtype: type | None = None
-    #: execution engine: "batched" runs each parallel step as stacked
-    #: whole-grid tensor ops — universal: divisible sharding uses plain
-    #: ndarray stacks, quasi-equal sharding padded stacks with valid masks,
-    #: blocked aggregation per-block stacked SpMM plans.  "perrank" is the
-    #: per-rank reference loop kept as the bitwise-parity oracle; "auto"
-    #: (the default) selects batched.
-    engine: Literal["auto", "batched", "perrank"] = "auto"
     #: nonblocking-collective scheduling (Sec. 5.2): issue the per-block
     #: aggregation all-reduces and keep them in flight behind the next row
     #: block's SpMM, and prefetch each layer's W all-gather at the end of
@@ -92,8 +85,6 @@ class PlexusOptions:
             raise ValueError("aggregation_blocks must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.engine not in ("auto", "batched", "perrank"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.max_inflight is not None and self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 (or None for unbounded)")
         if self.compute_dtype is None:

@@ -30,7 +30,7 @@ from repro.dist.collectives import AxisComm
 from repro.dist.comm import AxisCommunicator
 from repro.dist.group import ProcessGroup, axis_bandwidth
 
-__all__ = ["Axis", "GridConfig", "AxisRoles", "axis_roles", "PlexusGrid", "map_collective"]
+__all__ = ["Axis", "GridConfig", "AxisRoles", "axis_roles", "PlexusGrid"]
 
 
 class Axis(IntEnum):
@@ -171,7 +171,10 @@ class PlexusGrid:
         for axis in Axis:
             self._build_axis_groups(axis)
         #: the rank cube ``(Gz, Gx, Gy)`` the stacked tensors are laid out on
-        #: (rank id = ``z*Gx*Gy + x*Gy + y``)
+        #: (rank id = ``z*Gx*Gy + x*Gy + y``, Y fastest), so a whole-axis
+        #: collective reduces/gathers over cube position Z -> 0, X -> 1,
+        #: Y -> 2; bandwidth and latency are shared by every group along an
+        #: axis (Eq. 4.6), so one descriptor per axis covers them all
         self.cube = cube = (config.gz, config.gx, config.gy)
         self._axis_comms = {
             axis: AxisComm(
@@ -219,26 +222,16 @@ class PlexusGrid:
         """All process groups along a physical axis."""
         return self._groups[axis]
 
-    def axis_comm(self, axis: Axis) -> AxisComm:
-        """The rank-batched collective descriptor for ``axis``.
-
-        Unfolds the linear rank id into the ``(Gz, Gx, Gy)`` cube (Y varies
-        fastest), so batched collectives reduce/gather over cube position
-        Z -> 0, X -> 1, Y -> 2.  Bandwidth and latency are shared by every
-        group along the axis (Eq. 4.6), so one descriptor covers them all.
-        """
-        return self._axis_comms[axis]
-
     def comm(self, axis: Axis) -> AxisCommunicator:
         """The handle-based communicator of a grid axis.
 
-        Its stacked methods (``all_reduce`` & co) run every group along the
-        axis as one cube-reshaped reduction (the batched engine's path); its
-        ``map_*`` methods issue one group-wise collective per process group
-        over a per-rank list (the reference engine's path).  All methods
-        return :class:`~repro.dist.comm.PendingCollective` handles — call
+        Its methods (``all_reduce`` & co) run every group along the axis as
+        one cube-reshaped reduction over a stacked operand and return
+        :class:`~repro.dist.comm.PendingCollective` handles — call
         ``.wait()`` immediately for the eager schedule, or interleave
-        compute between issue and wait to hide communication.
+        compute between issue and wait to hide communication.  For one
+        process group at a time use :meth:`groups` with
+        :func:`repro.dist.comm.communicator`; both share the groups' links.
         """
         comm = self._comms.get(axis)
         if comm is None:
@@ -257,41 +250,3 @@ class PlexusGrid:
     def world_size(self) -> int:
         return self.config.total
 
-
-#: collective names map_collective routes through the communicator API
-#: (matched as strings only, so a user callable that happens to be called
-#: ``all_reduce`` is still invoked)
-_MAPPABLE = {
-    "all_reduce": "map_all_reduce",
-    "all_gather": "map_all_gather",
-    "reduce_scatter": "map_reduce_scatter",
-}
-
-
-def map_collective(grid: PlexusGrid, along: Axis, per_rank: list, collective, **kwargs) -> list:
-    """Apply ``collective`` group-wise along the ``along`` grid axis.
-
-    ``per_rank`` is indexed by global rank id; the result list is too.  This
-    is the driver-side idiom for "all-reduce H across the X-parallel group"
-    style steps of Algorithms 1-2.  Extra kwargs (e.g. the concatenation
-    ``axis``) pass through to the collective.
-
-    ``collective`` may be a name (``"all_reduce"``, ``"all_gather"``,
-    ``"reduce_scatter"``) or a callable; names run eagerly through the
-    communicator API (``grid.comm(along).map_<name>(per_rank, ...).wait()``),
-    while a callable gets one call per process group.
-    """
-    if len(per_rank) != grid.world_size:
-        raise ValueError("per_rank must have one entry per rank")
-    if isinstance(collective, str):
-        method = _MAPPABLE.get(collective)
-        if method is None:
-            raise ValueError(f"unknown collective {collective!r} (known: {sorted(_MAPPABLE)})")
-        return getattr(grid.comm(along), method)(per_rank, **kwargs).wait()
-    out: list = [None] * grid.world_size
-    for group in grid.groups(along):
-        shards = [per_rank[m.rank] for m in group.members]
-        results = collective(group, shards, **kwargs)
-        for m, res in zip(group.members, results):
-            out[m.rank] = res
-    return out

@@ -21,64 +21,57 @@ The layer is written once against *logical* roles (x, y, z);
 :func:`repro.core.grid.axis_roles` maps them to physical axes per layer,
 which is all that Sec. 3.2's "parallelizing all layers" requires.
 
-Two execution engines share this class (selected by the model):
+Execution is **rank-batched** (CAGNET's stacked-partition form of the
+per-rank pseudo-code): per-rank operands live as one stacked tensor, the
+three GEMMs of Algorithms 1-2 run as single ``np.matmul`` batched calls (one
+per exact-shape group), the SpMMs as one block CSR product
+(:class:`repro.core.batch.BlockDiagSpmm` — per aggregation row block when
+blocking is on), and the collectives as keepdims reductions over the rank
+cube (:class:`~repro.dist.comm.AxisCommunicator`).  Every configuration
+runs this one path.  The per-rank, per-process-group form the paper writes
+is kept as the bitwise reference in ``tests/oracle.py``: its own
+implementation, which reads a built model's shards and kernel-time vectors
+and shares no execution code with this module.
 
-* ``"perrank"`` — the reference: data flows as per-rank lists and the
-  collectives run group-wise, exactly as the paper's pseudo-code suggests.
-  It handles quasi-equal (indivisible) sharding, blocked aggregation and
-  the SpMM noise model; its GEMM/SpMM steps still execute grouped by shape
-  (:func:`~repro.core.batch.batched_matmul` /
-  :meth:`~repro.core.batch.BlockDiagSpmm.apply`), which is value-identical
-  to a plain per-rank loop.
-* ``"batched"`` — the rank-batched fast path: per-rank operands live as one
-  stacked tensor, the three GEMMs of Algorithms 1-2 run as single
-  ``np.matmul`` batched calls (one per exact-shape group), the SpMMs as one
-  block CSR product (:class:`repro.core.batch.BlockDiagSpmm` — per
-  aggregation row block when blocking is on), and the collectives as
-  keepdims reductions over the rank cube (the stacked methods of
-  :class:`~repro.dist.comm.AxisCommunicator`).  Every configuration is
-  eligible; numerics are bitwise identical to the per-rank engine in
-  float64, clocks included.
+Uniform (divisible) sharding never stores a replica: every collective
+returns a :class:`~repro.core.batch.ReplicatedStack` (extent 1 along the
+cube axes the value is shared on), and the next step broadcasts over it.
+In Algorithm 1 the gathered F has extent 1 along the z-role axis (the
+SpMM's block CSR points the group's ranks at the one block), H after the
+X-all-reduce along x, the gathered W along z, so ``Q = H @ W`` is a
+broadcasting matmul yielding the full cube; Q after the Y-all-reduce has
+extent 1 along y, and so does ``relu(Q)`` — which *is* the next layer's F,
+whose z-role is this layer's y.  Algorithm 2 mirrors it: dQ (y) and H (x)
+broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
+the X-all-reduce (x) feeds the A^T product like F did; dF after the
+Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
+features and gradients handed to the optimizer are flat ``(world, m, n)``.
+Quasi-equal sharding uses zero-padded
+:class:`~repro.core.batch.PaddedStack` stacks (flat along the ranks)
+whose valid-extent masks keep pad rows out of the math, the gathers and
+the byte accounting.
 
-  Uniform (divisible) sharding never stores a replica: every collective
-  returns a :class:`~repro.core.batch.ReplicatedStack` (extent 1 along the
-  cube axes the value is shared on), and the next step broadcasts over it.
-  In Algorithm 1 the gathered F has extent 1 along the z-role axis (the
-  SpMM's block CSR points the group's ranks at the one block), H after the
-  X-all-reduce along x, the gathered W along z, so ``Q = H @ W`` is a
-  broadcasting matmul yielding the full cube; Q after the Y-all-reduce has
-  extent 1 along y, and so does ``relu(Q)`` — which *is* the next layer's F,
-  whose z-role is this layer's y.  Algorithm 2 mirrors it: dQ (y) and H (x)
-  broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
-  the X-all-reduce (x) feeds the A^T product like F did; dF after the
-  Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
-  features and gradients handed to the optimizer are flat ``(world, m, n)``.
-  Quasi-equal sharding uses zero-padded
-  :class:`~repro.core.batch.PaddedStack` stacks (flat along the ranks)
-  whose valid-extent masks keep pad rows out of the math, the gathers and
-  the byte accounting.
-
-  **Frozen means computed once.**  With ``trainable_features=False`` (the
-  default) Algorithm 1 lines 3-5 of layer 0 have the same operands every
-  epoch, and nobody reads Algorithm 2's layer-0 ``dH``.  The batched engine
-  runs them in full exactly once: the first forward keeps the gathered F0
-  and ``H0 = all-reduce_X(A @ F0)``, the first backward multiplies
-  ``dQ W^T`` a last time, and both record the scheduled duration of each
-  collective (:attr:`~repro.dist.comm.PendingCollective.duration`).  Every
-  later pass *replays*: the F0 all-gather (the cross-epoch prefetch and
-  ``evaluate()`` included), each (per-block) SpMM charge with its noise
-  draw, each X-all-reduce, the ``comp:gemm_dh`` charge and the dH
-  all-reduce are issued and waited as before — through
-  :meth:`~repro.dist.comm.AxisCommunicator.issue`, which schedules a
-  collective of known duration without an operand — so clocks, link
-  reservations, in-flight queues, phase totals and trace events stay
-  bitwise what they were, while no SpMM, GEMM, gather copy or reduction
-  runs for them.  What is held is read-only (``PlexusGCN`` makes the F0
-  shards read-only too: an in-place edit raises rather than training on a
-  stale H0), replays are counted (``frozen_agg_replays`` in the metrics
-  registry), trainable features memoise nothing, and the per-rank engine
-  deliberately keeps recomputing everything: the batched == per-rank
-  bitwise suites are therefore the independent check of the replay.
+**Frozen means computed once.**  With ``trainable_features=False`` (the
+default) Algorithm 1 lines 3-5 of layer 0 have the same operands every
+epoch, and nobody reads Algorithm 2's layer-0 ``dH``.  The layer runs them
+in full exactly once: the first forward keeps the gathered F0 and
+``H0 = all-reduce_X(A @ F0)``, the first backward multiplies ``dQ W^T`` a
+last time, and both record the scheduled duration of each collective
+(:attr:`~repro.dist.comm.PendingCollective.duration`).  Every later pass
+*replays*: the F0 all-gather (the cross-epoch prefetch and ``evaluate()``
+included), each (per-block) SpMM charge with its noise draw, each
+X-all-reduce, the ``comp:gemm_dh`` charge and the dH all-reduce are issued
+and waited as before — through
+:meth:`~repro.dist.comm.AxisCommunicator.issue`, which schedules a
+collective of known duration without an operand — so clocks, link
+reservations, in-flight queues, phase totals and trace events stay bitwise
+what they were, while no SpMM, GEMM, gather copy or reduction runs for
+them.  What is held is read-only (``PlexusGCN`` makes the F0 shards
+read-only too: an in-place edit raises rather than training on a stale
+H0), replays are counted (``frozen_agg_replays`` in the metrics registry),
+trainable features memoise nothing, and the test-side oracle memoises
+nothing at all: the product == oracle bitwise suites are therefore the
+independent check of the replay.
 
 Kernel times are *precomputed* per rank at construction (shard shapes never
 change across epochs), so the hot loop advances all clocks per step with a
@@ -94,12 +87,12 @@ Optimizations hosted here:
   TN mode; the numerical result is identical.
 * **SpMM variability** (Sec. 5.2's motivation): an optional
   :class:`~repro.core.noise.SpmmNoise` inflates large per-call SpMM times
-  stochastically; its draws are vectorized per rank in rank order, so both
-  engines consume the same RNG stream and stay bitwise comparable.
+  stochastically; its draws are vectorized per rank in rank order — the
+  RNG stream of scalar per-rank draws, which is what the oracle checks.
 
 Sparse products route through the :func:`repro.sparse.ops.spmm` seam (via
-:class:`~repro.core.batch.BlockDiagSpmm` on the batched path), keeping one
-place where a real-GPU backend could swap in an instrumented kernel.
+:class:`~repro.core.batch.BlockDiagSpmm`), keeping one place where a
+real-GPU backend could swap in an instrumented kernel.
 """
 
 from __future__ import annotations
@@ -114,7 +107,6 @@ from repro.core.batch import (
     BlockDiagSpmm,
     PaddedStack,
     ReplicatedStack,
-    batched_matmul,
     concat_stack_rows,
     shard_views,
     stack_map,
@@ -125,13 +117,12 @@ from repro.core.batch import (
 from repro.core.grid import PlexusGrid
 from repro.core.noise import SpmmNoise
 from repro.core.sharding import LayerSharding
-from repro.dist.comm import PendingCollective, PendingMap
+from repro.dist.comm import PendingCollective
 from repro.gpu.gemm import GemmMode, gemm_time
 from repro.gpu.spmm import spmm_time_batch
 from repro.nn.functional import relu
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
-from repro.sparse.ops import spmm
 from repro.sparse.partition import block_slices, csr_block
 
 __all__ = ["LayerCache", "PlexusLayer"]
@@ -141,19 +132,18 @@ __all__ = ["LayerCache", "PlexusLayer"]
 class LayerCache:
     """Per-rank forward activations kept for the backward pass.
 
-    Each field is indexable by rank: a list of 2D arrays on the per-rank
-    engine; on the batched engine a stack —
+    Each field is a stack indexable by rank:
     :class:`~repro.core.batch.ReplicatedStack` for uniform sharding (``f``
     held once per Z group, ``h`` once per X group, ``q`` once per Y group),
     :class:`~repro.core.batch.PaddedStack` for quasi-equal.
     """
 
     #: gathered input features F (full local block), per rank
-    f: list[np.ndarray] | ReplicatedStack | PaddedStack
+    f: ReplicatedStack | PaddedStack
     #: aggregation output H after the X-all-reduce, per rank
-    h: list[np.ndarray] | ReplicatedStack | PaddedStack
+    h: ReplicatedStack | PaddedStack
     #: pre-activation Q after the Y-all-reduce, per rank
-    q: list[np.ndarray] | ReplicatedStack | PaddedStack
+    q: ReplicatedStack | PaddedStack
 
 
 #: ``_FrozenAggregation.dh_duration`` before the first backward (``None``
@@ -163,9 +153,9 @@ _UNRECORDED = object()
 
 @dataclass
 class _FrozenAggregation:
-    """What a frozen layer 0 keeps of its first pass (batched engine): the
-    aggregation's operand and result, and the scheduled duration of every
-    collective that is re-issued without its operand afterwards."""
+    """What a frozen layer 0 keeps of its first pass: the aggregation's
+    operand and result, and the scheduled duration of every collective that
+    is re-issued without its operand afterwards."""
 
     #: the gathered F0 — what a replayed (pre)fetch handle hands back, so a
     #: checkpointed in-flight prefetch still carries its data
@@ -198,13 +188,10 @@ class PlexusLayer:
         tune_dw_gemm: bool = False,
         noise: SpmmNoise | None = None,
         shard_cache: dict[Any, tuple] | None = None,
-        engine: str = "perrank",
         overlap: bool = False,
     ) -> None:
         if aggregation_blocks < 1:
             raise ValueError("aggregation_blocks must be >= 1")
-        if engine not in ("perrank", "batched"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.grid = grid
         self.cluster = grid.cluster
         self.sharding = sharding
@@ -215,7 +202,6 @@ class PlexusLayer:
         self.aggregation_blocks = aggregation_blocks
         self.tune_dw_gemm = tune_dw_gemm
         self.noise = noise
-        self.engine = engine
         self.overlap = overlap
         self.roles = sharding.roles
         world = grid.world_size
@@ -250,10 +236,10 @@ class PlexusLayer:
                 self._a_blocks.append(
                     [csr_block(shard, sl, slice(0, shard.shape[1])) for sl in slices]
                 )
-            # per-aggregation-block stacked SpMM plans (batched engine only):
-            # one block-diagonal CSR over all ranks per row block, so blocked
-            # aggregation drives one SpMM per block instead of ``world`` calls
-            if engine == "batched" and aggregation_blocks > 1:
+            # per-aggregation-block stacked SpMM plans: one block-diagonal
+            # CSR over all ranks per row block, so blocked aggregation
+            # drives one SpMM per block instead of ``world`` calls
+            if aggregation_blocks > 1:
                 self._bd_blocks = [
                     BlockDiagSpmm([self._a_blocks[r][b] for r in range(world)])
                     for b in range(aggregation_blocks)
@@ -268,20 +254,13 @@ class PlexusLayer:
             if shard_cache is not None:
                 shard_cache[blocks_key] = (self._a_blocks, self._bd_blocks, self._block_nnz)
         # -- weight shards: local (D_in/Gy x D_out/Gx) block, z-sub-sharded rows
-        if engine == "batched":
-            self.w_stack: np.ndarray | PaddedStack | None = stack_shards(
-                [
-                    w_full[sharding.w_row_subslice_z(grid, r), sharding.w_col_slice(grid, r)]
-                    for r in range(world)
-                ]
-            )
-            self.w_shards: list[np.ndarray] = shard_views(self.w_stack)
-        else:
-            self.w_stack = None
-            self.w_shards = [
-                w_full[sharding.w_row_subslice_z(grid, r), sharding.w_col_slice(grid, r)].copy()
+        self.w_stack: np.ndarray | PaddedStack = stack_shards(
+            [
+                w_full[sharding.w_row_subslice_z(grid, r), sharding.w_col_slice(grid, r)]
                 for r in range(world)
             ]
+        )
+        self.w_shards: list[np.ndarray] = shard_views(self.w_stack)
         self._precompute_kernel_times()
         #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
         #: steps — one for the whole shard, or one per row block (Sec. 5.2)
@@ -289,8 +268,8 @@ class PlexusLayer:
             self._agg_steps = [(self._t_spmm_fwd, self._nnz_a, self._bd_a)]
         else:
             self._agg_steps = list(zip(self._t_spmm_blocks, self._block_nnz, self._bd_blocks))
-        #: set by the first batched forward of a layer 0 with frozen input
-        #: features; every later pass replays it (see the module docstring)
+        #: set by the first forward of a layer 0 with frozen input features;
+        #: every later pass replays it (see the module docstring)
         self._frozen: _FrozenAggregation | None = None
 
     # -- kernel-time precomputation --------------------------------------------
@@ -330,16 +309,16 @@ class PlexusLayer:
                 bnnz = np.asarray([blocks[b].nnz for blocks in self._a_blocks], dtype=np.float64)
                 self._t_spmm_blocks.append(spmm_time_batch(rows, ac, cols, bnnz, device))
 
-    def _advance_spmm(self, times: np.ndarray, nnz: list[int] | np.ndarray, phase: str) -> None:
+    def _advance_spmm(self, times: np.ndarray, nnz: np.ndarray, phase: str) -> None:
         """Charge one SpMM step on every rank, applying the noise model
-        per rank (draws in rank order, preserving the sampler's RNG
-        sequence bitwise for both engines)."""
+        per rank (draws in rank order: the sampler's RNG sequence is that
+        of scalar per-rank draws)."""
         if self.noise is not None:
             times = times * self.noise.multipliers(nnz)
         self.cluster.advance_all(times, phase)
 
     # -- W all-gather (issued here, waited where the GEMM consumes it) -----------
-    def issue_w_gather(self) -> PendingCollective | PendingMap:
+    def issue_w_gather(self) -> PendingCollective:
         """Issue the Z-axis all-gather of this layer's weight shards.
 
         With ``overlap=True`` the model driver calls this at the end of the
@@ -347,12 +326,9 @@ class PlexusLayer:
         gather rides behind that layer's remaining compute; eager mode
         issues and waits at the point of use.
         """
-        comm_z = self.grid.comm(self.roles.z)
-        if self.engine == "batched":
-            return comm_z.all_gather(self.w_stack, phase="all_gather_w")
-        return comm_z.map_all_gather(self.w_shards, axis=0, phase="all_gather_w")
+        return self.grid.comm(self.roles.z).all_gather(self.w_stack, phase="all_gather_w")
 
-    def issue_f_gather(self, f_in) -> PendingCollective | PendingMap:
+    def issue_f_gather(self, f_in) -> PendingCollective:
         """Issue the layer-0 Z-axis all-gather of the input-feature shards.
 
         The forward pass issues and waits it in place by default; with
@@ -366,9 +342,7 @@ class PlexusLayer:
         frozen = self._frozen
         if frozen is not None:
             return comm_z.issue(frozen.f_duration, phase="all_gather_f", result=frozen.f)
-        if self.engine == "batched":
-            return comm_z.all_gather(f_in, phase="all_gather_f")
-        return comm_z.map_all_gather(f_in, axis=0, phase="all_gather_f")
+        return comm_z.all_gather(f_in, phase="all_gather_f")
 
     # -- forward (Algorithm 1) ---------------------------------------------------
     def forward(self, f_in, w_pending=None, f_pending=None) -> tuple[Any, LayerCache]:
@@ -382,85 +356,55 @@ class PlexusLayer:
         layer issues its own.
         """
         with _trace.span(f"layer{self.layer_idx}.forward"):
-            if self.engine == "batched":
-                return self._forward_batched(f_in, w_pending, f_pending)
-            return self._forward_perrank(f_in, w_pending, f_pending)
-
-    def _forward_perrank(
-        self, f_in: list[np.ndarray], w_pending=None, f_pending=None
-    ) -> tuple[list[np.ndarray], LayerCache]:
-        grid, roles = self.grid, self.roles
-        world = grid.world_size
-        comm_x, comm_y = grid.comm(roles.x), grid.comm(roles.y)
-        # Step 1 (line 3): all-gather F across the Z-parallel group (layer 0 only)
-        if self.is_first:
-            if f_pending is None:
-                f_pending = self.issue_f_gather(f_in)
-            f = f_pending.wait()
-        else:
-            f = list(f_in)
-        # overlap: issue this layer's W gather before the aggregation phase
-        # (after the F gather — both ride the Z links) so it hides behind it
-        if self.overlap and w_pending is None:
-            w_pending = self.issue_w_gather()
-        # Step 2 (lines 4-5): H = SpMM(A, F); all-reduce across X-parallel group
-        if self.aggregation_blocks == 1:
-            self._advance_spmm(self._t_spmm_fwd, self._nnz_a, "comp:spmm_fwd")
-            h_partial = self._bd_a.apply(f)
-            h = comm_x.map_all_reduce(h_partial, phase="all_reduce_h").wait()
-        else:
-            h = self._blocked_aggregation(f)
-        # Step 3 (lines 7-9): Q = SGEMM(H, W); all-reduce across Y-parallel group
-        if w_pending is None:
-            w_pending = self.issue_w_gather()
-        w_local = w_pending.wait()
-        self.cluster.advance_all(self._t_gemm_fwd, "comp:gemm_fwd")
-        q_partial = batched_matmul(h, w_local)
-        q = comm_y.map_all_reduce(q_partial, phase="all_reduce_q").wait()
-        # Step 4 (line 11): non-linear activation (identity on the last layer,
-        # whose logits feed the softmax cross-entropy)
-        f_out = [q[r] if self.is_last else relu(q[r]) for r in range(world)]
-        return f_out, LayerCache(f=f, h=h, q=q)
-
-    def _forward_batched(self, f_in, w_pending=None, f_pending=None) -> tuple[Any, LayerCache]:
-        comm_y = self.grid.comm(self.roles.y)
-        frozen = self._frozen
-        f = f_in
-        if self.is_first:
-            if f_pending is None:
-                f_pending = self.issue_f_gather(f_in)
-            f = f_pending.wait()
-        if self.overlap and w_pending is None:
-            w_pending = self.issue_w_gather()
-        if frozen is not None:
-            self._aggregation_steps(None, replay=frozen.h_durations)
-            h = frozen.h
-            if _trace.enabled:
-                _metrics.count("frozen_agg_replays")
-        else:
-            parts, handles = self._aggregation_steps(f)
-            h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
-            if self.is_first and not self.trainable_features:
-                if isinstance(h, PaddedStack):  # held across epochs from here on
-                    h.data.setflags(write=False)  # (a ReplicatedStack already is)
-                self._frozen = _FrozenAggregation(
-                    f, h, f_pending.duration, [handle.duration for handle in handles]
-                )
-        if w_pending is None:
-            w_pending = self.issue_w_gather()
-        w_local = w_pending.wait()
-        self.cluster.advance_all(self._t_gemm_fwd, "comp:gemm_fwd")
-        q_partial = stack_matmul(h, w_local)
-        q = comm_y.all_reduce(q_partial, phase="all_reduce_q").wait()
-        f_out = q if self.is_last else stack_map(relu, q)
-        return f_out, LayerCache(f=f, h=h, q=q)
+            comm_y = self.grid.comm(self.roles.y)
+            frozen = self._frozen
+            # Step 1 (line 3): all-gather F across the Z-parallel group (layer 0 only)
+            f = f_in
+            if self.is_first:
+                if f_pending is None:
+                    f_pending = self.issue_f_gather(f_in)
+                f = f_pending.wait()
+            # overlap: issue this layer's W gather before the aggregation phase
+            # (after the F gather — both ride the Z links) so it hides behind it
+            if self.overlap and w_pending is None:
+                w_pending = self.issue_w_gather()
+            # Step 2 (lines 4-5): H = SpMM(A, F); all-reduce across X-parallel group
+            if frozen is not None:
+                self._aggregation_steps(None, replay=frozen.h_durations)
+                h = frozen.h
+                if _trace.enabled:
+                    _metrics.count("frozen_agg_replays")
+            else:
+                parts, handles = self._aggregation_steps(f)
+                h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
+                if self.is_first and not self.trainable_features:
+                    if isinstance(h, PaddedStack):  # held across epochs from here on
+                        h.data.setflags(write=False)  # (a ReplicatedStack already is)
+                    self._frozen = _FrozenAggregation(
+                        f, h, f_pending.duration, [handle.duration for handle in handles]
+                    )
+            # Step 3 (lines 7-9): Q = SGEMM(H, W); all-reduce across Y-parallel group
+            if w_pending is None:
+                w_pending = self.issue_w_gather()
+            w_local = w_pending.wait()
+            self.cluster.advance_all(self._t_gemm_fwd, "comp:gemm_fwd")
+            q_partial = stack_matmul(h, w_local)
+            q = comm_y.all_reduce(q_partial, phase="all_reduce_q").wait()
+            # Step 4 (line 11): non-linear activation (identity on the last layer,
+            # whose logits feed the softmax cross-entropy)
+            f_out = q if self.is_last else stack_map(relu, q)
+            return f_out, LayerCache(f=f, h=h, q=q)
 
     def _aggregation_steps(self, f, replay: list | None = None) -> tuple[list, list]:
-        """Lines 4-5 on the batched engine: one stacked block-diagonal SpMM
-        and one X-all-reduce per aggregation step, eager or — with overlap —
-        each reduce in flight behind the next block's SpMM, joined after the
-        last block (the schedule of :meth:`_blocked_aggregation`).  Returns
-        the reduced row blocks of H and their waited handles.
+        """Lines 4-5: one stacked block-diagonal SpMM and one X-all-reduce
+        per aggregation step (Sec. 5.2: per row block, concatenated by the
+        caller).  Eager mode waits each block's all-reduce before the next
+        block's SpMM.  Overlap mode issues the all-reduce and immediately
+        starts the next block's SpMM — the in-flight reduces serialize on
+        the X links while compute proceeds, and all handles join in issue
+        order after the last block, so only the uncovered tail of each
+        reduce is charged as comm.  Returns the reduced row blocks of H and
+        their waited handles.
 
         With ``replay`` (the handles' durations, recorded by an earlier
         call) the same charges and collectives are issued without computing
@@ -481,37 +425,6 @@ class PlexusLayer:
             parts = [handle.wait() for handle in handles]
         return parts, handles
 
-    def _blocked_aggregation(self, f: list[np.ndarray]) -> list[np.ndarray]:
-        """Sec. 5.2: per row-block SpMM + all-reduce, concatenated at the end.
-
-        Eager mode waits each block's all-reduce before the next block's
-        SpMM.  Overlap mode issues the all-reduce and immediately starts the
-        next block's SpMM — the in-flight reduces serialize on the X links
-        while compute proceeds, and all handles join after the last block,
-        so only the uncovered tail of each reduce is charged as comm.
-        """
-        grid, roles = self.grid, self.roles
-        world = grid.world_size
-        comm_x = grid.comm(roles.x)
-        out_blocks: list[list[np.ndarray]] = [[] for _ in range(world)]
-        pending: list[PendingMap] = []
-        for b in range(self.aggregation_blocks):
-            blocks = [self._a_blocks[rank][b] for rank in range(world)]
-            self._advance_spmm(self._t_spmm_blocks[b], [a.nnz for a in blocks], "comp:spmm_fwd")
-            partial = [spmm(blocks[rank], f[rank]) for rank in range(world)]
-            handle = comm_x.map_all_reduce(partial, phase="all_reduce_h")
-            if self.overlap:
-                pending.append(handle)
-                continue
-            reduced = handle.wait()
-            for rank in range(world):
-                out_blocks[rank].append(reduced[rank])
-        for handle in pending:  # overlap: join in issue order after the last SpMM
-            reduced = handle.wait()
-            for rank in range(world):
-                out_blocks[rank].append(reduced[rank])
-        return [np.concatenate(blocks, axis=0) for blocks in out_blocks]
-
     # -- backward (Algorithm 2) --------------------------------------------------
     def backward(self, dq, cache: LayerCache, w_pending=None, post_w_hook=None):
         """Returns ``(dF per rank or None, dW shard gradients per rank)``.
@@ -527,106 +440,59 @@ class PlexusLayer:
         hides behind the remaining dH GEMM, all-reduce and epoch barrier.
         """
         with _trace.span(f"layer{self.layer_idx}.backward"):
-            if self.engine == "batched":
-                return self._backward_batched(dq, cache, w_pending, post_w_hook)
-            return self._backward_perrank(dq, cache, w_pending, post_w_hook)
-
-    def _backward_perrank(
-        self, dq: list[np.ndarray], cache: LayerCache, w_pending=None, post_w_hook=None
-    ) -> tuple[list[np.ndarray] | None, list[np.ndarray]]:
-        grid, roles = self.grid, self.roles
-        world = grid.world_size
-        comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
-        # overlap: re-gather W behind the grad-W GEMM and dW reduce-scatter
-        if self.overlap and w_pending is None:
-            w_pending = self.issue_w_gather()
-        # Line 2: dW = SGEMM(H^T, dQ) — TN mode, or the Sec. 5.3 tuned NT form.
-        self.cluster.advance_all(self._t_gemm_dw, "comp:gemm_dw")
-        if self.tune_dw_gemm:
-            dw_partial = [m.T for m in batched_matmul([dq[r].T for r in range(world)], cache.h)]
-        else:
-            dw_partial = batched_matmul([cache.h[r].T for r in range(world)], dq)
-        # Line 3: reduce-scatter dW across Z-parallel group (W is z-sub-sharded)
-        dw = comm_z.map_reduce_scatter(dw_partial, axis=0, phase="reduce_scatter_dw").wait()
-        # Line 4: all-gather W across Z-parallel group (freed after forward)
-        if w_pending is None:
-            w_pending = self.issue_w_gather()
-        w_local = w_pending.wait()
-        if post_w_hook is not None:
-            post_w_hook()
-        # Lines 5-6: dH = SGEMM(dQ, W^T); all-reduce across X-parallel group
-        self.cluster.advance_all(self._t_gemm_dh, "comp:gemm_dh")
-        dh_partial = batched_matmul(dq, [w.T for w in w_local])
-        dh_pending = comm_x.map_all_reduce(dh_partial, phase="all_reduce_dh")
-        # Lines 7-8: dF = SpMM(A^T, dH); reduce-scatter (layer 0) or
-        # all-reduce (later layers) across the Z-parallel group.  With
-        # ``overlap=True`` the backward SpMM's compute is charged while the
-        # dH all-reduce is still in flight — the Sec. 5.2-style pipeline
-        # where A^T's column blocks multiply each dH row block as its ring
-        # step completes — and the handle is waited where dF consumes it.
-        if self.is_first and not self.trainable_features:
-            dh_pending.wait()
-            return None, dw
-        if self.overlap:
-            self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
-            dh = dh_pending.wait()
-        else:
-            dh = dh_pending.wait()
-            self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
-        df_partial = self._bd_at.apply(dh)
-        if self.is_first:
-            df = comm_z.map_reduce_scatter(df_partial, axis=0, phase="reduce_scatter_df").wait()
-        else:
-            df = comm_z.map_all_reduce(df_partial, phase="all_reduce_df").wait()
-        return df, dw
-
-    def _backward_batched(
-        self, dq, cache: LayerCache, w_pending=None, post_w_hook=None
-    ) -> tuple[Any, Any]:
-        grid, roles = self.grid, self.roles
-        comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
-        h = cache.h
-        if self.overlap and w_pending is None:
-            w_pending = self.issue_w_gather()
-        self.cluster.advance_all(self._t_gemm_dw, "comp:gemm_dw")
-        if self.tune_dw_gemm:
-            dw_partial = stack_transpose(stack_matmul(dq, h, ta=True))
-        else:
-            dw_partial = stack_matmul(h, dq, ta=True)
-        dw = comm_z.reduce_scatter(dw_partial, phase="reduce_scatter_dw").wait()
-        if w_pending is None:
-            w_pending = self.issue_w_gather()
-        w_local = w_pending.wait()
-        if post_w_hook is not None:
-            post_w_hook()
-        self.cluster.advance_all(self._t_gemm_dh, "comp:gemm_dh")
-        frozen = self._frozen
-        if frozen is not None and frozen.dh_duration is not _UNRECORDED:
-            # nobody reads a frozen layer 0's dH: charged above, reduced
-            # on the timeline, never multiplied
-            dh_pending = comm_x.issue(frozen.dh_duration, phase="all_reduce_dh")
-        else:
-            dh_partial = stack_matmul(dq, w_local, tb=True)
-            dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
-            if frozen is not None:
-                frozen.dh_duration = dh_pending.duration
-        if self.is_first and not self.trainable_features:
-            dh_pending.wait()
-            return None, dw
-        # overlap: the backward SpMM pipelines behind the in-flight dH
-        # all-reduce (see _backward_perrank); eager waits first
-        if self.overlap:
-            self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
-            dh = dh_pending.wait()
-        else:
-            dh = dh_pending.wait()
-            self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
-        df_partial = self._bd_at.apply_batched(dh)
-        if self.is_first:
-            df = comm_z.reduce_scatter(df_partial, phase="reduce_scatter_df").wait()
-        else:
-            df = comm_z.all_reduce(df_partial, phase="all_reduce_df").wait()
-        return df, dw
+            grid, roles = self.grid, self.roles
+            comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
+            h = cache.h
+            # overlap: re-gather W behind the grad-W GEMM and dW reduce-scatter
+            if self.overlap and w_pending is None:
+                w_pending = self.issue_w_gather()
+            # Line 2: dW = SGEMM(H^T, dQ) — TN mode, or the Sec. 5.3 tuned NT form.
+            self.cluster.advance_all(self._t_gemm_dw, "comp:gemm_dw")
+            if self.tune_dw_gemm:
+                dw_partial = stack_transpose(stack_matmul(dq, h, ta=True))
+            else:
+                dw_partial = stack_matmul(h, dq, ta=True)
+            # Line 3: reduce-scatter dW across Z-parallel group (W is z-sub-sharded)
+            dw = comm_z.reduce_scatter(dw_partial, phase="reduce_scatter_dw").wait()
+            # Line 4: all-gather W across Z-parallel group (freed after forward)
+            if w_pending is None:
+                w_pending = self.issue_w_gather()
+            w_local = w_pending.wait()
+            if post_w_hook is not None:
+                post_w_hook()
+            # Lines 5-6: dH = SGEMM(dQ, W^T); all-reduce across X-parallel group
+            self.cluster.advance_all(self._t_gemm_dh, "comp:gemm_dh")
+            frozen = self._frozen
+            if frozen is not None and frozen.dh_duration is not _UNRECORDED:
+                # nobody reads a frozen layer 0's dH: charged above, reduced
+                # on the timeline, never multiplied
+                dh_pending = comm_x.issue(frozen.dh_duration, phase="all_reduce_dh")
+            else:
+                dh_partial = stack_matmul(dq, w_local, tb=True)
+                dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
+                if frozen is not None:
+                    frozen.dh_duration = dh_pending.duration
+            if self.is_first and not self.trainable_features:
+                dh_pending.wait()
+                return None, dw
+            # Lines 7-8: dF = SpMM(A^T, dH); reduce-scatter (layer 0) or
+            # all-reduce (later layers) across the Z-parallel group.  With
+            # ``overlap=True`` the backward SpMM's compute is charged while the
+            # dH all-reduce is still in flight — the Sec. 5.2-style pipeline
+            # where A^T's column blocks multiply each dH row block as its ring
+            # step completes — and the handle is waited where dF consumes it.
+            if self.overlap:
+                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
+                dh = dh_pending.wait()
+            else:
+                dh = dh_pending.wait()
+                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
+            df_partial = self._bd_at.apply_batched(dh)
+            if self.is_first:
+                df = comm_z.reduce_scatter(df_partial, phase="reduce_scatter_df").wait()
+            else:
+                df = comm_z.all_reduce(df_partial, phase="all_reduce_df").wait()
+            return df, dw
 
 
 def _gemm_times(m: np.ndarray, n: np.ndarray, k: np.ndarray, device, mode: GemmMode) -> np.ndarray:

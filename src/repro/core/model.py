@@ -8,23 +8,22 @@ reference draws, so for any grid configuration the distributed computation
 is step-for-step comparable with :class:`repro.nn.serial.SerialGCN`
 (the Fig. 7 validation).
 
-The model owns the **engine selection**: the rank-batched engine (stacked
-tensors, batched GEMMs/SpMMs, whole-axis collectives over the rank cube,
-one stacked optimizer) is universal — every configuration is eligible.
-Uniform (divisible) sharding keeps its persisted state as flat
-``(world, m, n)`` ndarrays and its activations as
-:class:`~repro.core.batch.ReplicatedStack` (one copy per group of ranks
-that share the value); ragged quasi-equal sharding uses zero-padded
-:class:`~repro.core.batch.PaddedStack` stacks whose valid-extent masks keep
-pad rows out of the math, the gathers and the byte accounting; blocked
-aggregation runs per-block stacked SpMM plans; SpMM noise draws are
-vectorized per rank in rank order.  ``options.engine="perrank"`` selects
-the per-rank reference loop, kept as the parity oracle — both engines
-produce bitwise-identical float64 numerics (clocks included);
-``options.compute_dtype=np.float32`` selects the faster benchmark mode.  On
-the batched engine, per-rank accessors such as
-``f0_shards``/``label_shards``/``w_shards`` remain available as views into
-the stacks.
+Execution is rank-batched throughout (stacked tensors, batched
+GEMMs/SpMMs, whole-axis collectives over the rank cube, one stacked
+optimizer) and every configuration runs it.  Uniform (divisible) sharding
+keeps its persisted state as flat ``(world, m, n)`` ndarrays and its
+activations as :class:`~repro.core.batch.ReplicatedStack` (one copy per
+group of ranks that share the value); ragged quasi-equal sharding uses
+zero-padded :class:`~repro.core.batch.PaddedStack` stacks whose
+valid-extent masks keep pad rows out of the math, the gathers and the byte
+accounting; blocked aggregation runs per-block stacked SpMM plans; SpMM
+noise draws are vectorized per rank in rank order.  There is one
+representation of every piece of state: the stacks; the per-rank accessors
+``f0_shards`` / ``label_shards`` / ``mask_shards`` / ``w_shards`` are views
+into them.  ``options.compute_dtype=np.float32`` selects the faster
+benchmark mode.  The per-rank form of Algorithms 1-2 lives in
+``tests/oracle.py`` as the bitwise reference (float64: losses, weights and
+clocks): it reads the shards a built model holds and runs none of its code.
 
 With ``options.overlap=True`` the model drives the nonblocking collective
 schedules: each layer's W all-gather handle is issued at the end of the
@@ -129,17 +128,14 @@ class PlexusGCN:
             shared = self.scheme.permuted_adjacency(a_norm, 0).astype(self.dtype)
             self._perm_a = {p: shared for p in parities}
 
-        # -- sharding geometry + engine selection ---------------------------
+        # -- sharding geometry ----------------------------------------------
         self.shardings = [
             LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
             for i in range(n_layers)
         ]
-        # The batched engine is universal: uniform sharding runs on plain
-        # ndarray stacks, quasi-equal sharding on padded stacks, blocked
-        # aggregation on per-block stacked SpMM plans.  "perrank" survives
-        # as the explicitly requested parity oracle.
-        self.uniform = all(s.is_uniform(self.grid) for s in self.shardings)
-        self.engine = "perrank" if opts.engine == "perrank" else "batched"
+        #: uniform sharding runs on plain ndarray stacks, quasi-equal
+        #: sharding on padded stacks: this only names the representation
+        self.uniform = all(s.is_uniform() for s in self.shardings)
         # unconditional: a later model on the same cluster must not inherit
         # an earlier model's bound (None restores the unbounded default)
         cluster.store.max_inflight = opts.max_inflight
@@ -163,7 +159,6 @@ class PlexusGCN:
                     tune_dw_gemm=opts.tune_dw_gemm,
                     noise=opts.noise,
                     shard_cache=self._shard_cache,
-                    engine=self.engine,
                     overlap=opts.overlap,
                 )
             )
@@ -171,24 +166,18 @@ class PlexusGCN:
         # -- input-feature shards (z-sub-sharded, Sec. 3.1) ------------------
         f_in_global = features[self.scheme.input_perm()].astype(self.dtype)
         s0 = self.shardings[0]
-        if self.engine == "batched":
-            self.f0_stack: np.ndarray | PaddedStack | None = stack_shards(
-                [
-                    f_in_global[s0.f_row_subslice_z(self.grid, r), s0.f_col_slice(self.grid, r)]
-                    for r in range(self.grid.world_size)
-                ]
-            )
-            if not opts.trainable_features:
-                # frozen is enforced: layer 0 aggregates these once and
-                # replays the result, so an in-place edit must raise
-                stack_data(self.f0_stack).setflags(write=False)
-            self.f0_shards = shard_views(self.f0_stack)
-        else:
-            self.f0_stack = None
-            self.f0_shards = [
-                f_in_global[s0.f_row_subslice_z(self.grid, r), s0.f_col_slice(self.grid, r)].copy()
-                for r in range(self.grid.world_size)
+        world = self.grid.world_size
+        self.f0_stack: np.ndarray | PaddedStack = stack_shards(
+            [
+                f_in_global[s0.f_row_subslice_z(self.grid, r), s0.f_col_slice(self.grid, r)]
+                for r in range(world)
             ]
+        )
+        if not opts.trainable_features:
+            # frozen is enforced: layer 0 aggregates these once and
+            # replays the result, so an in-place edit must raise
+            stack_data(self.f0_stack).setflags(write=False)
+        self.f0_shards = shard_views(self.f0_stack)
         #: in-flight cross-epoch prefetch of the layer-0 F all-gather
         #: (issued at the end of backward under ``overlap``, consumed by the
         #: next ``forward``)
@@ -199,42 +188,21 @@ class PlexusGCN:
         labels_out = labels[out_perm]
         mask_out = train_mask[out_perm]
         final = self.shardings[-1]
-        self.label_shards = []
-        self.mask_shards = []
-        self.class_slices = []
-        for r in range(self.grid.world_size):
-            rows = final.out_row_slice(self.grid, r)
-            self.label_shards.append(labels_out[rows].copy())
-            self.mask_shards.append(mask_out[rows].copy())
-            self.class_slices.append(final.out_col_slice(self.grid, r))
-        if self.engine == "batched":
-            self.label_stack: np.ndarray | PaddedStack | None = stack_shards(self.label_shards)
-            self.mask_stack: np.ndarray | PaddedStack | None = stack_shards(self.mask_shards)
-            self.class_start: np.ndarray | None = np.asarray(
-                [s.start for s in self.class_slices], dtype=np.int64
-            )
-        else:
-            self.label_stack = None
-            self.mask_stack = None
-            self.class_start = None
+        rows = [final.out_row_slice(self.grid, r) for r in range(world)]
+        self.label_stack: np.ndarray | PaddedStack = stack_shards([labels_out[s] for s in rows])
+        self.mask_stack: np.ndarray | PaddedStack = stack_shards([mask_out[s] for s in rows])
+        self.label_shards = shard_views(self.label_stack)
+        self.mask_shards = shard_views(self.mask_stack)
+        self.class_slices = [final.out_col_slice(self.grid, r) for r in range(world)]
+        self.class_start = np.asarray([s.start for s in self.class_slices], dtype=np.int64)
 
-        # -- optimizers: one stacked Adam (batched) or one per rank ----------
-        if self.engine == "batched":
-            # padded stacks hand the optimizer their raw data: pad entries
-            # have zero gradients forever, so Adam leaves them at zero
-            params = {f"W{i}": stack_data(layer.w_stack) for i, layer in enumerate(self.layers)}
-            if opts.trainable_features:
-                params["F0"] = stack_data(self.f0_stack)
-            self.optimizer: Adam | None = Adam(params, lr=opts.lr)
-            self.optimizers: list[Adam] = []
-        else:
-            self.optimizer = None
-            self.optimizers = []
-            for r in range(self.grid.world_size):
-                params = {f"W{i}": layer.w_shards[r] for i, layer in enumerate(self.layers)}
-                if opts.trainable_features:
-                    params["F0"] = self.f0_shards[r]
-                self.optimizers.append(Adam(params, lr=opts.lr))
+        # -- one stacked Adam over the rank axis ------------------------------
+        # padded stacks hand the optimizer their raw data: pad entries
+        # have zero gradients forever, so Adam leaves them at zero
+        params = {f"W{i}": stack_data(layer.w_stack) for i, layer in enumerate(self.layers)}
+        if opts.trainable_features:
+            params["F0"] = stack_data(self.f0_stack)
+        self.optimizer = Adam(params, lr=opts.lr)
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -267,30 +235,24 @@ class PlexusGCN:
         return totals
 
     # -- forward / backward ------------------------------------------------------
-    def _f0_input(self):
-        return self.f0_stack if self.engine == "batched" else self.f0_shards
-
     def prefetched_handles(self) -> tuple:
         """Collective handles intentionally in flight across the epoch
         boundary (the cross-epoch F prefetch) — the trainer exempts them
         from its dropped-handle check."""
-        if self._f0_pending is None:
-            return ()
-        return self._f0_pending.handles()
+        return () if self._f0_pending is None else (self._f0_pending,)
 
     def forward(self):
-        """Forward through all layers; returns per-rank logits and caches.
+        """Forward through all layers; returns the logits — a stack of
+        logical shape ``(world, rows, classes)``, indexable by rank — and
+        the per-layer caches.
 
-        Logits are a list of 2D arrays on the per-rank engine, a stack of
-        logical shape ``(world, rows, classes)`` on the batched engine — both
-        indexable by rank.  With ``overlap=True`` the next layer's W
-        all-gather is issued as each layer completes (the Sec. 5.2-style
-        prefetch) and waited inside that layer where the GEMM consumes it;
-        a cross-epoch F prefetch issued by the previous ``backward`` is
-        consumed by layer 0 here.
+        With ``overlap=True`` the next layer's W all-gather is issued as
+        each layer completes (the Sec. 5.2-style prefetch) and waited inside
+        that layer where the GEMM consumes it; a cross-epoch F prefetch
+        issued by the previous ``backward`` is consumed by layer 0 here.
         """
         overlap = self.options.overlap
-        acts = self._f0_input()
+        acts = self.f0_stack
         f_pending, self._f0_pending = self._f0_pending, None
         if f_pending is not None and not f_pending.live:
             # a cluster reset orphaned the prefetch (its schedule belongs to
@@ -329,37 +291,15 @@ class PlexusGCN:
 
         def issue() -> None:
             if self._f0_pending is None:
-                self._f0_pending = self.layers[0].issue_f_gather(self._f0_input())
+                self._f0_pending = self.layers[0].issue_f_gather(self.f0_stack)
 
         return issue
 
-    def backward(self, d_logits, caches: list[LayerCache]):
-        """Backward through all layers; returns gradients keyed like the
-        optimizer parameters: a stacked dict on the batched engine, one dict
-        per rank otherwise.  With ``overlap=True`` each preceding layer's W
-        all-gather is prefetched as the current backward step completes."""
-        if self.engine == "batched":
-            return self._backward_batched(d_logits, caches)
-        overlap = self.options.overlap
-        world = self.grid.world_size
-        grads: list[dict[str, np.ndarray]] = [{} for _ in range(world)]
-        dq = d_logits
-        w_pending = None
-        for i in range(self.n_layers - 1, -1, -1):
-            hook = self._f0_prefetch_hook() if i == 0 else None
-            df, dw = self.layers[i].backward(dq, caches[i], w_pending=w_pending, post_w_hook=hook)
-            w_pending = self.layers[i - 1].issue_w_gather() if overlap and i > 0 else None
-            for r in range(world):
-                grads[r][f"W{i}"] = dw[r]
-            if i > 0:
-                # chain rule through the previous layer's ReLU (Eq. 2.4)
-                dq = [df[r] * relu_grad(caches[i - 1].q[r]) for r in range(world)]
-            elif df is not None and self.options.trainable_features:
-                for r in range(world):
-                    grads[r]["F0"] = df[r]
-        return grads
-
-    def _backward_batched(self, d_logits, caches: list[LayerCache]) -> dict[str, np.ndarray]:
+    def backward(self, d_logits, caches: list[LayerCache]) -> dict[str, np.ndarray]:
+        """Backward through all layers; returns the stacked gradients keyed
+        like the optimizer parameters.  With ``overlap=True`` each preceding
+        layer's W all-gather is prefetched as the current backward step
+        completes."""
         overlap = self.options.overlap
         grads: dict[str, np.ndarray] = {}
         dq = d_logits
@@ -378,11 +318,6 @@ class PlexusGCN:
         return grads
 
     def apply_gradients(self, grads) -> None:
-        """Optimizer step: one stacked Adam over the rank axis (batched) or
-        shard-local per-rank Adams — elementwise-identical updates, Fig. 7."""
-        if self.engine == "batched":
-            self.optimizer.step({k: stack_data(g) for k, g in grads.items()})
-            return
-        for r, opt in enumerate(self.optimizers):
-            opt.step(grads[r])
-
+        """Optimizer step: one stacked Adam over the rank axis — elementwise
+        the update shard-local per-rank Adams would make (Fig. 7)."""
+        self.optimizer.step({k: stack_data(g) for k, g in grads.items()})

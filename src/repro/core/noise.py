@@ -56,8 +56,8 @@ class SpmmNoise:
         a single vectorized ``normal`` call — the generator fills array
         draws variate-by-variate, so the RNG stream (and hence every
         multiplier) is bitwise identical to scalar :meth:`multiplier` calls
-        in the same order.  This is what lets noisy runs use the rank-batched
-        engine while staying clock-exact with the per-rank reference.
+        in the same order.  This is what keeps rank-batched noisy runs
+        clock-exact with the per-rank reference (``tests/oracle.py``).
         """
         nnz = np.asarray(nnz, dtype=np.float64)
         out = np.ones(nnz.shape[0], dtype=np.float64)

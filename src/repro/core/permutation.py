@@ -98,7 +98,8 @@ class PermutationScheme:
         Returned in canonical CSR form: column permutation leaves scipy's
         within-row index order scrambled, and downstream shard cutting
         (per-rank and block-diagonal alike) must see one well-defined
-        accumulation order for the two execution engines to agree bitwise.
+        accumulation order for the stacked product and the per-rank
+        reference (``tests/oracle.py``) to agree bitwise.
         """
         rp = self.layer_row_perm(layer_idx)
         cp = self.layer_col_perm(layer_idx)

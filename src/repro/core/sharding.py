@@ -128,35 +128,26 @@ class LayerSharding:
             out["w_cols"][r] = s.stop - s.start
         return out
 
-    def is_uniform(self, grid: PlexusGrid) -> bool:
-        """True when every rank's shard of every matrix has the same shape.
+    def is_uniform(self) -> bool:
+        """True when every rank of the cube holds the same shape of every
+        matrix: a property of ``(N, D_in, D_out)`` and the role-axis sizes,
+        so every holder of the geometry — the launcher, or a worker that
+        sees only its own z-planes — gets the answer for the whole cube.
 
-        Divisible (N, D_in, D_out, grid) combinations shard into identical
-        blocks, and the rank-batched engine stores them as plain ndarray
-        stacks; quasi-equal shapes (differing by one row/column) are stored
-        as padded stacks with valid-extent masks instead — both run the
-        batched engine, this predicate only selects the representation.
+        Divisible combinations shard into identical blocks and are stored as
+        plain ndarray stacks; quasi-equal shapes (differing by one
+        row/column) as padded stacks with valid-extent masks.  The terms:
+        F's rows split over x then z, A's and the output's rows over z,
+        F's columns / W's rows over y then z, W's and the output's columns
+        over x.
         """
-        world = grid.world_size
-        for slicer in (
-            self.a_row_slice,
-            self.a_col_slice,
-            self.f_row_slice,
-            self.f_col_slice,
-            self.f_row_subslice_z,
-            self.w_row_slice,
-            self.w_col_slice,
-            self.w_row_subslice_z,
-            self.out_row_slice,
-            self.out_col_slice,
-        ):
-            first = slicer(grid, 0)
-            extent = first.stop - first.start
-            for rank in range(1, world):
-                s = slicer(grid, rank)
-                if s.stop - s.start != extent:
-                    return False
-        return True
+        gx, gy, gz = self.gx, self.gy, self.gz
+        return (
+            self.n % (gx * gz) == 0
+            and self.n % gz == 0
+            and self.d_in % (gy * gz) == 0
+            and self.d_out % gx == 0
+        )
 
     def validate_chain(self, next_sharding: "LayerSharding", grid: PlexusGrid) -> None:
         """Assert this layer's output sharding equals the next's input sharding.

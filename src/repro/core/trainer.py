@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import PaddedStack, ReplicatedStack, stack_data
+from repro.core.batch import PaddedStack, ReplicatedStack, shard_views, stack_data, stack_shards
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
@@ -27,102 +27,35 @@ from repro.obs import trace as _trace
 __all__ = ["EpochStats", "TrainResult", "distributed_masked_ce", "distributed_accuracy", "PlexusTrainer"]
 
 
-def _row_max(logits: np.ndarray) -> np.ndarray:
-    if logits.shape[1] == 0:
-        return np.full(logits.shape[0], -np.inf, dtype=logits.dtype)
-    return logits.max(axis=1)
-
-
-def distributed_masked_ce(
-    model: PlexusGCN,
-    logits,
-) -> tuple[float, list[np.ndarray] | np.ndarray]:
+def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack | PaddedStack]:
     """Masked cross-entropy + gradient over sharded logits.
 
-    Returns the global scalar loss (identical on every rank) and the
-    per-rank ``d loss / d logits`` shards that seed Algorithm 2.  Stacked
-    ``(world, rows, classes)`` logits (the batched engine's output) take the
-    rank-vectorized path — padded stacks (quasi-equal sharding) the masked
-    variant whose reductions run on exact-extent groups; a per-rank list
-    takes the reference loop.  All produce bitwise-identical float64
-    results.
+    Returns the global scalar loss (identical on every rank) and the stacked
+    ``d loss / d logits`` shards that seed Algorithm 2.  Uniform logits
+    (flat ``(world, rows, classes)`` or replicated) take the cube path,
+    padded stacks (quasi-equal sharding) the masked variant whose reductions
+    run on exact-extent groups.  Both are bitwise what a per-rank loop over
+    one process group at a time computes in float64 (``tests/oracle.py``).
     """
     if isinstance(logits, PaddedStack):
         return _masked_ce_padded(model, logits)
-    if isinstance(logits, ReplicatedStack) or (isinstance(logits, np.ndarray) and logits.ndim == 3):
-        return _masked_ce_batched(model, logits)
-    grid: PlexusGrid = model.grid
-    roles = model.shardings[-1].roles
-    comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
-    world = grid.world_size
-    labels, masks, cslices = model.label_shards, model.mask_shards, model.class_slices
-
-    # 1) log-softmax statistics along the class (x-role) axis
-    row_max = comm_x.map_all_reduce(
-        [_row_max(l) for l in logits], op="max", phase="loss_max"
-    ).wait()
-    sum_exp_local = [
-        np.exp(logits[r] - row_max[r][:, None]).sum(axis=1) if logits[r].shape[1] else np.zeros_like(row_max[r])
-        for r in range(world)
-    ]
-    sum_exp = comm_x.map_all_reduce(sum_exp_local, phase="loss_sumexp").wait()
-
-    # 2) gather each masked node's own-label logit from the owning class shard
-    z_local = []
-    for r in range(world):
-        c0, c1 = cslices[r].start, cslices[r].stop
-        z = np.zeros(logits[r].shape[0], dtype=logits[r].dtype)
-        owned = masks[r] & (labels[r] >= c0) & (labels[r] < c1)
-        idx = np.nonzero(owned)[0]
-        z[idx] = logits[r][idx, labels[r][idx] - c0]
-        z_local.append(z)
-    z_label = comm_x.map_all_reduce(z_local, phase="loss_zlabel").wait()
-
-    # 3) masked sum + count along the row (z-role) axis.  The masked sum is
-    # a where-product so the per-row reduction order matches the batched
-    # engine's axis-1 reduction bitwise.
-    packed = []
-    for r in range(world):
-        nll = row_max[r] + np.log(sum_exp[r]) - z_label[r]
-        packed.append(np.array([np.where(masks[r], nll, 0.0).sum(), masks[r].sum()], dtype=np.float64))
-    totals = comm_z.map_all_reduce(packed, phase="loss_total").wait()
-    total_nll, total_cnt = totals[0][0], totals[0][1]
-    if total_cnt == 0:
-        raise ValueError("empty train mask")
-    loss = float(total_nll / total_cnt)
-
-    # 4) gradient shards: (softmax - onehot)/count on masked rows
-    d_logits = []
-    for r in range(world):
-        log_s = np.log(sum_exp[r])
-        probs = np.exp(logits[r] - row_max[r][:, None] - log_s[:, None]) if logits[r].shape[1] else np.zeros_like(logits[r])
-        g = np.zeros_like(logits[r])
-        midx = np.nonzero(masks[r])[0]
-        g[midx] = probs[midx]
-        c0, c1 = cslices[r].start, cslices[r].stop
-        owned = masks[r] & (labels[r] >= c0) & (labels[r] < c1)
-        oidx = np.nonzero(owned)[0]
-        g[oidx, labels[r][oidx] - c0] -= 1.0
-        g /= total_cnt
-        d_logits.append(g)
-    return loss, d_logits
+    return _masked_ce_batched(model, logits)
 
 
 def _masked_ce_batched(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack]:
     """Rank-vectorized masked cross-entropy over uniform stacked logits.
 
-    Every per-rank loop of the reference implementation becomes one
-    reduction over the rank cube, and the class-axis and row-axis
-    collectives run as single keepdims reductions covering all groups at
-    once.  The whole pipeline works in cube layout on what the logits hold:
-    the last layer's Y-all-reduce leaves them replicated along its y-role,
-    the class-axis reductions then along the x-role too, so the softmax
-    statistics, the masked sums and the gradient are computed once per
-    group of identical ranks (labels, masks and class offsets are constant
-    along those axes and are cut to match).  Flat ``(world, rows, classes)``
-    logits are viewed into the cube and take the same path.  Gradient
-    values are elementwise-identical to the reference (mask products against
-    exact 0/1, same exp/log pipeline).
+    Every per-rank step is one reduction over the rank cube, and the
+    class-axis and row-axis collectives run as single keepdims reductions
+    covering all groups at once.  The whole pipeline works in cube layout on
+    what the logits hold: the last layer's Y-all-reduce leaves them
+    replicated along its y-role, the class-axis reductions then along the
+    x-role too, so the softmax statistics, the masked sums and the gradient
+    are computed once per group of identical ranks (labels, masks and class
+    offsets are constant along those axes and are cut to match).  Flat
+    ``(world, rows, classes)`` logits are viewed into the cube and take the
+    same path.  Gradient values are elementwise-identical to a per-rank loop
+    (mask products against exact 0/1, same exp/log pipeline).
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
@@ -178,9 +111,9 @@ def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, Pad
     Identical pipeline to :func:`_masked_ce_batched`, except every reduction
     along a padded axis runs per exact-extent group (class columns grouped
     by valid width, node rows by valid height), so pad entries never enter a
-    floating-point sum and results stay bitwise equal to the per-rank
-    reference.  Ranks owning zero class columns (more X-shards than
-    classes) contribute the same neutral values the reference produces.
+    floating-point sum and results stay bitwise equal to a per-rank loop
+    over the exact shards.  Ranks owning zero class columns (more X-shards
+    than classes) contribute neutral values (``-inf`` maxima, zero sums).
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
@@ -195,7 +128,7 @@ def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, Pad
     row_groups = [(int(v), np.flatnonzero(rows == v)) for v in np.unique(rows)]
 
     # 1) log-softmax statistics along the class (x-role) axis; ranks with no
-    # class columns report -inf row maxima exactly like the reference
+    # class columns report -inf row maxima
     rm_local = np.full((world, max_rows), -np.inf, dtype=data.dtype)
     for c, idx in col_groups:
         if c:
@@ -246,35 +179,37 @@ def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, Pad
     return loss, PaddedStack(g, rows, cols)
 
 
+def distributed_accuracy(model: PlexusGCN, logits, mask_shards: list[np.ndarray]) -> float:
+    """Fraction of masked nodes predicted correctly, computed distributed.
 
-def distributed_accuracy(model: PlexusGCN, logits: list[np.ndarray], mask_shards: list[np.ndarray]) -> float:
-    """Fraction of masked nodes predicted correctly, computed distributed."""
-    grid: PlexusGrid = model.grid
+    The prediction is the argmax over the class-sharded row: the row
+    maximum is max-reduced along the class (x-role) axis, then every rank
+    offers ``-(global class index)`` of its columns attaining it (``-inf``
+    when none does) and a second max-reduce picks the lowest such index —
+    ties resolve like ``argmax`` over the gathered row.  Hit and mask counts
+    are summed along the row (z-role) axis.
+    """
     roles = model.shardings[-1].roles
-    comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
-    world = grid.world_size
-    # gather per-shard (max value, global argmax) along the class axis
-    vals, args = [], []
-    for r in range(world):
-        l = logits[r]
-        c0 = model.class_slices[r].start
-        if l.shape[1] == 0:
-            vals.append(np.full((1, l.shape[0]), -np.inf))
-            args.append(np.zeros((1, l.shape[0]), dtype=np.int64))
-        else:
-            vals.append(l.max(axis=1)[None, :])
-            args.append((l.argmax(axis=1) + c0)[None, :])
-    g_vals = comm_x.map_all_gather(vals, axis=0, phase="acc_gather").wait()
-    g_args = comm_x.map_all_gather(args, axis=0, phase="acc_gather").wait()
-    packed = []
-    for r in range(world):
-        winner = g_vals[r].argmax(axis=0)
-        pred = g_args[r][winner, np.arange(g_args[r].shape[1])]
-        m = mask_shards[r]
-        correct = (pred[m] == model.label_shards[r][m]).sum()
-        packed.append(np.array([correct, m.sum()], dtype=np.float64))
-    totals = comm_z.map_all_reduce(packed, phase="acc_total").wait()
-    correct, count = totals[0]
+    comm_x, comm_z = model.grid.comm(roles.x), model.grid.comm(roles.z)
+    shards = shard_views(logits)
+
+    def class_max(per_rank: list[np.ndarray], phase: str):
+        # stack_shards picks ndarray vs PaddedStack: uniform and ragged rows alike
+        return comm_x.all_reduce(stack_shards(per_rank), op="max", phase=phase).wait()
+
+    # ranks owning zero class columns report -inf (``initial``)
+    row_max = class_max([l.max(axis=1, initial=-np.inf) for l in shards], "acc_max")
+    offered = []
+    for r, l in enumerate(shards):
+        cols = model.class_slices[r]
+        neg_idx = -np.arange(cols.start, cols.stop, dtype=np.float64)
+        attained = np.where(l == row_max[r][:, None], neg_idx, -np.inf)
+        offered.append(attained.max(axis=1, initial=-np.inf))
+    winner = class_max(offered, "acc_argmax")
+    packed = np.empty((len(shards), 2), dtype=np.float64)
+    for r, m in enumerate(mask_shards):
+        packed[r] = ((-winner[r] == model.label_shards[r]) & m).sum(), m.sum()
+    correct, count = comm_z.all_reduce(packed, phase="acc_total").wait()[0]
     if count == 0:
         raise ValueError("empty mask")
     return float(correct / count)
@@ -459,8 +394,8 @@ class PlexusTrainer:
     def evaluate(self, mask_global: np.ndarray) -> float:
         """Distributed accuracy on an arbitrary global node mask.
 
-        Evaluation drives the full engine (forward + accuracy collectives)
-        but must not perturb the experiment's timing record, so it runs
+        Evaluation drives a full forward and the accuracy collectives but
+        must not perturb the experiment's timing record, so it runs
         under :meth:`VirtualCluster.no_charge`: rank clocks and comm/comp
         phase totals are identical before and after the call.
         """

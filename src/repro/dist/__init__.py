@@ -10,7 +10,7 @@ The collective surface is the handle-based communicator API (``comm``):
 :class:`GroupCommunicator` for one process group and
 :class:`AxisCommunicator` for a whole grid axis (which runs every group
 along the axis as one cube-reshaped reduction over a stacked
-``(world, ...)`` operand — the execution engine's fast path).  Their
+``(world, ...)`` operand — what ``repro.core`` executes on).  Their
 methods return :class:`PendingCollective` handles, charging issue cost
 immediately and completion cost at ``.wait()``, so compute charged between
 issue and wait hides communication on the simulated timeline; the eager
@@ -38,7 +38,6 @@ from repro.dist.comm import (
     AxisCommunicator,
     GroupCommunicator,
     PendingCollective,
-    PendingMap,
     communicator,
 )
 from repro.dist.padded import PaddedStack, stack_shards
@@ -47,7 +46,6 @@ __all__ = [
     "AxisCommunicator",
     "GroupCommunicator",
     "PendingCollective",
-    "PendingMap",
     "PaddedStack",
     "stack_shards",
     "communicator",

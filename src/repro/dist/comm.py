@@ -51,9 +51,8 @@ and feed it one number (per group).  A handle exposes that number
 duration is known and whose result the caller already holds, or nobody
 reads*.  Issue and wait run exactly as above (launch overhead, ready time,
 in-flight slots, link reservation, trace events, completion charge); only
-the data math is skipped.  The rank-batched engine re-issues a frozen
-layer 0's collectives this way from the second epoch on
-(``repro.core.layers``).
+the data math is skipped.  A frozen layer 0 re-issues its collectives this
+way from the second epoch on (``repro.core.layers``).
 
 Misuse is loud: waiting a handle twice raises, and a handle that is never
 waited stays in ``ClockStore.outstanding`` where
@@ -87,9 +86,10 @@ Two orthogonal extensions ride on the same issue machinery:
   axis where pads align, gather/scatter results are assembled from valid
   rows only via index plans cached per shape signature, and durations are
   computed from the per-group *valid* bytes — so data, clocks and phase
-  totals stay bitwise identical to the group-wise ``map_*`` path on the
-  exact shards.  Durations become keepdims arrays over the off-axis cube
-  (one entry per group) instead of a scalar.  Padded stacks keep the flat
+  totals stay bitwise identical to one :class:`GroupCommunicator` call per
+  process group on the exact shards (``map_groups`` in ``tests/oracle.py``).
+  Durations become keepdims arrays over the off-axis cube (one entry per
+  group) instead of a scalar.  Padded stacks keep the flat
   per-rank layout (their pads differ per rank, there is nothing to share).
 * **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
   set, each link tracks its in-flight completion times and an issue on a
@@ -123,7 +123,6 @@ from repro.sparse.partition import block_slices
 
 __all__ = [
     "PendingCollective",
-    "PendingMap",
     "GroupCommunicator",
     "AxisCommunicator",
     "PaddedStack",
@@ -191,7 +190,8 @@ class _Slots:
     in-flight queue keys one of its collectives occupies (see
     :func:`_queue_keys_for`), and its members' index into the local
     ``store.clocks``.  ``order`` is the sequence a bounded issue walks the
-    groups in (the order of the ``map_*`` schedule).
+    groups in (an axis: the order of its process-group list, which is the
+    order one :class:`GroupCommunicator` call per group would issue them in).
     """
 
     __slots__ = ("links", "queues", "members", "order", "trace")
@@ -353,10 +353,6 @@ class PendingCollective:
             return True
         return not self._waited and id(self) in self._store.outstanding
 
-    def handles(self) -> tuple:
-        """The registered primitive handles behind this one (itself)."""
-        return (self,)
-
     def wait(self):
         """Charge the completion cost and return the collective's result."""
         if self._waited:
@@ -409,51 +405,6 @@ class PendingCollective:
             store.record_all(phase, charge.ravel())
 
 
-class PendingMap:
-    """One logical collective issued across every group of a grid axis.
-
-    Wraps one :class:`PendingCollective` per process group (disjoint rank
-    sets, so completion order between groups is immaterial); ``wait()``
-    completes them in issue order and assembles the per-rank result list.
-    Dropped-handle detection rides on the per-group handles, which stay
-    registered until this aggregate is waited.
-    """
-
-    __slots__ = ("phase", "_parts", "_world", "_waited")
-
-    def __init__(self, phase: str, parts: Sequence[tuple], world: int) -> None:
-        self.phase = phase
-        self._parts = list(parts)  # (PendingCollective, member rank ids)
-        self._world = world
-        self._waited = False
-
-    @property
-    def waited(self) -> bool:
-        return self._waited
-
-    @property
-    def live(self) -> bool:
-        return all(h.live for h, _ in self._parts)
-
-    def handles(self) -> tuple:
-        """The per-group primitive handles (the registered ones)."""
-        return tuple(h for h, _ in self._parts)
-
-    def wait(self) -> list:
-        if self._waited:
-            raise CollectiveMisuse(
-                f"collective handle {self.phase!r} waited twice; a "
-                "PendingMap completes exactly once"
-            )
-        self._waited = True
-        out: list = [None] * self._world
-        for handle, ranks in self._parts:
-            results = handle.wait()
-            for pos, rank in enumerate(ranks):
-                out[rank] = results[pos]
-        return out
-
-
 def _ready(phase: str, result) -> PendingCollective:
     """A no-cost handle (singleton groups): wait() just returns the data."""
     return PendingCollective(phase, result)
@@ -480,7 +431,7 @@ def _ready(phase: str, result) -> PendingCollective:
 # reduction itself runs over the same elements in the same order as a
 # per-group loop over flat shards (an operand replicated along ``axis``
 # itself is expanded first for exactly that reason), which keeps results
-# bitwise equal to the group-wise ``map_*`` path.
+# bitwise equal to one :class:`GroupCommunicator` call per process group.
 #
 # An :class:`AxisCommunicator` behind a byte mover (the worker-crossing Z
 # axis of ``repro.runtime``) calls these same three functions — no second
@@ -595,7 +546,7 @@ class GroupCommunicator:
     reservation.
     """
 
-    __slots__ = ("group", "issue_overhead_s", "_slots", "_ranks")
+    __slots__ = ("group", "issue_overhead_s", "_slots")
 
     def __init__(self, group: ProcessGroup, issue_overhead_s: float | None = None) -> None:
         self.group = group
@@ -608,7 +559,6 @@ class GroupCommunicator:
         self._slots = _Slots(
             (link_key,), (_queue_keys_for(group, link_key),), (group.member_idx,)
         )
-        self._ranks = [m.rank for m in group.members]  # shard order, cached
 
     # -- issue machinery -----------------------------------------------------
     def _issue(self, duration: float, phase: str, result) -> PendingCollective:
@@ -716,18 +666,16 @@ class GroupCommunicator:
 class AxisCommunicator:
     """Handle-based collectives over every process group along one grid axis.
 
-    The stacked methods (``all_reduce`` & co on a ``(world, *shard)``
-    operand, flat or :class:`ReplicatedStack`) execute all groups of the
-    axis as one keepdims reduction over the rank cube and return the result
-    once per group — the rank-batched engine's fast path; the ``map_*``
-    methods issue one
-    group-wise collective per process group over a per-rank list — the
-    reference engine's path — and return a :class:`PendingMap`.  Both share
-    one per-group link reservation, so in-flight operations on one axis
-    queue behind each other.  Obtain via ``PlexusGrid.comm(axis)``;
-    like :class:`GroupCommunicator`, a launch cost can be enabled by
-    setting ``issue_overhead_s`` on the cached instance (default 0 keeps
-    eager numerics bitwise unchanged).
+    ``all_reduce`` & co take a ``(world, *shard)`` operand (flat,
+    :class:`ReplicatedStack` or :class:`PaddedStack`), execute all groups of
+    the axis as one keepdims reduction over the rank cube and return the
+    result once per group.  The schedule slots are taken from the groups'
+    own :class:`GroupCommunicator` objects, so a whole-axis collective and
+    a collective issued on one of the axis's process groups share that
+    group's link reservation and queue behind each other.  Obtain via
+    ``PlexusGrid.comm(axis)``; like :class:`GroupCommunicator`, a launch
+    cost can be enabled by setting ``issue_overhead_s`` on the cached
+    instance (default 0 keeps eager numerics bitwise unchanged).
 
     The worker-crossing (Z) axis of the multi-process runtime is this same
     class behind a *byte mover*: ``exchange`` (a transport bus's method of
@@ -747,17 +695,15 @@ class AxisCommunicator:
     inputs keep every replica bitwise consistent, and storing them in the
     store means ``reset``/``snapshot`` handle them exactly like in-process
     link state.  Restrictions (enforced loudly): padded quasi-equal stacks
-    and the ``map_*`` per-rank-list path do not cross the byte mover (a
-    worker's pad extent and member list are local), and ``max_inflight``
-    composes only with intra-node Z groups — the per-NIC node queue of an
-    inter-node Z group would be shared with worker-local links, which a
-    replicated queue cannot express (``repro.runtime.launch`` refuses that
-    combination before spawning).
+    do not cross the byte mover (a worker's pad extent is local), and
+    ``max_inflight`` composes only with intra-node Z groups — the per-NIC
+    node queue of an inter-node Z group would be shared with worker-local
+    links, which a replicated queue cannot express
+    (``repro.runtime.launch`` refuses that combination before spawning).
     """
 
     __slots__ = (
         "descriptor",
-        "group_comms",
         "issue_overhead_s",
         "_slots",
         "_cube",
@@ -784,7 +730,6 @@ class AxisCommunicator:
         #: the rank cube of the local store: all of ``d.cube`` in-process,
         #: this worker's whole z-planes behind a byte mover
         self._cube = (d.store.world // (gx * gy), gx, gy)
-        self.group_comms = [communicator(g) for g in groups]
         if exchange is not None:
             # a Z group's members stride whole planes: local plane offset gi
             if d.axis != 0 or groups:
@@ -801,19 +746,19 @@ class AxisCommunicator:
         keep = list(d.cube)
         keep[d.axis] = 1
         positions: list[int] = []
-        for gc in self.group_comms:
-            i0 = gc.group.members[0]._i
+        for group in groups:
+            i0 = group.members[0]._i
             coords = [i0 // (gx * gy), (i0 // gy) % gx, i0 % gy]
             coords[d.axis] = 0
             positions.append((coords[0] * keep[1] + coords[1]) * keep[2] + coords[2])
         if sorted(positions) != list(range(keep[0] * keep[1] * keep[2])):
             raise ValueError("groups do not tile the axis's off-axis cube")
-        # the same per-group slots the map_* path reserves, so stacked and
-        # group-wise operations on one axis serialize on its physical links
-        # (a bounded issue walks them in ``group_comms`` order, like ``_map``)
+        # the groups' own slots, so stacked and group-wise operations on one
+        # axis serialize on its physical links (a bounded issue walks them
+        # in ``groups`` order, like one call per process group would)
         by_pos: list = [None] * len(positions)
-        for pos, gc in zip(positions, self.group_comms):
-            by_pos[pos] = gc._slots
+        for pos, group in zip(positions, groups):
+            by_pos[pos] = communicator(group)._slots
         self._slots = _Slots(
             [sl.links[0] for sl in by_pos],
             [sl.queues[0] for sl in by_pos],
@@ -1068,7 +1013,7 @@ class AxisCommunicator:
         )
         return self._issue(plan["duration"], phase, result)
 
-    # -- stacked collectives (rank-batched fast path) ------------------------
+    # -- stacked collectives -------------------------------------------------
     # Uniform operands (flat ndarray or ReplicatedStack) come back as a
     # ReplicatedStack — see the "stacked collective data math" block.  The
     # duration always bills one rank's shard (``nbytes / world`` of the
@@ -1146,41 +1091,6 @@ class AxisCommunicator:
         clocks, full = self._gather("comm:" + phase, stacked)
         result = self._cut(stacked_reduce_scatter_data(d.cube, d.axis, full, op))
         return self._issue(t, phase, result, clocks)
-
-    # -- group-wise collectives over per-rank lists --------------------------
-    def _map(self, method: str, per_rank: Sequence, phase: str, **kwargs) -> PendingMap:
-        if self._exchange is not None:
-            raise UnsupportedWorkload(
-                "per-rank-list (map_*) collectives do not cross the multiproc "
-                "transport; the multiproc backend runs the batched engine "
-                "only — use backend='inproc' for the per-rank oracle"
-            )
-        if len(per_rank) != self.descriptor.world:
-            raise ValueError("per_rank must have one entry per rank")
-        parts = []
-        for gc in self.group_comms:
-            ranks = gc._ranks
-            shards = [per_rank[r] for r in ranks]
-            parts.append((getattr(gc, method)(shards, phase=phase, **kwargs), ranks))
-        return PendingMap("comm:" + phase, parts, len(per_rank))
-
-    def map_all_reduce(
-        self, per_rank: Sequence, op: str = "sum", phase: str = "all_reduce"
-    ) -> PendingMap:
-        """Per-group all-reduce over a rank-indexed shard list."""
-        return self._map("all_reduce", per_rank, phase, op=op)
-
-    def map_all_gather(
-        self, per_rank: Sequence, axis: int = 0, phase: str = "all_gather"
-    ) -> PendingMap:
-        """Per-group all-gather over a rank-indexed shard list."""
-        return self._map("all_gather", per_rank, phase, axis=axis)
-
-    def map_reduce_scatter(
-        self, per_rank: Sequence, axis: int = 0, op: str = "sum", phase: str = "reduce_scatter"
-    ) -> PendingMap:
-        """Per-group reduce-scatter over a rank-indexed shard list."""
-        return self._map("reduce_scatter", per_rank, phase, axis=axis, op=op)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Stack types of the rank-batched engine: one tensor per logical matrix.
+"""Stack types of the rank-batched execution: one tensor per logical matrix.
 
-The engine wants *one* array per logical matrix of Algorithms 1-2, covering
+``repro.core`` wants *one* array per logical matrix of Algorithms 1-2, covering
 every rank of the ``(Gz, Gx, Gy)`` cube.  Persisted state (weights, input
 features, labels, masks, optimizer moments, checkpoints) is a flat
 ``(world, m, n)`` ndarray.  Two wrappers cover what a flat array cannot:
@@ -33,7 +33,7 @@ features, labels, masks, optimizer moments, checkpoints) is a flat
     from valid rows only, via index plans cached per shape signature;
   * **pad bytes are never billed** — collective durations are computed from
     the per-group *valid* shard bytes, so the simulated clocks agree with
-    the per-rank engine's exactly.
+    a per-rank, per-group run exactly.
 
   Pad entries are kept at (signed) zero so elementwise stages (ReLU, masks,
   optimizer updates with zero pad gradients) leave them inert.  Padded

@@ -1,6 +1,6 @@
 """Multi-process execution runtime: the simulator sharded across OS processes.
 
-``repro.runtime`` executes the batched engine across a pool of worker
+``repro.runtime`` executes the model across a pool of worker
 processes, each owning a contiguous z-slice of the rank cube, with a real
 zero-copy shared-memory tensor transport underneath the existing
 :class:`~repro.dist.comm.PendingCollective` handle API:
@@ -33,8 +33,9 @@ zero-copy shared-memory tensor transport underneath the existing
 
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
-on every supported configuration (uniform sharding, batched engine, eager
-or overlap schedules); the in-process simulator remains the parity oracle.
+on every supported configuration (uniform sharding, eager or overlap
+schedules, ``evaluate()`` included); the in-process simulator remains the
+parity oracle.
 """
 
 from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints

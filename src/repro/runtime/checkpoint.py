@@ -99,27 +99,16 @@ def _capture_pending(handle) -> dict | None:
     """
     if handle is None:
         return None
-    record = getattr(handle, "_record", None)
-    if getattr(handle, "handles", None) is None or handle.handles() != (handle,):
-        raise CheckpointError(
-            "only a single primitive PendingCollective can be checkpointed "
-            "in flight (the cross-epoch F prefetch)"
-        )
-    result = getattr(handle, "_result", None)
+    result = handle._result
     if isinstance(result, ReplicatedStack):
         # flat on disk like all persisted state (in memory a gathered F is
         # held once per Z group); every consumer accepts the flat form back
         result = result.flat()
-    return {"phase": handle.phase, "record": record, "result": result}
+    return {"phase": handle.phase, "record": handle._record, "result": result}
 
 
 def model_state(model) -> dict:
     """Everything one model slice needs for bitwise restore (see module doc)."""
-    if model.engine != "batched":
-        raise CheckpointError(
-            "checkpointing supports the batched engine only; the per-rank "
-            "oracle keeps no stacked optimizer state to capture"
-        )
     cluster = model.cluster
     store = cluster.store
     lo = getattr(cluster, "lo", 0)
@@ -206,8 +195,6 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         raise CheckpointError(
             f"checkpoint format {state.get('format')!r} != supported {FORMAT_VERSION}"
         )
-    if model.engine != "batched":
-        raise CheckpointError("checkpoint restore supports the batched engine only")
     cluster = model.cluster
     store = cluster.store
     lo = getattr(cluster, "lo", 0)

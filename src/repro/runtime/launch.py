@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.configs import PlexusOptions
-from repro.core.grid import GridConfig, _grid_coords, axis_roles
+from repro.core.grid import GridConfig, axis_roles
 from repro.core.sharding import LayerSharding
 from repro.core.trainer import EpochStats, TrainResult
 from repro.dist.topology import PERLMUTTER, MachineSpec
@@ -195,36 +195,19 @@ def is_uniform_workload(config: GridConfig, n: int, layer_dims: list[int]) -> bo
     """True when every layer of ``(n, layer_dims)`` shards into identical
     blocks over ``config`` — the multiproc backend's eligibility test
     (callers picking a configuration automatically filter with this)."""
-    geo = _GeometryGrid(config)
     return all(
-        LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1]).is_uniform(geo)
+        LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1]).is_uniform()
         for i in range(len(layer_dims) - 1)
     )
-
-
-class _GeometryGrid:
-    """Geometry-only grid stand-in (global coords, no cluster) used to
-    validate a workload's sharding before any process is spawned."""
-
-    def __init__(self, config: GridConfig) -> None:
-        self.config = config
-        self.world_size = config.total
-        self._coords = _grid_coords(config.gx, config.gy, config.gz)
-
-    def coord(self, rank: int, axis) -> int:
-        return self._coords[rank][axis]
 
 
 def _validate_spec(spec: WorkloadSpec) -> None:
     """Fail in the launcher, with a clear message, before spawning."""
     opts = spec.options
-    if opts.engine == "perrank":
-        raise ValueError(
-            "backend='multiproc' runs the batched engine only; use "
-            "backend='inproc' for the per-rank parity oracle"
-        )
     if opts.noise is not None:
         raise ValueError("backend='multiproc' does not support the SpMM noise model")
+    # a shard_dir spec's N is known to the workers only: they refuse a
+    # ragged one at build time (worker.validate_multiproc_model)
     n = spec.adjacency.shape[0] if spec.adjacency is not None else None
     if n is not None and not is_uniform_workload(spec.config, n, spec.layer_dims):
         raise ValueError(
@@ -665,15 +648,13 @@ class MultiprocTrainer:
         leading up to the failure survive into the exported trace.
         """
         report = self._straggler_report()
-        if isinstance(payload, dict) and self._collector is not None:
+        if self._collector is not None:
             flushed = payload.pop("trace", None)
             if flushed is not None:
                 self._collector.add_worker_payload(
                     f"worker {payload.get('worker')}", flushed
                 )
         self._teardown_pool()
-        if not isinstance(payload, dict):  # legacy plain-text report
-            raise WorkerFailed(f"multiproc runtime failed: {payload}")
         w = payload.get("worker")
         etype = payload.get("etype", "Exception")
         cls = _ETYPE_MAP.get(etype, WorkerFailed)
@@ -944,11 +925,11 @@ class MultiprocTrainer:
         self._epochs_done = 0
 
     def evaluate(self, mask_global) -> float:
-        raise UnsupportedWorkload(
-            "evaluate() runs per-rank accuracy collectives that have no "
-            "multiproc path yet; build the model with backend='inproc' for "
-            "evaluation passes"
-        )
+        """Distributed accuracy on a global node mask, off the books like
+        :meth:`PlexusTrainer.evaluate`: every worker runs it on its slice
+        (the accuracy collectives cross the bus like any other), and the
+        value is cube-global — identical on all of them."""
+        return self._command("evaluate", mask_global)[0]
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -20,11 +20,11 @@ process group is worker-local and only Z-axis collectives cross workers:
 * :func:`worker_main` — the spawned process entry point: builds data
   (in-memory from the spec, or reading only its own blocks of a
   :class:`~repro.graph.shardio.ShardedDataLoader` directory), constructs
-  the model, and serves the launcher's command loop (train / state / reset
-  / close) over a pipe.  The bus is closed on *any* exit path.
+  the model, and serves the launcher's command loop (train / evaluate /
+  state / reset / close) over a pipe.  The bus is closed on *any* exit path.
 
 Parity: the slice-local execution is bitwise identical to the in-process
-engine restricted to those ranks — X/Y collectives reduce the same operand
+run restricted to those ranks — X/Y collectives reduce the same operand
 sub-cubes in the same order, Z collectives replicate the full-cube math
 (see :mod:`repro.runtime.shm`), and all per-rank state (weights, Adam
 moments, clocks, phase totals) lives at the same values.
@@ -139,7 +139,6 @@ class WorkerGrid:
         self.cube = (local_z, config.gx, config.gy)
         machine = cluster.machine
         self._groups: dict[Axis, list[ProcessGroup]] = {}
-        self._group_of: dict[Axis, list[ProcessGroup]] = {}
         for axis in (Axis.X, Axis.Y):
             self._build_axis_groups(axis)
         self._axis_comms = {
@@ -188,45 +187,17 @@ class WorkerGrid:
             key = tuple(v for a, v in zip(Axis, c) if a != axis)
             buckets.setdefault(key, []).append(li)
         groups = []
-        group_of: list[ProcessGroup | None] = [None] * self.world_size
         for key, members in sorted(buckets.items()):
             members.sort(key=lambda li: self._coords[li][axis])
-            g = ProcessGroup(
-                members=[self.cluster[li] for li in members],
-                machine=self.cluster.machine,
-                bandwidth=bw,
-                name=f"{axis.name.lower()}{key}",
+            groups.append(
+                ProcessGroup(
+                    members=[self.cluster[li] for li in members],
+                    machine=self.cluster.machine,
+                    bandwidth=bw,
+                    name=f"{axis.name.lower()}{key}",
+                )
             )
-            groups.append(g)
-            for li in members:
-                group_of[li] = g
         self._groups[axis] = groups
-        self._group_of[axis] = group_of  # type: ignore[assignment]
-
-    def groups(self, axis: Axis) -> list[ProcessGroup]:
-        if axis is Axis.Z and self.config.gz > 1:
-            raise UnsupportedWorkload(
-                "Z-axis process groups span worker processes and have no "
-                "local member list; use grid.comm(Axis.Z) — the transport "
-                "communicator — or backend='inproc' for real groups"
-            )
-        return self._groups[axis]
-
-    def group_of(self, rank: int, axis: Axis) -> ProcessGroup:
-        if axis not in self._group_of:
-            raise UnsupportedWorkload(
-                "Z-axis process groups span worker processes; use "
-                "grid.comm(Axis.Z) or backend='inproc' for real groups"
-            )
-        return self._group_of[axis][rank]
-
-    def axis_comm(self, axis: Axis) -> AxisComm:
-        if axis is Axis.Z:
-            raise UnsupportedWorkload(
-                "the Z axis runs over the worker-crossing transport bus; "
-                "use grid.comm(Axis.Z) for its handle-based collectives"
-            )
-        return self._axis_comms[axis]
 
     def comm(self, axis: Axis):
         comm = self._comms.get(axis)
@@ -367,18 +338,13 @@ def build_worker(spec, worker_id: int, bus: ShmBus) -> WorkerContext:
 
 
 def validate_multiproc_model(model: PlexusGCN) -> None:
-    """The multiproc backend's restrictions, checked loudly.
-
-    The batched engine is the only one whose collectives have a
-    shared-memory implementation; padded (non-uniform) stacks and the
-    stateful SpMM noise sampler (whose single RNG stream draws in *global*
-    rank order) stay inproc-only.
+    """The multiproc backend's restrictions, checked loudly: padded
+    (non-uniform) stacks and the stateful SpMM noise sampler (whose single
+    RNG stream draws in *global* rank order) stay inproc-only.  Uniformity
+    is the whole cube's (``LayerSharding.is_uniform``), so every worker
+    refuses a ragged ``shard_dir`` workload here, at build time — the
+    launcher, which never learns N, cannot.
     """
-    if model.engine != "batched":
-        raise UnsupportedWorkload(
-            "backend='multiproc' runs the batched engine only; the per-rank "
-            "oracle stays on backend='inproc'"
-        )
     if not model.uniform:
         raise UnsupportedWorkload(
             "backend='multiproc' requires divisible (uniform) sharding: "
@@ -498,7 +464,7 @@ def _serve(worker_id: int, spec, conn, bus, faults, restore) -> None:
     ctx = None
     epochs_done = 0
     _set_log_worker(worker_id)
-    if getattr(spec, "trace", False):
+    if spec.trace:
         _trace.enable(f"worker {worker_id}")
     try:
         ctx = build_worker(spec, worker_id, bus)
@@ -538,6 +504,8 @@ def _serve(worker_id: int, spec, conn, bus, faults, restore) -> None:
                 state = ckpt.model_state(ctx.model)
                 ckpt.write_worker_state(args[0], state)
                 conn.send(("ok", (ctx.cluster.lo, ctx.cluster.hi)))
+            elif cmd == "evaluate":
+                conn.send(("value", ctx.trainer.evaluate(args[0])))
             elif cmd == "state":
                 conn.send(("state", _worker_state(ctx)))
             elif cmd == "ping":
@@ -571,7 +539,7 @@ def worker_main(
     """Spawned-process entry (shared-memory transport): attach the bus,
     build the slice, serve the command loop."""
     try:
-        faults = build_injector(getattr(spec, "faults", None), worker_id)
+        faults = build_injector(spec.faults, worker_id)
         bus = ShmBus(bus_handle, worker_id=worker_id, faults=faults)
     except BaseException as exc:
         _report_error(conn, worker_id, exc)
@@ -611,7 +579,7 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
         kind, spec, restore, tcp_cfg = conn.recv()
         if kind != "spec":
             raise PlexusRuntimeError(f"rendezvous protocol: expected spec, got {kind!r}")
-        faults = build_injector(getattr(spec, "faults", None), wid)
+        faults = build_injector(spec.faults, wid)
         bus = net.TcpBus(
             listener, peers, wid, info["session"], authkey, cfg=tcp_cfg, faults=faults
         )

@@ -1,25 +1,29 @@
-"""Rank-batched engine vs per-rank reference: exact-parity property tests.
+"""The rank-batched product vs the per-rank oracle: exact-parity property tests.
 
-The batched engine reorganizes every hot-path operation (stacked GEMMs,
+``repro.core`` reorganizes every hot-path operation (stacked GEMMs,
 block-diagonal SpMM, cube-reshaped axis collectives, stacked Adam) but must
-not change a single bit of the float64 computation — the per-rank loop is
-the reference oracle and Fig. 7's serial-parity check sits on top of it.
-These tests train the same model under both engines on random grids up to
-X3Y2Z2 and assert bitwise equality of losses, weights and even the
-simulated rank clocks; in float32 mode (the benchmark dtype) agreement is
-atol-bounded instead.
+not change a single bit of the float64 computation — the per-rank loop of
+``tests/oracle.py`` (one rank and one process-group collective at a time) is
+the reference, and Fig. 7's serial-parity check sits on top of it.  These
+tests train the same model both ways on random grids up to X3Y2Z2 and assert
+bitwise equality of losses, epoch records, weights, trainable features, the
+simulated rank clocks and every phase bucket; in float32 mode (the benchmark
+dtype) agreement is atol-bounded instead.
 
-The batched engine is *universal*: divisible sharding runs on plain ndarray
-stacks, indivisible (quasi-equal / ragged) sharding on zero-padded masked
-stacks, and blocked aggregation on per-block stacked SpMM plans — the
-padded/blocked hypothesis suites below assert the same bitwise parity for
-those configurations, eager and ``overlap=True`` alike.
+One execution path covers everything: divisible sharding runs on plain
+ndarray stacks, indivisible (quasi-equal / ragged) sharding on zero-padded
+masked stacks, blocked aggregation on per-block stacked SpMM plans.  The
+three hypothesis suites below pin the workload family (uniform, ragged,
+blocked incl. a 4-layer model) and draw the *product* of everything else:
+permutation, overlap, aggregation blocks, the in-flight bound, SpMM noise,
+trainable features and the grad-W GEMM form.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import PerRankOracle
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
 from repro.core.batch import (
@@ -49,253 +53,153 @@ GRIDS = [
     GridConfig(1, 1, 1),
 ]
 
+#: everything a run can vary besides its workload, drawn as a product
+OPTIONS = st.fixed_dictionaries(
+    {
+        "permutation": st.sampled_from(["none", "single", "double"]),
+        "overlap": st.booleans(),
+        "aggregation_blocks": st.sampled_from([1, 3, 4]),
+        "max_inflight": st.sampled_from([None, 1, 2]),
+        "noise": st.booleans(),
+        "trainable_features": st.booleans(),
+        "tune_dw_gemm": st.booleans(),
+    }
+)
 
-def _dataset(seed):
-    a = gcn_normalize(rmat_graph(N_NODES, avg_degree=6, seed=seed))
-    feats = synth_features(N_NODES, DIMS[0], seed + 1)
-    labels = degree_labels(a, DIMS[-1], seed + 2)
-    train, _, _ = random_split_masks(N_NODES, seed + 3)
+
+def _dataset(seed, n=N_NODES, dims=DIMS):
+    a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=seed))
+    feats = synth_features(n, dims[0], seed + 1)
+    labels = degree_labels(a, dims[-1], seed + 2)
+    train, _, _ = random_split_masks(n, seed + 3)
     return a, feats, labels, train
 
 
-def _train(a, feats, labels, mask, cfg, engine, epochs=4, dtype=np.float64, **opts):
+def _train(build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, **opts):
+    """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
+    or ``PerRankOracle`` — and return ``(model, result, cluster)``."""
+    a, feats, labels, mask = data
+    if opts.pop("noise", False):  # one sampler per run: the stream is stateful
+        opts["noise"] = SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11)
     cluster = VirtualCluster(cfg.total, PERLMUTTER)
-    feats = feats.astype(dtype)
-    model = PlexusGCN(
-        cluster, cfg, a, feats, labels, mask, DIMS,
-        PlexusOptions(seed=0, engine=engine, compute_dtype=dtype, **opts),
+    model = build(
+        cluster, cfg, a, feats.astype(dtype), labels, mask, dims,
+        PlexusOptions(seed=0, compute_dtype=dtype, **opts),
     )
-    result = PlexusTrainer(model).train(epochs)
-    return model, result, cluster
+    trainer = PlexusTrainer(model) if build is PlexusGCN else model
+    return model, trainer.train(epochs), cluster
+
+
+def _assert_bitwise(data, cfg, dims=DIMS, **opts):
+    """Product == oracle: losses and epoch records, every weight and input
+    feature shard, per-rank clocks, comm/comp totals, every phase bucket."""
+    mb, rb, cb = _train(PlexusGCN, data, cfg, dims, **opts)
+    mo, ro, co = _train(PerRankOracle, data, cfg, dims, **opts)
+    assert rb.losses == ro.losses
+    assert rb.epochs == ro.epochs
+    for lb, lo in zip(mb.layers, mo.layers):
+        for wb, wo in zip(lb.w_shards, lo.w_shards):
+            assert np.array_equal(wb, wo)
+    for fb, fo in zip(mb.f0_shards, mo.f0_shards):
+        assert np.array_equal(fb, fo)
+    assert np.array_equal(cb.clocks, co.clocks)
+    assert np.array_equal(cb.category_totals("comm:"), co.category_totals("comm:"))
+    assert np.array_equal(cb.category_totals("comp:"), co.category_totals("comp:"))
+    assert set(cb.store.by_phase) == set(co.store.by_phase)
+    for phase, vec in cb.store.by_phase.items():
+        assert np.array_equal(vec, co.store.by_phase[phase]), phase
+    return mb
 
 
 class TestEngineParity:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        grid_idx=st.integers(0, len(GRIDS) - 1),
-        seed=st.integers(0, 50),
-        perm=st.sampled_from(["none", "single", "double"]),
-    )
-    def test_float64_bitwise(self, grid_idx, seed, perm):
-        """Random grids up to X3Y2Z2: losses, weights and clocks bitwise."""
-        cfg = GRIDS[grid_idx]
-        a, feats, labels, mask = _dataset(seed)
-        mb, rb, cb = _train(a, feats, labels, mask, cfg, "batched", permutation=perm)
-        mp, rp, cp = _train(a, feats, labels, mask, cfg, "perrank", permutation=perm)
-        assert mb.engine == "batched" and mp.engine == "perrank"
-        assert rb.losses == rp.losses
-        for i in range(len(DIMS) - 1):
-            for r in range(cfg.total):
-                assert np.array_equal(mb.layers[i].w_shards[r], mp.layers[i].w_shards[r])
-        assert np.array_equal(cb.clocks, cp.clocks)
-        assert np.array_equal(cb.category_totals("comm:"), cp.category_totals("comm:"))
-        assert np.array_equal(cb.category_totals("comp:"), cp.category_totals("comp:"))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(grid_idx=st.integers(0, len(GRIDS) - 1), seed=st.integers(0, 50), opts=OPTIONS)
+    def test_float64_bitwise(self, grid_idx, seed, opts):
+        """Random grids up to X3Y2Z2, uniform sharding: everything bitwise."""
+        model = _assert_bitwise(_dataset(seed), GRIDS[grid_idx], **opts)
+        assert model.uniform
 
     def test_float32_atol(self):
-        """Benchmark dtype: engines agree to float32 round-off."""
-        a, feats, labels, mask = _dataset(9)
-        _, rb, _ = _train(a, feats, labels, mask, GRIDS[0], "batched", dtype=np.float32)
-        _, rp, _ = _train(a, feats, labels, mask, GRIDS[0], "perrank", dtype=np.float32)
-        np.testing.assert_allclose(rb.losses, rp.losses, atol=1e-5)
+        """Benchmark dtype: product and oracle agree to float32 round-off."""
+        data = _dataset(9)
+        _, rb, _ = _train(PlexusGCN, data, GRIDS[0], epochs=4, dtype=np.float32)
+        _, ro, _ = _train(PerRankOracle, data, GRIDS[0], epochs=4, dtype=np.float32)
+        np.testing.assert_allclose(rb.losses, ro.losses, atol=1e-5)
 
     def test_trainable_features_bitwise(self):
-        a, feats, labels, mask = _dataset(3)
-        mb, rb, _ = _train(a, feats, labels, mask, GRIDS[1], "batched", trainable_features=True)
-        mp, rp, _ = _train(a, feats, labels, mask, GRIDS[1], "perrank", trainable_features=True)
-        assert rb.losses == rp.losses
-        for r in range(GRIDS[1].total):
-            assert np.array_equal(mb.f0_shards[r], mp.f0_shards[r])
+        _assert_bitwise(_dataset(3), GRIDS[1], epochs=4, trainable_features=True)
 
     def test_untuned_dw_gemm_bitwise(self):
-        a, feats, labels, mask = _dataset(5)
-        _, rb, cb = _train(a, feats, labels, mask, GRIDS[0], "batched", tune_dw_gemm=False)
-        _, rp, cp = _train(a, feats, labels, mask, GRIDS[0], "perrank", tune_dw_gemm=False)
-        assert rb.losses == rp.losses
-        assert np.array_equal(cb.clocks, cp.clocks)
+        _assert_bitwise(_dataset(5), GRIDS[0], epochs=4, tune_dw_gemm=False)
 
     def test_noisy_runs_bitwise(self):
-        """SpMM noise on the batched engine: the vectorized sampler consumes
-        the same RNG stream as per-rank draws in rank order, so losses,
-        weights and (noise-inflated) clocks match the reference bitwise."""
-        a, feats, labels, mask = _dataset(7)
-        noise = lambda: SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11)  # noqa: E731
-        mb, rb, cb = _train(a, feats, labels, mask, GRIDS[0], "batched", noise=noise())
-        mp, rp, cp = _train(a, feats, labels, mask, GRIDS[0], "perrank", noise=noise())
-        assert mb.engine == "batched" and mp.engine == "perrank"
-        assert rb.losses == rp.losses
-        for i in range(len(DIMS) - 1):
-            for r in range(GRIDS[0].total):
-                assert np.array_equal(mb.layers[i].w_shards[r], mp.layers[i].w_shards[r])
-        assert np.array_equal(cb.clocks, cp.clocks)
-        assert np.array_equal(cb.category_totals("comm:"), cp.category_totals("comm:"))
-        assert np.array_equal(cb.category_totals("comp:"), cp.category_totals("comp:"))
-
-
-class TestEngineSelection:
-    """The batched engine is universal: auto selects it for *every*
-    configuration; the per-rank loop runs only on explicit request."""
-
-    def test_auto_prefers_batched_on_divisible(self):
-        a, feats, labels, mask = _dataset(0)
-        m, _, _ = _train(a, feats, labels, mask, GRIDS[0], "auto", epochs=1)
-        assert m.engine == "batched"
-        assert m.uniform
-
-    def test_auto_batched_on_indivisible_dims(self):
-        """Indivisible hidden dim: auto still picks batched (padded stacks)."""
-        a, feats, labels, mask = _dataset(0)
-        cluster = VirtualCluster(12, PERLMUTTER)
-        model = PlexusGCN(
-            cluster, GRIDS[0], a, feats, labels, mask, [DIMS[0], 13, DIMS[-1]],
-            PlexusOptions(seed=0, engine="auto"),
-        )
-        assert model.engine == "batched"
-        assert not model.uniform
-
-    def test_auto_batched_on_blocked_aggregation(self):
-        """Blocked aggregation: auto still picks batched (per-block plans)."""
-        a, feats, labels, mask = _dataset(0)
-        m, _, _ = _train(a, feats, labels, mask, GRIDS[1], "auto", epochs=1, aggregation_blocks=3)
-        assert m.engine == "batched"
-
-    def test_noise_no_longer_forces_perrank(self):
-        """The vectorized sampler draws per rank in rank order, so noisy
-        runs stay eligible for the rank-batched engine."""
-        a, feats, labels, mask = _dataset(0)
-        m, _, _ = _train(a, feats, labels, mask, GRIDS[1], "auto", epochs=1,
-                         noise=SpmmNoise(threshold_nnz=1))
-        assert m.engine == "batched"
-
-    def test_explicit_batched_works_on_formerly_ineligible_config(self):
-        """engine='batched' no longer raises on indivisible dims: it runs
-        the padded stacks and matches the per-rank oracle bitwise."""
-        a, feats, labels, mask = _dataset(0)
-        dims = [DIMS[0], 13, DIMS[-1]]
-        rb = _train_dims(a, feats, labels, mask, GRIDS[0], dims, "batched")
-        rp = _train_dims(a, feats, labels, mask, GRIDS[0], dims, "perrank")
-        assert rb[1].losses == rp[1].losses
-        assert np.array_equal(rb[2].clocks, rp[2].clocks)
-
-    def test_perrank_still_selectable(self):
-        a, feats, labels, mask = _dataset(0)
-        m, _, _ = _train(a, feats, labels, mask, GRIDS[0], "perrank", epochs=1)
-        assert m.engine == "perrank"
-
-
-def _train_dims(a, feats, labels, mask, cfg, dims, engine, epochs=3, **opts):
-    cluster = VirtualCluster(cfg.total, PERLMUTTER)
-    model = PlexusGCN(
-        cluster, cfg, a, feats, labels, mask, dims,
-        PlexusOptions(seed=0, engine=engine, **opts),
-    )
-    result = PlexusTrainer(model).train(epochs)
-    return model, result, cluster
-
-
-def _assert_bitwise(cfg, dims, mb, rb, cb, mp, rp, cp):
-    assert mb.engine == "batched" and mp.engine == "perrank"
-    assert rb.losses == rp.losses
-    for i in range(len(dims) - 1):
-        for r in range(cfg.total):
-            assert np.array_equal(mb.layers[i].w_shards[r], mp.layers[i].w_shards[r])
-    assert np.array_equal(cb.clocks, cp.clocks)
-    assert np.array_equal(cb.category_totals("comm:"), cp.category_totals("comm:"))
-    assert np.array_equal(cb.category_totals("comp:"), cp.category_totals("comp:"))
+        """SpMM noise: the vectorized sampler consumes the same RNG stream
+        as per-rank draws in rank order, so losses, weights and
+        (noise-inflated) clocks match the reference bitwise."""
+        _assert_bitwise(_dataset(7), GRIDS[0], epochs=4, noise=True)
 
 
 class TestPaddedParity:
-    """Indivisible (quasi-equal) sharding: the padded batched engine must be
-    bitwise identical to the per-rank oracle — losses, weights, per-rank
-    clocks and phase totals, eager and overlapped."""
+    """Indivisible (quasi-equal) sharding: the padded stacks must be bitwise
+    identical to the per-rank oracle — losses, weights, per-rank clocks and
+    phase totals, under every schedule."""
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         grid_idx=st.integers(0, len(GRIDS) - 1),
         n_nodes=st.sampled_from([70, 71, 73]),
         d_hidden=st.sampled_from([23, 25]),
         seed=st.integers(0, 20),
-        overlap=st.booleans(),
+        opts=OPTIONS,
     )
-    def test_float64_bitwise_ragged(self, grid_idx, n_nodes, d_hidden, seed, overlap):
-        cfg = GRIDS[grid_idx]
+    def test_float64_bitwise_ragged(self, grid_idx, n_nodes, d_hidden, seed, opts):
         dims = [25, d_hidden, 11]
-        a = gcn_normalize(rmat_graph(n_nodes, avg_degree=6, seed=seed))
-        feats = synth_features(n_nodes, dims[0], seed + 1)
-        labels = degree_labels(a, dims[-1], seed + 2)
-        mask, _, _ = random_split_masks(n_nodes, seed + 3)
-        mb, rb, cb = _train_dims(a, feats, labels, mask, cfg, dims, "batched", overlap=overlap)
-        mp, rp, cp = _train_dims(a, feats, labels, mask, cfg, dims, "perrank", overlap=overlap)
-        _assert_bitwise(cfg, dims, mb, rb, cb, mp, rp, cp)
+        _assert_bitwise(_dataset(seed, n_nodes, dims), GRIDS[grid_idx], dims, **opts)
+
+    def test_indivisible_hidden_dim(self):
+        """One indivisible hidden dim on an otherwise divisible workload
+        runs the padded stacks and matches the oracle."""
+        dims = [DIMS[0], 13, DIMS[-1]]
+        model = _assert_bitwise(_dataset(0), GRIDS[0], dims)
+        assert not model.uniform
 
     def test_zero_class_columns(self):
         """More X-shards than classes: some ranks own zero logit columns."""
-        cfg = GridConfig(5, 1, 2)
         dims = [24, 16, 3]
-        n = 70
-        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=1))
-        feats = synth_features(n, dims[0], 2)
-        labels = degree_labels(a, dims[-1], 3)
-        mask, _, _ = random_split_masks(n, 4)
-        mb, rb, cb = _train_dims(a, feats, labels, mask, cfg, dims, "batched")
-        mp, rp, cp = _train_dims(a, feats, labels, mask, cfg, dims, "perrank")
-        _assert_bitwise(cfg, dims, mb, rb, cb, mp, rp, cp)
+        _assert_bitwise(_dataset(1, 70, dims), GridConfig(5, 1, 2), dims)
 
     def test_trainable_features_ragged(self):
-        cfg = GRIDS[0]
         dims = [25, 23, 11]
-        n = 70
-        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=5))
-        feats = synth_features(n, dims[0], 6)
-        labels = degree_labels(a, dims[-1], 7)
-        mask, _, _ = random_split_masks(n, 8)
-        mb, rb, _ = _train_dims(a, feats, labels, mask, cfg, dims, "batched",
-                                trainable_features=True)
-        mp, rp, _ = _train_dims(a, feats, labels, mask, cfg, dims, "perrank",
-                                trainable_features=True)
-        assert rb.losses == rp.losses
-        for r in range(cfg.total):
-            assert np.array_equal(mb.f0_shards[r], mp.f0_shards[r])
+        _assert_bitwise(_dataset(5, 70, dims), GRIDS[0], dims, trainable_features=True)
 
     def test_noisy_ragged_bitwise(self):
-        cfg = GRIDS[0]
         dims = [25, 23, 11]
-        n = 70
-        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=9))
-        feats = synth_features(n, dims[0], 10)
-        labels = degree_labels(a, dims[-1], 11)
-        mask, _, _ = random_split_masks(n, 12)
-        mb, rb, cb = _train_dims(a, feats, labels, mask, cfg, dims, "batched",
-                                 noise=SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11))
-        mp, rp, cp = _train_dims(a, feats, labels, mask, cfg, dims, "perrank",
-                                 noise=SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11))
-        _assert_bitwise(cfg, dims, mb, rb, cb, mp, rp, cp)
+        _assert_bitwise(_dataset(9, 70, dims), GRIDS[0], dims, noise=True)
 
 
 class TestBlockedAggregationParity:
-    """Blocked aggregation on the batched engine (per-block stacked SpMM
-    plans) vs the per-rank oracle: bitwise, eager and overlapped, uniform
-    and ragged sharding."""
+    """Blocked aggregation (per-block stacked SpMM plans) vs the per-rank
+    oracle: bitwise under every schedule, on uniform, ragged and 4-layer
+    (roles wrap around: layer 3 reuses layer 0's shard set) workloads."""
 
-    @settings(max_examples=8, deadline=None)
+    WORKLOADS = {
+        "uniform": (N_NODES, DIMS),
+        "ragged": (70, [25, 23, 11]),
+        "four-layer": (50, [10, 9, 9, 5]),
+    }
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         blocks=st.integers(2, 5),
-        overlap=st.booleans(),
-        ragged=st.booleans(),
+        workload=st.sampled_from(sorted(WORKLOADS)),
+        grid_idx=st.integers(0, len(GRIDS) - 1),
         seed=st.integers(0, 20),
+        opts=OPTIONS,
     )
-    def test_blocked_bitwise(self, blocks, overlap, ragged, seed):
-        cfg = GRIDS[0]
-        n = 70 if ragged else N_NODES
-        dims = [25, 23, 11] if ragged else DIMS
-        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=seed))
-        feats = synth_features(n, dims[0], seed + 1)
-        labels = degree_labels(a, dims[-1], seed + 2)
-        mask, _, _ = random_split_masks(n, seed + 3)
-        mb, rb, cb = _train_dims(a, feats, labels, mask, cfg, dims, "batched",
-                                 aggregation_blocks=blocks, overlap=overlap)
-        mp, rp, cp = _train_dims(a, feats, labels, mask, cfg, dims, "perrank",
-                                 aggregation_blocks=blocks, overlap=overlap)
-        _assert_bitwise(cfg, dims, mb, rb, cb, mp, rp, cp)
+    def test_blocked_bitwise(self, blocks, workload, grid_idx, seed, opts):
+        n, dims = self.WORKLOADS[workload]
+        opts = {**opts, "aggregation_blocks": blocks}
+        _assert_bitwise(_dataset(seed, n, dims), GRIDS[grid_idx], dims, **opts)
 
 
 class TestBatchPrimitives:

@@ -7,14 +7,17 @@ Covers the ``repro.dist.comm`` contract:
 * misuse is loud — double ``wait()`` raises, and a dropped (never-waited)
   handle is detected at epoch end;
 * overlap semantics — ``overlap=True`` strictly reduces simulated comm time
-  on blocked-aggregation and batched configurations while losses, weights
-  and comp time stay bitwise identical (only the clocks change).
+  (blocked aggregation, W prefetch, backward dH pipeline) while losses,
+  weights and comp time stay bitwise identical (only the clocks change) —
+  for the product and for the per-rank oracle (``tests/oracle.py``), which
+  must also agree with each other under every schedule.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import PerRankOracle, map_groups
 
 from repro.core import Axis, GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
 from repro.dist import (
@@ -41,14 +44,16 @@ def _dataset(seed=3):
     return a, feats, labels, train
 
 
-def _train(cfg, overlap, engine="auto", epochs=4, machine=PERLMUTTER, **opts):
+def _train(cfg, overlap, build=PlexusGCN, epochs=4, machine=PERLMUTTER, **opts):
+    """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
+    or ``PerRankOracle`` (the per-rank reference)."""
     a, feats, labels, mask = _dataset()
     cluster = VirtualCluster(cfg.total, machine)
-    model = PlexusGCN(
+    model = build(
         cluster, cfg, a, feats, labels, mask, DIMS,
-        PlexusOptions(seed=0, engine=engine, overlap=overlap, **opts),
+        PlexusOptions(seed=0, overlap=overlap, **opts),
     )
-    result = PlexusTrainer(model).train(epochs)
+    result = (PlexusTrainer(model) if build is PlexusGCN else model).train(epochs)
     weights = np.concatenate([w.ravel() for l in model.layers for w in l.w_shards])
     return model, result, cluster, weights
 
@@ -116,9 +121,10 @@ class TestHandleBasics:
         assert float(cluster.category_totals("comm:").min()) > 2e-6
 
     def test_stacked_and_map_paths_share_axis_links(self, rng):
-        """A stacked collective and a group-wise map collective issued on
-        the same axis serialize on the same physical links: deferring both
-        waits costs exactly as much wall clock as waiting eagerly."""
+        """A stacked collective and one issued group by group (one
+        ``GroupCommunicator`` call per process group) on the same axis
+        serialize on the same physical links: deferring both waits costs
+        exactly as much wall clock as waiting eagerly."""
         from repro.core.grid import PlexusGrid
 
         cfg = GridConfig(2, 2, 1)
@@ -128,32 +134,21 @@ class TestHandleBasics:
         cluster1 = VirtualCluster(cfg.total, PERLMUTTER)
         grid1 = PlexusGrid(cluster1, cfg)
         h1 = grid1.comm(Axis.X).all_reduce(stacked)
-        h2 = grid1.comm(Axis.X).map_all_reduce(per_rank)
+        h2 = map_groups(grid1, Axis.X, "all_reduce", per_rank)
         h1.wait()
         h2.wait()
 
         cluster2 = VirtualCluster(cfg.total, PERLMUTTER)
         grid2 = PlexusGrid(cluster2, cfg)
         grid2.comm(Axis.X).all_reduce(stacked).wait()
-        grid2.comm(Axis.X).map_all_reduce(per_rank).wait()
+        map_groups(grid2, Axis.X, "all_reduce", per_rank).wait()
         assert cluster1.max_clock() == cluster2.max_clock()
+        assert cluster1.max_clock() > 0.0
 
     def test_double_wait_raises(self, rng):
         cluster = VirtualCluster(2, LAPTOP)
         comm = communicator(_group(cluster, range(2)))
         handle = comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
-        handle.wait()
-        with pytest.raises(RuntimeError, match="waited twice"):
-            handle.wait()
-
-    def test_double_wait_raises_on_map_handle(self, rng):
-        cluster = VirtualCluster(4, PERLMUTTER)
-        from repro.core.grid import PlexusGrid
-
-        grid = PlexusGrid(cluster, GridConfig(2, 2, 1))
-        handle = grid.comm(Axis.X).map_all_reduce(
-            [rng.standard_normal(4) for _ in range(4)]
-        )
         handle.wait()
         with pytest.raises(RuntimeError, match="waited twice"):
             handle.wait()
@@ -183,10 +178,8 @@ class TestHandleBasics:
         cluster = VirtualCluster(cfg.total, PERLMUTTER)
         model = PlexusGCN(cluster, cfg, a, feats, labels, mask, DIMS, PlexusOptions(seed=0))
         trainer = PlexusTrainer(model)
-        trainer.train(1)  # the engine waits everything it issues
-        model.grid.comm(Axis.X).map_all_reduce(
-            [rng.standard_normal(3) for _ in range(cfg.total)], phase="stray"
-        )
+        trainer.train(1)  # the model waits everything it issues
+        model.grid.comm(Axis.X).all_reduce(rng.standard_normal((cfg.total, 3)), phase="stray")
         with pytest.raises(RuntimeError, match="stray"):
             trainer.train_epoch()
 
@@ -283,11 +276,12 @@ class TestBoundedInflight:
 
         assert run(1) > run(None)
 
-    def test_engine_parity_with_limit(self):
-        """Both engines enforce the same bound: losses and clocks bitwise."""
-        mb, rb, cb, _ = _train(GridConfig(2, 2, 2), overlap=True, engine="batched",
+    def test_oracle_parity_with_limit(self):
+        """Whole-axis and per-group issues enforce the same bound: losses
+        and clocks bitwise."""
+        mb, rb, cb, _ = _train(GridConfig(2, 2, 2), overlap=True,
                                aggregation_blocks=4, max_inflight=1)
-        mp, rp, cp, _ = _train(GridConfig(2, 2, 2), overlap=True, engine="perrank",
+        mp, rp, cp, _ = _train(GridConfig(2, 2, 2), overlap=True, build=PerRankOracle,
                                aggregation_blocks=4, max_inflight=1)
         assert rb.losses == rp.losses
         assert np.array_equal(cb.clocks, cp.clocks)
@@ -320,7 +314,8 @@ class TestBoundedInflight:
     def test_padded_stacks_under_bound_match_groupwise(self, rng):
         """Regression: padded quasi-equal stacks carry *keepdims per-group*
         duration arrays, which the bounded sequential issue path must align
-        with the group ravel order — and stay bitwise with the map path."""
+        with the group ravel order — and stay bitwise with one call per
+        process group."""
         from repro.core.grid import PlexusGrid
 
         cfg = GridConfig(2, 1, 2)
@@ -337,7 +332,7 @@ class TestBoundedInflight:
                 handles = [comm.all_reduce(padded) for _ in range(2)]
                 outs = [h.wait().data for h in handles]
             else:
-                handles = [comm.map_all_reduce(shards) for _ in range(2)]
+                handles = [map_groups(grid, Axis.X, "all_reduce", shards) for _ in range(2)]
                 outs = [h.wait() for h in handles]
             return outs, cluster.clocks.copy()
 
@@ -386,8 +381,8 @@ class TestBoundedInflight:
         hb.wait()
 
     def test_stacked_axis_matches_groupwise_under_nic_bound(self, rng):
-        """The stacked (batched-engine) path schedules its sibling groups
-        sequentially under the NIC bound, bitwise like the map_* path —
+        """The stacked path schedules its sibling groups sequentially under
+        the NIC bound, bitwise like one call per process group —
         PERLMUTTER Z-axis groups of a (2, 2, 2) grid share the two nodes."""
         from repro.core.grid import PlexusGrid
 
@@ -403,7 +398,7 @@ class TestBoundedInflight:
                 handles = [comm.all_reduce(stacked) for _ in range(2)]
             else:
                 shards = list(stacked)
-                handles = [comm.map_all_reduce(shards) for _ in range(2)]
+                handles = [map_groups(grid, Axis.Z, "all_reduce", shards) for _ in range(2)]
             clocks_at_issue = cluster.clocks.copy()
             for h in handles:
                 h.wait()
@@ -456,8 +451,8 @@ class TestCrossEpochPrefetch:
     """The layer-0 F all-gather prefetch (overlap=True): same numerics,
     strictly less visible communication."""
 
-    def _run(self, prefetch, engine="batched", epochs=4, **opts):
-        return _train(GridConfig(3, 2, 2), overlap=True, engine=engine,
+    def _run(self, prefetch, build=PlexusGCN, epochs=4, **opts):
+        return _train(GridConfig(3, 2, 2), overlap=True, build=build,
                       prefetch_f0=prefetch, epochs=epochs, **opts)
 
     def test_numerics_bitwise_with_prefetch(self):
@@ -474,9 +469,9 @@ class TestCrossEpochPrefetch:
         assert comm1 < comm2
         assert c1.max_clock() <= c2.max_clock()
 
-    def test_engines_agree_with_prefetch(self):
-        mb, rb, cb, wb = self._run(True, engine="batched")
-        mp, rp, cp, wp = self._run(True, engine="perrank")
+    def test_oracle_agrees_with_prefetch(self):
+        mb, rb, cb, wb = self._run(True)
+        mp, rp, cp, wp = self._run(True, build=PerRankOracle)
         assert rb.losses == rp.losses
         assert np.array_equal(wb, wp)
         assert np.array_equal(cb.clocks, cp.clocks)
@@ -554,10 +549,9 @@ class TestCrossEpochPrefetch:
 class TestOverlapSchedules:
     """Acceptance: overlap changes only the clocks, never the numerics."""
 
-    def _compare(self, cfg, engine, **opts):
-        me, re_, ce, we = _train(cfg, overlap=False, engine=engine, **opts)
-        mo, ro, co, wo = _train(cfg, overlap=True, engine=engine, **opts)
-        assert me.engine == mo.engine
+    def _compare(self, cfg, build, **opts):
+        me, re_, ce, we = _train(cfg, overlap=False, build=build, **opts)
+        mo, ro, co, wo = _train(cfg, overlap=True, build=build, **opts)
         assert re_.losses == ro.losses
         assert np.array_equal(we, wo)
         comm_e = float(np.mean(ce.category_totals("comm:")))
@@ -568,23 +562,23 @@ class TestOverlapSchedules:
     def test_blocked_aggregation_overlap_strictly_reduces_comm(self):
         """The Fig. 9-style configuration: aggregation_blocks > 1 pipelines
         per-block all-reduces behind the next block's SpMM."""
-        comm_e, comm_o, ce, co = self._compare(
-            GridConfig(2, 2, 2), "perrank", aggregation_blocks=4
-        )
+        for build in (PlexusGCN, PerRankOracle):
+            comm_e, comm_o, ce, co = self._compare(
+                GridConfig(2, 2, 2), build, aggregation_blocks=4
+            )
+            assert comm_o < comm_e
+            assert not np.array_equal(ce.clocks, co.clocks)
+
+    def test_w_prefetch_strictly_reduces_comm(self):
+        comm_e, comm_o, ce, co = self._compare(GridConfig(3, 2, 2), PlexusGCN)
         assert comm_o < comm_e
         assert not np.array_equal(ce.clocks, co.clocks)
 
-    def test_batched_w_prefetch_strictly_reduces_comm(self):
-        comm_e, comm_o, ce, co = self._compare(GridConfig(3, 2, 2), "batched")
-        assert comm_o < comm_e
-        assert not np.array_equal(ce.clocks, co.clocks)
-
-    def test_overlap_engines_agree_bitwise(self):
-        """Both engines run the same overlap schedule: losses, weights and
-        clocks stay engine-independent with overlap on."""
-        mb, rb, cb, wb = _train(GridConfig(3, 2, 2), overlap=True, engine="batched")
-        mp, rp, cp, wp = _train(GridConfig(3, 2, 2), overlap=True, engine="perrank")
-        assert mb.engine == "batched" and mp.engine == "perrank"
+    def test_overlap_oracle_agrees_bitwise(self):
+        """Product and oracle run the same overlap schedule: losses, weights
+        and clocks agree with overlap on."""
+        mb, rb, cb, wb = _train(GridConfig(3, 2, 2), overlap=True)
+        mp, rp, cp, wp = _train(GridConfig(3, 2, 2), overlap=True, build=PerRankOracle)
         assert rb.losses == rp.losses
         assert np.array_equal(wb, wp)
         assert np.array_equal(cb.clocks, cp.clocks)
@@ -592,17 +586,18 @@ class TestOverlapSchedules:
     def test_backward_dh_allreduce_hides_behind_backward_spmm(self):
         """The backward dH all-reduce is issued before the backward SpMM's
         compute is charged and waited where dF consumes it, so its visible
-        phase total strictly drops under overlap on both engines (numerics
-        stay bitwise identical — asserted inside ``_compare``)."""
-        for engine in ("batched", "perrank"):
-            _, _, ce, co = self._compare(GridConfig(2, 2, 2), engine)
+        phase total strictly drops under overlap, for the product and the
+        oracle alike (numerics stay bitwise identical — asserted inside
+        ``_compare``)."""
+        for build in (PlexusGCN, PerRankOracle):
+            _, _, ce, co = self._compare(GridConfig(2, 2, 2), build)
             dh_e = float(ce.store.prefix_totals("comm:all_reduce_dh").sum())
             dh_o = float(co.store.prefix_totals("comm:all_reduce_dh").sum())
             assert 0.0 < dh_o < dh_e
 
     def test_epoch_time_never_worse_with_overlap(self):
-        _, re_, ce, _ = _train(GridConfig(2, 2, 2), overlap=False, aggregation_blocks=4, engine="perrank")
-        _, ro, co, _ = _train(GridConfig(2, 2, 2), overlap=True, aggregation_blocks=4, engine="perrank")
+        _, re_, ce, _ = _train(GridConfig(2, 2, 2), overlap=False, aggregation_blocks=4, build=PerRankOracle)
+        _, ro, co, _ = _train(GridConfig(2, 2, 2), overlap=True, aggregation_blocks=4, build=PerRankOracle)
         assert co.max_clock() <= ce.max_clock()
 
     def test_train_plexus_overlap_composes_with_explicit_options(self):

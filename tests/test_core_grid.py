@@ -1,6 +1,5 @@
 """Tests for the 3D grid, axis-role rotation and config enumeration."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +11,8 @@ from repro.core import (
     axis_roles,
     classify_config,
     factor_triples,
-    map_collective,
 )
-from repro.dist import PERLMUTTER, VirtualCluster, communicator
+from repro.dist import PERLMUTTER, VirtualCluster
 
 
 class TestGridConfig:
@@ -158,55 +156,3 @@ class TestPlexusGrid:
         grid = self._grid(2, 4, 2)  # inner(Z) = 8 > 4
         for g in grid.groups(Axis.Z):
             assert g.bandwidth == PERLMUTTER.inter_node_bw / 4
-
-
-class TestMapCollective:
-    def test_groupwise_all_reduce(self):
-        cfg = GridConfig(2, 2, 1)
-        cluster = VirtualCluster(4, PERLMUTTER)
-        grid = PlexusGrid(cluster, cfg)
-        per_rank = [np.array([float(r)]) for r in range(4)]
-        out = map_collective(grid, Axis.Y, per_rank, "all_reduce")
-        # Y-groups are {0,1} and {2,3}
-        assert out[0][0] == 1.0 and out[1][0] == 1.0
-        assert out[2][0] == 5.0 and out[3][0] == 5.0
-
-    def test_wrong_length_rejected(self):
-        cfg = GridConfig(2, 1, 1)
-        grid = PlexusGrid(VirtualCluster(2, PERLMUTTER), cfg)
-        with pytest.raises(ValueError):
-            map_collective(grid, Axis.X, [np.zeros(1)], "all_reduce")
-
-    def test_string_kind_matches_groupwise_callable(self):
-        cfg = GridConfig(2, 2, 1)
-        per_rank = [np.array([float(r)]) for r in range(4)]
-        grid1 = PlexusGrid(VirtualCluster(4, PERLMUTTER), cfg)
-        out1 = map_collective(grid1, Axis.Y, per_rank, "all_reduce")
-        grid2 = PlexusGrid(VirtualCluster(4, PERLMUTTER), cfg)
-        out2 = map_collective(
-            grid2, Axis.Y, per_rank,
-            lambda group, shards: communicator(group).all_reduce(shards).wait(),
-        )
-        for a, b in zip(out1, out2):
-            assert np.array_equal(a, b)
-        assert np.array_equal(grid1.cluster.clocks, grid2.cluster.clocks)
-
-    def test_unknown_string_kind_rejected(self):
-        grid = PlexusGrid(VirtualCluster(2, PERLMUTTER), GridConfig(2, 1, 1))
-        with pytest.raises(ValueError, match="unknown collective"):
-            map_collective(grid, Axis.X, [np.zeros(1), np.zeros(1)], "gather_all")
-
-    def test_custom_callable_is_invoked_not_name_matched(self):
-        """A user callable that happens to be named like a built-in must run
-        itself (only string names route through the communicator API)."""
-        cfg = GridConfig(2, 1, 1)
-        grid = PlexusGrid(VirtualCluster(2, PERLMUTTER), cfg)
-        calls = []
-
-        def all_reduce(group, shards, **kwargs):  # shadows the built-in name
-            calls.append(len(shards))
-            return [s + 100.0 for s in shards]
-
-        out = map_collective(grid, Axis.X, [np.zeros(1), np.zeros(1)], all_reduce)
-        assert calls == [2]
-        assert out[0][0] == 100.0

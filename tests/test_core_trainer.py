@@ -94,6 +94,69 @@ class TestDistributedAccuracy:
         assert acc == pytest.approx(expected, abs=1e-12)
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "cfg, n, classes",
+        [
+            (GridConfig(2, 1, 4), 48, 8),  # uniform: two class columns per shard
+            (GridConfig(1, 2, 4), 49, 8),  # ragged rows (25 / 24)
+            (GridConfig(1, 2, 4), 48, 3),  # 4 class shards, 3 classes: one rank owns no column
+            (GridConfig(1, 3, 2), 49, 7),  # ragged rows and ragged class columns
+        ],
+    )
+    def test_ties_resolve_like_argmax_over_the_gathered_row(self, cfg, n, classes, dtype):
+        """Small-integer logits: most rows attain their maximum in several
+        class shards at once, and the prediction must be the lowest class
+        index among them — what ``argmax`` over the whole row answers."""
+        from repro.core.batch import stack_shards
+        from repro.graph.generators import rmat_graph
+        from repro.sparse.ops import gcn_normalize
+
+        rng = np.random.default_rng(5)
+        a = gcn_normalize(rmat_graph(n, avg_degree=4, seed=1))
+        labels = rng.integers(0, classes, n)
+        model = PlexusGCN(
+            VirtualCluster(cfg.total, PERLMUTTER), cfg, a, rng.standard_normal((n, 8)),
+            labels, np.ones(n, dtype=bool), [8, 6, classes],
+            PlexusOptions(permutation="none", seed=0, compute_dtype=dtype),
+        )
+        logits = rng.integers(0, 3, (n, classes)).astype(dtype)
+        mask = rng.random(n) < 0.7
+        final, grid = model.shardings[-1], model.grid
+        ranks = range(grid.world_size)
+        # the premise: rows whose maximum sits in more than one class shard
+        col_shards = {(s.start, s.stop) for s in (final.out_col_slice(grid, r) for r in ranks)}
+        attained = logits == logits.max(axis=1, keepdims=True)
+        assert (sum(attained[:, c0:c1].any(axis=1) for c0, c1 in col_shards) > 1).sum() > n // 4
+        stacked = stack_shards(
+            [logits[final.out_row_slice(grid, r), final.out_col_slice(grid, r)] for r in ranks]
+        )
+        acc = distributed_accuracy(
+            model, stacked, [mask[final.out_row_slice(grid, r)] for r in ranks]
+        )
+        assert acc == float((logits.argmax(axis=1) == labels)[mask].mean())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ragged_matches_serial_accuracy(self, tiny_products, dtype):
+        """Indivisible N and classes (padded logits), both dtypes: the
+        serial model's argmax accuracy."""
+        from repro.nn import SerialGCN, accuracy
+
+        ds = tiny_products
+        cfg = GridConfig(3, 2, 2)
+        dims = [ds.n_features, 13, ds.n_classes]
+        model = PlexusGCN(
+            VirtualCluster(cfg.total, PERLMUTTER), cfg, ds.norm_adjacency,
+            ds.features.astype(dtype), ds.labels, ds.train_mask, dims,
+            PlexusOptions(seed=0, compute_dtype=dtype),
+        )
+        assert not model.uniform
+        serial = SerialGCN(dims, seed=0)
+        s_logits = serial.forward(ds.norm_adjacency, ds.features)
+        expected = accuracy(s_logits, ds.labels, ds.test_mask)
+        assert PlexusTrainer(model).evaluate(ds.test_mask) == pytest.approx(expected, abs=1e-12)
+
+
 class TestEvaluateNoCharge:
     """`evaluate` drives the engine but must not pollute the timing record."""
 

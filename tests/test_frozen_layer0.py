@@ -1,15 +1,15 @@
 """Frozen layer 0: the aggregation is computed once and replayed.
 
-With ``trainable_features=False`` the batched engine computes layer 0's
+With ``trainable_features=False`` the model computes layer 0's
 ``H0 = all-reduce_X(A @ all-gather_Z(F0))`` in the first forward, and from
 then on re-issues the gather, the SpMM charges and the all-reduces with
 their recorded durations while handing back the held result; the frozen
 layer-0 ``dH`` GEMM is charged and its all-reduce scheduled, never
 multiplied.  The simulated timeline must not be able to tell, and the
-per-rank oracle — which keeps recomputing everything — is the independent
-check:
+per-rank oracle (``tests/oracle.py``) — which memoises nothing and
+recomputes everything every epoch — is the independent check:
 
-* batched == per-rank bitwise (losses, weights, per-rank clocks, every
+* product == oracle bitwise (losses, weights, per-rank clocks, every
   phase bucket) over several epochs, on uniform grids, size-1 axes, an
   indivisible grid, with overlap, blocked aggregation, a bounded in-flight
   queue, SpMM noise and a launch overhead;
@@ -30,6 +30,8 @@ import json
 
 import numpy as np
 import pytest
+
+from oracle import PerRankOracle
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
 from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
@@ -71,28 +73,33 @@ def _dataset(n, dims):
     return a, feats, labels, mask
 
 
-def _trainer(workload="X2Y2Z2", engine="batched", machine=PERLMUTTER, sink=None, **opts):
+def _model(build, workload, machine=PERLMUTTER, sink=None, **opts):
     cfg, n, dims = WORKLOADS[workload]
     if opts.pop("noise", False):  # one sampler per model: the stream is stateful
         opts["noise"] = SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11)
     cluster = VirtualCluster(cfg.total, machine)
     if sink is not None:
         cluster.store.trace = sink
-    model = PlexusGCN(
-        cluster, cfg, *_dataset(n, dims), list(dims), PlexusOptions(seed=0, engine=engine, **opts)
-    )
-    return PlexusTrainer(model)
+    return build(cluster, cfg, *_dataset(n, dims), list(dims), PlexusOptions(seed=0, **opts))
 
 
-def _assert_same_run(a: PlexusTrainer, ra, b: PlexusTrainer, rb) -> None:
+def _trainer(workload="X2Y2Z2", machine=PERLMUTTER, sink=None, **opts):
+    return PlexusTrainer(_model(PlexusGCN, workload, machine, sink, **opts))
+
+
+def _oracle(workload, machine=PERLMUTTER, **opts) -> PerRankOracle:
+    return _model(PerRankOracle, workload, machine, **opts)
+
+
+def _assert_same_run(a, ra, b, rb) -> None:
     """Losses, epoch records, weights, per-rank clocks and every phase
-    bucket of two in-process runs, bitwise."""
+    bucket of two in-process runs (``PlexusGCN`` or oracle), bitwise."""
     assert ra.losses == rb.losses
     assert ra.epochs == rb.epochs
-    for la, lb in zip(a.model.layers, b.model.layers):
+    for la, lb in zip(a.layers, b.layers):
         for wa, wb in zip(la.w_shards, lb.w_shards):
             assert np.array_equal(wa, wb)
-    sa, sb = a.model.cluster.store, b.model.cluster.store
+    sa, sb = a.cluster.store, b.cluster.store
     assert np.array_equal(sa.clocks, sb.clocks)
     assert set(sa.by_phase) == set(sb.by_phase)
     for phase, vec in sa.by_phase.items():
@@ -102,21 +109,20 @@ def _assert_same_run(a: PlexusTrainer, ra, b: PlexusTrainer, rb) -> None:
 class TestReplayEqualsOracle:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_batched_equals_perrank(self, workload, schedule):
-        batched = _trainer(workload, "batched", **SCHEDULES[schedule])
-        oracle = _trainer(workload, "perrank", **SCHEDULES[schedule])
-        rb, ro = batched.train(EPOCHS), oracle.train(EPOCHS)
-        assert batched.model.layers[0]._frozen is not None  # the replay ran
-        assert oracle.model.layers[0]._frozen is None  # the oracle recomputes
-        _assert_same_run(batched, rb, oracle, ro)
+    def test_product_equals_oracle(self, workload, schedule):
+        product = _trainer(workload, **SCHEDULES[schedule])
+        oracle = _oracle(workload, **SCHEDULES[schedule])
+        rp, ro = product.train(EPOCHS), oracle.train(EPOCHS)
+        assert product.model.layers[0]._frozen is not None  # the replay ran
+        _assert_same_run(product.model, rp, oracle, ro)
 
     @pytest.mark.parametrize("workload", ["X2Y2Z2", "X1Y1Z8", "X3Y2Z2-ragged"])
     def test_launch_overhead_is_replayed_too(self, workload):
         machine = dataclasses.replace(PERLMUTTER, issue_overhead_s=2e-6)
         opts = {"overlap": True, "aggregation_blocks": 4}
-        batched = _trainer(workload, "batched", machine, **opts)
-        oracle = _trainer(workload, "perrank", machine, **opts)
-        _assert_same_run(batched, batched.train(EPOCHS), oracle, oracle.train(EPOCHS))
+        product = _trainer(workload, machine, **opts)
+        oracle = _oracle(workload, machine, **opts)
+        _assert_same_run(product.model, product.train(EPOCHS), oracle, oracle.train(EPOCHS))
 
 
 class TestReplayIsLive:
@@ -126,6 +132,7 @@ class TestReplayIsLive:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        import oracle
         import repro.core.batch as batch
         import repro.core.layers as layers
 
@@ -139,6 +146,7 @@ class TestReplayIsLive:
             return wrapper
 
         monkeypatch.setattr(batch, "spmm", counting("spmm", batch.spmm))
+        monkeypatch.setattr(oracle, "spmm", counting("spmm", oracle.spmm))  # its per-block SpMMs
         monkeypatch.setattr(layers, "stack_matmul", counting("matmul", layers.stack_matmul))
 
         def per_epoch(trainer):
@@ -179,6 +187,17 @@ class TestReplayIsLive:
         assert np.array_equal(
             trainer.model.cluster.store.clocks, reference.model.cluster.store.clocks
         )
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_oracle_memoises_nothing(self, calls, blocks):
+        """What makes product == oracle an independent check of the replay:
+        the oracle multiplies every SpMM of a frozen layer 0 every epoch
+        (one per rank and block when blocked, one grouped call otherwise)."""
+        oracle = _oracle("X2Y2Z2", overlap=True, aggregation_blocks=blocks)
+        n_layers = len(oracle.layers)
+        forward = n_layers * (oracle.world * blocks if blocks > 1 else 1)
+        for _ in range(3):
+            assert calls(oracle) == (forward + n_layers - 1, 0)
 
     def test_trainable_features_memoise_nothing(self, calls):
         trainer = _trainer(trainable_features=True)
@@ -224,7 +243,7 @@ class TestTracing:
         replays = metrics.counters.get("frozen_agg_replays", 0)
         trace.disable()
 
-        _assert_same_run(plain, r_plain, traced, r_traced)
+        _assert_same_run(plain.model, r_plain, traced.model, r_traced)
         # the first epoch computed, every later one replayed — visible in
         # the registry the trace directory's metrics.jsonl is written from
         assert replays == EPOCHS - 1

@@ -51,7 +51,7 @@ class TestSpmmShard:
     @settings(max_examples=120, deadline=None)
     def test_batch_time_matches_scalar_model(self, rows, k, cols, nnz):
         """spmm_time_batch vectorizes the same cost model spmm_time defines;
-        any recalibration of one must show up in the other (both engines'
+        any recalibration of one must show up in the other (the layers'
         epoch times come from the batch form)."""
         from repro.dist.topology import FRONTIER, PERLMUTTER
 

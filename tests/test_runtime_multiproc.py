@@ -1,6 +1,6 @@
 """The multi-process execution runtime: parity, transport, data, cleanup.
 
-Acceptance for ``repro.runtime``: ``backend="multiproc"`` — the engine
+Acceptance for ``repro.runtime``: ``backend="multiproc"`` — the model
 sharded across OS worker processes over the shared-memory transport — must
 produce **bitwise-identical** losses, weights, per-rank clocks, and phase
 totals to ``backend="inproc"`` (the parity oracle) on the supported
@@ -11,8 +11,11 @@ configurations, eager and overlap schedules alike.  Also covered:
 * the sharded data loader feeding the runtime — each worker reads only the
   file blocks of its own shard rows, reports per-worker bytes, and
   round-trips bitwise with in-memory loading;
-* launcher-side validation of the backend's restrictions (per-rank engine,
-  non-uniform sharding, noise, worker counts);
+* ``evaluate()`` over the bus (shm and tcp): the in-process value, off the
+  books, the following epochs bitwise;
+* validation of the backend's restrictions (non-uniform sharding — in the
+  launcher, or by the workers when only they know N — noise, worker
+  counts);
 * crash hygiene — a hard-killed worker or a failed build must leave no
   ``/dev/shm`` segment behind.
 """
@@ -208,18 +211,32 @@ class TestRuntimeSemantics:
         assert [os.environ.get(n) for n in names] == [None, None, "3"]
         assert [os.environ.get(n) for n in alloc] == [None, "1048576"]
 
-    def test_evaluate_not_supported(self):
-        from repro.errors import UnsupportedWorkload
-
-        spec = _spec(GridConfig(2, 2, 1), workers=1)
-        with MultiprocTrainer(spec, timeout=60) as mpt:
-            mpt.train(1)
-            with pytest.raises(UnsupportedWorkload, match="inproc"):
-                mpt.evaluate(np.ones(N_NODES, dtype=bool))
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"overlap": True, "aggregation_blocks": 2}], ids=["eager", "overlap-blocked"]
+    )
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_evaluate_matches_inproc_off_the_books(self, transport, workers, schedule):
+        """``evaluate()`` crosses the bus like every other Z collective: the
+        in-process value, ``state()`` untouched by the call (under overlap a
+        cross-epoch F0 prefetch is in flight across it), and the epochs
+        after it still bitwise equal to in-process."""
+        spec = _spec(GridConfig(2, 1, 4), workers, **schedule)
+        _, val_mask, _ = random_split_masks(N_NODES, seed=4)
+        inproc = build_trainer(spec, backend="inproc")
+        inproc.train(2)
+        expected = inproc.evaluate(val_mask)
+        r_in = inproc.train(2)
+        with MultiprocTrainer(spec, timeout=60, transport=transport) as mpt:
+            mpt.train(2)
+            before = mpt.state()
+            assert mpt.evaluate(val_mask) == expected
+            _assert_states_equal(before, mpt.state())
+            r_mp = mpt.train(2)
+            _assert_states_equal(_inproc_state(inproc), mpt.state())
+        assert r_mp.epochs == r_in.epochs
 
     def test_launcher_rejects_unsupported_workloads(self):
-        with pytest.raises(ValueError, match="batched engine"):
-            MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, engine="perrank"))
         with pytest.raises(ValueError, match="uniform"):
             MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, n=49))
         from repro.core.noise import SpmmNoise
@@ -334,6 +351,26 @@ class TestShardedLoaderFeedsRuntime:
         # together the workers read each block once, nothing twice
         assert sum(r.files_read for r in reports) == total_files
         assert sum(r.bytes_read for r in reports) == total_bytes
+
+    def test_ragged_shard_dir_workload_is_refused_at_build_time(self, tmp_path):
+        """The launcher never learns a ``shard_dir`` workload's N, so the
+        workers hold the uniformity gate — and every one of them must answer
+        for the whole cube: X1Y1Z2 with N=49 puts 25 / 24 rows on two
+        workers whose own slices each look uniform.  The typed refusal
+        arrives at construction, not as a broadcast error in epoch 1."""
+        from repro.errors import UnsupportedWorkload
+
+        n, dims = 49, [12, 8]
+        a, feats, labels, mask = _dataset(n, dims)
+        root = tmp_path / "shards"
+        save_sharded(a, feats, labels, root, grid=(4, 4))
+        spec = WorkloadSpec(
+            config=GridConfig(1, 1, 2), layer_dims=dims, workers=2, machine=LAPTOP,
+            options=PlexusOptions(seed=0, permutation="none"), train_mask=mask,
+            shard_dir=str(root),
+        )
+        with pytest.raises(UnsupportedWorkload, match="uniform"):
+            MultiprocTrainer(spec, timeout=60)
 
     def test_shard_dir_requires_identity_permutation(self, tmp_path):
         _, _, _, mask, root = self._save(tmp_path)
