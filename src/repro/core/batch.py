@@ -27,33 +27,32 @@ outputs feed straight into the handle-based communicators
 one issued axis collective, whose :class:`~repro.dist.comm.PendingCollective`
 is waited where the next kernel consumes the result.
 
-On the uniform (divisible) path a collective's result comes back as a
-:class:`~repro.dist.padded.ReplicatedStack`: the ``(Gz, Gx, Gy, m, n)`` rank
-cube with extent 1 along every axis the value is identical on (H after the
-X-all-reduce, Q after the Y-all-reduce, W / F after the Z-all-gather — see
-``repro.dist.comm``).  The ``stack_*`` helpers never expand it: they view a
-flat partner into the cube and let numpy broadcast over the extent-1 axes,
-so :func:`stack_map` / :func:`stack_mul` (ReLU, its mask, the chain-rule
-product) run once per group, :func:`stack_matmul` is one broadcasting
-``np.matmul`` in which each rank's GEMM reads the shared operand in place,
-and :meth:`BlockDiagSpmm.apply_stacked` points every rank's block of the
-block CSR at its group's single dense block.  The only materialisation
-points are :func:`stack_data` (the optimizer's flat gradients, checkpoints)
-and a uniform operand meeting a padded one; persisted state (weights,
-features, labels, masks, Adam moments) is flat throughout and is accepted
-by every helper as is.
+A collective's result comes back in the replica-free cube layout of
+:mod:`repro.dist.padded`: the ``(Gz, Gx, Gy, m, n)`` rank cube with extent 1
+along every axis the value is identical on (H after the X-all-reduce, Q
+after the Y-all-reduce, W / F after the Z-all-gather — see
+``repro.dist.comm``) — a :class:`~repro.dist.padded.ReplicatedStack` when
+every dimension divides its grid axis, a
+:class:`~repro.dist.padded.PaddedStack` (zero pads, per-rank valid extents as
+metadata) when sharding is quasi-equal.  The ``stack_*`` helpers never
+expand it: they view a flat partner into the cube and let numpy broadcast
+over the extent-1 axes, so :func:`stack_map` / :func:`stack_mul` (ReLU, its
+mask, the chain-rule product) run once per group, :func:`stack_matmul` is a
+broadcasting ``np.matmul`` in which each rank's GEMM reads the shared
+operand in place, and :class:`BlockDiagSpmm` points every rank's block of
+one block CSR at its group's single dense block.  The only
+materialisation point is :func:`stack_data` (the optimizer's flat
+gradients, checkpoints); persisted state (weights, features, labels, masks,
+Adam moments) is flat throughout and is accepted by every helper as is.
 
-When sharding is quasi-equal (a dimension does not divide its grid axis),
-the stacks become :class:`~repro.dist.padded.PaddedStack` — ragged
-shards zero-padded to a common extent with per-rank valid masks, flat along
-the ranks.  The ``stack_*`` helpers make the layer code agnostic to the
-stack kind: :func:`stack_matmul` runs one ``np.matmul`` per exact-shape
-group (so the floating-point association order matches a per-rank loop
-bitwise, never summing over pad entries),
-:meth:`BlockDiagSpmm.apply_padded` drives one block-diagonal SpMM whose
-blocks sit at padded offsets (pad rows carry no nonzeros, so they
-contribute nothing), and :func:`concat_stack_rows` reassembles
-blocked-aggregation outputs from valid rows only.
+What quasi-equal sharding adds is geometry, not a second data path: the
+ranks that share one exact shape form contiguous *boxes* of the cube
+(:func:`~repro.dist.padded.cube_boxes`, at most eight).  :func:`stack_matmul`
+runs its broadcasting matmul once per box on ``cube[box, :m, :k]`` views — no
+dot product ever sums over a pad entry, so the association order matches a
+per-rank loop bitwise — :func:`concat_stack_rows` copies each row block's
+valid rows box by box, and the block CSR places its blocks at padded offsets
+(pad rows carry no nonzeros).  No kernel loops over ranks.
 
 All outputs preserve the input dtype, so the model's ``compute_dtype``
 (float32 for benchmarks, float64 for validation) flows through untouched.
@@ -61,12 +60,13 @@ All outputs preserve the input dtype, so the model's ``compute_dtype``
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.dist.padded import PaddedStack, ReplicatedStack, stack_shards
+from repro.dist.padded import PaddedStack, ReplicatedStack, cube_boxes, stack_shards
 from repro.sparse.ops import spmm
 
 __all__ = [
@@ -74,6 +74,7 @@ __all__ = [
     "BlockDiagSpmm",
     "PaddedStack",
     "ReplicatedStack",
+    "cube_boxes",
     "stack_shards",
     "shard_views",
     "stack_data",
@@ -95,18 +96,14 @@ def shard_views(stacked) -> list[np.ndarray]:
 
 def stack_data(stacked) -> np.ndarray:
     """The flat ``(world, ...)`` ndarray behind a stack of any kind — what
-    persisted state and the optimizer hold.  A replicated stack is
-    materialised here (one copy; a view when nothing is replicated).
+    persisted state and the optimizer hold.  A replicated cube is
+    materialised here (one copy; a view when nothing is replicated, so a
+    persisted padded stack hands out its own writable memory).
 
     Padded pads are zero and their gradients stay zero, so handing the raw
     array to elementwise consumers (the optimizer, mask products) is safe.
     """
-    return stacked.data if isinstance(stacked, PaddedStack) else _flat(stacked)
-
-
-def _flat(stacked):
-    """A uniform stack as a flat ndarray (padded stacks pass through)."""
-    return stacked.flat() if isinstance(stacked, ReplicatedStack) else stacked
+    return stacked if isinstance(stacked, np.ndarray) else stacked.flat()
 
 
 def _cube_pair(a, b):
@@ -138,7 +135,7 @@ def stack_map(fn: Callable[[np.ndarray], np.ndarray], stacked):
     any kernel with ``fn(0) == 0`` (ReLU, its gradient mask, scaling)
     leaves them inert."""
     if isinstance(stacked, PaddedStack):
-        return stacked.with_data(fn(stacked.data))
+        return PaddedStack(fn(stacked.cube), stacked.grid, stacked.rows, stacked.cols)
     if isinstance(stacked, ReplicatedStack):
         return ReplicatedStack(fn(stacked.cube), stacked.grid)
     return fn(stacked)
@@ -147,17 +144,65 @@ def stack_map(fn: Callable[[np.ndarray], np.ndarray], stacked):
 def stack_mul(a, b):
     """Elementwise product of two stacked operands of matching geometry.
 
-    Replicated operands multiply in cube layout: the product is replicated
-    along the axes *both* are, and computed once per group there."""
+    The operands multiply in cube layout: the product is replicated along
+    the axes *both* are, and computed once per group there (pads: 0 * 0)."""
     if isinstance(a, PaddedStack):
-        return a.with_data(a.data * stack_data(b))
+        other = b.cube if isinstance(b, PaddedStack) else ReplicatedStack.cube_of(b, a.grid)
+        return PaddedStack(a.cube * other, a.grid, a.rows, a.cols)
     if isinstance(b, PaddedStack):
-        return stack_data(a) * b.data
+        return stack_mul(b, a)
     pair = _cube_pair(a, b)
     if pair is None:
         return a * b
     grid, ac, bc = pair
     return ReplicatedStack(ac * bc, grid)
+
+
+def _cut(box: tuple, lead: tuple) -> tuple:
+    """``box`` (slices over the broadcast cube) as an index into an operand
+    cube with leading extents ``lead``: extent-1 axes are read in place."""
+    return tuple(slice(0, 1) if e == 1 else s for s, e in zip(box, lead))
+
+
+def _matmul_operand(x, grid, transposed: bool) -> tuple:
+    """``(cube, rows key, cols key)`` of one :func:`stack_matmul` operand,
+    per-rank transposed on request (a view)."""
+    if isinstance(x, PaddedStack):
+        cube, rows, cols = x.cube_on(grid), x.rows.tobytes(), x.cols.tobytes()
+    else:  # uniform: the all-valid cube
+        cube, rows, cols = ReplicatedStack.cube_of(x, grid), None, None
+    return (cube.swapaxes(-1, -2), cols, rows) if transposed else (cube, rows, cols)
+
+
+@lru_cache(maxsize=256)
+def _matmul_plan(grid, a_shape, b_shape, m_key, k_key, k2_key, n_key) -> tuple:
+    """The box plan of one padded GEMM signature: ``(output cube shape, valid
+    rows, valid cols, [(a index, b index, out index, thin)])`` with one entry
+    per non-empty exact-shape box (``thin``: a vector product).  Extent keys are the bytes of a padded
+    operand's ``(world,)`` vectors, ``None`` for a uniform operand (every
+    extent is its cube's).  A pure function of the geometry."""
+    a_lead, b_lead = a_shape[:3], b_shape[:3]
+    lead = np.broadcast_shapes(a_lead, b_lead)
+    pad_m, pad_k, pad_n = a_shape[3], a_shape[4], b_shape[4]
+
+    def per_rank(key, pad):
+        return np.full(grid[0] * grid[1] * grid[2], pad) if key is None else np.frombuffer(key, dtype=np.int64)
+
+    if np.any(per_rank(k_key, pad_k) != per_rank(k2_key, b_shape[3])):
+        raise ValueError("stack_matmul: inner extents disagree")
+    steps = []
+    for box, (m, k, n) in cube_boxes(grid, lead, m_key or pad_m, k_key or pad_k, n_key or pad_n):
+        if m and k and n:  # an empty product leaves its (zero) output block alone
+            rows, inner, cols = slice(0, m), slice(0, k), slice(0, n)
+            steps.append(
+                (
+                    _cut(box, a_lead) + (rows, inner),
+                    _cut(box, b_lead) + (inner, cols),
+                    box + (rows, cols),
+                    m == 1 or n == 1,
+                )
+            )
+    return lead + (pad_m, pad_n), per_rank(m_key, pad_m), per_rank(n_key, pad_n), steps
 
 
 def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
@@ -169,11 +214,15 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
     gathered W (extent 1 along Z) yields the full cube without either
     operand ever being copied per rank, and every rank's GEMM sees exactly
     the operands (values, inner strides, transposition) it would have seen
-    in a flat stack, so BLAS rounds identically.  PaddedStack
-    operands are multiplied one exact-shape group at a time (quasi-equal
-    sharding yields only a handful of groups), writing into a zero-padded
-    output — the same grouping :func:`batched_matmul` applies to per-rank
-    lists, so results are bitwise identical to it.
+    in a flat stack, so BLAS rounds identically.  With a
+    :class:`PaddedStack` on either side the same broadcasting matmul runs
+    once per exact-shape *box* of the cube (see
+    :func:`~repro.dist.padded.cube_boxes`; the plan is cached per operand
+    signature) on ``cube[box, :m, :k]`` views, written straight into the
+    zero-padded output: each rank's GEMM gets its exact extents — pads never
+    enter a dot product — with a unit inner stride, which is what keeps
+    numpy on the BLAS kernel :func:`batched_matmul` takes for the same
+    product.  A uniform partner is the all-valid cube, viewed, not copied.
     """
     if not isinstance(a, PaddedStack) and not isinstance(b, PaddedStack):
         pair = _cube_pair(a, b)
@@ -185,41 +234,44 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False):
         return ReplicatedStack(
             np.matmul(aa.swapaxes(-1, -2) if ta else aa, bb.swapaxes(-1, -2) if tb else bb), grid
         )
-    a, b = _flat(a), _flat(b)  # a uniform partner of a padded stack goes flat
-    ap = a if isinstance(a, PaddedStack) else PaddedStack(a, np.full(a.shape[0], a.shape[1]))
-    bp = b if isinstance(b, PaddedStack) else PaddedStack(b, np.full(b.shape[0], b.shape[1]))
-    if ta:
-        ap = ap.transpose()
-    if tb:
-        bp = bp.transpose()
-    m, k = ap.rows, ap.cols
-    k2, n = bp.rows, bp.cols
-    if np.any(k != k2):
-        raise ValueError("stack_matmul: inner extents disagree")
-    world = ap.world
-    out = np.zeros(
-        (world, int(m.max(initial=0)), int(n.max(initial=0))),
-        dtype=np.result_type(ap.dtype, bp.dtype),
-    )
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for r in range(world):
-        buckets.setdefault((m[r], k[r], n[r]), []).append(r)
-    for (mm, kk, nn), ranks in buckets.items():
-        # np.stack of the exact-extent views, exactly like batched_matmul:
-        # it preserves each operand's (possibly transposed) memory layout,
-        # so BLAS takes the same kernel and rounds identically to it
-        prod = np.matmul(
-            np.stack([ap.data[r, :mm, :kk] for r in ranks]),
-            np.stack([bp.data[r, :kk, :nn] for r in ranks]),
-        )
-        out[np.asarray(ranks, dtype=np.intp), :mm, :nn] = prod
-    return PaddedStack(out, m, n)
+    grid = a.grid if isinstance(a, PaddedStack) else b.grid
+    ac, m_key, k_key = _matmul_operand(a, grid, ta)
+    bc, k2_key, n_key = _matmul_operand(b, grid, tb)
+    shape, rows, cols, steps = _matmul_plan(grid, ac.shape, bc.shape, m_key, k_key, k2_key, n_key)
+    out = np.zeros(shape, dtype=np.result_type(ac.dtype, bc.dtype))
+    for ia, ib, io, thin in steps:
+        if thin:
+            # one valid row or column: numpy hands these to BLAS level 1/2
+            # (dot / gemv), whose kernels round by operand *stride* — give
+            # them the tight operands and output the per-rank reference has
+            out[io] = np.matmul(ac[ia].copy(order="K"), bc[ib].copy(order="K"))
+        else:
+            np.matmul(ac[ia], bc[ib], out=out[io])
+    return PaddedStack(out, grid, rows, cols)
+
+
+@lru_cache(maxsize=256)
+def _concat_plan(grid, lead, row_keys: tuple) -> tuple:
+    """Where each part's valid rows land in the row concatenation:
+    ``(per-rank total rows, [(part, source index, target index)])``, one
+    entry per box on which the part's valid rows and its row offset (the
+    earlier parts' valid rows) are both constant."""
+    total = np.zeros(grid[0] * grid[1] * grid[2], dtype=np.int64)
+    steps = []
+    for i, key in enumerate(row_keys):
+        for box, (n, at) in cube_boxes(grid, lead, key, total.tobytes()):
+            if n:
+                steps.append((i, box + (slice(0, n),), box + (slice(at, at + n),)))
+        total = total + np.frombuffer(key, dtype=np.int64)
+    return total, steps
 
 
 def concat_stack_rows(parts: Sequence):
     """Concatenate stacks along the shard-row axis (blocked aggregation's
     reassembly step).  Pure copying — bitwise identical to
-    ``np.concatenate`` over each rank's block results."""
+    ``np.concatenate`` over each rank's block results.  Padded parts are
+    copied box by box (valid rows only, behind the earlier parts' valid
+    rows), once per replica group."""
     if all(isinstance(p, np.ndarray) for p in parts):
         return np.concatenate(parts, axis=1)
     if all(isinstance(p, (np.ndarray, ReplicatedStack)) for p in parts):
@@ -230,22 +282,25 @@ def concat_stack_rows(parts: Sequence):
         lead = np.broadcast_shapes(*(c.shape[:3] for c in cubes))
         cubes = [np.broadcast_to(c, lead + c.shape[3:]) for c in cubes]
         return ReplicatedStack(np.concatenate(cubes, axis=3), grid)
-    padded = [p if isinstance(p, PaddedStack) else PaddedStack.from_shards(list(p)) for p in parts]
-    world = padded[0].world
-    rows = np.sum([p.rows for p in padded], axis=0)
-    cols = padded[0].cols
-    for p in padded[1:]:
-        if (cols is None) != (p.cols is None) or (cols is not None and np.any(p.cols != cols)):
-            raise ValueError("concat_stack_rows: column extents disagree across parts")
-    max_c = max(p.data.shape[2] for p in padded)
-    out = np.zeros((world, int(rows.max(initial=0)), max_c), dtype=padded[0].dtype)
-    for r in range(world):
-        at = 0
-        for p in padded:
-            rr = p.rows[r]
-            out[r, at : at + rr, : p.cols[r]] = p.view(r)
-            at += rr
-    return PaddedStack(out, rows, cols)
+    grid = next(p.grid for p in parts if isinstance(p, PaddedStack))
+    # a row block every rank holds the same height of comes back uniform
+    parts = [p if isinstance(p, PaddedStack) else PaddedStack.all_valid(p, grid) for p in parts]
+    cols = parts[0].cols
+    if any(p.cols is not cols and np.any(p.cols != cols) for p in parts):
+        raise ValueError("concat_stack_rows: column extents disagree across parts")
+    lead = np.broadcast_shapes(*(p.cube.shape[:3] for p in parts))
+    rows, steps = _concat_plan(grid, lead, tuple(p.rows.tobytes() for p in parts))
+    cubes = [
+        p.cube if p.cube.shape[:3] == lead else np.broadcast_to(p.cube, lead + p.cube.shape[3:])
+        for p in parts
+    ]
+    # the pad extent is the parts' pads end to end (quasi-equal row blocks:
+    # the rank with the most rows has the most in every block)
+    height = sum(c.shape[3] for c in cubes)
+    out = np.zeros(lead + (height,) + cubes[0].shape[4:], dtype=cubes[0].dtype)
+    for i, src, dst in steps:
+        out[dst] = cubes[i][src]
+    return PaddedStack(out, grid, rows, cols)
 
 
 def batched_matmul(
@@ -292,10 +347,11 @@ class BlockDiagSpmm:
         self.uniform = len({s.shape for s in shards}) == 1
         #: f-shape signature -> list of (rank_idx, block-diag CSR, row splits)
         self._plans: dict[tuple, list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]] = {}
-        #: (grid, operand cube extents) -> block CSR of the uniform stacked path
+        #: (grid, operand cube extents, operand pad rows, its valid rows) ->
+        #: block CSR of the stacked paths (uniform and padded)
         self._stacked_plans: dict[tuple, sp.csr_matrix] = {}
-        #: padded-operand signature -> (padded block-diag CSR, max rows, out rows)
-        self._padded_plans: dict[tuple, tuple[sp.csr_matrix, int, np.ndarray]] = {}
+        #: each rank's output rows — the valid extents of a padded product
+        self._out_rows = np.asarray([s.shape[0] for s in shards], dtype=np.int64)
 
     def _plan(self, f_shapes: tuple) -> list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]:
         plan = self._plans.get(f_shapes)
@@ -324,34 +380,52 @@ class BlockDiagSpmm:
                 out[r] = block
         return out  # type: ignore[return-value]
 
-    def _stacked_plan(self, grid, lead) -> sp.csr_matrix:
-        """The uniform path's block CSR: rank ``r``'s shard in row block
+    def _stacked_plan(self, grid, lead, pad_k=None, rows_key=None) -> sp.csr_matrix:
+        """The stacked paths' block CSR: rank ``r``'s shard in row block
         ``r`` and in the column block of the operand copy it reads — its own
         for a flat operand (``lead is None``: the plain block diagonal), its
-        replica group's for a :class:`ReplicatedStack` whose cube has leading
-        extents ``lead``.  Ranks of one group then share one dense block, so
-        a gathered F or reduced dH is multiplied without ever being copied
+        replica group's for an operand whose cube has leading extents
+        ``lead``.  Ranks of one group then share one dense block, so a
+        gathered F or reduced dH is multiplied without ever being copied
         per rank.  Each CSR row keeps its shard's nonzeros in their order,
         hence every output row accumulates exactly as in ``apply()``.
+
+        Quasi-equal shards differ from uniform ones by their offsets only:
+        row blocks sit ``max(shard rows)`` apart — the pad rows in between
+        carry no nonzeros, so their output rows are exact zeros — and column
+        blocks ``pad_k`` apart, the padded operand's row extent (its valid
+        rows, ``rows_key``, must be what each shard expects; its pad rows
+        are never referenced by any column index).
         """
-        key = (grid, lead)
+        key = (grid, lead, pad_k, rows_key)
         bd = self._stacked_plans.get(key)
         if bd is None:
-            ranks = np.arange(self.world)
+            shards = self.shards
+            blocks = np.arange(self.world)
             if lead is not None:
-                coords = np.unravel_index(ranks, grid)
-                ranks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
-            m, k = self.shards[0].shape
-            nnz_before = np.cumsum([0] + [s.nnz for s in self.shards[:-1]])
+                coords = np.unravel_index(blocks, grid)
+                blocks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
+            m = int(self._out_rows.max())
+            if rows_key is None:
+                pad_k = shards[0].shape[1]
+            else:
+                for r, (s, k) in enumerate(zip(shards, np.frombuffer(rows_key, dtype=np.int64))):
+                    if s.shape[1] != k:
+                        raise ValueError(
+                            f"rank {r}: dense operand has {k} valid rows, shard expects {s.shape[1]}"
+                        )
+            nnz_before = np.cumsum([0] + [s.nnz for s in shards])
+            indptr = [np.zeros(1, dtype=np.int64)]
+            for s, before in zip(shards, nnz_before):
+                indptr.append(s.indptr[1:] + before)
+                indptr.append(np.full(m - s.shape[0], before + s.nnz))
             bd = sp.csr_matrix(
                 (
-                    np.concatenate([s.data for s in self.shards]),
-                    np.concatenate([s.indices + b * k for s, b in zip(self.shards, ranks)]),
-                    np.concatenate(
-                        [[0]] + [s.indptr[1:] + np.int64(off) for s, off in zip(self.shards, nnz_before)]
-                    ),
+                    np.concatenate([s.data for s in shards]),
+                    np.concatenate([s.indices + b * pad_k for s, b in zip(shards, blocks)]),
+                    np.concatenate(indptr),
                 ),
-                shape=(self.world * m, (int(ranks.max()) + 1) * k),
+                shape=(self.world * m, (int(blocks.max()) + 1) * pad_k),
             )
             self._stacked_plans[key] = bd
         return bd
@@ -376,52 +450,27 @@ class BlockDiagSpmm:
         return spmm(bd, dense).reshape(self.world, -1, c)
 
     def apply_padded(self, f: PaddedStack) -> PaddedStack:
-        """Ragged fast path: one SpMM over a padded block-diagonal plan.
-
-        Each rank's A shard sits at row offset ``r * max_rows`` and column
-        offset ``r * max_k`` of one big CSR, so a single
-        ``bd @ f.data.reshape(world * max_k, c)`` computes every rank's
-        product.  Pad rows of A carry no nonzeros (their output rows are
-        exact zeros) and pad rows of F are never referenced by any column
-        index, so each valid output row accumulates exactly the per-rank
-        nonzeros in CSR index order — bitwise identical to ``apply()``.
-        """
-        world = self.world
-        max_k = f.data.shape[1]
-        key = (max_k, f.rows.tobytes())
-        plan = self._padded_plans.get(key)
-        if plan is None:
-            for r, s in enumerate(self.shards):
-                if s.shape[1] != f.rows[r]:
-                    raise ValueError(
-                        f"rank {r}: dense operand has {f.rows[r]} valid rows, "
-                        f"shard expects {s.shape[1]}"
-                    )
-            max_m = max(s.shape[0] for s in self.shards)
-            padded = []
-            for s in self.shards:
-                indptr = np.concatenate(
-                    [s.indptr, np.full(max_m - s.shape[0], s.nnz, dtype=s.indptr.dtype)]
-                )
-                padded.append(sp.csr_matrix((s.data, s.indices, indptr), shape=(max_m, max_k)))
-            bd = sp.block_diag(padded, format="csr")
-            out_rows = np.asarray([s.shape[0] for s in self.shards], dtype=np.int64)
-            plan = self._padded_plans[key] = (bd, max_m, out_rows)
-        bd, max_m, out_rows = plan
-        c = f.data.shape[2]
-        h = spmm(bd, f.data.reshape(world * max_k, c))
-        return PaddedStack(h.reshape(world, max_m, c), out_rows, f.cols)
+        """Quasi-equal fast path: one SpMM over the same block CSR as
+        :meth:`apply_stacked` at padded offsets (see :meth:`_stacked_plan`),
+        reading a replicated operand's one dense block per group.  Each
+        valid output row accumulates exactly the per-rank nonzeros in CSR
+        index order — bitwise identical to ``apply()``; every rank's product
+        is its own, so the result spans the full cube."""
+        cube = f.cube
+        pad_k, c = cube.shape[3:]
+        bd = self._stacked_plan(f.grid, cube.shape[:3], pad_k, f.rows.tobytes())
+        h = spmm(bd, cube.reshape(-1, c))
+        pad_m = bd.shape[0] // self.world
+        return PaddedStack(h.reshape(f.grid + (pad_m, c)), f.grid, self._out_rows, f.cols)
 
     def apply_batched(self, f):
         """Whole-grid SpMM on a stacked operand of either kind.
 
-        A plain ndarray against ragged A shards (uniform dense sharding,
-        quasi-equal adjacency rows) is wrapped as a fully-valid padded stack
+        A uniform operand against ragged A shards (uniform dense sharding,
+        quasi-equal adjacency rows) is wrapped as an all-valid padded stack
         so the output comes back with its ragged row mask."""
         if isinstance(f, PaddedStack):
             return self.apply_padded(f)
         if not self.uniform:
-            return self.apply_padded(
-                PaddedStack(_flat(f), np.full(f.shape[0], f.shape[1], dtype=np.int64))
-            )
+            return self.apply_padded(PaddedStack.all_valid(f))
         return self.apply_stacked(f)

@@ -24,7 +24,7 @@ which is all that Sec. 3.2's "parallelizing all layers" requires.
 Execution is **rank-batched** (CAGNET's stacked-partition form of the
 per-rank pseudo-code): per-rank operands live as one stacked tensor, the
 three GEMMs of Algorithms 1-2 run as single ``np.matmul`` batched calls (one
-per exact-shape group), the SpMMs as one block CSR product
+per exact-shape box of ranks), the SpMMs as one block CSR product
 (:class:`repro.core.batch.BlockDiagSpmm` — per aggregation row block when
 blocking is on), and the collectives as keepdims reductions over the rank
 cube (:class:`~repro.dist.comm.AxisCommunicator`).  Every configuration
@@ -33,9 +33,10 @@ is kept as the bitwise reference in ``tests/oracle.py``: its own
 implementation, which reads a built model's shards and kernel-time vectors
 and shares no execution code with this module.
 
-Uniform (divisible) sharding never stores a replica: every collective
-returns a :class:`~repro.core.batch.ReplicatedStack` (extent 1 along the
-cube axes the value is shared on), and the next step broadcasts over it.
+No sharding stores a replica: every collective returns its result once per
+group, in cube layout with extent 1 along the axes the value is shared on
+(a :class:`~repro.core.batch.ReplicatedStack`), and the next step
+broadcasts over it.
 In Algorithm 1 the gathered F has extent 1 along the z-role axis (the
 SpMM's block CSR points the group's ranks at the one block), H after the
 X-all-reduce along x, the gathered W along z, so ``Q = H @ W`` is a
@@ -46,10 +47,11 @@ broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
 the X-all-reduce (x) feeds the A^T product like F did; dF after the
 Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
 features and gradients handed to the optimizer are flat ``(world, m, n)``.
-Quasi-equal sharding uses zero-padded
-:class:`~repro.core.batch.PaddedStack` stacks (flat along the ranks)
-whose valid-extent masks keep pad rows out of the math, the gathers and
-the byte accounting.
+Quasi-equal sharding runs the same steps on
+:class:`~repro.core.batch.PaddedStack` stacks — the same cube layout,
+zero-padded, with per-rank valid extents that keep pad entries out of every
+sum (kernels run once per *box* of ranks sharing an exact shape), the
+gathers and the byte accounting.
 
 **Frozen means computed once.**  With ``trainable_features=False`` (the
 default) Algorithm 1 lines 3-5 of layer 0 have the same operands every
@@ -132,9 +134,9 @@ __all__ = ["LayerCache", "PlexusLayer"]
 class LayerCache:
     """Per-rank forward activations kept for the backward pass.
 
-    Each field is a stack indexable by rank:
-    :class:`~repro.core.batch.ReplicatedStack` for uniform sharding (``f``
-    held once per Z group, ``h`` once per X group, ``q`` once per Y group),
+    Each field is a stack indexable by rank, ``f`` held once per Z group,
+    ``h`` once per X group, ``q`` once per Y group:
+    :class:`~repro.core.batch.ReplicatedStack` for uniform sharding,
     :class:`~repro.core.batch.PaddedStack` for quasi-equal.
     """
 
@@ -210,14 +212,21 @@ class PlexusLayer:
         if shard_cache is not None and cache_key in shard_cache:
             self.a_shards, self.at_shards, self._bd_a, self._bd_at = shard_cache[cache_key]
         else:
+            # ranks along the y-role share (row slice, col slice): each
+            # distinct shard is cut and transposed once, its replica ranks
+            # share the csr_matrix objects
             self.a_shards = []
             self.at_shards = []
+            cuts: dict[tuple, tuple] = {}
             for rank in range(world):
                 rs = sharding.a_row_slice(grid, rank)
                 cs = sharding.a_col_slice(grid, rank)
-                shard = csr_block(a_global, rs, cs)
-                self.a_shards.append(shard)
-                self.at_shards.append(shard.T.tocsr())
+                key = (rs.start, rs.stop, cs.start, cs.stop)
+                if key not in cuts:
+                    shard = csr_block(a_global, rs, cs)
+                    cuts[key] = (shard, shard.T.tocsr())
+                self.a_shards.append(cuts[key][0])
+                self.at_shards.append(cuts[key][1])
             self._bd_a = BlockDiagSpmm(self.a_shards)
             self._bd_at = BlockDiagSpmm(self.at_shards)
             if shard_cache is not None:
@@ -230,12 +239,14 @@ class PlexusLayer:
             self._a_blocks, self._bd_blocks, self._block_nnz = shard_cache[blocks_key]
         else:
             self._a_blocks: list[list[sp.csr_matrix]] = []
-            for rank in range(world):
-                shard = self.a_shards[rank]
-                slices = block_slices(shard.shape[0], aggregation_blocks)
-                self._a_blocks.append(
-                    [csr_block(shard, sl, slice(0, shard.shape[1])) for sl in slices]
-                )
+            blocks_of: dict[int, list[sp.csr_matrix]] = {}  # one cut per distinct shard
+            for shard in self.a_shards:
+                if id(shard) not in blocks_of:
+                    blocks_of[id(shard)] = [shard] if aggregation_blocks == 1 else [
+                        csr_block(shard, sl, slice(0, shard.shape[1]))
+                        for sl in block_slices(shard.shape[0], aggregation_blocks)
+                    ]
+                self._a_blocks.append(blocks_of[id(shard)])
             # per-aggregation-block stacked SpMM plans: one block-diagonal
             # CSR over all ranks per row block, so blocked aggregation
             # drives one SpMM per block instead of ``world`` calls
@@ -258,7 +269,9 @@ class PlexusLayer:
             [
                 w_full[sharding.w_row_subslice_z(grid, r), sharding.w_col_slice(grid, r)]
                 for r in range(world)
-            ]
+            ],
+            grid.cube,
+            sharding.w_pad,
         )
         self.w_shards: list[np.ndarray] = shard_views(self.w_stack)
         self._precompute_kernel_times()
@@ -379,7 +392,7 @@ class PlexusLayer:
                 h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
                 if self.is_first and not self.trainable_features:
                     if isinstance(h, PaddedStack):  # held across epochs from here on
-                        h.data.setflags(write=False)  # (a ReplicatedStack already is)
+                        h.cube.setflags(write=False)  # (a ReplicatedStack already is)
                     self._frozen = _FrozenAggregation(
                         f, h, f_pending.duration, [handle.duration for handle in handles]
                     )

@@ -10,12 +10,14 @@ is step-for-step comparable with :class:`repro.nn.serial.SerialGCN`
 
 Execution is rank-batched throughout (stacked tensors, batched
 GEMMs/SpMMs, whole-axis collectives over the rank cube, one stacked
-optimizer) and every configuration runs it.  Uniform (divisible) sharding
-keeps its persisted state as flat ``(world, m, n)`` ndarrays and its
-activations as :class:`~repro.core.batch.ReplicatedStack` (one copy per
-group of ranks that share the value); ragged quasi-equal sharding uses
-zero-padded :class:`~repro.core.batch.PaddedStack` stacks whose
-valid-extent masks keep pad rows out of the math, the gathers and the byte
+optimizer) and every configuration runs it.  Persisted state is flat
+``(world, m, n)`` memory and activations hold one copy per group of ranks
+that share the value: plain ndarrays and
+:class:`~repro.core.batch.ReplicatedStack` under uniform (divisible)
+sharding; under ragged quasi-equal sharding
+:class:`~repro.core.batch.PaddedStack` in both roles, zero-padded to the
+global geometry's largest block (``LayerSharding.*_pad``), whose valid
+extents keep pad entries out of the math, the gathers and the byte
 accounting; blocked aggregation runs per-block stacked SpMM plans; SpMM
 noise draws are vectorized per rank in rank order.  There is one
 representation of every piece of state: the stacks; the per-rank accessors
@@ -167,16 +169,20 @@ class PlexusGCN:
         f_in_global = features[self.scheme.input_perm()].astype(self.dtype)
         s0 = self.shardings[0]
         world = self.grid.world_size
+        cube = self.grid.cube
         self.f0_stack: np.ndarray | PaddedStack = stack_shards(
             [
                 f_in_global[s0.f_row_subslice_z(self.grid, r), s0.f_col_slice(self.grid, r)]
                 for r in range(world)
-            ]
+            ],
+            cube,
+            s0.f0_pad,
         )
         if not opts.trainable_features:
             # frozen is enforced: layer 0 aggregates these once and
             # replays the result, so an in-place edit must raise
-            stack_data(self.f0_stack).setflags(write=False)
+            f0 = self.f0_stack
+            (f0.cube if isinstance(f0, PaddedStack) else f0).setflags(write=False)
         self.f0_shards = shard_views(self.f0_stack)
         #: in-flight cross-epoch prefetch of the layer-0 F all-gather
         #: (issued at the end of backward under ``overlap``, consumed by the
@@ -189,8 +195,9 @@ class PlexusGCN:
         mask_out = train_mask[out_perm]
         final = self.shardings[-1]
         rows = [final.out_row_slice(self.grid, r) for r in range(world)]
-        self.label_stack: np.ndarray | PaddedStack = stack_shards([labels_out[s] for s in rows])
-        self.mask_stack: np.ndarray | PaddedStack = stack_shards([mask_out[s] for s in rows])
+        pad = (final.out_rows_pad,)
+        self.label_stack: np.ndarray | PaddedStack = stack_shards([labels_out[s] for s in rows], cube, pad)
+        self.mask_stack: np.ndarray | PaddedStack = stack_shards([mask_out[s] for s in rows], cube, pad)
         self.label_shards = shard_views(self.label_stack)
         self.mask_shards = shard_views(self.mask_stack)
         self.class_slices = [final.out_col_slice(self.grid, r) for r in range(world)]
@@ -222,12 +229,14 @@ class PlexusGCN:
         model behind Sec. 5.1's overhead accounting)."""
         world = self.grid.world_size
         totals = [0] * world
-        seen_ids: set[int] = set()
+        # layers three apart share a shard set (counted once per rank);
+        # replica ranks share objects too, but each holds its own copy
+        seen: set[tuple[int, int]] = set()
         for layer in self.layers:
             for r in range(world):
                 shard = layer.a_shards[r]
-                if id(shard) not in seen_ids:
-                    seen_ids.add(id(shard))
+                if (r, id(shard)) not in seen:
+                    seen.add((r, id(shard)))
                     totals[r] += shard.data.nbytes + shard.indices.nbytes + shard.indptr.nbytes
                 totals[r] += layer.w_shards[r].nbytes
         for r in range(world):

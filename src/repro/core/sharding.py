@@ -23,6 +23,10 @@ def _slice_for(n: int, parts: int, index: int) -> slice:
     return block_slices(n, parts)[index]
 
 
+def _ceil_div(n: int, parts: int) -> int:
+    return -(-n // parts)
+
+
 def _sub_slice(outer: slice, parts: int, index: int) -> slice:
     """Slice (in global coordinates) of the ``index``-th sub-block of ``outer``."""
     length = outer.stop - outer.start
@@ -98,6 +102,25 @@ class LayerSharding:
 
     def out_col_slice(self, grid: PlexusGrid, rank: int) -> slice:
         return _slice_for(self.d_out, self.gx, self._c(grid, rank, self.roles.x))
+
+    # -- pad extents of the quasi-equal stacks ---------------------------------
+    # ``block_slices`` hands the remainder to the first blocks, so the largest
+    # block of every sharding is block 0: a closed form of ``(N, D, grid)``
+    # that every holder of the geometry computes alike, whichever ranks it holds
+    @property
+    def w_pad(self) -> tuple[int, int]:
+        """Pad extents of the z-sub-sharded weight stack."""
+        return _ceil_div(_ceil_div(self.d_in, self.gy), self.gz), _ceil_div(self.d_out, self.gx)
+
+    @property
+    def f0_pad(self) -> tuple[int, int]:
+        """Pad extents of the z-sub-sharded layer-0 feature stack."""
+        return _ceil_div(_ceil_div(self.n, self.gx), self.gz), _ceil_div(self.d_in, self.gy)
+
+    @property
+    def out_rows_pad(self) -> int:
+        """Pad extent of the output rows (labels, masks, logits)."""
+        return _ceil_div(self.n, self.gz)
 
     def extent_table(self, grid: PlexusGrid) -> dict[str, np.ndarray]:
         """Per-rank shard extents as ``(world,)`` vectors.

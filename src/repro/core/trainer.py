@@ -5,7 +5,10 @@ logits are sharded over rows (graph nodes, z-role axis) and columns (classes,
 x-role axis), so the log-softmax reductions run as small collectives along
 the class axis and the masked mean along the row axis.  Gradients then enter
 Algorithm 2 already sharded correctly — no rank ever materializes the full
-logits matrix.
+logits matrix.  One body serves uniform and quasi-equal logits: it works on
+the replica-free rank cube, and every reduction along a padded axis runs
+once per box of ranks sharing that valid extent (uniform logits: one box),
+so pads never reach a sum.
 
 Timing follows the paper's protocol (Sec. 6.2): per epoch we record the
 simulated wall-clock delta of the slowest rank and the average comm/comp
@@ -19,33 +22,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import PaddedStack, ReplicatedStack, shard_views, stack_data, stack_shards
+from repro.core.batch import (
+    PaddedStack,
+    ReplicatedStack,
+    cube_boxes,
+    shard_views,
+    stack_data,
+    stack_shards,
+)
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
 
 __all__ = ["EpochStats", "TrainResult", "distributed_masked_ce", "distributed_accuracy", "PlexusTrainer"]
 
+#: the one box of a uniform stack: every rank, whatever the cube's extents
+_WHOLE = (slice(None),) * 3
+
 
 def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack | PaddedStack]:
     """Masked cross-entropy + gradient over sharded logits.
 
     Returns the global scalar loss (identical on every rank) and the stacked
-    ``d loss / d logits`` shards that seed Algorithm 2.  Uniform logits
-    (flat ``(world, rows, classes)`` or replicated) take the cube path,
-    padded stacks (quasi-equal sharding) the masked variant whose reductions
-    run on exact-extent groups.  Both are bitwise what a per-rank loop over
-    one process group at a time computes in float64 (``tests/oracle.py``).
-    """
-    if isinstance(logits, PaddedStack):
-        return _masked_ce_padded(model, logits)
-    return _masked_ce_batched(model, logits)
+    ``d loss / d logits`` shards that seed Algorithm 2.
 
-
-def _masked_ce_batched(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack]:
-    """Rank-vectorized masked cross-entropy over uniform stacked logits.
-
-    Every per-rank step is one reduction over the rank cube, and the
+    Every per-rank step is one operation over the rank cube, and the
     class-axis and row-axis collectives run as single keepdims reductions
     covering all groups at once.  The whole pipeline works in cube layout on
     what the logits hold: the last layer's Y-all-reduce leaves them
@@ -54,129 +55,103 @@ def _masked_ce_batched(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack
     are computed once per group of identical ranks (labels, masks and class
     offsets are constant along those axes and are cut to match).  Flat
     ``(world, rows, classes)`` logits are viewed into the cube and take the
-    same path.  Gradient values are elementwise-identical to a per-rank loop
-    (mask products against exact 0/1, same exp/log pipeline).
+    same path.
+
+    Quasi-equal logits (a :class:`PaddedStack`) run the same body: the only
+    difference is that a reduction along a padded axis — class columns, node
+    rows — runs once per *box* of ranks sharing that valid extent, on the
+    exact-extent view (uniform logits are the one-box case), so a pad entry
+    never enters a floating-point sum or a maximum.  Ranks owning zero class
+    columns (more X-shards than classes) contribute neutral values (``-inf``
+    maxima, zero sums).  Either way the result is bitwise what a per-rank
+    loop over one process group at a time computes in float64
+    (``tests/oracle.py``): mask products against exact 0/1, the same exp/log
+    pipeline, the same association order in every sum.
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
     comm_x = grid.comm(roles.x)
     comm_z = grid.comm(roles.z)
-    stack = ReplicatedStack.of(logits, grid.cube)
+    padded = isinstance(logits, PaddedStack)
+    stack = logits if padded else ReplicatedStack.of(logits, grid.cube)
     cube = stack.cube  # (z, x, y, rows, classes), extent 1 where replicated
-    c = cube.shape[-1]
-    if c == 0:
+    c_pad = cube.shape[-1]
+    if c_pad == 0:
         raise ValueError("batched loss requires at least one class column per rank")
+    # what wraps a per-row statistic / the gradient: the logits' stack kind
+    # (a padded stack carries its valid extents along)
+    if padded:
+        kind, vector, matrix = PaddedStack, (stack.rows,), (stack.rows, stack.cols)
+        labels, masks = stack_data(model.label_stack), stack_data(model.mask_stack)
+        width = stack.like(stack.cols)[..., None]
+        last = np.maximum(width - 1, 0)
+        col_boxes = cube_boxes(stack.grid, cube.shape[:3], stack.cols.tobytes())
+    else:
+        kind, vector, matrix = ReplicatedStack, (), ()
+        labels, masks = model.label_stack, model.mask_stack
+        width, last = c_pad, c_pad - 1
+        col_boxes = ((_WHOLE, (c_pad,)),)
 
-    def reduce(comm, values, **kw) -> ReplicatedStack:
-        return comm.all_reduce(ReplicatedStack(values, stack.grid), **kw).wait()
+    def reduce(values, **kw) -> np.ndarray:
+        return comm_x.all_reduce(kind(values, stack.grid, *vector), **kw).wait()
 
     # 1) log-softmax statistics along the class (x-role) axis
-    row_max = reduce(comm_x, cube.max(axis=-1), op="max", phase="loss_max").cube
-    sum_exp = reduce(
-        comm_x, np.exp(cube - row_max[..., None]).sum(axis=-1), phase="loss_sumexp"
-    ).cube
+    local = np.empty(cube.shape[:4], dtype=cube.dtype)
+    local.fill(-np.inf)
+    for box, (c,) in col_boxes:
+        if c:
+            cube[box][..., :c].max(axis=-1, out=local[box])
+    row_max = reduce(local, op="max", phase="loss_max").cube
+    shifted = cube - row_max[..., None]  # whole cube: pads are shifted, never exponentiated
+    local = np.zeros(cube.shape[:4], dtype=cube.dtype)
+    for box, (c,) in col_boxes:
+        if c:
+            np.exp(shifted[box][..., :c]).sum(axis=-1, out=local[box])
+    sum_exp = reduce(local, phase="loss_sumexp").cube
 
     # 2) gather each masked node's own-label logit from the owning class shard
-    masks = stack.like(model.mask_stack)
-    local_idx = stack.like(model.label_stack) - stack.like(model.class_start)[..., None]
-    owned = masks & (local_idx >= 0) & (local_idx < c)
-    gather_idx = np.clip(local_idx, 0, c - 1)[..., None]
-    z_local = np.where(owned, np.take_along_axis(cube, gather_idx, axis=-1)[..., 0], 0.0)
-    z_label = reduce(comm_x, z_local, phase="loss_zlabel")
+    masks_here = stack.like(masks)
+    local_idx = stack.like(labels) - stack.like(model.class_start)[..., None]
+    owned = masks_here & (local_idx >= 0) & (local_idx < width)
+    # each row's (clipped) label column as one fancy index, shared by the
+    # three along-axis accesses below
+    z, x, y, n = local_idx.shape
+    label_at = (
+        np.arange(z)[:, None, None, None], np.arange(x)[:, None, None],
+        np.arange(y)[:, None], np.arange(n), np.clip(local_idx, 0, last),
+    )
+    z_local = np.where(owned, cube[label_at], 0.0)
+    z_label = reduce(z_local, phase="loss_zlabel")
 
     # 3) masked sum + count along the row (z-role) axis
-    nll = row_max + np.log(sum_exp) - z_label.cube
-    nll_masks = z_label.like(model.mask_stack)
+    log_s = np.log(sum_exp)
+    nll = row_max + log_s - z_label.cube
+    nll_masks = z_label.like(masks)
+    masked_nll = np.where(nll_masks, nll, 0.0)
+    row_boxes = (
+        cube_boxes(stack.grid, nll.shape[:3], stack.rows.tobytes())
+        if padded
+        else ((_WHOLE, (nll.shape[3],)),)
+    )
     packed = np.empty(nll.shape[:3] + (2,), dtype=np.float64)
-    packed[..., 0] = np.where(nll_masks, nll, 0.0).sum(axis=-1)
-    packed[..., 1] = nll_masks.sum(axis=-1)
-    total_nll, total_cnt = reduce(comm_z, packed, phase="loss_total")[0]
+    for box, (v,) in row_boxes:
+        packed[box][..., 0] = masked_nll[box][..., :v].sum(axis=-1)
+        packed[box][..., 1] = nll_masks[box][..., :v].sum(axis=-1)
+    totals = comm_z.all_reduce(ReplicatedStack(packed, stack.grid), phase="loss_total").wait()
+    total_nll, total_cnt = totals[0]
     if total_cnt == 0:
         raise ValueError("empty train mask")
     loss = float(total_nll / total_cnt)
 
     # 4) gradient shards: (softmax - onehot)/count on masked rows
-    log_s = np.log(sum_exp)
-    probs = np.exp(cube - row_max[..., None] - log_s[..., None])
-    g = probs * masks[..., None]
-    vals = np.take_along_axis(g, gather_idx, axis=-1) - owned[..., None]
-    np.put_along_axis(g, gather_idx, vals.astype(g.dtype, copy=False), axis=-1)
+    g = np.zeros(cube.shape, dtype=cube.dtype)
+    shifted -= log_s[..., None]
+    for box, (c,) in col_boxes:
+        if c:
+            np.multiply(np.exp(shifted[box][..., :c]), masks_here[box][..., None], out=g[box][..., :c])
+    g[label_at] -= owned
     g /= total_cnt
-    return loss, ReplicatedStack(g, stack.grid)
-
-
-def _masked_ce_padded(model: PlexusGCN, logits: PaddedStack) -> tuple[float, PaddedStack]:
-    """Masked cross-entropy over padded (quasi-equal) stacked logits.
-
-    Identical pipeline to :func:`_masked_ce_batched`, except every reduction
-    along a padded axis runs per exact-extent group (class columns grouped
-    by valid width, node rows by valid height), so pad entries never enter a
-    floating-point sum and results stay bitwise equal to a per-rank loop
-    over the exact shards.  Ranks owning zero class columns (more X-shards
-    than classes) contribute neutral values (``-inf`` maxima, zero sums).
-    """
-    grid: PlexusGrid = model.grid
-    roles = model.shardings[-1].roles
-    comm_x = grid.comm(roles.x)
-    comm_z = grid.comm(roles.z)
-    data = logits.data
-    rows, cols = logits.rows, logits.cols
-    world, max_rows, max_c = data.shape
-    lab = stack_data(model.label_stack)
-    msk = stack_data(model.mask_stack)
-    col_groups = [(int(c), np.flatnonzero(cols == c)) for c in np.unique(cols)]
-    row_groups = [(int(v), np.flatnonzero(rows == v)) for v in np.unique(rows)]
-
-    # 1) log-softmax statistics along the class (x-role) axis; ranks with no
-    # class columns report -inf row maxima
-    rm_local = np.full((world, max_rows), -np.inf, dtype=data.dtype)
-    for c, idx in col_groups:
-        if c:
-            rm_local[idx] = data[idx, :, :c].max(axis=2)
-    rm = comm_x.all_reduce(PaddedStack(rm_local, rows), op="max", phase="loss_max").wait().data
-    se_local = np.zeros((world, max_rows), dtype=data.dtype)
-    for c, idx in col_groups:
-        if c:
-            se_local[idx] = np.exp(data[idx, :, :c] - rm[idx, :, None]).sum(axis=2)
-    sum_exp = comm_x.all_reduce(PaddedStack(se_local, rows), phase="loss_sumexp").wait().data
-
-    # 2) gather each masked node's own-label logit from the owning class shard
-    local_idx = lab - model.class_start[:, None]
-    owned = msk & (local_idx >= 0) & (local_idx < cols[:, None])
-    z_local = np.zeros((world, max_rows), dtype=data.dtype)
-    for c, idx in col_groups:
-        if c:
-            gi = np.clip(local_idx[idx], 0, c - 1)[:, :, None]
-            vals = np.take_along_axis(data[idx, :, :c], gi, axis=2)[:, :, 0]
-            z_local[idx] = np.where(owned[idx], vals, 0.0)
-    z_label = comm_x.all_reduce(PaddedStack(z_local, rows), phase="loss_zlabel").wait().data
-
-    # 3) masked sum + count along the row (z-role) axis, exact row extents
-    nll = rm + np.log(sum_exp) - z_label
-    masked_nll = np.where(msk, nll, 0.0)
-    packed = np.empty((world, 2), dtype=np.float64)
-    for v, idx in row_groups:
-        packed[idx, 0] = masked_nll[idx, :v].sum(axis=1)
-        packed[idx, 1] = msk[idx, :v].sum(axis=1)
-    total_nll, total_cnt = comm_z.all_reduce(packed, phase="loss_total").wait()[0]
-    if total_cnt == 0:
-        raise ValueError("empty train mask")
-    loss = float(total_nll / total_cnt)
-
-    # 4) gradient shards: (softmax - onehot)/count on masked rows
-    log_s = np.log(sum_exp)
-    g = np.zeros((world, max_rows, max_c), dtype=data.dtype)
-    for c, idx in col_groups:
-        if not c:
-            continue
-        probs = np.exp(data[idx, :, :c] - rm[idx, :, None] - log_s[idx, :, None])
-        gb = probs * msk[idx, :, None]
-        gi = np.clip(local_idx[idx], 0, c - 1)[:, :, None]
-        vals = np.take_along_axis(gb, gi, axis=2) - owned[idx, :, None]
-        np.put_along_axis(gb, gi, vals.astype(gb.dtype, copy=False), axis=2)
-        g[idx, :, :c] = gb
-    g /= total_cnt
-    return loss, PaddedStack(g, rows, cols)
+    return loss, kind(g, stack.grid, *matrix)
 
 
 def distributed_accuracy(model: PlexusGCN, logits, mask_shards: list[np.ndarray]) -> float:

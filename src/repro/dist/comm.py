@@ -81,16 +81,18 @@ Two orthogonal extensions ride on the same issue machinery:
 
 * **Padded quasi-equal stacks** — the stacked ``AxisCommunicator`` methods
   accept a :class:`~repro.dist.padded.PaddedStack` (ragged per-rank shards
-  zero-padded to a common extent with ``rows``/``cols`` valid masks) and
-  return one.  Pad rows never reach the math: reductions run over the group
-  axis where pads align, gather/scatter results are assembled from valid
-  rows only via index plans cached per shape signature, and durations are
-  computed from the per-group *valid* bytes — so data, clocks and phase
-  totals stay bitwise identical to one :class:`GroupCommunicator` call per
-  process group on the exact shards (``map_groups`` in ``tests/oracle.py``).
+  zero-padded to a common extent, ``rows``/``cols`` valid extents as
+  metadata, the same replica-free cube layout) and return one, again once
+  per group: an all-reduce is the keepdims reduction above — members of a
+  group share a shape, so their pads align and reduce to zero — and
+  all-gather / reduce-scatter copy each group's *valid* rows once through an
+  index plan cached per shape signature (the gathered result has extent 1
+  along the axis).  Pad rows never land in a result and durations are
+  computed from the per-group valid bytes, so data, clocks and phase totals
+  stay bitwise identical to one :class:`GroupCommunicator` call per process
+  group on the exact shards (``map_groups`` in ``tests/oracle.py``).
   Durations become keepdims arrays over the off-axis cube (one entry per
-  group) instead of a scalar.  Padded stacks keep the flat
-  per-rank layout (their pads differ per rank, there is nothing to share).
+  group) instead of a scalar.
 * **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
   set, each link tracks its in-flight completion times and an issue on a
   saturated link blocks: the issuing group's clocks are lifted to the time
@@ -458,7 +460,10 @@ def _operand_chunks(cube_shape: tuple[int, ...], axis: int, stacked) -> Sequence
         if stacked[0][0].size == 1:  # one-element planes: numpy's pairwise order
             return (np.concatenate(stacked),)
         return stacked
-    cube = ReplicatedStack.cube_of(stacked, cube_shape)
+    if isinstance(stacked, PaddedStack):
+        cube = stacked.cube_on(cube_shape)
+    else:
+        cube = ReplicatedStack.cube_of(stacked, cube_shape)
     if cube.shape[axis] != cube_shape[axis]:
         # replicated along the collective's own axis: give every member its
         # copy, so the reduction adds G values in member order like the
@@ -838,28 +843,21 @@ class AxisCommunicator:
             return _ready("comm:" + phase, result)
         return self._issue(duration, phase, result)
 
-    def _check_stacked(self, stacked: np.ndarray) -> None:
-        if stacked.shape[0] != self.descriptor.store.world:
+    def _check_stacked(self, stacked) -> None:
+        if len(stacked) != self.descriptor.store.world:
             raise ValueError(
-                f"stacked operand has leading extent {stacked.shape[0]}, "
+                f"stacked operand has leading extent {len(stacked)}, "
                 f"expected world={self.descriptor.store.world}"
             )
 
     # -- padded (quasi-equal) stack support ----------------------------------
-    def _group_table(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reshape a per-rank vector to ``(n_groups, g)`` in member order.
-
-        Row order equals the keepdims ravel order (the order of
-        ``_group_link_keys`` and of the keepdims duration arrays); column
-        order is the member order along the axis — the shard order the
-        group-wise collectives use.
-        """
+    def _group_table(self, values: np.ndarray) -> np.ndarray:
+        """A per-rank vector as ``(n_groups, g)``: one row per process group
+        in keepdims ravel order (the order of the schedule slots and of the
+        keepdims duration arrays), columns in member order along the axis —
+        the shard order the group-wise collectives use."""
         d = self.descriptor
-        table = np.moveaxis(values.reshape(d.cube), d.axis, -1).reshape(-1, d.size)
-        ranks = np.moveaxis(
-            np.arange(d.world).reshape(d.cube), d.axis, -1
-        ).reshape(-1, d.size)
-        return table, ranks
+        return np.moveaxis(values.reshape(d.cube), d.axis, -1).reshape(-1, d.size)
 
     def _per_group_times(self, nbytes: np.ndarray, time_fn) -> np.ndarray:
         """Per-group durations from per-group valid bytes.
@@ -873,26 +871,15 @@ class AxisCommunicator:
             out[nbytes == v] = time_fn(float(v), d.size, d.bandwidth, d.latency)
         return out
 
-    def _padded_geometry(self, stacked: PaddedStack, kind: str) -> tuple:
-        """Per-group (rows table, member ranks, rep cols) with validation.
-
-        Reduce-style collectives need equal shard shapes within each group
-        (the same precondition the group-wise path enforces via
-        ``_stack_equal_shards``); gathers tolerate ragged rows but need
-        equal column extents (concatenation along axis 0)."""
-        rows_tab, ranks_tab = self._group_table(stacked.rows)
-        if kind != "all_gather" and np.any(rows_tab != rows_tab[:, :1]):
-            raise ValueError(f"{kind} requires equal shard rows within each axis group")
-        if stacked.cols is None:
-            cols_rep = None
-        else:
-            cols_tab, _ = self._group_table(stacked.cols)
-            if np.any(cols_tab != cols_tab[:, :1]):
-                raise ValueError(f"{kind} requires equal shard cols within each axis group")
-            cols_rep = cols_tab[:, 0]
-        return rows_tab, ranks_tab, cols_rep
-
     def _padded_plan(self, kind: str, stacked: PaddedStack) -> dict:
+        """What one collective kind does to one padded geometry (cached per
+        shape signature): the per-group ``duration`` from valid bytes and,
+        for the two row-moving kinds, where every valid row of the *stored*
+        operand copies (``src``, rows of the cube flattened — of the
+        reduction for a reduce-scatter) lands in the result (``dst``), whose
+        cube has leading extents ``lead``, pad extent ``pad`` and per-rank
+        valid ``rows``.  A gather writes each group's rows once (extent 1
+        along the axis), not once per member."""
         if self._exchange is not None:
             raise UnsupportedWorkload(
                 "padded (quasi-equal) stacks do not cross the multiproc "
@@ -905,140 +892,119 @@ class AxisCommunicator:
         if plan is not None:
             return plan
         d = self.descriptor
-        g = d.size
-        itemsize = stacked.data.dtype.itemsize
+        g, axis = d.size, d.axis
+        # Reduce-style collectives need equal shard shapes within each group
+        # (the precondition the group-wise path enforces via
+        # ``_stack_equal_shards``); gathers tolerate ragged rows but need
+        # equal column extents (concatenation along axis 0).
+        rows_tab = self._group_table(stacked.rows)
+        if kind != "all_gather" and np.any(rows_tab != rows_tab[:, :1]):
+            raise ValueError(f"{kind} requires equal shard rows within each axis group")
+        colsize = stacked.cube.dtype.itemsize
+        if stacked.cols is not None:
+            cols_tab = self._group_table(stacked.cols)
+            if np.any(cols_tab != cols_tab[:, :1]):
+                raise ValueError(f"{kind} requires equal shard cols within each axis group")
+            colsize = cols_tab[:, 0] * colsize
+        group_rows = rows_tab.sum(axis=1) if kind == "all_gather" else rows_tab[:, 0]
         keep = list(d.cube)
-        keep[d.axis] = 1
-        keep_shape = tuple(keep)
-        rows_tab, ranks_tab, cols_rep = self._padded_geometry(stacked, kind)
-        colsize = itemsize if cols_rep is None else cols_rep * itemsize
-        max_in = stacked.data.shape[1]
-        if kind == "all_reduce":
-            nbytes = (rows_tab[:, 0] * colsize).astype(np.float64)
-            plan = {"duration": self._per_group_times(nbytes, ring_all_reduce_time).reshape(keep_shape)}
-        elif kind == "all_gather":
-            group_rows = rows_tab.sum(axis=1)
-            out_rows = np.empty(d.world, dtype=np.int64)
-            out_rows[ranks_tab] = group_rows[:, None]
-            max_out = int(group_rows.max(initial=0))
-            src_parts: list[np.ndarray] = []
-            dst_parts: list[np.ndarray] = []
-            for gi in range(ranks_tab.shape[0]):
-                src = np.concatenate(
-                    [m * max_in + np.arange(rr) for m, rr in zip(ranks_tab[gi], rows_tab[gi])]
-                )
-                span = np.arange(src.size)
-                for m in ranks_tab[gi]:
-                    src_parts.append(src)
-                    dst_parts.append(m * max_out + span)
-            nbytes = (group_rows * colsize).astype(np.float64)
-            plan = {
-                "duration": self._per_group_times(nbytes, ring_all_gather_time).reshape(keep_shape),
-                "out_rows": out_rows,
-                "max_out": max_out,
-                "src_idx": np.concatenate(src_parts),
-                "dst_idx": np.concatenate(dst_parts),
-            }
-        elif kind == "reduce_scatter":
-            out_rows = np.empty(d.world, dtype=np.int64)
-            blocks_per_group = []
-            for gi in range(ranks_tab.shape[0]):
-                blocks = block_slices(int(rows_tab[gi, 0]), g)
-                blocks_per_group.append(blocks)
-                for j, m in enumerate(ranks_tab[gi]):
-                    out_rows[m] = blocks[j].stop - blocks[j].start
-            max_out = int(out_rows.max(initial=0))
-            src_parts = []
-            dst_parts = []
-            for gi in range(ranks_tab.shape[0]):
-                for j, m in enumerate(ranks_tab[gi]):
-                    bl = blocks_per_group[gi][j]
-                    src_parts.append(gi * max_in + np.arange(bl.start, bl.stop))
-                    dst_parts.append(m * max_out + np.arange(bl.stop - bl.start))
-            nbytes = (rows_tab[:, 0] * colsize).astype(np.float64)
-            plan = {
-                "duration": self._per_group_times(nbytes, ring_reduce_scatter_time).reshape(keep_shape),
-                "out_rows": out_rows,
-                "max_out": max_out,
-                "src_idx": np.concatenate(src_parts),
-                "dst_idx": np.concatenate(dst_parts),
-            }
-        else:  # pragma: no cover - internal misuse
-            raise ValueError(f"unknown padded collective kind {kind!r}")
+        keep[axis] = 1
+        time_fn = {
+            "all_reduce": ring_all_reduce_time,
+            "all_gather": ring_all_gather_time,
+            "reduce_scatter": ring_reduce_scatter_time,
+        }[kind]
+        nbytes = (group_rows * colsize).astype(np.float64)
+        plan = {"duration": self._per_group_times(nbytes, time_fn).reshape(keep)}
+        if kind != "all_reduce":
+            # the stored copies with the group axis at full extent, as
+            # (stored groups, g) tables in member order: valid rows, position
+            lead = list(stacked.cube_on(d.cube).shape[:3])
+            lead[axis] = g
+            cut = tuple(slice(0, e) for e in lead)
+
+            def members(per_rank_cube: np.ndarray) -> np.ndarray:
+                return np.moveaxis(per_rank_cube[cut], axis, -1).reshape(-1, g)
+
+            pad = stacked.cube.shape[3]
+            cube_rows = stacked.rows.reshape(d.cube)
+            rows = members(cube_rows)
+            pos = members(np.arange(rows.size).reshape(lead))
+            if kind == "all_gather":
+                total = rows.sum(axis=1)
+                pad_out = int(total.max(initial=0))
+                valid = np.arange(pad) < rows[..., None]
+                src = (pos[..., None] * pad + np.arange(pad))[valid]
+                dst = np.flatnonzero(np.arange(pad_out) < total[:, None])
+                lead[axis] = 1
+                out_rows = np.broadcast_to(cube_rows.sum(axis=axis, keepdims=True), d.cube)
+            else:  # member j takes quasi-equal block j of its group's rows
+                pad_out = -(-pad // g)
+                base, extra = np.divmod(cube_rows, g)
+                j = np.moveaxis(np.arange(g).reshape(g, 1, 1), 0, axis)
+                out_rows = base + (j < extra)
+                sizes = members(out_rows)
+                start = np.cumsum(sizes, axis=1) - sizes
+                valid = np.arange(pad_out) < sizes[..., None]
+                reduced = np.arange(len(rows))[:, None, None] * pad
+                src = (reduced + start[..., None] + np.arange(pad_out))[valid]
+                dst = (pos[..., None] * pad_out + np.arange(pad_out))[valid]
+            plan.update(
+                src=src, dst=dst, lead=tuple(lead), pad=pad_out,
+                rows=np.ascontiguousarray(out_rows).ravel(),
+            )
         self._padded_plans[key] = plan
         return plan
 
-    def _padded_all_reduce(self, stacked: PaddedStack, op: str, phase: str) -> PendingCollective:
+    def _padded_move(self, kind: str, stacked: PaddedStack, op: str, phase: str) -> PendingCollective:
+        """All-gather / reduce-scatter of a padded stack: one indexed copy of
+        the valid rows (after the reduction over the group axis, where a
+        group's pads align) into the zero-padded result."""
         d = self.descriptor
         if d.size == 1:
             return _ready("comm:" + phase, stacked)
-        plan = self._padded_plan("all_reduce", stacked)
-        # pads differ per rank, so a padded stack stays flat along the ranks
-        result = PaddedStack(
-            stacked_all_reduce_data(d.cube, d.axis, stacked.data, op).flat(),
-            stacked.rows,
-            stacked.cols,
-        )
-        return self._issue(plan["duration"], phase, result)
-
-    def _padded_all_gather(self, stacked: PaddedStack, phase: str) -> PendingCollective:
-        d = self.descriptor
-        if d.size == 1:
-            return _ready("comm:" + phase, stacked)
-        plan = self._padded_plan("all_gather", stacked)
-        data = stacked.data
-        tail = data.shape[2:]
-        flat = data.reshape((d.world * data.shape[1],) + tail)
-        out = np.zeros((d.world * plan["max_out"],) + tail, dtype=data.dtype)
-        out[plan["dst_idx"]] = flat[plan["src_idx"]]
-        result = PaddedStack(
-            out.reshape((d.world, plan["max_out"]) + tail), plan["out_rows"], stacked.cols
-        )
-        return self._issue(plan["duration"], phase, result)
-
-    def _padded_reduce_scatter(self, stacked: PaddedStack, op: str, phase: str) -> PendingCollective:
-        d = self.descriptor
-        if d.size == 1:
-            return _ready("comm:" + phase, stacked)
-        plan = self._padded_plan("reduce_scatter", stacked)
-        data = stacked.data
-        tail = data.shape[2:]
-        cube = data.reshape(d.cube + data.shape[1:])
-        reduced = _UFUNCS[op].reduce(cube, axis=d.axis)
-        rflat = reduced.reshape((-1,) + tail)
-        out = np.zeros((d.world * plan["max_out"],) + tail, dtype=data.dtype)
-        out[plan["dst_idx"]] = rflat[plan["src_idx"]]
-        result = PaddedStack(
-            out.reshape((d.world, plan["max_out"]) + tail), plan["out_rows"], stacked.cols
-        )
+        plan = self._padded_plan(kind, stacked)
+        (cube,) = _operand_chunks(d.cube, d.axis, stacked)
+        if kind == "reduce_scatter":
+            cube = _UFUNCS[op].reduce(cube, axis=d.axis)
+        tail = stacked.cube.shape[4:]
+        lead, pad = plan["lead"], plan["pad"]
+        out = np.zeros((lead[0] * lead[1] * lead[2] * pad,) + tail, dtype=cube.dtype)
+        out[plan["dst"]] = cube.reshape((-1,) + tail)[plan["src"]]
+        out.flags.writeable = False
+        result = PaddedStack(out.reshape(lead + (pad,) + tail), d.cube, plan["rows"], stacked.cols)
         return self._issue(plan["duration"], phase, result)
 
     # -- stacked collectives -------------------------------------------------
-    # Uniform operands (flat ndarray or ReplicatedStack) come back as a
-    # ReplicatedStack — see the "stacked collective data math" block.  The
-    # duration always bills one rank's shard (``nbytes / world`` of the
-    # logical stack), however few copies of it the operand stores.
+    # A collective's result is shared within each group and comes back once
+    # per group, in cube layout — see the "stacked collective data math"
+    # block.  A uniform operand's duration bills one rank's shard
+    # (``nbytes / world`` of the logical stack), a padded operand's the
+    # per-group valid bytes, however few copies the operand stores.
     def all_reduce(
         self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "all_reduce"
     ) -> PendingCollective:
         """All-reduce ``stacked[(world, *shard)]`` within every axis group.
 
-        A :class:`PaddedStack` operand takes the masked path: reductions run
-        where pads align within each group, and durations bill only the
-        per-group valid bytes."""
-        if isinstance(stacked, PaddedStack):
-            self._check_stacked(stacked.data)
-            _check_op(op)
-            return self._padded_all_reduce(stacked, op, phase)
+        A :class:`PaddedStack` takes the same keepdims reduction: members of
+        a group share a shape, so their pads align and reduce to zero."""
         self._check_stacked(stacked)
         _check_op(op)
         d = self.descriptor
         g = d.size
+        padded = isinstance(stacked, PaddedStack)
         if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
-        t = ring_all_reduce_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
+            return _ready(
+                "comm:" + phase, stacked if padded else ReplicatedStack.of(stacked, self._cube)
+            )
+        if padded:
+            t = self._padded_plan("all_reduce", stacked)["duration"]
+        else:
+            t = ring_all_reduce_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
         clocks, full = self._gather("comm:" + phase, stacked)
         result = self._cut(stacked_all_reduce_data(d.cube, d.axis, full, op))
+        if padded:
+            result = PaddedStack(result.cube, result.grid, stacked.rows, stacked.cols)
         return self._issue(t, phase, result, clocks)
 
     def all_gather(
@@ -1049,10 +1015,9 @@ class AxisCommunicator:
         data axis 0.  A :class:`PaddedStack` operand may carry ragged row
         extents (quasi-equal sub-sharding): the result is assembled from
         valid rows only, pad rows never land in the gathered payload."""
-        if isinstance(stacked, PaddedStack):
-            self._check_stacked(stacked.data)
-            return self._padded_all_gather(stacked, phase)
         self._check_stacked(stacked)
+        if isinstance(stacked, PaddedStack):
+            return self._padded_move("all_gather", stacked, "sum", phase)
         d = self.descriptor
         g = d.size
         if g == 1:
@@ -1068,29 +1033,23 @@ class AxisCommunicator:
         """Reduce within every axis group, then scatter row blocks of the
         result along data axis 0: the member at coordinate ``j`` gets block
         ``j``.  A uniform operand requires the row extent to divide evenly,
-        else it is wrapped as a fully-valid :class:`PaddedStack`, which
+        else it is wrapped as an all-valid :class:`PaddedStack`, which
         scatters quasi-equal blocks of each group's valid rows (the result
         stack is padded to the largest block)."""
-        if isinstance(stacked, PaddedStack):
-            self._check_stacked(stacked.data)
-            _check_op(op)
-            return self._padded_reduce_scatter(stacked, op, phase)
         self._check_stacked(stacked)
         _check_op(op)
         d = self.descriptor
         g = d.size
-        if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
-        m = stacked.shape[1]
-        if m % g != 0:
-            # quasi-equal scatter: wrap as a fully-valid padded stack so the
-            # result carries the ragged block-row mask
-            wrapped = PaddedStack(np.asarray(stacked), np.full(d.world, m, dtype=np.int64))
-            return self._padded_reduce_scatter(wrapped, op, phase)
-        t = ring_reduce_scatter_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
-        clocks, full = self._gather("comm:" + phase, stacked)
-        result = self._cut(stacked_reduce_scatter_data(d.cube, d.axis, full, op))
-        return self._issue(t, phase, result, clocks)
+        if not isinstance(stacked, PaddedStack):
+            if g == 1:
+                return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
+            if stacked.shape[1] % g == 0:
+                t = ring_reduce_scatter_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
+                clocks, full = self._gather("comm:" + phase, stacked)
+                result = self._cut(stacked_reduce_scatter_data(d.cube, d.axis, full, op))
+                return self._issue(t, phase, result, clocks)
+            stacked = PaddedStack.all_valid(stacked, self._cube)
+        return self._padded_move("reduce_scatter", stacked, op, phase)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import ReplicatedStack, stack_data
+from repro.core.batch import PaddedStack, ReplicatedStack, stack_data
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -100,9 +100,12 @@ def _capture_pending(handle) -> dict | None:
     if handle is None:
         return None
     result = handle._result
-    if isinstance(result, ReplicatedStack):
-        # flat on disk like all persisted state (in memory a gathered F is
-        # held once per Z group); every consumer accepts the flat form back
+    # flat on disk like all persisted state, whatever the in-memory layout (a
+    # gathered F is held once per Z group): a uniform result as the
+    # ``(world, m, n)`` array, a padded one as that plus its valid extents
+    if isinstance(result, PaddedStack):
+        result = {"data": result.flat(), "rows": result.rows, "cols": result.cols}
+    elif isinstance(result, ReplicatedStack):
         result = result.flat()
     return {"phase": handle.phase, "record": handle._record, "result": result}
 
@@ -170,16 +173,19 @@ def _links_quiescent(state: dict) -> bool:
 
 
 def _rebuild_pending(captured: dict, model):
-    """The in-flight layer-0 F gather.  Its uniform result is flat on disk;
-    cut it back to one copy per Z group — the form the collective returned
-    and the one a frozen layer 0 then keeps for the model's life."""
+    """The in-flight layer-0 F gather.  Its result is flat on disk; cut it
+    back to one copy per Z group — the form the collective returned and the
+    one a frozen layer 0 then keeps for the model's life."""
     from repro.dist.comm import PendingCollective
 
     result = captured["result"]
-    if isinstance(result, np.ndarray):
-        axis = model.grid.comm(model.layers[0].roles.z).descriptor.axis
-        cube = ReplicatedStack.cube_of(result, model.grid.cube)
-        result = ReplicatedStack(cube.take([0], axis=axis), model.grid.cube)
+    grid = model.grid.cube
+    axis = model.grid.comm(model.layers[0].roles.z).descriptor.axis
+    if isinstance(result, dict):  # padded: flat data + valid extents
+        cube = ReplicatedStack.cube_of(result["data"], grid).take([0], axis=axis)
+        result = PaddedStack(cube, grid, result["rows"], result["cols"])
+    elif isinstance(result, np.ndarray):
+        result = ReplicatedStack(ReplicatedStack.cube_of(result, grid).take([0], axis=axis), grid)
     return PendingCollective(captured["phase"], result, model.cluster.store, captured["record"])
 
 

@@ -31,6 +31,7 @@ from repro.core.batch import (
     PaddedStack,
     batched_matmul,
     concat_stack_rows,
+    stack_data,
     stack_matmul,
     stack_shards,
 )
@@ -168,6 +169,21 @@ class TestPaddedParity:
         dims = [24, 16, 3]
         _assert_bitwise(_dataset(1, 70, dims), GridConfig(5, 1, 2), dims)
 
+    @pytest.mark.parametrize(
+        "n_nodes,dims,cfg",
+        [
+            # fewer nodes than ranks: empty shards, and one-row / one-column
+            # ones, whose products numpy hands to BLAS level 1/2 (stride-
+            # sensitive rounding: the box plan copies those operands tight)
+            (23, [3, 2, 2], GridConfig(3, 3, 3)),
+            (64, [9, 7, 2], GridConfig(2, 2, 4)),
+            # 24/23 classes per shard: pairwise-summed class reductions
+            (101, [30, 21, 47], GridConfig(2, 2, 2)),
+        ],
+    )
+    def test_thin_and_wide_shards(self, n_nodes, dims, cfg):
+        _assert_bitwise(_dataset(3, n_nodes, dims), cfg, dims, trainable_features=True)
+
     def test_trainable_features_ragged(self):
         dims = [25, 23, 11]
         _assert_bitwise(_dataset(5, 70, dims), GRIDS[0], dims, trainable_features=True)
@@ -244,7 +260,7 @@ class TestBatchPrimitives:
             assert np.array_equal(out[r], np.asarray(shards[r] @ f_list[r]))
         # pad rows of the output stay exact zeros
         for r in range(6):
-            assert not out.data[r, out.rows[r]:, :].any()
+            assert not stack_data(out)[r, out.rows[r]:, :].any()
 
     def test_block_diag_apply_batched_wraps_uniform_operand(self, rng):
         """Uniform dense stack against ragged A shards: the output comes

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import GridConfig, PlexusOptions
+from repro.core.batch import PaddedStack, stack_data
 from repro.dist import LAPTOP
 from repro.errors import CheckpointError
 from repro.graph.features import degree_labels, random_split_masks, synth_features
@@ -39,11 +40,11 @@ def _dataset(n=N_NODES, dims=DIMS):
     return a, feats, labels, mask
 
 
-def _trainer(**opts):
-    a, feats, labels, mask = _dataset()
+def _trainer(cfg=CFG, n=N_NODES, dims=DIMS, **opts):
+    a, feats, labels, mask = _dataset(n, dims)
     spec = WorkloadSpec(
-        config=CFG,
-        layer_dims=list(DIMS),
+        config=cfg,
+        layer_dims=list(dims),
         workers=2,
         machine=LAPTOP,
         options=PlexusOptions(seed=0, **opts),
@@ -62,8 +63,9 @@ def _final_state(trainer) -> dict:
         "clocks": store.clocks.copy(),
         "by_phase": {k: v.copy() for k, v in store.by_phase.items()},
         "weights": {
-            f"W{i}": np.asarray(l.w_stack).copy() for i, l in enumerate(model.layers)
+            f"W{i}": stack_data(l.w_stack).copy() for i, l in enumerate(model.layers)
         },
+        "f0": stack_data(model.f0_stack).copy(),
         "adam_t": model.optimizer.t,
         "adam_m": {k: v.copy() for k, v in model.optimizer.m.items()},
     }
@@ -76,6 +78,7 @@ def _assert_same(a: dict, b: dict) -> None:
         assert np.array_equal(v, b["by_phase"][k]), k
     for k, v in a["weights"].items():
         assert np.array_equal(v, b["weights"][k]), k
+    assert np.array_equal(a["f0"], b["f0"])
     assert a["adam_t"] == b["adam_t"]
     for k, v in a["adam_m"].items():
         assert np.array_equal(v, b["adam_m"][k]), k
@@ -125,6 +128,50 @@ class TestRoundTrip:
         other = _trainer(overlap=True)
         with pytest.raises(CheckpointError, match="quiescent"):
             other.load_checkpoint(path, verbatim=False)
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            {},
+            {"overlap": True},
+            {"overlap": True, "aggregation_blocks": 3},
+            {"overlap": True, "trainable_features": True},
+        ],
+        ids=["eager", "overlap", "overlap-3blocks", "overlap-trainable-f0"],
+    )
+    def test_ragged_resume_is_bitwise(self, tmp_path, opts):
+        """Indivisible sharding (X2Y3Z2, N=50, dims 10-9-9-5: every stack is
+        padded): save at epoch 3, restore into a fresh model, epochs 4-6 and
+        the final state equal the uninterrupted run bitwise.  What is
+        persisted does not depend on the in-memory layout: an in-flight
+        padded F0 gather is plain flat arrays on disk."""
+        ragged = dict(cfg=GridConfig(2, 3, 2), n=50, dims=[10, 9, 9, 5])
+        ref = _trainer(**ragged, **opts)
+        losses_ref = ref.train(6).losses
+        assert not ref.model.uniform
+
+        saver = _trainer(**ragged, **opts)
+        assert saver.train(3).losses == losses_ref[:3]
+        path = saver.save_checkpoint(tmp_path, epoch=3)
+        state, exact = ckpt.load_slice(path, 0, 12)
+        assert exact
+        in_flight = saver.model._f0_pending is not None
+        assert in_flight == (opts.get("overlap", False) and not opts.get("trainable_features", False))
+        if in_flight:
+            held = saver.model._f0_pending._result
+            assert isinstance(held, PaddedStack) and held.cube.shape[0] == 1  # once per Z group
+            saved = state["pending_f0"]["result"]
+            assert set(saved) == {"data", "rows", "cols"}
+            assert all(type(v) is np.ndarray for v in saved.values())
+            assert saved["data"].shape == (12,) + held.cube.shape[3:]
+            assert np.array_equal(saved["rows"], held.rows) and np.array_equal(saved["cols"], held.cols)
+        for name, w in state["weights"].items():
+            assert type(w) is np.ndarray and w.shape[0] == 12, name
+
+        resumed = _trainer(**ragged, **opts)
+        resumed.load_checkpoint(path)
+        assert resumed.train(3).losses == losses_ref[3:]
+        _assert_same(_final_state(ref), _final_state(resumed))
 
     def test_restore_rejects_mismatched_model(self, tmp_path):
         tr = _trainer()

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from oracle import PerRankOracle, map_groups
 
 from repro.core import Axis, GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
+from repro.core.batch import stack_data
 from repro.dist import (
     LAPTOP,
     PERLMUTTER,
@@ -330,7 +331,7 @@ class TestBoundedInflight:
             comm = grid.comm(Axis.X)
             if kind == "stacked":
                 handles = [comm.all_reduce(padded) for _ in range(2)]
-                outs = [h.wait().data for h in handles]
+                outs = [stack_data(h.wait()) for h in handles]
             else:
                 handles = [map_groups(grid, Axis.X, "all_reduce", shards) for _ in range(2)]
                 outs = [h.wait() for h in handles]

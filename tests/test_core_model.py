@@ -13,6 +13,11 @@ from repro.nn import Adam, SerialGCN
 ATOL = 1e-9
 
 
+def layer_adjacency(model, layer):
+    """The permuted global adjacency ``layer`` was cut from."""
+    return model._perm_a[layer.layer_idx % 2]
+
+
 def _serial_losses(ds, dims, epochs, lr=1e-2, trainable=False, seed=0):
     model = SerialGCN(dims, seed=seed, trainable_features=trainable)
     feats = ds.features.copy()
@@ -139,6 +144,37 @@ class TestModelStructure:
         _, m2 = _plexus_losses(ds, dims, GridConfig(2, 1, 1), epochs=1)
         _, m8 = _plexus_losses(ds, dims, GridConfig(2, 2, 2), epochs=1)
         assert max(m8.memory_per_rank()) < max(m2.memory_per_rank())
+
+    def test_replica_ranks_share_adjacency_shards_but_are_billed_for_them(self):
+        """Ranks along a layer's y-role hold the same ``(row, col)`` block of
+        A: it is cut (and transposed) once and the ``csr_matrix`` objects are
+        shared — with one aggregation block the row-block list aliases the
+        shard — while ``memory_per_rank`` still bills every rank its own
+        copy (values pinned from the per-rank cut of the parent commit)."""
+        from repro.graph.features import degree_labels, random_split_masks, synth_features
+        from repro.graph.generators import rmat_graph
+        from repro.sparse.ops import gcn_normalize
+
+        cfg, n, dims = GridConfig(4, 4, 4), 128, [32, 32, 32, 16]
+        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=7))
+        mask, _, _ = random_split_masks(n, seed=10)
+        model = PlexusGCN(
+            VirtualCluster(cfg.total, PERLMUTTER), cfg, a,
+            synth_features(n, dims[0], seed=8, dtype=np.float32),
+            degree_labels(a, dims[-1], seed=9), mask, dims,
+            PlexusOptions(seed=0, compute_dtype=np.float32),
+        )
+        for layer in model.layers:
+            assert len({id(s) for s in layer.a_shards}) == 16  # 64 ranks / Gy-role 4
+            assert len({id(s) for s in layer.at_shards}) == 16
+            assert all(blocks == [shard] for blocks, shard in zip(layer._a_blocks, layer.a_shards))
+            for r, shard in enumerate(layer.a_shards):
+                rows = layer.sharding.a_row_slice(model.grid, r)
+                cols = layer.sharding.a_col_slice(model.grid, r)
+                assert (shard != layer_adjacency(model, layer)[rows, cols]).nnz == 0
+        memory = model.memory_per_rank()
+        assert memory[:8] == [2180, 2052, 1652, 2388, 2044, 1940, 1668, 2308]
+        assert sum(memory) == 119360
 
     def test_invalid_layer_dims(self, ds):
         cluster = VirtualCluster(8, PERLMUTTER)

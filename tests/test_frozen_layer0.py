@@ -34,6 +34,7 @@ import pytest
 from oracle import PerRankOracle
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
+from repro.core.batch import stack_data
 from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
@@ -216,9 +217,8 @@ class TestFrozenIsEnforced:
         model = _trainer(workload).model
         with pytest.raises(ValueError, match="read-only"):
             model.f0_shards[0][0, 0] = 1.0
-        data = model.f0_stack if isinstance(model.f0_stack, np.ndarray) else model.f0_stack.data
         with pytest.raises(ValueError, match="read-only"):
-            data[...] = 0.0
+            stack_data(model.f0_stack)[...] = 0.0
 
 
 class TestTracing:

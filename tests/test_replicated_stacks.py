@@ -25,18 +25,22 @@ from __future__ import annotations
 
 import itertools
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import map_groups
 
 from repro.core import GridConfig, PlexusOptions
 from repro.core.batch import (
     BlockDiagSpmm,
+    PaddedStack,
     ReplicatedStack,
     concat_stack_rows,
+    cube_boxes,
     shard_views,
     stack_data,
     stack_map,
@@ -398,3 +402,206 @@ class TestEngineHoldsOneCopyPerGroup:
         ) as pool:
             assert pool.epochs_done == 2
             assert pool.train(epochs - 2).losses == losses[2:]
+
+
+# ---------------------------------------------------------------------------
+# quasi-equal stacks: the same cube layout, pads as storage
+# ---------------------------------------------------------------------------
+
+
+def _quasi_equal(cube: tuple, total: int, axes: tuple) -> np.ndarray:
+    """Per-rank extents ``(world,)`` of ``total`` block-sharded over cube axis
+    ``axes[0]`` and each block sub-sharded over ``axes[1]`` (``None``: not
+    sharded) — the separable geometry ``LayerSharding`` produces."""
+    ext = np.full(cube, total, dtype=np.int64)
+    for axis in axes:
+        if axis is not None:
+            coord = np.arange(cube[axis]).reshape([-1 if a == axis else 1 for a in range(3)])
+            base, extra = np.divmod(ext, cube[axis])  # block_slices, vectorised
+            ext = base + (coord < extra)
+    return np.ascontiguousarray(ext).ravel()
+
+
+def _padded_operand(rng, cube, rows, cols, form, dtype):
+    """``(operand, exact per-rank shards)`` for per-rank extents ``rows`` x
+    ``cols``: the values are constant along every cube axis neither extent
+    varies on, so ``form`` can store them once per group (``"replicated"``),
+    on the full cube (``"flat"``), without a grid (``"gridless"``), or — all
+    extents equal — as a uniform flat / replicated stack."""
+    world = len(rows)
+    ext = np.stack([rows, cols]).reshape((2,) + cube)
+    shared = [bool((ext == ext.take([0], axis=a + 1)).all()) for a in range(3)]
+    lead = tuple(1 if sh else e for sh, e in zip(shared, cube))
+    pad = (int(rows.max()), int(cols.max()))
+    values = rng.standard_normal(lead + pad).astype(dtype)
+    full = np.broadcast_to(values, cube + pad).reshape((world,) + pad)
+    shards = [np.ascontiguousarray(full[r, : rows[r], : cols[r]]) for r in range(world)]
+    if form == "gridless":
+        return PaddedStack.from_shards(shards), shards
+    flat = PaddedStack.from_shards(shards, cube, pad)
+    if form == "flat":
+        return flat, shards
+    cut = flat.cube[tuple(slice(0, e) for e in lead)]
+    if form == "replicated":
+        return PaddedStack(cut, cube, flat.rows, flat.cols), shards
+    assert (rows == pad[0]).all() and (cols == pad[1]).all()
+    if form == "uniform-flat":
+        return np.stack(shards), shards
+    return ReplicatedStack(cut, cube), shards
+
+
+@st.composite
+def _matmul_cases(draw):
+    cube = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    # totals below the axis extent leave zero-row / zero-column ranks
+    totals = [draw(st.integers(0, 9)) for _ in range(3)]
+    axes = [
+        (draw(st.sampled_from([None, 0, 1, 2])), draw(st.sampled_from([None, 0, 1, 2])))
+        for _ in range(3)
+    ]
+    forms = [draw(st.sampled_from(["flat", "replicated", "gridless", "uniform"])) for _ in range(2)]
+    return (
+        cube, totals, axes, forms, draw(st.booleans()), draw(st.booleans()),
+        draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**16)),
+    )
+
+
+class TestPaddedBoxes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_matmul_cases())
+    def test_box_plan_matmul_equals_per_rank_loop(self, case):
+        """One matmul per exact-shape box, on zero-copy views of operands in
+        any form, is ``tobytes()``-equal to a per-rank loop over the exact
+        shards; empty boxes are skipped, pads stay +0.0."""
+        cube, totals, axes, forms, ta, tb, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        m, k, n = (_quasi_equal(cube, t, ax) for t, ax in zip(totals, axes))
+        if "gridless" in forms:  # no grid to broadcast over: both sides list-like
+            forms = ["gridless", "gridless"]
+        operands, exact = [], []
+        for form, (rows, cols), t in zip(forms, ((m, k), (k, n)), (ta, tb)):
+            if t:
+                rows, cols = cols, rows
+            if form == "uniform":
+                ragged = (rows != rows[0]).any() or (cols != cols[0]).any()
+                form = "flat" if ragged else ["uniform-flat", "uniform-replicated"][int(rng.integers(2))]
+            operand, shards = _padded_operand(rng, cube, rows, cols, form, dtype)
+            operands.append(operand)
+            exact.append([s.T for s in shards] if t else shards)
+        if not any(isinstance(o, PaddedStack) for o in operands):
+            operands[0] = PaddedStack.all_valid(operands[0], cube)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
+            out = stack_matmul(*operands, ta=ta, tb=tb)
+        assert isinstance(out, PaddedStack)
+        for r, (a, b) in enumerate(zip(*exact)):
+            assert out[r].shape == (m[r], n[r])
+            assert out[r].tobytes() == np.matmul(a, b).tobytes(), (case, r)
+        shapes = {(int(a), int(b), int(c)) for a, b, c in zip(m, k, n) if a and b and c}
+        # one call per non-empty box: at most two segments per cube axis (a
+        # grid-less stack has one axis, cut wherever its neighbours differ)
+        assert len(shapes) <= matmul.call_count <= (len(m) if "gridless" in forms else 8)
+        flat = stack_data(out)
+        valid = (np.arange(flat.shape[1])[:, None] < m[:, None, None]) & (
+            np.arange(flat.shape[2]) < n[:, None, None]
+        )
+        assert not flat[~valid].any() and not np.signbit(flat[~valid]).any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        cube=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        data=st.data(),
+    )
+    def test_boxes_tile_the_cube_exactly_once(self, cube, data):
+        world = cube[0] * cube[1] * cube[2]
+        extents = [
+            np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=world, max_size=world)))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        covered = np.zeros(cube, dtype=int)
+        for box, values in cube_boxes(cube, cube, *(e.tobytes() for e in extents)):
+            covered[box] += 1
+            for e, v in zip(extents, values):
+                assert (e.reshape(cube)[box] == v).all()
+        assert (covered == 1).all()
+        # quasi-equal extents: at most two segments per axis
+        quasi = _quasi_equal(cube, data.draw(st.integers(0, 30)), (0, 2))
+        assert len(cube_boxes(cube, cube, quasi.tobytes(), 5)) <= 8
+
+
+class TestPaddedCollectives:
+    """A padded collective hands its result back like a uniform one — once
+    per group, read-only — and per rank it is the group-wise collective on
+    the exact shards (``map_groups``: data, clocks), pads ``+0.0``."""
+
+    @pytest.mark.parametrize("cfg", GRIDS[1:], ids=lambda c: c.name)
+    @pytest.mark.parametrize("kind,op", COLLECTIVES)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**16),
+        total=st.integers(1, 14),
+        cols=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        replicated=st.booleans(),
+    )
+    def test_results_are_replica_free_and_match_group_loop(
+        self, cfg, kind, op, seed, total, cols, dtype, replicated
+    ):
+        rng = np.random.default_rng(seed)
+        for axis in Axis:
+            grid, ref_grid = _grid(cfg), _grid(cfg)
+            cube, pos = grid.cube, grid.comm(axis).descriptor.axis
+            g = cube[pos]
+            others = [a for a in range(3) if a != pos]
+            # a gather's members hold ragged sub-blocks; a reduction's share a
+            # shape, which varies across the groups
+            row_axes = (others[0], pos) if kind == "all_gather" else (others[0], None)
+            rows = _quasi_equal(cube, total, row_axes)
+            width = _quasi_equal(cube, cols + 2, (others[1], None)) if cols else None
+            if replicated and cols:
+                # stored once along every axis the extents are constant on
+                # (a reduction's own axis included: expanded member by member)
+                width = np.full(cfg.total, cols)
+                stacked, shards = _padded_operand(rng, cube, rows, width, "replicated", dtype)
+            else:
+                shards = [
+                    rng.standard_normal((rows[r],) + (() if width is None else (width[r],))).astype(dtype)
+                    for r in range(cfg.total)
+                ]
+                stacked = PaddedStack.from_shards(shards, cube)
+            kw = {} if op is None else {"op": op}
+            result = getattr(grid.comm(axis), kind)(stacked, **kw).wait()
+            expected = map_groups(ref_grid, axis, kind, shards, **kw).wait()
+            assert np.array_equal(grid.cluster.store.clocks, ref_grid.cluster.store.clocks)
+            assert isinstance(result, PaddedStack) and result.grid == cube
+            for r in range(cfg.total):
+                assert result[r].shape == expected[r].shape
+                assert result[r].tobytes() == expected[r].tobytes(), (axis, r)
+            flat = stack_data(result)
+            if g > 1:
+                lead = result.cube.shape[:3]
+                assert lead[pos] == (g if kind == "reduce_scatter" else 1)
+                assert result.cube.nbytes * cfg.total == flat.nbytes * lead[0] * lead[1] * lead[2]
+                with pytest.raises(ValueError, match="read-only"):
+                    result.cube[...] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    result[0][...] = 0
+            valid = np.arange(flat.shape[1]) < result.rows[:, None]
+            if width is not None:
+                valid = valid[:, :, None] & (np.arange(flat.shape[2]) < result.cols[:, None, None])
+            assert not flat[~valid].any() and not np.signbit(flat[~valid]).any()
+
+    def test_model_activations_hold_one_copy_per_group(self):
+        """The indivisible twin of ``TestEngineHoldsOneCopyPerGroup``."""
+        cfg = GridConfig(4, 4, 4)
+        model = build_trainer(_spec(cfg, 130, [34, 34, 18]), backend="inproc").model
+        assert not model.uniform
+        logits, caches = model.forward()
+        for layer, cache in zip(model.layers, caches):
+            for stack, role in ((cache.h, layer.roles.x), (cache.q, layer.roles.y)):
+                assert isinstance(stack, PaddedStack)
+                assert stack.cube.shape[model.grid.comm(role).descriptor.axis] == 1
+            assert isinstance(layer.w_stack, PaddedStack)
+            assert layer.w_stack.cube.shape[:3] == model.grid.cube  # persisted: full, writable
+            assert stack_data(layer.w_stack).flags.writeable
+            assert np.shares_memory(stack_data(layer.w_stack), layer.w_stack.cube)
+        assert caches[0].f.cube.shape[0] == 1 and logits is caches[-1].q
