@@ -35,8 +35,8 @@ and shares no execution code with this module.
 
 No sharding stores a replica: every collective returns its result once per
 group, in cube layout with extent 1 along the axes the value is shared on
-(a :class:`~repro.core.batch.ReplicatedStack`), and the next step
-broadcasts over it.
+(a :class:`~repro.core.batch.CubeStack`), and the next step broadcasts over
+it.
 In Algorithm 1 the gathered F has extent 1 along the z-role axis (the
 SpMM's block CSR points the group's ranks at the one block), H after the
 X-all-reduce along x, the gathered W along z, so ``Q = H @ W`` is a
@@ -47,11 +47,9 @@ broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
 the X-all-reduce (x) feeds the A^T product like F did; dF after the
 Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
 features and gradients handed to the optimizer are flat ``(world, m, n)``.
-Quasi-equal sharding runs the same steps on
-:class:`~repro.core.batch.PaddedStack` stacks — the same cube layout,
-zero-padded, with per-rank valid extents that keep pad entries out of every
-sum (kernels run once per *box* of ranks sharing an exact shape), the
-gathers and the byte accounting.
+Quasi-equal sharding is the same stacks zero-padded: their per-rank valid
+extents keep pad entries out of every sum (kernels run once per *box* of
+ranks sharing an exact shape), the gathers and the byte accounting.
 
 **Frozen means computed once.**  With ``trainable_features=False`` (the
 default) Algorithm 1 lines 3-5 of layer 0 have the same operands every
@@ -107,8 +105,7 @@ import scipy.sparse as sp
 
 from repro.core.batch import (
     BlockDiagSpmm,
-    PaddedStack,
-    ReplicatedStack,
+    CubeStack,
     concat_stack_rows,
     shard_views,
     stack_map,
@@ -135,17 +132,15 @@ class LayerCache:
     """Per-rank forward activations kept for the backward pass.
 
     Each field is a stack indexable by rank, ``f`` held once per Z group,
-    ``h`` once per X group, ``q`` once per Y group:
-    :class:`~repro.core.batch.ReplicatedStack` for uniform sharding,
-    :class:`~repro.core.batch.PaddedStack` for quasi-equal.
+    ``h`` once per X group, ``q`` once per Y group.
     """
 
     #: gathered input features F (full local block), per rank
-    f: ReplicatedStack | PaddedStack
+    f: CubeStack
     #: aggregation output H after the X-all-reduce, per rank
-    h: ReplicatedStack | PaddedStack
+    h: CubeStack
     #: pre-activation Q after the Y-all-reduce, per rank
-    q: ReplicatedStack | PaddedStack
+    q: CubeStack
 
 
 #: ``_FrozenAggregation.dh_duration`` before the first backward (``None``
@@ -161,9 +156,9 @@ class _FrozenAggregation:
 
     #: the gathered F0 — what a replayed (pre)fetch handle hands back, so a
     #: checkpointed in-flight prefetch still carries its data
-    f: ReplicatedStack | PaddedStack
+    f: CubeStack
     #: H0 = all-reduce_X(A @ F), read-only
-    h: ReplicatedStack | PaddedStack
+    h: CubeStack
     #: duration of the F0 all-gather
     f_duration: Any
     #: duration of each aggregation block's X-all-reduce
@@ -265,7 +260,7 @@ class PlexusLayer:
             if shard_cache is not None:
                 shard_cache[blocks_key] = (self._a_blocks, self._bd_blocks, self._block_nnz)
         # -- weight shards: local (D_in/Gy x D_out/Gx) block, z-sub-sharded rows
-        self.w_stack: np.ndarray | PaddedStack = stack_shards(
+        self.w_stack: CubeStack = stack_shards(
             [
                 w_full[sharding.w_row_subslice_z(grid, r), sharding.w_col_slice(grid, r)]
                 for r in range(world)
@@ -391,8 +386,7 @@ class PlexusLayer:
                 parts, handles = self._aggregation_steps(f)
                 h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
                 if self.is_first and not self.trainable_features:
-                    if isinstance(h, PaddedStack):  # held across epochs from here on
-                        h.cube.setflags(write=False)  # (a ReplicatedStack already is)
+                    h.cube.setflags(write=False)  # held across epochs from here on
                     self._frozen = _FrozenAggregation(
                         f, h, f_pending.duration, [handle.duration for handle in handles]
                     )

@@ -10,19 +10,17 @@ is step-for-step comparable with :class:`repro.nn.serial.SerialGCN`
 
 Execution is rank-batched throughout (stacked tensors, batched
 GEMMs/SpMMs, whole-axis collectives over the rank cube, one stacked
-optimizer) and every configuration runs it.  Persisted state is flat
-``(world, m, n)`` memory and activations hold one copy per group of ranks
-that share the value: plain ndarrays and
-:class:`~repro.core.batch.ReplicatedStack` under uniform (divisible)
-sharding; under ragged quasi-equal sharding
-:class:`~repro.core.batch.PaddedStack` in both roles, zero-padded to the
-global geometry's largest block (``LayerSharding.*_pad``), whose valid
-extents keep pad entries out of the math, the gathers and the byte
-accounting; blocked aggregation runs per-block stacked SpMM plans; SpMM
-noise draws are vectorized per rank in rank order.  There is one
-representation of every piece of state: the stacks; the per-rank accessors
-``f0_shards`` / ``label_shards`` / ``mask_shards`` / ``w_shards`` are views
-into them.  ``options.compute_dtype=np.float32`` selects the faster
+optimizer) and every configuration runs it.  Every stack is a
+:class:`~repro.core.batch.CubeStack`: persisted state at full extent over
+flat ``(world, m, n)`` memory, activations with one copy per group of ranks
+that share the value; quasi-equal sharding zero-pads them to the global
+geometry's largest block (``LayerSharding.*_pad``) and their valid extents
+keep pad entries out of the math, the gathers and the byte accounting;
+blocked aggregation runs per-block stacked SpMM plans; SpMM noise draws are
+vectorized per rank in rank order.  There is one representation of every
+piece of state: the stacks; the per-rank accessors ``f0_shards`` /
+``label_shards`` / ``mask_shards`` / ``w_shards`` are views into them.
+``options.compute_dtype=np.float32`` selects the faster
 benchmark mode.  The per-rank form of Algorithms 1-2 lives in
 ``tests/oracle.py`` as the bitwise reference (float64: losses, weights and
 clocks): it reads the shards a built model holds and runs none of its code.
@@ -46,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.batch import (
-    PaddedStack,
+    CubeStack,
     shard_views,
     stack_data,
     stack_map,
@@ -135,8 +133,7 @@ class PlexusGCN:
             LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
             for i in range(n_layers)
         ]
-        #: uniform sharding runs on plain ndarray stacks, quasi-equal
-        #: sharding on padded stacks: this only names the representation
+        #: whether every dimension divides its grid axis (nothing is padded)
         self.uniform = all(s.is_uniform() for s in self.shardings)
         # unconditional: a later model on the same cluster must not inherit
         # an earlier model's bound (None restores the unbounded default)
@@ -170,7 +167,7 @@ class PlexusGCN:
         s0 = self.shardings[0]
         world = self.grid.world_size
         cube = self.grid.cube
-        self.f0_stack: np.ndarray | PaddedStack = stack_shards(
+        self.f0_stack: CubeStack = stack_shards(
             [
                 f_in_global[s0.f_row_subslice_z(self.grid, r), s0.f_col_slice(self.grid, r)]
                 for r in range(world)
@@ -181,8 +178,7 @@ class PlexusGCN:
         if not opts.trainable_features:
             # frozen is enforced: layer 0 aggregates these once and
             # replays the result, so an in-place edit must raise
-            f0 = self.f0_stack
-            (f0.cube if isinstance(f0, PaddedStack) else f0).setflags(write=False)
+            self.f0_stack.cube.setflags(write=False)
         self.f0_shards = shard_views(self.f0_stack)
         #: in-flight cross-epoch prefetch of the layer-0 F all-gather
         #: (issued at the end of backward under ``overlap``, consumed by the
@@ -196,15 +192,15 @@ class PlexusGCN:
         final = self.shardings[-1]
         rows = [final.out_row_slice(self.grid, r) for r in range(world)]
         pad = (final.out_rows_pad,)
-        self.label_stack: np.ndarray | PaddedStack = stack_shards([labels_out[s] for s in rows], cube, pad)
-        self.mask_stack: np.ndarray | PaddedStack = stack_shards([mask_out[s] for s in rows], cube, pad)
+        self.label_stack: CubeStack = stack_shards([labels_out[s] for s in rows], cube, pad)
+        self.mask_stack: CubeStack = stack_shards([mask_out[s] for s in rows], cube, pad)
         self.label_shards = shard_views(self.label_stack)
         self.mask_shards = shard_views(self.mask_stack)
         self.class_slices = [final.out_col_slice(self.grid, r) for r in range(world)]
         self.class_start = np.asarray([s.start for s in self.class_slices], dtype=np.int64)
 
         # -- one stacked Adam over the rank axis ------------------------------
-        # padded stacks hand the optimizer their raw data: pad entries
+        # the optimizer updates the stacks' own flat memory: pad entries
         # have zero gradients forever, so Adam leaves them at zero
         params = {f"W{i}": stack_data(layer.w_stack) for i, layer in enumerate(self.layers)}
         if opts.trainable_features:

@@ -45,6 +45,7 @@ __all__ = [
     "SpmmRegression",
     "fit_spmm_regression",
     "CommModel",
+    "layer_collective_times",
     "PerformanceModel",
     "select_best_config",
 ]
@@ -165,6 +166,44 @@ def regression_validation(
     }
 
 
+def layer_collective_times(
+    config: GridConfig,
+    machine: MachineSpec,
+    n: float,
+    d_in: float,
+    d_out: float,
+    layer_idx: int,
+    elem_bytes: int = 4,
+) -> dict[str, float]:
+    """Eqs. 4.5-4.6 for every collective of one layer of Algorithms 1-2:
+    the F / H / Q / W block bytes under that layer's rotated axis roles, as
+    named ring durations (seconds) — ``ag_f`` (line 3, layer 0), ``ar_h``
+    (line 5), ``ag_w`` (line 7, and backward line 4), ``ar_q`` (line 9);
+    backward ``rs_dw`` (line 3), ``ar_dh`` (line 6: dH is H's block),
+    ``rs_df`` (line 8, layer 0) / ``ar_df`` (the Sec. 3.2 change).  The one
+    table :class:`CommModel` and ``repro.perf.analytic.PlexusAnalytic`` sum."""
+    roles = axis_roles(layer_idx)
+    gx, gy, gz = (config.size(roles.x), config.size(roles.y), config.size(roles.z))
+    bx, by, bz = (
+        axis_bandwidth(machine, config.size(axis), config.inner_size(axis))
+        for axis in (roles.x, roles.y, roles.z)
+    )
+    f_block = (n / gx) * (d_in / gy) * elem_bytes
+    h_block = (n / gz) * (d_in / gy) * elem_bytes
+    q_block = (n / gz) * (d_out / gx) * elem_bytes
+    w_block = (d_in / gy) * (d_out / gx) * elem_bytes
+    return {
+        "ag_f": ring_all_gather_time(f_block, gz, bz),
+        "ar_h": ring_all_reduce_time(h_block, gx, bx),
+        "ag_w": ring_all_gather_time(w_block, gz, bz),
+        "ar_q": ring_all_reduce_time(q_block, gy, by),
+        "rs_dw": ring_reduce_scatter_time(w_block, gz, bz),
+        "ar_dh": ring_all_reduce_time(h_block, gx, bx),
+        "rs_df": ring_reduce_scatter_time(f_block, gz, bz),
+        "ar_df": ring_all_reduce_time(f_block, gz, bz),
+    }
+
+
 @dataclass(frozen=True)
 class CommModel:
     """Eqs. 4.5-4.6 applied to every collective of Algorithms 1-2."""
@@ -176,39 +215,27 @@ class CommModel:
     elem_bytes: int = 4
     trainable_features: bool = True
 
-    def _beta(self, config: GridConfig, axis) -> float:
-        return axis_bandwidth(self.machine, config.size(axis), config.inner_size(axis))
-
     def layer_comm_time(self, config: GridConfig, layer_idx: int) -> float:
         """Communication seconds of one layer's forward+backward."""
-        n = self.stats.nodes
-        d_in = self.layer_dims[layer_idx]
-        d_out = self.layer_dims[layer_idx + 1]
-        roles = axis_roles(layer_idx)
-        gx, gy, gz = (config.size(roles.x), config.size(roles.y), config.size(roles.z))
-        bx, by, bz = (self._beta(config, roles.x), self._beta(config, roles.y), self._beta(config, roles.z))
-        e = self.elem_bytes
-        f_block = (n / gx) * (d_in / gy) * e
-        h_block = (n / gz) * (d_in / gy) * e
-        q_block = (n / gz) * (d_out / gx) * e
-        w_block = (d_in / gy) * (d_out / gx) * e
+        c = layer_collective_times(
+            config, self.machine, self.stats.nodes, self.layer_dims[layer_idx],
+            self.layer_dims[layer_idx + 1], layer_idx, self.elem_bytes,
+        )
         t = 0.0
         is_first = layer_idx == 0
-        # forward
         if is_first:
-            t += ring_all_gather_time(f_block, gz, bz)           # line 3
-        t += ring_all_reduce_time(h_block, gx, bx)               # line 5
-        t += ring_all_gather_time(w_block, gz, bz)               # line 7
-        t += ring_all_reduce_time(q_block, gy, by)               # line 9
-        # backward: dH has shape (N/gz) x (d_in/gy), same block as H
-        t += ring_reduce_scatter_time(w_block, gz, bz)           # line 3 (dW)
-        t += ring_all_gather_time(w_block, gz, bz)               # line 4
-        t += ring_all_reduce_time(h_block, gx, bx)               # line 6 (dH)
+            t += c["ag_f"]
+        t += c["ar_h"]
+        t += c["ag_w"]
+        t += c["ar_q"]
+        t += c["rs_dw"]
+        t += c["ag_w"]
+        t += c["ar_dh"]
         if is_first:
             if self.trainable_features:
-                t += ring_reduce_scatter_time(f_block, gz, bz)   # line 8
+                t += c["rs_df"]
         else:
-            t += ring_all_reduce_time(f_block, gz, bz)           # Sec. 3.2 change
+            t += c["ar_df"]
         return t
 
     def epoch_comm_time(self, config: GridConfig) -> float:

@@ -5,10 +5,9 @@ logits are sharded over rows (graph nodes, z-role axis) and columns (classes,
 x-role axis), so the log-softmax reductions run as small collectives along
 the class axis and the masked mean along the row axis.  Gradients then enter
 Algorithm 2 already sharded correctly — no rank ever materializes the full
-logits matrix.  One body serves uniform and quasi-equal logits: it works on
-the replica-free rank cube, and every reduction along a padded axis runs
-once per box of ranks sharing that valid extent (uniform logits: one box),
-so pads never reach a sum.
+logits matrix.  The body works on the replica-free rank cube, and every
+reduction along a padded axis runs once per box of ranks sharing that valid
+extent (one box when nothing is padded), so pads never reach a sum.
 
 Timing follows the paper's protocol (Sec. 6.2): per epoch we record the
 simulated wall-clock delta of the slowest rank and the average comm/comp
@@ -22,25 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import (
-    PaddedStack,
-    ReplicatedStack,
-    cube_boxes,
-    shard_views,
-    stack_data,
-    stack_shards,
-)
+from repro.core.batch import CubeStack, cube_boxes, shard_views, stack_shards
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
 
 __all__ = ["EpochStats", "TrainResult", "distributed_masked_ce", "distributed_accuracy", "PlexusTrainer"]
 
-#: the one box of a uniform stack: every rank, whatever the cube's extents
-_WHOLE = (slice(None),) * 3
-
-
-def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedStack | PaddedStack]:
+def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     """Masked cross-entropy + gradient over sharded logits.
 
     Returns the global scalar loss (identical on every rank) and the stacked
@@ -53,47 +41,37 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedSt
     replicated along its y-role, the class-axis reductions then along the
     x-role too, so the softmax statistics, the masked sums and the gradient
     are computed once per group of identical ranks (labels, masks and class
-    offsets are constant along those axes and are cut to match).  Flat
+    offsets are constant along those axes and are cut to match).  Raw
     ``(world, rows, classes)`` logits are viewed into the cube and take the
     same path.
 
-    Quasi-equal logits (a :class:`PaddedStack`) run the same body: the only
-    difference is that a reduction along a padded axis — class columns, node
-    rows — runs once per *box* of ranks sharing that valid extent, on the
-    exact-extent view (uniform logits are the one-box case), so a pad entry
-    never enters a floating-point sum or a maximum.  Ranks owning zero class
-    columns (more X-shards than classes) contribute neutral values (``-inf``
-    maxima, zero sums).  Either way the result is bitwise what a per-rank
-    loop over one process group at a time computes in float64
-    (``tests/oracle.py``): mask products against exact 0/1, the same exp/log
-    pipeline, the same association order in every sum.
+    A reduction along a padded axis — class columns, node rows — runs once
+    per *box* of ranks sharing that valid extent, on the exact-extent view
+    (one box when nothing is padded), so a pad entry never enters a
+    floating-point sum or a maximum.  Ranks owning zero class columns (more
+    X-shards than classes) contribute neutral values (``-inf`` maxima, zero
+    sums).  The result is bitwise what a per-rank loop over one process
+    group at a time computes in float64 (``tests/oracle.py``): mask products
+    against exact 0/1, the same exp/log pipeline, the same association order
+    in every sum.
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
     comm_x = grid.comm(roles.x)
     comm_z = grid.comm(roles.z)
-    padded = isinstance(logits, PaddedStack)
-    stack = logits if padded else ReplicatedStack.of(logits, grid.cube)
+    stack = CubeStack.of(logits, grid.cube)
     cube = stack.cube  # (z, x, y, rows, classes), extent 1 where replicated
     c_pad = cube.shape[-1]
     if c_pad == 0:
         raise ValueError("batched loss requires at least one class column per rank")
-    # what wraps a per-row statistic / the gradient: the logits' stack kind
-    # (a padded stack carries its valid extents along)
-    if padded:
-        kind, vector, matrix = PaddedStack, (stack.rows,), (stack.rows, stack.cols)
-        labels, masks = stack_data(model.label_stack), stack_data(model.mask_stack)
-        width = stack.like(stack.cols)[..., None]
-        last = np.maximum(width - 1, 0)
-        col_boxes = cube_boxes(stack.grid, cube.shape[:3], stack.cols.tobytes())
-    else:
-        kind, vector, matrix = ReplicatedStack, (), ()
-        labels, masks = model.label_stack, model.mask_stack
-        width, last = c_pad, c_pad - 1
-        col_boxes = ((_WHOLE, (c_pad,)),)
+    rows, cols = stack.rows, stack.cols
+    # each rank's valid class columns (the cube's when nothing is padded) and
+    # the boxes of ranks sharing one count
+    width = c_pad if cols is None else stack.like(cols)[..., None]
+    col_boxes = cube_boxes(stack.grid, cube.shape[:3], c_pad if cols is None else cols.tobytes())
 
-    def reduce(values, **kw) -> np.ndarray:
-        return comm_x.all_reduce(kind(values, stack.grid, *vector), **kw).wait()
+    def reduce(values, **kw) -> CubeStack:  # a per-row statistic, along the class axis
+        return comm_x.all_reduce(CubeStack(values, stack.grid, rows), **kw).wait()
 
     # 1) log-softmax statistics along the class (x-role) axis
     local = np.empty(cube.shape[:4], dtype=cube.dtype)
@@ -110,15 +88,15 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedSt
     sum_exp = reduce(local, phase="loss_sumexp").cube
 
     # 2) gather each masked node's own-label logit from the owning class shard
-    masks_here = stack.like(masks)
-    local_idx = stack.like(labels) - stack.like(model.class_start)[..., None]
+    masks_here = stack.like(model.mask_stack)
+    local_idx = stack.like(model.label_stack) - stack.like(model.class_start)[..., None]
     owned = masks_here & (local_idx >= 0) & (local_idx < width)
     # each row's (clipped) label column as one fancy index, shared by the
     # three along-axis accesses below
     z, x, y, n = local_idx.shape
     label_at = (
         np.arange(z)[:, None, None, None], np.arange(x)[:, None, None],
-        np.arange(y)[:, None], np.arange(n), np.clip(local_idx, 0, last),
+        np.arange(y)[:, None], np.arange(n), np.clip(local_idx, 0, np.maximum(width - 1, 0)),
     )
     z_local = np.where(owned, cube[label_at], 0.0)
     z_label = reduce(z_local, phase="loss_zlabel")
@@ -126,18 +104,16 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedSt
     # 3) masked sum + count along the row (z-role) axis
     log_s = np.log(sum_exp)
     nll = row_max + log_s - z_label.cube
-    nll_masks = z_label.like(masks)
+    nll_masks = z_label.like(model.mask_stack)
     masked_nll = np.where(nll_masks, nll, 0.0)
-    row_boxes = (
-        cube_boxes(stack.grid, nll.shape[:3], stack.rows.tobytes())
-        if padded
-        else ((_WHOLE, (nll.shape[3],)),)
+    row_boxes = cube_boxes(
+        stack.grid, nll.shape[:3], nll.shape[3] if rows is None else rows.tobytes()
     )
     packed = np.empty(nll.shape[:3] + (2,), dtype=np.float64)
     for box, (v,) in row_boxes:
         packed[box][..., 0] = masked_nll[box][..., :v].sum(axis=-1)
         packed[box][..., 1] = nll_masks[box][..., :v].sum(axis=-1)
-    totals = comm_z.all_reduce(ReplicatedStack(packed, stack.grid), phase="loss_total").wait()
+    totals = comm_z.all_reduce(CubeStack(packed, stack.grid), phase="loss_total").wait()
     total_nll, total_cnt = totals[0]
     if total_cnt == 0:
         raise ValueError("empty train mask")
@@ -151,7 +127,7 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, ReplicatedSt
             np.multiply(np.exp(shifted[box][..., :c]), masks_here[box][..., None], out=g[box][..., :c])
     g[label_at] -= owned
     g /= total_cnt
-    return loss, kind(g, stack.grid, *matrix)
+    return loss, CubeStack(g, stack.grid, rows, cols)
 
 
 def distributed_accuracy(model: PlexusGCN, logits, mask_shards: list[np.ndarray]) -> float:
@@ -169,7 +145,6 @@ def distributed_accuracy(model: PlexusGCN, logits, mask_shards: list[np.ndarray]
     shards = shard_views(logits)
 
     def class_max(per_rank: list[np.ndarray], phase: str):
-        # stack_shards picks ndarray vs PaddedStack: uniform and ragged rows alike
         return comm_x.all_reduce(stack_shards(per_rank), op="max", phase=phase).wait()
 
     # ranks owning zero class columns report -inf (``initial``)
@@ -313,40 +288,23 @@ class PlexusTrainer:
         is staged and renamed into place, and all but the newest ``keep``
         checkpoints are pruned.  Returns the checkpoint path.
         """
-        import os
-        import shutil
-        from dataclasses import asdict
-        from pathlib import Path
-
         from repro.runtime import checkpoint as ckpt
 
-        root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
-        name = ckpt.checkpoint_name(epoch)
-        tmp = root / f"{name}.tmp"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        state = ckpt.model_state(self.model)
-        ckpt.write_worker_state(tmp, state)
-        ckpt.write_manifest(
-            tmp,
-            {
-                "format": ckpt.FORMAT_VERSION,
-                "backend": self.backend,
-                "epoch": int(epoch),
-                "world": self.model.cluster.world_size,
-                "layer_dims": list(self.model.layer_dims),
-                "layout": [[state["lo"], state["hi"]]],
-                "history": [asdict(e) for e in history],
-            },
+        def write_slice(tmp) -> list:
+            state = ckpt.model_state(self.model)
+            ckpt.write_worker_state(tmp, state)
+            return [[state["lo"], state["hi"]]]
+
+        return ckpt.seal_checkpoint(
+            root,
+            epoch,
+            write_slice,
+            backend=self.backend,
+            world=self.model.cluster.world_size,
+            layer_dims=self.model.layer_dims,
+            history=history,
+            keep=keep,
         )
-        final = root / name
-        if final.exists():
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        ckpt.prune_checkpoints(root, keep)
-        return final
 
     def load_checkpoint(self, path, verbatim: bool | None = None) -> dict:
         """Restore this trainer's model from a checkpoint directory.

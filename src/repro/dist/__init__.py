@@ -40,13 +40,13 @@ from repro.dist.comm import (
     PendingCollective,
     communicator,
 )
-from repro.dist.padded import PaddedStack, stack_shards
+from repro.dist.padded import CubeStack, stack_shards
 
 __all__ = [
     "AxisCommunicator",
     "GroupCommunicator",
     "PendingCollective",
-    "PaddedStack",
+    "CubeStack",
     "stack_shards",
     "communicator",
     "MachineSpec",

@@ -59,40 +59,34 @@ waited stays in ``ClockStore.outstanding`` where
 ``VirtualCluster.check_outstanding`` (called by the trainer at epoch end)
 reports it.
 
-What a stacked (whole-axis) collective hands back is the **replicated
-form**: a collective's result is by definition the same on every member of
-a group, so the uniform path returns it once per group — a
-:class:`~repro.dist.padded.ReplicatedStack`, the ``(Gz, Gx, Gy, m, n)`` cube
-with extent 1 along every axis the value is identical on — instead of
-writing G copies into a ``(world, m, n)`` array.  After Algorithm 1's
-X-all-reduce H has extent 1 along X, after the Y-all-reduce Q has extent 1
-along Y, the Z-gathered W and F have extent 1 along Z; Algorithm 2's dH and
-dF likewise; the loss's per-row statistics end up with extent 1 along two
-axes and its total along all three.  Operands are accepted flat (viewed
-into the cube for free — all persisted state is flat) or replicated, axes
-an operand is already replicated on stay extent 1 through the collective,
-and nothing is materialised here: consumers that need per-rank memory
-(``np.asarray``, ``ReplicatedStack.flat``) do it at the point of use.  The
-simulated cost is unaffected — durations always bill one rank's shard
-bytes, whatever the number of copies held — and results are read-only,
+What a stacked (whole-axis) collective hands back is the **replica-free
+cube**: a collective's result is by definition the same on every member of
+a group, so it comes back once per group — a
+:class:`~repro.dist.padded.CubeStack`, extent 1 along the collective's axis
+(and along every axis the operand was already replicated on) — instead of G
+copies in a ``(world, m, n)`` array.  Operands are stacks or raw
+``(world, *shard)`` ndarrays (viewed into the cube for free), and nothing
+is materialised here: consumers that need per-rank memory (``np.asarray``,
+``CubeStack.flat``) do it at the point of use.  Results are read-only,
 since one element stands for G ranks.
 
-Two orthogonal extensions ride on the same issue machinery:
+Quasi-equal shards (zero pads, per-rank valid ``rows``/``cols`` on the
+stack) take the same path.  An all-reduce is the keepdims reduction either
+way — members of a group share a shape, so their pads align and reduce to
+zero.  All-gather / reduce-scatter are the one fused copy / a view of the
+reduction when every member's valid rows fill the pad and tile the result
+evenly, else they copy each group's *valid* rows once through an index plan
+(:meth:`AxisCommunicator._plan`, cached per shape signature; the plan
+observes which).  Pad rows never land in a result and durations bill the
+per-group valid bytes — one rank's shard when nothing is padded — however
+few copies the operand stores, so data, clocks and phase totals stay
+bitwise identical to one :class:`GroupCommunicator` call per process group
+on the exact shards (``map_groups`` in ``tests/oracle.py``).  A duration is
+a scalar when every group moves the same bytes, else a keepdims array over
+the off-axis cube (one entry per group).
 
-* **Padded quasi-equal stacks** — the stacked ``AxisCommunicator`` methods
-  accept a :class:`~repro.dist.padded.PaddedStack` (ragged per-rank shards
-  zero-padded to a common extent, ``rows``/``cols`` valid extents as
-  metadata, the same replica-free cube layout) and return one, again once
-  per group: an all-reduce is the keepdims reduction above — members of a
-  group share a shape, so their pads align and reduce to zero — and
-  all-gather / reduce-scatter copy each group's *valid* rows once through an
-  index plan cached per shape signature (the gathered result has extent 1
-  along the axis).  Pad rows never land in a result and durations are
-  computed from the per-group valid bytes, so data, clocks and phase totals
-  stay bitwise identical to one :class:`GroupCommunicator` call per process
-  group on the exact shards (``map_groups`` in ``tests/oracle.py``).
-  Durations become keepdims arrays over the off-axis cube (one entry per
-  group) instead of a scalar.
+One orthogonal extension rides on the same issue machinery:
+
 * **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
   set, each link tracks its in-flight completion times and an issue on a
   saturated link blocks: the issuing group's clocks are lifted to the time
@@ -120,15 +114,14 @@ from repro.dist.collectives import (
     ring_reduce_scatter_time,
 )
 from repro.dist.group import ProcessGroup
-from repro.dist.padded import PaddedStack, ReplicatedStack
+from repro.dist.padded import CubeStack
 from repro.sparse.partition import block_slices
 
 __all__ = [
     "PendingCollective",
     "GroupCommunicator",
     "AxisCommunicator",
-    "PaddedStack",
-    "ReplicatedStack",
+    "CubeStack",
     "communicator",
     "stacked_all_reduce_data",
     "stacked_all_gather_data",
@@ -136,6 +129,13 @@ __all__ = [
 ]
 
 _UFUNCS = {"sum": np.add, "max": np.maximum}
+
+#: Eq. 4.5 ring model of each stacked collective kind
+_TIME_FNS = {
+    "all_reduce": ring_all_reduce_time,
+    "all_gather": ring_all_gather_time,
+    "reduce_scatter": ring_reduce_scatter_time,
+}
 
 #: unique link keys into ``ClockStore.links`` (one per communicator)
 _LINK_KEYS = itertools.count()
@@ -247,8 +247,8 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
         queues = store.link_queues
         shape = ready.shape
         rf = ready.ravel()
-        # duration is a scalar (uniform stacks) or a keepdims cube array
-        # (padded stacks): align it with ready's keepdims shape first
+        # duration is a scalar or a keepdims cube array (per-group valid
+        # bytes): align it with ready's keepdims shape first
         dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), shape).ravel()
         begin = np.empty(rf.shape)
         end = np.empty(rf.shape)
@@ -337,8 +337,8 @@ class PendingCollective:
     @property
     def duration(self):
         """The scheduled transfer time: a scalar, a keepdims array over the
-        off-axis cube (padded stacks: one entry per group), or ``None`` for
-        the no-cost handle of a size-1 group.  Feeding it back to
+        off-axis cube (one entry per group, when their valid bytes differ),
+        or ``None`` for the no-cost handle of a size-1 group.  Feeding it back to
         :meth:`AxisCommunicator.issue` re-issues the same collective
         without its operand."""
         return None if self._record is None else self._record[4]
@@ -416,10 +416,9 @@ def _ready(phase: str, result) -> PendingCollective:
 # stacked collective data math (pure: no clocks, no links)
 #
 # The *data* transformation of one whole-axis collective over the
-# ``(Gz, Gx, Gy)`` rank cube.  The operand is a flat ``(world, *shard)``
-# ndarray (viewed into the cube for free) or a ReplicatedStack; the result
-# is always a ReplicatedStack, because a collective's output is by
-# definition shared within each group:
+# ``(Gz, Gx, Gy)`` rank cube, cube in (a ``CubeStack.cube``: extent 1 along
+# the axes the operand is replicated on), read-only cube out — held once per
+# group, because a collective's output is by definition shared within it:
 #
 # * all-reduce  -> ``reduce(axis, keepdims=True)``: extent 1 along ``axis``,
 #   nothing is broadcast back to the G members;
@@ -434,6 +433,9 @@ def _ready(phase: str, result) -> PendingCollective:
 # per-group loop over flat shards (an operand replicated along ``axis``
 # itself is expanded first for exactly that reason), which keeps results
 # bitwise equal to one :class:`GroupCommunicator` call per process group.
+# Zero pads ride along untouched: they align within a group and reduce to
+# zero; the gather and the scatter take whole pad-extent row blocks, which is
+# why :class:`AxisCommunicator` calls them only for evenly tiling rows.
 #
 # An :class:`AxisCommunicator` behind a byte mover (the worker-crossing Z
 # axis of ``repro.runtime``) calls these same three functions — no second
@@ -453,17 +455,13 @@ def _ready(phase: str, result) -> PendingCollective:
 # ---------------------------------------------------------------------------
 
 
-def _operand_chunks(cube_shape: tuple[int, ...], axis: int, stacked) -> Sequence[np.ndarray]:
-    """The operand in cube layout with the group axis at full extent, as the
-    chunks to consume in order (one, unless a byte mover delivered it)."""
-    if isinstance(stacked, (list, tuple)):  # leading-axis chunks: ``axis`` is 0
-        if stacked[0][0].size == 1:  # one-element planes: numpy's pairwise order
-            return (np.concatenate(stacked),)
-        return stacked
-    if isinstance(stacked, PaddedStack):
-        cube = stacked.cube_on(cube_shape)
-    else:
-        cube = ReplicatedStack.cube_of(stacked, cube_shape)
+def _operand_chunks(cube_shape: tuple[int, ...], axis: int, cube) -> Sequence[np.ndarray]:
+    """The operand cube with the group axis at full extent, as the chunks to
+    consume in order (one, unless a byte mover delivered it)."""
+    if isinstance(cube, (list, tuple)):  # leading-axis chunks: ``axis`` is 0
+        if cube[0][0].size == 1:  # one-element planes: numpy's pairwise order
+            return (np.concatenate(cube),)
+        return cube
     if cube.shape[axis] != cube_shape[axis]:
         # replicated along the collective's own axis: give every member its
         # copy, so the reduction adds G values in member order like the
@@ -475,24 +473,25 @@ def _operand_chunks(cube_shape: tuple[int, ...], axis: int, stacked) -> Sequence
 
 
 def stacked_all_reduce_data(
-    cube_shape: tuple[int, ...], axis: int, stacked, op: str = "sum"
-) -> ReplicatedStack:
+    cube_shape: tuple[int, ...], axis: int, cube, op: str = "sum"
+) -> np.ndarray:
     """All-reduce within every group along cube ``axis``: each group's
     reduction, held once (extent 1 along ``axis``)."""
     ufunc = _UFUNCS[op]
-    first, *rest = _operand_chunks(cube_shape, axis, stacked)
+    first, *rest = _operand_chunks(cube_shape, axis, cube)
     reduced = ufunc.reduce(first, axis=axis, keepdims=True)
     for chunk in rest:
         for plane in chunk:
             ufunc(reduced[0], plane, out=reduced[0])
-    return ReplicatedStack(reduced, cube_shape)
+    reduced.flags.writeable = False
+    return reduced
 
 
-def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, stacked) -> ReplicatedStack:
+def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, cube) -> np.ndarray:
     """All-gather along cube ``axis``: each group's shards concatenated (in
     member order) along data axis 0, held once (extent 1 along ``axis``)."""
     g = cube_shape[axis]
-    first, *rest = _operand_chunks(cube_shape, axis, stacked)
+    first, *rest = _operand_chunks(cube_shape, axis, cube)
     # group axis next to the row axis, then one copy fuses the two
     moved = _moved(first, axis, 2)
     o0, o1, done, m = moved.shape[:4]
@@ -503,21 +502,22 @@ def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, stacked) -> 
     for chunk in rest:
         fused[:, :, done : done + len(chunk)] = _moved(chunk, 0, 2)
         done += len(chunk)
+    out.flags.writeable = False
     lead = [o0, o1]
     lead.insert(axis, 1)
-    return ReplicatedStack(out.reshape((*lead, g * m) + tail), cube_shape)
+    return out.reshape((*lead, g * m) + tail)
 
 
 def stacked_reduce_scatter_data(
-    cube_shape: tuple[int, ...], axis: int, stacked, op: str = "sum"
-) -> ReplicatedStack:
+    cube_shape: tuple[int, ...], axis: int, cube, op: str = "sum"
+) -> np.ndarray:
     """Reduce within every group along cube ``axis``, then scatter row
     blocks of the result: the member at group coordinate ``j`` gets block
     ``j`` (a view of the reduction).  Requires the row extent to divide the
     group size evenly."""
     g = cube_shape[axis]
     ufunc = _UFUNCS[op]
-    first, *rest = _operand_chunks(cube_shape, axis, stacked)
+    first, *rest = _operand_chunks(cube_shape, axis, cube)
     m = first.shape[3]
     if m % g != 0:
         raise ValueError(f"row extent {m} does not divide into {g} blocks")
@@ -525,8 +525,9 @@ def stacked_reduce_scatter_data(
     for chunk in rest:
         for plane in chunk:
             ufunc(reduced, plane, out=reduced)
+    reduced.flags.writeable = False
     blocks = reduced.reshape(reduced.shape[:2] + (g, m // g) + reduced.shape[3:])
-    return ReplicatedStack(_moved(blocks, 2, axis), cube_shape)
+    return _moved(blocks, 2, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +672,10 @@ class GroupCommunicator:
 class AxisCommunicator:
     """Handle-based collectives over every process group along one grid axis.
 
-    ``all_reduce`` & co take a ``(world, *shard)`` operand (flat,
-    :class:`ReplicatedStack` or :class:`PaddedStack`), execute all groups of
-    the axis as one keepdims reduction over the rank cube and return the
-    result once per group.  The schedule slots are taken from the groups'
+    ``all_reduce`` & co take a ``(world, *shard)`` operand (a
+    :class:`CubeStack` or a raw ndarray), execute all groups of the axis as
+    one keepdims reduction over the rank cube and return the result once per
+    group.  The schedule slots are taken from the groups'
     own :class:`GroupCommunicator` objects, so a whole-axis collective and
     a collective issued on one of the axis's process groups share that
     group's link reservation and queue behind each other.  Obtain via
@@ -699,8 +700,9 @@ class AxisCommunicator:
     ``("shmz", gi)`` keys in the local :class:`ClockStore` — deterministic
     inputs keep every replica bitwise consistent, and storing them in the
     store means ``reset``/``snapshot`` handle them exactly like in-process
-    link state.  Restrictions (enforced loudly): padded quasi-equal stacks
-    do not cross the byte mover (a worker's pad extent is local), and
+    link state.  Restrictions (enforced loudly): stacks with per-rank valid
+    extents, and rows that do not tile the result evenly, do not cross the
+    byte mover (a worker's extent vectors are local), and
     ``max_inflight`` composes only with intra-node Z groups — the per-NIC
     node queue of an inter-node Z group would be shared with worker-local
     links, which a replicated queue cannot express
@@ -714,7 +716,7 @@ class AxisCommunicator:
         "_cube",
         "_exchange",
         "_z0",
-        "_padded_plans",
+        "_plans",
     )
 
     def __init__(
@@ -727,8 +729,8 @@ class AxisCommunicator:
     ) -> None:
         self.descriptor = d = descriptor
         self.issue_overhead_s = float(issue_overhead_s)
-        #: (kind, PaddedStack.signature()) -> cached padded-collective plan
-        self._padded_plans: dict[tuple, dict] = {}
+        #: (kind, stack geometry) -> cached collective plan
+        self._plans: dict[tuple, dict] = {}
         self._exchange = exchange
         self._z0 = z0
         gx, gy = d.cube[1:]
@@ -772,49 +774,45 @@ class AxisCommunicator:
         )
 
     # -- issue machinery -----------------------------------------------------
-    def _gather(self, full_phase: str, stacked=None) -> tuple:
+    def _gather(self, full_phase: str, stacked: CubeStack | None = None) -> tuple:
         """Charge the launch overhead, then every member's clock and (when
-        given) the operand at full axis extent: the local store's and the
-        operand itself in-process; behind a byte mover one rendezvous with
+        given) the operand cube at full axis extent: the local store's and
+        the operand's own in-process; behind a byte mover one rendezvous with
         every worker, in rank order.  The operand is posted as this
-        worker's ``(lz, x, y, *shard)`` cube: a flat local stack is viewed;
-        a replicated stack posts its cube as is, so axes it is replicated on
-        (X/Y, identically on every worker) cross the bus once, not G times;
-        only replication along the local z-planes is expanded, because the
-        posted planes *are* the full-Z operand: they come back as its
-        leading-axis chunks, valid until the next exchange."""
+        worker's ``(lz, x, y, *shard)`` cube as is, so axes it is replicated
+        on (X/Y, identically on every worker) cross the bus once, not G
+        times; only replication along the local z-planes is expanded,
+        because the posted planes *are* the full-Z operand: they come back
+        as its leading-axis chunks, valid until the next exchange."""
         d = self.descriptor
         store = d.store
         if self.issue_overhead_s:
             store.clocks += self.issue_overhead_s
             store.record_all(full_phase, self.issue_overhead_s)
         if self._exchange is None:
-            return store.clocks, stacked
+            return store.clocks, None if stacked is None else stacked.cube
         if stacked is None:
             return np.concatenate(self._exchange([store.clocks])[0]), None
-        cube = ReplicatedStack.cube_of(stacked, self._cube)
+        cube = stacked.cube
         if cube.shape[0] != self._cube[0]:
             cube = np.broadcast_to(cube, self._cube[:1] + cube.shape[1:])
         clocks, planes = self._exchange([store.clocks, cube])
         return np.concatenate(clocks), planes
 
-    def _cut(self, result: ReplicatedStack) -> ReplicatedStack:
-        """A full-cube collective result cut to the local z-planes (a
-        result shared along Z — extent 1 — is shared along the local planes
-        too)."""
-        if self._exchange is None:
-            return result
-        cube = result.cube
-        if cube.shape[0] != 1:
+    def _result(self, cube: np.ndarray, plan: dict) -> CubeStack:
+        """A full-cube collective result as a stack over the local z-planes
+        (a result shared along Z — extent 1 — is shared along the local
+        planes too), with the valid extents its plan worked out."""
+        if self._exchange is not None and cube.shape[0] != 1:
             cube = cube[self._z0 : self._z0 + self._cube[0]]
-        return ReplicatedStack(cube, self._cube)
+        return CubeStack(cube, self._cube, plan["rows"], plan["cols"])
 
     def _issue(self, duration, phase: str, result, clocks=None) -> PendingCollective:
         """Schedule one collective per axis group.
 
-        ``duration`` is a scalar (uniform stacks: every group moves the same
-        bytes) or a keepdims array over the off-axis cube (padded stacks:
-        per-group valid bytes differ under quasi-equal sharding).
+        ``duration`` is a scalar (every group moves the same bytes) or a
+        keepdims array over the off-axis cube (per-group valid bytes differ
+        under quasi-equal sharding).
         ``clocks`` are the members' clocks when the caller already gathered
         them with its operand (:meth:`_gather`).
         """
@@ -843,14 +841,7 @@ class AxisCommunicator:
             return _ready("comm:" + phase, result)
         return self._issue(duration, phase, result)
 
-    def _check_stacked(self, stacked) -> None:
-        if len(stacked) != self.descriptor.store.world:
-            raise ValueError(
-                f"stacked operand has leading extent {len(stacked)}, "
-                f"expected world={self.descriptor.store.world}"
-            )
-
-    # -- padded (quasi-equal) stack support ----------------------------------
+    # -- collective plans ----------------------------------------------------
     def _group_table(self, values: np.ndarray) -> np.ndarray:
         """A per-rank vector as ``(n_groups, g)``: one row per process group
         in keepdims ravel order (the order of the schedule slots and of the
@@ -859,197 +850,191 @@ class AxisCommunicator:
         d = self.descriptor
         return np.moveaxis(values.reshape(d.cube), d.axis, -1).reshape(-1, d.size)
 
-    def _per_group_times(self, nbytes: np.ndarray, time_fn) -> np.ndarray:
-        """Per-group durations from per-group valid bytes.
-
-        Quasi-equal sharding yields only a handful of distinct byte counts,
-        so this calls the scalar Eq. 4.5 model once per distinct value —
-        bitwise the same numbers the group-wise path computes."""
-        d = self.descriptor
-        out = np.empty(nbytes.shape, dtype=np.float64)
-        for v in np.unique(nbytes):
-            out[nbytes == v] = time_fn(float(v), d.size, d.bandwidth, d.latency)
-        return out
-
-    def _padded_plan(self, kind: str, stacked: PaddedStack) -> dict:
-        """What one collective kind does to one padded geometry (cached per
-        shape signature): the per-group ``duration`` from valid bytes and,
-        for the two row-moving kinds, where every valid row of the *stored*
-        operand copies (``src``, rows of the cube flattened — of the
-        reduction for a reduce-scatter) lands in the result (``dst``), whose
-        cube has leading extents ``lead``, pad extent ``pad`` and per-rank
-        valid ``rows``.  A gather writes each group's rows once (extent 1
-        along the axis), not once per member."""
-        if self._exchange is not None:
-            raise UnsupportedWorkload(
-                "padded (quasi-equal) stacks do not cross the multiproc "
-                "transport (a worker's pad extent is local); the multiproc "
-                "backend requires divisible (uniform) sharding — use "
-                "backend='inproc'"
-            )
-        key = (kind, stacked.signature())
-        plan = self._padded_plans.get(key)
+    def _plan(self, kind: str, stacked: CubeStack) -> dict:
+        """What one collective kind does to one stack geometry (cached per
+        shape signature): the ``duration`` from the per-group valid bytes (a
+        scalar when they all agree, else keepdims over the off-axis cube) and
+        the result's valid ``rows`` / ``cols`` (``None``: the cube's).  For
+        the two row-moving kinds ``even`` says whether every member's valid
+        rows fill the pad and tile the result evenly — the stacked data math
+        then applies as is.  Otherwise the plan holds where every valid row
+        of the *stored* operand copies (``src``, rows of the cube flattened —
+        of the reduction for a reduce-scatter) lands in the result (``dst``),
+        whose cube has leading extents ``lead`` and pad extent ``pad``.  A
+        gather writes each group's rows once (extent 1 along the axis), not
+        once per member."""
+        rows, cols = stacked.rows, stacked.cols
+        key = (
+            kind,
+            stacked.cube.shape,
+            stacked.cube.dtype.itemsize,
+            rows if rows is None else rows.tobytes(),
+            cols if cols is None else cols.tobytes(),
+        )
+        plan = self._plans.get(key)
         if plan is not None:
             return plan
         d = self.descriptor
         g, axis = d.size, d.axis
+        world = d.cube[0] * d.cube[1] * d.cube[2]
+        pad, *tail = stacked.cube.shape[3:]
+        if self._exchange is not None and (
+            rows is not None or (kind == "reduce_scatter" and pad % g)
+        ):
+            raise UnsupportedWorkload(
+                "padded (quasi-equal) stacks and unevenly tiling rows do not "
+                "cross the multiproc transport (a worker's valid extents are "
+                "local); the multiproc backend requires divisible (uniform) "
+                "sharding — use backend='inproc'"
+            )
+        if rows is None:  # nothing padded: every rank of the (whole) cube fills it
+            rows = np.full(world, pad)
         # Reduce-style collectives need equal shard shapes within each group
         # (the precondition the group-wise path enforces via
         # ``_stack_equal_shards``); gathers tolerate ragged rows but need
         # equal column extents (concatenation along axis 0).
-        rows_tab = self._group_table(stacked.rows)
+        rows_tab = self._group_table(rows)
         if kind != "all_gather" and np.any(rows_tab != rows_tab[:, :1]):
             raise ValueError(f"{kind} requires equal shard rows within each axis group")
-        colsize = stacked.cube.dtype.itemsize
-        if stacked.cols is not None:
-            cols_tab = self._group_table(stacked.cols)
+        rowbytes = stacked.dtype.itemsize
+        if cols is None:
+            for extent in tail:
+                rowbytes *= extent
+        else:
+            cols_tab = self._group_table(cols)
             if np.any(cols_tab != cols_tab[:, :1]):
                 raise ValueError(f"{kind} requires equal shard cols within each axis group")
-            colsize = cols_tab[:, 0] * colsize
+            rowbytes = cols_tab[:, 0] * rowbytes
         group_rows = rows_tab.sum(axis=1) if kind == "all_gather" else rows_tab[:, 0]
         keep = list(d.cube)
         keep[axis] = 1
-        time_fn = {
-            "all_reduce": ring_all_reduce_time,
-            "all_gather": ring_all_gather_time,
-            "reduce_scatter": ring_reduce_scatter_time,
-        }[kind]
-        nbytes = (group_rows * colsize).astype(np.float64)
-        plan = {"duration": self._per_group_times(nbytes, time_fn).reshape(keep)}
+        # Quasi-equal sharding yields only a handful of distinct byte counts:
+        # the scalar Eq. 4.5 model runs once per distinct value — bitwise the
+        # numbers the group-wise path computes
+        nbytes = (group_rows * rowbytes).astype(np.float64)
+        duration = np.empty(nbytes.shape)
+        distinct = np.unique(nbytes)
+        for v in distinct:
+            duration[nbytes == v] = _TIME_FNS[kind](float(v), g, d.bandwidth, d.latency)
+        plan = {
+            "duration": float(duration[0]) if len(distinct) == 1 else duration.reshape(keep),
+            "rows": stacked.rows,
+            "cols": cols,
+        }
         if kind != "all_reduce":
-            # the stored copies with the group axis at full extent, as
-            # (stored groups, g) tables in member order: valid rows, position
-            lead = list(stacked.cube_on(d.cube).shape[:3])
-            lead[axis] = g
-            cut = tuple(slice(0, e) for e in lead)
-
-            def members(per_rank_cube: np.ndarray) -> np.ndarray:
-                return np.moveaxis(per_rank_cube[cut], axis, -1).reshape(-1, g)
-
-            pad = stacked.cube.shape[3]
-            cube_rows = stacked.rows.reshape(d.cube)
-            rows = members(cube_rows)
-            pos = members(np.arange(rows.size).reshape(lead))
+            cube_rows = rows.reshape(d.cube)
+            even = bool(np.all(rows == pad))
             if kind == "all_gather":
-                total = rows.sum(axis=1)
-                pad_out = int(total.max(initial=0))
-                valid = np.arange(pad) < rows[..., None]
-                src = (pos[..., None] * pad + np.arange(pad))[valid]
-                dst = np.flatnonzero(np.arange(pad_out) < total[:, None])
-                lead[axis] = 1
                 out_rows = np.broadcast_to(cube_rows.sum(axis=axis, keepdims=True), d.cube)
             else:  # member j takes quasi-equal block j of its group's rows
-                pad_out = -(-pad // g)
+                even = even and pad % g == 0
                 base, extra = np.divmod(cube_rows, g)
                 j = np.moveaxis(np.arange(g).reshape(g, 1, 1), 0, axis)
                 out_rows = base + (j < extra)
-                sizes = members(out_rows)
-                start = np.cumsum(sizes, axis=1) - sizes
-                valid = np.arange(pad_out) < sizes[..., None]
-                reduced = np.arange(len(rows))[:, None, None] * pad
-                src = (reduced + start[..., None] + np.arange(pad_out))[valid]
-                dst = (pos[..., None] * pad_out + np.arange(pad_out))[valid]
-            plan.update(
-                src=src, dst=dst, lead=tuple(lead), pad=pad_out,
-                rows=np.ascontiguousarray(out_rows).ravel(),
-            )
-        self._padded_plans[key] = plan
+            plan["even"] = even
+            if stacked.rows is not None or not even:
+                plan["rows"] = np.ascontiguousarray(out_rows).ravel()
+                if cols is None and tail:
+                    plan["cols"] = np.full(world, tail[0])
+            if not even:
+                # the stored copies with the group axis at full extent, as
+                # (stored groups, g) tables in member order: valid rows, position
+                lead = list(stacked.cube.shape[:3])
+                lead[axis] = g
+                cut = tuple(slice(0, e) for e in lead)
+
+                def members(per_rank_cube: np.ndarray) -> np.ndarray:
+                    return np.moveaxis(per_rank_cube[cut], axis, -1).reshape(-1, g)
+
+                rows_in = members(cube_rows)
+                pos = members(np.arange(rows_in.size).reshape(lead))
+                if kind == "all_gather":
+                    total = rows_in.sum(axis=1)
+                    pad_out = int(total.max(initial=0))
+                    valid = np.arange(pad) < rows_in[..., None]
+                    src = (pos[..., None] * pad + np.arange(pad))[valid]
+                    dst = np.flatnonzero(np.arange(pad_out) < total[:, None])
+                    lead[axis] = 1
+                else:
+                    pad_out = -(-pad // g)
+                    sizes = members(out_rows)
+                    start = np.cumsum(sizes, axis=1) - sizes
+                    valid = np.arange(pad_out) < sizes[..., None]
+                    reduced = np.arange(len(rows_in))[:, None, None] * pad
+                    src = (reduced + start[..., None] + np.arange(pad_out))[valid]
+                    dst = (pos[..., None] * pad_out + np.arange(pad_out))[valid]
+                plan.update(src=src, dst=dst, lead=tuple(lead), pad=pad_out)
+        self._plans[key] = plan
         return plan
 
-    def _padded_move(self, kind: str, stacked: PaddedStack, op: str, phase: str) -> PendingCollective:
-        """All-gather / reduce-scatter of a padded stack: one indexed copy of
-        the valid rows (after the reduction over the group axis, where a
-        group's pads align) into the zero-padded result."""
-        d = self.descriptor
-        if d.size == 1:
-            return _ready("comm:" + phase, stacked)
-        plan = self._padded_plan(kind, stacked)
-        (cube,) = _operand_chunks(d.cube, d.axis, stacked)
-        if kind == "reduce_scatter":
-            cube = _UFUNCS[op].reduce(cube, axis=d.axis)
-        tail = stacked.cube.shape[4:]
-        lead, pad = plan["lead"], plan["pad"]
+    @staticmethod
+    def _move(plan: dict, cube: np.ndarray) -> np.ndarray:
+        """One indexed copy of the valid rows of ``cube`` (the operand at
+        full axis extent, or its reduction over the group axis, where a
+        group's pads align) into the zero-padded result cube."""
+        lead, pad, tail = plan["lead"], plan["pad"], cube.shape[4:]
         out = np.zeros((lead[0] * lead[1] * lead[2] * pad,) + tail, dtype=cube.dtype)
         out[plan["dst"]] = cube.reshape((-1,) + tail)[plan["src"]]
         out.flags.writeable = False
-        result = PaddedStack(out.reshape(lead + (pad,) + tail), d.cube, plan["rows"], stacked.cols)
-        return self._issue(plan["duration"], phase, result)
+        return out.reshape(lead + (pad,) + tail)
 
     # -- stacked collectives -------------------------------------------------
     # A collective's result is shared within each group and comes back once
-    # per group, in cube layout — see the "stacked collective data math"
-    # block.  A uniform operand's duration bills one rank's shard
-    # (``nbytes / world`` of the logical stack), a padded operand's the
-    # per-group valid bytes, however few copies the operand stores.
-    def all_reduce(
-        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "all_reduce"
-    ) -> PendingCollective:
-        """All-reduce ``stacked[(world, *shard)]`` within every axis group.
-
-        A :class:`PaddedStack` takes the same keepdims reduction: members of
-        a group share a shape, so their pads align and reduce to zero."""
-        self._check_stacked(stacked)
+    # per group, in cube layout, read-only — see the "stacked collective data
+    # math" block.  Its duration bills the per-group valid bytes (one rank's
+    # shard when nothing is padded), however few copies the operand stores.
+    def all_reduce(self, stacked, op: str = "sum", phase: str = "all_reduce") -> PendingCollective:
+        """All-reduce ``stacked[(world, *shard)]`` within every axis group:
+        one keepdims reduction (members of a group share a shape, so their
+        pads align and reduce to zero)."""
+        stacked = CubeStack.of(stacked, self._cube)
         _check_op(op)
         d = self.descriptor
-        g = d.size
-        padded = isinstance(stacked, PaddedStack)
-        if g == 1:
-            return _ready(
-                "comm:" + phase, stacked if padded else ReplicatedStack.of(stacked, self._cube)
-            )
-        if padded:
-            t = self._padded_plan("all_reduce", stacked)["duration"]
-        else:
-            t = ring_all_reduce_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
+        if d.size == 1:
+            return _ready("comm:" + phase, stacked.read_only())
+        plan = self._plan("all_reduce", stacked)
         clocks, full = self._gather("comm:" + phase, stacked)
-        result = self._cut(stacked_all_reduce_data(d.cube, d.axis, full, op))
-        if padded:
-            result = PaddedStack(result.cube, result.grid, stacked.rows, stacked.cols)
-        return self._issue(t, phase, result, clocks)
+        cube = stacked_all_reduce_data(d.cube, d.axis, full, op)
+        return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
-    def all_gather(
-        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, phase: str = "all_gather"
-    ) -> PendingCollective:
+    def all_gather(self, stacked, phase: str = "all_gather") -> PendingCollective:
         """All-gather along the shard row axis: every member of a group
         receives the group's shards concatenated (in member order) along
-        data axis 0.  A :class:`PaddedStack` operand may carry ragged row
-        extents (quasi-equal sub-sharding): the result is assembled from
-        valid rows only, pad rows never land in the gathered payload."""
-        self._check_stacked(stacked)
-        if isinstance(stacked, PaddedStack):
-            return self._padded_move("all_gather", stacked, "sum", phase)
+        data axis 0.  Members may hold ragged row extents (quasi-equal
+        sub-sharding): the result is assembled from valid rows only, pad
+        rows never land in the gathered payload."""
+        stacked = CubeStack.of(stacked, self._cube)
         d = self.descriptor
-        g = d.size
-        if g == 1:
-            return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
-        t = ring_all_gather_time(g * (stacked.nbytes // d.store.world), g, d.bandwidth, d.latency)
+        if d.size == 1:
+            return _ready("comm:" + phase, stacked.read_only())
+        plan = self._plan("all_gather", stacked)
         clocks, full = self._gather("comm:" + phase, stacked)
-        result = self._cut(stacked_all_gather_data(d.cube, d.axis, full))
-        return self._issue(t, phase, result, clocks)
+        if plan["even"]:
+            cube = stacked_all_gather_data(d.cube, d.axis, full)
+        else:
+            cube = self._move(plan, _operand_chunks(d.cube, d.axis, full)[0])
+        return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
     def reduce_scatter(
-        self, stacked: np.ndarray | ReplicatedStack | PaddedStack, op: str = "sum", phase: str = "reduce_scatter"
+        self, stacked, op: str = "sum", phase: str = "reduce_scatter"
     ) -> PendingCollective:
         """Reduce within every axis group, then scatter row blocks of the
         result along data axis 0: the member at coordinate ``j`` gets block
-        ``j``.  A uniform operand requires the row extent to divide evenly,
-        else it is wrapped as an all-valid :class:`PaddedStack`, which
-        scatters quasi-equal blocks of each group's valid rows (the result
-        stack is padded to the largest block)."""
-        self._check_stacked(stacked)
+        ``j`` — a view of the reduction when the group's valid rows divide
+        evenly, else quasi-equal blocks of them (the result stack is padded
+        to the largest block)."""
+        stacked = CubeStack.of(stacked, self._cube)
         _check_op(op)
         d = self.descriptor
-        g = d.size
-        if not isinstance(stacked, PaddedStack):
-            if g == 1:
-                return _ready("comm:" + phase, ReplicatedStack.of(stacked, self._cube))
-            if stacked.shape[1] % g == 0:
-                t = ring_reduce_scatter_time(stacked.nbytes // d.store.world, g, d.bandwidth, d.latency)
-                clocks, full = self._gather("comm:" + phase, stacked)
-                result = self._cut(stacked_reduce_scatter_data(d.cube, d.axis, full, op))
-                return self._issue(t, phase, result, clocks)
-            stacked = PaddedStack.all_valid(stacked, self._cube)
-        return self._padded_move("reduce_scatter", stacked, op, phase)
+        if d.size == 1:
+            return _ready("comm:" + phase, stacked.read_only())
+        plan = self._plan("reduce_scatter", stacked)
+        clocks, full = self._gather("comm:" + phase, stacked)
+        if plan["even"]:
+            cube = stacked_reduce_scatter_data(d.cube, d.axis, full, op)
+        else:
+            cube = self._move(plan, stacked_all_reduce_data(d.cube, d.axis, full, op))
+        return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.grid import GridConfig, axis_roles
-from repro.dist.collectives import (
-    all_to_all_time,
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
-from repro.dist.group import axis_bandwidth
+from repro.core.perf_model import layer_collective_times
+from repro.dist.collectives import all_to_all_time, ring_all_gather_time, ring_all_reduce_time
 from repro.dist.topology import MachineSpec
 from repro.gpu.gemm import GemmMode, gemm_time
 from repro.gpu.spmm import SpmmShard, spmm_time
@@ -90,9 +85,6 @@ class PlexusAnalytic:
     overlap: bool = False
     calibration: PlexusCalibration = field(default_factory=PlexusCalibration)
 
-    def _beta(self, config: GridConfig, axis) -> float:
-        return axis_bandwidth(self.machine, config.size(axis), config.inner_size(axis))
-
     def _imbalance(self) -> float:
         return IMBALANCE_BY_SCHEME[self.permutation]
 
@@ -108,8 +100,9 @@ class PlexusAnalytic:
         for i in range(n_layers):
             roles = axis_roles(i)
             gx, gy, gz = (config.size(roles.x), config.size(roles.y), config.size(roles.z))
-            bx, by, bz = (self._beta(config, roles.x), self._beta(config, roles.y), self._beta(config, roles.z))
             d_in, d_out = self.layer_dims[i], self.layer_dims[i + 1]
+            # Eq. 4.5: this layer's collectives as named ring durations
+            c = layer_collective_times(config, self.machine, n, d_in, d_out, i, _ELEM)
             rows_z, rows_x = n / gz, n / gx
             cols_y, cols_x = d_in / gy, d_out / gx
             nnz_local = nnz / (gz * gx)
@@ -127,8 +120,7 @@ class PlexusAnalytic:
             # straggler wait before the aggregation all-reduce: imbalance
             # (mitigated by permutation) x variability (mitigated by blocking)
             wait = t_spmm * max(imb * max_mult - mean_mult, 0.0)
-            h_bytes = rows_z * cols_y * _ELEM
-            t_agg_comm = ring_all_reduce_time(h_bytes, gx, bx)
+            t_agg_comm = c["ar_h"]
             if self.aggregation_blocks > 1:
                 hidden_agg = 0.0
                 if self.overlap:
@@ -145,12 +137,9 @@ class PlexusAnalytic:
             t_gemm = gemm_time(rows_z, cols_x, cols_y, dev, GemmMode.NN)
             comp += t_gemm
             detail["gemm"] += t_gemm
-            q_bytes = rows_z * cols_x * _ELEM
-            w_bytes = cols_y * cols_x * _ELEM
-            t = ring_all_reduce_time(q_bytes, gy, by) + ring_all_gather_time(w_bytes, gz, bz)
+            t = c["ar_q"] + c["ag_w"]
             if is_first:
-                f_bytes = rows_x * cols_y * _ELEM
-                t += ring_all_gather_time(f_bytes, gz, bz)
+                t += c["ag_f"]
             comm += t
             detail["other_comm"] += t
 
@@ -161,8 +150,8 @@ class PlexusAnalytic:
             comp += t_dw + t_dh
             detail["gemm_dw"] += t_dw
             detail["gemm"] += t_dh
-            t = ring_reduce_scatter_time(w_bytes, gz, bz) + ring_all_gather_time(w_bytes, gz, bz)
-            t += ring_all_reduce_time(h_bytes, gx, bx)
+            t = c["rs_dw"] + c["ag_w"]
+            t += c["ar_dh"]
             do_df = (not is_first) or self.trainable_features
             if do_df:
                 # Sec. 5.2 observes the variability on the *forward* SpMM
@@ -175,14 +164,10 @@ class PlexusAnalytic:
                     # the dH all-reduce stays in flight behind the backward
                     # SpMM (A^T column blocks pipeline against ring steps);
                     # only the uncovered tail stays visible
-                    hidden_dh = min(ring_all_reduce_time(h_bytes, gx, bx), t_bwd)
+                    hidden_dh = min(c["ar_dh"], t_bwd)
                     t -= hidden_dh
                     detail["hidden_comm"] += hidden_dh
-                f_bytes = rows_x * cols_y * _ELEM
-                if is_first:
-                    t += ring_reduce_scatter_time(f_bytes, gz, bz)
-                else:
-                    t += ring_all_reduce_time(f_bytes, gz, bz)
+                t += c["rs_df"] if is_first else c["ar_df"]
             comm += t
             detail["other_comm"] += t
 
@@ -191,8 +176,7 @@ class PlexusAnalytic:
             # this layer's aggregation SpMM and the backward re-gather
             # behind the grad-W GEMM; only the uncovered tail stays visible.
             if self.overlap:
-                t_wg = ring_all_gather_time(w_bytes, gz, bz)
-                hidden = min(t_wg, t_spmm * mean_mult) + min(t_wg, t_dw)
+                hidden = min(c["ag_w"], t_spmm * mean_mult) + min(c["ag_w"], t_dw)
                 comm -= hidden
                 detail["other_comm"] -= hidden
                 detail["hidden_comm"] += hidden

@@ -49,11 +49,12 @@ import json
 import os
 import pickle
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import PaddedStack, ReplicatedStack, stack_data
+from repro.core.batch import CubeStack, stack_data
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -66,6 +67,8 @@ __all__ = [
     "write_worker_state",
     "load_slice",
     "load_cube_state",
+    "assemble_buckets",
+    "seal_checkpoint",
     "write_manifest",
     "read_manifest",
     "latest_checkpoint",
@@ -99,14 +102,11 @@ def _capture_pending(handle) -> dict | None:
     """
     if handle is None:
         return None
-    result = handle._result
     # flat on disk like all persisted state, whatever the in-memory layout (a
-    # gathered F is held once per Z group): a uniform result as the
-    # ``(world, m, n)`` array, a padded one as that plus its valid extents
-    if isinstance(result, PaddedStack):
-        result = {"data": result.flat(), "rows": result.rows, "cols": result.cols}
-    elif isinstance(result, ReplicatedStack):
-        result = result.flat()
+    # gathered F is held once per Z group): the ``(world, m, n)`` array plus
+    # its valid extents (``None`` when nothing is padded)
+    held = handle._result
+    result = {"data": held.flat(), "rows": held.rows, "cols": held.cols}
     return {"phase": handle.phase, "record": handle._record, "result": result}
 
 
@@ -178,14 +178,11 @@ def _rebuild_pending(captured: dict, model):
     one a frozen layer 0 then keeps for the model's life."""
     from repro.dist.comm import PendingCollective
 
-    result = captured["result"]
+    saved = captured["result"]
     grid = model.grid.cube
     axis = model.grid.comm(model.layers[0].roles.z).descriptor.axis
-    if isinstance(result, dict):  # padded: flat data + valid extents
-        cube = ReplicatedStack.cube_of(result["data"], grid).take([0], axis=axis)
-        result = PaddedStack(cube, grid, result["rows"], result["cols"])
-    elif isinstance(result, np.ndarray):
-        result = ReplicatedStack(ReplicatedStack.cube_of(result, grid).take([0], axis=axis), grid)
+    cube = CubeStack.of(saved["data"], grid).cube.take([0], axis=axis)
+    result = CubeStack(cube, grid, saved["rows"], saved["cols"]).read_only()
     return PendingCollective(captured["phase"], result, model.cluster.store, captured["record"])
 
 
@@ -297,6 +294,20 @@ def _load_states(ckpt_dir: Path) -> list[dict]:
     return states
 
 
+def assemble_buckets(states: list[dict], key: str, world: int) -> dict:
+    """``states[i][key]`` (label -> per-rank vector of slice ``[lo, hi)``)
+    merged into label -> ``(world,)`` vectors; a label a slice never charged
+    reads zero there."""
+    out = {}
+    for label in sorted({k for s in states for k in s[key]}):
+        vec = np.zeros(world)
+        for s in states:
+            if label in s[key]:
+                vec[s["lo"] : s["hi"]] = s[key][label]
+        out[label] = vec
+    return out
+
+
 def load_cube_state(ckpt_dir: str | Path) -> dict:
     """Assemble every slice file of a checkpoint into one ``[0, world)``
     state (quiescence is checked by the consumer, not here)."""
@@ -319,17 +330,6 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
             "restore verbatim into the same worker layout"
         )
 
-    def assemble_buckets(key: str) -> dict:
-        labels = sorted({k for s in states for k in s[key]})
-        out = {}
-        for label in labels:
-            vec = np.zeros(world)
-            for s in states:
-                if label in s[key]:
-                    vec[s["lo"] : s["hi"]] = s[key][label]
-            out[label] = vec
-        return out
-
     merged_links: dict = {}
     merged_queues: dict = {}
     for s in states:
@@ -340,8 +340,8 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
         "lo": 0,
         "hi": world,
         "clocks": np.concatenate([s["clocks"] for s in states]),
-        "by_phase": assemble_buckets("by_phase"),
-        "by_category": assemble_buckets("by_category"),
+        "by_phase": assemble_buckets(states, "by_phase", world),
+        "by_category": assemble_buckets(states, "by_category", world),
         "links": merged_links,
         "link_queues": merged_queues,
         "weights": {
@@ -434,6 +434,53 @@ def write_manifest(ckpt_dir: str | Path, manifest: dict) -> Path:
         os.fsync(f.fileno())
     os.replace(tmp, path)
     return path
+
+
+def seal_checkpoint(
+    root: str | Path,
+    epoch: int,
+    write_slices,
+    *,
+    backend: str,
+    world: int,
+    layer_dims: list[int],
+    history,
+    keep: int,
+    tag: str = "",
+) -> Path:
+    """Write the epoch-``epoch`` checkpoint under ``root`` — what both
+    backends do around their slice files.  A temp directory is staged
+    (``tag`` keeps concurrent sessions apart), ``write_slices(tmp)`` fills it
+    and returns the ``[lo, hi)`` layout it wrote, the manifest seals it, and
+    it is renamed into place — so a torn checkpoint is never mistaken for a
+    complete one — before all but the newest ``keep`` are pruned.  Returns
+    the checkpoint path."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    name = checkpoint_name(epoch)
+    final = root / name
+    tmp = root / f"{name}.tmp{tag}"
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir(parents=True)
+    layout = write_slices(tmp)
+    write_manifest(
+        tmp,
+        {
+            "format": FORMAT_VERSION,
+            "backend": backend,
+            "epoch": int(epoch),
+            "world": world,
+            "layer_dims": list(layer_dims),
+            "layout": sorted(layout),
+            "history": [asdict(e) for e in history],
+        },
+    )
+    if final.exists():
+        shutil.rmtree(final)
+    os.rename(tmp, final)
+    prune_checkpoints(root, keep)
+    return final
 
 
 def read_manifest(ckpt_dir: str | Path) -> dict:

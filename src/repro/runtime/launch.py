@@ -46,12 +46,11 @@ import atexit
 import multiprocessing as mp
 import os
 import secrets
-import shutil
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
 
@@ -457,15 +456,18 @@ class MultiprocTrainer:
         for conn in self._conns:
             conn.send(("spec", spec, restore, self.tcp_config))
 
-    def _teardown_pool(self) -> None:
-        """Stop the pool after a failure (hard path: the rendezvous is
-        already broken, so workers are terminated, not asked).  The trainer
-        itself stays open — recovery may respawn."""
+    def _stop_pool(self, graceful: bool) -> None:
+        """Flush the trace (so spans leading up to a failure survive), stop
+        the monitor and the workers, and release every connection, segment
+        and listener of this pool — the one place the session's segments
+        are unlinked.  ``graceful=False`` is the path after a failure: the
+        rendezvous is already broken, so workers are terminated, not asked,
+        and the trainer itself stays open — recovery may respawn."""
         self._flush_trace()
         if self._monitor is not None:
             self._monitor.stop()
             self._monitor = None
-        self._stop_procs(graceful=False)
+        self._stop_procs(graceful)
         for conn in self._conns:
             try:
                 conn.close()
@@ -564,14 +566,9 @@ class MultiprocTrainer:
         last completed epoch, so a timeout names the straggler."""
         return format_liveness(self._liveness_rows())
 
-    def _flush_trace(self) -> None:
-        """Rewrite the merged trace artifacts in ``trace_dir`` (idempotent).
-
-        Drains the launcher's own span buffer and metrics into the
-        collector and rewrites the output files; runs at the end of every
-        ``train()`` call, on pool teardown (so spans leading up to a
-        failure survive), and from ``close()``.
-        """
+    def _drain_trace(self) -> None:
+        """Move the launcher's own span buffer and a metrics row into the
+        collector (cheap: nothing is rendered)."""
         if self._collector is None:
             return
         self._collector.add_wall("launcher", _trace.drain())
@@ -579,6 +576,19 @@ class MultiprocTrainer:
         _metrics.gauge("restarts_used", float(self._restarts_used))
         _metrics.gauge_rusage()
         self._collector.add_metrics("launcher", self._epochs_done, _metrics.snapshot())
+
+    def _flush_trace(self) -> None:
+        """Rewrite the merged trace artifacts in ``trace_dir`` (idempotent).
+
+        Renders every artifact from the whole collector, so it runs where
+        the files must be on disk — on pool teardown (a failing command: the
+        spans leading up to it survive) and from ``close()`` — and not per
+        ``train()`` call, which only drains (a traced ``train(1)`` loop
+        would otherwise be quadratic).
+        """
+        if self._collector is None:
+            return
+        self._drain_trace()
         rows = self._liveness_rows() if hasattr(self, "_last_beat") else None
         try:
             self._collector.write(self.trace_dir, liveness=rows)
@@ -605,7 +615,7 @@ class MultiprocTrainer:
                 if stale > self.heartbeat_timeout:
                     last = self._worker_epoch[w]
                     report = self._straggler_report()
-                    self._teardown_pool()
+                    self._stop_pool(graceful=False)
                     raise BarrierTimeout(
                         f"multiproc runtime failed: worker {w} heartbeat "
                         f"stale for {stale:.1f}s (> {self.heartbeat_timeout}s) "
@@ -625,7 +635,7 @@ class MultiprocTrainer:
         last = self._worker_epoch[w]
         lost = self._procs[w] is None
         report = self._straggler_report()
-        self._teardown_pool()
+        self._stop_pool(graceful=False)
         raise WorkerCrashed(
             f"multiproc runtime failed: worker {w} "
             + (
@@ -654,7 +664,7 @@ class MultiprocTrainer:
                 self._collector.add_worker_payload(
                     f"worker {payload.get('worker')}", flushed
                 )
-        self._teardown_pool()
+        self._stop_pool(graceful=False)
         w = payload.get("worker")
         etype = payload.get("etype", "Exception")
         cls = _ETYPE_MAP.get(etype, WorkerFailed)
@@ -729,7 +739,7 @@ class MultiprocTrainer:
                 self._train_stretch(goal)
             except _RECOVERABLE as err:
                 self._recover(err)
-        self._flush_trace()
+        self._drain_trace()
         result = TrainResult()
         result.epochs.extend(
             self._history[start - self._hist_base : goal - self._hist_base]
@@ -756,7 +766,7 @@ class MultiprocTrainer:
             loss, t0, t1 = per_worker[0][e][:3]
             for w in range(1, self.workers):
                 if per_worker[w][e][:3] != (loss, t0, t1):
-                    self._teardown_pool()
+                    self._stop_pool(graceful=False)
                     raise RendezvousDesync(
                         f"multiproc runtime failed: epoch "
                         f"{self._epochs_done + e}: workers disagree on "
@@ -825,30 +835,22 @@ class MultiprocTrainer:
         place, so a torn checkpoint is never mistaken for a complete one.
         """
         epoch = self._epochs_done
-        name = ckpt.checkpoint_name(epoch)
-        final = self.checkpoint_dir / name
-        tmp = self.checkpoint_dir / f"{name}.tmp-{self._session[-8:]}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        with _trace.span("launcher.checkpoint", epoch=epoch):
-            acks = self._command("checkpoint", str(tmp))
-        ckpt.write_manifest(
-            tmp,
-            {
-                "format": ckpt.FORMAT_VERSION,
-                "backend": self.backend,
-                "epoch": epoch,
-                "world": self.spec.config.total,
-                "layer_dims": list(self.spec.layer_dims),
-                "layout": sorted([list(a) for a in acks]),
-                "history": [asdict(e) for e in self._history],
-            },
+
+        def write_slices(tmp: Path) -> list:
+            with _trace.span("launcher.checkpoint", epoch=epoch):
+                return [list(ack) for ack in self._command("checkpoint", str(tmp))]
+
+        ckpt.seal_checkpoint(
+            self.checkpoint_dir,
+            epoch,
+            write_slices,
+            backend=self.backend,
+            world=self.spec.config.total,
+            layer_dims=self.spec.layer_dims,
+            history=self._history,
+            keep=self.keep_checkpoints,
+            tag=f"-{self._session[-8:]}",
         )
-        if final.exists():
-            shutil.rmtree(final)
-        os.rename(tmp, final)
-        ckpt.prune_checkpoints(self.checkpoint_dir, self.keep_checkpoints)
 
     def _check_manifest(self, manifest: dict) -> None:
         if manifest.get("world") != self.spec.config.total or list(
@@ -887,25 +889,14 @@ class MultiprocTrainer:
         clocks = np.concatenate([s["clocks"] for s in states])
         assert clocks.shape[0] == world
 
-        def assemble(key):
-            labels = sorted({k for s in states for k in s[key]})
-            out = {}
-            for label in labels:
-                vec = np.zeros(world)
-                for s in states:
-                    if label in s[key]:
-                        vec[s["lo"] : s["hi"]] = s[key][label]
-                out[label] = vec
-            return out
-
         weights = {
             name: np.concatenate([s["weights"][name] for s in states], axis=0)
             for name in states[0]["weights"]
         }
         return {
             "clocks": clocks,
-            "by_phase": assemble("by_phase"),
-            "by_category": assemble("by_category"),
+            "by_phase": ckpt.assemble_buckets(states, "by_phase", world),
+            "by_category": ckpt.assemble_buckets(states, "by_category", world),
             "weights": weights,
             "load_reports": [s["load_report"] for s in states],
         }
@@ -943,24 +934,11 @@ class MultiprocTrainer:
             return
         self._closed = True
         atexit.unregister(self.close)  # a closed trainer must be collectable
-        self._flush_trace()
-        if self._collector is not None:
-            _trace.disable()
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
-        self._stop_procs(graceful=True)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._bus is not None:
-            self._bus.unlink()
-            self._bus = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        try:
+            self._stop_pool(graceful=True)
+        finally:
+            if self._collector is not None:
+                _trace.disable()  # (discards the buffer: after the flush)
 
     def __enter__(self) -> "MultiprocTrainer":
         return self

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.batch import stack_data
 from repro.core.configs import PlexusOptions
 from repro.core.grid import Axis, GridConfig, _grid_coords, axis_roles
 from repro.core.model import PlexusGCN
@@ -366,9 +367,9 @@ def validate_multiproc_model(model: PlexusGCN) -> None:
 def _worker_state(ctx: WorkerContext) -> dict:
     """The slice-local state the launcher assembles for parity checks."""
     store = ctx.cluster.store
-    weights = {f"W{i}": np.asarray(layer.w_stack) for i, layer in enumerate(ctx.model.layers)}
+    weights = {f"W{i}": stack_data(layer.w_stack) for i, layer in enumerate(ctx.model.layers)}
     if ctx.model.options.trainable_features:
-        weights["F0"] = np.asarray(ctx.model.f0_stack)
+        weights["F0"] = stack_data(ctx.model.f0_stack)
     return {
         "lo": ctx.cluster.lo,
         "hi": ctx.cluster.hi,

@@ -10,13 +10,16 @@ bitwise equality of losses, epoch records, weights, trainable features, the
 simulated rank clocks and every phase bucket; in float32 mode (the benchmark
 dtype) agreement is atol-bounded instead.
 
-One execution path covers everything: divisible sharding runs on plain
-ndarray stacks, indivisible (quasi-equal / ragged) sharding on zero-padded
-masked stacks, blocked aggregation on per-block stacked SpMM plans.  The
-three hypothesis suites below pin the workload family (uniform, ragged,
-blocked incl. a 4-layer model) and draw the *product* of everything else:
+One execution path and one stack type cover everything: indivisible
+(quasi-equal / ragged) sharding zero-pads the stacks and carries per-rank
+valid extents, divisible sharding is the case that pads nothing (``rows is
+None``), blocked aggregation runs per-block stacked SpMM plans.  The three
+hypothesis suites below pin the workload family (uniform, ragged, blocked
+incl. a 4-layer model) and draw the *product* of everything else:
 permutation, overlap, aggregation blocks, the in-flight bound, SpMM noise,
-trainable features and the grad-W GEMM form.
+trainable features and the grad-W GEMM form.  A uniform model whose stacks
+carry *explicit* all-valid extents must train bitwise like the one built
+with ``rows=None``: same algebra, the plans just observe nothing to cut.
 """
 
 import numpy as np
@@ -28,7 +31,7 @@ from oracle import PerRankOracle
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
 from repro.core.batch import (
     BlockDiagSpmm,
-    PaddedStack,
+    CubeStack,
     batched_matmul,
     concat_stack_rows,
     stack_data,
@@ -76,7 +79,24 @@ def _dataset(seed, n=N_NODES, dims=DIMS):
     return a, feats, labels, train
 
 
-def _train(build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, **opts):
+def explicit(stack: CubeStack) -> CubeStack:
+    """The same stack (same memory) with every rank's extents spelled out:
+    what ``rows=None`` stands for."""
+    assert stack.rows is None
+    world, extents = len(stack), stack.cube.shape[3:5]
+    return CubeStack(stack.cube, stack.grid, *(np.full(world, e, dtype=np.int64) for e in extents))
+
+
+def _spell_out_extents(model: PlexusGCN) -> None:
+    """Swap a uniform model's persisted stacks for their explicit twins, so
+    every stack derived from them carries all-valid ``rows`` / ``cols``."""
+    for owner, name in [(model, "f0_stack"), (model, "label_stack"), (model, "mask_stack")] + [
+        (layer, "w_stack") for layer in model.layers
+    ]:
+        setattr(owner, name, explicit(getattr(owner, name)))
+
+
+def _train(build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, prepare=None, **opts):
     """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
     or ``PerRankOracle`` — and return ``(model, result, cluster)``."""
     a, feats, labels, mask = data
@@ -87,14 +107,16 @@ def _train(build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, **opts):
         cluster, cfg, a, feats.astype(dtype), labels, mask, dims,
         PlexusOptions(seed=0, compute_dtype=dtype, **opts),
     )
+    if prepare is not None:
+        prepare(model)
     trainer = PlexusTrainer(model) if build is PlexusGCN else model
     return model, trainer.train(epochs), cluster
 
 
-def _assert_bitwise(data, cfg, dims=DIMS, **opts):
+def _assert_bitwise(data, cfg, dims=DIMS, prepare=None, **opts):
     """Product == oracle: losses and epoch records, every weight and input
     feature shard, per-rank clocks, comm/comp totals, every phase bucket."""
-    mb, rb, cb = _train(PlexusGCN, data, cfg, dims, **opts)
+    mb, rb, cb = _train(PlexusGCN, data, cfg, dims, prepare=prepare, **opts)
     mo, ro, co = _train(PerRankOracle, data, cfg, dims, **opts)
     assert rb.losses == ro.losses
     assert rb.epochs == ro.epochs
@@ -116,9 +138,33 @@ class TestEngineParity:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(grid_idx=st.integers(0, len(GRIDS) - 1), seed=st.integers(0, 50), opts=OPTIONS)
     def test_float64_bitwise(self, grid_idx, seed, opts):
-        """Random grids up to X3Y2Z2, uniform sharding: everything bitwise."""
-        model = _assert_bitwise(_dataset(seed), GRIDS[grid_idx], **opts)
+        """Random grids up to X3Y2Z2, uniform sharding: everything bitwise —
+        built with ``rows=None`` (even seeds) or with the same stacks'
+        extents spelled out (odd seeds: activations, gradients and logits
+        then carry all-valid ``rows`` / ``cols`` through every kernel)."""
+        prepare = _spell_out_extents if seed % 2 else None
+        model = _assert_bitwise(_dataset(seed), GRIDS[grid_idx], prepare=prepare, **opts)
         assert model.uniform
+        assert (model.layers[0].w_stack.rows is None) == (prepare is None)
+
+    @pytest.mark.parametrize("opts", [{}, {"overlap": True, "aggregation_blocks": 3, "max_inflight": 1}])
+    def test_explicit_all_valid_extents_train_like_none(self, opts):
+        """Uniform is the zero-pad case: the same model with explicit
+        all-valid extents gives the same bits, clocks and phase totals."""
+        data = _dataset(4)
+        (ma, ra, ca), (mb, rb, cb) = (
+            _train(PlexusGCN, data, GRIDS[0], prepare=prepare, **opts)
+            for prepare in (None, _spell_out_extents)
+        )
+        assert ra.epochs == rb.epochs
+        assert np.array_equal(ca.clocks, cb.clocks)
+        assert ca.store.by_phase.keys() == cb.store.by_phase.keys()
+        for phase, vec in ca.store.by_phase.items():
+            assert np.array_equal(vec, cb.store.by_phase[phase]), phase
+        for la, lb in zip(ma.layers, mb.layers):
+            assert la.w_stack.rows is None and lb.w_stack.rows is not None
+            assert stack_data(la.w_stack).tobytes() == stack_data(lb.w_stack).tobytes()
+            assert np.shares_memory(stack_data(lb.w_stack), mb.optimizer.params[f"W{mb.layers.index(lb)}"])
 
     def test_float32_atol(self):
         """Benchmark dtype: product and oracle agree to float32 round-off."""
@@ -236,26 +282,37 @@ class TestBatchPrimitives:
             assert np.array_equal(out[r], np.asarray(shards[r] @ f[r]))
 
     def test_block_diag_spmm_stacked(self, rng):
+        """Equal shards: raw, ``rows=None`` and explicit all-valid operands
+        give the same bits; only the explicit one's result carries extents."""
         shards = [random_sparse(4, 5, 0.4, rng) for _ in range(6)]
         f = rng.standard_normal((6, 5, 3))
-        out = BlockDiagSpmm(shards).apply_stacked(f)
-        assert out.shape == (6, 4, 3)
+        plan = BlockDiagSpmm(shards)
+        out = plan.apply_batched(f)
+        assert out.shape == (6, 4, 3) and out.rows is None and out.cols is None
         for r in range(6):
             assert np.array_equal(out[r], np.asarray(shards[r] @ f[r]))
+        spelled = plan.apply_batched(explicit(CubeStack.of(f)))
+        assert np.array_equal(spelled.rows, np.full(6, 4)) and np.array_equal(spelled.cols, np.full(6, 3))
+        assert stack_data(spelled).tobytes() == stack_data(out).tobytes()
 
-    def test_block_diag_spmm_stacked_rejects_unequal_rows(self, rng):
+    def test_block_diag_spmm_rejects_mismatched_operand_rows(self, rng):
+        """The operand's valid rows must be what each shard multiplies —
+        whether they are spelled out or the cube's."""
         shards = [random_sparse(3 + (r % 2), 5, 0.4, rng) for r in range(4)]
-        f = rng.standard_normal((4, 5, 2))
-        with pytest.raises(ValueError, match="uniform"):
-            BlockDiagSpmm(shards).apply_stacked(f)
+        plan = BlockDiagSpmm(shards)
+        with pytest.raises(ValueError, match="valid rows"):
+            plan.apply_batched(rng.standard_normal((4, 6, 2)))
+        short = stack_shards([rng.standard_normal((5 - (r % 2), 2)) for r in range(4)])
+        with pytest.raises(ValueError, match="valid rows"):
+            plan.apply_batched(short)
 
     def test_block_diag_spmm_padded(self, rng):
         """Ragged A rows *and* ragged F cols through one padded plan."""
         ks = [4 + (r % 2) for r in range(6)]
         shards = [random_sparse(3 + (r % 3), ks[r], 0.4, rng) for r in range(6)]
         f_list = [rng.standard_normal((ks[r], 2 + (r % 2))) for r in range(6)]
-        out = BlockDiagSpmm(shards).apply_padded(PaddedStack.from_shards(f_list))
-        assert isinstance(out, PaddedStack)
+        out = BlockDiagSpmm(shards).apply_batched(stack_shards(f_list))
+        assert out.rows.tolist() == [s.shape[0] for s in shards]
         for r in range(6):
             assert np.array_equal(out[r], np.asarray(shards[r] @ f_list[r]))
         # pad rows of the output stay exact zeros
@@ -264,11 +321,11 @@ class TestBatchPrimitives:
 
     def test_block_diag_apply_batched_wraps_uniform_operand(self, rng):
         """Uniform dense stack against ragged A shards: the output comes
-        back as a padded stack with the ragged row mask."""
+        back with the ragged row extents (and all-valid columns)."""
         shards = [random_sparse(3 + (r % 2), 5, 0.4, rng) for r in range(4)]
         f = rng.standard_normal((4, 5, 2))
         out = BlockDiagSpmm(shards).apply_batched(f)
-        assert isinstance(out, PaddedStack)
+        assert out.rows.tolist() == [3, 4, 3, 4] and out.cols.tolist() == [2] * 4
         for r in range(4):
             assert np.array_equal(out[r], np.asarray(shards[r] @ f[r]))
 
@@ -277,35 +334,47 @@ class TestBatchPrimitives:
         results (incl. transposed operand layouts) are bitwise identical."""
         a_list = [rng.standard_normal((3 + (r % 2), 4)) for r in range(6)]
         b_list = [rng.standard_normal((4, 2 + (r % 3))) for r in range(6)]
-        out = stack_matmul(PaddedStack.from_shards(a_list), PaddedStack.from_shards(b_list))
+        out = stack_matmul(stack_shards(a_list), stack_shards(b_list))
         ref = batched_matmul(a_list, b_list)
         for r in range(6):
             assert np.array_equal(out[r], ref[r])
         # transposed-a form (the grad-W kernel)
-        out_t = stack_matmul(
-            PaddedStack.from_shards(a_list).transpose(), PaddedStack.from_shards(b_list),
-            ta=True,
-        )
+        out_t = stack_matmul(stack_shards(a_list).transpose(), stack_shards(b_list), ta=True)
         ref_t = batched_matmul(a_list, b_list)
         for r in range(6):
             assert np.array_equal(out_t[r], ref_t[r])
 
-    def test_stack_shards_picks_representation(self, rng):
+    def test_stack_shards_keeps_extents_only_where_something_is_padded(self, rng):
         uniform = [rng.standard_normal((3, 4)) for _ in range(4)]
-        assert isinstance(stack_shards(uniform), np.ndarray)
+        stacked = stack_shards(uniform)
+        assert stacked.rows is None and stacked.cols is None
+        assert stacked.cube.shape == (4, 1, 1, 3, 4) and stacked.cube.flags.writeable
+        assert np.array_equal(stack_data(stacked), np.stack(uniform))
+        # the decision is the *global* pad's, not the shards' at hand: equal
+        # local shards below the pad (a worker's slice of a ragged cube) pad
+        below = stack_shards(uniform, pad=(4, 4))
+        assert below.rows.tolist() == [3] * 4 and below.cube.shape[3:] == (4, 4)
+        with pytest.raises(ValueError, match="exceed the pad"):
+            stack_shards(uniform, pad=(2, 4))
         ragged = [rng.standard_normal((3 + (r % 2), 4)) for r in range(4)]
         stacked = stack_shards(ragged)
-        assert isinstance(stacked, PaddedStack)
+        assert stacked.rows.tolist() == [3, 4, 3, 4] and stacked.cols.tolist() == [4] * 4
         for r in range(4):
             assert np.array_equal(stacked[r], ragged[r])
 
     def test_concat_stack_rows_padded(self, rng):
         parts = []
         for b in range(3):
-            parts.append(PaddedStack.from_shards(
+            parts.append(stack_shards(
                 [rng.standard_normal((1 + ((r + b) % 2), 3)) for r in range(4)]
             ))
+        # a block every rank holds the same height of carries no extents
+        parts.append(stack_shards([rng.standard_normal((2, 3)) for _ in range(4)]))
+        assert parts[-1].rows is None
         out = concat_stack_rows(parts)
         for r in range(4):
             ref = np.concatenate([p[r] for p in parts], axis=0)
             assert np.array_equal(out[r], ref)
+        spelled = concat_stack_rows(parts[:-1] + [explicit(parts[-1])])
+        assert stack_data(spelled).tobytes() == stack_data(out).tobytes()
+        assert np.array_equal(spelled.rows, out.rows) and np.array_equal(spelled.cols, out.cols)

@@ -24,10 +24,10 @@ from repro.core.batch import stack_data
 from repro.dist import (
     LAPTOP,
     PERLMUTTER,
-    PaddedStack,
     ProcessGroup,
     VirtualCluster,
     communicator,
+    stack_shards,
 )
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
@@ -322,7 +322,7 @@ class TestBoundedInflight:
         cfg = GridConfig(2, 1, 2)
         # ragged rows keyed by the off-X coordinate (equal within X groups)
         shards = [rng.standard_normal((3 + (r // 2) % 2, 4)) for r in range(cfg.total)]
-        padded = PaddedStack.from_shards(shards)
+        padded = stack_shards(shards)
 
         def run(kind):
             cluster = VirtualCluster(cfg.total, LAPTOP)

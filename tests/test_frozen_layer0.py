@@ -207,7 +207,7 @@ class TestReplayIsLive:
         for _ in range(3):
             assert calls(trainer) == (2 * n_layers, 3 * n_layers)
         assert trainer.model.layers[0]._frozen is None
-        assert trainer.model.f0_stack.flags.writeable
+        assert trainer.model.f0_stack.cube.flags.writeable
         assert not np.array_equal(f0, trainer.model.f0_stack)  # the optimizer wrote F0
 
 

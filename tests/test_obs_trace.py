@@ -319,19 +319,48 @@ class TestEndToEnd:
 
 
 class TestMultiprocIssueInstants:
-    def test_worker_trace_marks_z_axis_issues(self, tmp_path):
-        """Z-axis collectives cross workers through the same schedule kernel
-        as X/Y, so a worker's trace marks their issue too.  One layer, so
-        the only W gather rides the Z axis; traced == untraced bitwise."""
-        from repro.runtime import MultiprocTrainer, WorkloadSpec
+    @staticmethod
+    def _spec():
+        from repro.runtime import WorkloadSpec
 
         dims = [16, 8]
         a, feats, labels, mask = _dataset(dims=dims)
-        spec = WorkloadSpec(
+        return WorkloadSpec(
             config=CFG, layer_dims=dims, workers=2, machine=LAPTOP,
             options=PlexusOptions(seed=0), adjacency=a, features=feats,
             labels=labels, train_mask=mask,
         )
+
+    def test_traced_train_loop_renders_once_at_close(self, tmp_path, monkeypatch):
+        """``train()`` only drains into the collector; the artifacts are
+        rendered from the whole collector, so a per-call rewrite made a
+        traced ``train(1)`` loop quadratic.  They are written at ``close()``
+        and hold every call's launcher row and worker epochs."""
+        from repro.runtime import MultiprocTrainer
+
+        writes = []
+        write = TraceCollector.write
+        monkeypatch.setattr(
+            TraceCollector, "write", lambda self, *a, **kw: writes.append(1) or write(self, *a, **kw)
+        )
+        out = tmp_path / "tr"
+        with MultiprocTrainer(self._spec(), timeout=60, trace_dir=out) as traced:
+            for _ in range(3):
+                traced.train(1)
+            assert writes == [] and not (out / "trace.json").exists()
+        assert writes == [1]
+        assert validate_trace_dir(out) == []
+        rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
+        for process in ("launcher", "worker 0", "worker 1"):
+            assert {1, 2, 3} <= {r["epoch"] for r in rows if r["process"] == process}, process
+
+    def test_worker_trace_marks_z_axis_issues(self, tmp_path):
+        """Z-axis collectives cross workers through the same schedule kernel
+        as X/Y, so a worker's trace marks their issue too.  One layer, so
+        the only W gather rides the Z axis; traced == untraced bitwise."""
+        from repro.runtime import MultiprocTrainer
+
+        spec = self._spec()
         with MultiprocTrainer(spec, timeout=60) as plain:
             r_plain = plain.train(2)
             s_plain = plain.state()

@@ -1,15 +1,19 @@
-"""Replica-free stacks: the uniform batched path's ``ReplicatedStack`` form.
+"""Replica-free stacks: the one ``CubeStack`` type of the batched path.
 
 Every all-reduce / all-gather of Algorithms 1-2 leaves a group's members
 holding the same tensor; the stacked collectives return it once per group
 (extent 1 along the shared cube axes) and the ``stack_*`` helpers, the
-block-diagonal SpMM and the batched loss broadcast over those axes.  Pinned
-here:
+block-diagonal SpMM and the batched loss broadcast over those axes.
+Quasi-equal shards are the same stacks zero-padded, with per-rank valid
+``rows`` / ``cols``; ``rows is None`` is the case that pads nothing, and a
+stack that spells out all-valid extents must give the same bits, clocks and
+durations as the one that leaves them ``None``.  Pinned here:
 
-* every collective x axis x op x operand form (flat, replicated along any
-  subset of the cube axes — the collective's own included) equals a plain
-  per-group loop over flat shards bitwise, bills the flat operand's
-  duration, and hands out read-only results;
+* every collective x axis x op x operand form (raw, replicated along any
+  subset of the cube axes — the collective's own included — with extents
+  ``None`` or spelled out) equals a plain per-group loop over flat shards
+  bitwise, bills the flat operand's duration, and hands out read-only
+  results;
 * a full-Z operand delivered as leading-axis chunks (what a transport bus
   hands the worker-crossing Z axis) gives the one-chunk result bitwise,
   whatever the split, and results never alias a chunk;
@@ -17,8 +21,8 @@ here:
   bitwise;
 * after a forward pass the cached activations own ``world / G`` shards of
   memory, while everything persisted (weights, checkpoints, the in-flight
-  prefetch inventory) stays flat ``(world, m, n)`` and resumes across
-  backends.
+  prefetch inventory) is flat, writable ``(world, m, n)`` memory and resumes
+  across backends.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import map_groups
+from test_batched_parity import explicit
 
 from repro.core import GridConfig, PlexusOptions
 from repro.core.batch import (
     BlockDiagSpmm,
-    PaddedStack,
-    ReplicatedStack,
+    CubeStack,
     concat_stack_rows,
     cube_boxes,
     shard_views,
@@ -46,6 +50,7 @@ from repro.core.batch import (
     stack_map,
     stack_matmul,
     stack_mul,
+    stack_shards,
     stack_transpose,
 )
 from repro.core.grid import Axis, PlexusGrid
@@ -82,7 +87,7 @@ def _operand(rng, grid: PlexusGrid, replicated: frozenset, tail: tuple, dtype):
     lead = tuple(1 if a in replicated else e for a, e in enumerate(grid.cube))
     cube = rng.standard_normal(lead + tail).astype(dtype)
     flat = np.broadcast_to(cube, grid.cube + tail).reshape((-1,) + tail).copy()
-    return ReplicatedStack(cube, grid.cube), flat
+    return CubeStack(cube, grid.cube), flat
 
 
 def _reference(grid: PlexusGrid, axis: Axis, kind: str, op, flat: np.ndarray) -> list[np.ndarray]:
@@ -129,8 +134,9 @@ class TestCollectivesMatchGroupLoop:
                 grid = _grid(cfg)
                 stack, flat = _operand(rng, grid, replicated, tail, dtype)
                 expected = _reference(grid, axis, kind, op, flat)
-                result = _issue(grid, axis, kind, op, stack).wait()
-                assert isinstance(result, ReplicatedStack)
+                handle = _issue(grid, axis, kind, op, stack)
+                result = handle.wait()
+                assert result.rows is None and result.cols is None
                 assert result.shape == (cfg.total,) + expected[0].shape
                 got = np.asarray(result)
                 views = shard_views(result)
@@ -138,19 +144,29 @@ class TestCollectivesMatchGroupLoop:
                     assert np.array_equal(got[r], expected[r]), (axis, replicated, r)
                     assert np.array_equal(views[r], expected[r]), (axis, replicated, r)
                     assert np.array_equal(result[r], expected[r])
-                # the same operand handed over flat: same values, same bill
-                flat_grid = _grid(cfg)
-                flat_result = _issue(flat_grid, axis, kind, op, flat).wait()
-                assert np.array_equal(np.asarray(flat_result), got)
-                assert np.array_equal(
-                    flat_grid.cluster.store.clocks, grid.cluster.store.clocks
-                )
                 assert result.nbytes == got.nbytes
-                for res in (result, flat_result):
-                    self._assert_read_only(res)
+                self._assert_read_only(result)
+                # the same operand handed over raw, and with its all-valid
+                # extents spelled out: same values, same bill, same duration
+                for twin in (flat, explicit(stack)):
+                    twin_grid = _grid(cfg)
+                    twin_handle = _issue(twin_grid, axis, kind, op, twin)
+                    assert np.array_equal(twin_handle.duration, handle.duration)
+                    twin_result = twin_handle.wait()
+                    assert np.asarray(twin_result).tobytes() == got.tobytes()
+                    assert np.array_equal(
+                        twin_grid.cluster.store.clocks, grid.cluster.store.clocks
+                    )
+                    self._assert_read_only(twin_result)
+                    if twin is flat:  # (a size-1 axis hands it back at full extent)
+                        assert twin_result.rows is None
+                    else:  # spelled-out extents stay all-valid
+                        assert twin_result.cube.shape == result.cube.shape
+                        assert (twin_result.rows == result.cube.shape[3]).all()
+                        assert twin_result.cols is None or (twin_result.cols == cols).all()
 
     @staticmethod
-    def _assert_read_only(result: ReplicatedStack) -> None:
+    def _assert_read_only(result: CubeStack) -> None:
         with pytest.raises(ValueError, match="read-only"):
             result.cube[...] = 0
         with pytest.raises(ValueError, match="read-only"):
@@ -174,11 +190,13 @@ class TestCollectivesMatchGroupLoop:
 
     def test_grid_mismatch_and_bad_cube_are_rejected(self):
         grid = _grid(GridConfig(2, 2, 2))
-        other = ReplicatedStack(np.zeros((1, 4, 2, 3)), (1, 4, 2))
+        other = CubeStack(np.zeros((1, 4, 2, 3)), (1, 4, 2))
         with pytest.raises(ValueError, match="grid"):
             grid.comm(Axis.X).all_reduce(other)
         with pytest.raises(ValueError, match="does not fit"):
-            ReplicatedStack(np.zeros((2, 3, 2, 4)), (2, 2, 2))
+            CubeStack(np.zeros((2, 3, 2, 4)), (2, 2, 2))
+        with pytest.raises(ValueError, match="need cols"):
+            CubeStack(np.zeros((2, 2, 2, 4, 3)), (2, 2, 2), np.full(8, 4))
 
 
 @st.composite
@@ -225,14 +243,14 @@ class TestChunkedOperandMatchesOneChunk:
             chunks = [c.copy() for c in np.split(full.astype(dtype), cuts)]
             fn = getattr(comm, f"stacked_{kind}_data")
             args = () if op is None else (op,)
-            whole = fn(cube_shape, 0, ReplicatedStack(np.concatenate(chunks), cube_shape), *args)
+            whole = fn(cube_shape, 0, np.concatenate(chunks), *args)
             for operand in (chunks, tuple(chunks)):
                 streamed = fn(cube_shape, 0, operand, *args)
-                assert streamed.cube.shape == whole.cube.shape
-                assert streamed.cube.dtype == whole.cube.dtype == dtype
-                assert np.array_equal(streamed.cube, whole.cube), (kind, op, case)
-                assert not any(np.shares_memory(streamed.cube, c) for c in chunks)
-                assert not streamed.cube.flags.writeable
+                assert streamed.shape == whole.shape
+                assert streamed.dtype == whole.dtype == dtype
+                assert np.array_equal(streamed, whole), (kind, op, case)
+                assert not any(np.shares_memory(streamed, c) for c in chunks)
+                assert not streamed.flags.writeable
 
 
 class TestHelpersMatchFlatStacks:
@@ -253,10 +271,17 @@ class TestHelpersMatchFlatStacks:
         m, k, n = (int(v) for v in rng.integers(1, 9, size=3))
         a, a_flat = _operand(rng, grid, rep_a, (k, m) if ta else (m, k), dtype)
         b, b_flat = _operand(rng, grid, rep_b, (n, k) if tb else (k, n), dtype)
-        expected = stack_matmul(a_flat, b_flat, ta=ta, tb=tb)
-        for left, right in ((a, b), (a, b_flat), (a_flat, b)):
+        expected = np.asarray(stack_matmul(a_flat, b_flat, ta=ta, tb=tb))
+        for r in range(grid.world_size):
+            a_r, b_r = (x.T if t else x for x, t in ((a_flat[r], ta), (b_flat[r], tb)))
+            assert expected[r].tobytes() == np.matmul(a_r, b_r).tobytes()
+        a_x, b_x = explicit(a), explicit(b)
+        for left, right in ((a, b), (a, b_flat), (a_flat, b), (a_x, b_x), (a_x, b), (a_flat, b_x)):
             out = stack_matmul(left, right, ta=ta, tb=tb)
-            assert np.array_equal(np.asarray(out), expected)
+            assert np.asarray(out).tobytes() == expected.tobytes()
+            # extents are spelled out on the product iff on an operand
+            assert (out.rows is None) == (out.cols is None) == (left is not a_x and right is not b_x)
+            assert out.rows is None or ((out.rows == m).all() and (out.cols == n).all())
         # replicated along an axis only where both operands are
         lead = stack_matmul(a, b, ta=ta, tb=tb).cube.shape[:3]
         assert lead == tuple(
@@ -274,16 +299,24 @@ class TestHelpersMatchFlatStacks:
         grid = _grid(self.CFG)
         a, a_flat = _operand(rng, grid, rep_a, (4, 3), np.float32)
         b, b_flat = _operand(rng, grid, rep_b, (4, 3), np.float32)
-        assert np.array_equal(np.asarray(stack_mul(a, b)), a_flat * b_flat)
-        assert np.array_equal(np.asarray(stack_mul(a_flat, b)), a_flat * b_flat)
-        assert np.array_equal(np.asarray(stack_map(relu, a)), relu(a_flat))
+        a_x, b_x = explicit(a), explicit(b)
+        for left, right in ((a, b), (a_flat, b), (a_x, b_x), (a, b_x)):
+            assert np.array_equal(np.asarray(stack_mul(left, right)), a_flat * b_flat)
+        assert stack_mul(a, b).rows is None and (stack_mul(a, b_x).cols == 3).all()
+        for operand in (a, a_x, a_flat):
+            assert np.array_equal(np.asarray(stack_map(relu, operand)), relu(a_flat))
+            assert np.array_equal(
+                np.asarray(stack_transpose(operand)), a_flat.transpose(0, 2, 1)
+            )
+            assert np.array_equal(stack_data(operand), a_flat)
         assert stack_map(relu, a).cube.shape == a.cube.shape  # once per group
-        assert np.array_equal(np.asarray(stack_transpose(a)), a_flat.transpose(0, 2, 1))
-        assert np.array_equal(stack_data(a), a_flat)
-        joined = concat_stack_rows([a, b, a_flat])
-        assert np.array_equal(
-            np.asarray(joined), np.concatenate([a_flat, b_flat, a_flat], axis=1)
-        )
+        assert (stack_transpose(a_x).rows == 3).all() and (stack_transpose(a_x).cols == 4).all()
+        expected = np.concatenate([a_flat, b_flat, a_flat], axis=1)
+        for parts in ([a, b, a_flat], [a_x, b, a_flat], [a_x, b_x, explicit(CubeStack.of(a_flat, grid.cube))]):
+            joined = concat_stack_rows(parts)
+            assert np.array_equal(np.asarray(joined), expected)
+            assert joined.rows is None or ((joined.rows == 12).all() and (joined.cols == 3).all())
+        assert concat_stack_rows([a, b, a_flat]).rows is None
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**16), rep=st.sampled_from(REPLICATIONS))
@@ -297,9 +330,10 @@ class TestHelpersMatchFlatStacks:
         f, f_flat = _operand(rng, grid, rep, (7, 3), np.float64)
         plan = BlockDiagSpmm(shards)
         per_rank = plan.apply(list(f_flat))
-        for operand in (f, f_flat):
+        for operand, spelled in ((f, False), (f_flat, False), (explicit(f), True)):
             out = plan.apply_batched(operand)
             assert out.shape == (grid.world_size, 5, 3)
+            assert (out.rows is not None) == spelled
             for r in range(grid.world_size):
                 assert np.array_equal(out[r], per_rank[r])
 
@@ -340,15 +374,19 @@ class TestEngineHoldsOneCopyPerGroup:
             gy = self.CFG.size(layer.roles.y)
             gz = self.CFG.size(layer.roles.z)
             for stack, g in ((cache.h, gx), (cache.q, gy)):
-                assert isinstance(stack, ReplicatedStack)
+                assert stack.rows is None and not stack.cube.flags.writeable
                 assert _owned_nbytes(stack.cube) * g == stack.nbytes
             w_local = model.grid.comm(layer.roles.z).all_gather(layer.w_stack).wait()
             assert _owned_nbytes(w_local.cube) * gz == w_local.nbytes
-            # persisted state stays a flat, writable (world, m, n) ndarray
-            assert isinstance(layer.w_stack, np.ndarray) and layer.w_stack.flags.writeable
-            assert layer.w_stack.shape[0] == self.CFG.total
+            # persisted state is flat, writable (world, m, n) memory at full
+            # extent, and the optimizer updates it in place
+            w, flat = layer.w_stack, stack_data(layer.w_stack)
+            assert w.rows is None and w.cube.shape[:3] == model.grid.cube
+            assert flat.shape[0] == self.CFG.total and flat.flags.writeable
+            assert np.shares_memory(flat, w.cube)
+            assert np.shares_memory(flat, model.optimizer.params[f"W{layer.layer_idx}"])
         assert _owned_nbytes(caches[0].f.cube) * self.CFG.gz == caches[0].f.nbytes
-        assert isinstance(logits, ReplicatedStack)
+        assert logits.rows is None and logits is caches[-1].q
 
     def test_flat_logits_take_the_same_loss_path(self):
         model = build_trainer(_spec(self.CFG, 128, self.DIMS), backend="inproc").model
@@ -366,12 +404,16 @@ class TestEngineHoldsOneCopyPerGroup:
         # overlap: the cross-epoch F prefetch (replicated along Z in memory)
         saver = build_trainer(_spec(cfg, 48, dims, overlap=True), backend="inproc")
         saver.train(2)
-        assert isinstance(saver.model._f0_pending._result, ReplicatedStack)
+        held = saver.model._f0_pending._result
+        assert held.rows is None and held.cube.shape[0] == 1 and not held.cube.flags.writeable
         path = saver.save_checkpoint(tmp_path / "overlap", epoch=2)
         with open(path / ckpt.worker_file_name(0, cfg.total), "rb") as fh:
             state = pickle.load(fh)
+        # one on-disk shape, padded or not: flat data + valid extents
         pending = state["pending_f0"]["result"]
-        assert type(pending) is np.ndarray and pending.shape[0] == cfg.total
+        assert set(pending) == {"data", "rows", "cols"}
+        assert type(pending["data"]) is np.ndarray and pending["data"].shape[0] == cfg.total
+        assert pending["rows"] is None and pending["cols"] is None
         for name, w in state["weights"].items():
             assert type(w) is np.ndarray and w.shape[0] == cfg.total, name
             assert state["adam"]["m"][name].shape == w.shape
@@ -385,7 +427,7 @@ class TestEngineHoldsOneCopyPerGroup:
         fresh.load_checkpoint(path)
         assert fresh.train(2).losses == first
         memo, ref = fresh.model.layers[0]._frozen.f, saver.model.layers[0]._frozen.f
-        assert memo.cube.shape == ref.cube.shape
+        assert memo.cube.shape == ref.cube.shape and not memo.cube.flags.writeable
         assert _owned_nbytes(memo.cube) == _owned_nbytes(ref.cube) == ref.nbytes // cfg.gz
 
         # eager: inproc round trip, then inproc -> multiproc
@@ -427,7 +469,8 @@ def _padded_operand(rng, cube, rows, cols, form, dtype):
     ``cols``: the values are constant along every cube axis neither extent
     varies on, so ``form`` can store them once per group (``"replicated"``),
     on the full cube (``"flat"``), without a grid (``"gridless"``), or — all
-    extents equal — as a uniform flat / replicated stack."""
+    extents equal, the stacks then carry none — as a raw ndarray
+    (``"raw"``)."""
     world = len(rows)
     ext = np.stack([rows, cols]).reshape((2,) + cube)
     shared = [bool((ext == ext.take([0], axis=a + 1)).all()) for a in range(3)]
@@ -437,17 +480,15 @@ def _padded_operand(rng, cube, rows, cols, form, dtype):
     full = np.broadcast_to(values, cube + pad).reshape((world,) + pad)
     shards = [np.ascontiguousarray(full[r, : rows[r], : cols[r]]) for r in range(world)]
     if form == "gridless":
-        return PaddedStack.from_shards(shards), shards
-    flat = PaddedStack.from_shards(shards, cube, pad)
+        return stack_shards(shards), shards
+    flat = stack_shards(shards, cube, pad)
     if form == "flat":
         return flat, shards
-    cut = flat.cube[tuple(slice(0, e) for e in lead)]
     if form == "replicated":
-        return PaddedStack(cut, cube, flat.rows, flat.cols), shards
-    assert (rows == pad[0]).all() and (cols == pad[1]).all()
-    if form == "uniform-flat":
-        return np.stack(shards), shards
-    return ReplicatedStack(cut, cube), shards
+        cut = flat.cube[tuple(slice(0, e) for e in lead)]
+        return CubeStack(cut, cube, flat.rows, flat.cols), shards
+    assert form == "raw" and flat.rows is None
+    return np.stack(shards), shards
 
 
 @st.composite
@@ -459,7 +500,7 @@ def _matmul_cases(draw):
         (draw(st.sampled_from([None, 0, 1, 2])), draw(st.sampled_from([None, 0, 1, 2])))
         for _ in range(3)
     ]
-    forms = [draw(st.sampled_from(["flat", "replicated", "gridless", "uniform"])) for _ in range(2)]
+    forms = [draw(st.sampled_from(["flat", "replicated", "gridless", "raw"])) for _ in range(2)]
     return (
         cube, totals, axes, forms, draw(st.booleans()), draw(st.booleans()),
         draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**16)),
@@ -482,17 +523,13 @@ class TestPaddedBoxes:
         for form, (rows, cols), t in zip(forms, ((m, k), (k, n)), (ta, tb)):
             if t:
                 rows, cols = cols, rows
-            if form == "uniform":
-                ragged = (rows != rows[0]).any() or (cols != cols[0]).any()
-                form = "flat" if ragged else ["uniform-flat", "uniform-replicated"][int(rng.integers(2))]
+            if form == "raw" and ((rows != rows[0]).any() or (cols != cols[0]).any()):
+                form = "flat"
             operand, shards = _padded_operand(rng, cube, rows, cols, form, dtype)
             operands.append(operand)
             exact.append([s.T for s in shards] if t else shards)
-        if not any(isinstance(o, PaddedStack) for o in operands):
-            operands[0] = PaddedStack.all_valid(operands[0], cube)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as matmul:
             out = stack_matmul(*operands, ta=ta, tb=tb)
-        assert isinstance(out, PaddedStack)
         for r, (a, b) in enumerate(zip(*exact)):
             assert out[r].shape == (m[r], n[r])
             assert out[r].tobytes() == np.matmul(a, b).tobytes(), (case, r)
@@ -500,6 +537,15 @@ class TestPaddedBoxes:
         # one call per non-empty box: at most two segments per cube axis (a
         # grid-less stack has one axis, cut wherever its neighbours differ)
         assert len(shapes) <= matmul.call_count <= (len(m) if "gridless" in forms else 8)
+        # operands that pad nothing carry no extents, and the product of two
+        # such carries none; spelling them out changes no bit
+        stacks = [CubeStack.of(o, None if "gridless" in forms else cube) for o in operands]
+        assert (out.rows is None) == all(s.rows is None for s in stacks)
+        spelled = stack_matmul(
+            *(explicit(s) if s.rows is None else s for s in stacks), ta=ta, tb=tb
+        )
+        assert (spelled.rows == m).all() and (spelled.cols == n).all()
+        assert stack_data(spelled).tobytes() == stack_data(out).tobytes()
         flat = stack_data(out)
         valid = (np.arange(flat.shape[1])[:, None] < m[:, None, None]) & (
             np.arange(flat.shape[2]) < n[:, None, None]
@@ -528,10 +574,18 @@ class TestPaddedBoxes:
         assert len(cube_boxes(cube, cube, quasi.tobytes(), 5)) <= 8
 
 
+def _valid(result: CubeStack, which: str, extent: int) -> np.ndarray:
+    """A result's per-rank valid rows / cols (``None``: the cube's)."""
+    vector = getattr(result, which)
+    return np.full(len(result), extent) if vector is None else vector
+
+
 class TestPaddedCollectives:
-    """A padded collective hands its result back like a uniform one — once
-    per group, read-only — and per rank it is the group-wise collective on
-    the exact shards (``map_groups``: data, clocks), pads ``+0.0``."""
+    """A collective on padded shards hands its result back like any other —
+    once per group, read-only — and per rank it is the group-wise collective
+    on the exact shards (``map_groups``: data, clocks), pads ``+0.0``.  A
+    draw that pads nothing yields a stack without extents; spelled out, it
+    gives the same bits, clocks and duration."""
 
     @pytest.mark.parametrize("cfg", GRIDS[1:], ids=lambda c: c.name)
     @pytest.mark.parametrize("kind,op", COLLECTIVES)
@@ -567,12 +621,13 @@ class TestPaddedCollectives:
                     rng.standard_normal((rows[r],) + (() if width is None else (width[r],))).astype(dtype)
                     for r in range(cfg.total)
                 ]
-                stacked = PaddedStack.from_shards(shards, cube)
+                stacked = stack_shards(shards, cube)
             kw = {} if op is None else {"op": op}
-            result = getattr(grid.comm(axis), kind)(stacked, **kw).wait()
+            handle = getattr(grid.comm(axis), kind)(stacked, **kw)
+            result = handle.wait()
             expected = map_groups(ref_grid, axis, kind, shards, **kw).wait()
             assert np.array_equal(grid.cluster.store.clocks, ref_grid.cluster.store.clocks)
-            assert isinstance(result, PaddedStack) and result.grid == cube
+            assert result.grid == cube
             for r in range(cfg.total):
                 assert result[r].shape == expected[r].shape
                 assert result[r].tobytes() == expected[r].tobytes(), (axis, r)
@@ -581,14 +636,24 @@ class TestPaddedCollectives:
                 lead = result.cube.shape[:3]
                 assert lead[pos] == (g if kind == "reduce_scatter" else 1)
                 assert result.cube.nbytes * cfg.total == flat.nbytes * lead[0] * lead[1] * lead[2]
-                with pytest.raises(ValueError, match="read-only"):
-                    result.cube[...] = 0
-                with pytest.raises(ValueError, match="read-only"):
-                    result[0][...] = 0
-            valid = np.arange(flat.shape[1]) < result.rows[:, None]
+            with pytest.raises(ValueError, match="read-only"):
+                result.cube[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                result[0][...] = 0
+            valid = np.arange(flat.shape[1]) < _valid(result, "rows", flat.shape[1])[:, None]
             if width is not None:
-                valid = valid[:, :, None] & (np.arange(flat.shape[2]) < result.cols[:, None, None])
+                result_cols = _valid(result, "cols", flat.shape[2])
+                valid = valid[:, :, None] & (np.arange(flat.shape[2]) < result_cols[:, None, None])
             assert not flat[~valid].any() and not np.signbit(flat[~valid]).any()
+            if stacked.rows is None:
+                twin_grid = _grid(cfg)
+                twin_handle = getattr(twin_grid.comm(axis), kind)(explicit(stacked), **kw)
+                assert np.array_equal(twin_handle.duration, handle.duration)
+                twin = twin_handle.wait()
+                assert twin.rows is not None and stack_data(twin).tobytes() == flat.tobytes()
+                for r in range(cfg.total):
+                    assert twin[r].tobytes() == expected[r].tobytes()
+                assert np.array_equal(twin_grid.cluster.store.clocks, grid.cluster.store.clocks)
 
     def test_model_activations_hold_one_copy_per_group(self):
         """The indivisible twin of ``TestEngineHoldsOneCopyPerGroup``."""
@@ -598,10 +663,13 @@ class TestPaddedCollectives:
         logits, caches = model.forward()
         for layer, cache in zip(model.layers, caches):
             for stack, role in ((cache.h, layer.roles.x), (cache.q, layer.roles.y)):
-                assert isinstance(stack, PaddedStack)
+                assert stack.rows is not None and not stack.cube.flags.writeable
                 assert stack.cube.shape[model.grid.comm(role).descriptor.axis] == 1
-            assert isinstance(layer.w_stack, PaddedStack)
+            assert layer.w_stack.rows is not None
             assert layer.w_stack.cube.shape[:3] == model.grid.cube  # persisted: full, writable
             assert stack_data(layer.w_stack).flags.writeable
             assert np.shares_memory(stack_data(layer.w_stack), layer.w_stack.cube)
+            assert np.shares_memory(
+                stack_data(layer.w_stack), model.optimizer.params[f"W{layer.layer_idx}"]
+            )
         assert caches[0].f.cube.shape[0] == 1 and logits is caches[-1].q
