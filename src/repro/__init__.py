@@ -151,22 +151,26 @@ def train_plexus(
                     "backend='inproc'"
                 )
             config = uniform[0]
-    if backend == "multiproc":
-        from repro.runtime import MultiprocTrainer, WorkloadSpec
+    elif config.total != gpus:
+        raise ValueError(f"grid {config.name} needs {config.total} ranks, gpus={gpus}")
+    from repro.runtime import WorkloadSpec, build_trainer
 
-        spec = WorkloadSpec(
-            config=config,
-            layer_dims=dims,
-            workers=workers if workers is not None else min(2, config.gz),
-            machine=machine,
-            options=options,
-            adjacency=ds.norm_adjacency,
-            features=ds.features,
-            labels=ds.labels,
-            train_mask=ds.train_mask,
-        )
-        with MultiprocTrainer(
+    spec = WorkloadSpec(
+        config=config,
+        layer_dims=dims,
+        workers=workers if workers is not None else min(2, config.gz),
+        machine=machine,
+        options=options,
+        adjacency=ds.norm_adjacency,
+        features=ds.features,
+        labels=ds.labels,
+        train_mask=ds.train_mask,
+        trace=trace_dir is not None,
+    )
+    if backend == "multiproc":
+        with build_trainer(
             spec,
+            backend,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             max_restarts=max_restarts,
@@ -184,75 +188,52 @@ def train_plexus(
             result = TrainResult()
             result.epochs.extend(trainer.history[:epochs])
             return result
-    cluster = VirtualCluster(gpus, machine)
-    if trace_dir is not None:
-        from repro.obs import trace as _trace
-
-        _trace.enable("inproc")
-        cluster.store.trace = _trace.SimSink()
-    model = PlexusGCN(
-        cluster,
-        config,
-        ds.norm_adjacency,
-        ds.features,
-        ds.labels,
-        ds.train_mask,
-        dims,
-        options,
-    )
-    trainer = PlexusTrainer(model)
-    if checkpoint_dir is None:
-        result = trainer.train(epochs)
-        if trace_dir is not None:
-            _write_inproc_trace(trace_dir, cluster, epochs)
-        return result
-    # inproc checkpointed loop: resume from the newest checkpoint, train in
-    # checkpoint_every-sized stretches, seal each with a checkpoint
-    from pathlib import Path
-
-    from repro.core.trainer import EpochStats
-    from repro.runtime import checkpoint as _ckpt
-
-    root = Path(checkpoint_dir)
-    done, history = 0, []
-    found = _ckpt.latest_checkpoint(root)
-    if found is not None:
-        epoch, path = found
-        manifest = trainer.load_checkpoint(path)
-        done = epoch
-        history = [EpochStats(**e) for e in manifest.get("history", [])][:epoch]
-    while done < epochs:
-        n = min(checkpoint_every, epochs - done)
-        history.extend(trainer.train(n).epochs)
-        done += n
-        trainer.save_checkpoint(root, done, history)
-    result = TrainResult()
-    result.epochs.extend(history[:epochs])
-    if trace_dir is not None:
-        _write_inproc_trace(trace_dir, cluster, epochs)
-    return result
-
-
-def _write_inproc_trace(trace_dir: str, cluster, epochs: int) -> None:
-    """Drain the in-process telemetry buffers into the trace artifacts."""
-    from pathlib import Path
-
     from repro.obs import TraceCollector
     from repro.obs import trace as _trace
     from repro.obs.metrics import registry as _metrics
+    from repro.runtime.worker import _drain_trace_payload
 
-    collector = TraceCollector()
-    collector.add_wall("inproc", _trace.drain())
-    sink = cluster.store.trace
-    if sink is not None:
-        sim, links = sink.drain()
-        collector.add_sim("inproc", sim, links)
-    for ph, bucket in cluster.store.by_phase.items():
-        _metrics.gauge("sim_phase:" + ph, float(bucket.sum()))
-    _metrics.gauge_rusage()
-    collector.add_metrics("inproc", epochs, _metrics.snapshot())
-    _metrics.clear()
-    out = Path(trace_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    collector.write(out)
-    _trace.disable()
+    if trace_dir is not None:
+        _trace.enable("inproc")
+    cluster = None
+    try:
+        with _trace.span("build"):
+            trainer = build_trainer(spec, backend)
+        cluster = trainer.model.cluster
+        if checkpoint_dir is None:
+            return trainer.train(epochs)
+        # inproc checkpointed loop: resume from the newest checkpoint, train
+        # in checkpoint_every-sized stretches, seal each with a checkpoint
+        from pathlib import Path
+
+        from repro.core.trainer import EpochStats
+        from repro.runtime import checkpoint as _ckpt
+
+        root = Path(checkpoint_dir)
+        done, history = 0, []
+        found = _ckpt.latest_checkpoint(root)
+        if found is not None:
+            epoch, path = found
+            manifest = trainer.load_checkpoint(path)
+            done = epoch
+            history = [EpochStats(**e) for e in manifest.get("history", [])][:epoch]
+        while done < epochs:
+            n = min(checkpoint_every, epochs - done)
+            history.extend(trainer.train(n).epochs)
+            done += n
+            trainer.save_checkpoint(root, done, history)
+        result = TrainResult()
+        result.epochs.extend(history[:epochs])
+        return result
+    finally:
+        # the tracer is process-global: it is on for exactly this call, and
+        # however the call ends the telemetry up to that point is written —
+        # the payload a worker ships, through the collector a pool uses
+        if trace_dir is not None:
+            try:
+                collector = TraceCollector()
+                collector.add_worker_payload("inproc", _drain_trace_payload(cluster, epochs))
+                collector.write(trace_dir)
+            finally:
+                _metrics.clear()
+                _trace.disable()

@@ -15,6 +15,12 @@ which puts A_L0 on the ZX-plane, A_L1 on the YZ-plane and A_L2 on the
 XY-plane exactly as Fig. 4 shows, and makes each layer's output sharding
 coincide with the next layer's expected input sharding with only
 ``min(3, L)`` distinct adjacency shardings.
+
+:class:`PlexusGrid` is the one grid of every backend (Plexus is SPMD: a
+rank's coordinates decide its shards and its groups): it serves the ranks
+its cluster holds — the whole cube in process, a worker's z-planes in
+``repro.runtime`` — out of the same memoised coordinate and group tables,
+and knows the global :class:`GridConfig` either way.
 """
 
 from __future__ import annotations
@@ -156,70 +162,93 @@ def _axis_group_ranks(gx: int, gy: int, gz: int, axis: Axis) -> tuple[tuple[tupl
 
 
 class PlexusGrid:
-    """Process groups of a 3D grid over a virtual cluster."""
+    """Process groups and axis communicators of a 3D grid, for the ranks a
+    virtual cluster holds.
+
+    A whole-world cluster gets every group of the cube.  A cluster holding
+    the slice ``[lo, hi)`` — whole z-planes, so every X and Y group is local
+    — gets the groups of its own planes, and its Z axis is the same
+    :class:`~repro.dist.comm.AxisCommunicator` over the cluster's byte mover
+    (``cluster.exchange``) instead of over groups.  Rank arguments and
+    ``world_size`` are local to the cluster (== global on the whole cube);
+    :meth:`coords` maps them to global cube coordinates, so the
+    :class:`~repro.core.sharding.LayerSharding` slicers give each held rank
+    its global shard, and ``config`` is always the global geometry.
+    """
 
     def __init__(self, cluster: VirtualCluster, config: GridConfig) -> None:
-        if config.total != cluster.world_size:
+        plane = config.gx * config.gy
+        if cluster.exchange is None and (cluster.lo, cluster.hi) != (0, config.total):
             raise ValueError(
                 f"grid {config.name} needs {config.total} ranks, cluster has {cluster.world_size}"
             )
+        if cluster.lo % plane or cluster.hi % plane or cluster.hi > config.total:
+            raise ValueError(f"a slice of grid {config.name} must cover whole z-planes")
         self.cluster = cluster
         self.config = config
-        self._coords = _grid_coords(config.gx, config.gy, config.gz)
+        self._coords = _grid_coords(config.gx, config.gy, config.gz)[cluster.lo : cluster.hi]
+        #: the rank cube ``(z-planes held, Gx, Gy)`` the stacked tensors are
+        #: laid out on (rank id = ``z*Gx*Gy + x*Gy + y``, Y fastest), so a
+        #: whole-axis collective reduces/gathers over cube position Z -> 0,
+        #: X -> 1, Y -> 2
+        self.cube = (cluster.world_size // plane, config.gx, config.gy)
         self._groups: dict[Axis, list[ProcessGroup]] = {}
-        self._group_of: dict[Axis, list[ProcessGroup]] = {}
+        self._group_of: dict[Axis, list[ProcessGroup | None]] = {}
+        self._axis_comms: dict[Axis, AxisComm] = {}
         for axis in Axis:
-            self._build_axis_groups(axis)
-        #: the rank cube ``(Gz, Gx, Gy)`` the stacked tensors are laid out on
-        #: (rank id = ``z*Gx*Gy + x*Gy + y``, Y fastest), so a whole-axis
-        #: collective reduces/gathers over cube position Z -> 0, X -> 1,
-        #: Y -> 2; bandwidth and latency are shared by every group along an
-        #: axis (Eq. 4.6), so one descriptor per axis covers them all
-        self.cube = cube = (config.gz, config.gx, config.gy)
-        self._axis_comms = {
-            axis: AxisComm(
-                store=cluster.store,
-                cube=cube,
-                axis=(1, 2, 0)[axis],  # cube position: X -> 1, Y -> 2, Z -> 0
-                size=config.size(axis),
-                bandwidth=self._groups[axis][0].bandwidth,
-                latency=self._groups[axis][0].latency,
-            )
-            for axis in Axis
-        }
+            self._build_axis(axis)
         self._comms: dict[Axis, AxisCommunicator] = {}
 
     # -- rank mapping --------------------------------------------------------
     def coords(self, rank: int) -> tuple[int, int, int]:
-        """(x, y, z) coordinates of a global rank id."""
+        """Global (x, y, z) coordinates of a held rank."""
         return self._coords[rank]
 
     def coord(self, rank: int, axis: Axis) -> int:
         return self._coords[rank][axis]
 
     # -- groups ---------------------------------------------------------------
-    def _build_axis_groups(self, axis: Axis) -> None:
-        cfg = self.config
+    def _build_axis(self, axis: Axis) -> None:
+        """The held process groups along ``axis`` and its descriptor."""
+        cfg, cluster = self.config, self.cluster
         # both lookups are memoized across grids of the same configuration
-        bw = axis_bandwidth(self.cluster.machine, cfg.size(axis), cfg.inner_size(axis))
+        bw = axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis))
         grouping = _axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, axis)
+        lo, hi = cluster.lo, cluster.hi
         groups = []
-        group_of: list[ProcessGroup | None] = [None] * cfg.total
+        group_of: list[ProcessGroup | None] = [None] * cluster.world_size
         for key, ranks in grouping:
+            # members ascend; a group of other processes' planes — or, on a
+            # slice, every Z group, which crosses them — is not held here
+            if ranks[0] < lo or ranks[-1] >= hi:
+                continue
             g = ProcessGroup(
-                members=[self.cluster[r] for r in ranks],
-                machine=self.cluster.machine,
+                members=[cluster[r - lo] for r in ranks],
+                machine=cluster.machine,
                 bandwidth=bw,
                 name=f"{axis.name.lower()}{key}",
             )
             groups.append(g)
             for r in ranks:
-                group_of[r] = g
+                group_of[r - lo] = g
         self._groups[axis] = groups
-        self._group_of[axis] = group_of  # type: ignore[assignment]
+        self._group_of[axis] = group_of
+        # bandwidth and latency are shared by every group along an axis
+        # (Eq. 4.6), so one descriptor per axis covers them all.  X and Y
+        # span the held planes; Z always spans the whole cube — behind a
+        # byte mover its clocks and operand planes come from every slice
+        self._axis_comms[axis] = AxisComm(
+            store=cluster.store,
+            cube=(cfg.gz, cfg.gx, cfg.gy) if axis is Axis.Z else self.cube,
+            axis=(1, 2, 0)[axis],  # cube position: X -> 1, Y -> 2, Z -> 0
+            size=cfg.size(axis),
+            bandwidth=bw,
+            latency=cluster.machine.latency,
+        )
 
     def groups(self, axis: Axis) -> list[ProcessGroup]:
-        """All process groups along a physical axis."""
+        """The held process groups along a physical axis (every group of
+        the cube on a whole-world cluster; none along Z on a slice)."""
         return self._groups[axis]
 
     def comm(self, axis: Axis) -> AxisCommunicator:
@@ -235,10 +264,16 @@ class PlexusGrid:
         """
         comm = self._comms.get(axis)
         if comm is None:
+            cluster = self.cluster
+            # Z behind a byte mover takes no groups: its slots are the
+            # held plane offsets, first held plane ``z0``
+            mover = cluster.exchange if axis is Axis.Z else None
             comm = self._comms[axis] = AxisCommunicator(
                 self._axis_comms[axis],
-                self._groups[axis],
-                issue_overhead_s=self.cluster.machine.issue_overhead_s,
+                () if mover is not None else self._groups[axis],
+                issue_overhead_s=cluster.machine.issue_overhead_s,
+                exchange=mover,
+                z0=cluster.lo // (self.config.gx * self.config.gy),
             )
         return comm
 
@@ -248,5 +283,5 @@ class PlexusGrid:
 
     @property
     def world_size(self) -> int:
-        return self.config.total
-
+        """The ranks this grid's cluster holds (the whole cube in process)."""
+        return self.cluster.world_size

@@ -70,7 +70,8 @@ class PlexusGCN:
     Parameters
     ----------
     cluster, config:
-        The virtual cluster and its 3D grid factorization.
+        The virtual cluster and the 3D grid factorization of the whole rank
+        cube; the model is built for the ranks the cluster holds.
     a_norm:
         Global GCN-normalized adjacency (unpermuted; permutation is applied
         internally per the options).
@@ -90,7 +91,6 @@ class PlexusGCN:
         train_mask: np.ndarray,
         layer_dims: list[int],
         options: PlexusOptions | None = None,
-        grid: PlexusGrid | None = None,
     ) -> None:
         if len(layer_dims) < 2:
             raise ValueError("need at least two layer dims")
@@ -102,14 +102,11 @@ class PlexusGCN:
         self.options = options or PlexusOptions()
         self.cluster = cluster
         self.config = config
-        # The grid seam: by default the model spans the whole cube in this
-        # process (the "inproc" backend).  The multi-process runtime passes
-        # a WorkerGrid covering one contiguous z-slice of the cube — every
-        # ``range(grid.world_size)`` loop below then builds only the local
-        # ranks' shards, and ``grid.comm(axis)`` routes cross-worker axes
-        # through the shared-memory transport (repro.runtime).
-        self.grid = PlexusGrid(cluster, config) if grid is None else grid
-        self.backend = getattr(self.grid, "backend", "inproc")
+        # the model spans the ranks its cluster holds — the whole cube, or
+        # one worker's z-planes (repro.runtime): every
+        # ``range(grid.world_size)`` loop below builds those ranks' shards,
+        # and ``grid.comm(axis)`` reaches the rest of a worker-crossing axis
+        self.grid = PlexusGrid(cluster, config)
         self.n = n
         self.layer_dims = list(layer_dims)
         self.n_classes = layer_dims[-1]

@@ -18,6 +18,11 @@ rank on every epoch; those are single dict lookups returning the bucket
 vector, O(1) in the number of recorded events, and memory stays constant no
 matter how many epochs the simulation runs.
 
+There is one cluster class for every backend: a cluster holds the ranks
+*this process* simulates — the whole world in process, a contiguous slice
+``[lo, hi)`` of the rank cube in a worker of ``repro.runtime``, which
+reaches the other slices' clocks through the transport's byte mover.
+
 Straggler semantics: :meth:`VirtualCluster.barrier` (and every collective
 issued through ``repro.dist.comm``) lifts each participant to the group's
 maximum clock — at issue for the scheduling decision, at ``wait()`` for the
@@ -28,6 +33,7 @@ protocol observes (Sec. 6.2).
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -35,6 +41,8 @@ import numpy as np
 
 from repro.dist.topology import LAPTOP, MachineSpec
 from repro.errors import CollectiveMisuse
+from repro.obs import trace as _trace
+from repro.obs.metrics import registry as _metrics
 
 __all__ = ["TimelineBreakdown", "Timeline", "VirtualRank", "VirtualCluster"]
 
@@ -79,12 +87,11 @@ class ClockStore:
     The store also carries the nonblocking-collective bookkeeping of
     ``repro.dist.comm``:
 
-    * ``links`` maps each communicator's link key to the simulated time its
-      link is busy until (a scalar for one process group, a cube-shaped
-      keepdims array for a whole grid axis).  Issuing a collective reserves
-      the link from ``max(group ready time, link free time)``, which is what
-      serializes two in-flight operations on the same axis link — they queue
-      behind each other instead of magically overlapping.
+    * ``links`` maps each process group's link key to the simulated time its
+      link is busy until.  Issuing a collective reserves the link from
+      ``max(group ready time, link free time)``, which is what serializes two
+      in-flight operations on the same axis link — they queue behind each
+      other instead of magically overlapping.
     * ``max_inflight`` optionally bounds the in-flight queue depth: when set
       (``PlexusOptions.max_inflight`` threads it here), ``link_queues`` maps
       each *queue key* to the sorted completion times of its in-flight ops,
@@ -125,8 +132,8 @@ class ClockStore:
         self.clocks = np.zeros(world, dtype=np.float64)
         self.by_phase: dict[str, np.ndarray] = {}
         self.by_category: dict[str, np.ndarray] = {}
-        #: link key -> busy-until time (scalar or keepdims cube array)
-        self.links: dict[object, np.ndarray | float] = {}
+        #: link key -> busy-until time
+        self.links: dict[object, float] = {}
         #: link key -> ascending completion times of in-flight ops (only
         #: maintained while ``max_inflight`` is set)
         self.link_queues: dict[object, list[float]] = {}
@@ -235,34 +242,43 @@ class ClockStore:
         if self.trace is not None:
             self.trace.clear()
 
-    def snapshot(self) -> tuple:
-        return (
-            self.clocks.copy(),
-            {k: v.copy() for k, v in self.by_phase.items()},
-            {k: v.copy() for k, v in self.by_category.items()},
-            {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in self.links.items()},
-            {k: list(v) for k, v in self.link_queues.items()},
-            dict(self.outstanding),
-        )
+    def snapshot(self) -> dict:
+        """Copies of the books — clocks, phase and category totals, link
+        busy-until times and in-flight queues — plus the outstanding-handle
+        registry.  The five books under these keys are what a checkpoint
+        slice file and a worker's state report hold (``repro.runtime``)."""
+        return {
+            "clocks": self.clocks.copy(),
+            "by_phase": {k: v.copy() for k, v in self.by_phase.items()},
+            "by_category": {k: v.copy() for k, v in self.by_category.items()},
+            "links": dict(self.links),
+            "link_queues": {k: list(v) for k, v in self.link_queues.items()},
+            "outstanding": dict(self.outstanding),
+        }
 
-    def restore(self, snap: tuple) -> None:
-        clocks, by_phase, by_category, links, link_queues, outstanding = snap
-        self.clocks[:] = clocks
-        self.by_phase.clear()
-        self.by_phase.update(by_phase)
-        self.by_category.clear()
-        self.by_category.update(by_category)
+    def restore(self, snap: dict, links: bool = True) -> None:
+        """Load the books of a :meth:`snapshot` (or of a checkpoint slice,
+        which lists no outstanding handles) in place; ``links=False`` leaves
+        the link state empty (the checkpoint's quiescent policy)."""
+        self.clocks[:] = snap["clocks"]
+        for book, saved in (
+            (self.by_phase, snap["by_phase"]),
+            (self.by_category, snap["by_category"]),
+        ):
+            book.clear()
+            book.update({k: v.copy() for k, v in saved.items()})
         self.links.clear()
-        self.links.update(links)
         self.link_queues.clear()
-        self.link_queues.update({k: list(v) for k, v in link_queues.items()})
+        if links:
+            self.links.update(snap["links"])
+            self.link_queues.update({k: list(v) for k, v in snap["link_queues"].items()})
         self.outstanding.clear()
         # reconcile rather than copy blindly: a handle that was waited
         # between snapshot and restore (e.g. consumed inside no_charge)
         # must not be resurrected as outstanding — it can never be waited
         # again, so re-registering it would wedge check_no_outstanding
         self.outstanding.update(
-            {k: h for k, h in outstanding.items() if not h.waited}
+            {k: h for k, h in snap.get("outstanding", {}).items() if not h.waited}
         )
 
 
@@ -369,17 +385,31 @@ class VirtualRank:
 
 
 class VirtualCluster:
-    """A fixed-size set of virtual ranks mapped onto a machine topology."""
+    """The virtual ranks one process holds, mapped onto a machine topology.
 
-    def __init__(self, world_size: int, machine: MachineSpec = LAPTOP) -> None:
-        if world_size < 1:
-            raise ValueError("world_size must be >= 1")
+    ``VirtualCluster(n, machine)`` is a whole world: ranks ``0..n-1``.  A
+    worker of the multi-process runtime holds the global ranks ``[lo, hi)``
+    of a larger cube instead (each :class:`VirtualRank` keeps its global id
+    and node; the :class:`ClockStore` indexes them from 0) and is given
+    ``exchange``, the transport's byte mover (``bus.exchange``: post arrays,
+    get every worker's parts back in rank order) — what :meth:`barrier` and
+    the grid's worker-crossing Z axis (``repro.core.grid``) reach the other
+    slices through.  The whole cube is the one-slice case: ``lo=0``, no mover.
+    """
+
+    def __init__(
+        self, world_size: int, machine: MachineSpec = LAPTOP, lo: int = 0, exchange=None
+    ) -> None:
+        if world_size < 1 or lo < 0:
+            raise ValueError("need world_size >= 1 and lo >= 0")
         self.world_size = world_size
         self.machine = machine
+        self.lo, self.hi = lo, lo + world_size
+        self.exchange = exchange
         self.store = ClockStore(world_size)
         self._ranks = [
-            VirtualRank(r, machine.node_of(r), machine.device, store=self.store)
-            for r in range(world_size)
+            VirtualRank(r, machine.node_of(r), machine.device, store=self.store, index=r - lo)
+            for r in range(lo, self.hi)
         ]
 
     def __getitem__(self, rank: int) -> VirtualRank:
@@ -421,10 +451,20 @@ class VirtualCluster:
         self.store.record_idx(idx, phase, durations)
 
     def barrier(self, phase: str = "comm:barrier") -> None:
-        """Synchronize every clock to the maximum, charging stragglers' wait
-        to ``phase`` (a full ``"category:detail"`` label)."""
+        """Synchronize every clock to the cube-wide maximum — this process's
+        own clocks, or behind a byte mover one exchange of every slice's —
+        charging stragglers' wait to ``phase`` (a full ``"category:detail"``
+        label)."""
         clocks = self.store.clocks
-        t = clocks.max()
+        if self.exchange is None:
+            t = clocks.max()
+        else:
+            t0 = time.monotonic() if _trace.enabled else 0.0
+            with _trace.span("barrier.exchange", phase=phase):
+                (parts,) = self.exchange([clocks])
+            if _trace.enabled:
+                _metrics.observe("barrier_wait_s", time.monotonic() - t0)
+            t = np.concatenate(parts).max()
         waits = t - clocks
         clocks[:] = t
         self.store.record_all(phase, waits)

@@ -9,14 +9,16 @@ zero-copy shared-memory tensor transport underneath the existing
   and the single-rendezvous exchange (publish the slot's sequence word
   last, wait on every peer's, hand out verified read-only views of their
   frames): a byte mover that knows no schedule and copies nothing out.
-* :mod:`repro.runtime.worker` — the slice-local cluster/grid/model (the
-  worker-crossing Z axis is an ordinary
+* :mod:`repro.runtime.worker` — the one builder from a workload spec to a
+  trainer (the in-process cluster / grid / model on a worker's slice of the
+  cube; the worker-crossing Z axis is an ordinary
   :class:`~repro.dist.comm.AxisCommunicator` fed through the bus) and the
   spawned-process command loop.
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`
   (the ``backend="multiproc"`` trainer, with supervision and
   respawn-and-replay recovery) and the
-  :func:`~repro.runtime.launch.build_trainer` backend seam.
+  :func:`~repro.runtime.launch.build_trainer` backend seam (the same
+  builder on the whole cube for ``"inproc"``).
 * :mod:`repro.runtime.checkpoint` — epoch-boundary checkpoint/restore:
   per-worker slice files plus a sealing manifest, loadable verbatim (same
   layout) or reassembled/re-sliced across layouts and backends.
@@ -54,7 +56,7 @@ from repro.runtime.rendezvous import (
     connect_rendezvous,
 )
 from repro.runtime.shm import ShmBus, cleanup_orphans
-from repro.runtime.worker import WorkerCluster, WorkerGrid, worker_slice
+from repro.runtime.worker import worker_slice
 
 __all__ = [
     "MultiprocTrainer",
@@ -73,7 +75,5 @@ __all__ = [
     "RendezvousListener",
     "connect_rendezvous",
     "cleanup_stale_rendezvous",
-    "WorkerCluster",
-    "WorkerGrid",
     "worker_slice",
 ]

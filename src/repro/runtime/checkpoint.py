@@ -62,12 +62,13 @@ __all__ = [
     "MANIFEST_NAME",
     "checkpoint_name",
     "worker_file_name",
+    "capture_books",
     "model_state",
     "restore_model",
     "write_worker_state",
     "load_slice",
     "load_cube_state",
-    "assemble_buckets",
+    "assemble_slices",
     "seal_checkpoint",
     "write_manifest",
     "read_manifest",
@@ -110,33 +111,31 @@ def _capture_pending(handle) -> dict | None:
     return {"phase": handle.phase, "record": handle._record, "result": result}
 
 
-def model_state(model) -> dict:
-    """Everything one model slice needs for bitwise restore (see module doc)."""
+def capture_books(model) -> dict:
+    """The slice bounds, the clock books and copies of the weights of one
+    model slice: the part of a slice state a worker's state report also
+    carries (``repro.runtime.worker``)."""
     cluster = model.cluster
-    store = cluster.store
-    lo = getattr(cluster, "lo", 0)
-    hi = getattr(cluster, "hi", cluster.world_size)
+    books = cluster.store.snapshot()
+    # in-flight handles are not book entries: the one that may cross an
+    # epoch boundary is captured as ``pending_f0``
+    del books["outstanding"]
     weights = {
         f"W{i}": stack_data(layer.w_stack).copy()
         for i, layer in enumerate(model.layers)
     }
     if model.options.trainable_features:
         weights["F0"] = stack_data(model.f0_stack).copy()
+    return {"lo": cluster.lo, "hi": cluster.hi, **books, "weights": weights}
+
+
+def model_state(model) -> dict:
+    """Everything one model slice needs for bitwise restore (see module doc)."""
     opt = model.optimizer
     noise = model.options.noise
     return {
         "format": FORMAT_VERSION,
-        "lo": lo,
-        "hi": hi,
-        "clocks": store.clocks.copy(),
-        "by_phase": {k: v.copy() for k, v in store.by_phase.items()},
-        "by_category": {k: v.copy() for k, v in store.by_category.items()},
-        "links": {
-            k: (v.copy() if isinstance(v, np.ndarray) else v)
-            for k, v in store.links.items()
-        },
-        "link_queues": {k: list(v) for k, v in store.link_queues.items()},
-        "weights": weights,
+        **capture_books(model),
         "adam": {
             "t": opt.t,
             "m": {k: v.copy() for k, v in opt.m.items()},
@@ -199,13 +198,10 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
             f"checkpoint format {state.get('format')!r} != supported {FORMAT_VERSION}"
         )
     cluster = model.cluster
-    store = cluster.store
-    lo = getattr(cluster, "lo", 0)
-    hi = getattr(cluster, "hi", cluster.world_size)
-    if (state["lo"], state["hi"]) != (lo, hi):
+    if (state["lo"], state["hi"]) != (cluster.lo, cluster.hi):
         raise CheckpointError(
             f"slice state covers ranks [{state['lo']}, {state['hi']}), model "
-            f"covers [{lo}, {hi}) — assemble and re-slice via load_slice()"
+            f"covers [{cluster.lo}, {cluster.hi}) — assemble and re-slice via load_slice()"
         )
     expect = {f"W{i}" for i in range(len(model.layers))}
     if model.options.trainable_features:
@@ -247,26 +243,11 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         np.copyto(opt.m[k], state["adam"]["m"][k], casting="no")
         np.copyto(opt.v[k], state["adam"]["v"][k], casting="no")
 
-    # clock/timeline state
-    store.clocks[:] = state["clocks"]
-    store.by_phase.clear()
-    store.by_phase.update({k: v.copy() for k, v in state["by_phase"].items()})
-    store.by_category.clear()
-    store.by_category.update({k: v.copy() for k, v in state["by_category"].items()})
-    store.links.clear()
-    store.link_queues.clear()
-    store.outstanding.clear()
+    # clock/timeline state; the quiescent policy drops the link state
+    cluster.store.restore(state, links=verbatim_links)
     model._f0_pending = None
-    if verbatim_links:
-        store.links.update(
-            {
-                k: (v.copy() if isinstance(v, np.ndarray) else v)
-                for k, v in state["links"].items()
-            }
-        )
-        store.link_queues.update({k: list(v) for k, v in state["link_queues"].items()})
-        if state["pending_f0"] is not None:
-            model._f0_pending = _rebuild_pending(state["pending_f0"], model)
+    if verbatim_links and state["pending_f0"] is not None:
+        model._f0_pending = _rebuild_pending(state["pending_f0"], model)
     if state["noise_rng"] is not None:
         model.options.noise._rng.bit_generator.state = state["noise_rng"]
 
@@ -294,18 +275,31 @@ def _load_states(ckpt_dir: Path) -> list[dict]:
     return states
 
 
-def assemble_buckets(states: list[dict], key: str, world: int) -> dict:
-    """``states[i][key]`` (label -> per-rank vector of slice ``[lo, hi)``)
-    merged into label -> ``(world,)`` vectors; a label a slice never charged
-    reads zero there."""
-    out = {}
-    for label in sorted({k for s in states for k in s[key]}):
-        vec = np.zeros(world)
-        for s in states:
-            if label in s[key]:
-                vec[s["lo"] : s["hi"]] = s[key][label]
-        out[label] = vec
-    return out
+def assemble_slices(states: list[dict]) -> dict:
+    """The books and weights of slice states (sorted by ``lo``, tiling
+    ``[0, world)``) as cube-wide arrays — what a checkpoint reassembles and
+    what the launcher's ``state()`` reports.  A phase label a slice never
+    charged reads zero there."""
+    world = states[-1]["hi"]
+
+    def buckets(key: str) -> dict:
+        out = {}
+        for label in sorted({k for s in states for k in s[key]}):
+            vec = out[label] = np.zeros(world)
+            for s in states:
+                if label in s[key]:
+                    vec[s["lo"] : s["hi"]] = s[key][label]
+        return out
+
+    return {
+        "clocks": np.concatenate([s["clocks"] for s in states]),
+        "by_phase": buckets("by_phase"),
+        "by_category": buckets("by_category"),
+        "weights": {
+            name: np.concatenate([s["weights"][name] for s in states], axis=0)
+            for name in states[0]["weights"]
+        },
+    }
 
 
 def load_cube_state(ckpt_dir: str | Path) -> dict:
@@ -320,7 +314,6 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
                 f"rank {cursor} (next slice starts at {s['lo']})"
             )
         cursor = s["hi"]
-    world = cursor
     t = states[0]["adam"]["t"]
     if any(s["adam"]["t"] != t for s in states):
         raise CheckpointError("checkpoint slices disagree on the Adam step counter")
@@ -338,16 +331,10 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
     return {
         "format": FORMAT_VERSION,
         "lo": 0,
-        "hi": world,
-        "clocks": np.concatenate([s["clocks"] for s in states]),
-        "by_phase": assemble_buckets(states, "by_phase", world),
-        "by_category": assemble_buckets(states, "by_category", world),
+        "hi": cursor,
+        **assemble_slices(states),
         "links": merged_links,
         "link_queues": merged_queues,
-        "weights": {
-            name: np.concatenate([s["weights"][name] for s in states], axis=0)
-            for name in states[0]["weights"]
-        },
         "adam": {
             "t": t,
             "m": {

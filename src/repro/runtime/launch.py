@@ -2,20 +2,22 @@
 
 :class:`MultiprocTrainer` is the ``backend="multiproc"`` counterpart of
 :class:`~repro.core.trainer.PlexusTrainer`: it spawns one OS process per
-worker (each owning a contiguous z-slice of the rank cube, see
-:mod:`repro.runtime.worker`), wires them together over the shared-memory
-bus (:mod:`repro.runtime.shm`), and drives the epoch loop through per-worker
-command pipes.  ``train(epochs)`` returns the same :class:`TrainResult` the
-in-process trainer produces — losses, epoch times and the comm/comp
-breakdown are assembled from the workers' raw per-rank vectors so they are
-*bitwise identical* to ``backend="inproc"`` on the same workload.
+worker (each running the in-process program on a contiguous z-slice of the
+rank cube, see :mod:`repro.runtime.worker`), wires them together over the
+shared-memory bus (:mod:`repro.runtime.shm`) or the tcp fabric, and drives
+the epoch loop through per-worker command pipes.  ``train(epochs)`` returns
+the same :class:`TrainResult` the in-process trainer produces — losses,
+epoch times and the comm/comp breakdown are assembled from the workers' raw
+per-rank vectors so they are *bitwise identical* to ``backend="inproc"`` on
+the same workload.
 
-Supervision: a monitor thread watches ``proc.is_alive()`` while the
-launcher's message pump drains per-epoch heartbeat beacons from every
-control pipe — a dead worker surfaces *mid-epoch* as a typed
-:class:`~repro.errors.WorkerCrashed` (worker id, exit code, last completed
-epoch) within the monitor interval instead of waiting out the bus barrier
-timeout, and a wedged worker that stops beating trips
+Supervision: the message pump blocks in one ``connection.wait`` over every
+control pipe and every local worker's process sentinel, draining per-epoch
+heartbeat beacons as they arrive — a dead worker surfaces *mid-epoch* as a
+typed :class:`~repro.errors.WorkerCrashed` (worker id, exit code, last
+completed epoch) when its sentinel fires (a remote worker: at EOF on its
+control connection) instead of waiting out the bus barrier timeout, and a
+wedged worker that stops beating trips
 :class:`~repro.errors.BarrierTimeout` when ``heartbeat_timeout`` is set.
 Worker-raised exceptions arrive as structured reports and re-raise as
 typed exceptions carrying the worker's original traceback text.
@@ -46,7 +48,6 @@ import atexit
 import multiprocessing as mp
 import os
 import secrets
-import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -81,7 +82,7 @@ from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import FaultPlan
 from repro.runtime.net import TcpConfig
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
-from repro.runtime.worker import worker_main, worker_main_tcp, worker_slice
+from repro.runtime.worker import build_worker, worker_main, worker_main_tcp, worker_slice
 
 __all__ = [
     "WorkloadSpec",
@@ -228,30 +229,17 @@ def _validate_spec(spec: WorkloadSpec) -> None:
         )
 
 
-class _PoolMonitor(threading.Thread):
-    """Watches ``proc.is_alive()`` across the pool; records the first death.
-
-    The monitor never raises and never touches the pipes — it only flips
-    ``death`` so the launcher's pump loop (the single reader) can drain any
-    final error report before converting the death into a typed exception.
-    """
-
-    def __init__(self, procs: list, interval: float = 0.2) -> None:
-        super().__init__(name="plexus-pool-monitor", daemon=True)
-        self._procs = procs
-        self._interval = interval
-        self._stop_event = threading.Event()
-        self.death: tuple[int, int | None] | None = None
-
-    def run(self) -> None:
-        while not self._stop_event.wait(self._interval):
-            for w, p in enumerate(self._procs):
-                if p is not None and not p.is_alive():
-                    self.death = (w, p.exitcode)
-                    return
-
-    def stop(self) -> None:
-        self._stop_event.set()
+def _start_workers(
+    procs: list, ctx, target, args_of: list[tuple], name: str = "plexus-runtime-worker"
+) -> None:
+    """Start one daemon worker process per entry of ``args_of`` under
+    :func:`_worker_env`, appending each to ``procs`` as it starts (a failure
+    midway leaves the started ones where the caller's teardown finds them)."""
+    with _worker_env(len(args_of)):
+        for w, args in enumerate(args_of):
+            p = ctx.Process(target=target, args=args, name=f"{name}-{w}", daemon=True)
+            p.start()
+            procs.append(p)
 
 
 class MultiprocTrainer:
@@ -334,7 +322,6 @@ class MultiprocTrainer:
         self._epochs_done = 0
         self._restarts_used = 0
         self._training = False
-        self._monitor: _PoolMonitor | None = None
         self._bus: ShmBus | None = None
         self._listener = None  # tcp: the RendezvousListener (+ its port file)
         self._authkey = secrets.token_bytes(32)
@@ -378,6 +365,8 @@ class MultiprocTrainer:
         self._conns = []
         self._inbox: list[deque] = [deque() for _ in range(self.workers)]
         self._eof: set[int] = set()
+        #: workers found gone by the pump, not yet raised
+        self._gone: set[int] = set()
         self._worker_epoch = [self._epochs_done] * self.workers
         self._last_beat = [time.monotonic()] * self.workers
         with _trace.span(
@@ -387,8 +376,6 @@ class MultiprocTrainer:
                 self._spawn_tcp(ctx, spec, restore)
             else:
                 self._spawn_shm(ctx, spec, restore)
-            self._monitor = _PoolMonitor(self._procs)
-            self._monitor.start()
             for w in range(self.workers):
                 self._recv(w)  # ("ready", w) or the build/restore error
 
@@ -401,19 +388,18 @@ class MultiprocTrainer:
         )
         self._session = self._bus_handle.session
         self._bus = ShmBus(self._bus_handle)  # creator endpoint: owns unlink
-        with _worker_env(self.workers):
-            for w in range(self.workers):
-                parent, child = ctx.Pipe()
-                p = ctx.Process(
-                    target=worker_main,
-                    args=(w, self._bus_handle, spec, child, restore),
-                    name=f"plexus-runtime-worker-{w}",
-                    daemon=True,
-                )
-                p.start()
+        pipes = [ctx.Pipe() for _ in range(self.workers)]
+        self._conns = [parent for parent, _ in pipes]
+        try:
+            _start_workers(
+                self._procs,
+                ctx,
+                worker_main,
+                [(w, self._bus_handle, spec, child, restore) for w, (_, child) in enumerate(pipes)],
+            )
+        finally:
+            for _, child in pipes:
                 child.close()
-                self._procs.append(p)
-                self._conns.append(parent)
 
     def _spawn_tcp(self, ctx, spec: WorkloadSpec, restore) -> None:
         """Rendezvous-based pool formation (the multi-host path).
@@ -432,41 +418,25 @@ class MultiprocTrainer:
         host, port = self.rendezvous
         self._listener = RendezvousListener(host, port, authkey=self._authkey)
         self._session = self._listener.session
+        dial = (self._listener.host, self._listener.port, self._authkey)
         n_local = self.workers - self.remote_workers
-        with _worker_env(n_local):
-            for w in range(n_local):
-                p = ctx.Process(
-                    target=worker_main_tcp,
-                    args=(w, self._listener.host, self._listener.port, self._authkey),
-                    name=f"plexus-runtime-worker-{w}",
-                    daemon=True,
-                )
-                p.start()
-                self._procs.append(p)
-        local_procs = {w: self._procs[w] for w in range(n_local)}
-        try:
-            conns = self._listener.gather(
-                self.workers, timeout=self.tcp_config.rendezvous_timeout
-            )
-        except BaseException:
-            self._procs = [local_procs.get(w) for w in range(self.workers)]
-            raise
-        self._procs = [local_procs.get(w) for w in range(self.workers)]
+        _start_workers(self._procs, ctx, worker_main_tcp, [(w, *dial) for w in range(n_local)])
+        self._procs += [None] * self.remote_workers  # remote slots: no local process
+        conns = self._listener.gather(
+            self.workers, timeout=self.tcp_config.rendezvous_timeout
+        )
         self._conns = [conns[w] for w in range(self.workers)]
         for conn in self._conns:
             conn.send(("spec", spec, restore, self.tcp_config))
 
     def _stop_pool(self, graceful: bool) -> None:
         """Flush the trace (so spans leading up to a failure survive), stop
-        the monitor and the workers, and release every connection, segment
-        and listener of this pool — the one place the session's segments
-        are unlinked.  ``graceful=False`` is the path after a failure: the
-        rendezvous is already broken, so workers are terminated, not asked,
-        and the trainer itself stays open — recovery may respawn."""
+        the workers, and release every connection, segment and listener of
+        this pool — the one place the session's segments are unlinked.
+        ``graceful=False`` is the path after a failure: the rendezvous is
+        already broken, so workers are terminated, not asked, and the
+        trainer itself stays open — recovery may respawn."""
         self._flush_trace()
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
         self._stop_procs(graceful)
         for conn in self._conns:
             try:
@@ -522,17 +492,30 @@ class MultiprocTrainer:
 
     # -- message pump / supervision --------------------------------------------
     def _pump(self, timeout: float) -> None:
-        """Drain every ready control pipe into the per-worker inboxes.
+        """Drain every ready control pipe into the per-worker inboxes and
+        note which workers are gone, in one ``wait`` over the pipes and the
+        local workers' process sentinels.
 
         Heartbeat beacons are consumed here (liveness timestamps + the
         per-worker last-completed-epoch record); everything else queues for
-        :meth:`_recv`.  EOF marks the pipe dead for the failure checks.
+        :meth:`_recv`.  A worker is gone when its sentinel fires; a remote
+        one (no local process) at EOF on its control connection — a local
+        worker's EOF only retires the pipe, its sentinel follows.
         """
-        live = [c for w, c in enumerate(self._conns) if w not in self._eof]
-        if not live:
+        waiting = {c: w for w, c in enumerate(self._conns) if w not in self._eof}
+        waiting.update(
+            (p.sentinel, w)
+            for w, p in enumerate(self._procs)
+            if p is not None and w not in self._gone
+        )
+        if not waiting:
             return
-        for conn in mp_connection.wait(live, timeout):
-            w = self._conns.index(conn)
+        for ready in mp_connection.wait(list(waiting), timeout):
+            w = waiting[ready]
+            conn = self._conns[w]
+            if ready is not conn:  # a sentinel: the process exited
+                self._gone.add(w)
+                continue
             while True:
                 try:
                     if not conn.poll(0):
@@ -540,6 +523,8 @@ class MultiprocTrainer:
                     msg = conn.recv()
                 except (EOFError, OSError):
                     self._eof.add(w)
+                    if self._procs[w] is None:
+                        self._gone.add(w)
                     break
                 if msg[0] == "beat":
                     self._last_beat[msg[1]] = time.monotonic()
@@ -598,16 +583,9 @@ class MultiprocTrainer:
             )
 
     def _check_failures(self) -> None:
-        """Convert a monitored death / stale heartbeat into a typed raise."""
-        death = self._monitor.death if self._monitor is not None else None
-        if death is None:
-            for w in sorted(self._eof):
-                p = self._procs[w]
-                if not self._inbox[w] and (p is None or not p.is_alive()):
-                    death = (w, None if p is None else p.exitcode)
-                    break
-        if death is not None:
-            self._worker_down(*death)
+        """Convert a gone worker / stale heartbeat into a typed raise."""
+        if self._gone:
+            self._worker_down(min(self._gone))
         if self._training and self.heartbeat_timeout is not None:
             now = time.monotonic()
             for w, beat in enumerate(self._last_beat):
@@ -624,8 +602,8 @@ class MultiprocTrainer:
                         last_epoch=last,
                     )
 
-    def _worker_down(self, w: int, exitcode: int | None):
-        """A worker process died: drain its final words, then raise typed."""
+    def _worker_down(self, w: int):
+        """A worker is gone: drain its final words, then raise typed."""
         self._pump(0)
         inbox = self._inbox[w]
         while inbox:
@@ -633,7 +611,13 @@ class MultiprocTrainer:
             if kind == "error":
                 self._raise_worker_error(payload)
         last = self._worker_epoch[w]
-        lost = self._procs[w] is None
+        p = self._procs[w]
+        lost = p is None
+        if not lost:
+            # a ready sentinel can precede waitpid by a moment (is_alive()
+            # still true, exitcode None): reap before reading the exit code
+            p.join(timeout=1.0)
+        exitcode = None if lost else p.exitcode
         report = self._straggler_report()
         self._stop_pool(graceful=False)
         raise WorkerCrashed(
@@ -686,9 +670,10 @@ class MultiprocTrainer:
 
         A long ``train`` command legitimately stays quiet between heartbeat
         beacons, so the launcher waits as long as the pool is healthy: the
-        pump drains every pipe while the failure checks watch the monitor's
-        death record and (when enabled) heartbeat staleness — a dead or
-        wedged worker ends the wait in well under the bus barrier timeout.
+        pump drains every pipe and watches every process sentinel while the
+        failure checks act on what it found and (when enabled) on heartbeat
+        staleness — a dead or wedged worker ends the wait in well under the
+        bus barrier timeout.
         """
         inbox = self._inbox[w]
         while not inbox:
@@ -707,8 +692,7 @@ class MultiprocTrainer:
             try:
                 conn.send(msg)
             except (OSError, ValueError):
-                p = self._procs[w]
-                self._worker_down(w, None if p is None else p.exitcode)
+                self._worker_down(w)
         return [self._recv(w) for w in range(self.workers)]
 
     # -- trainer surface -------------------------------------------------------
@@ -883,21 +867,9 @@ class MultiprocTrainer:
         (world,) vectors, ``weights`` name -> (world, rows, cols) stacks,
         and ``load_reports`` (per worker; None without ``shard_dir``).
         """
-        states = self._command("state")
-        states.sort(key=lambda s: s["lo"])
-        world = states[-1]["hi"]
-        clocks = np.concatenate([s["clocks"] for s in states])
-        assert clocks.shape[0] == world
-
-        weights = {
-            name: np.concatenate([s["weights"][name] for s in states], axis=0)
-            for name in states[0]["weights"]
-        }
+        states = sorted(self._command("state"), key=lambda s: s["lo"])
         return {
-            "clocks": clocks,
-            "by_phase": ckpt.assemble_buckets(states, "by_phase", world),
-            "by_category": ckpt.assemble_buckets(states, "by_category", world),
-            "weights": weights,
+            **ckpt.assemble_slices(states),
             "load_reports": [s["load_report"] for s in states],
         }
 
@@ -960,30 +932,6 @@ class MultiprocTrainer:
             self._procs[w].join(timeout=self.timeout)
 
 
-def _resolve_rendezvous(rendezvous: str) -> tuple[str, int, bytes]:
-    """Turn a ``repro host`` rendezvous argument into (host, port, key).
-
-    ``"auto"`` discovers the newest live port file on this machine; a path
-    reads that port file; ``host:port`` dials directly, taking the session
-    auth key (hex) from ``$PLEXUS_AUTHKEY``.
-    """
-    from repro.runtime.rendezvous import discover_port_file, read_port_file
-
-    if rendezvous == "auto":
-        return read_port_file(discover_port_file())
-    if os.path.sep in rendezvous or rendezvous.endswith(".rdv"):
-        return read_port_file(rendezvous)
-    host, _, port = rendezvous.rpartition(":")
-    key_hex = os.environ.get("PLEXUS_AUTHKEY", "")
-    if not key_hex:
-        raise PlexusRuntimeError(
-            "--rendezvous host:port needs the session auth key in "
-            "$PLEXUS_AUTHKEY (hex); on the launcher's machine use "
-            "--rendezvous auto or pass the port file path instead"
-        )
-    return host or "127.0.0.1", int(port), bytes.fromhex(key_hex)
-
-
 def host_workers(
     rendezvous: str = "auto", workers: int = 1, rediscover_grace: float = 10.0
 ) -> int:
@@ -1000,6 +948,8 @@ def host_workers(
     done or dead).  With an explicit ``host:port`` (no port file to watch)
     a single session is served.
     """
+    from repro.runtime.rendezvous import resolve_rendezvous
+
     if workers < 1:
         raise ValueError("workers must be >= 1")
     ctx = mp.get_context("spawn")
@@ -1008,25 +958,18 @@ def host_workers(
         deadline = time.monotonic() + rediscover_grace
         while True:
             try:
-                host, port, authkey = _resolve_rendezvous(rendezvous)
+                host, port, authkey = resolve_rendezvous(rendezvous)
                 break
             except PlexusRuntimeError:
                 if served and time.monotonic() < deadline:
                     time.sleep(0.25)  # a recovering primary may republish
                     continue
                 return served
-        procs = [
-            ctx.Process(
-                target=worker_main_tcp,
-                args=(None, host, port, authkey),
-                name=f"plexus-remote-worker-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        with _worker_env(workers):
-            for p in procs:
-                p.start()
+        procs: list = []
+        _start_workers(
+            procs, ctx, worker_main_tcp, [(None, host, port, authkey)] * workers,
+            name="plexus-remote-worker",
+        )
         for p in procs:
             p.join()
         served += 1
@@ -1041,34 +984,18 @@ def host_workers(
 def build_trainer(spec: WorkloadSpec, backend: str = "inproc", **kwargs):
     """The backend seam: one workload description, either trainer.
 
-    ``"inproc"`` builds the whole cube in this process
-    (:class:`~repro.core.trainer.PlexusTrainer` over a
-    :class:`~repro.dist.cluster.VirtualCluster`) — the parity oracle;
-    ``"multiproc"`` launches the worker pool (``kwargs`` pass through to
-    :class:`MultiprocTrainer`: checkpointing, supervision, timeouts).
-    Requires in-memory data for the inproc backend.
+    ``"inproc"`` builds the whole cube in this process — a
+    :class:`~repro.core.trainer.PlexusTrainer`, the parity oracle: the
+    whole-cube, no-bus call of the builder every worker runs
+    (:func:`~repro.runtime.worker.build_worker`), so a ``shard_dir`` spec
+    loads the same way; ``"multiproc"`` launches the worker pool (``kwargs``
+    pass through to :class:`MultiprocTrainer`: checkpointing, supervision,
+    timeouts).
     """
     if backend == "multiproc":
         return MultiprocTrainer(spec, **kwargs)
     if backend != "inproc":
         raise ValueError(f"unknown backend {backend!r} (known: inproc, multiproc)")
-    from repro.core.model import PlexusGCN
-    from repro.core.trainer import PlexusTrainer
-    from repro.dist.cluster import VirtualCluster
-
-    if spec.adjacency is None:
-        raise ValueError("backend='inproc' needs in-memory data (adjacency, ...)")
     if kwargs:
         raise ValueError(f"backend='inproc' takes no launcher options: {sorted(kwargs)}")
-    cluster = VirtualCluster(spec.config.total, spec.machine)
-    model = PlexusGCN(
-        cluster,
-        spec.config,
-        spec.adjacency,
-        spec.features,
-        spec.labels,
-        spec.train_mask,
-        spec.layer_dims,
-        spec.options,
-    )
-    return PlexusTrainer(model)
+    return build_worker(spec).trainer

@@ -4,8 +4,9 @@ Drop-in peer of :mod:`repro.runtime.shm` behind the same bus surface:
 :class:`TcpBus` exposes ``exchange`` exactly like
 :class:`~repro.runtime.shm.ShmBus` — a byte mover that knows no schedule
 and hands back the workers' parts uncopied (here the receive buffers) —
-so the :class:`~repro.runtime.worker.WorkerGrid` Z-axis communicator, the
-epoch barrier, and every collective call site work unchanged, and results
+so the grid's worker-crossing Z-axis communicator, the epoch barrier
+(``VirtualCluster.barrier``), and every collective call site work
+unchanged, and results
 over loopback are bitwise identical to shm and inproc.
 
 Wire protocol — small, inspectable, and hardened:

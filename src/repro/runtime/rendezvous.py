@@ -52,6 +52,7 @@ __all__ = [
     "write_port_file",
     "read_port_file",
     "discover_port_file",
+    "resolve_rendezvous",
     "cleanup_stale_rendezvous",
 ]
 
@@ -102,6 +103,28 @@ def discover_port_file(prefix: str = SHM_PREFIX) -> Path:
             "--rendezvous host:port"
         )
     return max(live)[1]
+
+
+def resolve_rendezvous(rendezvous: str) -> tuple[str, int, bytes]:
+    """Turn a ``repro host`` rendezvous argument into (host, port, key).
+
+    ``"auto"`` discovers the newest live port file on this machine; a path
+    reads that port file; ``host:port`` dials directly, taking the session
+    auth key (hex) from ``$PLEXUS_AUTHKEY``.
+    """
+    if rendezvous == "auto":
+        return read_port_file(discover_port_file())
+    if os.path.sep in rendezvous or rendezvous.endswith(PORT_FILE_SUFFIX):
+        return read_port_file(rendezvous)
+    host, _, port = rendezvous.rpartition(":")
+    key_hex = os.environ.get("PLEXUS_AUTHKEY", "")
+    if not key_hex:
+        raise PlexusRuntimeError(
+            "--rendezvous host:port needs the session auth key in "
+            "$PLEXUS_AUTHKEY (hex); on the launcher's machine use "
+            "--rendezvous auto or pass the port file path instead"
+        )
+    return host or "127.0.0.1", int(port), bytes.fromhex(key_hex)
 
 
 def cleanup_stale_rendezvous(

@@ -56,8 +56,8 @@ views are handed out, so such a torn read raises
 The bus moves bytes and knows no schedule: :meth:`ShmBus.exchange`
 is the byte mover behind the one grid axis that crosses worker boundaries
 (the cube's leading Z axis), whose communicator is the ordinary
-:class:`~repro.dist.AxisCommunicator` built by
-:class:`~repro.runtime.worker.WorkerGrid` — at issue the workers exchange
+:class:`~repro.dist.AxisCommunicator` :class:`~repro.core.grid.PlexusGrid`
+builds over a cluster slice's mover — at issue the workers exchange
 their clock slices and operand slices through it, one frame per worker
 per collective.  A collective re-issued with a known duration
 (``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still

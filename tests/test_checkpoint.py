@@ -103,14 +103,27 @@ class TestRoundTrip:
         assert tail == losses_ref[2:]
         _assert_same(_final_state(ref), _final_state(resumed))
 
-    def test_overlap_verbatim_restore_same_instance(self, tmp_path):
+    def test_overlap_verbatim_restore_same_instance(self, tmp_path, monkeypatch):
         """With overlap + the cross-epoch F prefetch in flight at the
         boundary, the saving instance restores verbatim (links + pending
         handle inventory) and replays bitwise."""
+        import itertools
+        import pickle
+
+        from repro.dist import comm
+
+        monkeypatch.setattr(comm, "_LINK_KEYS", itertools.count())  # a fresh process
         tr = _trainer(overlap=True)
         tr.train(2)
         assert tr.model._f0_pending is not None  # prefetch crosses the boundary
         path = tr.save_checkpoint(tmp_path, epoch=2)
+        # pinned at the commit before the one-grid refactor (PR 22): the keys
+        # a fresh process gives X2Y2Z2's twelve links, in construction order
+        # — a checkpoint written before must still restore verbatim
+        with open(path / ckpt.worker_file_name(0, 8), "rb") as f:
+            assert sorted(pickle.load(f)["links"], key=repr) == [
+                0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9
+            ]
         first = tr.train(3).losses
         state_first = _final_state(tr)
 

@@ -45,11 +45,12 @@ def _dataset(seed=3):
     return a, feats, labels, train
 
 
-def _train(cfg, overlap, build=PlexusGCN, epochs=4, machine=PERLMUTTER, **opts):
+def _train(cfg, overlap, build=PlexusGCN, epochs=4, machine=PERLMUTTER, exchange=None, **opts):
     """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
-    or ``PerRankOracle`` (the per-rank reference)."""
+    or ``PerRankOracle`` (the per-rank reference); ``exchange`` puts the
+    cluster behind a byte mover."""
     a, feats, labels, mask = _dataset()
-    cluster = VirtualCluster(cfg.total, machine)
+    cluster = VirtualCluster(cfg.total, machine, exchange=exchange)
     model = build(
         cluster, cfg, a, feats, labels, mask, DIMS,
         PlexusOptions(seed=0, overlap=overlap, **opts),
@@ -613,6 +614,47 @@ class TestOverlapSchedules:
         assert overlapped.losses == eager.losses
         assert (sum(e.comm_time for e in overlapped.epochs)
                 < sum(e.comm_time for e in eager.epochs))
+
+
+class TestByteMoverSeam:
+    """The worker-crossing seam without a worker process: a whole-cube
+    cluster given a loop-back mover (one slice — every exchange hands the
+    caller's own part back) runs the Z axis and the epoch barrier through
+    the byte-mover path, and must land on the plain in-process run's bits."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [dict(overlap=False), dict(overlap=True), dict(overlap=True, aggregation_blocks=3)],
+        ids=["eager", "overlap", "overlap-3-blocks"],
+    )
+    def test_loopback_mover_equals_plain_inproc(self, schedule):
+        cfg = GridConfig(2, 2, 2)
+        posted = []
+
+        def loopback(arrays):
+            posted.append(len(arrays))
+            return [(a,) for a in arrays]
+
+        plain_model, plain, plain_cluster, plain_w = _train(cfg, **schedule)
+        model, looped, cluster, w = _train(cfg, exchange=loopback, **schedule)
+        assert model.uniform  # padded stacks do not cross a mover
+        # clocks-only exchanges (barrier, replayed issues) and operand ones
+        assert {1, 2} <= set(posted)
+        assert looped.losses == plain.losses
+        assert [e.epoch_time for e in looped.epochs] == [e.epoch_time for e in plain.epochs]
+        assert np.array_equal(w, plain_w)
+        a, b = plain_cluster.store, cluster.store
+        assert np.array_equal(a.clocks, b.clocks)
+        for books in ("by_phase", "by_category"):
+            assert getattr(a, books).keys() == getattr(b, books).keys()
+            for label, vec in getattr(a, books).items():
+                assert np.array_equal(vec, getattr(b, books)[label]), label
+        # the link *keys* differ by design — a mover's Z links are the
+        # ``("shmz", plane offset)`` replicas — the reservations do not
+        assert {k for k in b.links if isinstance(k, tuple)} == {
+            ("shmz", gi) for gi in range(cfg.gx * cfg.gy)
+        }
+        assert sorted(a.links.values()) == sorted(b.links.values())
 
 
 class TestScheduleKernel:

@@ -156,3 +156,73 @@ class TestPlexusGrid:
         grid = self._grid(2, 4, 2)  # inner(Z) = 8 > 4
         for g in grid.groups(Axis.Z):
             assert g.bandwidth == PERLMUTTER.inter_node_bw / 4
+
+
+def _splits(cfg):
+    """Every ``(n_workers, worker_id)`` split of ``cfg``'s z-planes."""
+    return [(n, w) for n in range(1, cfg.gz + 1) for w in range(n)]
+
+
+class TestSlicedGrid:
+    """One grid class: a cluster holding a worker's z-planes (reaching the
+    rest through a byte mover — a loop-back stand-in here, never called)
+    gets the whole-cube grid restricted to its slice."""
+
+    @pytest.mark.parametrize(
+        "cfg,n_workers,worker",
+        [(cfg, n, w) for cfg in (GridConfig(2, 2, 4), GridConfig(3, 2, 2)) for n, w in _splits(cfg)],
+        ids=lambda v: v.name if isinstance(v, GridConfig) else str(v),
+    )
+    def test_slice_is_the_whole_cube_grid_restricted(self, cfg, n_workers, worker):
+        from repro.runtime import worker_slice
+
+        lo, hi = worker_slice(cfg, n_workers, worker)
+        whole = PlexusGrid(VirtualCluster(cfg.total, PERLMUTTER), cfg)
+        cluster = VirtualCluster(
+            hi - lo, PERLMUTTER, lo=lo, exchange=lambda arrays: [(a,) for a in arrays]
+        )
+        sliced = PlexusGrid(cluster, cfg)
+        plane = cfg.gx * cfg.gy
+        assert sliced.world_size == hi - lo and sliced.config == cfg
+        assert sliced.cube == ((hi - lo) // plane, cfg.gx, cfg.gy)
+        assert [r.rank for r in cluster] == list(range(lo, hi))
+        assert [sliced.coords(i) for i in range(hi - lo)] == [
+            whole.coords(r) for r in range(lo, hi)
+        ]
+
+        def shifted(idx):
+            return slice(idx.start - lo, idx.stop - lo, idx.step)
+
+        for axis in (Axis.X, Axis.Y):
+            held = [
+                g for g in whole.groups(axis) if all(lo <= m.rank < hi for m in g.members)
+            ]
+            mine = sliced.groups(axis)
+            assert [g.name for g in mine] == [g.name for g in held]
+            for g, ref in zip(mine, held):
+                assert [m.rank for m in g.members] == [m.rank for m in ref.members]
+                assert [m.node for m in g.members] == [m.node for m in ref.members]
+                assert g.member_idx == shifted(ref.member_idx)
+                assert (g.bandwidth, g.latency) == (ref.bandwidth, ref.latency)
+                for m in g.members:
+                    assert sliced.group_of(m.rank - lo, axis) is g
+            d, ref_d = sliced.comm(axis).descriptor, whole.comm(axis).descriptor
+            assert d.cube == sliced.cube
+            assert (d.axis, d.size, d.bandwidth, d.latency) == (
+                ref_d.axis, ref_d.size, ref_d.bandwidth, ref_d.latency
+            )
+        # Z crosses the slices: no local groups (unless the slice is the
+        # cube), and the descriptor is the whole cube's either way
+        assert len(sliced.groups(Axis.Z)) == (plane if n_workers == 1 else 0)
+        d, ref_d = sliced.comm(Axis.Z).descriptor, whole.comm(Axis.Z).descriptor
+        assert (d.cube, d.axis, d.size, d.bandwidth, d.latency) == (
+            ref_d.cube, ref_d.axis, ref_d.size, ref_d.bandwidth, ref_d.latency
+        )
+
+    def test_slice_must_cover_whole_planes_and_have_a_mover(self):
+        cfg = GridConfig(2, 2, 2)
+        mover = lambda arrays: [(a,) for a in arrays]  # noqa: E731
+        with pytest.raises(ValueError, match="whole z-planes"):
+            PlexusGrid(VirtualCluster(3, PERLMUTTER, lo=4, exchange=mover), cfg)
+        with pytest.raises(ValueError, match="needs 8 ranks"):
+            PlexusGrid(VirtualCluster(4, PERLMUTTER, lo=4), cfg)

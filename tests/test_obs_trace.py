@@ -302,6 +302,23 @@ class TestEndToEnd:
         assert {"epoch", "forward", "backward", "loss", "apply_gradients"} <= names
         assert any(n.startswith("layer0.") for n in names)
 
+    def test_failing_traced_call_still_writes_and_disables(self, tmp_path):
+        """The tracer is process-global: a traced in-process call that
+        raises must not leave it on for every later run in the interpreter,
+        and — like a pool's failing command — keeps the spans that led up
+        to the failure."""
+        import repro
+
+        out = tmp_path / "tr"
+        with pytest.raises(ValueError, match="epochs"):
+            repro.train_plexus("reddit", gpus=8, epochs=0, machine=LAPTOP, trace_dir=str(out))
+        assert not trace.enabled
+        assert validate_trace_dir(out) == []
+        assert "build" in (out / "events.jsonl").read_text()
+        # ... and the next run in this interpreter is untraced
+        repro.train_plexus("reddit", gpus=8, epochs=1, machine=LAPTOP)
+        assert trace.drain() == []
+
     def test_trace_cli_roundtrip(self, tmp_path, capsys):
         import repro
         from repro.__main__ import main

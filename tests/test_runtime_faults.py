@@ -264,6 +264,17 @@ class TestResume:
         ) as mpt:
             head = mpt.train(3).losses
         assert head == losses[:3]
+        # pinned at the commit before the one-grid refactor (PR 22): verbatim
+        # restore means a slice file's link keys name the same links in a
+        # respawned worker, so a checkpoint written before must still fit
+        import pickle
+
+        from repro.runtime import latest_checkpoint
+
+        with open(latest_checkpoint(tmp_path)[1] / "worker-00000-00004.pkl", "rb") as f:
+            assert sorted(pickle.load(f)["links"], key=repr) == [
+                ("shmz", 0), ("shmz", 1), ("shmz", 2), ("shmz", 3), 0, 1, 2, 3
+            ]
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
         ) as mpt:

@@ -335,6 +335,11 @@ class TestShardedLoaderFeedsRuntime:
             st = mpt.state()
         assert losses_disk == losses_in
         _assert_states_equal(_inproc_state(inproc), st)
+        # one builder: the in-process backend reads the directory through
+        # the same loader (every block, for the whole cube)
+        disk_inproc = build_trainer(self._spec_from(root, mask), backend="inproc")
+        assert disk_inproc.train(3).losses == losses_in
+        _assert_states_equal(_inproc_state(inproc), _inproc_state(disk_inproc))
 
     def test_each_worker_reads_only_its_own_blocks(self, tmp_path):
         _, _, _, mask, root = self._save(tmp_path)
@@ -371,6 +376,14 @@ class TestShardedLoaderFeedsRuntime:
         )
         with pytest.raises(UnsupportedWorkload, match="uniform"):
             MultiprocTrainer(spec, timeout=60)
+        # in process the same ragged directory runs — bitwise its in-memory twin
+        from dataclasses import replace
+
+        twin = replace(spec, shard_dir=None, adjacency=a, features=feats, labels=labels)
+        on_disk, in_memory = (build_trainer(s, backend="inproc") for s in (spec, twin))
+        assert not in_memory.model.uniform
+        assert on_disk.train(3).losses == in_memory.train(3).losses
+        _assert_states_equal(_inproc_state(in_memory), _inproc_state(on_disk))
 
     def test_shard_dir_requires_identity_permutation(self, tmp_path):
         _, _, _, mask, root = self._save(tmp_path)
