@@ -206,7 +206,6 @@ def train_plexus(
         # in checkpoint_every-sized stretches, seal each with a checkpoint
         from pathlib import Path
 
-        from repro.core.trainer import EpochStats
         from repro.runtime import checkpoint as _ckpt
 
         root = Path(checkpoint_dir)
@@ -216,7 +215,7 @@ def train_plexus(
             epoch, path = found
             manifest = trainer.load_checkpoint(path)
             done = epoch
-            history = [EpochStats(**e) for e in manifest.get("history", [])][:epoch]
+            history = _ckpt.manifest_history(manifest, epoch)
         while done < epochs:
             n = min(checkpoint_every, epochs - done)
             history.extend(trainer.train(n).epochs)

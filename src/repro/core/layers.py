@@ -87,8 +87,8 @@ Optimizations hosted here:
   TN mode; the numerical result is identical.
 * **SpMM variability** (Sec. 5.2's motivation): an optional
   :class:`~repro.core.noise.SpmmNoise` inflates large per-call SpMM times
-  stochastically; its draws are vectorized per rank in rank order — the
-  RNG stream of scalar per-rank draws, which is what the oracle checks.
+  stochastically; each charge's per-rank draws are a function of (step,
+  layer, pass, block) — the oracle computes the same ones.
 
 Sparse products route through the :func:`repro.sparse.ops.spmm` seam (via
 :class:`~repro.core.batch.BlockDiagSpmm`), keeping one place where a
@@ -317,13 +317,16 @@ class PlexusLayer:
                 bnnz = np.asarray([blocks[b].nnz for blocks in self._a_blocks], dtype=np.float64)
                 self._t_spmm_blocks.append(spmm_time_batch(rows, ac, cols, bnnz, device))
 
-    def _advance_spmm(self, times: np.ndarray, nnz: np.ndarray, phase: str) -> None:
-        """Charge one SpMM step on every rank, applying the noise model
-        per rank (draws in rank order: the sampler's RNG sequence is that
-        of scalar per-rank draws)."""
+    def _advance_spmm(self, times, nnz, step: int, bwd: bool, block: int = 0) -> None:
+        """Charge one SpMM (forward aggregation ``block``, or the backward
+        product) of Adam step ``step`` on every held rank, applying the noise
+        model per rank: the draws of charge (step, layer, pass, block)."""
         if self.noise is not None:
-            times = times * self.noise.multipliers(nnz)
-        self.cluster.advance_all(times, phase)
+            charge = (step, self.layer_idx, int(bwd), block)
+            times = times * self.noise.multipliers(
+                nnz, charge, self.grid.config.total, self.cluster.lo
+            )
+        self.cluster.advance_all(times, "comp:spmm_bwd" if bwd else "comp:spmm_fwd")
 
     # -- W all-gather (issued here, waited where the GEMM consumes it) -----------
     def issue_w_gather(self) -> PendingCollective:
@@ -353,7 +356,7 @@ class PlexusLayer:
         return comm_z.all_gather(f_in, phase="all_gather_f")
 
     # -- forward (Algorithm 1) ---------------------------------------------------
-    def forward(self, f_in, w_pending=None, f_pending=None) -> tuple[Any, LayerCache]:
+    def forward(self, f_in, w_pending=None, f_pending=None, step: int = 0) -> tuple[Any, LayerCache]:
         """Aggregation, combination, activation for every rank.
 
         ``f_in`` per rank: the z-sub-shard for the first layer (line 3
@@ -361,7 +364,8 @@ class PlexusLayer:
         ``w_pending`` is an optional in-flight W all-gather handle (the
         overlap schedule's prefetch); ``f_pending`` an optional in-flight
         layer-0 F all-gather (the cross-epoch prefetch); when absent the
-        layer issues its own.
+        layer issues its own.  ``step`` is the Adam step the pass belongs to
+        (the SpMM noise model's clock).
         """
         with _trace.span(f"layer{self.layer_idx}.forward"):
             comm_y = self.grid.comm(self.roles.y)
@@ -378,12 +382,12 @@ class PlexusLayer:
                 w_pending = self.issue_w_gather()
             # Step 2 (lines 4-5): H = SpMM(A, F); all-reduce across X-parallel group
             if frozen is not None:
-                self._aggregation_steps(None, replay=frozen.h_durations)
+                self._aggregation_steps(None, step, replay=frozen.h_durations)
                 h = frozen.h
                 if _trace.enabled:
                     _metrics.count("frozen_agg_replays")
             else:
-                parts, handles = self._aggregation_steps(f)
+                parts, handles = self._aggregation_steps(f, step)
                 h = parts[0] if len(parts) == 1 else concat_stack_rows(parts)
                 if self.is_first and not self.trainable_features:
                     h.cube.setflags(write=False)  # held across epochs from here on
@@ -402,7 +406,7 @@ class PlexusLayer:
             f_out = q if self.is_last else stack_map(relu, q)
             return f_out, LayerCache(f=f, h=h, q=q)
 
-    def _aggregation_steps(self, f, replay: list | None = None) -> tuple[list, list]:
+    def _aggregation_steps(self, f, step: int, replay: list | None = None) -> tuple[list, list]:
         """Lines 4-5: one stacked block-diagonal SpMM and one X-all-reduce
         per aggregation step (Sec. 5.2: per row block, concatenated by the
         caller).  Eager mode waits each block's all-reduce before the next
@@ -420,7 +424,7 @@ class PlexusLayer:
         handles: list[PendingCollective] = []
         parts = []
         for b, (times, nnz, plan) in enumerate(self._agg_steps):
-            self._advance_spmm(times, nnz, "comp:spmm_fwd")
+            self._advance_spmm(times, nnz, step, False, b)
             if replay is None:
                 handle = comm_x.all_reduce(plan.apply_batched(f), phase="all_reduce_h")
             else:
@@ -433,7 +437,7 @@ class PlexusLayer:
         return parts, handles
 
     # -- backward (Algorithm 2) --------------------------------------------------
-    def backward(self, dq, cache: LayerCache, w_pending=None, post_w_hook=None):
+    def backward(self, dq, cache: LayerCache, w_pending=None, post_w_hook=None, step: int = 0):
         """Returns ``(dF per rank or None, dW shard gradients per rank)``.
 
         For the first layer ``dF`` is the z-sub-sharded input-feature
@@ -489,11 +493,11 @@ class PlexusLayer:
             # where A^T's column blocks multiply each dH row block as its ring
             # step completes — and the handle is waited where dF consumes it.
             if self.overlap:
-                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
+                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, step, True)
                 dh = dh_pending.wait()
             else:
                 dh = dh_pending.wait()
-                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, "comp:spmm_bwd")
+                self._advance_spmm(self._t_spmm_bwd, self._nnz_a, step, True)
             df_partial = self._bd_at.apply_batched(dh)
             if self.is_first:
                 df = comm_z.reduce_scatter(df_partial, phase="reduce_scatter_df").wait()

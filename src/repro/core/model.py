@@ -17,7 +17,7 @@ that share the value; quasi-equal sharding zero-pads them to the global
 geometry's largest block (``LayerSharding.*_pad``) and their valid extents
 keep pad entries out of the math, the gathers and the byte accounting;
 blocked aggregation runs per-block stacked SpMM plans; SpMM noise draws are
-vectorized per rank in rank order.  There is one representation of every
+keyed by the Adam step and the charge.  There is one representation of every
 piece of state: the stacks; the per-rank accessors ``f0_shards`` /
 ``label_shards`` / ``mask_shards`` / ``w_shards`` are views into them.
 ``options.compute_dtype=np.float32`` selects the faster
@@ -263,7 +263,11 @@ class PlexusGCN:
         caches: list[LayerCache] = []
         w_pending = None
         for i, layer in enumerate(self.layers):
-            acts, cache = layer.forward(acts, w_pending=w_pending, f_pending=f_pending)
+            # the Adam step is the SpMM noise model's only clock (so an
+            # ``evaluate()`` forward between two epochs consumes nothing)
+            acts, cache = layer.forward(
+                acts, w_pending=w_pending, f_pending=f_pending, step=self.optimizer.t
+            )
             f_pending = None
             caches.append(cache)
             w_pending = (
@@ -308,7 +312,9 @@ class PlexusGCN:
         w_pending = None
         for i in range(self.n_layers - 1, -1, -1):
             hook = self._f0_prefetch_hook() if i == 0 else None
-            df, dw = self.layers[i].backward(dq, caches[i], w_pending=w_pending, post_w_hook=hook)
+            df, dw = self.layers[i].backward(
+                dq, caches[i], w_pending=w_pending, post_w_hook=hook, step=self.optimizer.t
+            )
             w_pending = self.layers[i - 1].issue_w_gather() if overlap and i > 0 else None
             grads[f"W{i}"] = dw
             if i > 0:

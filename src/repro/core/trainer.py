@@ -177,6 +177,12 @@ class EpochStats:
     #: mean across ranks of time in modeled kernels
     comp_time: float
 
+    @classmethod
+    def from_raw(cls, loss, t0, t1, comm, comp) -> "EpochStats":
+        """From the pieces of :meth:`PlexusTrainer.train_epoch_raw`, the
+        comm/comp vectors covering the whole cube."""
+        return cls(loss, t1 - t0, float(comm.mean()), float(comp.mean()))
+
 
 @dataclass
 class TrainResult:
@@ -253,13 +259,7 @@ class PlexusTrainer:
         return loss, t0, t1, comm, comp
 
     def train_epoch(self) -> EpochStats:
-        loss, t0, t1, comm, comp = self.train_epoch_raw()
-        return EpochStats(
-            loss=loss,
-            epoch_time=t1 - t0,
-            comm_time=float(np.mean(comm)),
-            comp_time=float(np.mean(comp)),
-        )
+        return EpochStats.from_raw(*self.train_epoch_raw())
 
     def train(self, epochs: int) -> TrainResult:
         if epochs <= 0:
@@ -281,12 +281,10 @@ class PlexusTrainer:
 
         Produces the same on-disk layout the multiproc launcher writes —
         ``<root>/ckpt-<NNNNNN>/`` with one ``[0, world)`` slice file and a
-        sealing manifest — so either backend can resume from it (the
-        multiproc pool reassembles and re-slices the single file, which
-        requires the link state to be quiescent: eager schedules, or any
-        schedule without a cross-epoch prefetch in flight).  The directory
-        is staged and renamed into place, and all but the newest ``keep``
-        checkpoints are pruned.  Returns the checkpoint path.
+        sealing manifest — so either backend, on any worker layout, can
+        resume from it.  The directory is staged and renamed into place, and
+        all but the newest ``keep`` checkpoints are pruned.  Returns the
+        checkpoint path.
         """
         from repro.runtime import checkpoint as ckpt
 
@@ -306,22 +304,14 @@ class PlexusTrainer:
             keep=keep,
         )
 
-    def load_checkpoint(self, path, verbatim: bool | None = None) -> dict:
-        """Restore this trainer's model from a checkpoint directory.
-
-        ``path`` is one ``ckpt-<NNNNNN>`` directory (either backend's).
-        ``verbatim=None`` restores link state exactly when the checkpoint
-        holds a ``[0, world)`` slice file — valid when this model is the
-        one that saved it, or a fresh process replaying the identical
-        construction; pass ``False`` to force the quiescent (cross-layout)
-        policy.  Returns the checkpoint's manifest.
-        """
+    def load_checkpoint(self, path) -> dict:
+        """Restore this trainer's model from a checkpoint directory — one
+        ``ckpt-<NNNNNN>`` directory, written by either backend on any worker
+        layout.  Returns the checkpoint's manifest."""
         from repro.runtime import checkpoint as ckpt
 
-        state, exact = ckpt.load_slice(path, 0, self.model.cluster.world_size)
-        ckpt.restore_model(
-            self.model, state, verbatim_links=exact if verbatim is None else verbatim
-        )
+        cluster = self.model.cluster
+        ckpt.restore_model(self.model, ckpt.load_slice(path, cluster.lo, cluster.hi))
         return ckpt.read_manifest(path)
 
     def evaluate(self, mask_global: np.ndarray) -> float:
@@ -340,13 +330,8 @@ class PlexusTrainer:
             mask_out[final.out_row_slice(model.grid, r)]
             for r in range(model.grid.world_size)
         ]
-        # The SpMM noise sampler is stateful; snapshot it alongside the
-        # clocks so an evaluation pass leaves the next epoch's draws (and
-        # hence its charged kernel times) untouched too.  A cross-epoch F
-        # prefetch is stashed for the same reason: consuming it here would
+        # A cross-epoch F prefetch is stashed: consuming it here would
         # leave the next real epoch without its in-flight gather.
-        noise = model.options.noise
-        rng_state = noise._rng.bit_generator.state if noise is not None else None
         f0_pending, model._f0_pending = model._f0_pending, None
         try:
             with model.cluster.no_charge():
@@ -354,5 +339,3 @@ class PlexusTrainer:
                 return distributed_accuracy(model, logits, shards)
         finally:
             model._f0_pending = f0_pending
-            if noise is not None:
-                noise._rng.bit_generator.state = rng_state

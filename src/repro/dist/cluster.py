@@ -256,10 +256,9 @@ class ClockStore:
             "outstanding": dict(self.outstanding),
         }
 
-    def restore(self, snap: dict, links: bool = True) -> None:
+    def restore(self, snap: dict) -> None:
         """Load the books of a :meth:`snapshot` (or of a checkpoint slice,
-        which lists no outstanding handles) in place; ``links=False`` leaves
-        the link state empty (the checkpoint's quiescent policy)."""
+        which lists no outstanding handles) in place."""
         self.clocks[:] = snap["clocks"]
         for book, saved in (
             (self.by_phase, snap["by_phase"]),
@@ -268,10 +267,9 @@ class ClockStore:
             book.clear()
             book.update({k: v.copy() for k, v in saved.items()})
         self.links.clear()
+        self.links.update(snap["links"])
         self.link_queues.clear()
-        if links:
-            self.links.update(snap["links"])
-            self.link_queues.update({k: list(v) for k, v in snap["link_queues"].items()})
+        self.link_queues.update({k: list(v) for k, v in snap["link_queues"].items()})
         self.outstanding.clear()
         # reconcile rather than copy blindly: a handle that was waited
         # between snapshot and restore (e.g. consumed inside no_charge)

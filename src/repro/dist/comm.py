@@ -96,7 +96,6 @@ One orthogonal extension rides on the same issue machinery:
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right, insort
 from typing import Sequence
 
@@ -137,8 +136,14 @@ _TIME_FNS = {
     "reduce_scatter": ring_reduce_scatter_time,
 }
 
-#: unique link keys into ``ClockStore.links`` (one per communicator)
-_LINK_KEYS = itertools.count()
+
+def link_key(ranks) -> str:
+    """The ``ClockStore.links`` key of the process group with these *global*
+    member ranks — a link's identity.  Every communicator of the group, in
+    process or in any worker, computes the same key, so link state moves
+    between processes and layouts by key (``repro.runtime.checkpoint``) and a
+    merged trace shows one track per link."""
+    return "-".join(map(str, ranks))
 
 
 def _check_op(op: str) -> None:
@@ -168,7 +173,7 @@ def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
     return a.transpose(axes)
 
 
-def _queue_keys_for(group: ProcessGroup, link_key) -> tuple:
+def _queue_keys_for(group: ProcessGroup, key: str) -> tuple:
     """The in-flight queue keys one collective on ``group`` occupies.
 
     An *inter-node* group's traffic passes through the NIC of every node it
@@ -181,7 +186,7 @@ def _queue_keys_for(group: ProcessGroup, link_key) -> tuple:
     nodes = sorted({m.node for m in group.members})
     if len(nodes) > 1:
         return tuple(("nic", n) for n in nodes)
-    return (link_key,)
+    return (key,)
 
 
 class _Slots:
@@ -204,7 +209,7 @@ class _Slots:
         self.members = tuple(members)
         self.order = tuple(range(len(self.links)) if order is None else order)
         #: the ``SimSink`` names of the links (memoized: keys repeat every issue)
-        self.trace = tuple(k if isinstance(k, tuple) else ("link", k) for k in self.links)
+        self.trace = tuple(("link", k) for k in self.links)
 
 
 def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> tuple:
@@ -559,12 +564,10 @@ class GroupCommunicator:
         if issue_overhead_s is None:
             issue_overhead_s = group.machine.issue_overhead_s
         self.issue_overhead_s = float(issue_overhead_s)
-        link_key = next(_LINK_KEYS)
+        key = link_key(m.rank for m in group.members)
         #: the group's one schedule slot (in-flight queue keys: node-level
         #: NIC queues for inter-node groups, the private link key otherwise)
-        self._slots = _Slots(
-            (link_key,), (_queue_keys_for(group, link_key),), (group.member_idx,)
-        )
+        self._slots = _Slots((key,), (_queue_keys_for(group, key),), (group.member_idx,))
 
     # -- issue machinery -----------------------------------------------------
     def _issue(self, duration: float, phase: str, result) -> PendingCollective:
@@ -696,13 +699,12 @@ class AxisCommunicator:
     bytes, and a collective re-issued with a known duration
     (:meth:`issue`) still rendezvouses, because the schedule needs every
     worker's clocks, but the exchange is **clocks only**.  Link busy-until
-    state and bounded in-flight queues are *replicated* per worker under
-    ``("shmz", gi)`` keys in the local :class:`ClockStore` — deterministic
-    inputs keep every replica bitwise consistent, and storing them in the
-    store means ``reset``/``snapshot`` handle them exactly like in-process
-    link state.  Restrictions (enforced loudly): stacks with per-rank valid
-    extents, and rows that do not tile the result evenly, do not cross the
-    byte mover (a worker's extent vectors are local), and
+    state and bounded in-flight queues are *replicated* per worker in the
+    local :class:`ClockStore`, under the Z groups' own :func:`link_key` —
+    deterministic inputs keep every replica bitwise consistent and equal to
+    the in-process entries.  Restrictions (enforced loudly): stacks with
+    per-rank valid extents, and rows that do not tile the result evenly, do
+    not cross the byte mover (a worker's extent vectors are local), and
     ``max_inflight`` composes only with intra-node Z groups — the per-NIC
     node queue of an inter-node Z group would be shared with worker-local
     links, which a replicated queue cannot express
@@ -734,16 +736,18 @@ class AxisCommunicator:
         self._exchange = exchange
         self._z0 = z0
         gx, gy = d.cube[1:]
+        plane = gx * gy
         #: the rank cube of the local store: all of ``d.cube`` in-process,
         #: this worker's whole z-planes behind a byte mover
-        self._cube = (d.store.world // (gx * gy), gx, gy)
+        self._cube = (d.store.world // plane, gx, gy)
         if exchange is not None:
-            # a Z group's members stride whole planes: local plane offset gi
+            # a Z group's members stride whole planes: plane offset ``gi`` in
+            # every plane of the cube, locally and globally
             if d.axis != 0 or groups:
                 raise ValueError("a byte mover carries the group-less leading (Z) axis only")
-            keys = [("shmz", gi) for gi in range(gx * gy)]
+            keys = [link_key(range(gi, d.cube[0] * plane, plane)) for gi in range(plane)]
             self._slots = _Slots(
-                keys, [(k,) for k in keys], [slice(gi, None, gx * gy) for gi in range(gx * gy)]
+                keys, [(k,) for k in keys], [slice(gi, None, plane) for gi in range(plane)]
             )
             return
         # position of each group's slot in the keepdims link cube: unfold a
@@ -755,7 +759,7 @@ class AxisCommunicator:
         positions: list[int] = []
         for group in groups:
             i0 = group.members[0]._i
-            coords = [i0 // (gx * gy), (i0 // gy) % gx, i0 % gy]
+            coords = [i0 // plane, (i0 // gy) % gx, i0 % gy]
             coords[d.axis] = 0
             positions.append((coords[0] * keep[1] + coords[1]) * keep[2] + coords[2])
         if sorted(positions) != list(range(keep[0] * keep[1] * keep[2])):

@@ -20,8 +20,8 @@ zero-copy shared-memory tensor transport underneath the existing
   :func:`~repro.runtime.launch.build_trainer` backend seam (the same
   builder on the whole cube for ``"inproc"``).
 * :mod:`repro.runtime.checkpoint` — epoch-boundary checkpoint/restore:
-  per-worker slice files plus a sealing manifest, loadable verbatim (same
-  layout) or reassembled/re-sliced across layouts and backends.
+  per-worker slice files plus a sealing manifest, reassembled and
+  re-sliced across worker layouts and backends.
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (:class:`~repro.runtime.faults.FaultPlan` chaos schedules threaded
   through the workload spec), including network fault actions injected

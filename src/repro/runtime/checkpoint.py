@@ -5,8 +5,7 @@ per worker slice (``worker-<lo>-<hi>.pkl``) plus a ``MANIFEST.json``
 written *last* — a checkpoint without a manifest is torn and ignored.
 Both backends produce and consume the same files: the multiproc launcher
 has each worker write its own slice (parallel I/O), the inproc trainer
-writes one ``[0, world)`` file; loading reassembles whatever layout was
-saved into whatever layout is asked for.
+writes one ``[0, world)`` file.
 
 What a slice file captures — everything the bitwise-replay guarantee
 needs:
@@ -19,28 +18,15 @@ needs:
   link busy-until state and bounded in-flight queues;
 * **in-flight-handle inventory** — the cross-epoch F prefetch
   (:class:`~repro.dist.comm.PendingCollective`) when one is in flight at
-  the boundary: its phase, schedule record, and gathered result;
-* **RNG streams** — the SpMM noise sampler's generator state (inproc
-  only; the multiproc backend rejects the noise model at validation).
+  the boundary: its phase, schedule record, and gathered result.
 
-Two restore policies:
-
-* **verbatim** — for a respawned worker of the *same* layout: a fresh
-  process replays the identical SPMD construction order, so the saved
-  integer link keys of :data:`~repro.dist.comm._LINK_KEYS` (and the
-  stable ``("shmz", gi)`` keys of the worker-crossing Z axis's
-  ``AxisCommunicator`` slots) mean the same links, and link state plus
-  the pending handle restore exactly.  This is what the launcher's
-  respawn-and-replay uses, and it is bitwise for eager *and* overlap
-  schedules.
-* **quiescent** — for a *different* layout or model instance (backend
-  switching): link keys are not portable, so restore demands the link
-  state be quiescent — every busy-until and queue entry at or below the
-  minimum clock, and no pending handle — and then drops it.  A quiescent
-  link reserves nothing in the future, so dropping it leaves every later
-  ``begin = max(ready, link)`` decision unchanged: still bitwise.  A
-  checkpoint that is not quiescent (an overlap schedule's cross-epoch
-  prefetch in flight) refuses loudly with :class:`~repro.errors.CheckpointError`.
+Any layout restores any layout, eager or overlap.  Everything per rank is
+an array with the ranks leading, so slices concatenate into the cube and
+the cube cuts by rank range.  The link books are keyed by the links'
+identity (:func:`~repro.dist.comm.link_key`, the same in every process), so
+the slices' books unite — the worker-crossing Z links are replicated,
+equal, in each — and a restore keeps the keys its grid holds.  The
+prefetch's schedule record is that of the Z axis, identical in every slice.
 """
 
 from __future__ import annotations
@@ -55,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.batch import CubeStack, stack_data
+from repro.core.trainer import EpochStats
 from repro.errors import CheckpointError
 
 __all__ = [
@@ -72,11 +59,14 @@ __all__ = [
     "seal_checkpoint",
     "write_manifest",
     "read_manifest",
+    "manifest_history",
     "latest_checkpoint",
     "prune_checkpoints",
 ]
 
-FORMAT_VERSION = 1
+#: 2: link books keyed by ``comm.link_key`` (version-1 keys counted
+#: communicators in construction order and would restore as dead links)
+FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt-"
 
@@ -132,7 +122,6 @@ def capture_books(model) -> dict:
 def model_state(model) -> dict:
     """Everything one model slice needs for bitwise restore (see module doc)."""
     opt = model.optimizer
-    noise = model.options.noise
     return {
         "format": FORMAT_VERSION,
         **capture_books(model),
@@ -142,7 +131,6 @@ def model_state(model) -> dict:
             "v": {k: v.copy() for k, v in opt.v.items()},
         },
         "pending_f0": _capture_pending(model._f0_pending),
-        "noise_rng": noise._rng.bit_generator.state if noise is not None else None,
     }
 
 
@@ -151,30 +139,11 @@ def model_state(model) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _min_clock(state: dict) -> float:
-    return float(np.min(state["clocks"])) if len(state["clocks"]) else 0.0
-
-
-def _links_quiescent(state: dict) -> bool:
-    """True when no link reserves anything past the minimum clock — the
-    condition under which link state can be dropped without changing any
-    future scheduling decision."""
-    if state["pending_f0"] is not None:
-        return False
-    t_min = _min_clock(state)
-    for v in state["links"].values():
-        if float(np.max(v)) > t_min:
-            return False
-    for q in state["link_queues"].values():
-        if q and max(q) > t_min:
-            return False
-    return True
-
-
 def _rebuild_pending(captured: dict, model):
     """The in-flight layer-0 F gather.  Its result is flat on disk; cut it
     back to one copy per Z group — the form the collective returned and the
-    one a frozen layer 0 then keeps for the model's life."""
+    one a frozen layer 0 then keeps for the model's life — and charge its
+    record on the cube this model holds."""
     from repro.dist.comm import PendingCollective
 
     saved = captured["result"]
@@ -182,21 +151,15 @@ def _rebuild_pending(captured: dict, model):
     axis = model.grid.comm(model.layers[0].roles.z).descriptor.axis
     cube = CubeStack.of(saved["data"], grid).cube.take([0], axis=axis)
     result = CubeStack(cube, grid, saved["rows"], saved["cols"]).read_only()
-    return PendingCollective(captured["phase"], result, model.cluster.store, captured["record"])
+    record = captured["record"]
+    if record is not None:  # (None: the no-cost handle of a size-1 Z axis)
+        record = ("cube", grid, *record[2:])
+    return PendingCollective(captured["phase"], result, model.cluster.store, record)
 
 
-def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
-    """Load a slice state into a live model, in place.
-
-    ``verbatim_links=True`` is the respawn path (same layout, fresh
-    process): link state and the pending-handle inventory restore exactly.
-    With ``False`` (cross-layout/backend) the state must be quiescent —
-    see the module docstring.
-    """
-    if state.get("format") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format {state.get('format')!r} != supported {FORMAT_VERSION}"
-        )
+def restore_model(model, state: dict) -> None:
+    """Load the slice state of this model's ranks (:func:`load_slice`, or
+    another instance's :func:`model_state`) into a live model, in place."""
     cluster = model.cluster
     if (state["lo"], state["hi"]) != (cluster.lo, cluster.hi):
         raise CheckpointError(
@@ -210,18 +173,6 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         raise CheckpointError(
             f"checkpoint parameters {sorted(state['weights'])} do not match "
             f"the model's {sorted(expect)}"
-        )
-    if not verbatim_links and not _links_quiescent(state):
-        raise CheckpointError(
-            "checkpoint link state is not quiescent (in-flight transfers "
-            "reserve time past the epoch boundary — an overlap prefetch "
-            "schedule); it can only restore verbatim into the same worker "
-            "layout, not across layouts/backends"
-        )
-    if (state["noise_rng"] is None) != (model.options.noise is None):
-        raise CheckpointError(
-            "checkpoint and model disagree on the SpMM noise model "
-            "(one has an RNG stream, the other does not)"
         )
 
     # parameters + Adam moments: in-place copies preserve the optimizer's
@@ -243,13 +194,13 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         np.copyto(opt.m[k], state["adam"]["m"][k], casting="no")
         np.copyto(opt.v[k], state["adam"]["v"][k], casting="no")
 
-    # clock/timeline state; the quiescent policy drops the link state
-    cluster.store.restore(state, links=verbatim_links)
-    model._f0_pending = None
-    if verbatim_links and state["pending_f0"] is not None:
-        model._f0_pending = _rebuild_pending(state["pending_f0"], model)
-    if state["noise_rng"] is not None:
-        model.options.noise._rng.bit_generator.state = state["noise_rng"]
+    # clock/timeline state: of a re-sliced cube's link books, the entries of
+    # the links and queues this grid's groups hold
+    held = model.grid.link_keys()
+    books = {b: {k: v for k, v in state[b].items() if k in held} for b in ("links", "link_queues")}
+    cluster.store.restore({**state, **books})
+    pending = state["pending_f0"]
+    model._f0_pending = None if pending is None else _rebuild_pending(pending, model)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +215,27 @@ def write_worker_state(ckpt_dir: str | Path, state: dict) -> Path:
     return path
 
 
-def _load_states(ckpt_dir: Path) -> list[dict]:
-    states = []
-    for p in sorted(ckpt_dir.glob("worker-*.pkl")):
-        with open(p, "rb") as f:
-            states.append(pickle.load(f))
-    if not states:
-        raise CheckpointError(f"no worker slice files in {ckpt_dir}")
-    states.sort(key=lambda s: s["lo"])
-    return states
+def _read_state(path: Path) -> dict:
+    with open(path, "rb") as f:
+        state = pickle.load(f)
+    if state.get("format") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint format {state.get('format')!r} != supported {FORMAT_VERSION}"
+        )
+    return state
+
+
+def _concat(parts: list[dict]) -> dict:
+    """Per-slice dicts of rank-leading arrays as one dict over all the ranks
+    (an entry that is ``None`` — no valid extents — is ``None`` in every slice)."""
+    return {
+        k: v if v is None else np.concatenate([p[k] for p in parts], axis=0)
+        for k, v in parts[0].items()
+    }
+
+
+def _cut(arrays: dict, lo: int, hi: int) -> dict:
+    return {k: v if v is None else v[lo:hi] for k, v in arrays.items()}
 
 
 def assemble_slices(states: list[dict]) -> dict:
@@ -295,17 +258,18 @@ def assemble_slices(states: list[dict]) -> dict:
         "clocks": np.concatenate([s["clocks"] for s in states]),
         "by_phase": buckets("by_phase"),
         "by_category": buckets("by_category"),
-        "weights": {
-            name: np.concatenate([s["weights"][name] for s in states], axis=0)
-            for name in states[0]["weights"]
-        },
+        "weights": _concat([s["weights"] for s in states]),
     }
 
 
 def load_cube_state(ckpt_dir: str | Path) -> dict:
     """Assemble every slice file of a checkpoint into one ``[0, world)``
-    state (quiescence is checked by the consumer, not here)."""
-    states = _load_states(Path(ckpt_dir))
+    state."""
+    ckpt_dir = Path(ckpt_dir)
+    states = [_read_state(p) for p in sorted(ckpt_dir.glob("worker-*.pkl"))]
+    if not states:
+        raise CheckpointError(f"no worker slice files in {ckpt_dir}")
+    states.sort(key=lambda s: s["lo"])
     cursor = 0
     for s in states:
         if s["lo"] != cursor:
@@ -317,93 +281,64 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
     t = states[0]["adam"]["t"]
     if any(s["adam"]["t"] != t for s in states):
         raise CheckpointError("checkpoint slices disagree on the Adam step counter")
-    if any(s["pending_f0"] is not None for s in states):
-        raise CheckpointError(
-            "checkpoint holds an in-flight cross-epoch prefetch; it can only "
-            "restore verbatim into the same worker layout"
-        )
-
-    merged_links: dict = {}
-    merged_queues: dict = {}
+    # one key space: a link two slices both hold is a replicated Z link
+    links: dict = {}
+    queues: dict = {}
     for s in states:
-        merged_links.update(s["links"])
-        merged_queues.update({k: list(v) for k, v in s["link_queues"].items()})
+        links.update(s["links"])
+        queues.update(s["link_queues"])
+    pending = states[0]["pending_f0"]
+    if pending is not None:
+        # phase and record agree across slices; the flat result is per rank
+        pending = {**pending, "result": _concat([s["pending_f0"]["result"] for s in states])}
     return {
-        "format": FORMAT_VERSION,
         "lo": 0,
         "hi": cursor,
         **assemble_slices(states),
-        "links": merged_links,
-        "link_queues": merged_queues,
+        "links": links,
+        "link_queues": queues,
         "adam": {
             "t": t,
-            "m": {
-                k: np.concatenate([s["adam"]["m"][k] for s in states], axis=0)
-                for k in states[0]["adam"]["m"]
-            },
-            "v": {
-                k: np.concatenate([s["adam"]["v"][k] for s in states], axis=0)
-                for k in states[0]["adam"]["v"]
-            },
+            "m": _concat([s["adam"]["m"] for s in states]),
+            "v": _concat([s["adam"]["v"] for s in states]),
         },
-        "pending_f0": None,
-        "noise_rng": states[0]["noise_rng"],
+        "pending_f0": pending,
     }
 
 
-def _slice_state(cube: dict, lo: int, hi: int) -> dict:
-    """Cut ``[lo, hi)`` out of an assembled cube state.
-
-    The cut state carries no link/pending inventory (the caller enforces
-    quiescence before trusting it), so it is restored with
-    ``verbatim_links=False`` semantics baked in.
-    """
-    return {
-        "format": FORMAT_VERSION,
-        "lo": lo,
-        "hi": hi,
-        "clocks": cube["clocks"][lo:hi].copy(),
-        "by_phase": {k: v[lo:hi].copy() for k, v in cube["by_phase"].items()},
-        "by_category": {k: v[lo:hi].copy() for k, v in cube["by_category"].items()},
-        "links": {},
-        "link_queues": {},
-        "weights": {k: v[lo:hi].copy() for k, v in cube["weights"].items()},
-        "adam": {
-            "t": cube["adam"]["t"],
-            "m": {k: v[lo:hi].copy() for k, v in cube["adam"]["m"].items()},
-            "v": {k: v[lo:hi].copy() for k, v in cube["adam"]["v"].items()},
-        },
-        "pending_f0": None,
-        "noise_rng": cube["noise_rng"],
-    }
-
-
-def load_slice(ckpt_dir: str | Path, lo: int, hi: int) -> tuple[dict, bool]:
-    """The state for ranks ``[lo, hi)`` of a checkpoint.
-
-    Returns ``(state, exact)``: ``exact`` is True when the checkpoint holds
-    a slice file of exactly this layout (verbatim restore is valid).
-    Otherwise the cube is assembled from whatever layout was saved and
-    re-sliced, which demands quiescent link state.
-    """
+def load_slice(ckpt_dir: str | Path, lo: int, hi: int) -> dict:
+    """The state for ranks ``[lo, hi)`` of a checkpoint: the slice file of
+    exactly this layout when the checkpoint holds one, else cut out of the
+    cube assembled from whatever layout was saved (views of it; the link
+    books whole — :func:`restore_model` keeps the target's keys)."""
     ckpt_dir = Path(ckpt_dir)
     exact = ckpt_dir / worker_file_name(lo, hi)
     if exact.is_file():
-        with open(exact, "rb") as f:
-            return pickle.load(f), True
+        return _read_state(exact)
     cube = load_cube_state(ckpt_dir)
     if not (0 <= lo < hi <= cube["hi"]):
         raise CheckpointError(
             f"requested slice [{lo}, {hi}) outside checkpoint world "
             f"[0, {cube['hi']})"
         )
-    if not _links_quiescent(cube):
-        raise CheckpointError(
-            "checkpoint link state is not quiescent; it can only restore "
-            "verbatim into the layout that saved it "
-            f"(no {worker_file_name(lo, hi)} present)"
-        )
-    return _slice_state(cube, lo, hi), False
+    pending = cube["pending_f0"]
+    if pending is not None:
+        pending = {**pending, "result": _cut(pending["result"], lo, hi)}
+    return {
+        **cube,
+        "lo": lo,
+        "hi": hi,
+        "clocks": cube["clocks"][lo:hi],
+        "by_phase": _cut(cube["by_phase"], lo, hi),
+        "by_category": _cut(cube["by_category"], lo, hi),
+        "weights": _cut(cube["weights"], lo, hi),
+        "adam": {
+            "t": cube["adam"]["t"],
+            "m": _cut(cube["adam"]["m"], lo, hi),
+            "v": _cut(cube["adam"]["v"], lo, hi),
+        },
+        "pending_f0": pending,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +414,12 @@ def read_manifest(ckpt_dir: str | Path) -> dict:
         raise CheckpointError(f"{ckpt_dir} has no {MANIFEST_NAME} (torn checkpoint?)")
     except json.JSONDecodeError as e:
         raise CheckpointError(f"unreadable manifest {path}: {e}")
+
+
+def manifest_history(manifest: dict, epoch: int) -> list[EpochStats]:
+    """The first ``epoch`` epochs' stats a manifest recorded (fewer when it
+    was written without them)."""
+    return [EpochStats(**e) for e in manifest.get("history", [])][:epoch]
 
 
 def latest_checkpoint(root: str | Path) -> tuple[int, Path] | None:

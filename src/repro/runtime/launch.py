@@ -111,6 +111,7 @@ _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesy
 #: worker-reported exception types that map onto their own launcher-side class
 _ETYPE_MAP = {
     "BarrierTimeout": BarrierTimeout,
+    "CheckpointError": CheckpointError,
     "PayloadCorruption": PayloadCorruption,
     "RendezvousDesync": RendezvousDesync,
     "UnsupportedWorkload": UnsupportedWorkload,
@@ -204,8 +205,6 @@ def is_uniform_workload(config: GridConfig, n: int, layer_dims: list[int]) -> bo
 def _validate_spec(spec: WorkloadSpec) -> None:
     """Fail in the launcher, with a clear message, before spawning."""
     opts = spec.options
-    if opts.noise is not None:
-        raise ValueError("backend='multiproc' does not support the SpMM noise model")
     # a shard_dir spec's N is known to the workers only: they refuse a
     # ragged one at build time (worker.validate_multiproc_model)
     n = spec.adjacency.shape[0] if spec.adjacency is not None else None
@@ -338,9 +337,7 @@ class MultiprocTrainer:
                 manifest = ckpt.read_manifest(path)
                 self._check_manifest(manifest)
                 self._epochs_done = epoch
-                self._history = [
-                    EpochStats(**e) for e in manifest.get("history", [])
-                ][:epoch]
+                self._history = ckpt.manifest_history(manifest, epoch)
                 self._hist_base = epoch - len(self._history)
                 restore = (str(path), epoch)
         try:
@@ -758,14 +755,7 @@ class MultiprocTrainer:
                     )
             comm = np.concatenate([per_worker[w][e][3] for w in range(self.workers)])
             comp = np.concatenate([per_worker[w][e][4] for w in range(self.workers)])
-            stretch.append(
-                EpochStats(
-                    loss=loss,
-                    epoch_time=t1 - t0,
-                    comm_time=float(np.mean(comm)),
-                    comp_time=float(np.mean(comp)),
-                )
-            )
+            stretch.append(EpochStats.from_raw(loss, t0, t1, comm, comp))
         self._history.extend(stretch)
         self._epochs_done += n
         if self.checkpoint_dir is not None:

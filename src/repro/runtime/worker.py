@@ -203,23 +203,17 @@ def build_worker(spec, worker_id: int = 0, bus=None) -> WorkerContext:
 
 
 def validate_multiproc_model(model: PlexusGCN) -> None:
-    """The multiproc backend's restrictions, checked loudly: padded
-    (non-uniform) stacks and the stateful SpMM noise sampler (whose single
-    RNG stream draws in *global* rank order) stay inproc-only.  Uniformity
-    is the whole cube's (``LayerSharding.is_uniform``), so every worker
-    refuses a ragged ``shard_dir`` workload here, at build time — the
-    launcher, which never learns N, cannot.
+    """The multiproc backend's restriction, checked loudly: padded
+    (non-uniform) stacks stay inproc-only.  Uniformity is the whole cube's
+    (``LayerSharding.is_uniform``), so every worker refuses a ragged
+    ``shard_dir`` workload here, at build time — the launcher, which never
+    learns N, cannot.
     """
     if not model.uniform:
         raise UnsupportedWorkload(
             "backend='multiproc' requires divisible (uniform) sharding: "
             "quasi-equal padded stacks have no shared-memory collective path "
             "yet — use backend='inproc' for indivisible configurations"
-        )
-    if model.options.noise is not None:
-        raise UnsupportedWorkload(
-            "backend='multiproc' does not support the SpMM noise model (its "
-            "RNG stream draws in global rank order); use backend='inproc'"
         )
 
 
@@ -333,8 +327,7 @@ def _serve(worker_id: int, spec, conn, open_bus, restore) -> None:
         cluster = trainer.model.cluster
         if restore is not None:
             path, epoch = restore
-            state, exact = ckpt.load_slice(path, cluster.lo, cluster.hi)
-            ckpt.restore_model(trainer.model, state, verbatim_links=exact)
+            trainer.load_checkpoint(path)
             epochs_done = epoch
         conn.send(("ready", worker_id))
         while True:

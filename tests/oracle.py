@@ -115,10 +115,11 @@ class PerRankOracle:
     def _map(self, axis, method: str, per_rank, /, **kw) -> GroupHandles:
         return map_groups(self.grid, axis, method, per_rank, **kw)
 
-    def _charge_spmm(self, times, nnz, phase: str) -> None:
+    def _charge_spmm(self, times, nnz, phase: str, layer: _Layer, bwd: int, block: int = 0) -> None:
         noise = self.options.noise
-        if noise is not None:  # one draw per rank, in rank order
-            times = times * noise.multipliers(nnz)
+        if noise is not None:  # the draws of this charge, by its own step counter
+            charge = (self.optimizers[0].t, layer.data.layer_idx, bwd, block)
+            times = times * noise.multipliers(nnz, charge, self.world)
         self.cluster.advance_all(times, phase)
 
     def _gather_w(self, layer: _Layer) -> GroupHandles:
@@ -142,7 +143,7 @@ class PerRankOracle:
             w_pending = self._gather_w(layer)
         # lines 4-5: H = SpMM(A, F); all-reduce across the X-parallel group
         if blocks == 1:
-            self._charge_spmm(d._t_spmm_fwd, d._nnz_a, "comp:spmm_fwd")
+            self._charge_spmm(d._t_spmm_fwd, d._nnz_a, "comp:spmm_fwd", layer, 0)
             h = self._map(roles.x, "all_reduce", d._bd_a.apply(f), phase="all_reduce_h").wait()
         else:
             # Sec. 5.2: per row block; eager waits each reduce before the
@@ -150,7 +151,8 @@ class PerRankOracle:
             pending, parts = [], []
             for b in range(blocks):
                 shards = [d._a_blocks[r][b] for r in range(world)]
-                self._charge_spmm(d._t_spmm_blocks[b], [a.nnz for a in shards], "comp:spmm_fwd")
+                nnz = [a.nnz for a in shards]
+                self._charge_spmm(d._t_spmm_blocks[b], nnz, "comp:spmm_fwd", layer, 0, b)
                 partial = [spmm(shards[r], f[r]) for r in range(world)]
                 handle = self._map(roles.x, "all_reduce", partial, phase="all_reduce_h")
                 if overlap:
@@ -269,11 +271,11 @@ class PerRankOracle:
         # lines 7-8: dF = SpMM(A^T, dH); overlap charges the SpMM while the dH
         # all-reduce is in flight and waits it where dF consumes it
         if opts.overlap:
-            self._charge_spmm(d._t_spmm_bwd, d._nnz_a, "comp:spmm_bwd")
+            self._charge_spmm(d._t_spmm_bwd, d._nnz_a, "comp:spmm_bwd", layer, 1)
             dh = dh_pending.wait()
         else:
             dh = dh_pending.wait()
-            self._charge_spmm(d._t_spmm_bwd, d._nnz_a, "comp:spmm_bwd")
+            self._charge_spmm(d._t_spmm_bwd, d._nnz_a, "comp:spmm_bwd", layer, 1)
         df_partial = d._bd_at.apply(dh)
         if d.is_first:  # trainable F0: z-sub-sharded gradient
             return self._map(

@@ -3,9 +3,9 @@
 Acceptance: a training run interrupted at a checkpoint boundary and resumed
 from disk must be **bitwise identical** — losses, weights, Adam moments,
 per-rank clocks and phase totals — to the uninterrupted run.  Also covered:
-the quiescence rule (an overlap schedule's in-flight cross-epoch prefetch
-restores verbatim into the saving instance but refuses a cross-instance
-quiescent restore), manifest/latest/prune directory management, and torn
+an overlap schedule's link reservations and in-flight cross-epoch prefetch
+restoring into the saving instance and into another one alike, the refused
+version-1 format, manifest/latest/prune directory management, and torn
 checkpoints (no manifest) being invisible to resume.
 
 The multiproc crash-recovery path over the same files lives in
@@ -30,6 +30,8 @@ from repro.sparse.ops import gcn_normalize
 N_NODES = 48
 DIMS = [16, 16, 8]
 CFG = GridConfig(2, 2, 2)
+#: the link keys of CFG: every X, Y and Z group's global member ranks
+X2Y2Z2_LINKS = ["0-1", "0-2", "0-4", "1-3", "1-5", "2-3", "2-6", "3-7", "4-5", "4-6", "5-7", "6-7"]
 
 
 def _dataset(n=N_NODES, dims=DIMS):
@@ -103,27 +105,18 @@ class TestRoundTrip:
         assert tail == losses_ref[2:]
         _assert_same(_final_state(ref), _final_state(resumed))
 
-    def test_overlap_verbatim_restore_same_instance(self, tmp_path, monkeypatch):
+    def test_overlap_restore_same_instance(self, tmp_path):
         """With overlap + the cross-epoch F prefetch in flight at the
-        boundary, the saving instance restores verbatim (links + pending
-        handle inventory) and replays bitwise."""
-        import itertools
-        import pickle
-
-        from repro.dist import comm
-
-        monkeypatch.setattr(comm, "_LINK_KEYS", itertools.count())  # a fresh process
+        boundary, the saving instance restores (links + pending handle
+        inventory) and replays bitwise."""
         tr = _trainer(overlap=True)
         tr.train(2)
         assert tr.model._f0_pending is not None  # prefetch crosses the boundary
         path = tr.save_checkpoint(tmp_path, epoch=2)
-        # pinned at the commit before the one-grid refactor (PR 22): the keys
-        # a fresh process gives X2Y2Z2's twelve links, in construction order
-        # — a checkpoint written before must still restore verbatim
-        with open(path / ckpt.worker_file_name(0, 8), "rb") as f:
-            assert sorted(pickle.load(f)["links"], key=repr) == [
-                0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9
-            ]
+        # X2Y2Z2's twelve links, each named by its group's global ranks —
+        # whenever, wherever and in whatever order they were constructed
+        assert sorted(ckpt.load_slice(path, 0, 8)["links"]) == X2Y2Z2_LINKS
+        assert sorted(tr.model.cluster.store.links) == X2Y2Z2_LINKS
         first = tr.train(3).losses
         state_first = _final_state(tr)
 
@@ -132,15 +125,40 @@ class TestRoundTrip:
         assert replay == first
         _assert_same(state_first, _final_state(tr))
 
-    def test_overlap_refuses_cross_instance_quiescent_restore(self, tmp_path):
-        """A checkpoint holding an in-flight prefetch is not quiescent: the
-        cross-instance (non-verbatim) policy must refuse it loudly."""
-        tr = _trainer(overlap=True)
+    @pytest.mark.parametrize("cfg", [CFG, GridConfig(4, 2, 1)], ids=lambda c: c.name)
+    def test_overlap_restores_cross_instance(self, tmp_path, cfg):
+        """A checkpoint holding link reservations past the boundary and an
+        in-flight prefetch (on X4Y2Z1 the no-cost handle of a size-1 Z axis)
+        restores into another instance — whose communicators were built
+        later, after other models' — and replays bitwise."""
+        ref = _trainer(cfg, overlap=True)
+        losses_ref = ref.train(5).losses
+        tr = _trainer(cfg, overlap=True)
         tr.train(2)
         path = tr.save_checkpoint(tmp_path, epoch=2)
-        other = _trainer(overlap=True)
-        with pytest.raises(CheckpointError, match="quiescent"):
-            other.load_checkpoint(path, verbatim=False)
+        other = _trainer(cfg, overlap=True)
+        other.load_checkpoint(path)
+        assert other.model._f0_pending is not None
+        assert other.model.cluster.store.links == tr.model.cluster.store.links
+        assert other.train(3).losses == losses_ref[2:]
+        _assert_same(_final_state(ref), _final_state(other))
+
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        """A slice file of the previous format (integer link keys that would
+        restore as dead links) is refused typed, not read."""
+        import pickle
+
+        tr = _trainer()
+        tr.train(1)
+        path = tr.save_checkpoint(tmp_path, epoch=1)
+        file = path / ckpt.worker_file_name(0, CFG.total)
+        with open(file, "rb") as f:
+            state = pickle.load(f)
+        assert state["format"] == ckpt.FORMAT_VERSION == 2 and "noise_rng" not in state
+        with open(file, "wb") as f:
+            pickle.dump({**state, "format": 1}, f)
+        with pytest.raises(CheckpointError, match="format 1 != supported 2"):
+            _trainer().load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "opts",
@@ -166,8 +184,7 @@ class TestRoundTrip:
         saver = _trainer(**ragged, **opts)
         assert saver.train(3).losses == losses_ref[:3]
         path = saver.save_checkpoint(tmp_path, epoch=3)
-        state, exact = ckpt.load_slice(path, 0, 12)
-        assert exact
+        state = ckpt.load_slice(path, 0, 12)
         in_flight = saver.model._f0_pending is not None
         assert in_flight == (opts.get("overlap", False) and not opts.get("trainable_features", False))
         if in_flight:
@@ -190,12 +207,11 @@ class TestRoundTrip:
         tr = _trainer()
         tr.train(1)
         path = tr.save_checkpoint(tmp_path, epoch=1)
-        state, exact = ckpt.load_slice(path, 0, CFG.total)
-        assert exact
+        state = ckpt.load_slice(path, 0, CFG.total)
         state["weights"]["W0"] = state["weights"]["W0"][:, :-1, :]
         with pytest.raises(CheckpointError, match="W0"):
             ckpt.restore_model(_trainer().model, state)
-        state, _ = ckpt.load_slice(path, 0, CFG.total)
+        state = ckpt.load_slice(path, 0, CFG.total)
         del state["weights"]["W1"]
         with pytest.raises(CheckpointError, match="parameters"):
             ckpt.restore_model(_trainer().model, state)

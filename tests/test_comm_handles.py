@@ -649,12 +649,9 @@ class TestByteMoverSeam:
             assert getattr(a, books).keys() == getattr(b, books).keys()
             for label, vec in getattr(a, books).items():
                 assert np.array_equal(vec, getattr(b, books)[label]), label
-        # the link *keys* differ by design — a mover's Z links are the
-        # ``("shmz", plane offset)`` replicas — the reservations do not
-        assert {k for k in b.links if isinstance(k, tuple)} == {
-            ("shmz", gi) for gi in range(cfg.gx * cfg.gy)
-        }
-        assert sorted(a.links.values()) == sorted(b.links.values())
+        # a link is its group's global ranks whichever path reserved it
+        assert a.links == b.links and len(a.links) == 12
+        assert a.link_queues == b.link_queues
 
 
 class TestScheduleKernel:

@@ -219,6 +219,42 @@ class TestSlicedGrid:
             ref_d.cube, ref_d.axis, ref_d.size, ref_d.bandwidth, ref_d.latency
         )
 
+    @pytest.mark.parametrize("total", range(1, 17))
+    def test_a_link_key_is_its_groups_global_ranks(self, total):
+        """One link-key space (``comm.link_key``): for every grid of ``total``
+        ranks a group's own communicator and its slot of the whole-axis
+        communicator name the same link, distinct groups get distinct keys,
+        and a sliced grid — every worker split — computes the whole-cube
+        keys for the links it holds, its group-less Z axis included."""
+        from repro.dist.comm import communicator, link_key
+        from repro.runtime import worker_slice
+
+        for cfg in factor_triples(total):
+            whole = PlexusGrid(VirtualCluster(total, PERLMUTTER), cfg)
+            key_of = {}  # member ranks -> key, over every group of the grid
+            for axis in Axis:
+                slots = whole.comm(axis)._slots
+                by_members = dict(zip(map(str, slots.members), slots.links))
+                for g in whole.groups(axis):
+                    key = communicator(g)._slots.links[0]
+                    ranks = tuple(m.rank for m in g.members)
+                    assert key == by_members[str(g.member_idx)] == link_key(ranks)
+                    assert key_of.setdefault(ranks, key) == key
+            assert len(set(key_of.values())) == len(key_of), cfg.name
+            assert whole.link_keys() >= set(key_of.values())
+            for n_workers, worker in _splits(cfg):
+                lo, hi = worker_slice(cfg, n_workers, worker)
+                sliced = PlexusGrid(
+                    VirtualCluster(hi - lo, PERLMUTTER, lo=lo, exchange=lambda arrays: arrays), cfg
+                )
+                for axis in (Axis.X, Axis.Y):
+                    assert set(sliced.comm(axis)._slots.links) == {
+                        key_of[tuple(m.rank for m in g.members)] for g in sliced.groups(axis)
+                    }
+                # the Z slots of a slice are the whole cube's, in slot order
+                assert sliced.comm(Axis.Z)._slots.links == whole.comm(Axis.Z)._slots.links
+                assert sliced.link_keys() <= whole.link_keys()
+
     def test_slice_must_cover_whole_planes_and_have_a_mover(self):
         cfg = GridConfig(2, 2, 2)
         mover = lambda arrays: [(a,) for a in arrays]  # noqa: E731

@@ -193,10 +193,11 @@ class TestEvaluateNoCharge:
         for ea, eb in zip(stats_a, stats_b):
             assert ea == eb
 
-    def test_evaluate_preserves_noise_rng_stream(self, tiny_products):
-        """With the stochastic SpMM noise model, evaluate must restore the
-        sampler state too — otherwise interleaved runs charge different
-        kernel times than straight-through ones."""
+    def test_evaluate_consumes_no_noise_draws(self, tiny_products):
+        """With the stochastic SpMM noise model, interleaved evaluations
+        leave the epochs' charged kernel times equal to a straight-through
+        run's: a draw is keyed by the Adam step, so an evaluation forward
+        takes nothing away from the next epoch."""
         from repro.core import SpmmNoise
 
         ds = tiny_products
@@ -221,6 +222,9 @@ class TestEvaluateNoCharge:
         stats_b = [straight.train_epoch() for _ in range(3)]
         for ea, eb in zip(stats_a, stats_b):
             assert ea == eb
+        a, b = interleaved.model.cluster.store, straight.model.cluster.store
+        assert np.array_equal(a.clocks, b.clocks) and a.links == b.links
+        assert a.by_phase["comp:spmm_fwd"].tolist() == b.by_phase["comp:spmm_fwd"].tolist()
 
 
 class TestTrainerPlumbing:

@@ -56,29 +56,59 @@ class TestTrainPlexus:
 
 
 class TestNoise:
+    """``SpmmNoise.multipliers`` is a pure function of (seed, global rank,
+    charge = (Adam step, layer, pass, block))."""
+
+    CHARGE = (3, 1, 0, 2)
+
     def test_below_threshold_deterministic(self):
         n = SpmmNoise(threshold_nnz=100, sigma=0.5, seed=0)
-        assert n.multiplier(100) == 1.0
-        assert n.multiplier(50) == 1.0
+        out = n.multipliers([100, 50, 1000, 0], self.CHARGE, world=4)
+        assert out[0] == out[1] == out[3] == 1.0  # exactly, at or below
 
     def test_above_threshold_slows_down(self):
         n = SpmmNoise(threshold_nnz=100, sigma=0.5, seed=0)
-        assert n.multiplier(1000) > 1.0
+        assert np.all(n.multipliers([1000, 101], self.CHARGE, world=2) > 1.0)
 
     def test_seeded_sequence_reproducible(self):
-        a = [SpmmNoise(threshold_nnz=1, sigma=0.3, seed=4).multiplier(100) for _ in range(1)]
-        b = [SpmmNoise(threshold_nnz=1, sigma=0.3, seed=4).multiplier(100) for _ in range(1)]
-        assert a == b
+        """Same seed + same (rank, charge) -> the same value: from another
+        instance, on a second call (nothing is consumed), and for a slice
+        ``[lo, hi)`` of the cube drawn on its own, as a worker does."""
+        nnz = np.full(12, 500.0)
+        n = SpmmNoise(threshold_nnz=1, sigma=0.3, seed=4)
+        whole = n.multipliers(nnz, self.CHARGE, world=12)
+        assert np.array_equal(whole, n.multipliers(nnz, self.CHARGE, world=12))
+        again = SpmmNoise(threshold_nnz=1, sigma=0.3, seed=4).multipliers(nnz, self.CHARGE, 12)
+        assert np.array_equal(whole, again)
+        for lo, hi in ((0, 4), (4, 12), (8, 12)):
+            part = n.multipliers(nnz[lo:hi], self.CHARGE, world=12, lo=lo)
+            assert np.array_equal(part, whole[lo:hi])
+        # a rank's value does not depend on which other ranks are hot
+        mixed = nnz.copy()
+        mixed[::2] = 1.0
+        assert np.array_equal(n.multipliers(mixed, self.CHARGE, 12)[1::2], whole[1::2])
+
+    def test_different_identity_independent(self):
+        """A different rank, seed, step, layer, pass or block is another draw."""
+        n = SpmmNoise(threshold_nnz=1, sigma=0.3, seed=4)
+        nnz = np.full(64, 500.0)
+        base = n.multipliers(nnz, self.CHARGE, world=64)
+        assert len(set(base.tolist())) == 64  # ranks
+        other_seed = SpmmNoise(threshold_nnz=1, sigma=0.3, seed=5).multipliers(nnz, self.CHARGE, 64)
+        others = [other_seed]
+        for i in range(4):  # step, layer, pass, block
+            charge = list(self.CHARGE)
+            charge[i] += 1
+            others.append(n.multipliers(nnz, tuple(charge), world=64))
+        for other in others:
+            assert not np.any(other == base)
+            assert abs(np.corrcoef(np.log(base - 1), np.log(other - 1))[0, 1]) < 0.5
 
     def test_scale_grows_with_size(self):
-        draws_small = []
-        draws_big = []
-        n1 = SpmmNoise(threshold_nnz=100, sigma=0.3, seed=1)
-        n2 = SpmmNoise(threshold_nnz=100, sigma=0.3, seed=1)
-        for _ in range(200):
-            draws_small.append(n1.multiplier(200))
-            draws_big.append(n2.multiplier(20000))
-        assert np.mean(draws_big) > np.mean(draws_small)
+        n = SpmmNoise(threshold_nnz=100, sigma=0.3, seed=1)
+        small = n.multipliers(np.full(200, 200.0), self.CHARGE, world=200)
+        big = n.multipliers(np.full(200, 20000.0), self.CHARGE, world=200)
+        assert np.all(big >= small) and np.mean(big) > np.mean(small)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -371,6 +371,44 @@ class TestMultiprocIssueInstants:
         for process in ("launcher", "worker 0", "worker 1"):
             assert {1, 2, 3} <= {r["epoch"] for r in rows if r["process"] == process}, process
 
+    @pytest.mark.parametrize(
+        "cfg,workers,tracks", [(CFG, 2, 12), (GridConfig(2, 2, 4), 4, 20)], ids=["X2Y2Z2", "X2Y2Z4"]
+    )
+    def test_merged_pool_trace_has_the_inproc_link_windows(self, tmp_path, cfg, workers, tracks):
+        """A link is named by its group's global ranks in every process, so
+        the merged pool trace shows the in-process trace's link tracks and
+        occupancy windows: equal labels mean equal links, and the only
+        windows the collector drops are the replicated Z links' true
+        duplicates."""
+        from dataclasses import replace
+
+        from repro.obs.export import _LINK_PID
+        from repro.obs.metrics import registry
+        from repro.runtime import MultiprocTrainer, build_trainer
+        from repro.runtime.worker import _drain_trace_payload
+
+        def windows(out):
+            events = json.loads((out / "trace.json").read_text())["traceEvents"]
+            return [
+                (e["args"]["link"], e["name"], e["ts"], e["dur"])
+                for e in events if e["pid"] == _LINK_PID and e["ph"] == "X"
+            ]
+
+        spec = replace(self._spec(), config=cfg, workers=workers, trace=True)
+        spec.options = replace(spec.options, overlap=True)
+        inproc = build_trainer(spec, backend="inproc")
+        inproc.train(2)
+        collector = TraceCollector()
+        collector.add_worker_payload("inproc", _drain_trace_payload(inproc.model.cluster, 2))
+        collector.write(tmp_path / "inproc")
+        registry.clear()
+        with MultiprocTrainer(spec, timeout=60, trace_dir=tmp_path / "pool") as traced:
+            traced.train(2)
+        want, got = windows(tmp_path / "inproc"), windows(tmp_path / "pool")
+        assert len({w[0] for w in want}) == tracks
+        assert len(set(want)) == len(want)  # in process nothing repeats
+        assert sorted(got) == sorted(want)
+
     def test_worker_trace_marks_z_axis_issues(self, tmp_path):
         """Z-axis collectives cross workers through the same schedule kernel
         as X/Y, so a worker's trace marks their issue too.  One layer, so

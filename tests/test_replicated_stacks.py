@@ -418,7 +418,7 @@ class TestEngineHoldsOneCopyPerGroup:
             assert type(w) is np.ndarray and w.shape[0] == cfg.total, name
             assert state["adam"]["m"][name].shape == w.shape
         first = saver.train(2).losses
-        saver.load_checkpoint(path)  # verbatim rewind, flat prefetch result
+        saver.load_checkpoint(path)  # rewind, flat prefetch result
         assert saver.train(2).losses == first
         # a fresh model gets the prefetched F0 back cut to one copy per Z
         # group: its frozen layer-0 memo owns what the uninterrupted run's

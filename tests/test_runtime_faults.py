@@ -14,12 +14,15 @@ tier-1.  Acceptance for the fault-tolerant worker runtime:
   run (losses, weights, per-rank clocks, phase totals), eager and overlap
   schedules alike;
 * **resume** — a new trainer pointed at a checkpoint directory continues
-  the job (multiproc -> multiproc cold start, and checkpoints written by
-  one backend restore into the other).
+  the job (multiproc -> multiproc cold start; checkpoints written by one
+  backend or worker layout restore into any other, an overlap schedule's
+  link reservations and in-flight prefetch included); a refused checkpoint
+  reaches the caller as ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import numpy as np
@@ -29,13 +32,21 @@ from repro.core import GridConfig, PlexusOptions
 from repro.dist import LAPTOP
 from repro.errors import (
     BarrierTimeout,
+    CheckpointError,
     PayloadCorruption,
     WorkerCrashed,
     WorkerFailed,
 )
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
-from repro.runtime import FaultPlan, MultiprocTrainer, WorkloadSpec, build_trainer
+from repro.runtime import (
+    FaultPlan,
+    MultiprocTrainer,
+    WorkloadSpec,
+    build_trainer,
+    latest_checkpoint,
+)
+from repro.runtime import checkpoint as ckpt
 from repro.sparse.ops import gcn_normalize
 
 N_NODES = 48
@@ -52,12 +63,12 @@ def _dataset():
     return a, feats, labels, mask
 
 
-def _spec(faults=(), **opts):
+def _spec(faults=(), cfg=CFG, workers=2, **opts):
     a, feats, labels, mask = _dataset()
     return WorkloadSpec(
-        config=CFG,
+        config=cfg,
         layer_dims=list(DIMS),
-        workers=2,
+        workers=workers,
         machine=LAPTOP,
         options=PlexusOptions(seed=0, **opts),
         adjacency=a,
@@ -77,6 +88,10 @@ def _state_equal(a: dict, b: dict) -> None:
     assert set(a["weights"]) == set(b["weights"])
     for name, w in a["weights"].items():
         assert np.array_equal(w, b["weights"][name]), name
+
+
+def _slice_states(ckpt_dir) -> list[dict]:
+    return [pickle.loads(p.read_bytes()) for p in sorted(ckpt_dir.glob("worker-*.pkl"))]
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["eager", "overlap"])
@@ -264,17 +279,16 @@ class TestResume:
         ) as mpt:
             head = mpt.train(3).losses
         assert head == losses[:3]
-        # pinned at the commit before the one-grid refactor (PR 22): verbatim
-        # restore means a slice file's link keys name the same links in a
-        # respawned worker, so a checkpoint written before must still fit
-        import pickle
-
-        from repro.runtime import latest_checkpoint
-
-        with open(latest_checkpoint(tmp_path)[1] / "worker-00000-00004.pkl", "rb") as f:
-            assert sorted(pickle.load(f)["links"], key=repr) == [
-                ("shmz", 0), ("shmz", 1), ("shmz", 2), ("shmz", 3), 0, 1, 2, 3
-            ]
+        # one link-key space: a key is its group's global ranks, so worker
+        # 0 (ranks 0-3) holds its planes' X / Y links and every Z link, the
+        # workers' X / Y keys are disjoint, their Z keys equal, and the
+        # union is what the whole cube holds in process
+        w0, w1 = (set(st["links"]) for st in _slice_states(latest_checkpoint(tmp_path)[1]))
+        assert sorted(w0) == ["0-1", "0-2", "0-4", "1-3", "1-5", "2-3", "2-6", "3-7"]
+        assert w0 & w1 == {"0-4", "1-5", "2-6", "3-7"}
+        whole = build_trainer(spec, backend="inproc")
+        whole.train(1)
+        assert w0 | w1 == set(whole.model.cluster.store.links) and len(w0 | w1) == 12
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
         ) as mpt:
@@ -284,40 +298,103 @@ class TestResume:
             assert tail == losses[3:]
             _state_equal(state, mpt.state())
 
-    def test_checkpoints_cross_backends(self, tmp_path):
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            {},
+            {"overlap": True},
+            {"overlap": True, "aggregation_blocks": 3},
+            {"overlap": True, "trainable_features": True},
+        ],
+        ids=["eager", "overlap", "overlap-3blocks", "overlap-trainable-f0"],
+    )
+    def test_checkpoints_cross_backends(self, tmp_path, opts):
         """An inproc-written checkpoint boots a multiproc pool (reassembled
-        and re-sliced under the quiescence rule) and vice versa — eager
-        schedules, where the epoch boundary is quiescent by construction."""
-        spec = _spec()
+        and re-sliced) and vice versa, bitwise to the uninterrupted run —
+        under overlap with link reservations past the boundary and, where
+        the schedule has one, the cross-epoch F0 prefetch in flight."""
+        spec = _spec(**opts)
         ref = build_trainer(spec, backend="inproc")
         losses = ref.train(EPOCHS).losses
+        want = ckpt.capture_books(ref.model)
+        in_flight = opts.get("overlap", False) and not opts.get("trainable_features", False)
 
         # inproc -> multiproc
         saver = build_trainer(spec, backend="inproc")
         saver.train(2)
+        assert (saver.model._f0_pending is not None) == in_flight
         saver.save_checkpoint(tmp_path / "a", epoch=2)
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path / "a", checkpoint_every=1
         ) as mpt:
             assert mpt.epochs_done == 2
             assert mpt.train(EPOCHS - 2).losses == losses[2:]
+            _state_equal(want, mpt.state())
 
         # multiproc -> inproc
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path / "b", checkpoint_every=3
         ) as mpt:
             mpt.train(3)
-        from repro.runtime import checkpoint as ckpt, latest_checkpoint
-
         epoch, path = latest_checkpoint(tmp_path / "b")
         assert epoch == 3
+        assert all((st["pending_f0"] is not None) == in_flight for st in _slice_states(path))
         resumed = build_trainer(spec, backend="inproc")
         resumed.load_checkpoint(path)
         assert resumed.train(EPOCHS - 3).losses == losses[3:]
+        got = ckpt.capture_books(resumed.model)
+        _state_equal(want, got)
+        assert got["links"] == want["links"]
+
+    def test_overlap_checkpoint_reslices_across_worker_layouts(self, tmp_path):
+        """X2Y2Z4 under overlap, prefetch in flight: a 2-worker pool's
+        checkpoint boots a 4-worker pool, whose checkpoint boots the
+        in-process trainer — each bitwise on the uninterrupted run."""
+        from dataclasses import replace
+
+        spec = _spec(cfg=GridConfig(2, 2, 4), overlap=True)
+        ref = build_trainer(spec, backend="inproc")
+        losses = ref.train(EPOCHS).losses
+        want = ckpt.capture_books(ref.model)
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=2
+        ) as mpt:
+            mpt.train(2)
+        states = _slice_states(latest_checkpoint(tmp_path)[1])
+        assert [(st["lo"], st["hi"]) for st in states] == [(0, 8), (8, 16)]
+        assert all(st["pending_f0"] is not None for st in states)
+        with MultiprocTrainer(
+            replace(spec, workers=4), timeout=60, checkpoint_dir=tmp_path, checkpoint_every=2
+        ) as mpt:
+            assert mpt.epochs_done == 2
+            assert mpt.train(2).losses == losses[2:4]
+        epoch, path = latest_checkpoint(tmp_path)
+        assert epoch == 4 and len(_slice_states(path)) == 4
+        resumed = build_trainer(spec, backend="inproc")
+        resumed.load_checkpoint(path)
+        assert resumed.train(EPOCHS - 4).losses == losses[4:]
+        _state_equal(want, ckpt.capture_books(resumed.model))
+
+    def test_refused_checkpoint_is_typed_across_the_control_pipe(self, tmp_path):
+        """A version-1 slice file is refused by the worker that reads it,
+        and the refusal reaches the caller as ``CheckpointError`` with the
+        worker's traceback — the error ``load_checkpoint`` raises in process."""
+        spec = _spec()
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
+        ) as mpt:
+            mpt.train(1)
+        path = latest_checkpoint(tmp_path)[1]
+        for file in path.glob("worker-*.pkl"):
+            file.write_bytes(pickle.dumps({**pickle.loads(file.read_bytes()), "format": 1}))
+        with pytest.raises(CheckpointError, match="format 1 != supported 2") as ei:
+            MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path)
+        assert ei.value.worker_id in (0, 1)
+        assert "load_checkpoint" in ei.value.traceback_text
+        with pytest.raises(CheckpointError, match="format 1 != supported 2"):
+            build_trainer(spec, backend="inproc").load_checkpoint(path)
 
     def test_mismatched_checkpoint_refused(self, tmp_path):
-        from repro.errors import CheckpointError
-
         spec = _spec()
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1

@@ -13,9 +13,10 @@ configurations, eager and overlap schedules alike.  Also covered:
   round-trips bitwise with in-memory loading;
 * ``evaluate()`` over the bus (shm and tcp): the in-process value, off the
   books, the following epochs bitwise;
+* the SpMM noise model: per-rank draws keyed by identity, so every backend
+  and every worker count charges the in-process kernel times;
 * validation of the backend's restrictions (non-uniform sharding — in the
-  launcher, or by the workers when only they know N — noise, worker
-  counts);
+  launcher, or by the workers when only they know N — worker counts);
 * crash hygiene — a hard-killed worker or a failed build must leave no
   ``/dev/shm`` segment behind.
 """
@@ -142,6 +143,32 @@ class TestMultiprocParity:
             max_inflight=1,
         )
 
+    @pytest.mark.parametrize(
+        "schedule", [{}, {"overlap": True, "aggregation_blocks": 2}], ids=["eager", "overlap-blocked"]
+    )
+    def test_spmm_noise_is_identical_on_every_backend(self, schedule):
+        """A noise draw is a function of (seed, global rank, step, layer,
+        pass, block): a worker draws exactly its ranks' values, so one
+        worker, two workers and either transport charge the in-process
+        kernel times — epochs, clocks and phase totals bitwise."""
+        from dataclasses import replace
+
+        from repro.core.noise import SpmmNoise
+
+        cfg = GridConfig(2, 2, 2)
+        spec = _spec(cfg, 2, noise=SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11), **schedule)
+        inproc = build_trainer(spec, backend="inproc")
+        r_in = inproc.train(3)
+        expected = _inproc_state(inproc)
+        quiet = build_trainer(_spec(cfg, 2, **schedule), backend="inproc")
+        assert quiet.train(3).losses == r_in.losses  # noise moves clocks only
+        assert not np.array_equal(expected["clocks"], _inproc_state(quiet)["clocks"])
+        for workers, transport in ((1, "shm"), (2, "shm"), (2, "tcp")):
+            pool = replace(spec, workers=workers)
+            with MultiprocTrainer(pool, timeout=60, transport=transport) as mpt:
+                assert mpt.train(3).epochs == r_in.epochs, (workers, transport)
+                _assert_states_equal(expected, mpt.state())
+
     def test_uneven_plane_split(self):
         """Gz=4 over 3 workers: quasi-equal plane chunks (2+1+1)."""
         self._check(GridConfig(1, 2, 4), workers=3)
@@ -239,10 +266,6 @@ class TestRuntimeSemantics:
     def test_launcher_rejects_unsupported_workloads(self):
         with pytest.raises(ValueError, match="uniform"):
             MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, n=49))
-        from repro.core.noise import SpmmNoise
-
-        with pytest.raises(ValueError, match="noise"):
-            MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, noise=SpmmNoise(seed=0)))
         with pytest.raises(ValueError, match="workers"):
             MultiprocTrainer(_spec(GridConfig(2, 2, 2), 4))
         with pytest.raises(ValueError, match="backend"):
