@@ -12,10 +12,12 @@ its 1.5D/2D/3D algorithms as operations on stacked partitions:
   are only a handful of buckets, and exactly one when the dimensions divide
   the grid — and runs one ``np.matmul`` per bucket instead of one ``@`` per
   rank; each rank's result is a view into its bucket's output.
-* :class:`BlockDiagSpmm` concatenates the per-rank adjacency shards into one
-  block-diagonal CSR matrix per bucket so the whole grid's SpMM is a single
-  ``A_bd @ vstack(F)`` call.  CSR row accumulation order is unchanged, so
-  results are bitwise-identical to the per-rank products.
+* :class:`BlockDiagSpmm` lays the per-rank adjacency shards out as one
+  block CSR matrix so the whole grid's SpMM is a single ``spmm`` call — with
+  each distinct shard stored once: the ranks sharing a shard are multiplied
+  from one block (:class:`~repro.sparse.ops.ReplicatedCsr`), and A^T exists
+  only inside its plan.  CSR row accumulation order is unchanged, so results
+  are bitwise-identical to the per-rank products.
 
 The layers run on the stacked forms below (:func:`stack_matmul`,
 :meth:`BlockDiagSpmm.apply_batched`); the list forms — :func:`batched_matmul`
@@ -59,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.dist.padded import CubeStack, cube_boxes, stack_shards
-from repro.sparse.ops import spmm
+from repro.sparse.ops import ReplicatedCsr, spmm
 
 __all__ = [
     "batched_matmul",
@@ -300,29 +302,50 @@ def batched_matmul(
 
 
 class BlockDiagSpmm:
-    """All ranks' ``A_r @ F_r`` products as one SpMM per shape group.
+    """All ranks' ``A_r @ F_r`` products (``A_r^T @ F_r`` when ``transposed``)
+    as one block CSR product.
 
-    Built once per layer from the per-rank adjacency shards; the expensive
-    block-diagonal assembly is cached per dense-operand shape signature (the
-    signature is fixed by the layer's sharding, so in steady state every
-    call is one cache hit plus one ``spmm`` per group).
+    Built once per layer from the per-rank adjacency shards, which it only
+    references; the block CSR for one dense-operand geometry is assembled on
+    first use and cached (the geometry is fixed by the layer's sharding, so
+    in steady state every call is one cache hit plus one ``spmm``).  **A plan
+    stores each distinct shard once**: ranks along one cube axis (a layer's
+    y-role) hold the same shard *object*, and the plan keeps the blocks of
+    that axis's first replicas only, as a
+    :class:`~repro.sparse.ops.ReplicatedCsr` — replica ``j``'s ranks sit a
+    constant number of blocks further in the output and in the operand, so the
+    stored CSR runs once per replica on flat views shifted by that constant.
+    Every output row is written by one of those calls and accumulates its
+    shard row's nonzeros in stored order: bitwise a per-rank ``shards[r] @
+    f[r]``.  A transposed plan cuts ``shard.T.tocsr()`` per distinct shard
+    while it is assembled and drops it: no A^T is stored.
     """
 
-    def __init__(self, shards: Sequence[sp.csr_matrix]) -> None:
+    def __init__(self, shards: Sequence[sp.csr_matrix], transposed: bool = False) -> None:
         if not shards:
             raise ValueError("need at least one shard")
         self.shards = list(shards)
+        self.transposed = transposed
         self.world = len(shards)
         #: f-shape signature -> list of (rank_idx, block-diag CSR, row splits)
         self._plans: dict[tuple, list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]] = {}
         #: (grid, operand cube extents, operand pad rows, its valid rows) ->
         #: block CSR of the stacked path
-        self._stacked_plans: dict[tuple, sp.csr_matrix] = {}
+        self._stacked_plans: dict[tuple, ReplicatedCsr] = {}
         #: each rank's output rows — the valid extents of the product — and
         #: their pad; when they all fill it the product carries no extents
-        self._out_rows = np.asarray([s.shape[0] for s in shards], dtype=np.int64)
+        self._out_rows = np.asarray([s.shape[transposed] for s in shards], dtype=np.int64)
         self._pad_m = int(self._out_rows.max())
         self._even_rows = bool(np.all(self._out_rows == self._pad_m))
+
+    @property
+    def nbytes(self) -> int:
+        """CSR bytes of the stacked plans built so far (the shards are the caller's)."""
+        return sum(bd.nbytes for bd in self._stacked_plans.values())
+
+    def _block(self, rank: int) -> sp.csr_matrix:
+        """The matrix rank ``rank`` multiplies by (a temporary when transposed)."""
+        return self.shards[rank].T.tocsr() if self.transposed else self.shards[rank]
 
     def _plan(self, f_shapes: tuple) -> list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]:
         plan = self._plans.get(f_shapes)
@@ -332,7 +355,7 @@ class BlockDiagSpmm:
                 buckets.setdefault(shape, []).append(r)
             plan = []
             for ranks in buckets.values():
-                blocks = [self.shards[r] for r in ranks]
+                blocks = [self._block(r) for r in ranks]
                 bd = sp.block_diag(blocks, format="csr")
                 rows = np.asarray([b.shape[0] for b in blocks])
                 plan.append((np.asarray(ranks, dtype=np.intp), bd, np.cumsum(rows)[:-1]))
@@ -351,47 +374,61 @@ class BlockDiagSpmm:
                 out[r] = block
         return out  # type: ignore[return-value]
 
-    def _stacked_plan(self, grid, lead, pad_k, rows_key) -> sp.csr_matrix:
-        """The stacked path's block CSR: rank ``r``'s shard in row block
-        ``r`` and in the column block of the operand copy it reads — its
-        replica group's, for an operand whose cube has leading extents
-        ``lead``.  Ranks of one group then share one dense block, so a
-        gathered F or reduced dH is multiplied without ever being copied
-        per rank.  Each CSR row keeps its shard's nonzeros in their order,
-        hence every output row accumulates exactly as in ``apply()``.
+    def _stacked_plan(self, grid, lead, pad_k, rows_key) -> ReplicatedCsr:
+        """The stacked path's block CSR for an operand whose cube has leading
+        extents ``lead``: rank ``r``'s block in row block ``r`` and in the
+        column block of the operand copy it reads — its replica group's, so a
+        gathered F or reduced dH is multiplied without ever being copied per
+        rank — stored for the first replicas only (see the class docstring).
 
-        Row blocks sit ``max(shard rows)`` apart — the pad rows in between
-        carry no nonzeros, so their output rows are exact zeros — and column
-        blocks ``pad_k`` apart, the operand's row extent (its valid rows,
-        ``rows_key`` — ``None``: all of them — must be what each shard
+        Row blocks sit ``max(shard rows)`` apart — the pad rows, and the later
+        replicas' row blocks the stored window spans, carry no nonzeros — and
+        column blocks ``pad_k`` apart, the operand's row extent (its valid
+        rows, ``rows_key`` — ``None``: all of them — must be what each shard
         expects; its pad rows are never referenced by any column index).
         """
         key = (grid, lead, pad_k, rows_key)
         bd = self._stacked_plans.get(key)
         if bd is None:
-            shards = self.shards
-            coords = np.unravel_index(np.arange(self.world), grid)
+            shards, world, m = self.shards, self.world, self._pad_m
+            coords = np.unravel_index(np.arange(world), grid)
             blocks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
-            m = self._pad_m
-            for r, (s, k) in enumerate(zip(shards, _per_rank(rows_key, pad_k, self.world))):
-                if s.shape[1] != k:
-                    raise ValueError(
-                        f"rank {r}: dense operand has {k} valid rows, shard expects {s.shape[1]}"
-                    )
-            nnz_before = np.cumsum([0] + [s.nnz for s in shards])
-            indptr = [np.zeros(1, dtype=np.int64)]
-            for s, before in zip(shards, nnz_before):
-                indptr.append(s.indptr[1:] + before)
-                indptr.append(np.full(m - s.shape[0], before + s.nnz))
-            bd = sp.csr_matrix(
+            for r, (s, k) in enumerate(zip(shards, _per_rank(rows_key, pad_k, world))):
+                need = s.shape[not self.transposed]
+                if need != k:
+                    raise ValueError(f"rank {r}: dense operand has {k} valid rows, shard expects {need}")
+            # the replica axis: every rank holds the shard object of its plane-0 rank
+            strides, in_strides = (grid[1] * grid[2], grid[2], 1), (lead[1] * lead[2], lead[2], 1)
+            axis = next(
                 (
-                    np.concatenate([s.data for s in shards]),
-                    np.concatenate([s.indices + b * pad_k for s, b in zip(shards, blocks)]),
-                    np.concatenate(indptr),
+                    a for a, (at, step) in enumerate(zip(coords, strides))
+                    if grid[a] > 1 and all(shards[r] is shards[r - at[r] * step] for r in range(world))
                 ),
-                shape=(self.world * m, (int(blocks.max()) + 1) * pad_k),
+                None,
             )
-            self._stacked_plans[key] = bd
+            replicas, so, si = (
+                (1, 0, 0) if axis is None else (grid[axis], strides[axis], in_strides[axis] * (lead[axis] > 1))
+            )
+            span = world - (replicas - 1) * so  # row blocks up to the last first replica's
+            held = [r for r in range(span) if axis is None or coords[axis][r] == 0]
+            n_blocks = int(blocks.max()) + 1
+            nnz = sum(shards[r].nnz for r in held)
+            idx = sp.get_index_dtype(maxval=max(nnz, n_blocks * pad_k))
+            indptr = np.zeros(span * m + 1, dtype=idx)
+            indices, data = np.empty(nnz, dtype=idx), np.empty(nnz, dtype=shards[0].dtype)
+            at = 0
+            for r in held:
+                block = self._block(r)
+                end = at + block.nnz
+                np.add(block.indptr[1:], at, out=indptr[r * m + 1 : r * m + 1 + block.shape[0]])
+                np.add(block.indices, int(blocks[r]) * pad_k, out=indices[at:end])
+                data[at:end] = block.data
+                at = end
+            np.maximum.accumulate(indptr, out=indptr)  # rows no block wrote are empty
+            bd = self._stacked_plans[key] = ReplicatedCsr(
+                indptr, indices, data, (n_blocks - (replicas - 1) * si) * pad_k,
+                (world * m, n_blocks * pad_k), replicas, so * m, si * pad_k,
+            )
         return bd
 
     def apply_batched(self, f) -> CubeStack:

@@ -184,6 +184,7 @@ class PlexusLayer:
         aggregation_blocks: int = 1,
         tune_dw_gemm: bool = False,
         noise: SpmmNoise | None = None,
+        adjacency_version: int = 0,
         shard_cache: dict[Any, tuple] | None = None,
         overlap: bool = False,
     ) -> None:
@@ -202,30 +203,29 @@ class PlexusLayer:
         self.overlap = overlap
         self.roles = sharding.roles
         world = grid.world_size
-        # -- adjacency shards (possibly shared across layers via shard_cache)
-        cache_key = id(a_global), sharding.roles.as_tuple()
+        # -- adjacency shards (possibly shared across layers via shard_cache),
+        # keyed by what identifies the cut: which permuted adjacency, which roles
+        cache_key = adjacency_version, sharding.roles.as_tuple()
         if shard_cache is not None and cache_key in shard_cache:
-            self.a_shards, self.at_shards, self._bd_a, self._bd_at = shard_cache[cache_key]
+            self.a_shards, self._bd_a, self._bd_at = shard_cache[cache_key]
         else:
             # ranks along the y-role share (row slice, col slice): each
-            # distinct shard is cut and transposed once, its replica ranks
-            # share the csr_matrix objects
+            # distinct shard is cut once, its replica ranks share the
+            # csr_matrix object — which is how the SpMM plans find the
+            # replicas; A^T exists only inside the backward plan
             self.a_shards = []
-            self.at_shards = []
-            cuts: dict[tuple, tuple] = {}
+            cuts: dict[tuple, sp.csr_matrix] = {}
             for rank in range(world):
                 rs = sharding.a_row_slice(grid, rank)
                 cs = sharding.a_col_slice(grid, rank)
                 key = (rs.start, rs.stop, cs.start, cs.stop)
                 if key not in cuts:
-                    shard = csr_block(a_global, rs, cs)
-                    cuts[key] = (shard, shard.T.tocsr())
-                self.a_shards.append(cuts[key][0])
-                self.at_shards.append(cuts[key][1])
+                    cuts[key] = csr_block(a_global, rs, cs)
+                self.a_shards.append(cuts[key])
             self._bd_a = BlockDiagSpmm(self.a_shards)
-            self._bd_at = BlockDiagSpmm(self.at_shards)
+            self._bd_at = BlockDiagSpmm(self.a_shards, transposed=True)
             if shard_cache is not None:
-                shard_cache[cache_key] = (self.a_shards, self.at_shards, self._bd_a, self._bd_at)
+                shard_cache[cache_key] = (self.a_shards, self._bd_a, self._bd_at)
         # -- row-blocked views + per-block stacked SpMM plans, cached like
         # the shards: layers i and i+3 share roles (period-3 rotation), so
         # they reuse one set of block slices and block-diagonal plans

@@ -64,6 +64,10 @@ from repro.nn.optim import Adam
 __all__ = ["PlexusGCN"]
 
 
+def _csr_nbytes(m: sp.csr_matrix) -> int:
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
 class PlexusGCN:
     """Full-graph GCN trained with 3D tensor parallelism.
 
@@ -116,15 +120,6 @@ class PlexusGCN:
         # -- permutation preprocessing (Sec. 5.1) --------------------------
         self.scheme: PermutationScheme = build_scheme(n, opts.permutation, opts.seed)
         n_layers = len(layer_dims) - 1
-        parities = {i % 2 for i in range(n_layers)}
-        if self.scheme.kind == "double":
-            self._perm_a = {p: self.scheme.permuted_adjacency(a_norm, p).astype(self.dtype) for p in parities}
-        else:
-            # one permutation version only: share the matrix across parities
-            # so the adjacency shard memory stays at min(3, L) sets
-            shared = self.scheme.permuted_adjacency(a_norm, 0).astype(self.dtype)
-            self._perm_a = {p: shared for p in parities}
-
         # -- sharding geometry ----------------------------------------------
         self.shardings = [
             LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
@@ -139,13 +134,19 @@ class PlexusGCN:
         # -- layer construction --------------------------------------------
         self._shard_cache: dict = {}
         self.layers: list[PlexusLayer] = []
+        # the permuted adjacency per version (one; one per layer parity when
+        # the scheme is "double"): read to cut min(3, L) shard sets each, then dropped
+        perm_a: dict[int, sp.csr_matrix] = {}
         for i in range(n_layers):
+            version = i % 2 if self.scheme.kind == "double" else 0
+            if version not in perm_a:
+                perm_a[version] = self.scheme.permuted_adjacency(a_norm, version).astype(self.dtype)
             w_full = glorot_uniform(layer_dims[i], layer_dims[i + 1], seed=opts.seed + i, dtype=self.dtype)
             self.layers.append(
                 PlexusLayer(
                     self.grid,
                     self.shardings[i],
-                    self._perm_a[i % 2],
+                    perm_a[version],
                     w_full,
                     layer_idx=i,
                     is_first=(i == 0),
@@ -154,10 +155,12 @@ class PlexusGCN:
                     aggregation_blocks=opts.aggregation_blocks,
                     tune_dw_gemm=opts.tune_dw_gemm,
                     noise=opts.noise,
+                    adjacency_version=version,
                     shard_cache=self._shard_cache,
                     overlap=opts.overlap,
                 )
             )
+        del perm_a
 
         # -- input-feature shards (z-sub-sharded, Sec. 3.1) ------------------
         f_in_global = features[self.scheme.input_perm()].astype(self.dtype)
@@ -217,6 +220,20 @@ class PlexusGCN:
         entries count here."""
         return sum(1 for k in self._shard_cache if k[0] != "blocks")
 
+    def adjacency_bytes(self) -> int:
+        """CSR bytes this process stores for the graph — every distinct shard
+        and row block once, plus the SpMM plans built so far (the
+        ``adjacency_bytes`` gauge; ``memory_per_rank`` is the *simulated*
+        per-GPU footprint)."""
+        csr = {
+            id(m): m
+            for la in self.layers
+            for shard, blocks in zip(la.a_shards, la._a_blocks)
+            for m in (shard, *blocks)
+        }
+        plans = {id(p): p for la in self.layers for p in (la._bd_a, la._bd_at, *la._bd_blocks)}
+        return sum(map(_csr_nbytes, csr.values())) + sum(p.nbytes for p in plans.values())
+
     def memory_per_rank(self) -> list[int]:
         """Bytes of adjacency + weight + feature shards per rank (the memory
         model behind Sec. 5.1's overhead accounting)."""
@@ -230,7 +247,7 @@ class PlexusGCN:
                 shard = layer.a_shards[r]
                 if (r, id(shard)) not in seen:
                     seen.add((r, id(shard)))
-                    totals[r] += shard.data.nbytes + shard.indices.nbytes + shard.indptr.nbytes
+                    totals[r] += _csr_nbytes(shard)
                 totals[r] += layer.w_shards[r].nbytes
         for r in range(world):
             totals[r] += self.f0_shards[r].nbytes
@@ -317,6 +334,7 @@ class PlexusGCN:
             )
             w_pending = self.layers[i - 1].issue_w_gather() if overlap and i > 0 else None
             grads[f"W{i}"] = dw
+            caches[i] = None  # consumed: this layer's activations die here
             if i > 0:
                 # chain rule through the previous layer's ReLU (Eq. 2.4),
                 # one elementwise product over the whole stacked grid

@@ -17,7 +17,10 @@ communication, which is how load imbalance "ripples" into comm time).
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -25,8 +28,33 @@ from repro.core.batch import CubeStack, cube_boxes, shard_views, stack_shards
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
+from repro.obs.metrics import registry as _metrics
 
 __all__ = ["EpochStats", "TrainResult", "distributed_masked_ce", "distributed_accuracy", "PlexusTrainer"]
+
+#: glibc malloc for a training process — ``(environment variable, mallopt
+#: parameter, bytes)``: temporaries up to 32 MiB (glibc's maximum) stay on the
+#: heap, which keeps 256 MiB of slack.  Never the trim threshold alone: that
+#: freezes the mmap threshold at its 128 KiB default
+ALLOC_PINS = (("MALLOC_MMAP_THRESHOLD_", -3, 32 << 20), ("MALLOC_TRIM_THRESHOLD_", -1, 256 << 20))
+
+
+@cache
+def pin_allocator() -> None:
+    """Pin glibc's mmap / trim thresholds for this process (once; a no-op off
+    glibc).  Unpinned they follow the largest block freed so far, so whether
+    the heap top is trimmed and the epoch's temporaries re-faulted — thousands
+    of minor faults, 10-40 % of an epoch — depends on what set-up happened to
+    free.  A variable set in the environment (the user's, or the launcher's
+    for its workers) wins."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    for var, param, value in ALLOC_PINS:
+        if var not in os.environ:
+            mallopt(param, value)
+
 
 def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     """Masked cross-entropy + gradient over sharded logits.
@@ -223,6 +251,7 @@ class PlexusTrainer:
 
     def __init__(self, model: PlexusGCN) -> None:
         self.model = model
+        pin_allocator()
 
     def train_epoch_raw(self) -> tuple[float, float, float, np.ndarray, np.ndarray]:
         """One epoch; returns the raw accounting pieces.
@@ -244,6 +273,7 @@ class PlexusTrainer:
             logits, caches = model.forward()
         with _trace.span("loss"):
             loss, d_logits = distributed_masked_ce(model, logits)
+        del logits  # the last cache's Q: backward frees each cache where it is consumed
         with _trace.span("backward"):
             grads = model.backward(d_logits, caches)
         with _trace.span("apply_gradients"):
@@ -254,6 +284,8 @@ class PlexusTrainer:
         cluster.check_outstanding(allowed=model.prefetched_handles())
         cluster.barrier(phase="comm:epoch_sync")
         t1 = cluster.max_clock()
+        if _trace.enabled:  # exported beside the rusage gauges: how much of the RSS is graph
+            _metrics.gauge("adjacency_bytes", model.adjacency_bytes())
         comm = cluster.category_totals("comm:") - comm0
         comp = cluster.category_totals("comp:") - comp0
         return loss, t0, t1, comm, comp

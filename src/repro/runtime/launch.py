@@ -61,7 +61,7 @@ import scipy.sparse as sp
 from repro.core.configs import PlexusOptions
 from repro.core.grid import GridConfig, axis_roles
 from repro.core.sharding import LayerSharding
-from repro.core.trainer import EpochStats, TrainResult
+from repro.core.trainer import ALLOC_PINS, EpochStats, TrainResult
 from repro.dist.topology import PERLMUTTER, MachineSpec
 from repro.errors import (
     BarrierTimeout,
@@ -100,10 +100,8 @@ DEFAULT_MAILBOX_BYTES = 8 << 20
 #: the BLAS/OpenMP pool-size variables a numerical library reads at import
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: glibc malloc for the workers: temporaries up to 32 MiB (glibc's maximum)
-#: stay on the heap, and the heap keeps 256 MiB of slack.  Never the trim
-#: threshold alone: that freezes the mmap threshold at its 128 KiB default
-_ALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "268435456"}
+#: glibc malloc for the workers, pinned from their first allocation on
+_ALLOC_VARS = {var: str(value) for var, _, value in ALLOC_PINS}
 
 #: failures the respawn-and-replay policy treats as transient
 _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)

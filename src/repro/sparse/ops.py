@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs  # the kernel ``csr_matrix @ ndarray`` itself calls
 
-__all__ = ["to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "random_sparse"]
+__all__ = ["to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr", "random_sparse"]
 
 
 def to_csr(a: sp.spmatrix | sp.sparray | np.ndarray, dtype=np.float64) -> sp.csr_matrix:
@@ -87,6 +88,40 @@ def spmm(a: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
     if a.shape[1] != f.shape[0]:
         raise ValueError(f"SpMM shape mismatch: {a.shape} @ {f.shape}")
     return np.asarray(a @ f)
+
+
+class ReplicatedCsr:
+    """The ``shape`` CSR matrix holding ``replicas`` equally spaced diagonal
+    copies of one stored ``(len(indptr) - 1, n_col)`` block — copy ``j`` sits
+    ``j * row_shift`` rows down and ``j * col_shift`` columns right, and no
+    two copies have nonzeros in one row — multiplied from the one copy:
+    ``self @ x`` runs the CSR kernel once per copy on flat views of ``x`` and
+    of one zeroed output shifted by those constants, so every output row
+    accumulates its nonzeros in stored order, exactly as in ``csr_matrix @
+    x``.  ``nnz`` is the matrix's (the work done); ``len(data)`` is what is
+    stored."""
+
+    def __init__(self, indptr, indices, data, n_col, shape, replicas=1, row_shift=0, col_shift=0):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.n_col, self.shape = n_col, shape
+        self.shifts = [(j * row_shift, j * col_shift) for j in range(replicas)]
+        if self.shifts[-1][0] + len(indptr) - 1 > shape[0] or self.shifts[-1][1] + n_col > shape[1]:
+            raise ValueError("replicas exceed the matrix")
+        self.nnz = replicas * len(data)
+        self.nbytes = indptr.nbytes + indices.nbytes + data.nbytes
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:  # the kernel takes raw pointers
+            raise ValueError(f"SpMM shape mismatch: {self.shape} @ {x.shape}")
+        c = x.shape[1]
+        out = np.zeros((self.shape[0], c), dtype=np.result_type(self.data, x))
+        n_row, x_flat, out_flat = len(self.indptr) - 1, x.ravel(), out.ravel()
+        for rows, cols in self.shifts:
+            csr_matvecs(
+                n_row, self.n_col, c, self.indptr, self.indices, self.data,
+                x_flat[cols * c :], out_flat[rows * c :],
+            )
+        return out
 
 
 def random_sparse(n_rows: int, n_cols: int, density: float, rng: np.random.Generator, dtype=np.float64) -> sp.csr_matrix:

@@ -11,8 +11,9 @@ weights, trainable F0, per-rank clocks, every ``by_phase`` bucket and every
 
 It shares **data, not code** with the product.  A built
 :class:`~repro.core.model.PlexusGCN` is read for its adjacency shards and
-their SpMM plans (``a_shards`` / ``at_shards`` / ``_a_blocks`` / ``_bd_a`` /
-``_bd_at``), the modeled kernel-time vectors (``_t_*``, ``_nnz_a``), the
+the forward SpMM plan (``a_shards`` / ``_a_blocks`` / ``_bd_a``; A^T is its
+own ``shard.T.tocsr()`` per rank), the modeled kernel-time vectors (``_t_*``,
+``_nnz_a``), the
 noise sampler, copies of the initial W / F0 shards and the label / mask /
 class slices; no method of ``PlexusGCN``, ``PlexusLayer``, ``PlexusTrainer``
 or ``AxisCommunicator`` is ever called, so the model is never run.  Nothing
@@ -76,13 +77,15 @@ def map_groups(grid, axis, method: str, per_rank, /, **kw) -> GroupHandles:
 
 
 class _Layer:
-    """The oracle's side of one layer: its own weight shards, and the built
-    product layer it reads shards / plans / kernel times from."""
+    """The oracle's side of one layer: its own weight shards and transposed
+    adjacency shards, and the built product layer it reads shards / plans /
+    kernel times from."""
 
     def __init__(self, built) -> None:
         self.data = built
         self.roles = built.roles
         self.w_shards = [w.copy() for w in built.w_shards]
+        self.at_shards = [a.T.tocsr() for a in built.a_shards]  # its own A^T, per rank
 
 
 class PerRankOracle:
@@ -276,7 +279,7 @@ class PerRankOracle:
         else:
             dh = dh_pending.wait()
             self._charge_spmm(d._t_spmm_bwd, d._nnz_a, "comp:spmm_bwd", layer, 1)
-        df_partial = d._bd_at.apply(dh)
+        df_partial = [spmm(layer.at_shards[r], dh[r]) for r in range(world)]
         if d.is_first:  # trainable F0: z-sub-sharded gradient
             return self._map(
                 roles.z, "reduce_scatter", df_partial, axis=0, phase="reduce_scatter_df"

@@ -13,9 +13,11 @@ from repro.nn import Adam, SerialGCN
 ATOL = 1e-9
 
 
-def layer_adjacency(model, layer):
-    """The permuted global adjacency ``layer`` was cut from."""
-    return model._perm_a[layer.layer_idx % 2]
+def layer_adjacency(model, layer, a_norm):
+    """The permuted global adjacency ``layer`` was cut from, recomputed (the
+    model keeps none)."""
+    version = layer.layer_idx % 2 if model.scheme.kind == "double" else 0
+    return model.scheme.permuted_adjacency(a_norm, version).astype(model.dtype)
 
 
 def _serial_losses(ds, dims, epochs, lr=1e-2, trainable=False, seed=0):
@@ -147,10 +149,11 @@ class TestModelStructure:
 
     def test_replica_ranks_share_adjacency_shards_but_are_billed_for_them(self):
         """Ranks along a layer's y-role hold the same ``(row, col)`` block of
-        A: it is cut (and transposed) once and the ``csr_matrix`` objects are
-        shared — with one aggregation block the row-block list aliases the
-        shard — while ``memory_per_rank`` still bills every rank its own
-        copy (values pinned from the per-rank cut of the parent commit)."""
+        A: it is cut once and the ``csr_matrix`` object is shared — with one
+        aggregation block the row-block list aliases the shard — every SpMM
+        plan (A and A^T) stores one block per distinct shard, and
+        ``memory_per_rank`` still bills every rank its own copy (values
+        pinned from the per-rank cut of an earlier commit)."""
         from repro.graph.features import degree_labels, random_split_masks, synth_features
         from repro.graph.generators import rmat_graph
         from repro.sparse.ops import gcn_normalize
@@ -166,15 +169,80 @@ class TestModelStructure:
         )
         for layer in model.layers:
             assert len({id(s) for s in layer.a_shards}) == 16  # 64 ranks / Gy-role 4
-            assert len({id(s) for s in layer.at_shards}) == 16
             assert all(blocks == [shard] for blocks, shard in zip(layer._a_blocks, layer.a_shards))
+            a_layer = layer_adjacency(model, layer, a)
             for r, shard in enumerate(layer.a_shards):
                 rows = layer.sharding.a_row_slice(model.grid, r)
                 cols = layer.sharding.a_col_slice(model.grid, r)
-                assert (shard != layer_adjacency(model, layer)[rows, cols]).nnz == 0
+                assert (shard != a_layer[rows, cols]).nnz == 0
+        PlexusTrainer(model).train_epoch()  # builds the plans: 3 forward, 2 backward (frozen layer 0)
+        plans = [
+            bd for layer in model.layers for plan in (layer._bd_a, layer._bd_at)
+            for bd in plan._stacked_plans.values()
+        ]
+        assert len(plans) == 5
+        for bd in plans:  # a.nnz per plan, where the per-rank block CSR held 4 x
+            assert len(bd.data) == a.nnz and bd.nnz == 4 * a.nnz
+        assert not hasattr(model, "_perm_a") and not hasattr(model.layers[0], "at_shards")
         memory = model.memory_per_rank()
         assert memory[:8] == [2180, 2052, 1652, 2388, 2044, 1940, 1668, 2308]
         assert sum(memory) == 119360
+
+    def test_quickstart_memory_per_rank_is_pinned(self):
+        """The *simulated* per-GPU bytes (adjacency + weight + feature
+        shards) on ``examples/quickstart.py``'s configuration: what this
+        process stores of the graph may shrink, what a GPU is billed may not
+        move."""
+        from repro import load_dataset
+
+        ds = load_dataset("ogbn-products", scale="tiny", seed=0)
+        dims = [ds.n_features, 64, 64, ds.n_classes]
+        model = PlexusGCN(
+            VirtualCluster(8, PERLMUTTER), GridConfig(2, 2, 2), ds.norm_adjacency, ds.features,
+            ds.labels, ds.train_mask, dims, PlexusOptions(seed=0),
+        )
+        assert model.memory_per_rank() == [
+            200636, 205404, 210152, 214752, 214772, 219372, 224120, 228552
+        ]
+
+    def test_the_graph_is_stored_once(self):
+        """Memory guard (N = 8 192 R-MAT, X2Y2Z2, float32, ``tracemalloc``
+        from model construction on): what the process holds after two
+        epochs and the peak of the third stay under 0.65 x what the per-rank
+        block plans, the stored A^T, the stored permuted adjacency and caches
+        held to the end of ``backward`` cost (35 397 971 / 50 634 551 B)."""
+        import gc
+        import tracemalloc
+
+        from repro.graph.features import degree_labels, random_split_masks, synth_features
+        from repro.graph.generators import rmat_graph
+        from repro.sparse.ops import gcn_normalize
+
+        cfg, n, dims = GridConfig(2, 2, 2), 8192, [32, 32, 32, 8]
+        a = gcn_normalize(rmat_graph(n, avg_degree=32, seed=7))
+        feats = synth_features(n, dims[0], seed=8, dtype=np.float32)
+        labels = degree_labels(a, dims[-1], seed=9)
+        mask, _, _ = random_split_masks(n, seed=10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = PlexusGCN(
+                VirtualCluster(cfg.total, PERLMUTTER), cfg, a, feats, labels, mask, dims,
+                PlexusOptions(seed=0, compute_dtype=np.float32),
+            )
+            trainer = PlexusTrainer(model)
+            trainer.train(2)
+            gc.collect()
+            steady = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trainer.train_epoch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steady <= 23_000_000 and peak <= 32_900_000, (steady, peak)
+        # ... of which the graph: three shard sets, three forward and two backward
+        # plans, each a.nnz (float32, int32) pairs and its row pointers
+        assert 8 * (8 * a.nnz) <= model.adjacency_bytes() <= 8 * (8 * a.nnz) + 2**20
 
     def test_invalid_layer_dims(self, ds):
         cluster = VirtualCluster(8, PERLMUTTER)

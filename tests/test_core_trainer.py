@@ -243,6 +243,37 @@ class TestTrainerPlumbing:
         assert result.losses[-1] < result.losses[0]
 
 
+class TestAllocatorPin:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator")
+    def test_steady_state_epochs_take_no_page_faults(self):
+        """Dense layers whose per-epoch temporaries exceed glibc's default
+        128 KiB mmap threshold (the workers' twin:
+        ``test_workers_do_not_page_fault_in_steady_state``): a trainer pins
+        the allocator of its process, so whether the heap top is trimmed
+        between epochs — and re-faulted: thousands of minor faults per epoch
+        — no longer depends on what set-up happened to free."""
+        import resource
+
+        from repro.graph.features import degree_labels, random_split_masks, synth_features
+        from repro.graph.generators import rmat_graph
+        from repro.sparse.ops import gcn_normalize
+
+        cfg, n, dims = GridConfig(4, 4, 4), 768, [96, 96, 96, 96]
+        a = gcn_normalize(rmat_graph(n, avg_degree=8, seed=7))
+        mask, _, _ = random_split_masks(n, seed=10)
+        model = PlexusGCN(
+            VirtualCluster(cfg.total, PERLMUTTER), cfg, a,
+            synth_features(n, dims[0], seed=8, dtype=np.float32),
+            degree_labels(a, dims[-1], seed=9), mask, dims,
+            PlexusOptions(seed=0, compute_dtype=np.float32),
+        )
+        trainer = PlexusTrainer(model)
+        trainer.train(3)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trainer.train(5)
+        assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5 < 50
+
+
 class TestInterpreterBudget:
     """Indivisible is the normal case: it may not cost a loop over ranks."""
 

@@ -193,12 +193,13 @@ class TestReplayIsLive:
     def test_oracle_memoises_nothing(self, calls, blocks):
         """What makes product == oracle an independent check of the replay:
         the oracle multiplies every SpMM of a frozen layer 0 every epoch
-        (one per rank and block when blocked, one grouped call otherwise)."""
+        (forward: one per rank and block when blocked, one grouped call
+        otherwise; backward: one per rank, by its own ``A^T`` shards)."""
         oracle = _oracle("X2Y2Z2", overlap=True, aggregation_blocks=blocks)
         n_layers = len(oracle.layers)
         forward = n_layers * (oracle.world * blocks if blocks > 1 else 1)
         for _ in range(3):
-            assert calls(oracle) == (forward + n_layers - 1, 0)
+            assert calls(oracle) == (forward + (n_layers - 1) * oracle.world, 0)
 
     def test_trainable_features_memoise_nothing(self, calls):
         trainer = _trainer(trainable_features=True)

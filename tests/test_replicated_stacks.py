@@ -19,6 +19,9 @@ durations as the one that leaves them ``None``.  Pinned here:
   whatever the split, and results never alias a chunk;
 * the helpers that consume replicated stacks equal their flat-stack results
   bitwise;
+* an SpMM plan stores each distinct adjacency shard once (A and A^T, whole
+  shards and row blocks, the whole cube and a worker's z-slice) and still
+  equals the per-rank ``shards[r] @ f[r]`` bitwise;
 * after a forward pass the cached activations own ``world / G`` shards of
   memory, while everything persisted (weights, checkpoints, the in-flight
   prefetch inventory) is flat, writable ``(world, m, n)`` memory and resumes
@@ -53,15 +56,17 @@ from repro.core.batch import (
     stack_shards,
     stack_transpose,
 )
-from repro.core.grid import Axis, PlexusGrid
+from repro.core.grid import Axis, PlexusGrid, axis_roles
+from repro.core.layers import PlexusLayer
+from repro.core.sharding import LayerSharding
 from repro.core.trainer import distributed_masked_ce
 from repro.dist import LAPTOP, VirtualCluster, comm
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.nn.functional import relu
-from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
+from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer, worker_slice
 from repro.runtime import checkpoint as ckpt
-from repro.sparse.ops import gcn_normalize
+from repro.sparse.ops import gcn_normalize, spmm
 
 GRIDS = [GridConfig(8, 1, 1), GridConfig(2, 1, 4), GridConfig(1, 1, 8), GridConfig(2, 3, 2)]
 #: every subset of the cube axes (z, x, y) an operand can be replicated along
@@ -336,6 +341,107 @@ class TestHelpersMatchFlatStacks:
             assert (out.rows is not None) == spelled
             for r in range(grid.world_size):
                 assert np.array_equal(out[r], per_rank[r])
+
+
+@st.composite
+def _plan_cases(draw):
+    gx, gy, gz = draw(st.sampled_from(
+        [(2, 2, 2), (4, 4, 2), (1, 2, 4), (3, 2, 2), (2, 3, 1), (1, 1, 8), (2, 1, 4), (4, 2, 4)]
+    ))
+    n_workers = draw(st.sampled_from([w for w in (1, 2, 4) if w <= gz]))
+    return dict(
+        cfg=GridConfig(gx, gy, gz),
+        layer_idx=draw(st.integers(0, 2)),  # the three role rotations
+        n=draw(st.sampled_from([24, 48, 25, 31, 50])),  # the first two divide every grid above
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        blocks=draw(st.sampled_from([1, 3])),
+        n_workers=n_workers,
+        worker=draw(st.integers(0, n_workers - 1)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestPlansStoreEachShardOnce:
+    """Replica-free block plans against the per-rank products, on the shards
+    and plans a real ``PlexusLayer`` builds."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_plan_cases())
+    @example(case=dict(cfg=GridConfig(4, 4, 2), layer_idx=1, n=50, dtype=np.float32, blocks=3,
+                       n_workers=2, worker=1, seed=3))
+    def test_apply_batched_equals_per_rank_products(self, case):
+        cfg, n, dtype, c = case["cfg"], case["n"], case["dtype"], 3
+        rng = np.random.default_rng(case["seed"])
+        lo, hi = worker_slice(cfg, case["n_workers"], case["worker"])
+        cluster = VirtualCluster(cfg.total, LAPTOP) if case["n_workers"] == 1 else VirtualCluster(
+            hi - lo, LAPTOP, lo=lo, exchange=lambda arrays: [(a,) for a in arrays]
+        )
+        grid = PlexusGrid(cluster, cfg)
+        world = grid.world_size
+        sharding = LayerSharding(cfg, axis_roles(case["layer_idx"]), n, 4, 4)
+        roles = sharding.roles
+        a = sp.random(n, n, density=0.3, random_state=case["seed"], format="csr", dtype=dtype)
+        layer = PlexusLayer(
+            grid, sharding, a, np.zeros((4, 4), dtype=dtype), layer_idx=case["layer_idx"],
+            is_first=False, is_last=False, aggregation_blocks=case["blocks"],
+        )
+
+        def operand(row_slice, shared: Axis):
+            """Per-rank dense blocks cut from one global matrix — rows by
+            ``row_slice``, columns by the y-role coordinate, so ranks along
+            ``shared`` hold the same block — at full extent and with that
+            cube axis at extent 1."""
+            dense = rng.standard_normal((n, c * cfg.size(roles.y))).astype(dtype)
+            per_rank = [
+                dense[row_slice(grid, r), grid.coord(r, roles.y) * c:][:, :c] for r in range(world)
+            ]
+            pad = max(1, -(-n // cfg.size(roles.x if shared is roles.z else roles.z)))
+            full = stack_shards(per_rank, grid.cube, (pad, c))
+            one = [slice(None)] * 3
+            one[(1, 2, 0)[shared]] = slice(0, 1)
+            return per_rank, [full, CubeStack(full.cube[tuple(one)], grid.cube, full.rows, full.cols)]
+
+        def check(plan: BlockDiagSpmm, blocks, per_rank, stacks):
+            for stack in stacks:
+                out = plan.apply_batched(stack)
+                for r in range(world):
+                    assert np.array_equal(out[r], blocks[r] @ per_rank[r]), (r, stack.cube.shape)
+            distinct = {id(m): m.nnz for m in plan.shards}
+            for bd in plan._stacked_plans.values():
+                assert len(bd.data) == sum(distinct.values())
+                assert bd.nnz == sum(m.nnz for m in plan.shards)
+
+        f, f_stacks = operand(sharding.a_col_slice, roles.z)  # the gathered F: shared along z
+        if case["blocks"] == 1:
+            check(layer._bd_a, layer.a_shards, f, f_stacks)
+        for b, plan in enumerate(layer._bd_blocks):
+            check(plan, [blocks[b] for blocks in layer._a_blocks], f, f_stacks)
+        dh, dh_stacks = operand(sharding.a_row_slice, roles.x)  # the reduced dH: shared along x
+        check(layer._bd_at, [m.T.tocsr() for m in layer.a_shards], dh, dh_stacks)
+
+    def test_private_kernel_pin(self):
+        """``spmm`` on a plan is ``block_csr @ X`` bitwise: the plan calls
+        ``scipy.sparse._sparsetools.csr_matvecs`` — what ``csr_matrix @
+        ndarray`` itself calls — so a scipy release that moves or changes it
+        fails here by name."""
+        from scipy.sparse._sparsetools import csr_matvecs  # noqa: F401  (the pinned name)
+
+        rng = np.random.default_rng(5)
+        grid = (2, 3, 2)
+        distinct = [sp.random(7, 5, density=0.4, random_state=i, format="csr", dtype=np.float32)
+                    for i in range(6)]
+        shards = [distinct[r // 2] for r in range(12)]  # replicated along the last cube axis
+        x = rng.standard_normal((12, 5, 4)).astype(np.float32)
+        plan = BlockDiagSpmm(shards)
+        out = plan.apply_batched(CubeStack.of(x, grid))
+        (bd,) = plan._stacked_plans.values()
+        assert len(bd.data) == sum(m.nnz for m in distinct) and bd.nnz == 2 * len(bd.data)
+        block_csr = sp.block_diag(shards, format="csr")
+        assert bd.shape == block_csr.shape
+        assert np.array_equal(spmm(bd, x.reshape(-1, 4)), block_csr @ x.reshape(-1, 4))
+        assert np.array_equal(stack_data(out).reshape(-1, 4), block_csr @ x.reshape(-1, 4))
+        with pytest.raises(ValueError, match="shape"):
+            bd @ x.reshape(-1, 6)
 
 
 def _spec(cfg: GridConfig, n: int, dims: list[int], **opts) -> WorkloadSpec:
