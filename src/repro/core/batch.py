@@ -343,6 +343,11 @@ class BlockDiagSpmm:
         """CSR bytes of the stacked plans built so far (the shards are the caller's)."""
         return sum(bd.nbytes for bd in self._stacked_plans.values())
 
+    def release(self) -> None:
+        """Drop the stacked plans built so far; the shards stay (``apply``
+        reads them, ``apply_batched`` rebuilds from them)."""
+        self._stacked_plans.clear()
+
     def _block(self, rank: int) -> sp.csr_matrix:
         """The matrix rank ``rank`` multiplies by (a temporary when transposed)."""
         return self.shards[rank].T.tocsr() if self.transposed else self.shards[rank]

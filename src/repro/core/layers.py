@@ -66,12 +66,14 @@ and waited as before — through
 collective of known duration without an operand — so clocks, link
 reservations, in-flight queues, phase totals and trace events stay bitwise
 what they were, while no SpMM, GEMM, gather copy or reduction runs for
-them.  What is held is read-only (``PlexusGCN`` makes the F0 shards
-read-only too: an in-place edit raises rather than training on a stale
-H0), replays are counted (``frozen_agg_replays`` in the metrics registry),
-trainable features memoise nothing, and the test-side oracle memoises
-nothing at all: the product == oracle bitwise suites are therefore the
-independent check of the replay.
+them — so the layer releases its forward SpMM plans after its first
+backward, unless a later layer multiplies with the same ones.  What is held
+is read-only (``PlexusGCN`` makes the F0 shards read-only too: an in-place
+edit raises rather than training on a stale H0), replays are counted
+(``frozen_agg_replays`` in the metrics registry), trainable features
+memoise nothing, and the test-side oracle memoises nothing at all: the
+product == oracle bitwise suites are therefore the independent check of the
+replay.
 
 Kernel times are *precomputed* per rank at construction (shard shapes never
 change across epochs), so the hot loop advances all clocks per step with a
@@ -279,6 +281,10 @@ class PlexusLayer:
         #: set by the first forward of a layer 0 with frozen input features;
         #: every later pass replays it (see the module docstring)
         self._frozen: _FrozenAggregation | None = None
+        #: whether a later layer multiplies with this layer's forward SpMM
+        #: plans (its shard-cache entry; set by the model) — if not, a frozen
+        #: layer 0 releases them after its first backward
+        self.plans_shared = False
 
     # -- kernel-time precomputation --------------------------------------------
     def _precompute_kernel_times(self) -> None:
@@ -483,6 +489,13 @@ class PlexusLayer:
                 dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
                 if frozen is not None:
                     frozen.dh_duration = dh_pending.duration
+                    # the forward SpMM plans are never read again: released at
+                    # the end of the first epoch, once it has sized the heap
+                    # (freed mid-forward they reshuffled that epoch's
+                    # temporaries: dense1536 peak RSS +2.3 MB)
+                    if not self.plans_shared:
+                        for _, _, plan in self._agg_steps:
+                            plan.release()
             if self.is_first and not self.trainable_features:
                 dh_pending.wait()
                 return None, dw

@@ -161,6 +161,9 @@ class PlexusGCN:
                 )
             )
         del perm_a
+        # layers three apart on one permuted adjacency share a cache entry
+        first = self.layers[0]
+        first.plans_shared = any(la._bd_a is first._bd_a for la in self.layers[1:])
 
         # -- input-feature shards (z-sub-sharded, Sec. 3.1) ------------------
         f_in_global = features[self.scheme.input_perm()].astype(self.dtype)
@@ -198,6 +201,9 @@ class PlexusGCN:
         self.mask_shards = shard_views(self.mask_stack)
         self.class_slices = [final.out_col_slice(self.grid, r) for r in range(world)]
         self.class_start = np.asarray([s.start for s in self.class_slices], dtype=np.int64)
+        #: what the loss and the accuracy derive from the three above, per
+        #: logits geometry (``core.trainer._label_plan``)
+        self.label_plans: dict = {}
 
         # -- one stacked Adam over the rank axis ------------------------------
         # the optimizer updates the stacks' own flat memory: pad entries

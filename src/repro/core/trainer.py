@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from repro.core.batch import CubeStack, cube_boxes, shard_views, stack_shards
+from repro.core.batch import CubeStack, cube_boxes, stack_shards
 from repro.core.grid import PlexusGrid
 from repro.core.model import PlexusGCN
 from repro.obs import trace as _trace
@@ -56,6 +56,73 @@ def pin_allocator() -> None:
             mallopt(param, value)
 
 
+def _class_max(cube: np.ndarray, col_boxes: tuple) -> np.ndarray:
+    """Each row's maximum over its rank's valid class columns (``-inf`` where
+    a rank holds none), folded over whole column vectors: exact in any order."""
+    out = np.empty(cube.shape[:4], dtype=cube.dtype)
+    out.fill(-np.inf)
+    for box, (c,) in col_boxes:
+        part = out[box]
+        for j in range(c):
+            np.maximum(part, cube[box][..., j], out=part)
+    return out
+
+
+def _fold_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = v.sum(axis=-1)`` bit for bit, adding whole column vectors
+    in numpy's pairwise order: sequential below 8 columns, else 8
+    accumulators over blocks of 8 combined as ``((0+1)+(2+3))+((4+5)+(6+7))``
+    plus the leftover columns in order, and halves split at a multiple of 8
+    beyond 128 columns (a ``-0.0`` sum reads ``+0.0`` in numpy)."""
+    c = v.shape[-1]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        left = _fold_sum(v[..., :half], np.empty(out.shape, out.dtype))
+        return np.add(left, _fold_sum(v[..., half:], np.empty(out.shape, out.dtype)), out=out)
+    first = 1 if c < 8 else c - c % 8
+    if c < 8:
+        out[...] = v[..., 0]
+    else:
+        acc = v[..., :8]
+        for i in range(8, first, 8):
+            acc = acc + v[..., i : i + 8]
+        acc = acc[..., 0::2] + acc[..., 1::2]
+        acc = acc[..., 0::2] + acc[..., 1::2]
+        np.add(acc[..., 0], acc[..., 1], out=out)
+    for j in range(first, c):
+        np.add(out, v[..., j], out=out)
+    return out
+
+
+def _label_plan(model: PlexusGCN, stack: CubeStack, comm_x) -> tuple:
+    """The loss's and the accuracy's cut of the model's static state for the
+    logits geometry of ``stack``, built once (``model.label_plans``):
+    ``(class-column boxes, row boxes, unmasked, mask_x, labels_x, owned_rows,
+    owned_pos, neg_start)``.  ``_x`` and the row boxes fit a class-reduced
+    statistic; ``unmasked`` / ``owned_rows`` flat-index its rows off the mask /
+    masked with their label column on the rank, ``owned_pos`` those columns
+    in the cube; ``neg_start`` is minus each rank's first class (float64)."""
+    cube, rows, cols = stack.cube, stack.rows, stack.cols
+    key = (cube.shape, rows if rows is None else rows.tobytes(), cols if cols is None else cols.tobytes())
+    plan = model.label_plans.get(key)
+    if plan is None:
+        lead, (n, c_pad) = cube.shape[:3], cube.shape[3:]
+        d = comm_x.descriptor  # the class-axis reduction leaves extent 1 along d.axis
+        cut_x = tuple(slice(1 if a == d.axis and d.size > 1 else e) for a, e in enumerate(lead))
+        width = c_pad if cols is None else stack.like(cols)[..., None]
+        mask, start = stack.like(model.mask_stack), stack.like(model.class_start)[..., None]
+        local = stack.like(model.label_stack) - start
+        owned_rows = np.flatnonzero(mask & (local >= 0) & (local < width))
+        plan = model.label_plans[key] = (
+            cube_boxes(stack.grid, lead, c_pad if cols is None else cols.tobytes()),
+            cube_boxes(stack.grid, tuple(s.stop for s in cut_x), n if rows is None else rows.tobytes()),
+            np.flatnonzero(~mask),
+            model.mask_stack.cube[cut_x], model.label_stack.cube[cut_x], owned_rows,
+            owned_rows * c_pad + local.reshape(-1)[owned_rows], -start.astype(np.float64),
+        )
+    return plan
+
+
 def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     """Masked cross-entropy + gradient over sharded logits.
 
@@ -69,9 +136,13 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     replicated along its y-role, the class-axis reductions then along the
     x-role too, so the softmax statistics, the masked sums and the gradient
     are computed once per group of identical ranks (labels, masks and class
-    offsets are constant along those axes and are cut to match).  Raw
-    ``(world, rows, classes)`` logits are viewed into the cube and take the
-    same path.
+    offsets are constant along those axes and are cut to match, once per
+    geometry: :func:`_label_plan`).  Raw ``(world, rows, classes)`` logits
+    are viewed into the cube and take the same path.  Nothing runs along
+    the narrow class axis itself: the row maximum and the exp-sum fold whole
+    column vectors (:func:`_class_max`, :func:`_fold_sum`), the label logit
+    is one flat ``take``, the off-mask rows and the one-hot are flat in-place
+    updates of the gradient.
 
     A reduction along a padded axis — class columns, node rows — runs once
     per *box* of ranks sharing that valid extent, on the exact-extent view
@@ -79,69 +150,45 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     floating-point sum or a maximum.  Ranks owning zero class columns (more
     X-shards than classes) contribute neutral values (``-inf`` maxima, zero
     sums).  The result is bitwise what a per-rank loop over one process
-    group at a time computes in float64 (``tests/oracle.py``): mask products
-    against exact 0/1, the same exp/log pipeline, the same association order
-    in every sum.
+    group at a time computes in float64 (``tests/oracle.py``): masked rows
+    selected, never multiplied, the same exp/log pipeline, the same
+    association order in every sum.
     """
     grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
     comm_x = grid.comm(roles.x)
-    comm_z = grid.comm(roles.z)
     stack = CubeStack.of(logits, grid.cube)
     cube = stack.cube  # (z, x, y, rows, classes), extent 1 where replicated
-    c_pad = cube.shape[-1]
-    if c_pad == 0:
+    if cube.shape[-1] == 0:
         raise ValueError("batched loss requires at least one class column per rank")
-    rows, cols = stack.rows, stack.cols
-    # each rank's valid class columns (the cube's when nothing is padded) and
-    # the boxes of ranks sharing one count
-    width = c_pad if cols is None else stack.like(cols)[..., None]
-    col_boxes = cube_boxes(stack.grid, cube.shape[:3], c_pad if cols is None else cols.tobytes())
+    rows = stack.rows
+    col_boxes, row_boxes, unmasked, mask_x, _, owned_rows, owned_pos, _ = _label_plan(model, stack, comm_x)
 
     def reduce(values, **kw) -> CubeStack:  # a per-row statistic, along the class axis
         return comm_x.all_reduce(CubeStack(values, stack.grid, rows), **kw).wait()
 
     # 1) log-softmax statistics along the class (x-role) axis
-    local = np.empty(cube.shape[:4], dtype=cube.dtype)
-    local.fill(-np.inf)
-    for box, (c,) in col_boxes:
-        if c:
-            cube[box][..., :c].max(axis=-1, out=local[box])
-    row_max = reduce(local, op="max", phase="loss_max").cube
+    row_max = reduce(_class_max(cube, col_boxes), op="max", phase="loss_max").cube
     shifted = cube - row_max[..., None]  # whole cube: pads are shifted, never exponentiated
     local = np.zeros(cube.shape[:4], dtype=cube.dtype)
     for box, (c,) in col_boxes:
         if c:
-            np.exp(shifted[box][..., :c]).sum(axis=-1, out=local[box])
+            _fold_sum(np.exp(shifted[box][..., :c]), local[box])
     sum_exp = reduce(local, phase="loss_sumexp").cube
 
-    # 2) gather each masked node's own-label logit from the owning class shard
-    masks_here = stack.like(model.mask_stack)
-    local_idx = stack.like(model.label_stack) - stack.like(model.class_start)[..., None]
-    owned = masks_here & (local_idx >= 0) & (local_idx < width)
-    # each row's (clipped) label column as one fancy index, shared by the
-    # three along-axis accesses below
-    z, x, y, n = local_idx.shape
-    label_at = (
-        np.arange(z)[:, None, None, None], np.arange(x)[:, None, None],
-        np.arange(y)[:, None], np.arange(n), np.clip(local_idx, 0, np.maximum(width - 1, 0)),
-    )
-    z_local = np.where(owned, cube[label_at], 0.0)
+    # 2) each masked node's own-label logit, from the owning class shard
+    z_local = np.zeros(cube.shape[:4], dtype=cube.dtype)
+    z_local.reshape(-1)[owned_rows] = cube.take(owned_pos)
     z_label = reduce(z_local, phase="loss_zlabel")
 
     # 3) masked sum + count along the row (z-role) axis
     log_s = np.log(sum_exp)
-    nll = row_max + log_s - z_label.cube
-    nll_masks = z_label.like(model.mask_stack)
-    masked_nll = np.where(nll_masks, nll, 0.0)
-    row_boxes = cube_boxes(
-        stack.grid, nll.shape[:3], nll.shape[3] if rows is None else rows.tobytes()
-    )
-    packed = np.empty(nll.shape[:3] + (2,), dtype=np.float64)
+    masked_nll = np.where(mask_x, row_max + log_s - z_label.cube, 0.0)
+    packed = np.empty(masked_nll.shape[:3] + (2,), dtype=np.float64)
     for box, (v,) in row_boxes:
-        packed[box][..., 0] = masked_nll[box][..., :v].sum(axis=-1)
-        packed[box][..., 1] = nll_masks[box][..., :v].sum(axis=-1)
-    totals = comm_z.all_reduce(CubeStack(packed, stack.grid), phase="loss_total").wait()
+        packed[box][..., 0] = np.add.reduce(masked_nll[box][..., :v], axis=-1)
+        packed[box][..., 1] = np.add.reduce(mask_x[box][..., :v], axis=-1)
+    totals = grid.comm(roles.z).all_reduce(CubeStack(packed, stack.grid), phase="loss_total").wait()
     total_nll, total_cnt = totals[0]
     if total_cnt == 0:
         raise ValueError("empty train mask")
@@ -152,42 +199,47 @@ def distributed_masked_ce(model: PlexusGCN, logits) -> tuple[float, CubeStack]:
     shifted -= log_s[..., None]
     for box, (c,) in col_boxes:
         if c:
-            np.multiply(np.exp(shifted[box][..., :c]), masks_here[box][..., None], out=g[box][..., :c])
-    g[label_at] -= owned
+            g[box][..., :c] = np.exp(shifted[box][..., :c])
+    g.reshape(-1, g.shape[-1])[unmasked] = 0.0
+    g.reshape(-1)[owned_pos] -= 1.0
     g /= total_cnt
-    return loss, CubeStack(g, stack.grid, rows, cols)
+    return loss, CubeStack(g, stack.grid, rows, stack.cols)
 
 
-def distributed_accuracy(model: PlexusGCN, logits, mask_shards: list[np.ndarray]) -> float:
-    """Fraction of masked nodes predicted correctly, computed distributed.
+def distributed_accuracy(model: PlexusGCN, logits, mask_shards) -> float:
+    """Fraction of masked nodes (``mask_shards``: each rank's rows of the
+    node mask) predicted correctly, computed distributed on the cube with the
+    loss's label plan.
 
     The prediction is the argmax over the class-sharded row: the row
     maximum is max-reduced along the class (x-role) axis, then every rank
-    offers ``-(global class index)`` of its columns attaining it (``-inf``
-    when none does) and a second max-reduce picks the lowest such index —
-    ties resolve like ``argmax`` over the gathered row.  Hit and mask counts
-    are summed along the row (z-role) axis.
+    offers ``-(global class index)`` of its lowest column attaining it
+    (``-inf`` when none does) and a second max-reduce picks the lowest such
+    index — ties resolve like ``argmax`` over the gathered row.  Hit and
+    mask counts are summed along the row (z-role) axis.
     """
+    grid: PlexusGrid = model.grid
     roles = model.shardings[-1].roles
-    comm_x, comm_z = model.grid.comm(roles.x), model.grid.comm(roles.z)
-    shards = shard_views(logits)
+    comm_x = grid.comm(roles.x)
+    stack = CubeStack.of(logits, grid.cube)
+    cube = stack.cube
+    col_boxes, _, _, _, labels_x, _, _, neg_start = _label_plan(model, stack, comm_x)
 
-    def class_max(per_rank: list[np.ndarray], phase: str):
-        return comm_x.all_reduce(stack_shards(per_rank), op="max", phase=phase).wait()
+    def class_max(values, phase: str) -> np.ndarray:
+        return comm_x.all_reduce(CubeStack(values, stack.grid, stack.rows), op="max", phase=phase).wait().cube
 
-    # ranks owning zero class columns report -inf (``initial``)
-    row_max = class_max([l.max(axis=1, initial=-np.inf) for l in shards], "acc_max")
-    offered = []
-    for r, l in enumerate(shards):
-        cols = model.class_slices[r]
-        neg_idx = -np.arange(cols.start, cols.stop, dtype=np.float64)
-        attained = np.where(l == row_max[r][:, None], neg_idx, -np.inf)
-        offered.append(attained.max(axis=1, initial=-np.inf))
+    attained = cube == class_max(_class_max(cube, col_boxes), "acc_max")[..., None]
+    offered = np.full(cube.shape[:4], -np.inf)
+    for box, (c,) in col_boxes:
+        for j in range(c - 1, -1, -1):  # the lowest attaining column writes last
+            offered[box] = np.where(attained[box][..., j], neg_start[box] - j, offered[box])
     winner = class_max(offered, "acc_argmax")
-    packed = np.empty((len(shards), 2), dtype=np.float64)
-    for r, m in enumerate(mask_shards):
-        packed[r] = ((-winner[r] == model.label_shards[r]) & m).sum(), m.sum()
-    correct, count = comm_z.all_reduce(packed, phase="acc_total").wait()[0]
+    masks = stack_shards(mask_shards, grid.cube, model.mask_stack.cube.shape[3:]).cube
+    masks = masks[tuple(map(slice, winner.shape[:3]))]
+    packed = np.empty(winner.shape[:3] + (2,), dtype=np.float64)
+    packed[..., 0] = np.add.reduce((-winner == labels_x) & masks, axis=-1)
+    packed[..., 1] = np.add.reduce(masks, axis=-1)
+    correct, count = grid.comm(roles.z).all_reduce(CubeStack(packed, stack.grid), phase="acc_total").wait()[0]
     if count == 0:
         raise ValueError("empty mask")
     return float(correct / count)

@@ -225,6 +225,8 @@ class TestPaddedParity:
             (64, [9, 7, 2], GridConfig(2, 2, 4)),
             # 24/23 classes per shard: pairwise-summed class reductions
             (101, [30, 21, 47], GridConfig(2, 2, 2)),
+            # 151/150 classes per shard: past 128 the pairwise sum halves
+            (41, [12, 10, 301], GridConfig(2, 2, 2)),
         ],
     )
     def test_thin_and_wide_shards(self, n_nodes, dims, cfg):

@@ -4,9 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
-from repro.core.trainer import distributed_accuracy, distributed_masked_ce
+from repro.core.batch import cube_boxes
+from repro.core.trainer import _class_max, _fold_sum, distributed_accuracy, distributed_masked_ce
 from repro.dist import PERLMUTTER, VirtualCluster
 from repro.nn import masked_cross_entropy, masked_cross_entropy_grad
 
@@ -69,6 +72,81 @@ class TestDistributedLoss:
         logits, _ = model.forward()
         with pytest.raises(ValueError):
             distributed_masked_ce(model, logits)
+
+
+class TestClassAxisFolds:
+    """The loss folds the class columns as whole row vectors instead of
+    reducing along the narrow class axis.  The maximum is exact in any order;
+    the sum must be numpy's own ``.sum(axis=-1)`` bit for bit — the per-rank
+    oracle sums each row with it — so the fold replays numpy's pairwise
+    order: sequential below 8 columns, 8 accumulators up to 128, halves
+    split at a multiple of 8 beyond.  **The rule: every column count, both
+    dtypes, and the strided ``cube[..., :c]`` views the loss hands it.**"""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        c=st.integers(1, 300),
+        pad=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    # every branch edge: 7 | 8, 15 | 16, 128 | 129, 136, one past it, the top
+    @example(c=7, pad=0, dtype=np.float64, seed=0)
+    @example(c=8, pad=1, dtype=np.float32, seed=1)
+    @example(c=16, pad=2, dtype=np.float64, seed=2)
+    @example(c=128, pad=0, dtype=np.float32, seed=3)
+    @example(c=129, pad=3, dtype=np.float64, seed=4)
+    @example(c=137, pad=0, dtype=np.float32, seed=5)
+    @example(c=300, pad=1, dtype=np.float64, seed=6)
+    def test_folds_equal_numpy_reductions(self, c, pad, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, 3, 5, c + pad)
+        # magnitudes spread so that the order of additions shows in the last bits
+        base = (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, size=shape)).astype(dtype)
+        boxes = cube_boxes((2, 3, 1), (2, 3, 1), c)
+        for v in (np.ascontiguousarray(base[..., :c]), base[..., :c]):  # tight, column-strided
+            summed = _fold_sum(v, np.empty(v.shape[:-1], dtype))
+            assert summed.tobytes() == v.sum(axis=-1).tobytes()
+            top = _class_max(v[:, :, None], boxes)[:, :, 0]
+            assert top.tobytes() == v.max(axis=-1).tobytes()
+        # the class boxes bound the fold: pad columns never reach a maximum
+        assert _class_max(base[:, :, None], boxes).tobytes() == base[..., :c].max(axis=-1).tobytes()
+
+
+class TestLossBudget:
+    def test_one_loss_call_stays_within_the_parents_python_calls(self):
+        """A deterministic count (``sys.setprofile``) of one loss call on the
+        benchmark's ``toy128`` geometry — N=128, dims 32-32-32-16, X4Y4Z4:
+        the label plan is cached and nothing on the class axis calls back
+        into Python.  134 before the folds and the plan, 106 after."""
+        from repro.graph.features import degree_labels, random_split_masks, synth_features
+        from repro.graph.generators import rmat_graph
+        from repro.sparse.ops import gcn_normalize
+
+        cfg, n, dims = GridConfig(4, 4, 4), 128, [32, 32, 32, 16]
+        a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=7))
+        mask, _, _ = random_split_masks(n, seed=10)
+        model = PlexusGCN(
+            VirtualCluster(cfg.total, PERLMUTTER), cfg, a,
+            synth_features(n, dims[0], seed=8, dtype=np.float32),
+            degree_labels(a, dims[-1], seed=9), mask, dims,
+            PlexusOptions(seed=0, compute_dtype=np.float32),
+        )
+        logits, _ = model.forward()
+        distributed_masked_ce(model, logits)  # the plan is built once
+        calls = 0
+
+        def profiler(_frame, event, _arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            distributed_masked_ce(model, logits)
+        finally:
+            sys.setprofile(previous)
+        assert calls <= 134, calls
 
 
 class TestDistributedAccuracy:

@@ -212,6 +212,35 @@ class TestReplayIsLive:
         assert not np.array_equal(f0, trainer.model.f0_stack)  # the optimizer wrote F0
 
 
+class TestFrozenPlansReleased:
+    """A frozen layer 0 never multiplies again after its first forward: its
+    first backward releases the forward SpMM plans it built — unless a later
+    layer multiplies with the same ones (layer 3 on one permutation version;
+    the default ``"double"`` gives it its own shard-cache entry).  The shards
+    stay: the oracle multiplies with them."""
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    @pytest.mark.parametrize(
+        "dims, permutation, kept",
+        [([24, 24, 16, 8], "double", False), ([24, 24, 16, 12, 8], "single", True),
+         ([24, 24, 16, 12, 8], "double", False)],
+    )
+    def test_released_unless_shared_and_parity_holds(self, dims, permutation, kept, blocks):
+        cfg, n = GridConfig(2, 2, 2), 72
+        opts = PlexusOptions(seed=0, permutation=permutation, aggregation_blocks=blocks)
+
+        def build(cls):
+            return cls(VirtualCluster(cfg.total, PERLMUTTER), cfg, *_dataset(n, dims), dims, opts)
+
+        product, oracle = PlexusTrainer(build(PlexusGCN)), build(PerRankOracle)
+        rp, ro = product.train(EPOCHS), oracle.train(EPOCHS)
+        layers = product.model.layers
+        built = [[plan._stacked_plans != {} for _, _, plan in la._agg_steps] for la in layers]
+        assert built == [[kept] * blocks] + [[True] * blocks] * (len(layers) - 1)
+        assert any(la._bd_a is layers[0]._bd_a for la in layers[1:]) == kept
+        _assert_same_run(product.model, rp, oracle, ro)
+
+
 class TestFrozenIsEnforced:
     @pytest.mark.parametrize("workload", ["X2Y2Z2", "X3Y2Z2-ragged"])
     def test_in_place_edit_of_frozen_f0_raises(self, workload):
