@@ -90,7 +90,8 @@ def train_plexus(
     simulates every rank in this process; ``"multiproc"`` shards the rank
     cube across ``workers`` OS processes connected by the shared-memory
     transport (``repro.runtime``) — same losses, weights, clocks and phase
-    totals, bit for bit, on the supported (uniform-sharding) workloads.
+    totals, bit for bit, on every sharding (padded shards included), so
+    both backends train the configuration the performance model picks.
     ``transport="tcp"`` swaps the shared-memory bus for the socket fabric
     (still bitwise identical over loopback): ``rendezvous="host:port"``
     places the membership rendezvous (port 0 picks an ephemeral port and
@@ -131,26 +132,7 @@ def train_plexus(
     ds = load_dataset(dataset, scale=scale, seed=seed)
     dims = [ds.n_features, hidden, hidden, ds.n_classes]
     if config is None:
-        # rank every factorization: the multiproc uniform filter below must
-        # see the full list, not a truncated prefix
-        ranked = select_best_config(
-            gpus, ds.paper_stats, dims, machine, top_k=len(factor_triples(gpus))
-        )
-        config = ranked[0][0]
-        if backend == "multiproc":
-            # the multiproc runtime requires uniform sharding: take the
-            # best-predicted configuration that shards evenly
-            from repro.runtime import is_uniform_workload
-
-            n = ds.norm_adjacency.shape[0]
-            uniform = [c for c, _ in ranked if is_uniform_workload(c, n, dims)]
-            if not uniform:
-                raise ValueError(
-                    f"no uniform {gpus}-rank configuration for N={n}, "
-                    f"dims={dims}; pass config= explicitly or use "
-                    "backend='inproc'"
-                )
-            config = uniform[0]
+        config = select_best_config(gpus, ds.paper_stats, dims, machine)[0][0]
     elif config.total != gpus:
         raise ValueError(f"grid {config.name} needs {config.total} ranks, gpus={gpus}")
     from repro.runtime import WorkloadSpec, build_trainer

@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         help="execution runtime: 'inproc' simulates every rank in this "
              "process; 'multiproc' shards the rank cube across --workers OS "
              "processes over a shared-memory transport (bitwise-identical "
-             "results on uniform-sharding workloads)",
+             "results on every sharding, padded shards included)",
     )
     p.add_argument(
         "--workers", type=int, default=None,

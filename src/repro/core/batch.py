@@ -321,7 +321,9 @@ class BlockDiagSpmm:
     while it is assembled and drops it: no A^T is stored.
     """
 
-    def __init__(self, shards: Sequence[sp.csr_matrix], transposed: bool = False) -> None:
+    def __init__(
+        self, shards: Sequence[sp.csr_matrix], transposed: bool = False, pad: int | None = None
+    ) -> None:
         if not shards:
             raise ValueError("need at least one shard")
         self.shards = list(shards)
@@ -333,9 +335,11 @@ class BlockDiagSpmm:
         #: block CSR of the stacked path
         self._stacked_plans: dict[tuple, ReplicatedCsr] = {}
         #: each rank's output rows — the valid extents of the product — and
-        #: their pad; when they all fill it the product carries no extents
+        #: their pad, the largest block of the global geometry (default: the
+        #: largest of these shards — the same on the whole cube, not on a
+        #: worker's slice); when they all fill it the product carries no extents
         self._out_rows = np.asarray([s.shape[transposed] for s in shards], dtype=np.int64)
-        self._pad_m = int(self._out_rows.max())
+        self._pad_m = int(self._out_rows.max()) if pad is None else pad
         self._even_rows = bool(np.all(self._out_rows == self._pad_m))
 
     @property

@@ -208,6 +208,10 @@ class PlexusLayer:
         # -- adjacency shards (possibly shared across layers via shard_cache),
         # keyed by what identifies the cut: which permuted adjacency, which roles
         cache_key = adjacency_version, sharding.roles.as_tuple()
+        # product and gather pads from the global geometry: a worker's shards
+        # may all be short
+        rows_pad, cols_pad = sharding.a_pad
+        self._f_gather_pad, self._w_gather_pad = cols_pad, sharding.w_gather_pad
         if shard_cache is not None and cache_key in shard_cache:
             self.a_shards, self._bd_a, self._bd_at = shard_cache[cache_key]
         else:
@@ -224,8 +228,8 @@ class PlexusLayer:
                 if key not in cuts:
                     cuts[key] = csr_block(a_global, rs, cs)
                 self.a_shards.append(cuts[key])
-            self._bd_a = BlockDiagSpmm(self.a_shards)
-            self._bd_at = BlockDiagSpmm(self.a_shards, transposed=True)
+            self._bd_a = BlockDiagSpmm(self.a_shards, pad=rows_pad)
+            self._bd_at = BlockDiagSpmm(self.a_shards, transposed=True, pad=cols_pad)
             if shard_cache is not None:
                 shard_cache[cache_key] = (self.a_shards, self._bd_a, self._bd_at)
         # -- row-blocked views + per-block stacked SpMM plans, cached like
@@ -249,8 +253,8 @@ class PlexusLayer:
             # drives one SpMM per block instead of ``world`` calls
             if aggregation_blocks > 1:
                 self._bd_blocks = [
-                    BlockDiagSpmm([self._a_blocks[r][b] for r in range(world)])
-                    for b in range(aggregation_blocks)
+                    BlockDiagSpmm([blocks[b] for blocks in self._a_blocks], pad=sl.stop - sl.start)
+                    for b, sl in enumerate(block_slices(rows_pad, aggregation_blocks))
                 ]
                 self._block_nnz = [
                     np.asarray([self._a_blocks[r][b].nnz for r in range(world)], dtype=np.float64)
@@ -343,7 +347,9 @@ class PlexusLayer:
         gather rides behind that layer's remaining compute; eager mode
         issues and waits at the point of use.
         """
-        return self.grid.comm(self.roles.z).all_gather(self.w_stack, phase="all_gather_w")
+        return self.grid.comm(self.roles.z).all_gather(
+            self.w_stack, phase="all_gather_w", pad=self._w_gather_pad
+        )
 
     def issue_f_gather(self, f_in) -> PendingCollective:
         """Issue the layer-0 Z-axis all-gather of the input-feature shards.
@@ -359,7 +365,7 @@ class PlexusLayer:
         frozen = self._frozen
         if frozen is not None:
             return comm_z.issue(frozen.f_duration, phase="all_gather_f", result=frozen.f)
-        return comm_z.all_gather(f_in, phase="all_gather_f")
+        return comm_z.all_gather(f_in, phase="all_gather_f", pad=self._f_gather_pad)
 
     # -- forward (Algorithm 1) ---------------------------------------------------
     def forward(self, f_in, w_pending=None, f_pending=None, step: int = 0) -> tuple[Any, LayerCache]:

@@ -125,8 +125,6 @@ class PlexusGCN:
             LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
             for i in range(n_layers)
         ]
-        #: whether every dimension divides its grid axis (nothing is padded)
-        self.uniform = all(s.is_uniform() for s in self.shardings)
         # unconditional: a later model on the same cluster must not inherit
         # an earlier model's bound (None restores the unbounded default)
         cluster.store.max_inflight = opts.max_inflight
@@ -194,7 +192,7 @@ class PlexusGCN:
         mask_out = train_mask[out_perm]
         final = self.shardings[-1]
         rows = [final.out_row_slice(self.grid, r) for r in range(world)]
-        pad = (final.out_rows_pad,)
+        pad = final.a_pad[:1]
         self.label_stack: CubeStack = stack_shards([labels_out[s] for s in rows], cube, pad)
         self.mask_stack: CubeStack = stack_shards([mask_out[s] for s in rows], cube, pad)
         self.label_shards = shard_views(self.label_stack)

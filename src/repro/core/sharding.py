@@ -118,9 +118,17 @@ class LayerSharding:
         return _ceil_div(_ceil_div(self.n, self.gx), self.gz), _ceil_div(self.d_in, self.gy)
 
     @property
-    def out_rows_pad(self) -> int:
-        """Pad extent of the output rows (labels, masks, logits)."""
-        return _ceil_div(self.n, self.gz)
+    def a_pad(self) -> tuple[int, int]:
+        """Pad extents of the adjacency shards: rows over z — of the
+        aggregation and the output (logits, labels, masks) — and columns
+        over x — of the gathered F and the A^T product."""
+        return _ceil_div(self.n, self.gz), _ceil_div(self.n, self.gx)
+
+    @property
+    def w_gather_pad(self) -> int:
+        """Row pad extent of the gathered weight stack (W before its
+        z-sub-sharding)."""
+        return _ceil_div(self.d_in, self.gy)
 
     def extent_table(self, grid: PlexusGrid) -> dict[str, np.ndarray]:
         """Per-rank shard extents as ``(world,)`` vectors.
@@ -150,27 +158,6 @@ class LayerSharding:
             s = self.w_col_slice(grid, r)
             out["w_cols"][r] = s.stop - s.start
         return out
-
-    def is_uniform(self) -> bool:
-        """True when every rank of the cube holds the same shape of every
-        matrix: a property of ``(N, D_in, D_out)`` and the role-axis sizes,
-        so every holder of the geometry — the launcher, or a worker that
-        sees only its own z-planes — gets the answer for the whole cube.
-
-        Divisible combinations shard into identical blocks and are stored as
-        plain ndarray stacks; quasi-equal shapes (differing by one
-        row/column) as padded stacks with valid-extent masks.  The terms:
-        F's rows split over x then z, A's and the output's rows over z,
-        F's columns / W's rows over y then z, W's and the output's columns
-        over x.
-        """
-        gx, gy, gz = self.gx, self.gy, self.gz
-        return (
-            self.n % (gx * gz) == 0
-            and self.n % gz == 0
-            and self.d_in % (gy * gz) == 0
-            and self.d_out % gx == 0
-        )
 
     def validate_chain(self, next_sharding: "LayerSharding", grid: PlexusGrid) -> None:
         """Assert this layer's output sharding equals the next's input sharding.

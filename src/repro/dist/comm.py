@@ -102,7 +102,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dist.cluster import ClockStore
-from repro.errors import CollectiveMisuse, UnsupportedWorkload
+from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.dist.collectives import (
     AxisComm,
@@ -689,26 +689,27 @@ class AxisCommunicator:
     The worker-crossing (Z) axis of the multi-process runtime is this same
     class behind a *byte mover*: ``exchange`` (a transport bus's method of
     that name) rendezvouses the workers once per collective — one frame
-    each, carrying the local clock slice and the operand's local z-planes
-    ``[z0, z0 + local planes)`` — and hands back every worker's parts in
-    rank order, so every worker deterministically computes the *same*
-    full-cube schedule (group-ready times, link reservations, Eq. 4.5
-    durations) and the same collective result straight out of the peers'
-    planes, and the returned handle charges only the local ranks'
-    completion at ``wait()``.  A replicated operand posts only its unique
-    bytes, and a collective re-issued with a known duration
+    each, carrying the local clock slice, the operand's local z-planes
+    ``[z0, z0 + local planes)`` and their valid extents — and hands back
+    every worker's parts in rank order, so every worker deterministically
+    computes the *same* full-cube plan and schedule (group-ready times,
+    link reservations, Eq. 4.5 durations) and the same collective result
+    straight out of the peers' planes, and the returned handle charges only
+    the local ranks' completion at ``wait()``.  Padded stacks and unevenly
+    tiling rows take the in-process index plans, built from the global
+    extent vectors the frames carry.  A replicated operand posts only its
+    unique bytes, and a collective re-issued with a known duration
     (:meth:`issue`) still rendezvouses, because the schedule needs every
     worker's clocks, but the exchange is **clocks only**.  Link busy-until
     state and bounded in-flight queues are *replicated* per worker in the
     local :class:`ClockStore`, under the Z groups' own :func:`link_key` —
     deterministic inputs keep every replica bitwise consistent and equal to
-    the in-process entries.  Restrictions (enforced loudly): stacks with
-    per-rank valid extents, and rows that do not tile the result evenly, do
-    not cross the byte mover (a worker's extent vectors are local), and
-    ``max_inflight`` composes only with intra-node Z groups — the per-NIC
-    node queue of an inter-node Z group would be shared with worker-local
-    links, which a replicated queue cannot express
-    (``repro.runtime.launch`` refuses that combination before spawning).
+    the in-process entries.  Restriction (enforced loudly): every sharding
+    crosses the byte mover, but ``max_inflight`` composes only with
+    intra-node Z groups — the per-NIC node queue of an inter-node Z group
+    would be shared with worker-local links, which a replicated queue
+    cannot express (``repro.runtime.launch`` refuses that combination
+    before spawning).
     """
 
     __slots__ = (
@@ -779,34 +780,48 @@ class AxisCommunicator:
 
     # -- issue machinery -----------------------------------------------------
     def _gather(self, full_phase: str, stacked: CubeStack | None = None) -> tuple:
-        """Charge the launch overhead, then every member's clock and (when
-        given) the operand cube at full axis extent: the local store's and
-        the operand's own in-process; behind a byte mover one rendezvous with
+        """Charge the launch overhead, then gather every member's clock and
+        (when given) the operand cube at full axis extent with its valid
+        ``rows`` / ``cols`` over the whole cube: the local store's and the
+        operand's own in-process; behind a byte mover one rendezvous with
         every worker, in rank order.  The operand is posted as this
         worker's ``(lz, x, y, *shard)`` cube as is, so axes it is replicated
         on (X/Y, identically on every worker) cross the bus once, not G
         times; only replication along the local z-planes is expanded,
         because the posted planes *are* the full-Z operand: they come back
-        as its leading-axis chunks, valid until the next exchange."""
+        as its leading-axis chunks, valid until the next exchange.  Its
+        valid extents ride the same frame — the pad where the stack has
+        none, since a peer's may differ — and concatenate to the global
+        vectors, ``None`` again when every rank of the cube fills the pad.
+        Returns ``(clocks, operand, rows, cols)``."""
         d = self.descriptor
         store = d.store
         if self.issue_overhead_s:
             store.clocks += self.issue_overhead_s
             store.record_all(full_phase, self.issue_overhead_s)
         if self._exchange is None:
-            return store.clocks, None if stacked is None else stacked.cube
+            if stacked is None:
+                return store.clocks, None, None, None
+            return store.clocks, stacked.cube, stacked.rows, stacked.cols
         if stacked is None:
-            return np.concatenate(self._exchange([store.clocks])[0]), None
+            return np.concatenate(self._exchange([store.clocks])[0]), None, None, None
         cube = stacked.cube
         if cube.shape[0] != self._cube[0]:
             cube = np.broadcast_to(cube, self._cube[:1] + cube.shape[1:])
-        clocks, planes = self._exchange([store.clocks, cube])
-        return np.concatenate(clocks), planes
+        pads = cube.shape[3:5]
+        extents = np.empty((len(pads), len(stacked)), dtype=np.int64)
+        for row, valid, pad in zip(extents, (stacked.rows, stacked.cols), pads):
+            row[...] = pad if valid is None else valid
+        clocks, extents, planes = self._exchange([store.clocks, extents, cube])
+        clocks, extents = np.concatenate(clocks), np.concatenate(extents, axis=1)
+        if np.all(extents.T == pads):
+            return clocks, planes, None, None
+        return clocks, planes, extents[0], extents[1] if len(pads) > 1 else None
 
     def _result(self, cube: np.ndarray, plan: dict) -> CubeStack:
         """A full-cube collective result as a stack over the local z-planes
         (a result shared along Z — extent 1 — is shared along the local
-        planes too), with the valid extents its plan worked out."""
+        planes too), with the valid extents its plan worked out for them."""
         if self._exchange is not None and cube.shape[0] != 1:
             cube = cube[self._z0 : self._z0 + self._cube[0]]
         return CubeStack(cube, self._cube, plan["rows"], plan["cols"])
@@ -823,7 +838,7 @@ class AxisCommunicator:
         d = self.descriptor
         full_phase = "comm:" + phase
         if clocks is None:
-            clocks, _ = self._gather(full_phase)
+            clocks = self._gather(full_phase)[0]
         ready = np.maximum.reduce(clocks.reshape(d.cube), axis=d.axis, keepdims=True)
         begin, end = _schedule(d.store, self._slots, ready, duration, full_phase)
         record = ("cube", self._cube, begin, end, duration)
@@ -854,43 +869,39 @@ class AxisCommunicator:
         d = self.descriptor
         return np.moveaxis(values.reshape(d.cube), d.axis, -1).reshape(-1, d.size)
 
-    def _plan(self, kind: str, stacked: CubeStack) -> dict:
-        """What one collective kind does to one stack geometry (cached per
-        shape signature): the ``duration`` from the per-group valid bytes (a
-        scalar when they all agree, else keepdims over the off-axis cube) and
-        the result's valid ``rows`` / ``cols`` (``None``: the cube's).  For
+    def _plan(self, kind: str, cube: np.ndarray, rows, cols, out_pad: int | None = None) -> dict:
+        """What one collective kind does to one operand geometry — the
+        stored cube's shape and dtype, the valid ``rows`` / ``cols`` of
+        every rank of the axis's cube (``None``: the pad's), as
+        :meth:`_gather` hands them over — cached per signature: the
+        ``duration`` from the per-group valid bytes (a scalar when they all
+        agree, else keepdims over the off-axis cube) and the result's valid
+        ``rows`` / ``cols`` on the held ranks (``None``: the cube's).  For
         the two row-moving kinds ``even`` says whether every member's valid
         rows fill the pad and tile the result evenly — the stacked data math
         then applies as is.  Otherwise the plan holds where every valid row
-        of the *stored* operand copies (``src``, rows of the cube flattened —
-        of the reduction for a reduce-scatter) lands in the result (``dst``),
-        whose cube has leading extents ``lead`` and pad extent ``pad``.  A
-        gather writes each group's rows once (extent 1 along the axis), not
-        once per member."""
-        rows, cols = stacked.rows, stacked.cols
+        of the operand at full axis extent (``src``, rows of the cube
+        flattened — of the reduction for a reduce-scatter) lands in the
+        result (``dst``), whose cube has leading extents ``lead`` and pad
+        extent ``pad`` (a gather's: ``out_pad``, else its largest group's
+        rows).  A gather writes each group's rows once (extent 1 along the
+        axis), not once per member."""
         key = (
             kind,
-            stacked.cube.shape,
-            stacked.cube.dtype.itemsize,
+            cube.shape,
+            cube.dtype.itemsize,
             rows if rows is None else rows.tobytes(),
             cols if cols is None else cols.tobytes(),
+            out_pad,
         )
         plan = self._plans.get(key)
         if plan is not None:
             return plan
         d = self.descriptor
         g, axis = d.size, d.axis
-        world = d.cube[0] * d.cube[1] * d.cube[2]
-        pad, *tail = stacked.cube.shape[3:]
-        if self._exchange is not None and (
-            rows is not None or (kind == "reduce_scatter" and pad % g)
-        ):
-            raise UnsupportedWorkload(
-                "padded (quasi-equal) stacks and unevenly tiling rows do not "
-                "cross the multiproc transport (a worker's valid extents are "
-                "local); the multiproc backend requires divisible (uniform) "
-                "sharding — use backend='inproc'"
-            )
+        world = d.world
+        pad, *tail = cube.shape[3:]
+        given = rows
         if rows is None:  # nothing padded: every rank of the (whole) cube fills it
             rows = np.full(world, pad)
         # Reduce-style collectives need equal shard shapes within each group
@@ -900,7 +911,7 @@ class AxisCommunicator:
         rows_tab = self._group_table(rows)
         if kind != "all_gather" and np.any(rows_tab != rows_tab[:, :1]):
             raise ValueError(f"{kind} requires equal shard rows within each axis group")
-        rowbytes = stacked.dtype.itemsize
+        rowbytes = cube.dtype.itemsize
         if cols is None:
             for extent in tail:
                 rowbytes *= extent
@@ -922,7 +933,7 @@ class AxisCommunicator:
             duration[nbytes == v] = _TIME_FNS[kind](float(v), g, d.bandwidth, d.latency)
         plan = {
             "duration": float(duration[0]) if len(distinct) == 1 else duration.reshape(keep),
-            "rows": stacked.rows,
+            "rows": given,
             "cols": cols,
         }
         if kind != "all_reduce":
@@ -936,14 +947,14 @@ class AxisCommunicator:
                 j = np.moveaxis(np.arange(g).reshape(g, 1, 1), 0, axis)
                 out_rows = base + (j < extra)
             plan["even"] = even
-            if stacked.rows is not None or not even:
+            if given is not None or not even:
                 plan["rows"] = np.ascontiguousarray(out_rows).ravel()
                 if cols is None and tail:
                     plan["cols"] = np.full(world, tail[0])
             if not even:
                 # the stored copies with the group axis at full extent, as
                 # (stored groups, g) tables in member order: valid rows, position
-                lead = list(stacked.cube.shape[:3])
+                lead = list(cube.shape[:3])
                 lead[axis] = g
                 cut = tuple(slice(0, e) for e in lead)
 
@@ -954,7 +965,7 @@ class AxisCommunicator:
                 pos = members(np.arange(rows_in.size).reshape(lead))
                 if kind == "all_gather":
                     total = rows_in.sum(axis=1)
-                    pad_out = int(total.max(initial=0))
+                    pad_out = int(total.max(initial=0)) if out_pad is None else out_pad
                     valid = np.arange(pad) < rows_in[..., None]
                     src = (pos[..., None] * pad + np.arange(pad))[valid]
                     dst = np.flatnonzero(np.arange(pad_out) < total[:, None])
@@ -968,6 +979,12 @@ class AxisCommunicator:
                     src = (reduced + start[..., None] + np.arange(pad_out))[valid]
                     dst = (pos[..., None] * pad_out + np.arange(pad_out))[valid]
                 plan.update(src=src, dst=dst, lead=tuple(lead), pad=pad_out)
+        if self._exchange is not None:  # the result's extents on the held ranks
+            plane = d.cube[1] * d.cube[2]
+            held = slice(self._z0 * plane, (self._z0 + self._cube[0]) * plane)
+            for k in ("rows", "cols"):
+                if plan[k] is not None:
+                    plan[k] = plan[k][held]
         self._plans[key] = plan
         return plan
 
@@ -996,27 +1013,33 @@ class AxisCommunicator:
         d = self.descriptor
         if d.size == 1:
             return _ready("comm:" + phase, stacked.read_only())
-        plan = self._plan("all_reduce", stacked)
-        clocks, full = self._gather("comm:" + phase, stacked)
+        clocks, full, rows, cols = self._gather("comm:" + phase, stacked)
+        plan = self._plan("all_reduce", stacked.cube, rows, cols)
         cube = stacked_all_reduce_data(d.cube, d.axis, full, op)
         return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
-    def all_gather(self, stacked, phase: str = "all_gather") -> PendingCollective:
+    def all_gather(
+        self, stacked, phase: str = "all_gather", pad: int | None = None
+    ) -> PendingCollective:
         """All-gather along the shard row axis: every member of a group
         receives the group's shards concatenated (in member order) along
         data axis 0.  Members may hold ragged row extents (quasi-equal
         sub-sharding): the result is assembled from valid rows only, pad
-        rows never land in the gathered payload."""
+        rows never land in the gathered payload.  ``pad`` is the result's
+        row pad extent, the largest gathered block of the global geometry
+        (default: the largest group's rows — the same on the whole cube, not
+        on the held z-planes of a worker, whose X/Y groups see their own)."""
         stacked = CubeStack.of(stacked, self._cube)
         d = self.descriptor
         if d.size == 1:
             return _ready("comm:" + phase, stacked.read_only())
-        plan = self._plan("all_gather", stacked)
-        clocks, full = self._gather("comm:" + phase, stacked)
+        clocks, full, rows, cols = self._gather("comm:" + phase, stacked)
+        plan = self._plan("all_gather", stacked.cube, rows, cols, pad)
         if plan["even"]:
             cube = stacked_all_gather_data(d.cube, d.axis, full)
         else:
-            cube = self._move(plan, _operand_chunks(d.cube, d.axis, full)[0])
+            first, *rest = _operand_chunks(d.cube, d.axis, full)
+            cube = self._move(plan, np.concatenate([first, *rest]) if rest else first)
         return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
     def reduce_scatter(
@@ -1032,8 +1055,8 @@ class AxisCommunicator:
         d = self.descriptor
         if d.size == 1:
             return _ready("comm:" + phase, stacked.read_only())
-        plan = self._plan("reduce_scatter", stacked)
-        clocks, full = self._gather("comm:" + phase, stacked)
+        clocks, full, rows, cols = self._gather("comm:" + phase, stacked)
+        plan = self._plan("reduce_scatter", stacked.cube, rows, cols)
         if plan["even"]:
             cube = stacked_reduce_scatter_data(d.cube, d.axis, full, op)
         else:

@@ -35,20 +35,18 @@ zero-copy shared-memory tensor transport underneath the existing
 
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
-on every supported configuration (uniform sharding, eager or overlap
-schedules, ``evaluate()`` included); the in-process simulator remains the
-parity oracle.
+on every sharding, divisible or padded (quasi-equal shards cross the bus
+with their valid extents), eager or overlap schedules, ``evaluate()``
+included; the in-process simulator remains the parity oracle.  Refused
+at construction, typed, before an epoch runs: ``max_inflight`` with
+inter-node Z groups and a fault plan aimed at the other transport (by the
+launcher, before spawning), and a ``shard_dir`` with a node permutation
+(by ``worker.build_worker``, on either backend).
 """
 
 from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.launch import (
-    MultiprocTrainer,
-    WorkloadSpec,
-    build_trainer,
-    host_workers,
-    is_uniform_workload,
-)
+from repro.runtime.launch import MultiprocTrainer, WorkloadSpec, build_trainer, host_workers
 from repro.runtime.net import TcpBus, TcpConfig
 from repro.runtime.rendezvous import (
     RendezvousListener,
@@ -63,7 +61,6 @@ __all__ = [
     "WorkloadSpec",
     "build_trainer",
     "host_workers",
-    "is_uniform_workload",
     "FaultPlan",
     "FaultInjector",
     "latest_checkpoint",

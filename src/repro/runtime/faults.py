@@ -28,13 +28,14 @@ Actions:
   supervisor's heartbeat staleness check can catch it before the bus
   rendezvous timeout);
 * ``"corrupt"`` — flip one byte of the worker's freshly written payload —
-  the current mailbox slot, or its overflow segment (valid at
-  ``pre_barrier`` only: the payload exists and is not yet published).
-  Every peer's CRC32 check then raises
+  the current mailbox slot, or its overflow segment (``transport="shm"``
+  only; valid at ``pre_barrier`` only: the payload exists and is not yet
+  published).  Every peer's checksum then raises
   :class:`~repro.errors.PayloadCorruption` instead of consuming garbage.
 
 Network actions (``transport="tcp"`` only; armed at ``pre_barrier``, the
-transport applies them to the exchange in flight):
+transport applies them to the exchange in flight; a plan aimed at the other
+transport is refused by the launcher before any worker spawns):
 
 * ``"drop_conn"``     — sever every peer socket once; the transport's
   bounded reconnect/backoff must resume mid-epoch from the frame sequence
@@ -116,6 +117,14 @@ class FaultPlan:
                 f"network fault action {self.action!r} arms at 'pre_barrier' "
                 "only: the transport applies it to the exchange in flight"
             )
+
+    @property
+    def transport(self) -> str | None:
+        """The transport whose frames the action acts on (``None``: any) —
+        the launcher refuses a plan aimed at the other one before spawn."""
+        if self.action in NETWORK_ACTIONS:
+            return "tcp"
+        return "shm" if self.action == "corrupt" else None
 
 
 class FaultInjector:

@@ -59,8 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.configs import PlexusOptions
-from repro.core.grid import GridConfig, axis_roles
-from repro.core.sharding import LayerSharding
+from repro.core.grid import GridConfig
 from repro.core.trainer import ALLOC_PINS, EpochStats, TrainResult
 from repro.dist.topology import PERLMUTTER, MachineSpec
 from repro.errors import (
@@ -89,7 +88,6 @@ __all__ = [
     "MultiprocTrainer",
     "build_trainer",
     "host_workers",
-    "is_uniform_workload",
 ]
 
 logger = get_logger(__name__)
@@ -190,32 +188,12 @@ def _worker_env(local_workers: int):
             del os.environ[v]
 
 
-def is_uniform_workload(config: GridConfig, n: int, layer_dims: list[int]) -> bool:
-    """True when every layer of ``(n, layer_dims)`` shards into identical
-    blocks over ``config`` — the multiproc backend's eligibility test
-    (callers picking a configuration automatically filter with this)."""
-    return all(
-        LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1]).is_uniform()
-        for i in range(len(layer_dims) - 1)
-    )
-
-
-def _validate_spec(spec: WorkloadSpec) -> None:
+def _validate_spec(spec: WorkloadSpec, transport: str) -> None:
     """Fail in the launcher, with a clear message, before spawning."""
-    opts = spec.options
-    # a shard_dir spec's N is known to the workers only: they refuse a
-    # ragged one at build time (worker.validate_multiproc_model)
-    n = spec.adjacency.shape[0] if spec.adjacency is not None else None
-    if n is not None and not is_uniform_workload(spec.config, n, spec.layer_dims):
-        raise ValueError(
-            f"backend='multiproc' requires divisible (uniform) sharding, but "
-            f"N={n}, dims={spec.layer_dims} shard unevenly over "
-            f"{spec.config.name}; use backend='inproc'"
-        )
     worker_slice(spec.config, spec.workers, 0)  # validates the worker count
     # a Z group's members stride whole planes
     cfg, plane = spec.config, spec.config.gx * spec.config.gy
-    if opts.max_inflight is not None and cfg.gz > 1 and any(
+    if spec.options.max_inflight is not None and cfg.gz > 1 and any(
         not spec.machine.group_is_intra_node([z * plane + off for z in range(cfg.gz)])
         for off in range(plane)
     ):
@@ -223,6 +201,14 @@ def _validate_spec(spec: WorkloadSpec) -> None:
             "max_inflight with inter-node Z-axis groups is not supported "
             "on the multiproc backend (the shared per-NIC node queue "
             "would span worker boundaries); use backend='inproc'"
+        )
+    plan = next((p for p in spec.faults if p.transport not in (None, transport)), None)
+    if plan is not None:
+        raise UnsupportedWorkload(
+            f"fault action {plan.action!r} acts on transport={plan.transport!r} "
+            f"frames and cannot fire over transport={transport!r} (actions "
+            "'die'/'raise'/'delay'/'hang' work on both; 'corrupt_frame' is "
+            "tcp's 'corrupt')"
         )
 
 
@@ -273,11 +259,11 @@ class MultiprocTrainer:
         tcp_config: TcpConfig | None = None,
         trace_dir: str | Path | None = None,
     ) -> None:
-        _validate_spec(spec)
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if transport not in ("shm", "tcp"):
             raise ValueError(f"unknown transport {transport!r} (known: shm, tcp)")
+        _validate_spec(spec, transport)
         if transport != "tcp" and (rendezvous is not None or remote_workers):
             raise ValueError("rendezvous / remote_workers require transport='tcp'")
         if not 0 <= remote_workers <= spec.workers:

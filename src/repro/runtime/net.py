@@ -69,13 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import (
-    BarrierTimeout,
-    CollectiveMisuse,
-    PayloadCorruption,
-    RendezvousDesync,
-    UnsupportedWorkload,
-)
+from repro.errors import BarrierTimeout, CollectiveMisuse, PayloadCorruption, RendezvousDesync
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 
@@ -608,17 +602,8 @@ class TcpBus:
             self._delay_next_s = plan.delay_s
         elif plan.action == "corrupt_frame":
             self._corrupt_next = True
-        elif plan.action == "partition":
+        else:  # "partition"
             self._partitioned = True
-        else:  # pragma: no cover - FaultPlan validates actions
-            raise UnsupportedWorkload(f"unknown network fault action {plan.action!r}")
-
-    def corrupt_own_payload(self) -> None:
-        raise UnsupportedWorkload(
-            "the 'corrupt' fault action flips shared-memory mailbox bytes and "
-            "only exists on transport='shm'; use action='corrupt_frame' to "
-            "corrupt a tcp frame in flight"
-        )
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

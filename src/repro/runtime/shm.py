@@ -58,9 +58,9 @@ is the byte mover behind the one grid axis that crosses worker boundaries
 (the cube's leading Z axis), whose communicator is the ordinary
 :class:`~repro.dist.AxisCommunicator` :class:`~repro.core.grid.PlexusGrid`
 builds over a cluster slice's mover — at issue the workers exchange
-their clock slices and operand slices through it, one frame per worker
-per collective.  A collective re-issued with a known duration
-(``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still
+their clock slices and operand slices, with the operands' valid extents,
+through it, one frame per worker per collective.  A collective re-issued
+with a known duration (``AxisCommunicator.issue``: a frozen layer 0's replayed F0 gather) still
 rendezvouses, but the exchange is **clocks only**: one frame per worker as
 before, one array in it, no operand planes on the bus.  Which form a
 collective takes is a function of the forwards run since the model was
@@ -96,13 +96,7 @@ import numpy as np
 
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
-from repro.errors import (
-    BarrierTimeout,
-    CollectiveMisuse,
-    PayloadCorruption,
-    RendezvousDesync,
-    UnsupportedWorkload,
-)
+from repro.errors import BarrierTimeout, CollectiveMisuse, PayloadCorruption, RendezvousDesync
 
 __all__ = [
     "SHM_PREFIX",
@@ -490,13 +484,6 @@ class ShmBus:
         if self.faults is not None:
             self.faults.exchange_done()
         return list(zip(*per_worker))
-
-    def inject_network_fault(self, plan) -> None:
-        raise UnsupportedWorkload(
-            f"network fault action {plan.action!r} targets the tcp transport "
-            "and cannot fire over shared memory — run with transport='tcp' "
-            "(actions 'die'/'raise'/'delay'/'hang'/'corrupt' work on both)"
-        )
 
     def corrupt_own_payload(self, offset: int = 0) -> None:
         """Flip payload byte ``offset`` of this worker's freshly written

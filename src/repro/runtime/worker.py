@@ -197,24 +197,7 @@ def build_worker(spec, worker_id: int = 0, bus=None) -> WorkerContext:
         spec.layer_dims,
         spec.options,
     )
-    if bus is not None:
-        validate_multiproc_model(model)
     return WorkerContext(trainer=PlexusTrainer(model), load_report=load_report)
-
-
-def validate_multiproc_model(model: PlexusGCN) -> None:
-    """The multiproc backend's restriction, checked loudly: padded
-    (non-uniform) stacks stay inproc-only.  Uniformity is the whole cube's
-    (``LayerSharding.is_uniform``), so every worker refuses a ragged
-    ``shard_dir`` workload here, at build time — the launcher, which never
-    learns N, cannot.
-    """
-    if not model.uniform:
-        raise UnsupportedWorkload(
-            "backend='multiproc' requires divisible (uniform) sharding: "
-            "quasi-equal padded stacks have no shared-memory collective path "
-            "yet — use backend='inproc' for indivisible configurations"
-        )
 
 
 # ---------------------------------------------------------------------------

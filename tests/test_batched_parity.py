@@ -144,7 +144,6 @@ class TestEngineParity:
         then carry all-valid ``rows`` / ``cols`` through every kernel)."""
         prepare = _spell_out_extents if seed % 2 else None
         model = _assert_bitwise(_dataset(seed), GRIDS[grid_idx], prepare=prepare, **opts)
-        assert model.uniform
         assert (model.layers[0].w_stack.rows is None) == (prepare is None)
 
     @pytest.mark.parametrize("opts", [{}, {"overlap": True, "aggregation_blocks": 3, "max_inflight": 1}])
@@ -208,7 +207,7 @@ class TestPaddedParity:
         runs the padded stacks and matches the oracle."""
         dims = [DIMS[0], 13, DIMS[-1]]
         model = _assert_bitwise(_dataset(0), GRIDS[0], dims)
-        assert not model.uniform
+        assert model.layers[0].w_stack.rows is not None
 
     def test_zero_class_columns(self):
         """More X-shards than classes: some ranks own zero logit columns."""

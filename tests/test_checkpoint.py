@@ -4,9 +4,10 @@ Acceptance: a training run interrupted at a checkpoint boundary and resumed
 from disk must be **bitwise identical** — losses, weights, Adam moments,
 per-rank clocks and phase totals — to the uninterrupted run.  Also covered:
 an overlap schedule's link reservations and in-flight cross-epoch prefetch
-restoring into the saving instance and into another one alike, the refused
-version-1 format, manifest/latest/prune directory management, and torn
-checkpoints (no manifest) being invisible to resume.
+restoring into the saving instance and into another one alike, a padded
+checkpoint crossing between the in-process trainer and a 2-worker pool,
+the refused version-1 format, manifest/latest/prune directory management,
+and torn checkpoints (no manifest) being invisible to resume.
 
 The multiproc crash-recovery path over the same files lives in
 ``tests/test_runtime_faults.py`` (spawn-heavy; run in its own CI step).
@@ -32,6 +33,8 @@ DIMS = [16, 16, 8]
 CFG = GridConfig(2, 2, 2)
 #: the link keys of CFG: every X, Y and Z group's global member ranks
 X2Y2Z2_LINKS = ["0-1", "0-2", "0-4", "1-3", "1-5", "2-3", "2-6", "3-7", "4-5", "4-6", "5-7", "6-7"]
+#: indivisible sharding: every stack is padded
+RAGGED = dict(cfg=GridConfig(2, 3, 2), n=50, dims=[10, 9, 9, 5])
 
 
 def _dataset(n=N_NODES, dims=DIMS):
@@ -42,9 +45,9 @@ def _dataset(n=N_NODES, dims=DIMS):
     return a, feats, labels, mask
 
 
-def _trainer(cfg=CFG, n=N_NODES, dims=DIMS, **opts):
+def _spec(cfg=CFG, n=N_NODES, dims=DIMS, **opts):
     a, feats, labels, mask = _dataset(n, dims)
-    spec = WorkloadSpec(
+    return WorkloadSpec(
         config=cfg,
         layer_dims=list(dims),
         workers=2,
@@ -55,7 +58,10 @@ def _trainer(cfg=CFG, n=N_NODES, dims=DIMS, **opts):
         labels=labels,
         train_mask=mask,
     )
-    return build_trainer(spec, backend="inproc")
+
+
+def _trainer(*args, **kwargs):
+    return build_trainer(_spec(*args, **kwargs), backend="inproc")
 
 
 def _final_state(trainer) -> dict:
@@ -176,12 +182,11 @@ class TestRoundTrip:
         the final state equal the uninterrupted run bitwise.  What is
         persisted does not depend on the in-memory layout: an in-flight
         padded F0 gather is plain flat arrays on disk."""
-        ragged = dict(cfg=GridConfig(2, 3, 2), n=50, dims=[10, 9, 9, 5])
-        ref = _trainer(**ragged, **opts)
+        ref = _trainer(**RAGGED, **opts)
         losses_ref = ref.train(6).losses
-        assert not ref.model.uniform
+        assert ref.model.f0_stack.rows is not None
 
-        saver = _trainer(**ragged, **opts)
+        saver = _trainer(**RAGGED, **opts)
         assert saver.train(3).losses == losses_ref[:3]
         path = saver.save_checkpoint(tmp_path, epoch=3)
         state = ckpt.load_slice(path, 0, 12)
@@ -198,10 +203,53 @@ class TestRoundTrip:
         for name, w in state["weights"].items():
             assert type(w) is np.ndarray and w.shape[0] == 12, name
 
-        resumed = _trainer(**ragged, **opts)
+        resumed = _trainer(**RAGGED, **opts)
         resumed.load_checkpoint(path)
         assert resumed.train(3).losses == losses_ref[3:]
         _assert_same(_final_state(ref), _final_state(resumed))
+
+    def test_ragged_checkpoint_crosses_layouts(self, tmp_path):
+        """The padded overlap workload with its F0 prefetch in flight: an
+        in-process checkpoint boots a 2-worker pool and the pool's boots the
+        in-process trainer, each bitwise on the uninterrupted run.  A
+        worker's prefetch extents are its cut of the global gather plan, so
+        every slice file carries them and the slices re-assemble."""
+        import pickle
+
+        from repro.runtime import MultiprocTrainer
+
+        spec = _spec(**RAGGED, overlap=True)
+        ref = build_trainer(spec, backend="inproc")
+        losses_ref = ref.train(6).losses
+        want = _final_state(ref)
+
+        # in-process -> 2 workers
+        saver = build_trainer(spec, backend="inproc")
+        saver.train(3)
+        saver.save_checkpoint(tmp_path / "a", epoch=3)
+        with MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path / "a") as mpt:
+            assert mpt.epochs_done == 3
+            assert mpt.train(3).losses == losses_ref[3:]
+            pool = mpt.state()
+        assert np.array_equal(pool["clocks"], want["clocks"])
+        for books in ("by_phase", "weights"):
+            assert set(pool[books]) == set(want[books])
+            for k, v in want[books].items():
+                assert np.array_equal(pool[books][k], v), k
+
+        # 2 workers -> in-process
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path / "b", checkpoint_every=3
+        ) as mpt:
+            assert mpt.train(3).losses == losses_ref[:3]
+        path = latest_checkpoint(tmp_path / "b")[1]
+        slices = [pickle.loads(p.read_bytes()) for p in sorted(path.glob("worker-*.pkl"))]
+        assert [(s["lo"], s["hi"]) for s in slices] == [(0, 6), (6, 12)]
+        assert all(s["pending_f0"]["result"]["rows"] is not None for s in slices)
+        resumed = build_trainer(spec, backend="inproc")
+        resumed.load_checkpoint(path)
+        assert resumed.train(3).losses == losses_ref[3:]
+        _assert_same(want, _final_state(resumed))
 
     def test_restore_rejects_mismatched_model(self, tmp_path):
         tr = _trainer()

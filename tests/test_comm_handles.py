@@ -37,19 +37,21 @@ N_NODES = 72
 DIMS = [24, 24, 12]
 
 
-def _dataset(seed=3):
-    a = gcn_normalize(rmat_graph(N_NODES, avg_degree=6, seed=seed))
-    feats = synth_features(N_NODES, DIMS[0], seed + 1)
+def _dataset(seed=3, n=N_NODES):
+    a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=seed))
+    feats = synth_features(n, DIMS[0], seed + 1)
     labels = degree_labels(a, DIMS[-1], seed + 2)
-    train, _, _ = random_split_masks(N_NODES, seed + 3)
+    train, _, _ = random_split_masks(n, seed + 3)
     return a, feats, labels, train
 
 
-def _train(cfg, overlap, build=PlexusGCN, epochs=4, machine=PERLMUTTER, exchange=None, **opts):
+def _train(
+    cfg, overlap, build=PlexusGCN, epochs=4, machine=PERLMUTTER, exchange=None, n=N_NODES, **opts
+):
     """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
-    or ``PerRankOracle`` (the per-rank reference); ``exchange`` puts the
-    cluster behind a byte mover."""
-    a, feats, labels, mask = _dataset()
+    or ``PerRankOracle`` (the per-rank reference) — on ``n`` nodes;
+    ``exchange`` puts the cluster behind a byte mover."""
+    a, feats, labels, mask = _dataset(n=n)
     cluster = VirtualCluster(cfg.total, machine, exchange=exchange)
     model = build(
         cluster, cfg, a, feats, labels, mask, DIMS,
@@ -620,26 +622,32 @@ class TestByteMoverSeam:
     """The worker-crossing seam without a worker process: a whole-cube
     cluster given a loop-back mover (one slice — every exchange hands the
     caller's own part back) runs the Z axis and the epoch barrier through
-    the byte-mover path, and must land on the plain in-process run's bits."""
+    the byte-mover path, and must land on the plain in-process run's bits —
+    padded stacks too, whose plans come from the extents the frames carry."""
 
     @pytest.mark.parametrize(
         "schedule",
         [dict(overlap=False), dict(overlap=True), dict(overlap=True, aggregation_blocks=3)],
         ids=["eager", "overlap", "overlap-3-blocks"],
     )
-    def test_loopback_mover_equals_plain_inproc(self, schedule):
-        cfg = GridConfig(2, 2, 2)
+    @pytest.mark.parametrize(
+        "cfg, n",
+        [(GridConfig(2, 2, 2), N_NODES), (GridConfig(2, 2, 2), 49), (GridConfig(1, 2, 3), 50)],
+        ids=["uniform", "padded", "padded-uneven-z"],
+    )
+    def test_loopback_mover_equals_plain_inproc(self, cfg, n, schedule):
         posted = []
 
         def loopback(arrays):
             posted.append(len(arrays))
             return [(a,) for a in arrays]
 
-        plain_model, plain, plain_cluster, plain_w = _train(cfg, **schedule)
-        model, looped, cluster, w = _train(cfg, exchange=loopback, **schedule)
-        assert model.uniform  # padded stacks do not cross a mover
+        plain_model, plain, plain_cluster, plain_w = _train(cfg, n=n, **schedule)
+        model, looped, cluster, w = _train(cfg, exchange=loopback, n=n, **schedule)
+        assert (model.f0_stack.rows is None) == (n == N_NODES)
         # clocks-only exchanges (barrier, replayed issues) and operand ones
-        assert {1, 2} <= set(posted)
+        # (clocks, the operand's valid extents, its planes)
+        assert set(posted) == {1, 3}
         assert looped.losses == plain.losses
         assert [e.epoch_time for e in looped.epochs] == [e.epoch_time for e in plain.epochs]
         assert np.array_equal(w, plain_w)
@@ -649,8 +657,10 @@ class TestByteMoverSeam:
             assert getattr(a, books).keys() == getattr(b, books).keys()
             for label, vec in getattr(a, books).items():
                 assert np.array_equal(vec, getattr(b, books)[label]), label
-        # a link is its group's global ranks whichever path reserved it
-        assert a.links == b.links and len(a.links) == 12
+        # a link is its group's global ranks whichever path reserved it: one
+        # per process group of every axis longer than 1
+        assert a.links == b.links
+        assert len(a.links) == sum(cfg.total // g for g in (cfg.gx, cfg.gy, cfg.gz) if g > 1)
         assert a.link_queues == b.link_queues
 
 

@@ -230,7 +230,7 @@ class TestDistributedAccuracy:
             ds.features.astype(dtype), ds.labels, ds.train_mask, dims,
             PlexusOptions(seed=0, compute_dtype=dtype),
         )
-        assert not model.uniform
+        assert model.layers[0].w_stack.rows is not None
         serial = SerialGCN(dims, seed=0)
         s_logits = serial.forward(ds.norm_adjacency, ds.features)
         expected = accuracy(s_logits, ds.labels, ds.test_mask)

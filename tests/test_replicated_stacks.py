@@ -473,7 +473,7 @@ class TestEngineHoldsOneCopyPerGroup:
 
     def test_forward_caches_own_world_over_g_shards(self):
         model = build_trainer(_spec(self.CFG, 128, self.DIMS), backend="inproc").model
-        assert model.uniform
+        assert model.f0_stack.rows is None
         logits, caches = model.forward()
         for layer, cache in zip(model.layers, caches):
             gx = self.CFG.size(layer.roles.x)
@@ -765,7 +765,7 @@ class TestPaddedCollectives:
         """The indivisible twin of ``TestEngineHoldsOneCopyPerGroup``."""
         cfg = GridConfig(4, 4, 4)
         model = build_trainer(_spec(cfg, 130, [34, 34, 18]), backend="inproc").model
-        assert not model.uniform
+        assert model.f0_stack.rows is not None
         logits, caches = model.forward()
         for layer, cache in zip(model.layers, caches):
             for stack, role in ((cache.h, layer.roles.x), (cache.q, layer.roles.y)):

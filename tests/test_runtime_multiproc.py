@@ -3,11 +3,12 @@
 Acceptance for ``repro.runtime``: ``backend="multiproc"`` — the model
 sharded across OS worker processes over the shared-memory transport — must
 produce **bitwise-identical** losses, weights, per-rank clocks, and phase
-totals to ``backend="inproc"`` (the parity oracle) on the supported
-configurations, eager and overlap schedules alike.  Also covered:
+totals to ``backend="inproc"`` (the parity oracle) on every sharding —
+divisible or padded, with rows that tile the Z groups unevenly — eager and
+overlap schedules alike.  Also covered:
 
 * the rendezvous transport (mailbox overflow path, uneven z-plane splits,
-  single-worker degenerate bus);
+  single-worker degenerate bus, tcp);
 * the sharded data loader feeding the runtime — each worker reads only the
   file blocks of its own shard rows, reports per-worker bytes, and
   round-trips bitwise with in-memory loading;
@@ -15,8 +16,8 @@ configurations, eager and overlap schedules alike.  Also covered:
   books, the following epochs bitwise;
 * the SpMM noise model: per-rank draws keyed by identity, so every backend
   and every worker count charges the in-process kernel times;
-* validation of the backend's restrictions (non-uniform sharding — in the
-  launcher, or by the workers when only they know N — worker counts);
+* validation of the backend's restrictions before spawning (worker
+  counts, ``max_inflight`` with inter-node Z groups);
 * crash hygiene — a hard-killed worker or a failed build must leave no
   ``/dev/shm`` segment behind.
 """
@@ -40,7 +41,6 @@ from repro.runtime import (
     WorkloadSpec,
     build_trainer,
     cleanup_orphans,
-    is_uniform_workload,
     worker_slice,
 )
 from repro.runtime.shm import SHM_PREFIX
@@ -96,46 +96,54 @@ def _assert_states_equal(inproc: dict, multi: dict) -> None:
         assert np.array_equal(w, multi["weights"][name]), name
 
 
-def _run_both(cfg, workers, epoch_chunks=(2, 2), mailbox_bytes=8 << 20, **opts):
+def _run_both(
+    cfg, workers, epoch_chunks=(2, 2), mailbox_bytes=8 << 20, transport="shm", **opts
+):
     """Train the same workload on both backends; return everything."""
     spec = _spec(cfg, workers, **opts)
     inproc = build_trainer(spec, backend="inproc")
     results_in = [inproc.train(e) for e in epoch_chunks]
-    with MultiprocTrainer(spec, mailbox_bytes=mailbox_bytes, timeout=60) as mpt:
+    with MultiprocTrainer(
+        spec, mailbox_bytes=mailbox_bytes, timeout=60, transport=transport
+    ) as mpt:
         results_mp = [mpt.train(e) for e in epoch_chunks]
         state_mp = mpt.state()
     return inproc, results_in, results_mp, state_mp
 
 
+def _check(cfg, workers, **kw):
+    """Both backends on one workload: losses, epoch breakdowns, clocks, phase
+    totals and weights bitwise equal; returns the in-process model."""
+    inproc, r_in, r_mp, st = _run_both(cfg, workers, **kw)
+    for a, b in zip(r_in, r_mp):
+        assert a.losses == b.losses
+        for ea, eb in zip(a.epochs, b.epochs):
+            assert (ea.loss, ea.epoch_time, ea.comm_time, ea.comp_time) == (
+                eb.loss,
+                eb.epoch_time,
+                eb.comm_time,
+                eb.comp_time,
+            )
+    _assert_states_equal(_inproc_state(inproc), st)
+    return inproc.model
+
+
 class TestMultiprocParity:
     """The acceptance criterion: bitwise-identical to the inproc oracle."""
 
-    def _check(self, cfg, workers, **kw):
-        inproc, r_in, r_mp, st = _run_both(cfg, workers, **kw)
-        for a, b in zip(r_in, r_mp):
-            assert a.losses == b.losses
-            for ea, eb in zip(a.epochs, b.epochs):
-                assert (ea.loss, ea.epoch_time, ea.comm_time, ea.comp_time) == (
-                    eb.loss,
-                    eb.epoch_time,
-                    eb.comm_time,
-                    eb.comp_time,
-                )
-        _assert_states_equal(_inproc_state(inproc), st)
-
     def test_eager(self):
-        self._check(GridConfig(2, 2, 2), workers=2)
+        _check(GridConfig(2, 2, 2), workers=2)
 
     def test_overlap_schedules(self):
         """W prefetch, the dH/SpMM pipeline and the cross-epoch F prefetch
         all ride the shm transport; two train() calls keep an in-flight
         prefetch across the command boundary."""
-        self._check(GridConfig(2, 2, 2), workers=2, overlap=True)
+        _check(GridConfig(2, 2, 2), workers=2, overlap=True)
 
     def test_overlap_blocked_and_bounded(self):
         """Blocked aggregation + max_inflight (intra-node Z on LAPTOP)
         compose with the replicated queue state."""
-        self._check(
+        _check(
             GridConfig(2, 2, 2),
             workers=2,
             overlap=True,
@@ -171,15 +179,44 @@ class TestMultiprocParity:
 
     def test_uneven_plane_split(self):
         """Gz=4 over 3 workers: quasi-equal plane chunks (2+1+1)."""
-        self._check(GridConfig(1, 2, 4), workers=3)
+        _check(GridConfig(1, 2, 4), workers=3)
 
     def test_mailbox_overflow_path(self):
         """A 4 KiB mailbox forces every exchange through overflow segments
         — same bits, and nothing leaks."""
-        self._check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), mailbox_bytes=4096)
+        _check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), mailbox_bytes=4096)
 
     def test_float32_benchmark_mode(self):
-        self._check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), compute_dtype=np.float32)
+        _check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), compute_dtype=np.float32)
+
+
+class TestPaddedParity:
+    """Indivisible sharding crosses the bus: padded stacks and unevenly
+    tiling rows, bitwise equal to in-process like every other workload."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [{}, {"overlap": True, "aggregation_blocks": 2, "max_inflight": 1}],
+        ids=["eager", "overlap-blocked-bounded"],
+    )
+    def test_padded_rows(self, schedule):
+        """X2Y2Z2, N=49: layer 0's A rows split 25 / 24 along Z, so worker
+        0's products fill their pad and worker 1's do not — the Z plans come
+        from the global extents the frames carry, not from either slice."""
+        model = _check(GridConfig(2, 2, 2), workers=2, n=49, **schedule)
+        assert model.f0_stack.rows is not None
+
+    @pytest.mark.parametrize("schedule", [{}, {"overlap": True}], ids=["eager", "overlap"])
+    def test_uneven_tiling_over_three_workers(self, schedule):
+        """X1Y2Z4, N=50, dims 10-9-9-5 on 2+1+1 planes: the W gathers' Z
+        rows (2, 1, 1, 1) arrive in three chunks, and worker 0's own F0
+        rows (13, 13) fill the pad that workers 1 and 2 (12) do not."""
+        model = _check(GridConfig(1, 2, 4), workers=3, n=50, dims=[10, 9, 9, 5], **schedule)
+        assert model.f0_stack.rows is not None
+
+    def test_padded_rows_over_tcp(self):
+        model = _check(GridConfig(2, 2, 2), workers=2, n=49, transport="tcp", overlap=True)
+        assert model.f0_stack.rows is not None
 
 
 class TestRuntimeSemantics:
@@ -190,10 +227,6 @@ class TestRuntimeSemantics:
         assert all((hi - lo) % 6 == 0 for lo, hi in slices)
         with pytest.raises(ValueError, match="workers"):
             worker_slice(cfg, 5, 0)  # more workers than z-planes
-
-    def test_is_uniform_workload(self):
-        assert is_uniform_workload(GridConfig(2, 2, 2), 48, DIMS)
-        assert not is_uniform_workload(GridConfig(2, 2, 2), 49, DIMS)
 
     def test_reset_and_retrain(self):
         """reset() zeroes every worker's timeline; a fresh run then matches
@@ -264,8 +297,6 @@ class TestRuntimeSemantics:
         assert r_mp.epochs == r_in.epochs
 
     def test_launcher_rejects_unsupported_workloads(self):
-        with pytest.raises(ValueError, match="uniform"):
-            MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, n=49))
         with pytest.raises(ValueError, match="workers"):
             MultiprocTrainer(_spec(GridConfig(2, 2, 2), 4))
         with pytest.raises(ValueError, match="backend"):
@@ -294,17 +325,19 @@ class TestRuntimeSemantics:
 
     def test_train_plexus_backend_seam(self):
         """The one-call entry point routes through the runtime: same losses
-        from both backends on the same explicit configuration."""
-        from repro import train_plexus
+        and epoch times from both backends on the configuration the
+        performance model picks — for reddit's 41 classes a padded one."""
+        from repro import select_best_config, train_plexus
+        from repro.core import axis_roles
+        from repro.dist import PERLMUTTER
+        from repro.graph import load_dataset
 
-        # the last layer's x-role axis (Y for a 3-layer net) must be 1 so
-        # reddit's 41 classes shard uniformly
-        cfg = GridConfig(2, 1, 4)
-        r_in = train_plexus("reddit", gpus=8, epochs=2, config=cfg, seed=0)
-        r_mp = train_plexus(
-            "reddit", gpus=8, epochs=2, config=cfg, seed=0,
-            backend="multiproc", workers=2,
-        )
+        ds = load_dataset("reddit", scale="tiny", seed=0)
+        dims = [ds.n_features, 64, 64, ds.n_classes]
+        cfg = select_best_config(8, ds.paper_stats, dims, PERLMUTTER)[0][0]
+        assert ds.n_classes % cfg.size(axis_roles(len(dims) - 2).x)  # the logits are padded
+        r_in = train_plexus("reddit", gpus=8, epochs=2, seed=0)
+        r_mp = train_plexus("reddit", gpus=8, epochs=2, seed=0, backend="multiproc", workers=2)
         assert r_in.losses == r_mp.losses
         assert [e.epoch_time for e in r_in.epochs] == [e.epoch_time for e in r_mp.epochs]
 
@@ -380,13 +413,13 @@ class TestShardedLoaderFeedsRuntime:
         assert sum(r.files_read for r in reports) == total_files
         assert sum(r.bytes_read for r in reports) == total_bytes
 
-    def test_ragged_shard_dir_workload_is_refused_at_build_time(self, tmp_path):
-        """The launcher never learns a ``shard_dir`` workload's N, so the
-        workers hold the uniformity gate — and every one of them must answer
-        for the whole cube: X1Y1Z2 with N=49 puts 25 / 24 rows on two
-        workers whose own slices each look uniform.  The typed refusal
-        arrives at construction, not as a broadcast error in epoch 1."""
-        from repro.errors import UnsupportedWorkload
+    def test_padded_shard_dir_workload_matches_in_memory(self, tmp_path):
+        """X1Y1Z2 with N=49 puts 25 / 24 rows on two workers whose own
+        slices each hold one row extent: worker 1's products, logits
+        included, still pad to the whole cube's 25 rows its labels use, so
+        the pool reading the directory trains bitwise like the in-process
+        in-memory twin."""
+        from dataclasses import replace
 
         n, dims = 49, [12, 8]
         a, feats, labels, mask = _dataset(n, dims)
@@ -397,16 +430,13 @@ class TestShardedLoaderFeedsRuntime:
             options=PlexusOptions(seed=0, permutation="none"), train_mask=mask,
             shard_dir=str(root),
         )
-        with pytest.raises(UnsupportedWorkload, match="uniform"):
-            MultiprocTrainer(spec, timeout=60)
-        # in process the same ragged directory runs — bitwise its in-memory twin
-        from dataclasses import replace
-
         twin = replace(spec, shard_dir=None, adjacency=a, features=feats, labels=labels)
-        on_disk, in_memory = (build_trainer(s, backend="inproc") for s in (spec, twin))
-        assert not in_memory.model.uniform
-        assert on_disk.train(3).losses == in_memory.train(3).losses
-        _assert_states_equal(_inproc_state(in_memory), _inproc_state(on_disk))
+        in_memory = build_trainer(twin, backend="inproc")
+        assert in_memory.model.label_stack.rows is not None
+        losses = in_memory.train(3).losses
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            assert mpt.train(3).losses == losses
+            _assert_states_equal(_inproc_state(in_memory), mpt.state())
 
     def test_shard_dir_requires_identity_permutation(self, tmp_path):
         _, _, _, mask, root = self._save(tmp_path)

@@ -324,19 +324,24 @@ class TestNetworkChaos:
             assert result.losses == ref.losses
             _state_equal(state, mpt.state())
 
-    def test_network_actions_require_tcp(self):
-        """Arming a network fault on the shm bus is a typed refusal (and
-        vice versa for the mailbox-byte corrupt action on tcp)."""
+    def test_network_actions_require_tcp(self, monkeypatch):
+        """A network fault planned on the shm bus is a typed refusal at
+        construction (and vice versa for the mailbox-byte corrupt action on
+        tcp) — no worker process is ever started."""
+        spawned = []
+        monkeypatch.setattr(
+            MultiprocTrainer, "_spawn_pool", lambda self, *a, **k: spawned.append(a)
+        )
         plan = FaultPlan(worker=0, point="pre_barrier", action="partition", epoch=0)
-        with pytest.raises(UnsupportedWorkload, match="tcp"):
-            with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
-                mpt.train(1)
+        with pytest.raises(UnsupportedWorkload, match="'partition' acts on transport='tcp'"):
+            MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=0)
-        with pytest.raises(UnsupportedWorkload, match="shm"):
-            with MultiprocTrainer(
-                _spec(faults=(plan,)), timeout=60, transport="tcp"
-            ) as mpt:
-                mpt.train(1)
+        with pytest.raises(UnsupportedWorkload, match="'corrupt' acts on transport='shm'"):
+            MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp")
+        assert spawned == []
+        # each on its own transport is accepted
+        MultiprocTrainer(_spec(faults=(plan,)), timeout=60).close()
+        assert len(spawned) == 1
 
 
 class TestMultiHost:
