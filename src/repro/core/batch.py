@@ -15,9 +15,9 @@ its 1.5D/2D/3D algorithms as operations on stacked partitions:
 * :class:`BlockDiagSpmm` lays the per-rank adjacency shards out as one
   block CSR matrix so the whole grid's SpMM is a single ``spmm`` call — with
   each distinct shard stored once: the ranks sharing a shard are multiplied
-  from one block (:class:`~repro.sparse.ops.ReplicatedCsr`), and A^T exists
-  only inside its plan.  CSR row accumulation order is unchanged, so results
-  are bitwise-identical to the per-rank products.
+  from one block (:class:`~repro.sparse.ops.ReplicatedCsr`), and a layer's
+  plans are the only stored copy of its graph.  CSR row accumulation order is
+  unchanged, so results are bitwise-identical to the per-rank products.
 
 The layers run on the stacked forms below (:func:`stack_matmul`,
 :meth:`BlockDiagSpmm.apply_batched`); the list forms — :func:`batched_matmul`
@@ -61,6 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.dist.padded import CubeStack, cube_boxes, stack_shards
+from repro.errors import PlanReleased
 from repro.sparse.ops import ReplicatedCsr, spmm
 
 __all__ = [
@@ -302,69 +303,145 @@ def batched_matmul(
 
 
 class BlockDiagSpmm:
-    """All ranks' ``A_r @ F_r`` products (``A_r^T @ F_r`` when ``transposed``)
-    as one block CSR product.
+    """All ranks' ``A_r @ F_r`` products as one block CSR product — and the
+    only stored copy of the ``A_r``.
 
-    Built once per layer from the per-rank adjacency shards, which it only
-    references; the block CSR for one dense-operand geometry is assembled on
-    first use and cached (the geometry is fixed by the layer's sharding, so
-    in steady state every call is one cache hit plus one ``spmm``).  **A plan
-    stores each distinct shard once**: ranks along one cube axis (a layer's
-    y-role) hold the same shard *object*, and the plan keeps the blocks of
-    that axis's first replicas only, as a
-    :class:`~repro.sparse.ops.ReplicatedCsr` — replica ``j``'s ranks sit a
-    constant number of blocks further in the output and in the operand, so the
-    stored CSR runs once per replica on flat views shifted by that constant.
-    Every output row is written by one of those calls and accumulates its
-    shard row's nonzeros in stored order: bitwise a per-rank ``shards[r] @
-    f[r]``.  A transposed plan cuts ``shard.T.tocsr()`` per distinct shard
-    while it is assembled and drops it: no A^T is stored.
+    Built once, from one matrix per rank: ``shards[r]`` (ranks holding the
+    same object are replicas) or, with ``cut``, a hashable key per rank (equal
+    keys: replicas) and ``cut(key)`` the matrix, called once per held shard;
+    the plan copies the cuts into its ``(indptr, indices, data)`` and keeps
+    none.  **A plan stores each distinct shard once**: when the ranks along
+    one axis of ``grid`` (the rank cube; default ``(world, 1, 1)``) hold the
+    same shard — a layer's y-role — the plan keeps the blocks of that axis's
+    first replicas only, as a :class:`~repro.sparse.ops.ReplicatedCsr`:
+    replica ``j``'s ranks sit a constant number of blocks further in the
+    output and in the operand, so the stored CSR runs once per replica on flat
+    views shifted by that constant.  Every output row is written by one of
+    those calls and accumulates its shard row's nonzeros in stored order:
+    bitwise a per-rank ``shards[r] @ f[r]``.
+
+    Rank ``r``'s rows start at ``r * pad``, ``pad`` being the largest block of
+    the global geometry (default: the largest of these shards — the same on
+    the whole cube, not on a worker's slice).  The first :meth:`apply_batched`
+    writes its operand geometry's column offsets into ``indices``; another
+    geometry gets a re-offset copy.  :attr:`shards` cuts the per-rank matrices
+    back out; :meth:`release` drops the arrays for good.
     """
 
     def __init__(
-        self, shards: Sequence[sp.csr_matrix], transposed: bool = False, pad: int | None = None
+        self,
+        shards: Sequence,
+        pad: int | None = None,
+        grid: tuple[int, int, int] | None = None,
+        *,
+        cut: Callable[[object], sp.csr_matrix] | None = None,
     ) -> None:
-        if not shards:
+        if not len(shards):
             raise ValueError("need at least one shard")
-        self.shards = list(shards)
-        self.transposed = transposed
-        self.world = len(shards)
+        if cut is None:
+            keys, cut = [id(s) for s in shards], {id(s): s for s in shards}.__getitem__
+        else:
+            keys = list(shards)
+        world = self.world = len(keys)
+        grid = (world, 1, 1) if grid is None else tuple(grid)
+        coords = np.unravel_index(np.arange(world), grid)
+        strides = (grid[1] * grid[2], grid[2], 1)
+        # the replica axis: every rank holds the shard of its plane-0 rank
+        axis = next(
+            (
+                a for a, (at, step) in enumerate(zip(coords, strides))
+                if grid[a] > 1 and all(keys[r] == keys[r - at[r] * step] for r in range(world))
+            ),
+            None,
+        )
+        self._replicas, self._so = (1, 0) if axis is None else (grid[axis], strides[axis])
+        #: per rank: its replica index, and the held rank whose block it multiplies by
+        self._rep = np.zeros(world, dtype=np.intp) if axis is None else coords[axis]
+        self._first = np.arange(world) - self._rep * self._so
+        span = world - (self._replicas - 1) * self._so  # row blocks up to the last first replica's
+        self._held = np.flatnonzero(self._rep[:span] == 0)
+        pieces = [cut(keys[r]) for r in self._held]
+        out_rows = np.asarray([s.shape[0] for s in pieces], dtype=np.int64)
+        m = self._pad_m = int(out_rows.max()) if pad is None else pad
+        if np.any(out_rows > m):
+            i = int(np.argmax(out_rows > m))
+            raise ValueError(f"rank {self._held[i]}: shard has {out_rows[i]} rows, more than the pad {m}")
+        #: per rank: output rows (the product's valid extents), operand rows
+        #: and nonzeros — a replica's are its held block's
+        at = np.searchsorted(self._held, self._first)
+        self.out_rows = out_rows[at]
+        self.in_rows = np.asarray([s.shape[1] for s in pieces], dtype=np.int64)[at]
+        self.rank_nnz = np.asarray([s.nnz for s in pieces], dtype=np.int64)[at]
+        # when every rank fills the pad the product carries no extents
+        self._even_rows = bool(np.all(self.out_rows == m))
+        #: where each held block's nonzeros start in ``indices`` / ``data``
+        self._at = np.cumsum([0] + [s.nnz for s in pieces]).tolist()
+        idx = sp.get_index_dtype(maxval=max(self._at[-1], world * (int(self.in_rows.max()) + 1)))
+        self._indptr = np.zeros(span * m + 1, dtype=idx)
+        self._indices = np.empty(self._at[-1], dtype=idx)
+        self._data = np.empty(self._at[-1], dtype=pieces[0].dtype)
+        for i, r in enumerate(self._held):
+            s, pieces[i] = pieces[i], None  # each shard dies once copied
+            a, b = self._at[i], self._at[i + 1]
+            np.add(s.indptr[1:], a, out=self._indptr[r * m + 1 : r * m + 1 + s.shape[0]])
+            self._indices[a:b], self._data[a:b] = s.indices, s.data
+        np.maximum.accumulate(self._indptr, out=self._indptr)  # rows no block wrote are empty
+        #: the column offsets baked into ``indices`` (``None``: none yet), per held block
+        self._offsets: list[int] | None = None
         #: f-shape signature -> list of (rank_idx, block-diag CSR, row splits)
         self._plans: dict[tuple, list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]] = {}
         #: (grid, operand cube extents, operand pad rows, its valid rows) ->
         #: block CSR of the stacked path
         self._stacked_plans: dict[tuple, ReplicatedCsr] = {}
-        #: each rank's output rows — the valid extents of the product — and
-        #: their pad, the largest block of the global geometry (default: the
-        #: largest of these shards — the same on the whole cube, not on a
-        #: worker's slice); when they all fill it the product carries no extents
-        self._out_rows = np.asarray([s.shape[transposed] for s in shards], dtype=np.int64)
-        self._pad_m = int(self._out_rows.max()) if pad is None else pad
-        self._even_rows = bool(np.all(self._out_rows == self._pad_m))
 
     @property
     def nbytes(self) -> int:
-        """CSR bytes of the stacked plans built so far (the shards are the caller's)."""
-        return sum(bd.nbytes for bd in self._stacked_plans.values())
+        """Bytes this plan stores: its CSR arrays and any re-offset copy of ``indices``."""
+        if self._data is None:
+            return 0
+        copies = (bd.indices for bd in self._stacked_plans.values())
+        return sum({id(a): a.nbytes for a in (self._indptr, self._indices, self._data, *copies)}.values())
 
     def release(self) -> None:
-        """Drop the stacked plans built so far; the shards stay (``apply``
-        reads them, ``apply_batched`` rebuilds from them)."""
+        """Drop the stored arrays for good: any later use raises
+        :class:`~repro.errors.PlanReleased`."""
+        self._indptr = self._indices = self._data = None
+        self._plans.clear()
         self._stacked_plans.clear()
 
-    def _block(self, rank: int) -> sp.csr_matrix:
-        """The matrix rank ``rank`` multiplies by (a temporary when transposed)."""
-        return self.shards[rank].T.tocsr() if self.transposed else self.shards[rank]
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._data is None:
+            raise PlanReleased("this SpMM plan was released: it holds no adjacency any more")
+        return self._indptr, self._indices, self._data
+
+    @property
+    def shards(self) -> list[sp.csr_matrix]:
+        """Each rank's matrix, cut from the stored arrays on demand: one
+        object per held block, shared by its replica ranks, whose values are
+        a read-only view of the plan's."""
+        indptr, indices, data = self._arrays()
+        m, cuts = self._pad_m, {}
+        for i, r in enumerate(self._held):
+            a, b, rows = self._at[i], self._at[i + 1], self.out_rows[r]
+            values = data[a:b]
+            values.flags.writeable = False
+            offset = 0 if self._offsets is None else self._offsets[i]
+            cuts[r] = sp.csr_matrix(
+                (values, indices[a:b] - offset, indptr[r * m : r * m + rows + 1] - indptr[r * m]),
+                shape=(rows, self.in_rows[r]),
+            )
+        return [cuts[r] for r in self._first]
 
     def _plan(self, f_shapes: tuple) -> list[tuple[np.ndarray, sp.csr_matrix, np.ndarray]]:
         plan = self._plans.get(f_shapes)
         if plan is None:
+            shards = self.shards
             buckets: dict[tuple, list[int]] = {}
             for r, shape in enumerate(f_shapes):
                 buckets.setdefault(shape, []).append(r)
             plan = []
             for ranks in buckets.values():
-                blocks = [self._block(r) for r in ranks]
+                blocks = [shards[r] for r in ranks]
                 bd = sp.block_diag(blocks, format="csr")
                 rows = np.asarray([b.shape[0] for b in blocks])
                 plan.append((np.asarray(ranks, dtype=np.intp), bd, np.cumsum(rows)[:-1]))
@@ -390,55 +467,48 @@ class BlockDiagSpmm:
         gathered F or reduced dH is multiplied without ever being copied per
         rank — stored for the first replicas only (see the class docstring).
 
-        Row blocks sit ``max(shard rows)`` apart — the pad rows, and the later
-        replicas' row blocks the stored window spans, carry no nonzeros — and
-        column blocks ``pad_k`` apart, the operand's row extent (its valid
+        Column blocks sit ``pad_k`` apart, the operand's row extent (its valid
         rows, ``rows_key`` — ``None``: all of them — must be what each shard
         expects; its pad rows are never referenced by any column index).
         """
         key = (grid, lead, pad_k, rows_key)
         bd = self._stacked_plans.get(key)
         if bd is None:
-            shards, world, m = self.shards, self.world, self._pad_m
-            coords = np.unravel_index(np.arange(world), grid)
-            blocks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
-            for r, (s, k) in enumerate(zip(shards, _per_rank(rows_key, pad_k, world))):
-                need = s.shape[not self.transposed]
+            for r, (need, k) in enumerate(zip(self.in_rows, _per_rank(rows_key, pad_k, self.world))):
                 if need != k:
                     raise ValueError(f"rank {r}: dense operand has {k} valid rows, shard expects {need}")
-            # the replica axis: every rank holds the shard object of its plane-0 rank
-            strides, in_strides = (grid[1] * grid[2], grid[2], 1), (lead[1] * lead[2], lead[2], 1)
-            axis = next(
-                (
-                    a for a, (at, step) in enumerate(zip(coords, strides))
-                    if grid[a] > 1 and all(shards[r] is shards[r - at[r] * step] for r in range(world))
-                ),
-                None,
-            )
-            replicas, so, si = (
-                (1, 0, 0) if axis is None else (grid[axis], strides[axis], in_strides[axis] * (lead[axis] > 1))
-            )
-            span = world - (replicas - 1) * so  # row blocks up to the last first replica's
-            held = [r for r in range(span) if axis is None or coords[axis][r] == 0]
-            n_blocks = int(blocks.max()) + 1
-            nnz = sum(shards[r].nnz for r in held)
-            idx = sp.get_index_dtype(maxval=max(nnz, n_blocks * pad_k))
-            indptr = np.zeros(span * m + 1, dtype=idx)
-            indices, data = np.empty(nnz, dtype=idx), np.empty(nnz, dtype=shards[0].dtype)
-            at = 0
-            for r in held:
-                block = self._block(r)
-                end = at + block.nnz
-                np.add(block.indptr[1:], at, out=indptr[r * m + 1 : r * m + 1 + block.shape[0]])
-                np.add(block.indices, int(blocks[r]) * pad_k, out=indices[at:end])
-                data[at:end] = block.data
-                at = end
-            np.maximum.accumulate(indptr, out=indptr)  # rows no block wrote are empty
-            bd = self._stacked_plans[key] = ReplicatedCsr(
-                indptr, indices, data, (n_blocks - (replicas - 1) * si) * pad_k,
-                (world * m, n_blocks * pad_k), replicas, so * m, si * pad_k,
-            )
+            bd = self._stacked_plans[key] = next(
+                (p for k, p in self._stacked_plans.items() if k[:3] == key[:3]), None
+            ) or self._bake(grid, lead, pad_k)
         return bd
+
+    def _bake(self, grid, lead, pad_k) -> ReplicatedCsr:
+        """The block CSR of one operand geometry: the stored arrays with each
+        held block's column offset added to its ``indices`` — in place for the
+        first geometry, on a copy for any other."""
+        indptr, indices, data = self._arrays()
+        coords = np.unravel_index(np.arange(self.world), grid)
+        blocks = np.ravel_multi_index([c % e for c, e in zip(coords, lead)], lead)
+        # replica j reads the operand block ``j * si`` after its first replica's
+        si = int(blocks[self._so] - blocks[0]) if self._replicas > 1 else 0
+        if not np.array_equal(blocks, blocks[self._first] + self._rep * si):
+            raise ValueError(f"an operand cube {lead} on grid {grid} does not fit the plan's replicas")
+        n_blocks = int(np.prod(lead))
+        if n_blocks * pad_k > np.iinfo(indices.dtype).max:
+            raise ValueError(f"{n_blocks * pad_k} operand rows overflow the plan's {indices.dtype} indices")
+        offsets = [int(blocks[r]) * pad_k for r in self._held]
+        baked = self._offsets
+        if baked is None:
+            self._offsets, baked = offsets, [0] * len(offsets)
+        else:
+            indices = indices.copy()
+        for i, (new, old) in enumerate(zip(offsets, baked)):
+            indices[self._at[i] : self._at[i + 1]] += new - old
+        return ReplicatedCsr(
+            indptr, indices, data, (n_blocks - (self._replicas - 1) * si) * pad_k,
+            (self.world * self._pad_m, n_blocks * pad_k), self._replicas,
+            self._so * self._pad_m, si * pad_k,
+        )
 
     def apply_batched(self, f) -> CubeStack:
         """Whole-grid SpMM on a stacked operand: one SpMM over one block CSR
@@ -457,5 +527,5 @@ class BlockDiagSpmm:
         if f.rows is None and self._even_rows:
             return CubeStack(h, grid)
         return CubeStack(
-            h, grid, self._out_rows, np.full(self.world, c) if f.cols is None else f.cols
+            h, grid, self.out_rows, np.full(self.world, c) if f.cols is None else f.cols
         )

@@ -30,8 +30,9 @@ blocking is on), and the collectives as keepdims reductions over the rank
 cube (:class:`~repro.dist.comm.AxisCommunicator`).  Every configuration
 runs this one path.  The per-rank, per-process-group form the paper writes
 is kept as the bitwise reference in ``tests/oracle.py``: its own
-implementation, which reads a built model's shards and kernel-time vectors
-and shares no execution code with this module.
+implementation, which cuts its own shards from the permuted adjacency, reads
+a built model's kernel-time vectors and shares no execution code with this
+module.
 
 No sharding stores a replica: every collective returns its result once per
 group, in cube layout with extent 1 along the axes the value is shared on
@@ -66,8 +67,8 @@ and waited as before — through
 collective of known duration without an operand — so clocks, link
 reservations, in-flight queues, phase totals and trace events stay bitwise
 what they were, while no SpMM, GEMM, gather copy or reduction runs for
-them — so the layer releases its forward SpMM plans after its first
-backward, unless a later layer multiplies with the same ones.  What is held
+them — so the layer releases its forward SpMM plans right after its first
+forward, unless a later layer multiplies with the same ones.  What is held
 is read-only (``PlexusGCN`` makes the F0 shards read-only too: an in-place
 edit raises rather than training on a stale H0), replays are counted
 (``frozen_agg_replays`` in the metrics registry), trainable features
@@ -205,66 +206,59 @@ class PlexusLayer:
         self.overlap = overlap
         self.roles = sharding.roles
         world = grid.world_size
-        # -- adjacency shards (possibly shared across layers via shard_cache),
-        # keyed by what identifies the cut: which permuted adjacency, which roles
-        cache_key = adjacency_version, sharding.roles.as_tuple()
         # product and gather pads from the global geometry: a worker's shards
         # may all be short
         rows_pad, cols_pad = sharding.a_pad
         self._f_gather_pad, self._w_gather_pad = cols_pad, sharding.w_gather_pad
-        if shard_cache is not None and cache_key in shard_cache:
-            self.a_shards, self._bd_a, self._bd_at = shard_cache[cache_key]
+        # -- the adjacency is its SpMM plans alone, cut from ``a_global`` here
+        # one distinct shard at a time.  Rank r's shard is A[rows, cols],
+        # keyed by its slices: ranks along the y-role share it.  Layers i and
+        # i+3 share roles (period-3 rotation), so the plans are cached per
+        # (permuted adjacency, roles) and built by the first layer needing each
+        plans = ({} if shard_cache is None else shard_cache).setdefault(
+            (adjacency_version, sharding.roles.as_tuple()), {}
+        )
+        keys = []
+        for rank in range(world):
+            rs, cs = sharding.a_row_slice(grid, rank), sharding.a_col_slice(grid, rank)
+            keys.append((rs.start, rs.stop, cs.start, cs.stop))
+        billed: dict[tuple, int] = {}
+
+        def shard(key) -> sp.csr_matrix:
+            cut = csr_block(a_global, slice(*key[:2]), slice(*key[2:]))
+            billed[key] = cut.data.nbytes + cut.indices.nbytes + cut.indptr.nbytes
+            return cut
+
+        def plan(name, cut, pad: int) -> BlockDiagSpmm:
+            if name not in plans:
+                plans[name] = BlockDiagSpmm(keys, pad, grid.cube, cut=cut)
+            return plans[name]
+
+        if aggregation_blocks == 1:
+            self._bd_a, self._bd_blocks = plan("a", shard, rows_pad), []
         else:
-            # ranks along the y-role share (row slice, col slice): each
-            # distinct shard is cut once, its replica ranks share the
-            # csr_matrix object — which is how the SpMM plans find the
-            # replicas; A^T exists only inside the backward plan
-            self.a_shards = []
-            cuts: dict[tuple, sp.csr_matrix] = {}
-            for rank in range(world):
-                rs = sharding.a_row_slice(grid, rank)
-                cs = sharding.a_col_slice(grid, rank)
-                key = (rs.start, rs.stop, cs.start, cs.stop)
-                if key not in cuts:
-                    cuts[key] = csr_block(a_global, rs, cs)
-                self.a_shards.append(cuts[key])
-            self._bd_a = BlockDiagSpmm(self.a_shards, pad=rows_pad)
-            self._bd_at = BlockDiagSpmm(self.a_shards, transposed=True, pad=cols_pad)
-            if shard_cache is not None:
-                shard_cache[cache_key] = (self.a_shards, self._bd_a, self._bd_at)
-        # -- row-blocked views + per-block stacked SpMM plans, cached like
-        # the shards: layers i and i+3 share roles (period-3 rotation), so
-        # they reuse one set of block slices and block-diagonal plans
-        blocks_key = ("blocks", *cache_key)
-        if shard_cache is not None and blocks_key in shard_cache:
-            self._a_blocks, self._bd_blocks, self._block_nnz = shard_cache[blocks_key]
-        else:
-            self._a_blocks: list[list[sp.csr_matrix]] = []
-            blocks_of: dict[int, list[sp.csr_matrix]] = {}  # one cut per distinct shard
-            for shard in self.a_shards:
-                if id(shard) not in blocks_of:
-                    blocks_of[id(shard)] = [shard] if aggregation_blocks == 1 else [
-                        csr_block(shard, sl, slice(0, shard.shape[1]))
-                        for sl in block_slices(shard.shape[0], aggregation_blocks)
-                    ]
-                self._a_blocks.append(blocks_of[id(shard)])
-            # per-aggregation-block stacked SpMM plans: one block-diagonal
-            # CSR over all ranks per row block, so blocked aggregation
-            # drives one SpMM per block instead of ``world`` calls
-            if aggregation_blocks > 1:
-                self._bd_blocks = [
-                    BlockDiagSpmm([blocks[b] for blocks in self._a_blocks], pad=sl.stop - sl.start)
-                    for b, sl in enumerate(block_slices(rows_pad, aggregation_blocks))
-                ]
-                self._block_nnz = [
-                    np.asarray([self._a_blocks[r][b].nnz for r in range(world)], dtype=np.float64)
-                    for b in range(aggregation_blocks)
-                ]
-            else:
-                self._bd_blocks = []
-                self._block_nnz = []
-            if shard_cache is not None:
-                shard_cache[blocks_key] = (self._a_blocks, self._bd_blocks, self._block_nnz)
+            # Sec. 5.2: one plan per row block, so blocked aggregation drives
+            # one SpMM per block instead of ``world`` calls
+            self._bd_a, self._bd_blocks = None, [
+                plan(
+                    ("block", b),
+                    lambda key, b=b: csr_block(
+                        shard(key), block_slices(key[1] - key[0], aggregation_blocks)[b], slice(None)
+                    ),
+                    sl.stop - sl.start,
+                )
+                for b, sl in enumerate(block_slices(rows_pad, aggregation_blocks))
+            ]
+        # A^T is read by a backward that computes dF: never by a frozen layer 0
+        self._bd_at = (
+            None if is_first and not trainable_features
+            else plan("at", lambda key: shard(key).T.tocsr(), cols_pad)
+        )
+        if "billed" not in plans:
+            plans["billed"] = np.asarray([billed[key] for key in keys], dtype=np.int64)
+        #: per rank, the CSR bytes of its whole shard: what ``memory_per_rank``
+        #: bills a GPU (every replica its own copy)
+        self.a_nbytes = plans["billed"]
         # -- weight shards: local (D_in/Gy x D_out/Gx) block, z-sub-sharded rows
         self.w_stack: CubeStack = stack_shards(
             [
@@ -276,19 +270,26 @@ class PlexusLayer:
         )
         self.w_shards: list[np.ndarray] = shard_views(self.w_stack)
         self._precompute_kernel_times()
-        #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
-        #: steps — one for the whole shard, or one per row block (Sec. 5.2)
-        if aggregation_blocks == 1:
-            self._agg_steps = [(self._t_spmm_fwd, self._nnz_a, self._bd_a)]
-        else:
-            self._agg_steps = list(zip(self._t_spmm_blocks, self._block_nnz, self._bd_blocks))
         #: set by the first forward of a layer 0 with frozen input features;
         #: every later pass replays it (see the module docstring)
         self._frozen: _FrozenAggregation | None = None
         #: whether a later layer multiplies with this layer's forward SpMM
         #: plans (its shard-cache entry; set by the model) — if not, a frozen
-        #: layer 0 releases them after its first backward
+        #: layer 0 releases them after its first forward
         self.plans_shared = False
+
+    @property
+    def a_shards(self) -> list[sp.csr_matrix]:
+        """Each rank's adjacency shard, cut from the forward plan on demand
+        (read-only; replica ranks share one object) — the layer stores none."""
+        if self._bd_a is not None:
+            return self._bd_a.shards
+        per_block = [plan.shards for plan in self._bd_blocks]
+        whole: dict[int, sp.csr_matrix] = {}
+        for r, first in enumerate(per_block[0]):
+            if id(first) not in whole:
+                whole[id(first)] = sp.vstack([blocks[r] for blocks in per_block], format="csr")
+        return [whole[id(first)] for first in per_block[0]]
 
     # -- kernel-time precomputation --------------------------------------------
     def _precompute_kernel_times(self) -> None:
@@ -307,8 +308,8 @@ class PlexusLayer:
         ac = extents["a_cols"]  # A cols = F rows (x-role block of N)
         fc = extents["f_cols"]  # F/H cols = gathered-W rows (y-role block of D_in)
         wc = extents["w_cols"]  # W/Q cols (x-role block of D_out)
-        nnz = np.asarray([a.nnz for a in self.a_shards], dtype=np.float64)
-        self._nnz_a = nnz
+        fwd = self._bd_blocks or [self._bd_a]
+        nnz = self._nnz_a = sum(plan.rank_nnz for plan in fwd).astype(np.float64)
         cols = np.maximum(fc, 1.0)
         self._t_spmm_fwd = spmm_time_batch(ar, ac, cols, nnz, device)
         self._t_spmm_bwd = spmm_time_batch(ac, ar, cols, nnz, device)
@@ -320,12 +321,17 @@ class PlexusLayer:
             self._t_gemm_dw = _gemm_times(fc, wc, ar, device, GemmMode.TN)
         self._t_gemm_dh = _gemm_times(ar, fc, wc, device, GemmMode.NT)
         # blocked aggregation: one time vector per row block
-        self._t_spmm_blocks = []
-        if self.aggregation_blocks > 1:
-            for b in range(self.aggregation_blocks):
-                rows = np.asarray([blocks[b].shape[0] for blocks in self._a_blocks], dtype=np.float64)
-                bnnz = np.asarray([blocks[b].nnz for blocks in self._a_blocks], dtype=np.float64)
-                self._t_spmm_blocks.append(spmm_time_batch(rows, ac, cols, bnnz, device))
+        block_nnz = [plan.rank_nnz.astype(np.float64) for plan in self._bd_blocks]
+        self._t_spmm_blocks = [
+            spmm_time_batch(plan.out_rows.astype(np.float64), ac, cols, bnnz, device)
+            for plan, bnnz in zip(self._bd_blocks, block_nnz)
+        ]
+        #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
+        #: steps — one for the whole shard, or one per row block (Sec. 5.2)
+        if self._bd_a is not None:
+            self._agg_steps = [(self._t_spmm_fwd, nnz, self._bd_a)]
+        else:
+            self._agg_steps = list(zip(self._t_spmm_blocks, block_nnz, self._bd_blocks))
 
     def _advance_spmm(self, times, nnz, step: int, bwd: bool, block: int = 0) -> None:
         """Charge one SpMM (forward aggregation ``block``, or the backward
@@ -406,13 +412,16 @@ class PlexusLayer:
                     self._frozen = _FrozenAggregation(
                         f, h, f_pending.duration, [handle.duration for handle in handles]
                     )
+                    # the forward plans are never read again
+                    if not self.plans_shared:
+                        for _, _, plan in self._agg_steps:
+                            plan.release()
             # Step 3 (lines 7-9): Q = SGEMM(H, W); all-reduce across Y-parallel group
             if w_pending is None:
                 w_pending = self.issue_w_gather()
             w_local = w_pending.wait()
             self.cluster.advance_all(self._t_gemm_fwd, "comp:gemm_fwd")
-            q_partial = stack_matmul(h, w_local)
-            q = comm_y.all_reduce(q_partial, phase="all_reduce_q").wait()
+            q = comm_y.all_reduce(stack_matmul(h, w_local), phase="all_reduce_q").wait()
             # Step 4 (line 11): non-linear activation (identity on the last layer,
             # whose logits feed the softmax cross-entropy)
             f_out = q if self.is_last else stack_map(relu, q)
@@ -491,17 +500,11 @@ class PlexusLayer:
                 # on the timeline, never multiplied
                 dh_pending = comm_x.issue(frozen.dh_duration, phase="all_reduce_dh")
             else:
-                dh_partial = stack_matmul(dq, w_local, tb=True)
-                dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
+                # the partial product dies at its reduction, before A^T's
+                # product of the same size is allocated
+                dh_pending = comm_x.all_reduce(stack_matmul(dq, w_local, tb=True), phase="all_reduce_dh")
                 if frozen is not None:
                     frozen.dh_duration = dh_pending.duration
-                    # the forward SpMM plans are never read again: released at
-                    # the end of the first epoch, once it has sized the heap
-                    # (freed mid-forward they reshuffled that epoch's
-                    # temporaries: dense1536 peak RSS +2.3 MB)
-                    if not self.plans_shared:
-                        for _, _, plan in self._agg_steps:
-                            plan.release()
             if self.is_first and not self.trainable_features:
                 dh_pending.wait()
                 return None, dw

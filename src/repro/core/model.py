@@ -23,7 +23,8 @@ piece of state: the stacks; the per-rank accessors ``f0_shards`` /
 ``options.compute_dtype=np.float32`` selects the faster
 benchmark mode.  The per-rank form of Algorithms 1-2 lives in
 ``tests/oracle.py`` as the bitwise reference (float64: losses, weights and
-clocks): it reads the shards a built model holds and runs none of its code.
+clocks): it cuts its own shards, reads a built model's kernel-time vectors
+and initial state, and runs none of its code.
 
 With ``options.overlap=True`` the model drives the nonblocking collective
 schedules: each layer's W all-gather handle is issued at the end of the
@@ -62,10 +63,6 @@ from repro.nn.init import glorot_uniform
 from repro.nn.optim import Adam
 
 __all__ = ["PlexusGCN"]
-
-
-def _csr_nbytes(m: sp.csr_matrix) -> int:
-    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
 class PlexusGCN:
@@ -161,7 +158,7 @@ class PlexusGCN:
         del perm_a
         # layers three apart on one permuted adjacency share a cache entry
         first = self.layers[0]
-        first.plans_shared = any(la._bd_a is first._bd_a for la in self.layers[1:])
+        first.plans_shared = any(la._agg_steps[0][2] is first._agg_steps[0][2] for la in self.layers[1:])
 
         # -- input-feature shards (z-sub-sharded, Sec. 3.1) ------------------
         f_in_global = features[self.scheme.input_perm()].astype(self.dtype)
@@ -219,43 +216,30 @@ class PlexusGCN:
     @property
     def n_unique_adjacency_shardsets(self) -> int:
         """Distinct adjacency shard sets held = min(3, L) x permutation
-        versions = min(6, L) for the double scheme (Sec. 5.1).  The cache
-        also holds per-aggregation-block plan entries; only shard-set
-        entries count here."""
-        return sum(1 for k in self._shard_cache if k[0] != "blocks")
+        versions = min(6, L) for the double scheme (Sec. 5.1): one
+        shard-cache entry of SpMM plans each."""
+        return len(self._shard_cache)
 
     def adjacency_bytes(self) -> int:
-        """CSR bytes this process stores for the graph — every distinct shard
-        and row block once, plus the SpMM plans built so far (the
-        ``adjacency_bytes`` gauge; ``memory_per_rank`` is the *simulated*
-        per-GPU footprint)."""
-        csr = {
-            id(m): m
-            for la in self.layers
-            for shard, blocks in zip(la.a_shards, la._a_blocks)
-            for m in (shard, *blocks)
-        }
+        """CSR bytes this process stores for the graph: those of the SpMM
+        plans, its only copy (the ``adjacency_bytes`` gauge;
+        ``memory_per_rank`` is the *simulated* per-GPU footprint)."""
         plans = {id(p): p for la in self.layers for p in (la._bd_a, la._bd_at, *la._bd_blocks)}
-        return sum(map(_csr_nbytes, csr.values())) + sum(p.nbytes for p in plans.values())
+        return sum(p.nbytes for p in plans.values() if p is not None)
 
     def memory_per_rank(self) -> list[int]:
         """Bytes of adjacency + weight + feature shards per rank (the memory
         model behind Sec. 5.1's overhead accounting)."""
-        world = self.grid.world_size
-        totals = [0] * world
-        # layers three apart share a shard set (counted once per rank);
-        # replica ranks share objects too, but each holds its own copy
-        seen: set[tuple[int, int]] = set()
+        totals = np.zeros(self.grid.world_size, dtype=np.int64)
+        # layers three apart share a shard set (counted once); replica ranks
+        # share a plan's block, but each GPU holds its own copy
+        billed = {id(layer.a_nbytes): layer.a_nbytes for layer in self.layers}
+        for a_nbytes in billed.values():
+            totals += a_nbytes
         for layer in self.layers:
-            for r in range(world):
-                shard = layer.a_shards[r]
-                if (r, id(shard)) not in seen:
-                    seen.add((r, id(shard)))
-                    totals[r] += _csr_nbytes(shard)
-                totals[r] += layer.w_shards[r].nbytes
-        for r in range(world):
-            totals[r] += self.f0_shards[r].nbytes
-        return totals
+            totals += [w.nbytes for w in layer.w_shards]
+        totals += [f.nbytes for f in self.f0_shards]
+        return totals.tolist()
 
     # -- forward / backward ------------------------------------------------------
     def prefetched_handles(self) -> tuple:

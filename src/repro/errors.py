@@ -29,6 +29,7 @@ __all__ = [
     "UnsupportedWorkload",
     "CheckpointError",
     "CollectiveMisuse",
+    "PlanReleased",
 ]
 
 
@@ -111,3 +112,8 @@ class CheckpointError(PlexusRuntimeError):
 class CollectiveMisuse(PlexusRuntimeError):
     """A collective handle was used against its contract: waited twice,
     dropped without ``wait()``, or exchanged from the wrong endpoint."""
+
+
+class PlanReleased(PlexusRuntimeError):
+    """An SpMM plan was used after ``release()`` dropped the adjacency it
+    stores (a frozen layer 0's forward plan, after its one forward)."""

@@ -9,35 +9,38 @@ per rank — kept whole as the bitwise oracle of the parity suites: losses,
 weights, trainable F0, per-rank clocks, every ``by_phase`` bucket and every
 ``EpochStats`` field must equal the product's in float64.
 
-It shares **data, not code** with the product.  A built
-:class:`~repro.core.model.PlexusGCN` is read for its adjacency shards and
-the forward SpMM plan (``a_shards`` / ``_a_blocks`` / ``_bd_a``; A^T is its
-own ``shard.T.tocsr()`` per rank), the modeled kernel-time vectors (``_t_*``,
-``_nnz_a``), the
-noise sampler, copies of the initial W / F0 shards and the label / mask /
-class slices; no method of ``PlexusGCN``, ``PlexusLayer``, ``PlexusTrainer``
-or ``AxisCommunicator`` is ever called, so the model is never run.  Nothing
-is memoised: a frozen layer 0 is gathered, aggregated and back-propagated
-every epoch, which makes oracle == product the independent check of the
-product's frozen-layer-0 replay.
+It shares **data, not code** with the product, and not the graph either:
+each rank's adjacency shard, its row blocks and its ``A^T`` are the oracle's
+own cuts of ``built.scheme.permuted_adjacency(a_norm, version)`` by the
+layer's ``LayerSharding.a_row_slice`` / ``a_col_slice`` and
+``block_slices``.  A built :class:`~repro.core.model.PlexusGCN` is read for
+the modeled kernel-time vectors (``_t_*``, ``_nnz_a``), the noise sampler,
+copies of the initial W / F0 shards and the label / mask / class slices; no
+method of ``PlexusGCN``, ``PlexusLayer``, ``PlexusTrainer`` or
+``AxisCommunicator`` is ever called, so the model is never run.  Nothing is
+memoised: a frozen layer 0 is gathered, aggregated and back-propagated every
+epoch, which makes oracle == product the independent check of the product's
+frozen-layer-0 replay.
 
 The GEMMs go through :func:`~repro.core.batch.batched_matmul` and the
-unblocked SpMMs through ``BlockDiagSpmm.apply`` (value-identical to a plain
-per-rank loop; they hand BLAS / CSR the operand layouts the stacked product
-uses, which is what bitwise float64 equality needs).
+unblocked SpMMs through the oracle's own ``BlockDiagSpmm(shards).apply``
+(value-identical to a plain per-rank loop; they hand BLAS / CSR the operand
+layouts the stacked product uses, which is what bitwise float64 equality
+needs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import batched_matmul
+from repro.core.batch import BlockDiagSpmm, batched_matmul
 from repro.core.model import PlexusGCN
 from repro.core.trainer import EpochStats, TrainResult
 from repro.dist.comm import communicator
 from repro.nn.functional import relu, relu_grad
 from repro.nn.optim import Adam
 from repro.sparse.ops import spmm
+from repro.sparse.partition import block_slices, csr_block
 
 __all__ = ["PerRankOracle", "GroupHandles", "map_groups"]
 
@@ -77,15 +80,25 @@ def map_groups(grid, axis, method: str, per_rank, /, **kw) -> GroupHandles:
 
 
 class _Layer:
-    """The oracle's side of one layer: its own weight shards and transposed
-    adjacency shards, and the built product layer it reads shards / plans /
-    kernel times from."""
+    """The oracle's side of one layer: its own weight shards and adjacency
+    cuts (per rank: the shard, its row blocks, its transpose), and the built
+    product layer it reads kernel times from."""
 
-    def __init__(self, built) -> None:
+    def __init__(self, built, a, blocks: int) -> None:
         self.data = built
         self.roles = built.roles
         self.w_shards = [w.copy() for w in built.w_shards]
-        self.at_shards = [a.T.tocsr() for a in built.a_shards]  # its own A^T, per rank
+        grid, sharding = built.grid, built.sharding
+        self.a_shards = [
+            csr_block(a, sharding.a_row_slice(grid, r), sharding.a_col_slice(grid, r))
+            for r in range(grid.world_size)
+        ]
+        self.spmm_a = BlockDiagSpmm(self.a_shards)
+        self.a_blocks = [
+            [csr_block(s, sl, slice(0, s.shape[1])) for sl in block_slices(s.shape[0], blocks)]
+            for s in self.a_shards
+        ]
+        self.at_shards = [s.T.tocsr() for s in self.a_shards]
 
 
 class PerRankOracle:
@@ -99,7 +112,13 @@ class PerRankOracle:
         self.grid = built.grid
         self.options = opts = built.options
         self.world = self.grid.world_size
-        self.layers = [_Layer(layer) for layer in built.layers]
+        scheme, perm_a = built.scheme, {}  # the permuted adjacency per version (Sec. 5.1)
+        self.layers = []
+        for i, layer in enumerate(built.layers):
+            version = i % 2 if scheme.kind == "double" else 0
+            if version not in perm_a:
+                perm_a[version] = scheme.permuted_adjacency(a_norm, version).astype(built.dtype)
+            self.layers.append(_Layer(layer, perm_a[version], opts.aggregation_blocks))
         self.f0_shards = [f.copy() for f in built.f0_shards]
         self.label_shards = built.label_shards
         self.mask_shards = built.mask_shards
@@ -147,13 +166,13 @@ class PerRankOracle:
         # lines 4-5: H = SpMM(A, F); all-reduce across the X-parallel group
         if blocks == 1:
             self._charge_spmm(d._t_spmm_fwd, d._nnz_a, "comp:spmm_fwd", layer, 0)
-            h = self._map(roles.x, "all_reduce", d._bd_a.apply(f), phase="all_reduce_h").wait()
+            h = self._map(roles.x, "all_reduce", layer.spmm_a.apply(f), phase="all_reduce_h").wait()
         else:
             # Sec. 5.2: per row block; eager waits each reduce before the
             # next block's SpMM, overlap joins them all after the last one
             pending, parts = [], []
             for b in range(blocks):
-                shards = [d._a_blocks[r][b] for r in range(world)]
+                shards = [layer.a_blocks[r][b] for r in range(world)]
                 nnz = [a.nnz for a in shards]
                 self._charge_spmm(d._t_spmm_blocks[b], nnz, "comp:spmm_fwd", layer, 0, b)
                 partial = [spmm(shards[r], f[r]) for r in range(world)]

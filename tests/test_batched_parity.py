@@ -307,6 +307,15 @@ class TestBatchPrimitives:
         with pytest.raises(ValueError, match="valid rows"):
             plan.apply_batched(short)
 
+    def test_block_diag_spmm_rejects_a_pad_below_a_shard(self, rng):
+        """A pad shorter than a shard's output rows is refused when the plan
+        is built, by rank — not as a broadcast error in ``apply_batched``."""
+        shards = [random_sparse(4 + (r % 2), 5, 0.4, rng) for r in range(4)]
+        with pytest.raises(ValueError, match="rank 1: shard has 5 rows, more than the pad 4"):
+            BlockDiagSpmm(shards, pad=4)
+        out = BlockDiagSpmm(shards, pad=5).apply_batched(rng.standard_normal((4, 5, 2)))
+        assert out.rows.tolist() == [4, 5, 4, 5]
+
     def test_block_diag_spmm_padded(self, rng):
         """Ragged A rows *and* ragged F cols through one padded plan."""
         ks = [4 + (r % 2) for r in range(6)]

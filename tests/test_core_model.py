@@ -5,19 +5,13 @@ demonstrates and these tests assert to float64 tolerance."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
 from repro.dist import PERLMUTTER, VirtualCluster
 from repro.nn import Adam, SerialGCN
 
 ATOL = 1e-9
-
-
-def layer_adjacency(model, layer, a_norm):
-    """The permuted global adjacency ``layer`` was cut from, recomputed (the
-    model keeps none)."""
-    version = layer.layer_idx % 2 if model.scheme.kind == "double" else 0
-    return model.scheme.permuted_adjacency(a_norm, version).astype(model.dtype)
 
 
 def _serial_losses(ds, dims, epochs, lr=1e-2, trainable=False, seed=0):
@@ -147,48 +141,59 @@ class TestModelStructure:
         _, m8 = _plexus_losses(ds, dims, GridConfig(2, 2, 2), epochs=1)
         assert max(m8.memory_per_rank()) < max(m2.memory_per_rank())
 
-    def test_replica_ranks_share_adjacency_shards_but_are_billed_for_them(self):
-        """Ranks along a layer's y-role hold the same ``(row, col)`` block of
-        A: it is cut once and the ``csr_matrix`` object is shared — with one
-        aggregation block the row-block list aliases the shard — every SpMM
-        plan (A and A^T) stores one block per distinct shard, and
-        ``memory_per_rank`` still bills every rank its own copy (values
-        pinned from the per-rank cut of an earlier commit)."""
+    @pytest.mark.parametrize(
+        "cfg, n, dims, opts, memory",
+        [
+            (GridConfig(4, 4, 4), 128, [32, 32, 32, 16], {},
+             ([2180, 2052, 1652, 2388, 2044, 1940, 1668, 2308], 119360)),
+            (GridConfig(2, 2, 2), 49, [8, 8, 8, 4], {"permutation": "none"}, None),
+            (GridConfig(2, 2, 2), 72, [8] * 5 + [4],
+             {"aggregation_blocks": 4, "permutation": "single"}, None),
+            (GridConfig(2, 2, 2), 72, [8] * 5 + [4], {"permutation": "double"}, None),
+        ],
+        ids=["X4Y4Z4", "padded", "blocks", "double"],
+    )
+    def test_shards_cut_from_the_plans_are_the_oracles_cut(self, cfg, n, dims, opts, memory):
+        """No layer stores a shard list: ``layer.a_shards`` is cut back out of
+        its forward plan (whole or per row block) and equals the oracle's own
+        cut of the permuted adjacency bitwise, one object per distinct
+        ``(row, col)`` block of A — ranks along the y-role share it — while
+        ``memory_per_rank`` still bills every rank its own copy (values pinned
+        from the per-rank cut of an earlier commit), also once layer 0 has
+        released its plan."""
+        from oracle import PerRankOracle
+
         from repro.graph.features import degree_labels, random_split_masks, synth_features
         from repro.graph.generators import rmat_graph
         from repro.sparse.ops import gcn_normalize
 
-        cfg, n, dims = GridConfig(4, 4, 4), 128, [32, 32, 32, 16]
         a = gcn_normalize(rmat_graph(n, avg_degree=6, seed=7))
         mask, _, _ = random_split_masks(n, seed=10)
-        model = PlexusGCN(
-            VirtualCluster(cfg.total, PERLMUTTER), cfg, a,
-            synth_features(n, dims[0], seed=8, dtype=np.float32),
+        args = (
+            cfg, a, synth_features(n, dims[0], seed=8, dtype=np.float32),
             degree_labels(a, dims[-1], seed=9), mask, dims,
-            PlexusOptions(seed=0, compute_dtype=np.float32),
+            PlexusOptions(seed=0, compute_dtype=np.float32, **opts),
         )
-        for layer in model.layers:
-            assert len({id(s) for s in layer.a_shards}) == 16  # 64 ranks / Gy-role 4
-            assert all(blocks == [shard] for blocks, shard in zip(layer._a_blocks, layer.a_shards))
-            a_layer = layer_adjacency(model, layer, a)
-            for r, shard in enumerate(layer.a_shards):
+        model = PlexusGCN(VirtualCluster(cfg.total, PERLMUTTER), *args)
+        oracle = PerRankOracle(VirtualCluster(cfg.total, PERLMUTTER), *args)
+        for layer, ours in zip(model.layers, oracle.layers):
+            assert not any(
+                isinstance(v, list) and any(sp.issparse(x) for x in v) for v in vars(layer).values()
+            )
+            shards, by_block = layer.a_shards, {}
+            for r, (shard, cut) in enumerate(zip(shards, ours.a_shards)):
                 rows = layer.sharding.a_row_slice(model.grid, r)
                 cols = layer.sharding.a_col_slice(model.grid, r)
-                assert (shard != a_layer[rows, cols]).nnz == 0
-        # builds the plans: 3 forward, 2 backward (frozen layer 0), of which
-        # layer 0's forward one is released after its first backward
-        PlexusTrainer(model).train_epoch()
-        plans = [
-            bd for layer in model.layers for plan in (layer._bd_a, layer._bd_at)
-            for bd in plan._stacked_plans.values()
-        ]
-        assert len(plans) == 4
-        for bd in plans:  # a.nnz per plan, where the per-rank block CSR held 4 x
-            assert len(bd.data) == a.nnz and bd.nnz == 4 * a.nnz
-        assert not hasattr(model, "_perm_a") and not hasattr(model.layers[0], "at_shards")
-        memory = model.memory_per_rank()
-        assert memory[:8] == [2180, 2052, 1652, 2388, 2044, 1940, 1668, 2308]
-        assert sum(memory) == 119360
+                assert by_block.setdefault((rows.start, cols.start), shard) is shard
+                assert shard.shape == cut.shape
+                assert np.array_equal(shard.indptr, cut.indptr)
+                assert np.array_equal(shard.indices, cut.indices)
+                assert shard.data.tobytes() == cut.data.tobytes()
+            assert len({id(s) for s in shards}) == len(by_block) == cfg.total // cfg.size(layer.roles.y)
+        if memory is not None:
+            PlexusTrainer(model).train_epoch()
+            assert model.memory_per_rank()[:8] == memory[0]
+            assert sum(model.memory_per_rank()) == memory[1]
 
     def test_quickstart_memory_per_rank_is_pinned(self):
         """The *simulated* per-GPU bytes (adjacency + weight + feature
@@ -210,14 +215,17 @@ class TestModelStructure:
     def test_the_graph_is_stored_once(self):
         """Memory guard (N = 8 192 R-MAT, X2Y2Z2, float32, ``tracemalloc``
         from model construction on): what the process holds after two
-        epochs and the peak of the third stay under 0.65 x what the per-rank
-        block plans, the stored A^T, the stored permuted adjacency and caches
-        held to the end of ``backward`` cost (35 397 971 / 50 634 551 B),
-        less the 1.6 MB forward plan a frozen layer 0 releases after epoch 1
-        (measured 17 930 707 -> 16 253 171 / 31 055 602 -> 29 376 981 B)."""
+        epochs and the peak of the third stay within 2 % of what the SpMM
+        plans alone cost as the graph's only copy (measured 10 960 407 /
+        24 084 564 B; 16 252 935 / 29 377 035 B when the per-rank shard sets
+        were kept beside them, 35 397 971 / 50 634 551 B with per-rank block
+        plans, a stored A^T and a stored permuted adjacency).  A frozen
+        layer 0 holds no plan once its one forward has run, and its released
+        plan refuses any use."""
         import gc
         import tracemalloc
 
+        from repro.errors import PlanReleased
         from repro.graph.features import degree_labels, random_split_masks, synth_features
         from repro.graph.generators import rmat_graph
         from repro.sparse.ops import gcn_normalize
@@ -235,6 +243,11 @@ class TestModelStructure:
                 PlexusOptions(seed=0, compute_dtype=np.float32),
             )
             trainer = PlexusTrainer(model)
+            model.forward()
+            layer0 = model.layers[0]
+            assert layer0._bd_at is None and [plan.nbytes for _, _, plan in layer0._agg_steps] == [0]
+            with pytest.raises(PlanReleased):
+                layer0.a_shards
             trainer.train(2)
             gc.collect()
             steady = tracemalloc.get_traced_memory()[0]
@@ -243,11 +256,10 @@ class TestModelStructure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert steady <= 21_400_000 and peak <= 31_300_000, (steady, peak)
-        # ... of which the graph: three shard sets, two forward plans (layer 0's
-        # is released) and two backward ones, each a.nnz (float32, int32) pairs
-        # and its row pointers
-        assert 7 * (8 * a.nnz) <= model.adjacency_bytes() <= 7 * (8 * a.nnz) + 2**20
+        assert steady <= 11_200_000 and peak <= 24_600_000, (steady, peak)
+        # ... of which the graph: two forward plans (layer 0's is released)
+        # and two A^T ones, each a.nnz (float32, int32) pairs and its row pointers
+        assert 4 * (8 * a.nnz) <= model.adjacency_bytes() <= 4 * (8 * a.nnz) + 2**20
 
     def test_invalid_layer_dims(self, ds):
         cluster = VirtualCluster(8, PERLMUTTER)

@@ -213,11 +213,10 @@ class TestReplayIsLive:
 
 
 class TestFrozenPlansReleased:
-    """A frozen layer 0 never multiplies again after its first forward: its
-    first backward releases the forward SpMM plans it built — unless a later
-    layer multiplies with the same ones (layer 3 on one permutation version;
-    the default ``"double"`` gives it its own shard-cache entry).  The shards
-    stay: the oracle multiplies with them."""
+    """A frozen layer 0 never multiplies again after its first forward, which
+    releases the forward SpMM plans — unless a later layer multiplies with the
+    same ones (layer 3 on one permutation version; the default ``"double"``
+    gives it its own shard-cache entry).  The oracle multiplies its own cuts."""
 
     @pytest.mark.parametrize("blocks", [1, 4])
     @pytest.mark.parametrize(
@@ -235,9 +234,10 @@ class TestFrozenPlansReleased:
         product, oracle = PlexusTrainer(build(PlexusGCN)), build(PerRankOracle)
         rp, ro = product.train(EPOCHS), oracle.train(EPOCHS)
         layers = product.model.layers
-        built = [[plan._stacked_plans != {} for _, _, plan in la._agg_steps] for la in layers]
-        assert built == [[kept] * blocks] + [[True] * blocks] * (len(layers) - 1)
-        assert any(la._bd_a is layers[0]._bd_a for la in layers[1:]) == kept
+        held = [[plan.nbytes > 0 for _, _, plan in la._agg_steps] for la in layers]
+        assert held == [[kept] * blocks] + [[True] * blocks] * (len(layers) - 1)
+        first = layers[0]._agg_steps[0][2]
+        assert any(la._agg_steps[0][2] is first for la in layers[1:]) == kept == layers[0].plans_shared
         _assert_same_run(product.model, rp, oracle, ro)
 
 

@@ -67,6 +67,7 @@ from repro.nn.functional import relu
 from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer, worker_slice
 from repro.runtime import checkpoint as ckpt
 from repro.sparse.ops import gcn_normalize, spmm
+from repro.sparse.partition import block_slices, csr_block
 
 GRIDS = [GridConfig(8, 1, 1), GridConfig(2, 1, 4), GridConfig(1, 1, 8), GridConfig(2, 3, 2)]
 #: every subset of the cube axes (z, x, y) an operand can be replicated along
@@ -362,8 +363,8 @@ def _plan_cases(draw):
 
 
 class TestPlansStoreEachShardOnce:
-    """Replica-free block plans against the per-rank products, on the shards
-    and plans a real ``PlexusLayer`` builds."""
+    """Replica-free block plans against the per-rank products of the test's
+    own shard cuts, on the plans a real ``PlexusLayer`` builds."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=_plan_cases())
@@ -402,22 +403,28 @@ class TestPlansStoreEachShardOnce:
             return per_rank, [full, CubeStack(full.cube[tuple(one)], grid.cube, full.rows, full.cols)]
 
         def check(plan: BlockDiagSpmm, blocks, per_rank, stacks):
-            for stack in stacks:
+            for stack in stacks:  # the first bakes its offsets in place, the second re-offsets a copy
                 out = plan.apply_batched(stack)
                 for r in range(world):
                     assert np.array_equal(out[r], blocks[r] @ per_rank[r]), (r, stack.cube.shape)
-            distinct = {id(m): m.nnz for m in plan.shards}
+            cut = plan.shards  # read back from the plan, whatever it baked
+            for r in range(world):
+                assert cut[r] is cut[plan._first[r]] and (cut[r] != blocks[r]).nnz == 0
+            distinct = {id(m): m.nnz for m in cut}
             for bd in plan._stacked_plans.values():
                 assert len(bd.data) == sum(distinct.values())
-                assert bd.nnz == sum(m.nnz for m in plan.shards)
+                assert bd.nnz == sum(m.nnz for m in cut)
 
+        shards = [csr_block(a, sharding.a_row_slice(grid, r), sharding.a_col_slice(grid, r))
+                  for r in range(world)]
         f, f_stacks = operand(sharding.a_col_slice, roles.z)  # the gathered F: shared along z
         if case["blocks"] == 1:
-            check(layer._bd_a, layer.a_shards, f, f_stacks)
+            check(layer._bd_a, shards, f, f_stacks)
         for b, plan in enumerate(layer._bd_blocks):
-            check(plan, [blocks[b] for blocks in layer._a_blocks], f, f_stacks)
+            blocks = [csr_block(s, block_slices(s.shape[0], case["blocks"])[b], slice(None)) for s in shards]
+            check(plan, blocks, f, f_stacks)
         dh, dh_stacks = operand(sharding.a_row_slice, roles.x)  # the reduced dH: shared along x
-        check(layer._bd_at, [m.T.tocsr() for m in layer.a_shards], dh, dh_stacks)
+        check(layer._bd_at, [m.T.tocsr() for m in shards], dh, dh_stacks)
 
     def test_private_kernel_pin(self):
         """``spmm`` on a plan is ``block_csr @ X`` bitwise: the plan calls
@@ -432,7 +439,7 @@ class TestPlansStoreEachShardOnce:
                     for i in range(6)]
         shards = [distinct[r // 2] for r in range(12)]  # replicated along the last cube axis
         x = rng.standard_normal((12, 5, 4)).astype(np.float32)
-        plan = BlockDiagSpmm(shards)
+        plan = BlockDiagSpmm(shards, grid=grid)
         out = plan.apply_batched(CubeStack.of(x, grid))
         (bd,) = plan._stacked_plans.values()
         assert len(bd.data) == sum(m.nnz for m in distinct) and bd.nnz == 2 * len(bd.data)
