@@ -72,12 +72,12 @@ class PlexusOptions:
     #: waited at the top of the next forward) — same numerics, strictly
     #: less visible communication.
     prefetch_f0: bool = True
-    #: bound on simultaneously in-flight collectives per link (threaded to
-    #: ``ClockStore.max_inflight``).  ``None`` = unbounded (the historical
-    #: behavior).  When a link is saturated, issuing blocks: the group's
-    #: clocks advance to the time a slot frees, charged as communication
-    #: wait — deep overlap schedules lose exactly the overlap a real NIC's
-    #: bounded queue would deny them.
+    #: bound on simultaneously in-flight collectives per link, intra- or
+    #: inter-node, on every backend (threaded to ``ClockStore.max_inflight``).
+    #: ``None`` = unbounded (the historical behavior).  When a link is
+    #: saturated, issuing blocks: the group's clocks advance to the time a
+    #: slot frees, charged as communication wait — deep overlap schedules
+    #: lose exactly the overlap a bounded hardware queue would deny them.
     max_inflight: int | None = None
 
     def __post_init__(self) -> None:

@@ -281,8 +281,7 @@ class PlexusGrid:
         """Every ``ClockStore.links`` / ``link_queues`` key the collectives
         of the held groups touch (a slice: its planes' X / Y links and all
         the Z links) — what a restore keeps of a re-sliced cube's link books."""
-        slots = [self.comm(axis)._slots for axis in Axis]
-        return {k for s in slots for keys in (s.links, *s.queues) for k in keys}
+        return {k for axis in Axis for k in self.comm(axis)._slots.links}
 
     def group_of(self, rank: int, axis: Axis) -> ProcessGroup:
         """The process group containing ``rank`` along ``axis``."""

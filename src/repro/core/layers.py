@@ -224,9 +224,14 @@ class PlexusLayer:
             keys.append((rs.start, rs.stop, cs.start, cs.stop))
         billed: dict[tuple, int] = {}
 
-        def shard(key) -> sp.csr_matrix:
-            cut = csr_block(a_global, slice(*key[:2]), slice(*key[2:]))
-            billed[key] = cut.data.nbytes + cut.indices.nbytes + cut.indptr.nbytes
+        def block(key, b: int) -> sp.csr_matrix:
+            """Row block ``b`` of the shard, cut straight from ``a_global``.
+            Together the blocks bill the whole shard's CSR bytes: the same
+            values and indices, and an indptr with one entry per row plus one."""
+            rows = block_slices(key[1] - key[0], aggregation_blocks)[b]
+            cut = csr_block(a_global, slice(key[0] + rows.start, key[0] + rows.stop), slice(*key[2:]))
+            ptr = cut.indptr.itemsize
+            billed[key] = billed.get(key, ptr) + cut.data.nbytes + cut.indices.nbytes + cut.indptr.nbytes - ptr
             return cut
 
         def plan(name, cut, pad: int) -> BlockDiagSpmm:
@@ -234,25 +239,21 @@ class PlexusLayer:
                 plans[name] = BlockDiagSpmm(keys, pad, grid.cube, cut=cut)
             return plans[name]
 
-        if aggregation_blocks == 1:
-            self._bd_a, self._bd_blocks = plan("a", shard, rows_pad), []
-        else:
-            # Sec. 5.2: one plan per row block, so blocked aggregation drives
-            # one SpMM per block instead of ``world`` calls
-            self._bd_a, self._bd_blocks = None, [
-                plan(
-                    ("block", b),
-                    lambda key, b=b: csr_block(
-                        shard(key), block_slices(key[1] - key[0], aggregation_blocks)[b], slice(None)
-                    ),
-                    sl.stop - sl.start,
-                )
-                for b, sl in enumerate(block_slices(rows_pad, aggregation_blocks))
-            ]
+        # the forward plans, one per row block (Sec. 5.2: blocked aggregation
+        # drives one SpMM per block instead of ``world`` calls; one block is
+        # the unblocked layer)
+        self._bd_blocks = [
+            plan(("block", b), lambda key, b=b: block(key, b), sl.stop - sl.start)
+            for b, sl in enumerate(block_slices(rows_pad, aggregation_blocks))
+        ]
         # A^T is read by a backward that computes dF: never by a frozen layer 0
         self._bd_at = (
             None if is_first and not trainable_features
-            else plan("at", lambda key: shard(key).T.tocsr(), cols_pad)
+            else plan(
+                "at",
+                lambda key: csr_block(a_global, slice(*key[:2]), slice(*key[2:])).T.tocsr(),
+                cols_pad,
+            )
         )
         if "billed" not in plans:
             plans["billed"] = np.asarray([billed[key] for key in keys], dtype=np.int64)
@@ -282,9 +283,9 @@ class PlexusLayer:
     def a_shards(self) -> list[sp.csr_matrix]:
         """Each rank's adjacency shard, cut from the forward plan on demand
         (read-only; replica ranks share one object) — the layer stores none."""
-        if self._bd_a is not None:
-            return self._bd_a.shards
         per_block = [plan.shards for plan in self._bd_blocks]
+        if len(per_block) == 1:
+            return per_block[0]
         whole: dict[int, sp.csr_matrix] = {}
         for r, first in enumerate(per_block[0]):
             if id(first) not in whole:
@@ -308,10 +309,8 @@ class PlexusLayer:
         ac = extents["a_cols"]  # A cols = F rows (x-role block of N)
         fc = extents["f_cols"]  # F/H cols = gathered-W rows (y-role block of D_in)
         wc = extents["w_cols"]  # W/Q cols (x-role block of D_out)
-        fwd = self._bd_blocks or [self._bd_a]
-        nnz = self._nnz_a = sum(plan.rank_nnz for plan in fwd).astype(np.float64)
+        nnz = self._nnz_a = sum(plan.rank_nnz for plan in self._bd_blocks).astype(np.float64)
         cols = np.maximum(fc, 1.0)
-        self._t_spmm_fwd = spmm_time_batch(ar, ac, cols, nnz, device)
         self._t_spmm_bwd = spmm_time_batch(ac, ar, cols, nnz, device)
         self._t_gemm_fwd = _gemm_times(ar, wc, fc, device, GemmMode.NN)
         if self.tune_dw_gemm:
@@ -320,18 +319,15 @@ class PlexusLayer:
         else:
             self._t_gemm_dw = _gemm_times(fc, wc, ar, device, GemmMode.TN)
         self._t_gemm_dh = _gemm_times(ar, fc, wc, device, GemmMode.NT)
-        # blocked aggregation: one time vector per row block
+        # the forward aggregation: one time vector per row block
         block_nnz = [plan.rank_nnz.astype(np.float64) for plan in self._bd_blocks]
         self._t_spmm_blocks = [
             spmm_time_batch(plan.out_rows.astype(np.float64), ac, cols, bnnz, device)
             for plan, bnnz in zip(self._bd_blocks, block_nnz)
         ]
         #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
-        #: steps — one for the whole shard, or one per row block (Sec. 5.2)
-        if self._bd_a is not None:
-            self._agg_steps = [(self._t_spmm_fwd, nnz, self._bd_a)]
-        else:
-            self._agg_steps = list(zip(self._t_spmm_blocks, block_nnz, self._bd_blocks))
+        #: steps, one per row block (Sec. 5.2)
+        self._agg_steps = list(zip(self._t_spmm_blocks, block_nnz, self._bd_blocks))
 
     def _advance_spmm(self, times, nnz, step: int, bwd: bool, block: int = 0) -> None:
         """Charge one SpMM (forward aggregation ``block``, or the backward

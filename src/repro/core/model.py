@@ -224,7 +224,7 @@ class PlexusGCN:
         """CSR bytes this process stores for the graph: those of the SpMM
         plans, its only copy (the ``adjacency_bytes`` gauge;
         ``memory_per_rank`` is the *simulated* per-GPU footprint)."""
-        plans = {id(p): p for la in self.layers for p in (la._bd_a, la._bd_at, *la._bd_blocks)}
+        plans = {id(p): p for la in self.layers for p in (la._bd_at, *la._bd_blocks)}
         return sum(p.nbytes for p in plans.values() if p is not None)
 
     def memory_per_rank(self) -> list[int]:

@@ -92,18 +92,15 @@ class ClockStore:
       ``max(group ready time, link free time)``, which is what serializes two
       in-flight operations on the same axis link — they queue behind each
       other instead of magically overlapping.
-    * ``max_inflight`` optionally bounds the in-flight queue depth: when set
-      (``PlexusOptions.max_inflight`` threads it here), ``link_queues`` maps
-      each *queue key* to the sorted completion times of its in-flight ops,
-      and issuing on a saturated queue *blocks* — the issuing group's clocks
-      are lifted to the time a slot frees, with the wait charged to the
-      collective's comm phase.  Queue keys model where the bound physically
-      lives: an intra-node group queues on its own link (NVLink/IF DMA
-      queue), while an *inter-node* group occupies one slot on the shared
-      per-NIC (node-level) queue of **every node it touches** — all links of
-      a node contend for the same ``max_inflight`` slots, so sibling groups
-      interleaved on one node saturate each other (see
-      ``repro.dist.comm._queue_keys_for``).  The transfer schedule itself is
+    * ``max_inflight`` optionally bounds the in-flight ops *per link*: when
+      set (``PlexusOptions.max_inflight`` threads it here), ``link_queues``
+      maps each link key to the newest ``max_inflight`` completion times of
+      its ops (ascending: a link's transfers end in issue order), and
+      issuing on a saturated link *blocks* — the issuing group's clocks are
+      lifted to the time a slot frees, with the wait charged to the
+      collective's comm phase.  Intra- and inter-node links alike: no queue
+      is shared between links (contention between links is Eq. 4.6's
+      effective bandwidth, not a queue).  The transfer schedule itself is
       unchanged (ops already serialize on their link); what saturation costs
       is the *overlap*: compute that would have been issued behind the full
       queue can no longer start early.  ``None`` (the default) keeps the
@@ -134,8 +131,8 @@ class ClockStore:
         self.by_category: dict[str, np.ndarray] = {}
         #: link key -> busy-until time
         self.links: dict[object, float] = {}
-        #: link key -> ascending completion times of in-flight ops (only
-        #: maintained while ``max_inflight`` is set)
+        #: link key -> its newest ``max_inflight`` completion times, ascending
+        #: (only maintained while ``max_inflight`` is set)
         self.link_queues: dict[object, list[float]] = {}
         #: bound on in-flight ops per link (None = unbounded, no tracking)
         self.max_inflight: int | None = None

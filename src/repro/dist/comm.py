@@ -32,10 +32,10 @@ in between — bitwise identical (clocks *and* phase totals) to charging the
 full Eq. 4.5 cost the moment the collective is called.
 
 The timeline lives in **one schedule kernel**, :func:`_schedule`: (per-group
-ready times, per-group slot — link key, in-flight queue keys, member index
-into the local store — duration scalar-or-per-group, phase) → (begin, end).
-It does the slot wait, the ``begin = max(ready, link)`` reservation, the
-in-flight enqueue, the ``SimSink`` link events and the ``issue`` instant,
+ready times, per-group slot — link key, member index into the local store —
+duration scalar-or-per-group, phase) → (begin, end).  It does the in-flight
+wait, the ``begin = max(ready, link)`` reservation, the in-flight enqueue,
+the ``SimSink`` link events and the ``issue`` instant,
 and every path calls it: a :class:`GroupCommunicator` is one slot, an
 :class:`AxisCommunicator` is its groups' slots, and the worker-crossing Z
 axis of ``repro.runtime`` is the *same* :class:`AxisCommunicator` whose
@@ -90,13 +90,14 @@ One orthogonal extension rides on the same issue machinery:
 * **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
   set, each link tracks its in-flight completion times and an issue on a
   saturated link blocks: the issuing group's clocks are lifted to the time
-  a slot frees (charged to the collective's comm phase).  Transfers still
-  queue exactly as before; saturation only costs the overlap.
+  a slot frees (charged to the collective's comm phase).  The bound is per
+  link on every machine, intra- or inter-node: no queue is shared between
+  links, so one group's schedule never depends on a sibling's.  Transfers
+  still queue exactly as before; saturation only costs the overlap.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from typing import Sequence
 
 import numpy as np
@@ -173,43 +174,20 @@ def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
     return a.transpose(axes)
 
 
-def _queue_keys_for(group: ProcessGroup, key: str) -> tuple:
-    """The in-flight queue keys one collective on ``group`` occupies.
-
-    An *inter-node* group's traffic passes through the NIC of every node it
-    touches, so it takes one slot on each of those nodes' shared queues —
-    the per-NIC (node-level) bound: all links of a node contend for the
-    same ``max_inflight`` slots.  An *intra-node* group never crosses a NIC
-    (NVLink/IF DMA queues are per link), so it keeps the historical
-    per-link key.
-    """
-    nodes = sorted({m.node for m in group.members})
-    if len(nodes) > 1:
-        return tuple(("nic", n) for n in nodes)
-    return (key,)
-
-
 class _Slots:
     """Where the transfers of a set of groups land on the timeline.
 
     Per group — in keepdims-ravel order of the axis's off-axis cube, or the
-    one entry of a lone process group — its ``ClockStore.links`` key, the
-    in-flight queue keys one of its collectives occupies (see
-    :func:`_queue_keys_for`), and its members' index into the local
-    ``store.clocks``.  ``order`` is the sequence a bounded issue walks the
-    groups in (an axis: the order of its process-group list, which is the
-    order one :class:`GroupCommunicator` call per group would issue them in).
+    one entry of a lone process group — its ``ClockStore.links`` key (which
+    also names its in-flight queue) and its members' index into the local
+    ``store.clocks``.
     """
 
-    __slots__ = ("links", "queues", "members", "order", "trace")
+    __slots__ = ("links", "members")
 
-    def __init__(self, links, queues, members, order=None) -> None:
+    def __init__(self, links, members) -> None:
         self.links = tuple(links)
-        self.queues = tuple(queues)
         self.members = tuple(members)
-        self.order = tuple(range(len(self.links)) if order is None else order)
-        #: the ``SimSink`` names of the links (memoized: keys repeat every issue)
-        self.trace = tuple(("link", k) for k in self.links)
 
 
 def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> tuple:
@@ -223,73 +201,47 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
     ``begin = max(ready, link busy-until)`` to ``end = begin + duration``;
     returns ``(begin, end)`` shaped like ``ready``.
 
-    Unbounded queues (``store.max_inflight is None``) make the groups
-    independent, so all of them are reserved at once.  Under a bound the
-    groups go one at a time in ``slots.order``: each acquires its queue
-    slots, reserves its link, and registers its completion before the next
-    group issues.  The sequencing matters under the node-level NIC bound —
-    sibling groups of one axis can share a node's queue, so an earlier
-    group's issue may saturate a later group's.  A saturated group blocks:
-    its members are lifted to the time a slot frees on every one of its
-    queues (charged to ``phase``), which becomes its ready time.  Transfers
-    themselves still serialize via the ``links`` busy-until reservation —
-    saturation only delays the *issue*.
+    Under a bound (``store.max_inflight``) each link also keeps its newest
+    completions in ``store.link_queues``.  A link's transfers end in the
+    order they were issued, so it holds ``max_inflight`` ops past a group's
+    ready time exactly when its ``max_inflight``-th newest completion is
+    later: such a group blocks — its members are lifted to that completion
+    (charged to ``phase``), which becomes its ready time.  The groups of one
+    call sit on distinct links, so none waits on another's issue, and every
+    group is reserved at once either way.  Transfers themselves still
+    serialize via the ``links`` busy-until reservation — saturation only
+    delays the *issue*.
     """
     links = store.links
     limit = store.max_inflight
     sink = store.trace
-    if limit is None:
-        link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(ready.shape)
-        begin = np.maximum(ready, link)
-        end = begin + duration
-        for k, v in zip(slots.links, end.ravel()):
-            links[k] = float(v)
-        if sink is not None:
-            # begin/end are fresh per issue and never written in place (the
-            # pending record aliases them the same way)
-            sink.link_batch(slots.trace, phase, begin.ravel(), end.ravel())
-    else:
+    if limit is not None:
         queues = store.link_queues
-        shape = ready.shape
-        rf = ready.ravel()
-        # duration is a scalar or a keepdims cube array (per-group valid
-        # bytes): align it with ready's keepdims shape first
-        dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), shape).ravel()
-        begin = np.empty(rf.shape)
-        end = np.empty(rf.shape)
-        for gi in slots.order:
-            key, keys, idx = slots.links[gi], slots.queues[gi], slots.members[gi]
-            r = t = float(rf[gi])
-            # earliest time every queue has a free slot: ops completed by
-            # ``t`` are pruned; a queue still holding ``limit`` in-flight ops
-            # frees one when its ``limit``-th-newest entry completes
-            for k in keys:
-                q = queues.get(k)
-                if q:
-                    del q[: bisect_right(q, t)]
-                    if len(q) >= limit:
-                        t = max(t, q[len(q) - limit])
-            if t > r:
-                for k in keys:
-                    q = queues.get(k)
-                    if q:
-                        del q[: bisect_right(q, t)]
+        freed = np.asarray(
+            [q[-limit] if len(q) >= limit else 0.0 for q in (queues.get(k, ()) for k in slots.links)]
+        ).reshape(ready.shape)
+        lifted = np.flatnonzero(freed > ready)
+        if lifted.size:
+            ready = np.maximum(ready, freed)
+            flat = np.ravel(ready)
+            for gi in lifted:
+                idx, t = slots.members[gi], flat[gi]
                 store.record_idx(idx, phase, t - store.clocks[idx])
                 store.clocks[idx] = t
-            link = links.get(key, 0.0)
-            b = t if link <= t else link
-            e = b + float(dur[gi])
-            links[key] = e
-            if sink is not None:
-                sink.link(slots.trace[gi], phase, b, e)
-            # queues stay sorted: node-level (NIC) queues collect completion
-            # times from *different* links, which need not arrive ascending
-            for k in keys:
-                insort(queues.setdefault(k, []), e)
-            begin[gi] = b
-            end[gi] = e
-        begin = begin.reshape(shape)[()]
-        end = end.reshape(shape)[()]
+    link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(ready.shape)
+    begin = np.maximum(ready, link)
+    end = begin + duration
+    for k, v in zip(slots.links, end.ravel()):
+        links[k] = float(v)
+    if limit is not None:
+        for k in slots.links:
+            q = queues.setdefault(k, [])
+            q.append(links[k])
+            del q[:-limit]
+    if sink is not None:
+        # begin/end are fresh per issue and never written in place (the
+        # pending record aliases them the same way)
+        sink.link_batch(slots.links, phase, begin.ravel(), end.ravel())
     if _trace.enabled:
         _trace.instant("issue", phase=phase)
     return begin, end
@@ -564,10 +516,8 @@ class GroupCommunicator:
         if issue_overhead_s is None:
             issue_overhead_s = group.machine.issue_overhead_s
         self.issue_overhead_s = float(issue_overhead_s)
-        key = link_key(m.rank for m in group.members)
-        #: the group's one schedule slot (in-flight queue keys: node-level
-        #: NIC queues for inter-node groups, the private link key otherwise)
-        self._slots = _Slots((key,), (_queue_keys_for(group, key),), (group.member_idx,))
+        #: the group's one schedule slot
+        self._slots = _Slots((link_key(m.rank for m in group.members),), (group.member_idx,))
 
     # -- issue machinery -----------------------------------------------------
     def _issue(self, duration: float, phase: str, result) -> PendingCollective:
@@ -704,12 +654,8 @@ class AxisCommunicator:
     state and bounded in-flight queues are *replicated* per worker in the
     local :class:`ClockStore`, under the Z groups' own :func:`link_key` —
     deterministic inputs keep every replica bitwise consistent and equal to
-    the in-process entries.  Restriction (enforced loudly): every sharding
-    crosses the byte mover, but ``max_inflight`` composes only with
-    intra-node Z groups — the per-NIC node queue of an inter-node Z group
-    would be shared with worker-local links, which a replicated queue
-    cannot express (``repro.runtime.launch`` refuses that combination
-    before spawning).
+    the in-process entries, intra- or inter-node, since a queue belongs to
+    one link and no worker-local link shares it.
     """
 
     __slots__ = (
@@ -746,9 +692,9 @@ class AxisCommunicator:
             # every plane of the cube, locally and globally
             if d.axis != 0 or groups:
                 raise ValueError("a byte mover carries the group-less leading (Z) axis only")
-            keys = [link_key(range(gi, d.cube[0] * plane, plane)) for gi in range(plane)]
             self._slots = _Slots(
-                keys, [(k,) for k in keys], [slice(gi, None, plane) for gi in range(plane)]
+                [link_key(range(gi, d.cube[0] * plane, plane)) for gi in range(plane)],
+                [slice(gi, None, plane) for gi in range(plane)],
             )
             return
         # position of each group's slot in the keepdims link cube: unfold a
@@ -766,17 +712,11 @@ class AxisCommunicator:
         if sorted(positions) != list(range(keep[0] * keep[1] * keep[2])):
             raise ValueError("groups do not tile the axis's off-axis cube")
         # the groups' own slots, so stacked and group-wise operations on one
-        # axis serialize on its physical links (a bounded issue walks them
-        # in ``groups`` order, like one call per process group would)
+        # axis serialize on its physical links
         by_pos: list = [None] * len(positions)
         for pos, group in zip(positions, groups):
             by_pos[pos] = communicator(group)._slots
-        self._slots = _Slots(
-            [sl.links[0] for sl in by_pos],
-            [sl.queues[0] for sl in by_pos],
-            [sl.members[0] for sl in by_pos],
-            order=positions,
-        )
+        self._slots = _Slots([sl.links[0] for sl in by_pos], [sl.members[0] for sl in by_pos])
 
     # -- issue machinery -----------------------------------------------------
     def _gather(self, full_phase: str, stacked: CubeStack | None = None) -> tuple:

@@ -108,19 +108,12 @@ class TraceCollector:
                     ("idx", phase, [int(i) + lo for i in ev[2]], durs)
                 )
         # peers record the same shared-link windows; keep one copy of each.
-        # Batched entries (labels-tuple first element, one per axis issue —
-        # the sink's hot-path form) expand to flat windows here.
+        # The sink's entries (one per issue: labels, phase, begins, ends)
+        # expand to flat windows here.
         seen = set(self._sim_links)
-        for lnk in links:
-            if isinstance(lnk[0], (tuple, list)):
-                labels, phase, begins, ends = lnk
-                flat = [
-                    (label, phase, float(b), float(e))
-                    for label, b, e in zip(labels, begins, ends)
-                ]
-            else:
-                flat = [tuple(lnk)]
-            for window in flat:
+        for labels, phase, begins, ends in links:
+            for label, b, e in zip(labels, begins, ends):
+                window = (label, phase, float(b), float(e))
                 if window not in seen:
                     seen.add(window)
                     self._sim_links.append(window)

@@ -157,21 +157,20 @@ class SimSink:
     are IEEE float64, so replaying the events with the same numpy
     accumulation reproduces the store's phase buckets bit for bit.
 
-    Link reservations arrive through :meth:`link` from the schedule
+    Link reservations arrive through :meth:`link_batch` from the schedule
     kernel (``repro.dist.comm._schedule``) — the only place
-    ``store.links[key]`` is written — as ``(key, phase, begin, end)`` occupancy windows in simulated
+    ``store.links[key]`` is written — as occupancy windows in simulated
     seconds, which become the link-occupancy track of the exported trace.
     """
 
-    __slots__ = ("events", "links", "_labels", "_batch_labels")
+    __slots__ = ("events", "links", "_labels")
 
     def __init__(self) -> None:
         self.events: list[tuple] = []
         self.links: list[tuple] = []
-        # label caches: keys repeat every issue, so the string rendering
-        # happens once per distinct key, not once per reservation
+        # label cache: keys repeat every issue, so the string rendering
+        # happens once per distinct key tuple, not once per reservation
         self._labels: dict = {}
-        self._batch_labels: dict = {}
 
     # -- ClockStore.record_* mirrors ----------------------------------------
     def rec_at(self, i: int, phase: str, duration: float) -> None:
@@ -193,25 +192,19 @@ class SimSink:
         self.events.append(("idx", phase, idx, durations))
 
     # -- link occupancy ------------------------------------------------------
-    def link(self, key, phase: str, begin: float, end: float) -> None:
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = _link_label(key)
-        self.links.append((label, phase, float(begin), float(end)))
-
     def link_batch(self, keys: tuple, phase: str, begins, ends) -> None:
-        """One whole axis issue's reservations as a single entry.
+        """One issue's reservations — one per group, on the ``ClockStore.links``
+        keys ``keys`` — as a single entry.
 
         The hot path appends one tuple; per-group label rendering happens
         once per distinct ``keys`` tuple and window expansion happens at
         collection time (:meth:`TraceCollector.add_sim`), off the training
         loop.  ``begins``/``ends`` are flat per-group vectors (ndarray or
-        list).  A batch entry is ``(labels_tuple, phase, begins, ends)``
-        — distinguishable from a single window by its tuple first element.
+        list).  An entry is ``(labels_tuple, phase, begins, ends)``.
         """
-        labels = self._batch_labels.get(keys)
+        labels = self._labels.get(keys)
         if labels is None:
-            labels = self._batch_labels[keys] = tuple(_link_label(k) for k in keys)
+            labels = self._labels[keys] = tuple(f"link:{k}" for k in keys)
         self.links.append((labels, phase, begins, ends))
 
     # -- lifecycle -----------------------------------------------------------
@@ -225,9 +218,3 @@ class SimSink:
         self.clear()
         return ev, ln
 
-
-def _link_label(key) -> str:
-    """A stable human-readable name for a ``ClockStore.links`` key."""
-    if isinstance(key, tuple):
-        return ":".join(str(k) for k in key)
-    return str(key)

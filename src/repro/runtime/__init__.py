@@ -36,12 +36,13 @@ zero-copy shared-memory tensor transport underneath the existing
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
 on every sharding, divisible or padded (quasi-equal shards cross the bus
-with their valid extents), eager or overlap schedules, ``evaluate()``
-included; the in-process simulator remains the parity oracle.  Refused
-at construction, typed, before an epoch runs: ``max_inflight`` with
-inter-node Z groups and a fault plan aimed at the other transport (by the
-launcher, before spawning), and a ``shard_dir`` with a node permutation
-(by ``worker.build_worker``, on either backend).
+with their valid extents), eager or overlap schedules, any ``max_inflight``
+bound (it is per link, so a Z link's queue is replicated like its
+busy-until time), ``evaluate()`` included; the in-process simulator
+remains the parity oracle.  Refused at construction, typed, before an
+epoch runs: a ``shard_dir`` with a node permutation (by
+``worker.build_worker``, on either backend) and a fault plan aimed at the
+other transport (by the launcher, before spawning).
 """
 
 from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints

@@ -191,17 +191,6 @@ def _worker_env(local_workers: int):
 def _validate_spec(spec: WorkloadSpec, transport: str) -> None:
     """Fail in the launcher, with a clear message, before spawning."""
     worker_slice(spec.config, spec.workers, 0)  # validates the worker count
-    # a Z group's members stride whole planes
-    cfg, plane = spec.config, spec.config.gx * spec.config.gy
-    if spec.options.max_inflight is not None and cfg.gz > 1 and any(
-        not spec.machine.group_is_intra_node([z * plane + off for z in range(cfg.gz)])
-        for off in range(plane)
-    ):
-        raise UnsupportedWorkload(
-            "max_inflight with inter-node Z-axis groups is not supported "
-            "on the multiproc backend (the shared per-NIC node queue "
-            "would span worker boundaries); use backend='inproc'"
-        )
     plan = next((p for p in spec.faults if p.transport not in (None, transport)), None)
     if plan is not None:
         raise UnsupportedWorkload(

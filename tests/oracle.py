@@ -165,7 +165,7 @@ class PerRankOracle:
             w_pending = self._gather_w(layer)
         # lines 4-5: H = SpMM(A, F); all-reduce across the X-parallel group
         if blocks == 1:
-            self._charge_spmm(d._t_spmm_fwd, d._nnz_a, "comp:spmm_fwd", layer, 0)
+            self._charge_spmm(d._t_spmm_blocks[0], d._nnz_a, "comp:spmm_fwd", layer, 0)
             h = self._map(roles.x, "all_reduce", layer.spmm_a.apply(f), phase="all_reduce_h").wait()
         else:
             # Sec. 5.2: per row block; eager waits each reduce before the

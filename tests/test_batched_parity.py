@@ -16,8 +16,10 @@ valid extents, divisible sharding is the case that pads nothing (``rows is
 None``), blocked aggregation runs per-block stacked SpMM plans.  The three
 hypothesis suites below pin the workload family (uniform, ragged, blocked
 incl. a 4-layer model) and draw the *product* of everything else:
-permutation, overlap, aggregation blocks, the in-flight bound, SpMM noise,
-trainable features and the grad-W GEMM form.  A uniform model whose stacks
+permutation, overlap, aggregation blocks, the in-flight bound and the
+machine beside it (LAPTOP: every link intra-node; PERLMUTTER, 4 GPUs per
+node: inter-node links on the grids past 4 ranks), SpMM noise, trainable features and the grad-W GEMM
+form.  A uniform model whose stacks
 carry *explicit* all-valid extents must train bitwise like the one built
 with ``rows=None``: same algebra, the plans just observe nothing to cut.
 """
@@ -38,7 +40,7 @@ from repro.core.batch import (
     stack_matmul,
     stack_shards,
 )
-from repro.dist import PERLMUTTER, VirtualCluster
+from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.sparse.ops import gcn_normalize, random_sparse
@@ -64,6 +66,7 @@ OPTIONS = st.fixed_dictionaries(
         "overlap": st.booleans(),
         "aggregation_blocks": st.sampled_from([1, 3, 4]),
         "max_inflight": st.sampled_from([None, 1, 2]),
+        "machine": st.sampled_from([LAPTOP, PERLMUTTER]),
         "noise": st.booleans(),
         "trainable_features": st.booleans(),
         "tune_dw_gemm": st.booleans(),
@@ -96,13 +99,15 @@ def _spell_out_extents(model: PlexusGCN) -> None:
         setattr(owner, name, explicit(getattr(owner, name)))
 
 
-def _train(build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, prepare=None, **opts):
+def _train(
+    build, data, cfg, dims=DIMS, epochs=3, dtype=np.float64, prepare=None, machine=PERLMUTTER, **opts
+):
     """Train ``build`` — ``PlexusGCN`` (the product, under ``PlexusTrainer``)
-    or ``PerRankOracle`` — and return ``(model, result, cluster)``."""
+    or ``PerRankOracle`` — on ``machine`` and return ``(model, result, cluster)``."""
     a, feats, labels, mask = data
     if opts.pop("noise", False):  # one sampler per run: the stream is stateful
         opts["noise"] = SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11)
-    cluster = VirtualCluster(cfg.total, PERLMUTTER)
+    cluster = VirtualCluster(cfg.total, machine)
     model = build(
         cluster, cfg, a, feats.astype(dtype), labels, mask, dims,
         PlexusOptions(seed=0, compute_dtype=dtype, **opts),

@@ -290,26 +290,16 @@ class TestBoundedInflight:
         assert rb.losses == rp.losses
         assert np.array_equal(cb.clocks, cp.clocks)
 
-    def test_eager_schedule_unaffected_by_limit_intra_node(self):
-        """Issue-then-wait leaves at most one op in flight *per link*, and
-        on a single-node machine every queue is per link, so a bound of 1
-        changes nothing on the eager schedule.  (On multi-node machines
-        sibling groups share a node's NIC queue and can contend even when
-        each is waited eagerly — their simulated issue times interleave —
-        so only the intra-node invariant survives the per-NIC refinement.)"""
-        _, r1, c1, w1 = _train(GridConfig(2, 2, 2), overlap=False, max_inflight=1,
-                               machine=LAPTOP)
-        _, r2, c2, w2 = _train(GridConfig(2, 2, 2), overlap=False, machine=LAPTOP)
-        assert r1.losses == r2.losses
-        assert np.array_equal(c1.clocks, c2.clocks)
-
-    def test_eager_losses_unaffected_by_limit_inter_node(self):
-        """The NIC bound only reschedules: losses and weights stay bitwise
-        identical on multi-node machines even when the bound bites."""
-        _, r1, _, w1 = _train(GridConfig(2, 2, 2), overlap=False, max_inflight=1)
-        _, r2, _, w2 = _train(GridConfig(2, 2, 2), overlap=False)
+    @pytest.mark.parametrize("machine", [LAPTOP, PERLMUTTER], ids=["intra-node", "inter-node"])
+    def test_eager_schedule_unaffected_by_limit(self, machine):
+        """Issue-then-wait leaves at most one op in flight per link, and the
+        bound is per link on every machine, so a bound of 1 changes nothing
+        on the eager schedule: losses, weights and clocks bitwise."""
+        _, r1, c1, w1 = _train(GridConfig(2, 2, 2), overlap=False, max_inflight=1, machine=machine)
+        _, r2, c2, w2 = _train(GridConfig(2, 2, 2), overlap=False, machine=machine)
         assert r1.losses == r2.losses
         assert np.array_equal(w1, w2)
+        assert np.array_equal(c1.clocks, c2.clocks)
 
     def test_options_validation(self):
         with pytest.raises(ValueError, match="max_inflight"):
@@ -347,30 +337,26 @@ class TestBoundedInflight:
             rows = shards[r].shape[0]
             assert np.array_equal(out_s[-1][r, :rows], out_m[-1][r])
 
-    def test_inter_node_links_share_the_node_nic_queue(self, rng):
-        """The bound is per NIC, not per link: two *different* inter-node
-        groups touching the same nodes contend for one node-level queue, so
-        the second group's issue blocks behind the first's transfer."""
+    def test_inter_node_links_keep_private_queues(self, rng):
+        """The bound is per link on every machine: two *different* inter-node
+        groups touching the same nodes do not block each other at limit 1,
+        while a second issue on one of those links does."""
         from dataclasses import replace
 
         machine = replace(LAPTOP, gpus_per_node=2)  # ranks {0,1} / {2,3}
+        assert not machine.group_is_intra_node([0, 2])
         shards = [rng.standard_normal((256, 64)) for _ in range(2)]
-
-        def second_issue_clock(limit):
-            cluster = VirtualCluster(4, machine)
-            cluster.store.max_inflight = limit
-            # distinct groups, both spanning nodes 0 and 1
-            ga = communicator(_group(cluster, [0, 2]))
-            gb = communicator(_group(cluster, [1, 3]))
-            ha = ga.all_reduce(shards)
-            hb = gb.all_reduce(shards)  # saturated NIC queue -> blocks
-            clock = float(cluster.clocks[[1, 3]].min())
-            ha.wait()
-            hb.wait()
-            return clock
-
-        assert second_issue_clock(None) == 0.0
-        assert second_issue_clock(1) > 0.0
+        cluster = VirtualCluster(4, machine)
+        cluster.store.max_inflight = 1
+        ga = communicator(_group(cluster, [0, 2]))
+        gb = communicator(_group(cluster, [1, 3]))
+        handles = [ga.all_reduce(shards), gb.all_reduce(shards)]
+        assert cluster.max_clock() == 0.0  # the sibling's issue did not block
+        handles.append(ga.all_reduce(shards))  # a saturated link: blocks
+        assert float(cluster.clocks[[0, 2]].min()) > 0.0
+        assert not cluster.clocks[[1, 3]].any()
+        for h in handles:
+            h.wait()
 
     def test_intra_node_links_keep_private_queues(self, rng):
         """Intra-node groups never cross a NIC: two different intra-node
@@ -384,10 +370,10 @@ class TestBoundedInflight:
         ha.wait()
         hb.wait()
 
-    def test_stacked_axis_matches_groupwise_under_nic_bound(self, rng):
-        """The stacked path schedules its sibling groups sequentially under
-        the NIC bound, bitwise like one call per process group —
-        PERLMUTTER Z-axis groups of a (2, 2, 2) grid share the two nodes."""
+    def test_stacked_axis_matches_groupwise_under_inter_node_bound(self, rng):
+        """The stacked path schedules all its groups at once under the
+        per-link bound, bitwise like one call per process group —
+        PERLMUTTER Z-axis groups of a (2, 2, 2) grid cross the two nodes."""
         from repro.core.grid import PlexusGrid
 
         cfg = GridConfig(2, 2, 2)
@@ -412,7 +398,7 @@ class TestBoundedInflight:
         issue_m, final_m = run("map")
         assert np.array_equal(issue_s, issue_m)
         assert np.array_equal(final_s, final_m)
-        assert issue_s.max() > 0.0  # the NIC bound actually bit
+        assert issue_s.max() > 0.0  # the bound actually bit
 
 
 class TestMachineIssueOverhead:
@@ -669,35 +655,30 @@ class TestScheduleKernel:
     timeline; every communicator is a set of its slots."""
 
     @staticmethod
-    def _slots(n_groups, members, shared_nic, order):
+    def _slots(n_groups, members):
         from repro.dist.comm import _Slots
 
-        if shared_nic:  # inter-node groups: one slot on each touched node's NIC
-            queues = [(("nic", gi % 2), ("nic", 2)) for gi in range(n_groups)]
-        else:  # intra-node groups: the private link key
-            queues = [(gi,) for gi in range(n_groups)]
         idx = [slice(gi * members, (gi + 1) * members) for gi in range(n_groups)]
-        one = [_Slots((gi,), (queues[gi],), (idx[gi],)) for gi in range(n_groups)]
-        return _Slots(range(n_groups), queues, idx, order=order), one
+        one = [_Slots((gi,), (idx[gi],)) for gi in range(n_groups)]
+        return _Slots(range(n_groups), idx), one
 
     @given(
         n_groups=st.integers(1, 6),
         limit=st.sampled_from([None, 1, 2]),
         per_group=st.booleans(),
-        shared_nic=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_one_call_equals_sequential_one_group_calls(
-        self, n_groups, limit, per_group, shared_nic, seed
-    ):
+    def test_one_call_equals_sequential_one_group_calls(self, n_groups, limit, per_group, seed):
+        """One call for every group equals one call per group in any order:
+        each group has its own link and, under a bound, its own queue."""
         from repro.dist.cluster import ClockStore
         from repro.dist.comm import _schedule
 
         rng = np.random.default_rng(seed)
         members = 2
         order = rng.permutation(n_groups).tolist()
-        slots, one = self._slots(n_groups, members, shared_nic, order)
+        slots, one = self._slots(n_groups, members)
         stores = [ClockStore(n_groups * members) for _ in range(2)]
         for store in stores:
             store.max_inflight = limit

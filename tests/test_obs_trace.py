@@ -174,15 +174,11 @@ class TestSimSinkParity:
         trainer, cluster = _build_trainer(sink=sink)
         trainer.train(1)
         assert sink.links  # communicators reserved links through the sink
-        flat = []
-        for lnk in sink.links:
-            if isinstance(lnk[0], tuple):  # batched: one entry per axis issue
-                labels, phase, begins, ends = lnk
-                flat.extend(
-                    (label, phase, b, e) for label, b, e in zip(labels, begins, ends)
-                )
-            else:
-                flat.append(lnk)
+        flat = [  # one entry per issue: a window per group
+            (label, phase, b, e)
+            for labels, phase, begins, ends in sink.links
+            for label, b, e in zip(labels, begins, ends)
+        ]
         assert flat
         for label, phase, begin, end in flat:
             assert isinstance(label, str) and isinstance(phase, str)

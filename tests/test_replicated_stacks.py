@@ -418,8 +418,6 @@ class TestPlansStoreEachShardOnce:
         shards = [csr_block(a, sharding.a_row_slice(grid, r), sharding.a_col_slice(grid, r))
                   for r in range(world)]
         f, f_stacks = operand(sharding.a_col_slice, roles.z)  # the gathered F: shared along z
-        if case["blocks"] == 1:
-            check(layer._bd_a, shards, f, f_stacks)
         for b, plan in enumerate(layer._bd_blocks):
             blocks = [csr_block(s, block_slices(s.shape[0], case["blocks"])[b], slice(None)) for s in shards]
             check(plan, blocks, f, f_stacks)

@@ -5,7 +5,8 @@ sharded across OS worker processes over the shared-memory transport — must
 produce **bitwise-identical** losses, weights, per-rank clocks, and phase
 totals to ``backend="inproc"`` (the parity oracle) on every sharding —
 divisible or padded, with rows that tile the Z groups unevenly — eager and
-overlap schedules alike.  Also covered:
+overlap schedules alike, ``max_inflight`` bounds on intra- and inter-node Z
+links included.  Also covered:
 
 * the rendezvous transport (mailbox overflow path, uneven z-plane splits,
   single-worker degenerate bus, tcp);
@@ -17,7 +18,7 @@ overlap schedules alike.  Also covered:
 * the SpMM noise model: per-rank draws keyed by identity, so every backend
   and every worker count charges the in-process kernel times;
 * validation of the backend's restrictions before spawning (worker
-  counts, ``max_inflight`` with inter-node Z groups);
+  counts);
 * crash hygiene — a hard-killed worker or a failed build must leave no
   ``/dev/shm`` segment behind.
 """
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
-from repro.dist import LAPTOP, VirtualCluster
+from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
@@ -58,13 +59,13 @@ def _dataset(n=N_NODES, dims=DIMS, dtype=np.float64):
     return a, feats, labels, mask
 
 
-def _spec(cfg, workers, n=N_NODES, dims=DIMS, **opts):
+def _spec(cfg, workers, n=N_NODES, dims=DIMS, machine=LAPTOP, **opts):
     a, feats, labels, mask = _dataset(n, dims, opts.get("compute_dtype") or np.float64)
     return WorkloadSpec(
         config=cfg,
         layer_dims=list(dims),
         workers=workers,
-        machine=LAPTOP,
+        machine=machine,
         options=PlexusOptions(seed=0, **opts),
         adjacency=a,
         features=feats,
@@ -219,6 +220,33 @@ class TestPaddedParity:
         assert model.f0_stack.rows is not None
 
 
+class TestInterNodeBoundedParity:
+    """``max_inflight`` on inter-node Z links (PERLMUTTER: 4 GPUs per node,
+    so the Z groups of X2Y2Z2 join ranks ``r`` and ``r + 4`` across two
+    nodes): the bound is per link, so a Z link's queue is replicated in every
+    worker like its busy-until time, and the pool trains bitwise like
+    in-process.  The overlap cases lift issues on those links (layer 1's
+    x-role is Z: its per-block all-reduces queue there)."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"max_inflight": 1},
+            {"max_inflight": 1, "overlap": True, "aggregation_blocks": 2},
+            {"max_inflight": 2, "overlap": True, "aggregation_blocks": 3},
+        ],
+        ids=["eager-1", "overlap-blocked-1", "overlap-blocked-2"],
+    )
+    def test_shm(self, schedule):
+        _check(GridConfig(2, 2, 2), workers=2, machine=PERLMUTTER, **schedule)
+
+    def test_tcp(self):
+        _check(
+            GridConfig(2, 2, 2), workers=2, machine=PERLMUTTER, transport="tcp",
+            max_inflight=1, overlap=True, aggregation_blocks=2,
+        )
+
+
 class TestRuntimeSemantics:
     def test_worker_slice_geometry(self):
         cfg = GridConfig(2, 3, 4)  # plane = 6
@@ -302,34 +330,12 @@ class TestRuntimeSemantics:
         with pytest.raises(ValueError, match="backend"):
             build_trainer(_spec(GridConfig(2, 2, 2), 2), backend="gpu")
 
-    def test_inter_node_bounded_queue_refused_before_spawn(self, monkeypatch):
-        """``max_inflight`` with inter-node Z groups (PERLMUTTER: 4 GPUs per
-        node, the Z stride of X2Y2 spans nodes) is a typed refusal in the
-        launcher — no worker process is ever started."""
-        from dataclasses import replace
-
-        from repro.dist import PERLMUTTER
-        from repro.errors import UnsupportedWorkload
-
-        spawned = []
-        monkeypatch.setattr(
-            MultiprocTrainer, "_spawn_pool", lambda self, *a, **k: spawned.append(a)
-        )
-        spec = replace(_spec(GridConfig(2, 2, 2), 2, max_inflight=1), machine=PERLMUTTER)
-        with pytest.raises(UnsupportedWorkload, match="inter-node Z-axis"):
-            MultiprocTrainer(spec, timeout=60)
-        assert spawned == []
-        # the same bound on intra-node Z groups is accepted
-        MultiprocTrainer(_spec(GridConfig(2, 2, 2), 2, max_inflight=1), timeout=60).close()
-        assert len(spawned) == 1
-
     def test_train_plexus_backend_seam(self):
         """The one-call entry point routes through the runtime: same losses
         and epoch times from both backends on the configuration the
         performance model picks — for reddit's 41 classes a padded one."""
         from repro import select_best_config, train_plexus
         from repro.core import axis_roles
-        from repro.dist import PERLMUTTER
         from repro.graph import load_dataset
 
         ds = load_dataset("reddit", scale="tiny", seed=0)
