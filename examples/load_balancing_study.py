@@ -46,7 +46,7 @@ def main() -> None:
         # read before training: a frozen layer 0 drops its plan after one forward
         shard_nnz = [layer_shard.nnz for layer_shard in model.layers[0].a_shards]
         result = PlexusTrainer(model).train(5)
-        comp_per_rank = [r.timeline.total("comp:") for r in cluster]
+        comp_per_rank = cluster.category_totals("comp:").tolist()
         imb = max(comp_per_rank) / (sum(comp_per_rank) / len(comp_per_rank))
         nnz_imb = max(shard_nnz) / (sum(shard_nnz) / len(shard_nnz))
         rows.append([perm, f"{nnz_imb:6.3f}", f"{imb:6.3f}", f"{result.losses[-1]:.6f}"])

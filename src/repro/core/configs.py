@@ -64,14 +64,12 @@ class PlexusOptions:
     #: nonblocking-collective scheduling (Sec. 5.2): issue the per-block
     #: aggregation all-reduces and keep them in flight behind the next row
     #: block's SpMM, and prefetch each layer's W all-gather at the end of
-    #: the previous layer.  Losses and weights are bitwise identical either
-    #: way — only the simulated clocks (comm/comp breakdown) change.
+    #: the previous layer — with frozen input features also the layer-0 F
+    #: all-gather *across epochs* (issued at the end of backward, waited at
+    #: the top of the next forward).  Losses and weights are bitwise
+    #: identical either way — only the simulated clocks (comm/comp
+    #: breakdown) change.
     overlap: bool = False
-    #: with ``overlap=True`` and frozen input features, also prefetch the
-    #: layer-0 F all-gather *across epochs* (issued at the end of backward,
-    #: waited at the top of the next forward) — same numerics, strictly
-    #: less visible communication.
-    prefetch_f0: bool = True
     #: bound on simultaneously in-flight collectives per link, intra- or
     #: inter-node, on every backend (threaded to ``ClockStore.max_inflight``).
     #: ``None`` = unbounded (the historical behavior).  When a link is

@@ -30,8 +30,8 @@ With ``options.overlap=True`` the model drives the nonblocking collective
 schedules: each layer's W all-gather handle is issued at the end of the
 previous layer (forward) / previous backward step and waited where the
 consuming GEMM runs, blocked aggregation keeps its per-block all-reduces in
-flight behind the next block's SpMM, and (unless ``prefetch_f0`` is off or
-input features are trainable) the layer-0 F all-gather is prefetched
+flight behind the next block's SpMM, and (unless input features are
+trainable) the layer-0 F all-gather is prefetched
 *across epochs* — issued at the end of the backward pass so the transfer
 rides behind the backward tail and the epoch barrier, waited at the top of
 the next epoch's forward.  Losses and weights are bitwise independent of
@@ -293,11 +293,7 @@ class PlexusGCN:
         only the uncovered remainder.  Only valid when the gathered data
         cannot change before the next forward — i.e. input features are
         frozen."""
-        if (
-            not self.options.overlap
-            or not self.options.prefetch_f0
-            or self.options.trainable_features
-        ):
+        if not self.options.overlap or self.options.trainable_features:
             return None
 
         def issue() -> None:

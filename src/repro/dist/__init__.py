@@ -24,7 +24,7 @@ from repro.dist.topology import (
     MachineSpec,
     machine_by_name,
 )
-from repro.dist.cluster import ClockStore, Timeline, TimelineBreakdown, VirtualCluster, VirtualRank
+from repro.dist.cluster import ClockStore, VirtualCluster, VirtualRank
 from repro.dist.group import ProcessGroup, axis_bandwidth
 from repro.dist.collectives import (
     AxisComm,
@@ -55,8 +55,6 @@ __all__ = [
     "LAPTOP",
     "machine_by_name",
     "ClockStore",
-    "Timeline",
-    "TimelineBreakdown",
     "VirtualCluster",
     "VirtualRank",
     "ProcessGroup",

@@ -1,16 +1,16 @@
 """The virtual cluster: rank clocks and phase accounting as numpy arrays.
 
-Every rank of the simulation owns a scalar clock (simulated seconds) and a
-:class:`Timeline` that attributes every clock advance to a phase label of
-the form ``"category:detail"`` (``"comp:spmm_fwd"``, ``"comm:all_reduce_h"``,
-...).  The storage is *columnar*: one :class:`VirtualCluster` keeps a single
+Every rank of the simulation owns a scalar clock (simulated seconds), and
+every clock advance is attributed to a phase label of the form
+``"category:detail"`` (``"comp:spmm_fwd"``, ``"comm:all_reduce_h"``, ...).
+The storage is *columnar*: one :class:`VirtualCluster` keeps a single
 ``(world,)`` clock vector plus one ``(world,)`` accumulator per phase label
-and per category prefix, and each :class:`VirtualRank` / :class:`Timeline`
-is a lightweight view onto index ``r`` of those arrays.  That layout is what
-lets the rank-batched execution engine advance *every* rank of a collective
-step with a handful of vectorized operations (`advance_all`, `advance_at`,
-and the cube-reshaped straggler sync in ``repro.dist.collectives``) instead
-of ``world_size`` interpreter round-trips — the per-rank scalar API is kept
+and per category prefix, and each :class:`VirtualRank` is a lightweight
+view onto index ``r`` of those arrays.  That layout is what lets the
+rank-batched execution engine advance *every* rank of a collective step
+with a handful of vectorized operations (`advance_all` and the
+cube-reshaped straggler sync in ``repro.dist.collectives``) instead of
+``world_size`` interpreter round-trips — the per-rank scalar API is kept
 for tests and for code that genuinely acts on one rank.
 
 The trainer queries ``category_totals("comm:")`` / ``("comp:")`` for every
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 
-__all__ = ["TimelineBreakdown", "Timeline", "VirtualRank", "VirtualCluster"]
+__all__ = ["VirtualRank", "VirtualCluster"]
 
 
 #: phase label -> "category:" prefix, shared across all timelines.  Phase
@@ -59,19 +58,6 @@ def _category(phase: str) -> str:
         cat = phase.split(":", 1)[0] + ":"
         _CATEGORY_OF[phase] = cat
     return cat
-
-
-@dataclass(frozen=True)
-class TimelineBreakdown:
-    """Seconds per category: modeled kernels, communication, everything else."""
-
-    comp: float
-    comm: float
-    other: float
-
-    @property
-    def total(self) -> float:
-        return self.comp + self.comm + self.other
 
 
 class ClockStore:
@@ -277,73 +263,16 @@ class ClockStore:
         )
 
 
-class Timeline:
-    """Phase-attributed time totals of one rank — a view into a ClockStore.
-
-    ``total(prefix)`` hits the store's per-category / per-phase buckets for
-    the common queries (empty prefix, a category prefix, an exact phase
-    label) and only falls back to a scan over the *distinct* phase labels —
-    a few dozen at most, independent of event count — for arbitrary
-    prefixes.  A bare ``Timeline()`` owns a private single-rank store, so it
-    still works standalone.
-    """
-
-    __slots__ = ("_store", "_i")
-
-    def __init__(self, store: ClockStore | None = None, index: int = 0) -> None:
-        self._store = ClockStore(1) if store is None else store
-        self._i = index
-
-    def add(self, phase: str, duration: float) -> None:
-        """Record ``duration`` seconds attributed to ``phase``."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        self._store.record_at(self._i, phase, duration)
-
-    def total(self, prefix: str = "") -> float:
-        """Total seconds of all phases whose label starts with ``prefix``."""
-        store, i = self._store, self._i
-        if not prefix:
-            return float(sum(b[i] for b in store.by_category.values()))
-        hit = store.by_category.get(prefix)
-        if hit is not None:
-            return float(hit[i])
-        hit = store.by_phase.get(prefix)
-        if hit is not None and not any(
-            p.startswith(prefix) and p != prefix for p in store.by_phase
-        ):
-            return float(hit[i])
-        return float(
-            sum(b[i] for p, b in store.by_phase.items() if p.startswith(prefix))
-        )
-
-    def breakdown(self) -> TimelineBreakdown:
-        """Comp/comm/other split of everything recorded so far."""
-        store, i = self._store, self._i
-        comp_b = store.by_category.get("comp:")
-        comm_b = store.by_category.get("comm:")
-        comp = float(comp_b[i]) if comp_b is not None else 0.0
-        comm = float(comm_b[i]) if comm_b is not None else 0.0
-        grand = float(sum(b[i] for b in store.by_category.values()))
-        return TimelineBreakdown(comp=comp, comm=comm, other=grand - comp - comm)
-
-    def reset(self) -> None:
-        store, i = self._store, self._i
-        for bucket in store.by_phase.values():
-            bucket[i] = 0.0
-        for bucket in store.by_category.values():
-            bucket[i] = 0.0
-
-
 class VirtualRank:
-    """One simulated GPU: a clock, a timeline, and its place in the machine.
+    """One simulated GPU: a clock and its place in the machine.
 
-    Clock and timeline data live in the owning cluster's :class:`ClockStore`
-    (this object is a per-index view); a standalone ``VirtualRank`` gets a
-    private single-rank store.
+    Clock and phase totals live in the owning cluster's :class:`ClockStore`
+    (this object is a per-index view; ``cluster.category_totals(prefix)[r]``
+    reads a rank's totals); a standalone ``VirtualRank`` gets a private
+    single-rank store.
     """
 
-    __slots__ = ("rank", "node", "device", "timeline", "_store", "_i")
+    __slots__ = ("rank", "node", "device", "_store", "_i")
 
     def __init__(
         self,
@@ -358,7 +287,6 @@ class VirtualRank:
         self.device = device
         self._store = ClockStore(1) if store is None else store
         self._i = 0 if store is None else (rank if index is None else index)
-        self.timeline = Timeline(self._store, self._i)
 
     @property
     def clock(self) -> float:
@@ -438,13 +366,6 @@ class VirtualCluster:
         self.store.clocks += durations
         self.store.record_all(phase, durations)
 
-    def advance_at(self, idx: np.ndarray, durations: np.ndarray | float, phase: str) -> None:
-        """Advance the ranks in ``idx``; ``durations`` is scalar or matches ``idx``."""
-        if not isinstance(durations, np.ndarray) and durations < 0:
-            raise ValueError("duration must be non-negative")
-        self.store.clocks[idx] += durations
-        self.store.record_idx(idx, phase, durations)
-
     def barrier(self, phase: str = "comm:barrier") -> None:
         """Synchronize every clock to the cube-wide maximum — this process's
         own clocks, or behind a byte mover one exchange of every slice's —
@@ -465,7 +386,7 @@ class VirtualCluster:
         self.store.record_all(phase, waits)
 
     def reset(self) -> None:
-        """Zero every clock and timeline (between independent runs)."""
+        """Zero every clock and phase total (between independent runs)."""
         self.store.reset()
 
     def check_outstanding(self, allowed: tuple = ()) -> None:

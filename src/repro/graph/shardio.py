@@ -142,52 +142,60 @@ class ShardedDataLoader:
             start = stop
         return out
 
-    def _track(self, path: Path, t0: float) -> None:
+    def _read(self, path: Path, load):
+        t0 = time.perf_counter()
+        out = load(path)
         self.report.bytes_read += path.stat().st_size
         self.report.files_read += 1
         self.report.seconds += time.perf_counter() - t0
+        return out
+
+    def _row_blocks(self, rows: slice | np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """``(file row block, block-local row indices)`` for every block
+        ``rows`` — a slice or ascending node ids — meets, in row order.  An
+        empty selection yields block 0 with no rows, so results keep their
+        type and width."""
+        ids = np.arange(self.n_nodes)[rows] if isinstance(rows, slice) else np.asarray(rows)
+        starts = [0, *self._bounds("row")]
+        cuts = np.searchsorted(ids, starts)
+        hits = [
+            (i, ids[cuts[i] : cuts[i + 1]] - starts[i])
+            for i in range(len(starts) - 1)
+            if cuts[i] < cuts[i + 1]
+        ]
+        return hits or [(0, ids)]
 
     # -- loading ------------------------------------------------------------
-    def load_adjacency(self, rows: slice, cols: slice) -> sp.csr_matrix:
-        """Merge + trim the adjacency blocks overlapping ``rows x cols``."""
-        lo_r, hi_r = rows.start or 0, rows.stop
+    def load_adjacency(self, rows: slice | np.ndarray, cols: slice) -> sp.csr_matrix:
+        """Merge + trim the adjacency blocks overlapping ``rows x cols``;
+        ``rows`` is a slice or ascending node ids, and each file block is
+        read once."""
         lo_c, hi_c = cols.start or 0, cols.stop
-        row_blocks = self._overlapping(self._bounds("row"), lo_r, hi_r)
         col_blocks = self._overlapping(self._bounds("col"), lo_c, hi_c)
-        band_rows = []
-        for i, r_start, r_stop in row_blocks:
-            row_parts = []
-            for j, c_start, c_stop in col_blocks:
-                t0 = time.perf_counter()
-                path = _block_path(self.root, i, j)
-                block = sp.load_npz(path)
-                self._track(path, t0)
-                c_lo = max(lo_c - c_start, 0)
-                c_hi = min(hi_c, c_stop) - c_start
-                row_parts.append(block[:, c_lo:c_hi])
-            band = sp.hstack(row_parts, format="csr")
-            r_lo = max(lo_r - r_start, 0)
-            r_hi = min(hi_r, r_stop) - r_start
-            band_rows.append(band[r_lo:r_hi, :])
-        return sp.vstack(band_rows, format="csr")
+        bands = []
+        for i, local in self._row_blocks(rows):
+            parts = [
+                self._read(_block_path(self.root, i, j), sp.load_npz)[local][
+                    :, max(lo_c - c_start, 0) : min(hi_c, c_stop) - c_start
+                ]
+                for j, c_start, c_stop in col_blocks
+            ]
+            bands.append(sp.hstack(parts, format="csr"))
+        return sp.vstack(bands, format="csr")
 
-    def _load_rows(self, rows: slice, path_fn) -> np.ndarray:
-        lo, hi = rows.start or 0, rows.stop
-        parts = []
-        for i, start, stop in self._overlapping(self._bounds("row"), lo, hi):
-            t0 = time.perf_counter()
-            path = path_fn(self.root, i)
-            arr = np.load(path)
-            self._track(path, t0)
-            parts.append(arr[max(lo - start, 0) : min(hi, stop) - start])
-        return np.concatenate(parts, axis=0)
+    def _load_rows(self, rows: slice | np.ndarray, path_fn) -> np.ndarray:
+        return np.concatenate(
+            [self._read(path_fn(self.root, i), np.load)[local] for i, local in self._row_blocks(rows)],
+            axis=0,
+        )
 
-    def load_features(self, rows: slice) -> np.ndarray:
-        """Feature rows for ``rows`` (merging overlapping row blocks)."""
+    def load_features(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Feature rows for ``rows`` — a slice or ascending node ids —
+        merging overlapping row blocks."""
         return self._load_rows(rows, _feat_path)
 
-    def load_labels(self, rows: slice) -> np.ndarray:
-        """Label entries for ``rows``."""
+    def load_labels(self, rows: slice | np.ndarray) -> np.ndarray:
+        """Label entries for ``rows`` (a slice or ascending node ids)."""
         return self._load_rows(rows, _label_path)
 
     def load_full(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:

@@ -22,30 +22,27 @@ Actions:
 * ``"raise"``   — raise an exception inside the worker (exercises the
   traceback-threading path of the supervisor);
 * ``"delay"``   — sleep ``delay_s`` before proceeding (a late rendezvous
-  arrival; simulated clocks are wall-time independent, so results must
-  stay bitwise identical);
+  arrival — at ``pre_barrier`` over tcp, a stall before the exchange's
+  sends; simulated clocks are wall-time independent, so results must stay
+  bitwise identical);
 * ``"hang"``    — sleep effectively forever (a wedged worker; only the
   supervisor's heartbeat staleness check can catch it before the bus
   rendezvous timeout);
-* ``"corrupt"`` — flip one byte of the worker's freshly written payload —
-  the current mailbox slot, or its overflow segment (``transport="shm"``
-  only; valid at ``pre_barrier`` only: the payload exists and is not yet
-  published).  Every peer's checksum then raises
-  :class:`~repro.errors.PayloadCorruption` instead of consuming garbage.
+* ``"corrupt"`` — flip one byte of the worker's own payload (valid at
+  ``pre_barrier`` only: the payload exists and is not yet published): on
+  shm the written mailbox slot or its overflow segment, on tcp the
+  outgoing frame while its CRC still describes the original.  Every peer's
+  checksum then raises :class:`~repro.errors.PayloadCorruption` instead of
+  consuming garbage.
 
 Network actions (``transport="tcp"`` only; armed at ``pre_barrier``, the
-transport applies them to the exchange in flight; a plan aimed at the other
-transport is refused by the launcher before any worker spawns):
+transport applies them to the exchange in flight; a plan aimed at the shm
+bus is refused by the launcher before any worker spawns):
 
-* ``"drop_conn"``     — sever every peer socket once; the transport's
-  bounded reconnect/backoff must resume mid-epoch from the frame sequence
-  number, bitwise invisibly;
-* ``"delay_link"``    — stall the exchange's sends ``delay_s`` (wall-clock
-  only; simulated clocks must not move);
-* ``"corrupt_frame"`` — flip one byte of the outgoing payload while the
-  CRC still describes the original, so every receiving peer's integrity
-  check raises :class:`~repro.errors.PayloadCorruption`;
-* ``"partition"``     — make every peer permanently unreachable (reconnects
+* ``"drop_conn"`` — sever every peer socket once; the transport's bounded
+  reconnect/backoff must resume mid-epoch from the frame sequence number,
+  bitwise invisibly;
+* ``"partition"`` — make every peer permanently unreachable (reconnects
   refused) until the retry budget surfaces a typed
   :class:`~repro.errors.BarrierTimeout` naming the peer — the launcher
   then recovers from the epoch-boundary checkpoint.
@@ -72,7 +69,7 @@ __all__ = [
 ]
 
 FAULT_POINTS = ("pre_barrier", "mid_collective", "post_epoch")
-NETWORK_ACTIONS = ("drop_conn", "delay_link", "corrupt_frame", "partition")
+NETWORK_ACTIONS = ("drop_conn", "partition")
 FAULT_ACTIONS = ("die", "raise", "delay", "hang", "corrupt") + NETWORK_ACTIONS
 
 #: "hang" sleeps this long — far beyond any barrier/heartbeat timeout, but
@@ -120,11 +117,9 @@ class FaultPlan:
 
     @property
     def transport(self) -> str | None:
-        """The transport whose frames the action acts on (``None``: any) —
-        the launcher refuses a plan aimed at the other one before spawn."""
-        if self.action in NETWORK_ACTIONS:
-            return "tcp"
-        return "shm" if self.action == "corrupt" else None
+        """The transport the action needs (``None``: any) — the launcher
+        refuses a network action on shm before spawn."""
+        return "tcp" if self.action in NETWORK_ACTIONS else None
 
 
 class FaultInjector:

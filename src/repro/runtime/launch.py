@@ -122,7 +122,8 @@ class WorkloadSpec:
     Exactly one data source: the in-memory arrays, or ``shard_dir`` — a
     :func:`~repro.graph.shardio.save_sharded` directory holding the
     *normalized* adjacency, from which each worker reads only the file
-    blocks overlapping its own shard rows.
+    blocks holding its own shards' node rows (under a node permutation:
+    every block).
 
     ``faults`` optionally carries a chaos schedule — a
     :class:`~repro.runtime.faults.FaultPlan` (or a sequence of them) fired
@@ -195,9 +196,8 @@ def _validate_spec(spec: WorkloadSpec, transport: str) -> None:
     if plan is not None:
         raise UnsupportedWorkload(
             f"fault action {plan.action!r} acts on transport={plan.transport!r} "
-            f"frames and cannot fire over transport={transport!r} (actions "
-            "'die'/'raise'/'delay'/'hang' work on both; 'corrupt_frame' is "
-            "tcp's 'corrupt')"
+            f"connections and cannot fire over transport={transport!r} (actions "
+            "'die'/'raise'/'delay'/'hang'/'corrupt' work on both)"
         )
 
 

@@ -44,11 +44,10 @@ Wire protocol — small, inspectable, and hardened:
   peer might still need a frame, so no send cache is required.
 * **Fault injection**: the :class:`~repro.runtime.faults.FaultPlan`
   network actions arm this transport directly — ``drop_conn`` severs every
-  peer socket (exercising reconnect/resume), ``delay_link`` stalls the
-  next exchange's sends (wall-clock only; simulated results must not
-  move), ``corrupt_frame`` flips a byte of the next outgoing payloads
-  (each receiver's CRC trips), and ``partition`` makes every peer
-  unreachable until the retry budget surfaces a typed error.
+  peer socket (exercising reconnect/resume) and ``partition`` makes every
+  peer unreachable until the retry budget surfaces a typed error — and
+  ``corrupt`` (:meth:`TcpBus.corrupt_own_payload`) flips a byte of the
+  exchange's outgoing payloads, so each receiver's CRC trips.
 
 Liveness beyond the data plane rides the *control* connection (the
 rendezvous channel of :mod:`repro.runtime.rendezvous`): per-epoch
@@ -148,7 +147,7 @@ def _send_data(
     """One DATA frame: header + records + raw array bytes off the operands'
     memoryviews.  ``corrupt`` sends a copy of the first array with one byte
     flipped while the CRC still describes the original — every receiver's
-    integrity check must trip (the ``corrupt_frame`` fault action)."""
+    integrity check must trip (the ``corrupt`` fault action)."""
     if len(arrays) > 255:
         raise ValueError("at most 255 arrays per frame")
     crc = 0
@@ -349,9 +348,7 @@ class _PeerLink:
             self._apply_sync(peer_sync)
 
     # -- the pair exchange -----------------------------------------------------
-    def exchange(
-        self, seq: int, arrays: list[np.ndarray], corrupt: bool = False, delay_s: float = 0.0
-    ) -> list[np.ndarray]:
+    def exchange(self, seq: int, arrays: list[np.ndarray], corrupt: bool = False) -> list[np.ndarray]:
         """Two-phase pair rendezvous for one bus exchange; returns the
         peer's arrays.  Retries across connection drops with exponential
         backoff + jitter, resuming from the frame sequence number."""
@@ -368,7 +365,7 @@ class _PeerLink:
                 if self.sock is None:
                     with _trace.span("tcp.reconnect", peer=self.peer, seq=seq):
                         self.connect(deadline)
-                self._run_steps(corrupt, delay_s)
+                self._run_steps(corrupt)
                 return self._in  # type: ignore[return-value]
             except TimeoutError:
                 self._raise_deadline("a socket deadline expired")
@@ -403,26 +400,24 @@ class _PeerLink:
             last_seq=self.seq,
         )
 
-    def _run_steps(self, corrupt: bool, delay_s: float) -> None:
+    def _run_steps(self, corrupt: bool) -> None:
         """The ordered pair schedule; every step is skipped once satisfied,
         which is exactly what makes reconnect-resume possible."""
         first = self.bus.worker_id < self.peer
         if first:
-            self._step_send_data(corrupt, delay_s)
+            self._step_send_data(corrupt)
             self._step_recv(expect_data=True)
             self._step_send_ack()
             self._step_recv(expect_data=False)
         else:
             self._step_recv(expect_data=True)
-            self._step_send_data(corrupt, delay_s)
+            self._step_send_data(corrupt)
             self._step_recv(expect_data=False)
             self._step_send_ack()
 
-    def _step_send_data(self, corrupt: bool, delay_s: float) -> None:
+    def _step_send_data(self, corrupt: bool) -> None:
         if self._sent_data:
             return
-        if delay_s:
-            time.sleep(delay_s)
         if self.bus._partitioned:
             raise _ConnLost("injected network partition")
         _send_data(self.sock, self.seq, self._out, corrupt=corrupt)
@@ -500,7 +495,6 @@ class TcpBus:
         self._closed = False
         self._partitioned = False
         self._corrupt_next = False
-        self._delay_next_s = 0.0
         self._links: dict[int, _PeerLink] = {}
         deadline = time.monotonic() + self.cfg.rendezvous_timeout
         try:
@@ -577,15 +571,12 @@ class TcpBus:
         if self.faults is not None:
             self.faults.fire("pre_barrier", self)
         corrupt, self._corrupt_next = self._corrupt_next, False
-        delay_s, self._delay_next_s = self._delay_next_s, 0.0
         per_worker: dict[int, list[np.ndarray]] = {self.worker_id: arrays}
         # pairs in ascending peer order == the global (max, min) pair order
         # shared by every worker: the deadlock-freedom invariant
         with _trace.span("tcp.exchange", seq=self._seq):
             for peer in sorted(self._links):
-                per_worker[peer] = self._links[peer].exchange(
-                    self._seq, arrays, corrupt=corrupt, delay_s=delay_s
-                )
+                per_worker[peer] = self._links[peer].exchange(self._seq, arrays, corrupt=corrupt)
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
         if self.faults is not None:
@@ -593,15 +584,16 @@ class TcpBus:
         return list(zip(*(per_worker[w] for w in sorted(per_worker))))
 
     # -- fault hooks -----------------------------------------------------------
+    def corrupt_own_payload(self) -> None:
+        """Flip a byte of this exchange's outgoing payloads (the ``corrupt``
+        fault action): every receiver's CRC check trips."""
+        self._corrupt_next = True
+
     def inject_network_fault(self, plan) -> None:
         """Arm one :class:`~repro.runtime.faults.FaultPlan` network action."""
         if plan.action == "drop_conn":
             for link in self._links.values():
                 link.close()
-        elif plan.action == "delay_link":
-            self._delay_next_s = plan.delay_s
-        elif plan.action == "corrupt_frame":
-            self._corrupt_next = True
         else:  # "partition"
             self._partitioned = True
 

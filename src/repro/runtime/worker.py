@@ -39,10 +39,11 @@ import scipy.sparse as sp
 from repro.core.configs import PlexusOptions
 from repro.core.grid import GridConfig, PlexusGrid, axis_roles
 from repro.core.model import PlexusGCN
+from repro.core.permutation import build_scheme
 from repro.core.sharding import LayerSharding
 from repro.core.trainer import PlexusTrainer
 from repro.dist.cluster import VirtualCluster
-from repro.errors import PlexusRuntimeError, UnsupportedWorkload
+from repro.errors import PlexusRuntimeError
 from repro.graph.shardio import LoadReport, ShardedDataLoader
 from repro.obs import trace as _trace
 from repro.obs.log import set_worker as _set_log_worker
@@ -86,78 +87,54 @@ class WorkerContext:
     load_report: LoadReport | None
 
 
-def _merge_intervals(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted(spans):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def load_worker_shards(
     loader: ShardedDataLoader,
     grid: PlexusGrid,
     layer_dims: list[int],
     options: PlexusOptions,
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Read only the file blocks the grid's held ranks need (Sec. 5.4;
-    every block, for the whole cube).
+    """Read only the file row blocks holding the node rows the grid's held
+    ranks need (Sec. 5.4; every block, for the whole cube).
 
-    Returns globally-shaped ``(a_norm, features, labels)`` arrays whose
-    entries outside those ranks' shard rows are zero — the model builder
-    only ever slices the local ranks' rows out of them, so the zero filler
-    is never read.  The directory must hold the *normalized* adjacency and
-    must be used with ``permutation="none"`` (a global permutation would
-    make every row non-local).
+    A shard's rows are rows of a permuted matrix; the run's permutation
+    scheme — the one :class:`~repro.core.model.PlexusGCN` draws — maps them
+    back to node ids, which the loader reads wherever they sit: under a
+    permutation scattered over every block, without one the blocks of the
+    held ranks' row ranges.  Returns globally-shaped ``(a_norm, features,
+    labels)`` in node order whose rows outside those node ids are zero — the
+    model builder only ever cuts the held ranks' rows, so the zero filler
+    is never read.  The directory must hold the *normalized* adjacency.
     """
-    if options.permutation != "none":
-        raise UnsupportedWorkload(
-            "loading from a sharded directory requires permutation='none': "
-            "a global node permutation would scatter every worker's shard "
-            "rows across all file blocks"
-        )
     n = loader.n_nodes
-    config, world = grid.config, grid.world_size
+    scheme = build_scheme(n, options.permutation, options.seed)
     n_layers = len(layer_dims) - 1
     shardings = [
-        LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
+        LayerSharding(grid.config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
         for i in range(n_layers)
     ]
-    # adjacency rows: union over layers of the local ranks' A-row slices
-    # (whole rows: A's columns rotate through every block across layers)
-    row_spans = _merge_intervals(
-        [
-            (s.start, s.stop)
-            for sh in shardings
-            for s in (sh.a_row_slice(grid, r) for r in range(world))
-        ]
+
+    def node_ids(perm: np.ndarray, cut) -> np.ndarray:
+        return np.unique(np.concatenate([perm[cut(grid, r)] for r in range(grid.world_size)]))
+
+    # adjacency: whole rows of every layer's A-row slices (A's columns
+    # rotate through every block across layers), placed at their node ids
+    rows = np.unique(
+        np.concatenate(
+            [node_ids(scheme.layer_row_perm(i), sh.a_row_slice) for i, sh in enumerate(shardings)]
+        )
     )
-    parts: list[sp.csr_matrix] = []
-    cursor = 0
-    for lo, hi in row_spans:
-        if lo > cursor:
-            parts.append(sp.csr_matrix((lo - cursor, n)))
-        parts.append(loader.load_adjacency(slice(lo, hi), slice(0, n)))
-        cursor = hi
-    if cursor < n:
-        parts.append(sp.csr_matrix((n - cursor, n)))
-    a_norm = sp.vstack(parts, format="csr") if len(parts) > 1 else parts[0].tocsr()
-    # features: the layer-0 z-sub-sharded input rows of the local ranks
-    s0 = shardings[0]
+    band = loader.load_adjacency(rows, slice(0, n))
+    indptr = np.zeros(n + 1, dtype=band.indptr.dtype)
+    indptr[rows + 1] = np.diff(band.indptr)
+    a_norm = sp.csr_matrix((band.data, band.indices, np.cumsum(indptr, out=indptr)), shape=(n, n))
+    # features: the layer-0 z-sub-sharded input rows; labels: the final
+    # layer's output rows
     features = np.zeros((n, layer_dims[0]), dtype=np.dtype(loader.manifest["feature_dtype"]))
-    for lo, hi in _merge_intervals(
-        [(s.start, s.stop) for s in (s0.f_row_subslice_z(grid, r) for r in range(world))]
-    ):
-        features[lo:hi] = loader.load_features(slice(lo, hi))
-    # labels: the final layer's output rows of the local ranks
-    final = shardings[-1]
+    ids = node_ids(scheme.input_perm(), shardings[0].f_row_subslice_z)
+    features[ids] = loader.load_features(ids)
     labels = np.zeros(n, dtype=np.int64)
-    for lo, hi in _merge_intervals(
-        [(s.start, s.stop) for s in (final.out_row_slice(grid, r) for r in range(world))]
-    ):
-        labels[lo:hi] = loader.load_labels(slice(lo, hi))
+    ids = node_ids(scheme.output_perm(n_layers), shardings[-1].out_row_slice)
+    labels[ids] = loader.load_labels(ids)
     return a_norm, features, labels
 
 

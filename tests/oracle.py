@@ -307,7 +307,7 @@ class PerRankOracle:
 
     def _backward(self, d_logits, caches) -> list[dict]:
         opts, world = self.options, self.world
-        prefetch = opts.overlap and opts.prefetch_f0 and not opts.trainable_features
+        prefetch = opts.overlap and not opts.trainable_features
         grads: list[dict] = [{} for _ in range(world)]
         dq, w_pending = d_logits, None
         for i in range(len(self.layers) - 1, -1, -1):

@@ -442,8 +442,12 @@ class TestCrossEpochPrefetch:
     strictly less visible communication."""
 
     def _run(self, prefetch, build=PlexusGCN, epochs=4, **opts):
-        return _train(GridConfig(3, 2, 2), overlap=True, build=build,
-                      prefetch_f0=prefetch, epochs=epochs, **opts)
+        """``prefetch=False`` is the "off" arm: layer 0's backward is handed
+        no prefetch hook."""
+        with pytest.MonkeyPatch.context() as mp:
+            if not prefetch:
+                mp.setattr(PlexusGCN, "_f0_prefetch_hook", lambda self: None)
+            return _train(GridConfig(3, 2, 2), overlap=True, build=build, epochs=epochs, **opts)
 
     def test_numerics_bitwise_with_prefetch(self):
         m1, r1, c1, w1 = self._run(True)

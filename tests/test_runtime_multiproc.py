@@ -1,26 +1,21 @@
-"""The multi-process execution runtime: parity, transport, data, cleanup.
+"""The multi-process execution runtime: transport, data, cleanup.
 
-Acceptance for ``repro.runtime``: ``backend="multiproc"`` — the model
-sharded across OS worker processes over the shared-memory transport — must
-produce **bitwise-identical** losses, weights, per-rank clocks, and phase
-totals to ``backend="inproc"`` (the parity oracle) on every sharding —
-divisible or padded, with rows that tile the Z groups unevenly — eager and
-overlap schedules alike, ``max_inflight`` bounds on intra- and inter-node Z
-links included.  Also covered:
+Parity — ``backend="multiproc"`` bitwise equal to ``backend="inproc"`` on
+every workload — is ``tests/test_differential.py``'s.  Covered here:
 
-* the rendezvous transport (mailbox overflow path, uneven z-plane splits,
-  single-worker degenerate bus, tcp);
+* the runtime's own surface: the z-plane split, ``reset()``, the workers'
+  spawn environment, the ``train_plexus`` seam, spec validation;
 * the sharded data loader feeding the runtime — each worker reads only the
-  file blocks of its own shard rows, reports per-worker bytes, and
-  round-trips bitwise with in-memory loading;
+  file blocks holding its own shards' node rows (under a permutation:
+  every block, once) and reports per-worker bytes;
 * ``evaluate()`` over the bus (shm and tcp): the in-process value, off the
   books, the following epochs bitwise;
-* the SpMM noise model: per-rank draws keyed by identity, so every backend
-  and every worker count charges the in-process kernel times;
 * validation of the backend's restrictions before spawning (worker
   counts);
 * crash hygiene — a hard-killed worker or a failed build must leave no
-  ``/dev/shm`` segment behind.
+  ``/dev/shm`` segment behind;
+* tracing: bitwise against an untraced run, merged across processes, and
+  the workers' steady-state page-fault budget.
 """
 
 from __future__ import annotations
@@ -32,8 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
-from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
+from repro.core import GridConfig, PlexusOptions, PlexusTrainer
+from repro.dist import LAPTOP, PERLMUTTER
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
@@ -95,156 +90,6 @@ def _assert_states_equal(inproc: dict, multi: dict) -> None:
     assert set(inproc["weights"]) == set(multi["weights"])
     for name, w in inproc["weights"].items():
         assert np.array_equal(w, multi["weights"][name]), name
-
-
-def _run_both(
-    cfg, workers, epoch_chunks=(2, 2), mailbox_bytes=8 << 20, transport="shm", **opts
-):
-    """Train the same workload on both backends; return everything."""
-    spec = _spec(cfg, workers, **opts)
-    inproc = build_trainer(spec, backend="inproc")
-    results_in = [inproc.train(e) for e in epoch_chunks]
-    with MultiprocTrainer(
-        spec, mailbox_bytes=mailbox_bytes, timeout=60, transport=transport
-    ) as mpt:
-        results_mp = [mpt.train(e) for e in epoch_chunks]
-        state_mp = mpt.state()
-    return inproc, results_in, results_mp, state_mp
-
-
-def _check(cfg, workers, **kw):
-    """Both backends on one workload: losses, epoch breakdowns, clocks, phase
-    totals and weights bitwise equal; returns the in-process model."""
-    inproc, r_in, r_mp, st = _run_both(cfg, workers, **kw)
-    for a, b in zip(r_in, r_mp):
-        assert a.losses == b.losses
-        for ea, eb in zip(a.epochs, b.epochs):
-            assert (ea.loss, ea.epoch_time, ea.comm_time, ea.comp_time) == (
-                eb.loss,
-                eb.epoch_time,
-                eb.comm_time,
-                eb.comp_time,
-            )
-    _assert_states_equal(_inproc_state(inproc), st)
-    return inproc.model
-
-
-class TestMultiprocParity:
-    """The acceptance criterion: bitwise-identical to the inproc oracle."""
-
-    def test_eager(self):
-        _check(GridConfig(2, 2, 2), workers=2)
-
-    def test_overlap_schedules(self):
-        """W prefetch, the dH/SpMM pipeline and the cross-epoch F prefetch
-        all ride the shm transport; two train() calls keep an in-flight
-        prefetch across the command boundary."""
-        _check(GridConfig(2, 2, 2), workers=2, overlap=True)
-
-    def test_overlap_blocked_and_bounded(self):
-        """Blocked aggregation + max_inflight (intra-node Z on LAPTOP)
-        compose with the replicated queue state."""
-        _check(
-            GridConfig(2, 2, 2),
-            workers=2,
-            overlap=True,
-            aggregation_blocks=2,
-            max_inflight=1,
-        )
-
-    @pytest.mark.parametrize(
-        "schedule", [{}, {"overlap": True, "aggregation_blocks": 2}], ids=["eager", "overlap-blocked"]
-    )
-    def test_spmm_noise_is_identical_on_every_backend(self, schedule):
-        """A noise draw is a function of (seed, global rank, step, layer,
-        pass, block): a worker draws exactly its ranks' values, so one
-        worker, two workers and either transport charge the in-process
-        kernel times — epochs, clocks and phase totals bitwise."""
-        from dataclasses import replace
-
-        from repro.core.noise import SpmmNoise
-
-        cfg = GridConfig(2, 2, 2)
-        spec = _spec(cfg, 2, noise=SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11), **schedule)
-        inproc = build_trainer(spec, backend="inproc")
-        r_in = inproc.train(3)
-        expected = _inproc_state(inproc)
-        quiet = build_trainer(_spec(cfg, 2, **schedule), backend="inproc")
-        assert quiet.train(3).losses == r_in.losses  # noise moves clocks only
-        assert not np.array_equal(expected["clocks"], _inproc_state(quiet)["clocks"])
-        for workers, transport in ((1, "shm"), (2, "shm"), (2, "tcp")):
-            pool = replace(spec, workers=workers)
-            with MultiprocTrainer(pool, timeout=60, transport=transport) as mpt:
-                assert mpt.train(3).epochs == r_in.epochs, (workers, transport)
-                _assert_states_equal(expected, mpt.state())
-
-    def test_uneven_plane_split(self):
-        """Gz=4 over 3 workers: quasi-equal plane chunks (2+1+1)."""
-        _check(GridConfig(1, 2, 4), workers=3)
-
-    def test_mailbox_overflow_path(self):
-        """A 4 KiB mailbox forces every exchange through overflow segments
-        — same bits, and nothing leaks."""
-        _check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), mailbox_bytes=4096)
-
-    def test_float32_benchmark_mode(self):
-        _check(GridConfig(2, 2, 2), workers=2, epoch_chunks=(2,), compute_dtype=np.float32)
-
-
-class TestPaddedParity:
-    """Indivisible sharding crosses the bus: padded stacks and unevenly
-    tiling rows, bitwise equal to in-process like every other workload."""
-
-    @pytest.mark.parametrize(
-        "schedule",
-        [{}, {"overlap": True, "aggregation_blocks": 2, "max_inflight": 1}],
-        ids=["eager", "overlap-blocked-bounded"],
-    )
-    def test_padded_rows(self, schedule):
-        """X2Y2Z2, N=49: layer 0's A rows split 25 / 24 along Z, so worker
-        0's products fill their pad and worker 1's do not — the Z plans come
-        from the global extents the frames carry, not from either slice."""
-        model = _check(GridConfig(2, 2, 2), workers=2, n=49, **schedule)
-        assert model.f0_stack.rows is not None
-
-    @pytest.mark.parametrize("schedule", [{}, {"overlap": True}], ids=["eager", "overlap"])
-    def test_uneven_tiling_over_three_workers(self, schedule):
-        """X1Y2Z4, N=50, dims 10-9-9-5 on 2+1+1 planes: the W gathers' Z
-        rows (2, 1, 1, 1) arrive in three chunks, and worker 0's own F0
-        rows (13, 13) fill the pad that workers 1 and 2 (12) do not."""
-        model = _check(GridConfig(1, 2, 4), workers=3, n=50, dims=[10, 9, 9, 5], **schedule)
-        assert model.f0_stack.rows is not None
-
-    def test_padded_rows_over_tcp(self):
-        model = _check(GridConfig(2, 2, 2), workers=2, n=49, transport="tcp", overlap=True)
-        assert model.f0_stack.rows is not None
-
-
-class TestInterNodeBoundedParity:
-    """``max_inflight`` on inter-node Z links (PERLMUTTER: 4 GPUs per node,
-    so the Z groups of X2Y2Z2 join ranks ``r`` and ``r + 4`` across two
-    nodes): the bound is per link, so a Z link's queue is replicated in every
-    worker like its busy-until time, and the pool trains bitwise like
-    in-process.  The overlap cases lift issues on those links (layer 1's
-    x-role is Z: its per-block all-reduces queue there)."""
-
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            {"max_inflight": 1},
-            {"max_inflight": 1, "overlap": True, "aggregation_blocks": 2},
-            {"max_inflight": 2, "overlap": True, "aggregation_blocks": 3},
-        ],
-        ids=["eager-1", "overlap-blocked-1", "overlap-blocked-2"],
-    )
-    def test_shm(self, schedule):
-        _check(GridConfig(2, 2, 2), workers=2, machine=PERLMUTTER, **schedule)
-
-    def test_tcp(self):
-        _check(
-            GridConfig(2, 2, 2), workers=2, machine=PERLMUTTER, transport="tcp",
-            max_inflight=1, overlap=True, aggregation_blocks=2,
-        )
 
 
 class TestRuntimeSemantics:
@@ -357,7 +202,7 @@ class TestRuntimeSemantics:
 
 class TestShardedLoaderFeedsRuntime:
     """Sec. 5.4 parallel loading drives the worker pool: every worker reads
-    only the file blocks overlapping its own shard rows."""
+    only the file blocks holding its own shards' node rows."""
 
     CFG = GridConfig(2, 1, 2)
     N = 32
@@ -371,37 +216,16 @@ class TestShardedLoaderFeedsRuntime:
         save_sharded(a, feats, labels, root, grid=(4, 4))
         return a, feats, labels, mask, root
 
-    def _spec_from(self, root, mask, shard_dir=True, a=None, feats=None, labels=None):
-        kwargs = dict(shard_dir=str(root)) if shard_dir else dict(
-            adjacency=a, features=feats, labels=labels
-        )
+    def _spec_from(self, root, mask, permutation="none"):
         return WorkloadSpec(
             config=self.CFG,
             layer_dims=list(self.DIMS),
             workers=2,
             machine=LAPTOP,
-            options=PlexusOptions(seed=0, permutation="none"),
+            options=PlexusOptions(seed=0, permutation=permutation),
             train_mask=mask,
-            **kwargs,
+            shard_dir=str(root),
         )
-
-    def test_disk_roundtrip_matches_in_memory_bitwise(self, tmp_path):
-        a, feats, labels, mask, root = self._save(tmp_path)
-        inproc = build_trainer(
-            self._spec_from(root, mask, shard_dir=False, a=a, feats=feats, labels=labels),
-            backend="inproc",
-        )
-        losses_in = inproc.train(3).losses
-        with MultiprocTrainer(self._spec_from(root, mask), timeout=60) as mpt:
-            losses_disk = mpt.train(3).losses
-            st = mpt.state()
-        assert losses_disk == losses_in
-        _assert_states_equal(_inproc_state(inproc), st)
-        # one builder: the in-process backend reads the directory through
-        # the same loader (every block, for the whole cube)
-        disk_inproc = build_trainer(self._spec_from(root, mask), backend="inproc")
-        assert disk_inproc.train(3).losses == losses_in
-        _assert_states_equal(_inproc_state(inproc), _inproc_state(disk_inproc))
 
     def test_each_worker_reads_only_its_own_blocks(self, tmp_path):
         _, _, _, mask, root = self._save(tmp_path)
@@ -419,37 +243,19 @@ class TestShardedLoaderFeedsRuntime:
         assert sum(r.files_read for r in reports) == total_files
         assert sum(r.bytes_read for r in reports) == total_bytes
 
-    def test_padded_shard_dir_workload_matches_in_memory(self, tmp_path):
-        """X1Y1Z2 with N=49 puts 25 / 24 rows on two workers whose own
-        slices each hold one row extent: worker 1's products, logits
-        included, still pad to the whole cube's 25 rows its labels use, so
-        the pool reading the directory trains bitwise like the in-process
-        in-memory twin."""
-        from dataclasses import replace
-
-        n, dims = 49, [12, 8]
-        a, feats, labels, mask = _dataset(n, dims)
-        root = tmp_path / "shards"
-        save_sharded(a, feats, labels, root, grid=(4, 4))
-        spec = WorkloadSpec(
-            config=GridConfig(1, 1, 2), layer_dims=dims, workers=2, machine=LAPTOP,
-            options=PlexusOptions(seed=0, permutation="none"), train_mask=mask,
-            shard_dir=str(root),
-        )
-        twin = replace(spec, shard_dir=None, adjacency=a, features=feats, labels=labels)
-        in_memory = build_trainer(twin, backend="inproc")
-        assert in_memory.model.label_stack.rows is not None
-        losses = in_memory.train(3).losses
-        with MultiprocTrainer(spec, timeout=60) as mpt:
-            assert mpt.train(3).losses == losses
-            _assert_states_equal(_inproc_state(in_memory), mpt.state())
-
-    def test_shard_dir_requires_identity_permutation(self, tmp_path):
+    def test_permuted_workers_read_every_file_once(self, tmp_path):
+        """Under the double permutation (the default) a worker's shard rows
+        are node ids scattered over every file block: each worker reads
+        every file exactly once — no block twice, however many of its ids
+        the block holds."""
         _, _, _, mask, root = self._save(tmp_path)
-        spec = self._spec_from(root, mask)
-        spec.options = PlexusOptions(seed=0, permutation="double")
-        with pytest.raises(RuntimeError, match="permutation"):
-            MultiprocTrainer(spec, timeout=60)
+        files = list(root.glob("*.np[yz]"))
+        with MultiprocTrainer(self._spec_from(root, mask, "double"), timeout=60) as mpt:
+            mpt.train(1)
+            reports = mpt.load_reports()
+        for r in reports:
+            assert r.files_read == len(files)
+            assert r.bytes_read == sum(p.stat().st_size for p in files)
 
 
 def _session_segments() -> list[str]:

@@ -5,17 +5,19 @@ tier-1.  Acceptance for ``transport="tcp"``:
 
 * **parity** — over loopback the socket transport is **bitwise identical**
   to both the shared-memory bus and the inproc oracle (losses, weights,
-  per-rank clocks, phase totals), eager and overlap schedules alike;
+  per-rank clocks, phase totals): ``tests/test_differential.py`` draws the
+  workloads, this file keeps the tcp-only seams (train() chunks across a
+  prefetch, the ``train_plexus`` entry point);
 * **rendezvous integrity** — workers peer-connect only off a membership
   manifest HMAC-signed with the session key; a tampered manifest is a
   typed refusal, and stale port files of dead launchers are swept by the
   same pid-liveness rule as the shm segments;
 * **network chaos** — each injected fault either recovers transparently
-  (``drop_conn`` reconnects and resumes mid-epoch, ``delay_link`` shifts
-  wall time only: both bitwise-identical) or surfaces a typed exception
-  naming the peer well inside the configured deadline (``corrupt_frame``
-  trips the frame CRC, ``partition`` exhausts the bounded retry budget);
-  no failure may ride to the 120 s barrier timeout;
+  (``drop_conn`` reconnects and resumes mid-epoch, ``delay`` before the
+  sends shifts wall time only: both bitwise-identical) or surfaces a typed
+  exception naming the peer well inside the configured deadline
+  (``corrupt`` trips the frame CRC, ``partition`` exhausts the bounded
+  retry budget); no failure may ride to the 120 s barrier timeout;
 * **recovery** — with checkpointing on, a partition mid-training restores
   the epoch-boundary checkpoint and replays bitwise-identically;
 * **multi-host control plane** — a second launcher (``repro host``) can
@@ -115,23 +117,8 @@ def baseline(request):
 
 
 class TestTcpParity:
-    """Acceptance: tcp over loopback == shm == inproc, bit for bit."""
-
-    def test_matches_shm_and_inproc_bitwise(self, baseline):
-        overlap, ref, state = baseline
-        oracle = build_trainer(_spec(overlap=overlap), backend="inproc")
-        assert oracle.train(EPOCHS).losses == ref.losses
-        with MultiprocTrainer(_spec(overlap=overlap), timeout=60, transport="tcp") as mpt:
-            result = mpt.train(EPOCHS)
-            assert result.losses == ref.losses
-            for ea, eb in zip(ref.epochs, result.epochs):
-                assert (ea.loss, ea.epoch_time, ea.comm_time, ea.comp_time) == (
-                    eb.loss,
-                    eb.epoch_time,
-                    eb.comm_time,
-                    eb.comp_time,
-                )
-            _state_equal(state, mpt.state())
+    """tcp over loopback == shm == inproc, bit for bit, at the seams the
+    differential test does not draw."""
 
     def test_train_chunks_keep_inflight_prefetch(self, baseline):
         """Two train() calls across the command boundary: the overlap
@@ -260,21 +247,21 @@ class TestNetworkChaos:
             assert mpt.train(EPOCHS).losses == ref.losses
             _state_equal(state, mpt.state())
 
-    def test_delay_link_is_bitwise_invisible(self, baseline):
-        """A stalled link shifts wall time only: the simulated clocks and
-        losses cannot move."""
+    def test_delay_before_sends_is_bitwise_invisible(self, baseline):
+        """A ``delay`` at ``pre_barrier`` stalls the exchange's sends: wall
+        time only — the simulated clocks and losses cannot move."""
         overlap, ref, state = baseline
         if overlap:
             pytest.skip("one schedule suffices for the delay path")
-        plan = FaultPlan(
-            worker=0, point="pre_barrier", action="delay_link", epoch=1, delay_s=0.3
-        )
+        plan = FaultPlan(worker=0, point="pre_barrier", action="delay", epoch=1, delay_s=0.3)
         with MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp") as mpt:
             assert mpt.train(EPOCHS).losses == ref.losses
             _state_equal(state, mpt.state())
 
-    def test_corrupt_frame_trips_crc_typed(self):
-        plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt_frame", epoch=1)
+    def test_corrupt_trips_crc_typed(self):
+        """The transport-neutral ``corrupt`` flips a byte of the outgoing
+        frame: the receiver's CRC check raises, typed and fast."""
+        plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=1)
         t0 = time.monotonic()
         with pytest.raises(PayloadCorruption, match="multiproc runtime failed") as ei:
             with MultiprocTrainer(
@@ -326,22 +313,22 @@ class TestNetworkChaos:
 
     def test_network_actions_require_tcp(self, monkeypatch):
         """A network fault planned on the shm bus is a typed refusal at
-        construction (and vice versa for the mailbox-byte corrupt action on
-        tcp) — no worker process is ever started."""
+        construction — no worker process is ever started; ``corrupt`` is
+        one action on both transports (on tcp it trips the frame CRC:
+        ``test_corrupt_trips_crc_typed``)."""
         spawned = []
         monkeypatch.setattr(
             MultiprocTrainer, "_spawn_pool", lambda self, *a, **k: spawned.append(a)
         )
-        plan = FaultPlan(worker=0, point="pre_barrier", action="partition", epoch=0)
-        with pytest.raises(UnsupportedWorkload, match="'partition' acts on transport='tcp'"):
-            MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
-        plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=0)
-        with pytest.raises(UnsupportedWorkload, match="'corrupt' acts on transport='shm'"):
-            MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp")
+        for action in ("drop_conn", "partition"):
+            plan = FaultPlan(worker=0, point="pre_barrier", action=action, epoch=0)
+            with pytest.raises(UnsupportedWorkload, match=f"'{action}' acts on transport='tcp'"):
+                MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
         assert spawned == []
-        # each on its own transport is accepted
-        MultiprocTrainer(_spec(faults=(plan,)), timeout=60).close()
-        assert len(spawned) == 1
+        plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=0)
+        for transport in ("shm", "tcp"):
+            MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport=transport).close()
+        assert len(spawned) == 2
 
 
 class TestMultiHost:
