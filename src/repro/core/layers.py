@@ -46,7 +46,13 @@ extent 1 along y, and so does ``relu(Q)`` — which *is* the next layer's F,
 whose z-role is this layer's y.  Algorithm 2 mirrors it: dQ (y) and H (x)
 broadcast into the full dW, whose Z-reduce-scatter is a view; dH after
 the X-all-reduce (x) feeds the A^T product like F did; dF after the
-Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.  Weights,
+Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.
+
+**An activation dies at its last reader.**  A hidden layer caches relu(Q),
+the next layer's F itself, not Q: both give the ``relu'`` mask bitwise.
+Backward drops H after the dW GEMM and dH before the Z reduction allocates
+dF; the model drops each mask after the chain rule, the trainer the logits
+after the loss.  Weights,
 features and gradients handed to the optimizer are flat ``(world, m, n)``.
 Quasi-equal sharding is the same stacks zero-padded: their per-rank valid
 extents keep pad entries out of every sum (kernels run once per *box* of
@@ -135,15 +141,17 @@ class LayerCache:
     """Per-rank forward activations kept for the backward pass.
 
     Each field is a stack indexable by rank, ``f`` held once per Z group,
-    ``h`` once per X group, ``q`` once per Y group.
+    ``h`` once per X group, ``q`` once per Y group; backward releases each
+    at its last reader.
     """
 
     #: gathered input features F (full local block), per rank
     f: CubeStack
     #: aggregation output H after the X-all-reduce, per rank
-    h: CubeStack
-    #: pre-activation Q after the Y-all-reduce, per rank
-    q: CubeStack
+    h: CubeStack | None
+    #: the layer's output, per rank: relu(Q) (the next layer's ``f`` and the
+    #: source of relu'(Q)), or the logits
+    q: CubeStack | None
 
 
 #: ``_FrozenAggregation.dh_duration`` before the first backward (``None``
@@ -419,9 +427,10 @@ class PlexusLayer:
             self.cluster.advance_all(self._t_gemm_fwd, "comp:gemm_fwd")
             q = comm_y.all_reduce(stack_matmul(h, w_local), phase="all_reduce_q").wait()
             # Step 4 (line 11): non-linear activation (identity on the last layer,
-            # whose logits feed the softmax cross-entropy)
+            # whose logits feed the softmax cross-entropy); Q dies here
             f_out = q if self.is_last else stack_map(relu, q)
-            return f_out, LayerCache(f=f, h=h, q=q)
+            f_out.cube.setflags(write=False)  # cached: read-only like H
+            return f_out, LayerCache(f=f, h=h, q=f_out)
 
     def _aggregation_steps(self, f, step: int, replay: list | None = None) -> tuple[list, list]:
         """Lines 4-5: one stacked block-diagonal SpMM and one X-all-reduce
@@ -470,7 +479,7 @@ class PlexusLayer:
         with _trace.span(f"layer{self.layer_idx}.backward"):
             grid, roles = self.grid, self.roles
             comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
-            h = cache.h
+            h, cache.h = cache.h, None
             # overlap: re-gather W behind the grad-W GEMM and dW reduce-scatter
             if self.overlap and w_pending is None:
                 w_pending = self.issue_w_gather()
@@ -480,6 +489,7 @@ class PlexusLayer:
                 dw_partial = stack_transpose(stack_matmul(dq, h, ta=True))
             else:
                 dw_partial = stack_matmul(h, dq, ta=True)
+            del h  # its last reader
             # Line 3: reduce-scatter dW across Z-parallel group (W is z-sub-sharded)
             dw = comm_z.reduce_scatter(dw_partial, phase="reduce_scatter_dw").wait()
             # Line 4: all-gather W across Z-parallel group (freed after forward)
@@ -517,6 +527,7 @@ class PlexusLayer:
                 dh = dh_pending.wait()
                 self._advance_spmm(self._t_spmm_bwd, self._nnz_a, step, True)
             df_partial = self._bd_at.apply_batched(dh)
+            del dh  # before the Z reduction allocates dF
             if self.is_first:
                 df = comm_z.reduce_scatter(df_partial, phase="reduce_scatter_df").wait()
             else:

@@ -227,6 +227,12 @@ class PlexusGCN:
         plans = {id(p): p for la in self.layers for p in (la._bd_at, *la._bd_blocks)}
         return sum(p.nbytes for p in plans.values() if p is not None)
 
+    @staticmethod
+    def activation_bytes(caches: list[LayerCache]) -> int:
+        """Bytes of the forward caches' distinct cubes, one copy per group of
+        ranks (the ``activation_bytes`` gauge)."""
+        return sum({id(s.cube): s.cube.nbytes for c in caches for s in (c.f, c.h, c.q)}.values())
+
     def memory_per_rank(self) -> list[int]:
         """Bytes of adjacency + weight + feature shards per rank (the memory
         model behind Sec. 5.1's overhead accounting)."""
@@ -306,7 +312,8 @@ class PlexusGCN:
         """Backward through all layers; returns the stacked gradients keyed
         like the optimizer parameters.  With ``overlap=True`` each preceding
         layer's W all-gather is prefetched as the current backward step
-        completes."""
+        completes.  Consumes ``caches``: each stack is released at its last
+        reader, and every entry is ``None`` on return."""
         overlap = self.options.overlap
         grads: dict[str, np.ndarray] = {}
         dq = d_logits
@@ -318,11 +325,12 @@ class PlexusGCN:
             )
             w_pending = self.layers[i - 1].issue_w_gather() if overlap and i > 0 else None
             grads[f"W{i}"] = dw
-            caches[i] = None  # consumed: this layer's activations die here
+            caches[i] = None  # consumed: its H died at the dW GEMM, its F is the mask below
             if i > 0:
-                # chain rule through the previous layer's ReLU (Eq. 2.4),
-                # one elementwise product over the whole stacked grid
+                # chain rule through the previous layer's ReLU (Eq. 2.4), one
+                # elementwise product over the whole stacked grid; relu(Q) and dF die here
                 dq = stack_mul(df, stack_map(relu_grad, caches[i - 1].q))
+                caches[i - 1].q = df = None
             elif df is not None and self.options.trainable_features:
                 grads["F0"] = df
         return grads

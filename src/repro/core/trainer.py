@@ -325,7 +325,10 @@ class PlexusTrainer:
             logits, caches = model.forward()
         with _trace.span("loss"):
             loss, d_logits = distributed_masked_ce(model, logits)
-        del logits  # the last cache's Q: backward frees each cache where it is consumed
+        if _trace.enabled:  # how much of the RSS is activations, at their most
+            _metrics.gauge("activation_bytes", model.activation_bytes(caches))
+        del logits  # and caches[-1].q: the loss was their one reader
+        caches[-1].q = None
         with _trace.span("backward"):
             grads = model.backward(d_logits, caches)
         with _trace.span("apply_gradients"):

@@ -15,8 +15,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_grad(q: np.ndarray) -> np.ndarray:
     """sigma'(Q) for the elementwise product of Eq. 2.4.
 
-    Takes the *pre-activation* Q (not the output), matching the backward
-    pass formulation in the paper.
+    Q and its output relu(Q) give the same mask, bitwise: the ReLU keeps
+    every positive entry and makes no other one positive (NaN stays NaN),
+    so a layer caches only its output.
     """
     return (q > 0.0).astype(q.dtype)
 

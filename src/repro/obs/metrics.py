@@ -17,7 +17,8 @@ Metric kinds:
   ``crc_failures``, ``reconnects``, ``epochs_done`` ...);
 * **gauges** — last-written values (``heartbeat_age_s``,
   ``epochs_per_sec``, the ``getrusage`` readings ``minor_faults`` /
-  ``major_faults`` / ``max_rss_kb``, a trainer's ``adjacency_bytes`` ...);
+  ``major_faults`` / ``max_rss_kb``, a trainer's ``adjacency_bytes`` /
+  ``activation_bytes`` ...);
 * **histograms** — streaming ``count/sum/min/max`` summaries
   (``exchange_wall_s`` ...) — enough for the summary CLI without storing
   samples.

@@ -87,7 +87,7 @@ def _faults_line(process: str, first: dict, last: dict) -> str:
     if e1 <= e0:
         g0, e0 = {}, 0
     rate = (g1["minor_faults"] - g0.get("minor_faults", 0.0)) / max(1, e1 - e0)
-    graph = f", adjacency_bytes={_fmt_num(g1['adjacency_bytes'])}" if "adjacency_bytes" in g1 else ""
+    graph = "".join(f", {k}={_fmt_num(g1[k])}" for k in ("adjacency_bytes", "activation_bytes") if k in g1)
     return (
         f"  {process}: minor_faults={rate:.1f} per epoch over epochs {e0 + 1}-{e1}, major_faults="
         f"{_fmt_num(g1.get('major_faults', 0.0))}, max_rss_kb={_fmt_num(g1.get('max_rss_kb', 0.0))}{graph}"

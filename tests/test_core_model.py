@@ -216,9 +216,12 @@ class TestModelStructure:
         """Memory guard (N = 8 192 R-MAT, X2Y2Z2, float32, ``tracemalloc``
         from model construction on): what the process holds after two
         epochs and the peak of the third stay within 2 % of what the SpMM
-        plans alone cost as the graph's only copy (measured 10 960 407 /
-        24 084 564 B; 16 252 935 / 29 377 035 B when the per-rank shard sets
-        were kept beside them, 35 397 971 / 50 634 551 B with per-rank block
+        plans alone cost as the graph's only copy, with every activation
+        freed at its last reader (measured 10 952 880 / 17 521 601 B; a
+        21 979 766 B peak while each hidden layer cached Q beside relu(Q)
+        and H, dH and the logits lived through all of backward;
+        16 252 935 / 29 377 035 B when the per-rank shard sets were kept
+        beside the plans, 35 397 971 / 50 634 551 B with per-rank block
         plans, a stored A^T and a stored permuted adjacency).  A frozen
         layer 0 holds no plan once its one forward has run, and its released
         plan refuses any use."""
@@ -256,10 +259,45 @@ class TestModelStructure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert steady <= 11_200_000 and peak <= 24_600_000, (steady, peak)
+        assert steady <= 11_200_000 and peak <= 17_880_000, (steady, peak)
         # ... of which the graph: two forward plans (layer 0's is released)
         # and two A^T ones, each a.nnz (float32, int32) pairs and its row pointers
         assert 4 * (8 * a.nnz) <= model.adjacency_bytes() <= 4 * (8 * a.nnz) + 2**20
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_an_activation_dies_at_its_last_reader(self, ds, dims, trainable):
+        """The cache contract: a hidden layer caches its output relu(Q) —
+        the next layer's F itself, not a copy and not Q beside it; after
+        forward every cache holds populated stacks (the seam microbenchmarks
+        read ``caches[1].f/.h/.q``), after the loss and backward none, and
+        every activation a frozen layer 0 does not hold is freed."""
+        import weakref
+
+        from repro.core.trainer import distributed_masked_ce
+
+        model = PlexusGCN(
+            VirtualCluster(8, PERLMUTTER), GridConfig(2, 2, 2), ds.norm_adjacency, ds.features,
+            ds.labels, ds.train_mask, dims, PlexusOptions(seed=0, trainable_features=trainable),
+        )
+        logits, caches = model.forward()
+        assert caches[-1].q is logits
+        assert all(c.q is after.f and not (c.q.cube < 0).any() for c, after in zip(caches, caches[1:]))
+        # the gauge: every F and H, and the logits — no Q beside its relu(Q)
+        owned = sum(c.f.cube.nbytes + c.h.cube.nbytes for c in caches) + logits.cube.nbytes
+        assert model.activation_bytes(caches) == owned
+        stacks = [s for c in caches for s in (c.f, c.h, c.q)]
+        assert all(s.cube.size and not s.cube.flags.writeable for s in stacks)
+        frozen = model.layers[0]._frozen
+        held = set() if frozen is None else {id(frozen.f.cube), id(frozen.h.cube)}
+        assert (frozen is None) == trainable
+        refs = [weakref.ref(s.cube) for s in stacks if id(s.cube) not in held]
+        del stacks
+        _, d_logits = distributed_masked_ce(model, logits)
+        del logits
+        caches[-1].q = None
+        model.backward(d_logits, caches)
+        assert caches == [None] * model.n_layers
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_invalid_layer_dims(self, ds):
         cluster = VirtualCluster(8, PERLMUTTER)

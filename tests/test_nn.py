@@ -6,6 +6,8 @@ gradients are verified against finite differences.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     SGD,
@@ -26,8 +28,21 @@ class TestFunctional:
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
-    def test_relu_grad_uses_preactivation(self):
+    def test_relu_grad_reads_preactivation_or_activation(self):
         np.testing.assert_array_equal(relu_grad(np.array([-1.0, 0.5])), [0.0, 1.0])
+        np.testing.assert_array_equal(relu_grad(relu(np.array([-1.0, 0.5]))), [0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from([np.float32, np.float64]))
+    def test_relu_output_gives_the_preactivation_mask_bitwise(self, data, dtype):
+        """A layer caches relu(Q) in place of Q: both give relu'(Q), bitwise,
+        signed zeros, infinities, NaN and subnormals included."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny])
+        width = 32 if dtype is np.float32 else 64
+        values = data.draw(st.lists(specials | st.floats(width=width), min_size=1, max_size=64))
+        q = np.asarray(values, dtype=dtype)
+        assert relu_grad(relu(q)).tobytes() == relu_grad(q).tobytes()
 
     def test_softmax_rows_sum_to_one(self, rng):
         s = softmax(rng.standard_normal((5, 7)), axis=1)

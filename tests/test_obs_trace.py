@@ -327,8 +327,11 @@ class TestEndToEnd:
         assert main(["trace", "summarize", str(out)]) == 0
         text = capsys.readouterr().out
         assert "sim phase" in text or "phase" in text
-        # how much of the RSS is graph, on the rusage line of the training process
-        assert re.search(r"inproc: minor_faults=.*max_rss_kb=\S+, adjacency_bytes=[1-9]", text)
+        # how much of the RSS is graph and how much activations, on the rusage
+        # line of the training process
+        assert re.search(
+            r"inproc: minor_faults=.*max_rss_kb=\S+, adjacency_bytes=[1-9]\S*, activation_bytes=[1-9]", text
+        )
         bad = tmp_path / "nothing-here"
         bad.mkdir()
         assert main(["trace", "validate", str(bad)]) == 1
