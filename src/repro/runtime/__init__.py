@@ -29,9 +29,13 @@ zero-copy shared-memory tensor transport underneath the existing
 * :mod:`repro.runtime.net` / :mod:`repro.runtime.rendezvous` — the tcp
   worker fabric (``transport="tcp"``): the socket drop-in for the
   shared-memory bus plus the signed-manifest rendezvous/launcher protocol
-  that lets the pool span machines (``repro host``), with per-call
-  deadlines, bounded reconnect/backoff, and heartbeats on the control
-  connection.
+  that lets the pool span machines (``repro host``), with bounded
+  reconnect/backoff and heartbeats on the control connection.
+
+One deadline bounds every wait: the trainer's ``timeout``.  A bus exchange
+waits at most that long for its peers (shm and tcp alike), and the
+launcher declares a worker wedged when its reply is awaited and it has
+sent nothing for 2 x ``timeout``.
 
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
@@ -48,7 +52,7 @@ other transport (by the launcher, before spawning).
 from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.launch import MultiprocTrainer, WorkloadSpec, build_trainer, host_workers
-from repro.runtime.net import TcpBus, TcpConfig
+from repro.runtime.net import TcpBus
 from repro.runtime.rendezvous import (
     RendezvousListener,
     cleanup_stale_rendezvous,
@@ -69,7 +73,6 @@ __all__ = [
     "ShmBus",
     "cleanup_orphans",
     "TcpBus",
-    "TcpConfig",
     "RendezvousListener",
     "connect_rendezvous",
     "cleanup_stale_rendezvous",

@@ -25,9 +25,10 @@ Actions:
   arrival — at ``pre_barrier`` over tcp, a stall before the exchange's
   sends; simulated clocks are wall-time independent, so results must stay
   bitwise identical);
-* ``"hang"``    — sleep effectively forever (a wedged worker; only the
-  supervisor's heartbeat staleness check can catch it before the bus
-  rendezvous timeout);
+* ``"hang"``    — sleep effectively forever (a wedged worker: a peer
+  waiting on it at the bus raises after the trainer's ``timeout``; a
+  worker no peer waits on is declared wedged by the launcher after
+  2 x ``timeout`` of silence);
 * ``"corrupt"`` — flip one byte of the worker's own payload (valid at
   ``pre_barrier`` only: the payload exists and is not yet published): on
   shm the written mailbox slot or its overflow segment, on tcp the
@@ -72,7 +73,7 @@ FAULT_POINTS = ("pre_barrier", "mid_collective", "post_epoch")
 NETWORK_ACTIONS = ("drop_conn", "partition")
 FAULT_ACTIONS = ("die", "raise", "delay", "hang", "corrupt") + NETWORK_ACTIONS
 
-#: "hang" sleeps this long — far beyond any barrier/heartbeat timeout, but
+#: "hang" sleeps this long — far beyond any deadline of the runtime, but
 #: finite so an escaped worker cannot outlive CI's hard timeout forever
 _HANG_S = 3600.0
 

@@ -11,16 +11,24 @@ epoch times and the comm/comp breakdown are assembled from the workers' raw
 per-rank vectors so they are *bitwise identical* to ``backend="inproc"`` on
 the same workload.
 
-Supervision: the message pump blocks in one ``connection.wait`` over every
-control pipe and every local worker's process sentinel, draining per-epoch
-heartbeat beacons as they arrive — a dead worker surfaces *mid-epoch* as a
-typed :class:`~repro.errors.WorkerCrashed` (worker id, exit code, last
-completed epoch) when its sentinel fires (a remote worker: at EOF on its
-control connection) instead of waiting out the bus barrier timeout, and a
-wedged worker that stops beating trips
-:class:`~repro.errors.BarrierTimeout` when ``heartbeat_timeout`` is set.
-Worker-raised exceptions arrive as structured reports and re-raise as
-typed exceptions carrying the worker's original traceback text.
+Supervision has one deadline, the trainer's ``timeout``.  A bus exchange
+waits at most ``timeout`` for its peers on either transport, so a worker
+that dies or wedges mid-collective is reported by the peer waiting on it.
+The message pump blocks in one ``connection.wait`` over every control pipe
+and every local worker's process sentinel, draining per-epoch heartbeat
+beacons as they arrive — a dead worker surfaces *mid-epoch* as a typed
+:class:`~repro.errors.WorkerCrashed` (worker id, exit code, last completed
+epoch) when its sentinel fires (a remote worker: at EOF on its control
+connection).  The launcher's own backstop comes later than any bus
+deadline, so it speaks only for a worker no peer waits on: a worker whose
+reply is awaited and that has sent nothing for 2 x ``timeout`` is declared
+wedged, a :class:`~repro.errors.BarrierTimeout` naming it.  Worker-raised
+exceptions arrive as structured reports and re-raise as the
+:mod:`repro.errors` runtime error of the same name (anything else:
+:class:`~repro.errors.WorkerFailed`) carrying the worker's original
+traceback text.  Every failure leaves through one path
+(:meth:`MultiprocTrainer._fail`): trace flushed, pool stopped, per-worker
+liveness table appended.
 
 Fault tolerance: with ``checkpoint_dir`` set, the pool checkpoints every
 ``checkpoint_every`` epochs (each worker writes its own slice file, the
@@ -54,10 +62,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro import errors
 from repro.core.configs import PlexusOptions
 from repro.core.grid import GridConfig
 from repro.core.trainer import ALLOC_PINS, EpochStats, TrainResult
@@ -79,7 +89,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import FaultPlan
-from repro.runtime.net import TcpConfig
+from repro.runtime.net import POOL_FORMATION_S
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 from repro.runtime.worker import build_worker, worker_main, worker_main_tcp, worker_slice
 
@@ -104,15 +114,18 @@ _ALLOC_VARS = {var: str(value) for var, _, value in ALLOC_PINS}
 #: failures the respawn-and-replay policy treats as transient
 _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)
 
-#: worker-reported exception types that map onto their own launcher-side class
-_ETYPE_MAP = {
-    "BarrierTimeout": BarrierTimeout,
-    "CheckpointError": CheckpointError,
-    "PayloadCorruption": PayloadCorruption,
-    "RendezvousDesync": RendezvousDesync,
-    "UnsupportedWorkload": UnsupportedWorkload,
-    "WorkerCrashed": WorkerCrashed,
+#: a worker-reported exception re-raises as the runtime error of its name:
+#: the strict subclasses of PlexusRuntimeError in repro.errors (anything
+#: else, the base included, is WorkerFailed)
+_TYPED = {
+    name: cls
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and PlexusRuntimeError in cls.__mro__[1:]
 }
+
+#: first recovery backoff (doubling per restart) and checkpoints kept
+_RESTART_BACKOFF_S = 0.25
+_KEEP_CHECKPOINTS = 2
 
 
 @dataclass
@@ -220,13 +233,17 @@ class MultiprocTrainer:
 
     With ``checkpoint_dir`` set the trainer checkpoints every
     ``checkpoint_every`` epochs, resumes from the newest complete
-    checkpoint found in the directory at construction, and recovers from
-    transient worker failures by respawning the pool from the latest
-    checkpoint (at most ``max_restarts`` times, exponential backoff from
-    ``restart_backoff`` seconds) and replaying — bitwise identical to an
-    uninterrupted run.  ``heartbeat_timeout`` (seconds, default off) bounds
-    how long a worker may train without emitting its per-epoch heartbeat
-    before it is declared wedged.
+    checkpoint found in the directory at construction (the newest two are
+    kept), and recovers from transient worker failures by respawning the
+    pool from the latest checkpoint (at most ``max_restarts`` times,
+    exponential backoff from 0.25 s) and replaying — bitwise identical to
+    an uninterrupted run.
+
+    ``timeout`` (seconds) is the one deadline: a bus exchange waits at most
+    that long for its peers, and a worker whose reply the launcher awaits
+    is declared wedged after 2 x ``timeout`` without a message from it (a
+    pool forms within the larger of 2 x ``timeout`` and
+    :data:`~repro.runtime.net.POOL_FORMATION_S`).
     """
 
     backend = "multiproc"
@@ -239,13 +256,9 @@ class MultiprocTrainer:
         checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 1,
         max_restarts: int = 2,
-        restart_backoff: float = 0.25,
-        heartbeat_timeout: float | None = None,
-        keep_checkpoints: int = 2,
         transport: str = "shm",
         rendezvous: str | tuple[str, int] | None = None,
         remote_workers: int = 0,
-        tcp_config: TcpConfig | None = None,
         trace_dir: str | Path | None = None,
     ) -> None:
         if checkpoint_every < 1:
@@ -266,9 +279,6 @@ class MultiprocTrainer:
             host, _, port = rendezvous.rpartition(":")
             rendezvous = (host or "127.0.0.1", int(port))
         self.rendezvous = rendezvous or ("127.0.0.1", 0)
-        self.tcp_config = tcp_config or TcpConfig(
-            exchange_timeout=min(timeout * 0.75, TcpConfig.exchange_timeout)
-        )
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._collector: TraceCollector | None = None
         if self.trace_dir is not None:
@@ -283,9 +293,6 @@ class MultiprocTrainer:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.checkpoint_every = checkpoint_every
         self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.heartbeat_timeout = heartbeat_timeout
-        self.keep_checkpoints = keep_checkpoints
         self._closed = False
         self._history: list[EpochStats] = []
         #: absolute epoch of _history[0] — nonzero when resuming from a
@@ -293,13 +300,14 @@ class MultiprocTrainer:
         self._hist_base = 0
         self._epochs_done = 0
         self._restarts_used = 0
-        self._training = False
         self._bus: ShmBus | None = None
         self._listener = None  # tcp: the RendezvousListener (+ its port file)
         self._authkey = secrets.token_bytes(32)
         self._session = ""
         self._procs: list = []
         self._conns: list = []
+        #: per worker: when its last message arrived (or the current wait began)
+        self._heard: list[float] = []
         atexit.register(self.close)
         restore = None
         if self.checkpoint_dir is not None:
@@ -338,7 +346,6 @@ class MultiprocTrainer:
         #: workers found gone by the pump, not yet raised
         self._gone: set[int] = set()
         self._worker_epoch = [self._epochs_done] * self.workers
-        self._last_beat = [time.monotonic()] * self.workers
         with _trace.span(
             "launcher.spawn_pool", workers=self.workers, transport=self.transport
         ):
@@ -346,8 +353,8 @@ class MultiprocTrainer:
                 self._spawn_tcp(ctx, spec, restore)
             else:
                 self._spawn_shm(ctx, spec, restore)
-            for w in range(self.workers):
-                self._recv(w)  # ("ready", w) or the build/restore error
+            # every ("ready", w), or the build/restore error
+            self._replies(max(POOL_FORMATION_S, 2 * self.timeout))
 
     def _spawn_shm(self, ctx, spec: WorkloadSpec, restore) -> None:
         self._bus_handle = BusHandle(
@@ -379,9 +386,10 @@ class MultiprocTrainer:
         secondary rediscovers the new rendezvous through the port file.
         Locally spawned workers pin their slice index as the preferred
         worker id; ``remote_workers`` slots are filled by workers dialing
-        in from other launchers.  The workload spec (and any restore
-        checkpoint) ships over the authenticated control connections, which
-        afterwards carry the command loop and the heartbeats.
+        in from other launchers.  The workload spec (with any restore
+        checkpoint and the bus ``timeout``) ships over the authenticated
+        control connections, which afterwards carry the command loop and
+        the heartbeats.
         """
         from repro.runtime.rendezvous import RendezvousListener
 
@@ -392,21 +400,17 @@ class MultiprocTrainer:
         n_local = self.workers - self.remote_workers
         _start_workers(self._procs, ctx, worker_main_tcp, [(w, *dial) for w in range(n_local)])
         self._procs += [None] * self.remote_workers  # remote slots: no local process
-        conns = self._listener.gather(
-            self.workers, timeout=self.tcp_config.rendezvous_timeout
-        )
+        conns = self._listener.gather(self.workers, timeout=POOL_FORMATION_S)
         self._conns = [conns[w] for w in range(self.workers)]
         for conn in self._conns:
-            conn.send(("spec", spec, restore, self.tcp_config))
+            conn.send(("spec", spec, restore, self.timeout))
 
     def _stop_pool(self, graceful: bool) -> None:
-        """Flush the trace (so spans leading up to a failure survive), stop
-        the workers, and release every connection, segment and listener of
-        this pool — the one place the session's segments are unlinked.
-        ``graceful=False`` is the path after a failure: the rendezvous is
-        already broken, so workers are terminated, not asked, and the
-        trainer itself stays open — recovery may respawn."""
-        self._flush_trace()
+        """Stop the workers and release every connection, segment and
+        listener of this pool — the one place the session's segments are
+        unlinked.  ``graceful=False`` is the path after a failure: the
+        rendezvous is already broken, so workers are terminated, not asked,
+        and the trainer itself stays open — recovery may respawn."""
         self._stop_procs(graceful)
         for conn in self._conns:
             try:
@@ -424,41 +428,31 @@ class MultiprocTrainer:
 
     def _stop_procs(self, graceful: bool) -> None:
         """The stop ladder: optional close command, then SIGTERM, then
-        SIGKILL — logging which workers needed escalation.  Remote workers
-        (no local process) get the close command only; their own launcher
-        supervises their exit."""
+        SIGKILL (5 s joins), logging which workers needed escalation.
+        Remote workers (no local process) get the close command only; their
+        own launcher supervises their exit."""
+        local = [(w, p) for w, p in enumerate(self._procs) if p is not None]
         if graceful:
             for conn in self._conns:
                 try:
                     conn.send(("close",))
                 except (OSError, ValueError):
                     pass
-            for p in self._procs:
-                if p is not None:
-                    p.join(timeout=5.0)
-        need_term = [
-            w for w, p in enumerate(self._procs) if p is not None and p.is_alive()
-        ]
-        for w in need_term:
-            self._procs[w].terminate()
-        for w in need_term:
-            self._procs[w].join(timeout=5.0)
-        need_kill = [w for w in need_term if self._procs[w].is_alive()]
-        for w in need_kill:
-            self._procs[w].kill()
-        for w in need_kill:
-            self._procs[w].join(timeout=5.0)
-        if graceful and need_term:
-            logger.warning(
-                "workers %s ignored the close command; escalated to SIGTERM",
-                need_term,
-            )
-        if need_kill:
-            logger.warning(
-                "workers %s ignored SIGTERM during the 5 s join; escalated "
-                "to SIGKILL",
-                need_kill,
-            )
+            for _, p in local:
+                p.join(timeout=5.0)
+        for sig, stop in (("SIGTERM", "terminate"), ("SIGKILL", "kill")):
+            local = [(w, p) for w, p in local if p.is_alive()]
+            if local and (graceful or sig == "SIGKILL"):
+                logger.warning(
+                    "workers %s ignored the %s; escalated to %s",
+                    [w for w, _ in local],
+                    "close command" if sig == "SIGTERM" else "SIGTERM",
+                    sig,
+                )
+            for _, p in local:
+                getattr(p, stop)()
+            for _, p in local:
+                p.join(timeout=5.0)
 
     # -- message pump / supervision --------------------------------------------
     def _pump(self, timeout: float) -> None:
@@ -466,11 +460,12 @@ class MultiprocTrainer:
         note which workers are gone, in one ``wait`` over the pipes and the
         local workers' process sentinels.
 
-        Heartbeat beacons are consumed here (liveness timestamps + the
-        per-worker last-completed-epoch record); everything else queues for
-        :meth:`_recv`.  A worker is gone when its sentinel fires; a remote
-        one (no local process) at EOF on its control connection — a local
-        worker's EOF only retires the pipe, its sentinel follows.
+        Any message marks its worker as heard from; heartbeat beacons also
+        record the worker's last completed epoch, trace payloads go to the
+        collector, and everything else queues for :meth:`_replies`.  A
+        worker is gone when its sentinel fires; a remote one (no local
+        process) at EOF on its control connection — a local worker's EOF
+        only retires the pipe, its sentinel follows.
         """
         waiting = {c: w for w, c in enumerate(self._conns) if w not in self._eof}
         waiting.update(
@@ -486,6 +481,7 @@ class MultiprocTrainer:
             if ready is not conn:  # a sentinel: the process exited
                 self._gone.add(w)
                 continue
+            self._heard[w] = time.monotonic()
             while True:
                 try:
                     if not conn.poll(0):
@@ -497,29 +493,77 @@ class MultiprocTrainer:
                         self._gone.add(w)
                     break
                 if msg[0] == "beat":
-                    self._last_beat[msg[1]] = time.monotonic()
-                    self._worker_epoch[msg[1]] = msg[2]
+                    self._worker_epoch[w] = msg[2]
                 elif msg[0] == "trace":
                     if self._collector is not None:
-                        self._collector.add_worker_payload(f"worker {msg[1]}", msg[2])
+                        self._collector.add_worker_payload(f"worker {w}", msg[2])
                 else:
                     self._inbox[w].append(msg)
 
-    def _liveness_rows(self) -> list[tuple[int, str, float, int]]:
-        """Per-worker ``(worker, tags, heartbeat_age_s, last_epoch)`` rows —
-        the shared shape behind timeout messages and trace summaries."""
-        now = time.monotonic()
-        rows = []
-        for w, beat in enumerate(self._last_beat):
-            tag = " [remote]" if w < len(self._procs) and self._procs[w] is None else ""
-            tag += " [pipe closed]" if w in self._eof else ""
-            rows.append((w, tag, now - beat, self._worker_epoch[w]))
-        return rows
+    def _replies(self, patience: float) -> list:
+        """Every worker's next reply, in worker order.
 
-    def _straggler_report(self) -> str:
-        """Per-worker liveness table for timeout messages: heartbeat age and
-        last completed epoch, so a timeout names the straggler."""
-        return format_liveness(self._liveness_rows())
+        Waits as long as the pool is alive: the pump drains every pipe and
+        watches every sentinel.  A worker's error report re-raises typed; a
+        gone worker is :class:`~repro.errors.WorkerCrashed`; a worker whose
+        reply is missing and that has sent nothing for ``patience`` seconds
+        (2 x ``timeout`` for a command: later than any bus deadline, so a
+        peer waiting on it at the bus reports first) is declared wedged.
+        """
+        self._heard = [time.monotonic()] * self.workers
+        while True:
+            if self._gone:
+                self._pump(0)  # a gone worker's last words: its error report
+            report = next((q[0][1] for q in self._inbox if q and q[0][0] == "error"), None)
+            if report is not None:
+                w, etype = report["worker"], report["etype"]
+                if self._collector is not None and "trace" in report:
+                    # the worker's crash-flushed telemetry
+                    self._collector.add_worker_payload(f"worker {w}", report.pop("trace"))
+                self._fail(
+                    _TYPED.get(etype, WorkerFailed),
+                    w,
+                    f"worker {w} raised {etype}: {report['message']}",
+                    traceback_text=report["traceback"],
+                )
+            if all(self._inbox):
+                return [q.popleft()[1] for q in self._inbox]
+            if self._gone:
+                w = min(self._gone)
+                p = self._procs[w]
+                if p is None:
+                    how, exitcode = "dropped its control connection (remote worker lost)", None
+                else:
+                    p.join(timeout=1.0)  # a ready sentinel can precede waitpid
+                    how, exitcode = f"died (exit code {p.exitcode})", p.exitcode
+                why = f"worker {w} {how} after epoch {self._worker_epoch[w]}"
+                self._fail(WorkerCrashed, w, why, exitcode=exitcode)
+            now = time.monotonic()
+            for w, q in enumerate(self._inbox):
+                if not q and now - self._heard[w] > patience:
+                    self._fail(
+                        BarrierTimeout,
+                        w,
+                        f"worker {w} sent nothing for {now - self._heard[w]:.1f}s "
+                        f"(> {patience:g}s) while its reply was awaited — wedged "
+                        f"after epoch {self._worker_epoch[w]}",
+                    )
+            self._pump(0.2)
+
+    def _fail(
+        self, cls: type[PlexusRuntimeError], w: int | None, why: str, **context
+    ) -> NoReturn:
+        """The one way out of a broken pool: flush the trace (the spans
+        leading up to the failure survive), stop the pool, and raise ``cls``
+        attributed to worker ``w`` with the per-worker liveness table."""
+        table = format_liveness(self._flush_trace())
+        self._stop_pool(graceful=False)
+        raise cls(
+            f"multiproc runtime failed: {why}\n{table}",
+            worker_id=w,
+            last_epoch=None if w is None else self._worker_epoch[w],
+            **context,
+        )
 
     def _drain_trace(self) -> None:
         """Move the launcher's own span buffer and a metrics row into the
@@ -532,128 +576,36 @@ class MultiprocTrainer:
         _metrics.gauge_rusage()
         self._collector.add_metrics("launcher", self._epochs_done, _metrics.snapshot())
 
-    def _flush_trace(self) -> None:
-        """Rewrite the merged trace artifacts in ``trace_dir`` (idempotent).
+    def _flush_trace(self) -> list[tuple[int, str, float, int]]:
+        """Rewrite the merged trace artifacts in ``trace_dir`` (idempotent);
+        returns the per-worker liveness rows ``(worker, tags, silent_s,
+        last_epoch)`` they record.
 
         Renders every artifact from the whole collector, so it runs where
-        the files must be on disk — on pool teardown (a failing command: the
-        spans leading up to it survive) and from ``close()`` — and not per
-        ``train()`` call, which only drains (a traced ``train(1)`` loop
-        would otherwise be quadratic).
+        the files must be on disk — on a failure and from ``close()`` — and
+        not per ``train()`` call, which only drains (a traced ``train(1)``
+        loop would otherwise be quadratic).
         """
-        if self._collector is None:
-            return
-        self._drain_trace()
-        rows = self._liveness_rows() if hasattr(self, "_last_beat") else None
-        try:
-            self._collector.write(self.trace_dir, liveness=rows)
-        except OSError as err:  # disk trouble must not mask the training error
-            logger.warning(
-                "failed to write trace artifacts to %s: %s", self.trace_dir, err
+        now = time.monotonic()
+        rows = [
+            (
+                w,
+                " [remote]" * (w < len(self._procs) and self._procs[w] is None)
+                + " [pipe closed]" * (w in self._eof),
+                now - heard,
+                self._worker_epoch[w],
             )
-
-    def _check_failures(self) -> None:
-        """Convert a gone worker / stale heartbeat into a typed raise."""
-        if self._gone:
-            self._worker_down(min(self._gone))
-        if self._training and self.heartbeat_timeout is not None:
-            now = time.monotonic()
-            for w, beat in enumerate(self._last_beat):
-                stale = now - beat
-                if stale > self.heartbeat_timeout:
-                    last = self._worker_epoch[w]
-                    report = self._straggler_report()
-                    self._stop_pool(graceful=False)
-                    raise BarrierTimeout(
-                        f"multiproc runtime failed: worker {w} heartbeat "
-                        f"stale for {stale:.1f}s (> {self.heartbeat_timeout}s) "
-                        f"— wedged mid-epoch after epoch {last}\n{report}",
-                        worker_id=w,
-                        last_epoch=last,
-                    )
-
-    def _worker_down(self, w: int):
-        """A worker is gone: drain its final words, then raise typed."""
-        self._pump(0)
-        inbox = self._inbox[w]
-        while inbox:
-            kind, payload = inbox.popleft()
-            if kind == "error":
-                self._raise_worker_error(payload)
-        last = self._worker_epoch[w]
-        p = self._procs[w]
-        lost = p is None
-        if not lost:
-            # a ready sentinel can precede waitpid by a moment (is_alive()
-            # still true, exitcode None): reap before reading the exit code
-            p.join(timeout=1.0)
-        exitcode = None if lost else p.exitcode
-        report = self._straggler_report()
-        self._stop_pool(graceful=False)
-        raise WorkerCrashed(
-            f"multiproc runtime failed: worker {w} "
-            + (
-                "dropped its control connection (remote worker lost)"
-                if lost
-                else f"died (exit code {exitcode})"
-            )
-            + f" after epoch {last}\n{report}",
-            worker_id=w,
-            exitcode=exitcode,
-            last_epoch=last,
-        )
-
-    def _raise_worker_error(self, payload):
-        """Re-raise a worker's structured error report launcher-side, as the
-        matching typed exception carrying the original traceback text.
-
-        A tracing run's report carries the worker's crash-flushed telemetry
-        buffers under ``"trace"`` — folded into the collector here so spans
-        leading up to the failure survive into the exported trace.
-        """
-        report = self._straggler_report()
+            for w, heard in enumerate(self._heard)
+        ]
         if self._collector is not None:
-            flushed = payload.pop("trace", None)
-            if flushed is not None:
-                self._collector.add_worker_payload(
-                    f"worker {payload.get('worker')}", flushed
+            self._drain_trace()
+            try:
+                self._collector.write(self.trace_dir, liveness=rows)
+            except OSError as err:  # disk trouble must not mask the training error
+                logger.warning(
+                    "failed to write trace artifacts to %s: %s", self.trace_dir, err
                 )
-        self._stop_pool(graceful=False)
-        w = payload.get("worker")
-        etype = payload.get("etype", "Exception")
-        cls = _ETYPE_MAP.get(etype, WorkerFailed)
-        message = (
-            f"multiproc runtime failed: worker {w} raised {etype}: "
-            f"{payload.get('message')}"
-        )
-        if cls is BarrierTimeout:  # a timeout names the straggler
-            message += f"\n{report}"
-        raise cls(
-            message,
-            worker_id=w,
-            last_epoch=self._worker_epoch[w] if w is not None else None,
-            traceback_text=payload.get("traceback"),
-        )
-
-    def _recv(self, w: int):
-        """Wait for worker ``w``'s reply; liveness-based, not deadline-based.
-
-        A long ``train`` command legitimately stays quiet between heartbeat
-        beacons, so the launcher waits as long as the pool is healthy: the
-        pump drains every pipe and watches every process sentinel while the
-        failure checks act on what it found and (when enabled) on heartbeat
-        staleness — a dead or wedged worker ends the wait in well under the
-        bus barrier timeout.
-        """
-        inbox = self._inbox[w]
-        while not inbox:
-            self._pump(0.2)
-            if not inbox:
-                self._check_failures()
-        kind, payload = inbox.popleft()
-        if kind == "error":
-            self._raise_worker_error(payload)
-        return payload
+        return rows
 
     def _command(self, *msg) -> list:
         if self._closed:
@@ -662,8 +614,8 @@ class MultiprocTrainer:
             try:
                 conn.send(msg)
             except (OSError, ValueError):
-                self._worker_down(w)
-        return [self._recv(w) for w in range(self.workers)]
+                self._gone.add(w)  # a broken pipe: _replies reports it
+        return self._replies(2 * self.timeout)
 
     # -- trainer surface -------------------------------------------------------
     def train(self, epochs: int) -> TrainResult:
@@ -706,25 +658,18 @@ class MultiprocTrainer:
         n = goal - self._epochs_done
         if self.checkpoint_dir is not None:
             n = min(n, self.checkpoint_every)
-        self._training = True
-        self._last_beat = [time.monotonic()] * self.workers
-        try:
-            with _trace.span(
-                "launcher.train_stretch", n=n, start_epoch=self._epochs_done
-            ):
-                per_worker = self._command("train", n)
-        finally:
-            self._training = False
+        with _trace.span("launcher.train_stretch", n=n, start_epoch=self._epochs_done):
+            per_worker = self._command("train", n)
         stretch: list[EpochStats] = []
         for e in range(n):
             loss, t0, t1 = per_worker[0][e][:3]
             for w in range(1, self.workers):
                 if per_worker[w][e][:3] != (loss, t0, t1):
-                    self._stop_pool(graceful=False)
-                    raise RendezvousDesync(
-                        f"multiproc runtime failed: epoch "
-                        f"{self._epochs_done + e}: workers disagree on "
-                        "(loss, t0, t1) — the SPMD execution diverged"
+                    self._fail(
+                        RendezvousDesync,
+                        None,
+                        f"epoch {self._epochs_done + e}: workers disagree on "
+                        "(loss, t0, t1) — the SPMD execution diverged",
                     )
             comm = np.concatenate([per_worker[w][e][3] for w in range(self.workers)])
             comp = np.concatenate([per_worker[w][e][4] for w in range(self.workers)])
@@ -755,7 +700,7 @@ class MultiprocTrainer:
             )
         found = ckpt.latest_checkpoint(self.checkpoint_dir)
         epoch, restore = (0, None) if found is None else (found[0], (str(found[1]), found[0]))
-        delay = self.restart_backoff * (2 ** (self._restarts_used - 1))
+        delay = _RESTART_BACKOFF_S * (2 ** (self._restarts_used - 1))
         logger.warning(
             "worker failure (%s: worker %s, last epoch %s); restart %d/%d "
             "from epoch %d after %.2fs backoff",
@@ -795,7 +740,7 @@ class MultiprocTrainer:
             world=self.spec.config.total,
             layer_dims=self.spec.layer_dims,
             history=self._history,
-            keep=self.keep_checkpoints,
+            keep=_KEEP_CHECKPOINTS,
             tag=f"-{self._session[-8:]}",
         )
 
@@ -870,6 +815,7 @@ class MultiprocTrainer:
         self._closed = True
         atexit.unregister(self.close)  # a closed trainer must be collectable
         try:
+            self._flush_trace()
             self._stop_pool(graceful=True)
         finally:
             if self._collector is not None:

@@ -28,9 +28,10 @@ Wire protocol — small, inspectable, and hardened:
   which makes the schedule deadlock-free.  The per-frame sequence number
   is the same seq-desync detector as shm: a frame from the wrong exchange
   raises :class:`~repro.errors.RendezvousDesync`.
-* **Deadlines everywhere**: every socket operation runs under
-  ``TcpConfig.io_timeout`` and every exchange under
-  ``TcpConfig.exchange_timeout``; expiry surfaces as a typed
+* **One deadline**: a bus exchange waits at most the launcher's
+  ``timeout`` for its peers, and every socket wait inside it is bounded
+  by what is left of that budget (wiring the mesh, by
+  :data:`POOL_FORMATION_S`); expiry surfaces as a typed
   :class:`~repro.errors.BarrierTimeout` carrying the peer id and the frame
   sequence number — never a silent hang.
 * **Reconnect**: ``ECONNRESET`` / ``EPIPE`` / partial reads trigger
@@ -51,9 +52,9 @@ Wire protocol — small, inspectable, and hardened:
 
 Liveness beyond the data plane rides the *control* connection (the
 rendezvous channel of :mod:`repro.runtime.rendezvous`): per-epoch
-heartbeats flow launcher-ward there, so a wedged or partitioned worker is
-detected by heartbeat staleness in seconds even when no data-plane
-deadline is currently running.
+heartbeats flow launcher-ward there, so a worker no peer waits on at the
+bus is still declared wedged by the launcher once it stays silent for
+2 x ``timeout``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from repro.errors import BarrierTimeout, CollectiveMisuse, PayloadCorruption, Re
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 
-__all__ = ["TcpConfig", "TcpBus", "peer_listener"]
+__all__ = ["POOL_FORMATION_S", "TcpBus", "peer_listener"]
 
 _MAGIC = b"PXF1"
 _HDR = struct.Struct("<4sBBxxQI")  # magic, kind, count, seq, crc32
@@ -81,28 +81,15 @@ _HELLO = struct.Struct("<32sIQBB")  # auth digest, worker id, seq, have_data, ha
 _MAX_NDIM = 6
 K_DATA, K_ACK, K_HELLO = 1, 2, 3
 
-
-@dataclass(frozen=True)
-class TcpConfig:
-    """Hardening knobs of the TCP fabric (picklable; shipped to workers).
-
-    ``io_timeout`` bounds every single socket operation; ``exchange_timeout``
-    bounds one whole bus exchange including reconnect attempts (it should
-    stay well under the launcher's barrier ``timeout`` so a typed error
-    wins the race against the generic deadline).  Reconnects back off
-    exponentially from ``backoff_base`` up to ``backoff_max`` with
-    ``jitter`` fractional randomization, at most ``max_retries`` times per
-    exchange.
-    """
-
-    io_timeout: float = 30.0
-    connect_timeout: float = 5.0
-    exchange_timeout: float = 90.0
-    rendezvous_timeout: float = 60.0
-    max_retries: int = 5
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    jitter: float = 0.25
+#: deadline for forming a pool: every worker dialed in, the mesh wired
+POOL_FORMATION_S = 60.0
+#: one dial attempt of a (re)connect
+_CONNECT_S = 5.0
+#: reconnects per exchange; backoff doubles from the first delay up to the
+#: cap, each stretched by up to ``_JITTER`` of itself at random
+_RETRIES = 5
+_BACKOFF_S = (0.05, 2.0)
+_JITTER = 0.25
 
 
 class _ConnLost(Exception):
@@ -111,6 +98,14 @@ class _ConnLost(Exception):
 
 #: OS errors the reconnect path treats as a dropped connection
 _RETRYABLE = (_ConnLost, ConnectionError, BrokenPipeError, OSError)
+
+
+def _left(deadline: float) -> float:
+    """Seconds left before ``deadline``: a socket wait's timeout."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError
+    return left
 
 
 def _auth_token(key: bytes, session: str, worker: int) -> bytes:
@@ -132,17 +127,25 @@ def peer_listener(n_peers: int) -> socket.socket:
 # ---------------------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, view: memoryview) -> None:
-    """Fill ``view`` from the socket; EOF mid-frame is a lost connection."""
+def _recv_exact(sock: socket.socket, view: memoryview, deadline: float) -> None:
+    """Fill ``view`` from the socket by ``deadline``; EOF mid-frame is a
+    lost connection."""
     while len(view):
+        sock.settimeout(_left(deadline))
         n = sock.recv_into(view)
         if n == 0:
             raise _ConnLost("peer closed the connection mid-frame")
         view = view[n:]
 
 
+def _send_all(sock: socket.socket, data, deadline: float) -> None:
+    sock.settimeout(_left(deadline))
+    sock.sendall(data)
+
+
 def _send_data(
-    sock: socket.socket, seq: int, arrays: list[np.ndarray], corrupt: bool = False
+    sock: socket.socket, seq: int, arrays: list[np.ndarray], deadline: float,
+    corrupt: bool = False,
 ) -> None:
     """One DATA frame: header + records + raw array bytes off the operands'
     memoryviews.  ``corrupt`` sends a copy of the first array with one byte
@@ -159,24 +162,26 @@ def _send_data(
         shape = list(a.shape) + [0] * (_MAX_NDIM - a.ndim)
         recs.append(_REC.pack(a.dtype.str.encode(), a.ndim, *shape))
     head = _HDR.pack(_MAGIC, K_DATA, len(arrays), seq, crc) + b"".join(recs)
-    sock.sendall(head)
+    _send_all(sock, head, deadline)
     for i, a in enumerate(arrays):
         buf = memoryview(a).cast("B")
         if corrupt and i == 0 and len(buf):
             bad = bytearray(buf)
             bad[0] ^= 0xFF
             buf = memoryview(bad)
-        sock.sendall(buf)
+        _send_all(sock, buf, deadline)
     if _trace.enabled:
         _metrics.count("frames_sent")
         _metrics.count("bytes_sent", len(head) + sum(a.nbytes for a in arrays))
 
 
-def _send_control(sock: socket.socket, kind: int, seq: int) -> None:
-    sock.sendall(_HDR.pack(_MAGIC, kind, 0, seq, 0))
+def _send_control(sock: socket.socket, kind: int, seq: int, deadline: float) -> None:
+    _send_all(sock, _HDR.pack(_MAGIC, kind, 0, seq, 0), deadline)
 
 
-def _recv_frame(sock: socket.socket, peer: int) -> tuple[int, int, list[np.ndarray]]:
+def _recv_frame(
+    sock: socket.socket, peer: int, deadline: float
+) -> tuple[int, int, list[np.ndarray]]:
     """Read one frame; returns ``(kind, seq, arrays)``.
 
     DATA payloads are received straight into freshly allocated destination
@@ -184,20 +189,20 @@ def _recv_frame(sock: socket.socket, peer: int) -> tuple[int, int, list[np.ndarr
     :class:`~repro.errors.PayloadCorruption` naming the sending peer.
     """
     head = bytearray(_HDR.size)
-    _recv_exact(sock, memoryview(head))
+    _recv_exact(sock, memoryview(head), deadline)
     magic, kind, count, seq, posted_crc = _HDR.unpack(bytes(head))
     if magic != _MAGIC:
         raise _ConnLost(f"bad frame magic {magic!r} from worker {peer}")
     if kind != K_DATA:
         return kind, seq, []
     recs = bytearray(_REC.size * count)
-    _recv_exact(sock, memoryview(recs))
+    _recv_exact(sock, memoryview(recs), deadline)
     arrays, crc = [], 0
     for i in range(count):
         dt_raw, ndim, *shape6 = _REC.unpack_from(recs, i * _REC.size)
         dtype = np.dtype(dt_raw.rstrip(b"\0").decode())
         a = np.empty(tuple(shape6[:ndim]), dtype=dtype)
-        _recv_exact(sock, memoryview(a).cast("B"))
+        _recv_exact(sock, memoryview(a).cast("B"), deadline)
         crc = zlib.crc32(a, crc)
         arrays.append(a)
     if crc != posted_crc:
@@ -217,25 +222,28 @@ def _recv_frame(sock: socket.socket, peer: int) -> tuple[int, int, list[np.ndarr
 
 
 def _send_hello(
-    sock: socket.socket, key: bytes, session: str, me: int, sync: tuple[int, bool, bool]
+    sock: socket.socket, key: bytes, session: str, me: int, sync: tuple[int, bool, bool],
+    deadline: float,
 ) -> None:
     seq, have_data, have_ack = sync
-    sock.sendall(
+    _send_all(
+        sock,
         _HDR.pack(_MAGIC, K_HELLO, 0, 0, 0)
-        + _HELLO.pack(_auth_token(key, session, me), me, seq, have_data, have_ack)
+        + _HELLO.pack(_auth_token(key, session, me), me, seq, have_data, have_ack),
+        deadline,
     )
 
 
 def _recv_hello(
-    sock: socket.socket, key: bytes, session: str
+    sock: socket.socket, key: bytes, session: str, deadline: float
 ) -> tuple[int, tuple[int, bool, bool]]:
     head = bytearray(_HDR.size)
-    _recv_exact(sock, memoryview(head))
+    _recv_exact(sock, memoryview(head), deadline)
     magic, kind, _, _, _ = _HDR.unpack(bytes(head))
     if magic != _MAGIC or kind != K_HELLO:
         raise _ConnLost("peer handshake: not a HELLO frame")
     body = bytearray(_HELLO.size)
-    _recv_exact(sock, memoryview(body))
+    _recv_exact(sock, memoryview(body), deadline)
     digest, wid, seq, have_data, have_ack = _HELLO.unpack(bytes(body))
     if not hmac.compare_digest(digest, _auth_token(key, session, wid)):
         raise _ConnLost(f"peer handshake: bad auth token for claimed worker {wid}")
@@ -266,6 +274,7 @@ class _PeerLink:
         self.adopted: tuple[socket.socket, tuple[int, bool, bool]] | None = None
         # current-exchange state
         self.seq = 0
+        self.deadline = 0.0
         self._out: list[np.ndarray] = []
         self._in: list[np.ndarray] | None = None
         self._sent_data = self._got_data = False
@@ -301,10 +310,6 @@ class _PeerLink:
             self._sent_data = self._sent_ack = False
 
     # -- connection management -------------------------------------------------
-    def _tune(self, sock: socket.socket) -> None:
-        sock.settimeout(self.bus.cfg.io_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
     def close(self) -> None:
         for s in (self.sock, self.adopted[0] if self.adopted else None):
             if s is not None:
@@ -328,12 +333,12 @@ class _PeerLink:
             raise _ConnLost("injected network partition")
         if self.dialer:
             sock = socket.create_connection(
-                self.addr, timeout=min(bus.cfg.connect_timeout, max(0.1, deadline - time.monotonic()))
+                self.addr, timeout=min(_CONNECT_S, max(0.1, deadline - time.monotonic()))
             )
-            self._tune(sock)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
-                _send_hello(sock, bus.key, bus.session, bus.worker_id, self.sync_state())
-                _, peer_sync = _recv_hello(sock, bus.key, bus.session)
+                _send_hello(sock, bus.key, bus.session, bus.worker_id, self.sync_state(), deadline)
+                _, peer_sync = _recv_hello(sock, bus.key, bus.session, deadline)
             except BaseException:
                 sock.close()
                 raise
@@ -348,17 +353,19 @@ class _PeerLink:
             self._apply_sync(peer_sync)
 
     # -- the pair exchange -----------------------------------------------------
-    def exchange(self, seq: int, arrays: list[np.ndarray], corrupt: bool = False) -> list[np.ndarray]:
-        """Two-phase pair rendezvous for one bus exchange; returns the
-        peer's arrays.  Retries across connection drops with exponential
-        backoff + jitter, resuming from the frame sequence number."""
-        cfg = self.bus.cfg
+    def exchange(
+        self, seq: int, arrays: list[np.ndarray], deadline: float, corrupt: bool = False
+    ) -> list[np.ndarray]:
+        """Two-phase pair rendezvous for one bus exchange, done by
+        ``deadline``; returns the peer's arrays.  Retries across connection
+        drops with exponential backoff + jitter, resuming from the frame
+        sequence number."""
         self.seq = seq
+        self.deadline = deadline
         self._out = arrays
         self._in = None
         self._sent_data = self._got_data = False
         self._sent_ack = self._got_ack = False
-        deadline = time.monotonic() + cfg.exchange_timeout
         attempts = 0
         while True:
             try:
@@ -368,7 +375,7 @@ class _PeerLink:
                 self._run_steps(corrupt)
                 return self._in  # type: ignore[return-value]
             except TimeoutError:
-                self._raise_deadline("a socket deadline expired")
+                self._raise_deadline(f"the exchange's {self.bus.timeout:g}s deadline expired")
             except PayloadCorruption:
                 raise
             except _RETRYABLE as err:
@@ -383,14 +390,15 @@ class _PeerLink:
                     except OSError:
                         pass
                     self.sock = None
-                if attempts > cfg.max_retries or time.monotonic() >= deadline:
+                if attempts > _RETRIES or time.monotonic() >= deadline:
                     self._raise_deadline(
                         f"connection lost and not recovered within "
                         f"{attempts - 1} reconnect attempt(s): {err}"
                     )
-                delay = min(cfg.backoff_max, cfg.backoff_base * 2 ** (attempts - 1))
+                first, cap = _BACKOFF_S
+                delay = min(cap, first * 2 ** (attempts - 1)) * (1.0 + _JITTER * random.random())
                 with _trace.span("tcp.backoff", peer=self.peer, attempt=attempts):
-                    time.sleep(delay * (1.0 + cfg.jitter * random.random()))
+                    time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
 
     def _raise_deadline(self, why: str):
         raise BarrierTimeout(
@@ -420,13 +428,13 @@ class _PeerLink:
             return
         if self.bus._partitioned:
             raise _ConnLost("injected network partition")
-        _send_data(self.sock, self.seq, self._out, corrupt=corrupt)
+        _send_data(self.sock, self.seq, self._out, self.deadline, corrupt=corrupt)
         self._sent_data = True
 
     def _step_send_ack(self) -> None:
         if self._sent_ack:
             return
-        _send_control(self.sock, K_ACK, self.seq)
+        _send_control(self.sock, K_ACK, self.seq, self.deadline)
         self._sent_ack = True
 
     def _step_recv(self, expect_data: bool) -> None:
@@ -435,7 +443,7 @@ class _PeerLink:
         ):
             if self.bus._partitioned:
                 raise _ConnLost("injected network partition")
-            kind, seq, arrays = _recv_frame(self.sock, self.peer)
+            kind, seq, arrays = _recv_frame(self.sock, self.peer, self.deadline)
             if seq != self.seq:
                 raise RendezvousDesync(
                     f"tcp rendezvous out of sync: worker {self.peer} sent "
@@ -468,10 +476,11 @@ class TcpBus:
     Constructed from the rendezvous manifest: the worker's own listen
     socket (opened before the hello so its port could be advertised) plus
     every peer's ``(host, port)``.  Construction wires the full mesh —
-    dialing every lower rank, accepting every higher rank — and
-    :meth:`exchange` then runs the two-phase pair rendezvous with each
-    peer, returning, per posted slot, the workers' arrays in worker
-    (= rank) order, bitwise identical to the shared-memory bus.
+    dialing every lower rank, accepting every higher rank — within
+    :data:`POOL_FORMATION_S`, and :meth:`exchange` then runs the two-phase
+    pair rendezvous with each peer within ``timeout`` seconds, returning,
+    per posted slot, the workers' arrays in worker (= rank) order, bitwise
+    identical to the shared-memory bus.
     """
 
     def __init__(
@@ -481,14 +490,13 @@ class TcpBus:
         worker_id: int,
         session: str,
         key: bytes,
-        cfg: TcpConfig | None = None,
+        timeout: float,
         faults=None,
     ) -> None:
         self.worker_id = worker_id
-        self.n_workers = len(manifest)
         self.session = session
         self.key = key
-        self.cfg = cfg or TcpConfig()
+        self.timeout = timeout
         self.faults = faults
         self._listener = listener
         self._seq = 0
@@ -496,7 +504,7 @@ class TcpBus:
         self._partitioned = False
         self._corrupt_next = False
         self._links: dict[int, _PeerLink] = {}
-        deadline = time.monotonic() + self.cfg.rendezvous_timeout
+        deadline = time.monotonic() + POOL_FORMATION_S
         try:
             for peer in sorted(manifest):
                 if peer == worker_id:
@@ -539,13 +547,14 @@ class TcpBus:
             except OSError as e:
                 raise _ConnLost(f"listener failed while awaiting worker {want_peer}: {e}")
             try:
-                sock.settimeout(self.cfg.io_timeout)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                wid, peer_sync = _recv_hello(sock, self.key, self.session)
+                wid, peer_sync = _recv_hello(sock, self.key, self.session, deadline)
                 if wid not in self._links or wid == self.worker_id:
                     raise _ConnLost(f"handshake from unknown worker {wid}")
                 peer_link = self._links[wid]
-                _send_hello(sock, self.key, self.session, self.worker_id, peer_link.sync_state())
+                _send_hello(
+                    sock, self.key, self.session, self.worker_id, peer_link.sync_state(), deadline
+                )
             except (TimeoutError, *_RETRYABLE):
                 try:
                     sock.close()
@@ -571,12 +580,15 @@ class TcpBus:
         if self.faults is not None:
             self.faults.fire("pre_barrier", self)
         corrupt, self._corrupt_next = self._corrupt_next, False
+        deadline = time.monotonic() + self.timeout
         per_worker: dict[int, list[np.ndarray]] = {self.worker_id: arrays}
         # pairs in ascending peer order == the global (max, min) pair order
         # shared by every worker: the deadlock-freedom invariant
         with _trace.span("tcp.exchange", seq=self._seq):
             for peer in sorted(self._links):
-                per_worker[peer] = self._links[peer].exchange(self._seq, arrays, corrupt=corrupt)
+                per_worker[peer] = self._links[peer].exchange(
+                    self._seq, arrays, deadline, corrupt=corrupt
+                )
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
         if self.faults is not None:
@@ -609,6 +621,3 @@ class TcpBus:
             self._listener.close()
         except OSError:
             pass
-
-    def unlink(self) -> None:  # the ShmBus surface: nothing persistent to unlink
-        self.close()

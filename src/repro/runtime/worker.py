@@ -363,8 +363,8 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
 
     Opens the peer-plane listener *first* (so its port can be advertised),
     dials the launcher's rendezvous, authenticates, and receives the worker
-    id, the signed membership manifest, and the workload spec over the
-    control connection — which then carries the command loop and the
+    id, the signed membership manifest, and the workload spec (with the
+    launcher's bus ``timeout``) over the control connection — which then carries the command loop and the
     heartbeats.  The same entry serves launcher-spawned local workers and
     ``repro host``-managed remote workers; any restore checkpoint rides the
     spec message, so respawn-and-replay needs no transport-specific path.
@@ -385,7 +385,7 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
                 raise PlexusRuntimeError(f"rendezvous protocol: expected welcome, got {kind!r}")
             info = rdv.verify_manifest(authkey, blob, sig)
             peers = {int(k): (h, int(p)) for k, (h, p) in info["peers"].items()}
-            kind, spec, restore, tcp_cfg = conn.recv()
+            kind, spec, restore, timeout = conn.recv()
             if kind != "spec":
                 raise PlexusRuntimeError(f"rendezvous protocol: expected spec, got {kind!r}")
         except BaseException as exc:
@@ -401,7 +401,7 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
             spec,
             conn,
             lambda faults: net.TcpBus(
-                listener, peers, wid, info["session"], authkey, cfg=tcp_cfg, faults=faults
+                listener, peers, wid, info["session"], authkey, timeout, faults=faults
             ),
             restore,
         )
