@@ -73,10 +73,51 @@ def summarize_trace_dir(trace_dir) -> str:
         sections.append("page faults per process (getrusage; a steady-state epoch should take ~0):")
         sections.extend(faults)
 
+    pools = _pool_lines(root / "events.jsonl")
+    if pools:
+        sections.append("pool formation (s; import: spawn to hello, build: spec sent to ready):")
+        sections.extend(pools)
+
     liveness = summary.get("liveness") or []
     if liveness:
         sections.append(format_liveness(liveness))
     return "\n".join(sections)
+
+
+def _pool_lines(path: Path) -> list[str]:
+    """One line per ``launcher.spawn_pool`` span: per worker, the seconds
+    from the span's start to the launcher hearing its hello (spawn plus
+    imports) and from the spec's send to its ready report (its slice
+    build)."""
+    if not path.exists():
+        return []
+    pools: list[dict] = []
+    for line in path.read_text().splitlines():
+        try:
+            ev = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if ev.get("process") != "launcher":
+            continue
+        name, ts, args = ev.get("name"), ev.get("ts_us", 0.0), ev.get("args") or {}
+        if name == "launcher.spawn_pool" and ev.get("ph") == "B":
+            pools.append({"t0": ts, "args": args, "spec": None, "hello": {}, "ready": {}})
+        elif pools and name == "launcher.spec":
+            pools[-1]["spec"] = ts
+        elif pools and name in ("launcher.hello", "launcher.ready"):
+            pools[-1][name.split(".")[1]][args.get("worker")] = ts
+    lines = []
+    for i, pool in enumerate(pools, start=1):
+        cells = []
+        for w in sorted(pool["hello"].keys() | pool["ready"].keys()):
+            hello, ready = pool["hello"].get(w), pool["ready"].get(w)
+            imp = "?" if hello is None else f"{(hello - pool['t0']) / 1e6:.2f}"
+            build = "?" if ready is None or pool["spec"] is None else f"{(ready - pool['spec']) / 1e6:.2f}"
+            cells.append(f"worker {w} import {imp} build {build}")
+        args = pool["args"]
+        head = f"  pool {i} ({args.get('workers', '?')} workers, {args.get('transport', '?')})"
+        lines.append(f"{head}: " + (", ".join(cells) or "no worker reported"))
+    return lines
 
 
 def _faults_line(process: str, first: dict, last: dict) -> str:

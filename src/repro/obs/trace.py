@@ -129,9 +129,10 @@ def instant(name: str, **args) -> None:
         _events.append(("i", name, time.monotonic_ns(), args or None))
 
 
-def emit(ph: str, name: str, args=None) -> None:
-    """Low-level append for call sites that manage their own guard."""
-    _events.append((ph, name, time.monotonic_ns(), args))
+def emit(ph: str, name: str, args=None, t_ns: int | None = None) -> None:
+    """Low-level append for call sites that manage their own guard (and may
+    date the event themselves: ``t_ns``, a ``time.monotonic_ns`` value)."""
+    _events.append((ph, name, time.monotonic_ns() if t_ns is None else t_ns, args))
 
 
 # ---------------------------------------------------------------------------

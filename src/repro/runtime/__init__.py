@@ -13,10 +13,12 @@ zero-copy shared-memory tensor transport underneath the existing
   trainer (the in-process cluster / grid / model on a worker's slice of the
   cube; the worker-crossing Z axis is an ordinary
   :class:`~repro.dist.comm.AxisCommunicator` fed through the bus) and the
-  spawned-process command loop.
+  spawned-process command loop, which reads the spec from its control
+  connection.
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`
-  (the ``backend="multiproc"`` trainer, with supervision and
-  respawn-and-replay recovery) and the
+  (the ``backend="multiproc"`` trainer: concurrent pool formation — the
+  workers import side by side and the spec follows their hello, the same
+  message on shm and tcp — supervision and respawn-and-replay recovery) and the
   :func:`~repro.runtime.launch.build_trainer` backend seam (the same
   builder on the whole cube for ``"inproc"``).
 * :mod:`repro.runtime.checkpoint` — epoch-boundary checkpoint/restore:
@@ -35,7 +37,8 @@ zero-copy shared-memory tensor transport underneath the existing
 One deadline bounds every wait: the trainer's ``timeout``.  A bus exchange
 waits at most that long for its peers (shm and tcp alike), and the
 launcher declares a worker wedged when its reply is awaited and it has
-sent nothing for 2 x ``timeout``.
+sent nothing for 2 x ``timeout``; a pool forms within the larger of
+:data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``.
 
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
@@ -43,10 +46,8 @@ on every sharding, divisible or padded (quasi-equal shards cross the bus
 with their valid extents), eager or overlap schedules, any ``max_inflight``
 bound (it is per link, so a Z link's queue is replicated like its
 busy-until time), ``evaluate()`` included; the in-process simulator
-remains the parity oracle.  Refused at construction, typed, before an
-epoch runs: a ``shard_dir`` with a node permutation (by
-``worker.build_worker``, on either backend) and a fault plan aimed at the
-other transport (by the launcher, before spawning).
+remains the parity oracle.  Refused at construction, typed, before a
+worker spawns: a fault plan aimed at the other transport.
 """
 
 from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints

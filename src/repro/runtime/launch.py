@@ -11,6 +11,16 @@ epoch times and the comm/comp breakdown are assembled from the workers' raw
 per-rank vectors so they are *bitwise identical* to ``backend="inproc"`` on
 the same workload.
 
+Pool formation takes about one worker import, whatever the pool size: a
+worker starts from its id and a way to reach the launcher only, so every
+``start()`` returns at once and the workers import side by side.  Each says
+hello once it has imported (on its pipe for shm, by dialing the rendezvous
+for tcp); the launcher then sends the ``("spec", spec, restore, timeout)``
+message — pickled once, the same bytes to every worker, on both transports
+— and waits for every ready report.  All of it is bounded by the larger
+of :data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``; a
+worker lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.
+
 Supervision has one deadline, the trainer's ``timeout``.  A bus exchange
 waits at most ``timeout`` for its peers on either transport, so a worker
 that dies or wedges mid-collective is reported by the peer waiting on it.
@@ -61,6 +71,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import NoReturn
 
@@ -329,7 +340,9 @@ class MultiprocTrainer:
 
     # -- pool lifecycle --------------------------------------------------------
     def _spawn_pool(self, restore: tuple[str, int] | None, clean: bool) -> None:
-        """Create the bus, spawn the workers, wait for every ready report.
+        """Create the bus, start the workers, send the spec once every one
+        said hello, wait for every ready report — under one deadline (see
+        the module docstring).
 
         ``restore`` is ``(checkpoint_path, epoch)`` for resume/recovery;
         ``clean=True`` (the recovery respawn) strips the fault plans —
@@ -338,9 +351,11 @@ class MultiprocTrainer:
         spec = self.spec
         if clean and spec.faults:
             spec = replace(spec, faults=())
+        deadline = time.monotonic() + max(POOL_FORMATION_S, 2 * self.timeout)
         ctx = mp.get_context("spawn")
         self._procs = []
         self._conns = []
+        self._heard = [time.monotonic()] * self.workers
         self._inbox: list[deque] = [deque() for _ in range(self.workers)]
         self._eof: set[int] = set()
         #: workers found gone by the pump, not yet raised
@@ -350,13 +365,17 @@ class MultiprocTrainer:
             "launcher.spawn_pool", workers=self.workers, transport=self.transport
         ):
             if self.transport == "tcp":
-                self._spawn_tcp(ctx, spec, restore)
+                self._spawn_tcp(ctx, deadline)
             else:
-                self._spawn_shm(ctx, spec, restore)
+                self._spawn_shm(ctx)
+                self._replies(deadline - time.monotonic())  # every ("hello", w)
+            blob = ForkingPickler.dumps(("spec", spec, restore, self.timeout))
+            self._broadcast(blob)
+            _trace.instant("launcher.spec", bytes=len(blob))
             # every ("ready", w), or the build/restore error
-            self._replies(max(POOL_FORMATION_S, 2 * self.timeout))
+            self._replies(deadline - time.monotonic())
 
-    def _spawn_shm(self, ctx, spec: WorkloadSpec, restore) -> None:
+    def _spawn_shm(self, ctx) -> None:
         self._bus_handle = BusHandle(
             session=new_session_id(),
             n_workers=self.workers,
@@ -372,13 +391,13 @@ class MultiprocTrainer:
                 self._procs,
                 ctx,
                 worker_main,
-                [(w, self._bus_handle, spec, child, restore) for w, (_, child) in enumerate(pipes)],
+                [(w, self._bus_handle, child) for w, (_, child) in enumerate(pipes)],
             )
         finally:
             for _, child in pipes:
                 child.close()
 
-    def _spawn_tcp(self, ctx, spec: WorkloadSpec, restore) -> None:
+    def _spawn_tcp(self, ctx, deadline: float) -> None:
         """Rendezvous-based pool formation (the multi-host path).
 
         A fresh session + port file per (re)spawn: a killed pool's state
@@ -386,10 +405,10 @@ class MultiprocTrainer:
         secondary rediscovers the new rendezvous through the port file.
         Locally spawned workers pin their slice index as the preferred
         worker id; ``remote_workers`` slots are filled by workers dialing
-        in from other launchers.  The workload spec (with any restore
-        checkpoint and the bus ``timeout``) ships over the authenticated
-        control connections, which afterwards carry the command loop and
-        the heartbeats.
+        in from other launchers.  A local worker that dies before dialing
+        in is :class:`~repro.errors.WorkerCrashed` within 0.2 s of its exit.
+        The authenticated control connections then carry the spec, the
+        command loop and the heartbeats.
         """
         from repro.runtime.rendezvous import RendezvousListener
 
@@ -400,10 +419,13 @@ class MultiprocTrainer:
         n_local = self.workers - self.remote_workers
         _start_workers(self._procs, ctx, worker_main_tcp, [(w, *dial) for w in range(n_local)])
         self._procs += [None] * self.remote_workers  # remote slots: no local process
-        conns = self._listener.gather(self.workers, timeout=POOL_FORMATION_S)
+
+        def idle() -> None:  # no dialer for 0.2 s: did a local worker die?
+            self._pump(0)
+            self._raise_if_gone()
+
+        conns = self._listener.gather(self.workers, deadline - time.monotonic(), idle)
         self._conns = [conns[w] for w in range(self.workers)]
-        for conn in self._conns:
-            conn.send(("spec", spec, restore, self.timeout))
 
     def _stop_pool(self, graceful: bool) -> None:
         """Stop the workers and release every connection, segment and
@@ -468,19 +490,18 @@ class MultiprocTrainer:
         only retires the pipe, its sentinel follows.
         """
         waiting = {c: w for w, c in enumerate(self._conns) if w not in self._eof}
-        waiting.update(
-            (p.sentinel, w)
+        sentinels = {
+            p.sentinel: w
             for w, p in enumerate(self._procs)
             if p is not None and w not in self._gone
-        )
-        if not waiting:
+        }
+        if not (waiting or sentinels):
             return
-        for ready in mp_connection.wait(list(waiting), timeout):
-            w = waiting[ready]
-            conn = self._conns[w]
-            if ready is not conn:  # a sentinel: the process exited
-                self._gone.add(w)
+        for ready in mp_connection.wait([*waiting, *sentinels], timeout):
+            if ready in sentinels:  # the process exited
+                self._gone.add(sentinels[ready])
                 continue
+            conn, w = ready, waiting[ready]
             self._heard[w] = time.monotonic()
             while True:
                 try:
@@ -498,6 +519,8 @@ class MultiprocTrainer:
                     if self._collector is not None:
                         self._collector.add_worker_payload(f"worker {w}", msg[2])
                 else:
+                    if msg[0] in ("hello", "ready"):  # pool formation, per worker
+                        _trace.instant("launcher." + msg[0], worker=w)
                     self._inbox[w].append(msg)
 
     def _replies(self, patience: float) -> list:
@@ -528,16 +551,7 @@ class MultiprocTrainer:
                 )
             if all(self._inbox):
                 return [q.popleft()[1] for q in self._inbox]
-            if self._gone:
-                w = min(self._gone)
-                p = self._procs[w]
-                if p is None:
-                    how, exitcode = "dropped its control connection (remote worker lost)", None
-                else:
-                    p.join(timeout=1.0)  # a ready sentinel can precede waitpid
-                    how, exitcode = f"died (exit code {p.exitcode})", p.exitcode
-                why = f"worker {w} {how} after epoch {self._worker_epoch[w]}"
-                self._fail(WorkerCrashed, w, why, exitcode=exitcode)
+            self._raise_if_gone()
             now = time.monotonic()
             for w, q in enumerate(self._inbox):
                 if not q and now - self._heard[w] > patience:
@@ -549,6 +563,21 @@ class MultiprocTrainer:
                         f"after epoch {self._worker_epoch[w]}",
                     )
             self._pump(0.2)
+
+    def _raise_if_gone(self) -> None:
+        """:class:`~repro.errors.WorkerCrashed` for the lowest gone worker
+        the pump found, if any."""
+        if not self._gone:
+            return
+        w = min(self._gone)
+        p = self._procs[w]
+        if p is None:
+            how, exitcode = "dropped its control connection (remote worker lost)", None
+        else:
+            p.join(timeout=1.0)  # a ready sentinel can precede waitpid
+            how, exitcode = f"died (exit code {p.exitcode})", p.exitcode
+        why = f"worker {w} {how} after epoch {self._worker_epoch[w]}"
+        self._fail(WorkerCrashed, w, why, exitcode=exitcode)
 
     def _fail(
         self, cls: type[PlexusRuntimeError], w: int | None, why: str, **context
@@ -607,14 +636,18 @@ class MultiprocTrainer:
                 )
         return rows
 
+    def _broadcast(self, blob) -> None:
+        """Send one pickled message, the same bytes, to every worker."""
+        for w, conn in enumerate(self._conns):
+            try:
+                conn.send_bytes(blob)
+            except (OSError, ValueError):
+                self._gone.add(w)  # a broken pipe: _replies reports it
+
     def _command(self, *msg) -> list:
         if self._closed:
             raise PlexusRuntimeError("multiproc trainer is closed")
-        for w, conn in enumerate(self._conns):
-            try:
-                conn.send(msg)
-            except (OSError, ValueError):
-                self._gone.add(w)  # a broken pipe: _replies reports it
+        self._broadcast(ForkingPickler.dumps(msg))
         return self._replies(2 * self.timeout)
 
     # -- trainer surface -------------------------------------------------------

@@ -20,9 +20,10 @@ How a multi-host pool forms (the ``transport="tcp"`` control plane):
    with a typed error).
 4. Workers peer-connect into the :class:`~repro.runtime.net.TcpBus` mesh;
    the rendezvous connection stays open as the *control plane*: the
-   workload spec, the command loop, per-epoch heartbeats, and error
-   reports all ride it (it is a ``multiprocessing.connection.Connection``,
-   so the launcher's existing pipe machinery works unchanged).
+   workload spec (the launcher's one spec message, as on shm), the command
+   loop, per-epoch heartbeats, and error reports all ride it (it is a
+   ``multiprocessing.connection.Connection``, so the launcher's existing
+   pipe machinery works unchanged).
 
 Port files are swept by :func:`cleanup_stale_rendezvous` —
 pid-liveness-aware exactly like the shm segment sweep, and wired into
@@ -42,6 +43,7 @@ from multiprocessing.connection import Connection, answer_challenge, deliver_cha
 from pathlib import Path
 
 from repro.errors import BarrierTimeout, PlexusRuntimeError, RendezvousDesync
+from repro.obs import trace as _trace
 from repro.runtime.shm import SHM_PREFIX, _owner_pid, _pid_alive, new_session_id
 
 __all__ = [
@@ -247,8 +249,12 @@ class RendezvousListener:
         self._port_file = write_port_file(self.session, self.host, self.port, authkey)
         self._closed = False
 
-    def accept(self, deadline: float) -> Connection:
-        """One authenticated control connection (or typed timeout)."""
+    def accept(self, deadline: float, idle=None) -> Connection:
+        """One authenticated control connection (or typed timeout).
+
+        ``idle()`` runs every 0.2 s no worker dials in; whatever it raises
+        ends the wait (the launcher's check for a dead local worker).
+        """
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -256,10 +262,12 @@ class RendezvousListener:
                     f"rendezvous {self.host}:{self.port}: not every worker "
                     "dialed in before the deadline"
                 )
-            self._sock.settimeout(min(1.0, remaining))
+            self._sock.settimeout(min(0.2, remaining))
             try:
                 sock, _ = self._sock.accept()
             except TimeoutError:
+                if idle is not None:
+                    idle()
                 continue
             sock.settimeout(None)
             conn = _as_connection(sock)
@@ -271,43 +279,53 @@ class RendezvousListener:
                 continue
             return conn
 
-    def gather(self, n_workers: int, timeout: float) -> dict[int, Connection]:
+    def gather(self, n_workers: int, timeout: float, idle=None) -> dict[int, Connection]:
         """Admit ``n_workers`` workers, assign ids, send signed manifests.
 
         A worker's hello may carry a preferred id (launcher-spawned locals
         pin their slice index); remote workers take the lowest free id in
-        arrival order.  Returns the control connections keyed by worker id.
+        arrival order.  Each hello is traced as a ``launcher.hello`` instant
+        at its arrival.  ``idle`` is :meth:`accept`'s; on any error the
+        connections admitted so far are closed.  Returns the control
+        connections keyed by worker id.
         """
         deadline = time.monotonic() + timeout
-        hellos: list[tuple[Connection, int | None, tuple[str, int]]] = []
-        while len(hellos) < n_workers:
-            conn = self.accept(deadline)
-            try:
-                kind, preferred, addr = conn.recv()
-                if kind != "hello":
-                    raise ValueError(kind)
-            except (EOFError, ValueError, OSError):
-                conn.close()
-                continue
-            hellos.append((conn, preferred, (str(addr[0]), int(addr[1]))))
-        conns: dict[int, Connection] = {}
-        peers: dict[int, tuple[str, int]] = {}
-        taken = {p for _, p, _ in hellos if p is not None}
-        free = iter(w for w in range(n_workers) if w not in taken)
-        for conn, preferred, addr in hellos:
-            wid = preferred if preferred is not None else next(free)
-            if wid in conns or not 0 <= wid < n_workers:
-                for c, _, _ in hellos:
-                    c.close()
-                raise RendezvousDesync(
-                    f"rendezvous: conflicting or out-of-range worker id {wid} "
-                    f"claimed (pool size {n_workers})"
+        hellos: list[tuple[Connection, int | None, tuple[str, int], int]] = []
+        try:
+            while len(hellos) < n_workers:
+                conn = self.accept(deadline, idle)
+                try:
+                    kind, preferred, addr = conn.recv()
+                    if kind != "hello":
+                        raise ValueError(kind)
+                except (EOFError, ValueError, OSError):
+                    conn.close()
+                    continue
+                hellos.append(
+                    (conn, preferred, (str(addr[0]), int(addr[1])), time.monotonic_ns())
                 )
-            conns[wid] = conn
-            peers[wid] = addr
-        blob, sig = signed_manifest(self.authkey, self.session, peers)
-        for wid, conn in conns.items():
-            conn.send(("welcome", wid, blob, sig))
+            conns: dict[int, Connection] = {}
+            peers: dict[int, tuple[str, int]] = {}
+            taken = {p for _, p, _, _ in hellos if p is not None}
+            free = iter(w for w in range(n_workers) if w not in taken)
+            for conn, preferred, addr, t_ns in hellos:
+                wid = preferred if preferred is not None else next(free)
+                if wid in conns or not 0 <= wid < n_workers:
+                    raise RendezvousDesync(
+                        f"rendezvous: conflicting or out-of-range worker id {wid} "
+                        f"claimed (pool size {n_workers})"
+                    )
+                conns[wid] = conn
+                peers[wid] = addr
+                if _trace.enabled:
+                    _trace.emit("i", "launcher.hello", {"worker": wid}, t_ns)
+            blob, sig = signed_manifest(self.authkey, self.session, peers)
+            for wid, conn in conns.items():
+                conn.send(("welcome", wid, blob, sig))
+        except BaseException:
+            for conn, *_ in hellos:
+                conn.close()
+            raise
         return conns
 
     def close(self, unlink: bool = True) -> None:

@@ -17,9 +17,13 @@ no-bus case of the same builder.
   trainer.  ``launch.build_trainer(spec, "inproc")`` is its whole-cube
   call.
 * :func:`worker_main` / :func:`worker_main_tcp` — the spawned process entry
-  points: open the bus, build the slice, and serve the launcher's command
-  loop (train / evaluate / state / reset / close) over a pipe or the
-  rendezvous control connection.  The bus is closed on *any* exit path.
+  points.  A worker starts from its id and a way to reach the launcher
+  only, says hello once it has imported (a ``("hello", id)`` on the shm
+  pipe; the rendezvous dial on tcp), then reads the workload spec from its
+  control connection — one message, the same on both transports — opens
+  the bus, builds the slice, and serves the launcher's command loop (train
+  / evaluate / state / reset / close).  The bus is closed on *any* exit
+  path.
 
 Parity: the slice-local execution is bitwise identical to the in-process
 run restricted to those ranks — X/Y collectives reduce the same operand
@@ -252,10 +256,11 @@ def _report_error(
         pass
 
 
-def _serve(worker_id: int, spec, conn, open_bus, restore) -> None:
-    """What every transport's worker does once it knows its id and spec:
-    build the fault injector, open the bus (``open_bus(faults)``), build the
-    slice, serve the command loop.
+def _serve(worker_id: int, conn, open_bus) -> None:
+    """What every transport's worker does once it knows its id: read the
+    launcher's ``("spec", spec, restore, timeout)`` message, build the fault
+    injector, open the bus (``open_bus(faults, timeout)``), build the slice,
+    serve the command loop.
 
     ``restore`` is ``(checkpoint_path, epoch)`` when the launcher respawns
     the pool from a checkpoint: the worker loads its slice file before
@@ -277,11 +282,14 @@ def _serve(worker_id: int, spec, conn, open_bus, restore) -> None:
     bus = cluster = None
     epochs_done = 0
     _set_log_worker(worker_id)
-    if spec.trace:
-        _trace.enable(f"worker {worker_id}")
     try:
+        kind, spec, restore, timeout = conn.recv()
+        if kind != "spec":
+            raise PlexusRuntimeError(f"launcher protocol: expected spec, got {kind!r}")
+        if spec.trace:
+            _trace.enable(f"worker {worker_id}")
         faults = build_injector(spec.faults, worker_id)
-        bus = open_bus(faults)
+        bus = open_bus(faults, timeout)
         ctx = build_worker(spec, worker_id, bus)
         trainer = ctx.trainer
         cluster = trainer.model.cluster
@@ -344,17 +352,21 @@ def _serve(worker_id: int, spec, conn, open_bus, restore) -> None:
             pass
 
 
-def worker_main(
-    worker_id: int, bus_handle: BusHandle, spec, conn, restore=None
-) -> None:
-    """Spawned-process entry (shared-memory transport): attach the bus,
-    build the slice, serve the command loop."""
+def worker_main(worker_id: int, bus_handle: BusHandle, conn) -> None:
+    """Spawned-process entry (shared-memory transport): say hello, read the
+    spec, attach the bus, build the slice, serve the command loop.
+
+    The arguments are small on purpose: spawn's ``start()`` writes them into
+    a pipe the child reads only after its imports, so a large argument (the
+    spec) would make the launcher wait for each worker's imports in turn.
+    The hello tells the launcher this worker is alive and reading; the spec
+    follows on ``conn``.  The bus ``timeout`` is the handle's.
+    """
+    conn.send(("hello", worker_id))
     _serve(
         worker_id,
-        spec,
         conn,
-        lambda faults: ShmBus(bus_handle, worker_id=worker_id, faults=faults),
-        restore,
+        lambda faults, _timeout: ShmBus(bus_handle, worker_id=worker_id, faults=faults),
     )
 
 
@@ -362,12 +374,11 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
     """Spawned-process entry (tcp transport): rendezvous, then serve.
 
     Opens the peer-plane listener *first* (so its port can be advertised),
-    dials the launcher's rendezvous, authenticates, and receives the worker
-    id, the signed membership manifest, and the workload spec (with the
-    launcher's bus ``timeout``) over the control connection — which then carries the command loop and the
-    heartbeats.  The same entry serves launcher-spawned local workers and
-    ``repro host``-managed remote workers; any restore checkpoint rides the
-    spec message, so respawn-and-replay needs no transport-specific path.
+    dials the launcher's rendezvous (its hello), authenticates, and receives
+    the worker id and the signed membership manifest over the control
+    connection — which then carries the spec message :func:`_serve` reads
+    (as on shm), the command loop and the heartbeats.  The same entry serves
+    launcher-spawned local workers and ``repro host``-managed remote workers.
     """
     from repro.runtime import net, rendezvous as rdv
 
@@ -385,9 +396,6 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
                 raise PlexusRuntimeError(f"rendezvous protocol: expected welcome, got {kind!r}")
             info = rdv.verify_manifest(authkey, blob, sig)
             peers = {int(k): (h, int(p)) for k, (h, p) in info["peers"].items()}
-            kind, spec, restore, timeout = conn.recv()
-            if kind != "spec":
-                raise PlexusRuntimeError(f"rendezvous protocol: expected spec, got {kind!r}")
         except BaseException as exc:
             if conn is not None:
                 _report_error(conn, wid, exc)
@@ -398,10 +406,8 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
             return
         _serve(
             wid,
-            spec,
             conn,
-            lambda faults: net.TcpBus(
+            lambda faults, timeout: net.TcpBus(
                 listener, peers, wid, info["session"], authkey, timeout, faults=faults
             ),
-            restore,
         )

@@ -14,6 +14,9 @@ every workload — is ``tests/test_differential.py``'s.  Covered here:
   counts);
 * crash hygiene — a hard-killed worker or a failed build must leave no
   ``/dev/shm`` segment behind;
+* pool formation — workers start from small arguments and read the spec
+  from their control connection (shm and tcp), and a worker lost before
+  its spec is a typed crash, fast;
 * tracing: bitwise against an untraced run, merged across processes, and
   the workers' steady-state page-fault budget.
 """
@@ -21,7 +24,10 @@ every workload — is ``tests/test_differential.py``'s.  Covered here:
 from __future__ import annotations
 
 import os
+import pickle
 import sys
+import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,7 @@ import pytest
 
 from repro.core import GridConfig, PlexusOptions, PlexusTrainer
 from repro.dist import LAPTOP, PERLMUTTER
+from repro.errors import WorkerCrashed
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
@@ -39,6 +46,9 @@ from repro.runtime import (
     cleanup_orphans,
     worker_slice,
 )
+from repro.runtime import launch
+from repro.runtime.net import POOL_FORMATION_S
+from repro.runtime.rendezvous import PORT_FILE_SUFFIX, rendezvous_dir
 from repro.runtime.shm import SHM_PREFIX
 from repro.sparse.ops import gcn_normalize
 
@@ -366,6 +376,74 @@ class TestCrashCleanup:
             foreign.unlink()
 
 
+class TestPoolFormation:
+    """A worker starts from its id and a way to reach the launcher; the
+    spec rides the control connection, so ``start()`` never waits for a
+    child's imports and a pool forms in about one worker import."""
+
+    @staticmethod
+    def _patch_start(monkeypatch, after=None) -> list[tuple]:
+        """Record the argument tuple of every process the launcher starts
+        (``after(procs)`` runs once they are started)."""
+        started: list[tuple] = []
+        real = launch._start_workers
+
+        def start(procs, ctx, target, args_of, *rest, **kw):
+            started.extend(args_of)
+            real(procs, ctx, target, args_of, *rest, **kw)
+            if after is not None:
+                after(procs)
+
+        monkeypatch.setattr(launch, "_start_workers", start)
+        return started
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_spawn_arguments_stay_small(self, transport, monkeypatch):
+        spec = _spec(GridConfig(2, 2, 2), workers=2, n=1024, dims=[160, 16, 8])
+        assert len(pickle.dumps(spec)) > 1 << 20
+        expected = build_trainer(spec).train(2).losses
+        started = self._patch_start(monkeypatch)
+        with MultiprocTrainer(spec, timeout=60, transport=transport) as mpt:
+            assert mpt.train(2).losses == expected
+        assert len(started) == 2
+        for args in started:
+            # a pipe end pickles to its file descriptor; the rest as is
+            size = len(pickle.dumps(tuple(
+                None if isinstance(a, Connection) else a for a in args
+            )))
+            assert size < 4 << 10, (args, size)
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_worker_lost_before_its_spec_is_a_crash(self, transport, monkeypatch):
+        self._patch_start(monkeypatch, after=lambda procs: procs[1].kill())
+        spec = _spec(GridConfig(2, 2, 2), workers=2)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerCrashed) as info:
+            MultiprocTrainer(spec, timeout=60, transport=transport)
+        assert info.value.worker_id == 1
+        assert time.monotonic() - t0 < POOL_FORMATION_S / 6
+        assert _session_segments() == []
+        assert cleanup_orphans() == []
+        assert not list(rendezvous_dir().glob(f"{SHM_PREFIX}*{PORT_FILE_SUFFIX}"))
+
+    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    def test_trace_summary_times_each_workers_formation(self, transport, tmp_path):
+        """A slow spawn is visible from the trace directory alone: one
+        pool-formation line with each worker's import and build seconds."""
+        import re
+
+        from repro.obs import summarize_trace_dir
+
+        with MultiprocTrainer(
+            _spec(GridConfig(2, 2, 2), workers=2), timeout=60, transport=transport,
+            trace_dir=tmp_path,
+        ) as mpt:
+            mpt.train(1)
+        cell = r"import \d+\.\d\d build \d+\.\d\d"
+        line = rf"  pool 1 \(2 workers, {transport}\): worker 0 {cell}, worker 1 {cell}$"
+        assert re.search(line, summarize_trace_dir(tmp_path), re.M)
+
+
 class TestMultiprocTracing:
     """``trace_dir`` must not perturb results and must merge every process."""
 
@@ -417,6 +495,7 @@ class TestMultiprocTracing:
         assert {"launcher", "worker 0", "worker 1"} <= procs
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"worker.epoch", "forward", "backward", "launcher.train_stretch"} <= names
+        assert {"launcher.hello", "launcher.spec", "launcher.ready"} <= names
         rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert any(
             r["process"].startswith("worker")
