@@ -18,6 +18,8 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper.
 """
 
+from contextlib import contextmanager
+
 from repro.core import (
     GridConfig,
     PlexusGCN,
@@ -53,6 +55,37 @@ __all__ = [
     "train_plexus",
     "__version__",
 ]
+
+
+@contextmanager
+def _inproc_trainer(spec, trace_dir, epochs: int):
+    """The in-process trainer for ``spec``: with a ``trace_dir`` the tracer
+    is on for exactly this run, and however the run ends the telemetry up to
+    that point is written — the payload a worker ships, through the
+    collector a pool uses."""
+    from repro.obs import TraceCollector
+    from repro.obs import trace as _trace
+    from repro.obs.metrics import registry as _metrics
+    from repro.runtime import build_trainer
+    from repro.runtime.worker import _drain_trace_payload
+
+    if trace_dir is not None:
+        _trace.enable("inproc")
+    cluster = None
+    try:
+        with _trace.span("build"):
+            trainer = build_trainer(spec, "inproc")
+        cluster = trainer.model.cluster
+        yield trainer
+    finally:
+        if trace_dir is not None:
+            try:
+                collector = TraceCollector()
+                collector.add_worker_payload("inproc", _drain_trace_payload(cluster, epochs))
+                collector.write(trace_dir)
+            finally:
+                _metrics.clear()
+                _trace.disable()
 
 
 def train_plexus(
@@ -99,12 +132,15 @@ def train_plexus(
     are filled by workers a second launcher attaches.
 
     ``checkpoint_dir`` enables epoch-boundary checkpointing (every
-    ``checkpoint_every`` epochs): ``epochs`` becomes a *total* target, so
-    an interrupted invocation re-run with the same directory resumes from
-    the newest checkpoint and completes the job — returning the same
-    ``TrainResult``, bit for bit, as an uninterrupted run.  On the
-    multiproc backend a crashed worker additionally triggers automatic
-    respawn-and-replay (up to ``max_restarts`` times) inside the call.
+    ``checkpoint_every`` epochs) on either backend, through the one loop
+    :func:`repro.runtime.checkpoint.train_to`: ``epochs`` becomes a
+    *total* target, so an interrupted invocation re-run with the same
+    directory resumes from the newest checkpoint — whichever backend wrote
+    it — and completes the job, returning the same ``TrainResult``, bit for
+    bit, as an uninterrupted run.  A pool failure (a crashed, wedged or
+    desynchronized worker, a corrupted payload) restarts the pool and
+    replays from the newest checkpoint inside the call, up to
+    ``max_restarts`` times; the in-process trainer has no such failure.
 
     ``trace_dir`` turns on the telemetry layer (:mod:`repro.obs`): span
     traces, per-epoch metrics and simulated-clock phase totals are written
@@ -136,6 +172,7 @@ def train_plexus(
     elif config.total != gpus:
         raise ValueError(f"grid {config.name} needs {config.total} ranks, gpus={gpus}")
     from repro.runtime import WorkloadSpec, build_trainer
+    from repro.runtime.checkpoint import train_to
 
     spec = WorkloadSpec(
         config=config,
@@ -150,71 +187,15 @@ def train_plexus(
         trace=trace_dir is not None,
     )
     if backend == "multiproc":
-        with build_trainer(
+        run = build_trainer(
             spec,
             backend,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            max_restarts=max_restarts,
             transport=transport,
             rendezvous=rendezvous,
             remote_workers=remote_workers,
             trace_dir=trace_dir,
-        ) as trainer:
-            if checkpoint_dir is None:
-                return trainer.train(epochs)
-            # total-target semantics: a resumed invocation completes the job
-            remaining = epochs - trainer.epochs_done
-            if remaining > 0:
-                trainer.train(remaining)
-            result = TrainResult()
-            result.epochs.extend(trainer.history[:epochs])
-            return result
-    from repro.obs import TraceCollector
-    from repro.obs import trace as _trace
-    from repro.obs.metrics import registry as _metrics
-    from repro.runtime.worker import _drain_trace_payload
-
-    if trace_dir is not None:
-        _trace.enable("inproc")
-    cluster = None
-    try:
-        with _trace.span("build"):
-            trainer = build_trainer(spec, backend)
-        cluster = trainer.model.cluster
-        if checkpoint_dir is None:
-            return trainer.train(epochs)
-        # inproc checkpointed loop: resume from the newest checkpoint, train
-        # in checkpoint_every-sized stretches, seal each with a checkpoint
-        from pathlib import Path
-
-        from repro.runtime import checkpoint as _ckpt
-
-        root = Path(checkpoint_dir)
-        done, history = 0, []
-        found = _ckpt.latest_checkpoint(root)
-        if found is not None:
-            epoch, path = found
-            manifest = trainer.load_checkpoint(path)
-            done = epoch
-            history = _ckpt.manifest_history(manifest, epoch)
-        while done < epochs:
-            n = min(checkpoint_every, epochs - done)
-            history.extend(trainer.train(n).epochs)
-            done += n
-            trainer.save_checkpoint(root, done, history)
-        result = TrainResult()
-        result.epochs.extend(history[:epochs])
-        return result
-    finally:
-        # the tracer is process-global: it is on for exactly this call, and
-        # however the call ends the telemetry up to that point is written —
-        # the payload a worker ships, through the collector a pool uses
-        if trace_dir is not None:
-            try:
-                collector = TraceCollector()
-                collector.add_worker_payload("inproc", _drain_trace_payload(cluster, epochs))
-                collector.write(trace_dir)
-            finally:
-                _metrics.clear()
-                _trace.disable()
+        )
+    else:
+        run = _inproc_trainer(spec, trace_dir, epochs)
+    with run as trainer:
+        return train_to(trainer, epochs, checkpoint_dir, checkpoint_every, max_restarts)

@@ -175,9 +175,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--max-restarts", type=int, default=2,
-        help="multiproc only: automatic respawn-and-replay attempts from the "
-             "latest checkpoint after a worker crash (default 2; requires "
-             "--checkpoint-dir)",
+        help="replay attempts from the latest checkpoint (default 2; with "
+             "--checkpoint-dir, on any backend): only a pool failure — a "
+             "crashed, wedged or desynchronized worker, a corrupted payload "
+             "— uses one; the in-process trainer has none",
     )
     p.add_argument(
         "--transport", choices=("shm", "tcp"), default="shm",

@@ -357,20 +357,14 @@ class PlexusTrainer:
                 result.epochs.append(self.train_epoch())
         return result
 
-    def save_checkpoint(
-        self,
-        root,
-        epoch: int,
-        history: list[EpochStats] = (),
-        keep: int = 2,
-    ):
+    def save_checkpoint(self, root, epoch: int, history: list[EpochStats] = ()):
         """Write the epoch-``epoch`` checkpoint under ``root``.
 
         Produces the same on-disk layout the multiproc launcher writes —
         ``<root>/ckpt-<NNNNNN>/`` with one ``[0, world)`` slice file and a
         sealing manifest — so either backend, on any worker layout, can
         resume from it.  The directory is staged and renamed into place, and
-        all but the newest ``keep`` checkpoints are pruned.  Returns the
+        all but the two newest checkpoints are pruned.  Returns the
         checkpoint path.
         """
         from repro.runtime import checkpoint as ckpt
@@ -385,21 +379,23 @@ class PlexusTrainer:
             epoch,
             write_slice,
             backend=self.backend,
-            world=self.model.cluster.world_size,
+            world=self.model.config.total,
             layer_dims=self.model.layer_dims,
             history=history,
-            keep=keep,
         )
 
     def load_checkpoint(self, path) -> dict:
         """Restore this trainer's model from a checkpoint directory — one
         ``ckpt-<NNNNNN>`` directory, written by either backend on any worker
-        layout.  Returns the checkpoint's manifest."""
+        layout, for this world and these layer dims (else
+        :class:`~repro.errors.CheckpointError`).  Returns the checkpoint's
+        manifest."""
         from repro.runtime import checkpoint as ckpt
 
-        cluster = self.model.cluster
-        ckpt.restore_model(self.model, ckpt.load_slice(path, cluster.lo, cluster.hi))
-        return ckpt.read_manifest(path)
+        model = self.model
+        manifest = ckpt.read_manifest(path, model.config.total, model.layer_dims)
+        ckpt.restore_model(model, ckpt.load_slice(path, model.cluster.lo, model.cluster.hi))
+        return manifest
 
     def evaluate(self, mask_global: np.ndarray) -> float:
         """Distributed accuracy on an arbitrary global node mask.

@@ -18,12 +18,15 @@ zero-copy shared-memory tensor transport underneath the existing
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`
   (the ``backend="multiproc"`` trainer: concurrent pool formation — the
   workers import side by side and the spec follows their hello, the same
-  message on shm and tcp — supervision and respawn-and-replay recovery) and the
+  message on shm and tcp — supervision, the in-process trainer's checkpoint
+  surface and ``restart()``) and the
   :func:`~repro.runtime.launch.build_trainer` backend seam (the same
   builder on the whole cube for ``"inproc"``).
 * :mod:`repro.runtime.checkpoint` — epoch-boundary checkpoint/restore:
   per-worker slice files plus a sealing manifest, reassembled and
-  re-sliced across worker layouts and backends.
+  re-sliced across worker layouts and backends, and the one checkpoint
+  loop of both backends, :func:`~repro.runtime.checkpoint.train_to`
+  (resume, checkpointed stretches, replay after a pool failure).
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (:class:`~repro.runtime.faults.FaultPlan` chaos schedules threaded
   through the workload spec), including network fault actions injected

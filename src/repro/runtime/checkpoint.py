@@ -27,6 +27,15 @@ identity (:func:`~repro.dist.comm.link_key`, the same in every process), so
 the slices' books unite — the worker-crossing Z links are replicated,
 equal, in each — and a restore keeps the keys its grid holds.  The
 prefetch's schedule record is that of the Z axis, identical in every slice.
+
+Both trainers have the same checkpoint surface — ``save_checkpoint(root,
+epoch, history=())`` and ``load_checkpoint(path)``, which refuses a
+checkpoint of another world or layer dims (:func:`read_manifest`) — and
+one loop drives it, :func:`train_to`: resume from the newest checkpoint,
+train in stretches sealed by a checkpoint each, and, on a pool's
+recoverable failure, restart the pool, reload and replay.  Because every
+piece of state that feeds the simulation is restored, a resumed or
+replayed run is bitwise identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -35,14 +44,24 @@ import json
 import os
 import pickle
 import shutil
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.batch import CubeStack, stack_data
-from repro.core.trainer import EpochStats
-from repro.errors import CheckpointError
+from repro.core.trainer import EpochStats, TrainResult
+from repro.errors import (
+    BarrierTimeout,
+    CheckpointError,
+    PayloadCorruption,
+    RendezvousDesync,
+    WorkerCrashed,
+)
+from repro.obs import trace as _trace
+from repro.obs.log import get_logger
+from repro.obs.metrics import registry as _metrics
 
 __all__ = [
     "FORMAT_VERSION",
@@ -62,13 +81,26 @@ __all__ = [
     "manifest_history",
     "latest_checkpoint",
     "prune_checkpoints",
+    "train_to",
 ]
+
+logger = get_logger(__name__)
 
 #: 2: link books keyed by ``comm.link_key`` (version-1 keys counted
 #: communicators in construction order and would restore as dead links)
 FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt-"
+
+#: failures the replay policy treats as transient (a pool's; the in-process
+#: trainer raises none of them)
+_RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)
+
+#: first replay backoff, doubling per restart
+_RESTART_BACKOFF_S = 0.25
+
+#: Complete checkpoints a save leaves under its root (the newest ones).
+_KEEP = 2
 
 
 def checkpoint_name(epoch: int) -> str:
@@ -367,7 +399,6 @@ def seal_checkpoint(
     world: int,
     layer_dims: list[int],
     history,
-    keep: int,
     tag: str = "",
 ) -> Path:
     """Write the epoch-``epoch`` checkpoint under ``root`` — what both
@@ -375,7 +406,7 @@ def seal_checkpoint(
     (``tag`` keeps concurrent sessions apart), ``write_slices(tmp)`` fills it
     and returns the ``[lo, hi)`` layout it wrote, the manifest seals it, and
     it is renamed into place — so a torn checkpoint is never mistaken for a
-    complete one — before all but the newest ``keep`` are pruned.  Returns
+    complete one — before all but the newest ``_KEEP`` are pruned.  Returns
     the checkpoint path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -401,19 +432,33 @@ def seal_checkpoint(
     if final.exists():
         shutil.rmtree(final)
     os.rename(tmp, final)
-    prune_checkpoints(root, keep)
+    prune_checkpoints(root, _KEEP)
     return final
 
 
-def read_manifest(ckpt_dir: str | Path) -> dict:
+def read_manifest(
+    ckpt_dir: str | Path, world: int | None = None, layer_dims: list[int] | None = None
+) -> dict:
+    """A checkpoint's manifest — refused as :class:`CheckpointError` when it
+    was written for another ``world`` or ``layer_dims`` (given by a trainer
+    about to load it)."""
     path = Path(ckpt_dir) / MANIFEST_NAME
     try:
         with open(path) as f:
-            return json.load(f)
+            manifest = json.load(f)
     except FileNotFoundError:
         raise CheckpointError(f"{ckpt_dir} has no {MANIFEST_NAME} (torn checkpoint?)")
     except json.JSONDecodeError as e:
         raise CheckpointError(f"unreadable manifest {path}: {e}")
+    if world is not None and (
+        manifest.get("world") != world or manifest.get("layer_dims") != list(layer_dims)
+    ):
+        raise CheckpointError(
+            f"checkpoint {ckpt_dir} was written for world={manifest.get('world')}, "
+            f"dims={manifest.get('layer_dims')} — this workload is "
+            f"world={world}, dims={list(layer_dims)}"
+        )
+    return manifest
 
 
 def manifest_history(manifest: dict, epoch: int) -> list[EpochStats]:
@@ -470,3 +515,69 @@ def prune_checkpoints(root: str | Path, keep: int) -> list[Path]:
         shutil.rmtree(p, ignore_errors=True)
         removed.append(p)
     return removed
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint loop
+# ---------------------------------------------------------------------------
+
+
+def train_to(
+    trainer, epochs: int, root: str | Path | None = None, every: int = 1, max_restarts: int = 2
+) -> TrainResult:
+    """Train ``trainer`` (either backend) until ``epochs`` epochs in total
+    are done, checkpointing under ``root``; returns the stats of epochs
+    ``[0, epochs)``.
+
+    Resumes from the newest checkpoint under ``root`` (so an interrupted
+    job re-run with the same ``root`` completes it, bitwise), trains in
+    ``every``-sized stretches and saves after each one.  A pool failure the
+    replay policy treats as transient (a crashed, wedged or desynchronized
+    worker, a corrupted payload) with restarts left backs off (0.25 s,
+    doubling), restarts the pool, reloads the newest checkpoint and replays
+    from it; past ``max_restarts`` it re-raises.  Without ``root`` this is
+    ``trainer.train(epochs)``; ``every < 1`` is refused either way.
+    """
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
+    if _trace.enabled:
+        _metrics.gauge("restarts_used", 0)
+    if root is None:
+        return trainer.train(epochs)
+    restarts = 0
+    while True:
+        try:
+            # the newest checkpoint, and the stats its manifest recorded of
+            # the epochs before it (the last ones; fewer when it was
+            # written without them)
+            done, history = 0, []
+            found = latest_checkpoint(root)
+            if found is not None:
+                done, path = found
+                history = manifest_history(trainer.load_checkpoint(path), done)
+            base = done - len(history)  # the epoch of history[0]
+            while done < epochs:
+                n = min(every, epochs - done)
+                history += trainer.train(n).epochs
+                done += n
+                with _trace.span("checkpoint", epoch=done, backend=trainer.backend):
+                    trainer.save_checkpoint(root, done, history)
+            return TrainResult(history[: max(0, epochs - base)])
+        except _RECOVERABLE as err:
+            if restarts >= max_restarts:
+                logger.error("giving up after %d restart(s): %s", restarts, type(err).__name__)
+                raise
+            restarts += 1
+            delay = _RESTART_BACKOFF_S * 2 ** (restarts - 1)
+            logger.warning(
+                "%s (worker %s, last epoch %s): restart %d/%d from the latest "
+                "checkpoint after %.2fs backoff",
+                type(err).__name__, err.worker_id, err.last_epoch, restarts, max_restarts, delay,
+            )
+            if _trace.enabled:
+                _trace.instant(
+                    "recover", error=type(err).__name__, worker=err.worker_id, restart=restarts
+                )
+                _metrics.gauge("restarts_used", restarts)
+            time.sleep(delay)
+            trainer.restart()

@@ -15,9 +15,9 @@ Pool formation takes about one worker import, whatever the pool size: a
 worker starts from its id and a way to reach the launcher only, so every
 ``start()`` returns at once and the workers import side by side.  Each says
 hello once it has imported (on its pipe for shm, by dialing the rendezvous
-for tcp); the launcher then sends the ``("spec", spec, restore, timeout)``
-message — pickled once, the same bytes to every worker, on both transports
-— and waits for every ready report.  All of it is bounded by the larger
+for tcp); the launcher then sends the ``("spec", spec, timeout)`` message
+— pickled once, the same bytes to every worker, on both transports — and
+waits for every ready report.  All of it is bounded by the larger
 of :data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``; a
 worker lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.
 
@@ -40,16 +40,15 @@ traceback text.  Every failure leaves through one path
 (:meth:`MultiprocTrainer._fail`): trace flushed, pool stopped, per-worker
 liveness table appended.
 
-Fault tolerance: with ``checkpoint_dir`` set, the pool checkpoints every
-``checkpoint_every`` epochs (each worker writes its own slice file, the
-launcher seals the directory with a manifest) and ``train()`` gains
-respawn-and-replay — on a recoverable failure the whole pool is torn down
-(the rendezvous is broken anyway), respawned from the latest checkpoint
-after an exponential backoff (at most ``max_restarts`` times), and the
-remaining epochs replayed.  Because every piece of state that feeds the
-simulation is restored — weights, Adam moments, clocks, link reservations,
-the in-flight prefetch inventory — the replayed run is **bitwise
-identical** to an uninterrupted one.
+Checkpoints: the pool has the in-process trainer's checkpoint surface.
+``save_checkpoint`` has each worker write its own slice file and seals the
+directory with a manifest; ``load_checkpoint`` has each worker restore its
+slice (re-cut from whatever layout wrote it) and continue its epoch
+counter; ``restart()`` replaces a failed pool with a fresh one, its fault
+plans stripped.  The policy — resume, checkpointed stretches, backoff and
+replay after a failure — is one loop for both backends,
+:func:`repro.runtime.checkpoint.train_to`; ``train()`` itself never
+recovers.
 
 Cleanup discipline (the no-leaked-``/dev/shm`` guarantee): the launcher
 creates every segment and is the only unlinker.  ``close()`` — also run
@@ -85,8 +84,6 @@ from repro.core.trainer import ALLOC_PINS, EpochStats, TrainResult
 from repro.dist.topology import PERLMUTTER, MachineSpec
 from repro.errors import (
     BarrierTimeout,
-    CheckpointError,
-    PayloadCorruption,
     PlexusRuntimeError,
     RendezvousDesync,
     UnsupportedWorkload,
@@ -122,9 +119,6 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: glibc malloc for the workers, pinned from their first allocation on
 _ALLOC_VARS = {var: str(value) for var, _, value in ALLOC_PINS}
 
-#: failures the respawn-and-replay policy treats as transient
-_RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesync)
-
 #: a worker-reported exception re-raises as the runtime error of its name:
 #: the strict subclasses of PlexusRuntimeError in repro.errors (anything
 #: else, the base included, is WorkerFailed)
@@ -133,10 +127,6 @@ _TYPED = {
     for name, cls in vars(errors).items()
     if isinstance(cls, type) and PlexusRuntimeError in cls.__mro__[1:]
 }
-
-#: first recovery backoff (doubling per restart) and checkpoints kept
-_RESTART_BACKOFF_S = 0.25
-_KEEP_CHECKPOINTS = 2
 
 
 @dataclass
@@ -240,15 +230,9 @@ def _start_workers(
 
 class MultiprocTrainer:
     """Drives epochs across a pool of worker processes (one rank-cube slice
-    each) with the :class:`~repro.core.trainer.PlexusTrainer` surface.
-
-    With ``checkpoint_dir`` set the trainer checkpoints every
-    ``checkpoint_every`` epochs, resumes from the newest complete
-    checkpoint found in the directory at construction (the newest two are
-    kept), and recovers from transient worker failures by respawning the
-    pool from the latest checkpoint (at most ``max_restarts`` times,
-    exponential backoff from 0.25 s) and replaying — bitwise identical to
-    an uninterrupted run.
+    each) with the :class:`~repro.core.trainer.PlexusTrainer` surface,
+    checkpoints included; :func:`~repro.runtime.checkpoint.train_to` adds
+    resume and replay.
 
     ``timeout`` (seconds) is the one deadline: a bus exchange waits at most
     that long for its peers, and a worker whose reply the launcher awaits
@@ -264,16 +248,11 @@ class MultiprocTrainer:
         spec: WorkloadSpec,
         mailbox_bytes: int = DEFAULT_MAILBOX_BYTES,
         timeout: float = 120.0,
-        checkpoint_dir: str | Path | None = None,
-        checkpoint_every: int = 1,
-        max_restarts: int = 2,
         transport: str = "shm",
         rendezvous: str | tuple[str, int] | None = None,
         remote_workers: int = 0,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if transport not in ("shm", "tcp"):
             raise ValueError(f"unknown transport {transport!r} (known: shm, tcp)")
         _validate_spec(spec, transport)
@@ -301,16 +280,8 @@ class MultiprocTrainer:
         self.workers = spec.workers
         self.timeout = timeout
         self._mailbox_bytes = int(mailbox_bytes)
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-        self.checkpoint_every = checkpoint_every
-        self.max_restarts = max_restarts
         self._closed = False
-        self._history: list[EpochStats] = []
-        #: absolute epoch of _history[0] — nonzero when resuming from a
-        #: manifest that carries no (or partial) epoch history
-        self._hist_base = 0
         self._epochs_done = 0
-        self._restarts_used = 0
         self._bus: ShmBus | None = None
         self._listener = None  # tcp: the RendezvousListener (+ its port file)
         self._authkey = secrets.token_bytes(32)
@@ -320,37 +291,17 @@ class MultiprocTrainer:
         #: per worker: when its last message arrived (or the current wait began)
         self._heard: list[float] = []
         atexit.register(self.close)
-        restore = None
-        if self.checkpoint_dir is not None:
-            self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            found = ckpt.latest_checkpoint(self.checkpoint_dir)
-            if found is not None:
-                epoch, path = found
-                manifest = ckpt.read_manifest(path)
-                self._check_manifest(manifest)
-                self._epochs_done = epoch
-                self._history = ckpt.manifest_history(manifest, epoch)
-                self._hist_base = epoch - len(self._history)
-                restore = (str(path), epoch)
         try:
-            self._spawn_pool(restore, clean=False)
+            self._spawn_pool()
         except BaseException:
             self.close()
             raise
 
     # -- pool lifecycle --------------------------------------------------------
-    def _spawn_pool(self, restore: tuple[str, int] | None, clean: bool) -> None:
+    def _spawn_pool(self) -> None:
         """Create the bus, start the workers, send the spec once every one
         said hello, wait for every ready report — under one deadline (see
-        the module docstring).
-
-        ``restore`` is ``(checkpoint_path, epoch)`` for resume/recovery;
-        ``clean=True`` (the recovery respawn) strips the fault plans —
-        injected faults model transient failures, so replay runs clean.
-        """
-        spec = self.spec
-        if clean and spec.faults:
-            spec = replace(spec, faults=())
+        the module docstring)."""
         deadline = time.monotonic() + max(POOL_FORMATION_S, 2 * self.timeout)
         ctx = mp.get_context("spawn")
         self._procs = []
@@ -369,10 +320,10 @@ class MultiprocTrainer:
             else:
                 self._spawn_shm(ctx)
                 self._replies(deadline - time.monotonic())  # every ("hello", w)
-            blob = ForkingPickler.dumps(("spec", spec, restore, self.timeout))
+            blob = ForkingPickler.dumps(("spec", self.spec, self.timeout))
             self._broadcast(blob)
             _trace.instant("launcher.spec", bytes=len(blob))
-            # every ("ready", w), or the build/restore error
+            # every ("ready", w), or the build error
             self._replies(deadline - time.monotonic())
 
     def _spawn_shm(self, ctx) -> None:
@@ -601,7 +552,6 @@ class MultiprocTrainer:
             return
         self._collector.add_wall("launcher", _trace.drain())
         _metrics.gauge("epochs_done", float(self._epochs_done))
-        _metrics.gauge("restarts_used", float(self._restarts_used))
         _metrics.gauge_rusage()
         self._collector.add_metrics("launcher", self._epochs_done, _metrics.snapshot())
 
@@ -660,41 +610,14 @@ class MultiprocTrainer:
         every rank to the cube max) so they must agree across workers —
         asserted here — and the breakdown means are taken over the
         assembled ``(world,)`` vectors, bitwise like the inproc trainer.
-
-        With ``checkpoint_dir`` set, training proceeds in
-        ``checkpoint_every``-sized stretches with a checkpoint after each,
-        and a recoverable worker failure triggers respawn-and-replay from
-        the latest checkpoint instead of raising (until ``max_restarts``
-        is exhausted).
+        A failure raises typed with the pool stopped.
         """
-        if self._closed:
-            raise PlexusRuntimeError("multiproc trainer is closed")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        start = self._epochs_done
-        goal = start + epochs
-        while self._epochs_done < goal:
-            try:
-                self._train_stretch(goal)
-            except _RECOVERABLE as err:
-                self._recover(err)
-        self._drain_trace()
+        with _trace.span("launcher.train_stretch", n=epochs, start_epoch=self._epochs_done):
+            per_worker = self._command("train", epochs)
         result = TrainResult()
-        result.epochs.extend(
-            self._history[start - self._hist_base : goal - self._hist_base]
-        )
-        return result
-
-    def _train_stretch(self, goal: int) -> None:
-        """One train command (up to ``checkpoint_every`` epochs) + the
-        checkpoint that seals it."""
-        n = goal - self._epochs_done
-        if self.checkpoint_dir is not None:
-            n = min(n, self.checkpoint_every)
-        with _trace.span("launcher.train_stretch", n=n, start_epoch=self._epochs_done):
-            per_worker = self._command("train", n)
-        stretch: list[EpochStats] = []
-        for e in range(n):
+        for e in range(epochs):
             loss, t0, t1 = per_worker[0][e][:3]
             for w in range(1, self.workers):
                 if per_worker[w][e][:3] != (loss, t0, t1):
@@ -706,100 +629,56 @@ class MultiprocTrainer:
                     )
             comm = np.concatenate([per_worker[w][e][3] for w in range(self.workers)])
             comp = np.concatenate([per_worker[w][e][4] for w in range(self.workers)])
-            stretch.append(EpochStats.from_raw(loss, t0, t1, comm, comp))
-        self._history.extend(stretch)
-        self._epochs_done += n
-        if self.checkpoint_dir is not None:
-            self._save_checkpoint()
+            result.epochs.append(EpochStats.from_raw(loss, t0, t1, comm, comp))
+        self._epochs_done += epochs
+        self._drain_trace()
+        return result
 
-    def _recover(self, err: PlexusRuntimeError) -> None:
-        """Respawn-and-replay: bounded retries with exponential backoff."""
-        if self.checkpoint_dir is None:
-            raise err
-        if self._restarts_used >= self.max_restarts:
-            logger.error(
-                "giving up after %d restart(s): %s",
-                self._restarts_used,
-                type(err).__name__,
-            )
-            raise err
-        self._restarts_used += 1
-        if _trace.enabled:
-            _trace.instant(
-                "launcher.recover",
-                error=type(err).__name__,
-                worker=err.worker_id,
-                restart=self._restarts_used,
-            )
-        found = ckpt.latest_checkpoint(self.checkpoint_dir)
-        epoch, restore = (0, None) if found is None else (found[0], (str(found[1]), found[0]))
-        delay = _RESTART_BACKOFF_S * (2 ** (self._restarts_used - 1))
-        logger.warning(
-            "worker failure (%s: worker %s, last epoch %s); restart %d/%d "
-            "from epoch %d after %.2fs backoff",
-            type(err).__name__,
-            err.worker_id,
-            err.last_epoch,
-            self._restarts_used,
-            self.max_restarts,
+    def save_checkpoint(self, root: str | Path, epoch: int, history: list[EpochStats] = ()) -> Path:
+        """Write the epoch-``epoch`` checkpoint under ``root``, the layout
+        :meth:`PlexusTrainer.save_checkpoint` writes: the workers write
+        their own slice files into a temp directory (parallel I/O), the
+        launcher seals it with the manifest and renames it into place.
+        Returns the checkpoint path."""
+        return ckpt.seal_checkpoint(
+            root,
             epoch,
-            delay,
-        )
-        time.sleep(delay)
-        if restore is None:
-            self._hist_base = 0  # full replay from scratch re-records everything
-        del self._history[max(0, epoch - self._hist_base) :]
-        self._epochs_done = epoch
-        self._spawn_pool(restore, clean=True)
-
-    def _save_checkpoint(self) -> None:
-        """Checkpoint the pool at the current epoch boundary.
-
-        Workers write their own slice files into a temp directory (parallel
-        I/O); the launcher seals it with the manifest and renames it into
-        place, so a torn checkpoint is never mistaken for a complete one.
-        """
-        epoch = self._epochs_done
-
-        def write_slices(tmp: Path) -> list:
-            with _trace.span("launcher.checkpoint", epoch=epoch):
-                return [list(ack) for ack in self._command("checkpoint", str(tmp))]
-
-        ckpt.seal_checkpoint(
-            self.checkpoint_dir,
-            epoch,
-            write_slices,
+            lambda tmp: [list(ack) for ack in self._command("checkpoint", str(tmp))],
             backend=self.backend,
             world=self.spec.config.total,
             layer_dims=self.spec.layer_dims,
-            history=self._history,
-            keep=_KEEP_CHECKPOINTS,
+            history=history,
             tag=f"-{self._session[-8:]}",
         )
 
-    def _check_manifest(self, manifest: dict) -> None:
-        if manifest.get("world") != self.spec.config.total or list(
-            manifest.get("layer_dims", [])
-        ) != list(self.spec.layer_dims):
-            raise CheckpointError(
-                f"checkpoint in {self.checkpoint_dir} was written for "
-                f"world={manifest.get('world')}, "
-                f"dims={manifest.get('layer_dims')} — this workload is "
-                f"world={self.spec.config.total}, dims={list(self.spec.layer_dims)}"
-            )
+    def load_checkpoint(self, path: str | Path) -> dict:
+        """Restore the pool from a checkpoint directory written by either
+        backend on any worker layout, for this world and these layer dims
+        (else :class:`~repro.errors.CheckpointError`): each worker loads
+        its slice and continues its epoch counter from the checkpoint's.
+        Returns the checkpoint's manifest."""
+        manifest = ckpt.read_manifest(path, self.spec.config.total, self.spec.layer_dims)
+        epoch = manifest["epoch"]
+        self._command("load", str(path), epoch)
+        self._epochs_done = epoch
+        self._worker_epoch = [epoch] * self.workers
+        return manifest
+
+    def restart(self) -> None:
+        """Stop the pool (a failure already has) and spawn a fresh one at
+        epoch 0, without fault plans: injected faults model transient
+        failures, so a replay runs clean."""
+        if self._closed:
+            raise PlexusRuntimeError("multiproc trainer is closed")
+        self._stop_pool(graceful=False)
+        self.spec = replace(self.spec, faults=())
+        self._epochs_done = 0
+        self._spawn_pool()
 
     @property
     def epochs_done(self) -> int:
-        """Epochs completed so far (including any resumed from checkpoint)."""
+        """Epochs completed so far (counting from a loaded checkpoint's)."""
         return self._epochs_done
-
-    @property
-    def history(self) -> list[EpochStats]:
-        """Completed epochs' stats, oldest first.  Starts at epoch 0 unless
-        the trainer resumed from a manifest with missing epoch history (a
-        checkpoint written without it), in which case the leading resumed
-        epochs are absent."""
-        return list(self._history)
 
     def state(self) -> dict:
         """Assembled cube-wide state for parity checks and reporting.
@@ -824,8 +703,6 @@ class MultiprocTrainer:
     def reset(self) -> None:
         """Zero every worker's clocks and timelines (between runs)."""
         self._command("reset")
-        self._history = []
-        self._hist_base = 0
         self._epochs_done = 0
 
     def evaluate(self, mask_global) -> float:
@@ -931,8 +808,8 @@ def build_trainer(spec: WorkloadSpec, backend: str = "inproc", **kwargs):
     whole-cube, no-bus call of the builder every worker runs
     (:func:`~repro.runtime.worker.build_worker`), so a ``shard_dir`` spec
     loads the same way; ``"multiproc"`` launches the worker pool (``kwargs``
-    pass through to :class:`MultiprocTrainer`: checkpointing, supervision,
-    timeouts).
+    pass through to :class:`MultiprocTrainer`: transport, mailbox, timeout,
+    tracing).
     """
     if backend == "multiproc":
         return MultiprocTrainer(spec, **kwargs)

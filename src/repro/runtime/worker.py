@@ -22,8 +22,8 @@ no-bus case of the same builder.
   pipe; the rendezvous dial on tcp), then reads the workload spec from its
   control connection — one message, the same on both transports — opens
   the bus, builds the slice, and serves the launcher's command loop (train
-  / evaluate / state / reset / close).  The bus is closed on *any* exit
-  path.
+  / checkpoint / load / evaluate / state / reset / close).  The bus is
+  closed on *any* exit path.
 
 Parity: the slice-local execution is bitwise identical to the in-process
 run restricted to those ranks — X/Y collectives reduce the same operand
@@ -258,14 +258,13 @@ def _report_error(
 
 def _serve(worker_id: int, conn, open_bus) -> None:
     """What every transport's worker does once it knows its id: read the
-    launcher's ``("spec", spec, restore, timeout)`` message, build the fault
+    launcher's ``("spec", spec, timeout)`` message, build the fault
     injector, open the bus (``open_bus(faults, timeout)``), build the slice,
     serve the command loop.
 
-    ``restore`` is ``(checkpoint_path, epoch)`` when the launcher respawns
-    the pool from a checkpoint: the worker loads its slice file before
-    reporting ready, and its epoch counter (heartbeat beacons, fault
-    targeting) continues from ``epoch``.
+    A ``("load", path, epoch)`` command restores the slice from a
+    checkpoint, and the epoch counter (heartbeat beacons, fault targeting)
+    continues from ``epoch``.
 
     The loop sends a ``("beat", worker, epochs_done)`` heartbeat after
     every epoch of a ``train`` command — the supervisor's liveness signal
@@ -283,7 +282,7 @@ def _serve(worker_id: int, conn, open_bus) -> None:
     epochs_done = 0
     _set_log_worker(worker_id)
     try:
-        kind, spec, restore, timeout = conn.recv()
+        kind, spec, timeout = conn.recv()
         if kind != "spec":
             raise PlexusRuntimeError(f"launcher protocol: expected spec, got {kind!r}")
         if spec.trace:
@@ -293,10 +292,6 @@ def _serve(worker_id: int, conn, open_bus) -> None:
         ctx = build_worker(spec, worker_id, bus)
         trainer = ctx.trainer
         cluster = trainer.model.cluster
-        if restore is not None:
-            path, epoch = restore
-            trainer.load_checkpoint(path)
-            epochs_done = epoch
         conn.send(("ready", worker_id))
         while True:
             msg = conn.recv()
@@ -322,6 +317,10 @@ def _serve(worker_id: int, conn, open_bus) -> None:
             elif cmd == "checkpoint":
                 ckpt.write_worker_state(args[0], ckpt.model_state(trainer.model))
                 conn.send(("ok", (cluster.lo, cluster.hi)))
+            elif cmd == "load":
+                trainer.load_checkpoint(args[0])
+                epochs_done = args[1]
+                conn.send(("ok", None))
             elif cmd == "evaluate":
                 conn.send(("value", trainer.evaluate(args[0])))
             elif cmd == "state":

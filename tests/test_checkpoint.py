@@ -7,7 +7,10 @@ an overlap schedule's link reservations and in-flight cross-epoch prefetch
 restoring into the saving instance and into another one alike, a padded
 checkpoint crossing between the in-process trainer and a 2-worker pool,
 the refused version-1 format, manifest/latest/prune directory management,
-and torn checkpoints (no manifest) being invisible to resume.
+torn checkpoints (no manifest) being invisible to resume, and the one
+checkpoint loop (``checkpoint.train_to`` under ``train_plexus``): a job
+interrupted on one backend and completed on the other, ``every < 1``
+refused, one ``checkpoint`` trace span per save.
 
 The multiproc crash-recovery path over the same files lives in
 ``tests/test_runtime_faults.py`` (spawn-heavy; run in its own CI step).
@@ -226,8 +229,9 @@ class TestRoundTrip:
         # in-process -> 2 workers
         saver = build_trainer(spec, backend="inproc")
         saver.train(3)
-        saver.save_checkpoint(tmp_path / "a", epoch=3)
-        with MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path / "a") as mpt:
+        path = saver.save_checkpoint(tmp_path / "a", epoch=3)
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            assert mpt.load_checkpoint(path)["epoch"] == 3
             assert mpt.epochs_done == 3
             assert mpt.train(3).losses == losses_ref[3:]
             pool = mpt.state()
@@ -238,11 +242,9 @@ class TestRoundTrip:
                 assert np.array_equal(pool[books][k], v), k
 
         # 2 workers -> in-process
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path / "b", checkpoint_every=3
-        ) as mpt:
+        with MultiprocTrainer(spec, timeout=60) as mpt:
             assert mpt.train(3).losses == losses_ref[:3]
-        path = latest_checkpoint(tmp_path / "b")[1]
+            path = mpt.save_checkpoint(tmp_path / "b", epoch=3)
         slices = [pickle.loads(p.read_bytes()) for p in sorted(path.glob("worker-*.pkl"))]
         assert [(s["lo"], s["hi"]) for s in slices] == [(0, 6), (6, 12)]
         assert all(s["pending_f0"]["result"]["rows"] is not None for s in slices)
@@ -270,8 +272,8 @@ class TestDirectoryManagement:
         tr = _trainer()
         for e in (1, 2, 3):
             tr.train(1)
-            tr.save_checkpoint(tmp_path, epoch=e, keep=2)
-        # keep=2 pruned epoch 1; the newest complete checkpoint is epoch 3
+            tr.save_checkpoint(tmp_path, epoch=e)
+        # keeping two pruned epoch 1; the newest complete checkpoint is epoch 3
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [ckpt.checkpoint_name(2), ckpt.checkpoint_name(3)]
         epoch, path = latest_checkpoint(tmp_path)
@@ -295,17 +297,62 @@ class TestDirectoryManagement:
         assert latest_checkpoint(tmp_path) is not None
 
 
+#: the train_plexus workload of the checkpoint-loop tests (a 2-worker pool)
+_PLEXUS_KW = dict(gpus=8, config=GridConfig(2, 1, 4), seed=0, scale="tiny")
+
+
 class TestTrainPlexusCheckpointing:
-    def test_total_target_resume(self, tmp_path):
+    @pytest.mark.parametrize(
+        "first,then",
+        [("inproc", "inproc"), ("inproc", "multiproc"), ("multiproc", "inproc")],
+    )
+    def test_total_target_resume(self, tmp_path, first, then):
         """train_plexus with checkpoint_dir treats epochs as a total target:
-        an interrupted job re-run with the same directory completes and
-        returns the bitwise-identical TrainResult."""
+        an interrupted job re-run with the same directory — on either
+        backend, whichever wrote it — completes and returns the
+        bitwise-identical TrainResult."""
         from repro import train_plexus
 
-        kw = dict(gpus=8, config=GridConfig(2, 1, 4), seed=0, scale="tiny")
-        ref = train_plexus("reddit", epochs=5, **kw)
-        d = tmp_path / "ckpt"
-        part = train_plexus("reddit", epochs=3, checkpoint_dir=str(d), **kw)
+        ref = train_plexus("reddit", epochs=5, **_PLEXUS_KW)
+        d = str(tmp_path / "ckpt")
+        part = train_plexus("reddit", epochs=3, checkpoint_dir=d, backend=first, **_PLEXUS_KW)
         assert part.losses == ref.losses[:3]
-        full = train_plexus("reddit", epochs=5, checkpoint_dir=str(d), **kw)
-        assert full.losses == ref.losses
+        full = train_plexus("reddit", epochs=5, checkpoint_dir=d, backend=then, **_PLEXUS_KW)
+        assert full.epochs == ref.epochs
+        assert ckpt.read_manifest(latest_checkpoint(d)[1])["backend"] == then
+
+    @pytest.mark.parametrize("with_dir", [True, False], ids=["dir", "no-dir"])
+    @pytest.mark.parametrize("backend", ["inproc", "multiproc"])
+    def test_every_below_one_is_refused(self, tmp_path, backend, with_dir):
+        """Refused whether or not a checkpoint directory is given."""
+        from repro import train_plexus
+
+        with pytest.raises(ValueError, match="every must be >= 1"):
+            train_plexus(
+                "reddit", epochs=2, checkpoint_dir=str(tmp_path) if with_dir else None,
+                checkpoint_every=0, backend=backend, **_PLEXUS_KW,
+            )
+
+    @pytest.mark.parametrize("backend", ["inproc", "multiproc"])
+    def test_every_save_is_a_checkpoint_span(self, tmp_path, backend):
+        """One ``checkpoint`` span per save, from the loop, on both backends:
+        in the in-process trace and in the launcher's."""
+        import json
+
+        from repro import train_plexus
+
+        out = tmp_path / "trace"
+        train_plexus(
+            "reddit", epochs=2, checkpoint_dir=str(tmp_path / "ckpt"), backend=backend,
+            trace_dir=str(out), **_PLEXUS_KW,
+        )
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        spans = [e for e in events if e["name"] == "checkpoint" and e["ph"] == "B"]
+        process = "inproc" if backend == "inproc" else "launcher"
+        assert [(e["process"], e["args"]) for e in spans] == [
+            (process, {"epoch": epoch, "backend": backend}) for epoch in (1, 2)
+        ]
+        # a clean run's rows report no replay
+        rows = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        ours = [r for r in rows if r["process"] == process]
+        assert ours and all(r["gauges"]["restarts_used"] == 0 for r in ours)

@@ -44,7 +44,7 @@ from repro.dist import LAPTOP, PERLMUTTER
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
-from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer, latest_checkpoint
+from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
 from repro.runtime import checkpoint as ckpt
 from repro.sparse.ops import gcn_normalize
 
@@ -172,27 +172,24 @@ def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict]:
     pool = dict(timeout=60, transport=case.transport, mailbox_bytes=case.mailbox)
     # the pool's chunks, and the in-process ones resumed after them
     pooled, resumed = case.chunks, ()
-    if case.resume == "inproc->pool":
-        first = build_trainer(spec, backend="inproc")
-        epochs += first.train(case.chunks[0]).epochs
-        first.save_checkpoint(saved, epoch=case.chunks[0])
-        pooled = case.chunks[1:]
-        pool.update(checkpoint_dir=saved, checkpoint_every=sum(pooled))
-    elif case.resume == "pool->inproc":
-        pooled, resumed = case.chunks[:1], case.chunks[1:]
-        pool.update(checkpoint_dir=saved, checkpoint_every=case.chunks[0])
     with MultiprocTrainer(spec, **pool) as mpt:
+        if case.resume == "inproc->pool":
+            first = build_trainer(spec, backend="inproc")
+            epochs += first.train(case.chunks[0]).epochs
+            mpt.load_checkpoint(first.save_checkpoint(saved, epoch=case.chunks[0]))
+            pooled = case.chunks[1:]
+        elif case.resume == "pool->inproc":
+            pooled, resumed = case.chunks[:1], case.chunks[1:]
         for c in pooled:
             epochs += mpt.train(c).epochs
-        books = mpt.state()
-    if resumed:
-        last = build_trainer(spec, backend="inproc")
-        last.load_checkpoint(latest_checkpoint(saved)[1])
-        for c in resumed:
-            epochs += last.train(c).epochs
-        books = _books(last.model)
-    return epochs, books
-
+        if not resumed:
+            return epochs, mpt.state()
+        path = mpt.save_checkpoint(saved, epoch=case.chunks[0])
+    last = build_trainer(spec, backend="inproc")
+    last.load_checkpoint(path)
+    for c in resumed:
+        epochs += last.train(c).epochs
+    return epochs, _books(last.model)
 
 #: the configurations every run checks, by name: first the hand-picked
 #: parity cases this test replaced ...

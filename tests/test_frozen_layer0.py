@@ -41,6 +41,7 @@ from repro.graph.generators import rmat_graph
 from repro.obs import SimSink, sim_phase_totals, trace
 from repro.obs.metrics import registry as metrics
 from repro.runtime import FaultPlan, MultiprocTrainer, WorkloadSpec, build_trainer
+from repro.runtime.checkpoint import train_to
 from repro.sparse.ops import gcn_normalize
 
 EPOCHS = 4
@@ -346,7 +347,7 @@ class TestMultiproc:
             assert by_epoch[EPOCHS]["frozen_agg_replays"] == EPOCHS - 1
             assert "frozen_agg_replays" not in by_epoch[1]
 
-    def test_killed_worker_recovers_bitwise(self, tmp_path):
+    def test_killed_worker_recovers_bitwise(self, tmp_path, restarts):
         """Whole-pool respawn keeps the workers symmetric: every fresh
         worker recomputes in its first forward — from the checkpointed
         in-flight prefetch under overlap — and replays from there."""
@@ -354,11 +355,9 @@ class TestMultiproc:
             losses = pool.train(EPOCHS + 1).losses
             reference = pool.state()
         plan = FaultPlan(worker=1, point="mid_collective", action="die", epoch=3)
-        with MultiprocTrainer(
-            _spec(faults=(plan,), overlap=True), timeout=60, checkpoint_dir=tmp_path,
-            checkpoint_every=2, max_restarts=2,
-        ) as pool:
-            result = pool.train(EPOCHS + 1)
-            assert pool._restarts_used == 1
+        with MultiprocTrainer(_spec(faults=(plan,), overlap=True), timeout=60) as pool:
+            ran = restarts(pool)
+            result = train_to(pool, EPOCHS + 1, tmp_path, every=2, max_restarts=2)
+            assert ran == [2]  # one replay, from the epoch-2 checkpoint
             assert result.losses == losses
             _assert_pool_equals(pool.state(), reference)

@@ -10,22 +10,24 @@ tier-1.  Acceptance for the fault-tolerant worker runtime:
   within 2 x ``timeout`` of silence, on both transports;
 * **payload integrity** — a flipped mailbox byte trips the frame CRC at
   read time and raises :class:`~repro.errors.PayloadCorruption`;
-* **crash recovery** — with checkpointing on, a worker killed at each
-  injection point mid-training auto-restores from the latest checkpoint
-  and replays to a final state **bitwise identical** to an uninterrupted
-  run (losses, weights, per-rank clocks, phase totals), eager and overlap
-  schedules alike;
-* **resume** — a new trainer pointed at a checkpoint directory continues
-  the job (multiproc -> multiproc cold start; checkpoints written by one
-  backend or worker layout restore into any other, an overlap schedule's
-  link reservations and in-flight prefetch included); a refused checkpoint
-  reaches the caller as ``CheckpointError``.
+* **crash recovery** — under ``checkpoint.train_to``, a worker killed at
+  each injection point mid-training restarts the pool, which reloads the
+  latest checkpoint and replays to a final state **bitwise identical** to
+  an uninterrupted run (losses, weights, per-rank clocks, phase totals),
+  eager and overlap schedules alike;
+* **resume** — ``train_to`` on a new pool continues the job from the
+  directory (cold start), and ``save_checkpoint`` / ``load_checkpoint``
+  cross backends and worker layouts both ways, an overlap schedule's link
+  reservations and in-flight prefetch included; a refused checkpoint
+  reaches the caller as ``CheckpointError`` on either backend.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
+from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from repro.runtime import (
     latest_checkpoint,
 )
 from repro.runtime import checkpoint as ckpt
+from repro.runtime.checkpoint import train_to
 from repro.sparse.ops import gcn_normalize
 
 N_NODES = 48
@@ -94,6 +97,13 @@ def _state_equal(a: dict, b: dict) -> None:
     assert set(a["weights"]) == set(b["weights"])
     for name, w in a["weights"].items():
         assert np.array_equal(w, b["weights"][name]), name
+
+
+#: a trainer of either backend as a context manager
+_TRAINERS = {
+    "inproc": lambda spec: nullcontext(build_trainer(spec, backend="inproc")),
+    "multiproc": lambda spec: MultiprocTrainer(spec, timeout=60),
+}
 
 
 def _slice_states(ckpt_dir) -> list[dict]:
@@ -243,9 +253,9 @@ class TestDetection:
 
 
 class TestCrashRecovery:
-    """Kill a worker mid-training at each injection point; the run must
-    auto-restore from the latest checkpoint and finish bitwise-identical
-    to the uninterrupted baseline."""
+    """Kill a worker mid-training at each injection point; ``train_to``
+    must restart the pool from the latest checkpoint and finish
+    bitwise-identical to the uninterrupted baseline."""
 
     @pytest.mark.parametrize(
         "point,action",
@@ -255,60 +265,49 @@ class TestCrashRecovery:
             ("post_epoch", "die"),
         ],
     )
-    def test_killed_worker_replays_bitwise(self, baseline, tmp_path, point, action):
+    def test_killed_worker_replays_bitwise(
+        self, baseline, tmp_path, restarts, point, action
+    ):
         overlap, losses, state = baseline
         plan = FaultPlan(worker=1, point=point, action=action, epoch=2)
-        with MultiprocTrainer(
-            _spec(faults=(plan,), overlap=overlap),
-            timeout=60,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=2,
-            max_restarts=2,
-        ) as mpt:
-            result = mpt.train(EPOCHS)
-            assert mpt._restarts_used == 1  # the fault fired and recovery ran
+        with MultiprocTrainer(_spec(faults=(plan,), overlap=overlap), timeout=60) as mpt:
+            ran = restarts(mpt)
+            result = train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=2)
+            assert ran == [2]  # the fault fired, one replay from epoch 2 ran
             assert result.losses == losses
             _state_equal(state, mpt.state())
 
-    def test_corrupted_payload_recovers_too(self, baseline, tmp_path):
+    def test_corrupted_payload_recovers_too(self, baseline, tmp_path, restarts):
         overlap, losses, state = baseline
         if overlap:
             pytest.skip("one schedule suffices for the corruption-recovery path")
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=2)
-        with MultiprocTrainer(
-            _spec(faults=(plan,)),
-            timeout=60,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=2,
-        ) as mpt:
-            assert mpt.train(EPOCHS).losses == losses
-            assert mpt._restarts_used == 1
+        with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
+            ran = restarts(mpt)
+            assert train_to(mpt, EPOCHS, tmp_path, every=2).losses == losses
+            assert ran == [2]
             _state_equal(state, mpt.state())
 
-    def test_restart_budget_exhausts_loudly(self, tmp_path):
+    def test_restart_budget_exhausts_loudly(self, tmp_path, restarts):
         """With max_restarts=0 the recoverable failure re-raises typed."""
         plan = FaultPlan(worker=1, point="pre_barrier", action="die", epoch=2)
         with pytest.raises(WorkerCrashed, match="multiproc runtime failed"):
-            with MultiprocTrainer(
-                _spec(faults=(plan,)),
-                timeout=60,
-                checkpoint_dir=tmp_path,
-                checkpoint_every=2,
-                max_restarts=0,
-            ) as mpt:
-                mpt.train(EPOCHS)
+            with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
+                ran = restarts(mpt)
+                train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=0)
+        assert ran == []
+        assert latest_checkpoint(tmp_path)[0] == 2  # the stretch before the fault
 
 
 class TestResume:
     def test_cold_start_resume_from_checkpoint_dir(self, baseline, tmp_path):
-        """A brand-new trainer pointed at the directory continues the job
-        from the newest checkpoint, bitwise."""
+        """A brand-new pool continues the job from the newest checkpoint in
+        the directory, bitwise — and returns the whole job's stats, the
+        resumed epochs' from the manifest."""
         overlap, losses, state = baseline
         spec = _spec(overlap=overlap)
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
-        ) as mpt:
-            head = mpt.train(3).losses
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            head = train_to(mpt, 3, tmp_path).losses
         assert head == losses[:3]
         # one link-key space: a key is its group's global ranks, so worker
         # 0 (ranks 0-3) holds its planes' X / Y links and every Z link, the
@@ -320,13 +319,24 @@ class TestResume:
         whole = build_trainer(spec, backend="inproc")
         whole.train(1)
         assert w0 | w1 == set(whole.model.cluster.store.links) and len(w0 | w1) == 12
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
-        ) as mpt:
-            assert mpt.epochs_done == 3
-            assert mpt.history[:3] and [e.loss for e in mpt.history] == head
-            tail = mpt.train(EPOCHS - 3).losses
-            assert tail == losses[3:]
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            loaded, trained = [], []
+            load, train = mpt.load_checkpoint, mpt.train
+
+            def spied_load(path) -> dict:
+                manifest = load(path)
+                loaded.append(manifest["epoch"])
+                return manifest
+
+            def spied_train(n):
+                trained.append(n)
+                return train(n)
+
+            mpt.load_checkpoint, mpt.train = spied_load, spied_train
+            assert train_to(mpt, EPOCHS, tmp_path).losses == losses
+            # it resumed: loaded the epoch-3 checkpoint and trained the rest
+            assert loaded == [3] and trained == [1] * (EPOCHS - 3)
+            assert mpt.epochs_done == EPOCHS
             _state_equal(state, mpt.state())
 
     @pytest.mark.parametrize(
@@ -354,24 +364,19 @@ class TestResume:
         saver = build_trainer(spec, backend="inproc")
         saver.train(2)
         assert (saver.model._f0_pending is not None) == in_flight
-        saver.save_checkpoint(tmp_path / "a", epoch=2)
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path / "a", checkpoint_every=1
-        ) as mpt:
-            assert mpt.epochs_done == 2
+        path = saver.save_checkpoint(tmp_path / "a", epoch=2)
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            assert mpt.load_checkpoint(path)["epoch"] == 2
             assert mpt.train(EPOCHS - 2).losses == losses[2:]
             _state_equal(want, mpt.state())
 
         # multiproc -> inproc
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path / "b", checkpoint_every=3
-        ) as mpt:
+        with MultiprocTrainer(spec, timeout=60) as mpt:
             mpt.train(3)
-        epoch, path = latest_checkpoint(tmp_path / "b")
-        assert epoch == 3
+            path = mpt.save_checkpoint(tmp_path / "b", epoch=3)
         assert all((st["pending_f0"] is not None) == in_flight for st in _slice_states(path))
         resumed = build_trainer(spec, backend="inproc")
-        resumed.load_checkpoint(path)
+        assert resumed.load_checkpoint(path)["epoch"] == 3
         assert resumed.train(EPOCHS - 3).losses == losses[3:]
         got = ckpt.capture_books(resumed.model)
         _state_equal(want, got)
@@ -381,26 +386,22 @@ class TestResume:
         """X2Y2Z4 under overlap, prefetch in flight: a 2-worker pool's
         checkpoint boots a 4-worker pool, whose checkpoint boots the
         in-process trainer — each bitwise on the uninterrupted run."""
-        from dataclasses import replace
-
         spec = _spec(cfg=GridConfig(2, 2, 4), overlap=True)
         ref = build_trainer(spec, backend="inproc")
         losses = ref.train(EPOCHS).losses
         want = ckpt.capture_books(ref.model)
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=2
-        ) as mpt:
+        with MultiprocTrainer(spec, timeout=60) as mpt:
             mpt.train(2)
-        states = _slice_states(latest_checkpoint(tmp_path)[1])
+            path = mpt.save_checkpoint(tmp_path, epoch=2)
+        states = _slice_states(path)
         assert [(st["lo"], st["hi"]) for st in states] == [(0, 8), (8, 16)]
         assert all(st["pending_f0"] is not None for st in states)
-        with MultiprocTrainer(
-            replace(spec, workers=4), timeout=60, checkpoint_dir=tmp_path, checkpoint_every=2
-        ) as mpt:
+        with MultiprocTrainer(replace(spec, workers=4), timeout=60) as mpt:
+            mpt.load_checkpoint(path)
             assert mpt.epochs_done == 2
             assert mpt.train(2).losses == losses[2:4]
-        epoch, path = latest_checkpoint(tmp_path)
-        assert epoch == 4 and len(_slice_states(path)) == 4
+            path = mpt.save_checkpoint(tmp_path, epoch=4)
+        assert latest_checkpoint(tmp_path) == (4, path) and len(_slice_states(path)) == 4
         resumed = build_trainer(spec, backend="inproc")
         resumed.load_checkpoint(path)
         assert resumed.train(EPOCHS - 4).losses == losses[4:]
@@ -411,27 +412,30 @@ class TestResume:
         and the refusal reaches the caller as ``CheckpointError`` with the
         worker's traceback — the error ``load_checkpoint`` raises in process."""
         spec = _spec()
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
-        ) as mpt:
+        with MultiprocTrainer(spec, timeout=60) as mpt:
             mpt.train(1)
-        path = latest_checkpoint(tmp_path)[1]
+            path = mpt.save_checkpoint(tmp_path, epoch=1)
         for file in path.glob("worker-*.pkl"):
             file.write_bytes(pickle.dumps({**pickle.loads(file.read_bytes()), "format": 1}))
-        with pytest.raises(CheckpointError, match="format 1 != supported 2") as ei:
-            MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path)
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            with pytest.raises(CheckpointError, match="format 1 != supported 2") as ei:
+                mpt.load_checkpoint(path)
         assert ei.value.worker_id in (0, 1)
         assert "load_checkpoint" in ei.value.traceback_text
         with pytest.raises(CheckpointError, match="format 1 != supported 2"):
             build_trainer(spec, backend="inproc").load_checkpoint(path)
 
-    def test_mismatched_checkpoint_refused(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["inproc", "multiproc"])
+    def test_mismatched_checkpoint_refused(self, tmp_path, backend):
+        """A checkpoint of another world or other layer dims is refused by
+        the one manifest check, on either backend, before any state moves."""
         spec = _spec()
-        with MultiprocTrainer(
-            spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
-        ) as mpt:
-            mpt.train(1)
-        other = _spec()
-        other.layer_dims = [DIMS[0], 24, DIMS[-1]]
-        with pytest.raises(CheckpointError, match="world|dims"):
-            MultiprocTrainer(other, timeout=60, checkpoint_dir=tmp_path)
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            train_to(mpt, 1, tmp_path)
+        for other in (
+            _spec(cfg=GridConfig(2, 2, 4)),  # world 16
+            replace(spec, layer_dims=[DIMS[0], 24, DIMS[-1]]),
+        ):
+            with _TRAINERS[backend](other) as trainer:
+                with pytest.raises(CheckpointError, match="world=8, dims=.* this workload is"):
+                    train_to(trainer, 2, tmp_path)

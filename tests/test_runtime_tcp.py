@@ -54,6 +54,7 @@ from repro.runtime import (
     cleanup_stale_rendezvous,
     host_workers,
 )
+from repro.runtime.checkpoint import train_to
 from repro.runtime.rendezvous import (
     PORT_FILE_SUFFIX,
     discover_port_file,
@@ -293,21 +294,17 @@ class TestNetworkChaos:
         assert "per-worker liveness" in str(ei.value)
         assert "last heartbeat" in str(ei.value)
 
-    def test_partition_recovers_from_checkpoint_bitwise(self, baseline, tmp_path):
-        """With checkpointing on, the partition triggers respawn-and-replay
+    def test_partition_recovers_from_checkpoint_bitwise(self, baseline, tmp_path, restarts):
+        """Under ``train_to`` the partition restarts the pool, which replays
         from the epoch-boundary checkpoint: bitwise-identical final state."""
         overlap, ref, state = baseline
         plan = FaultPlan(worker=1, point="pre_barrier", action="partition", epoch=2)
         with MultiprocTrainer(
-            _spec(faults=(plan,), overlap=overlap),
-            timeout=60,
-            transport="tcp",
-            checkpoint_dir=tmp_path,
-            checkpoint_every=2,
-            max_restarts=2,
+            _spec(faults=(plan,), overlap=overlap), timeout=60, transport="tcp"
         ) as mpt:
-            result = mpt.train(EPOCHS)
-            assert mpt._restarts_used == 1  # the fault fired and recovery ran
+            ran = restarts(mpt)
+            result = train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=2)
+            assert ran == [2]  # the fault fired, one replay from epoch 2 ran
             assert result.losses == ref.losses
             _state_equal(state, mpt.state())
 
