@@ -26,7 +26,6 @@ __all__ = [
     "BarrierTimeout",
     "RendezvousDesync",
     "PayloadCorruption",
-    "UnsupportedWorkload",
     "CheckpointError",
     "CollectiveMisuse",
     "PlanReleased",
@@ -98,11 +97,6 @@ class RendezvousDesync(PlexusRuntimeError):
 class PayloadCorruption(PlexusRuntimeError):
     """A shared-memory frame failed its CRC32 check: the payload bytes read
     do not match what the sender posted."""
-
-
-class UnsupportedWorkload(PlexusRuntimeError):
-    """The requested configuration has no implementation on this backend
-    (the restriction is permanent for the run, not transient)."""
 
 
 class CheckpointError(PlexusRuntimeError):

@@ -17,11 +17,11 @@ three injection points:
 
 Actions:
 
-* ``"die"``     — hard ``os._exit`` (SIGKILL-like: no cleanup, no error
-  report; what a preempted spot instance looks like);
+* ``"die"``     — hard ``os._exit(EXIT_CODE)`` (SIGKILL-like: no cleanup,
+  no error report; what a preempted spot instance looks like);
 * ``"raise"``   — raise an exception inside the worker (exercises the
   traceback-threading path of the supervisor);
-* ``"delay"``   — sleep ``delay_s`` before proceeding (a late rendezvous
+* ``"delay"``   — sleep :data:`DELAY_S` before proceeding (a late rendezvous
   arrival — at ``pre_barrier`` over tcp, a stall before the exchange's
   sends; simulated clocks are wall-time independent, so results must stay
   bitwise identical);
@@ -37,19 +37,22 @@ Actions:
   consuming garbage.
 
 Network actions (``transport="tcp"`` only; armed at ``pre_barrier``, the
-transport applies them to the exchange in flight; a plan aimed at the shm
-bus is refused by the launcher before any worker spawns):
+transport applies them to the exchange in flight):
 
 * ``"drop_conn"`` — sever every peer socket once; the transport's bounded
   reconnect/backoff must resume mid-epoch from the frame sequence number,
   bitwise invisibly;
 * ``"partition"`` — make every peer permanently unreachable (reconnects
   refused) until the retry budget surfaces a typed
-  :class:`~repro.errors.BarrierTimeout` naming the peer — the launcher
-  then recovers from the epoch-boundary checkpoint.
+  :class:`~repro.errors.BarrierTimeout` naming the peer —
+  :func:`~repro.runtime.checkpoint.train_to` then replays from the
+  epoch-boundary checkpoint.
 
 Plans ride through :class:`~repro.runtime.launch.WorkloadSpec` (picklable
-dataclasses, shipped at spawn) and fire exactly once.  On respawn after a
+dataclasses, shipped at spawn) and fire exactly once.  A plan that could
+never fire — aimed at a worker outside the pool, at a negative epoch or
+exchange, or a network action on shm — is a ``ValueError`` in the launcher
+before any worker spawns.  On respawn after a
 recovery the launcher strips the plans: injected faults model *transient*
 failures, so the replayed run executes clean.
 """
@@ -63,6 +66,8 @@ from dataclasses import dataclass
 __all__ = [
     "FAULT_POINTS",
     "FAULT_ACTIONS",
+    "DELAY_S",
+    "EXIT_CODE",
     "NETWORK_ACTIONS",
     "FaultPlan",
     "FaultInjector",
@@ -72,6 +77,10 @@ __all__ = [
 FAULT_POINTS = ("pre_barrier", "mid_collective", "post_epoch")
 NETWORK_ACTIONS = ("drop_conn", "partition")
 FAULT_ACTIONS = ("die", "raise", "delay", "hang", "corrupt") + NETWORK_ACTIONS
+
+#: a "delay" sleeps this long; a "die" exits with this code
+DELAY_S = 0.5
+EXIT_CODE = 43
 
 #: "hang" sleeps this long — far beyond any deadline of the runtime, but
 #: finite so an escaped worker cannot outlive CI's hard timeout forever
@@ -97,8 +106,6 @@ class FaultPlan:
     action: str = "die"
     epoch: int = 0
     exchange: int = 0
-    delay_s: float = 0.5
-    exit_code: int = 43
 
     def __post_init__(self) -> None:
         if self.point not in FAULT_POINTS:
@@ -115,12 +122,6 @@ class FaultPlan:
                 f"network fault action {self.action!r} arms at 'pre_barrier' "
                 "only: the transport applies it to the exchange in flight"
             )
-
-    @property
-    def transport(self) -> str | None:
-        """The transport the action needs (``None``: any) — the launcher
-        refuses a network action on shm before spawn."""
-        return "tcp" if self.action in NETWORK_ACTIONS else None
 
 
 class FaultInjector:
@@ -166,14 +167,14 @@ class FaultInjector:
                 exchange=plan.exchange,
             )
         if plan.action == "die":
-            os._exit(plan.exit_code)
+            os._exit(EXIT_CODE)
         elif plan.action == "raise":
             raise InjectedFault(
                 f"injected fault at {plan.point} (epoch {plan.epoch}, "
                 f"exchange {plan.exchange})"
             )
         elif plan.action == "delay":
-            time.sleep(plan.delay_s)
+            time.sleep(DELAY_S)
         elif plan.action == "hang":
             time.sleep(_HANG_S)
         elif plan.action == "corrupt":

@@ -86,7 +86,6 @@ from repro.errors import (
     BarrierTimeout,
     PlexusRuntimeError,
     RendezvousDesync,
-    UnsupportedWorkload,
     WorkerCrashed,
     WorkerFailed,
 )
@@ -96,7 +95,7 @@ from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import NETWORK_ACTIONS, FaultPlan
 from repro.runtime.net import POOL_FORMATION_S
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 from repro.runtime.worker import build_worker, worker_main, worker_main_tcp, worker_slice
@@ -204,15 +203,21 @@ def _worker_env(local_workers: int):
 
 
 def _validate_spec(spec: WorkloadSpec, transport: str) -> None:
-    """Fail in the launcher, with a clear message, before spawning."""
+    """Fail in the launcher, with a clear message, before spawning: a bad
+    worker count, or a fault plan that could never fire on this pool."""
     worker_slice(spec.config, spec.workers, 0)  # validates the worker count
-    plan = next((p for p in spec.faults if p.transport not in (None, transport)), None)
-    if plan is not None:
-        raise UnsupportedWorkload(
-            f"fault action {plan.action!r} acts on transport={plan.transport!r} "
-            f"connections and cannot fire over transport={transport!r} (actions "
-            "'die'/'raise'/'delay'/'hang'/'corrupt' work on both)"
-        )
+    for plan in spec.faults:
+        if not 0 <= plan.worker < spec.workers or min(plan.epoch, plan.exchange) < 0:
+            raise ValueError(
+                f"{plan} never fires on {spec.workers} workers: it needs "
+                "0 <= worker < workers and a non-negative epoch and exchange"
+            )
+        if plan.action in NETWORK_ACTIONS and transport != "tcp":
+            raise ValueError(
+                f"fault action {plan.action!r} acts on transport='tcp' connections "
+                f"and cannot fire over transport={transport!r} (actions "
+                "'die'/'raise'/'delay'/'hang'/'corrupt' work on both)"
+            )
 
 
 def _start_workers(
@@ -607,9 +612,9 @@ class MultiprocTrainer:
         Per epoch, every worker reports ``(loss, t0, t1, comm, comp)`` with
         the per-rank second vectors of its slice; losses and epoch bounds
         are cube-global (the loss is all-reduced, the epoch barrier lifts
-        every rank to the cube max) so they must agree across workers —
-        asserted here — and the breakdown means are taken over the
-        assembled ``(world,)`` vectors, bitwise like the inproc trainer.
+        every rank to the cube max) so their bits must agree across
+        workers — asserted here — and the breakdown means are taken over
+        the assembled ``(world,)`` vectors, bitwise like the inproc trainer.
         A failure raises typed with the pool stopped.
         """
         if epochs <= 0:
@@ -619,14 +624,14 @@ class MultiprocTrainer:
         result = TrainResult()
         for e in range(epochs):
             loss, t0, t1 = per_worker[0][e][:3]
-            for w in range(1, self.workers):
-                if per_worker[w][e][:3] != (loss, t0, t1):
-                    self._fail(
-                        RendezvousDesync,
-                        None,
-                        f"epoch {self._epochs_done + e}: workers disagree on "
-                        "(loss, t0, t1) — the SPMD execution diverged",
-                    )
+            # bitwise, so a NaN loss agrees with itself
+            if len({np.array(per_worker[w][e][:3]).tobytes() for w in range(self.workers)}) > 1:
+                self._fail(
+                    RendezvousDesync,
+                    None,
+                    f"epoch {self._epochs_done + e}: workers disagree on "
+                    "(loss, t0, t1) — the SPMD execution diverged",
+                )
             comm = np.concatenate([per_worker[w][e][3] for w in range(self.workers)])
             comp = np.concatenate([per_worker[w][e][4] for w in range(self.workers)])
             result.epochs.append(EpochStats.from_raw(loss, t0, t1, comm, comp))
@@ -742,13 +747,6 @@ class MultiprocTrainer:
             self.close()
         except Exception:
             pass
-
-    # -- test hook -------------------------------------------------------------
-    def _crash_worker(self, w: int) -> None:
-        """Hard-kill one worker (``os._exit``) — the crash-cleanup tests."""
-        self._conns[w].send(("crash",))
-        if self._procs[w] is not None:
-            self._procs[w].join(timeout=self.timeout)
 
 
 def host_workers(

@@ -331,10 +331,6 @@ def _serve(worker_id: int, conn, open_bus) -> None:
                 cluster.reset()
                 epochs_done = 0
                 conn.send(("ok", None))
-            elif cmd == "crash":  # test hook: simulate a hard worker death
-                import os
-
-                os._exit(13)
             elif cmd == "close":
                 conn.send(("ok", None))
                 return

@@ -29,30 +29,3 @@ def cluster8():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture()
-def restarts(monkeypatch):
-    """``restarts(trainer)`` -> a list with one entry per
-    ``trainer.restart()`` call: the epoch of the checkpoint the replay then
-    reloaded (``None`` while it has loaded none)."""
-
-    def watch(trainer) -> list:
-        replays = []
-        restart, load = trainer.restart, trainer.load_checkpoint
-
-        def restarted() -> None:
-            restart()
-            replays.append(None)
-
-        def loaded(path) -> dict:
-            manifest = load(path)
-            if replays:
-                replays[-1] = manifest["epoch"]
-            return manifest
-
-        monkeypatch.setattr(trainer, "restart", restarted)
-        monkeypatch.setattr(trainer, "load_checkpoint", loaded)
-        return replays
-
-    return watch

@@ -10,17 +10,27 @@ memory, or a :func:`~repro.graph.shardio.save_sharded` directory read
 through ``shard_dir``), the backend (in-process, or a worker pool of some
 split over shm or tcp with some mailbox size), the ``train()`` chunking and,
 optionally, a checkpoint saved after the first chunk on one side and resumed
-on the other (in-process ↔ pool).  Losses, every ``EpochStats``, weights
-(and a trainable F0), per-rank clocks and the ``by_phase`` / ``by_category``
-totals must equal the in-memory in-process run's exactly.  Fault plans are
-not drawn: the chaos suites (``test_runtime_faults.py``,
-``test_runtime_tcp.py``) keep those.
+on the other (in-process ↔ pool), or else one fault plan.  Losses, every
+``EpochStats``, weights (and a trainable F0), per-rank clocks and the
+``by_phase`` / ``by_category`` totals must equal the in-memory in-process
+run's exactly.
+
+A faulted pool trains through ``checkpoint.train_to``, and what it must do
+is a function of the plan: ``delay`` and ``drop_conn`` finish bitwise with
+no replay; ``die``, ``corrupt`` and ``partition`` replay once, from the
+checkpoint of the stretch before the fault, and then finish bitwise;
+``raise`` (``WorkerFailed``, never replayed) and a spent restart budget
+end the run with the typed error.  ``hang`` costs 2 x ``timeout`` and stays
+in the chaos suite (``test_runtime_faults.py``).
 
 ``PINNED`` holds, by name, the hand-picked parity cases this test
 replaced (eager / overlap / blocked and bounded schedules, SpMM noise, an
 uneven plane split, the mailbox overflow path, float32, padded rows and
 uneven tiling, inter-node bounded Z links, tcp, the sharded directory) plus
-the permuted ``shard_dir`` workloads and both checkpoint crossings.
+the permuted ``shard_dir`` workloads, both checkpoint crossings and the
+hand-picked recovery cases (a kill at each point, eager and overlap, a
+corrupted payload, a tcp partition, a frozen F0, a spent budget, a delay
+and a dropped connection).
 
 Spawn-heavy: the default profile (derandomized) runs in its own CI step;
 ``HYPOTHESIS_PROFILE=long`` draws at least 100 cases.
@@ -31,6 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,11 +52,13 @@ from hypothesis import strategies as st
 
 from repro.core import GridConfig, PlexusOptions, SpmmNoise
 from repro.dist import LAPTOP, PERLMUTTER
+from repro.errors import BarrierTimeout, PayloadCorruption, WorkerCrashed, WorkerFailed
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
 from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
 from repro.runtime import checkpoint as ckpt
+from repro.runtime.faults import FAULT_POINTS, NETWORK_ACTIONS, FaultPlan
 from repro.sparse.ops import gcn_normalize
 
 PROFILES = {
@@ -62,6 +75,20 @@ PROFILES = {
 GRIDS = [g for g in itertools.product(range(1, 9), repeat=3) if np.prod(g) <= 8]
 
 MACHINES = {"laptop": LAPTOP, "perlmutter": PERLMUTTER}
+
+#: the fault actions drawn on both transports (``hang`` costs 2 x timeout
+#: and stays in the chaos suite), and those that may fire at any point
+_ACTIONS = ("die", "raise", "corrupt", "delay")
+_ANYWHERE = ("die", "raise", "delay")
+
+#: the error each action's failure raises in the launcher: train_to replays
+#: it while its budget lasts (``raise`` it never replays)
+_ERRORS = {
+    "die": WorkerCrashed,
+    "raise": WorkerFailed,
+    "corrupt": PayloadCorruption,
+    "partition": BarrierTimeout,
+}
 
 
 @dataclass(frozen=True)
@@ -89,6 +116,12 @@ class Case:
     #: ``"inproc->pool"`` / ``"pool->inproc"``: the first chunk runs on one
     #: side, its checkpoint boots the other for the rest
     resume: str | None = None
+    #: a pool of two or more workers that does not resume may carry one
+    #: fault plan: it then trains through ``checkpoint.train_to`` to
+    #: ``sum(chunks)`` epochs, checkpointing every ``chunks[0]``, with
+    #: ``budget`` restarts
+    fault: FaultPlan | None = None
+    budget: int = 1
 
 
 @st.composite
@@ -98,7 +131,21 @@ def cases(draw) -> Case:
     backend = draw(st.sampled_from(["inproc", "shm", "tcp"]))
     workers = 0 if backend == "inproc" else draw(st.integers(1, min(grid[2], 3)))
     chunks = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
-    resumable = workers and len(chunks) > 1
+    fault = resume = None
+    # three such pools in four draw a plan: hypothesis's mutations of an
+    # earlier example seldom grow it by a plan's draws, so about one run in
+    # eight of the long profile ends up faulted
+    if workers >= 2 and draw(st.integers(0, 3)) > 0:
+        action = draw(st.sampled_from(_ACTIONS + NETWORK_ACTIONS * (backend == "tcp")))
+        fault = FaultPlan(
+            worker=draw(st.integers(0, workers - 1)),
+            # corrupt and the network actions arm at pre_barrier only
+            point=draw(st.sampled_from(FAULT_POINTS if action in _ANYWHERE else FAULT_POINTS[:1])),
+            action=action,
+            epoch=draw(st.integers(0, sum(chunks) - 1)),
+        )
+    elif workers and len(chunks) > 1:
+        resume = draw(st.sampled_from([None, "inproc->pool", "pool->inproc"]))
     return Case(
         grid=grid,
         # down to fewer nodes than ranks: empty shards
@@ -117,7 +164,9 @@ def cases(draw) -> Case:
         transport="shm" if backend == "inproc" else backend,
         mailbox=draw(st.sampled_from([4096, 8 << 20])),
         chunks=chunks,
-        resume=draw(st.sampled_from([None, "inproc->pool", "pool->inproc"])) if resumable else None,
+        resume=resume,
+        fault=fault,
+        budget=draw(st.sampled_from([1, 0])) if fault else 1,
     )
 
 
@@ -159,9 +208,54 @@ def _books(model) -> dict:
     return ckpt.assemble_slices([ckpt.capture_books(model)])
 
 
-def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict]:
+def _watch_restarts(trainer) -> list:
+    """A list with one entry per ``trainer.restart()`` call: the epoch of
+    the checkpoint the replay then reloaded (``None`` while it has loaded
+    none)."""
+    replays = []
+    restart, load = trainer.restart, trainer.load_checkpoint
+
+    def restarted() -> None:
+        restart()
+        replays.append(None)
+
+    def loaded(path) -> dict:
+        manifest = load(path)
+        if replays:
+            replays[-1] = manifest["epoch"]
+        return manifest
+
+    trainer.restart, trainer.load_checkpoint = restarted, loaded
+    return replays
+
+
+def _run_faulted(case: Case, spec: WorkloadSpec, root: Path, pool: dict) -> tuple | None:
+    """Train a fault case through ``train_to`` and check what its plan
+    implies: ``delay`` and ``drop_conn`` no replay; ``die``, ``corrupt`` and
+    ``partition`` one, from the checkpoint at ``epoch // k * k``; ``raise``
+    (and a spent budget) the typed error, no replay.  Returns the epochs
+    and books of a run that finished, else None."""
+    plan, k = case.fault, case.chunks[0]
+    fails = plan.action == "raise" or (case.budget == 0 and plan.action in _ERRORS)
+    with MultiprocTrainer(replace(spec, faults=(plan,)), **pool) as mpt:
+        replays = _watch_restarts(mpt)
+        with pytest.raises(_ERRORS[plan.action]) if fails else nullcontext() as err:
+            result = ckpt.train_to(mpt, sum(case.chunks), root, every=k, max_restarts=case.budget)
+        if not fails:
+            assert replays == ([plan.epoch // k * k or None] if plan.action in _ERRORS else [])
+            return result.epochs, mpt.state()
+    assert replays == []
+    if plan.action == "raise":
+        assert "InjectedFault" in err.value.traceback_text
+    else:  # the stretch before the fault was kept
+        assert (ckpt.latest_checkpoint(root) or (0,))[0] == plan.epoch // k * k
+    return None
+
+
+def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict] | None:
     """Train ``spec`` the way the case draws it; returns every epoch's
-    stats and the final cube-wide books."""
+    stats and the final cube-wide books (None: the case's fault ended the
+    run, as it must)."""
     epochs = []
     if case.workers == 0:
         trainer = build_trainer(spec, backend="inproc")
@@ -170,6 +264,8 @@ def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict]:
         return epochs, _books(trainer.model)
     saved = tmp / "ckpt"
     pool = dict(timeout=60, transport=case.transport, mailbox_bytes=case.mailbox)
+    if case.fault is not None:
+        return _run_faulted(case, spec, saved, pool)
     # the pool's chunks, and the in-process ones resumed after them
     pooled, resumed = case.chunks, ()
     with MultiprocTrainer(spec, **pool) as mpt:
@@ -190,6 +286,12 @@ def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict]:
     for c in resumed:
         epochs += last.train(c).epochs
     return epochs, _books(last.model)
+
+def _faulted(action, point="pre_barrier", epoch=2, worker=1, **case) -> Case:
+    """X2Y2Z2 trained to five epochs, checkpointed every two, with one
+    fault plan."""
+    return Case(chunks=(2, 3), fault=FaultPlan(worker, point, action, epoch), **case)
+
 
 #: the configurations every run checks, by name: first the hand-picked
 #: parity cases this test replaced ...
@@ -237,6 +339,28 @@ PINNED = {
     "resume-pool-to-inproc": Case(
         disk=True, trainable=True, overlap=True, resume="pool->inproc", chunks=(1, 2)
     ),
+    # train() chunks across the overlap schedule's cross-epoch prefetch on tcp
+    "tcp-overlap-chunks": Case(transport="tcp", overlap=True, chunks=(2, 3)),
+    # recovery, worker 1 killed in epoch 2 at each point, eager and overlap:
+    # one replay, from the epoch-2 checkpoint ...
+    **{f"die-{point}": _faulted("die", point) for point in FAULT_POINTS},
+    **{f"die-{point}-overlap": _faulted("die", point, overlap=True) for point in FAULT_POINTS},
+    # ... so do a corrupted payload and a tcp partition ...
+    "corrupt": _faulted("corrupt", worker=0),
+    "partition-tcp": _faulted("partition", transport="tcp"),
+    "partition-tcp-overlap": _faulted("partition", transport="tcp", overlap=True),
+    # ... and a frozen F0 under overlap killed mid-collective in epoch 3 ...
+    "die-frozen-f0-overlap": _faulted(
+        "die", "mid_collective", epoch=3, n=72, dims=(24, 24, 16, 8), overlap=True
+    ),
+    # ... while with no restart left the kill re-raises typed
+    "die-budget-0": _faulted("die", budget=0),
+    # a late arrival and a dropped tcp connection: bitwise, no restart
+    "delay": _faulted("delay", epoch=1),
+    "delay-overlap": _faulted("delay", epoch=1, overlap=True),
+    "delay-tcp": _faulted("delay", epoch=1, worker=0, transport="tcp"),
+    "drop_conn-tcp": _faulted("drop_conn", epoch=1, transport="tcp"),
+    "drop_conn-tcp-overlap": _faulted("drop_conn", epoch=1, transport="tcp", overlap=True),
 }
 
 
@@ -250,7 +374,10 @@ def _check(case: Case) -> None:
         if case.disk:
             save_sharded(spec.adjacency, spec.features, spec.labels, tmp / "shards", grid=(4, 4))
             spec = replace(spec, adjacency=None, features=None, labels=None, shard_dir=str(tmp / "shards"))
-        epochs, books = _run_arm(case, spec, tmp)
+        ran = _run_arm(case, spec, tmp)
+    if ran is None:
+        return
+    epochs, books = ran
     assert [e.loss for e in epochs] == want.losses
     assert epochs == want.epochs
     for key in ("by_phase", "by_category", "weights"):
@@ -270,5 +397,7 @@ def test_pinned_configuration_trains_like_in_memory_inproc(case: Case):
 def test_every_configuration_trains_like_in_memory_inproc(case: Case):
     # the arms a run covered (``--hypothesis-show-statistics``)
     event("in-process" if case.workers == 0 else f"{case.transport} pool, resume {case.resume}")
+    plan = case.fault
+    event(f"fault {plan.action} at {plan.point}, budget {case.budget}" if plan else "no fault")
     event("shard_dir" if case.disk else "in memory")
     _check(case)

@@ -17,8 +17,9 @@ recomputes everything every epoch — is the independent check:
   ``evaluate()`` and ``load_checkpoint()``;
 * traced == untraced, and the sim events of replayed epochs still replay
   to the ``ClockStore`` buckets;
-* multiproc (shm) == in-process, the replayed epochs post fewer bytes in
-  the same number of frames, and a killed worker recovers bitwise;
+* multiproc (shm) == in-process, and the replayed epochs post fewer bytes
+  in the same number of frames (a killed worker's bitwise replay is a
+  ``tests/test_differential.py`` row);
 * "frozen" is enforced: an in-place edit of F0 raises; trainable features
   memoise nothing.
 """
@@ -40,8 +41,7 @@ from repro.graph.features import degree_labels, random_split_masks, synth_featur
 from repro.graph.generators import rmat_graph
 from repro.obs import SimSink, sim_phase_totals, trace
 from repro.obs.metrics import registry as metrics
-from repro.runtime import FaultPlan, MultiprocTrainer, WorkloadSpec, build_trainer
-from repro.runtime.checkpoint import train_to
+from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
 from repro.sparse.ops import gcn_normalize
 
 EPOCHS = 4
@@ -285,13 +285,13 @@ class TestTracing:
             assert np.array_equal(totals[phase], vec), phase
 
 
-def _spec(faults=(), **opts):
+def _spec(**opts):
     cfg, n, dims = WORKLOADS["X2Y2Z2"]
     a, feats, labels, mask = _dataset(n, dims)
     return WorkloadSpec(
         config=cfg, layer_dims=list(dims), workers=2, machine=LAPTOP,
         options=PlexusOptions(seed=0, **opts), adjacency=a, features=feats,
-        labels=labels, train_mask=mask, faults=faults,
+        labels=labels, train_mask=mask,
     )
 
 
@@ -346,18 +346,3 @@ class TestMultiproc:
             assert delta("bytes_sent", 2) < delta("bytes_sent", 1)
             assert by_epoch[EPOCHS]["frozen_agg_replays"] == EPOCHS - 1
             assert "frozen_agg_replays" not in by_epoch[1]
-
-    def test_killed_worker_recovers_bitwise(self, tmp_path, restarts):
-        """Whole-pool respawn keeps the workers symmetric: every fresh
-        worker recomputes in its first forward — from the checkpointed
-        in-flight prefetch under overlap — and replays from there."""
-        with MultiprocTrainer(_spec(overlap=True), timeout=60) as pool:
-            losses = pool.train(EPOCHS + 1).losses
-            reference = pool.state()
-        plan = FaultPlan(worker=1, point="mid_collective", action="die", epoch=3)
-        with MultiprocTrainer(_spec(faults=(plan,), overlap=True), timeout=60) as pool:
-            ran = restarts(pool)
-            result = train_to(pool, EPOCHS + 1, tmp_path, every=2, max_restarts=2)
-            assert ran == [2]  # one replay, from the epoch-2 checkpoint
-            assert result.losses == losses
-            _assert_pool_equals(pool.state(), reference)

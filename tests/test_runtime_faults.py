@@ -10,16 +10,18 @@ tier-1.  Acceptance for the fault-tolerant worker runtime:
   within 2 x ``timeout`` of silence, on both transports;
 * **payload integrity** — a flipped mailbox byte trips the frame CRC at
   read time and raises :class:`~repro.errors.PayloadCorruption`;
-* **crash recovery** — under ``checkpoint.train_to``, a worker killed at
-  each injection point mid-training restarts the pool, which reloads the
-  latest checkpoint and replays to a final state **bitwise identical** to
-  an uninterrupted run (losses, weights, per-rank clocks, phase totals),
-  eager and overlap schedules alike;
+* **plans that fire** — a plan that could never fire on the pool is a
+  ``ValueError`` before any worker spawns, and a NaN loss (the same bits
+  on every worker) is no SPMD divergence;
 * **resume** — ``train_to`` on a new pool continues the job from the
   directory (cold start), and ``save_checkpoint`` / ``load_checkpoint``
   cross backends and worker layouts both ways, an overlap schedule's link
   reservations and in-flight prefetch included; a refused checkpoint
   reaches the caller as ``CheckpointError`` on either backend.
+
+Replay after a fault — bitwise equal to the uninterrupted run, from the
+checkpoint the plan implies — is drawn and pinned by
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import pickle
 import time
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ from repro.runtime import (
 )
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.checkpoint import train_to
+from repro.runtime.faults import EXIT_CODE
 from repro.sparse.ops import gcn_normalize
 
 N_NODES = 48
@@ -132,7 +135,7 @@ class TestDetection:
         elapsed = time.monotonic() - t0
         assert elapsed < 30, f"detection took {elapsed:.1f}s (barrier timeout is 120s)"
         assert ei.value.worker_id == 1
-        assert ei.value.exitcode == 43
+        assert ei.value.exitcode == EXIT_CODE
         assert ei.value.last_epoch == 1
 
     def test_mid_collective_death_detected(self):
@@ -228,75 +231,44 @@ class TestDetection:
             ) as mpt:
                 mpt.train(3)
 
-    def test_delay_fault_is_bitwise_invisible(self, baseline):
-        """A late barrier arrival shifts wall time only: the simulated
-        clocks and losses cannot move."""
-        overlap, losses, state = baseline
-        plan = FaultPlan(
-            worker=1, point="pre_barrier", action="delay", epoch=1, delay_s=0.3
-        )
-        with MultiprocTrainer(_spec(faults=(plan,), overlap=overlap), timeout=60) as mpt:
-            assert mpt.train(EPOCHS).losses == losses
-            _state_equal(state, mpt.state())
-
-    def test_fault_plan_validation(self):
+    def test_fault_plan_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="pre_barrier"):
             FaultPlan(worker=0, point="post_epoch", action="corrupt")
         with pytest.raises(ValueError, match="point"):
             FaultPlan(worker=0, point="nowhere")
         with pytest.raises(ValueError, match="action"):
             FaultPlan(worker=0, point="post_epoch", action="explode")
+        # a plan that could never fire on the pool: refused before any spawn
+        spawned = []
+        monkeypatch.setattr(MultiprocTrainer, "_spawn_pool", lambda self: spawned.append(self))
+        for plan in (
+            FaultPlan(worker=2, point="post_epoch"),
+            FaultPlan(worker=-1, point="post_epoch"),
+            FaultPlan(worker=0, point="post_epoch", epoch=-1),
+            FaultPlan(worker=0, point="pre_barrier", exchange=-1),
+        ):
+            with pytest.raises(ValueError, match="never fires on 2 workers"):
+                MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
+        assert spawned == []
+
+    def test_nan_loss_is_no_desync(self):
+        """A NaN loss has the same bits on every worker: the pool returns it
+        like the in-process run instead of reporting an SPMD divergence."""
+        spec = _spec()
+        spec.features[0, 0] = np.nan
+        want = build_trainer(spec, backend="inproc").train(2)
+        with MultiprocTrainer(spec, timeout=60) as mpt:
+            got = mpt.train(2)
+        assert np.isnan(want.losses).all()
+
+        def bits(result) -> bytes:
+            return np.array([astuple(e) for e in result.epochs]).tobytes()
+
+        assert bits(got) == bits(want)
 
     def test_ping(self):
         with MultiprocTrainer(_spec(), timeout=60) as mpt:
             assert mpt.ping() == [0, 1]
-
-
-class TestCrashRecovery:
-    """Kill a worker mid-training at each injection point; ``train_to``
-    must restart the pool from the latest checkpoint and finish
-    bitwise-identical to the uninterrupted baseline."""
-
-    @pytest.mark.parametrize(
-        "point,action",
-        [
-            ("pre_barrier", "die"),
-            ("mid_collective", "die"),
-            ("post_epoch", "die"),
-        ],
-    )
-    def test_killed_worker_replays_bitwise(
-        self, baseline, tmp_path, restarts, point, action
-    ):
-        overlap, losses, state = baseline
-        plan = FaultPlan(worker=1, point=point, action=action, epoch=2)
-        with MultiprocTrainer(_spec(faults=(plan,), overlap=overlap), timeout=60) as mpt:
-            ran = restarts(mpt)
-            result = train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=2)
-            assert ran == [2]  # the fault fired, one replay from epoch 2 ran
-            assert result.losses == losses
-            _state_equal(state, mpt.state())
-
-    def test_corrupted_payload_recovers_too(self, baseline, tmp_path, restarts):
-        overlap, losses, state = baseline
-        if overlap:
-            pytest.skip("one schedule suffices for the corruption-recovery path")
-        plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=2)
-        with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
-            ran = restarts(mpt)
-            assert train_to(mpt, EPOCHS, tmp_path, every=2).losses == losses
-            assert ran == [2]
-            _state_equal(state, mpt.state())
-
-    def test_restart_budget_exhausts_loudly(self, tmp_path, restarts):
-        """With max_restarts=0 the recoverable failure re-raises typed."""
-        plan = FaultPlan(worker=1, point="pre_barrier", action="die", epoch=2)
-        with pytest.raises(WorkerCrashed, match="multiproc runtime failed"):
-            with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
-                ran = restarts(mpt)
-                train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=0)
-        assert ran == []
-        assert latest_checkpoint(tmp_path)[0] == 2  # the stretch before the fault
 
 
 class TestResume:

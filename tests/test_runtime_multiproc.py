@@ -40,6 +40,7 @@ from repro.graph.features import degree_labels, random_split_masks, synth_featur
 from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
 from repro.runtime import (
+    FaultPlan,
     MultiprocTrainer,
     WorkloadSpec,
     build_trainer,
@@ -280,11 +281,11 @@ class TestCrashCleanup:
 
     def test_worker_crash_releases_segments(self):
         spec = _spec(GridConfig(2, 2, 2), workers=2)
+        spec.faults = (FaultPlan(worker=0, point="pre_barrier", action="die"),)
         mpt = MultiprocTrainer(spec, timeout=15)
         try:
             assert _session_segments()  # the session's mailboxes exist
-            mpt._crash_worker(0)
-            with pytest.raises(RuntimeError, match="multiproc runtime failed"):
+            with pytest.raises(WorkerCrashed, match="multiproc runtime failed"):
                 mpt.train(1)
         finally:
             mpt.close()

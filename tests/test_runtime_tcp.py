@@ -6,20 +6,18 @@ tier-1.  Acceptance for ``transport="tcp"``:
 * **parity** — over loopback the socket transport is **bitwise identical**
   to both the shared-memory bus and the inproc oracle (losses, weights,
   per-rank clocks, phase totals): ``tests/test_differential.py`` draws the
-  workloads, this file keeps the tcp-only seams (train() chunks across a
-  prefetch, the ``train_plexus`` entry point);
+  workloads, this file keeps the ``train_plexus`` entry point;
 * **rendezvous integrity** — workers peer-connect only off a membership
   manifest HMAC-signed with the session key; a tampered manifest is a
   typed refusal, and stale port files of dead launchers are swept by the
   same pid-liveness rule as the shm segments;
-* **network chaos** — each injected fault either recovers transparently
-  (``drop_conn`` reconnects and resumes mid-epoch, ``delay`` before the
-  sends shifts wall time only: both bitwise-identical) or surfaces a typed
+* **network chaos** — an injected fault that fails surfaces a typed
   exception naming the peer well inside the configured deadline
   (``corrupt`` trips the frame CRC, ``partition`` exhausts the bounded
-  retry budget); no failure may ride to the 120 s barrier timeout;
-* **recovery** — with checkpointing on, a partition mid-training restores
-  the epoch-boundary checkpoint and replays bitwise-identically;
+  retry budget); no failure may ride to the 120 s barrier timeout.  That
+  ``drop_conn`` and ``delay`` are bitwise invisible, and that a partition
+  replays bitwise from the epoch-boundary checkpoint, is drawn and pinned
+  by ``tests/test_differential.py``;
 * **multi-host control plane** — a second launcher (``repro host``) can
   attach workers through the published port file and the pool trains
   normally with a remote member.
@@ -31,7 +29,6 @@ import os
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import GridConfig, PlexusOptions
@@ -41,7 +38,6 @@ from repro.errors import (
     PayloadCorruption,
     PlexusRuntimeError,
     RendezvousDesync,
-    UnsupportedWorkload,
 )
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
@@ -54,7 +50,6 @@ from repro.runtime import (
     cleanup_stale_rendezvous,
     host_workers,
 )
-from repro.runtime.checkpoint import train_to
 from repro.runtime.rendezvous import (
     PORT_FILE_SUFFIX,
     discover_port_file,
@@ -69,7 +64,6 @@ from repro.sparse.ops import gcn_normalize
 N_NODES = 48
 DIMS = [16, 16, 8]
 CFG = GridConfig(2, 2, 2)
-EPOCHS = 5
 
 
 def _dataset():
@@ -80,14 +74,14 @@ def _dataset():
     return a, feats, labels, mask
 
 
-def _spec(faults=(), **opts):
+def _spec(faults=()):
     a, feats, labels, mask = _dataset()
     return WorkloadSpec(
         config=CFG,
         layer_dims=list(DIMS),
         workers=2,
         machine=LAPTOP,
-        options=PlexusOptions(seed=0, **opts),
+        options=PlexusOptions(seed=0),
         adjacency=a,
         features=feats,
         labels=labels,
@@ -96,41 +90,9 @@ def _spec(faults=(), **opts):
     )
 
 
-def _state_equal(a: dict, b: dict) -> None:
-    assert np.array_equal(a["clocks"], b["clocks"])
-    for key in ("by_phase", "by_category"):
-        assert set(a[key]) == set(b[key])
-        for label, vec in a[key].items():
-            assert np.array_equal(vec, b[key][label]), label
-    assert set(a["weights"]) == set(b["weights"])
-    for name, w in a["weights"].items():
-        assert np.array_equal(w, b["weights"][name]), name
-
-
-@pytest.fixture(scope="module", params=[False, True], ids=["eager", "overlap"])
-def baseline(request):
-    """Uninterrupted shm run per schedule: the transport parity reference."""
-    overlap = request.param
-    with MultiprocTrainer(_spec(overlap=overlap), timeout=60) as mpt:
-        result = mpt.train(EPOCHS)
-        state = mpt.state()
-    return overlap, result, state
-
-
 class TestTcpParity:
     """tcp over loopback == shm == inproc, bit for bit, at the seams the
     differential test does not draw."""
-
-    def test_train_chunks_keep_inflight_prefetch(self, baseline):
-        """Two train() calls across the command boundary: the overlap
-        schedule's cross-epoch prefetch rides the tcp frames too."""
-        overlap, ref, state = baseline
-        if not overlap:
-            pytest.skip("the prefetch boundary only exists on overlap")
-        with MultiprocTrainer(_spec(overlap=True), timeout=60, transport="tcp") as mpt:
-            losses = mpt.train(2).losses + mpt.train(EPOCHS - 2).losses
-            assert losses == ref.losses
-            _state_equal(state, mpt.state())
 
     def test_train_plexus_tcp_seam(self):
         """The one-call entry point routes transport='tcp' end to end."""
@@ -237,28 +199,6 @@ class TestRendezvousProtocol:
 class TestNetworkChaos:
     """Injected network faults: transparent-and-bitwise or typed-and-fast."""
 
-    def test_drop_conn_reconnects_and_resumes_bitwise(self, baseline):
-        """A dropped peer connection mid-training reconnects under backoff
-        and resumes from the interrupted frame seq: same bits, no restart."""
-        overlap, ref, state = baseline
-        plan = FaultPlan(worker=1, point="pre_barrier", action="drop_conn", epoch=1)
-        with MultiprocTrainer(
-            _spec(faults=(plan,), overlap=overlap), timeout=60, transport="tcp"
-        ) as mpt:
-            assert mpt.train(EPOCHS).losses == ref.losses
-            _state_equal(state, mpt.state())
-
-    def test_delay_before_sends_is_bitwise_invisible(self, baseline):
-        """A ``delay`` at ``pre_barrier`` stalls the exchange's sends: wall
-        time only — the simulated clocks and losses cannot move."""
-        overlap, ref, state = baseline
-        if overlap:
-            pytest.skip("one schedule suffices for the delay path")
-        plan = FaultPlan(worker=0, point="pre_barrier", action="delay", epoch=1, delay_s=0.3)
-        with MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp") as mpt:
-            assert mpt.train(EPOCHS).losses == ref.losses
-            _state_equal(state, mpt.state())
-
     def test_corrupt_trips_crc_typed(self):
         """The transport-neutral ``corrupt`` flips a byte of the outgoing
         frame: the receiver's CRC check raises, typed and fast."""
@@ -294,24 +234,11 @@ class TestNetworkChaos:
         assert "per-worker liveness" in str(ei.value)
         assert "last heartbeat" in str(ei.value)
 
-    def test_partition_recovers_from_checkpoint_bitwise(self, baseline, tmp_path, restarts):
-        """Under ``train_to`` the partition restarts the pool, which replays
-        from the epoch-boundary checkpoint: bitwise-identical final state."""
-        overlap, ref, state = baseline
-        plan = FaultPlan(worker=1, point="pre_barrier", action="partition", epoch=2)
-        with MultiprocTrainer(
-            _spec(faults=(plan,), overlap=overlap), timeout=60, transport="tcp"
-        ) as mpt:
-            ran = restarts(mpt)
-            result = train_to(mpt, EPOCHS, tmp_path, every=2, max_restarts=2)
-            assert ran == [2]  # the fault fired, one replay from epoch 2 ran
-            assert result.losses == ref.losses
-            _state_equal(state, mpt.state())
-
     def test_network_actions_require_tcp(self, monkeypatch):
-        """A network fault planned on the shm bus is a typed refusal at
-        construction — no worker process is ever started; ``corrupt`` is
-        one action on both transports (on tcp it trips the frame CRC:
+        """A network fault planned on the shm bus, or aimed at a worker the
+        tcp pool does not have, is a ``ValueError`` at construction — no
+        worker process is ever started; ``corrupt`` is one action on both
+        transports (on tcp it trips the frame CRC:
         ``test_corrupt_trips_crc_typed``)."""
         spawned = []
         monkeypatch.setattr(
@@ -319,8 +246,11 @@ class TestNetworkChaos:
         )
         for action in ("drop_conn", "partition"):
             plan = FaultPlan(worker=0, point="pre_barrier", action=action, epoch=0)
-            with pytest.raises(UnsupportedWorkload, match=f"'{action}' acts on transport='tcp'"):
+            with pytest.raises(ValueError, match=f"'{action}' acts on transport='tcp'"):
                 MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
+            plan = FaultPlan(worker=2, point="pre_barrier", action=action, epoch=0)
+            with pytest.raises(ValueError, match="never fires on 2 workers"):
+                MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp")
         assert spawned == []
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=0)
         for transport in ("shm", "tcp"):
