@@ -73,24 +73,32 @@ class ClockStore:
     The store also carries the nonblocking-collective bookkeeping of
     ``repro.dist.comm``:
 
-    * ``links`` maps each process group's link key to the simulated time its
-      link is busy until.  Issuing a collective reserves the link from
-      ``max(group ready time, link free time)``, which is what serializes two
-      in-flight operations on the same axis link — they queue behind each
-      other instead of magically overlapping.
+    * ``busy`` holds the simulated time each link is busy until, one float
+      per *slot*: :meth:`link_slots` gives a link key its slot once (the
+      key → slot map never forgets a key), and a slot never reserved holds
+      −inf, which ``max(ready, ·)`` ignores — every ready time is ≥ 0.
+      ``links`` is its keyed view (link key → busy-until time of every
+      reserved link), built on demand.  Issuing a collective reserves the
+      link from ``max(group ready time, link free time)``, which is what
+      serializes two in-flight operations on the same axis link — they
+      queue behind each other instead of magically overlapping — and the
+      schedule kernel does it for every group of a collective with one
+      gather and one scatter.
     * ``max_inflight`` optionally bounds the in-flight ops *per link*: when
-      set (``PlexusOptions.max_inflight`` threads it here), ``link_queues``
-      maps each link key to the newest ``max_inflight`` completion times of
-      its ops (ascending: a link's transfers end in issue order), and
-      issuing on a saturated link *blocks* — the issuing group's clocks are
-      lifted to the time a slot frees, with the wait charged to the
-      collective's comm phase.  Intra- and inter-node links alike: no queue
-      is shared between links (contention between links is Eq. 4.6's
-      effective bandwidth, not a queue).  The transfer schedule itself is
-      unchanged (ops already serialize on their link); what saturation costs
-      is the *overlap*: compute that would have been issued behind the full
-      queue can no longer start early.  ``None`` (the default) keeps the
-      historical unbounded queue and records nothing.
+      set (``PlexusOptions.max_inflight`` threads it here), each link keeps
+      the newest ``max_inflight`` completion times of its ops (ascending: a
+      link's transfers end in issue order) as its row of a ``(slots,
+      width)`` array (:meth:`queues`), right-aligned and −inf-padded;
+      ``link_queues`` is its keyed view.  Issuing on a saturated link
+      *blocks* — the issuing group's clocks are lifted to the time a slot
+      frees, with the wait charged to the collective's comm phase.  Intra-
+      and inter-node links alike: no queue is shared between links
+      (contention between links is Eq. 4.6's effective bandwidth, not a
+      queue).  The transfer schedule itself is unchanged (ops already
+      serialize on their link); what saturation costs is the *overlap*:
+      compute that would have been issued behind the full queue can no
+      longer start early.  ``None`` (the default) keeps the historical
+      unbounded queue and records nothing.
     * ``outstanding`` registers every issued-but-not-yet-waited
       :class:`~repro.dist.comm.PendingCollective`; ``wait()`` deregisters.
       The trainer checks it at epoch end so a dropped handle (communication
@@ -103,8 +111,9 @@ class ClockStore:
         "clocks",
         "by_phase",
         "by_category",
-        "links",
-        "link_queues",
+        "_slot_of",
+        "busy",
+        "_queues",
         "max_inflight",
         "outstanding",
         "trace",
@@ -115,11 +124,13 @@ class ClockStore:
         self.clocks = np.zeros(world, dtype=np.float64)
         self.by_phase: dict[str, np.ndarray] = {}
         self.by_category: dict[str, np.ndarray] = {}
-        #: link key -> busy-until time
-        self.links: dict[object, float] = {}
-        #: link key -> its newest ``max_inflight`` completion times, ascending
-        #: (only maintained while ``max_inflight`` is set)
-        self.link_queues: dict[object, list[float]] = {}
+        #: link key -> slot (never forgets a key; ``reset`` keeps it)
+        self._slot_of: dict[object, int] = {}
+        #: slot -> busy-until time (-inf: never reserved)
+        self.busy = np.empty(0)
+        #: slot -> its newest completion times, ascending and right-aligned
+        #: (-inf pads; only maintained while ``max_inflight`` is set)
+        self._queues = np.empty((0, 0))
         #: bound on in-flight ops per link (None = unbounded, no tracking)
         self.max_inflight: int | None = None
         #: id(handle) -> in-flight PendingCollective (issued, not yet waited)
@@ -158,8 +169,10 @@ class ClockStore:
 
     def record_all(self, phase: str, durations: np.ndarray | float) -> None:
         """Attribute per-rank ``durations`` (scalar broadcasts) to ``phase``."""
-        self.phase_bucket(phase)[:] += durations
-        self.category_bucket(_category(phase))[:] += durations
+        bucket = self.phase_bucket(phase)
+        bucket += durations
+        bucket = self.category_bucket(_category(phase))
+        bucket += durations
         if self.trace is not None:
             self.trace.rec_all(phase, durations)
 
@@ -187,6 +200,47 @@ class ClockStore:
             if p.startswith(prefix):
                 out += bucket
         return out
+
+    # -- link slots (see repro.dist.comm._schedule) ---------------------------
+    def link_slots(self, keys) -> np.ndarray:
+        """The slots of these link keys, giving each new key the next free
+        (unreserved) slot."""
+        slot_of = self._slot_of
+        for k in keys:
+            if k not in slot_of:
+                slot_of[k] = len(slot_of)
+        grow = len(slot_of) - len(self.busy)
+        if grow:
+            self.busy = np.concatenate((self.busy, np.full(grow, -np.inf)))
+            pad = np.full((grow, self._queues.shape[1]), -np.inf)
+            self._queues = np.concatenate((self._queues, pad))
+        return np.array([slot_of[k] for k in keys], dtype=np.intp)
+
+    def queues(self, width: int) -> np.ndarray:
+        """The in-flight queue rows, at least ``width`` wide (widened with
+        −inf on the oldest side)."""
+        q = self._queues
+        if q.shape[1] < width:
+            q = np.concatenate((np.full((len(q), width - q.shape[1]), -np.inf), q), axis=1)
+            self._queues = q
+        return q
+
+    @property
+    def links(self) -> dict:
+        """Link key -> busy-until time of every reserved link (a fresh dict)."""
+        busy = self.busy.tolist()
+        return {k: busy[s] for k, s in self._slot_of.items() if busy[s] != -np.inf}
+
+    @property
+    def link_queues(self) -> dict:
+        """Link key -> its newest completion times, ascending, of every link
+        that queued an op under a bound (fresh lists)."""
+        rows = self._queues.tolist()
+        return {
+            k: [t for t in rows[s] if t != -np.inf]
+            for k, s in self._slot_of.items()
+            if rows[s] and rows[s][-1] != -np.inf
+        }
 
     # -- outstanding-op registry (see repro.dist.comm) -------------------------
     def register_outstanding(self, handle) -> None:
@@ -219,8 +273,8 @@ class ClockStore:
         self.clocks[:] = 0.0
         self.by_phase.clear()
         self.by_category.clear()
-        self.links.clear()
-        self.link_queues.clear()
+        self.busy.fill(-np.inf)
+        self._queues.fill(-np.inf)
         self.outstanding.clear()
         if self.trace is not None:
             self.trace.clear()
@@ -234,8 +288,8 @@ class ClockStore:
             "clocks": self.clocks.copy(),
             "by_phase": {k: v.copy() for k, v in self.by_phase.items()},
             "by_category": {k: v.copy() for k, v in self.by_category.items()},
-            "links": dict(self.links),
-            "link_queues": {k: list(v) for k, v in self.link_queues.items()},
+            "links": self.links,
+            "link_queues": self.link_queues,
             "outstanding": dict(self.outstanding),
         }
 
@@ -249,10 +303,16 @@ class ClockStore:
         ):
             book.clear()
             book.update({k: v.copy() for k, v in saved.items()})
-        self.links.clear()
-        self.links.update(snap["links"])
-        self.link_queues.clear()
-        self.link_queues.update({k: list(v) for k, v in snap["link_queues"].items()})
+        # a link the snapshot does not list reads as unreserved again
+        links, queued = snap["links"], snap["link_queues"]
+        slots, rows = self.link_slots(links), self.link_slots(queued)
+        self.busy.fill(-np.inf)
+        self.busy[slots] = list(links.values())
+        queues = self.queues(max(map(len, queued.values()), default=0))
+        queues.fill(-np.inf)
+        for row, times in zip(rows, queued.values()):
+            if times:
+                queues[row, -len(times) :] = times
         self.outstanding.clear()
         # reconcile rather than copy blindly: a handle that was waited
         # between snapshot and restore (e.g. consumed inside no_charge)

@@ -18,10 +18,13 @@ Timeline semantics of one issued collective:
   members must have launched, which is the straggler-sync point), and the
   transfer is scheduled on the group's link from
   ``begin = max(ready, link busy-until)`` to ``end = begin + duration``.
-  The link reservation (``ClockStore.links``) is what serializes two
-  in-flight operations on one axis link: they queue, they do not overlap
-  each other.  An optional ``issue_overhead_s`` (default 0, keeping eager
-  numerics bitwise-unchanged) models the launch cost charged at issue.
+  The link reservation is what serializes two in-flight operations on one
+  axis link: they queue, they do not overlap each other.  Busy-until times
+  live in one vector of the store, one slot per link (``ClockStore.busy``;
+  ``ClockStore.links`` is its keyed view, built on demand), so a whole
+  axis reserves its links with one gather and one scatter.  An optional
+  ``issue_overhead_s`` (default 0, keeping eager numerics
+  bitwise-unchanged) models the launch cost charged at issue.
 * **wait** — each member is lifted to ``end`` with the lift attributed to
   the collective's comm phase.  Compute charged to the member's clock
   between issue and wait therefore genuinely hides communication: a member
@@ -32,16 +35,17 @@ in between — bitwise identical (clocks *and* phase totals) to charging the
 full Eq. 4.5 cost the moment the collective is called.
 
 The timeline lives in **one schedule kernel**, :func:`_schedule`: (per-group
-ready times, per-group slot — link key, member index into the local store —
-duration scalar-or-per-group, phase) → (begin, end).  It does the in-flight
-wait, the ``begin = max(ready, link)`` reservation, the in-flight enqueue,
-the ``SimSink`` link events and the ``issue`` instant,
-and every path calls it: a :class:`GroupCommunicator` is one slot, an
-:class:`AxisCommunicator` is its groups' slots, and the worker-crossing Z
-axis of ``repro.runtime`` is the *same* :class:`AxisCommunicator` whose
-clocks and operand planes come through a byte mover (a transport bus's
-``exchange``: per posted array every worker's part, the peers' zero-copy
-and valid until the next exchange) instead of from the local store.
+ready times, per-group slot — link key, resolved once per store to its slot
+id, and member index into the local store — duration scalar-or-per-group,
+phase) → (begin, end).  It does the in-flight wait, the
+``begin = max(ready, link)`` reservation, the in-flight enqueue, the
+``SimSink`` link events and the ``issue`` instant, and every path calls
+it: a :class:`GroupCommunicator` is one slot, an :class:`AxisCommunicator`
+is its groups' slots, and the worker-crossing Z axis of ``repro.runtime``
+is the *same* :class:`AxisCommunicator` whose clocks and operand planes
+come through a byte mover (a transport bus's ``exchange``: per posted
+array every worker's part, the peers' zero-copy and valid until the next
+exchange) instead of from the local store.
 
 The timeline needs only a collective's *duration*, never its operand: the
 data transformation and the Eq. 4.5 byte count happen before the schedule
@@ -180,14 +184,23 @@ class _Slots:
     Per group — in keepdims-ravel order of the axis's off-axis cube, or the
     one entry of a lone process group — its ``ClockStore.links`` key (which
     also names its in-flight queue) and its members' index into the local
-    ``store.clocks``.
+    ``store.clocks``.  :meth:`ids` resolves the keys to the store's slots
+    once per store.
     """
 
-    __slots__ = ("links", "members")
+    __slots__ = ("links", "members", "_store", "_ids")
 
     def __init__(self, links, members) -> None:
         self.links = tuple(links)
         self.members = tuple(members)
+        self._store = self._ids = None
+
+    def ids(self, store: ClockStore) -> np.ndarray:
+        """The groups' slots in ``store`` (``ClockStore.link_slots``)."""
+        if self._store is not store:
+            self._ids = store.link_slots(self.links)
+            self._store = store
+        return self._ids
 
 
 def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> tuple:
@@ -201,25 +214,27 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
     ``begin = max(ready, link busy-until)`` to ``end = begin + duration``;
     returns ``(begin, end)`` shaped like ``ready``.
 
+    The reservation is one gather and one scatter over the store's slot
+    vector (``store.busy``), whatever the group count: an unreserved slot
+    holds −inf, so ``begin`` is then the ready time.
+
     Under a bound (``store.max_inflight``) each link also keeps its newest
-    completions in ``store.link_queues``.  A link's transfers end in the
-    order they were issued, so it holds ``max_inflight`` ops past a group's
-    ready time exactly when its ``max_inflight``-th newest completion is
-    later: such a group blocks — its members are lifted to that completion
-    (charged to ``phase``), which becomes its ready time.  The groups of one
-    call sit on distinct links, so none waits on another's issue, and every
-    group is reserved at once either way.  Transfers themselves still
-    serialize via the ``links`` busy-until reservation — saturation only
-    delays the *issue*.
+    completions in its row of ``store.queues``.  A link's transfers end in
+    the order they were issued, so it holds ``max_inflight`` ops past a
+    group's ready time exactly when its ``max_inflight``-th newest completion
+    is later: such a group blocks — its members are lifted to that
+    completion (charged to ``phase``), which becomes its ready time.  The
+    groups of one call sit on distinct links, so none waits on another's
+    issue, and every group is reserved at once either way.  Transfers
+    themselves still serialize via the busy-until reservation — saturation
+    only delays the *issue*.
     """
-    links = store.links
+    ids = slots.ids(store)
     limit = store.max_inflight
     sink = store.trace
     if limit is not None:
-        queues = store.link_queues
-        freed = np.asarray(
-            [q[-limit] if len(q) >= limit else 0.0 for q in (queues.get(k, ()) for k in slots.links)]
-        ).reshape(ready.shape)
+        queues = store.queues(limit)
+        freed = queues[ids, -limit].reshape(ready.shape)
         lifted = np.flatnonzero(freed > ready)
         if lifted.size:
             ready = np.maximum(ready, freed)
@@ -228,20 +243,19 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
                 idx, t = slots.members[gi], flat[gi]
                 store.record_idx(idx, phase, t - store.clocks[idx])
                 store.clocks[idx] = t
-    link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(ready.shape)
-    begin = np.maximum(ready, link)
+    busy = store.busy
+    begin = np.maximum(ready, busy[ids].reshape(ready.shape))
     end = begin + duration
-    for k, v in zip(slots.links, end.ravel()):
-        links[k] = float(v)
-    if limit is not None:
-        for k in slots.links:
-            q = queues.setdefault(k, [])
-            q.append(links[k])
-            del q[:-limit]
+    busy[ids] = ends = end.ravel()
+    if limit is not None:  # shift each row one older, the new end newest
+        queues[ids, :-1] = queues[ids, 1:]
+        queues[ids, -1] = ends
+        if queues.shape[1] > limit:  # wider rows (a restore, a lowered bound)
+            queues[ids, : queues.shape[1] - limit] = -np.inf
     if sink is not None:
         # begin/end are fresh per issue and never written in place (the
         # pending record aliases them the same way)
-        sink.link_batch(slots.links, phase, begin.ravel(), end.ravel())
+        sink.link_batch(slots.links, phase, begin.ravel(), ends)
     if _trace.enabled:
         _trace.instant("issue", phase=phase)
     return begin, end
@@ -356,11 +370,13 @@ class PendingCollective:
             _, cube_shape, begin, end, duration = record
             store = self._store
             cube = store.clocks.reshape(cube_shape)
-            charge = np.where(
-                cube <= begin, (begin - cube) + duration, np.maximum(end - cube, 0.0)
-            )
-            lifted = np.maximum(cube, end)
-            cube[...] = lifted
+            early = cube <= begin  # members that had not passed the comm start
+            if early.all():  # eager: the closed form of the ``where`` below
+                charge = (begin - cube) + duration
+                cube[...] = end
+            else:
+                charge = np.where(early, (begin - cube) + duration, np.maximum(end - cube, 0.0))
+                cube[...] = np.maximum(cube, end)
             store.record_all(phase, charge.ravel())
 
 

@@ -159,8 +159,8 @@ class SimSink:
     accumulation reproduces the store's phase buckets bit for bit.
 
     Link reservations arrive through :meth:`link_batch` from the schedule
-    kernel (``repro.dist.comm._schedule``) — the only place
-    ``store.links[key]`` is written — as occupancy windows in simulated
+    kernel (``repro.dist.comm._schedule``) — the only place a link's
+    busy-until time is written — as occupancy windows in simulated
     seconds, which become the link-occupancy track of the exported trace.
     """
 

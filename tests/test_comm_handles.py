@@ -722,3 +722,182 @@ class TestScheduleKernel:
                         for a in node.names if a.name.startswith("_")
                     ]
         assert offenders == []
+
+
+def _reference_schedule(store, links, queues, slots, ready, duration, phase):
+    """The dict-based schedule kernel the slot vector replaced, kept as the
+    reference: ``links`` maps a link key to its busy-until time, ``queues``
+    to the list of its newest completions; clocks, phase totals and the
+    bound live in ``store``.  Two Python loops over the groups' keys."""
+    limit = store.max_inflight
+    if limit is not None:
+        freed = np.asarray(
+            [q[-limit] if len(q) >= limit else 0.0 for q in (queues.get(k, ()) for k in slots.links)]
+        ).reshape(np.shape(ready))
+        lifted = np.flatnonzero(freed > ready)
+        if lifted.size:
+            ready = np.maximum(ready, freed)
+            flat = np.ravel(ready)
+            for gi in lifted:
+                idx, t = slots.members[gi], flat[gi]
+                store.record_idx(idx, phase, t - store.clocks[idx])
+                store.clocks[idx] = t
+    link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(np.shape(ready))
+    begin = np.maximum(ready, link)
+    end = begin + duration
+    for k, v in zip(slots.links, end.ravel()):
+        links[k] = float(v)
+    if limit is not None:
+        for k in slots.links:
+            q = queues.setdefault(k, [])
+            q.append(links[k])
+            del q[:-limit]
+    return begin, end
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+class TestColumnarTimeline:
+    """Link busy-until times live in one slot vector of the ``ClockStore``;
+    ``store.links`` / ``store.link_queues`` are keyed views of it built on
+    demand, and every reservation must land bitwise where the dict-based
+    kernel put it."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_schedule_matches_dict_reference(self, data):
+        """Whole axes, single groups and group subsets, scalar and keepdims
+        durations, any bound (changed midway too), with resets and snapshot
+        restores between them: ``begin``, ``end``, clocks, phase totals and
+        both keyed views equal the reference at every step."""
+        from repro.core.grid import PlexusGrid
+        from repro.dist.comm import _schedule, _Slots
+
+        cfg = data.draw(st.sampled_from([GridConfig(2, 2, 2), GridConfig(1, 2, 3), GridConfig(4, 1, 2)]))
+        limit = data.draw(st.sampled_from([None, 1, 2]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        grids = [PlexusGrid(VirtualCluster(cfg.total, PERLMUTTER), cfg) for _ in range(2)]
+        store, ref = (g.cluster.store for g in grids)
+        store.max_inflight = ref.max_inflight = limit
+        links, queues, saved = {}, {}, None
+        axes = [a for a in Axis if cfg.size(a) > 1]
+        steps = st.sampled_from(["axis", "group", "subset", "reset", "snapshot", "restore", "bound"])
+        for _ in range(data.draw(st.integers(1, 12))):
+            step = data.draw(steps)
+            if step == "bound":  # a queue kept under another bound is read under this one
+                store.max_inflight = ref.max_inflight = data.draw(st.sampled_from([None, 1, 2]))
+            elif step == "reset":
+                store.reset()
+                ref.reset()
+                links, queues = {}, {}
+            elif step == "snapshot":
+                saved = store.snapshot(), ref.snapshot(), links, queues
+                links, queues = dict(links), {k: list(q) for k, q in queues.items()}
+            elif step == "restore":
+                if saved is not None:
+                    store.restore(saved[0])
+                    ref.restore(saved[1])
+                    links, queues = dict(saved[2]), {k: list(q) for k, q in saved[3].items()}
+            else:
+                axis = data.draw(st.sampled_from(axes))
+                advance = rng.uniform(0.0, 2e-4, cfg.total)
+                store.clocks += advance
+                ref.clocks += advance
+                if step == "axis":
+                    pair = [g.comm(axis)._slots for g in grids]
+                    d = grids[0].comm(axis).descriptor
+                    ready = np.maximum.reduce(store.clocks.reshape(d.cube), axis=d.axis, keepdims=True)
+                else:
+                    n = len(grids[0].groups(axis))
+                    if step == "group":
+                        picked = [data.draw(st.integers(0, n - 1))]
+                    else:
+                        picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+                    group_slots = [[communicator(g.groups(axis)[i])._slots for i in picked] for g in grids]
+                    if step == "group":
+                        pair = [sl[0] for sl in group_slots]
+                        ready = store.clocks[pair[0].members[0]].max()
+                    else:
+                        pair = [
+                            _Slots([s.links[0] for s in sl], [s.members[0] for s in sl])
+                            for sl in group_slots
+                        ]
+                        ready = np.array([store.clocks[m].max() for m in pair[0].members])
+                if data.draw(st.booleans()):
+                    duration = rng.uniform(1e-5, 3e-4, np.shape(ready))
+                else:
+                    duration = float(rng.uniform(1e-5, 3e-4))
+                begin, end = _schedule(store, pair[0], ready, duration, "comm:p")
+                expected = _reference_schedule(ref, links, queues, pair[1], ready, duration, "comm:p")
+                assert [_bits(begin), _bits(end)] == [_bits(t) for t in expected]
+            assert store.links == links
+            assert store.link_queues == queues
+            assert _bits(store.clocks) == _bits(ref.clocks)
+            assert store.by_phase.keys() == ref.by_phase.keys()
+            for label, vec in store.by_phase.items():
+                assert _bits(vec) == _bits(ref.by_phase[label]), label
+
+    @staticmethod
+    def _grid(limit=None):
+        from repro.core.grid import PlexusGrid
+
+        cfg = GridConfig(2, 2, 2)
+        cluster = VirtualCluster(cfg.total, PERLMUTTER)
+        cluster.store.max_inflight = limit
+        return PlexusGrid(cluster, cfg), cluster.store
+
+    def test_links_view_lists_exactly_the_reserved_links(self, rng):
+        grid, store = self._grid()
+        assert store.links == {} and store.link_queues == {}
+        x = grid.comm(Axis.X)
+        x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
+        assert set(store.links) == set(x._slots.links) and len(store.links) == 4
+        assert store.link_queues == {}
+        store.reset()  # the keys keep their slots, but nothing is reserved
+        assert store.links == {} and store.link_queues == {}
+
+    def test_restored_partial_snapshot_reads_unreserved(self, rng):
+        """A link the snapshot does not list is free again after the
+        restore: its next reservation starts at its ready time, not at the
+        busy time it had before."""
+        from repro.dist.comm import _schedule
+
+        grid, store = self._grid(limit=1)
+        x, y = grid.comm(Axis.X), grid.comm(Axis.Y)
+        x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
+        snap = store.snapshot()
+        y.all_reduce(rng.standard_normal((8, 4, 3))).wait()
+        assert set(store.links) == set(x._slots.links) | set(y._slots.links)
+        store.restore(snap)
+        assert store.links == snap["links"] and set(store.links) == set(x._slots.links)
+        assert store.link_queues == snap["link_queues"]
+        d = y.descriptor
+        ready = np.maximum.reduce(store.clocks.reshape(d.cube), axis=d.axis, keepdims=True)
+        clocks = store.clocks.copy()
+        begin, _ = _schedule(store, y._slots, ready, 1e-4, "comm:p")
+        assert _bits(begin) == _bits(ready)
+        assert _bits(store.clocks) == _bits(clocks)  # no stale queue lifted them
+
+    @pytest.mark.parametrize("overlapped", [False, True], ids=["eager", "overlapped"])
+    def test_wait_charges_match_reference_formula(self, rng, overlapped):
+        """The eager closed form ``(begin - c) + duration`` (clocks set to
+        ``end``) and the overlapped ``where`` form, in which some members
+        passed ``begin`` — some of them ``end`` too — before the wait."""
+        grid, store = self._grid()
+        store.clocks += rng.uniform(0.0, 1e-4, store.world)
+        handle = grid.comm(Axis.X).all_reduce(rng.standard_normal((8, 4, 3)))
+        _, cube_shape, begin, end, duration = handle._record
+        if overlapped:
+            store.clocks += (end - begin).max() * np.resize([0.0, 0.5, 2.0, 3.0], store.world)
+        c = store.clocks.reshape(cube_shape).copy()
+        assert bool((c <= begin).all()) is not overlapped
+        bucket = store.phase_bucket(handle.phase).copy()
+        handle.wait()
+        charge = np.where(c <= begin, (begin - c) + duration, np.maximum(end - c, 0.0))
+        if not overlapped:
+            assert _bits(charge) == _bits((begin - c) + duration)
+        assert _bits(store.by_phase[handle.phase]) == _bits(bucket + charge.ravel())
+        assert _bits(store.clocks) == _bits(np.maximum(c, end).ravel())
