@@ -17,7 +17,8 @@ Metric kinds:
   ``crc_failures``, ``reconnects``, ``epochs_done`` ...);
 * **gauges** — last-written values (``heartbeat_age_s``,
   ``epochs_per_sec``, the ``getrusage`` readings ``minor_faults`` /
-  ``major_faults`` / ``max_rss_kb``, a trainer's ``adjacency_bytes`` /
+  ``major_faults`` / ``max_rss_kb``, the process's ``cpu_share``,
+  ``spmm_parts`` and ``threads``, a trainer's ``adjacency_bytes`` /
   ``activation_bytes`` ...);
 * **histograms** — streaming ``count/sum/min/max`` summaries
   (``exchange_wall_s`` ...) — enough for the summary CLI without storing
@@ -25,6 +26,8 @@ Metric kinds:
 """
 
 from __future__ import annotations
+
+import threading
 
 try:  # Unix only; elsewhere the process gauges are simply absent
     import resource
@@ -50,10 +53,15 @@ class MetricsRegistry:
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
 
-    def gauge_rusage(self) -> None:
-        """Refresh this process's ``minor_faults`` / ``major_faults`` /
-        ``max_rss_kb`` gauges (``getrusage``, cumulative since process
-        start); called before every exported snapshot."""
+    def gauge_process(self, cpu_share: int, spmm_parts: int) -> None:
+        """Refresh this process's gauges, called before every exported
+        snapshot: its ``cpu_share``, the most parts one SpMM was split into
+        (``spmm_parts``), its live ``threads``, and the ``minor_faults`` /
+        ``major_faults`` / ``max_rss_kb`` of ``getrusage`` (cumulative since
+        process start)."""
+        self.gauges["cpu_share"] = float(cpu_share)
+        self.gauges["spmm_parts"] = float(spmm_parts)
+        self.gauges["threads"] = float(threading.active_count())
         if resource is not None:
             ru = resource.getrusage(resource.RUSAGE_SELF)
             self.gauges["minor_faults"] = float(ru.ru_minflt)

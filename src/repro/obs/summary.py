@@ -73,6 +73,18 @@ def summarize_trace_dir(trace_dir) -> str:
         sections.append("page faults per process (getrusage; a steady-state epoch should take ~0):")
         sections.extend(faults)
 
+    shares = [
+        f"  {process}: cpu share {_fmt_num(g['cpu_share'])}, spmm parts "
+        f"{_fmt_num(g.get('spmm_parts', 0.0))}, threads {_fmt_num(g.get('threads', 0.0))}"
+        for process in sorted(rows)
+        if "cpu_share" in (g := rows[process].get("gauges") or {})
+    ]
+    if shares:
+        sections.append(
+            "CPUs per process (spmm parts: the most one SpMM was split into; threads: live at the end):"
+        )
+        sections.extend(shares)
+
     pools = _pool_lines(root / "events.jsonl")
     if pools:
         sections.append("pool formation (s; import: spawn to hello, build: spec sent to ready):")

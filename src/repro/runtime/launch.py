@@ -99,6 +99,7 @@ from repro.runtime.faults import NETWORK_ACTIONS, FaultPlan
 from repro.runtime.net import POOL_FORMATION_S
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 from repro.runtime.worker import build_worker, worker_main, worker_main_tcp, worker_slice
+from repro.sparse.ops import cpu_share, parallelism
 
 __all__ = [
     "WorkloadSpec",
@@ -175,23 +176,21 @@ class WorkloadSpec:
 
 
 @contextmanager
-def _worker_env(local_workers: int):
+def _worker_env(share: int):
     """The environment worker processes are spawned under: each worker's
-    BLAS/OpenMP pool gets its share of the host's cores, and glibc's
-    allocator is pinned (:data:`_ALLOC_VARS`).
+    BLAS/OpenMP pool gets ``share`` threads, its share of the CPUs the
+    launcher may use, and glibc's allocator is pinned (:data:`_ALLOC_VARS`).
 
-    Unpinned, every worker imports numpy with a pool of ``cpu_count``
-    threads, so W workers run W x C threads on C cores and the pool is
-    slower than one process; and glibc's *dynamic* mmap/trim thresholds
-    follow the largest temporary a process frees, so a worker maps and
-    unmaps its per-epoch temporaries — thousands of minor page faults per
-    epoch where the requirement (the ``minor_faults`` gauge) is ≈0.  A
-    variable the user already set wins; the launcher's own environment is
-    restored on exit (spawned children capture ``os.environ`` at
-    ``start()``).
+    Unpinned, every worker imports numpy with a pool of one thread per CPU,
+    so W workers run W x C threads on C cores and the pool is slower than
+    one process; and glibc's *dynamic* mmap/trim thresholds follow the
+    largest temporary a process frees, so a worker maps and unmaps its
+    per-epoch temporaries — thousands of minor page faults per epoch where
+    the requirement (the ``minor_faults`` gauge) is ≈0.  A variable the user
+    already set wins; the launcher's own environment is restored on exit
+    (spawned children capture ``os.environ`` at ``start()``).
     """
-    share = str(max(1, (os.cpu_count() or 1) // max(1, local_workers)))
-    wanted = {**dict.fromkeys(_THREAD_VARS, share), **_ALLOC_VARS}
+    wanted = {**dict.fromkeys(_THREAD_VARS, str(share)), **_ALLOC_VARS}
     added = [v for v in wanted if v not in os.environ]
     for v in added:
         os.environ[v] = wanted[v]
@@ -225,10 +224,13 @@ def _start_workers(
 ) -> None:
     """Start one daemon worker process per entry of ``args_of`` under
     :func:`_worker_env`, appending each to ``procs`` as it starts (a failure
-    midway leaves the started ones where the caller's teardown finds them)."""
-    with _worker_env(len(args_of)):
+    midway leaves the started ones where the caller's teardown finds them).
+    Each gets this host's CPU share per worker as its last argument: its
+    BLAS pools' size and the cap on its SpMM splits."""
+    share = cpu_share(len(args_of))
+    with _worker_env(share):
         for w, args in enumerate(args_of):
-            p = ctx.Process(target=target, args=args, name=f"{name}-{w}", daemon=True)
+            p = ctx.Process(target=target, args=(*args, share), name=f"{name}-{w}", daemon=True)
             p.start()
             procs.append(p)
 
@@ -557,7 +559,7 @@ class MultiprocTrainer:
             return
         self._collector.add_wall("launcher", _trace.drain())
         _metrics.gauge("epochs_done", float(self._epochs_done))
-        _metrics.gauge_rusage()
+        _metrics.gauge_process(*parallelism())
         self._collector.add_metrics("launcher", self._epochs_done, _metrics.snapshot())
 
     def _flush_trace(self) -> list[tuple[int, str, float, int]]:

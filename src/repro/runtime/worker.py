@@ -17,9 +17,10 @@ no-bus case of the same builder.
   trainer.  ``launch.build_trainer(spec, "inproc")`` is its whole-cube
   call.
 * :func:`worker_main` / :func:`worker_main_tcp` — the spawned process entry
-  points.  A worker starts from its id and a way to reach the launcher
-  only, says hello once it has imported (a ``("hello", id)`` on the shm
-  pipe; the rendezvous dial on tcp), then reads the workload spec from its
+  points.  A worker starts from its id, a way to reach the launcher and
+  its share of its host's CPUs (the cap on its SpMM splits) only, says
+  hello once it has imported (a ``("hello", id)`` on the shm pipe; the
+  rendezvous dial on tcp), then reads the workload spec from its
   control connection — one message, the same on both transports — opens
   the bus, builds the slice, and serves the launcher's command loop (train
   / checkpoint / load / evaluate / state / reset / close).  The bus is
@@ -55,6 +56,7 @@ from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import build_injector
 from repro.runtime.shm import BusHandle, ShmBus
+from repro.sparse.ops import parallelism, set_cpu_share
 from repro.sparse.partition import block_slices
 
 __all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main", "worker_main_tcp"]
@@ -216,7 +218,7 @@ def _drain_trace_payload(cluster: VirtualCluster | None, epochs_done: int) -> di
         lo = cluster.lo
         world = cluster.world_size
     _metrics.gauge("last_epoch", epochs_done)
-    _metrics.gauge_rusage()
+    _metrics.gauge_process(*parallelism())
     return {
         "events": _trace.drain(),
         "metrics": _metrics.snapshot(),
@@ -347,9 +349,10 @@ def _serve(worker_id: int, conn, open_bus) -> None:
             pass
 
 
-def worker_main(worker_id: int, bus_handle: BusHandle, conn) -> None:
+def worker_main(worker_id: int, bus_handle: BusHandle, conn, share: int) -> None:
     """Spawned-process entry (shared-memory transport): say hello, read the
-    spec, attach the bus, build the slice, serve the command loop.
+    spec, attach the bus, build the slice, serve the command loop.  ``share``
+    is this worker's share of its host's CPUs, the cap on its SpMM splits.
 
     The arguments are small on purpose: spawn's ``start()`` writes them into
     a pipe the child reads only after its imports, so a large argument (the
@@ -357,6 +360,7 @@ def worker_main(worker_id: int, bus_handle: BusHandle, conn) -> None:
     The hello tells the launcher this worker is alive and reading; the spec
     follows on ``conn``.  The bus ``timeout`` is the handle's.
     """
+    set_cpu_share(share)
     conn.send(("hello", worker_id))
     _serve(
         worker_id,
@@ -365,7 +369,9 @@ def worker_main(worker_id: int, bus_handle: BusHandle, conn) -> None:
     )
 
 
-def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: bytes) -> None:
+def worker_main_tcp(
+    preferred_id: int | None, host: str, port: int, authkey: bytes, share: int
+) -> None:
     """Spawned-process entry (tcp transport): rendezvous, then serve.
 
     Opens the peer-plane listener *first* (so its port can be advertised),
@@ -373,10 +379,12 @@ def worker_main_tcp(preferred_id: int | None, host: str, port: int, authkey: byt
     the worker id and the signed membership manifest over the control
     connection — which then carries the spec message :func:`_serve` reads
     (as on shm), the command loop and the heartbeats.  The same entry serves
-    launcher-spawned local workers and ``repro host``-managed remote workers.
+    launcher-spawned local workers and ``repro host``-managed remote workers;
+    ``share`` is this worker's share of the CPUs of the host that spawned it.
     """
     from repro.runtime import net, rendezvous as rdv
 
+    set_cpu_share(share)
     # the bus closes the listener once it owns it; ``with`` covers every
     # path on which it never does
     with net.peer_listener(16) as listener:

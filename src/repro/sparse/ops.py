@@ -7,11 +7,92 @@ by ``1/sqrt(d_u * d_v)`` — the Kipf & Welling normalization the paper adopts.
 
 from __future__ import annotations
 
+import os
+import threading
+from queue import SimpleQueue
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs  # the kernel ``csr_matrix @ ndarray`` itself calls
 
-__all__ = ["to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr", "random_sparse"]
+__all__ = [
+    "to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr",
+    "random_sparse", "cpu_share", "set_cpu_share", "parallelism",
+]
+
+#: multiply-adds (nonzeros x operand columns) each part of a split SpMM must
+#: carry: below it, waking a pool thread costs more than its range saves
+#: (on a 2-CPU host two parts break even at 130-260 k multiply-adds in all,
+#: for 8-32 operand columns)
+_PAR_MIN = 1 << 17
+
+#: this process's CPU share (``None``: :func:`cpu_share` on first use; a
+#: pool worker is handed its share of the host, :func:`set_cpu_share`)
+_share: int | None = None
+#: the queue of the process's one thread pool (``None`` until the first
+#: split SpMM starts it): each entry a row range's kernel calls and the
+#: queue its SpMM waits on
+_todo: SimpleQueue | None = None
+#: the most parts one SpMM of this process was split into
+_max_parts = 0
+
+
+def cpu_share(workers: int = 1) -> int:
+    """One of ``workers`` processes' share of the CPUs this process may run
+    on — its affinity mask (``taskset``, a cpuset), not the host's count."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // max(1, workers))
+
+
+def set_cpu_share(share: int) -> None:
+    """Cap this process's SpMM splits at ``share`` parts (a pool worker's
+    share of its host, computed where the pool is spawned)."""
+    global _share
+    _share = max(1, int(share))
+
+
+def parallelism() -> tuple[int, int]:
+    """``(CPU share, the most parts one SpMM was split into so far)`` of
+    this process — the ``cpu_share`` / ``spmm_parts`` trace gauges."""
+    global _share
+    if _share is None:
+        _share = cpu_share()
+    return _share, _max_parts
+
+
+def _serve_ranges(todo: SimpleQueue) -> None:
+    """A pool thread: run the queued ranges one after another."""
+    while True:
+        _run_range(*todo.get())
+
+
+def _run_range(calls: list[tuple], done: SimpleQueue) -> None:
+    """Run one range's kernel calls, then report to the SpMM waiting on it
+    (``None``, or the error it raised).  The calls hold views of the
+    product's operand and output: they die with this frame, so no pool
+    thread keeps either alive past its product."""
+    error = None
+    try:
+        for args in calls:
+            csr_matvecs(*args)
+    except Exception as exc:
+        error = exc
+    finally:
+        done.put(error)
+
+
+def _start_pool(threads: int) -> SimpleQueue:
+    """Start the process's pool: ``threads`` daemon threads serving one queue."""
+    global _todo
+    _todo = SimpleQueue()
+    for i in range(threads):
+        threading.Thread(
+            target=_serve_ranges, args=(_todo,), name=f"repro-spmm-{i}", daemon=True
+        ).start()
+    return _todo
 
 
 def to_csr(a: sp.spmatrix | sp.sparray | np.ndarray, dtype=np.float64) -> sp.csr_matrix:
@@ -109,18 +190,56 @@ class ReplicatedCsr:
             raise ValueError("replicas exceed the matrix")
         self.nnz = replicas * len(data)
         self.nbytes = indptr.nbytes + indices.nbytes + data.nbytes
+        #: parts -> the stored rows cut into that many nnz-balanced ranges
+        self._ranges: dict[int, list[tuple[int, int]]] = {}
+
+    def _split(self, parts: int) -> list[tuple[int, int]]:
+        """The stored rows as at most ``parts`` nonempty ``(lo, hi)`` ranges
+        holding about equal numbers of nonzeros (kept per part count) —
+        whole rows, so every output row is still written by one kernel call."""
+        n_row = len(self.indptr) - 1
+        cuts = np.searchsorted(self.indptr, np.arange(1, parts) * len(self.data) // parts)
+        bounds = [0, *np.minimum(cuts, n_row).tolist(), n_row]
+        ranges = self._ranges[parts] = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        return ranges
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``self @ x``: the stored rows in nnz-balanced ranges, as many as
+        the process's CPU share and the work (``nnz * columns`` over
+        :data:`_PAR_MIN`) allow; the caller's thread runs the first range and
+        the process's pool the others.  One range is the serial product.
+        (No Python-level call per product beyond this one: the budget of
+        ``core.trainer.py_calls_per_epoch``.)"""
+        global _max_parts
         if x.ndim != 2 or x.shape[0] != self.shape[1]:  # the kernel takes raw pointers
             raise ValueError(f"SpMM shape mismatch: {self.shape} @ {x.shape}")
         c = x.shape[1]
         out = np.zeros((self.shape[0], c), dtype=np.result_type(self.data, x))
-        n_row, x_flat, out_flat = len(self.indptr) - 1, x.ravel(), out.ravel()
-        for rows, cols in self.shifts:
-            csr_matvecs(
-                n_row, self.n_col, c, self.indptr, self.indices, self.data,
-                x_flat[cols * c :], out_flat[rows * c :],
-            )
+        x_flat, out_flat = x.ravel(), out.ravel()
+        share = _share or parallelism()[0]
+        parts = max(1, min(share, self.nnz * c // max(_PAR_MIN, 1)))
+        ranges = self._ranges.get(parts) or self._split(parts)
+        if len(ranges) > _max_parts:
+            _max_parts = len(ranges)
+        done, mine = SimpleQueue(), []
+        for i, (lo, hi) in enumerate(ranges):
+            indptr, calls = self.indptr[lo : hi + 1], mine if i == 0 else []
+            for rows, cols in self.shifts:
+                calls.append((
+                    hi - lo, self.n_col, c, indptr, self.indices, self.data,
+                    x_flat[cols * c :], out_flat[(rows + lo) * c :],
+                ))
+            if i:
+                (_todo or _start_pool(share - 1)).put((calls, done))
+        try:
+            for args in mine:
+                csr_matvecs(*args)
+        finally:  # no range may still be writing ``out`` once this returns
+            error = None
+            for _ in ranges[1:]:
+                error = done.get() or error
+        if error is not None:
+            raise error
         return out
 
 

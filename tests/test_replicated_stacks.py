@@ -22,6 +22,10 @@ durations as the one that leaves them ``None``.  Pinned here:
 * an SpMM plan stores each distinct adjacency shard once (A and A^T, whole
   shards and row blocks, the whole cube and a worker's z-slice) and still
   equals the per-rank ``shards[r] @ f[r]`` bitwise;
+* a plan's product split into any number of row ranges is bitwise the
+  serial one, and so is training every pinned workload of
+  ``tests/test_differential.py`` with the split forced on; a toy-sized
+  product starts no thread;
 * after a forward pass the cached activations own ``world / G`` shards of
   memory, while everything persisted (weights, checkpoints, the in-flight
   prefetch inventory) is flat, writable ``(world, m, n)`` memory and resumes
@@ -32,6 +36,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
+import threading
+from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -40,7 +47,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import map_groups
-from test_batched_parity import explicit
+from test_batched_parity import _assert_bitwise, explicit
+from test_batched_parity import _dataset as _parity_dataset
+from test_differential import PINNED, _books
+from test_differential import _spec as _case_spec
 
 from repro.core import GridConfig, PlexusOptions
 from repro.core.batch import (
@@ -66,6 +76,7 @@ from repro.graph.generators import rmat_graph
 from repro.nn.functional import relu
 from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer, worker_slice
 from repro.runtime import checkpoint as ckpt
+from repro.sparse import ops
 from repro.sparse.ops import gcn_normalize, spmm
 from repro.sparse.partition import block_slices, csr_block
 
@@ -447,6 +458,124 @@ class TestPlansStoreEachShardOnce:
         assert np.array_equal(stack_data(out).reshape(-1, 4), block_csr @ x.reshape(-1, 4))
         with pytest.raises(ValueError, match="shape"):
             bd @ x.reshape(-1, 6)
+
+
+@contextmanager
+def _split(parts: int):
+    """Every SpMM split into ``parts`` row ranges, however small (fewer
+    only where the work, ``nnz * columns``, is smaller still)."""
+    with mock.patch.multiple(ops, _PAR_MIN=0, _share=parts):
+        yield
+
+
+@st.composite
+def _split_cases(draw):
+    held = draw(st.integers(1, 4))
+    return dict(
+        replicas=draw(st.integers(1, 3)),
+        # ragged rows, down to empty blocks (no rows) and empty rows
+        rows=draw(st.lists(st.integers(0, 9), min_size=held, max_size=held)),
+        density=draw(st.lists(st.sampled_from([0.0, 0.2, 0.6]), min_size=held, max_size=held)),
+        k=draw(st.integers(1, 6)),
+        c=draw(st.integers(1, 5)),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        parts=draw(st.sampled_from([1, 2, 3, 7])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+#: the workloads of ``tests/test_differential.py``'s pinned cases as
+#: in-memory, in-process runs of all their epochs (by their first case's name)
+PINNED_WORKLOADS: dict = {}
+for _name, _case in PINNED.items():
+    PINNED_WORKLOADS.setdefault(replace(
+        _case, workers=0, transport="shm", mailbox=0, chunks=(sum(_case.chunks),), resume=None,
+        fault=None, budget=1, disk=False,
+    ), _name)
+
+
+def _inproc_books(case) -> tuple:
+    trainer = build_trainer(_case_spec(case))
+    return trainer.train(sum(case.chunks)).epochs, _books(trainer.model)
+
+
+class TestSplitKernel:
+    """The SpMM split into nnz-balanced row ranges, run on the process's
+    threads: every output row is written by one kernel call in stored
+    nonzero order, so any split is bitwise the serial product — and a
+    workload too small to split starts no thread."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_split_cases())
+    @example(case=dict(replicas=3, rows=[0, 9, 1], density=[0.6, 0.0, 0.6], k=2, c=1,
+                       dtype=np.float32, parts=7, seed=1))
+    def test_any_split_is_the_serial_product(self, case):
+        rng = np.random.default_rng(case["seed"])
+        held, replicas, k, c, dtype = len(case["rows"]), case["replicas"], case["k"], case["c"], case["dtype"]
+        distinct = [ops.random_sparse(m, k, d, rng, dtype) for m, d in zip(case["rows"], case["density"])]
+        shards = [distinct[r // replicas] for r in range(held * replicas)]  # replicas along y
+        grid = (held, replicas, 1)
+        x = rng.standard_normal((held * replicas, k, c)).astype(dtype)
+        plan = BlockDiagSpmm(shards, grid=grid)
+        with _split(case["parts"]):
+            out = plan.apply_batched(CubeStack.of(x, grid))
+        (bd,) = plan._stacked_plans.values()
+        pad = max(case["rows"])
+        block_csr = sp.block_diag(
+            [sp.vstack([s, sp.csr_matrix((pad - s.shape[0], k), dtype=dtype)]) for s in shards],
+            format="csr",
+        )
+        want = block_csr @ x.reshape(-1, c)
+        with _split(case["parts"]):
+            assert np.array_equal(spmm(bd, x.reshape(-1, c)), want)
+        assert np.array_equal(stack_data(out).reshape(-1, c), want)
+        # the ranges tile the stored rows, at most ``parts`` nonempty ones
+        ranges = bd._split(case["parts"])
+        edges = [0] + [hi for _, hi in ranges]
+        assert ranges == list(zip(edges, edges[1:])) and edges[-1] == len(bd.indptr) - 1
+        assert len(ranges) <= case["parts"] and all(lo < hi for lo, hi in ranges)
+
+    @pytest.mark.parametrize("case", PINNED_WORKLOADS, ids=PINNED_WORKLOADS.values())
+    def test_pinned_workloads_train_alike_split_or_not(self, case):
+        """Every pinned workload of ``tests/test_differential.py``, trained
+        in-process with the split forced on (3 parts) and off: losses,
+        weights, per-rank clocks and phase totals are bitwise equal."""
+        with _split(1):
+            want_epochs, want = _inproc_books(case)
+        with _split(3):
+            epochs, books = _inproc_books(case)
+        assert epochs == want_epochs
+        for key in ("by_phase", "by_category", "weights"):
+            assert books[key].keys() == want[key].keys(), key
+            for label, vec in want[key].items():
+                assert np.array_equal(books[key][label], vec), (key, label)
+        assert np.array_equal(books["clocks"], want["clocks"])
+
+    @pytest.mark.parametrize(
+        "n_nodes, dims, cfg, opts",
+        [
+            (72, [24, 24, 12], GridConfig(3, 2, 2), {}),
+            (72, [24, 24, 12], GridConfig(2, 2, 2),
+             {"overlap": True, "aggregation_blocks": 3, "max_inflight": 1, "noise": True}),
+            (70, [25, 23, 11], GridConfig(3, 2, 2), {"trainable_features": True}),
+            (23, [3, 2, 2], GridConfig(3, 3, 3), {"permutation": "single"}),
+        ],
+    )
+    def test_split_product_matches_the_oracle(self, n_nodes, dims, cfg, opts):
+        """The batched-parity check (product == per-rank oracle, bitwise)
+        with every SpMM of the product split in 7."""
+        with _split(7):
+            _assert_bitwise(_parity_dataset(3, n_nodes, dims), cfg, dims, **opts)
+
+    def test_a_toy_workload_starts_no_thread(self):
+        """A toy128-sized trainer (N=128, X4Y4Z4) takes the one-part path
+        on any number of CPUs: no pool, no thread."""
+        spec = _spec(GridConfig(4, 4, 4), 128, [32, 32, 32, 16], compute_dtype=np.float32)
+        before = threading.active_count()
+        with mock.patch.multiple(ops, _share=64, _todo=None, _max_parts=0):
+            build_trainer(spec).train(3)
+            assert ops._todo is None and ops._max_parts == 1
+        assert threading.active_count() == before
 
 
 def _spec(cfg: GridConfig, n: int, dims: list[int], **opts) -> WorkloadSpec:

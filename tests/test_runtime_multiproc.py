@@ -23,6 +23,7 @@ every workload — is ``tests/test_differential.py``'s.  Covered here:
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import sys
@@ -129,8 +130,9 @@ class TestRuntimeSemantics:
         not Path("/proc/self/environ").exists(), reason="needs Linux /proc"
     )
     def test_workers_spawn_with_their_share_of_blas_threads(self, monkeypatch):
-        """W workers on C cores start with ``C // W`` BLAS/OpenMP threads
-        each (not ``C`` each: W x C threads on C cores) and with glibc's
+        """W workers on the C CPUs of the launcher's affinity mask start with
+        ``C // W`` BLAS/OpenMP threads each (not ``C`` each: W x C threads on
+        C cores) and with glibc's
         mmap *and* trim thresholds pinned, unless the user set a variable;
         the launcher's own environment is restored."""
         names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -144,7 +146,7 @@ class TestRuntimeSemantics:
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("MKL_NUM_THREADS", "3")  # the user's choice wins
         monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1048576")
-        share = str(max(1, (os.cpu_count() or 1) // 2))
+        share = str(max(1, len(os.sched_getaffinity(0)) // 2))
         with MultiprocTrainer(_spec(GridConfig(2, 2, 2), workers=2), timeout=60) as mpt:
             for proc in mpt._procs:
                 env = spawned_env(proc.pid)
@@ -154,6 +156,34 @@ class TestRuntimeSemantics:
                 assert [env.get(n) for n in alloc] == [str(32 << 20), "1048576"]
         assert [os.environ.get(n) for n in names] == [None, None, "3"]
         assert [os.environ.get(n) for n in alloc] == [None, "1048576"]
+
+    @pytest.mark.parametrize(
+        "workers, masked", [(1, False), (2, False), (2, True)], ids=["one", "two", "two-on-one-cpu"]
+    )
+    def test_a_worker_splits_its_spmm_over_its_cpu_share(self, tmp_path, workers, masked):
+        """Each worker's CPU share is ``max(1, len(affinity) // W)`` of the
+        mask it inherits (``taskset``: the launcher's), and caps its SpMM
+        splits; a worker whose share is 1 never starts a thread.  The
+        workload is large enough that a share of up to 7 splits that far."""
+        spec = _spec(GridConfig(2, 2, 2), workers, n=1024, dims=[160, 16, 8])
+        expected = build_trainer(spec).train(2).losses
+        cpus = os.sched_getaffinity(0)
+        if masked:
+            os.sched_setaffinity(0, {min(cpus)})
+        try:
+            share = max(1, len(os.sched_getaffinity(0)) // workers)
+            with MultiprocTrainer(spec, timeout=60, trace_dir=tmp_path) as mpt:
+                assert mpt.train(2).losses == expected
+        finally:
+            os.sched_setaffinity(0, cpus)
+        rows = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        rows = [r for r in rows if r["process"].startswith("worker")]
+        assert {r["process"] for r in rows} == {f"worker {w}" for w in range(workers)}
+        for row in rows:
+            g = row["gauges"]
+            assert g["cpu_share"] == share and g["spmm_parts"] == min(share, 7)
+            if share == 1:  # only the main thread, across every epoch
+                assert g["threads"] == 1
 
     @pytest.mark.parametrize(
         "schedule", [{}, {"overlap": True, "aggregation_blocks": 2}], ids=["eager", "overlap-blocked"]
