@@ -126,14 +126,14 @@ from repro.core.grid import PlexusGrid
 from repro.core.noise import SpmmNoise
 from repro.core.sharding import LayerSharding
 from repro.dist.comm import PendingCollective
-from repro.gpu.gemm import GemmMode, gemm_time
+from repro.gpu.gemm import GemmMode, gemm_time_batch
 from repro.gpu.spmm import spmm_time_batch
 from repro.nn.functional import relu
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 from repro.sparse.partition import block_slices, csr_block
 
-__all__ = ["LayerCache", "PlexusLayer"]
+__all__ = ["LayerCache", "PlexusLayer", "kernel_times"]
 
 
 @dataclass
@@ -310,29 +310,15 @@ class PlexusLayer:
         scalar calls.  (The stochastic noise multiplier, when enabled,
         rescales the forward-SpMM vector per epoch.)
         """
-        grid, sharding = self.grid, self.sharding
-        device = self.cluster.machine.device
-        extents = sharding.extent_table(grid)
-        ar = extents["a_rows"]  # A/H/Q rows (z-role block of N)
-        ac = extents["a_cols"]  # A cols = F rows (x-role block of N)
-        fc = extents["f_cols"]  # F/H cols = gathered-W rows (y-role block of D_in)
-        wc = extents["w_cols"]  # W/Q cols (x-role block of D_out)
+        extents = self.sharding.extent_table(self.grid)
         nnz = self._nnz_a = sum(plan.rank_nnz for plan in self._bd_blocks).astype(np.float64)
-        cols = np.maximum(fc, 1.0)
-        self._t_spmm_bwd = spmm_time_batch(ac, ar, cols, nnz, device)
-        self._t_gemm_fwd = _gemm_times(ar, wc, fc, device, GemmMode.NN)
-        if self.tune_dw_gemm:
-            # (dQ^T @ H)^T: identical numbers, NT-mode kernel time
-            self._t_gemm_dw = _gemm_times(wc, fc, ar, device, GemmMode.NT)
-        else:
-            self._t_gemm_dw = _gemm_times(fc, wc, ar, device, GemmMode.TN)
-        self._t_gemm_dh = _gemm_times(ar, fc, wc, device, GemmMode.NT)
-        # the forward aggregation: one time vector per row block
         block_nnz = [plan.rank_nnz.astype(np.float64) for plan in self._bd_blocks]
-        self._t_spmm_blocks = [
-            spmm_time_batch(plan.out_rows.astype(np.float64), ac, cols, bnnz, device)
-            for plan, bnnz in zip(self._bd_blocks, block_nnz)
-        ]
+        t = kernel_times(
+            extents, nnz, [(plan.out_rows.astype(np.float64), b) for plan, b in zip(self._bd_blocks, block_nnz)],
+            self.cluster.machine.device, self.tune_dw_gemm,
+        )
+        self._t_spmm_blocks, self._t_spmm_bwd = t["spmm_fwd"], t["spmm_bwd"]
+        self._t_gemm_fwd, self._t_gemm_dw, self._t_gemm_dh = t["gemm_fwd"], t["gemm_dw"], t["gemm_dh"]
         #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
         #: steps, one per row block (Sec. 5.2)
         self._agg_steps = list(zip(self._t_spmm_blocks, block_nnz, self._bd_blocks))
@@ -535,19 +521,24 @@ class PlexusLayer:
             return df, dw
 
 
-def _gemm_times(m: np.ndarray, n: np.ndarray, k: np.ndarray, device, mode: GemmMode) -> np.ndarray:
-    """Per-rank GEMM-time vector, one scalar model call per distinct shape.
-
-    Quasi-equal sharding yields at most a handful of distinct (m, n, k)
-    triples across the grid, so this memoizes within the call.
-    """
-    world = len(m)
-    out = np.empty(world)
-    seen: dict[tuple, float] = {}
-    for r in range(world):
-        key = (m[r], n[r], k[r])
-        t = seen.get(key)
-        if t is None:
-            t = seen[key] = gemm_time(m[r], n[r], k[r], device, mode)
-        out[r] = t
-    return out
+def kernel_times(extents: dict, nnz, blocks: list, device, tune_dw_gemm: bool) -> dict:
+    """One layer's modeled kernel seconds, keyed by their ``comp:`` phase:
+    per-rank vectors from :meth:`~repro.core.sharding.LayerSharding.extent_table`'s
+    ``extents``, the shard's ``nnz`` and the forward aggregation's ``(rows,
+    nnz)`` per row block (``spmm_fwd``: one vector per block) — or, in
+    ``repro.perf.analytic``, per-configuration vectors of a sweep.  grad-W
+    is the Sec. 5.3 NT form ((dQ^T @ H)^T: identical numbers) under
+    ``tune_dw_gemm``, else TN."""
+    ar, ac, fc, wc = (extents[k] for k in ("a_rows", "a_cols", "f_cols", "w_cols"))
+    cols = np.maximum(fc, 1.0)
+    if tune_dw_gemm:
+        gemm_dw = gemm_time_batch(wc, fc, ar, device, GemmMode.NT)
+    else:
+        gemm_dw = gemm_time_batch(fc, wc, ar, device, GemmMode.TN)
+    return {
+        "spmm_fwd": [spmm_time_batch(rows, ac, cols, bnnz, device) for rows, bnnz in blocks],
+        "spmm_bwd": spmm_time_batch(ac, ar, cols, nnz, device),
+        "gemm_fwd": gemm_time_batch(ar, wc, fc, device, GemmMode.NN),
+        "gemm_dw": gemm_dw,
+        "gemm_dh": gemm_time_batch(ar, fc, wc, device, GemmMode.NT),
+    }

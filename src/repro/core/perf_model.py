@@ -12,9 +12,12 @@ Three pieces, mirroring the paper:
   identical least-squares fit (:func:`fit_spmm_regression`, numpy lstsq)
   plus the 70/30-split validation protocol, and ship the paper's own
   coefficients as a usable default.
-* :class:`CommModel` — Eqs. 4.5-4.6: ring-collective times for every
-  communication step of Algorithms 1-2 across all layers, with per-axis
-  effective bandwidths from the topology-aware mapping.
+* :class:`CommModel` — Eqs. 4.5-4.6: the engine's ring laws (per-hop
+  latency included) summed over every communication step of Algorithms 1-2
+  across all layers, with per-axis effective bandwidths from the
+  topology-aware mapping.  The steps are :data:`COLLECTIVES`, the one table
+  of those collectives (:func:`collective_times` prices it), which
+  ``repro.perf.analytic.PlexusAnalytic`` schedules on the engine's timeline.
 
 :class:`PerformanceModel` sums the two predictions into an epoch-time
 estimate (the paper neglects dense compute and loss, Sec. 4.3), and
@@ -29,12 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.grid import GridConfig, axis_roles
-from repro.dist.collectives import (
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
+from repro.core.grid import Axis, GridConfig, axis_roles
+from repro.dist.collectives import RING_LAWS
 from repro.dist.group import axis_bandwidth
 from repro.dist.topology import MachineSpec
 from repro.graph.datasets import DatasetStats
@@ -44,8 +43,9 @@ __all__ = [
     "CompModel",
     "SpmmRegression",
     "fit_spmm_regression",
+    "COLLECTIVES",
+    "collective_times",
     "CommModel",
-    "layer_collective_times",
     "PerformanceModel",
     "select_best_config",
 ]
@@ -166,41 +166,51 @@ def regression_validation(
     }
 
 
-def layer_collective_times(
-    config: GridConfig,
-    machine: MachineSpec,
-    n: float,
-    d_in: float,
-    d_out: float,
-    layer_idx: int,
-    elem_bytes: int = 4,
-) -> dict[str, float]:
-    """Eqs. 4.5-4.6 for every collective of one layer of Algorithms 1-2:
-    the F / H / Q / W block bytes under that layer's rotated axis roles, as
-    named ring durations (seconds) — ``ag_f`` (line 3, layer 0), ``ar_h``
-    (line 5), ``ag_w`` (line 7, and backward line 4), ``ar_q`` (line 9);
-    backward ``rs_dw`` (line 3), ``ar_dh`` (line 6: dH is H's block),
-    ``rs_df`` (line 8, layer 0) / ``ar_df`` (the Sec. 3.2 change).  The one
-    table :class:`CommModel` and ``repro.perf.analytic.PlexusAnalytic`` sum."""
-    roles = axis_roles(layer_idx)
-    gx, gy, gz = (config.size(roles.x), config.size(roles.y), config.size(roles.z))
-    bx, by, bz = (
-        axis_bandwidth(machine, config.size(axis), config.inner_size(axis))
-        for axis in (roles.x, roles.y, roles.z)
-    )
-    f_block = (n / gx) * (d_in / gy) * elem_bytes
-    h_block = (n / gz) * (d_in / gy) * elem_bytes
-    q_block = (n / gz) * (d_out / gx) * elem_bytes
-    w_block = (d_in / gy) * (d_out / gx) * elem_bytes
+#: Algorithms 1-2's collectives and the loss's, by the engine's phase name
+#: (``comm:<phase>``): the ring kind and the layer role whose groups run it
+#: (the loss's: the last layer's roles)
+COLLECTIVES: dict[str, tuple[str, str]] = {
+    "all_gather_f": ("all_gather", "z"),  # Alg. 1 line 3 (layer 0)
+    "all_reduce_h": ("all_reduce", "x"),  # line 5, once per aggregation block
+    "all_gather_w": ("all_gather", "z"),  # line 7; Alg. 2 line 4
+    "all_reduce_q": ("all_reduce", "y"),  # line 9
+    "loss_max": ("all_reduce", "x"),  # the loss's per-row statistics
+    "loss_sumexp": ("all_reduce", "x"),
+    "loss_zlabel": ("all_reduce", "x"),
+    "loss_total": ("all_reduce", "z"),  # masked sum and count
+    "reduce_scatter_dw": ("reduce_scatter", "z"),  # Alg. 2 line 3
+    "all_reduce_dh": ("all_reduce", "x"),  # line 6
+    "reduce_scatter_df": ("reduce_scatter", "z"),  # line 8 (layer 0)
+    "all_reduce_df": ("all_reduce", "z"),  # the Sec. 3.2 change
+}
+
+
+def collective_times(
+    n, d_in, d_out, layer_idx: int, sizes, bw, latency: float, elem_bytes: int = 4, blocks: int = 1
+) -> dict[str, tuple]:
+    """Every collective of :data:`COLLECTIVES` on layer ``layer_idx``: the
+    physical axis it runs on and its Eq. 4.5 seconds, the engine's law with
+    the engine's arguments.  ``sizes`` / ``bw`` map each :class:`Axis` to its
+    group size / Eq. 4.6 bandwidth — scalars, or arrays over a sweep's
+    configurations.  A ring moves Algorithms 1-2's F / H / Q / W block (a
+    gather's result, a reduction's full vector), one element per logits row
+    for the loss's statistics, two float64 for its total; blocked aggregation
+    reduces H one of ``blocks`` row blocks at a time."""
+    axes = dict(zip("xyz", axis_roles(layer_idx).as_tuple()))
+    gx, gy, gz = (sizes[axes[r]] for r in "xyz")
+    f = n / gx * (d_in / gy) * elem_bytes
+    h = n / gz * (d_in / gy) * elem_bytes
+    q = n / gz * (d_out / gx) * elem_bytes
+    w = d_in / gy * (d_out / gx) * elem_bytes
+    row = n / gz * elem_bytes
+    nbytes = {
+        "all_gather_f": f, "all_reduce_h": h / blocks, "all_gather_w": w, "all_reduce_q": q,
+        "loss_max": row, "loss_sumexp": row, "loss_zlabel": row, "loss_total": 16.0,
+        "reduce_scatter_dw": w, "all_reduce_dh": h, "reduce_scatter_df": f, "all_reduce_df": f,
+    }
     return {
-        "ag_f": ring_all_gather_time(f_block, gz, bz),
-        "ar_h": ring_all_reduce_time(h_block, gx, bx),
-        "ag_w": ring_all_gather_time(w_block, gz, bz),
-        "ar_q": ring_all_reduce_time(q_block, gy, by),
-        "rs_dw": ring_reduce_scatter_time(w_block, gz, bz),
-        "ar_dh": ring_all_reduce_time(h_block, gx, bx),
-        "rs_df": ring_reduce_scatter_time(f_block, gz, bz),
-        "ar_df": ring_all_reduce_time(f_block, gz, bz),
+        phase: (axes[role], RING_LAWS[kind](nbytes[phase], sizes[axes[role]], bw[axes[role]], latency))
+        for phase, (kind, role) in COLLECTIVES.items()
     }
 
 
@@ -217,26 +227,18 @@ class CommModel:
 
     def layer_comm_time(self, config: GridConfig, layer_idx: int) -> float:
         """Communication seconds of one layer's forward+backward."""
-        c = layer_collective_times(
-            config, self.machine, self.stats.nodes, self.layer_dims[layer_idx],
-            self.layer_dims[layer_idx + 1], layer_idx, self.elem_bytes,
+        times = collective_times(
+            self.stats.nodes, self.layer_dims[layer_idx], self.layer_dims[layer_idx + 1], layer_idx,
+            {a: config.size(a) for a in Axis},
+            {a: axis_bandwidth(self.machine, config.size(a), config.inner_size(a)) for a in Axis},
+            self.machine.latency, self.elem_bytes,
         )
-        t = 0.0
-        is_first = layer_idx == 0
-        if is_first:
-            t += c["ag_f"]
-        t += c["ar_h"]
-        t += c["ag_w"]
-        t += c["ar_q"]
-        t += c["rs_dw"]
-        t += c["ag_w"]
-        t += c["ar_dh"]
-        if is_first:
-            if self.trainable_features:
-                t += c["rs_df"]
+        phases = ["all_reduce_h", "all_gather_w", "all_reduce_q", "reduce_scatter_dw", "all_gather_w", "all_reduce_dh"]
+        if layer_idx > 0:
+            phases.append("all_reduce_df")
         else:
-            t += c["ar_df"]
-        return t
+            phases += ["all_gather_f", "reduce_scatter_df"][: 1 + self.trainable_features]
+        return sum(times[phase][1] for phase in phases)
 
     def epoch_comm_time(self, config: GridConfig) -> float:
         """Total modeled communication seconds per epoch."""

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.dist.cluster import ClockStore
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "ring_reduce_scatter_time",
     "broadcast_time",
     "all_to_all_time",
+    "RING_LAWS",
     "AxisComm",
 ]
 
@@ -44,22 +47,21 @@ __all__ = [
 
 
 def _validate_cost_args(nbytes: float, group_size: int, bandwidth: float) -> None:
-    if group_size < 1:
+    if np.any(np.less(group_size, 1)):
         raise ValueError("group size must be >= 1")
-    if nbytes < 0:
+    if np.any(np.less(nbytes, 0)):
         raise ValueError("message size must be non-negative")
-    if bandwidth <= 0:
+    if np.any(np.less_equal(bandwidth, 0)):
         raise ValueError("bandwidth must be positive")
 
 
 def ring_all_gather_time(
     nbytes: float, group_size: int, bandwidth: float, latency: float = 0.0
 ) -> float:
-    """Ring all-gather of a ``nbytes`` total result across ``group_size``."""
+    """Ring all-gather of a ``nbytes`` total result across ``group_size``
+    (any argument may be an array: one law per configuration of a sweep)."""
     _validate_cost_args(nbytes, group_size, bandwidth)
-    if group_size == 1:
-        return 0.0
-    steps = group_size - 1
+    steps = group_size - 1  # a group of one takes no step: 0 seconds
     return steps / group_size * (nbytes / bandwidth) + steps * latency
 
 
@@ -76,6 +78,14 @@ def ring_all_reduce_time(
     """Ring all-reduce = reduce-scatter + all-gather; approaches
     ``2*m/beta`` for large groups."""
     return 2.0 * ring_all_gather_time(nbytes, group_size, bandwidth, latency)
+
+
+#: the Eq. 4.5 law of each collective kind a grid axis runs
+RING_LAWS = {
+    "all_reduce": ring_all_reduce_time,
+    "all_gather": ring_all_gather_time,
+    "reduce_scatter": ring_reduce_scatter_time,
+}
 
 
 def broadcast_time(

@@ -110,6 +110,7 @@ from repro.dist.cluster import ClockStore
 from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.dist.collectives import (
+    RING_LAWS,
     AxisComm,
     all_to_all_time,
     broadcast_time,
@@ -133,13 +134,6 @@ __all__ = [
 ]
 
 _UFUNCS = {"sum": np.add, "max": np.maximum}
-
-#: Eq. 4.5 ring model of each stacked collective kind
-_TIME_FNS = {
-    "all_reduce": ring_all_reduce_time,
-    "all_gather": ring_all_gather_time,
-    "reduce_scatter": ring_reduce_scatter_time,
-}
 
 
 def link_key(ranks) -> str:
@@ -886,7 +880,7 @@ class AxisCommunicator:
         duration = np.empty(nbytes.shape)
         distinct = np.unique(nbytes)
         for v in distinct:
-            duration[nbytes == v] = _TIME_FNS[kind](float(v), g, d.bandwidth, d.latency)
+            duration[nbytes == v] = RING_LAWS[kind](float(v), g, d.bandwidth, d.latency)
         plan = {
             "duration": float(duration[0]) if len(distinct) == 1 else duration.reshape(keep),
             "rows": given,

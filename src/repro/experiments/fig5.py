@@ -49,9 +49,9 @@ def collect_spmm_samples(machine: MachineSpec = PERLMUTTER) -> tuple[np.ndarray,
         dims = gcn_layer_dims(st.features, st.classes)
         comp = CompModel(st, dims)
         analytic = PlexusAnalytic(st, dims, machine)
-        for cfg in factor_triples(gpus):
-            terms.append(comp.terms(cfg))
-            times.append(analytic.epoch_estimate(cfg).detail["spmm"])
+        configs = factor_triples(gpus)
+        terms += [comp.terms(cfg) for cfg in configs]
+        times += [e.detail["spmm_fwd"] + e.detail["spmm_bwd"] for e in analytic.epoch_estimates(configs)]
     return np.asarray(terms), np.asarray(times)
 
 
@@ -88,11 +88,11 @@ def predicted_vs_observed(
     comm = CommModel(st, dims, machine)
     analytic = PlexusAnalytic(st, dims, machine)
     points = []
-    for cfg in factor_triples(gpus):
+    configs = factor_triples(gpus)
+    for cfg, est in zip(configs, analytic.epoch_estimates(configs)):
         pred = regression.predict(comp.terms(cfg)) + comm.epoch_comm_time(cfg)
-        obs = analytic.epoch_estimate(cfg).total
         points.append(
-            ConfigPoint(config=cfg, family=classify_config(cfg), predicted_ms=pred * 1e3, observed_ms=obs * 1e3)
+            ConfigPoint(config=cfg, family=classify_config(cfg), predicted_ms=pred * 1e3, observed_ms=est.total * 1e3)
         )
     return points
 

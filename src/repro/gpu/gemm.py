@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from repro.gpu.device import DeviceSpec
 
-__all__ = ["GemmMode", "gemm_flops", "gemm_time", "mode_factor"]
+__all__ = ["GemmMode", "gemm_flops", "gemm_time", "gemm_time_batch", "mode_factor"]
 
 
 class GemmMode(str, Enum):
@@ -84,3 +86,13 @@ def gemm_time(m: float, n: float, k: float, device: DeviceSpec, mode: GemmMode =
         overhead, per_k = _TN_FALLBACK[device.name]
         time = max(time, overhead + per_k * k)
     return time
+
+
+def gemm_time_batch(m: np.ndarray, n: np.ndarray, k: np.ndarray, device: DeviceSpec, mode: GemmMode) -> np.ndarray:
+    """:func:`gemm_time` over per-shard shape arrays, one scalar model call
+    per distinct shape (quasi-equal sharding yields a handful per grid)."""
+    seen: dict[tuple, float] = {}
+    for key in zip(m, n, k):
+        if key not in seen:
+            seen[key] = gemm_time(*key, device, mode)
+    return np.array([seen[key] for key in zip(m, n, k)])

@@ -67,53 +67,36 @@ def spmm_flops(shard: SpmmShard) -> float:
 
 
 def spmm_shape_factor(cols: float) -> float:
-    """Efficiency multiplier for the dense-operand width.
+    """Efficiency multiplier for the dense-operand width (or widths).
 
     Rows narrower than one 32-byte sector (8 fp32 values) waste memory
     transactions; the exponent 1.3 combines the coalescing loss (linear)
     with a partial occupancy loss, calibrated to the ~8x U-vs-V slowdown
     the paper measures for equal-FLOP shards (Sec. 4.1).
     """
-    if cols <= 0:
+    if np.any(np.less_equal(cols, 0)):
         raise ValueError("cols must be positive")
-    return min(1.0, cols / 8.0) ** 1.3
-
-
-def _bytes_moved(shard: SpmmShard, device: DeviceSpec) -> float:
-    """Global-memory traffic: CSR structure + dense reads + output writes.
-
-    Dense-row reads get L2 reuse when the dense operand fits in cache: each
-    of the ``k`` rows is fetched from DRAM once and the remaining
-    ``nnz - k`` touches hit at the miss rate ``dense_bytes / L2``.  Dense
-    community-structured graphs (Reddit) therefore run proportionally
-    faster than their raw ``nnz x cols`` volume — matching the paper's
-    observation that denser graphs keep Plexus compute-bound longer.
-    """
-    a_bytes = 8.0 * shard.nnz  # 4 B value + 4 B column index
-    dense_bytes = 4.0 * shard.k * shard.cols
-    miss = min(1.0, max(0.05, 0.5 * dense_bytes / max(device.l2_bytes, 1.0)))
-    extra_touches = max(shard.nnz - shard.k, 0)
-    f_bytes = 4.0 * shard.cols * (min(shard.k, shard.nnz) + extra_touches * miss)
-    h_bytes = 4.0 * shard.rows * shard.cols  # output tile write
-    return a_bytes + f_bytes + h_bytes
+    return np.minimum(1.0, np.divide(cols, 8.0)) ** 1.3
 
 
 def spmm_time(shard: SpmmShard, device: DeviceSpec) -> float:
     """Modeled execution time (seconds) of the local SpMM on ``device``."""
-    if shard.nnz == 0:
-        return 0.0
-    effective_bw = device.memory_bw * device.spmm_efficiency * spmm_shape_factor(shard.cols)
-    return _bytes_moved(shard, device) / effective_bw
+    return float(spmm_time_batch(shard.rows, shard.k, shard.cols, shard.nnz, device))
 
 
 def spmm_time_batch(
     rows: np.ndarray, k: np.ndarray, cols: np.ndarray, nnz: np.ndarray, device: DeviceSpec
 ) -> np.ndarray:
-    """Vectorized :func:`spmm_time` over per-rank shard-shape arrays.
+    """Modeled SpMM seconds over per-shard shape arrays (one model for a
+    rank's shards, a sweep's configurations, or one :func:`spmm_time`).
 
-    Same model, evaluated for a whole grid of shards in one pass — the
-    rank-batched layer engine precomputes its per-rank kernel-time vectors
-    with this instead of ``world_size`` scalar calls.
+    Global-memory traffic (CSR structure + dense reads + output writes) over
+    the shape-derated bandwidth.  Dense-row reads get L2 reuse when the
+    dense operand fits in cache: each of the ``k`` rows is fetched from DRAM
+    once and the remaining ``nnz - k`` touches hit at the miss rate
+    ``dense_bytes / L2``, so dense community-structured graphs (Reddit) run
+    proportionally faster than their raw ``nnz x cols`` volume — the paper's
+    observation that denser graphs keep Plexus compute-bound longer.
     """
     rows, k, cols, nnz = np.broadcast_arrays(
         np.asarray(rows, dtype=np.float64),
@@ -121,15 +104,13 @@ def spmm_time_batch(
         np.asarray(cols, dtype=np.float64),
         np.asarray(nnz, dtype=np.float64),
     )
-    if np.any(cols <= 0):
-        raise ValueError("cols must be positive")
+    shape_factor = spmm_shape_factor(cols)
     a_bytes = 8.0 * nnz
     dense_bytes = 4.0 * k * cols
     miss = np.clip(0.5 * dense_bytes / max(device.l2_bytes, 1.0), 0.05, 1.0)
     extra_touches = np.maximum(nnz - k, 0.0)
     f_bytes = 4.0 * cols * (np.minimum(k, nnz) + extra_touches * miss)
     h_bytes = 4.0 * rows * cols
-    shape_factor = np.minimum(1.0, cols / 8.0) ** 1.3
     effective_bw = device.memory_bw * device.spmm_efficiency * shape_factor
     return np.where(nnz == 0, 0.0, (a_bytes + f_bytes + h_bytes) / effective_bw)
 

@@ -4,9 +4,10 @@ The executable engine runs real data on up to ~64 virtual ranks.  The
 paper's scaling figures go to 2048 GPUs on 111M-node graphs; those epoch
 times depend only on (N, nnz, D, layer count, machine topology, grid
 configuration), all of which Table 4 + Sec. 6.1 provide.  This package
-evaluates the same kernel and collective cost models the executable engine
-uses, analytically, at any scale — regenerating the series of Figs. 8, 9
-and 10 and the "observed" side of Fig. 5.
+charges the executable engine's own kernel table and collective laws
+through its own timeline, on shard shapes instead of data, at any scale —
+regenerating the series of Figs. 8, 9 and 10 and the "observed" side of
+Fig. 5.
 """
 
 from repro.perf.calibration import PlexusCalibration, PartitionCalibration, BoundaryModel

@@ -1,15 +1,11 @@
 """Analytic epoch-time models at paper scale.
 
-Each model composes the *same* kernel models (``repro.gpu``) and collective
-cost laws (``repro.dist.collectives``) the executable engine charges its
-virtual clocks with — evaluated symbolically with per-rank shard shapes
-derived from the dataset statistics, so 2048-GPU epochs cost microseconds to
-estimate instead of terabytes to execute.
-
 Models:
 
 * :class:`PlexusAnalytic` — the 3D algorithm (Algorithms 1-2 + Sec. 5
-  optimizations) for any grid configuration.
+  optimizations) for any grid configuration: the executable engine's epoch
+  charged on shard shapes derived from the dataset statistics, so 2048-GPU
+  epochs cost microseconds to estimate instead of terabytes to execute.
 * :class:`PartitionParallelAnalytic` — BNS-GCN (all-to-all boundary
   exchange) and CAGNET-SA / SA+GVB (broadcast-style sparsity-aware
   exchange), including the per-rank peak-memory model that reproduces the
@@ -22,9 +18,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.grid import GridConfig, axis_roles
-from repro.core.perf_model import layer_collective_times
+import numpy as np
+
+from repro.core.grid import Axis, GridConfig, axis_roles
+from repro.core.layers import kernel_times
+from repro.core.perf_model import collective_times
+from repro.dist.cluster import ClockStore
 from repro.dist.collectives import all_to_all_time, ring_all_gather_time, ring_all_reduce_time
+from repro.dist.comm import PendingCollective, _schedule, _Slots
+from repro.dist.group import axis_bandwidth
 from repro.dist.topology import MachineSpec
 from repro.gpu.gemm import GemmMode, gemm_time
 from repro.gpu.spmm import SpmmShard, spmm_time
@@ -66,9 +68,66 @@ class EpochEstimate:
 # ---------------------------------------------------------------------------
 
 
+class _Sweep:
+    """The engine's timeline for many grid configurations: one rank of a
+    :class:`ClockStore` and one link per physical axis each (every group of
+    an axis does the same on equal shards).  ``lag`` is each configuration's
+    straggler lead after a noisy or imbalanced SpMM: it waits at the next
+    collective that synchronises ranks (the engine's ``ready = max(member
+    clocks)``) or at the epoch barrier."""
+
+    def __init__(self, configs: Sequence[GridConfig], machine: MachineSpec) -> None:
+        n = len(configs)
+        self.store = ClockStore(n)
+        self.latency, self.overhead = machine.latency, machine.issue_overhead_s
+        self.sizes = {a: np.array([c.size(a) for c in configs], dtype=np.float64) for a in Axis}
+        self.bw = {
+            a: np.array([axis_bandwidth(machine, c.size(a), c.inner_size(a)) for c in configs]) for a in Axis
+        }
+        self.slots = {a: _Slots([(i, a) for i in range(n)], [slice(i, i + 1) for i in range(n)]) for a in Axis}
+        self.lag = np.zeros(n)
+
+    def compute(self, phase: str, seconds, lag=0.0) -> None:
+        self.store.clocks += seconds
+        self.store.record_all("comp:" + phase, seconds)
+        self.lag = self.lag + lag
+
+    def issue(self, phase: str, axis: Axis, duration) -> PendingCollective:
+        store, full = self.store, "comm:" + phase
+        sync = self.sizes[axis] > 1
+        if self.overhead:  # a launch cost per issue, as the engine charges it
+            store.clocks += self.overhead * sync
+            store.record_all(full, self.overhead * sync)
+        ready = store.clocks + self.lag * sync
+        self.lag = np.where(sync, 0.0, self.lag)
+        begin, end = _schedule(store, self.slots[axis], ready, duration, full)
+        return PendingCollective(full, None, store, ("cube", ready.shape, begin, end, duration))
+
+    def barrier(self) -> None:
+        self.store.clocks += self.lag
+        self.store.record_all("comm:epoch_sync", self.lag)
+        self.lag = np.zeros_like(self.lag)
+
+    def estimates(self) -> list[EpochEstimate]:
+        comm, comp = (self.store.prefix_totals(c).tolist() for c in ("comm:", "comp:"))
+        phases = {p.split(":", 1)[1]: v.tolist() for p, v in self.store.by_phase.items()}
+        return [EpochEstimate(comm[i], comp[i], detail={p: v[i] for p, v in phases.items()}) for i in range(len(comm))]
+
+
 @dataclass(frozen=True)
 class PlexusAnalytic:
-    """Full-scale analytic model of Plexus for one dataset + machine."""
+    """Full-scale analytic model of Plexus for one dataset + machine.
+
+    An estimate is the engine's steady-state epoch — Algorithms 1-2 and the
+    loss in the engine's issue order, under its ``overlap`` and blocked
+    schedules, a frozen layer 0 as it replays — charged with the engine's
+    kernel table (:func:`repro.core.layers.kernel_times`) and ring laws
+    (:func:`repro.core.perf_model.collective_times`) on the mean shard of
+    ``stats`` through the engine's own timeline: what overlaps is what the
+    schedule hides.  ``calibration`` and the permutation's imbalance model
+    what the engine does not (see ``repro.perf.calibration``).  ``detail``
+    holds seconds by the engine's phase names (``spmm_fwd``, ...).
+    """
 
     stats: DatasetStats
     layer_dims: Sequence[int]
@@ -77,112 +136,110 @@ class PlexusAnalytic:
     aggregation_blocks: int = 1
     tune_dw_gemm: bool = True
     trainable_features: bool = True
-    #: nonblocking-collective scheduling: prefetched W all-gathers hide
-    #: behind the layer's aggregation SpMM (forward) and grad-W GEMM
-    #: (backward), mirroring the executable engine's ``overlap=True``
-    #: schedules.  (Per-block aggregation pipelining is already part of the
-    #: Sec. 5.2 blocked model via ``blocked_comm_visible_frac``.)
+    #: the engine's nonblocking schedules (``PlexusOptions.overlap``)
     overlap: bool = False
     calibration: PlexusCalibration = field(default_factory=PlexusCalibration)
 
-    def _imbalance(self) -> float:
-        return IMBALANCE_BY_SCHEME[self.permutation]
+    def __post_init__(self) -> None:
+        if self.permutation not in IMBALANCE_BY_SCHEME:
+            raise ValueError(f"unknown permutation {self.permutation!r} (known: {sorted(IMBALANCE_BY_SCHEME)})")
+        if self.aggregation_blocks < 1:
+            raise ValueError("aggregation_blocks must be >= 1")
+        if len(self.layer_dims) < 2:
+            raise ValueError("need at least two layer dims")
 
     def epoch_estimate(self, config: GridConfig) -> EpochEstimate:
         """Modeled epoch for one grid configuration."""
-        cal = self.calibration
-        dev = self.machine.device
-        n, nnz = self.stats.nodes, self.stats.nonzeros
-        n_layers = len(self.layer_dims) - 1
-        imb = self._imbalance()
-        comm = comp = 0.0
-        detail: dict[str, float] = {"spmm": 0.0, "gemm": 0.0, "gemm_dw": 0.0, "agg_comm": 0.0, "other_comm": 0.0, "hidden_comm": 0.0}
-        for i in range(n_layers):
-            roles = axis_roles(i)
-            gx, gy, gz = (config.size(roles.x), config.size(roles.y), config.size(roles.z))
-            d_in, d_out = self.layer_dims[i], self.layer_dims[i + 1]
-            # Eq. 4.5: this layer's collectives as named ring durations
-            c = layer_collective_times(config, self.machine, n, d_in, d_out, i, _ELEM)
-            rows_z, rows_x = n / gz, n / gx
-            cols_y, cols_x = d_in / gy, d_out / gx
-            nnz_local = nnz / (gz * gx)
-            is_first = i == 0
+        return self.epoch_estimates([config])[0]
 
-            # ---- forward SpMM (+ variability + blocking, Sec. 5.2) --------
-            nnz_per_call = nnz_local / self.aggregation_blocks
-            fwd_shard = SpmmShard(rows=max(int(rows_z), 1), k=max(int(rows_x), 1), cols=max(cols_y, 1e-6), nnz=max(int(nnz_local), 1))
-            t_spmm = spmm_time(fwd_shard, dev)
-            noisy = nnz_per_call > cal.variability_threshold_nnz
-            mean_mult = cal.variability_mean_slowdown if noisy else 1.0
-            max_mult = cal.variability_max_slowdown if noisy else 1.0
-            comp += t_spmm * mean_mult
-            detail["spmm"] += t_spmm * mean_mult
-            # straggler wait before the aggregation all-reduce: imbalance
-            # (mitigated by permutation) x variability (mitigated by blocking)
-            wait = t_spmm * max(imb * max_mult - mean_mult, 0.0)
-            t_agg_comm = c["ar_h"]
-            if self.aggregation_blocks > 1:
-                hidden_agg = 0.0
-                if self.overlap:
-                    # nonblocking handles: each block's all-reduce stays in
-                    # flight behind the next block's SpMM, so only the
-                    # visible fraction reaches the timeline
-                    hidden_agg = t_agg_comm * (1.0 - cal.blocked_comm_visible_frac)
-                    detail["hidden_comm"] += hidden_agg
-                t_agg_comm = t_agg_comm - hidden_agg + self.aggregation_blocks * cal.collective_overhead_s
-            comm += t_agg_comm + wait
-            detail["agg_comm"] += t_agg_comm + wait
+    def epoch_estimates(self, configs: Sequence[GridConfig]) -> list[EpochEstimate]:
+        """Modeled epochs of many configurations, walked once as one rank
+        each (bitwise what :meth:`epoch_estimate` gives one at a time)."""
+        sweep = _Sweep(configs, self.machine)
+        layers = [self._layer(sweep, i) for i in range(len(self.layer_dims) - 1)]
+        # under ``overlap`` a frozen layer 0's F gather is prefetched across
+        # the epoch boundary: the steady epoch is the second
+        prefetch = None
+        for _ in range(1 + (self.overlap and not self.trainable_features)):
+            sweep.store.by_phase.clear()
+            sweep.store.by_category.clear()
+            prefetch = self._epoch(sweep, layers, prefetch)
+        return sweep.estimates()
 
-            # ---- combination GEMM + Y-all-reduce ---------------------------
-            t_gemm = gemm_time(rows_z, cols_x, cols_y, dev, GemmMode.NN)
-            comp += t_gemm
-            detail["gemm"] += t_gemm
-            t = c["ar_q"] + c["ag_w"]
-            if is_first:
-                t += c["ag_f"]
-            comm += t
-            detail["other_comm"] += t
+    def _layer(self, sweep: _Sweep, i: int) -> dict:
+        """Layer ``i``'s kernel seconds, straggler lag and collectives over
+        the sweep's configurations."""
+        cal, blocks = self.calibration, self.aggregation_blocks
+        gx, gy, gz = (sweep.sizes[a] for a in axis_roles(i).as_tuple())
+        n, d_in, d_out = self.stats.nodes, self.layer_dims[i], self.layer_dims[i + 1]
+        nnz = self.stats.nonzeros / (gz * gx)
+        extents = {"a_rows": n / gz, "a_cols": n / gx, "f_cols": d_in / gy, "w_cols": d_out / gx}
+        t = kernel_times(extents, nnz, [(n / gz / blocks, nnz / blocks)], self.machine.device, self.tune_dw_gemm)
+        # Sec. 5.2's variability on calls above the threshold, and the
+        # slowest rank's lead (a lone rank has none): imbalance (permutation)
+        # x variability (blocking)
+        noisy = nnz / blocks > cal.variability_threshold_nnz
+        mean = np.where(noisy, cal.variability_mean_slowdown, 1.0)
+        peak = np.where(noisy, cal.variability_max_slowdown, 1.0)
+        spmm = t["spmm_fwd"][0]
+        t["spmm_fwd"] = spmm * mean
+        t["lag"] = spmm * np.maximum(IMBALANCE_BY_SCHEME[self.permutation] * peak - mean, 0.0) * (gx * gy * gz > 1)
+        t["comm"] = collective_times(n, d_in, d_out, i, sweep.sizes, sweep.bw, sweep.latency, _ELEM, blocks)
+        return t
 
-            # ---- backward ---------------------------------------------------
-            dw_mode = GemmMode.NT if self.tune_dw_gemm else GemmMode.TN
-            t_dw = gemm_time(cols_y, cols_x, rows_z, dev, dw_mode)
-            t_dh = gemm_time(rows_z, cols_y, cols_x, dev, GemmMode.NT)
-            comp += t_dw + t_dh
-            detail["gemm_dw"] += t_dw
-            detail["gemm"] += t_dh
-            t = c["rs_dw"] + c["ag_w"]
-            t += c["ar_dh"]
-            do_df = (not is_first) or self.trainable_features
-            if do_df:
-                # Sec. 5.2 observes the variability on the *forward* SpMM
-                # only, so the backward SpMM carries no noise multiplier.
-                bwd_shard = SpmmShard(rows=max(int(rows_x), 1), k=max(int(rows_z), 1), cols=max(cols_y, 1e-6), nnz=max(int(nnz_local), 1))
-                t_bwd = spmm_time(bwd_shard, dev)
-                comp += t_bwd
-                detail["spmm"] += t_bwd
-                if self.overlap:
-                    # the dH all-reduce stays in flight behind the backward
-                    # SpMM (A^T column blocks pipeline against ring steps);
-                    # only the uncovered tail stays visible
-                    hidden_dh = min(c["ar_dh"], t_bwd)
-                    t -= hidden_dh
-                    detail["hidden_comm"] += hidden_dh
-                t += c["rs_df"] if is_first else c["ar_df"]
-            comm += t
-            detail["other_comm"] += t
+    def _epoch(self, sweep: _Sweep, layers: list, prefetch):
+        """One epoch in the engine's issue order (``PlexusGCN.forward``,
+        ``distributed_masked_ce``, ``PlexusGCN.backward``, the barrier);
+        returns the F gather it prefetches for the next."""
+        overlap, frozen = self.overlap, not self.trainable_features
 
-            # ---- overlap (nonblocking handles): prefetched W all-gathers --
-            # are issued a layer ahead, so the forward gather hides behind
-            # this layer's aggregation SpMM and the backward re-gather
-            # behind the grad-W GEMM; only the uncovered tail stays visible.
-            if self.overlap:
-                hidden = min(c["ag_w"], t_spmm * mean_mult) + min(c["ag_w"], t_dw)
-                comm -= hidden
-                detail["other_comm"] -= hidden
-                detail["hidden_comm"] += hidden
-        # fixed per-epoch collective launch overheads (~10 collectives/layer)
-        comm += cal.collective_overhead_s * 10 * n_layers
-        return EpochEstimate(comm=comm, comp=comp, detail=detail)
+        def issue(phase: str, la: dict) -> PendingCollective:
+            return sweep.issue(phase, *la["comm"][phase])
+
+        w_pending = None
+        for i, la in enumerate(layers):
+            if i == 0:
+                (prefetch or issue("all_gather_f", la)).wait()
+            if overlap and w_pending is None:
+                w_pending = issue("all_gather_w", la)
+            handles = []
+            for _ in range(self.aggregation_blocks):
+                sweep.compute("spmm_fwd", la["spmm_fwd"], la["lag"])
+                handle = issue("all_reduce_h", la)
+                if overlap:
+                    handles.append(handle)
+                else:
+                    handle.wait()
+            for handle in handles:
+                handle.wait()
+            (w_pending or issue("all_gather_w", la)).wait()
+            sweep.compute("gemm_fwd", la["gemm_fwd"])
+            issue("all_reduce_q", la).wait()
+            w_pending = issue("all_gather_w", layers[i + 1]) if overlap and i + 1 < len(layers) else None
+        for phase in ("loss_max", "loss_sumexp", "loss_zlabel", "loss_total"):
+            issue(phase, layers[-1]).wait()
+        prefetch = w_pending = None
+        for i in range(len(layers) - 1, -1, -1):
+            la = layers[i]
+            if overlap and w_pending is None:
+                w_pending = issue("all_gather_w", la)
+            sweep.compute("gemm_dw", la["gemm_dw"])
+            issue("reduce_scatter_dw", la).wait()
+            (w_pending or issue("all_gather_w", la)).wait()
+            if i == 0 and overlap and frozen:
+                prefetch = issue("all_gather_f", la)
+            sweep.compute("gemm_dh", la["gemm_dh"])
+            dh = issue("all_reduce_dh", la)
+            if not overlap or (i == 0 and frozen):
+                dh.wait()  # eager, or nobody reads a frozen layer 0's dH
+            if i or not frozen:
+                sweep.compute("spmm_bwd", la["spmm_bwd"])
+                if overlap:
+                    dh.wait()  # the backward SpMM ran behind it
+                issue("all_reduce_df" if i else "reduce_scatter_df", la).wait()
+            w_pending = issue("all_gather_w", layers[i - 1]) if overlap and i > 0 else None
+        sweep.barrier()
+        return prefetch
 
     def memory_per_rank(self, config: GridConfig) -> float:
         """Peak bytes per rank: adjacency shards (x permutation versions),

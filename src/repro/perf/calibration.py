@@ -2,9 +2,23 @@
 
 Everything here is a named, documented constant so the Figs. 8-10 shapes can
 be audited: the *structure* of the models lives in ``repro.perf.analytic``,
-the tuned magnitudes live here.  Constants were fitted once against the
-paper's reported values (Fig. 6's bars, Fig. 9's breakdown, Sec. 7.1's
-boundary-growth anecdote) and are not adjusted per experiment.
+the tuned magnitudes live here, and none is adjusted per experiment.
+
+What is left for Plexus is what the engine does not model
+deterministically — the kernel, ring and schedule costs are the engine's
+own (``PlexusAnalytic`` charges them through its timeline):
+
+* :class:`PlexusCalibration` — the forward SpMM's variability above a
+  nonzero threshold (Sec. 5.2's observed effect: a mean and a worst-rank
+  slowdown), fitted once against Fig. 6's bars;
+* :data:`IMBALANCE_BY_SCHEME` — the permutation schemes' max/mean shard
+  nonzeros (Table 3), standing in for the per-shard counts a model of a
+  graph it does not hold cannot have.
+
+The partition-parallel baselines (BNS-GCN, SA, SA+GVB) have no engine
+behind them: :class:`BoundaryModel` and :class:`PartitionCalibration` were
+fitted once against the paper's reported values (Fig. 9's breakdown,
+Sec. 7.1's boundary-growth anecdote).
 """
 
 from __future__ import annotations
@@ -59,18 +73,13 @@ BOUNDARY_BY_DATASET: dict[str, BoundaryModel] = {
 
 @dataclass(frozen=True)
 class PlexusCalibration:
-    """Constants of the Plexus analytic model."""
+    """The Plexus analytic model's variability constants."""
 
     #: SpMM variability threshold/scale (Sec. 5.2's observed effect): calls
     #: above this local-nonzero count suffer the expected slowdown below.
     variability_threshold_nnz: float = 2.0e7
     variability_mean_slowdown: float = 1.18
     variability_max_slowdown: float = 1.55
-    #: per-collective-call fixed software overhead (launch + NCCL setup)
-    collective_overhead_s: float = 30e-6
-    #: fraction of aggregation all-reduce left visible when blocked
-    #: aggregation pipelines it behind per-block SpMMs (Sec. 5.2)
-    blocked_comm_visible_frac: float = 0.35
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,12 @@ class ScalingPoint:
 
 
 def best_plexus_config(model: PlexusAnalytic, gpus: int) -> tuple[GridConfig, EpochEstimate]:
-    """Minimum-epoch-time factorization of ``gpus`` under the analytic model."""
-    best_cfg, best_est = None, None
-    for cfg in factor_triples(gpus):
-        est = model.epoch_estimate(cfg)
-        if best_est is None or est.total < best_est.total:
-            best_cfg, best_est = cfg, est
-    assert best_cfg is not None and best_est is not None
-    return best_cfg, best_est
+    """Minimum-epoch-time factorization of ``gpus`` under the analytic model
+    (the first of equals, in :func:`factor_triples` order)."""
+    configs = factor_triples(gpus)
+    estimates = model.epoch_estimates(configs)
+    best = min(range(len(configs)), key=lambda i: estimates[i].total)
+    return configs[best], estimates[best]
 
 
 def strong_scaling_series(

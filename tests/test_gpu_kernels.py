@@ -50,15 +50,15 @@ class TestSpmmShard:
     )
     @settings(max_examples=120, deadline=None)
     def test_batch_time_matches_scalar_model(self, rows, k, cols, nnz):
-        """spmm_time_batch vectorizes the same cost model spmm_time defines;
-        any recalibration of one must show up in the other (the layers'
-        epoch times come from the batch form)."""
+        """A shard's time is the same whatever batch it is priced in — one
+        shard alone (spmm_time), a rank's shards, a sweep's configurations —
+        so the layers' per-rank vectors and the analytic sweeps agree."""
         from repro.dist.topology import FRONTIER, PERLMUTTER
 
         for machine in (PERLMUTTER, FRONTIER):
             scalar = spmm_time(SpmmShard(rows=rows, k=k, cols=float(cols), nnz=nnz), machine.device)
-            batch = float(spmm_time_batch(rows, k, float(cols), nnz, machine.device))
-            assert batch == scalar
+            batch = spmm_time_batch([1, rows, 7], [3, k, 5], [2.0, float(cols), 9.0], [0, nnz, 40], machine.device)
+            assert float(batch[1]) == scalar
 
 
 class TestTable2Reproduction:

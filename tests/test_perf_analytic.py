@@ -2,10 +2,11 @@
 must reproduce (Figs. 8-10 headline claims)."""
 
 import math
+from unittest import mock
 
 import pytest
 
-from repro.core import GridConfig
+from repro.core import GridConfig, factor_triples
 from repro.dist import FRONTIER, PERLMUTTER
 from repro.experiments.common import gcn_layer_dims
 from repro.graph import dataset_stats
@@ -16,7 +17,7 @@ from repro.perf import (
     sa_analytic,
     strong_scaling_series,
 )
-from repro.perf.calibration import IMBALANCE_BY_SCHEME, BoundaryModel, sa_needed_rows
+from repro.perf.calibration import IMBALANCE_BY_SCHEME, BoundaryModel, PlexusCalibration, sa_needed_rows
 
 
 def _dims(name):
@@ -61,6 +62,48 @@ class TestPlexusAnalytic:
         assert 0 < est.total < 10
         assert est.comm > 0 and est.comp > 0
         assert not est.oom
+
+    @pytest.mark.parametrize(
+        "bad", [dict(aggregation_blocks=-2), dict(aggregation_blocks=0), dict(permutation="triple")]
+    )
+    def test_refuses_inputs_it_cannot_price(self, bad):
+        st, dims = _dims("reddit")
+        with pytest.raises(ValueError):
+            PlexusAnalytic(st, dims, PERLMUTTER, **bad)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_a_sweep_prices_each_configuration_as_alone(self, overlap):
+        """One store rank per configuration: batching changes no bit."""
+        st, dims = _dims("isolate-3-8m")
+        model = PlexusAnalytic(st, dims, FRONTIER, aggregation_blocks=3, overlap=overlap, trainable_features=False)
+        configs = factor_triples(64)
+        for batched, cfg in zip(model.epoch_estimates(configs), configs):
+            alone = model.epoch_estimate(cfg)
+            assert (batched.comm, batched.comp, batched.detail) == (alone.comm, alone.comp, alone.detail)
+
+    @pytest.mark.parametrize("name", ["X1Y4Z1", "X4Y1Z1", "X1Y1Z4", "X2Y2Z1", "X1Y1Z1"])
+    def test_a_straggler_waits_at_the_next_synchronising_collective(self, name):
+        """Every forward SpMM on Reddit at 4 GPUs is noisy: its slowest
+        rank's lead reaches the epoch whole — past a size-1 X axis to the
+        next collective that syncs ranks — and a lone rank has none."""
+        st, dims = _dims("reddit")
+        cfg, cal = GridConfig.parse(name), PlexusCalibration()
+        lagged = PlexusAnalytic(st, dims, PERLMUTTER).epoch_estimate(cfg)
+        with mock.patch.dict(IMBALANCE_BY_SCHEME, double=1.0):
+            flat_cal = PlexusCalibration(variability_max_slowdown=cal.variability_mean_slowdown)
+            flat = PlexusAnalytic(st, dims, PERLMUTTER, calibration=flat_cal).epoch_estimate(cfg)
+        assert lagged.comp == flat.comp
+        lead = IMBALANCE_BY_SCHEME["double"] * cal.variability_max_slowdown - cal.variability_mean_slowdown
+        expected = lagged.detail["spmm_fwd"] / cal.variability_mean_slowdown * lead if cfg.total > 1 else 0.0
+        assert lagged.total - flat.total == pytest.approx(expected, rel=1e-9)
+
+    def test_detail_holds_the_engines_phases(self):
+        st, dims = _dims("reddit")
+        est = PlexusAnalytic(st, dims, PERLMUTTER).epoch_estimate(GridConfig(2, 2, 2))
+        comp = sum(est.detail[p] for p in ("spmm_fwd", "spmm_bwd", "gemm_fwd", "gemm_dw", "gemm_dh"))
+        assert comp == pytest.approx(est.comp)
+        assert sum(est.detail.values()) == pytest.approx(est.total)
+        assert {"all_reduce_h", "all_gather_w", "loss_total", "reduce_scatter_df", "epoch_sync"} <= est.detail.keys()
 
     def test_strong_scaling_monotone_for_large_graph(self):
         st, dims = _dims("ogbn-papers100m")
