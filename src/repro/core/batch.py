@@ -54,7 +54,7 @@ All outputs preserve the input dtype, so the model's ``compute_dtype``
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +62,8 @@ import scipy.sparse as sp
 
 from repro.dist.padded import CubeStack, cube_boxes, stack_shards
 from repro.errors import PlanReleased
-from repro.sparse.ops import ReplicatedCsr, spmm
+from repro.sparse import ops as _ops
+from repro.sparse.ops import ReplicatedCsr, run_parts, spmm
 
 __all__ = [
     "batched_matmul",
@@ -73,6 +74,7 @@ __all__ = [
     "shard_views",
     "stack_data",
     "stack_matmul",
+    "side_by_side",
     "stack_transpose",
     "stack_map",
     "stack_mul",
@@ -141,15 +143,36 @@ def _per_rank(key: bytes | None, pad: int, world: int) -> np.ndarray:
     return np.full(world, pad) if key is None else np.frombuffer(key, dtype=np.int64)
 
 
+#: multiply-adds each part of a split GEMM step must carry, and each of two
+#: GEMMs run side by side (``core.layers``): below it, handing a part to a
+#: pool thread (≈50 µs of wake-up and hand-back) costs more than it saves.
+#: On a 2-CPU host two parts break even between 2 M and 16 M multiply-adds
+#: in all, by form and matrix shape (narrow TN last), and save 20-45 % of
+#: the wall time from 16 M on (the measured curve: CHANGES.md).  A
+#: step splits from 8 M: every benchmark GEMM past it (14-57 M) gains
+_GEMM_PAR_MIN = 1 << 22
+
+
+def side_by_side(work: int) -> bool:
+    """Whether two independent GEMMs of ``work`` multiply-adds each pay for
+    running side by side on this process's pool (its CPU share as of now)."""
+    return work >= _GEMM_PAR_MIN and (_ops._share or _ops.parallelism()[0]) > 1
+
+
 @lru_cache(maxsize=256)
-def _matmul_plan(grid, a_shape, b_shape, m_key, k_key, k2_key, n_key) -> tuple:
-    """The box plan of one GEMM signature: ``(output cube shape, valid rows,
-    valid cols, steps)``.  Extent keys are the bytes of an operand's
-    ``(world,)`` vectors, ``None`` where every extent is its cube's.
-    ``steps`` holds one ``(a index, b index, out index, thin)`` per non-empty
-    exact-shape box (``thin``: a vector product), or is ``None`` when one box
-    spans the cubes at full extent and is not thin — the product is then a
-    plain ``np.matmul`` of the cubes.  A pure function of the geometry."""
+def _matmul_plan(grid, a_shape, b_shape, m_key, k_key, k2_key, n_key, share) -> tuple:
+    """The box plan of one GEMM signature on a CPU share of ``share``:
+    ``(output cube shape, valid rows, valid cols, steps, alloc)``.  Extent
+    keys are the bytes of an operand's ``(world,)`` vectors, ``None`` where
+    every extent is its cube's.  ``steps`` holds one ``(a index, b index,
+    out index, thin)`` per non-empty exact-shape box (``thin``: a vector
+    product), or is ``None`` when one box spans the cubes at full extent and
+    is not thin — the product is then a plain ``np.matmul`` of the cubes.
+    A one-box plan whose multiply-adds pass :data:`_GEMM_PAR_MIN` per part
+    is cut along its first cube axis with extent > 1 into ``min(share,
+    work / _GEMM_PAR_MIN, extent)`` steps that run side by side; ``alloc``
+    is then the output's allocator (``np.empty`` when the steps tile it),
+    else ``None``.  A pure function of the geometry and the share."""
     world = grid[0] * grid[1] * grid[2]
     a_lead, b_lead = a_shape[:3], b_shape[:3]
     lead = np.broadcast_shapes(a_lead, b_lead)
@@ -173,9 +196,48 @@ def _matmul_plan(grid, a_shape, b_shape, m_key, k_key, k2_key, n_key) -> tuple:
                     m == 1 or n == 1,
                 )
             )
+    shape = lead + (pad_m, pad_n)
+    axis = next((i for i, e in enumerate(lead) if e > 1), None)
+    parts = 1
+    if len(boxes) == 1 and steps and axis is not None:
+        m, k, n = boxes[0][1]
+        work = lead[0] * lead[1] * lead[2] * m * k * n
+        parts = max(1, min(share, work // max(_GEMM_PAR_MIN, 1), lead[axis]))
+    _ops.note_parts("gemm", parts)
+    if parts > 1:  # the slabs tile the output unless its rows or cols are padded
+        alloc = np.empty if (m, n) == (pad_m, pad_n) else np.zeros
+        return shape, rows, cols, _split_step(steps[0], axis, parts, a_lead, b_lead), alloc
     if len(boxes) == 1 and boxes[0][1] == (pad_m, pad_k, pad_n) and not (steps and steps[0][3]):
         steps = None
-    return lead + (pad_m, pad_n), rows, cols, steps
+    return shape, rows, cols, steps, None
+
+
+def _split_step(step: tuple, axis: int, parts: int, a_lead: tuple, b_lead: tuple) -> list:
+    """One box's step cut into ``parts`` along cube axis ``axis`` of the
+    output: about equal slabs, each read from the operands' slabs (an
+    operand with extent 1 there is read whole by every part).  Every rank's
+    GEMM keeps its operands, strides and output block, so it rounds as in
+    the uncut step."""
+    ia, ib, io, thin = step
+    n = io[axis].stop
+    bounds = [n * i // parts for i in range(parts + 1)]
+
+    def slab(index: tuple, cut: bool, lo: int, hi: int) -> tuple:
+        return index[:axis] + (slice(lo, hi),) + index[axis + 1 :] if cut else index
+
+    a_cut, b_cut = a_lead[axis] > 1, b_lead[axis] > 1
+    return [
+        (slab(ia, a_cut, lo, hi), slab(ib, b_cut, lo, hi), slab(io, True, lo, hi), thin)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray, thin: bool) -> None:
+    """One step of a split :func:`stack_matmul`, written into ``out``."""
+    if thin:
+        out[...] = np.matmul(a.copy(order="K"), b.copy(order="K"))
+    else:
+        np.matmul(a, b, out=out)
 
 
 def stack_matmul(a, b, *, ta: bool = False, tb: bool = False) -> CubeStack:
@@ -191,6 +253,10 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False) -> CubeStack:
     (values, unit inner stride, transposition) :func:`batched_matmul` hands
     BLAS for the same product, so it rounds identically.  When nothing is
     padded the plan is one box and the product one ``np.matmul`` of the cubes.
+    A one-box product past break-even runs in slabs of ranks on the
+    process's pool (:func:`~repro.sparse.ops.run_parts`), bitwise the same —
+    unless it already is a part of one (a GEMM run beside another): its CPU
+    share is then 1.
     """
     a, b = _pair(a, b)
     ac, m_key, k_key = a.cube, a.rows, a.cols
@@ -199,7 +265,7 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False) -> CubeStack:
         ac, m_key, k_key = ac.swapaxes(-1, -2), k_key, m_key
     if tb:
         bc, k2_key, n_key = bc.swapaxes(-1, -2), n_key, k2_key
-    shape, rows, cols, steps = _matmul_plan(
+    shape, rows, cols, steps, alloc = _matmul_plan(
         a.grid,
         ac.shape,
         bc.shape,
@@ -207,10 +273,16 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False) -> CubeStack:
         k_key if k_key is None else k_key.tobytes(),
         k2_key if k2_key is None else k2_key.tobytes(),
         n_key if n_key is None else n_key.tobytes(),
+        1 if _ops._part.active else _ops._share or _ops.parallelism()[0],
     )
     if steps is None:
         return CubeStack(np.matmul(ac, bc), a.grid, rows, cols)
-    out = np.zeros(shape, dtype=np.result_type(ac.dtype, bc.dtype))
+    dtype = np.result_type(ac.dtype, bc.dtype)
+    if alloc is not None:
+        out = alloc(shape, dtype=dtype)
+        run_parts([partial(_gemm, ac[ia], bc[ib], out[io], thin) for ia, ib, io, thin in steps], "gemm")
+        return CubeStack(out, a.grid, rows, cols)
+    out = np.zeros(shape, dtype=dtype)
     for ia, ib, io, thin in steps:
         if thin:
             # one valid row or column: numpy hands these to BLAS level 1/2

@@ -52,7 +52,13 @@ Z-all-reduce (z) meets ``relu'(Q_prev)`` with the same extents.
 the next layer's F itself, not Q: both give the ``relu'`` mask bitwise.
 Backward drops H after the dW GEMM and dH before the Z reduction allocates
 dF; the model drops each mask after the chain rule, the trainer the logits
-after the loss.  Weights,
+after the loss.  The W a forward gathered stays in its cache (it is the
+layer's W until the optimizer step), so backward's line-4 gather is
+re-issued with it and its recorded duration — the gather's timeline, no
+copy — and dH's operands exist before dW's reduce-scatter: past break-even
+the dW and dH GEMMs run side by side on the process's pool
+(:func:`repro.sparse.ops.run_parts`), the clocks charging each where
+Algorithm 2 puts it.  Weights,
 features and gradients handed to the optimizer are flat ``(world, m, n)``.
 Quasi-equal sharding is the same stacks zero-padded: their per-rank valid
 extents keep pad entries out of every sum (kernels run once per *box* of
@@ -107,6 +113,7 @@ real-GPU backend could swap in an instrumented kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -117,6 +124,7 @@ from repro.core.batch import (
     CubeStack,
     concat_stack_rows,
     shard_views,
+    side_by_side,
     stack_map,
     stack_matmul,
     stack_shards,
@@ -131,6 +139,7 @@ from repro.gpu.spmm import spmm_time_batch
 from repro.nn.functional import relu
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
+from repro.sparse.ops import run_parts
 from repro.sparse.partition import block_slices, csr_block
 
 __all__ = ["LayerCache", "PlexusLayer", "kernel_times"]
@@ -152,6 +161,11 @@ class LayerCache:
     #: the layer's output, per rank: relu(Q) (the next layer's ``f`` and the
     #: source of relu'(Q)), or the logits
     q: CubeStack | None
+    #: the W the forward gathered (read-only, unchanged until the optimizer
+    #: step) and the gather's scheduled duration: backward re-issues the
+    #: gather with both instead of gathering again
+    w: CubeStack
+    w_duration: Any
 
 
 #: ``_FrozenAggregation.dh_duration`` before the first backward (``None``
@@ -319,6 +333,9 @@ class PlexusLayer:
         )
         self._t_spmm_blocks, self._t_spmm_bwd = t["spmm_fwd"], t["spmm_bwd"]
         self._t_gemm_fwd, self._t_gemm_dw, self._t_gemm_dh = t["gemm_fwd"], t["gemm_dw"], t["gemm_dh"]
+        #: whether backward runs its dW and dH GEMMs side by side: each
+        #: multiplies one ``rows x f_cols x w_cols`` product per held rank
+        self._lanes = side_by_side(int(np.sum(extents["a_rows"] * extents["f_cols"] * extents["w_cols"])))
         #: the forward aggregation as (SpMM time vector, nnz, stacked plan)
         #: steps, one per row block (Sec. 5.2)
         self._agg_steps = list(zip(self._t_spmm_blocks, block_nnz, self._bd_blocks))
@@ -335,17 +352,21 @@ class PlexusLayer:
         self.cluster.advance_all(times, "comp:spmm_bwd" if bwd else "comp:spmm_fwd")
 
     # -- W all-gather (issued here, waited where the GEMM consumes it) -----------
-    def issue_w_gather(self) -> PendingCollective:
+    def issue_w_gather(self, held: LayerCache | None = None) -> PendingCollective:
         """Issue the Z-axis all-gather of this layer's weight shards.
 
         With ``overlap=True`` the model driver calls this at the end of the
         *previous* layer (forward) / the previous backward step, so the
         gather rides behind that layer's remaining compute; eager mode
-        issues and waits at the point of use.
+        issues and waits at the point of use.  Backward passes its forward's
+        cache as ``held``: the W it gathered is still the layer's W, so the
+        collective is re-issued with that result and its recorded duration —
+        the timeline is the gather's, only the copy goes.
         """
-        return self.grid.comm(self.roles.z).all_gather(
-            self.w_stack, phase="all_gather_w", pad=self._w_gather_pad
-        )
+        comm_z = self.grid.comm(self.roles.z)
+        if held is not None:
+            return comm_z.issue(held.w_duration, phase="all_gather_w", result=held.w)
+        return comm_z.all_gather(self.w_stack, phase="all_gather_w", pad=self._w_gather_pad)
 
     def issue_f_gather(self, f_in) -> PendingCollective:
         """Issue the layer-0 Z-axis all-gather of the input-feature shards.
@@ -416,7 +437,7 @@ class PlexusLayer:
             # whose logits feed the softmax cross-entropy); Q dies here
             f_out = q if self.is_last else stack_map(relu, q)
             f_out.cube.setflags(write=False)  # cached: read-only like H
-            return f_out, LayerCache(f=f, h=h, q=f_out)
+            return f_out, LayerCache(f=f, h=h, q=f_out, w=w_local, w_duration=w_pending.duration)
 
     def _aggregation_steps(self, f, step: int, replay: list | None = None) -> tuple[list, list]:
         """Lines 4-5: one stacked block-diagonal SpMM and one X-all-reduce
@@ -466,35 +487,51 @@ class PlexusLayer:
             grid, roles = self.grid, self.roles
             comm_x, comm_z = grid.comm(roles.x), grid.comm(roles.z)
             h, cache.h = cache.h, None
+            w_local, frozen = cache.w, self._frozen
+            # nobody reads a frozen layer 0's dH once its all-reduce is timed
+            replay_dh = frozen is not None and frozen.dh_duration is not _UNRECORDED
+            dh_partial = None
             # overlap: re-gather W behind the grad-W GEMM and dW reduce-scatter
             if self.overlap and w_pending is None:
-                w_pending = self.issue_w_gather()
-            # Line 2: dW = SGEMM(H^T, dQ) — TN mode, or the Sec. 5.3 tuned NT form.
-            self.cluster.advance_all(self._t_gemm_dw, "comp:gemm_dw")
-            if self.tune_dw_gemm:
-                dw_partial = stack_transpose(stack_matmul(dq, h, ta=True))
+                w_pending = self.issue_w_gather(cache)
+            # Line 2: dW = SGEMM(H^T, dQ) — TN mode, or the Sec. 5.3 tuned NT
+            # form (dQ^T H)^T.  dH's operands (line 5) are already here — the
+            # W forward gathered — so past break-even the two GEMMs run side
+            # by side, dW on a pool lane; the clocks charge each where the
+            # algorithm puts it
+            dw_operands = (dq, h) if self.tune_dw_gemm else (h, dq)
+            if self._lanes and not replay_dh:
+                dh_partial, dw_partial = run_parts((
+                    partial(stack_matmul, dq, w_local, tb=True),
+                    partial(stack_matmul, *dw_operands, ta=True),
+                ), "gemm")
             else:
-                dw_partial = stack_matmul(h, dq, ta=True)
-            del h  # its last reader
+                dw_partial = stack_matmul(*dw_operands, ta=True)
+            if self.tune_dw_gemm:
+                dw_partial = stack_transpose(dw_partial)
+            del h, dw_operands  # H's last readers
+            self.cluster.advance_all(self._t_gemm_dw, "comp:gemm_dw")
             # Line 3: reduce-scatter dW across Z-parallel group (W is z-sub-sharded)
             dw = comm_z.reduce_scatter(dw_partial, phase="reduce_scatter_dw").wait()
-            # Line 4: all-gather W across Z-parallel group (freed after forward)
+            # Line 4: all-gather W across the Z-parallel group — re-issued
+            # with the W this pass's forward gathered
             if w_pending is None:
-                w_pending = self.issue_w_gather()
-            w_local = w_pending.wait()
+                w_pending = self.issue_w_gather(cache)
+            w_pending.wait()
             if post_w_hook is not None:
                 post_w_hook()
             # Lines 5-6: dH = SGEMM(dQ, W^T); all-reduce across X-parallel group
             self.cluster.advance_all(self._t_gemm_dh, "comp:gemm_dh")
-            frozen = self._frozen
-            if frozen is not None and frozen.dh_duration is not _UNRECORDED:
-                # nobody reads a frozen layer 0's dH: charged above, reduced
-                # on the timeline, never multiplied
+            if replay_dh:
+                # charged above, reduced on the timeline, never multiplied
                 dh_pending = comm_x.issue(frozen.dh_duration, phase="all_reduce_dh")
             else:
                 # the partial product dies at its reduction, before A^T's
                 # product of the same size is allocated
-                dh_pending = comm_x.all_reduce(stack_matmul(dq, w_local, tb=True), phase="all_reduce_dh")
+                if dh_partial is None:
+                    dh_partial = stack_matmul(dq, w_local, tb=True)
+                dh_pending = comm_x.all_reduce(dh_partial, phase="all_reduce_dh")
+                dh_partial = None
                 if frozen is not None:
                     frozen.dh_duration = dh_pending.duration
             if self.is_first and not self.trainable_features:

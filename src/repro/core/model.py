@@ -323,7 +323,7 @@ class PlexusGCN:
             df, dw = self.layers[i].backward(
                 dq, caches[i], w_pending=w_pending, post_w_hook=hook, step=self.optimizer.t
             )
-            w_pending = self.layers[i - 1].issue_w_gather() if overlap and i > 0 else None
+            w_pending = self.layers[i - 1].issue_w_gather(caches[i - 1]) if overlap and i > 0 else None
             grads[f"W{i}"] = dw
             caches[i] = None  # consumed: its H died at the dW GEMM, its F is the mask below
             if i > 0:

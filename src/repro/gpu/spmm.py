@@ -76,7 +76,10 @@ def spmm_shape_factor(cols: float) -> float:
     """
     if np.any(np.less_equal(cols, 0)):
         raise ValueError("cols must be positive")
-    return np.minimum(1.0, np.divide(cols, 8.0)) ** 1.3
+    # np.power, not ``**``: on one width ``**`` is the C library's scalar
+    # pow, which can differ in the last bit from the ufunc's (SIMD) loop a
+    # batch of widths runs — and one shard must cost the same in any batch
+    return np.power(np.minimum(1.0, np.divide(cols, 8.0)), 1.3)
 
 
 def spmm_time(shard: SpmmShard, device: DeviceSpec) -> float:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import partial
 from queue import SimpleQueue
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,7 +19,7 @@ from scipy.sparse._sparsetools import csr_matvecs  # the kernel ``csr_matrix @ n
 
 __all__ = [
     "to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr",
-    "random_sparse", "cpu_share", "set_cpu_share", "parallelism",
+    "random_sparse", "cpu_share", "set_cpu_share", "parallelism", "run_parts",
 ]
 
 #: multiply-adds (nonzeros x operand columns) each part of a split SpMM must
@@ -27,14 +29,29 @@ __all__ = [
 _PAR_MIN = 1 << 17
 
 #: this process's CPU share (``None``: :func:`cpu_share` on first use; a
-#: pool worker is handed its share of the host, :func:`set_cpu_share`)
+#: pool worker is handed its share of the host, :func:`set_cpu_share`).
+#: The kernels' hot paths read it directly: below break-even a product
+#: makes no Python call it did not make before the pool existed
 _share: int | None = None
 #: the queue of the process's one thread pool (``None`` until the first
-#: split SpMM starts it): each entry a row range's kernel calls and the
-#: queue its SpMM waits on
+#: split product starts it): each entry a job, its index and the queue its
+#: caller waits on
 _todo: SimpleQueue | None = None
-#: the most parts one SpMM of this process was split into
-_max_parts = 0
+#: the most parts one product of each kind ran in so far (the
+#: ``spmm_parts`` / ``gemm_parts`` trace gauges)
+_parts = {"spmm": 0, "gemm": 0}
+
+
+class _Part(threading.local):
+    """Per thread: whether it runs a part of a :func:`run_parts` call (a
+    pool thread always does).  A part does not split again — inside one the
+    CPU share is 1 — since the pool has ``share - 1`` threads and a part
+    waiting on parts queued behind the running ones could hold the last."""
+
+    active = False
+
+
+_part = _Part()
 
 
 def cpu_share(workers: int = 1) -> int:
@@ -48,51 +65,96 @@ def cpu_share(workers: int = 1) -> int:
 
 
 def set_cpu_share(share: int) -> None:
-    """Cap this process's SpMM splits at ``share`` parts (a pool worker's
-    share of its host, computed where the pool is spawned)."""
+    """Cap this process's splits at ``share`` parts (a pool worker's share
+    of its host, computed where the pool is spawned)."""
     global _share
     _share = max(1, int(share))
 
 
-def parallelism() -> tuple[int, int]:
-    """``(CPU share, the most parts one SpMM was split into so far)`` of
-    this process — the ``cpu_share`` / ``spmm_parts`` trace gauges."""
+def parallelism() -> tuple[int, int, int]:
+    """``(CPU share, the most parts one SpMM ran in, the most parts one
+    GEMM step ran in)`` so far in this process — the ``cpu_share`` /
+    ``spmm_parts`` / ``gemm_parts`` trace gauges (two GEMMs run side by side
+    are two parts)."""
     global _share
     if _share is None:
         _share = cpu_share()
-    return _share, _max_parts
+    return _share, _parts["spmm"], _parts["gemm"]
 
 
-def _serve_ranges(todo: SimpleQueue) -> None:
-    """A pool thread: run the queued ranges one after another."""
-    while True:
-        _run_range(*todo.get())
+def note_parts(kind: str, parts: int) -> None:
+    """Record that one product of ``kind`` ran in ``parts`` parts."""
+    if parts > _parts[kind]:
+        _parts[kind] = parts
 
 
-def _run_range(calls: list[tuple], done: SimpleQueue) -> None:
-    """Run one range's kernel calls, then report to the SpMM waiting on it
-    (``None``, or the error it raised).  The calls hold views of the
-    product's operand and output: they die with this frame, so no pool
-    thread keeps either alive past its product."""
+def run_parts(jobs: Sequence[Callable[[], object]], kind: str) -> list:
+    """Run the callables ``jobs`` side by side — the first on the calling
+    thread, the others on the process's pool — and return their results in
+    order once every one has finished.  A job's error is re-raised here
+    after the others are done (the caller's own first), and the pool
+    serves the next call.  Called from inside a part, it runs the jobs one
+    after another where it is (see :class:`_Part`)."""
+    if _part.active:
+        return [job() for job in jobs]
+    note_parts(kind, len(jobs))
+    done = SimpleQueue()
+    todo = _todo or _start_pool((_share or parallelism()[0]) - 1)
+    for i in range(1, len(jobs)):
+        todo.put([jobs[i], i, done])
+    results = [None] * len(jobs)
     error = None
+    _part.active = True
     try:
-        for args in calls:
-            csr_matvecs(*args)
-    except Exception as exc:
-        error = exc
-    finally:
-        done.put(error)
+        results[0] = jobs[0]()
+    finally:  # no part may still be running once this returns
+        _part.active = False
+        for _ in range(1, len(jobs)):
+            i, results[i], failed = done.get()
+            error = error or failed
+    if error is not None:
+        raise error
+    return results
+
+
+def _serve(todo: SimpleQueue) -> None:
+    """A pool thread: run the queued jobs one after another."""
+    _part.active = True
+    while True:
+        _run(todo.get())
+
+
+def _run(entry: list) -> None:
+    """Run one queued ``[job, index, done]`` entry and report ``(index,
+    result, None)`` or ``(index, None, the error raised)`` on ``done``.
+    The job holds views of its product's operands and output: the entry
+    is emptied and the job dropped before the report, so no pool thread
+    keeps either alive past the call that queued it — and an error leaves
+    the thread serving."""
+    job, i, done = entry
+    entry.clear()
+    try:
+        out = (i, job(), None)
+    except BaseException as exc:
+        out = (i, None, exc)
+    del job
+    done.put(out)
 
 
 def _start_pool(threads: int) -> SimpleQueue:
-    """Start the process's pool: ``threads`` daemon threads serving one queue."""
+    """Start the process's pool: ``threads`` (at least one) daemon threads
+    serving one queue."""
     global _todo
     _todo = SimpleQueue()
-    for i in range(threads):
-        threading.Thread(
-            target=_serve_ranges, args=(_todo,), name=f"repro-spmm-{i}", daemon=True
-        ).start()
+    for i in range(max(1, threads)):
+        threading.Thread(target=_serve, args=(_todo,), name=f"repro-pool-{i}", daemon=True).start()
     return _todo
+
+
+def _matvecs(calls: list[tuple]) -> None:
+    """One row range of a split SpMM: its kernel calls, one per replica."""
+    for args in calls:
+        csr_matvecs(*args)
 
 
 def to_csr(a: sp.spmatrix | sp.sparray | np.ndarray, dtype=np.float64) -> sp.csr_matrix:
@@ -206,11 +268,10 @@ class ReplicatedCsr:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``: the stored rows in nnz-balanced ranges, as many as
         the process's CPU share and the work (``nnz * columns`` over
-        :data:`_PAR_MIN`) allow; the caller's thread runs the first range and
-        the process's pool the others.  One range is the serial product.
-        (No Python-level call per product beyond this one: the budget of
+        :data:`_PAR_MIN`) allow, run side by side (:func:`run_parts`).  One
+        range is the serial product.  (No Python-level call per product
+        beyond this one when it does not split: the budget of
         ``core.trainer.py_calls_per_epoch``.)"""
-        global _max_parts
         if x.ndim != 2 or x.shape[0] != self.shape[1]:  # the kernel takes raw pointers
             raise ValueError(f"SpMM shape mismatch: {self.shape} @ {x.shape}")
         c = x.shape[1]
@@ -219,27 +280,22 @@ class ReplicatedCsr:
         share = _share or parallelism()[0]
         parts = max(1, min(share, self.nnz * c // max(_PAR_MIN, 1)))
         ranges = self._ranges.get(parts) or self._split(parts)
-        if len(ranges) > _max_parts:
-            _max_parts = len(ranges)
-        done, mine = SimpleQueue(), []
-        for i, (lo, hi) in enumerate(ranges):
-            indptr, calls = self.indptr[lo : hi + 1], mine if i == 0 else []
+        if len(ranges) > _parts["spmm"]:
+            _parts["spmm"] = len(ranges)
+        jobs, calls = [], []
+        for lo, hi in ranges:  # (a loop, not a comprehension: no Python call)
+            indptr, calls = self.indptr[lo : hi + 1], []
             for rows, cols in self.shifts:
                 calls.append((
                     hi - lo, self.n_col, c, indptr, self.indices, self.data,
                     x_flat[cols * c :], out_flat[(rows + lo) * c :],
                 ))
-            if i:
-                (_todo or _start_pool(share - 1)).put((calls, done))
-        try:
-            for args in mine:
+            jobs.append(partial(_matvecs, calls))
+        if len(jobs) > 1:
+            run_parts(jobs, "spmm")
+        else:  # the one range's (or no range's) calls, here
+            for args in calls:
                 csr_matvecs(*args)
-        finally:  # no range may still be writing ``out`` once this returns
-            error = None
-            for _ in ranges[1:]:
-                error = done.get() or error
-        if error is not None:
-            raise error
         return out
 
 

@@ -56,6 +56,7 @@ from repro.core import GridConfig, PlexusOptions
 from repro.core.batch import (
     BlockDiagSpmm,
     CubeStack,
+    _matmul_plan,
     concat_stack_rows,
     cube_boxes,
     shard_views,
@@ -569,12 +570,14 @@ class TestSplitKernel:
 
     def test_a_toy_workload_starts_no_thread(self):
         """A toy128-sized trainer (N=128, X4Y4Z4) takes the one-part path
-        on any number of CPUs: no pool, no thread."""
+        on any number of CPUs, for its SpMMs and its GEMMs: no pool, no
+        thread."""
         spec = _spec(GridConfig(4, 4, 4), 128, [32, 32, 32, 16], compute_dtype=np.float32)
         before = threading.active_count()
-        with mock.patch.multiple(ops, _share=64, _todo=None, _max_parts=0):
+        _matmul_plan.cache_clear()  # a plan records its parts when built
+        with mock.patch.multiple(ops, _share=64, _todo=None, _parts={"spmm": 0, "gemm": 0}):
             build_trainer(spec).train(3)
-            assert ops._todo is None and ops._max_parts == 1
+            assert ops._todo is None and ops._parts == {"spmm": 1, "gemm": 1}
         assert threading.active_count() == before
 
 

@@ -182,6 +182,7 @@ class TestRuntimeSemantics:
         for row in rows:
             g = row["gauges"]
             assert g["cpu_share"] == share and g["spmm_parts"] == min(share, 7)
+            assert g["gemm_parts"] == 1  # its GEMMs stay below break-even
             if share == 1:  # only the main thread, across every epoch
                 assert g["threads"] == 1
 
