@@ -17,7 +17,6 @@ from repro import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, VirtualCl
 from repro.core import LayerSharding, PlexusGrid, axis_roles
 from repro.dist import PERLMUTTER
 from repro.graph import ShardedDataLoader, save_sharded
-from repro.utils import format_bytes
 
 
 def main() -> None:
@@ -49,8 +48,8 @@ def main() -> None:
         assert (a_shard != expected).nnz == 0, "loaded shard mismatch"
     full = ShardedDataLoader(workdir)
     full.load_full()
-    print(f"naive full load:      {format_bytes(full.report.bytes_read)} per rank")
-    print(f"sharded load (max):   {format_bytes(max(per_rank_bytes))} per rank "
+    print(f"naive full load:      {full.report.bytes_read / 2**20:.2f} MiB per rank")
+    print(f"sharded load (max):   {max(per_rank_bytes) / 2**20:.2f} MiB per rank "
           f"({full.report.bytes_read / max(per_rank_bytes):.1f}x reduction)")
 
     # -- training on top is unchanged and exact ------------------------------

@@ -7,7 +7,7 @@ aggregation, dense-GEMM tuning).
 
 from repro.core.grid import Axis, AxisRoles, GridConfig, PlexusGrid, axis_roles
 from repro.core.sharding import LayerSharding
-from repro.core.permutation import PermutationScheme, build_scheme, permute_graph
+from repro.core.permutation import PermutationScheme, build_scheme
 from repro.core.configs import PlexusOptions, classify_config, factor_triples
 from repro.core.noise import SpmmNoise
 from repro.core.layers import LayerCache, PlexusLayer
@@ -37,7 +37,6 @@ __all__ = [
     "LayerSharding",
     "PermutationScheme",
     "build_scheme",
-    "permute_graph",
     "PlexusOptions",
     "classify_config",
     "factor_triples",

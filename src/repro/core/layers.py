@@ -140,7 +140,7 @@ from repro.nn.functional import relu
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 from repro.sparse.ops import run_parts
-from repro.sparse.partition import block_slices, csr_block
+from repro.sparse.partition import block_slice, block_slices, csr_block
 
 __all__ = ["LayerCache", "PlexusLayer", "kernel_times"]
 
@@ -250,7 +250,7 @@ class PlexusLayer:
             """Row block ``b`` of the shard, cut straight from ``a_global``.
             Together the blocks bill the whole shard's CSR bytes: the same
             values and indices, and an indptr with one entry per row plus one."""
-            rows = block_slices(key[1] - key[0], aggregation_blocks)[b]
+            rows = block_slice(key[1] - key[0], aggregation_blocks, b)
             cut = csr_block(a_global, slice(key[0] + rows.start, key[0] + rows.stop), slice(*key[2:]))
             ptr = cut.indptr.itemsize
             billed[key] = billed.get(key, ptr) + cut.data.nbytes + cut.indices.nbytes + cut.indptr.nbytes - ptr

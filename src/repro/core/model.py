@@ -213,13 +213,6 @@ class PlexusGCN:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def n_unique_adjacency_shardsets(self) -> int:
-        """Distinct adjacency shard sets held = min(3, L) x permutation
-        versions = min(6, L) for the double scheme (Sec. 5.1): one
-        shard-cache entry of SpMM plans each."""
-        return len(self._shard_cache)
-
     def adjacency_bytes(self) -> int:
         """CSR bytes this process stores for the graph: those of the SpMM
         plans, its only copy (the ``adjacency_bytes`` gauge;

@@ -80,12 +80,6 @@ class CompModel:
         n_layers = len(self.layer_dims) - 1
         return sum(self.layer_terms(config, i) for i in range(n_layers))
 
-    def cost(self, config: GridConfig) -> float:
-        """The unitless Eq. 4.4 score ``sqrt(f)*(1+fwd+bwd)`` summed over
-        layers — usable for ranking before any regression fit exists."""
-        t = self.terms(config)
-        return float(t[0] + t[1] + t[2])
-
 
 @dataclass(frozen=True)
 class SpmmRegression:

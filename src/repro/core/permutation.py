@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from repro.utils.rng import rng_from_seed
 
-__all__ = ["PermutationScheme", "build_scheme", "permute_graph"]
+__all__ = ["PermutationScheme", "build_scheme"]
 
 Kind = Literal["none", "single", "double"]
 
@@ -57,10 +57,6 @@ class PermutationScheme:
             seen[p] = True
             if not seen.all():
                 raise ValueError(f"{name}_perm is not a permutation")
-
-    @property
-    def n(self) -> int:
-        return self.row_perm.shape[0]
 
     @property
     def n_adjacency_versions(self) -> int:
@@ -121,21 +117,3 @@ def build_scheme(n: int, kind: Kind = "double", seed: int | np.random.Generator 
         q = rng.permutation(n)
         return PermutationScheme("double", p, q)
     raise ValueError(f"unknown permutation kind {kind!r}")
-
-
-def permute_graph(
-    a: sp.csr_matrix,
-    features: np.ndarray,
-    labels: np.ndarray,
-    scheme: PermutationScheme,
-    n_layers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: features permuted for input, labels for the output.
-
-    (The adjacency is permuted per layer via
-    :meth:`PermutationScheme.permuted_adjacency`, since even/odd layers use
-    different versions under the double scheme.)
-    """
-    if a.shape[0] != scheme.n:
-        raise ValueError("scheme size does not match graph")
-    return features[scheme.input_perm()], labels[scheme.output_perm(n_layers)]

@@ -1,7 +1,8 @@
 """Shard-slice computation for every matrix of a GCN layer (Fig. 3).
 
 All sharding uses the quasi-equal contiguous blocks of
-:func:`repro.sparse.partition.block_slices`, so shapes are valid for any
+:func:`repro.sparse.partition.block_slices` (one block in closed form:
+:func:`~repro.sparse.partition.block_slice`), so shapes are valid for any
 (N, D, grid) combination, divisible or not.  The slices here are the single
 source of truth shared by the model builder (which cuts the global matrices)
 and the trainer (which aligns labels/masks to the output sharding).
@@ -14,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.grid import Axis, AxisRoles, GridConfig, PlexusGrid
-from repro.sparse.partition import block_slices
+from repro.sparse.partition import block_slice
 
 __all__ = ["LayerSharding"]
-
-
-def _slice_for(n: int, parts: int, index: int) -> slice:
-    return block_slices(n, parts)[index]
 
 
 def _ceil_div(n: int, parts: int) -> int:
@@ -30,7 +27,7 @@ def _ceil_div(n: int, parts: int) -> int:
 def _sub_slice(outer: slice, parts: int, index: int) -> slice:
     """Slice (in global coordinates) of the ``index``-th sub-block of ``outer``."""
     length = outer.stop - outer.start
-    inner = block_slices(length, parts)[index]
+    inner = block_slice(length, parts, index)
     return slice(outer.start + inner.start, outer.start + inner.stop)
 
 
@@ -66,17 +63,17 @@ class LayerSharding:
 
     # -- adjacency: rows over z-role, cols over x-role (replicated over y) ----
     def a_row_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.n, self.gz, self._c(grid, rank, self.roles.z))
+        return block_slice(self.n, self.gz, self._c(grid, rank, self.roles.z))
 
     def a_col_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.n, self.gx, self._c(grid, rank, self.roles.x))
+        return block_slice(self.n, self.gx, self._c(grid, rank, self.roles.x))
 
     # -- features: rows over x-role, cols over y-role --------------------------
     def f_row_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.n, self.gx, self._c(grid, rank, self.roles.x))
+        return block_slice(self.n, self.gx, self._c(grid, rank, self.roles.x))
 
     def f_col_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.d_in, self.gy, self._c(grid, rank, self.roles.y))
+        return block_slice(self.d_in, self.gy, self._c(grid, rank, self.roles.y))
 
     def f_row_subslice_z(self, grid: PlexusGrid, rank: int) -> slice:
         """Layer-0 extra sharding of F's rows over the z-role axis (Sec. 3.1:
@@ -86,10 +83,10 @@ class LayerSharding:
 
     # -- weights: rows over y-role, cols over x-role, extra shard over z ------
     def w_row_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.d_in, self.gy, self._c(grid, rank, self.roles.y))
+        return block_slice(self.d_in, self.gy, self._c(grid, rank, self.roles.y))
 
     def w_col_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.d_out, self.gx, self._c(grid, rank, self.roles.x))
+        return block_slice(self.d_out, self.gx, self._c(grid, rank, self.roles.x))
 
     def w_row_subslice_z(self, grid: PlexusGrid, rank: int) -> slice:
         """Extra z-sharding of the local W block's rows (optimizer states)."""
@@ -98,10 +95,10 @@ class LayerSharding:
 
     # -- outputs: rows over z-role, cols over x-role ---------------------------
     def out_row_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.n, self.gz, self._c(grid, rank, self.roles.z))
+        return block_slice(self.n, self.gz, self._c(grid, rank, self.roles.z))
 
     def out_col_slice(self, grid: PlexusGrid, rank: int) -> slice:
-        return _slice_for(self.d_out, self.gx, self._c(grid, rank, self.roles.x))
+        return block_slice(self.d_out, self.gx, self._c(grid, rank, self.roles.x))
 
     # -- pad extents of the quasi-equal stacks ---------------------------------
     # ``block_slices`` hands the remainder to the first blocks, so the largest
@@ -158,21 +155,3 @@ class LayerSharding:
             s = self.w_col_slice(grid, r)
             out["w_cols"][r] = s.stop - s.start
         return out
-
-    def validate_chain(self, next_sharding: "LayerSharding", grid: PlexusGrid) -> None:
-        """Assert this layer's output sharding equals the next's input sharding.
-
-        This is the Sec.-3.2 compatibility property the rotating adjacency
-        shards exist to guarantee; tests call it for every layer pair.
-        """
-        for rank in range(grid.world_size):
-            if self.out_row_slice(grid, rank) != next_sharding.f_row_slice(grid, rank):
-                raise AssertionError(
-                    f"rank {rank}: output rows {self.out_row_slice(grid, rank)} != "
-                    f"next input rows {next_sharding.f_row_slice(grid, rank)}"
-                )
-            if self.out_col_slice(grid, rank) != next_sharding.f_col_slice(grid, rank):
-                raise AssertionError(
-                    f"rank {rank}: output cols {self.out_col_slice(grid, rank)} != "
-                    f"next input cols {next_sharding.f_col_slice(grid, rank)}"
-                )

@@ -280,12 +280,6 @@ class TrainResult:
         usable = self.epochs[skip:] if len(self.epochs) > skip else self.epochs
         return float(np.mean([e.epoch_time for e in usable]))
 
-    def mean_breakdown(self, skip: int = 2) -> tuple[float, float]:
-        usable = self.epochs[skip:] if len(self.epochs) > skip else self.epochs
-        return (
-            float(np.mean([e.comm_time for e in usable])),
-            float(np.mean([e.comp_time for e in usable])),
-        )
 
 
 class PlexusTrainer:

@@ -29,7 +29,6 @@ from repro.dist.group import ProcessGroup, axis_bandwidth
 from repro.dist.collectives import (
     AxisComm,
     all_to_all_time,
-    broadcast_time,
     ring_all_gather_time,
     ring_all_reduce_time,
     ring_reduce_scatter_time,
@@ -63,6 +62,5 @@ __all__ = [
     "ring_all_reduce_time",
     "ring_all_gather_time",
     "ring_reduce_scatter_time",
-    "broadcast_time",
     "all_to_all_time",
 ]

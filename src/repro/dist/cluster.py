@@ -153,13 +153,6 @@ class ClockStore:
             b = self.by_category[category] = np.zeros(self.world, dtype=np.float64)
         return b
 
-    def grand_totals(self) -> np.ndarray:
-        """Per-rank total seconds (fresh vector, summed over categories)."""
-        out = np.zeros(self.world, dtype=np.float64)
-        for bucket in self.by_category.values():
-            out += bucket
-        return out
-
     # -- accounting (clock updates stay with the caller) -----------------------
     def record_at(self, i: int, phase: str, duration: float) -> None:
         self.phase_bucket(phase)[i] += duration
@@ -185,8 +178,6 @@ class ClockStore:
     # -- queries ---------------------------------------------------------------
     def prefix_totals(self, prefix: str) -> np.ndarray:
         """Fresh ``(world,)`` vector of seconds in phases matching ``prefix``."""
-        if not prefix:
-            return self.grand_totals()
         hit = self.by_category.get(prefix)
         if hit is not None:
             return hit.copy()

@@ -34,7 +34,6 @@ __all__ = [
     "ring_all_reduce_time",
     "ring_all_gather_time",
     "ring_reduce_scatter_time",
-    "broadcast_time",
     "all_to_all_time",
     "RING_LAWS",
     "AxisComm",
@@ -86,16 +85,6 @@ RING_LAWS = {
     "all_gather": ring_all_gather_time,
     "reduce_scatter": ring_reduce_scatter_time,
 }
-
-
-def broadcast_time(
-    nbytes: float, group_size: int, bandwidth: float, latency: float = 0.0
-) -> float:
-    """Pipelined ring broadcast: one full pass of the payload."""
-    _validate_cost_args(nbytes, group_size, bandwidth)
-    if group_size == 1:
-        return 0.0
-    return nbytes / bandwidth + (group_size - 1) * latency
 
 
 #: how strongly the personalized all-to-all degrades with group size: each

@@ -4,7 +4,7 @@ This module is the collective surface of the simulator.  Callers obtain a
 *communicator* — :class:`GroupCommunicator` for one process group,
 :class:`AxisCommunicator` for every group along a grid axis
 (``PlexusGrid.comm(axis)``) — whose
-``all_reduce / all_gather / reduce_scatter / broadcast / all_to_all``
+``all_reduce / all_gather / reduce_scatter / all_to_all``
 methods mirror ``torch.distributed``'s ``async_op=True`` contract: they
 return a :class:`PendingCollective` immediately and charge the *completion*
 cost only at :meth:`PendingCollective.wait`.
@@ -113,7 +113,6 @@ from repro.dist.collectives import (
     RING_LAWS,
     AxisComm,
     all_to_all_time,
-    broadcast_time,
     ring_all_gather_time,
     ring_all_reduce_time,
     ring_reduce_scatter_time,
@@ -598,19 +597,6 @@ class GroupCommunicator:
         prefix: tuple[slice, ...] = (slice(None),) * axis
         result = [reduced[prefix + (sl,)] for sl in block_slices(reduced.shape[axis], g)]
         return self._issue(t, phase, result)
-
-    def broadcast(
-        self, array: np.ndarray, root: int = 0, phase: str = "broadcast"
-    ) -> PendingCollective:
-        """Send ``array`` from member index ``root`` to every member."""
-        group = self.group
-        g = group.size
-        if not 0 <= root < g:
-            raise ValueError(f"root {root} out of range for group of size {g}")
-        if g == 1:
-            return _ready("comm:" + phase, [array])
-        t = broadcast_time(array.nbytes, g, group.bandwidth, group.latency)
-        return self._issue(t, phase, [array] * g)
 
     def all_to_all(
         self, chunks: Sequence[Sequence[np.ndarray]], phase: str = "all_to_all"

@@ -34,13 +34,3 @@ class KernelProfile:
             raise ValueError("counts must be non-negative")
         if self.time_s < 0:
             raise ValueError("time must be non-negative")
-
-    def as_row(self) -> list[object]:
-        """Row for the Table-2-style printout."""
-        return [
-            self.kernel,
-            self.grid_size,
-            self.uncoalesced_sectors,
-            f"{self.l2_throughput_pct:.2f}",
-            f"{self.dram_throughput_pct:.2f}",
-        ]

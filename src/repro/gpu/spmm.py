@@ -27,7 +27,7 @@ import numpy as np
 from repro.gpu.device import DeviceSpec
 from repro.gpu.profiler import KernelProfile
 
-__all__ = ["SpmmShard", "spmm_shape_factor", "spmm_kernel_profile", "spmm_time", "spmm_time_batch", "spmm_flops"]
+__all__ = ["SpmmShard", "spmm_shape_factor", "spmm_kernel_profile", "spmm_time", "spmm_time_batch"]
 
 #: nonzeros consumed by one CTA (calibrated from Table 2: 1,971,360/20,223
 #: = 97.5 and 126,167,053/1,313,241 = 96.1)
@@ -59,11 +59,6 @@ class SpmmShard:
             raise ValueError("shard dimensions must be non-negative")
         if self.cols <= 0:
             raise ValueError("cols must be positive")
-
-
-def spmm_flops(shard: SpmmShard) -> float:
-    """Multiply-add FLOPs of the local SpMM (Eq. 4.3 numerator per shard)."""
-    return 2.0 * shard.nnz * shard.cols
 
 
 def spmm_shape_factor(cols: float) -> float:

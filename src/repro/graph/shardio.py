@@ -92,11 +92,6 @@ class LoadReport:
     files_read: int = 0
     seconds: float = 0.0
 
-    def merge(self, other: "LoadReport") -> None:
-        self.bytes_read += other.bytes_read
-        self.files_read += other.files_read
-        self.seconds += other.seconds
-
 
 @dataclass
 class ShardedDataLoader:
@@ -122,11 +117,6 @@ class ShardedDataLoader:
     @property
     def n_nodes(self) -> int:
         return int(self.manifest["n_nodes"])
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        p, q = self.manifest["grid"]
-        return int(p), int(q)
 
     def _bounds(self, axis: str) -> list[int]:
         return [int(b) for b in self.manifest[f"{axis}_bounds"]]

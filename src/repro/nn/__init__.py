@@ -10,12 +10,10 @@ the distributed implementation is validated against (Fig. 7).
 from repro.nn.functional import relu, relu_grad, log_softmax, softmax
 from repro.nn.loss import masked_cross_entropy, masked_cross_entropy_grad, accuracy
 from repro.nn.init import glorot_uniform
-from repro.nn.optim import Optimizer, SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.serial import SerialGCN, GCNLayerParams
-from repro.nn import paradigms
 
 __all__ = [
-    "paradigms",
     "relu",
     "relu_grad",
     "log_softmax",
@@ -24,8 +22,6 @@ __all__ = [
     "masked_cross_entropy_grad",
     "accuracy",
     "glorot_uniform",
-    "Optimizer",
-    "SGD",
     "Adam",
     "SerialGCN",
     "GCNLayerParams",

@@ -1,7 +1,7 @@
-"""Optimizers operating on dicts of named parameter arrays.
+"""The optimizer, operating on dicts of named parameter arrays.
 
 Both the serial reference and every virtual rank of the distributed engine
-instantiate one of these over their (shard-local) parameters.  Because the
+instantiate :class:`Adam` over their (shard-local) parameters.  Because the
 distributed gradients are mathematically exact (Sec. 3's algorithm makes no
 approximation), running the same optimizer shard-locally is equivalent to
 the serial update — the property Fig. 7 demonstrates.
@@ -9,25 +9,33 @@ the serial update — the property Fig. 7 demonstrates.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class Optimizer(ABC):
-    """Base: tracks named parameters, applies in-place updates."""
+class Adam:
+    """Adam (Kingma & Ba) with bias correction — the paper's optimizer;
+    updates the named parameters in place."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float) -> None:
+    def __init__(
+        self,
+        params: dict[str, np.ndarray],
+        lr: float = 1e-2,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+    ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
+            raise ValueError("betas must be in [0, 1)")
         self.params = params
         self.lr = lr
-
-    @abstractmethod
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Apply one update given gradients keyed like the parameters."""
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def _check(self, grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
@@ -38,35 +46,6 @@ class Optimizer(ABC):
                     f"gradient shape {g.shape} != parameter shape "
                     f"{self.params[name].shape} for {name!r}"
                 )
-
-
-class SGD(Optimizer):
-    """Plain gradient descent (used in validation tests for exactness)."""
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        self._check(grads)
-        for name, g in grads.items():
-            self.params[name] -= self.lr * g
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction — the paper's optimizer."""
-
-    def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-2,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self._check(grads)

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from repro.nn.functional import relu, relu_grad
 from repro.nn.init import glorot_uniform
 from repro.nn.loss import accuracy, masked_cross_entropy, masked_cross_entropy_grad
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.sparse.ops import spmm
 
 __all__ = ["GCNLayerParams", "SerialGCN"]
@@ -33,14 +33,6 @@ class GCNLayerParams:
     """One layer's weight matrix W (Eq. 2.2)."""
 
     weight: np.ndarray
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
 
 
 class SerialGCN:
@@ -133,7 +125,7 @@ class SerialGCN:
         features: np.ndarray,
         labels: np.ndarray,
         mask: np.ndarray,
-        optimizer: Optimizer,
+        optimizer: Adam,
     ) -> float:
         """One full-graph epoch: forward, loss, backward, optimizer step."""
         logits = self.forward(a_norm, features)

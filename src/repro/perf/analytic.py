@@ -59,9 +59,6 @@ class EpochEstimate:
     def total(self) -> float:
         return self.comm + self.comp
 
-    def as_ms(self) -> tuple[float, float, float]:
-        return self.total * 1e3, self.comm * 1e3, self.comp * 1e3
-
 
 # ---------------------------------------------------------------------------
 # Plexus

@@ -57,7 +57,7 @@ from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import build_injector
 from repro.runtime.shm import BusHandle, ShmBus
 from repro.sparse.ops import parallelism, set_cpu_share
-from repro.sparse.partition import block_slices
+from repro.sparse.partition import block_slice
 
 __all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main", "worker_main_tcp"]
 
@@ -75,7 +75,7 @@ def worker_slice(config: GridConfig, n_workers: int, worker_id: int) -> tuple[in
             f"least one whole z-plane), got {n_workers}"
         )
     plane = config.gx * config.gy
-    zs = block_slices(config.gz, n_workers)[worker_id]
+    zs = block_slice(config.gz, n_workers, worker_id)
     return zs.start * plane, zs.stop * plane
 
 

@@ -10,15 +10,13 @@ from repro.sparse.ops import (
     add_self_loops,
     sym_normalize,
     gcn_normalize,
-    gin_normalize,
     spmm,
     to_csr,
-    random_sparse,
 )
 from repro.sparse.partition import (
     block_slices,
+    block_slice,
     csr_block,
-    partition_2d,
     block_nnz_counts,
     nnz_balance_stats,
     BalanceStats,
@@ -28,13 +26,11 @@ __all__ = [
     "add_self_loops",
     "sym_normalize",
     "gcn_normalize",
-    "gin_normalize",
     "spmm",
     "to_csr",
-    "random_sparse",
     "block_slices",
+    "block_slice",
     "csr_block",
-    "partition_2d",
     "block_nnz_counts",
     "nnz_balance_stats",
     "BalanceStats",

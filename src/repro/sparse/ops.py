@@ -19,7 +19,7 @@ from scipy.sparse._sparsetools import csr_matvecs  # the kernel ``csr_matrix @ n
 
 __all__ = [
     "to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr",
-    "random_sparse", "cpu_share", "set_cpu_share", "parallelism", "run_parts",
+    "cpu_share", "set_cpu_share", "parallelism", "run_parts",
 ]
 
 #: multiply-adds (nonzeros x operand columns) each part of a split SpMM must
@@ -203,21 +203,6 @@ def gcn_normalize(a: sp.csr_matrix | sp.spmatrix) -> sp.csr_matrix:
     return sym_normalize(add_self_loops(to_csr(a)))
 
 
-def gin_normalize(a: sp.csr_matrix | sp.spmatrix, eps: float = 0.0) -> sp.csr_matrix:
-    """GIN-style aggregation operator: ``A + (1 + eps) I``, unnormalized.
-
-    The paper notes GCN "serves as the foundation" for GIN (Sec. 1); because
-    Plexus only ever multiplies by the preprocessed operator, swapping this
-    in trains a GIN-flavoured aggregation with the identical 3D machinery —
-    the self-contribution is folded into the sparse matrix so no cross-plane
-    resharding of F is needed.
-    """
-    if eps <= -1.0:
-        raise ValueError("eps must be > -1 (the self weight 1+eps must stay positive)")
-    mat = to_csr(a)
-    return to_csr(mat + sp.identity(mat.shape[0], format="csr", dtype=mat.dtype) * (1.0 + eps))
-
-
 def spmm(a: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
     """Sparse @ dense (Eq. 2.1).
 
@@ -297,14 +282,3 @@ class ReplicatedCsr:
             for args in calls:
                 csr_matvecs(*args)
         return out
-
-
-def random_sparse(n_rows: int, n_cols: int, density: float, rng: np.random.Generator, dtype=np.float64) -> sp.csr_matrix:
-    """Uniform random sparse matrix for tests (not a graph generator)."""
-    if not (0 <= density <= 1):
-        raise ValueError("density must be within [0, 1]")
-    nnz = int(round(density * n_rows * n_cols))
-    rows = rng.integers(0, n_rows, size=nnz) if n_rows else np.empty(0, dtype=int)
-    cols = rng.integers(0, n_cols, size=nnz) if n_cols else np.empty(0, dtype=int)
-    vals = rng.standard_normal(nnz)
-    return to_csr(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)), dtype=dtype)

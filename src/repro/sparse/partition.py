@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["block_slices", "csr_block", "partition_2d", "block_nnz_counts", "nnz_balance_stats", "BalanceStats"]
+__all__ = ["block_slices", "block_slice", "csr_block", "block_nnz_counts", "nnz_balance_stats", "BalanceStats"]
 
 
 def block_slices(n: int, parts: int) -> list[slice]:
@@ -26,15 +26,20 @@ def block_slices(n: int, parts: int) -> list[slice]:
     """
     if parts <= 0:
         raise ValueError("parts must be positive")
+    return [block_slice(n, parts, i) for i in range(parts)]
+
+
+def block_slice(n: int, parts: int, index: int) -> slice:
+    """``block_slices(n, parts)[index]`` in closed form: O(1), no list."""
+    if parts <= 0:
+        raise ValueError("parts must be positive")
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not 0 <= index < parts:
+        raise IndexError(f"block {index} out of range for {parts} parts")
     base, extra = divmod(n, parts)
-    out, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        out.append(slice(start, start + size))
-        start += size
-    return out
+    start = index * base + min(index, extra)
+    return slice(start, start + base + (index < extra))
 
 
 def csr_block(a: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
@@ -63,13 +68,6 @@ def csr_block(a: sp.csr_matrix, rows: slice, cols: slice) -> sp.csr_matrix:
         shape=(r1 - r0, c1 - c0),
     )
     return block
-
-
-def partition_2d(a: sp.csr_matrix, row_parts: int, col_parts: int) -> list[list[sp.csr_matrix]]:
-    """Cut ``a`` into a ``row_parts x col_parts`` grid of CSR shards."""
-    rows = block_slices(a.shape[0], row_parts)
-    cols = block_slices(a.shape[1], col_parts)
-    return [[csr_block(a, rs, cs) for cs in cols] for rs in rows]
 
 
 def block_nnz_counts(a: sp.csr_matrix, row_parts: int, col_parts: int) -> np.ndarray:
@@ -104,9 +102,6 @@ class BalanceStats:
     #: the Table 3 headline: max block nnz divided by the mean
     max_over_mean: float
     std_nnz: float
-
-    def as_row(self, label: str) -> list[object]:
-        return [label, f"{self.max_over_mean:.3f}", self.max_nnz, self.min_nnz, f"{self.mean_nnz:.1f}"]
 
 
 def nnz_balance_stats(a: sp.csr_matrix, row_parts: int, col_parts: int) -> BalanceStats:

@@ -1,6 +1,6 @@
-"""Shared utilities: seeded RNG handling and light logging helpers."""
+"""Shared utilities: seeded RNG handling and the text-table formatter."""
 
-from repro.utils.rng import rng_from_seed, spawn_rngs
-from repro.utils.format import format_bytes, format_time, ascii_table
+from repro.utils.rng import rng_from_seed
+from repro.utils.format import ascii_table
 
-__all__ = ["rng_from_seed", "spawn_rngs", "format_bytes", "format_time", "ascii_table"]
+__all__ = ["rng_from_seed", "ascii_table"]

@@ -1,29 +1,10 @@
-"""Human-readable formatting helpers used by experiment drivers."""
+"""The fixed-width text table the experiment drivers print."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["format_bytes", "format_time", "ascii_table"]
-
-
-def format_bytes(n: float) -> str:
-    """Format a byte count with a binary-prefix unit (e.g. ``1.5 GiB``)."""
-    value = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            return f"{value:.2f} {unit}" if unit != "B" else f"{value:.0f} B"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def format_time(seconds: float) -> str:
-    """Format a duration, choosing between us / ms / s for readability."""
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.1f} ms"
-    return f"{seconds:.2f} s"
+__all__ = ["ascii_table"]
 
 
 def ascii_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_from_seed", "spawn_rngs"]
+__all__ = ["rng_from_seed"]
 
 
 def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -21,16 +21,3 @@ def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent generators from one master seed.
-
-    Uses ``SeedSequence.spawn`` so streams are statistically independent —
-    needed when virtual ranks each draw their own data (e.g. parallel
-    feature loading) without correlations.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(n)]

@@ -161,6 +161,9 @@ PINNED = {
     for trainable in (False, True)
     for machine in ("laptop", "perlmutter")
 }
+#: one paper-scale row: 512 ranks, so PERLMUTTER's inter-node Z links and a
+#: link-key space of hundreds of groups, which no drawn grid reaches
+PINNED["eager-frozen-perlmutter-X8Y8Z8"] = Case(grid=(8, 8, 8), n=256, dims=(64, 32, 16), machine="perlmutter")
 
 
 @pytest.mark.parametrize("name", ["ogbn-products", "reddit"])

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import PerRankOracle
+from test_sparse import random_sparse
 
 from repro.core import GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer, SpmmNoise
 from repro.core.batch import (
@@ -43,7 +44,7 @@ from repro.core.batch import (
 from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
-from repro.sparse.ops import gcn_normalize, random_sparse
+from repro.sparse.ops import gcn_normalize
 
 #: divisible by every axis size (1..3) and every pairwise axis product of
 #: the grids below, so the uniform single-stack fast path engages
@@ -169,6 +170,15 @@ class TestEngineParity:
             assert la.w_stack.rows is None and lb.w_stack.rows is not None
             assert stack_data(la.w_stack).tobytes() == stack_data(lb.w_stack).tobytes()
             assert np.shares_memory(stack_data(lb.w_stack), mb.optimizer.params[f"W{mb.layers.index(lb)}"])
+
+    @pytest.mark.parametrize("cfg", [GridConfig(8, 8, 8), GridConfig(4, 4, 32)], ids=lambda c: c.name)
+    @pytest.mark.parametrize(
+        "opts", [{}, {"overlap": True, "aggregation_blocks": 2, "max_inflight": 1}], ids=["eager", "overlap"]
+    )
+    def test_paper_scale_grid_bitwise(self, cfg, opts):
+        """512 ranks on PERLMUTTER: Z groups cross nodes and the link keys
+        number in the hundreds, which no drawn grid (at most 12 ranks) reaches."""
+        _assert_bitwise(_dataset(0, 1024), cfg, **opts)
 
     def test_float32_atol(self):
         """Benchmark dtype: product and oracle agree to float32 round-off."""

@@ -111,24 +111,27 @@ class TestExactness:
 
 
 class TestModelStructure:
+    # ``_shard_cache`` holds one entry of SpMM plans per distinct adjacency
+    # shard set: min(3, L) x permutation versions, min(6, L) for the double
+    # scheme (Sec. 5.1)
     def test_unique_shardsets_three_layers_double(self, ds, dims):
         _, model = _plexus_losses(ds, dims, GridConfig(2, 2, 2), epochs=1, permutation="double")
         # 3 layers x alternating parity -> all three (plane, parity) combos
-        assert model.n_unique_adjacency_shardsets == min(6, 3)
+        assert len(model._shard_cache) == min(6, 3)
 
     def test_unique_shardsets_six_layers_double(self, ds):
         dims6 = [ds.n_features] + [8] * 6 + [ds.n_classes]
         # 7 layers: min(6, 7) = 6 distinct shard sets (Sec. 5.1's bound)
         cluster = VirtualCluster(8, PERLMUTTER)
         model = PlexusGCN(cluster, GridConfig(2, 2, 2), ds.norm_adjacency, ds.features, ds.labels, ds.train_mask, dims6, PlexusOptions(permutation="double"))
-        assert model.n_unique_adjacency_shardsets == 6
+        assert len(model._shard_cache) == 6
 
     def test_unique_shardsets_single_perm(self, ds):
         dims6 = [ds.n_features] + [8] * 6 + [ds.n_classes]
         cluster = VirtualCluster(8, PERLMUTTER)
         model = PlexusGCN(cluster, GridConfig(2, 2, 2), ds.norm_adjacency, ds.features, ds.labels, ds.train_mask, dims6, PlexusOptions(permutation="single"))
         # one permutation version: min(3, L) planes only
-        assert model.n_unique_adjacency_shardsets == 3
+        assert len(model._shard_cache) == 3
 
     def test_double_perm_memory_at_most_2x_single(self, ds, dims):
         _, m_double = _plexus_losses(ds, dims, GridConfig(2, 2, 2), epochs=1, permutation="double")
@@ -335,8 +338,7 @@ class TestTimingBehaviour:
         model = PlexusGCN(cluster, GridConfig(2, 2, 2), ds.norm_adjacency, ds.features, ds.labels, ds.train_mask, dims, PlexusOptions())
         result = PlexusTrainer(model).train(5)
         assert result.mean_epoch_time(skip=2) > 0
-        comm, comp = result.mean_breakdown(skip=2)
-        assert comm >= 0 and comp > 0
+        assert all(e.comm_time >= 0 and e.comp_time > 0 for e in result.epochs[2:])
 
 
 def _timed(ds, dims, noise):

@@ -59,7 +59,7 @@ class TestCompModel:
     def test_tall_skinny_config_penalized(self):
         """Config V (Gy=64) must cost more than config U (Gx=64)."""
         comp = CompModel(ST, DIMS)
-        assert comp.cost(GridConfig(1, 64, 1)) > comp.cost(GridConfig(64, 1, 1))
+        assert comp.terms(GridConfig(1, 64, 1)).sum() > comp.terms(GridConfig(64, 1, 1)).sum()
 
     def test_paper_coefficients_scale(self):
         """With the paper's coefficients, layer-0 SpMM for ogbn-products is

@@ -21,6 +21,15 @@ def _grid(cfg: GridConfig) -> PlexusGrid:
 _shared_grid = functools.lru_cache(maxsize=None)(_grid)
 
 
+def _assert_chains(s: LayerSharding, nxt: LayerSharding, grid: PlexusGrid) -> None:
+    """Sec. 3.2's compatibility property, which the rotating adjacency shards
+    exist to guarantee: layer ``s``'s output sharding is ``nxt``'s input
+    sharding on every rank."""
+    for rank in range(grid.world_size):
+        assert s.out_row_slice(grid, rank) == nxt.f_row_slice(grid, rank), rank
+        assert s.out_col_slice(grid, rank) == nxt.f_col_slice(grid, rank), rank
+
+
 class TestLayerSharding:
     def test_a_shard_shapes_cover_matrix(self):
         cfg = GridConfig(2, 2, 2)
@@ -72,7 +81,7 @@ class TestLayerSharding:
         dims = [d] * (n_layers + 1)
         shardings = [LayerSharding(cfg, axis_roles(i), n, dims[i], dims[i + 1]) for i in range(n_layers)]
         for i in range(n_layers - 1):
-            shardings[i].validate_chain(shardings[i + 1], grid)
+            _assert_chains(shardings[i], shardings[i + 1], grid)
 
     @given(
         gx=st.integers(1, 4), gy=st.integers(1, 3), gz=st.integers(1, 4),
@@ -132,6 +141,14 @@ class TestPermutationScheme:
         with pytest.raises(ValueError):
             PermutationScheme("single", np.zeros(5, dtype=int), np.arange(5))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            PermutationScheme("double", np.arange(5), np.arange(4))
+
+    def test_output_perm_needs_a_layer(self):
+        with pytest.raises(ValueError):
+            build_scheme(10, "double").output_perm(0)
+
     def test_layer_parity_alternation(self):
         s = build_scheme(20, "double", seed=0)
         np.testing.assert_array_equal(s.layer_row_perm(0), s.row_perm)
@@ -165,13 +182,6 @@ class TestPermutationScheme:
         out_perm = (s.permuted_adjacency(a, 1) @ (s.permuted_adjacency(a, 0) @ f[s.input_perm()]))
         expected = (a @ (a @ f))[s.output_perm(2)]
         np.testing.assert_allclose(out_perm, expected, atol=1e-10)
-
-    def test_size_mismatch_in_permute_graph(self, tiny_products):
-        from repro.core.permutation import permute_graph
-
-        s = build_scheme(10, "double")
-        with pytest.raises(ValueError):
-            permute_graph(tiny_products.norm_adjacency, tiny_products.features, tiny_products.labels, s, 3)
 
 
 class TestLoadBalancing:

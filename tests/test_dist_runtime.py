@@ -247,16 +247,6 @@ class TestCollectiveSemantics:
         assert out[0].shape == (4, 3)
         assert out[1].shape == (4, 2)
 
-    def test_broadcast(self, cluster8):
-        g = _group(cluster8, [0, 1, 2])
-        out = communicator(g).broadcast(np.array([9.0]), root=1).wait()
-        assert all(o[0] == 9.0 for o in out)
-
-    def test_broadcast_invalid_root(self, cluster8):
-        g = _group(cluster8, [0, 1])
-        with pytest.raises(ValueError):
-            communicator(g).broadcast(np.zeros(1), root=5).wait()
-
     def test_all_to_all_is_transpose(self, cluster8):
         g = _group(cluster8, [0, 1, 2])
         chunks = [[np.array([float(10 * i + j)]) for j in range(3)] for i in range(3)]

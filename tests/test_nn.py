@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
-    SGD,
     Adam,
     SerialGCN,
     accuracy,
@@ -122,11 +121,6 @@ class TestInit:
 
 
 class TestOptim:
-    def test_sgd_step(self):
-        p = {"w": np.array([1.0, 2.0])}
-        SGD(p, lr=0.1).step({"w": np.array([1.0, 1.0])})
-        np.testing.assert_allclose(p["w"], [0.9, 1.9])
-
     def test_adam_first_step_is_lr_sized(self):
         # with bias correction, |update| ~= lr on the first step
         p = {"w": np.array([0.0])}
@@ -158,18 +152,39 @@ class TestOptim:
         assert arr[0] != 0.0  # the caller's array object was mutated
 
     def test_unknown_param_rejected(self):
-        opt = SGD({"w": np.zeros(2)}, lr=0.1)
+        opt = Adam({"w": np.zeros(2)}, lr=0.1)
         with pytest.raises(KeyError):
             opt.step({"q": np.zeros(2)})
 
     def test_shape_mismatch_rejected(self):
-        opt = SGD({"w": np.zeros(2)}, lr=0.1)
+        opt = Adam({"w": np.zeros(2)}, lr=0.1)
         with pytest.raises(ValueError):
             opt.step({"w": np.zeros(3)})
 
+    @pytest.mark.parametrize("grads", [{"w": np.ones(2), "q": np.ones(2)}, {"w": np.ones(3)}],
+                             ids=["unknown-name", "wrong-shape"])
+    def test_rejected_step_changes_nothing(self, grads):
+        # every gradient is checked before the first update: a bad step
+        # leaves the parameters, the moments and the step count as they were
+        p = {"w": np.zeros(2)}
+        opt = Adam(p, lr=0.1)
+        with pytest.raises((KeyError, ValueError)):
+            opt.step(grads)
+        assert opt.t == 0
+        np.testing.assert_array_equal(p["w"], 0.0)
+        np.testing.assert_array_equal(opt.m["w"], 0.0)
+
+    def test_step_touches_only_the_named_parameters(self):
+        p = {"w": np.zeros(2), "b": np.zeros(1)}
+        opt = Adam(p, lr=0.1)
+        opt.step({"w": np.ones(2)})
+        assert p["w"][0] != 0.0
+        np.testing.assert_array_equal(p["b"], 0.0)
+        np.testing.assert_array_equal(opt.v["b"], 0.0)
+
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD({"w": np.zeros(1)}, lr=0.0)
+            Adam({"w": np.zeros(1)}, lr=0.0)
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,7 @@ from test_batched_parity import _assert_bitwise, explicit
 from test_batched_parity import _dataset as _parity_dataset
 from test_differential import PINNED, _books
 from test_differential import _spec as _case_spec
+from test_sparse import random_sparse
 
 from repro.core import GridConfig, PlexusOptions
 from repro.core.batch import (
@@ -513,7 +514,7 @@ class TestSplitKernel:
     def test_any_split_is_the_serial_product(self, case):
         rng = np.random.default_rng(case["seed"])
         held, replicas, k, c, dtype = len(case["rows"]), case["replicas"], case["k"], case["c"], case["dtype"]
-        distinct = [ops.random_sparse(m, k, d, rng, dtype) for m, d in zip(case["rows"], case["density"])]
+        distinct = [random_sparse(m, k, d, rng, dtype) for m, d in zip(case["rows"], case["density"])]
         shards = [distinct[r // replicas] for r in range(held * replicas)]  # replicas along y
         grid = (held, replicas, 1)
         x = rng.standard_normal((held * replicas, k, c)).astype(dtype)

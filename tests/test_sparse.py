@@ -8,17 +8,35 @@ from hypothesis import strategies as st
 
 from repro.sparse import (
     add_self_loops,
+    block_slice,
     block_slices,
     block_nnz_counts,
     csr_block,
     gcn_normalize,
     nnz_balance_stats,
-    partition_2d,
-    random_sparse,
     spmm,
     sym_normalize,
     to_csr,
 )
+
+
+def random_sparse(n_rows: int, n_cols: int, density: float, rng: np.random.Generator, dtype=np.float64) -> sp.csr_matrix:
+    """Uniform random sparse matrix for tests (not a graph generator)."""
+    if not (0 <= density <= 1):
+        raise ValueError("density must be within [0, 1]")
+    nnz = int(round(density * n_rows * n_cols))
+    rows = rng.integers(0, n_rows, size=nnz) if n_rows else np.empty(0, dtype=int)
+    cols = rng.integers(0, n_cols, size=nnz) if n_cols else np.empty(0, dtype=int)
+    vals = rng.standard_normal(nnz)
+    return to_csr(sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)), dtype=dtype)
+
+
+def partition_2d(a: sp.csr_matrix, row_parts: int, col_parts: int) -> list[list[sp.csr_matrix]]:
+    """Cut ``a`` into a ``row_parts x col_parts`` grid of CSR shards (the
+    reference ``block_nnz_counts`` is checked against)."""
+    rows = block_slices(a.shape[0], row_parts)
+    cols = block_slices(a.shape[1], col_parts)
+    return [[csr_block(a, rs, cs) for cs in cols] for rs in rows]
 
 
 def _path_graph(n=5):
@@ -102,6 +120,35 @@ class TestBlockSlices:
 
     def test_zero_items(self):
         assert all(s.stop == s.start for s in block_slices(0, 3))
+
+    @given(n=st.integers(0, 5000), parts=st.integers(1, 300), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_is_the_running_split(self, n, parts, data):
+        """Block ``i`` starts where blocks ``0..i-1`` end, the first
+        ``n % parts`` blocks holding one extra item."""
+        index = data.draw(st.integers(0, parts - 1))
+        sizes = [n // parts + (i < n % parts) for i in range(index + 1)]
+        start = sum(sizes[:-1])
+        assert block_slice(n, parts, index) == slice(start, start + sizes[-1])
+
+    @pytest.mark.parametrize(
+        "n, parts, index, expected",
+        [
+            (0, 1, 0, slice(0, 0)),  # nothing to split
+            (2, 5, 4, slice(2, 2)),  # more parts than items: the tail is empty
+            (2, 5, 1, slice(1, 2)),  # ... and the head holds one each
+            (10, 3, 0, slice(0, 4)),  # the remainder goes to the first block
+            (10, 3, 2, slice(7, 10)),  # the last block ends at n
+            (100, 1, 0, slice(0, 100)),  # one part is the whole range
+        ],
+    )
+    def test_closed_form_boundaries(self, n, parts, index, expected):
+        assert block_slice(n, parts, index) == expected
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_closed_form_index_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            block_slice(10, 3, index)
 
     def test_invalid_parts(self):
         with pytest.raises(ValueError):
