@@ -189,8 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--rendezvous", default=None,
         help="tcp only: host:port for the membership rendezvous (port 0 "
-             "picks an ephemeral port); a port file is published so "
-             "'repro host --rendezvous auto' can attach remote workers",
+             "picks an ephemeral port); with --remote-workers > 0 a port "
+             "file is published so 'repro host --rendezvous auto' can "
+             "attach them",
     )
     p.add_argument(
         "--remote-workers", type=int, default=0,

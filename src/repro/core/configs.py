@@ -70,20 +70,11 @@ class PlexusOptions:
     #: identical either way — only the simulated clocks (comm/comp
     #: breakdown) change.
     overlap: bool = False
-    #: bound on simultaneously in-flight collectives per link, intra- or
-    #: inter-node, on every backend (threaded to ``ClockStore.max_inflight``).
-    #: ``None`` = unbounded (the historical behavior).  When a link is
-    #: saturated, issuing blocks: the group's clocks advance to the time a
-    #: slot frees, charged as communication wait — deep overlap schedules
-    #: lose exactly the overlap a bounded hardware queue would deny them.
-    max_inflight: int | None = None
 
     def __post_init__(self) -> None:
         if self.aggregation_blocks < 1:
             raise ValueError("aggregation_blocks must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1 (or None for unbounded)")
         if self.compute_dtype is None:
             self.compute_dtype = np.float64

@@ -17,10 +17,10 @@ coincide with the next layer's expected input sharding with only
 ``min(3, L)`` distinct adjacency shardings.
 
 :class:`PlexusGrid` is the one grid of every backend (Plexus is SPMD: a
-rank's coordinates decide its shards and its groups): it serves the ranks
+rank's coordinates decide its shards and its links): it serves the ranks
 its cluster holds — the whole cube in process, a worker's z-planes in
-``repro.runtime`` — out of the same memoised coordinate and group tables,
-and knows the global :class:`GridConfig` either way.
+``repro.runtime`` — out of the same memoised coordinate table, and knows
+the global :class:`GridConfig` either way.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from repro.dist.cluster import VirtualCluster
 from repro.dist.collectives import AxisComm
 from repro.dist.comm import AxisCommunicator
-from repro.dist.group import ProcessGroup, axis_bandwidth
+from repro.dist.group import axis_bandwidth
 
 __all__ = ["Axis", "GridConfig", "AxisRoles", "axis_roles", "PlexusGrid"]
 
@@ -141,39 +141,20 @@ def _grid_coords(gx: int, gy: int, gz: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(zip(x.tolist(), y.tolist(), z.tolist()))
 
 
-@lru_cache(maxsize=512)
-def _axis_group_ranks(gx: int, gy: int, gz: int, axis: Axis) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
-    """((key, member ranks), ...) for each process group along ``axis``.
-
-    Groups are ordered by their off-axis coordinate key; members are ordered
-    by their coordinate along ``axis`` so group order equals shard order
-    (all-gather concatenation correctness).
-    """
-    coords = _grid_coords(gx, gy, gz)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for rank, c in enumerate(coords):
-        key_coords = tuple(v for a, v in zip(Axis, c) if a != axis)
-        buckets.setdefault(key_coords, []).append(rank)
-    out = []
-    for key, ranks in sorted(buckets.items()):
-        ranks.sort(key=lambda r: coords[r][axis])
-        out.append((key, tuple(ranks)))
-    return tuple(out)
-
-
 class PlexusGrid:
-    """Process groups and axis communicators of a 3D grid, for the ranks a
-    virtual cluster holds.
+    """Axis communicators of a 3D grid, for the ranks a virtual cluster
+    holds.
 
-    A whole-world cluster gets every group of the cube.  A cluster holding
-    the slice ``[lo, hi)`` — whole z-planes, so every X and Y group is local
-    — gets the groups of its own planes, and its Z axis is the same
-    :class:`~repro.dist.comm.AxisCommunicator` over the cluster's byte mover
-    (``cluster.exchange``) instead of over groups.  Rank arguments and
-    ``world_size`` are local to the cluster (== global on the whole cube);
-    :meth:`coords` maps them to global cube coordinates, so the
-    :class:`~repro.core.sharding.LayerSharding` slicers give each held rank
-    its global shard, and ``config`` is always the global geometry.
+    A whole-world cluster's axes span the cube.  A cluster holding the
+    slice ``[lo, hi)`` — whole z-planes, so every X and Y group is local —
+    runs X and Y over its own planes, and its Z axis is the same
+    :class:`~repro.dist.comm.AxisCommunicator` over the cluster's byte
+    mover (``cluster.exchange``), whose clocks and planes span the cube.
+    Rank arguments and ``world_size`` are local to the cluster (== global
+    on the whole cube); :meth:`coords` maps them to global cube coordinates,
+    so the :class:`~repro.core.sharding.LayerSharding` slicers give each
+    held rank its global shard, and ``config`` is always the global
+    geometry.
     """
 
     def __init__(self, cluster: VirtualCluster, config: GridConfig) -> None:
@@ -192,11 +173,6 @@ class PlexusGrid:
         #: whole-axis collective reduces/gathers over cube position Z -> 0,
         #: X -> 1, Y -> 2
         self.cube = (cluster.world_size // plane, config.gx, config.gy)
-        self._groups: dict[Axis, list[ProcessGroup]] = {}
-        self._group_of: dict[Axis, list[ProcessGroup | None]] = {}
-        self._axis_comms: dict[Axis, AxisComm] = {}
-        for axis in Axis:
-            self._build_axis(axis)
         self._comms: dict[Axis, AxisCommunicator] = {}
 
     # -- rank mapping --------------------------------------------------------
@@ -207,50 +183,7 @@ class PlexusGrid:
     def coord(self, rank: int, axis: Axis) -> int:
         return self._coords[rank][axis]
 
-    # -- groups ---------------------------------------------------------------
-    def _build_axis(self, axis: Axis) -> None:
-        """The held process groups along ``axis`` and its descriptor."""
-        cfg, cluster = self.config, self.cluster
-        # both lookups are memoized across grids of the same configuration
-        bw = axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis))
-        grouping = _axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, axis)
-        lo, hi = cluster.lo, cluster.hi
-        groups = []
-        group_of: list[ProcessGroup | None] = [None] * cluster.world_size
-        for key, ranks in grouping:
-            # members ascend; a group of other processes' planes — or, on a
-            # slice, every Z group, which crosses them — is not held here
-            if ranks[0] < lo or ranks[-1] >= hi:
-                continue
-            g = ProcessGroup(
-                members=[cluster[r - lo] for r in ranks],
-                machine=cluster.machine,
-                bandwidth=bw,
-                name=f"{axis.name.lower()}{key}",
-            )
-            groups.append(g)
-            for r in ranks:
-                group_of[r - lo] = g
-        self._groups[axis] = groups
-        self._group_of[axis] = group_of
-        # bandwidth and latency are shared by every group along an axis
-        # (Eq. 4.6), so one descriptor per axis covers them all.  X and Y
-        # span the held planes; Z always spans the whole cube — behind a
-        # byte mover its clocks and operand planes come from every slice
-        self._axis_comms[axis] = AxisComm(
-            store=cluster.store,
-            cube=(cfg.gz, cfg.gx, cfg.gy) if axis is Axis.Z else self.cube,
-            axis=(1, 2, 0)[axis],  # cube position: X -> 1, Y -> 2, Z -> 0
-            size=cfg.size(axis),
-            bandwidth=bw,
-            latency=cluster.machine.latency,
-        )
-
-    def groups(self, axis: Axis) -> list[ProcessGroup]:
-        """The held process groups along a physical axis (every group of
-        the cube on a whole-world cluster; none along Z on a slice)."""
-        return self._groups[axis]
-
+    # -- axes ---------------------------------------------------------------
     def comm(self, axis: Axis) -> AxisCommunicator:
         """The handle-based communicator of a grid axis.
 
@@ -258,34 +191,36 @@ class PlexusGrid:
         one cube-reshaped reduction over a stacked operand and return
         :class:`~repro.dist.comm.PendingCollective` handles — call
         ``.wait()`` immediately for the eager schedule, or interleave
-        compute between issue and wait to hide communication.  For one
-        process group at a time use :meth:`groups` with
-        :func:`repro.dist.comm.communicator`; both share the groups' links.
+        compute between issue and wait to hide communication.
         """
         comm = self._comms.get(axis)
         if comm is None:
-            cluster = self.cluster
-            # Z behind a byte mover takes no groups: its slots are the
-            # held plane offsets, first held plane ``z0``
-            mover = cluster.exchange if axis is Axis.Z else None
+            cfg, cluster = self.config, self.cluster
+            # bandwidth and latency are shared by every group along an axis
+            # (Eq. 4.6), so one descriptor per axis covers them all.  X and Y
+            # span the held planes; Z always spans the whole cube — behind a
+            # byte mover its clocks and operand planes come from every slice
+            descriptor = AxisComm(
+                store=cluster.store,
+                cube=(cfg.gz, cfg.gx, cfg.gy) if axis is Axis.Z else self.cube,
+                axis=(1, 2, 0)[axis],  # cube position: X -> 1, Y -> 2, Z -> 0
+                size=cfg.size(axis),
+                bandwidth=axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis)),
+                latency=cluster.machine.latency,
+            )
             comm = self._comms[axis] = AxisCommunicator(
-                self._axis_comms[axis],
-                () if mover is not None else self._groups[axis],
+                descriptor,
                 issue_overhead_s=cluster.machine.issue_overhead_s,
-                exchange=mover,
-                z0=cluster.lo // (self.config.gx * self.config.gy),
+                exchange=cluster.exchange if axis is Axis.Z else None,
+                z0=cluster.lo // (cfg.gx * cfg.gy),  # the first held plane
             )
         return comm
 
     def link_keys(self) -> set:
-        """Every ``ClockStore.links`` / ``link_queues`` key the collectives
-        of the held groups touch (a slice: its planes' X / Y links and all
-        the Z links) — what a restore keeps of a re-sliced cube's link books."""
+        """Every ``ClockStore.links`` key the collectives of the held ranks
+        touch (a slice: its planes' X / Y links and all the Z links) — what a
+        restore keeps of a re-sliced cube's link books."""
         return {k for axis in Axis for k in self.comm(axis)._slots.links}
-
-    def group_of(self, rank: int, axis: Axis) -> ProcessGroup:
-        """The process group containing ``rank`` along ``axis``."""
-        return self._group_of[axis][rank]
 
     @property
     def world_size(self) -> int:

@@ -77,7 +77,7 @@ X-all-reduce, the ``comp:gemm_dh`` charge and the dH all-reduce are issued
 and waited as before — through
 :meth:`~repro.dist.comm.AxisCommunicator.issue`, which schedules a
 collective of known duration without an operand — so clocks, link
-reservations, in-flight queues, phase totals and trace events stay bitwise
+reservations, phase totals and trace events stay bitwise
 what they were, while no SpMM, GEMM, gather copy or reduction runs for
 them — so the layer releases its forward SpMM plans right after its first
 forward, unless a later layer multiplies with the same ones.  What is held

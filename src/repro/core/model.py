@@ -122,9 +122,6 @@ class PlexusGCN:
             LayerSharding(config, axis_roles(i), n, layer_dims[i], layer_dims[i + 1])
             for i in range(n_layers)
         ]
-        # unconditional: a later model on the same cluster must not inherit
-        # an earlier model's bound (None restores the unbounded default)
-        cluster.store.max_inflight = opts.max_inflight
 
         # -- layer construction --------------------------------------------
         self._shard_cache: dict = {}

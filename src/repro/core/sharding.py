@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.grid import Axis, AxisRoles, GridConfig, PlexusGrid
-from repro.sparse.partition import block_slice
+from repro.sparse.partition import block_slice, block_slices
 
 __all__ = ["LayerSharding"]
 
@@ -138,20 +138,17 @@ class LayerSharding:
         vectors; under quasi-equal sharding adjacent entries differ by at
         most one.
         """
-        world = grid.world_size
-        out = {
-            "a_rows": np.empty(world),
-            "a_cols": np.empty(world),
-            "f_cols": np.empty(world),
-            "w_cols": np.empty(world),
+        # the held ranks' (x, y, z), one column per axis
+        coords = np.array([grid.coords(r) for r in range(grid.world_size)]).reshape(-1, 3).T
+
+        def extents(n: int, axis: Axis) -> np.ndarray:
+            blocks = block_slices(n, self.config.size(axis))
+            return np.array([s.stop - s.start for s in blocks], dtype=float)[coords[axis]]
+
+        r = self.roles
+        return {
+            "a_rows": extents(self.n, r.z),
+            "a_cols": extents(self.n, r.x),
+            "f_cols": extents(self.d_in, r.y),
+            "w_cols": extents(self.d_out, r.x),
         }
-        for r in range(world):
-            s = self.a_row_slice(grid, r)
-            out["a_rows"][r] = s.stop - s.start
-            s = self.a_col_slice(grid, r)
-            out["a_cols"][r] = s.stop - s.start
-            s = self.f_col_slice(grid, r)
-            out["f_cols"][r] = s.stop - s.start
-            s = self.w_col_slice(grid, r)
-            out["w_cols"][r] = s.stop - s.start
-        return out

@@ -84,21 +84,6 @@ class ClockStore:
       queue behind each other instead of magically overlapping — and the
       schedule kernel does it for every group of a collective with one
       gather and one scatter.
-    * ``max_inflight`` optionally bounds the in-flight ops *per link*: when
-      set (``PlexusOptions.max_inflight`` threads it here), each link keeps
-      the newest ``max_inflight`` completion times of its ops (ascending: a
-      link's transfers end in issue order) as its row of a ``(slots,
-      width)`` array (:meth:`queues`), right-aligned and −inf-padded;
-      ``link_queues`` is its keyed view.  Issuing on a saturated link
-      *blocks* — the issuing group's clocks are lifted to the time a slot
-      frees, with the wait charged to the collective's comm phase.  Intra-
-      and inter-node links alike: no queue is shared between links
-      (contention between links is Eq. 4.6's effective bandwidth, not a
-      queue).  The transfer schedule itself is unchanged (ops already
-      serialize on their link); what saturation costs is the *overlap*:
-      compute that would have been issued behind the full queue can no
-      longer start early.  ``None`` (the default) keeps the historical
-      unbounded queue and records nothing.
     * ``outstanding`` registers every issued-but-not-yet-waited
       :class:`~repro.dist.comm.PendingCollective`; ``wait()`` deregisters.
       The trainer checks it at epoch end so a dropped handle (communication
@@ -113,8 +98,6 @@ class ClockStore:
         "by_category",
         "_slot_of",
         "busy",
-        "_queues",
-        "max_inflight",
         "outstanding",
         "trace",
     )
@@ -128,11 +111,6 @@ class ClockStore:
         self._slot_of: dict[object, int] = {}
         #: slot -> busy-until time (-inf: never reserved)
         self.busy = np.empty(0)
-        #: slot -> its newest completion times, ascending and right-aligned
-        #: (-inf pads; only maintained while ``max_inflight`` is set)
-        self._queues = np.empty((0, 0))
-        #: bound on in-flight ops per link (None = unbounded, no tracking)
-        self.max_inflight: int | None = None
         #: id(handle) -> in-flight PendingCollective (issued, not yet waited)
         self.outstanding: dict[int, object] = {}
         #: optional :class:`repro.obs.trace.SimSink` mirroring every charge;
@@ -203,35 +181,13 @@ class ClockStore:
         grow = len(slot_of) - len(self.busy)
         if grow:
             self.busy = np.concatenate((self.busy, np.full(grow, -np.inf)))
-            pad = np.full((grow, self._queues.shape[1]), -np.inf)
-            self._queues = np.concatenate((self._queues, pad))
         return np.array([slot_of[k] for k in keys], dtype=np.intp)
-
-    def queues(self, width: int) -> np.ndarray:
-        """The in-flight queue rows, at least ``width`` wide (widened with
-        −inf on the oldest side)."""
-        q = self._queues
-        if q.shape[1] < width:
-            q = np.concatenate((np.full((len(q), width - q.shape[1]), -np.inf), q), axis=1)
-            self._queues = q
-        return q
 
     @property
     def links(self) -> dict:
         """Link key -> busy-until time of every reserved link (a fresh dict)."""
         busy = self.busy.tolist()
         return {k: busy[s] for k, s in self._slot_of.items() if busy[s] != -np.inf}
-
-    @property
-    def link_queues(self) -> dict:
-        """Link key -> its newest completion times, ascending, of every link
-        that queued an op under a bound (fresh lists)."""
-        rows = self._queues.tolist()
-        return {
-            k: [t for t in rows[s] if t != -np.inf]
-            for k, s in self._slot_of.items()
-            if rows[s] and rows[s][-1] != -np.inf
-        }
 
     # -- outstanding-op registry (see repro.dist.comm) -------------------------
     def register_outstanding(self, handle) -> None:
@@ -265,28 +221,27 @@ class ClockStore:
         self.by_phase.clear()
         self.by_category.clear()
         self.busy.fill(-np.inf)
-        self._queues.fill(-np.inf)
         self.outstanding.clear()
         if self.trace is not None:
             self.trace.clear()
 
     def snapshot(self) -> dict:
         """Copies of the books — clocks, phase and category totals, link
-        busy-until times and in-flight queues — plus the outstanding-handle
-        registry.  The five books under these keys are what a checkpoint
-        slice file and a worker's state report hold (``repro.runtime``)."""
+        busy-until times — plus the outstanding-handle registry.  The four
+        books under these keys are what a checkpoint slice file and a
+        worker's state report hold (``repro.runtime``)."""
         return {
             "clocks": self.clocks.copy(),
             "by_phase": {k: v.copy() for k, v in self.by_phase.items()},
             "by_category": {k: v.copy() for k, v in self.by_category.items()},
             "links": self.links,
-            "link_queues": self.link_queues,
             "outstanding": dict(self.outstanding),
         }
 
     def restore(self, snap: dict) -> None:
         """Load the books of a :meth:`snapshot` (or of a checkpoint slice,
-        which lists no outstanding handles) in place."""
+        which lists no outstanding handles) in place.  Any other key is
+        ignored (an older slice file's per-link in-flight queues)."""
         self.clocks[:] = snap["clocks"]
         for book, saved in (
             (self.by_phase, snap["by_phase"]),
@@ -295,15 +250,10 @@ class ClockStore:
             book.clear()
             book.update({k: v.copy() for k, v in saved.items()})
         # a link the snapshot does not list reads as unreserved again
-        links, queued = snap["links"], snap["link_queues"]
-        slots, rows = self.link_slots(links), self.link_slots(queued)
+        links = snap["links"]
+        slots = self.link_slots(links)
         self.busy.fill(-np.inf)
         self.busy[slots] = list(links.values())
-        queues = self.queues(max(map(len, queued.values()), default=0))
-        queues.fill(-np.inf)
-        for row, times in zip(rows, queued.values()):
-            if times:
-                queues[row, -len(times) :] = times
         self.outstanding.clear()
         # reconcile rather than copy blindly: a handle that was waited
         # between snapshot and restore (e.g. consumed inside no_charge)

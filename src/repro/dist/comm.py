@@ -35,13 +35,12 @@ in between — bitwise identical (clocks *and* phase totals) to charging the
 full Eq. 4.5 cost the moment the collective is called.
 
 The timeline lives in **one schedule kernel**, :func:`_schedule`: (per-group
-ready times, per-group slot — link key, resolved once per store to its slot
-id, and member index into the local store — duration scalar-or-per-group,
-phase) → (begin, end).  It does the in-flight wait, the
-``begin = max(ready, link)`` reservation, the in-flight enqueue, the
-``SimSink`` link events and the ``issue`` instant, and every path calls
-it: a :class:`GroupCommunicator` is one slot, an :class:`AxisCommunicator`
-is its groups' slots, and the worker-crossing Z axis of ``repro.runtime``
+ready times, per-group link key — resolved once per store to its slot id —
+duration scalar-or-per-group, phase) → (begin, end).  It does the
+``begin = max(ready, link)`` reservation, the ``SimSink`` link events and
+the ``issue`` instant, and every path calls it: a
+:class:`GroupCommunicator` is one link, an :class:`AxisCommunicator` is
+its groups' links, and the worker-crossing Z axis of ``repro.runtime``
 is the *same* :class:`AxisCommunicator` whose clocks and operand planes
 come through a byte mover (a transport bus's ``exchange``: per posted
 array every worker's part, the peers' zero-copy and valid until the next
@@ -53,9 +52,9 @@ and feed it one number (per group).  A handle exposes that number
 (:attr:`PendingCollective.duration`), and
 :meth:`AxisCommunicator.issue` takes it back — *issue a collective whose
 duration is known and whose result the caller already holds, or nobody
-reads*.  Issue and wait run exactly as above (launch overhead, ready time,
-in-flight slots, link reservation, trace events, completion charge); only
-the data math is skipped.  A frozen layer 0 re-issues its collectives this
+reads*.  Issue and wait run exactly as above (launch overhead, ready
+time, link reservation, trace events, completion charge); only the data
+math is skipped.  A frozen layer 0 re-issues its collectives this
 way from the second epoch on (``repro.core.layers``).
 
 Misuse is loud: waiting a handle twice raises, and a handle that is never
@@ -88,16 +87,6 @@ bitwise identical to one :class:`GroupCommunicator` call per process group
 on the exact shards (``map_groups`` in ``tests/oracle.py``).  A duration is
 a scalar when every group moves the same bytes, else a keepdims array over
 the off-axis cube (one entry per group).
-
-One orthogonal extension rides on the same issue machinery:
-
-* **Bounded in-flight ops per link** — when ``ClockStore.max_inflight`` is
-  set, each link tracks its in-flight completion times and an issue on a
-  saturated link blocks: the issuing group's clocks are lifted to the time
-  a slot frees (charged to the collective's comm phase).  The bound is per
-  link on every machine, intra- or inter-node: no queue is shared between
-  links, so one group's schedule never depends on a sibling's.  Transfers
-  still queue exactly as before; saturation only costs the overlap.
 """
 
 from __future__ import annotations
@@ -172,20 +161,16 @@ def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
 
 
 class _Slots:
-    """Where the transfers of a set of groups land on the timeline.
-
-    Per group — in keepdims-ravel order of the axis's off-axis cube, or the
-    one entry of a lone process group — its ``ClockStore.links`` key (which
-    also names its in-flight queue) and its members' index into the local
-    ``store.clocks``.  :meth:`ids` resolves the keys to the store's slots
-    once per store.
+    """Where the transfers of a set of groups land on the timeline: per
+    group — in keepdims-ravel order of the axis's off-axis cube, or the one
+    entry of a lone process group — its ``ClockStore.links`` key.
+    :meth:`ids` resolves the keys to the store's slots once per store.
     """
 
-    __slots__ = ("links", "members", "_store", "_ids")
+    __slots__ = ("links", "_store", "_ids")
 
-    def __init__(self, links, members) -> None:
+    def __init__(self, links) -> None:
         self.links = tuple(links)
-        self.members = tuple(members)
         self._store = self._ids = None
 
     def ids(self, store: ClockStore) -> np.ndarray:
@@ -210,41 +195,13 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
     The reservation is one gather and one scatter over the store's slot
     vector (``store.busy``), whatever the group count: an unreserved slot
     holds −inf, so ``begin`` is then the ready time.
-
-    Under a bound (``store.max_inflight``) each link also keeps its newest
-    completions in its row of ``store.queues``.  A link's transfers end in
-    the order they were issued, so it holds ``max_inflight`` ops past a
-    group's ready time exactly when its ``max_inflight``-th newest completion
-    is later: such a group blocks — its members are lifted to that
-    completion (charged to ``phase``), which becomes its ready time.  The
-    groups of one call sit on distinct links, so none waits on another's
-    issue, and every group is reserved at once either way.  Transfers
-    themselves still serialize via the busy-until reservation — saturation
-    only delays the *issue*.
     """
     ids = slots.ids(store)
-    limit = store.max_inflight
     sink = store.trace
-    if limit is not None:
-        queues = store.queues(limit)
-        freed = queues[ids, -limit].reshape(ready.shape)
-        lifted = np.flatnonzero(freed > ready)
-        if lifted.size:
-            ready = np.maximum(ready, freed)
-            flat = np.ravel(ready)
-            for gi in lifted:
-                idx, t = slots.members[gi], flat[gi]
-                store.record_idx(idx, phase, t - store.clocks[idx])
-                store.clocks[idx] = t
     busy = store.busy
     begin = np.maximum(ready, busy[ids].reshape(ready.shape))
     end = begin + duration
     busy[ids] = ends = end.ravel()
-    if limit is not None:  # shift each row one older, the new end newest
-        queues[ids, :-1] = queues[ids, 1:]
-        queues[ids, -1] = ends
-        if queues.shape[1] > limit:  # wider rows (a restore, a lowered bound)
-            queues[ids, : queues.shape[1] - limit] = -np.inf
     if sink is not None:
         # begin/end are fresh per issue and never written in place (the
         # pending record aliases them the same way)
@@ -526,7 +483,7 @@ class GroupCommunicator:
             issue_overhead_s = group.machine.issue_overhead_s
         self.issue_overhead_s = float(issue_overhead_s)
         #: the group's one schedule slot
-        self._slots = _Slots((link_key(m.rank for m in group.members),), (group.member_idx,))
+        self._slots = _Slots((link_key(m.rank for m in group.members),))
 
     # -- issue machinery -----------------------------------------------------
     def _issue(self, duration: float, phase: str, result) -> PendingCollective:
@@ -624,10 +581,10 @@ class AxisCommunicator:
     ``all_reduce`` & co take a ``(world, *shard)`` operand (a
     :class:`CubeStack` or a raw ndarray), execute all groups of the axis as
     one keepdims reduction over the rank cube and return the result once per
-    group.  The schedule slots are taken from the groups'
-    own :class:`GroupCommunicator` objects, so a whole-axis collective and
-    a collective issued on one of the axis's process groups share that
-    group's link reservation and queue behind each other.  Obtain via
+    group.  Each group's schedule slot is its :func:`link_key`, named from
+    the grid (the global ranks of the group, in member order), so a
+    whole-axis collective and a :class:`GroupCommunicator` of the same
+    ranks share the link reservation and queue behind each other.  Obtain via
     ``PlexusGrid.comm(axis)``; like :class:`GroupCommunicator`, a launch
     cost can be enabled by setting ``issue_overhead_s`` on the cached
     instance (default 0 keeps eager numerics bitwise unchanged).
@@ -647,11 +604,14 @@ class AxisCommunicator:
     unique bytes, and a collective re-issued with a known duration
     (:meth:`issue`) still rendezvouses, because the schedule needs every
     worker's clocks, but the exchange is **clocks only**.  Link busy-until
-    state and bounded in-flight queues are *replicated* per worker in the
-    local :class:`ClockStore`, under the Z groups' own :func:`link_key` —
-    deterministic inputs keep every replica bitwise consistent and equal to
-    the in-process entries, intra- or inter-node, since a queue belongs to
-    one link and no worker-local link shares it.
+    state is *replicated* per worker in the local :class:`ClockStore`, under
+    the Z groups' own :func:`link_key` — deterministic inputs keep every
+    replica bitwise consistent and equal to the in-process entries.
+
+    ``z0`` is the first z-plane the local store holds.  In process the
+    store's ranks are the cube's ``[z0 · Gx·Gy, ...)`` (a worker's X / Y
+    axes span its own planes); behind a byte mover the cube is the whole
+    one, from rank 0.
     """
 
     __slots__ = (
@@ -667,7 +627,6 @@ class AxisCommunicator:
     def __init__(
         self,
         descriptor: AxisComm,
-        groups: Sequence[ProcessGroup] = (),
         issue_overhead_s: float = 0.0,
         exchange=None,
         z0: int = 0,
@@ -683,36 +642,11 @@ class AxisCommunicator:
         #: the rank cube of the local store: all of ``d.cube`` in-process,
         #: this worker's whole z-planes behind a byte mover
         self._cube = (d.store.world // plane, gx, gy)
-        if exchange is not None:
-            # a Z group's members stride whole planes: plane offset ``gi`` in
-            # every plane of the cube, locally and globally
-            if d.axis != 0 or groups:
-                raise ValueError("a byte mover carries the group-less leading (Z) axis only")
-            self._slots = _Slots(
-                [link_key(range(gi, d.cube[0] * plane, plane)) for gi in range(plane)],
-                [slice(gi, None, plane) for gi in range(plane)],
-            )
-            return
-        # position of each group's slot in the keepdims link cube: unfold a
-        # member's *store index* (== its rank on a whole-cluster store, its
-        # local index on a worker-sliced store) into (z, x, y), zero the
-        # reduced axis, ravel the rest
-        keep = list(d.cube)
-        keep[d.axis] = 1
-        positions: list[int] = []
-        for group in groups:
-            i0 = group.members[0]._i
-            coords = [i0 // plane, (i0 // gy) % gx, i0 % gy]
-            coords[d.axis] = 0
-            positions.append((coords[0] * keep[1] + coords[1]) * keep[2] + coords[2])
-        if sorted(positions) != list(range(keep[0] * keep[1] * keep[2])):
-            raise ValueError("groups do not tile the axis's off-axis cube")
-        # the groups' own slots, so stacked and group-wise operations on one
-        # axis serialize on its physical links
-        by_pos: list = [None] * len(positions)
-        for pos, group in zip(positions, groups):
-            by_pos[pos] = communicator(group)._slots
-        self._slots = _Slots([sl.links[0] for sl in by_pos], [sl.members[0] for sl in by_pos])
+        if exchange is not None and d.axis != 0:
+            raise ValueError("a byte mover carries the leading (Z) axis only")
+        lo = 0 if exchange is not None else z0 * plane
+        groups = self._group_table(np.arange(lo, lo + d.world)).tolist()
+        self._slots = _Slots(map(link_key, groups))
 
     # -- issue machinery -----------------------------------------------------
     def _gather(self, full_phase: str, stacked: CubeStack | None = None) -> tuple:
@@ -786,10 +720,10 @@ class AxisCommunicator:
 
         ``duration`` is what an earlier handle of the same collective
         reported (:attr:`PendingCollective.duration`).  The timeline cannot
-        tell the difference: launch overhead, group-ready time, in-flight
-        slots, link reservation, trace events and the charge at ``wait()``
-        are those of the operand-carrying methods — only the data
-        transformation and the byte count behind the duration are skipped.
+        tell the difference: launch overhead, group-ready time, link
+        reservation, trace events and the charge at ``wait()`` are those of
+        the operand-carrying methods — only the data transformation and the
+        byte count behind the duration are skipped.
         ``wait()`` returns ``result``.
         """
         if duration is None:  # size-1 axis: the collective never cost anything

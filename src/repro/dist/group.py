@@ -4,6 +4,8 @@ A :class:`ProcessGroup` is an ordered set of virtual ranks that execute
 collectives together; the order *is* the shard order (all-gather
 concatenates member shards in member order).  Its ``bandwidth`` is the
 effective per-rank link bandwidth the ring cost models (Eq. 4.5) divide by.
+The baselines build them; a grid axis names its groups' links from the
+geometry instead (``repro.dist.comm.AxisCommunicator``).
 
 :func:`axis_bandwidth` implements the paper's Eq. 4.6: a grid-axis group
 whose members all fit inside one node communicates at the intra-node
@@ -12,7 +14,7 @@ node's aggregate NIC injection bandwidth with its *sibling* groups — the
 other groups of the same axis that live on the same nodes.  Under the
 Y-fastest rank mapping the number of siblings per node equals the axis's
 inner-axis product, capped at the node size.  The function is memoized:
-``PlexusGrid._build_axis_groups`` and both analytic models call it inside
+``PlexusGrid.comm`` and both analytic models call it inside
 configuration sweeps thousands of times with a handful of distinct
 arguments.
 """

@@ -81,7 +81,7 @@ class _Sweep:
         self.bw = {
             a: np.array([axis_bandwidth(machine, c.size(a), c.inner_size(a)) for c in configs]) for a in Axis
         }
-        self.slots = {a: _Slots([(i, a) for i in range(n)], [slice(i, i + 1) for i in range(n)]) for a in Axis}
+        self.slots = {a: _Slots([(i, a) for i in range(n)]) for a in Axis}
         self.lag = np.zeros(n)
 
     def compute(self, phase: str, seconds, lag=0.0) -> None:

@@ -46,9 +46,9 @@ sent nothing for 2 x ``timeout``; a pool forms within the larger of
 Guarantee: ``backend="multiproc"`` is bitwise identical to
 ``backend="inproc"`` — losses, weights, per-rank clocks and phase totals —
 on every sharding, divisible or padded (quasi-equal shards cross the bus
-with their valid extents), eager or overlap schedules, any ``max_inflight``
-bound (it is per link, so a Z link's queue is replicated like its
-busy-until time), ``evaluate()`` included; the in-process simulator
+with their valid extents), eager or overlap schedules (a Z link's
+busy-until time is replicated in every worker under its key),
+``evaluate()`` included; the in-process simulator
 remains the parity oracle.  Refused at construction, typed, before a
 worker spawns: a fault plan aimed at the other transport.
 """

@@ -14,8 +14,8 @@ needs:
 * **Adam moments** — step counter ``t`` plus the first/second-moment
   stacks (restored with ``np.copyto`` so the optimizer's parameter
   aliasing into the live weight stacks is preserved);
-* **ClockStore snapshot** — clocks, per-phase and per-category totals,
-  link busy-until state and bounded in-flight queues;
+* **ClockStore snapshot** — clocks, per-phase and per-category totals
+  and link busy-until state;
 * **in-flight-handle inventory** — the cross-epoch F prefetch
   (:class:`~repro.dist.comm.PendingCollective`) when one is in flight at
   the boundary: its phase, schedule record, and gathered result.
@@ -87,7 +87,8 @@ __all__ = [
 logger = get_logger(__name__)
 
 #: 2: link books keyed by ``comm.link_key`` (version-1 keys counted
-#: communicators in construction order and would restore as dead links)
+#: communicators in construction order and would restore as dead links); an
+#: older slice file's per-link in-flight queue book is ignored on restore
 FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt-"
@@ -226,11 +227,11 @@ def restore_model(model, state: dict) -> None:
         np.copyto(opt.m[k], state["adam"]["m"][k], casting="no")
         np.copyto(opt.v[k], state["adam"]["v"][k], casting="no")
 
-    # clock/timeline state: of a re-sliced cube's link books, the entries of
-    # the links and queues this grid's groups hold
+    # clock/timeline state: of a re-sliced cube's link book, the entries of
+    # the links this grid's collectives touch
     held = model.grid.link_keys()
-    books = {b: {k: v for k, v in state[b].items() if k in held} for b in ("links", "link_queues")}
-    cluster.store.restore({**state, **books})
+    links = {k: v for k, v in state["links"].items() if k in held}
+    cluster.store.restore({**state, "links": links})
     pending = state["pending_f0"]
     model._f0_pending = None if pending is None else _rebuild_pending(pending, model)
 
@@ -315,10 +316,8 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
         raise CheckpointError("checkpoint slices disagree on the Adam step counter")
     # one key space: a link two slices both hold is a replicated Z link
     links: dict = {}
-    queues: dict = {}
     for s in states:
         links.update(s["links"])
-        queues.update(s["link_queues"])
     pending = states[0]["pending_f0"]
     if pending is not None:
         # phase and record agree across slices; the flat result is per rank
@@ -328,7 +327,6 @@ def load_cube_state(ckpt_dir: str | Path) -> dict:
         "hi": cursor,
         **assemble_slices(states),
         "links": links,
-        "link_queues": queues,
         "adam": {
             "t": t,
             "m": _concat([s["adam"]["m"] for s in states]),

@@ -358,10 +358,11 @@ class MultiprocTrainer:
     def _spawn_tcp(self, ctx, deadline: float) -> None:
         """Rendezvous-based pool formation (the multi-host path).
 
-        A fresh session + port file per (re)spawn: a killed pool's state
-        can never be confused with the new one's, and a ``repro host``
-        secondary rediscovers the new rendezvous through the port file.
-        Locally spawned workers pin their slice index as the preferred
+        A fresh session per (re)spawn: a killed pool's state can never be
+        confused with the new one's.  A port file is published only when
+        ``remote_workers`` > 0, so ``repro host --rendezvous auto`` finds
+        only launchers with a slot to fill, and a secondary rediscovers a
+        respawned rendezvous through the new file.  Locally spawned workers pin their slice index as the preferred
         worker id; ``remote_workers`` slots are filled by workers dialing
         in from other launchers.  A local worker that dies before dialing
         in is :class:`~repro.errors.WorkerCrashed` within 0.2 s of its exit.
@@ -373,6 +374,8 @@ class MultiprocTrainer:
         host, port = self.rendezvous
         self._listener = RendezvousListener(host, port, authkey=self._authkey)
         self._session = self._listener.session
+        if self.remote_workers:
+            self._listener.publish()
         dial = (self._listener.host, self._listener.port, self._authkey)
         n_local = self.workers - self.remote_workers
         _start_workers(self._procs, ctx, worker_main_tcp, [(w, *dial) for w in range(n_local)])

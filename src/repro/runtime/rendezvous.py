@@ -229,7 +229,8 @@ def connect_rendezvous(
 
 
 class RendezvousListener:
-    """The launcher's rendezvous endpoint (+ its published port file)."""
+    """The launcher's rendezvous endpoint (+ its port file, once
+    :meth:`publish` wrote it)."""
 
     def __init__(
         self,
@@ -246,8 +247,12 @@ class RendezvousListener:
         self._sock.bind((host, port))
         self._sock.listen(64)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._port_file = write_port_file(self.session, self.host, self.port, authkey)
+        self._port_file: Path | None = None
         self._closed = False
+
+    def publish(self) -> None:
+        """Write the port file ``repro host --rendezvous auto`` discovers."""
+        self._port_file = write_port_file(self.session, self.host, self.port, self.authkey)
 
     def accept(self, deadline: float, idle=None) -> Connection:
         """One authenticated control connection (or typed timeout).
@@ -337,7 +342,7 @@ class RendezvousListener:
             self._sock.close()
         except OSError:
             pass
-        if unlink:
+        if unlink and self._port_file is not None:
             try:
                 self._port_file.unlink()
             except OSError:

@@ -4,8 +4,9 @@
 whole-axis collectives over the rank cube, one stacked Adam, a frozen layer 0
 replayed from its first pass).  This module is the form the paper gives —
 one rank at a time, one collective call **per process group** at a time
-(``grid.groups(axis)`` + ``communicator(group)``: the public API), one Adam
-per rank — kept whole as the bitwise oracle of the parity suites: losses,
+(:func:`axis_groups`: the oracle's own groups, built from the grid's
+geometry and cluster, each on its ``communicator(group)``), one Adam per
+rank — kept whole as the bitwise oracle of the parity suites: losses,
 weights, trainable F0, per-rank clocks, every ``by_phase`` bucket and every
 ``EpochStats`` field must equal the product's in float64.
 
@@ -31,18 +32,60 @@ needs).
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.batch import BlockDiagSpmm, batched_matmul
 from repro.core.model import PlexusGCN
 from repro.core.trainer import EpochStats, TrainResult
 from repro.dist.comm import communicator
+from repro.dist.group import ProcessGroup, axis_bandwidth
 from repro.nn.functional import relu, relu_grad
 from repro.nn.optim import Adam
 from repro.sparse.ops import spmm
 from repro.sparse.partition import block_slices, csr_block
 
-__all__ = ["PerRankOracle", "GroupHandles", "map_groups"]
+__all__ = ["PerRankOracle", "GroupHandles", "map_groups", "axis_groups", "axis_group_ranks"]
+
+
+@lru_cache(maxsize=None)
+def axis_group_ranks(gx: int, gy: int, gz: int, axis: int) -> tuple[tuple[int, ...], ...]:
+    """The global member ranks of every process group along grid ``axis``
+    (0 = X, 1 = Y, 2 = Z) under the Y-fastest mapping, rank
+    ``z*(Gx*Gy) + x*Gy + y``: groups in ascending order of their off-axis
+    coordinates, members in ascending order of their coordinate along
+    ``axis`` — the shard order of an all-gather."""
+    sizes = (gx, gy, gz)
+    others = [a for a in range(3) if a != axis]
+    groups = []
+    for key in itertools.product(*(range(sizes[a]) for a in others)):
+        coords = [0, 0, 0]
+        for a, v in zip(others, key):
+            coords[a] = v
+        members = []
+        for c in range(sizes[axis]):
+            coords[axis] = c
+            x, y, z = coords
+            members.append((z * gx + x) * gy + y)
+        groups.append(tuple(members))
+    return tuple(groups)
+
+
+def axis_groups(grid, axis) -> list[ProcessGroup]:
+    """The process groups along ``axis`` of a whole-cube grid, built from
+    its cluster's ranks with the Eq. 4.6 bandwidth of the axis.  Their
+    links are the product's by key (``comm.link_key`` of the member ranks),
+    so a group's collectives queue behind the whole-axis ones."""
+    cfg, cluster = grid.config, grid.cluster
+    if cluster.world_size != cfg.total:
+        raise ValueError("the oracle's groups span a whole-cube grid")
+    bw = axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis))
+    return [
+        ProcessGroup([cluster[r] for r in ranks], cluster.machine, bandwidth=bw)
+        for ranks in axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, int(axis))
+    ]
 
 
 class GroupHandles:
@@ -69,10 +112,11 @@ class GroupHandles:
 def map_groups(grid, axis, method: str, per_rank, /, **kw) -> GroupHandles:
     """Issue ``method`` (``"all_reduce"`` / ``"all_gather"`` /
     ``"reduce_scatter"``) once per process group along grid ``axis`` over a
-    rank-indexed shard list, on the groups' own ``GroupCommunicator``s;
-    ``kw`` (``phase``, ``op``, the data ``axis``) goes to each call."""
+    rank-indexed shard list, on the groups' own ``GroupCommunicator``s
+    (:func:`axis_groups`); ``kw`` (``phase``, ``op``, the data ``axis``)
+    goes to each call."""
     parts = []
-    for group in grid.groups(axis):
+    for group in axis_groups(grid, axis):
         ranks = [m.rank for m in group.members]
         handle = getattr(communicator(group), method)([per_rank[r] for r in ranks], **kw)
         parts.append((handle, ranks))

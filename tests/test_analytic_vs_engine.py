@@ -10,7 +10,7 @@ drawing the grid (every factorization of 1-8 ranks), N, the layer dims
 overlap schedules, 1-4 aggregation blocks and a frozen or trainable F0,
 plus a ``PINNED`` table of named cases.
 The engine trains in float32 (the model prices 4-byte elements) with no
-SpMM noise and no in-flight bound, and its third epoch is the measure.
+SpMM noise, and its third epoch is the measure.
 
 The graph is complete, so every shard holds its rows x columns nonzeros —
 its permutation imbalance is exactly 1, which the model is told in place of

@@ -16,7 +16,7 @@ valid extents, divisible sharding is the case that pads nothing (``rows is
 None``), blocked aggregation runs per-block stacked SpMM plans.  The three
 hypothesis suites below pin the workload family (uniform, ragged, blocked
 incl. a 4-layer model) and draw the *product* of everything else:
-permutation, overlap, aggregation blocks, the in-flight bound and the
+permutation, overlap, aggregation blocks and the
 machine beside it (LAPTOP: every link intra-node; PERLMUTTER, 4 GPUs per
 node: inter-node links on the grids past 4 ranks), SpMM noise, trainable features and the grad-W GEMM
 form.  A uniform model whose stacks
@@ -66,7 +66,6 @@ OPTIONS = st.fixed_dictionaries(
         "permutation": st.sampled_from(["none", "single", "double"]),
         "overlap": st.booleans(),
         "aggregation_blocks": st.sampled_from([1, 3, 4]),
-        "max_inflight": st.sampled_from([None, 1, 2]),
         "machine": st.sampled_from([LAPTOP, PERLMUTTER]),
         "noise": st.booleans(),
         "trainable_features": st.booleans(),
@@ -152,7 +151,7 @@ class TestEngineParity:
         model = _assert_bitwise(_dataset(seed), GRIDS[grid_idx], prepare=prepare, **opts)
         assert (model.layers[0].w_stack.rows is None) == (prepare is None)
 
-    @pytest.mark.parametrize("opts", [{}, {"overlap": True, "aggregation_blocks": 3, "max_inflight": 1}])
+    @pytest.mark.parametrize("opts", [{}, {"overlap": True, "aggregation_blocks": 3}])
     def test_explicit_all_valid_extents_train_like_none(self, opts):
         """Uniform is the zero-pad case: the same model with explicit
         all-valid extents gives the same bits, clocks and phase totals."""
@@ -173,7 +172,7 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("cfg", [GridConfig(8, 8, 8), GridConfig(4, 4, 32)], ids=lambda c: c.name)
     @pytest.mark.parametrize(
-        "opts", [{}, {"overlap": True, "aggregation_blocks": 2, "max_inflight": 1}], ids=["eager", "overlap"]
+        "opts", [{}, {"overlap": True, "aggregation_blocks": 2}], ids=["eager", "overlap"]
     )
     def test_paper_scale_grid_bitwise(self, cfg, opts):
         """512 ranks on PERLMUTTER: Z groups cross nodes and the link keys

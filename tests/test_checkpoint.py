@@ -169,6 +169,43 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError, match="format 1 != supported 2"):
             _trainer().load_checkpoint(path)
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inproc", "two-workers"])
+    def test_older_slice_files_queue_book_is_ignored(self, tmp_path, workers):
+        """A version-2 checkpoint written while links kept bounded in-flight
+        queues carries a ``link_queues`` book in every slice file; the
+        current engine keeps no queues, so a restore — of one slice, or of
+        a pool's slices re-assembled — ignores the book and replays
+        bitwise."""
+        import pickle
+
+        from repro.runtime import MultiprocTrainer
+
+        ref = _trainer(overlap=True)
+        losses_ref = ref.train(4).losses
+        if workers == 1:
+            tr = _trainer(overlap=True)
+            tr.train(2)
+            path = tr.save_checkpoint(tmp_path, epoch=2)
+        else:
+            with MultiprocTrainer(_spec(overlap=True), timeout=60) as mpt:
+                mpt.train(2)
+                path = mpt.save_checkpoint(tmp_path, epoch=2)
+        files = sorted(path.glob("worker-*.pkl"))
+        assert len(files) == workers
+        links = {}
+        for file in files:
+            state = pickle.loads(file.read_bytes())
+            assert "link_queues" not in state
+            links.update(state["links"])
+            queues = {k: [t] for k, t in state["links"].items()}
+            file.write_bytes(pickle.dumps({**state, "link_queues": queues}))
+        assert sorted(links) == X2Y2Z2_LINKS
+        resumed = _trainer(overlap=True)
+        resumed.load_checkpoint(path)
+        assert resumed.model.cluster.store.links == links
+        assert resumed.train(2).losses == losses_ref[2:]
+        _assert_same(_final_state(ref), _final_state(resumed))
+
     @pytest.mark.parametrize(
         "opts",
         [

@@ -111,6 +111,30 @@ class TestHandleBasics:
         comm2.all_reduce(shards).wait()
         assert pipelined == cluster2.max_clock()
 
+    @pytest.mark.parametrize("nic", [False, True], ids=["intra-node", "inter-node"])
+    def test_in_flight_ops_on_distinct_links_run_side_by_side(self, rng, nic):
+        """No link queues behind another — intra-node groups never cross a
+        NIC, and two inter-node groups touching the same nodes are two
+        links too: issued back to back, each group finishes when it would
+        alone."""
+        from dataclasses import replace
+
+        machine = replace(LAPTOP, gpus_per_node=2) if nic else LAPTOP  # {0,1} / {2,3}
+        pairs = ([0, 2], [1, 3]) if nic else ([0, 1], [2, 3])
+        assert machine.group_is_intra_node(pairs[0]) is not nic
+        shards = [rng.standard_normal((256, 64)) for _ in range(2)]
+
+        cluster = VirtualCluster(4, machine)
+        handles = [communicator(_group(cluster, p)).all_reduce(shards) for p in pairs]
+        for h in handles:
+            h.wait()
+        assert len(cluster.store.links) == 2
+        for p in pairs:
+            alone = VirtualCluster(4, machine)
+            communicator(_group(alone, p)).all_reduce(shards).wait()
+            assert np.array_equal(cluster.clocks[p], alone.clocks[p])
+            assert cluster.clocks[p].min() > 0.0
+
     def test_issue_overhead_charged_at_issue(self, rng):
         """A nonzero launch cost, enabled on the cached communicator, is
         charged to every member the moment the collective is issued."""
@@ -148,6 +172,60 @@ class TestHandleBasics:
         map_groups(grid2, Axis.X, "all_reduce", per_rank).wait()
         assert cluster1.max_clock() == cluster2.max_clock()
         assert cluster1.max_clock() > 0.0
+
+    def test_padded_stacks_in_flight_match_groupwise(self, rng):
+        """Padded quasi-equal stacks carry *keepdims per-group* duration
+        arrays, which the schedule must align with the slot order: two
+        in flight on the same links stay bitwise with one call per process
+        group."""
+        from repro.core.grid import PlexusGrid
+
+        cfg = GridConfig(2, 1, 2)
+        # ragged rows keyed by the off-X coordinate (equal within X groups)
+        shards = [rng.standard_normal((3 + (r // 2) % 2, 4)) for r in range(cfg.total)]
+        padded = stack_shards(shards)
+
+        def run(kind):
+            cluster = VirtualCluster(cfg.total, LAPTOP)
+            grid = PlexusGrid(cluster, cfg)
+            comm = grid.comm(Axis.X)
+            if kind == "stacked":
+                handles = [comm.all_reduce(padded) for _ in range(2)]
+                outs = [stack_data(h.wait()) for h in handles]
+            else:
+                handles = [map_groups(grid, Axis.X, "all_reduce", shards) for _ in range(2)]
+                outs = [h.wait() for h in handles]
+            return outs, cluster.clocks.copy()
+
+        out_s, clocks_s = run("stacked")
+        out_m, clocks_m = run("map")
+        assert np.array_equal(clocks_s, clocks_m)
+        for r in range(cfg.total):
+            rows = shards[r].shape[0]
+            assert np.array_equal(out_s[-1][r, :rows], out_m[-1][r])
+
+    def test_stacked_z_axis_in_flight_matches_groupwise(self, rng):
+        """The stacked path schedules all its groups at once, bitwise like
+        one call per process group — PERLMUTTER Z-axis groups of a (2, 2, 2)
+        grid cross the two nodes."""
+        from repro.core.grid import PlexusGrid
+
+        cfg = GridConfig(2, 2, 2)
+        stacked = rng.standard_normal((cfg.total, 64, 16))
+
+        def run(kind):
+            cluster = VirtualCluster(cfg.total, PERLMUTTER)
+            grid = PlexusGrid(cluster, cfg)
+            comm = grid.comm(Axis.Z)
+            if kind == "stacked":
+                handles = [comm.all_reduce(stacked) for _ in range(2)]
+            else:
+                handles = [map_groups(grid, Axis.Z, "all_reduce", list(stacked)) for _ in range(2)]
+            for h in handles:
+                h.wait()
+            return cluster.clocks.copy()
+
+        assert np.array_equal(run("stacked"), run("map"))
 
     def test_double_wait_raises(self, rng):
         cluster = VirtualCluster(2, LAPTOP)
@@ -218,187 +296,6 @@ class TestWaitOrderInvariance:
                 results[i] = handles[i].wait()
             for res, ref in zip(results, reference):
                 assert np.array_equal(res, ref)
-
-
-class TestBoundedInflight:
-    """``max_inflight`` bounds the queue depth per link: issuing on a
-    saturated link blocks (charges wait) until a slot frees."""
-
-    def _issue_chain(self, limit, n_ops, overlap_compute=0.0):
-        rng = np.random.default_rng(0)
-        cluster = VirtualCluster(2, LAPTOP)
-        cluster.store.max_inflight = limit
-        comm = communicator(_group(cluster, range(2)))
-        shards = [rng.standard_normal((256, 64)) for _ in range(2)]
-        handles = [comm.all_reduce(shards) for _ in range(n_ops)]
-        issue_clock = cluster.max_clock()
-        for h in handles:
-            h.wait()
-        return issue_clock, cluster
-
-    def test_unbounded_issue_charges_nothing(self):
-        issue_clock, _ = self._issue_chain(None, 3)
-        assert issue_clock == 0.0
-
-    def test_saturated_link_blocks_at_issue(self):
-        """With limit 1, the second back-to-back issue must wait for the
-        first transfer to complete — clocks advance at issue time."""
-        issue_clock, cluster = self._issue_chain(1, 3)
-        assert issue_clock > 0.0
-        # the wait is charged as communication
-        assert float(cluster.category_totals("comm:").min()) > 0.0
-
-    def test_final_clocks_match_unbounded_without_overlap(self):
-        """Issue-then-wait-all: the transfers serialize on the link either
-        way, so the bound only moves charges to issue time — the total
-        wall clock is identical when no compute hides behind the queue."""
-        _, bounded = self._issue_chain(1, 3)
-        _, unbounded = self._issue_chain(None, 3)
-        assert bounded.max_clock() == unbounded.max_clock()
-
-    def test_deeper_limit_admits_more_inflight(self):
-        issue2, _ = self._issue_chain(2, 3)
-        issue1, _ = self._issue_chain(1, 3)
-        assert issue2 < issue1
-
-    def test_overlap_lost_when_queue_saturated(self):
-        """Compute issued behind a full queue can no longer hide the
-        transfers: the bounded run's wall clock is strictly worse."""
-        rng = np.random.default_rng(1)
-        shards = [rng.standard_normal((256, 64)) for _ in range(2)]
-
-        def run(limit):
-            cluster = VirtualCluster(2, LAPTOP)
-            cluster.store.max_inflight = limit
-            comm = communicator(_group(cluster, range(2)))
-            handles = [comm.all_reduce(shards) for _ in range(4)]
-            # compute that would have been overlapped with the queue
-            cluster.advance_all(1.0, "comp:work")
-            for h in handles:
-                h.wait()
-            return cluster.max_clock()
-
-        assert run(1) > run(None)
-
-    def test_oracle_parity_with_limit(self):
-        """Whole-axis and per-group issues enforce the same bound: losses
-        and clocks bitwise."""
-        mb, rb, cb, _ = _train(GridConfig(2, 2, 2), overlap=True,
-                               aggregation_blocks=4, max_inflight=1)
-        mp, rp, cp, _ = _train(GridConfig(2, 2, 2), overlap=True, build=PerRankOracle,
-                               aggregation_blocks=4, max_inflight=1)
-        assert rb.losses == rp.losses
-        assert np.array_equal(cb.clocks, cp.clocks)
-
-    @pytest.mark.parametrize("machine", [LAPTOP, PERLMUTTER], ids=["intra-node", "inter-node"])
-    def test_eager_schedule_unaffected_by_limit(self, machine):
-        """Issue-then-wait leaves at most one op in flight per link, and the
-        bound is per link on every machine, so a bound of 1 changes nothing
-        on the eager schedule: losses, weights and clocks bitwise."""
-        _, r1, c1, w1 = _train(GridConfig(2, 2, 2), overlap=False, max_inflight=1, machine=machine)
-        _, r2, c2, w2 = _train(GridConfig(2, 2, 2), overlap=False, machine=machine)
-        assert r1.losses == r2.losses
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(c1.clocks, c2.clocks)
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError, match="max_inflight"):
-            PlexusOptions(max_inflight=0)
-
-    def test_padded_stacks_under_bound_match_groupwise(self, rng):
-        """Regression: padded quasi-equal stacks carry *keepdims per-group*
-        duration arrays, which the bounded sequential issue path must align
-        with the group ravel order — and stay bitwise with one call per
-        process group."""
-        from repro.core.grid import PlexusGrid
-
-        cfg = GridConfig(2, 1, 2)
-        # ragged rows keyed by the off-X coordinate (equal within X groups)
-        shards = [rng.standard_normal((3 + (r // 2) % 2, 4)) for r in range(cfg.total)]
-        padded = stack_shards(shards)
-
-        def run(kind):
-            cluster = VirtualCluster(cfg.total, LAPTOP)
-            cluster.store.max_inflight = 1
-            grid = PlexusGrid(cluster, cfg)
-            comm = grid.comm(Axis.X)
-            if kind == "stacked":
-                handles = [comm.all_reduce(padded) for _ in range(2)]
-                outs = [stack_data(h.wait()) for h in handles]
-            else:
-                handles = [map_groups(grid, Axis.X, "all_reduce", shards) for _ in range(2)]
-                outs = [h.wait() for h in handles]
-            return outs, cluster.clocks.copy()
-
-        out_s, clocks_s = run("stacked")
-        out_m, clocks_m = run("map")
-        assert np.array_equal(clocks_s, clocks_m)
-        for r in range(cfg.total):
-            rows = shards[r].shape[0]
-            assert np.array_equal(out_s[-1][r, :rows], out_m[-1][r])
-
-    def test_inter_node_links_keep_private_queues(self, rng):
-        """The bound is per link on every machine: two *different* inter-node
-        groups touching the same nodes do not block each other at limit 1,
-        while a second issue on one of those links does."""
-        from dataclasses import replace
-
-        machine = replace(LAPTOP, gpus_per_node=2)  # ranks {0,1} / {2,3}
-        assert not machine.group_is_intra_node([0, 2])
-        shards = [rng.standard_normal((256, 64)) for _ in range(2)]
-        cluster = VirtualCluster(4, machine)
-        cluster.store.max_inflight = 1
-        ga = communicator(_group(cluster, [0, 2]))
-        gb = communicator(_group(cluster, [1, 3]))
-        handles = [ga.all_reduce(shards), gb.all_reduce(shards)]
-        assert cluster.max_clock() == 0.0  # the sibling's issue did not block
-        handles.append(ga.all_reduce(shards))  # a saturated link: blocks
-        assert float(cluster.clocks[[0, 2]].min()) > 0.0
-        assert not cluster.clocks[[1, 3]].any()
-        for h in handles:
-            h.wait()
-
-    def test_intra_node_links_keep_private_queues(self, rng):
-        """Intra-node groups never cross a NIC: two different intra-node
-        groups do not saturate each other even at limit 1."""
-        shards = [rng.standard_normal((64, 32)) for _ in range(2)]
-        cluster = VirtualCluster(4, LAPTOP)  # 64 GPUs/node: all intra-node
-        cluster.store.max_inflight = 1
-        ha = communicator(_group(cluster, [0, 1])).all_reduce(shards)
-        hb = communicator(_group(cluster, [2, 3])).all_reduce(shards)
-        assert cluster.max_clock() == 0.0  # neither issue blocked
-        ha.wait()
-        hb.wait()
-
-    def test_stacked_axis_matches_groupwise_under_inter_node_bound(self, rng):
-        """The stacked path schedules all its groups at once under the
-        per-link bound, bitwise like one call per process group —
-        PERLMUTTER Z-axis groups of a (2, 2, 2) grid cross the two nodes."""
-        from repro.core.grid import PlexusGrid
-
-        cfg = GridConfig(2, 2, 2)
-        stacked = rng.standard_normal((cfg.total, 64, 16))
-
-        def run(kind):
-            cluster = VirtualCluster(cfg.total, PERLMUTTER)
-            cluster.store.max_inflight = 1
-            grid = PlexusGrid(cluster, cfg)
-            comm = grid.comm(Axis.Z)
-            if kind == "stacked":
-                handles = [comm.all_reduce(stacked) for _ in range(2)]
-            else:
-                shards = list(stacked)
-                handles = [map_groups(grid, Axis.Z, "all_reduce", shards) for _ in range(2)]
-            clocks_at_issue = cluster.clocks.copy()
-            for h in handles:
-                h.wait()
-            return clocks_at_issue, cluster.clocks.copy()
-
-        issue_s, final_s = run("stacked")
-        issue_m, final_m = run("map")
-        assert np.array_equal(issue_s, issue_m)
-        assert np.array_equal(final_s, final_m)
-        assert issue_s.max() > 0.0  # the bound actually bit
 
 
 class TestMachineIssueOverhead:
@@ -503,18 +400,6 @@ class TestCrossEpochPrefetch:
         t2.train_epoch()
         assert np.array_equal(c1.clocks, c2.clocks)
         assert np.array_equal(c1.category_totals("comm:"), c2.category_totals("comm:"))
-
-    def test_max_inflight_not_inherited_across_models(self):
-        """A later model on the same cluster must not inherit an earlier
-        model's link bound."""
-        a, feats, labels, mask = _dataset()
-        cfg = GridConfig(2, 2, 1)
-        cluster = VirtualCluster(cfg.total, PERLMUTTER)
-        PlexusGCN(cluster, cfg, a, feats, labels, mask, DIMS,
-                  PlexusOptions(seed=0, max_inflight=1))
-        assert cluster.store.max_inflight == 1
-        PlexusGCN(cluster, cfg, a, feats, labels, mask, DIMS, PlexusOptions(seed=0))
-        assert cluster.store.max_inflight is None
 
     def test_evaluate_leaves_prefetch_intact(self):
         """An evaluation pass between epochs must neither consume the
@@ -651,42 +536,30 @@ class TestByteMoverSeam:
         # per process group of every axis longer than 1
         assert a.links == b.links
         assert len(a.links) == sum(cfg.total // g for g in (cfg.gx, cfg.gy, cfg.gz) if g > 1)
-        assert a.link_queues == b.link_queues
 
 
 class TestScheduleKernel:
     """``repro.dist.comm._schedule`` is the one place a collective meets the
     timeline; every communicator is a set of its slots."""
 
-    @staticmethod
-    def _slots(n_groups, members):
-        from repro.dist.comm import _Slots
-
-        idx = [slice(gi * members, (gi + 1) * members) for gi in range(n_groups)]
-        one = [_Slots((gi,), (idx[gi],)) for gi in range(n_groups)]
-        return _Slots(range(n_groups), idx), one
-
     @given(
         n_groups=st.integers(1, 6),
-        limit=st.sampled_from([None, 1, 2]),
         per_group=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_one_call_equals_sequential_one_group_calls(self, n_groups, limit, per_group, seed):
+    def test_one_call_equals_sequential_one_group_calls(self, n_groups, per_group, seed):
         """One call for every group equals one call per group in any order:
-        each group has its own link and, under a bound, its own queue."""
+        each group has its own link."""
         from repro.dist.cluster import ClockStore
-        from repro.dist.comm import _schedule
+        from repro.dist.comm import _schedule, _Slots
 
         rng = np.random.default_rng(seed)
         members = 2
         order = rng.permutation(n_groups).tolist()
-        slots, one = self._slots(n_groups, members)
+        slots, one = _Slots(range(n_groups)), [_Slots((gi,)) for gi in range(n_groups)]
         stores = [ClockStore(n_groups * members) for _ in range(2)]
-        for store in stores:
-            store.max_inflight = limit
-        for _ in range(4):  # later rounds meet busy links and filled queues
+        for _ in range(4):  # later rounds meet busy links
             advance = rng.uniform(0.0, 2.0, n_groups * members)
             dur = rng.uniform(0.1, 3.0, n_groups) if per_group else float(rng.uniform(0.1, 3.0))
             for store in stores:
@@ -695,11 +568,10 @@ class TestScheduleKernel:
             ready = whole.clocks.reshape(n_groups, members).max(axis=1)
             begin, end = _schedule(whole, slots, ready, dur, "comm:p")
             for gi in order:
-                r = split.clocks[one[gi].members[0]].max()
+                r = split.clocks[gi * members : (gi + 1) * members].max()
                 b, e = _schedule(split, one[gi], r, dur[gi] if per_group else dur, "comm:p")
                 assert (b, e) == (begin[gi], end[gi])
             assert whole.links == split.links
-            assert whole.link_queues == split.link_queues
             assert np.array_equal(whole.clocks, split.clocks)
             assert whole.by_phase.keys() == split.by_phase.keys()
             for ph, vec in whole.by_phase.items():
@@ -724,34 +596,15 @@ class TestScheduleKernel:
         assert offenders == []
 
 
-def _reference_schedule(store, links, queues, slots, ready, duration, phase):
+def _reference_schedule(links, slots, ready, duration):
     """The dict-based schedule kernel the slot vector replaced, kept as the
-    reference: ``links`` maps a link key to its busy-until time, ``queues``
-    to the list of its newest completions; clocks, phase totals and the
-    bound live in ``store``.  Two Python loops over the groups' keys."""
-    limit = store.max_inflight
-    if limit is not None:
-        freed = np.asarray(
-            [q[-limit] if len(q) >= limit else 0.0 for q in (queues.get(k, ()) for k in slots.links)]
-        ).reshape(np.shape(ready))
-        lifted = np.flatnonzero(freed > ready)
-        if lifted.size:
-            ready = np.maximum(ready, freed)
-            flat = np.ravel(ready)
-            for gi in lifted:
-                idx, t = slots.members[gi], flat[gi]
-                store.record_idx(idx, phase, t - store.clocks[idx])
-                store.clocks[idx] = t
+    reference: ``links`` maps a link key to its busy-until time.  A Python
+    loop over the groups' keys."""
     link = np.asarray([links.get(k, 0.0) for k in slots.links]).reshape(np.shape(ready))
     begin = np.maximum(ready, link)
     end = begin + duration
     for k, v in zip(slots.links, end.ravel()):
         links[k] = float(v)
-    if limit is not None:
-        for k in slots.links:
-            q = queues.setdefault(k, [])
-            q.append(links[k])
-            del q[:-limit]
     return begin, end
 
 
@@ -762,102 +615,84 @@ def _bits(a):
 
 class TestColumnarTimeline:
     """Link busy-until times live in one slot vector of the ``ClockStore``;
-    ``store.links`` / ``store.link_queues`` are keyed views of it built on
-    demand, and every reservation must land bitwise where the dict-based
-    kernel put it."""
+    ``store.links`` is a keyed view of it built on demand, and every
+    reservation must land bitwise where the dict-based kernel put it."""
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_schedule_matches_dict_reference(self, data):
         """Whole axes, single groups and group subsets, scalar and keepdims
-        durations, any bound (changed midway too), with resets and snapshot
-        restores between them: ``begin``, ``end``, clocks, phase totals and
-        both keyed views equal the reference at every step."""
+        durations, with resets and snapshot restores between them:
+        ``begin``, ``end``, clocks, phase totals and the keyed view equal
+        the reference at every step."""
+        from oracle import axis_groups
+
         from repro.core.grid import PlexusGrid
         from repro.dist.comm import _schedule, _Slots
 
         cfg = data.draw(st.sampled_from([GridConfig(2, 2, 2), GridConfig(1, 2, 3), GridConfig(4, 1, 2)]))
-        limit = data.draw(st.sampled_from([None, 1, 2]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        grids = [PlexusGrid(VirtualCluster(cfg.total, PERLMUTTER), cfg) for _ in range(2)]
-        store, ref = (g.cluster.store for g in grids)
-        store.max_inflight = ref.max_inflight = limit
-        links, queues, saved = {}, {}, None
+        grid = PlexusGrid(VirtualCluster(cfg.total, PERLMUTTER), cfg)
+        store = grid.cluster.store
+        links, saved = {}, None
         axes = [a for a in Axis if cfg.size(a) > 1]
-        steps = st.sampled_from(["axis", "group", "subset", "reset", "snapshot", "restore", "bound"])
+        steps = st.sampled_from(["axis", "group", "subset", "reset", "snapshot", "restore"])
         for _ in range(data.draw(st.integers(1, 12))):
             step = data.draw(steps)
-            if step == "bound":  # a queue kept under another bound is read under this one
-                store.max_inflight = ref.max_inflight = data.draw(st.sampled_from([None, 1, 2]))
-            elif step == "reset":
+            if step == "reset":
                 store.reset()
-                ref.reset()
-                links, queues = {}, {}
+                links = {}
             elif step == "snapshot":
-                saved = store.snapshot(), ref.snapshot(), links, queues
-                links, queues = dict(links), {k: list(q) for k, q in queues.items()}
+                saved = store.snapshot(), dict(links)
             elif step == "restore":
                 if saved is not None:
                     store.restore(saved[0])
-                    ref.restore(saved[1])
-                    links, queues = dict(saved[2]), {k: list(q) for k, q in saved[3].items()}
+                    links = dict(saved[1])
             else:
                 axis = data.draw(st.sampled_from(axes))
-                advance = rng.uniform(0.0, 2e-4, cfg.total)
-                store.clocks += advance
-                ref.clocks += advance
+                store.clocks += rng.uniform(0.0, 2e-4, cfg.total)
+                clocks = store.clocks.copy()
                 if step == "axis":
-                    pair = [g.comm(axis)._slots for g in grids]
-                    d = grids[0].comm(axis).descriptor
-                    ready = np.maximum.reduce(store.clocks.reshape(d.cube), axis=d.axis, keepdims=True)
+                    slots = grid.comm(axis)._slots
+                    d = grid.comm(axis).descriptor
+                    ready = np.maximum.reduce(clocks.reshape(d.cube), axis=d.axis, keepdims=True)
                 else:
-                    n = len(grids[0].groups(axis))
+                    groups = axis_groups(grid, axis)
+                    n = len(groups)
                     if step == "group":
                         picked = [data.draw(st.integers(0, n - 1))]
                     else:
                         picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-                    group_slots = [[communicator(g.groups(axis)[i])._slots for i in picked] for g in grids]
+                    slots = _Slots([communicator(groups[i])._slots.links[0] for i in picked])
+                    ready = np.array([clocks[groups[i].member_idx].max() for i in picked])
                     if step == "group":
-                        pair = [sl[0] for sl in group_slots]
-                        ready = store.clocks[pair[0].members[0]].max()
-                    else:
-                        pair = [
-                            _Slots([s.links[0] for s in sl], [s.members[0] for s in sl])
-                            for sl in group_slots
-                        ]
-                        ready = np.array([store.clocks[m].max() for m in pair[0].members])
+                        ready = ready[0]
                 if data.draw(st.booleans()):
                     duration = rng.uniform(1e-5, 3e-4, np.shape(ready))
                 else:
                     duration = float(rng.uniform(1e-5, 3e-4))
-                begin, end = _schedule(store, pair[0], ready, duration, "comm:p")
-                expected = _reference_schedule(ref, links, queues, pair[1], ready, duration, "comm:p")
+                begin, end = _schedule(store, slots, ready, duration, "comm:p")
+                expected = _reference_schedule(links, slots, ready, duration)
                 assert [_bits(begin), _bits(end)] == [_bits(t) for t in expected]
+                assert _bits(store.clocks) == _bits(clocks)
             assert store.links == links
-            assert store.link_queues == queues
-            assert _bits(store.clocks) == _bits(ref.clocks)
-            assert store.by_phase.keys() == ref.by_phase.keys()
-            for label, vec in store.by_phase.items():
-                assert _bits(vec) == _bits(ref.by_phase[label]), label
 
     @staticmethod
-    def _grid(limit=None):
+    def _grid():
         from repro.core.grid import PlexusGrid
 
         cfg = GridConfig(2, 2, 2)
         cluster = VirtualCluster(cfg.total, PERLMUTTER)
-        cluster.store.max_inflight = limit
         return PlexusGrid(cluster, cfg), cluster.store
 
     def test_links_view_lists_exactly_the_reserved_links(self, rng):
         grid, store = self._grid()
-        assert store.links == {} and store.link_queues == {}
+        assert store.links == {}
         x = grid.comm(Axis.X)
         x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
         assert set(store.links) == set(x._slots.links) and len(store.links) == 4
-        assert store.link_queues == {}
         store.reset()  # the keys keep their slots, but nothing is reserved
-        assert store.links == {} and store.link_queues == {}
+        assert store.links == {}
 
     def test_restored_partial_snapshot_reads_unreserved(self, rng):
         """A link the snapshot does not list is free again after the
@@ -865,7 +700,7 @@ class TestColumnarTimeline:
         busy time it had before."""
         from repro.dist.comm import _schedule
 
-        grid, store = self._grid(limit=1)
+        grid, store = self._grid()
         x, y = grid.comm(Axis.X), grid.comm(Axis.Y)
         x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
         snap = store.snapshot()
@@ -873,13 +708,25 @@ class TestColumnarTimeline:
         assert set(store.links) == set(x._slots.links) | set(y._slots.links)
         store.restore(snap)
         assert store.links == snap["links"] and set(store.links) == set(x._slots.links)
-        assert store.link_queues == snap["link_queues"]
         d = y.descriptor
         ready = np.maximum.reduce(store.clocks.reshape(d.cube), axis=d.axis, keepdims=True)
-        clocks = store.clocks.copy()
         begin, _ = _schedule(store, y._slots, ready, 1e-4, "comm:p")
         assert _bits(begin) == _bits(ready)
-        assert _bits(store.clocks) == _bits(clocks)  # no stale queue lifted them
+
+    def test_snapshot_books_and_restore_ignores_other_keys(self, rng):
+        """A snapshot holds the clocks, both phase books, the link book and
+        the outstanding registry — no per-link queue book; a restore reads
+        those and ignores any other key (an older slice file's queues)."""
+        grid, store = self._grid()
+        x = grid.comm(Axis.X)
+        x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
+        snap = store.snapshot()
+        assert set(snap) == {"clocks", "by_phase", "by_category", "links", "outstanding"}
+        clocks, links = store.clocks.copy(), store.links
+        grid.comm(Axis.Y).all_reduce(rng.standard_normal((8, 4, 3))).wait()
+        store.restore({**snap, "link_queues": {k: [t, t] for k, t in store.links.items()}})
+        assert _bits(store.clocks) == _bits(clocks)
+        assert store.links == links
 
     @pytest.mark.parametrize("overlapped", [False, True], ids=["eager", "overlapped"])
     def test_wait_charges_match_reference_formula(self, rng, overlapped):

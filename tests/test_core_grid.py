@@ -1,5 +1,6 @@
 """Tests for the 3D grid, axis-role rotation and config enumeration."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,36 +127,48 @@ class TestPlexusGrid:
         assert grid.coords(1) == (0, 1, 0)
         assert grid.coords(4) == (1, 0, 0)
 
-    def test_group_membership(self):
-        grid = self._grid(2, 2, 2)
-        for rank in range(8):
-            for axis in Axis:
-                g = grid.group_of(rank, axis)
-                assert any(m.rank == rank for m in g.members)
-                assert g.size == 2
+    # the oracle's explicit rank groups, whose link keys the axis
+    # communicators must reproduce (TestSlicedGrid)
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4), (1, 1, 8), (4, 1, 2)], ids=lambda s: "X{}Y{}Z{}".format(*s))
+    def test_group_membership(self, shape):
+        from oracle import axis_groups
+
+        grid = self._grid(*shape)
+        for axis in Axis:
+            groups = axis_groups(grid, axis)
+            for rank in range(grid.world_size):
+                (g,) = [g for g in groups if any(m.rank == rank for m in g.members)]
+                assert g.size == shape[axis]
+                # the members differ from ``rank`` along ``axis`` only
+                for m in g.members:
+                    assert all(
+                        grid.coords(m.rank)[a] == grid.coords(rank)[a] for a in Axis if a != axis
+                    )
 
     def test_group_count(self):
+        from oracle import axis_groups
+
         grid = self._grid(2, 4, 2)
-        assert len(grid.groups(Axis.X)) == 8   # gy*gz
-        assert len(grid.groups(Axis.Y)) == 4   # gx*gz
-        assert len(grid.groups(Axis.Z)) == 8   # gx*gy
+        assert len(axis_groups(grid, Axis.X)) == 8   # gy*gz
+        assert len(axis_groups(grid, Axis.Y)) == 4   # gx*gz
+        assert len(axis_groups(grid, Axis.Z)) == 8   # gx*gy
 
     def test_group_members_ordered_by_axis_coord(self):
+        from oracle import axis_groups
+
         grid = self._grid(2, 2, 4)
-        for g in grid.groups(Axis.Z):
+        for g in axis_groups(grid, Axis.Z):
             coords = [grid.coords(m.rank)[Axis.Z] for m in g.members]
-            assert coords == sorted(coords)
+            assert coords == sorted(coords) == list(range(4))
 
     def test_y_group_is_intra_node_on_perlmutter(self):
         # Gy=4 packs exactly into a 4-GPU node -> NVLink bandwidth
         grid = self._grid(2, 4, 1)
-        for g in grid.groups(Axis.Y):
-            assert g.bandwidth == PERLMUTTER.intra_node_bw
+        assert grid.comm(Axis.Y).descriptor.bandwidth == PERLMUTTER.intra_node_bw
 
     def test_z_group_spanning_nodes_gets_contended_bandwidth(self):
         grid = self._grid(2, 4, 2)  # inner(Z) = 8 > 4
-        for g in grid.groups(Axis.Z):
-            assert g.bandwidth == PERLMUTTER.inter_node_bw / 4
+        assert grid.comm(Axis.Z).descriptor.bandwidth == PERLMUTTER.inter_node_bw / 4
 
 
 def _splits(cfg):
@@ -189,31 +202,14 @@ class TestSlicedGrid:
         assert [sliced.coords(i) for i in range(hi - lo)] == [
             whole.coords(r) for r in range(lo, hi)
         ]
-
-        def shifted(idx):
-            return slice(idx.start - lo, idx.stop - lo, idx.step)
-
+        assert [r.node for r in cluster] == [whole.cluster[r].node for r in range(lo, hi)]
         for axis in (Axis.X, Axis.Y):
-            held = [
-                g for g in whole.groups(axis) if all(lo <= m.rank < hi for m in g.members)
-            ]
-            mine = sliced.groups(axis)
-            assert [g.name for g in mine] == [g.name for g in held]
-            for g, ref in zip(mine, held):
-                assert [m.rank for m in g.members] == [m.rank for m in ref.members]
-                assert [m.node for m in g.members] == [m.node for m in ref.members]
-                assert g.member_idx == shifted(ref.member_idx)
-                assert (g.bandwidth, g.latency) == (ref.bandwidth, ref.latency)
-                for m in g.members:
-                    assert sliced.group_of(m.rank - lo, axis) is g
             d, ref_d = sliced.comm(axis).descriptor, whole.comm(axis).descriptor
             assert d.cube == sliced.cube
             assert (d.axis, d.size, d.bandwidth, d.latency) == (
                 ref_d.axis, ref_d.size, ref_d.bandwidth, ref_d.latency
             )
-        # Z crosses the slices: no local groups (unless the slice is the
-        # cube), and the descriptor is the whole cube's either way
-        assert len(sliced.groups(Axis.Z)) == (plane if n_workers == 1 else 0)
+        # Z crosses the slices: its descriptor is the whole cube's
         d, ref_d = sliced.comm(Axis.Z).descriptor, whole.comm(Axis.Z).descriptor
         assert (d.cube, d.axis, d.size, d.bandwidth, d.latency) == (
             ref_d.cube, ref_d.axis, ref_d.size, ref_d.bandwidth, ref_d.latency
@@ -221,39 +217,49 @@ class TestSlicedGrid:
 
     @pytest.mark.parametrize("total", range(1, 17))
     def test_a_link_key_is_its_groups_global_ranks(self, total):
-        """One link-key space (``comm.link_key``): for every grid of ``total``
-        ranks a group's own communicator and its slot of the whole-axis
-        communicator name the same link, distinct groups get distinct keys,
-        and a sliced grid — every worker split — computes the whole-cube
-        keys for the links it holds, its group-less Z axis included."""
+        """One link-key space (``comm.link_key``): for every grid of
+        ``total`` ranks, on the whole cube and on every worker slice, the
+        slots of each axis communicator are ``link_key`` of the oracle's
+        explicit rank groups it holds (a slice: its planes' X / Y groups and
+        every Z group), each at the keepdims position of its off-axis
+        coordinates; distinct groups get distinct keys, and a group's own
+        ``GroupCommunicator`` names the same link."""
+        from oracle import axis_group_ranks, axis_groups
+
         from repro.dist.comm import communicator, link_key
         from repro.runtime import worker_slice
 
         for cfg in factor_triples(total):
             whole = PlexusGrid(VirtualCluster(total, PERLMUTTER), cfg)
-            key_of = {}  # member ranks -> key, over every group of the grid
+            splits = [(whole, 0, total)] + [
+                (PlexusGrid(VirtualCluster(hi - lo, PERLMUTTER, lo=lo, exchange=lambda a: a), cfg), lo, hi)
+                for lo, hi in (worker_slice(cfg, n, w) for n, w in _splits(cfg))
+            ]
+            plane = cfg.gx * cfg.gy
             for axis in Axis:
-                slots = whole.comm(axis)._slots
-                by_members = dict(zip(map(str, slots.members), slots.links))
-                for g in whole.groups(axis):
-                    key = communicator(g)._slots.links[0]
-                    ranks = tuple(m.rank for m in g.members)
-                    assert key == by_members[str(g.member_idx)] == link_key(ranks)
-                    assert key_of.setdefault(ranks, key) == key
-            assert len(set(key_of.values())) == len(key_of), cfg.name
-            assert whole.link_keys() >= set(key_of.values())
-            for n_workers, worker in _splits(cfg):
-                lo, hi = worker_slice(cfg, n_workers, worker)
-                sliced = PlexusGrid(
-                    VirtualCluster(hi - lo, PERLMUTTER, lo=lo, exchange=lambda arrays: arrays), cfg
-                )
-                for axis in (Axis.X, Axis.Y):
-                    assert set(sliced.comm(axis)._slots.links) == {
-                        key_of[tuple(m.rank for m in g.members)] for g in sliced.groups(axis)
-                    }
-                # the Z slots of a slice are the whole cube's, in slot order
-                assert sliced.comm(Axis.Z)._slots.links == whole.comm(Axis.Z)._slots.links
-                assert sliced.link_keys() <= whole.link_keys()
+                groups = axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, axis)
+                keys = [link_key(g) for g in groups]
+                assert len(set(keys)) == len(keys), cfg.name
+                assert [communicator(g)._slots.links for g in axis_groups(whole, axis)] == [
+                    (k,) for k in keys
+                ]
+                for grid, lo, hi in splits:
+                    if axis is Axis.Z:  # spans the cube behind a byte mover too
+                        lo, hi = 0, total
+                    # slot order: the ravel of the off-axis cube of the
+                    # spanned planes, a group at its first member's coordinates
+                    keep = [(hi - lo) // plane, cfg.gx, cfg.gy]
+                    keep[(1, 2, 0)[axis]] = 1
+
+                    def position(g):
+                        x, y, z = whole.coords(g[0])
+                        zxy = [z - lo // plane, x, y]
+                        zxy[(1, 2, 0)[axis]] = 0
+                        return np.ravel_multi_index(zxy, keep)
+
+                    held = sorted((g for g in groups if lo <= g[0] and g[-1] < hi), key=position)
+                    assert list(grid.comm(axis)._slots.links) == [link_key(g) for g in held]
+                assert whole.link_keys() >= set(keys)
 
     def test_slice_must_cover_whole_planes_and_have_a_mover(self):
         cfg = GridConfig(2, 2, 2)

@@ -31,6 +31,73 @@ def _assert_chains(s: LayerSharding, nxt: LayerSharding, grid: PlexusGrid) -> No
 
 
 class TestLayerSharding:
+    @pytest.mark.parametrize(
+        "cfg, layer, n, d_in, d_out, workers",
+        [
+            (GridConfig(2, 2, 2), 0, 37, 10, 8, None),
+            (GridConfig(3, 2, 2), 1, 50, 9, 5, None),
+            (GridConfig(1, 1, 8), 2, 30, 7, 6, None),
+            (GridConfig(4, 1, 2), 0, 13, 5, 3, None),
+            (GridConfig(8, 1, 1), 1, 20, 11, 9, None),
+            (GridConfig(2, 3, 4), 2, 101, 17, 10, None),
+            (GridConfig(2, 2, 4), 0, 45, 9, 7, (2, 1)),
+            (GridConfig(3, 2, 2), 1, 50, 9, 5, (2, 0)),
+        ],
+        ids=["X2Y2Z2", "X3Y2Z2", "X1Y1Z8", "X4Y1Z2", "X8Y1Z1", "X2Y3Z4", "X2Y2Z4-slice1of2", "X3Y2Z2-slice0of2"],
+    )
+    def test_extent_table_is_the_per_rank_slice_extents(self, cfg, layer, n, d_in, d_out, workers):
+        """The extent vectors the layers stage are, bitwise, each held rank's
+        A row / A column / F column / W column slice length — on the whole
+        cube and on a worker's slice of whole Z planes."""
+        from repro.runtime import worker_slice
+
+        if workers is None:
+            grid = _grid(cfg)
+        else:
+            lo, hi = worker_slice(cfg, *workers)
+            grid = PlexusGrid(VirtualCluster(hi - lo, PERLMUTTER, lo=lo, exchange=lambda a: a), cfg)
+        s = LayerSharding(cfg, axis_roles(layer), n=n, d_in=d_in, d_out=d_out)
+        table = s.extent_table(grid)
+        for name, of in [
+            ("a_rows", s.a_row_slice),
+            ("a_cols", s.a_col_slice),
+            ("f_cols", s.f_col_slice),
+            ("w_cols", s.w_col_slice),
+        ]:
+            ref = np.array([of(grid, r).stop - of(grid, r).start for r in range(grid.world_size)], dtype=float)
+            assert table[name].dtype == ref.dtype and table[name].tobytes() == ref.tobytes(), name
+
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        layer=st.integers(0, 2),
+        n=st.integers(1, 90),
+        d_in=st.integers(1, 20),
+        d_out=st.integers(1, 20),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_property_extents_are_quasi_equal_blocks(self, shape, layer, n, d_in, d_out):
+        """Along its sharding axis an extent vector steps through the
+        quasi-equal blocks — remainder first, adjacent blocks one apart at
+        most — whose sum is the split dimension; along the other axes it is
+        constant."""
+        cfg = GridConfig(*shape)
+        grid = _shared_grid(cfg)
+        roles = axis_roles(layer)
+        table = LayerSharding(cfg, roles, n=n, d_in=d_in, d_out=d_out).extent_table(grid)
+        cube = (cfg.gz, cfg.gx, cfg.gy)
+        for name, dim, axis in [
+            ("a_rows", n, roles.z),
+            ("a_cols", n, roles.x),
+            ("f_cols", d_in, roles.y),
+            ("w_cols", d_out, roles.x),
+        ]:
+            ext = table[name].reshape(cube)
+            along = (1, 2, 0)[axis]  # the cube's dimension of grid axis ``axis``
+            assert (ext == ext.max(axis=tuple(a for a in range(3) if a != along), keepdims=True)).all()
+            blocks = np.moveaxis(ext, along, 0).reshape(cfg.size(axis), -1)[:, 0]
+            assert blocks.sum() == dim, name
+            assert (np.diff(blocks) <= 0).all() and blocks[0] - blocks[-1] <= 1, name
+
     def test_a_shard_shapes_cover_matrix(self):
         cfg = GridConfig(2, 2, 2)
         grid = _grid(cfg)

@@ -4,7 +4,7 @@ in-process run, bit for bit.
 Each case draws a workload — the grid, N and the layer dims (indivisible
 sizes and one-layer models included), the machine (LAPTOP: every link
 intra-node; PERLMUTTER, 4 GPUs per node: inter-node Z links past 4 ranks),
-overlap, aggregation blocks, ``max_inflight``, dtype, frozen or trainable
+overlap, aggregation blocks, dtype, frozen or trainable
 F0, permutation and SpMM noise — and a way to run it: the data source (in
 memory, or a :func:`~repro.graph.shardio.save_sharded` directory read
 through ``shard_dir``), the backend (in-process, or a worker pool of some
@@ -24,9 +24,9 @@ end the run with the typed error.  ``hang`` costs 2 x ``timeout`` and stays
 in the chaos suite (``test_runtime_faults.py``).
 
 ``PINNED`` holds, by name, the hand-picked parity cases this test
-replaced (eager / overlap / blocked and bounded schedules, SpMM noise, an
-uneven plane split, the mailbox overflow path, float32, padded rows and
-uneven tiling, inter-node bounded Z links, tcp, the sharded directory) plus
+replaced (eager / overlap / blocked schedules, SpMM noise, an uneven plane
+split, the mailbox overflow path, float32, padded rows and uneven tiling,
+inter-node Z links, tcp, the sharded directory) plus
 the permuted ``shard_dir`` workloads, both checkpoint crossings and the
 hand-picked recovery cases (a kill at each point, eager and overlap, a
 corrupted payload, a tcp partition, a frozen F0, a spent budget, a delay
@@ -102,7 +102,6 @@ class Case:
     machine: str = "laptop"
     overlap: bool = False
     blocks: int = 1
-    max_inflight: int | None = None
     float32: bool = False
     trainable: bool = False
     permutation: str = "double"
@@ -154,7 +153,6 @@ def cases(draw) -> Case:
         machine=draw(st.sampled_from(sorted(MACHINES))),
         overlap=draw(st.booleans()),
         blocks=draw(st.integers(1, 3)),
-        max_inflight=draw(st.sampled_from([None, 1, 2])),
         float32=draw(st.booleans()),
         trainable=draw(st.booleans()),
         permutation=draw(st.sampled_from(["none", "single", "double"])),
@@ -194,7 +192,6 @@ def _spec(case: Case) -> WorkloadSpec:
             noise=SpmmNoise(threshold_nnz=1, sigma=0.5, seed=11) if case.noise else None,
             compute_dtype=np.float32 if case.float32 else None,
             overlap=case.overlap,
-            max_inflight=case.max_inflight,
         ),
         adjacency=a,
         features=feats,
@@ -299,7 +296,7 @@ PINNED = {
     # X2Y2Z2 schedules ...
     "eager": Case(),
     "overlap": Case(overlap=True),
-    "overlap-blocked-bounded": Case(overlap=True, blocks=2, max_inflight=1),
+    "overlap-blocked": Case(overlap=True, blocks=2),
     # ... SpMM noise keyed by identity, on one worker and over tcp ...
     "noise-one-worker": Case(noise=True, workers=1, chunks=(3,)),
     "noise-tcp-overlap-blocked": Case(noise=True, overlap=True, blocks=2, transport="tcp", chunks=(3,)),
@@ -309,17 +306,17 @@ PINNED = {
     "float32": Case(float32=True, chunks=(2,)),
     # ... padded rows (N=49: 25 / 24 along Z) and uneven tiling (X1Y2Z4, N=50) ...
     "padded-rows": Case(n=49),
-    "padded-rows-overlap-blocked-bounded": Case(n=49, overlap=True, blocks=2, max_inflight=1),
+    "padded-rows-overlap-blocked": Case(n=49, overlap=True, blocks=2),
     "uneven-tiling-three-workers": Case(grid=(1, 2, 4), n=50, dims=(10, 9, 9, 5), workers=3),
     "uneven-tiling-three-workers-overlap": Case(
         grid=(1, 2, 4), n=50, dims=(10, 9, 9, 5), workers=3, overlap=True
     ),
     "padded-rows-tcp": Case(n=49, transport="tcp", overlap=True),
-    # ... max_inflight on PERLMUTTER's inter-node Z links ...
-    "inter-node-eager-1": Case(machine="perlmutter", max_inflight=1),
-    "inter-node-overlap-blocked-1": Case(machine="perlmutter", max_inflight=1, overlap=True, blocks=2),
-    "inter-node-overlap-blocked-2": Case(machine="perlmutter", max_inflight=2, overlap=True, blocks=3),
-    "inter-node-tcp": Case(machine="perlmutter", transport="tcp", max_inflight=1, overlap=True, blocks=2),
+    # ... PERLMUTTER's inter-node Z links ...
+    "inter-node-eager": Case(machine="perlmutter"),
+    "inter-node-overlap-2-blocks": Case(machine="perlmutter", overlap=True, blocks=2),
+    "inter-node-overlap-3-blocks": Case(machine="perlmutter", overlap=True, blocks=3),
+    "inter-node-tcp": Case(machine="perlmutter", transport="tcp", overlap=True, blocks=2),
     # ... the sharded directory feeding the pool (one layer; padded X1Y1Z2) ...
     "shard-dir": Case(grid=(2, 1, 2), n=32, dims=(12, 8), permutation="none", disk=True, chunks=(3,)),
     "shard-dir-padded": Case(grid=(1, 1, 2), n=49, dims=(12, 8), permutation="none", disk=True, chunks=(3,)),

@@ -11,8 +11,8 @@ recomputes everything every epoch — is the independent check:
 
 * product == oracle bitwise (losses, weights, per-rank clocks, every
   phase bucket) over several epochs, on uniform grids, size-1 axes, an
-  indivisible grid, with overlap, blocked aggregation, a bounded in-flight
-  queue, SpMM noise and a launch overhead;
+  indivisible grid, with overlap, blocked aggregation, SpMM noise and a
+  launch overhead;
 * kernel-call counts prove the replay is live — and stays live after
   ``evaluate()`` and ``load_checkpoint()``;
 * traced == untraced, and the sim events of replayed epochs still replay
@@ -60,10 +60,7 @@ SCHEDULES = {
     "overlap": {"overlap": True},
     "blocked": {"aggregation_blocks": 4},
     "overlap-blocked": {"overlap": True, "aggregation_blocks": 4},
-    "bounded": {"aggregation_blocks": 4, "max_inflight": 1},
-    "overlap-bounded-noisy": {
-        "overlap": True, "aggregation_blocks": 4, "max_inflight": 2, "noise": True,
-    },
+    "overlap-blocked-noisy": {"overlap": True, "aggregation_blocks": 4, "noise": True},
 }
 
 

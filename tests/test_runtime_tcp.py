@@ -26,6 +26,7 @@ tier-1.  Acceptance for ``transport="tcp"``:
 from __future__ import annotations
 
 import os
+import tempfile
 import threading
 import time
 
@@ -293,3 +294,12 @@ class TestMultiHost:
         finally:
             th.join(timeout=30)
         assert hosted.get("served") == 1
+
+    def test_a_pool_without_remote_slots_publishes_no_port_file(self, tmp_path, monkeypatch):
+        """``repro host --rendezvous auto`` must never attach to a launcher
+        with no slot to fill: while a tcp pool with ``remote_workers=0``
+        runs, its temp dir holds no port file."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with MultiprocTrainer(_spec(), timeout=60, transport="tcp") as mpt:
+            assert mpt.ping() == [0, 1]
+            assert list(tmp_path.glob(f"*{PORT_FILE_SUFFIX}")) == []
