@@ -10,7 +10,10 @@ implementation validates against the serial reference.
 
 The generic engine (:class:`PartitionParallelGCN`) is parameterized by the
 partition, so the CAGNET-SA baselines reuse it with different partitioners
-(see ``repro.baselines.cagnet``).
+(see ``repro.baselines.cagnet``).  Its one process group is the world, run
+as the one axis of a ``(P, 1, 1)`` rank cube on the same
+:class:`~repro.dist.comm.AxisCommunicator` Plexus runs its grid axes on —
+CAGNET's 1D algorithm is the one-axis case of the 3D grid.
 
 Scaling behaviour reproduced (Sec. 7.1): per-partition boundary sets grow as
 partitions multiply — :meth:`total_nodes_with_boundary` is the 18M -> 22M
@@ -35,9 +38,9 @@ from repro.baselines.partitioner import (
 )
 from repro.core.trainer import EpochStats, TrainResult
 from repro.dist.cluster import VirtualCluster
-from repro.dist.comm import communicator
-from repro.dist.group import ProcessGroup
-from repro.gpu.gemm import GemmMode, gemm_time
+from repro.dist.collectives import AxisComm, all_to_all_time
+from repro.dist.comm import AxisCommunicator
+from repro.gpu.gemm import GemmMode, gemm_time_batch
 from repro.gpu.spmm import SpmmShard, spmm_time
 from repro.nn.functional import relu, relu_grad
 from repro.nn.init import glorot_uniform
@@ -95,7 +98,22 @@ class PartitionParallelGCN:
         self.n = n
         self.layer_dims = list(layer_dims)
         self.partition = partition
-        self.world = ProcessGroup.from_cluster_ranks(list(cluster), cluster.machine, name="world")
+        # the world group as the one axis of a (P, 1, 1) cube; its bandwidth
+        # follows node placement alone — intra-node when the ranks share a
+        # node, else the node's full NIC aggregate (no sibling groups)
+        machine = cluster.machine
+        intra = machine.group_is_intra_node(range(p_count))
+        self.comm = AxisCommunicator(
+            AxisComm(
+                store=cluster.store,
+                cube=(p_count, 1, 1),
+                axis=0,
+                size=p_count,
+                bandwidth=machine.intra_node_bw if intra else machine.inter_node_bw,
+                latency=machine.latency,
+                issue_overhead_s=machine.issue_overhead_s,
+            )
+        )
         self._rng = rng_from_seed(opts.seed + 17)
 
         dtype = opts.dtype
@@ -178,7 +196,7 @@ class PartitionParallelGCN:
                     idx = self.send_idx[p][q][sample[q][p]]
                     row.append(feats[p][idx])
             chunks.append(row)
-        received = communicator(self.world).all_to_all(chunks, phase="boundary_exchange").wait()
+        received = self._all_to_all(chunks, "boundary_exchange")
         f_cat = []
         for p in range(p_count):
             blocks = [feats[p]]
@@ -191,12 +209,31 @@ class PartitionParallelGCN:
             f_cat.append(np.concatenate(blocks, axis=0))
         return f_cat
 
-    def _spmm_advance(self, p: int, a: sp.csr_matrix, cols: int, phase: str) -> None:
-        t = spmm_time(SpmmShard(rows=a.shape[0], k=a.shape[1], cols=max(cols, 1), nnz=a.nnz), self.cluster[p].device)
-        self.cluster[p].advance(t, phase)
+    def _all_to_all(self, chunks: list[list[np.ndarray]], phase: str) -> list[list[np.ndarray]]:
+        """Personalized exchange: ``chunks[p][q]`` is what rank ``p`` sends to
+        ``q``; returns ``received`` with ``received[q][p] is chunks[p][q]``.
+        The ring is paced by the rank with the largest total payload (the
+        Eq. 4.5 all-to-all law); one rank exchanges nothing."""
+        p_count = self.p_count
+        received = [[chunks[p][q] for p in range(p_count)] for q in range(p_count)]
+        duration = None
+        if p_count > 1:
+            d = self.comm.descriptor
+            nbytes = max(sum(c.nbytes for c in row) for row in chunks)
+            duration = all_to_all_time(nbytes, p_count, d.bandwidth, d.latency)
+        return self.comm.issue(duration, phase, received).wait()
 
-    def _gemm_advance(self, p: int, m: int, n_: int, k: int, mode: GemmMode, phase: str) -> None:
-        self.cluster[p].advance(gemm_time(m, n_, k, self.cluster[p].device, mode), phase)
+    def _spmm_advance(self, mats: list[sp.csr_matrix], cols: list[int], phase: str) -> None:
+        device = self.cluster.machine.device
+        t = [
+            spmm_time(SpmmShard(rows=a.shape[0], k=a.shape[1], cols=max(c, 1), nnz=a.nnz), device)
+            for a, c in zip(mats, cols)
+        ]
+        self.cluster.advance_all(np.array(t), phase)
+
+    def _gemm_advance(self, shapes: list[tuple[int, int, int]], mode: GemmMode, phase: str) -> None:
+        m, n_, k = zip(*shapes)
+        self.cluster.advance_all(gemm_time_batch(m, n_, k, self.cluster.machine.device, mode), phase)
 
     # -- forward / backward --------------------------------------------------------
     def forward(self) -> tuple[list[np.ndarray], dict]:
@@ -209,14 +246,12 @@ class PartitionParallelGCN:
             sample = self._sample_boundary()
             sample_all.append(sample)
             f_cat = self._exchange_features(acts, sample)
-            h, q = [], []
-            for p in range(p_count):
-                self._spmm_advance(p, self.a_local[p], f_cat[p].shape[1], "comp:spmm_fwd")
-                hp = np.asarray(self.a_local[p] @ f_cat[p])
-                w = self.weights[p][i]
-                self._gemm_advance(p, hp.shape[0], w.shape[1], hp.shape[1], GemmMode.NN, "comp:gemm_fwd")
-                h.append(hp)
-                q.append(hp @ w)
+            self._spmm_advance(self.a_local, [f.shape[1] for f in f_cat], "comp:spmm_fwd")
+            h = [np.asarray(a @ f) for a, f in zip(self.a_local, f_cat)]
+            w = [self.weights[p][i] for p in range(p_count)]
+            shapes = [(hp.shape[0], wp.shape[1], hp.shape[1]) for hp, wp in zip(h, w)]
+            self._gemm_advance(shapes, GemmMode.NN, "comp:gemm_fwd")
+            q = [hp @ wp for hp, wp in zip(h, w)]
             cache["f_cat"].append(f_cat)
             cache["h"].append(h)
             cache["q"].append(q)
@@ -231,24 +266,24 @@ class PartitionParallelGCN:
         dq = d_logits
         for i in range(n_layers - 1, -1, -1):
             h = cache["h"][i]
-            dw_partial = []
-            for p in range(p_count):
-                self._gemm_advance(p, h[p].shape[1], dq[p].shape[1], h[p].shape[0], GemmMode.TN, "comp:gemm_dw")
-                dw_partial.append(h[p].T @ dq[p])
-            dw = communicator(self.world).all_reduce(dw_partial, phase="all_reduce_dw").wait()
+            shapes = [(hp.shape[1], d.shape[1], hp.shape[0]) for hp, d in zip(h, dq)]
+            self._gemm_advance(shapes, GemmMode.TN, "comp:gemm_dw")
+            dw_partial = np.stack([hp.T @ d for hp, d in zip(h, dq)])
+            dw = self.comm.all_reduce(dw_partial, phase="all_reduce_dw").wait()
             for p in range(p_count):
                 grads[p][f"W{i}"] = dw[p]
             if i == 0:
                 break
             # dF for the concatenated columns, then boundary scatter-back
+            w = [self.weights[p][i] for p in range(p_count)]
+            shapes = [(d.shape[0], wp.shape[0], d.shape[1]) for d, wp in zip(dq, w)]
+            self._gemm_advance(shapes, GemmMode.NT, "comp:gemm_dh")
+            dh = [d @ wp.T for d, wp in zip(dq, w)]
+            self._spmm_advance(self.at_local, [x.shape[1] for x in dh], "comp:spmm_bwd")
             df_own = []
             chunks: list[list[np.ndarray]] = [[None] * p_count for _ in range(p_count)]
             for p in range(p_count):
-                w = self.weights[p][i]
-                self._gemm_advance(p, dq[p].shape[0], w.shape[0], dq[p].shape[1], GemmMode.NT, "comp:gemm_dh")
-                dh = dq[p] @ w.T
-                self._spmm_advance(p, self.at_local[p], dh.shape[1], "comp:spmm_bwd")
-                df_cat = np.asarray(self.at_local[p] @ dh)
+                df_cat = np.asarray(self.at_local[p] @ dh[p])
                 n_own = len(self.own[p])
                 df_own.append(df_cat[:n_own])
                 offset = n_own
@@ -261,7 +296,7 @@ class PartitionParallelGCN:
                     # only sampled boundary rows carry gradient mass
                     chunks[p][q] = block[cache["sample"][i][p][q]]
                     offset += m
-            returned = communicator(self.world).all_to_all(chunks, phase="boundary_grad_exchange").wait()
+            returned = self._all_to_all(chunks, "boundary_grad_exchange")
             for p in range(p_count):
                 for q in range(p_count):
                     if q == p:
@@ -286,7 +321,7 @@ class PartitionParallelGCN:
             else:
                 nll = 0.0
             packed.append(np.array([nll, m.sum()], dtype=np.float64))
-        totals = communicator(self.world).all_reduce(packed, phase="loss_total").wait()
+        totals = self.comm.all_reduce(np.stack(packed), phase="loss_total").wait()
         total_nll, total_cnt = totals[0]
         if total_cnt == 0:
             raise ValueError("empty train mask")

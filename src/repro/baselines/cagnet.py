@@ -11,8 +11,8 @@ swaps in the GVB nonzero-balancing partitioner (Acer et al. [2]), matching
 the paper's Sec. 6.3 setup.
 
 The 1.5D replication factor ``c`` trades memory for communication; it only
-affects timing/memory (not numerics), so the executable model keeps c=1 and
-the analytic scale model (``repro.perf``) exposes ``replication``.
+affects timing/memory (not numerics), so the executable model is c = 1 and
+only the analytic scale model (``repro.perf``) has a ``replication``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = ["CagnetOptions", "block_partition", "Cagnet15D"]
 class CagnetOptions(BnsGcnOptions):
     """SA options: sparsity-aware exchange is always exact (rate 1.0)."""
 
-    #: 1.5D replication factor (timing/memory model only; must divide G)
-    replication: int = 1
     #: use the GVB partitioner (the paper's SA+GVB variant)
     use_gvb: bool = False
 
@@ -42,8 +40,6 @@ class CagnetOptions(BnsGcnOptions):
         super().__post_init__()
         if self.boundary_rate != 1.0:
             raise ValueError("CAGNET-SA makes no approximations; rate must stay 1.0")
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
 
 
 def block_partition(n: int, n_parts: int) -> PartitionResult:
@@ -79,4 +75,3 @@ class Cagnet15D(PartitionParallelGCN):
         else:
             partition = block_partition(a_norm.shape[0], cluster.world_size)
         super().__init__(cluster, a_norm, features, labels, train_mask, layer_dims, partition, options)
-        self.replication = options.replication

@@ -32,9 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.dist.cluster import VirtualCluster
-from repro.dist.collectives import AxisComm
+from repro.dist.collectives import AxisComm, axis_bandwidth
 from repro.dist.comm import AxisCommunicator
-from repro.dist.group import axis_bandwidth
 
 __all__ = ["Axis", "GridConfig", "AxisRoles", "axis_roles", "PlexusGrid"]
 
@@ -207,10 +206,10 @@ class PlexusGrid:
                 size=cfg.size(axis),
                 bandwidth=axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis)),
                 latency=cluster.machine.latency,
+                issue_overhead_s=cluster.machine.issue_overhead_s,
             )
             comm = self._comms[axis] = AxisCommunicator(
                 descriptor,
-                issue_overhead_s=cluster.machine.issue_overhead_s,
                 exchange=cluster.exchange if axis is Axis.Z else None,
                 z0=cluster.lo // (cfg.gx * cfg.gy),  # the first held plane
             )

@@ -33,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.grid import Axis, GridConfig, axis_roles
-from repro.dist.collectives import RING_LAWS
-from repro.dist.group import axis_bandwidth
+from repro.dist.collectives import RING_LAWS, axis_bandwidth
 from repro.dist.topology import MachineSpec
 from repro.graph.datasets import DatasetStats
 

@@ -5,13 +5,12 @@ every clock advance is attributed to a phase label of the form
 ``"category:detail"`` (``"comp:spmm_fwd"``, ``"comm:all_reduce_h"``, ...).
 The storage is *columnar*: one :class:`VirtualCluster` keeps a single
 ``(world,)`` clock vector plus one ``(world,)`` accumulator per phase label
-and per category prefix, and each :class:`VirtualRank` is a lightweight
-view onto index ``r`` of those arrays.  That layout is what lets the
-rank-batched execution engine advance *every* rank of a collective step
-with a handful of vectorized operations (`advance_all` and the
-cube-reshaped straggler sync in ``repro.dist.collectives``) instead of
-``world_size`` interpreter round-trips — the per-rank scalar API is kept
-for tests and for code that genuinely acts on one rank.
+and per category prefix, and there is no per-rank object.  That layout is
+what lets the rank-batched execution engine advance *every* rank of a step
+with a handful of vectorized operations (:meth:`VirtualCluster.advance_all`
+and the cube-reshaped straggler sync of ``repro.dist.comm``) instead of
+``world_size`` interpreter round-trips; a rank's clock is
+``cluster.clocks[r]``, its node ``cluster.machine.node_of(lo + r)``.
 
 The trainer queries ``category_totals("comm:")`` / ``("comp:")`` for every
 rank on every epoch; those are single dict lookups returning the bucket
@@ -43,7 +42,7 @@ from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
 
-__all__ = ["VirtualRank", "VirtualCluster"]
+__all__ = ["ClockStore", "VirtualCluster"]
 
 
 #: phase label -> "category:" prefix, shared across all timelines.  Phase
@@ -264,57 +263,13 @@ class ClockStore:
         )
 
 
-class VirtualRank:
-    """One simulated GPU: a clock and its place in the machine.
-
-    Clock and phase totals live in the owning cluster's :class:`ClockStore`
-    (this object is a per-index view; ``cluster.category_totals(prefix)[r]``
-    reads a rank's totals); a standalone ``VirtualRank`` gets a private
-    single-rank store.
-    """
-
-    __slots__ = ("rank", "node", "device", "_store", "_i")
-
-    def __init__(
-        self,
-        rank: int,
-        node: int,
-        device,
-        store: ClockStore | None = None,
-        index: int | None = None,
-    ) -> None:
-        self.rank = rank
-        self.node = node
-        self.device = device
-        self._store = ClockStore(1) if store is None else store
-        self._i = 0 if store is None else (rank if index is None else index)
-
-    @property
-    def clock(self) -> float:
-        return float(self._store.clocks[self._i])
-
-    @clock.setter
-    def clock(self, value: float) -> None:
-        self._store.clocks[self._i] = value
-
-    def advance(self, duration: float, phase: str) -> None:
-        """Move this rank's clock forward, attributing the time to ``phase``."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        self._store.clocks[self._i] += duration
-        self._store.record_at(self._i, phase, duration)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualRank({self.rank}, node={self.node}, clock={self.clock:.6f})"
-
-
 class VirtualCluster:
     """The virtual ranks one process holds, mapped onto a machine topology.
 
     ``VirtualCluster(n, machine)`` is a whole world: ranks ``0..n-1``.  A
     worker of the multi-process runtime holds the global ranks ``[lo, hi)``
-    of a larger cube instead (each :class:`VirtualRank` keeps its global id
-    and node; the :class:`ClockStore` indexes them from 0) and is given
+    of a larger cube instead (the :class:`ClockStore` indexes them from 0)
+    and is given
     ``exchange``, the transport's byte mover (``bus.exchange``: post arrays,
     get every worker's parts back in rank order) — what :meth:`barrier` and
     the grid's worker-crossing Z axis (``repro.core.grid``) reach the other
@@ -331,16 +286,6 @@ class VirtualCluster:
         self.lo, self.hi = lo, lo + world_size
         self.exchange = exchange
         self.store = ClockStore(world_size)
-        self._ranks = [
-            VirtualRank(r, machine.node_of(r), machine.device, store=self.store, index=r - lo)
-            for r in range(lo, self.hi)
-        ]
-
-    def __getitem__(self, rank: int) -> VirtualRank:
-        return self._ranks[rank]
-
-    def __iter__(self):
-        return iter(self._ranks)
 
     def __len__(self) -> int:
         return self.world_size

@@ -1,15 +1,17 @@
-"""Eq. 4.5 collective cost models and the batched-axis descriptor.
+"""Eq. 4.5 collective cost models, the Eq. 4.6 axis bandwidth and the
+batched-axis descriptor.
 
 The ring-collective timing laws of Eq. 4.5 (:func:`ring_all_reduce_time` &
-co) are used by the executable communicators in ``repro.dist.comm`` and
+co) are used by the executable communicator in ``repro.dist.comm`` and
 evaluated symbolically by the analytic models in ``repro.perf`` /
 ``repro.core.perf_model``.  The collectives themselves are the
-handle-based communicator API: ``PlexusGrid.comm(axis)`` (an
-:class:`~repro.dist.comm.AxisCommunicator`) or
-:func:`repro.dist.comm.communicator` on a process group, whose methods
-return :class:`~repro.dist.comm.PendingCollective` handles: issue cost is
-charged immediately, completion cost at ``.wait()``, so compute charged
-between issue and wait genuinely hides communication.
+handle-based communicator API: an
+:class:`~repro.dist.comm.AxisCommunicator` over one :class:`AxisComm`
+(``PlexusGrid.comm(axis)``; the baselines' world group is the one axis of
+a ``(P, 1, 1)`` cube), whose methods return
+:class:`~repro.dist.comm.PendingCollective` handles: issue cost is charged
+immediately, completion cost at ``.wait()``, so compute charged between
+issue and wait genuinely hides communication.
 
 Cost models (Eq. 4.5, ``m`` = message bytes, ``G`` = group size, ``beta`` =
 effective bandwidth from Eq. 4.6, ``alpha`` = per-hop latency):
@@ -25,12 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.dist.cluster import ClockStore
+from repro.dist.topology import MachineSpec
 
 __all__ = [
+    "axis_bandwidth",
     "ring_all_reduce_time",
     "ring_all_gather_time",
     "ring_reduce_scatter_time",
@@ -111,7 +116,51 @@ def all_to_all_time(
 
 
 # ---------------------------------------------------------------------------
-# the batched-axis descriptor (consumed by repro.dist.comm and PlexusGrid)
+# Eq. 4.6 effective bandwidth of a grid axis
+#
+# A grid-axis group whose members all fit inside one node communicates at the
+# intra-node (NVLink / Infinity Fabric) bandwidth; a group that spans nodes
+# shares the node's aggregate NIC injection bandwidth with its *sibling*
+# groups — the other groups of the same axis that live on the same nodes.
+# Under the Y-fastest rank mapping the number of siblings per node equals the
+# axis's inner-axis product, capped at the node size.  Memoized:
+# ``PlexusGrid.comm`` and both analytic models call it inside configuration
+# sweeps thousands of times with a handful of distinct arguments.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _axis_bandwidth(machine: MachineSpec, size: int, inner: int) -> float:
+    if size == 1:
+        # singleton groups never leave the device; charge NVLink-class BW
+        return machine.intra_node_bw
+    # a group occupies a contiguous, span-aligned block of `size * inner`
+    # ranks; it stays inside one node only when that block both fits in and
+    # tiles the node (misaligned spans, e.g. 3 on a 4-GPU node, straddle the
+    # node boundary and must go through the NICs)
+    span = size * inner
+    if span <= machine.gpus_per_node and machine.gpus_per_node % span == 0:
+        return machine.intra_node_bw
+    siblings = min(inner, machine.gpus_per_node)
+    return machine.inter_node_bw / siblings
+
+
+def axis_bandwidth(machine: MachineSpec, size: int, inner: int) -> float:
+    """Eq. 4.6 effective bandwidth of one grid-axis process group.
+
+    ``size`` is the group (axis) size; ``inner`` is the product of the grid
+    dimensions that vary faster than this axis in the rank ordering (1 for
+    Y, ``Gy`` for X, ``Gx*Gy`` for Z) — which equals the stride between
+    consecutive group members and hence the number of sibling groups
+    interleaved on the same nodes.
+    """
+    if size < 1 or inner < 1:
+        raise ValueError("group size and inner-axis product must be >= 1")
+    return _axis_bandwidth(machine, size, inner)
+
+
+# ---------------------------------------------------------------------------
+# the batched-axis descriptor (consumed by repro.dist.comm)
 # ---------------------------------------------------------------------------
 
 
@@ -122,8 +171,10 @@ class AxisComm:
     ``cube`` is the clock/shard cube shape ``(Gz, Gx, Gy)`` (rank id =
     ``z*(Gx*Gy) + x*Gy + y``), ``axis`` the cube position being reduced /
     gathered over (Z -> 0, X -> 1, Y -> 2), and ``size`` its extent.  All
-    process groups along one grid axis share ``bandwidth`` (Eq. 4.6) and
-    ``latency``, which is what makes a single time charge per axis valid.
+    process groups along one grid axis share ``bandwidth`` (Eq. 4.6),
+    ``latency`` and the launch cost ``issue_overhead_s`` charged to every
+    member at issue (the machine's ``MachineSpec.issue_overhead_s``), which
+    is what makes a single time charge per axis valid.
     ``PlexusGrid.comm(axis)`` wraps this descriptor in an
     :class:`~repro.dist.comm.AxisCommunicator` for the handle-based
     collective API.  Behind a byte mover (the multi-process runtime's Z
@@ -136,6 +187,7 @@ class AxisComm:
     size: int
     bandwidth: float
     latency: float
+    issue_overhead_s: float
 
     @property
     def world(self) -> int:

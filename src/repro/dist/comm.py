@@ -1,13 +1,14 @@
 """Nonblocking communicators: handle-based collectives on the simulated timeline.
 
-This module is the collective surface of the simulator.  Callers obtain a
-*communicator* — :class:`GroupCommunicator` for one process group,
-:class:`AxisCommunicator` for every group along a grid axis
-(``PlexusGrid.comm(axis)``) — whose
-``all_reduce / all_gather / reduce_scatter / all_to_all``
-methods mirror ``torch.distributed``'s ``async_op=True`` contract: they
-return a :class:`PendingCollective` immediately and charge the *completion*
-cost only at :meth:`PendingCollective.wait`.
+This module is the collective surface of the simulator.  There is one
+communicator, :class:`AxisCommunicator`: every process group along one axis
+of a rank cube — a grid axis of Plexus (``PlexusGrid.comm(axis)``), or the
+one axis of a ``(P, 1, 1)`` cube that is the world group of the
+partition-parallel baselines (``repro.baselines``).  Its
+``all_reduce / all_gather / reduce_scatter`` methods (and :meth:`issue`)
+mirror ``torch.distributed``'s ``async_op=True`` contract: they return a
+:class:`PendingCollective` immediately and charge the *completion* cost only
+at :meth:`PendingCollective.wait`.
 
 Timeline semantics of one issued collective:
 
@@ -22,9 +23,10 @@ Timeline semantics of one issued collective:
   axis link: they queue, they do not overlap each other.  Busy-until times
   live in one vector of the store, one slot per link (``ClockStore.busy``;
   ``ClockStore.links`` is its keyed view, built on demand), so a whole
-  axis reserves its links with one gather and one scatter.  An optional
-  ``issue_overhead_s`` (default 0, keeping eager numerics
-  bitwise-unchanged) models the launch cost charged at issue.
+  axis reserves its links with one gather and one scatter.  The axis's
+  ``AxisComm.issue_overhead_s`` (the machine's; 0 on the shipped machines,
+  keeping eager numerics bitwise-unchanged) models the launch cost charged
+  at issue.
 * **wait** — each member is lifted to ``end`` with the lift attributed to
   the collective's comm phase.  Compute charged to the member's clock
   between issue and wait therefore genuinely hides communication: a member
@@ -38,13 +40,13 @@ The timeline lives in **one schedule kernel**, :func:`_schedule`: (per-group
 ready times, per-group link key — resolved once per store to its slot id —
 duration scalar-or-per-group, phase) → (begin, end).  It does the
 ``begin = max(ready, link)`` reservation, the ``SimSink`` link events and
-the ``issue`` instant, and every path calls it: a
-:class:`GroupCommunicator` is one link, an :class:`AxisCommunicator` is
-its groups' links, and the worker-crossing Z axis of ``repro.runtime``
-is the *same* :class:`AxisCommunicator` whose clocks and operand planes
-come through a byte mover (a transport bus's ``exchange``: per posted
-array every worker's part, the peers' zero-copy and valid until the next
-exchange) instead of from the local store.
+the ``issue`` instant, and every path calls it: an :class:`AxisCommunicator`
+reserves its groups' links, the analytic model (``repro.perf.analytic``)
+one link per configuration, and the worker-crossing Z axis of
+``repro.runtime`` is the *same* :class:`AxisCommunicator` whose clocks and
+operand planes come through a byte mover (a transport bus's ``exchange``:
+per posted array every worker's part, the peers' zero-copy and valid until
+the next exchange) instead of from the local store.
 
 The timeline needs only a collective's *duration*, never its operand: the
 data transformation and the Eq. 4.5 byte count happen before the schedule
@@ -55,7 +57,9 @@ duration is known and whose result the caller already holds, or nobody
 reads*.  Issue and wait run exactly as above (launch overhead, ready
 time, link reservation, trace events, completion charge); only the data
 math is skipped.  A frozen layer 0 re-issues its collectives this
-way from the second epoch on (``repro.core.layers``).
+way from the second epoch on (``repro.core.layers``), and the baselines'
+boundary all-to-all — whose chunks they transpose themselves — is issued
+this way at its Eq. 4.5 duration.
 
 Misuse is loud: waiting a handle twice raises, and a handle that is never
 waited stays in ``ClockStore.outstanding`` where
@@ -83,8 +87,8 @@ evenly, else they copy each group's *valid* rows once through an index plan
 observes which).  Pad rows never land in a result and durations bill the
 per-group valid bytes — one rank's shard when nothing is padded — however
 few copies the operand stores, so data, clocks and phase totals stay
-bitwise identical to one :class:`GroupCommunicator` call per process group
-on the exact shards (``map_groups`` in ``tests/oracle.py``).  A duration is
+bitwise identical to one collective per process group on the exact shards
+(the per-group reference of ``tests/groupwise.py``).  A duration is
 a scalar when every group moves the same bytes, else a keepdims array over
 the off-axis cube (one entry per group).
 """
@@ -98,24 +102,13 @@ import numpy as np
 from repro.dist.cluster import ClockStore
 from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
-from repro.dist.collectives import (
-    RING_LAWS,
-    AxisComm,
-    all_to_all_time,
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
-from repro.dist.group import ProcessGroup
+from repro.dist.collectives import RING_LAWS, AxisComm
 from repro.dist.padded import CubeStack
-from repro.sparse.partition import block_slices
 
 __all__ = [
     "PendingCollective",
-    "GroupCommunicator",
     "AxisCommunicator",
     "CubeStack",
-    "communicator",
     "stacked_all_reduce_data",
     "stacked_all_gather_data",
     "stacked_reduce_scatter_data",
@@ -138,21 +131,6 @@ def _check_op(op: str) -> None:
         raise ValueError(f"unsupported op {op!r} (supported: {sorted(_UFUNCS)})")
 
 
-def _check_shard_count(group: ProcessGroup, shards: Sequence) -> None:
-    if len(shards) != group.size:
-        raise ValueError(
-            f"expected one shard per member ({group.size}), got {len(shards)}"
-        )
-
-
-def _stack_equal_shards(shards: Sequence[np.ndarray]) -> np.ndarray:
-    first = shards[0].shape
-    for s in shards[1:]:
-        if s.shape != first:
-            raise ValueError(f"shard shape mismatch: {s.shape} != {first}")
-    return np.stack(shards)
-
-
 def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
     """`np.moveaxis` without its per-call axis normalization overhead."""
     axes = list(range(a.ndim))
@@ -162,8 +140,8 @@ def _moved(a: np.ndarray, src: int, dst: int) -> np.ndarray:
 
 class _Slots:
     """Where the transfers of a set of groups land on the timeline: per
-    group — in keepdims-ravel order of the axis's off-axis cube, or the one
-    entry of a lone process group — its ``ClockStore.links`` key.
+    group — in keepdims-ravel order of the axis's off-axis cube — its
+    ``ClockStore.links`` key.
     :meth:`ids` resolves the keys to the store's slots once per store.
     """
 
@@ -186,8 +164,8 @@ def _schedule(store: ClockStore, slots: _Slots, ready, duration, phase: str) -> 
 
     Every collective of every communicator is put on the timeline here and
     nowhere else.  ``ready`` holds the groups' ready times (each group's
-    maximum member clock; any shape that ravels to the slot order, 0-d for a
-    lone group) and ``duration`` is a scalar or an array of that shape.
+    maximum member clock; any shape that ravels to the slot order) and
+    ``duration`` is a scalar or an array of that shape.
     Each group's transfer runs on its link from
     ``begin = max(ready, link busy-until)`` to ``end = begin + duration``;
     returns ``(begin, end)`` shaped like ``ready``.
@@ -226,12 +204,10 @@ class PendingCollective:
     reported by ``VirtualCluster.check_outstanding`` at epoch end.
 
     The handle carries one charge record (``None`` for the free singleton
-    case), of one of two kinds:
-
-    * ``("idx", idx, begin, end, duration)`` — members are ``clocks[idx]``
-      of the shared store (one process group),
-    * ``("cube", cube_shape, begin, end, duration)`` — every axis group at
-      once; ``begin``/``end`` are keepdims arrays over the off-axis cube.
+    case), ``("cube", cube_shape, begin, end, duration)``: every group of
+    the axis at once, the members being ``store.clocks`` viewed as
+    ``cube_shape``; ``begin``/``end`` are keepdims arrays over the off-axis
+    cube.
     """
 
     __slots__ = ("phase", "_store", "_record", "_result", "_waited")
@@ -297,41 +273,24 @@ class PendingCollective:
         return result
 
     def _complete(self, record: tuple) -> None:
-        kind = record[0]
-        phase = self.phase
-        if kind == "idx":
-            _, idx, begin, end, duration = record
-            store = self._store
-            c = store.clocks[idx]
-            # ``(begin - c) + duration`` is the exact association the eager
-            # collectives used, so issue-then-wait with nothing in between
-            # reproduces their clocks and phase totals bitwise; past the
-            # comm start only the uncovered tail ``end - c`` is visible.
-            if c.max() <= begin:  # no member advanced past the comm start
-                charge = (begin - c) + duration
-                store.clocks[idx] = end
-            else:
-                charge = np.where(
-                    c <= begin, (begin - c) + duration, np.maximum(end - c, 0.0)
-                )
-                store.clocks[idx] = np.maximum(c, end)
-            store.record_idx(idx, phase, charge)
-        else:  # "cube"
-            _, cube_shape, begin, end, duration = record
-            store = self._store
-            cube = store.clocks.reshape(cube_shape)
-            early = cube <= begin  # members that had not passed the comm start
-            if early.all():  # eager: the closed form of the ``where`` below
-                charge = (begin - cube) + duration
-                cube[...] = end
-            else:
-                charge = np.where(early, (begin - cube) + duration, np.maximum(end - cube, 0.0))
-                cube[...] = np.maximum(cube, end)
-            store.record_all(phase, charge.ravel())
+        _, cube_shape, begin, end, duration = record
+        store = self._store
+        cube = store.clocks.reshape(cube_shape)
+        # ``(begin - clock) + duration`` is the exact association of an
+        # eager charge (straggler wait plus transfer); a member past the
+        # comm start sees only the uncovered tail ``end - clock``.
+        early = cube <= begin  # members that had not passed the comm start
+        if early.all():  # eager: the closed form of the ``where`` below
+            charge = (begin - cube) + duration
+            cube[...] = end
+        else:
+            charge = np.where(early, (begin - cube) + duration, np.maximum(end - cube, 0.0))
+            cube[...] = np.maximum(cube, end)
+        store.record_all(self.phase, charge.ravel())
 
 
 def _ready(phase: str, result) -> PendingCollective:
-    """A no-cost handle (singleton groups): wait() just returns the data."""
+    """A no-cost handle (size-1 axis): wait() just returns the data."""
     return PendingCollective(phase, result)
 
 
@@ -355,7 +314,7 @@ def _ready(phase: str, result) -> PendingCollective:
 # reduction itself runs over the same elements in the same order as a
 # per-group loop over flat shards (an operand replicated along ``axis``
 # itself is expanded first for exactly that reason), which keeps results
-# bitwise equal to one :class:`GroupCommunicator` call per process group.
+# bitwise equal to one collective call per process group.
 # Zero pads ride along untouched: they align within a group and reduce to
 # zero; the gather and the scatter take whole pad-extent row blocks, which is
 # why :class:`AxisCommunicator` calls them only for evenly tiling rows.
@@ -458,123 +417,6 @@ def stacked_reduce_scatter_data(
 # ---------------------------------------------------------------------------
 
 
-class GroupCommunicator:
-    """Handle-based collectives over one :class:`ProcessGroup`.
-
-    Obtain via :func:`communicator` (cached on the group) so repeated
-    collectives share one link reservation — in-flight operations on the
-    same group serialize instead of overlapping each other.
-
-    ``issue_overhead_s`` models a per-collective launch cost charged to
-    every member at issue time.  It defaults to the machine's calibrated
-    ``MachineSpec.issue_overhead_s`` constant (0 on the shipped machines,
-    keeping eager numerics bitwise identical to the historical
-    collectives); to override it, set the attribute on the *cached*
-    communicator — ``communicator(group).issue_overhead_s = 2e-6`` — so
-    every collective on the group shares both the overhead and the link
-    reservation.
-    """
-
-    __slots__ = ("group", "issue_overhead_s", "_slots")
-
-    def __init__(self, group: ProcessGroup, issue_overhead_s: float | None = None) -> None:
-        self.group = group
-        if issue_overhead_s is None:
-            issue_overhead_s = group.machine.issue_overhead_s
-        self.issue_overhead_s = float(issue_overhead_s)
-        #: the group's one schedule slot
-        self._slots = _Slots((link_key(m.rank for m in group.members),))
-
-    # -- issue machinery -----------------------------------------------------
-    def _issue(self, duration: float, phase: str, result) -> PendingCollective:
-        group = self.group
-        full_phase = "comm:" + phase
-        store, idx = group.store, group.member_idx
-        clocks = store.clocks[idx]
-        if self.issue_overhead_s:
-            store.clocks[idx] = clocks + self.issue_overhead_s
-            store.record_idx(idx, full_phase, self.issue_overhead_s)
-            clocks = store.clocks[idx]
-        begin, end = _schedule(store, self._slots, clocks.max(), duration, full_phase)
-        record = ("idx", idx, begin, end, duration)
-        return PendingCollective(full_phase, result, store, record)
-
-    # -- collectives ---------------------------------------------------------
-    def all_reduce(
-        self, shards: Sequence[np.ndarray], op: str = "sum", phase: str = "all_reduce"
-    ) -> PendingCollective:
-        """Element-wise reduction of equal-shape shards; every member
-        receives the full result."""
-        group = self.group
-        _check_shard_count(group, shards)
-        _check_op(op)
-        g = group.size
-        if g == 1:
-            return _ready("comm:" + phase, [shards[0]])
-        reduced = _UFUNCS[op].reduce(_stack_equal_shards(shards), axis=0)
-        t = ring_all_reduce_time(reduced.nbytes, g, group.bandwidth, group.latency)
-        return self._issue(t, phase, [reduced] * g)
-
-    def all_gather(
-        self, shards: Sequence[np.ndarray], axis: int = 0, phase: str = "all_gather"
-    ) -> PendingCollective:
-        """Concatenate member shards (in member order) along ``axis``; every
-        member receives the full result.  Shard extents along ``axis`` may
-        differ (quasi-equal block sharding)."""
-        group = self.group
-        _check_shard_count(group, shards)
-        g = group.size
-        if g == 1:
-            return _ready("comm:" + phase, [shards[0]])
-        gathered = np.concatenate(shards, axis=axis)
-        t = ring_all_gather_time(gathered.nbytes, g, group.bandwidth, group.latency)
-        return self._issue(t, phase, [gathered] * g)
-
-    def reduce_scatter(
-        self,
-        shards: Sequence[np.ndarray],
-        axis: int = 0,
-        op: str = "sum",
-        phase: str = "reduce_scatter",
-    ) -> PendingCollective:
-        """Reduce equal-shape full vectors, then scatter quasi-equal blocks
-        of the result along ``axis``: member ``i`` receives block ``i``."""
-        group = self.group
-        _check_shard_count(group, shards)
-        _check_op(op)
-        g = group.size
-        if g == 1:
-            return _ready("comm:" + phase, [shards[0]])
-        reduced = _UFUNCS[op].reduce(_stack_equal_shards(shards), axis=0)
-        if not -reduced.ndim <= axis < reduced.ndim:
-            raise ValueError(f"axis {axis} out of range for {reduced.ndim}-d shards")
-        if axis < 0:
-            axis += reduced.ndim
-        t = ring_reduce_scatter_time(reduced.nbytes, g, group.bandwidth, group.latency)
-        prefix: tuple[slice, ...] = (slice(None),) * axis
-        result = [reduced[prefix + (sl,)] for sl in block_slices(reduced.shape[axis], g)]
-        return self._issue(t, phase, result)
-
-    def all_to_all(
-        self, chunks: Sequence[Sequence[np.ndarray]], phase: str = "all_to_all"
-    ) -> PendingCollective:
-        """Personalized exchange: ``chunks[i][j]`` is what member ``i`` sends
-        to member ``j``; the result satisfies ``out[j][i] is chunks[i][j]``."""
-        group = self.group
-        _check_shard_count(group, chunks)
-        g = group.size
-        for row in chunks:
-            if len(row) != g:
-                raise ValueError(f"each member must provide {g} chunks, got {len(row)}")
-        out = [[chunks[i][j] for i in range(g)] for j in range(g)]
-        if g == 1:
-            return _ready("comm:" + phase, out)
-        # the ring is paced by the member with the largest total payload
-        nbytes = max(sum(c.nbytes for c in row) for row in chunks)
-        t = all_to_all_time(nbytes, g, group.bandwidth, group.latency)
-        return self._issue(t, phase, out)
-
-
 class AxisCommunicator:
     """Handle-based collectives over every process group along one grid axis.
 
@@ -582,12 +424,10 @@ class AxisCommunicator:
     :class:`CubeStack` or a raw ndarray), execute all groups of the axis as
     one keepdims reduction over the rank cube and return the result once per
     group.  Each group's schedule slot is its :func:`link_key`, named from
-    the grid (the global ranks of the group, in member order), so a
-    whole-axis collective and a :class:`GroupCommunicator` of the same
-    ranks share the link reservation and queue behind each other.  Obtain via
-    ``PlexusGrid.comm(axis)``; like :class:`GroupCommunicator`, a launch
-    cost can be enabled by setting ``issue_overhead_s`` on the cached
-    instance (default 0 keeps eager numerics bitwise unchanged).
+    the grid (the global ranks of the group, in member order), so every
+    collective on the same ranks shares the link reservation and queues
+    behind the others.  Obtain via ``PlexusGrid.comm(axis)``; the launch
+    cost charged at issue is the descriptor's ``issue_overhead_s``.
 
     The worker-crossing (Z) axis of the multi-process runtime is this same
     class behind a *byte mover*: ``exchange`` (a transport bus's method of
@@ -616,7 +456,6 @@ class AxisCommunicator:
 
     __slots__ = (
         "descriptor",
-        "issue_overhead_s",
         "_slots",
         "_cube",
         "_exchange",
@@ -627,12 +466,10 @@ class AxisCommunicator:
     def __init__(
         self,
         descriptor: AxisComm,
-        issue_overhead_s: float = 0.0,
         exchange=None,
         z0: int = 0,
     ) -> None:
         self.descriptor = d = descriptor
-        self.issue_overhead_s = float(issue_overhead_s)
         #: (kind, stack geometry) -> cached collective plan
         self._plans: dict[tuple, dict] = {}
         self._exchange = exchange
@@ -666,9 +503,9 @@ class AxisCommunicator:
         Returns ``(clocks, operand, rows, cols)``."""
         d = self.descriptor
         store = d.store
-        if self.issue_overhead_s:
-            store.clocks += self.issue_overhead_s
-            store.record_all(full_phase, self.issue_overhead_s)
+        if d.issue_overhead_s:
+            store.clocks += d.issue_overhead_s
+            store.record_all(full_phase, d.issue_overhead_s)
         if self._exchange is None:
             if stacked is None:
                 return store.clocks, None, None, None
@@ -775,8 +612,7 @@ class AxisCommunicator:
         if rows is None:  # nothing padded: every rank of the (whole) cube fills it
             rows = np.full(world, pad)
         # Reduce-style collectives need equal shard shapes within each group
-        # (the precondition the group-wise path enforces via
-        # ``_stack_equal_shards``); gathers tolerate ragged rows but need
+        # (an element-wise reduction); gathers tolerate ragged rows but need
         # equal column extents (concatenation along axis 0).
         rows_tab = self._group_table(rows)
         if kind != "all_gather" and np.any(rows_tab != rows_tab[:, :1]):
@@ -933,19 +769,3 @@ class AxisCommunicator:
             cube = self._move(plan, stacked_all_reduce_data(d.cube, d.axis, full, op))
         return self._issue(plan["duration"], phase, self._result(cube, plan), clocks)
 
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def communicator(group: ProcessGroup) -> GroupCommunicator:
-    """The (cached) communicator of a process group.
-
-    One communicator per group keeps the link reservation shared across
-    every collective issued on it.
-    """
-    comm = group._comm
-    if comm is None:
-        comm = group._comm = GroupCommunicator(group)
-    return comm

@@ -48,8 +48,8 @@ class MachineSpec:
     #: per-hop link latency charged per ring step, seconds
     latency: float = 2.0e-6
     #: per-collective launch cost charged to every member at issue time,
-    #: seconds.  Threaded to the communicators (``repro.dist.comm``) as
-    #: their default ``issue_overhead_s``; 0.0 (the shipped machines) keeps
+    #: seconds.  Every axis descriptor carries it
+    #: (``AxisComm.issue_overhead_s``); 0.0 (the shipped machines) keeps
     #: eager numerics bitwise identical to the historical collectives.
     #: Calibrate per machine when modeling NIC doorbell/launch costs.
     issue_overhead_s: float = 0.0

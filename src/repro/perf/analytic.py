@@ -24,9 +24,13 @@ from repro.core.grid import Axis, GridConfig, axis_roles
 from repro.core.layers import kernel_times
 from repro.core.perf_model import collective_times
 from repro.dist.cluster import ClockStore
-from repro.dist.collectives import all_to_all_time, ring_all_gather_time, ring_all_reduce_time
+from repro.dist.collectives import (
+    all_to_all_time,
+    axis_bandwidth,
+    ring_all_gather_time,
+    ring_all_reduce_time,
+)
 from repro.dist.comm import PendingCollective, _schedule, _Slots
-from repro.dist.group import axis_bandwidth
 from repro.dist.topology import MachineSpec
 from repro.gpu.gemm import GemmMode, gemm_time
 from repro.gpu.spmm import SpmmShard, spmm_time

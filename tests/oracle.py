@@ -5,8 +5,8 @@ whole-axis collectives over the rank cube, one stacked Adam, a frozen layer 0
 replayed from its first pass).  This module is the form the paper gives —
 one rank at a time, one collective call **per process group** at a time
 (:func:`axis_groups`: the oracle's own groups, built from the grid's
-geometry and cluster, each on its ``communicator(group)``), one Adam per
-rank — kept whole as the bitwise oracle of the parity suites: losses,
+geometry and cluster, each running the per-group collectives of
+``tests/groupwise.py``), one Adam per rank — kept whole as the bitwise oracle of the parity suites: losses,
 weights, trainable F0, per-rank clocks, every ``by_phase`` bucket and every
 ``EpochStats`` field must equal the product's in float64.
 
@@ -37,11 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
+import groupwise
+from groupwise import Group
+
 from repro.core.batch import BlockDiagSpmm, batched_matmul
 from repro.core.model import PlexusGCN
 from repro.core.trainer import EpochStats, TrainResult
-from repro.dist.comm import communicator
-from repro.dist.group import ProcessGroup, axis_bandwidth
+from repro.dist.collectives import axis_bandwidth
 from repro.nn.functional import relu, relu_grad
 from repro.nn.optim import Adam
 from repro.sparse.ops import spmm
@@ -73,7 +75,7 @@ def axis_group_ranks(gx: int, gy: int, gz: int, axis: int) -> tuple[tuple[int, .
     return tuple(groups)
 
 
-def axis_groups(grid, axis) -> list[ProcessGroup]:
+def axis_groups(grid, axis) -> list[Group]:
     """The process groups along ``axis`` of a whole-cube grid, built from
     its cluster's ranks with the Eq. 4.6 bandwidth of the axis.  Their
     links are the product's by key (``comm.link_key`` of the member ranks),
@@ -82,10 +84,7 @@ def axis_groups(grid, axis) -> list[ProcessGroup]:
     if cluster.world_size != cfg.total:
         raise ValueError("the oracle's groups span a whole-cube grid")
     bw = axis_bandwidth(cluster.machine, cfg.size(axis), cfg.inner_size(axis))
-    return [
-        ProcessGroup([cluster[r] for r in ranks], cluster.machine, bandwidth=bw)
-        for ranks in axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, int(axis))
-    ]
+    return [Group(cluster, ranks, bw) for ranks in axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, int(axis))]
 
 
 class GroupHandles:
@@ -112,14 +111,13 @@ class GroupHandles:
 def map_groups(grid, axis, method: str, per_rank, /, **kw) -> GroupHandles:
     """Issue ``method`` (``"all_reduce"`` / ``"all_gather"`` /
     ``"reduce_scatter"``) once per process group along grid ``axis`` over a
-    rank-indexed shard list, on the groups' own ``GroupCommunicator``s
-    (:func:`axis_groups`); ``kw`` (``phase``, ``op``, the data ``axis``)
-    goes to each call."""
+    rank-indexed shard list, with the per-group collectives of
+    ``tests/groupwise.py`` on the oracle's own groups (:func:`axis_groups`);
+    ``kw`` (``phase``, ``op``, the data ``axis``) goes to each call."""
     parts = []
     for group in axis_groups(grid, axis):
-        ranks = [m.rank for m in group.members]
-        handle = getattr(communicator(group), method)([per_rank[r] for r in ranks], **kw)
-        parts.append((handle, ranks))
+        handle = getattr(groupwise, method)(group, [per_rank[r] for r in group.ranks], **kw)
+        parts.append((handle, group.ranks))
     return GroupHandles(parts, len(per_rank))
 
 

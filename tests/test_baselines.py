@@ -1,5 +1,7 @@
 """Tests for the baselines: partitioners, BNS-GCN, CAGNET-SA."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from repro.baselines import (
     ldg_partition,
 )
 from repro.baselines.cagnet import block_partition
-from repro.dist import PERLMUTTER, VirtualCluster
+from repro.dist import FRONTIER, PERLMUTTER, VirtualCluster, all_to_all_time, ring_all_reduce_time
+from repro.dist import comm
 from repro.nn import Adam, SerialGCN
 
 
@@ -169,10 +172,6 @@ class TestCagnet:
         with pytest.raises(ValueError):
             CagnetOptions(boundary_rate=0.5)
 
-    def test_invalid_replication(self):
-        with pytest.raises(ValueError):
-            CagnetOptions(replication=0)
-
     def test_sa_exchanges_more_than_bns(self, ds, dims):
         """Contiguous blocks cut more edges than BFS partitions on RMAT."""
         c1 = VirtualCluster(4, PERLMUTTER)
@@ -180,3 +179,124 @@ class TestCagnet:
         c2 = VirtualCluster(4, PERLMUTTER)
         sa = Cagnet15D(c2, ds.norm_adjacency, ds.features, ds.labels, ds.train_mask, dims, CagnetOptions(seed=0))
         assert sa.total_nodes_with_boundary() >= bns.total_nodes_with_boundary()
+
+
+class TestTimeline:
+    """The baselines' one group is the world, run as the one axis of a
+    ``(P, 1, 1)`` cube: what it schedules is the Eq. 4.5 law of each
+    collective at the bandwidth node placement gives — nothing at P = 1,
+    the intra-node links at P = 4 (one Perlmutter node), a node's full NIC
+    aggregate at P = 8 (two Perlmutter nodes; one Frontier node)."""
+
+    @staticmethod
+    def _scheduled(monkeypatch, model) -> dict[str, list]:
+        """The duration of every collective one epoch hands the schedule
+        kernel, per phase in issue order."""
+        seen: dict[str, list] = {}
+        schedule = comm._schedule
+
+        def spy(store, slots, ready, duration, phase):
+            seen.setdefault(phase, []).append(duration)
+            return schedule(store, slots, ready, duration, phase)
+
+        monkeypatch.setattr(comm, "_schedule", spy)
+        model.train_epoch()
+        return seen
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda *args: BnsGcnModel(*args, BnsGcnOptions(seed=0)),
+            lambda *args: Cagnet15D(*args, CagnetOptions(seed=0)),
+            lambda *args: Cagnet15D(*args, CagnetOptions(seed=0, use_gvb=True)),
+        ],
+        ids=["bns-gcn", "sa", "sa-gvb"],
+    )
+    @pytest.mark.parametrize(
+        "machine,p,bandwidth",
+        [
+            (PERLMUTTER, 1, None),
+            (PERLMUTTER, 4, PERLMUTTER.intra_node_bw),
+            (PERLMUTTER, 8, PERLMUTTER.inter_node_bw),
+            (FRONTIER, 8, FRONTIER.intra_node_bw),
+        ],
+        ids=["one-rank", "one-node", "two-nodes", "frontier-one-node"],
+    )
+    def test_durations_are_the_eq45_laws_at_the_placement_bandwidth(
+        self, monkeypatch, ds, dims, build, machine, p, bandwidth
+    ):
+        cluster = VirtualCluster(p, machine)
+        m = build(cluster, ds.norm_adjacency, ds.features, ds.labels, ds.train_mask, dims)
+        seen = self._scheduled(monkeypatch, m)
+        if p == 1:
+            assert seen == {}
+            assert float(cluster.category_totals("comm:").max()) == 0.0
+            return
+        lat, itemsize, layers = machine.latency, 8, range(len(dims) - 1)
+        # rank r sends the owners' rows its peers need, and returns the
+        # gradient rows of the ones it received (rate 1.0: all of them)
+        sent = max(sum(len(m.recv_ids[q][r]) for q in range(p) if q != r) for r in range(p))
+        got = max(sum(len(m.recv_ids[r][q]) for q in range(p) if q != r) for r in range(p))
+        assert seen == {
+            "comm:boundary_exchange": [
+                all_to_all_time(sent * dims[i] * itemsize, p, bandwidth, lat) for i in layers
+            ],
+            "comm:loss_total": [ring_all_reduce_time(2 * itemsize, p, bandwidth, lat)],
+            "comm:all_reduce_dw": [
+                ring_all_reduce_time(dims[i] * dims[i + 1] * itemsize, p, bandwidth, lat)
+                for i in reversed(layers)
+            ],
+            "comm:boundary_grad_exchange": [
+                all_to_all_time(got * dims[i] * itemsize, p, bandwidth, lat)
+                for i in reversed(layers) if i > 0
+            ],
+        }
+
+    def test_sampled_exchange_is_paced_by_the_largest_sampled_payload(self, monkeypatch, ds, dims):
+        """BNS-GCN at rate 0.5: each exchange moves only the rows sampled
+        this epoch, and its duration is the law of the rank that sends the
+        most of them."""
+        p, layers = 4, range(len(dims) - 1)
+        m = BnsGcnModel(VirtualCluster(p, PERLMUTTER), ds.norm_adjacency, ds.features, ds.labels,
+                        ds.train_mask, dims, BnsGcnOptions(seed=0, boundary_rate=0.5))
+        samples = []
+        sample_boundary = m._sample_boundary
+
+        def spy():
+            samples.append(sample_boundary())
+            return samples[-1]
+
+        monkeypatch.setattr(m, "_sample_boundary", spy)
+        seen = self._scheduled(monkeypatch, m)
+        assert len(samples) == len(layers)
+        # forward: rank r sends the rows each peer q sampled from it; the
+        # gradient of what r sampled goes back to each owner q
+        sent = [max(sum(len(s[q][r]) for q in range(p) if q != r) for r in range(p)) for s in samples]
+        got = [max(sum(len(s[r][q]) for q in range(p) if q != r) for r in range(p)) for s in samples]
+        full = max(sum(len(m.recv_ids[q][r]) for q in range(p) if q != r) for r in range(p))
+        assert max(sent) < full
+        bw, lat = PERLMUTTER.intra_node_bw, PERLMUTTER.latency
+        assert seen["comm:boundary_exchange"] == [
+            all_to_all_time(sent[i] * dims[i] * 8, p, bw, lat) for i in layers
+        ]
+        assert seen["comm:boundary_grad_exchange"] == [
+            all_to_all_time(got[i] * dims[i] * 8, p, bw, lat) for i in reversed(layers) if i > 0
+        ]
+
+    def test_the_world_axis_takes_the_machine_launch_cost(self, ds, dims):
+        machine = replace(PERLMUTTER, issue_overhead_s=3e-6)
+        m = Cagnet15D(VirtualCluster(4, machine), ds.norm_adjacency, ds.features, ds.labels,
+                      ds.train_mask, dims, CagnetOptions(seed=0))
+        d = m.comm.descriptor
+        assert (d.cube, d.size, d.bandwidth, d.latency, d.issue_overhead_s) == (
+            (4, 1, 1), 4, machine.intra_node_bw, machine.latency, 3e-6
+        )
+
+    def test_boundary_exchange_is_a_transpose(self, ds, dims):
+        m = BnsGcnModel(VirtualCluster(3, PERLMUTTER), ds.norm_adjacency, ds.features, ds.labels,
+                        ds.train_mask, dims, BnsGcnOptions(seed=0))
+        chunks = [[np.array([float(10 * i + j)]) for j in range(3)] for i in range(3)]
+        received = m._all_to_all(chunks, "boundary_exchange")
+        for i in range(3):
+            for j in range(3):
+                assert received[j][i] is chunks[i][j]

@@ -17,18 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from groupwise import axis_comm
 from oracle import PerRankOracle, map_groups
 
 from repro.core import Axis, GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
 from repro.core.batch import stack_data
-from repro.dist import (
-    LAPTOP,
-    PERLMUTTER,
-    ProcessGroup,
-    VirtualCluster,
-    communicator,
-    stack_shards,
-)
+from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster, stack_shards
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.sparse.ops import gcn_normalize
@@ -62,26 +56,22 @@ def _train(
     return model, result, cluster, weights
 
 
-def _group(cluster, ranks):
-    return ProcessGroup([cluster[r] for r in ranks], cluster.machine, bandwidth=1e9)
-
-
 class TestHandleBasics:
     def test_issue_defers_completion_charge(self, rng):
         cluster = VirtualCluster(4, LAPTOP)
-        comm = communicator(_group(cluster, range(4)))
-        shards = [rng.standard_normal((8, 4)) for _ in range(4)]
+        comm = axis_comm(cluster)
+        shards = rng.standard_normal((4, 8, 4))
         handle = comm.all_reduce(shards)
         assert np.all(cluster.clocks == 0.0)  # issue cost defaults to zero
         out = handle.wait()
         assert np.all(cluster.clocks > 0.0)
-        np.testing.assert_array_equal(out[0], np.add.reduce(np.stack(shards)))
+        np.testing.assert_array_equal(out[0], np.add.reduce(shards))
 
     def test_compute_between_issue_and_wait_hides_comm(self, rng):
         def comm_total(compute_s):
             cluster = VirtualCluster(2, LAPTOP)
-            comm = communicator(_group(cluster, range(2)))
-            handle = comm.all_reduce([rng.standard_normal((256, 64)) for _ in range(2)])
+            comm = axis_comm(cluster)
+            handle = comm.all_reduce(rng.standard_normal((2, 256, 64)))
             cluster.advance_all(compute_s, "comp:overlapped")
             handle.wait()
             return float(cluster.category_totals("comm:").sum())
@@ -95,10 +85,10 @@ class TestHandleBasics:
         """Two issued-back-to-back collectives on one group queue on the
         link: total visible comm equals the sum of both transfers even
         though neither was waited before the other was issued."""
-        shards = [rng.standard_normal((64, 32)) for _ in range(2)]
+        shards = rng.standard_normal((2, 64, 32))
 
         cluster = VirtualCluster(2, LAPTOP)
-        comm = communicator(_group(cluster, range(2)))
+        comm = axis_comm(cluster)
         h1 = comm.all_reduce(shards)
         h2 = comm.all_reduce(shards)
         h1.wait()
@@ -106,7 +96,7 @@ class TestHandleBasics:
         pipelined = cluster.max_clock()
 
         cluster2 = VirtualCluster(2, LAPTOP)
-        comm2 = communicator(_group(cluster2, range(2)))
+        comm2 = axis_comm(cluster2)
         comm2.all_reduce(shards).wait()
         comm2.all_reduce(shards).wait()
         assert pipelined == cluster2.max_clock()
@@ -115,42 +105,43 @@ class TestHandleBasics:
     def test_in_flight_ops_on_distinct_links_run_side_by_side(self, rng, nic):
         """No link queues behind another — intra-node groups never cross a
         NIC, and two inter-node groups touching the same nodes are two
-        links too: issued back to back, each group finishes when it would
-        alone."""
+        links too: a straggler holds back its own group's transfer only,
+        the other group finishes when it would alone."""
         from dataclasses import replace
 
-        machine = replace(LAPTOP, gpus_per_node=2) if nic else LAPTOP  # {0,1} / {2,3}
-        pairs = ([0, 2], [1, 3]) if nic else ([0, 1], [2, 3])
-        assert machine.group_is_intra_node(pairs[0]) is not nic
-        shards = [rng.standard_normal((256, 64)) for _ in range(2)]
+        from repro.core.grid import PlexusGrid
 
+        machine = replace(LAPTOP, gpus_per_node=2) if nic else LAPTOP  # {0,1} / {2,3}
+        # X2Y2: the Y groups are {0,1} / {2,3}, the X groups {0,2} / {1,3}
+        axis, pairs = (Axis.X, ([0, 2], [1, 3])) if nic else (Axis.Y, ([0, 1], [2, 3]))
+        assert machine.group_is_intra_node(pairs[0]) is not nic
         cluster = VirtualCluster(4, machine)
-        handles = [communicator(_group(cluster, p)).all_reduce(shards) for p in pairs]
-        for h in handles:
-            h.wait()
+        comm = PlexusGrid(cluster, GridConfig(2, 2, 1)).comm(axis)
+        straggler = np.zeros(4)
+        straggler[pairs[0][0]] = 1.0  # in the first group
+        cluster.advance_all(straggler, "comp:x")
+        handle = comm.all_reduce(rng.standard_normal((4, 256, 64)))
+        t = handle.duration
+        handle.wait()
         assert len(cluster.store.links) == 2
-        for p in pairs:
-            alone = VirtualCluster(4, machine)
-            communicator(_group(alone, p)).all_reduce(shards).wait()
-            assert np.array_equal(cluster.clocks[p], alone.clocks[p])
-            assert cluster.clocks[p].min() > 0.0
+        np.testing.assert_array_equal(cluster.clocks[pairs[0]], 1.0 + t)
+        np.testing.assert_array_equal(cluster.clocks[pairs[1]], t)
+        assert t > 0.0
 
     def test_issue_overhead_charged_at_issue(self, rng):
-        """A nonzero launch cost, enabled on the cached communicator, is
-        charged to every member the moment the collective is issued."""
-        cluster = VirtualCluster(2, LAPTOP)
-        group = _group(cluster, range(2))
-        comm = communicator(group)
-        assert communicator(group) is comm  # cached: overhead + link shared
-        comm.issue_overhead_s = 2e-6
-        handle = comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
+        """A machine's nonzero launch cost is charged to every member the
+        moment the collective is issued."""
+        from dataclasses import replace
+
+        cluster = VirtualCluster(2, replace(LAPTOP, issue_overhead_s=2e-6))
+        handle = axis_comm(cluster).all_reduce(rng.standard_normal((2, 4)))
         np.testing.assert_allclose(cluster.clocks, 2e-6)
         handle.wait()
         assert float(cluster.category_totals("comm:").min()) > 2e-6
 
     def test_stacked_and_map_paths_share_axis_links(self, rng):
-        """A stacked collective and one issued group by group (one
-        ``GroupCommunicator`` call per process group) on the same axis
+        """A stacked collective and one issued group by group (one per-group
+        collective per process group, ``tests/groupwise.py``) on the same axis
         serialize on the same physical links: deferring both waits costs
         exactly as much wall clock as waiting eagerly."""
         from repro.core.grid import PlexusGrid
@@ -229,16 +220,14 @@ class TestHandleBasics:
 
     def test_double_wait_raises(self, rng):
         cluster = VirtualCluster(2, LAPTOP)
-        comm = communicator(_group(cluster, range(2)))
-        handle = comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
+        handle = axis_comm(cluster).all_reduce(rng.standard_normal((2, 4)))
         handle.wait()
         with pytest.raises(RuntimeError, match="waited twice"):
             handle.wait()
 
     def test_dropped_handle_detected(self, rng):
         cluster = VirtualCluster(2, LAPTOP)
-        comm = communicator(_group(cluster, range(2)))
-        handle = comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
+        handle = axis_comm(cluster).all_reduce(rng.standard_normal((2, 4)))
         with pytest.raises(RuntimeError, match="never\\s+waited"):
             cluster.check_outstanding()
         handle.wait()
@@ -248,8 +237,7 @@ class TestHandleBasics:
         """A handle issued outside but consumed inside ``no_charge`` must
         not reappear as outstanding when the snapshot is restored."""
         cluster = VirtualCluster(2, LAPTOP)
-        comm = communicator(_group(cluster, range(2)))
-        handle = comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
+        handle = axis_comm(cluster).all_reduce(rng.standard_normal((2, 4)))
         with cluster.no_charge():
             handle.wait()
         cluster.check_outstanding()  # must not report the waited handle
@@ -299,20 +287,13 @@ class TestWaitOrderInvariance:
 
 
 class TestMachineIssueOverhead:
-    """``MachineSpec.issue_overhead_s`` is the communicators' default
-    launch cost (0 on the shipped machines keeps eager numerics bitwise)."""
+    """``MachineSpec.issue_overhead_s`` is every axis's launch cost (0 on
+    the shipped machines keeps eager numerics bitwise)."""
 
     def _machine(self, overhead):
         from dataclasses import replace
 
         return replace(LAPTOP, issue_overhead_s=overhead)
-
-    def test_group_communicator_inherits_machine_constant(self, rng):
-        cluster = VirtualCluster(2, self._machine(3e-6))
-        comm = communicator(_group(cluster, range(2)))
-        assert comm.issue_overhead_s == 3e-6
-        comm.all_reduce([rng.standard_normal(4) for _ in range(2)])
-        np.testing.assert_allclose(cluster.clocks, 3e-6)
 
     def test_axis_communicator_inherits_machine_constant(self, rng):
         from repro.core.grid import PlexusGrid
@@ -321,7 +302,7 @@ class TestMachineIssueOverhead:
         cluster = VirtualCluster(cfg.total, self._machine(5e-6))
         grid = PlexusGrid(cluster, cfg)
         comm = grid.comm(Axis.X)
-        assert comm.issue_overhead_s == 5e-6
+        assert comm.descriptor.issue_overhead_s == 5e-6
         comm.all_reduce(rng.standard_normal((cfg.total, 4, 4)))
         np.testing.assert_allclose(cluster.clocks, 5e-6)
 
@@ -663,8 +644,8 @@ class TestColumnarTimeline:
                         picked = [data.draw(st.integers(0, n - 1))]
                     else:
                         picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-                    slots = _Slots([communicator(groups[i])._slots.links[0] for i in picked])
-                    ready = np.array([clocks[groups[i].member_idx].max() for i in picked])
+                    slots = _Slots([groups[i].slots.links[0] for i in picked])
+                    ready = np.array([clocks[groups[i].idx].max() for i in picked])
                     if step == "group":
                         ready = ready[0]
                 if data.draw(st.booleans()):

@@ -137,12 +137,12 @@ class TestPlexusGrid:
         for axis in Axis:
             groups = axis_groups(grid, axis)
             for rank in range(grid.world_size):
-                (g,) = [g for g in groups if any(m.rank == rank for m in g.members)]
+                (g,) = [g for g in groups if rank in g.ranks]
                 assert g.size == shape[axis]
                 # the members differ from ``rank`` along ``axis`` only
-                for m in g.members:
+                for m in g.ranks:
                     assert all(
-                        grid.coords(m.rank)[a] == grid.coords(rank)[a] for a in Axis if a != axis
+                        grid.coords(m)[a] == grid.coords(rank)[a] for a in Axis if a != axis
                     )
 
     def test_group_count(self):
@@ -158,7 +158,7 @@ class TestPlexusGrid:
 
         grid = self._grid(2, 2, 4)
         for g in axis_groups(grid, Axis.Z):
-            coords = [grid.coords(m.rank)[Axis.Z] for m in g.members]
+            coords = [grid.coords(m)[Axis.Z] for m in g.ranks]
             assert coords == sorted(coords) == list(range(4))
 
     def test_y_group_is_intra_node_on_perlmutter(self):
@@ -198,11 +198,10 @@ class TestSlicedGrid:
         plane = cfg.gx * cfg.gy
         assert sliced.world_size == hi - lo and sliced.config == cfg
         assert sliced.cube == ((hi - lo) // plane, cfg.gx, cfg.gy)
-        assert [r.rank for r in cluster] == list(range(lo, hi))
+        assert (cluster.lo, cluster.hi) == (lo, hi)
         assert [sliced.coords(i) for i in range(hi - lo)] == [
             whole.coords(r) for r in range(lo, hi)
         ]
-        assert [r.node for r in cluster] == [whole.cluster[r].node for r in range(lo, hi)]
         for axis in (Axis.X, Axis.Y):
             d, ref_d = sliced.comm(axis).descriptor, whole.comm(axis).descriptor
             assert d.cube == sliced.cube
@@ -222,11 +221,11 @@ class TestSlicedGrid:
         slots of each axis communicator are ``link_key`` of the oracle's
         explicit rank groups it holds (a slice: its planes' X / Y groups and
         every Z group), each at the keepdims position of its off-axis
-        coordinates; distinct groups get distinct keys, and a group's own
-        ``GroupCommunicator`` names the same link."""
+        coordinates; distinct groups get distinct keys, and the oracle's
+        per-group reference names the same link."""
         from oracle import axis_group_ranks, axis_groups
 
-        from repro.dist.comm import communicator, link_key
+        from repro.dist.comm import link_key
         from repro.runtime import worker_slice
 
         for cfg in factor_triples(total):
@@ -240,7 +239,7 @@ class TestSlicedGrid:
                 groups = axis_group_ranks(cfg.gx, cfg.gy, cfg.gz, axis)
                 keys = [link_key(g) for g in groups]
                 assert len(set(keys)) == len(keys), cfg.name
-                assert [communicator(g)._slots.links for g in axis_groups(whole, axis)] == [
+                assert [g.slots.links for g in axis_groups(whole, axis)] == [
                     (k,) for k in keys
                 ]
                 for grid, lo, hi in splits:
