@@ -183,8 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--transport", choices=("shm", "tcp"), default="shm",
         help="multiproc worker fabric: 'shm' (default) is the single-host "
-             "/dev/shm bus; 'tcp' runs the socket transport with rendezvous, "
-             "reconnect and typed deadlines (bitwise-identical over loopback)",
+             "/dev/shm bus; 'tcp' runs the socket transport with rendezvous "
+             "and typed deadlines; a lost connection fails the pool, which "
+             "--checkpoint-dir replays (bitwise-identical over loopback)",
     )
     p.add_argument(
         "--rendezvous", default=None,

@@ -49,7 +49,7 @@ class PlexusRuntimeError(PlexusError, RuntimeError):
     * ``exitcode`` — the worker process's exit code, if it died;
     * ``traceback_text`` — the worker's original formatted traceback;
     * ``last_seq`` — the bus message / tcp frame sequence number the
-      failure happened at (where a reconnect would resume mid-epoch).
+      failure happened at.
     """
 
     def __init__(
@@ -90,13 +90,15 @@ class BarrierTimeout(PlexusRuntimeError):
 
 
 class RendezvousDesync(PlexusRuntimeError):
-    """The SPMD collective order diverged between workers (sequence-number
-    mismatch on the shared-memory bus)."""
+    """The SPMD collective order diverged between workers: a sequence-number
+    mismatch on either bus (a shm message, a tcp frame of the wrong seq or
+    kind)."""
 
 
 class PayloadCorruption(PlexusRuntimeError):
-    """A shared-memory frame failed its CRC32 check: the payload bytes read
-    do not match what the sender posted."""
+    """A bus frame failed its checksum — the shm message's 64-bit word sum,
+    the tcp frame's CRC32: the payload bytes read do not match what the
+    sender posted."""
 
 
 class CheckpointError(PlexusRuntimeError):

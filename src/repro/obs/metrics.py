@@ -14,7 +14,7 @@ per site and allocates nothing.
 Metric kinds:
 
 * **counters** — monotone accumulators (``frames_sent``, ``bytes_sent``,
-  ``crc_failures``, ``reconnects``, ``epochs_done`` ...);
+  ``crc_failures``, ``epochs_done`` ...);
 * **gauges** — last-written values (``heartbeat_age_s``,
   ``epochs_per_sec``, the ``getrusage`` readings ``minor_faults`` /
   ``major_faults`` / ``max_rss_kb``, the process's ``cpu_share``,

@@ -29,13 +29,14 @@ zero-copy shared-memory tensor transport underneath the existing
   (resume, checkpointed stretches, replay after a pool failure).
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (:class:`~repro.runtime.faults.FaultPlan` chaos schedules threaded
-  through the workload spec), including network fault actions injected
-  inside the tcp transport.
+  through the workload spec), including the network fault action
+  ``drop_conn`` injected inside the tcp transport.
 * :mod:`repro.runtime.net` / :mod:`repro.runtime.rendezvous` — the tcp
   worker fabric (``transport="tcp"``): the socket drop-in for the
   shared-memory bus plus the signed-manifest rendezvous/launcher protocol
-  that lets the pool span machines (``repro host``), with bounded
-  reconnect/backoff and heartbeats on the control connection.
+  that lets the pool span machines (``repro host``), with heartbeats on
+  the control connection; a lost peer connection is a typed pool failure
+  that ``train_to`` replays.
 
 One deadline bounds every wait: the trainer's ``timeout``.  A bus exchange
 waits at most that long for its peers (shm and tcp alike), and the

@@ -36,17 +36,14 @@ Actions:
   checksum then raises :class:`~repro.errors.PayloadCorruption` instead of
   consuming garbage.
 
-Network actions (``transport="tcp"`` only; armed at ``pre_barrier``, the
-transport applies them to the exchange in flight):
+The network action (``transport="tcp"`` only; armed at ``pre_barrier``,
+the transport applies it to the exchange in flight):
 
-* ``"drop_conn"`` — sever every peer socket once; the transport's bounded
-  reconnect/backoff must resume mid-epoch from the frame sequence number,
-  bitwise invisibly;
-* ``"partition"`` — make every peer permanently unreachable (reconnects
-  refused) until the retry budget surfaces a typed
-  :class:`~repro.errors.BarrierTimeout` naming the peer —
-  :func:`~repro.runtime.checkpoint.train_to` then replays from the
-  epoch-boundary checkpoint.
+* ``"drop_conn"`` — close every peer socket of the worker's endpoint.  The
+  transport never reconnects: the worker and each peer it then fails to
+  rendezvous with raise a typed :class:`~repro.errors.BarrierTimeout`
+  naming the other, and :func:`~repro.runtime.checkpoint.train_to` replays
+  from the epoch-boundary checkpoint, bitwise.
 
 Plans ride through :class:`~repro.runtime.launch.WorkloadSpec` (picklable
 dataclasses, shipped at spawn) and fire exactly once.  A plan that could
@@ -75,7 +72,7 @@ __all__ = [
 ]
 
 FAULT_POINTS = ("pre_barrier", "mid_collective", "post_epoch")
-NETWORK_ACTIONS = ("drop_conn", "partition")
+NETWORK_ACTIONS = ("drop_conn",)
 FAULT_ACTIONS = ("die", "raise", "delay", "hang", "corrupt") + NETWORK_ACTIONS
 
 #: a "delay" sleeps this long; a "die" exits with this code
@@ -190,7 +187,7 @@ class FaultInjector:
                 raise PlexusRuntimeError(
                     f"network fault {plan.action!r} fired outside a bus rendezvous"
                 )
-            bus.inject_network_fault(plan)
+            bus.inject_network_fault()
 
 
 def build_injector(faults, worker_id: int) -> FaultInjector | None:

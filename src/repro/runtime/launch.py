@@ -489,7 +489,9 @@ class MultiprocTrainer:
 
         Waits as long as the pool is alive: the pump drains every pipe and
         watches every sentinel.  A worker's error report re-raises typed; a
-        gone worker is :class:`~repro.errors.WorkerCrashed`; a worker whose
+        gone worker is :class:`~repro.errors.WorkerCrashed`, reported before
+        a peer's ``BarrierTimeout`` (over tcp the peer's rendezvous with a
+        failed worker breaks at once, its echo); a worker whose
         reply is missing and that has sent nothing for ``patience`` seconds
         (2 x ``timeout`` for a command: later than any bus deadline, so a
         peer waiting on it at the bus reports first) is declared wedged.
@@ -498,8 +500,14 @@ class MultiprocTrainer:
         while True:
             if self._gone:
                 self._pump(0)  # a gone worker's last words: its error report
-            report = next((q[0][1] for q in self._inbox if q and q[0][0] == "error"), None)
-            if report is not None:
+            reports = [q[0][1] for q in self._inbox if q and q[0][0] == "error"]
+            if reports:
+                # a worker's own failure first, then a death: a peer's tcp
+                # rendezvous with that worker fails at once, as its echo
+                own = [r for r in reports if r["etype"] != "BarrierTimeout"]
+                if not own:
+                    self._raise_if_gone()
+                report = (own or reports)[0]
                 w, etype = report["worker"], report["etype"]
                 if self._collector is not None and "trace" in report:
                     # the worker's crash-flushed telemetry

@@ -23,7 +23,8 @@ How a multi-host pool forms (the ``transport="tcp"`` control plane):
    workload spec (the launcher's one spec message, as on shm), the command
    loop, per-epoch heartbeats, and error reports all ride it (it is a
    ``multiprocessing.connection.Connection``, so the launcher's existing
-   pipe machinery works unchanged).
+   pipe machinery works unchanged).  Both ends set ``TCP_NODELAY``: a
+   command and its small reply go out at once, not after a delayed ACK.
 
 Port files are swept by :func:`cleanup_stale_rendezvous` —
 pid-liveness-aware exactly like the shm segment sweep, and wired into
@@ -212,6 +213,7 @@ def connect_rendezvous(
             continue
         local_host = sock.getsockname()[0]
         sock.settimeout(None)  # Connection I/O is blocking
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _as_connection(sock)
         try:
             answer_challenge(conn, authkey)
@@ -275,6 +277,7 @@ class RendezvousListener:
                     idle()
                 continue
             sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _as_connection(sock)
             try:
                 deliver_challenge(conn, self.authkey)

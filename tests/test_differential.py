@@ -16,8 +16,9 @@ on the other (in-process ↔ pool), or else one fault plan.  Losses, every
 run's exactly.
 
 A faulted pool trains through ``checkpoint.train_to``, and what it must do
-is a function of the plan: ``delay`` and ``drop_conn`` finish bitwise with
-no replay; ``die``, ``corrupt`` and ``partition`` replay once, from the
+is a function of the plan: ``delay`` finishes bitwise with no replay;
+``die``, ``corrupt`` and ``drop_conn`` (a lost tcp connection is a pool
+failure: the transport does not reconnect) replay once, from the
 checkpoint of the stretch before the fault, and then finish bitwise;
 ``raise`` (``WorkerFailed``, never replayed) and a spent restart budget
 end the run with the typed error.  ``hang`` costs 2 x ``timeout`` and stays
@@ -29,8 +30,8 @@ split, the mailbox overflow path, float32, padded rows and uneven tiling,
 inter-node Z links, tcp, the sharded directory) plus
 the permuted ``shard_dir`` workloads, both checkpoint crossings and the
 hand-picked recovery cases (a kill at each point, eager and overlap, a
-corrupted payload, a tcp partition, a frozen F0, a spent budget, a delay
-and a dropped connection).
+corrupted payload, a dropped tcp connection, a frozen F0, a spent budget
+and a delay).
 
 Spawn-heavy: the default profile (derandomized) runs in its own CI step;
 ``HYPOTHESIS_PROFILE=long`` draws at least 100 cases.
@@ -87,7 +88,7 @@ _ERRORS = {
     "die": WorkerCrashed,
     "raise": WorkerFailed,
     "corrupt": PayloadCorruption,
-    "partition": BarrierTimeout,
+    "drop_conn": BarrierTimeout,
 }
 
 
@@ -228,8 +229,8 @@ def _watch_restarts(trainer) -> list:
 
 def _run_faulted(case: Case, spec: WorkloadSpec, root: Path, pool: dict) -> tuple | None:
     """Train a fault case through ``train_to`` and check what its plan
-    implies: ``delay`` and ``drop_conn`` no replay; ``die``, ``corrupt`` and
-    ``partition`` one, from the checkpoint at ``epoch // k * k``; ``raise``
+    implies: ``delay`` no replay; ``die``, ``corrupt`` and ``drop_conn``
+    one, from the checkpoint at ``epoch // k * k``; ``raise``
     (and a spent budget) the typed error, no replay.  Returns the epochs
     and books of a run that finished, else None."""
     plan, k = case.fault, case.chunks[0]
@@ -342,22 +343,22 @@ PINNED = {
     # one replay, from the epoch-2 checkpoint ...
     **{f"die-{point}": _faulted("die", point) for point in FAULT_POINTS},
     **{f"die-{point}-overlap": _faulted("die", point, overlap=True) for point in FAULT_POINTS},
-    # ... so do a corrupted payload and a tcp partition ...
+    # ... so do a corrupted payload and a dropped tcp connection ...
     "corrupt": _faulted("corrupt", worker=0),
-    "partition-tcp": _faulted("partition", transport="tcp"),
-    "partition-tcp-overlap": _faulted("partition", transport="tcp", overlap=True),
+    "drop_conn-tcp": _faulted("drop_conn", transport="tcp"),
+    "drop_conn-tcp-overlap": _faulted("drop_conn", transport="tcp", overlap=True),
     # ... and a frozen F0 under overlap killed mid-collective in epoch 3 ...
     "die-frozen-f0-overlap": _faulted(
         "die", "mid_collective", epoch=3, n=72, dims=(24, 24, 16, 8), overlap=True
     ),
-    # ... while with no restart left the kill re-raises typed
+    # ... while with no restart left the kill re-raises typed — on tcp too,
+    # where the peer's lost connection to the dead worker is only its echo
     "die-budget-0": _faulted("die", budget=0),
-    # a late arrival and a dropped tcp connection: bitwise, no restart
+    "die-tcp-budget-0": _faulted("die", transport="tcp", budget=0),
+    # a late arrival: bitwise, no restart
     "delay": _faulted("delay", epoch=1),
     "delay-overlap": _faulted("delay", epoch=1, overlap=True),
     "delay-tcp": _faulted("delay", epoch=1, worker=0, transport="tcp"),
-    "drop_conn-tcp": _faulted("drop_conn", epoch=1, transport="tcp"),
-    "drop_conn-tcp-overlap": _faulted("drop_conn", epoch=1, transport="tcp", overlap=True),
 }
 
 

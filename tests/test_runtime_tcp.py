@@ -9,15 +9,17 @@ tier-1.  Acceptance for ``transport="tcp"``:
   workloads, this file keeps the ``train_plexus`` entry point;
 * **rendezvous integrity** — workers peer-connect only off a membership
   manifest HMAC-signed with the session key; a tampered manifest is a
-  typed refusal, and stale port files of dead launchers are swept by the
-  same pid-liveness rule as the shm segments;
+  typed refusal, stale port files of dead launchers are swept by the
+  same pid-liveness rule as the shm segments, and the control connection
+  sets ``TCP_NODELAY`` on both ends;
 * **network chaos** — an injected fault that fails surfaces a typed
   exception naming the peer well inside the configured deadline
-  (``corrupt`` trips the frame CRC, ``partition`` exhausts the bounded
-  retry budget); no failure may ride to the 120 s barrier timeout.  That
-  ``drop_conn`` and ``delay`` are bitwise invisible, and that a partition
-  replays bitwise from the epoch-boundary checkpoint, is drawn and pinned
-  by ``tests/test_differential.py``;
+  (``corrupt`` trips the frame CRC; ``drop_conn`` loses the connection,
+  which the transport does not recover); no failure may ride to the 120 s
+  barrier timeout.  That ``delay`` is bitwise invisible, and that a
+  dropped connection replays bitwise from the epoch-boundary checkpoint,
+  is drawn and pinned by ``tests/test_differential.py``; the bus on its
+  own is ``tests/test_tcp_bus.py``;
 * **multi-host control plane** — a second launcher (``repro host``) can
   attach workers through the published port file and the pool trains
   normally with a remote member.
@@ -26,6 +28,7 @@ tier-1.  Acceptance for ``transport="tcp"``:
 from __future__ import annotations
 
 import os
+import socket
 import tempfile
 import threading
 import time
@@ -53,6 +56,8 @@ from repro.runtime import (
 )
 from repro.runtime.rendezvous import (
     PORT_FILE_SUFFIX,
+    RendezvousListener,
+    connect_rendezvous,
     discover_port_file,
     read_port_file,
     signed_manifest,
@@ -190,6 +195,30 @@ class TestRendezvousProtocol:
         with pytest.raises(PlexusRuntimeError, match="no live rendezvous"):
             discover_port_file()
 
+    def test_control_connection_sets_tcp_nodelay_on_both_ends(self):
+        """A command and its small reply go out at once: neither end of a
+        control connection holds a segment back for Nagle's algorithm."""
+        listener = RendezvousListener(authkey=self.KEY)
+        dialed = []
+        th = threading.Thread(
+            target=lambda: dialed.append(
+                connect_rendezvous(listener.host, listener.port, self.KEY)[0]
+            )
+        )
+        th.start()
+        try:
+            accepted = listener.accept(time.monotonic() + 20)
+            th.join(20)
+            try:
+                for conn in (dialed[0], accepted):
+                    with socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM) as s:
+                        assert s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                accepted.close()
+                dialed[0].close()
+        finally:
+            listener.close()
+
     def test_unreadable_port_file_is_typed(self, tmp_path):
         bad = tmp_path / f"x{PORT_FILE_SUFFIX}"
         bad.write_text("{not json")
@@ -213,11 +242,11 @@ class TestNetworkChaos:
         assert time.monotonic() - t0 < 30
         assert "CRC" in str(ei.value) or "crc" in str(ei.value)
 
-    def test_partition_surfaces_typed_error_naming_peer(self):
-        """An unrecoverable partition exhausts the bounded retry budget and
-        names the unreachable peer — well inside the 120 s barrier
-        timeout."""
-        plan = FaultPlan(worker=1, point="pre_barrier", action="partition", epoch=1)
+    def test_dropped_connection_surfaces_typed_error_naming_peer(self):
+        """A lost connection is not recovered inside the transport: it
+        raises the typed error naming the peer at once — well inside the
+        120 s barrier timeout — and ``train_to`` replays from there."""
+        plan = FaultPlan(worker=1, point="pre_barrier", action="drop_conn", epoch=1)
         t0 = time.monotonic()
         with pytest.raises(BarrierTimeout, match=r"worker \d") as ei:
             with MultiprocTrainer(
@@ -225,11 +254,10 @@ class TestNetworkChaos:
             ) as mpt:
                 mpt.train(3)
         elapsed = time.monotonic() - t0
-        assert elapsed < 60, f"partition detection took {elapsed:.1f}s"
-        # the worker-side report names the unreachable peer and the frame
-        # seq where a reconnect would have resumed
+        assert elapsed < 60, f"lost-connection detection took {elapsed:.1f}s"
+        # the worker-side report names the peer and the frame seq
         assert "tcp rendezvous with worker" in str(ei.value)
-        assert "reconnect attempt" in str(ei.value)
+        assert "connection lost" in str(ei.value)
         assert ei.value.last_epoch == 1
         # the launcher's straggler table rides along (satellite acceptance)
         assert "per-worker liveness" in str(ei.value)
@@ -245,13 +273,12 @@ class TestNetworkChaos:
         monkeypatch.setattr(
             MultiprocTrainer, "_spawn_pool", lambda self, *a, **k: spawned.append(a)
         )
-        for action in ("drop_conn", "partition"):
-            plan = FaultPlan(worker=0, point="pre_barrier", action=action, epoch=0)
-            with pytest.raises(ValueError, match=f"'{action}' acts on transport='tcp'"):
-                MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
-            plan = FaultPlan(worker=2, point="pre_barrier", action=action, epoch=0)
-            with pytest.raises(ValueError, match="never fires on 2 workers"):
-                MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp")
+        plan = FaultPlan(worker=0, point="pre_barrier", action="drop_conn", epoch=0)
+        with pytest.raises(ValueError, match="'drop_conn' acts on transport='tcp'"):
+            MultiprocTrainer(_spec(faults=(plan,)), timeout=60)
+        plan = FaultPlan(worker=2, point="pre_barrier", action="drop_conn", epoch=0)
+        with pytest.raises(ValueError, match="never fires on 2 workers"):
+            MultiprocTrainer(_spec(faults=(plan,)), timeout=60, transport="tcp")
         assert spawned == []
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=0)
         for transport in ("shm", "tcp"):

@@ -1,0 +1,127 @@
+"""The tcp bus on its own (no model, no launcher): three
+:class:`~repro.runtime.net.TcpBus` endpoints in threads over loopback,
+wired from their own :func:`~repro.runtime.net.peer_listener` sockets and a
+hand-built manifest.
+
+* **one phase per pair, deadlock-free** — back-to-back exchanges of frames
+  larger than the sockets' buffers, each payload encoding ``(worker,
+  seq)``: every worker gets exactly every peer's parts, in worker order.
+  The lower rank of a pair sends first and the higher receives first, in
+  one global pair order, so no pair can wait on a send the other side has
+  not drained;
+* **a lost connection is typed and fast** — ``drop_conn`` closes one
+  worker's sockets: it and its peer raise
+  :class:`~repro.errors.BarrierTimeout` naming each other at once, not
+  after the exchange's deadline (the transport never reconnects; the
+  pool's replay is ``checkpoint.train_to``'s);
+* **formation is bounded** — a peer that never dials in is a
+  ``BarrierTimeout`` naming it within :data:`~repro.runtime.net.POOL_FORMATION_S`.
+"""
+
+from __future__ import annotations
+
+import socket
+import threading
+import time
+
+import numpy as np
+
+from repro.errors import BarrierTimeout
+from repro.runtime import net
+from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.net import TcpBus
+
+KEY = b"k" * 32
+BODY = 1 << 17  # float64 elements: a 1 MiB frame
+#: the socket buffers the deadlock test pins (the kernel doubles it), far
+#: below a frame: every send of a pair blocks until the peer reads
+SOCK_BUF = 1 << 16
+
+
+def _payload(worker: int, seq: int) -> list[np.ndarray]:
+    tag = np.array([worker, seq], dtype=np.int64)
+    return [tag, np.full(BODY, worker * 1_000 + seq, dtype=np.float64)]
+
+
+def _pool(n: int, body, timeout: float = 30.0, faults: dict | None = None, start=None) -> list:
+    """Run ``body(bus)`` on ``n`` endpoints in threads (``start``: which
+    workers build one; default all); returns each worker's result or
+    exception.  Like a worker process, a thread closes its endpoint on
+    the way out."""
+    listeners = [net.peer_listener(n) for _ in range(n)]
+    manifest = {w: ("127.0.0.1", s.getsockname()[1]) for w, s in enumerate(listeners)}
+    results: list = [None] * n
+
+    def run(w: int) -> None:
+        bus = None
+        try:
+            bus = TcpBus(listeners[w], manifest, w, "sess", KEY, timeout,
+                         faults=(faults or {}).get(w))
+            results[w] = body(bus)
+        except Exception as exc:
+            results[w] = exc
+        finally:
+            if bus is not None:
+                bus.close()
+
+    threads = [threading.Thread(target=run, args=(w,), daemon=True)
+               for w in (range(n) if start is None else start)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(2 * timeout)
+    assert not any(t.is_alive() for t in threads), "a tcp endpoint deadlocked"
+    for s in listeners:
+        s.close()
+    return results
+
+
+def test_exchanges_of_frames_past_the_socket_buffers_arrive_whole_at_w3():
+    exchanges = 20
+
+    def body(bus: TcpBus):
+        for sock in bus._socks.values():
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, SOCK_BUF)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCK_BUF)
+        for seq in range(1, exchanges + 1):
+            tags, bodies = bus.exchange(_payload(bus.worker_id, seq))
+            for w in range(3):
+                assert tags[w].tolist() == [w, seq]
+                assert bodies[w].shape == (BODY,) and (bodies[w] == w * 1_000 + seq).all()
+        return max(
+            sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+            + sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            for sock in bus._socks.values()
+        )
+
+    # a short deadline: a schedule that deadlocks fails in seconds
+    buffered = _pool(3, body, timeout=10.0)
+    for got in buffered:
+        assert isinstance(got, int), got
+        assert got < 8 * BODY  # what a pair can hold in flight < one frame
+
+
+def test_a_dropped_connection_is_a_barrier_timeout_naming_the_peer():
+    plan = FaultPlan(worker=1, point="pre_barrier", action="drop_conn", epoch=0, exchange=1)
+    t0 = time.monotonic()
+
+    def body(bus: TcpBus):
+        for seq in range(1, 4):
+            bus.exchange(_payload(bus.worker_id, seq))
+        return "finished"
+
+    got = _pool(3, body, timeout=30.0, faults={1: FaultInjector([plan])})
+    assert time.monotonic() - t0 < 10, "a lost connection waited for the deadline"
+    assert all(isinstance(e, BarrierTimeout) for e in got), got
+    assert (got[0].worker_id, got[1].worker_id) == (1, 0)
+    for e in got:
+        assert e.last_seq == 2 and "connection lost" in str(e)
+
+
+def test_a_peer_that_never_dials_in_fails_formation_naming_it(monkeypatch):
+    monkeypatch.setattr(net, "POOL_FORMATION_S", 0.5)
+    t0 = time.monotonic()
+    (got, _) = _pool(2, lambda bus: "formed", start=[0])
+    assert time.monotonic() - t0 < 5
+    assert isinstance(got, BarrierTimeout), got
+    assert got.worker_id == 1 and "pool formation deadline expired" in str(got)
