@@ -90,15 +90,15 @@ class BarrierTimeout(PlexusRuntimeError):
 
 
 class RendezvousDesync(PlexusRuntimeError):
-    """The SPMD collective order diverged between workers: a sequence-number
-    mismatch on either bus (a shm message, a tcp frame of the wrong seq or
-    kind)."""
+    """The SPMD collective order diverged between workers: a peer at another
+    message (shm's sequence word, a tcp frame's seq or kind), or a peer
+    frame of another array count or with an unreadable record table."""
 
 
 class PayloadCorruption(PlexusRuntimeError):
-    """A bus frame failed its checksum — the shm message's 64-bit word sum,
-    the tcp frame's CRC32: the payload bytes read do not match what the
-    sender posted."""
+    """A bus frame failed its checksum, the one 64-bit word sum of shm and
+    tcp (:mod:`repro.runtime.frame`): the payload bytes read do not match
+    what the sender posted."""
 
 
 class CheckpointError(PlexusRuntimeError):

@@ -9,6 +9,8 @@ zero-copy shared-memory tensor transport underneath the existing
   and the single-rendezvous exchange (publish the slot's sequence word
   last, wait on every peer's, hand out verified read-only views of their
   frames): a byte mover that knows no schedule and copies nothing out.
+* :mod:`repro.runtime.frame` — the one frame format of both buses: record
+  table, limits, 64-bit word sum and the frame check's typed errors.
 * :mod:`repro.runtime.worker` — the one builder from a workload spec to a
   trainer (the in-process cluster / grid / model on a worker's slice of the
   cube; the worker-crossing Z axis is an ordinary

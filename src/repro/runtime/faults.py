@@ -5,10 +5,10 @@ names exactly where in the execution a failure fires — which worker, which
 epoch, which rendezvous within that epoch, and at which of the runtime's
 three injection points:
 
-* ``"pre_barrier"``  — after the worker has written its frame (payload,
-  record table, CRC) into its mailbox slot, before it publishes the slot's
-  sequence word: the frame is still invisible to the peers, which are left
-  waiting at the rendezvous;
+* ``"pre_barrier"``  — after the worker has written its frame into its
+  mailbox slot (tcp: before its first send), before it publishes the
+  slot's sequence word: the frame is still invisible to the peers, which
+  are left waiting at the rendezvous;
 * ``"mid_collective"`` — after the worker has observed every peer's
   published frame, before it copies them out (its own frame is published;
   peers may be mid-read of it);
@@ -32,9 +32,9 @@ Actions:
 * ``"corrupt"`` — flip one byte of the worker's own payload (valid at
   ``pre_barrier`` only: the payload exists and is not yet published): on
   shm the written mailbox slot or its overflow segment, on tcp the
-  outgoing frame while its CRC still describes the original.  Every peer's
-  checksum then raises :class:`~repro.errors.PayloadCorruption` instead of
-  consuming garbage.
+  outgoing frame while its word sum still describes the original.  Every
+  peer's frame check then raises :class:`~repro.errors.PayloadCorruption`
+  instead of consuming garbage.
 
 The network action (``transport="tcp"`` only; armed at ``pre_barrier``,
 the transport applies it to the exchange in flight):

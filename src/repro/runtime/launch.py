@@ -89,7 +89,6 @@ from repro.errors import (
     WorkerCrashed,
     WorkerFailed,
 )
-from repro.graph.shardio import LoadReport
 from repro.obs import TraceCollector, format_liveness
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
@@ -710,18 +709,6 @@ class MultiprocTrainer:
             **ckpt.assemble_slices(states),
             "load_reports": [s["load_report"] for s in states],
         }
-
-    def load_reports(self) -> list[LoadReport | None]:
-        return self.state()["load_reports"]
-
-    def ping(self) -> list[int]:
-        """Liveness round-trip on every control pipe; returns worker ids."""
-        return self._command("ping")
-
-    def reset(self) -> None:
-        """Zero every worker's clocks and timelines (between runs)."""
-        self._command("reset")
-        self._epochs_done = 0
 
     def evaluate(self, mask_global) -> float:
         """Distributed accuracy on a global node mask, off the books like

@@ -6,20 +6,18 @@ Drop-in peer of :mod:`repro.runtime.shm` behind the same bus surface:
 and hands back the workers' parts uncopied (here the receive buffers) —
 so the grid's worker-crossing Z-axis communicator, the epoch barrier
 (``VirtualCluster.barrier``), and every collective call site work
-unchanged, and results
-over loopback are bitwise identical to shm and inproc.
+unchanged, and results over loopback are bitwise identical to shm and
+inproc.
 
 Wire protocol — small, inspectable, and fail-fast:
 
-* **Frames** are length-prefixed by construction: a fixed header (magic,
-  kind, array count, sequence number, CRC32) followed by per-array dtype/
-  shape records and the raw array bytes.  Sends go straight from the
+* **Frames** (:mod:`repro.runtime.frame`, as on shm) are length-prefixed:
+  a fixed header (magic, kind, array count, sequence number, word sum),
+  the record table and the raw array bytes.  Sends go straight from the
   operand's ``memoryview`` (no pickling, no staging copy); receives land
-  via ``recv_into`` directly in the destination ``np.empty`` buffer.
-  Every DATA frame carries a CRC32 over its payload, verified on receipt —
-  the bytes come from another host, so a corrupted frame raises
-  :class:`~repro.errors.PayloadCorruption` naming the sender instead of
-  propagating garbage numerics.
+  via ``recv_into`` directly in the destination ``np.empty`` buffer.  The
+  frame check runs once both frames of a pair are through, so a desynced
+  pair fails typed at both ends.
 * **The mesh** is wired once, within :data:`POOL_FORMATION_S`: each worker
   dials every lower rank and accepts every higher rank, and both ends of
   a connection prove the session key (an HMAC of the worker id) before it
@@ -43,7 +41,7 @@ Wire protocol — small, inspectable, and fail-fast:
 * **Fault injection**: the :class:`~repro.runtime.faults.FaultPlan`
   network action ``drop_conn`` closes every peer socket of this endpoint,
   and ``corrupt`` (:meth:`TcpBus.corrupt_own_payload`) flips a byte of the
-  exchange's outgoing payloads, so each receiver's CRC trips.
+  exchange's outgoing payloads, so each receiver's checksum trips.
 
 Liveness beyond the data plane rides the *control* connection (the
 rendezvous channel of :mod:`repro.runtime.rendezvous`): per-epoch
@@ -58,22 +56,20 @@ import hmac
 import socket
 import struct
 import time
-import zlib
 from contextlib import contextmanager
 
 import numpy as np
 
-from repro.errors import BarrierTimeout, CollectiveMisuse, PayloadCorruption, RendezvousDesync
+from repro.errors import BarrierTimeout, CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
+from repro.runtime import frame
 
 __all__ = ["POOL_FORMATION_S", "TcpBus", "peer_listener"]
 
 _MAGIC = b"PXF1"
-_HDR = struct.Struct("<4sBBxxQI")  # magic, kind, count, seq, crc32
-_REC = struct.Struct("<16sQ6Q")  # dtype str, ndim, shape[6]
+_HDR = struct.Struct("<4sBBxxQQ")  # magic, kind, count, seq, word sum
 _HELLO = struct.Struct("<32sI")  # auth digest, worker id
-_MAX_NDIM = 6
 K_DATA, K_HELLO = 1, 2
 
 #: deadline for forming a pool: every worker dialed in, the mesh wired
@@ -125,29 +121,22 @@ def _send_all(sock: socket.socket, data, deadline: float) -> None:
 
 def _send_data(
     sock: socket.socket, seq: int, arrays: list[np.ndarray], deadline: float,
-    corrupt: bool = False,
+    corrupt: tuple[int, int] | None = None,
 ) -> None:
-    """One DATA frame: header + records + raw array bytes off the operands'
-    memoryviews.  ``corrupt`` sends a copy of the first array with one byte
-    flipped while the CRC still describes the original — every receiver's
-    integrity check must trip (the ``corrupt`` fault action)."""
-    if len(arrays) > 255:
-        raise ValueError("at most 255 arrays per frame")
-    crc = 0
-    recs = []
-    for a in arrays:
-        if a.ndim > _MAX_NDIM:
-            raise ValueError(f"at most {_MAX_NDIM} dimensions per array")
-        crc = zlib.crc32(a, crc)
-        shape = list(a.shape) + [0] * (_MAX_NDIM - a.ndim)
-        recs.append(_REC.pack(a.dtype.str.encode(), a.ndim, *shape))
-    head = _HDR.pack(_MAGIC, K_DATA, len(arrays), seq, crc) + b"".join(recs)
+    """One DATA frame: header + record table + raw array bytes off the
+    operands' memoryviews.  ``corrupt = (array, byte)`` sends that byte
+    flipped while the word sum still describes the original (the
+    ``corrupt`` fault action)."""
+    head = bytearray(_HDR.size + frame.RECORD.size * len(arrays))
+    frame.write_table(arrays, head, _HDR.size)
+    check = sum(frame.word_sum(a, 0, a.nbytes) for a in arrays)
+    _HDR.pack_into(head, 0, _MAGIC, K_DATA, len(arrays), seq, check % 2**64)
     _send_all(sock, head, deadline)
     for i, a in enumerate(arrays):
         buf = memoryview(a).cast("B")
-        if corrupt and i == 0 and len(buf):
+        if corrupt is not None and i == corrupt[0]:
             bad = bytearray(buf)
-            bad[0] ^= 0xFF
+            bad[corrupt[1]] ^= 0xFF
             buf = memoryview(bad)
         _send_all(sock, buf, deadline)
     if _trace.enabled:
@@ -157,48 +146,23 @@ def _send_data(
 
 def _recv_data(
     sock: socket.socket, peer: int, seq: int, deadline: float
-) -> list[np.ndarray]:
-    """Read exchange ``seq``'s DATA frame from ``peer``; returns its arrays.
-
-    The payload is received straight into freshly allocated destination
-    buffers and CRC-verified; a mismatch raises
-    :class:`~repro.errors.PayloadCorruption` naming the sending peer.
-    """
+) -> tuple[list[np.ndarray], int, int]:
+    """Read exchange ``seq``'s DATA frame from ``peer`` into fresh buffers:
+    its arrays, the posted word sum and the sum of the bytes read."""
     head = bytearray(_HDR.size)
     _recv_exact(sock, memoryview(head), deadline)
-    magic, kind, count, got_seq, posted_crc = _HDR.unpack(bytes(head))
+    magic, kind, count, got_seq, posted = _HDR.unpack(head)
     if magic != _MAGIC or kind != K_DATA or got_seq != seq:
-        raise RendezvousDesync(
-            f"tcp rendezvous out of sync: worker {peer} sent a frame of kind "
-            f"{kind} and seq {got_seq} (magic {magic!r}), expected DATA frame "
-            f"seq {seq} — the SPMD collective order diverged between workers",
-            worker_id=peer,
-            last_seq=seq,
-        )
-    recs = bytearray(_REC.size * count)
-    _recv_exact(sock, memoryview(recs), deadline)
-    arrays, crc = [], 0
-    for i in range(count):
-        dt_raw, ndim, *shape6 = _REC.unpack_from(recs, i * _REC.size)
-        dtype = np.dtype(dt_raw.rstrip(b"\0").decode())
-        a = np.empty(tuple(shape6[:ndim]), dtype=dtype)
+        raise frame.desync(peer, seq, f"sent a frame of kind {kind}, seq {got_seq} (magic {magic!r})")
+    table = bytearray(frame.RECORD.size * count)
+    _recv_exact(sock, memoryview(table), deadline)
+    arrays, read = [], 0
+    for dtype, shape in frame.read_table(table, 0, count, peer, seq):
+        a = np.empty(shape, dtype=dtype)
         _recv_exact(sock, memoryview(a).cast("B"), deadline)
-        crc = zlib.crc32(a, crc)
+        read += frame.word_sum(a, 0, a.nbytes)
         arrays.append(a)
-    if crc != posted_crc:
-        if _trace.enabled:
-            _trace.instant("crc_failure", worker=peer, seq=seq, transport="tcp")
-            _metrics.count("crc_failures")
-        raise PayloadCorruption(
-            f"tcp frame from worker {peer} failed its CRC32 check (frame seq "
-            f"{seq}: posted {posted_crc:#010x}, read {crc:#010x}) — the "
-            "payload bytes were corrupted in flight",
-            worker_id=peer,
-            last_seq=seq,
-        )
-    if _trace.enabled:
-        _metrics.count("frames_received")
-    return arrays
+    return arrays, posted, read
 
 
 def _send_hello(sock: socket.socket, key: bytes, session: str, me: int, deadline: float) -> None:
@@ -255,7 +219,7 @@ class TcpBus:
         self.faults = faults
         self._seq = 0
         self._closed = False
-        self._corrupt_next = False
+        self._corrupt_next: tuple[int, int] | None = None
         self._socks: dict[int, socket.socket] = {}
         deadline = time.monotonic() + POOL_FORMATION_S
         budget = f"the {POOL_FORMATION_S:g}s pool formation deadline"
@@ -320,7 +284,7 @@ class TcpBus:
         seq = self._seq
         if self.faults is not None:
             self.faults.fire("pre_barrier", self)
-        corrupt, self._corrupt_next = self._corrupt_next, False
+        corrupt, self._corrupt_next = self._corrupt_next, None
         deadline = time.monotonic() + self.timeout
         per_worker: dict[int, list[np.ndarray]] = {self.worker_id: arrays}
         # pairs in ascending peer order == the global (max, min) pair order
@@ -331,20 +295,22 @@ class TcpBus:
                 with self._rendezvous(peer, budget):
                     if self.worker_id < peer:
                         _send_data(sock, seq, arrays, deadline, corrupt)
-                        per_worker[peer] = _recv_data(sock, peer, seq, deadline)
-                    else:
-                        per_worker[peer] = _recv_data(sock, peer, seq, deadline)
+                    got, posted, read = _recv_data(sock, peer, seq, deadline)
+                    if self.worker_id > peer:
                         _send_data(sock, seq, arrays, deadline, corrupt)
+                # checked once both frames are through: a desync fails both ends
+                frame.check(peer, seq, "tcp", len(got), len(arrays), posted, read)
+                per_worker[peer] = got
         if self.faults is not None:
             self.faults.fire("mid_collective", self)
             self.faults.exchange_done()
         return list(zip(*(per_worker[w] for w in sorted(per_worker))))
 
     # -- fault hooks -----------------------------------------------------------
-    def corrupt_own_payload(self) -> None:
-        """Flip a byte of this exchange's outgoing payloads (the ``corrupt``
-        fault action): every receiver's CRC check trips."""
-        self._corrupt_next = True
+    def corrupt_own_payload(self, array: int = 0, byte: int = 0) -> None:
+        """Flip byte ``byte`` of array ``array`` of this exchange's outgoing
+        frames (the ``corrupt`` fault action)."""
+        self._corrupt_next = (array, byte)
 
     def inject_network_fault(self) -> None:
         """The ``drop_conn`` fault action: close every peer socket."""

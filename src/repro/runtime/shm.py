@@ -9,13 +9,13 @@ single rendezvous around raw-byte traffic:
 
 1. *post* — the worker packs its arrays into slot ``seq mod 2`` of its own
    mailbox (a direct ``np.copyto`` into the mapped buffer — no pickling),
-   writes the record table and the checksum of the payload, and
-   **publishes the slot's 8-byte sequence word last**;
+   writes the record table and the checksum (:mod:`repro.runtime.frame`),
+   and **publishes the slot's 8-byte sequence word last**;
 2. *wait* — it polls every peer's sequence word for ``seq`` (a bounded
    spin, then ``os.sched_yield()``, then short sleeps, all under the bus
    ``timeout`` deadline);
-3. *consume in place* — it verifies every peer frame's checksum and hands
-   back, per posted array, the workers' parts in rank order: its own
+3. *consume in place* — it runs the frame check on every peer frame and
+   hands back, per posted array, the workers' parts in rank order: its own
    arrays as given (a worker never re-reads or re-checksums its own frame)
    and **read-only zero-copy views** of the peers' mapped slots or overflow
    segments.  Nothing is copied out: the caller (``dist/comm.py``'s data
@@ -35,21 +35,12 @@ two-generation lifetime (seeing every peer's post of ``s`` lets step 4 drop
 the segment of ``s - 1``); a worker's *last* overflow segment, which no
 later exchange vouches for, is left to the launcher's ``unlink`` sweep.
 
-The checksum is a 64-bit **word sum**: each array's bytes added up as
-native ``uint64`` words modulo 2**64 (``np.add.reduce`` — memory speed,
-where CRC32 cost more than the copy it guarded) plus its up-to-7 tail
-bytes.  Changing any one byte or word changes the sum, so a flipped byte
-(the ``corrupt`` fault), a stale or half-written frame and a random
-corruption (probability ``1 - 2**-64``) are caught; words swapped in place
-or changes that cancel are not — neither a torn read nor a bad page makes
-those.  (tcp keeps CRC32: a wire is a different threat model.)
-
 Memory-ordering assumption: the payload, record-table and checksum stores
 precede the sequence-word store in program order, and a reader loads the
 sequence word before the payload; x86-TSO keeps both orders, and the
 aligned 8-byte sequence word is stored and loaded whole.  On a weaker
 memory model a reader could observe the sequence word before the payload
-it announces — the checksum of every peer frame is verified before its
+it announces — the word sum of every peer frame is verified before its
 views are handed out, so such a torn read raises
 :class:`~repro.errors.PayloadCorruption` rather than corrupting numerics.
 
@@ -84,6 +75,7 @@ orphan guard and the crash-path backstop.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -94,9 +86,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import BarrierTimeout, CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.obs.metrics import registry as _metrics
-from repro.errors import BarrierTimeout, CollectiveMisuse, PayloadCorruption, RendezvousDesync
+from repro.runtime import frame
 
 __all__ = [
     "SHM_PREFIX",
@@ -110,18 +103,13 @@ __all__ = [
 SHM_PREFIX = "plexus-rt-"
 
 # slot layout (two per mailbox): fixed header, then 64-byte-aligned payloads
-_MAX_ARRAYS = 8
-_MAX_NDIM = 6
 _SEQ_OFF = 0
-_COUNT_OFF = 8
-_CRC_OFF = 16  # u64 slot holding the word sum of the payload arrays, in order
+_COUNT_OFF = 8  # u64 array count, then the u64 word sum of the arrays
 _OVF_OFF = 24  # 64-byte ascii overflow-segment name ("" = inline payload)
-_REC_OFF = 88
-_REC_SIZE = 80  # 16s dtype + u64 ndim + 6*u64 shape + u64 reserved
+_REC_OFF = 88  # the frame's record table, room for frame.MAX_ARRAYS records
 _ALIGN = 64
-_U64 = (1 << 64) - 1
 #: first payload byte: the header rounded up so every payload stays aligned
-_PAYLOAD_OFF = (_REC_OFF + _MAX_ARRAYS * _REC_SIZE + _ALIGN - 1) // _ALIGN * _ALIGN
+_PAYLOAD_OFF = (_REC_OFF + frame.MAX_ARRAYS * frame.RECORD.size + _ALIGN - 1) // _ALIGN * _ALIGN
 
 # waiting for a peer's sequence word: spin (peers usually arrive within a
 # few hundred microseconds), then yield the core, then sleep with doubling
@@ -168,13 +156,14 @@ def _align(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _word_sum(payload, offset: int, nbytes: int) -> int:
-    """Sum of ``payload[offset : offset + nbytes]`` as native ``uint64``
-    words plus the up-to-7 tail bytes (an ``_ALIGN``-ed offset keeps the
-    word view aligned); callers add and compare modulo 2**64."""
-    words = np.frombuffer(payload, dtype=np.uint64, count=nbytes >> 3, offset=offset)
-    tail = payload[offset + (nbytes & ~7) : offset + nbytes]
-    return int(np.add.reduce(words)) + int.from_bytes(tail, "little")
+def _offsets(sizes) -> tuple[list[int], int]:
+    """Each payload's offset in a frame of payloads of ``sizes`` bytes, and
+    the frame's end: every payload starts ``_ALIGN``-ed."""
+    offsets, off = [], _PAYLOAD_OFF
+    for n in sizes:
+        offsets.append(off)
+        off = _align(off + n)
+    return offsets, off
 
 
 def cleanup_orphans(prefix: str = SHM_PREFIX, include_live: bool = False) -> list[str]:
@@ -301,20 +290,12 @@ class ShmBus:
 
     # -- rendezvous ----------------------------------------------------------
     def _post(self, arrays: list[np.ndarray]) -> None:
-        """Write this worker's frame — payload, record table, checksum —
+        """Write this worker's frame — record table, payload, checksum —
         into slot ``seq mod 2``; everything but the sequence word."""
-        if len(arrays) > _MAX_ARRAYS:
-            raise ValueError(f"at most {_MAX_ARRAYS} arrays per message")
         slot = self._seq & 1
         buf = self._slots[self.worker_id][slot]
-        offsets = []
-        off = _PAYLOAD_OFF
-        for a in arrays:
-            if a.ndim > _MAX_NDIM:
-                raise ValueError(f"at most {_MAX_NDIM} dimensions per array")
-            offsets.append(off)
-            off = _align(off + a.nbytes)
-        total = off
+        frame.write_table(arrays, buf, _REC_OFF)
+        self._offsets, total = _offsets(a.nbytes for a in arrays)
         if total <= self.handle.capacity:
             ovf_name = b""
             payload = buf
@@ -323,21 +304,15 @@ class ShmBus:
             ovf = self._my_overflow[slot] = SharedMemory(name=name, create=True, size=total)
             ovf_name = name.encode()
             payload = ovf.buf
-        struct.pack_into("<Q", buf, _COUNT_OFF, len(arrays))
         struct.pack_into("64s", buf, _OVF_OFF, ovf_name)
         # checksum each contiguous array copy — the alignment gaps between
         # payloads hold stale bytes from earlier messages and stay outside
         check = 0
-        for i, (a, o) in enumerate(zip(arrays, offsets)):
-            rec = _REC_OFF + i * _REC_SIZE
-            shape = list(a.shape) + [0] * (_MAX_NDIM - a.ndim)
-            struct.pack_into(
-                "<16sQ6QQ", buf, rec, a.dtype.str.encode(), a.ndim, *shape, 0
-            )
+        for a, o in zip(arrays, self._offsets):
             dst = np.frombuffer(payload, dtype=a.dtype, count=a.size, offset=o)
             np.copyto(dst.reshape(a.shape), a, casting="no")
-            check += _word_sum(payload, o, a.nbytes)
-        struct.pack_into("<Q", buf, _CRC_OFF, check & _U64)
+            check += frame.word_sum(payload, o, a.nbytes)
+        struct.pack_into("<QQ", buf, _COUNT_OFF, len(arrays), check % 2**64)
         if _trace.enabled:
             _metrics.count("frames_sent")
             _metrics.count("bytes_sent", total - _PAYLOAD_OFF)
@@ -358,12 +333,7 @@ class ShmBus:
             for w, word in pending:
                 at = word[0]
                 if at > seq:
-                    raise RendezvousDesync(
-                        f"shared-memory rendezvous out of sync: worker {w} is at "
-                        f"message {at}, expected {seq} — the SPMD collective "
-                        "order diverged between workers",
-                        worker_id=w,
-                    )
+                    raise frame.desync(w, seq, f"is at message {at}, expected {seq}")
                 if at != seq:
                     waiting.append((w, word))
             if not waiting:
@@ -392,53 +362,30 @@ class ShmBus:
             sleep_s = min(2 * sleep_s, _SLEEP_MAX_S)
 
     def _read_views(self, worker: int, count: int) -> list[np.ndarray]:
-        """Checksum-verified, read-only zero-copy views of peer ``worker``'s
+        """Frame-checked, read-only zero-copy views of peer ``worker``'s
         published message (its overflow segment stays attached for them)."""
         seq = self._seq
         buf = self._slots[worker][seq & 1]
-        posted_count, posted_check = struct.unpack_from("<QQ", buf, _COUNT_OFF)
-        if posted_count != count:
-            raise RendezvousDesync(
-                f"shared-memory rendezvous out of sync: worker {worker} posted "
-                f"{posted_count} arrays in message {seq}, expected {count} — the "
-                "SPMD collective order diverged between workers",
-                worker_id=worker,
-            )
+        posted_count, posted = struct.unpack_from("<QQ", buf, _COUNT_OFF)
+        records = frame.read_table(buf, _REC_OFF, posted_count, worker, seq)
+        sizes = [math.prod(shape) * dtype.itemsize for dtype, shape in records]
+        offsets, end = _offsets(sizes)
         (raw_name,) = struct.unpack_from("64s", buf, _OVF_OFF)
         ovf_name = raw_name.rstrip(b"\0").decode()
         payload = buf
         if ovf_name:
             self._attached.append(SharedMemory(name=ovf_name))
             payload = self._attached[-1].buf
-        views = []
-        check = 0
-        off = _PAYLOAD_OFF
-        for i in range(count):
-            rec = _REC_OFF + i * _REC_SIZE
-            dt_raw, ndim, *rest = struct.unpack_from("<16sQ6QQ", buf, rec)
-            shape = tuple(rest[:ndim])
-            dtype = np.dtype(dt_raw.rstrip(b"\0").decode())
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            v = np.frombuffer(payload, dtype=dtype, count=size, offset=off).reshape(shape)
-            v.flags.writeable = False
-            views.append(v)
-            check += _word_sum(payload, off, v.nbytes)
-            off = _align(off + v.nbytes)
-        if (check & _U64) != posted_check:
-            views.clear()  # a traceback must not pin the mapping open
-            v = None
-            if _trace.enabled:
-                _trace.instant("crc_failure", worker=worker, seq=seq, transport="shm")
-                _metrics.count("crc_failures")
-            raise PayloadCorruption(
-                f"shared-memory payload from worker {worker} failed its checksum "
-                f"(message {seq}: posted word sum {posted_check:#018x}, read "
-                f"{check & _U64:#018x}) — the mailbox bytes were corrupted in flight",
-                worker_id=worker,
-            )
-        if _trace.enabled:
-            _metrics.count("frames_received")
-        return views
+        if end > len(payload):  # a torn or foreign record table
+            raise frame.desync(worker, seq, f"posted a {end}-byte frame in {len(payload)} bytes")
+        # checked before any view exists to pin the mapping from a traceback
+        read = sum(frame.word_sum(payload, o, n) for o, n in zip(offsets, sizes))
+        frame.check(worker, seq, "shm", posted_count, count, posted, read)
+        payload = payload.toreadonly()
+        return [
+            np.frombuffer(payload, dtype=dtype, count=math.prod(shape), offset=o).reshape(shape)
+            for o, (dtype, shape) in zip(offsets, records)
+        ]
 
     def exchange(self, arrays: list[np.ndarray]) -> list[tuple[np.ndarray, ...]]:
         """Rendezvous with every peer; returns, per posted slot, the workers'
@@ -485,16 +432,14 @@ class ShmBus:
             self.faults.exchange_done()
         return list(zip(*per_worker))
 
-    def corrupt_own_payload(self, offset: int = 0) -> None:
-        """Flip payload byte ``offset`` of this worker's freshly written
-        frame — the current slot, or its overflow segment (the
-        fault-injection harness's ``"corrupt"`` action; fires after
-        :meth:`_post`, before the sequence word is published, so every
-        peer's checksum trips)."""
+    def corrupt_own_payload(self, array: int = 0, byte: int = 0) -> None:
+        """Flip byte ``byte`` of array ``array`` of this worker's frame, after
+        :meth:`_post` and before the sequence word is published (the
+        ``corrupt`` fault action)."""
         slot = self._seq & 1
         ovf = self._my_overflow[slot]
         payload = ovf.buf if ovf is not None else self._slots[self.worker_id][slot]
-        payload[_PAYLOAD_OFF + offset] ^= 0xFF
+        payload[self._offsets[array] + byte] ^= 0xFF
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

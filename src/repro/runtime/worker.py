@@ -23,7 +23,7 @@ no-bus case of the same builder.
   rendezvous dial on tcp), then reads the workload spec from its
   control connection — one message, the same on both transports — opens
   the bus, builds the slice, and serves the launcher's command loop (train
-  / checkpoint / load / evaluate / state / reset / close).  The bus is
+  / checkpoint / load / evaluate / state / close).  The bus is
   closed on *any* exit path.
 
 Parity: the slice-local execution is bitwise identical to the in-process
@@ -327,12 +327,6 @@ def _serve(worker_id: int, conn, open_bus) -> None:
                 conn.send(("value", trainer.evaluate(args[0])))
             elif cmd == "state":
                 conn.send(("state", _worker_state(ctx)))
-            elif cmd == "ping":
-                conn.send(("pong", worker_id))
-            elif cmd == "reset":
-                cluster.reset()
-                epochs_done = 0
-                conn.send(("ok", None))
             elif cmd == "close":
                 conn.send(("ok", None))
                 return

@@ -266,9 +266,9 @@ class TestDetection:
 
         assert bits(got) == bits(want)
 
-    def test_ping(self):
+    def test_every_worker_answers_state(self):
         with MultiprocTrainer(_spec(), timeout=60) as mpt:
-            assert mpt.ping() == [0, 1]
+            assert mpt.state()["load_reports"] == [None, None]
 
 
 class TestResume:

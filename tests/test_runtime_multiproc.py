@@ -113,19 +113,6 @@ class TestRuntimeSemantics:
         with pytest.raises(ValueError, match="workers"):
             worker_slice(cfg, 5, 0)  # more workers than z-planes
 
-    def test_reset_and_retrain(self):
-        """reset() zeroes every worker's timeline; a fresh run then matches
-        a fresh inproc run from epoch zero."""
-        spec = _spec(GridConfig(2, 2, 2), workers=2)
-        inproc = build_trainer(spec, backend="inproc")
-        first = inproc.train(2).losses
-        with MultiprocTrainer(spec, timeout=60) as mpt:
-            assert mpt.train(2).losses == first
-            mpt.reset()
-            st = mpt.state()
-            assert st["clocks"].max() == 0.0
-            assert not st["by_phase"]
-
     @pytest.mark.skipif(
         not Path("/proc/self/environ").exists(), reason="needs Linux /proc"
     )
@@ -275,7 +262,7 @@ class TestShardedLoaderFeedsRuntime:
         total_bytes = sum(p.stat().st_size for p in root.glob("*.np[yz]"))
         with MultiprocTrainer(self._spec_from(root, mask), timeout=60) as mpt:
             mpt.train(1)
-            reports = mpt.load_reports()
+            reports = mpt.state()["load_reports"]
         assert len(reports) == 2 and all(r is not None for r in reports)
         for r in reports:
             assert 0 < r.files_read < total_files
@@ -294,7 +281,7 @@ class TestShardedLoaderFeedsRuntime:
         files = list(root.glob("*.np[yz]"))
         with MultiprocTrainer(self._spec_from(root, mask, "double"), timeout=60) as mpt:
             mpt.train(1)
-            reports = mpt.load_reports()
+            reports = mpt.state()["load_reports"]
         for r in reports:
             assert r.files_read == len(files)
             assert r.bytes_read == sum(p.stat().st_size for p in files)

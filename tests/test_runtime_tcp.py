@@ -14,7 +14,7 @@ tier-1.  Acceptance for ``transport="tcp"``:
   sets ``TCP_NODELAY`` on both ends;
 * **network chaos** — an injected fault that fails surfaces a typed
   exception naming the peer well inside the configured deadline
-  (``corrupt`` trips the frame CRC; ``drop_conn`` loses the connection,
+  (``corrupt`` trips the frame checksum; ``drop_conn`` loses the connection,
   which the transport does not recover); no failure may ride to the 120 s
   barrier timeout.  That ``delay`` is bitwise invisible, and that a
   dropped connection replays bitwise from the epoch-boundary checkpoint,
@@ -231,7 +231,8 @@ class TestNetworkChaos:
 
     def test_corrupt_trips_crc_typed(self):
         """The transport-neutral ``corrupt`` flips a byte of the outgoing
-        frame: the receiver's CRC check raises, typed and fast."""
+        frame: the receiver's word-sum check (the one frame check of both
+        buses) raises, typed and fast."""
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=1)
         t0 = time.monotonic()
         with pytest.raises(PayloadCorruption, match="multiproc runtime failed") as ei:
@@ -240,7 +241,7 @@ class TestNetworkChaos:
             ) as mpt:
                 mpt.train(3)
         assert time.monotonic() - t0 < 30
-        assert "CRC" in str(ei.value) or "crc" in str(ei.value)
+        assert "tcp frame from worker 0 failed its checksum" in str(ei.value)
 
     def test_dropped_connection_surfaces_typed_error_naming_peer(self):
         """A lost connection is not recovered inside the transport: it
@@ -267,7 +268,7 @@ class TestNetworkChaos:
         """A network fault planned on the shm bus, or aimed at a worker the
         tcp pool does not have, is a ``ValueError`` at construction — no
         worker process is ever started; ``corrupt`` is one action on both
-        transports (on tcp it trips the frame CRC:
+        transports (on tcp it trips the frame checksum:
         ``test_corrupt_trips_crc_typed``)."""
         spawned = []
         monkeypatch.setattr(
@@ -316,7 +317,7 @@ class TestMultiHost:
                 _spec(), timeout=60, transport="tcp",
                 rendezvous="127.0.0.1:0", remote_workers=1,
             ) as mpt:
-                assert mpt.ping() == [0, 1]
+                assert mpt.state()["load_reports"] == [None, None]
                 assert mpt.train(3).losses == ref
         finally:
             th.join(timeout=30)
@@ -328,5 +329,5 @@ class TestMultiHost:
         runs, its temp dir holds no port file."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with MultiprocTrainer(_spec(), timeout=60, transport="tcp") as mpt:
-            assert mpt.ping() == [0, 1]
+            assert mpt.state()["load_reports"] == [None, None]
             assert list(tmp_path.glob(f"*{PORT_FILE_SUFFIX}")) == []

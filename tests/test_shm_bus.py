@@ -16,14 +16,17 @@ Three real worker processes (more than this host's cores) hammer
   :class:`~repro.errors.BarrierTimeout` naming it (and the message it last
   published) within ``timeout``, the survivors asleep rather than spinning;
   a newer sequence than expected yields
-  :class:`~repro.errors.RendezvousDesync`; a flipped byte in a peer's slot
-  — any byte of any array — yields
+  :class:`~repro.errors.RendezvousDesync`, and so does a record that
+  claims more bytes than the peer's frame holds; a flipped byte in a
+  peer's slot — any byte of any array — yields
   :class:`~repro.errors.PayloadCorruption`.
+
+The any-count / any-dtype round trip runs on the tcp bus too: both buses
+share one frame format and one frame check (``repro.runtime.frame``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
 import random
 import time
@@ -34,13 +37,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BarrierTimeout, PayloadCorruption
-from repro.runtime import shm
+from test_tcp_bus import _pool
+
+from repro.errors import PayloadCorruption, RendezvousDesync
+from repro.runtime import frame, shm
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 
 WORKERS = 3
-MAILBOX = 4096  # header 768 B: anything over 3328 payload bytes overflows
+MAILBOX = 4096  # header 704 B: anything over 3392 payload bytes overflows
 EXCHANGES = 240
 SMALL_ROWS, LARGE_ROWS = 16, 600  # float64 rows: inline / overflow
 
@@ -261,24 +266,50 @@ def test_flipped_byte_in_a_peer_slot_is_payload_corruption(rows):
 
 
 class _FlipByte:
-    """Duck-typed fault hook: flip one payload byte of the frame just
-    written, before its sequence word is published."""
+    """Duck-typed fault hook: flip byte ``byte`` of array ``array`` of the
+    frame about to be published (shm: written, its sequence word not yet
+    stored; tcp: not yet sent)."""
 
-    def __init__(self, offset: int) -> None:
-        self.offset = offset
+    def __init__(self, array: int, byte: int) -> None:
+        self.flip = (array, byte)
 
     def fire(self, point: str, bus=None) -> None:
         if point == "pre_barrier":
-            bus.corrupt_own_payload(self.offset)
+            bus.corrupt_own_payload(*self.flip)
 
     def exchange_done(self) -> None:
         pass
+
+
+class _TearRecord:
+    """Duck-typed fault hook: before the frame just written is published,
+    its first record claims a shape far past the mailbox slot."""
+
+    def fire(self, point: str, bus=None) -> None:
+        if point == "pre_barrier":
+            slot = bus._slots[bus.worker_id][bus._seq & 1]
+            frame.RECORD.pack_into(slot, shm._REC_OFF, b"<f8", 1, 10**6, 0, 0, 0, 0, 0)
+
+    def exchange_done(self) -> None:
+        pass
+
+
+@needs_dev_shm
+def test_a_record_past_its_frame_is_a_desync():
+    got = _pool(
+        2, lambda bus: bus.exchange([np.ones(4)]) and "exchanged", timeout=5.0,
+        faults={1: _TearRecord()}, transport="shm", capacity=MAILBOX,
+    )
+    assert isinstance(got[0], RendezvousDesync) and got[0].worker_id == 1, got
+    assert "posted a 8000704-byte frame in 4096 bytes" in str(got[0])
+    assert got[1] == "exchanged"
 
 
 _DTYPES = [np.uint8, np.int16, np.float32, np.float64, np.complex128]
 
 
 @needs_dev_shm
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     arrays=st.lists(
@@ -286,41 +317,34 @@ _DTYPES = [np.uint8, np.int16, np.float32, np.float64, np.complex128]
     ),
     data=st.data(),
 )
-def test_any_flipped_payload_byte_is_payload_corruption(arrays, data):
+def test_any_flipped_payload_byte_is_payload_corruption(transport, arrays, data):
     """Whatever the array count, dtypes and sizes (empty arrays and byte
-    counts that are no multiple of 8 included, inline and overflow), one
-    flipped byte anywhere in any array trips the reader's word-sum check."""
+    counts that are no multiple of 8 included; on shm inline and overflow),
+    a frame arrives whole, and one flipped byte anywhere in any array trips
+    the reader's word-sum check."""
     rng = np.random.default_rng(len(arrays))
     posted = [
         rng.integers(0, 256, size=n * np.dtype(dt).itemsize, dtype=np.uint8).view(dt)
         for dt, n in arrays
     ]
-    # byte positions the checksum covers: each array at its aligned offset
-    covered, off = [], 0
-    for a in posted:
-        covered.extend(range(off, off + a.nbytes))
-        off = shm._align(off + a.nbytes)
-    # every draw before the first segment exists: a draw may abort the example
     capacity = data.draw(st.sampled_from([shm._PAYLOAD_OFF + 64, 1 << 16]), label="capacity")
-    hook = _FlipByte(data.draw(st.sampled_from(covered), label="byte")) if covered else None
-    handle = BusHandle(session=new_session_id(), n_workers=2, capacity=capacity, timeout=5.0)
-    launcher = ShmBus(handle)
-    reader = ShmBus(handle, worker_id=0)
-    # the writer posts and publishes, then gives up on its (absent) peer at once
-    writer = ShmBus(dataclasses.replace(handle, timeout=0.0), worker_id=1, faults=hook)
-    try:
-        with pytest.raises(BarrierTimeout):
-            writer.exchange(posted)
-        if covered:
-            with pytest.raises(PayloadCorruption) as err:
-                reader.exchange(posted)
-            assert err.value.worker_id == 1
-        else:  # nothing but empty arrays: nothing to flip, the frame verifies
-            got = reader.exchange(posted)
-            assert all(p[1].size == 0 for p in got)
-            del got  # views pin the mapping: drop them before close()
-    finally:
-        writer.close()
-        reader.close()
-        launcher.unlink()
-    assert _session_segments(handle.session) == []
+    flips = [(k, b) for k, a in enumerate(posted) for b in range(a.nbytes)]
+    flip = data.draw(st.sampled_from(flips), label="byte") if flips else None
+
+    def body(bus):
+        # copies of the peer's parts: no view of a mapped frame outlives the bus
+        peer = 1 - bus.worker_id
+        return [(p[peer].dtype, p[peer].shape, p[peer].tobytes()) for p in bus.exchange(posted)]
+
+    # worker 1 flips a byte of its frame; worker 0's arrives whole
+    got = _pool(
+        2, body, timeout=5.0, faults={1: _FlipByte(*flip)} if flip else None,
+        transport=transport, capacity=capacity,
+    )
+    sent = [(a.dtype, a.shape, a.tobytes()) for a in posted]
+    assert got[1] == sent
+    if flip:
+        assert isinstance(got[0], PayloadCorruption), got[0]
+        assert (got[0].worker_id, got[0].last_seq) == (1, 1)
+    else:  # nothing but empty arrays: nothing to flip, the frame verifies
+        assert got[0] == sent

@@ -15,7 +15,11 @@ hand-built manifest.
   after the exchange's deadline (the transport never reconnects; the
   pool's replay is ``checkpoint.train_to``'s);
 * **formation is bounded** — a peer that never dials in is a
-  ``BarrierTimeout`` naming it within :data:`~repro.runtime.net.POOL_FORMATION_S`.
+  ``BarrierTimeout`` naming it within :data:`~repro.runtime.net.POOL_FORMATION_S`;
+* **one frame check on both buses** — a peer that posts another array
+  count than ours is :class:`~repro.errors.RendezvousDesync` on both
+  endpoints of the pair, over tcp as over shm (:func:`_pool` runs shm
+  endpoints in threads too).
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from repro.errors import BarrierTimeout
+from repro.errors import BarrierTimeout, RendezvousDesync
 from repro.runtime import net
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.net import TcpBus
+from repro.runtime.shm import BusHandle, ShmBus, new_session_id
 
 KEY = b"k" * 32
 BODY = 1 << 17  # float64 elements: a 1 MiB frame
@@ -43,20 +50,33 @@ def _payload(worker: int, seq: int) -> list[np.ndarray]:
     return [tag, np.full(BODY, worker * 1_000 + seq, dtype=np.float64)]
 
 
-def _pool(n: int, body, timeout: float = 30.0, faults: dict | None = None, start=None) -> list:
-    """Run ``body(bus)`` on ``n`` endpoints in threads (``start``: which
-    workers build one; default all); returns each worker's result or
-    exception.  Like a worker process, a thread closes its endpoint on
-    the way out."""
-    listeners = [net.peer_listener(n) for _ in range(n)]
-    manifest = {w: ("127.0.0.1", s.getsockname()[1]) for w, s in enumerate(listeners)}
+def _pool(
+    n: int, body, timeout: float = 30.0, faults: dict | None = None, start=None,
+    transport: str = "tcp", capacity: int = 1 << 16,
+) -> list:
+    """Run ``body(bus)`` on ``n`` endpoints of ``transport`` in threads
+    (``start``: which workers build one; default all; ``capacity``: a shm
+    mailbox slot's bytes); returns each worker's result or exception.  Like
+    a worker process, a thread closes its endpoint on the way out."""
+    if transport == "shm":
+        handle = BusHandle(new_session_id(), n, capacity, timeout)
+        launcher = ShmBus(handle)
+        listeners = []
+
+        def open_bus(w: int, f) -> ShmBus:
+            return ShmBus(handle, worker_id=w, faults=f)
+    else:
+        listeners = [net.peer_listener(n) for _ in range(n)]
+        manifest = {w: ("127.0.0.1", s.getsockname()[1]) for w, s in enumerate(listeners)}
+
+        def open_bus(w: int, f) -> TcpBus:
+            return TcpBus(listeners[w], manifest, w, "sess", KEY, timeout, faults=f)
     results: list = [None] * n
 
     def run(w: int) -> None:
         bus = None
         try:
-            bus = TcpBus(listeners[w], manifest, w, "sess", KEY, timeout,
-                         faults=(faults or {}).get(w))
+            bus = open_bus(w, (faults or {}).get(w))
             results[w] = body(bus)
         except Exception as exc:
             results[w] = exc
@@ -66,13 +86,18 @@ def _pool(n: int, body, timeout: float = 30.0, faults: dict | None = None, start
 
     threads = [threading.Thread(target=run, args=(w,), daemon=True)
                for w in (range(n) if start is None else start)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(2 * timeout)
-    assert not any(t.is_alive() for t in threads), "a tcp endpoint deadlocked"
-    for s in listeners:
-        s.close()
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(2 * timeout)
+        assert not any(t.is_alive() for t in threads), f"a {transport} endpoint deadlocked"
+    finally:
+        for s in listeners:
+            s.close()
+        if transport == "shm":
+            launcher.unlink()
+            assert not list(Path("/dev/shm").glob(handle.session + "*")), "a segment outlived the pool"
     return results
 
 
@@ -125,3 +150,19 @@ def test_a_peer_that_never_dials_in_fails_formation_naming_it(monkeypatch):
     assert time.monotonic() - t0 < 5
     assert isinstance(got, BarrierTimeout), got
     assert got.worker_id == 1 and "pool formation deadline expired" in str(got)
+
+
+@pytest.mark.parametrize("transport", ["shm", "tcp"])
+def test_an_array_count_mismatch_is_a_desync_on_both_ends(transport):
+    """Worker 0 posts two arrays, worker 1 one: each reads the other's frame
+    whole, and both raise the typed desync naming the other."""
+
+    def body(bus):
+        bus.exchange(_payload(bus.worker_id, 1)[: 2 - bus.worker_id])
+        return "exchanged"
+
+    got = _pool(2, body, timeout=10.0, transport=transport)
+    assert all(isinstance(e, RendezvousDesync) for e in got), got
+    assert [(e.worker_id, e.last_seq) for e in got] == [(1, 1), (0, 1)]
+    assert "posted 1 arrays, expected 2" in str(got[0])
+    assert "posted 2 arrays, expected 1" in str(got[1])
