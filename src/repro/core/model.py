@@ -258,7 +258,7 @@ class PlexusGCN:
         acts = self.f0_stack
         f_pending, self._f0_pending = self._f0_pending, None
         if f_pending is not None and not f_pending.live:
-            # a cluster reset orphaned the prefetch (its schedule belongs to
+            # a store restore orphaned the prefetch (its schedule belongs to
             # the discarded timeline): drop it and gather eagerly
             f_pending = None
         caches: list[LayerCache] = []

@@ -215,15 +215,6 @@ class ClockStore:
             )
 
     # -- lifecycle -------------------------------------------------------------
-    def reset(self) -> None:
-        self.clocks[:] = 0.0
-        self.by_phase.clear()
-        self.by_category.clear()
-        self.busy.fill(-np.inf)
-        self.outstanding.clear()
-        if self.trace is not None:
-            self.trace.clear()
-
     def snapshot(self) -> dict:
         """Copies of the books — clocks, phase and category totals, link
         busy-until times — plus the outstanding-handle registry.  The four
@@ -330,10 +321,6 @@ class VirtualCluster:
         waits = t - clocks
         clocks[:] = t
         self.store.record_all(phase, waits)
-
-    def reset(self) -> None:
-        """Zero every clock and phase total (between independent runs)."""
-        self.store.reset()
 
     def check_outstanding(self, allowed: tuple = ()) -> None:
         """Raise if a collective handle was issued but never ``wait()``-ed.

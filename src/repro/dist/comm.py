@@ -244,9 +244,10 @@ class PendingCollective:
     def live(self) -> bool:
         """True while the handle can still be waited meaningfully.
 
-        A store reset (``VirtualCluster.reset``) clears the outstanding
-        registry and zeroes the timeline, orphaning any in-flight handle:
-        its absolute begin/end timestamps belong to the discarded timeline.
+        Restoring an earlier store snapshot (``ClockStore.restore``) drops
+        the handles issued since from the outstanding registry, orphaning
+        them: their absolute begin/end timestamps belong to the discarded
+        timeline.
         Cost-free handles (singleton groups) are always live."""
         if self._record is None or self._store is None:
             return True

@@ -3,7 +3,7 @@
 The launcher owns one :class:`TraceCollector`.  Worker processes drain
 their tracer buffers and metrics snapshots once per epoch (and once more
 from the crash handler, so a dying worker's last trace survives); the
-payloads ride the existing control pipe and land here.  ``write()``
+payloads ride the control connection and land here.  ``write()``
 renders everything into one directory:
 
 * ``trace.json``   — Chrome trace-event JSON, loadable in Perfetto /
@@ -121,7 +121,7 @@ class TraceCollector:
             self._sim_from.append(process)
 
     def add_worker_payload(self, process: str, payload: dict) -> None:
-        """One drained worker payload off the control pipe."""
+        """One drained worker payload off the control connection."""
         self.add_wall(process, payload.get("events") or [])
         if payload.get("metrics") is not None:
             self.add_metrics(process, payload.get("epoch", -1), payload["metrics"])

@@ -20,7 +20,7 @@ def format_liveness(rows) -> str:
 
     ``rows`` is an iterable of ``(worker, tags, beat_age_s, last_epoch)``
     where ``tags`` is a pre-rendered string such as ``" [remote]"`` or
-    ``" [pipe closed]"`` (empty for a plain local worker).
+    ``" [connection closed]"`` (empty for a plain local worker).
     """
     lines = [
         f"  worker {w}{tags}: last heartbeat {age:.1f}s ago, "

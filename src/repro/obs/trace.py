@@ -59,7 +59,7 @@ process_name = "launcher"
 #: the wall-clock event buffer: ``(ph, name, t_ns, args_or_None)`` tuples
 #: with ``ph`` one of ``"B"`` (span begin), ``"E"`` (span end), ``"i"``
 #: (instant) — plain picklable tuples so worker buffers ship over the
-#: control pipe as-is
+#: control connection as-is
 _events: list[tuple] = []
 
 

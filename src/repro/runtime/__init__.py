@@ -15,13 +15,14 @@ zero-copy shared-memory tensor transport underneath the existing
   trainer (the in-process cluster / grid / model on a worker's slice of the
   cube; the worker-crossing Z axis is an ordinary
   :class:`~repro.dist.comm.AxisCommunicator` fed through the bus) and the
-  spawned-process command loop, which reads the spec from its control
-  connection.
+  spawned-process command loop (one entry point for both transports),
+  which reads the spec from its control connection.
 * :mod:`repro.runtime.launch` — :class:`~repro.runtime.launch.MultiprocTrainer`
   (the ``backend="multiproc"`` trainer: concurrent pool formation — the
-  workers import side by side and the spec follows their hello, the same
-  message on shm and tcp — supervision, the in-process trainer's checkpoint
-  surface and ``restart()``) and the
+  workers import side by side, dial the rendezvous, and the spec follows
+  their hello, the same on shm and tcp — supervision at EOF on each
+  control connection, the in-process trainer's checkpoint surface and
+  ``restart()``) and the
   :func:`~repro.runtime.launch.build_trainer` backend seam (the same
   builder on the whole cube for ``"inproc"``).
 * :mod:`repro.runtime.checkpoint` — epoch-boundary checkpoint/restore:
@@ -33,12 +34,13 @@ zero-copy shared-memory tensor transport underneath the existing
   (:class:`~repro.runtime.faults.FaultPlan` chaos schedules threaded
   through the workload spec), including the network fault action
   ``drop_conn`` injected inside the tcp transport.
-* :mod:`repro.runtime.net` / :mod:`repro.runtime.rendezvous` — the tcp
-  worker fabric (``transport="tcp"``): the socket drop-in for the
-  shared-memory bus plus the signed-manifest rendezvous/launcher protocol
-  that lets the pool span machines (``repro host``), with heartbeats on
-  the control connection; a lost peer connection is a typed pool failure
-  that ``train_to`` replays.
+* :mod:`repro.runtime.rendezvous` — the one control plane of both
+  transports: the signed-manifest rendezvous/launcher protocol every
+  worker dials (the one that lets a tcp pool span machines, ``repro
+  host``), with heartbeats on the control connection.
+* :mod:`repro.runtime.net` — the tcp worker fabric (``transport="tcp"``):
+  the socket drop-in for the shared-memory bus; a lost peer connection is
+  a typed pool failure that ``train_to`` replays.
 
 One deadline bounds every wait: the trainer's ``timeout``.  A bus exchange
 waits at most that long for its peers (shm and tcp alike), and the

@@ -5,34 +5,37 @@
 worker (each running the in-process program on a contiguous z-slice of the
 rank cube, see :mod:`repro.runtime.worker`), wires them together over the
 shared-memory bus (:mod:`repro.runtime.shm`) or the tcp fabric, and drives
-the epoch loop through per-worker command pipes.  ``train(epochs)`` returns
-the same :class:`TrainResult` the in-process trainer produces — losses,
-epoch times and the comm/comp breakdown are assembled from the workers' raw
-per-rank vectors so they are *bitwise identical* to ``backend="inproc"`` on
-the same workload.
+the epoch loop through per-worker control connections.  ``train(epochs)``
+returns the same :class:`TrainResult` the in-process trainer produces —
+losses, epoch times and the comm/comp breakdown are assembled from the
+workers' raw per-rank vectors so they are *bitwise identical* to
+``backend="inproc"`` on the same workload.
 
 Pool formation takes about one worker import, whatever the pool size: a
 worker starts from its id and a way to reach the launcher only, so every
-``start()`` returns at once and the workers import side by side.  Each says
-hello once it has imported (on its pipe for shm, by dialing the rendezvous
-for tcp); the launcher then sends the ``("spec", spec, timeout)`` message
-— pickled once, the same bytes to every worker, on both transports — and
-waits for every ready report.  All of it is bounded by the larger
-of :data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``; a
-worker lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.
+``start()`` returns at once and the workers import side by side.  On both
+transports the control plane is the launcher's authenticated rendezvous
+(:mod:`repro.runtime.rendezvous`): each worker dials it once it has
+imported and says hello, and the launcher admits the pool, then sends the
+``("spec", spec, timeout)`` message — pickled once, the same bytes to
+every worker — and waits for every ready report.  Only the byte mover
+differs: a shm worker attaches the session's bus, a tcp worker wires the
+peer mesh.  All of it is bounded by the larger of
+:data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``; a worker
+lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.
 
 Supervision has one deadline, the trainer's ``timeout``.  A bus exchange
 waits at most ``timeout`` for its peers on either transport, so a worker
 that dies or wedges mid-collective is reported by the peer waiting on it.
-The message pump blocks in one ``connection.wait`` over every control pipe
-and every local worker's process sentinel, draining per-epoch heartbeat
-beacons as they arrive — a dead worker surfaces *mid-epoch* as a typed
-:class:`~repro.errors.WorkerCrashed` (worker id, exit code, last completed
-epoch) when its sentinel fires (a remote worker: at EOF on its control
-connection).  The launcher's own backstop comes later than any bus
-deadline, so it speaks only for a worker no peer waits on: a worker whose
-reply is awaited and that has sent nothing for 2 x ``timeout`` is declared
-wedged, a :class:`~repro.errors.BarrierTimeout` naming it.  Worker-raised
+The message pump blocks in one ``connection.wait`` over every control
+connection, draining per-epoch heartbeat beacons as they arrive — a dead
+worker, local or remote, surfaces *mid-epoch* as a typed
+:class:`~repro.errors.WorkerCrashed` (worker id, exit code when local,
+last completed epoch) at EOF on its control connection.  The launcher's
+own backstop comes later than any bus deadline, so it speaks only for a
+worker no peer waits on: a worker whose reply is awaited and that has sent
+nothing for 2 x ``timeout`` is declared wedged, a
+:class:`~repro.errors.BarrierTimeout` naming it.  Worker-raised
 exceptions arrive as structured reports and re-raise as the
 :mod:`repro.errors` runtime error of the same name (anything else:
 :class:`~repro.errors.WorkerFailed`) carrying the worker's original
@@ -96,8 +99,9 @@ from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import NETWORK_ACTIONS, FaultPlan
 from repro.runtime.net import POOL_FORMATION_S
-from repro.runtime.shm import BusHandle, ShmBus, new_session_id
-from repro.runtime.worker import build_worker, worker_main, worker_main_tcp, worker_slice
+from repro.runtime.rendezvous import RendezvousListener, resolve_rendezvous
+from repro.runtime.shm import BusHandle, ShmBus
+from repro.runtime.worker import build_worker, worker_main, worker_slice
 from repro.sparse.ops import cpu_share, parallelism
 
 __all__ = [
@@ -109,8 +113,13 @@ __all__ = [
 
 logger = get_logger(__name__)
 
-#: default per-worker mailbox size; payloads beyond it take the overflow path
+#: a shm pool's per-worker mailbox size; payloads beyond it take the overflow path
 DEFAULT_MAILBOX_BYTES = 8 << 20
+
+#: how long failure reports that only echo a lost peer wait for the death
+#: behind them: a dead worker's EOF can reach the launcher a few
+#: milliseconds after its peers' reports
+_ECHO_GRACE_S = 0.5
 
 #: the BLAS/OpenMP pool-size variables a numerical library reads at import
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -252,7 +261,6 @@ class MultiprocTrainer:
     def __init__(
         self,
         spec: WorkloadSpec,
-        mailbox_bytes: int = DEFAULT_MAILBOX_BYTES,
         timeout: float = 120.0,
         transport: str = "shm",
         rendezvous: str | tuple[str, int] | None = None,
@@ -285,11 +293,10 @@ class MultiprocTrainer:
         self.spec = spec
         self.workers = spec.workers
         self.timeout = timeout
-        self._mailbox_bytes = int(mailbox_bytes)
         self._closed = False
         self._epochs_done = 0
-        self._bus: ShmBus | None = None
-        self._listener = None  # tcp: the RendezvousListener (+ its port file)
+        self._bus: ShmBus | None = None  # shm: the creator endpoint
+        self._listener: RendezvousListener | None = None  # (+ its port file)
         self._authkey = secrets.token_bytes(32)
         self._session = ""
         self._procs: list = []
@@ -305,87 +312,61 @@ class MultiprocTrainer:
 
     # -- pool lifecycle --------------------------------------------------------
     def _spawn_pool(self) -> None:
-        """Create the bus, start the workers, send the spec once every one
-        said hello, wait for every ready report — under one deadline (see
-        the module docstring)."""
+        """Open the rendezvous (and, for shm, the bus), start the local
+        workers, admit every worker, send the spec, wait for every ready
+        report — under one deadline (see the module docstring).
+
+        A fresh session per (re)spawn: a killed pool's state can never be
+        confused with the new one's.  A port file is published only when
+        ``remote_workers`` > 0, so ``repro host --rendezvous auto`` finds
+        only launchers with a slot to fill, and a secondary rediscovers a
+        respawned rendezvous through the new file.  Local workers pin their
+        slice index as the preferred worker id; ``remote_workers`` slots are
+        filled by workers dialing in from other launchers.  A local worker
+        that exits before it is admitted is
+        :class:`~repro.errors.WorkerCrashed` within 0.2 s of its exit.
+        """
         deadline = time.monotonic() + max(POOL_FORMATION_S, 2 * self.timeout)
-        ctx = mp.get_context("spawn")
         self._procs = []
         self._conns = []
         self._heard = [time.monotonic()] * self.workers
         self._inbox: list[deque] = [deque() for _ in range(self.workers)]
-        self._eof: set[int] = set()
         #: workers found gone by the pump, not yet raised
         self._gone: set[int] = set()
         self._worker_epoch = [self._epochs_done] * self.workers
         with _trace.span(
             "launcher.spawn_pool", workers=self.workers, transport=self.transport
         ):
-            if self.transport == "tcp":
-                self._spawn_tcp(ctx, deadline)
-            else:
-                self._spawn_shm(ctx)
-                self._replies(deadline - time.monotonic())  # every ("hello", w)
+            host, port = self.rendezvous
+            self._listener = RendezvousListener(host, port, authkey=self._authkey)
+            self._session = self._listener.session
+            handle = None
+            if self.transport == "shm":
+                handle = BusHandle(self._session, self.workers, DEFAULT_MAILBOX_BYTES, self.timeout)
+                self._bus = ShmBus(handle)  # creator endpoint: owns unlink
+            if self.remote_workers:
+                self._listener.publish()
+            dial = (self._listener.host, self._listener.port, self._authkey, handle)
+            n_local = self.workers - self.remote_workers
+            _start_workers(
+                self._procs, mp.get_context("spawn"), worker_main,
+                [(w, *dial) for w in range(n_local)],
+            )
+            self._procs += [None] * self.remote_workers  # remote slots: no local process
+
+            def idle() -> None:  # no dialer for 0.2 s: did a local worker exit?
+                self._gone.update(
+                    w for w, p in enumerate(self._procs) if p is not None and p.exitcode is not None
+                )
+                self._raise_if_gone()
+
+            conns = self._listener.gather(self.workers, deadline - time.monotonic(), idle)
+            self._conns = [conns[w] for w in range(self.workers)]
             blob = ForkingPickler.dumps(("spec", self.spec, self.timeout))
             self._broadcast(blob)
             _trace.instant("launcher.spec", bytes=len(blob))
             # every ("ready", w), or the build error
             self._replies(deadline - time.monotonic())
-
-    def _spawn_shm(self, ctx) -> None:
-        self._bus_handle = BusHandle(
-            session=new_session_id(),
-            n_workers=self.workers,
-            capacity=self._mailbox_bytes,
-            timeout=self.timeout,
-        )
-        self._session = self._bus_handle.session
-        self._bus = ShmBus(self._bus_handle)  # creator endpoint: owns unlink
-        pipes = [ctx.Pipe() for _ in range(self.workers)]
-        self._conns = [parent for parent, _ in pipes]
-        try:
-            _start_workers(
-                self._procs,
-                ctx,
-                worker_main,
-                [(w, self._bus_handle, child) for w, (_, child) in enumerate(pipes)],
-            )
-        finally:
-            for _, child in pipes:
-                child.close()
-
-    def _spawn_tcp(self, ctx, deadline: float) -> None:
-        """Rendezvous-based pool formation (the multi-host path).
-
-        A fresh session per (re)spawn: a killed pool's state can never be
-        confused with the new one's.  A port file is published only when
-        ``remote_workers`` > 0, so ``repro host --rendezvous auto`` finds
-        only launchers with a slot to fill, and a secondary rediscovers a
-        respawned rendezvous through the new file.  Locally spawned workers pin their slice index as the preferred
-        worker id; ``remote_workers`` slots are filled by workers dialing
-        in from other launchers.  A local worker that dies before dialing
-        in is :class:`~repro.errors.WorkerCrashed` within 0.2 s of its exit.
-        The authenticated control connections then carry the spec, the
-        command loop and the heartbeats.
-        """
-        from repro.runtime.rendezvous import RendezvousListener
-
-        host, port = self.rendezvous
-        self._listener = RendezvousListener(host, port, authkey=self._authkey)
-        self._session = self._listener.session
-        if self.remote_workers:
-            self._listener.publish()
-        dial = (self._listener.host, self._listener.port, self._authkey)
-        n_local = self.workers - self.remote_workers
-        _start_workers(self._procs, ctx, worker_main_tcp, [(w, *dial) for w in range(n_local)])
-        self._procs += [None] * self.remote_workers  # remote slots: no local process
-
-        def idle() -> None:  # no dialer for 0.2 s: did a local worker die?
-            self._pump(0)
-            self._raise_if_gone()
-
-        conns = self._listener.gather(self.workers, deadline - time.monotonic(), idle)
-        self._conns = [conns[w] for w in range(self.workers)]
 
     def _stop_pool(self, graceful: bool) -> None:
         """Stop the workers and release every connection, segment and
@@ -437,31 +418,27 @@ class MultiprocTrainer:
                 p.join(timeout=5.0)
 
     # -- message pump / supervision --------------------------------------------
-    def _pump(self, timeout: float) -> None:
-        """Drain every ready control pipe into the per-worker inboxes and
-        note which workers are gone, in one ``wait`` over the pipes and the
-        local workers' process sentinels.
+    def _pump(self, timeout: float) -> bool:
+        """Drain every ready control connection into the per-worker inboxes
+        and note which workers are gone, in one ``wait`` over the
+        connections; False when no connection is left to wait on.
 
         Any message marks its worker as heard from; heartbeat beacons also
         record the worker's last completed epoch, trace payloads go to the
         collector, and everything else queues for :meth:`_replies`.  A
-        worker is gone when its sentinel fires; a remote one (no local
-        process) at EOF on its control connection — a local worker's EOF
-        only retires the pipe, its sentinel follows.
+        worker, local or remote, is gone at EOF on its control connection.
+        An error report is a worker's last word: its connection is not read
+        again, so the EOF that follows is not a crash.
         """
-        waiting = {c: w for w, c in enumerate(self._conns) if w not in self._eof}
-        sentinels = {
-            p.sentinel: w
-            for w, p in enumerate(self._procs)
-            if p is not None and w not in self._gone
+        waiting = {
+            c: w
+            for w, c in enumerate(self._conns)
+            if w not in self._gone and not any(m[0] == "error" for m in self._inbox[w])
         }
-        if not (waiting or sentinels):
-            return
-        for ready in mp_connection.wait([*waiting, *sentinels], timeout):
-            if ready in sentinels:  # the process exited
-                self._gone.add(sentinels[ready])
-                continue
-            conn, w = ready, waiting[ready]
+        if not waiting:
+            return False
+        for conn in mp_connection.wait(list(waiting), timeout):
+            w = waiting[conn]
             self._heard[w] = time.monotonic()
             while True:
                 try:
@@ -469,9 +446,7 @@ class MultiprocTrainer:
                         break
                     msg = conn.recv()
                 except (EOFError, OSError):
-                    self._eof.add(w)
-                    if self._procs[w] is None:
-                        self._gone.add(w)
+                    self._gone.add(w)
                     break
                 if msg[0] == "beat":
                     self._worker_epoch[w] = msg[2]
@@ -479,33 +454,39 @@ class MultiprocTrainer:
                     if self._collector is not None:
                         self._collector.add_worker_payload(f"worker {w}", msg[2])
                 else:
-                    if msg[0] in ("hello", "ready"):  # pool formation, per worker
-                        _trace.instant("launcher." + msg[0], worker=w)
+                    if msg[0] == "ready":  # pool formation, per worker
+                        _trace.instant("launcher.ready", worker=w)
                     self._inbox[w].append(msg)
+                    if msg[0] == "error":
+                        break
+        return True
 
     def _replies(self, patience: float) -> list:
         """Every worker's next reply, in worker order.
 
-        Waits as long as the pool is alive: the pump drains every pipe and
-        watches every sentinel.  A worker's error report re-raises typed; a
+        Waits as long as the pool is alive: the pump drains every control
+        connection.  A worker's error report re-raises typed; a
         gone worker is :class:`~repro.errors.WorkerCrashed`, reported before
         a peer's ``BarrierTimeout`` (over tcp the peer's rendezvous with a
-        failed worker breaks at once, its echo); a worker whose
+        failed worker breaks at once, its echo; echoes alone wait up to
+        :data:`_ECHO_GRACE_S` for the death behind them); a worker whose
         reply is missing and that has sent nothing for ``patience`` seconds
         (2 x ``timeout`` for a command: later than any bus deadline, so a
         peer waiting on it at the bus reports first) is declared wedged.
         """
         self._heard = [time.monotonic()] * self.workers
+        settle = None  # until when echoes alone wait for a death
         while True:
-            if self._gone:
-                self._pump(0)  # a gone worker's last words: its error report
             reports = [q[0][1] for q in self._inbox if q and q[0][0] == "error"]
             if reports:
-                # a worker's own failure first, then a death: a peer's tcp
-                # rendezvous with that worker fails at once, as its echo
+                # a worker's own failure first, then a death, then its echoes
                 own = [r for r in reports if r["etype"] != "BarrierTimeout"]
                 if not own:
                     self._raise_if_gone()
+                    settle = settle or time.monotonic() + _ECHO_GRACE_S
+                    left = settle - time.monotonic()
+                    if left > 0 and self._pump(left):
+                        continue
                 report = (own or reports)[0]
                 w, etype = report["worker"], report["etype"]
                 if self._collector is not None and "trace" in report:
@@ -542,7 +523,7 @@ class MultiprocTrainer:
         if p is None:
             how, exitcode = "dropped its control connection (remote worker lost)", None
         else:
-            p.join(timeout=1.0)  # a ready sentinel can precede waitpid
+            p.join(timeout=1.0)  # EOF can precede the exit
             how, exitcode = f"died (exit code {p.exitcode})", p.exitcode
         why = f"worker {w} {how} after epoch {self._worker_epoch[w]}"
         self._fail(WorkerCrashed, w, why, exitcode=exitcode)
@@ -587,7 +568,7 @@ class MultiprocTrainer:
             (
                 w,
                 " [remote]" * (w < len(self._procs) and self._procs[w] is None)
-                + " [pipe closed]" * (w in self._eof),
+                + " [connection closed]" * (w in self._gone),
                 now - heard,
                 self._worker_epoch[w],
             )
@@ -609,7 +590,7 @@ class MultiprocTrainer:
             try:
                 conn.send_bytes(blob)
             except (OSError, ValueError):
-                self._gone.add(w)  # a broken pipe: _replies reports it
+                self._gone.add(w)  # a broken connection: _replies reports it
 
     def _command(self, *msg) -> list:
         if self._closed:
@@ -765,8 +746,6 @@ def host_workers(
     done or dead).  With an explicit ``host:port`` (no port file to watch)
     a single session is served.
     """
-    from repro.runtime.rendezvous import resolve_rendezvous
-
     if workers < 1:
         raise ValueError("workers must be >= 1")
     ctx = mp.get_context("spawn")
@@ -784,7 +763,7 @@ def host_workers(
                 return served
         procs: list = []
         _start_workers(
-            procs, ctx, worker_main_tcp, [(None, host, port, authkey)] * workers,
+            procs, ctx, worker_main, [(None, host, port, authkey, None)] * workers,
             name="plexus-remote-worker",
         )
         for p in procs:
@@ -806,8 +785,8 @@ def build_trainer(spec: WorkloadSpec, backend: str = "inproc", **kwargs):
     whole-cube, no-bus call of the builder every worker runs
     (:func:`~repro.runtime.worker.build_worker`), so a ``shard_dir`` spec
     loads the same way; ``"multiproc"`` launches the worker pool (``kwargs``
-    pass through to :class:`MultiprocTrainer`: transport, mailbox, timeout,
-    tracing).
+    pass through to :class:`MultiprocTrainer`: timeout, transport, the
+    rendezvous, tracing).
     """
     if backend == "multiproc":
         return MultiprocTrainer(spec, **kwargs)

@@ -12,8 +12,11 @@ inproc.
 Wire protocol — small, inspectable, and fail-fast:
 
 * **Frames** (:mod:`repro.runtime.frame`, as on shm) are length-prefixed:
-  a fixed header (magic, kind, array count, sequence number, word sum),
-  the record table and the raw array bytes.  Sends go straight from the
+  a fixed header (magic, kind, array count, sequence number, word sum,
+  payload bytes), the record table and the raw array bytes.  A record
+  table whose arrays do not add up to the payload bytes is
+  :class:`~repro.errors.RendezvousDesync` before anything is allocated —
+  a stream has no slot to bound a record by.  Sends go straight from the
   operand's ``memoryview`` (no pickling, no staging copy); receives land
   via ``recv_into`` directly in the destination ``np.empty`` buffer.  The
   frame check runs once both frames of a pair are through, so a desynced
@@ -53,6 +56,7 @@ bus is still declared wedged by the launcher once it stays silent for
 from __future__ import annotations
 
 import hmac
+import math
 import socket
 import struct
 import time
@@ -68,7 +72,7 @@ from repro.runtime import frame
 __all__ = ["POOL_FORMATION_S", "TcpBus", "peer_listener"]
 
 _MAGIC = b"PXF1"
-_HDR = struct.Struct("<4sBBxxQQ")  # magic, kind, count, seq, word sum
+_HDR = struct.Struct("<4sBBxxQQQ")  # magic, kind, count, seq, word sum, payload bytes
 _HELLO = struct.Struct("<32sI")  # auth digest, worker id
 K_DATA, K_HELLO = 1, 2
 
@@ -130,7 +134,8 @@ def _send_data(
     head = bytearray(_HDR.size + frame.RECORD.size * len(arrays))
     frame.write_table(arrays, head, _HDR.size)
     check = sum(frame.word_sum(a, 0, a.nbytes) for a in arrays)
-    _HDR.pack_into(head, 0, _MAGIC, K_DATA, len(arrays), seq, check % 2**64)
+    nbytes = sum(a.nbytes for a in arrays)
+    _HDR.pack_into(head, 0, _MAGIC, K_DATA, len(arrays), seq, check % 2**64, nbytes)
     _send_all(sock, head, deadline)
     for i, a in enumerate(arrays):
         buf = memoryview(a).cast("B")
@@ -141,7 +146,7 @@ def _send_data(
         _send_all(sock, buf, deadline)
     if _trace.enabled:
         _metrics.count("frames_sent")
-        _metrics.count("bytes_sent", len(head) + sum(a.nbytes for a in arrays))
+        _metrics.count("bytes_sent", len(head) + nbytes)
 
 
 def _recv_data(
@@ -151,13 +156,17 @@ def _recv_data(
     its arrays, the posted word sum and the sum of the bytes read."""
     head = bytearray(_HDR.size)
     _recv_exact(sock, memoryview(head), deadline)
-    magic, kind, count, got_seq, posted = _HDR.unpack(head)
+    magic, kind, count, got_seq, posted, nbytes = _HDR.unpack(head)
     if magic != _MAGIC or kind != K_DATA or got_seq != seq:
         raise frame.desync(peer, seq, f"sent a frame of kind {kind}, seq {got_seq} (magic {magic!r})")
     table = bytearray(frame.RECORD.size * count)
     _recv_exact(sock, memoryview(table), deadline)
+    records = frame.read_table(table, 0, count, peer, seq)
+    claimed = sum(dtype.itemsize * math.prod(shape) for dtype, shape in records)
+    if claimed != nbytes:
+        raise frame.desync(peer, seq, f"posted records of {claimed} bytes in a frame of {nbytes}")
     arrays, read = [], 0
-    for dtype, shape in frame.read_table(table, 0, count, peer, seq):
+    for dtype, shape in records:
         a = np.empty(shape, dtype=dtype)
         _recv_exact(sock, memoryview(a).cast("B"), deadline)
         read += frame.word_sum(a, 0, a.nbytes)
@@ -168,7 +177,7 @@ def _recv_data(
 def _send_hello(sock: socket.socket, key: bytes, session: str, me: int, deadline: float) -> None:
     _send_all(
         sock,
-        _HDR.pack(_MAGIC, K_HELLO, 0, 0, 0) + _HELLO.pack(_auth_token(key, session, me), me),
+        _HDR.pack(_MAGIC, K_HELLO, 0, 0, 0, 0) + _HELLO.pack(_auth_token(key, session, me), me),
         deadline,
     )
 
@@ -177,7 +186,7 @@ def _recv_hello(sock: socket.socket, key: bytes, session: str, deadline: float) 
     """The authenticated worker id of the peer's HELLO."""
     frame = bytearray(_HDR.size + _HELLO.size)
     _recv_exact(sock, memoryview(frame), deadline)
-    magic, kind, _, _, _ = _HDR.unpack_from(frame)
+    magic, kind, *_ = _HDR.unpack_from(frame)
     if magic != _MAGIC or kind != K_HELLO:
         raise ConnectionError("peer handshake: not a HELLO frame")
     digest, wid = _HELLO.unpack_from(frame, _HDR.size)

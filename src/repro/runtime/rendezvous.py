@@ -1,30 +1,34 @@
-"""Rendezvous and launcher protocol for the tcp worker fabric.
+"""Rendezvous and launcher protocol: the control plane of every pool.
 
-How a multi-host pool forms (the ``transport="tcp"`` control plane):
+How a pool forms, on both transports (shm and tcp; a multi-host pool is
+tcp):
 
 1. The launcher opens one :class:`RendezvousListener` (``--rendezvous
-   host:port``; port 0 picks an ephemeral port) and drops a *port file* in
-   the temp directory — session-named like the shm segments, launcher pid
+   host:port``; port 0 picks an ephemeral port).  Its session id also
+   names a shm pool's segments.  With remote slots to fill it drops a
+   *port file* in the temp directory — session-named, launcher pid
    embedded — holding the address and the session auth key, so a second
    launcher on the same machine (``repro host --rendezvous auto``) can
    discover and join it without copying flags.
-2. Every worker opens its own peer-plane listen socket first, then dials
-   the rendezvous, authenticates (the stdlib ``multiprocessing`` HMAC
-   challenge — both directions), and sends a hello advertising where peers
-   can reach it.
+2. Every worker dials the rendezvous, authenticates (the stdlib
+   ``multiprocessing`` HMAC challenge — both directions), and sends a
+   hello.  A tcp worker opens its own peer-plane listen socket first and
+   advertises where peers can reach it; a shm worker's hello carries no
+   address (its bus is the session's shared memory).
 3. Once all ``n`` workers are in, the launcher assigns worker ids and
    sends each a **signed membership manifest** — canonical JSON over the
-   session id and every worker's ``(host, port)``, HMAC-SHA256-signed with
-   the session key — so a worker connects only to peers the launcher
+   session id and every tcp worker's ``(host, port)``, HMAC-SHA256-signed
+   with the session key — so a worker connects only to peers the launcher
    actually admitted (a tampered or replayed manifest fails verification
    with a typed error).
-4. Workers peer-connect into the :class:`~repro.runtime.net.TcpBus` mesh;
-   the rendezvous connection stays open as the *control plane*: the
-   workload spec (the launcher's one spec message, as on shm), the command
-   loop, per-epoch heartbeats, and error reports all ride it (it is a
-   ``multiprocessing.connection.Connection``, so the launcher's existing
-   pipe machinery works unchanged).  Both ends set ``TCP_NODELAY``: a
-   command and its small reply go out at once, not after a delayed ACK.
+4. tcp workers peer-connect into the :class:`~repro.runtime.net.TcpBus`
+   mesh, shm workers attach the :class:`~repro.runtime.shm.ShmBus`; the
+   rendezvous connection stays open as the *control plane*: the workload
+   spec, the command loop, per-epoch heartbeats, and error reports all
+   ride it (a ``multiprocessing.connection.Connection``, which the
+   launcher's pump waits on), and its EOF is how the launcher learns a
+   worker is gone.  Both ends set ``TCP_NODELAY``: a command and its small
+   reply go out at once, not after a delayed ACK.
 
 Port files are swept by :func:`cleanup_stale_rendezvous` —
 pid-liveness-aware exactly like the shm segment sweep, and wired into
@@ -190,8 +194,8 @@ def verify_manifest(authkey: bytes, blob: bytes, sig: bytes) -> dict:
 
 def _as_connection(sock: socket.socket) -> Connection:
     """Wrap an OS socket as a ``multiprocessing`` Connection (which then
-    owns the fd): pickled message passing + compatibility with the
-    launcher's ``multiprocessing.connection.wait`` pump."""
+    owns the fd): pickled messages, on an object the launcher's
+    ``multiprocessing.connection.wait`` pump can wait on."""
     fd = sock.detach()
     return Connection(fd)
 
@@ -292,13 +296,15 @@ class RendezvousListener:
 
         A worker's hello may carry a preferred id (launcher-spawned locals
         pin their slice index); remote workers take the lowest free id in
-        arrival order.  Each hello is traced as a ``launcher.hello`` instant
+        arrival order.  A hello without a peer address (a shm worker: its
+        bus is the session's shared memory) leaves that worker out of the
+        manifest's peers.  Each hello is traced as a ``launcher.hello`` instant
         at its arrival.  ``idle`` is :meth:`accept`'s; on any error the
         connections admitted so far are closed.  Returns the control
         connections keyed by worker id.
         """
         deadline = time.monotonic() + timeout
-        hellos: list[tuple[Connection, int | None, tuple[str, int], int]] = []
+        hellos: list[tuple[Connection, int | None, tuple[str, int] | None, int]] = []
         try:
             while len(hellos) < n_workers:
                 conn = self.accept(deadline, idle)
@@ -309,9 +315,9 @@ class RendezvousListener:
                 except (EOFError, ValueError, OSError):
                     conn.close()
                     continue
-                hellos.append(
-                    (conn, preferred, (str(addr[0]), int(addr[1])), time.monotonic_ns())
-                )
+                if addr is not None:
+                    addr = (str(addr[0]), int(addr[1]))
+                hellos.append((conn, preferred, addr, time.monotonic_ns()))
             conns: dict[int, Connection] = {}
             peers: dict[int, tuple[str, int]] = {}
             taken = {p for _, p, _, _ in hellos if p is not None}
@@ -324,7 +330,8 @@ class RendezvousListener:
                         f"claimed (pool size {n_workers})"
                     )
                 conns[wid] = conn
-                peers[wid] = addr
+                if addr is not None:
+                    peers[wid] = addr
                 if _trace.enabled:
                     _trace.emit("i", "launcher.hello", {"worker": wid}, t_ns)
             blob, sig = signed_manifest(self.authkey, self.session, peers)

@@ -16,15 +16,14 @@ no-bus case of the same builder.
   :class:`~repro.graph.shardio.ShardedDataLoader` directory), model,
   trainer.  ``launch.build_trainer(spec, "inproc")`` is its whole-cube
   call.
-* :func:`worker_main` / :func:`worker_main_tcp` — the spawned process entry
-  points.  A worker starts from its id, a way to reach the launcher and
-  its share of its host's CPUs (the cap on its SpMM splits) only, says
-  hello once it has imported (a ``("hello", id)`` on the shm pipe; the
-  rendezvous dial on tcp), then reads the workload spec from its
-  control connection — one message, the same on both transports — opens
-  the bus, builds the slice, and serves the launcher's command loop (train
-  / checkpoint / load / evaluate / state / close).  The bus is
-  closed on *any* exit path.
+* :func:`worker_main` — the one spawned-process entry point, both
+  transports.  A worker starts from its preferred id, the launcher's
+  rendezvous address and key, the shm bus handle (``None`` on tcp) and its
+  share of its host's CPUs (the cap on its SpMM splits) only, dials the
+  rendezvous once it has imported (its hello), then reads the workload
+  spec from that control connection, opens the bus, builds the slice, and
+  serves the launcher's command loop (train / checkpoint / load /
+  evaluate / state / close).  The bus is closed on *any* exit path.
 
 Parity: the slice-local execution is bitwise identical to the in-process
 run restricted to those ranks — X/Y collectives reduce the same operand
@@ -36,6 +35,7 @@ moments, clocks, phase totals) lives at the same values.
 from __future__ import annotations
 
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +54,14 @@ from repro.obs import trace as _trace
 from repro.obs.log import set_worker as _set_log_worker
 from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
+from repro.runtime import net
+from repro.runtime import rendezvous as rdv
 from repro.runtime.faults import build_injector
 from repro.runtime.shm import BusHandle, ShmBus
 from repro.sparse.ops import parallelism, set_cpu_share
 from repro.sparse.partition import block_slice
 
-__all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main", "worker_main_tcp"]
+__all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main"]
 
 
 def worker_slice(config: GridConfig, n_workers: int, worker_id: int) -> tuple[int, int]:
@@ -270,8 +272,8 @@ def _serve(worker_id: int, conn, open_bus) -> None:
 
     The loop sends a ``("beat", worker, epochs_done)`` heartbeat after
     every epoch of a ``train`` command — the supervisor's liveness signal
-    and its record of where replay must resume (over tcp these beats ride
-    the rendezvous control connection).  Failures — of the bus, the build
+    and its record of where replay must resume (the beats ride the
+    rendezvous control connection).  Failures — of the bus, the build
     or a command — are reported as a structured dict (exception type,
     message, and the full traceback text) so the launcher can re-raise a
     typed exception carrying the original traceback.  Every exit path —
@@ -343,56 +345,45 @@ def _serve(worker_id: int, conn, open_bus) -> None:
             pass
 
 
-def worker_main(worker_id: int, bus_handle: BusHandle, conn, share: int) -> None:
-    """Spawned-process entry (shared-memory transport): say hello, read the
-    spec, attach the bus, build the slice, serve the command loop.  ``share``
-    is this worker's share of its host's CPUs, the cap on its SpMM splits.
+def worker_main(
+    preferred_id: int | None,
+    host: str,
+    port: int,
+    authkey: bytes,
+    bus_handle: BusHandle | None,
+    share: int,
+) -> None:
+    """Spawned-process entry, both transports: rendezvous, then serve.
+
+    Dials the launcher's rendezvous (its hello), authenticates, and
+    receives the worker id and the signed membership manifest over the
+    control connection — which then carries the spec message
+    :func:`_serve` reads, the command loop and the heartbeats.  With a
+    ``bus_handle`` the worker attaches that shm session and opens no peer
+    listener (its hello carries no address); without one (tcp, and every
+    ``repro host`` worker) it opens its peer-plane listener *first*, so its
+    port can be advertised, and wires the tcp mesh from the manifest.
+    ``share`` is this worker's share of the CPUs of the host that spawned
+    it, the cap on its SpMM splits.
 
     The arguments are small on purpose: spawn's ``start()`` writes them into
     a pipe the child reads only after its imports, so a large argument (the
     spec) would make the launcher wait for each worker's imports in turn.
-    The hello tells the launcher this worker is alive and reading; the spec
-    follows on ``conn``.  The bus ``timeout`` is the handle's.
     """
     set_cpu_share(share)
-    conn.send(("hello", worker_id))
-    _serve(
-        worker_id,
-        conn,
-        lambda faults, _timeout: ShmBus(bus_handle, worker_id=worker_id, faults=faults),
-    )
-
-
-def worker_main_tcp(
-    preferred_id: int | None, host: str, port: int, authkey: bytes, share: int
-) -> None:
-    """Spawned-process entry (tcp transport): rendezvous, then serve.
-
-    Opens the peer-plane listener *first* (so its port can be advertised),
-    dials the launcher's rendezvous (its hello), authenticates, and receives
-    the worker id and the signed membership manifest over the control
-    connection — which then carries the spec message :func:`_serve` reads
-    (as on shm), the command loop and the heartbeats.  The same entry serves
-    launcher-spawned local workers and ``repro host``-managed remote workers;
-    ``share`` is this worker's share of the CPUs of the host that spawned it.
-    """
-    from repro.runtime import net, rendezvous as rdv
-
-    set_cpu_share(share)
-    # the bus closes the listener once it owns it; ``with`` covers every
+    # the tcp bus closes the listener once it owns it; ``with`` covers every
     # path on which it never does
-    with net.peer_listener(16) as listener:
+    with nullcontext() if bus_handle is not None else net.peer_listener(16) as listener:
         conn = None
         wid = preferred_id if preferred_id is not None else -1
         try:
-            advertise_port = listener.getsockname()[1]
             conn, local_host = rdv.connect_rendezvous(host, port, authkey)
-            conn.send(("hello", preferred_id, (local_host, advertise_port)))
+            addr = None if listener is None else (local_host, listener.getsockname()[1])
+            conn.send(("hello", preferred_id, addr))
             kind, wid, blob, sig = conn.recv()
             if kind != "welcome":
                 raise PlexusRuntimeError(f"rendezvous protocol: expected welcome, got {kind!r}")
             info = rdv.verify_manifest(authkey, blob, sig)
-            peers = {int(k): (h, int(p)) for k, (h, p) in info["peers"].items()}
         except BaseException as exc:
             if conn is not None:
                 _report_error(conn, wid, exc)
@@ -401,10 +392,12 @@ def worker_main_tcp(
                 except Exception:
                     pass
             return
-        _serve(
-            wid,
-            conn,
-            lambda faults, timeout: net.TcpBus(
-                listener, peers, wid, info["session"], authkey, timeout, faults=faults
-            ),
-        )
+        if bus_handle is not None:
+            def open_bus(faults, _timeout):  # the bus timeout is the handle's
+                return ShmBus(bus_handle, worker_id=wid, faults=faults)
+        else:
+            peers = {int(k): (h, int(p)) for k, (h, p) in info["peers"].items()}
+
+            def open_bus(faults, timeout):
+                return net.TcpBus(listener, peers, wid, info["session"], authkey, timeout, faults=faults)
+        _serve(wid, conn, open_bus)

@@ -356,32 +356,6 @@ class TestCrossEpochPrefetch:
         assert m1._f0_pending is None
         assert r1.losses == r2.losses
 
-    def test_cluster_reset_orphans_prefetch(self):
-        """A cluster reset discards the timeline the prefetch was scheduled
-        on; the next forward must drop the stale handle and gather eagerly,
-        so post-reset clocks match a fresh run exactly."""
-        a, feats, labels, mask = _dataset()
-        cfg = GridConfig(3, 2, 2)
-
-        def make():
-            cluster = VirtualCluster(cfg.total, PERLMUTTER)
-            model = PlexusGCN(cluster, cfg, a, feats, labels, mask, DIMS,
-                              PlexusOptions(seed=0, overlap=True))
-            return PlexusTrainer(model), cluster
-
-        t1, c1 = make()
-        t1.train(3)
-        c1.reset()
-        t1.train_epoch()
-
-        # rank clocks depend on shard shapes and the schedule, not weight
-        # values, so the post-reset epoch must cost exactly what a fresh
-        # model's first epoch costs — a stale prefetch would inflate it
-        t2, c2 = make()
-        t2.train_epoch()
-        assert np.array_equal(c1.clocks, c2.clocks)
-        assert np.array_equal(c1.category_totals("comm:"), c2.category_totals("comm:"))
-
     def test_evaluate_leaves_prefetch_intact(self):
         """An evaluation pass between epochs must neither consume the
         in-flight prefetch nor change subsequent losses/clocks."""
@@ -603,7 +577,8 @@ class TestColumnarTimeline:
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_schedule_matches_dict_reference(self, data):
         """Whole axes, single groups and group subsets, scalar and keepdims
-        durations, with resets and snapshot restores between them:
+        durations, with restores of the starting snapshot (a reset) and of
+        later snapshots between them:
         ``begin``, ``end``, clocks, phase totals and the keyed view equal
         the reference at every step."""
         from oracle import axis_groups
@@ -615,13 +590,13 @@ class TestColumnarTimeline:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         grid = PlexusGrid(VirtualCluster(cfg.total, PERLMUTTER), cfg)
         store = grid.cluster.store
-        links, saved = {}, None
+        start, links, saved = store.snapshot(), {}, None
         axes = [a for a in Axis if cfg.size(a) > 1]
         steps = st.sampled_from(["axis", "group", "subset", "reset", "snapshot", "restore"])
         for _ in range(data.draw(st.integers(1, 12))):
             step = data.draw(steps)
             if step == "reset":
-                store.reset()
+                store.restore(start)
                 links = {}
             elif step == "snapshot":
                 saved = store.snapshot(), dict(links)
@@ -668,11 +643,12 @@ class TestColumnarTimeline:
 
     def test_links_view_lists_exactly_the_reserved_links(self, rng):
         grid, store = self._grid()
+        start = store.snapshot()
         assert store.links == {}
         x = grid.comm(Axis.X)
         x.all_reduce(rng.standard_normal((8, 4, 3))).wait()
         assert set(store.links) == set(x._slots.links) and len(store.links) == 4
-        store.reset()  # the keys keep their slots, but nothing is reserved
+        store.restore(start)  # the keys keep their slots, but nothing is reserved
         assert store.links == {}
 
     def test_restored_partial_snapshot_reads_unreserved(self, rng):

@@ -45,6 +45,7 @@ import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from repro.graph.generators import rmat_graph
 from repro.graph.shardio import save_sharded
 from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
 from repro.runtime import checkpoint as ckpt
+from repro.runtime import launch
 from repro.runtime.faults import FAULT_POINTS, NETWORK_ACTIONS, FaultPlan
 from repro.sparse.ops import gcn_normalize
 
@@ -267,7 +269,7 @@ def _run_arm(case: Case, spec: WorkloadSpec, tmp: Path) -> tuple[list, dict] | N
             epochs += trainer.train(c).epochs
         return epochs, _books(trainer.model)
     saved = tmp / "ckpt"
-    pool = dict(timeout=60, transport=case.transport, mailbox_bytes=case.mailbox)
+    pool = dict(timeout=60, transport=case.transport)
     if case.fault is not None:
         return _run_faulted(case, spec, saved, pool)
     # the pool's chunks, and the in-process ones resumed after them
@@ -381,7 +383,9 @@ def _check(case: Case) -> None:
         if case.disk:
             save_sharded(spec.adjacency, spec.features, spec.labels, tmp / "shards", grid=(4, 4))
             spec = replace(spec, adjacency=None, features=None, labels=None, shard_dir=str(tmp / "shards"))
-        ran = _run_arm(case, spec, tmp)
+        # a pool's mailbox size is the launcher's constant
+        with mock.patch.object(launch, "DEFAULT_MAILBOX_BYTES", case.mailbox):
+            ran = _run_arm(case, spec, tmp)
     if ran is None:
         return
     epochs, books = ran

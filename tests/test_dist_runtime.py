@@ -48,12 +48,6 @@ class TestCluster:
         cluster8.barrier()
         assert cluster8.category_totals("comm:barrier")[1] == 3.0
 
-    def test_reset(self, cluster8):
-        _advance(cluster8, 0, 1.0)
-        cluster8.reset()
-        assert cluster8.max_clock() == 0.0
-        assert cluster8.category_totals("")[0] == 0.0
-
 
 class TestPhaseTotals:
     def test_category_partition(self, cluster8):

@@ -235,12 +235,12 @@ class TestMetricsRegistry:
 
 class TestLiveness:
     def test_format_matches_barrier_timeout_shape(self):
-        rows = [(0, "", 0.05, 3), (1, " [remote] [pipe closed]", 12.34, 2)]
+        rows = [(0, "", 0.05, 3), (1, " [remote] [connection closed]", 12.34, 2)]
         text = format_liveness(rows)
         assert text == (
             "per-worker liveness:\n"
             "  worker 0: last heartbeat 0.1s ago, last completed epoch 3\n"
-            "  worker 1 [remote] [pipe closed]: last heartbeat 12.3s ago, "
+            "  worker 1 [remote] [connection closed]: last heartbeat 12.3s ago, "
             "last completed epoch 2"
         )
 

@@ -53,6 +53,7 @@ from repro.runtime import (
     latest_checkpoint,
 )
 from repro.runtime import checkpoint as ckpt
+from repro.runtime import launch
 from repro.runtime.checkpoint import train_to
 from repro.runtime.faults import EXIT_CODE
 from repro.sparse.ops import gcn_normalize
@@ -221,14 +222,13 @@ class TestDetection:
         assert ei.value.worker_id == hung
         assert "per-worker liveness" in str(ei.value)
 
-    def test_corrupt_trips_crc_on_overflow_segment(self):
+    def test_corrupt_trips_crc_on_overflow_segment(self, monkeypatch):
         """A 4 KiB mailbox forces every exchange through overflow segments;
         the flipped byte must trip the CRC on that path too."""
+        monkeypatch.setattr(launch, "DEFAULT_MAILBOX_BYTES", 4096)
         plan = FaultPlan(worker=0, point="pre_barrier", action="corrupt", epoch=1)
         with pytest.raises(PayloadCorruption, match="multiproc runtime failed"):
-            with MultiprocTrainer(
-                _spec(faults=(plan,)), timeout=60, mailbox_bytes=4096
-            ) as mpt:
+            with MultiprocTrainer(_spec(faults=(plan,)), timeout=60) as mpt:
                 mpt.train(3)
 
     def test_fault_plan_validation(self, monkeypatch):
@@ -269,6 +269,37 @@ class TestDetection:
     def test_every_worker_answers_state(self):
         with MultiprocTrainer(_spec(), timeout=60) as mpt:
             assert mpt.state()["load_reports"] == [None, None]
+
+    def test_an_echo_waits_for_the_death_behind_it(self):
+        """A dead worker's EOF can reach the launcher milliseconds after a
+        peer's report that it lost that worker: the launcher reports the
+        death, not the echo.  (No spawn: pipes stand in for the two
+        workers' control connections, and worker 1's closes 50 ms after
+        worker 0 reported losing it.)"""
+        import threading
+        from collections import deque
+        from multiprocessing import Pipe
+
+        launcher_ends, worker_ends = zip(Pipe(), Pipe())
+        mpt = MultiprocTrainer.__new__(MultiprocTrainer)
+        mpt.__dict__.update(
+            workers=2, _closed=True, _collector=None, _bus=None, _listener=None,
+            _conns=list(launcher_ends), _procs=[None, None], _gone=set(),
+            _inbox=[deque(), deque()], _heard=[0.0, 0.0], _worker_epoch=[3, 3],
+        )
+        worker_ends[0].send(("error", {
+            "worker": 0, "etype": "BarrierTimeout", "traceback": "",
+            "message": "tcp rendezvous with worker 1 failed: connection lost",
+        }))
+        closer = threading.Timer(0.05, worker_ends[1].close)
+        closer.start()
+        try:
+            with pytest.raises(WorkerCrashed) as info:
+                mpt._replies(60)
+        finally:
+            closer.join(5)
+            worker_ends[0].close()
+        assert (info.value.worker_id, info.value.last_epoch) == (1, 3)
 
 
 class TestResume:

@@ -3,7 +3,7 @@
 Parity — ``backend="multiproc"`` bitwise equal to ``backend="inproc"`` on
 every workload — is ``tests/test_differential.py``'s.  Covered here:
 
-* the runtime's own surface: the z-plane split, ``reset()``, the workers'
+* the runtime's own surface: the z-plane split, the workers'
   spawn environment, the ``train_plexus`` seam, spec validation;
 * the sharded data loader feeding the runtime — each worker reads only the
   file blocks holding its own shards' node rows (under a permutation:
@@ -28,7 +28,6 @@ import os
 import pickle
 import sys
 import time
-from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -426,10 +425,7 @@ class TestPoolFormation:
             assert mpt.train(2).losses == expected
         assert len(started) == 2
         for args in started:
-            # a pipe end pickles to its file descriptor; the rest as is
-            size = len(pickle.dumps(tuple(
-                None if isinstance(a, Connection) else a for a in args
-            )))
+            size = len(pickle.dumps(args))
             assert size < 4 << 10, (args, size)
 
     @pytest.mark.parametrize("transport", ["shm", "tcp"])

@@ -219,6 +219,39 @@ class TestRendezvousProtocol:
         finally:
             listener.close()
 
+    def test_gather_leaves_addressless_workers_out_of_the_manifest(self):
+        """A shm worker's hello carries no peer address: it is admitted
+        under its preferred id like a tcp worker, and the signed manifest
+        lists only the workers that advertised one."""
+        listener = RendezvousListener(authkey=self.KEY)
+        welcomes: dict = {}
+
+        def dial(preferred, addr):
+            conn = connect_rendezvous(listener.host, listener.port, self.KEY)[0]
+            conn.send(("hello", preferred, addr))
+            welcomes[preferred] = conn.recv()
+            conn.close()
+
+        threads = [
+            threading.Thread(target=dial, args=(0, None)),
+            threading.Thread(target=dial, args=(1, ("127.0.0.1", 4002))),
+        ]
+        try:
+            for th in threads:
+                th.start()
+            conns = listener.gather(2, 20)
+            for th in threads:
+                th.join(20)
+            assert not any(th.is_alive() for th in threads)
+            for conn in conns.values():
+                conn.close()
+        finally:
+            listener.close()
+        assert sorted(conns) == [0, 1]
+        for w, (kind, wid, blob, sig) in welcomes.items():
+            assert (kind, wid) == ("welcome", w)
+            assert verify_manifest(self.KEY, blob, sig)["peers"] == {"1": ["127.0.0.1", 4002]}
+
     def test_unreadable_port_file_is_typed(self, tmp_path):
         bad = tmp_path / f"x{PORT_FILE_SUFFIX}"
         bad.write_text("{not json")

@@ -19,7 +19,9 @@ hand-built manifest.
 * **one frame check on both buses** — a peer that posts another array
   count than ours is :class:`~repro.errors.RendezvousDesync` on both
   endpoints of the pair, over tcp as over shm (:func:`_pool` runs shm
-  endpoints in threads too).
+  endpoints in threads too);
+* **a record is bounded by its frame** — a record claiming more bytes than
+  the frame's header carries is a desync before its receiver allocates.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BarrierTimeout, RendezvousDesync
-from repro.runtime import net
+from repro.runtime import frame, net
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.net import TcpBus
 from repro.runtime.shm import BusHandle, ShmBus, new_session_id
@@ -166,3 +168,24 @@ def test_an_array_count_mismatch_is_a_desync_on_both_ends(transport):
     assert [(e.worker_id, e.last_seq) for e in got] == [(1, 1), (0, 1)]
     assert "posted 1 arrays, expected 2" in str(got[0])
     assert "posted 2 arrays, expected 1" in str(got[1])
+
+
+def test_a_record_claiming_more_than_its_frame_is_a_desync(monkeypatch):
+    """Worker 0's first record claims 2**40 float64 (8 TiB) in a frame of
+    about 1 MiB: worker 1 raises the typed desync naming it at once, and
+    allocates nothing for the claim."""
+    write_table = frame.write_table
+
+    def rewrite(arrays, buf, offset=0):
+        write_table(arrays, buf, offset)
+        if arrays[0][0] == 0:  # worker 0's tag array
+            frame.RECORD.pack_into(buf, offset, b"<f8", 1, 2**40, *[0] * (frame.MAX_NDIM - 1))
+
+    monkeypatch.setattr(frame, "write_table", rewrite)
+    t0 = time.monotonic()
+    got = _pool(2, lambda bus: bus.exchange(_payload(bus.worker_id, 1)), timeout=10.0)
+    assert time.monotonic() - t0 < 5, "the peer waited out the deadline"
+    assert isinstance(got[1], RendezvousDesync), got
+    assert (got[1].worker_id, got[1].last_seq) == (0, 1)
+    assert f"posted records of {(8 << 40) + 8 * BODY} bytes in a frame of {16 + 8 * BODY}" in str(got[1])
+    assert isinstance(got[0], BarrierTimeout) and got[0].worker_id == 1
