@@ -127,9 +127,10 @@ def train_plexus(
     both backends train the configuration the performance model picks.
     ``transport="tcp"`` swaps the shared-memory bus for the socket fabric
     (still bitwise identical over loopback): ``rendezvous="host:port"``
-    places the membership rendezvous (port 0 picks an ephemeral port and
-    publishes a port file for ``repro host``), and ``remote_workers`` slots
-    are filled by workers a second launcher attaches.
+    places the membership rendezvous (port 0 picks an ephemeral port), and
+    ``remote_workers`` slots are filled by workers a second launcher
+    (``repro host``) attaches by dialing that address with the session key
+    both share, ``$PLEXUS_AUTHKEY``.
 
     ``checkpoint_dir`` enables epoch-boundary checkpointing (every
     ``checkpoint_every`` epochs) on either backend, through the one loop

@@ -7,9 +7,9 @@ Usage::
     python -m repro experiment all            # everything (slow)
     python -m repro train --dataset reddit --gpus 8 --epochs 10
     python -m repro train --dataset ogbn-products --gpus 64 --overlap
-    python -m repro train --backend multiproc --transport tcp \
-        --rendezvous 127.0.0.1:0 --workers 2 --remote-workers 1
-    python -m repro host --rendezvous auto --workers 1
+    PLEXUS_AUTHKEY=<hex> python -m repro train --backend multiproc \
+        --transport tcp --rendezvous 127.0.0.1:29500 --workers 2 --remote-workers 1
+    PLEXUS_AUTHKEY=<hex> python -m repro host --rendezvous 127.0.0.1:29500
     python -m repro select --dataset products-14m --gpus 256
 """
 
@@ -88,9 +88,9 @@ def _cmd_host(args) -> int:
     print(f"served {served} pool session(s)")
     if not served:
         print(
-            "no pool joined: start the primary launcher first "
-            "(train --transport tcp --remote-workers N), or pass an explicit "
-            "--rendezvous host:port / port-file path",
+            f"no pool joined: nothing accepted connections at {args.rendezvous} "
+            "(start the primary launcher first: train --transport tcp "
+            "--rendezvous host:port --remote-workers N)",
             file=sys.stderr,
         )
     return 0 if served else 1
@@ -189,16 +189,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--rendezvous", default=None,
-        help="tcp only: host:port for the membership rendezvous (port 0 "
-             "picks an ephemeral port); with --remote-workers > 0 a port "
-             "file is published so 'repro host --rendezvous auto' can "
-             "attach them",
+        help="tcp only: host:port for the membership rendezvous (default "
+             "127.0.0.1:0; port 0 picks an ephemeral port); with "
+             "--remote-workers the port must be explicit, since 'repro host' "
+             "dials this address",
     )
     p.add_argument(
         "--remote-workers", type=int, default=0,
         help="tcp only: how many of --workers slots are filled by workers "
              "attached from a second launcher ('repro host') instead of "
-             "being spawned here",
+             "being spawned here; both launchers need the same session key "
+             "in $PLEXUS_AUTHKEY (hex)",
     )
     p.add_argument(
         "--trace-dir", default=None,
@@ -216,10 +217,10 @@ def main(argv: list[str] | None = None) -> int:
              "(the secondary launcher of a multi-host pool)",
     )
     p.add_argument(
-        "--rendezvous", default="auto",
-        help="'auto' discovers the newest live port file on this machine, a "
-             "path reads that port file, host:port dials directly (session "
-             "auth key from $PLEXUS_AUTHKEY, hex)",
+        "--rendezvous", required=True,
+        help="the primary launcher's host:port (its --rendezvous); the "
+             "session key is the primary's $PLEXUS_AUTHKEY (hex), which "
+             "must be set here too",
     )
     p.add_argument(
         "--workers", type=int, default=1,

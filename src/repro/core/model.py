@@ -257,10 +257,6 @@ class PlexusGCN:
         overlap = self.options.overlap
         acts = self.f0_stack
         f_pending, self._f0_pending = self._f0_pending, None
-        if f_pending is not None and not f_pending.live:
-            # a store restore orphaned the prefetch (its schedule belongs to
-            # the discarded timeline): drop it and gather eagerly
-            f_pending = None
         caches: list[LayerCache] = []
         w_pending = None
         for i, layer in enumerate(self.layers):

@@ -240,19 +240,6 @@ class PendingCollective:
         without its operand."""
         return None if self._record is None else self._record[4]
 
-    @property
-    def live(self) -> bool:
-        """True while the handle can still be waited meaningfully.
-
-        Restoring an earlier store snapshot (``ClockStore.restore``) drops
-        the handles issued since from the outstanding registry, orphaning
-        them: their absolute begin/end timestamps belong to the discarded
-        timeline.
-        Cost-free handles (singleton groups) are always live."""
-        if self._record is None or self._store is None:
-            return True
-        return not self._waited and id(self) in self._store.outstanding
-
     def wait(self):
         """Charge the completion cost and return the collective's result."""
         if self._waited:

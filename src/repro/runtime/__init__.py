@@ -36,8 +36,9 @@ zero-copy shared-memory tensor transport underneath the existing
   ``drop_conn`` injected inside the tcp transport.
 * :mod:`repro.runtime.rendezvous` — the one control plane of both
   transports: the signed-manifest rendezvous/launcher protocol every
-  worker dials (the one that lets a tcp pool span machines, ``repro
-  host``), with heartbeats on the control connection.
+  worker dials, with heartbeats on the control connection.  It is also
+  how a tcp pool spans machines: ``repro host`` dials the launcher's
+  ``host:port`` with the deployment's ``$PLEXUS_AUTHKEY``.
 * :mod:`repro.runtime.net` — the tcp worker fabric (``transport="tcp"``):
   the socket drop-in for the shared-memory bus; a lost peer connection is
   a typed pool failure that ``train_to`` replays.
@@ -62,11 +63,7 @@ from repro.runtime.checkpoint import latest_checkpoint, prune_checkpoints
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.launch import MultiprocTrainer, WorkloadSpec, build_trainer, host_workers
 from repro.runtime.net import TcpBus
-from repro.runtime.rendezvous import (
-    RendezvousListener,
-    cleanup_stale_rendezvous,
-    connect_rendezvous,
-)
+from repro.runtime.rendezvous import RendezvousListener, connect_rendezvous
 from repro.runtime.shm import ShmBus, cleanup_orphans
 from repro.runtime.worker import worker_slice
 
@@ -84,6 +81,5 @@ __all__ = [
     "TcpBus",
     "RendezvousListener",
     "connect_rendezvous",
-    "cleanup_stale_rendezvous",
     "worker_slice",
 ]

@@ -22,7 +22,10 @@ every worker — and waits for every ready report.  Only the byte mover
 differs: a shm worker attaches the session's bus, a tcp worker wires the
 peer mesh.  All of it is bounded by the larger of
 :data:`~repro.runtime.net.POOL_FORMATION_S` and 2 x ``timeout``; a worker
-lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.
+lost before its spec is a typed :class:`~repro.errors.WorkerCrashed`.  A
+tcp pool's ``remote_workers`` slots are filled the same way by workers
+:func:`host_workers` (``repro host``) starts on another machine: they dial
+the rendezvous's ``host:port`` with the deployment's ``$PLEXUS_AUTHKEY``.
 
 Supervision has one deadline, the trainer's ``timeout``.  A bus exchange
 waits at most ``timeout`` for its peers on either transport, so a worker
@@ -68,9 +71,10 @@ import atexit
 import multiprocessing as mp
 import os
 import secrets
+import socket
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
@@ -99,7 +103,7 @@ from repro.obs.metrics import registry as _metrics
 from repro.runtime import checkpoint as ckpt
 from repro.runtime.faults import NETWORK_ACTIONS, FaultPlan
 from repro.runtime.net import POOL_FORMATION_S
-from repro.runtime.rendezvous import RendezvousListener, resolve_rendezvous
+from repro.runtime.rendezvous import RendezvousListener, env_authkey, parse_address, resolve_rendezvous
 from repro.runtime.shm import BusHandle, ShmBus
 from repro.runtime.worker import build_worker, worker_main, worker_slice
 from repro.sparse.ops import cpu_share, parallelism
@@ -254,6 +258,11 @@ class MultiprocTrainer:
     is declared wedged after 2 x ``timeout`` without a message from it (a
     pool forms within the larger of 2 x ``timeout`` and
     :data:`~repro.runtime.net.POOL_FORMATION_S`).
+
+    The session key is ``$PLEXUS_AUTHKEY`` (hex) when set, else random.
+    ``remote_workers`` slots are filled by ``repro host`` launchers dialing
+    ``rendezvous`` with that key (:func:`host_workers`), so they need
+    ``transport="tcp"``, an explicit non-zero port and the key.
     """
 
     backend = "multiproc"
@@ -280,9 +289,15 @@ class MultiprocTrainer:
         self.transport = transport
         self.remote_workers = int(remote_workers)
         if isinstance(rendezvous, str):
-            host, _, port = rendezvous.rpartition(":")
-            rendezvous = (host or "127.0.0.1", int(port))
+            rendezvous = parse_address(rendezvous)
         self.rendezvous = rendezvous or ("127.0.0.1", 0)
+        authkey = env_authkey()
+        if remote_workers and (authkey is None or self.rendezvous[1] == 0):
+            raise ValueError(
+                "remote_workers need an address and a key a remote host can "
+                "dial with: an explicit non-zero rendezvous port and "
+                "$PLEXUS_AUTHKEY (hex)"
+            )
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._collector: TraceCollector | None = None
         if self.trace_dir is not None:
@@ -296,8 +311,7 @@ class MultiprocTrainer:
         self._closed = False
         self._epochs_done = 0
         self._bus: ShmBus | None = None  # shm: the creator endpoint
-        self._listener: RendezvousListener | None = None  # (+ its port file)
-        self._authkey = secrets.token_bytes(32)
+        self._authkey = authkey or secrets.token_bytes(32)
         self._session = ""
         self._procs: list = []
         self._conns: list = []
@@ -317,13 +331,13 @@ class MultiprocTrainer:
         report — under one deadline (see the module docstring).
 
         A fresh session per (re)spawn: a killed pool's state can never be
-        confused with the new one's.  A port file is published only when
-        ``remote_workers`` > 0, so ``repro host --rendezvous auto`` finds
-        only launchers with a slot to fill, and a secondary rediscovers a
-        respawned rendezvous through the new file.  Local workers pin their
-        slice index as the preferred worker id; ``remote_workers`` slots are
-        filled by workers dialing in from other launchers.  A local worker
-        that exits before it is admitted is
+        confused with the new one's.  The rendezvous listens only while the
+        pool forms, at the same address each time: a ``repro host`` launcher
+        (:func:`host_workers`) finds it closed once the pool has formed or
+        ended, and open again when a respawned pool waits for its slots.
+        Local workers pin their slice index as the preferred worker id;
+        ``remote_workers`` slots are filled by workers dialing in from other
+        launchers.  A local worker that exits before it is admitted is
         :class:`~repro.errors.WorkerCrashed` within 0.2 s of its exit.
         """
         deadline = time.monotonic() + max(POOL_FORMATION_S, 2 * self.timeout)
@@ -337,30 +351,29 @@ class MultiprocTrainer:
         with _trace.span(
             "launcher.spawn_pool", workers=self.workers, transport=self.transport
         ):
-            host, port = self.rendezvous
-            self._listener = RendezvousListener(host, port, authkey=self._authkey)
-            self._session = self._listener.session
-            handle = None
-            if self.transport == "shm":
-                handle = BusHandle(self._session, self.workers, DEFAULT_MAILBOX_BYTES, self.timeout)
-                self._bus = ShmBus(handle)  # creator endpoint: owns unlink
-            if self.remote_workers:
-                self._listener.publish()
-            dial = (self._listener.host, self._listener.port, self._authkey, handle)
-            n_local = self.workers - self.remote_workers
-            _start_workers(
-                self._procs, mp.get_context("spawn"), worker_main,
-                [(w, *dial) for w in range(n_local)],
-            )
-            self._procs += [None] * self.remote_workers  # remote slots: no local process
-
-            def idle() -> None:  # no dialer for 0.2 s: did a local worker exit?
-                self._gone.update(
-                    w for w, p in enumerate(self._procs) if p is not None and p.exitcode is not None
+            # the pool admits no one once formed: the listener closes here
+            with closing(RendezvousListener(*self.rendezvous, authkey=self._authkey)) as listener:
+                self._session = listener.session
+                handle = None
+                if self.transport == "shm":
+                    handle = BusHandle(self._session, self.workers, DEFAULT_MAILBOX_BYTES, self.timeout)
+                    self._bus = ShmBus(handle)  # creator endpoint: owns unlink
+                dial = (listener.host, listener.port, self._authkey, handle)
+                n_local = self.workers - self.remote_workers
+                _start_workers(
+                    self._procs, mp.get_context("spawn"), worker_main,
+                    [(w, *dial) for w in range(n_local)],
                 )
-                self._raise_if_gone()
+                self._procs += [None] * self.remote_workers  # remote slots: no local process
 
-            conns = self._listener.gather(self.workers, deadline - time.monotonic(), idle)
+                def idle() -> None:  # no dialer for 0.2 s: did a local worker exit?
+                    self._gone.update(
+                        w for w, p in enumerate(self._procs)
+                        if p is not None and p.exitcode is not None
+                    )
+                    self._raise_if_gone()
+
+                conns = listener.gather(self.workers, deadline - time.monotonic(), idle)
             self._conns = [conns[w] for w in range(self.workers)]
             blob = ForkingPickler.dumps(("spec", self.spec, self.timeout))
             self._broadcast(blob)
@@ -369,11 +382,11 @@ class MultiprocTrainer:
             self._replies(deadline - time.monotonic())
 
     def _stop_pool(self, graceful: bool) -> None:
-        """Stop the workers and release every connection, segment and
-        listener of this pool — the one place the session's segments are
-        unlinked.  ``graceful=False`` is the path after a failure: the
-        rendezvous is already broken, so workers are terminated, not asked,
-        and the trainer itself stays open — recovery may respawn."""
+        """Stop the workers and release every connection and segment of
+        this pool — the one place the session's segments are unlinked.
+        ``graceful=False`` is the path after a failure: the rendezvous is
+        already broken, so workers are terminated, not asked, and the
+        trainer itself stays open — recovery may respawn."""
         self._stop_procs(graceful)
         for conn in self._conns:
             try:
@@ -385,9 +398,6 @@ class MultiprocTrainer:
         if self._bus is not None:
             self._bus.unlink()
             self._bus = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
 
     def _stop_procs(self, graceful: bool) -> None:
         """The stop ladder: optional close command, then SIGTERM, then
@@ -730,37 +740,25 @@ class MultiprocTrainer:
             pass
 
 
-def host_workers(
-    rendezvous: str = "auto", workers: int = 1, rediscover_grace: float = 10.0
-) -> int:
-    """The ``repro host`` secondary launcher: attach workers to a primary.
+def host_workers(rendezvous: str, workers: int = 1, rediscover_grace: float = 10.0) -> int:
+    """The ``repro host`` secondary launcher: fill a primary's remote slots.
 
-    Spawns ``workers`` local processes that dial the primary launcher's
-    rendezvous and serve as pool members (the primary must run with
-    ``remote_workers`` > 0 so slots are left for them).  When the pool ends
-    — clean close, or the primary respawning after a failure — the worker
-    processes exit and this loop rediscovers the rendezvous: a respawned
-    primary publishes a fresh port file, so recovery re-attaches
-    automatically.  Returns the number of pool sessions served, once no
-    live rendezvous reappears within ``rediscover_grace`` seconds (primary
-    done or dead).  With an explicit ``host:port`` (no port file to watch)
-    a single session is served.
+    Serves pool sessions at ``rendezvous``, the primary's ``host:port``,
+    dialing with the key in ``$PLEXUS_AUTHKEY``.  Before each session it
+    waits up to ``rediscover_grace`` seconds for that address to accept a
+    TCP connection, then spawns ``workers`` processes that dial it and
+    serve as pool members (the primary must reserve as many
+    ``remote_workers`` slots), and joins them.  A primary that respawns its
+    pool after a failure listens at the same address again, so the next
+    session rejoins it.  Returns the number of sessions served once the
+    address stays closed (the primary is done or dead).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    host, port, authkey = resolve_rendezvous(rendezvous)
     ctx = mp.get_context("spawn")
     served = 0
-    while True:
-        deadline = time.monotonic() + rediscover_grace
-        while True:
-            try:
-                host, port, authkey = resolve_rendezvous(rendezvous)
-                break
-            except PlexusRuntimeError:
-                if served and time.monotonic() < deadline:
-                    time.sleep(0.25)  # a recovering primary may republish
-                    continue
-                return served
+    while _accepts(host, port, rediscover_grace):
         procs: list = []
         _start_workers(
             procs, ctx, worker_main, [(None, host, port, authkey, None)] * workers,
@@ -770,11 +768,20 @@ def host_workers(
             p.join()
         served += 1
         logger.info("pool session at %s:%s ended (%d served)", host, port, served)
-        if rendezvous != "auto" and not (
-            os.path.sep in rendezvous or rendezvous.endswith(".rdv")
-        ):
-            return served  # direct address: nothing to rediscover
-        time.sleep(0.2)  # let a closing primary retire its port file
+    return served
+
+
+def _accepts(host: str, port: int, grace: float) -> bool:
+    """Whether ``host:port`` accepts a TCP connection within ``grace`` s."""
+    deadline = time.monotonic() + grace
+    while True:
+        try:
+            socket.create_connection((host, port), timeout=1.0).close()
+            return True
+        except OSError:
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.1)
 
 
 def build_trainer(spec: WorkloadSpec, backend: str = "inproc", **kwargs):

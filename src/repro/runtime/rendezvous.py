@@ -4,17 +4,21 @@ How a pool forms, on both transports (shm and tcp; a multi-host pool is
 tcp):
 
 1. The launcher opens one :class:`RendezvousListener` (``--rendezvous
-   host:port``; port 0 picks an ephemeral port).  Its session id also
-   names a shm pool's segments.  With remote slots to fill it drops a
-   *port file* in the temp directory — session-named, launcher pid
-   embedded — holding the address and the session auth key, so a second
-   launcher on the same machine (``repro host --rendezvous auto``) can
-   discover and join it without copying flags.
+   host:port``; port 0 picks an ephemeral port) for as long as the pool
+   forms.  Its session id also names a shm pool's segments.  The session
+   key is the deployment's ``$PLEXUS_AUTHKEY`` (hex) when set, else a
+   random one; a pool with remote slots needs the former and an explicit
+   port, because a second launcher (``repro host --rendezvous
+   host:port``, on any machine) dials that address with that key — like
+   ``torchrun``'s master address.  A respawned pool listens at the same
+   address again.
 2. Every worker dials the rendezvous, authenticates (the stdlib
    ``multiprocessing`` HMAC challenge — both directions), and sends a
    hello.  A tcp worker opens its own peer-plane listen socket first and
    advertises where peers can reach it; a shm worker's hello carries no
-   address (its bus is the session's shared memory).
+   address (its bus is the session's shared memory).  The challenge and
+   the hello are read under the formation deadline, so a dialer that
+   connects and stays silent is dropped when the deadline passes.
 3. Once all ``n`` workers are in, the launcher assigns worker ids and
    sends each a **signed membership manifest** — canonical JSON over the
    session id and every tcp worker's ``(host, port)``, HMAC-SHA256-signed
@@ -29,11 +33,6 @@ tcp):
    launcher's pump waits on), and its EOF is how the launcher learns a
    worker is gone.  Both ends set ``TCP_NODELAY``: a command and its small
    reply go out at once, not after a delayed ACK.
-
-Port files are swept by :func:`cleanup_stale_rendezvous` —
-pid-liveness-aware exactly like the shm segment sweep, and wired into
-:func:`~repro.runtime.shm.cleanup_orphans` so one call cleans both kinds
-of leftover state from a killed launcher.
 """
 
 from __future__ import annotations
@@ -42,122 +41,52 @@ import hmac
 import json
 import os
 import socket
-import tempfile
+import struct
 import time
 from multiprocessing.connection import Connection, answer_challenge, deliver_challenge
-from pathlib import Path
 
 from repro.errors import BarrierTimeout, PlexusRuntimeError, RendezvousDesync
 from repro.obs import trace as _trace
-from repro.runtime.shm import SHM_PREFIX, _owner_pid, _pid_alive, new_session_id
+from repro.runtime.shm import new_session_id
 
 __all__ = [
     "RendezvousListener",
     "connect_rendezvous",
     "signed_manifest",
     "verify_manifest",
-    "write_port_file",
-    "read_port_file",
-    "discover_port_file",
+    "parse_address",
+    "env_authkey",
     "resolve_rendezvous",
-    "cleanup_stale_rendezvous",
 ]
 
-#: port files live in the temp dir as ``<session-id>.rdv``
-PORT_FILE_SUFFIX = ".rdv"
+
+def parse_address(address: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``; an empty host is loopback."""
+    host, _, port = address.rpartition(":")
+    return host or "127.0.0.1", int(port)
 
 
-def rendezvous_dir() -> Path:
-    return Path(tempfile.gettempdir())
-
-
-def write_port_file(session: str, host: str, port: int, authkey: bytes) -> Path:
-    """Publish a session's rendezvous address (key included — mode 0600)."""
-    path = rendezvous_dir() / f"{session}{PORT_FILE_SUFFIX}"
-    payload = json.dumps({"host": host, "port": port, "authkey": authkey.hex()})
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+def env_authkey() -> bytes | None:
+    """The deployment's session key, ``$PLEXUS_AUTHKEY`` (hex); ``None``
+    when it is unset or empty."""
+    key_hex = os.environ.get("PLEXUS_AUTHKEY", "")
     try:
-        os.write(fd, payload.encode())
-    finally:
-        os.close(fd)
-    return path
-
-
-def read_port_file(path: Path | str) -> tuple[str, int, bytes]:
-    try:
-        info = json.loads(Path(path).read_text())
-        return info["host"], int(info["port"]), bytes.fromhex(info["authkey"])
-    except (OSError, ValueError, KeyError) as err:
-        raise PlexusRuntimeError(f"unreadable rendezvous port file {path}: {err}") from None
-
-
-def discover_port_file(prefix: str = SHM_PREFIX) -> Path:
-    """The newest port file whose launcher is still alive (``--rendezvous
-    auto``); raises typed when no live session is published."""
-    live = []
-    for p in rendezvous_dir().glob(f"{prefix}*{PORT_FILE_SUFFIX}"):
-        pid = _owner_pid(p.name[: -len(PORT_FILE_SUFFIX)])
-        if pid is not None and _pid_alive(pid):
-            try:
-                live.append((p.stat().st_mtime, p))
-            except OSError:
-                continue
-    if not live:
-        raise PlexusRuntimeError(
-            "no live rendezvous found: no port file in "
-            f"{rendezvous_dir()} names a running launcher — start the "
-            "primary with transport='tcp' first, or pass an explicit "
-            "--rendezvous host:port"
-        )
-    return max(live)[1]
+        return bytes.fromhex(key_hex) if key_hex else None
+    except ValueError:
+        raise ValueError("$PLEXUS_AUTHKEY must be a hex string") from None
 
 
 def resolve_rendezvous(rendezvous: str) -> tuple[str, int, bytes]:
-    """Turn a ``repro host`` rendezvous argument into (host, port, key).
-
-    ``"auto"`` discovers the newest live port file on this machine; a path
-    reads that port file; ``host:port`` dials directly, taking the session
-    auth key (hex) from ``$PLEXUS_AUTHKEY``.
-    """
-    if rendezvous == "auto":
-        return read_port_file(discover_port_file())
-    if os.path.sep in rendezvous or rendezvous.endswith(PORT_FILE_SUFFIX):
-        return read_port_file(rendezvous)
-    host, _, port = rendezvous.rpartition(":")
-    key_hex = os.environ.get("PLEXUS_AUTHKEY", "")
-    if not key_hex:
-        raise PlexusRuntimeError(
-            "--rendezvous host:port needs the session auth key in "
-            "$PLEXUS_AUTHKEY (hex); on the launcher's machine use "
-            "--rendezvous auto or pass the port file path instead"
+    """A ``repro host`` rendezvous argument, ``host:port``, and the key to
+    dial it with: ``(host, port, key)``."""
+    host, port = parse_address(rendezvous)
+    key = env_authkey()
+    if key is None or port == 0:
+        raise ValueError(
+            "--rendezvous needs the launcher's host:port (a non-zero port) "
+            "and its session key in $PLEXUS_AUTHKEY (hex)"
         )
-    return host or "127.0.0.1", int(port), bytes.fromhex(key_hex)
-
-
-def cleanup_stale_rendezvous(
-    prefix: str = SHM_PREFIX, include_live: bool = False
-) -> list[str]:
-    """Remove port files of dead launchers; returns the removed names.
-
-    The half-open listener sockets such a launcher leaked died with its
-    process — the file is the only state that persists, and a stale one
-    would misdirect ``--rendezvous auto`` dials (they fail the liveness
-    check, but sweeping keeps the temp dir honest).  Same liveness rule as
-    the shm sweep: a file whose embedded launcher pid is alive belongs to
-    a running sibling and is skipped unless ``include_live``.
-    """
-    removed = []
-    for p in rendezvous_dir().glob(f"{prefix}*{PORT_FILE_SUFFIX}"):
-        if not include_live:
-            pid = _owner_pid(p.name[: -len(PORT_FILE_SUFFIX)])
-            if pid is not None and _pid_alive(pid):
-                continue
-        try:
-            p.unlink()
-            removed.append(p.name)
-        except OSError:
-            continue
-    return removed
+    return host, port, key
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +129,16 @@ def _as_connection(sock: socket.socket) -> Connection:
     return Connection(fd)
 
 
+def _read_deadline(conn: Connection, deadline: float | None) -> None:
+    """Bound each blocking read on ``conn`` by the time left until
+    ``deadline`` (``time.monotonic()``; a read past it raises ``OSError``);
+    ``None`` lifts the bound."""
+    left = 0.0 if deadline is None else max(deadline - time.monotonic(), 1e-3)
+    timeval = struct.pack("ll", int(left), int(left % 1 * 1e6))
+    with socket.fromfd(conn.fileno(), socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+
+
 def connect_rendezvous(
     host: str, port: int, authkey: bytes, timeout: float = 20.0
 ) -> tuple[Connection, str]:
@@ -235,8 +174,7 @@ def connect_rendezvous(
 
 
 class RendezvousListener:
-    """The launcher's rendezvous endpoint (+ its port file, once
-    :meth:`publish` wrote it)."""
+    """The launcher's rendezvous endpoint."""
 
     def __init__(
         self,
@@ -253,18 +191,17 @@ class RendezvousListener:
         self._sock.bind((host, port))
         self._sock.listen(64)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._port_file: Path | None = None
         self._closed = False
-
-    def publish(self) -> None:
-        """Write the port file ``repro host --rendezvous auto`` discovers."""
-        self._port_file = write_port_file(self.session, self.host, self.port, self.authkey)
 
     def accept(self, deadline: float, idle=None) -> Connection:
         """One authenticated control connection (or typed timeout).
 
         ``idle()`` runs every 0.2 s no worker dials in; whatever it raises
-        ends the wait (the launcher's check for a dead local worker).
+        ends the wait (the launcher's check for a dead local worker).  The
+        challenge is read under ``deadline``, and reads on the returned
+        connection stay bounded by it until :func:`_read_deadline` lifts
+        the bound: a dialer that connects and sends nothing cannot hold
+        the wait past it.
         """
         while True:
             remaining = deadline - time.monotonic()
@@ -284,6 +221,7 @@ class RendezvousListener:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _as_connection(sock)
             try:
+                _read_deadline(conn, deadline)
                 deliver_challenge(conn, self.authkey)
                 answer_challenge(conn, self.authkey)
             except Exception:  # unauthenticated dialer: drop, keep listening
@@ -298,9 +236,10 @@ class RendezvousListener:
         pin their slice index); remote workers take the lowest free id in
         arrival order.  A hello without a peer address (a shm worker: its
         bus is the session's shared memory) leaves that worker out of the
-        manifest's peers.  Each hello is traced as a ``launcher.hello`` instant
-        at its arrival.  ``idle`` is :meth:`accept`'s; on any error the
-        connections admitted so far are closed.  Returns the control
+        manifest's peers.  A dialer whose hello has not arrived by the
+        deadline is dropped.  Each hello is traced as a ``launcher.hello``
+        instant at its arrival.  ``idle`` is :meth:`accept`'s; on any error
+        the connections admitted so far are closed.  Returns the control
         connections keyed by worker id.
         """
         deadline = time.monotonic() + timeout
@@ -315,6 +254,7 @@ class RendezvousListener:
                 except (EOFError, ValueError, OSError):
                     conn.close()
                     continue
+                _read_deadline(conn, None)  # the control plane reads block
                 if addr is not None:
                     addr = (str(addr[0]), int(addr[1]))
                 hellos.append((conn, preferred, addr, time.monotonic_ns()))
@@ -343,8 +283,8 @@ class RendezvousListener:
             raise
         return conns
 
-    def close(self, unlink: bool = True) -> None:
-        """Close the listener; ``unlink`` also retires the port file."""
+    def close(self) -> None:
+        """Stop listening (idempotent); admitted connections stay open."""
         if self._closed:
             return
         self._closed = True
@@ -352,8 +292,3 @@ class RendezvousListener:
             self._sock.close()
         except OSError:
             pass
-        if unlink and self._port_file is not None:
-            try:
-                self._port_file.unlink()
-            except OSError:
-                pass

@@ -70,7 +70,8 @@ worker's exit cannot tear down segments its peers still map (the tracker
 only reclaims at tracker exit), and if the whole process tree dies hard the
 tracker still unlinks everything.  :func:`cleanup_orphans` sweeps
 ``/dev/shm`` for leftover session segments (and unregisters them) — the CI
-orphan guard and the crash-path backstop.
+orphan guard and the crash-path backstop; the segments are the only
+runtime state a pool keeps on the host.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ def cleanup_orphans(prefix: str = SHM_PREFIX, include_live: bool = False) -> lis
     tracker still reclaims every segment.
     """
     removed = []
-    try:  # stale rendezvous state (port files of killed tcp launchers) too
-        from repro.runtime.rendezvous import cleanup_stale_rendezvous
-
-        removed.extend(cleanup_stale_rendezvous(prefix, include_live=include_live))
-    except Exception:
-        pass
     root = Path("/dev/shm")
     if not root.is_dir():  # non-Linux: nothing to sweep
         return removed

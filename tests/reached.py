@@ -1,7 +1,8 @@
 """Reached-code guard: every function in ``src/`` runs from a product entry
 point, or ``reached_allowlist.txt`` beside this file says why it does not.
 
-The entry points of :data:`RUNS` (the CLI's ``train`` in four forms, ``trace
+The entry points of :data:`RUNS` (the CLI's ``train`` in five forms, one of
+them beside ``repro host`` filling its remote slot, ``trace
 summarize|validate``, ``select``, ``list``, ``experiment all`` and
 ``examples/quickstart.py``) run as subprocesses under a call collector: a
 generated ``sitecustomize.py`` first on ``PYTHONPATH`` installs
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import ast
 import os
+import secrets
+import socket
 import subprocess
 import sys
 import tempfile
@@ -32,9 +35,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ALLOWLIST = Path(__file__).resolve().parent / "reached_allowlist.txt"
 
-#: (label, argv after the interpreter); ``{tmp}`` is a scratch directory
-#: shared by the runs, so the tcp run resumes the shm run's checkpoints
-#: and ``trace`` reads the 64-rank run's artifacts
+#: (label, argv after the interpreter[, a companion's argv]); ``{tmp}`` is a
+#: scratch directory shared by the runs, so the tcp run resumes the shm
+#: run's checkpoints and ``trace`` reads the 64-rank run's artifacts;
+#: ``{rendezvous}`` is a free loopback ``host:port``.  A companion starts
+#: before its run and runs on beside the later ones (a ``repro host``
+#: probes its primary's address for a while after the pool ends); it must
+#: exit 0 before the collection ends.
 RUNS = [
     ("train inproc 8", ["-m", "repro", "train", "--gpus", "8", "--epochs", "3"]),
     ("train inproc 64 overlap traced", [
@@ -50,6 +57,11 @@ RUNS = [
         "--backend", "multiproc", "--workers", "2", "--transport", "tcp",
         "--checkpoint-dir", "{tmp}/ckpt",
     ]),
+    ("train multiproc tcp + repro host", [
+        "-m", "repro", "train", "--dataset", "reddit", "--gpus", "8", "--epochs", "1",
+        "--backend", "multiproc", "--workers", "2", "--transport", "tcp",
+        "--rendezvous", "{rendezvous}", "--remote-workers", "1",
+    ], ["-m", "repro", "host", "--rendezvous", "{rendezvous}"]),
     ("trace summarize", ["-m", "repro", "trace", "summarize", "{tmp}/trace"]),
     ("trace validate", ["-m", "repro", "trace", "validate", "{tmp}/trace"]),
     ("select", ["-m", "repro", "select"]),
@@ -76,6 +88,12 @@ threading.setprofile(_collect)
 '''
 
 
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 def collect() -> set[tuple[str, int]]:
     """``(path under src/, first line)`` of every code object the runs ran."""
     with tempfile.TemporaryDirectory(prefix="reached-") as tmp:
@@ -83,18 +101,29 @@ def collect() -> set[tuple[str, int]]:
         hook.mkdir()
         out.mkdir()
         (hook / "sitecustomize.py").write_text(_HOOK.format(src=str(SRC) + os.sep, out=str(out)))
-        # (its own temp dir: a port file of the tcp run is then no other
-        # launcher's to discover)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(SRC)]), TMPDIR=tmp)
-        for label, argv in RUNS:
-            t0 = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, *(a.format(tmp=tmp) for a in argv)],
-                cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            )
-            print(f"  {label:34s} {time.perf_counter() - t0:5.1f} s  exit {proc.returncode}")
-            if proc.returncode:
-                sys.exit(f"{label} failed:\n{proc.stdout[-4000:]}")
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join([str(hook), str(SRC)]), TMPDIR=tmp,
+            PLEXUS_AUTHKEY=secrets.token_hex(32),
+        )
+        fields = dict(tmp=tmp, rendezvous=f"127.0.0.1:{_free_port()}")
+        popen = dict(cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        companions = []
+        try:
+            for label, *argvs in RUNS:
+                t0 = time.perf_counter()
+                argv, *companion = [[sys.executable, *(a.format(**fields) for a in v)] for v in argvs]
+                companions += [(label, subprocess.Popen(c, **popen)) for c in companion]
+                proc = subprocess.run(argv, **popen)
+                print(f"  {label:34s} {time.perf_counter() - t0:5.1f} s  exit {proc.returncode}")
+                if proc.returncode:
+                    sys.exit(f"{label} failed:\n{proc.stdout[-4000:]}")
+            for label, companion in companions:
+                output = companion.communicate(timeout=120)[0]
+                if companion.returncode:
+                    sys.exit(f"{label}: its companion failed:\n{output[-4000:]}")
+        finally:
+            for _, companion in companions:
+                companion.kill()  # (a no-op once it exited)
         ran = set()
         for f in out.iterdir():
             for line in f.read_text().splitlines():

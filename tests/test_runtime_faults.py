@@ -283,7 +283,7 @@ class TestDetection:
         launcher_ends, worker_ends = zip(Pipe(), Pipe())
         mpt = MultiprocTrainer.__new__(MultiprocTrainer)
         mpt.__dict__.update(
-            workers=2, _closed=True, _collector=None, _bus=None, _listener=None,
+            workers=2, _closed=True, _collector=None, _bus=None,
             _conns=list(launcher_ends), _procs=[None, None], _gone=set(),
             _inbox=[deque(), deque()], _heard=[0.0, 0.0], _worker_epoch=[3, 3],
         )

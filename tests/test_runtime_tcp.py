@@ -9,9 +9,9 @@ tier-1.  Acceptance for ``transport="tcp"``:
   workloads, this file keeps the ``train_plexus`` entry point;
 * **rendezvous integrity** — workers peer-connect only off a membership
   manifest HMAC-signed with the session key; a tampered manifest is a
-  typed refusal, stale port files of dead launchers are swept by the
-  same pid-liveness rule as the shm segments, and the control connection
-  sets ``TCP_NODELAY`` on both ends;
+  typed refusal, a dialer that connects and stays silent cannot hold a
+  pool's formation past its deadline, and the control connection sets
+  ``TCP_NODELAY`` on both ends;
 * **network chaos** — an injected fault that fails surfaces a typed
   exception naming the peer well inside the configured deadline
   (``corrupt`` trips the frame checksum; ``drop_conn`` loses the connection,
@@ -20,16 +20,16 @@ tier-1.  Acceptance for ``transport="tcp"``:
   dropped connection replays bitwise from the epoch-boundary checkpoint,
   is drawn and pinned by ``tests/test_differential.py``; the bus on its
   own is ``tests/test_tcp_bus.py``;
-* **multi-host control plane** — a second launcher (``repro host``) can
-  attach workers through the published port file and the pool trains
-  normally with a remote member.
+* **multi-host control plane** — a second launcher (``repro host``)
+  attaches workers by dialing the primary's ``host:port`` with the shared
+  ``$PLEXUS_AUTHKEY``; the pool trains bitwise like the oracle with a
+  remote member, and the remote member rejoins a pool ``train_to``
+  respawns after a failure.
 """
 
 from __future__ import annotations
 
-import os
 import socket
-import tempfile
 import threading
 import time
 
@@ -37,12 +37,7 @@ import pytest
 
 from repro.core import GridConfig, PlexusOptions
 from repro.dist import LAPTOP
-from repro.errors import (
-    BarrierTimeout,
-    PayloadCorruption,
-    PlexusRuntimeError,
-    RendezvousDesync,
-)
+from repro.errors import BarrierTimeout, PayloadCorruption, RendezvousDesync
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.runtime import (
@@ -50,26 +45,22 @@ from repro.runtime import (
     MultiprocTrainer,
     WorkloadSpec,
     build_trainer,
-    cleanup_orphans,
-    cleanup_stale_rendezvous,
     host_workers,
 )
+from repro.runtime.checkpoint import train_to
 from repro.runtime.rendezvous import (
-    PORT_FILE_SUFFIX,
     RendezvousListener,
     connect_rendezvous,
-    discover_port_file,
-    read_port_file,
     signed_manifest,
     verify_manifest,
-    write_port_file,
 )
-from repro.runtime.shm import SHM_PREFIX
 from repro.sparse.ops import gcn_normalize
 
 N_NODES = 48
 DIMS = [16, 16, 8]
 CFG = GridConfig(2, 2, 2)
+#: a deployment's session key, as ``$PLEXUS_AUTHKEY`` holds it
+KEY_HEX = "ab" * 32
 
 
 def _dataset():
@@ -127,9 +118,35 @@ class TestTcpParity:
         with pytest.raises(ValueError, match="multiproc"):
             train_plexus("reddit", epochs=1, transport="tcp")
 
+    def test_remote_slots_need_an_explicit_port_and_the_key(self, monkeypatch):
+        """A remote host can join only at an address it can name, with a key
+        both sides hold: ``remote_workers`` without ``$PLEXUS_AUTHKEY``, or
+        on port 0, is a ``ValueError`` before any process starts; with both,
+        the session key is the deployment's."""
+        spawned = []
+        monkeypatch.setattr(MultiprocTrainer, "_spawn_pool", lambda self: spawned.append(self))
+        monkeypatch.delenv("PLEXUS_AUTHKEY", raising=False)
+        with pytest.raises(ValueError, match="PLEXUS_AUTHKEY"):
+            MultiprocTrainer(_spec(), transport="tcp", rendezvous="127.0.0.1:29511", remote_workers=1)
+        with pytest.raises(ValueError, match="PLEXUS_AUTHKEY"):
+            host_workers("127.0.0.1:29511")
+        monkeypatch.setenv("PLEXUS_AUTHKEY", KEY_HEX)
+        for rendezvous in (None, "127.0.0.1:0", ("127.0.0.1", 0)):
+            with pytest.raises(ValueError, match="non-zero"):
+                MultiprocTrainer(_spec(), transport="tcp", rendezvous=rendezvous, remote_workers=1)
+        assert spawned == []
+        mpt = MultiprocTrainer(_spec(), transport="tcp", rendezvous=":29511", remote_workers=1)
+        mpt.close()
+        assert mpt.rendezvous == ("127.0.0.1", 29511)
+        assert mpt._authkey == bytes.fromhex(KEY_HEX)
+        monkeypatch.setenv("PLEXUS_AUTHKEY", "not hex")
+        with pytest.raises(ValueError, match="hex"):
+            MultiprocTrainer(_spec(), transport="tcp")
+        assert spawned == [mpt]
+
 
 class TestRendezvousProtocol:
-    """The signed-manifest membership and port-file discovery (no spawns)."""
+    """The signed-manifest membership and the admission deadline (no spawns)."""
 
     KEY = b"k" * 32
 
@@ -147,53 +164,6 @@ class TestRendezvousProtocol:
             verify_manifest(self.KEY, evil, sig)
         with pytest.raises(RendezvousDesync, match="signature"):
             verify_manifest(b"x" * 32, blob, sig)  # wrong session key
-
-    def test_port_file_roundtrip_and_liveness_sweep(self):
-        """Port files follow the shm liveness rule: a dead launcher's file
-        is stale state, a live sibling's is not."""
-        live_session = f"{SHM_PREFIX}{os.getpid()}p{'ab' * 5}"
-        live = write_port_file(live_session, "127.0.0.1", 4001, self.KEY)
-        import subprocess
-        import sys
-
-        dead_pid = int(
-            subprocess.run(
-                [sys.executable, "-c", "import os; print(os.getpid())"],
-                capture_output=True, text=True, check=True,
-            ).stdout
-        )
-        dead_session = f"{SHM_PREFIX}{dead_pid}p{'cd' * 5}"
-        dead = write_port_file(dead_session, "127.0.0.1", 4002, self.KEY)
-        try:
-            assert read_port_file(live) == ("127.0.0.1", 4001, self.KEY)
-            assert discover_port_file() == live  # the dead file is ignored
-            removed = cleanup_stale_rendezvous()
-            assert dead.name in removed and live.name not in removed
-            assert not dead.exists() and live.exists()
-        finally:
-            cleanup_stale_rendezvous(include_live=True)
-        assert not live.exists()
-
-    def test_cleanup_orphans_sweeps_stale_port_files_too(self):
-        """One call cleans both kinds of leftover launcher state."""
-        import subprocess
-        import sys
-
-        dead_pid = int(
-            subprocess.run(
-                [sys.executable, "-c", "import os; print(os.getpid())"],
-                capture_output=True, text=True, check=True,
-            ).stdout
-        )
-        stale = write_port_file(f"{SHM_PREFIX}{dead_pid}p{'ef' * 5}", "h", 1, self.KEY)
-        removed = cleanup_orphans()
-        assert stale.name in removed
-        assert not stale.exists()
-
-    def test_discovery_without_live_session_is_typed(self):
-        cleanup_stale_rendezvous(include_live=True)
-        with pytest.raises(PlexusRuntimeError, match="no live rendezvous"):
-            discover_port_file()
 
     def test_control_connection_sets_tcp_nodelay_on_both_ends(self):
         """A command and its small reply go out at once: neither end of a
@@ -252,11 +222,39 @@ class TestRendezvousProtocol:
             assert (kind, wid) == ("welcome", w)
             assert verify_manifest(self.KEY, blob, sig)["peers"] == {"1": ["127.0.0.1", 4002]}
 
-    def test_unreadable_port_file_is_typed(self, tmp_path):
-        bad = tmp_path / f"x{PORT_FILE_SUFFIX}"
-        bad.write_text("{not json")
-        with pytest.raises(PlexusRuntimeError, match="unreadable"):
-            read_port_file(bad)
+    @pytest.mark.parametrize("authenticated", [False, True], ids=["idle", "silent"])
+    def test_a_silent_dialer_cannot_hold_formation_past_its_deadline(self, authenticated):
+        """A client that connects and sends nothing (``idle``: not even the
+        challenge's answer; ``silent``: authenticated, but no hello) is
+        dropped when the formation deadline passes, and ``gather`` raises
+        ``BarrierTimeout`` then.  The client is released 5 s in, so a gather
+        that waited on it fails the time bound instead of hanging."""
+        listener = RendezvousListener(authkey=self.KEY)
+        held = []
+
+        def dial():
+            if authenticated:
+                held.append(connect_rendezvous(listener.host, listener.port, self.KEY)[0])
+            else:
+                held.append(socket.create_connection((listener.host, listener.port)))
+
+        th = threading.Thread(target=dial)
+        release = threading.Timer(5.0, lambda: [c.close() for c in held])
+        th.start()
+        release.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(BarrierTimeout, match="deadline"):
+                listener.gather(1, 1.0)
+            elapsed = time.monotonic() - t0
+            th.join(10)
+            assert len(held) == 1
+        finally:
+            release.cancel()
+            for c in held:
+                c.close()
+            listener.close()
+        assert elapsed < 3.0, f"gather held {elapsed:.1f}s by a silent dialer"
 
 
 class TestNetworkChaos:
@@ -320,35 +318,39 @@ class TestNetworkChaos:
         assert len(spawned) == 2
 
 
+def _free_address() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
 class TestMultiHost:
-    """The two-launcher control plane over loopback."""
+    """The two-launcher control plane over loopback: ``host_workers`` (the
+    ``repro host`` loop) in a thread fills the primary's remote slot by
+    address, with the key both read from ``$PLEXUS_AUTHKEY``."""
 
-    def test_remote_worker_attaches_through_port_file(self):
-        """A ``repro host`` loop fills the reserved slot via the published
-        port file; the mixed-origin pool trains bitwise like the oracle."""
-        oracle = build_trainer(_spec(), backend="inproc")
-        ref = oracle.train(3).losses
-        hosted = {}
+    @staticmethod
+    def _host(monkeypatch, address: str) -> tuple[threading.Thread, dict]:
+        monkeypatch.setenv("PLEXUS_AUTHKEY", KEY_HEX)
+        hosted: dict = {}
 
-        def _host():
-            for _ in range(400):  # wait for the primary to publish
-                try:
-                    path = discover_port_file()
-                    break
-                except PlexusRuntimeError:
-                    time.sleep(0.05)
-            else:  # pragma: no cover - primary failed to start
-                return
-            hosted["served"] = host_workers(
-                rendezvous=str(path), workers=1, rediscover_grace=0.5
-            )
+        def serve():
+            hosted["served"] = host_workers(address, workers=1, rediscover_grace=3.0)
 
-        th = threading.Thread(target=_host, daemon=True)
+        th = threading.Thread(target=serve, daemon=True)
         th.start()
+        return th, hosted
+
+    def test_remote_worker_attaches_by_address(self, monkeypatch):
+        """The mixed-origin pool trains bitwise like the oracle, and the
+        host serves one session: once the pool has formed its address
+        accepts no one."""
+        ref = build_trainer(_spec(), backend="inproc").train(3).losses
+        address = _free_address()
+        th, hosted = self._host(monkeypatch, address)
         try:
             with MultiprocTrainer(
-                _spec(), timeout=60, transport="tcp",
-                rendezvous="127.0.0.1:0", remote_workers=1,
+                _spec(), timeout=60, transport="tcp", rendezvous=address, remote_workers=1,
             ) as mpt:
                 assert mpt.state()["load_reports"] == [None, None]
                 assert mpt.train(3).losses == ref
@@ -356,11 +358,24 @@ class TestMultiHost:
             th.join(timeout=30)
         assert hosted.get("served") == 1
 
-    def test_a_pool_without_remote_slots_publishes_no_port_file(self, tmp_path, monkeypatch):
-        """``repro host --rendezvous auto`` must never attach to a launcher
-        with no slot to fill: while a tcp pool with ``remote_workers=0``
-        runs, its temp dir holds no port file."""
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        with MultiprocTrainer(_spec(), timeout=60, transport="tcp") as mpt:
-            assert mpt.state()["load_reports"] == [None, None]
-            assert list(tmp_path.glob(f"*{PORT_FILE_SUFFIX}")) == []
+    def test_remote_worker_rejoins_a_respawned_pool(self, monkeypatch, tmp_path):
+        """Local worker 0 dies at epoch 1; ``train_to`` respawns the pool
+        at the same address, the host's next session fills the remote slot
+        again, and the replay from the epoch-1 checkpoint is bitwise."""
+        ref = build_trainer(_spec(), backend="inproc").train(3).losses
+        plan = FaultPlan(worker=0, point="pre_barrier", action="die", epoch=1)
+        address = _free_address()
+        th, hosted = self._host(monkeypatch, address)
+        try:
+            with MultiprocTrainer(
+                _spec(faults=(plan,)), timeout=60, transport="tcp", rendezvous=address,
+                remote_workers=1,
+            ) as mpt:
+                restarts = []
+                restart = mpt.restart
+                mpt.restart = lambda: (restarts.append(mpt.epochs_done), restart())
+                assert train_to(mpt, 3, tmp_path).losses == ref
+        finally:
+            th.join(timeout=30)
+        assert restarts == [1]
+        assert hosted.get("served") == 2
