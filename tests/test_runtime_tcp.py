@@ -9,7 +9,8 @@ tier-1.  Acceptance for ``transport="tcp"``:
   workloads, this file keeps the ``train_plexus`` entry point;
 * **rendezvous integrity** — workers peer-connect only off a membership
   manifest HMAC-signed with the session key; a tampered manifest is a
-  typed refusal, a dialer that connects and stays silent cannot hold a
+  typed refusal, a dialer with another key is refused while admission
+  goes on, a dialer that connects and stays silent cannot hold a
   pool's formation past its deadline, and the control connection sets
   ``TCP_NODELAY`` on both ends;
 * **network chaos** — an injected fault that fails surfaces a typed
@@ -37,7 +38,12 @@ import pytest
 
 from repro.core import GridConfig, PlexusOptions
 from repro.dist import LAPTOP
-from repro.errors import BarrierTimeout, PayloadCorruption, RendezvousDesync
+from repro.errors import (
+    BarrierTimeout,
+    PayloadCorruption,
+    PlexusRuntimeError,
+    RendezvousDesync,
+)
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
 from repro.runtime import (
@@ -47,6 +53,7 @@ from repro.runtime import (
     build_trainer,
     host_workers,
 )
+from repro.runtime import launch
 from repro.runtime.checkpoint import train_to
 from repro.runtime.rendezvous import (
     RendezvousListener,
@@ -256,6 +263,35 @@ class TestRendezvousProtocol:
             listener.close()
         assert elapsed < 3.0, f"gather held {elapsed:.1f}s by a silent dialer"
 
+    def test_a_dialer_with_another_key_is_refused_and_admission_goes_on(self):
+        """A dialer holding another deployment's key fails the challenge
+        with a typed error naming the address; the listener drops it and
+        still admits the next dialer that holds this session's key."""
+        listener = RendezvousListener(authkey=self.KEY)
+        outcome: dict = {}
+
+        def dial():
+            try:
+                connect_rendezvous(listener.host, listener.port, b"x" * 32)
+            except PlexusRuntimeError as err:
+                outcome["refused"] = err
+            outcome["admitted"] = connect_rendezvous(listener.host, listener.port, self.KEY)[0]
+
+        th = threading.Thread(target=dial)
+        th.start()
+        try:
+            accepted = listener.accept(time.monotonic() + 20)
+            th.join(20)
+            accepted.close()
+        finally:
+            listener.close()
+            if "admitted" in outcome:
+                outcome["admitted"].close()
+        assert not th.is_alive()
+        assert "authentication" in str(outcome["refused"])
+        assert f"{listener.host}:{listener.port}" in str(outcome["refused"])
+        assert "admitted" in outcome
+
 
 class TestNetworkChaos:
     """Injected network faults: transparent-and-bitwise or typed-and-fast."""
@@ -340,6 +376,15 @@ class TestMultiHost:
         th = threading.Thread(target=serve, daemon=True)
         th.start()
         return th, hosted
+
+    def test_host_serves_no_session_at_an_address_that_stays_closed(self, monkeypatch):
+        """With no primary listening, ``host_workers`` spawns nothing and
+        returns 0 once its grace runs out, instead of dialing forever."""
+        monkeypatch.setenv("PLEXUS_AUTHKEY", KEY_HEX)
+        monkeypatch.setattr(launch, "_start_workers", lambda *a, **k: pytest.fail("spawned"))
+        t0 = time.monotonic()
+        assert host_workers(_free_address(), workers=1, rediscover_grace=0.5) == 0
+        assert time.monotonic() - t0 < 5.0
 
     def test_remote_worker_attaches_by_address(self, monkeypatch):
         """The mixed-origin pool trains bitwise like the oracle, and the
