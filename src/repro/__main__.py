@@ -88,9 +88,10 @@ def _cmd_host(args) -> int:
     print(f"served {served} pool session(s)")
     if not served:
         print(
-            f"no pool joined: nothing accepted connections at {args.rendezvous} "
+            f"no pool joined at {args.rendezvous}: nothing accepted connections there "
             "(start the primary launcher first: train --transport tcp "
-            "--rendezvous host:port --remote-workers N)",
+            "--rendezvous host:port --remote-workers N), or its rendezvous refused "
+            "the workers (their error is above: another $PLEXUS_AUTHKEY fails the challenge)",
             file=sys.stderr,
         )
     return 0 if served else 1

@@ -125,10 +125,16 @@ def stack_mul(a, b) -> CubeStack:
     """Elementwise product of two stacked operands of matching geometry.
 
     The operands multiply in cube layout: the product is replicated along
-    the axes *both* are, and computed once per group there (pads: 0 * 0)."""
+    the axes *both* are, and computed once per group there (pads: 0 * 0);
+    past :data:`~repro.sparse.ops._PASS_MIN` bytes in shard-row ranges on
+    the pool (:func:`~repro.sparse.ops.run_rows`)."""
     a, b = _pair(a, b)
     padded = b if a.rows is None else a
-    return CubeStack(a.cube * b.cube, a.grid, padded.rows, padded.cols)
+    if a.cube.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+        return CubeStack(a.cube * b.cube, a.grid, padded.rows, padded.cols)
+    out = np.empty(np.broadcast_shapes(a.cube.shape, b.cube.shape), np.result_type(a.cube, b.cube))
+    _ops.run_rows(partial(_ops._ufunc_rows, np.multiply, a.cube, b.cube, out), out.shape)
+    return CubeStack(out, a.grid, padded.rows, padded.cols)
 
 
 def _cut(box: tuple, lead: tuple) -> tuple:

@@ -95,6 +95,7 @@ the off-axis cube (one entry per group).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,7 @@ from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
 from repro.dist.collectives import RING_LAWS, AxisComm
 from repro.dist.padded import CubeStack
+from repro.sparse import ops as _ops
 
 __all__ = [
     "PendingCollective",
@@ -319,6 +321,10 @@ def _ready(phase: str, result) -> PendingCollective:
 # planes make the full reduction a contiguous 1-D one, which numpy sums
 # pairwise, so such chunks are concatenated and reduced as one.  Results
 # never alias a chunk (it dies at the mover's next exchange).
+# Past :data:`repro.sparse.ops._PASS_MIN` bytes a reduction runs in shard-row
+# ranges on the process's pool (:func:`repro.sparse.ops.run_rows`): each
+# range reduces its rows of every chunk in the same order into its rows of
+# the one result, so every element is the same sum as unsplit.
 # ``tests/test_replicated_stacks.py`` pins all of this against a per-group
 # reference loop; ``tests/test_runtime_multiproc.py`` pins multiproc ==
 # inproc end to end.
@@ -342,6 +348,30 @@ def _operand_chunks(cube_shape: tuple[int, ...], axis: int, cube) -> Sequence[np
     return (cube,)
 
 
+def _split_reduce(ufunc, first: np.ndarray, rest: Sequence[np.ndarray], axis: int, keepdims: bool):
+    """The reduction of ``first`` along ``axis`` and then of every plane of
+    the ``rest`` chunks, in shard-row ranges side by side
+    (:func:`repro.sparse.ops.run_rows`).  Operands are floating point, so
+    the result keeps their dtype."""
+    shape = list(first.shape)
+    shape[axis] = 1
+    reduced = np.empty(shape if keepdims else shape[:axis] + shape[axis + 1 :], dtype=first.dtype)
+    # cut by the result's shape: a reduced axis has extent 1 there, never split
+    _ops.run_rows(partial(_reduce_rows, ufunc, first, rest, axis, reduced), reduced.shape)
+    return reduced
+
+
+def _reduce_rows(ufunc, first, rest, axis: int, reduced: np.ndarray, index: tuple) -> None:
+    """One shard-row range of :func:`_split_reduce` (``rest`` arrives only
+    along axis 0)."""
+    out = reduced[index]
+    ufunc.reduce(first[index], axis=axis, keepdims=reduced.ndim == first.ndim, out=out)
+    acc = out[0] if reduced.ndim == first.ndim else out
+    for chunk in rest:
+        for plane in chunk:
+            ufunc(acc, plane[index], out=acc)
+
+
 def stacked_all_reduce_data(
     cube_shape: tuple[int, ...], axis: int, cube, op: str = "sum"
 ) -> np.ndarray:
@@ -349,10 +379,13 @@ def stacked_all_reduce_data(
     reduction, held once (extent 1 along ``axis``)."""
     ufunc = _UFUNCS[op]
     first, *rest = _operand_chunks(cube_shape, axis, cube)
-    reduced = ufunc.reduce(first, axis=axis, keepdims=True)
-    for chunk in rest:
-        for plane in chunk:
-            ufunc(reduced[0], plane, out=reduced[0])
+    if first.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+        reduced = ufunc.reduce(first, axis=axis, keepdims=True)
+        for chunk in rest:
+            for plane in chunk:
+                ufunc(reduced[0], plane, out=reduced[0])
+    else:
+        reduced = _split_reduce(ufunc, first, rest, axis, True)
     reduced.flags.writeable = False
     return reduced
 
@@ -391,10 +424,13 @@ def stacked_reduce_scatter_data(
     m = first.shape[3]
     if m % g != 0:
         raise ValueError(f"row extent {m} does not divide into {g} blocks")
-    reduced = ufunc.reduce(first, axis=axis)
-    for chunk in rest:
-        for plane in chunk:
-            ufunc(reduced, plane, out=reduced)
+    if first.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+        reduced = ufunc.reduce(first, axis=axis)
+        for chunk in rest:
+            for plane in chunk:
+                ufunc(reduced, plane, out=reduced)
+    else:
+        reduced = _split_reduce(ufunc, first, rest, axis, False)
     reduced.flags.writeable = False
     blocks = reduced.reshape(reduced.shape[:2] + (g, m // g) + reduced.shape[3:])
     return _moved(blocks, 2, axis)

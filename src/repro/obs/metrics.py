@@ -18,7 +18,7 @@ Metric kinds:
 * **gauges** — last-written values (``heartbeat_age_s``,
   ``epochs_per_sec``, the ``getrusage`` readings ``minor_faults`` /
   ``major_faults`` / ``max_rss_kb``, the process's ``cpu_share``,
-  ``spmm_parts``, ``gemm_parts`` and ``threads``, a trainer's ``adjacency_bytes`` /
+  ``spmm_parts``, ``gemm_parts``, ``pass_parts`` and ``threads``, a trainer's ``adjacency_bytes`` /
   ``activation_bytes`` ...);
 * **histograms** — streaming ``count/sum/min/max`` summaries
   (``exchange_wall_s`` ...) — enough for the summary CLI without storing
@@ -53,16 +53,18 @@ class MetricsRegistry:
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
 
-    def gauge_process(self, cpu_share: int, spmm_parts: int, gemm_parts: int) -> None:
+    def gauge_process(self, cpu_share: int, spmm_parts: int, gemm_parts: int, pass_parts: int) -> None:
         """Refresh this process's gauges, called before every exported
         snapshot: its ``cpu_share``, the most parts one SpMM ran in
-        (``spmm_parts``) and one GEMM step (``gemm_parts``: two GEMMs run
-        side by side are two), its live ``threads``, and the
+        (``spmm_parts``), one GEMM step (``gemm_parts``: two GEMMs run
+        side by side are two) and one memory-bound pass (``pass_parts``:
+        a reduction, a zero-fill, an activation), its live ``threads``, and the
         ``minor_faults`` / ``major_faults`` / ``max_rss_kb`` of ``getrusage``
         (cumulative since process start)."""
         self.gauges["cpu_share"] = float(cpu_share)
         self.gauges["spmm_parts"] = float(spmm_parts)
         self.gauges["gemm_parts"] = float(gemm_parts)
+        self.gauges["pass_parts"] = float(pass_parts)
         self.gauges["threads"] = float(threading.active_count())
         if resource is not None:
             ru = resource.getrusage(resource.RUSAGE_SELF)

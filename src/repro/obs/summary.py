@@ -76,14 +76,14 @@ def summarize_trace_dir(trace_dir) -> str:
     shares = [
         f"  {process}: cpu share {_fmt_num(g['cpu_share'])}, spmm parts "
         f"{_fmt_num(g.get('spmm_parts', 0.0))}, gemm parts {_fmt_num(g.get('gemm_parts', 0.0))}, "
-        f"threads {_fmt_num(g.get('threads', 0.0))}"
+        f"pass parts {_fmt_num(g.get('pass_parts', 0.0))}, threads {_fmt_num(g.get('threads', 0.0))}"
         for process in sorted(rows)
         if "cpu_share" in (g := rows[process].get("gauges") or {})
     ]
     if shares:
         sections.append(
-            "CPUs per process (spmm / gemm parts: the most one SpMM / GEMM step ran in, two GEMMs "
-            "side by side being two; threads: live at the end):"
+            "CPUs per process (spmm / gemm / pass parts: the most one SpMM / GEMM step / "
+            "memory-bound pass ran in, two GEMMs side by side being two; threads: live at the end):"
         )
         sections.extend(shares)
 

@@ -105,7 +105,7 @@ from repro.runtime.faults import NETWORK_ACTIONS, FaultPlan
 from repro.runtime.net import POOL_FORMATION_S
 from repro.runtime.rendezvous import RendezvousListener, env_authkey, parse_address, resolve_rendezvous
 from repro.runtime.shm import BusHandle, ShmBus
-from repro.runtime.worker import build_worker, worker_main, worker_slice
+from repro.runtime.worker import NOT_JOINED, build_worker, worker_main, worker_slice
 from repro.sparse.ops import cpu_share, parallelism
 
 __all__ = [
@@ -750,8 +750,11 @@ def host_workers(rendezvous: str, workers: int = 1, rediscover_grace: float = 10
     serve as pool members (the primary must reserve as many
     ``remote_workers`` slots), and joins them.  A primary that respawns its
     pool after a failure listens at the same address again, so the next
-    session rejoins it.  Returns the number of sessions served once the
-    address stays closed (the primary is done or dead).
+    session rejoins it.  A session counts once its workers joined; when
+    none of them did (each exits :data:`~repro.runtime.worker.NOT_JOINED`
+    after naming the rendezvous error on stderr — another key, say), the
+    loop stops.  Returns the number of sessions served once the address
+    stays closed (the primary is done or dead) or a session failed to join.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -766,7 +769,12 @@ def host_workers(rendezvous: str, workers: int = 1, rediscover_grace: float = 10
         )
         for p in procs:
             p.join()
-        served += 1
+        refused = sum(p.exitcode == NOT_JOINED for p in procs)
+        if refused == workers:
+            logger.error("no worker joined the pool at %s:%s (%d served)", host, port, served)
+            break
+        if not refused:
+            served += 1
         logger.info("pool session at %s:%s ended (%d served)", host, port, served)
     return served
 

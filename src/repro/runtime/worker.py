@@ -34,6 +34,7 @@ moments, clocks, phase totals) lives at the same values.
 
 from __future__ import annotations
 
+import sys
 import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -61,7 +62,12 @@ from repro.runtime.shm import BusHandle, ShmBus
 from repro.sparse.ops import parallelism, set_cpu_share
 from repro.sparse.partition import block_slice
 
-__all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main"]
+__all__ = ["WorkerContext", "build_worker", "worker_slice", "worker_main", "NOT_JOINED"]
+
+#: the exit code of a worker that never joined its pool (the rendezvous
+#: refused it, never answered or sent no welcome); it names the error on
+#: stderr first
+NOT_JOINED = 3
 
 
 def worker_slice(config: GridConfig, n_workers: int, worker_id: int) -> tuple[int, int]:
@@ -364,7 +370,8 @@ def worker_main(
     ``repro host`` worker) it opens its peer-plane listener *first*, so its
     port can be advertised, and wires the tcp mesh from the manifest.
     ``share`` is this worker's share of the CPUs of the host that spawned
-    it, the cap on its SpMM splits.
+    it, the cap on its splits.  A worker that never joins exits
+    :data:`NOT_JOINED`.
 
     The arguments are small on purpose: spawn's ``start()`` writes them into
     a pipe the child reads only after its imports, so a large argument (the
@@ -391,7 +398,8 @@ def worker_main(
                     conn.close()
                 except Exception:
                     pass
-            return
+            print(f"plexus worker: never joined the pool at {host}:{port}: {exc}", file=sys.stderr)
+            raise SystemExit(NOT_JOINED) from None
         if bus_handle is not None:
             def open_bus(faults, _timeout):  # the bus timeout is the handle's
                 return ShmBus(bus_handle, worker_id=wid, faults=faults)

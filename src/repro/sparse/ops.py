@@ -19,7 +19,7 @@ from scipy.sparse._sparsetools import csr_matvecs  # the kernel ``csr_matrix @ n
 
 __all__ = [
     "to_csr", "add_self_loops", "sym_normalize", "gcn_normalize", "spmm", "ReplicatedCsr",
-    "cpu_share", "set_cpu_share", "parallelism", "run_parts",
+    "cpu_share", "set_cpu_share", "parallelism", "run_parts", "run_rows",
 ]
 
 #: multiply-adds (nonzeros x operand columns) each part of a split SpMM must
@@ -28,18 +28,27 @@ __all__ = [
 #: for 8-32 operand columns)
 _PAR_MIN = 1 << 17
 
+#: bytes a memory-bound whole-cube pass (a collective's reduction, the SpMM
+#: output's zero-fill, an activation) must cover before it splits: below
+#: it, handing a range to a pool thread (≈20-30 µs) costs more than the
+#: range saves.  On a 2-CPU host two parts break even at 1-2 MiB with
+#: warm caches (the measured curve: CHANGES.md); the benchmark passes past
+#: it are 1.1-8 MiB, those below it at most 0.6 MiB
+_PASS_MIN = 1 << 20
+
 #: this process's CPU share (``None``: :func:`cpu_share` on first use; a
 #: pool worker is handed its share of the host, :func:`set_cpu_share`).
 #: The kernels' hot paths read it directly: below break-even a product
 #: makes no Python call it did not make before the pool existed
 _share: int | None = None
 #: the queue of the process's one thread pool (``None`` until the first
-#: split product starts it): each entry a job, its index and the queue its
-#: caller waits on
+#: split starts it): it runs the SpMM's row ranges, the GEMM slabs and
+#: lanes and the memory-bound passes' row ranges (:func:`run_rows`).  Each
+#: entry is a job, its index and the queue its caller waits on
 _todo: SimpleQueue | None = None
-#: the most parts one product of each kind ran in so far (the
-#: ``spmm_parts`` / ``gemm_parts`` trace gauges)
-_parts = {"spmm": 0, "gemm": 0}
+#: the most parts one product or pass of each kind ran in so far (the
+#: ``spmm_parts`` / ``gemm_parts`` / ``pass_parts`` trace gauges)
+_parts = {"spmm": 0, "gemm": 0, "pass": 0}
 
 
 class _Part(threading.local):
@@ -71,15 +80,16 @@ def set_cpu_share(share: int) -> None:
     _share = max(1, int(share))
 
 
-def parallelism() -> tuple[int, int, int]:
+def parallelism() -> tuple[int, int, int, int]:
     """``(CPU share, the most parts one SpMM ran in, the most parts one
-    GEMM step ran in)`` so far in this process — the ``cpu_share`` /
-    ``spmm_parts`` / ``gemm_parts`` trace gauges (two GEMMs run side by side
-    are two parts)."""
+    GEMM step ran in, the most parts one memory-bound pass ran in)`` so far
+    in this process — the ``cpu_share`` / ``spmm_parts`` / ``gemm_parts`` /
+    ``pass_parts`` trace gauges (two GEMMs run side by side are two
+    parts)."""
     global _share
     if _share is None:
         _share = cpu_share()
-    return _share, _parts["spmm"], _parts["gemm"]
+    return _share, _parts["spmm"], _parts["gemm"], _parts["pass"]
 
 
 def note_parts(kind: str, parts: int) -> None:
@@ -115,6 +125,40 @@ def run_parts(jobs: Sequence[Callable[[], object]], kind: str) -> list:
     if error is not None:
         raise error
     return results
+
+
+def run_rows(job: Callable[[tuple], object], shape: tuple[int, ...]) -> None:
+    """Run a memory-bound pass over an array of ``shape`` side by side: its
+    shard-row axis (the second to last — a cube's axis 3, never a reduced
+    one) cut into at most CPU-share ranges, ``job(index)`` once per range
+    on the pool (:func:`run_parts`), each writing its own rows of one
+    output with ``out=``.  Every range keeps two elements or more per
+    leading index, so a reduction over a leading axis stays an
+    element-wise one in member order, as it is on the whole cube (a
+    one-element block would turn it into numpy's pairwise sum).  Callers
+    test the break-even (:data:`_PASS_MIN`), the share and :class:`_Part`
+    inline first, so a pass that does not split makes no call here."""
+    rows, cols = shape[-2:] if len(shape) > 1 else (1, 1)
+    parts = min(_share or parallelism()[0], rows, rows * cols // 2)
+    if parts < 2:
+        job((Ellipsis,))
+        return
+    bounds = [rows * i // parts for i in range(parts + 1)]
+    run_parts(
+        [partial(job, (Ellipsis, slice(lo, hi), slice(None))) for lo, hi in zip(bounds, bounds[1:])],
+        "pass",
+    )
+
+
+def _zero(out: np.ndarray, index: tuple) -> None:
+    """One range of a split zero-fill."""
+    out[index] = 0
+
+
+def _ufunc_rows(ufunc, a: np.ndarray, b, out: np.ndarray, index: tuple) -> None:
+    """One range of a split elementwise ``ufunc(a, b)``: ``b`` a scalar or
+    an array broadcasting to ``out`` over leading axes only."""
+    ufunc(a[index], b[index] if isinstance(b, np.ndarray) else b, out=out[index])
 
 
 def _serve(todo: SimpleQueue) -> None:
@@ -253,16 +297,22 @@ class ReplicatedCsr:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """``self @ x``: the stored rows in nnz-balanced ranges, as many as
         the process's CPU share and the work (``nnz * columns`` over
-        :data:`_PAR_MIN`) allow, run side by side (:func:`run_parts`).  One
-        range is the serial product.  (No Python-level call per product
-        beyond this one when it does not split: the budget of
-        ``core.trainer.py_calls_per_epoch``.)"""
+        :data:`_PAR_MIN`) allow, run side by side (:func:`run_parts`),
+        after the zero-fill of the output (split too past
+        :data:`_PASS_MIN` bytes).  One range is the serial product.  (No
+        Python-level call per product beyond this one when it does not
+        split: the budget of ``core.trainer.py_calls_per_epoch``.)"""
         if x.ndim != 2 or x.shape[0] != self.shape[1]:  # the kernel takes raw pointers
             raise ValueError(f"SpMM shape mismatch: {self.shape} @ {x.shape}")
         c = x.shape[1]
-        out = np.zeros((self.shape[0], c), dtype=np.result_type(self.data, x))
-        x_flat, out_flat = x.ravel(), out.ravel()
+        dtype = np.result_type(self.data, x)
         share = _share or parallelism()[0]
+        if self.shape[0] * c * dtype.itemsize < _PASS_MIN or share < 2 or _part.active:
+            out = np.zeros((self.shape[0], c), dtype=dtype)
+        else:  # zeroed as a phase of its own: the replicas' output rows overlap
+            out = np.empty((self.shape[0], c), dtype=dtype)
+            run_rows(partial(_zero, out), out.shape)
+        x_flat, out_flat = x.ravel(), out.ravel()
         parts = max(1, min(share, self.nnz * c // max(_PAR_MIN, 1)))
         ranges = self._ranges.get(parts) or self._split(parts)
         if len(ranges) > _parts["spmm"]:

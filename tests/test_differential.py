@@ -31,7 +31,10 @@ inter-node Z links, tcp, the sharded directory) plus
 the permuted ``shard_dir`` workloads, both checkpoint crossings and the
 hand-picked recovery cases (a kill at each point, eager and overlap, a
 corrupted payload on each bus, a dropped tcp connection, a frozen F0, a spent budget
-and a delay).
+and a delay).  Its ``split-*`` rows run in process with every break-even
+at zero and a CPU share of 2 or 3, so each SpMM, GEMM step and memory-bound
+pass splits over the pool, and must equal ``tests/oracle.py`` (run
+unsplit) bit for bit.
 
 Spawn-heavy: the default profile (derandomized) runs in its own CI step;
 ``HYPOTHESIS_PROFILE=long`` draws at least 100 cases.
@@ -52,8 +55,10 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.core import GridConfig, PlexusOptions, SpmmNoise
-from repro.dist import LAPTOP, PERLMUTTER
+from oracle import PerRankOracle
+
+from repro.core import GridConfig, PlexusOptions, SpmmNoise, batch
+from repro.dist import LAPTOP, PERLMUTTER, VirtualCluster
 from repro.errors import BarrierTimeout, PayloadCorruption, WorkerCrashed, WorkerFailed
 from repro.graph.features import degree_labels, random_split_masks, synth_features
 from repro.graph.generators import rmat_graph
@@ -62,6 +67,7 @@ from repro.runtime import MultiprocTrainer, WorkloadSpec, build_trainer
 from repro.runtime import checkpoint as ckpt
 from repro.runtime import launch
 from repro.runtime.faults import FAULT_POINTS, NETWORK_ACTIONS, FaultPlan
+from repro.sparse import ops
 from repro.sparse.ops import gcn_normalize
 
 PROFILES = {
@@ -126,6 +132,9 @@ class Case:
     #: ``budget`` restarts
     fault: FaultPlan | None = None
     budget: int = 1
+    #: in process only: a CPU share that every kernel and pass splits over
+    #: (all break-evens at zero), checked against the per-rank oracle
+    share: int = 0
 
 
 @st.composite
@@ -370,10 +379,52 @@ PINNED = {
     "delay": _faulted("delay", epoch=1),
     "delay-overlap": _faulted("delay", epoch=1, overlap=True),
     "delay-tcp": _faulted("delay", epoch=1, worker=0, transport="tcp"),
+    # every split path on the pool: uniform, ragged (X1Y2Z4, N=50),
+    # overlap with 4 aggregation blocks and a frozen layer 0, at shares 2 and 3
+    **{
+        f"split-{name}-share-{share}": replace(case, workers=0, chunks=(3,), share=share)
+        for name, case in {
+            "uniform": Case(trainable=True),
+            "ragged": Case(grid=(1, 2, 4), n=50, dims=(10, 9, 9, 5)),
+            "overlap-4-blocks": Case(overlap=True, blocks=4, trainable=True),
+            "frozen-layer-0": Case(n=72, dims=(24, 24, 16, 8)),
+        }.items()
+        for share in (2, 3)
+    },
 }
 
 
+def _check_split(case: Case) -> None:
+    """The product, every kernel and pass split over ``case.share`` parts,
+    against the per-rank oracle run unsplit: losses, epoch records,
+    weights and per-rank clocks bitwise."""
+    spec = _spec(case)
+    args = (spec.config, spec.adjacency, spec.features, spec.labels, spec.train_mask, spec.layer_dims)
+    oracle = PerRankOracle(VirtualCluster(spec.config.total, spec.machine), *args, spec.options)
+    want = oracle.train(sum(case.chunks))
+    batch._matmul_plan.cache_clear()
+    try:
+        with mock.patch.multiple(
+            ops, _share=case.share, _PAR_MIN=0, _PASS_MIN=0, _parts=dict.fromkeys(ops._parts, 0)
+        ), mock.patch.object(batch, "_GEMM_PAR_MIN", 0):
+            trainer = build_trainer(spec, backend="inproc")
+            got = trainer.train(sum(case.chunks))
+            assert min(ops._parts.values()) >= 2  # every kind split
+    finally:
+        batch._matmul_plan.cache_clear()
+    assert got.losses == want.losses
+    assert got.epochs == want.epochs
+    for layer, ref in zip(trainer.model.layers, oracle.layers):
+        for w, w_ref in zip(layer.w_shards, ref.w_shards):
+            assert np.array_equal(w, w_ref)
+    for f, f_ref in zip(trainer.model.f0_shards, oracle.f0_shards):
+        assert np.array_equal(f, f_ref)
+    assert np.array_equal(trainer.model.cluster.clocks, oracle.cluster.clocks)
+
+
 def _check(case: Case) -> None:
+    if case.share:
+        return _check_split(case)
     spec = _spec(case)
     ref = build_trainer(spec, backend="inproc")
     want = ref.train(sum(case.chunks))

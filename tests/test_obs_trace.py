@@ -333,7 +333,7 @@ class TestEndToEnd:
             r"inproc: minor_faults=.*max_rss_kb=\S+, adjacency_bytes=[1-9]\S*, activation_bytes=[1-9]", text
         )
         # ... and how its kernels ran on its CPUs
-        assert re.search(r"inproc: cpu share [1-9]\d*, spmm parts [1-9]\d*, gemm parts [1-9]\d*, threads", text)
+        assert re.search(r"inproc: cpu share [1-9]\d*, spmm parts [1-9]\d*, gemm parts [1-9]\d*, pass parts \d+, threads", text)
         bad = tmp_path / "nothing-here"
         bad.mkdir()
         assert main(["trace", "validate", str(bad)]) == 1

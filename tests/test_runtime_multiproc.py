@@ -148,7 +148,8 @@ class TestRuntimeSemantics:
     def test_a_worker_splits_its_spmm_over_its_cpu_share(self, tmp_path, workers, masked):
         """Each worker's CPU share is ``max(1, len(affinity) // W)`` of the
         mask it inherits (``taskset``: the launcher's), and caps its SpMM
-        splits; a worker whose share is 1 never starts a thread.  The
+        and memory-bound pass splits; a worker whose share is 1 never
+        starts a thread.  The
         workload is large enough that a share of up to 7 splits that far."""
         spec = _spec(GridConfig(2, 2, 2), workers, n=1024, dims=[160, 16, 8])
         expected = build_trainer(spec).train(2).losses
@@ -168,6 +169,8 @@ class TestRuntimeSemantics:
             g = row["gauges"]
             assert g["cpu_share"] == share and g["spmm_parts"] == min(share, 7)
             assert g["gemm_parts"] == 1  # its GEMMs stay below break-even
+            # its SpMM outputs' zero-fill (2.6 MB) splits; a share of 1 splits no pass
+            assert g["pass_parts"] == (share if share > 1 else 0)
             if share == 1:  # only the main thread, across every epoch
                 assert g["threads"] == 1
 

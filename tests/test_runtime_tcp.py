@@ -386,6 +386,39 @@ class TestMultiHost:
         assert host_workers(_free_address(), workers=1, rediscover_grace=0.5) == 0
         assert time.monotonic() - t0 < 5.0
 
+    def test_host_with_another_key_serves_no_session(self, monkeypatch, capfd):
+        """A host holding another deployment's key dials a forming
+        rendezvous: its workers are refused at the challenge, exit
+        ``NOT_JOINED`` naming the error, and the host stops within its
+        grace, having served no session (it used to count the refused
+        session and dial again while the primary kept forming)."""
+        listener = RendezvousListener(authkey=bytes.fromhex(KEY_HEX))
+
+        def forming():
+            try:
+                listener.gather(1, 40.0)
+            except Exception:  # the deadline, or the close below
+                pass
+
+        gather = threading.Thread(target=forming, daemon=True)
+        gather.start()
+        monkeypatch.setenv("PLEXUS_AUTHKEY", "cd" * 32)
+        hosted: dict = {}
+        th = threading.Thread(
+            target=lambda: hosted.update(
+                served=host_workers(f"{listener.host}:{listener.port}", workers=1, rediscover_grace=1.0)
+            ),
+            daemon=True,
+        )
+        th.start()
+        try:
+            th.join(20)
+        finally:
+            listener.close()
+        assert hosted == {"served": 0}
+        err = capfd.readouterr().err
+        assert "never joined" in err and "authentication" in err
+
     def test_remote_worker_attaches_by_address(self, monkeypatch):
         """The mixed-origin pool trains bitwise like the oracle, and the
         host serves one session: once the pool has formed its address
