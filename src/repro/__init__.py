@@ -18,7 +18,36 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper.
 """
 
+import os
+import sys
 from contextlib import contextmanager
+
+# One thread budget: repro.sparse.ops splits the kernels over the process's
+# CPU share, so BLAS / OpenMP get one thread (a value the user set wins;
+# spawned workers inherit it).  An OpenBLAS that numpy loaded before repro is
+# capped through its C setter (an int; the Fortran ``..._64_`` one takes a
+# pointer), else the contention is logged once.
+_late = "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+if _late:
+    import ctypes
+    from pathlib import Path
+
+    _maps = Path("/proc/self/maps").read_text().split() if Path("/proc/self/maps").exists() else []
+    _libs = [ctypes.CDLL(path) for path in set(_maps) if "openblas" in os.path.basename(path)]
+    _names = [pre + "openblas_set_num_threads" + post for pre in ("", "scipy_") for post in ("", "64_")]
+    _setters = [getattr(lib, name) for lib in _libs for name in _names if hasattr(lib, name)]
+    for _set in _setters:
+        _set.argtypes, _set.restype = [ctypes.c_int], None
+        _set(1)
+    if not _setters:
+        from repro.obs.log import get_logger
+
+        get_logger(__name__).warning(
+            "numpy was imported before repro with a BLAS it cannot cap: its threads contend "
+            "with repro's own splits (set OPENBLAS_NUM_THREADS=1, or import repro first)"
+        )
 
 from repro.core import (
     GridConfig,

@@ -130,7 +130,7 @@ def stack_mul(a, b) -> CubeStack:
     the pool (:func:`~repro.sparse.ops.run_rows`)."""
     a, b = _pair(a, b)
     padded = b if a.rows is None else a
-    if a.cube.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+    if a.cube.nbytes < _ops._PASS_MIN or _ops._part.active or _ops._share < 2:
         return CubeStack(a.cube * b.cube, a.grid, padded.rows, padded.cols)
     out = np.empty(np.broadcast_shapes(a.cube.shape, b.cube.shape), np.result_type(a.cube, b.cube))
     _ops.run_rows(partial(_ops._ufunc_rows, np.multiply, a.cube, b.cube, out), out.shape)
@@ -162,7 +162,7 @@ _GEMM_PAR_MIN = 1 << 22
 def side_by_side(work: int) -> bool:
     """Whether two independent GEMMs of ``work`` multiply-adds each pay for
     running side by side on this process's pool (its CPU share as of now)."""
-    return work >= _GEMM_PAR_MIN and (_ops._share or _ops.parallelism()[0]) > 1
+    return work >= _GEMM_PAR_MIN and _ops._share > 1
 
 
 @lru_cache(maxsize=256)
@@ -279,7 +279,7 @@ def stack_matmul(a, b, *, ta: bool = False, tb: bool = False) -> CubeStack:
         k_key if k_key is None else k_key.tobytes(),
         k2_key if k2_key is None else k2_key.tobytes(),
         n_key if n_key is None else n_key.tobytes(),
-        1 if _ops._part.active else _ops._share or _ops.parallelism()[0],
+        1 if _ops._part.active else _ops._share,
     )
     if steps is None:
         return CubeStack(np.matmul(ac, bc), a.grid, rows, cols)

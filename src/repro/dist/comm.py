@@ -348,21 +348,30 @@ def _operand_chunks(cube_shape: tuple[int, ...], axis: int, cube) -> Sequence[np
     return (cube,)
 
 
-def _split_reduce(ufunc, first: np.ndarray, rest: Sequence[np.ndarray], axis: int, keepdims: bool):
-    """The reduction of ``first`` along ``axis`` and then of every plane of
-    the ``rest`` chunks, in shard-row ranges side by side
-    (:func:`repro.sparse.ops.run_rows`).  Operands are floating point, so
-    the result keeps their dtype."""
-    shape = list(first.shape)
-    shape[axis] = 1
-    reduced = np.empty(shape if keepdims else shape[:axis] + shape[axis + 1 :], dtype=first.dtype)
-    # cut by the result's shape: a reduced axis has extent 1 there, never split
-    _ops.run_rows(partial(_reduce_rows, ufunc, first, rest, axis, reduced), reduced.shape)
+def _reduce(cube_shape: tuple[int, ...], axis: int, cube, op: str, keepdims: bool) -> np.ndarray:
+    """Every group's reduction along cube ``axis`` (read-only; floating
+    point, so of the operand's dtype), past ``_PASS_MIN`` bytes in shard-row
+    ranges side by side (:func:`repro.sparse.ops.run_rows`)."""
+    ufunc = _UFUNCS[op]
+    first, *rest = _operand_chunks(cube_shape, axis, cube)
+    if first.nbytes < _ops._PASS_MIN or _ops._part.active or _ops._share < 2:
+        reduced = ufunc.reduce(first, axis=axis, keepdims=keepdims)
+        acc = reduced[0] if keepdims else reduced
+        for chunk in rest:
+            for plane in chunk:
+                ufunc(acc, plane, out=acc)
+    else:
+        shape = list(first.shape)
+        shape[axis] = 1
+        reduced = np.empty(shape if keepdims else shape[:axis] + shape[axis + 1 :], dtype=first.dtype)
+        # cut by the result's shape: a reduced axis has extent 1 there, never split
+        _ops.run_rows(partial(_reduce_rows, ufunc, first, rest, axis, reduced), reduced.shape)
+    reduced.flags.writeable = False
     return reduced
 
 
 def _reduce_rows(ufunc, first, rest, axis: int, reduced: np.ndarray, index: tuple) -> None:
-    """One shard-row range of :func:`_split_reduce` (``rest`` arrives only
+    """One shard-row range of a split :func:`_reduce` (``rest`` arrives only
     along axis 0)."""
     out = reduced[index]
     ufunc.reduce(first[index], axis=axis, keepdims=reduced.ndim == first.ndim, out=out)
@@ -377,17 +386,7 @@ def stacked_all_reduce_data(
 ) -> np.ndarray:
     """All-reduce within every group along cube ``axis``: each group's
     reduction, held once (extent 1 along ``axis``)."""
-    ufunc = _UFUNCS[op]
-    first, *rest = _operand_chunks(cube_shape, axis, cube)
-    if first.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
-        reduced = ufunc.reduce(first, axis=axis, keepdims=True)
-        for chunk in rest:
-            for plane in chunk:
-                ufunc(reduced[0], plane, out=reduced[0])
-    else:
-        reduced = _split_reduce(ufunc, first, rest, axis, True)
-    reduced.flags.writeable = False
-    return reduced
+    return _reduce(cube_shape, axis, cube, op, True)
 
 
 def stacked_all_gather_data(cube_shape: tuple[int, ...], axis: int, cube) -> np.ndarray:
@@ -419,19 +418,10 @@ def stacked_reduce_scatter_data(
     ``j`` (a view of the reduction).  Requires the row extent to divide the
     group size evenly."""
     g = cube_shape[axis]
-    ufunc = _UFUNCS[op]
-    first, *rest = _operand_chunks(cube_shape, axis, cube)
-    m = first.shape[3]
+    reduced = _reduce(cube_shape, axis, cube, op, False)
+    m = reduced.shape[2]
     if m % g != 0:
         raise ValueError(f"row extent {m} does not divide into {g} blocks")
-    if first.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
-        reduced = ufunc.reduce(first, axis=axis)
-        for chunk in rest:
-            for plane in chunk:
-                ufunc(reduced, plane, out=reduced)
-    else:
-        reduced = _split_reduce(ufunc, first, rest, axis, False)
-    reduced.flags.writeable = False
     blocks = reduced.reshape(reduced.shape[:2] + (g, m // g) + reduced.shape[3:])
     return _moved(blocks, 2, axis)
 

@@ -19,7 +19,7 @@ __all__ = ["relu", "relu_grad", "softmax", "log_softmax"]
 
 def relu(x: np.ndarray) -> np.ndarray:
     """The paper's non-linear activation sigma (Eq. 2.3)."""
-    if x.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+    if x.nbytes < _ops._PASS_MIN or _ops._part.active or _ops._share < 2:
         return np.maximum(x, 0.0)
     out = np.empty_like(x, dtype=np.result_type(x, 0.0))
     _ops.run_rows(partial(_ops._ufunc_rows, np.maximum, x, 0.0, out), x.shape)
@@ -33,7 +33,7 @@ def relu_grad(q: np.ndarray) -> np.ndarray:
     every positive entry and makes no other one positive (NaN stays NaN),
     so a layer caches only its output.
     """
-    if q.nbytes < _ops._PASS_MIN or _ops._part.active or (_ops._share or _ops.parallelism()[0]) < 2:
+    if q.nbytes < _ops._PASS_MIN or _ops._part.active or _ops._share < 2:
         return (q > 0.0).astype(q.dtype)
     out = np.empty_like(q)
     _ops.run_rows(partial(_ops._ufunc_rows, np.greater, q, 0.0, out), q.shape)

@@ -27,6 +27,7 @@ Metric kinds:
 
 from __future__ import annotations
 
+import os
 import threading
 
 try:  # Unix only; elsewhere the process gauges are simply absent
@@ -58,14 +59,15 @@ class MetricsRegistry:
         snapshot: its ``cpu_share``, the most parts one SpMM ran in
         (``spmm_parts``), one GEMM step (``gemm_parts``: two GEMMs run
         side by side are two) and one memory-bound pass (``pass_parts``:
-        a reduction, a zero-fill, an activation), its live ``threads``, and the
-        ``minor_faults`` / ``major_faults`` / ``max_rss_kb`` of ``getrusage``
-        (cumulative since process start)."""
+        a reduction, a zero-fill, an activation), its live ``threads``
+        (native ones too), and the ``minor_faults`` / ``major_faults`` /
+        ``max_rss_kb`` of ``getrusage`` (cumulative since process start)."""
         self.gauges["cpu_share"] = float(cpu_share)
         self.gauges["spmm_parts"] = float(spmm_parts)
         self.gauges["gemm_parts"] = float(gemm_parts)
         self.gauges["pass_parts"] = float(pass_parts)
-        self.gauges["threads"] = float(threading.active_count())
+        tasks = "/proc/self/task"  # every thread, a BLAS library's included
+        self.gauges["threads"] = float(len(os.listdir(tasks)) if os.path.isdir(tasks) else threading.active_count())
         if resource is not None:
             ru = resource.getrusage(resource.RUSAGE_SELF)
             self.gauges["minor_faults"] = float(ru.ru_minflt)

@@ -125,9 +125,6 @@ DEFAULT_MAILBOX_BYTES = 8 << 20
 #: milliseconds after its peers' reports
 _ECHO_GRACE_S = 0.5
 
-#: the BLAS/OpenMP pool-size variables a numerical library reads at import
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 #: glibc malloc for the workers, pinned from their first allocation on
 _ALLOC_VARS = {var: str(value) for var, _, value in ALLOC_PINS}
 
@@ -188,24 +185,18 @@ class WorkloadSpec:
 
 
 @contextmanager
-def _worker_env(share: int):
-    """The environment worker processes are spawned under: each worker's
-    BLAS/OpenMP pool gets ``share`` threads, its share of the CPUs the
-    launcher may use, and glibc's allocator is pinned (:data:`_ALLOC_VARS`).
-
-    Unpinned, every worker imports numpy with a pool of one thread per CPU,
-    so W workers run W x C threads on C cores and the pool is slower than
-    one process; and glibc's *dynamic* mmap/trim thresholds follow the
-    largest temporary a process frees, so a worker maps and unmaps its
-    per-epoch temporaries — thousands of minor page faults per epoch where
-    the requirement (the ``minor_faults`` gauge) is ≈0.  A variable the user
-    already set wins; the launcher's own environment is restored on exit
-    (spawned children capture ``os.environ`` at ``start()``).
+def _worker_env():
+    """The environment worker processes are spawned under: glibc's allocator
+    pinned (:data:`_ALLOC_VARS`).  Its *dynamic* mmap/trim thresholds follow
+    the largest temporary a process frees, so an unpinned worker maps and
+    unmaps its per-epoch temporaries: thousands of minor page faults per
+    epoch where the ``minor_faults`` gauge should read ≈0.  A variable the
+    user set wins; the launcher's environment is restored on exit (children
+    capture ``os.environ`` at ``start()``).  BLAS is :mod:`repro`'s to pin.
     """
-    wanted = {**dict.fromkeys(_THREAD_VARS, str(share)), **_ALLOC_VARS}
-    added = [v for v in wanted if v not in os.environ]
+    added = [v for v in _ALLOC_VARS if v not in os.environ]
     for v in added:
-        os.environ[v] = wanted[v]
+        os.environ[v] = _ALLOC_VARS[v]
     try:
         yield
     finally:
@@ -238,9 +229,9 @@ def _start_workers(
     :func:`_worker_env`, appending each to ``procs`` as it starts (a failure
     midway leaves the started ones where the caller's teardown finds them).
     Each gets this host's CPU share per worker as its last argument: its
-    BLAS pools' size and the cap on its SpMM splits."""
+    thread budget, the cap on its splits (its BLAS runs one thread)."""
     share = cpu_share(len(args_of))
-    with _worker_env(share):
+    with _worker_env():
         for w, args in enumerate(args_of):
             p = ctx.Process(target=target, args=(*args, share), name=f"{name}-{w}", daemon=True)
             p.start()
@@ -732,12 +723,6 @@ class MultiprocTrainer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - backstop only
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def host_workers(rendezvous: str, workers: int = 1, rediscover_grace: float = 10.0) -> int:

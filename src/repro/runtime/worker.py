@@ -370,7 +370,8 @@ def worker_main(
     ``repro host`` worker) it opens its peer-plane listener *first*, so its
     port can be advertised, and wires the tcp mesh from the manifest.
     ``share`` is this worker's share of the CPUs of the host that spawned
-    it, the cap on its splits.  A worker that never joins exits
+    it, its one thread budget: the cap on its splits (its BLAS runs one
+    thread, pinned by :mod:`repro`).  A worker that never joins exits
     :data:`NOT_JOINED`.
 
     The arguments are small on purpose: spawn's ``start()`` writes them into

@@ -36,11 +36,6 @@ _PAR_MIN = 1 << 17
 #: it are 1.1-8 MiB, those below it at most 0.6 MiB
 _PASS_MIN = 1 << 20
 
-#: this process's CPU share (``None``: :func:`cpu_share` on first use; a
-#: pool worker is handed its share of the host, :func:`set_cpu_share`).
-#: The kernels' hot paths read it directly: below break-even a product
-#: makes no Python call it did not make before the pool existed
-_share: int | None = None
 #: the queue of the process's one thread pool (``None`` until the first
 #: split starts it): it runs the SpMM's row ranges, the GEMM slabs and
 #: lanes and the memory-bound passes' row ranges (:func:`run_rows`).  Each
@@ -66,11 +61,15 @@ _part = _Part()
 def cpu_share(workers: int = 1) -> int:
     """One of ``workers`` processes' share of the CPUs this process may run
     on — its affinity mask (``taskset``, a cpuset), not the host's count."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, cpus // max(1, workers))
+
+
+#: this process's CPU share, its one thread budget (BLAS runs one thread:
+#: ``repro/__init__.py``; a pool worker is handed its share of the host,
+#: :func:`set_cpu_share`).  Hot paths read it directly: below break-even a
+#: product makes no Python call it did not make before the pool existed
+_share = cpu_share()
 
 
 def set_cpu_share(share: int) -> None:
@@ -81,14 +80,9 @@ def set_cpu_share(share: int) -> None:
 
 
 def parallelism() -> tuple[int, int, int, int]:
-    """``(CPU share, the most parts one SpMM ran in, the most parts one
-    GEMM step ran in, the most parts one memory-bound pass ran in)`` so far
-    in this process — the ``cpu_share`` / ``spmm_parts`` / ``gemm_parts`` /
-    ``pass_parts`` trace gauges (two GEMMs run side by side are two
-    parts)."""
-    global _share
-    if _share is None:
-        _share = cpu_share()
+    """The ``cpu_share`` / ``spmm_parts`` / ``gemm_parts`` / ``pass_parts``
+    trace gauges: the CPU share, and the most parts one SpMM, one GEMM step
+    (two GEMMs side by side are two) and one memory-bound pass ran in."""
     return _share, _parts["spmm"], _parts["gemm"], _parts["pass"]
 
 
@@ -109,7 +103,7 @@ def run_parts(jobs: Sequence[Callable[[], object]], kind: str) -> list:
         return [job() for job in jobs]
     note_parts(kind, len(jobs))
     done = SimpleQueue()
-    todo = _todo or _start_pool((_share or parallelism()[0]) - 1)
+    todo = _todo or _start_pool(_share - 1)
     for i in range(1, len(jobs)):
         todo.put([jobs[i], i, done])
     results = [None] * len(jobs)
@@ -139,7 +133,7 @@ def run_rows(job: Callable[[tuple], object], shape: tuple[int, ...]) -> None:
     test the break-even (:data:`_PASS_MIN`), the share and :class:`_Part`
     inline first, so a pass that does not split makes no call here."""
     rows, cols = shape[-2:] if len(shape) > 1 else (1, 1)
-    parts = min(_share or parallelism()[0], rows, rows * cols // 2)
+    parts = min(_share, rows, rows * cols // 2)
     if parts < 2:
         job((Ellipsis,))
         return
@@ -306,14 +300,13 @@ class ReplicatedCsr:
             raise ValueError(f"SpMM shape mismatch: {self.shape} @ {x.shape}")
         c = x.shape[1]
         dtype = np.result_type(self.data, x)
-        share = _share or parallelism()[0]
-        if self.shape[0] * c * dtype.itemsize < _PASS_MIN or share < 2 or _part.active:
+        if self.shape[0] * c * dtype.itemsize < _PASS_MIN or _share < 2 or _part.active:
             out = np.zeros((self.shape[0], c), dtype=dtype)
         else:  # zeroed as a phase of its own: the replicas' output rows overlap
             out = np.empty((self.shape[0], c), dtype=dtype)
             run_rows(partial(_zero, out), out.shape)
         x_flat, out_flat = x.ravel(), out.ravel()
-        parts = max(1, min(share, self.nnz * c // max(_PAR_MIN, 1)))
+        parts = max(1, min(_share, self.nnz * c // max(_PAR_MIN, 1)))
         ranges = self._ranges.get(parts) or self._split(parts)
         if len(ranges) > _parts["spmm"]:
             _parts["spmm"] = len(ranges)

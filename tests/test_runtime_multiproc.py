@@ -114,11 +114,11 @@ class TestRuntimeSemantics:
     @pytest.mark.skipif(
         not Path("/proc/self/environ").exists(), reason="needs Linux /proc"
     )
-    def test_workers_spawn_with_their_share_of_blas_threads(self, monkeypatch):
-        """W workers on the C CPUs of the launcher's affinity mask start with
-        ``C // W`` BLAS/OpenMP threads each (not ``C`` each: W x C threads on
-        C cores) and with glibc's
-        mmap *and* trim thresholds pinned, unless the user set a variable;
+    def test_workers_spawn_with_the_allocator_pinned_and_no_thread_variable(self, monkeypatch):
+        """The launcher sizes no worker's BLAS/OpenMP pool: a worker is
+        spawned with the thread variables the user set and no others (it
+        pins BLAS to one thread itself, on importing ``repro``), and with
+        glibc's mmap *and* trim thresholds pinned unless the user set one;
         the launcher's own environment is restored."""
         names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
         alloc = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
@@ -129,18 +129,35 @@ class TestRuntimeSemantics:
 
         for name in names + alloc:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("MKL_NUM_THREADS", "3")  # the user's choice wins
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")  # the user's choice reaches the workers
         monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1048576")
-        share = str(max(1, len(os.sched_getaffinity(0)) // 2))
         with MultiprocTrainer(_spec(GridConfig(2, 2, 2), workers=2), timeout=60) as mpt:
             for proc in mpt._procs:
                 env = spawned_env(proc.pid)
-                assert [env.get(n) for n in names] == [share, share, "3"]
+                assert [env.get(n) for n in names] == [None, None, "3"]
                 # the mmap threshold is pinned even beside a user's trim
                 # threshold: that one alone would freeze it at 128 KiB
                 assert [env.get(n) for n in alloc] == [str(32 << 20), "1048576"]
         assert [os.environ.get(n) for n in names] == [None, None, "3"]
         assert [os.environ.get(n) for n in alloc] == [None, "1048576"]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+    def test_a_worker_runs_one_thread_whatever_its_cpu_share(self, tmp_path, monkeypatch):
+        """One worker holds every CPU of the launcher's mask as its share,
+        and with no thread variable set anywhere its BLAS still runs one
+        thread: below every break-even the worker process has one thread,
+        its main one (sized by the share, BLAS gave it one per CPU)."""
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        with MultiprocTrainer(_spec(GridConfig(2, 2, 2), workers=1), timeout=60, trace_dir=tmp_path) as mpt:
+            mpt.train(1)
+            (proc,) = mpt._procs
+            assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
+        rows = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        gauges = [r["gauges"] for r in rows if r["process"] == "worker 0"]
+        assert gauges and all(g["threads"] == 1 for g in gauges)
+        assert gauges[-1]["cpu_share"] == len(os.sched_getaffinity(0))
+        assert gauges[-1]["spmm_parts"] == gauges[-1]["gemm_parts"] == 1 and gauges[-1]["pass_parts"] == 0
 
     @pytest.mark.parametrize(
         "workers, masked", [(1, False), (2, False), (2, True)], ids=["one", "two", "two-on-one-cpu"]
